@@ -449,36 +449,23 @@ let bench_first_commit_after_activation () =
   one true;
   one false
 
-(* The same browned-out commit episode both ways, back to back: hedged
-   scatters racing a health-delayed backup copy against the slow store,
-   then unhedged. The spread within this subject is what hedging buys
-   (and costs: the extra copies) under gray failure; tab-brownout
-   tabulates the same episode's latency percentiles. *)
-let bench_hedged_vs_unhedged_brownout () =
+(* The tab-brownout episode under one profile: one store browned out at
+   a low per-message probability. Hedged, the slow store's scatters race
+   a health-delayed backup copy; unhedged, every inflated message is
+   paid in full. One variant per subject, so each records its own cost
+   (the extra copies) rather than a pair sum. *)
+let bench_brownout ~hedged () =
   ignore
-    (Workload.Exp_brownout.episode ~hedged:true ~prob:0.02 ~commits:30
-       ~seed:31L ()
-      : Workload.Exp_brownout.sample);
-  ignore
-    (Workload.Exp_brownout.episode ~hedged:false ~prob:0.02 ~commits:30
-       ~seed:31L ()
+    (Workload.Exp_brownout.episode ~hedged ~prob:0.02 ~commits:30 ~seed:31L ()
       : Workload.Exp_brownout.sample)
 
-(* The same harsh-brownout commit episode both ways, back to back: the
-   autonomic controller excluding the browned store (commits scatter to
-   the healthy store only once the hysteresis window closes), then
-   hedging alone (both copies keep drawing the inflation). The spread
-   within this subject is what membership-level exclusion buys over
-   request-level hedging when a store is simply sick; tab-autonomic
-   tabulates the same episode's latency percentiles. *)
-let bench_excluded_vs_hedged_brownout () =
+(* The tab-autonomic episode under one mode: a harsh brownout on one
+   store. [Autonomic] excludes the browned store once the hysteresis
+   window closes (commits then scatter to the healthy store only);
+   [Hedged] keeps both copies drawing the inflation. *)
+let bench_harsh_brownout mode () =
   ignore
-    (Workload.Exp_autonomic.episode ~mode:Workload.Exp_autonomic.Autonomic
-       ~prob:0.7 ~commits:40 ~seed:47L ()
-      : Workload.Exp_autonomic.sample);
-  ignore
-    (Workload.Exp_autonomic.episode ~mode:Workload.Exp_autonomic.Hedged
-       ~prob:0.7 ~commits:40 ~seed:47L ()
+    (Workload.Exp_autonomic.episode ~mode ~prob:0.7 ~commits:40 ~seed:47L ()
       : Workload.Exp_autonomic.sample)
 
 let micro_tests =
@@ -528,10 +515,14 @@ let micro_tests =
         (Staged.stage bench_grouped_8_clients);
       Test.make ~name:"commit.first-commit-delta-after-activation"
         (Staged.stage bench_first_commit_after_activation);
-      Test.make ~name:"commit.hedged-vs-unhedged-brownout"
-        (Staged.stage bench_hedged_vs_unhedged_brownout);
-      Test.make ~name:"commit.excluded-vs-hedged-brownout"
-        (Staged.stage bench_excluded_vs_hedged_brownout);
+      Test.make ~name:"commit.brownout-hedged"
+        (Staged.stage (bench_brownout ~hedged:true));
+      Test.make ~name:"commit.brownout-unhedged"
+        (Staged.stage (bench_brownout ~hedged:false));
+      Test.make ~name:"commit.harsh-brownout-excluded"
+        (Staged.stage (bench_harsh_brownout Workload.Exp_autonomic.Autonomic));
+      Test.make ~name:"commit.harsh-brownout-hedged"
+        (Staged.stage (bench_harsh_brownout Workload.Exp_autonomic.Hedged));
     ]
 
 (* Run the micro suite; print the human table and return the per-subject

@@ -351,7 +351,7 @@ let abort t ~from ~store ~action = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_a
    return the recorded vote), commit/abort resolve an intent-log entry
    idempotently, so a hedged duplicate delivery is harmless.
 
-   With [?alt_of] (the sibling-hedge knob), a leg whose destination the
+   With [?alt_of] (sibling-hedge routing), a leg whose destination the
    caller maps to a sibling [St] member races its backup copy against
    THAT node instead of re-rolling the sick destination's dice. The
    sibling holds the same replicated object, so its handler does the

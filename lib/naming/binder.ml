@@ -3,17 +3,19 @@ type t = {
   b_grt : Replica.Group.runtime;
   b_cache : Bind_cache.t option;
   b_deltas : Use_delta.t;
-  b_flush_delay : float;
   b_crash_hooked : (Net.Network.node_id, unit) Hashtbl.t;
 }
 
-let create ?cache ?(flush_delay = 5.0) b_router b_grt =
+(* How long credited Decrements wait for a cancelling rebind before the
+   flush fiber sends them. *)
+let flush_delay = 5.0
+
+let create ?cache b_router b_grt =
   {
     b_router;
     b_grt;
     b_cache = cache;
     b_deltas = Use_delta.create ();
-    b_flush_delay = flush_delay;
     b_crash_hooked = Hashtbl.create 8;
   }
 
@@ -236,13 +238,12 @@ let bind_standard t ~act ~uid ~policy =
   | Error e -> Error e
   | Ok (impl, sv, st) -> (
       (* Static Sv: pick the first k entries, dead or not ("the hard
-         way", §4.1.2). Under hedged RPC the candidate order is
+         way", §4.1.2). Under a gray-failure profile the candidate order is
          health-ranked first, steering the static pick away from
-         browned-out servers (ties keep Sv order; with the knob off the
-         pick is untouched). *)
+         browned-out servers (ties keep Sv order; without a gray-failure
+         profile the pick is untouched). *)
       let sv =
-        if Replica.Server.hedged_rpc (Replica.Group.server_runtime t.b_grt)
-        then
+        if Net.Network.hedged (netw t) then
           Net.Health.rank
             (Net.Network.health (netw t))
             ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
@@ -365,7 +366,7 @@ let rec schedule_flush t ~client =
     Use_delta.set_flush_scheduled t.b_deltas ~client true;
     Net.Network.spawn_on (netw t) client ~name:(client ^ ".use-flush")
       (fun () ->
-        Sim.Engine.sleep (Action.Atomic.engine (art t)) t.b_flush_delay;
+        Sim.Engine.sleep (Action.Atomic.engine (art t)) flush_delay;
         let flush_one uid =
           let credits = Use_delta.take t.b_deltas ~client ~uid in
           credits = [] || run_flush t ~client ~uid ~credits

@@ -27,7 +27,8 @@
     Buffered credits leave the client in one of two coalesced forms: the
     next bind of the same (client, object) piggybacks them on its batch
     request — cancelling the increment/decrement pair within that one
-    round — or a deferred flush fiber (after [flush_delay]) sends every
+    round — or a deferred flush fiber (after a 5.0 coalescing window
+    that a blocked [Insert] can cut short, see {!pull_credits}) sends every
     remaining credit for an object as one merged [Decrement] action. A
     client crash with unflushed credits leaves exactly the orphaned
     counters the cleanup protocol repairs.
@@ -47,20 +48,14 @@
 type t
 (** Binder runtime. *)
 
-val create :
-  ?cache:Bind_cache.t -> ?flush_delay:float -> Router.t ->
-  Replica.Group.runtime -> t
+val create : ?cache:Bind_cache.t -> Router.t -> Replica.Group.runtime -> t
 (** [create router grt] binds through the sharded naming tier. [cache]
     (default none) enables the lease-based client cache: a fresh entry
     lets {!bind} skip every bind-time naming RPC and activate straight
     from the cached [(impl, SvA', StA)]. Staleness only slows a bind
     down (futile activations, a commit-time version-conflict abort that
     invalidates the entry); it can never commit against a stale store —
-    commit processing re-reads [StA] and the stores backward-validate.
-
-    [flush_delay] (default 5.0) is the coalescing window: how long
-    credited [Decrement]s wait for a cancelling rebind before the flush
-    fiber sends them. *)
+    commit processing re-reads [StA] and the stores backward-validate. *)
 
 val router : t -> Router.t
 
@@ -111,8 +106,8 @@ val use_prebinding :
 val release_independent : t -> prebinding -> unit
 (** The trailing [Decrement] (Figure 7, last ellipse), coalesced: the
     counts are credited to the delta buffer and either cancelled by the
-    client's next bind of the same object or flushed after
-    [flush_delay]. Must run in a fiber on the binding client. Safe to
+    client's next bind of the same object or flushed after the
+    coalescing window. Must run in a fiber on the binding client. Safe to
     call once. *)
 
 val bind_nested_toplevel :

@@ -102,17 +102,14 @@ type validate_req = {
   vv_rev : int;
 }
 
-(* Optimistic membership change (the §13 discipline applied to §4.2's own
-   operations): the caller read (St, rev) lock-free, decided the change
-   off that snapshot, and now asks for it to be applied only if the
-   revision still stands — decide-then-mutate in one atomic round instead
-   of a blind mutation under a blocking lock. *)
-type member_op = Add_member | Drop_member
-
+(* Validated Exclude (the §13 discipline applied to §4.2's own
+   operation): the caller read (St, rev) lock-free, decided to drop
+   [mb_node] off that snapshot, and now asks for the drop to be applied
+   only if the revision still stands — decide-then-mutate in one atomic
+   round instead of a blind mutation under a blocking lock. *)
 type member_req = {
   mb_uid : Store.Uid.t;
   mb_action : string;
-  mb_op : member_op;
   mb_node : Net.Network.node_id;
   mb_rev : int;
 }
@@ -163,14 +160,8 @@ let ep_mirror : ((int * image * int) list, unit) Net.Rpc.endpoint =
 type t = {
   art : Action.Atomic.runtime;
   gvd_node : Net.Network.node_id;
-  lock_timeout : float;
   use_exclude_write : bool;
   durable : bool;
-  mutable g_hedged : bool;
-      (* hedge the plain idempotent reads (lookup, entry_info, snapshot
-         reads) with a health-delayed backup; default off. Enlisted
-         operations are NEVER hedged: they stage locks and counter
-         updates, and a duplicate delivery rides below the dedup guard. *)
   service_time : float;
       (* modeled CPU cost per database operation; 0.0 = infinitely fast
          service node (the seed behaviour). Charged on a capacity-1
@@ -394,10 +385,13 @@ let break_stale_lock_holders t key =
     (Lockmgr.Manager.holders t.locks key)
 
 (* Lock acquisition helpers: block up to the timeout, refuse after. *)
+let lock_timeout = 30.0
+
 let with_lock t ~action ~mode key (f : unit -> 'a reply) : 'a reply =
   touch_guard t action;
   match
-    Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:t.lock_timeout key
+    Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:lock_timeout
+      key
   with
   | Ok () -> f ()
   | Error `Timeout ->
@@ -1009,38 +1003,29 @@ let h_validate_view t { vv_uid; vv_action; vv_version; vv_rev } =
         end
       end
 
-(* Optimistic Exclude/Include: the same validate-under-the-fence shape as
-   [h_validate_view], driving §4.2's own membership mutations. The caller
-   (normally the autonomic controller) read (St, rev) lock-free, decided
-   "drop n" or "re-admit n" off that snapshot, and the handler applies the
-   mutation only if the revision still stands:
+(* Validated Exclude: the same validate-under-the-fence shape as
+   [h_validate_view], driving §4.2's own membership mutation. The caller
+   (the autonomic controller) read (St, rev) lock-free, decided "drop n"
+   off that snapshot, and the handler applies the drop only if the
+   revision still stands:
 
    - Lock refused: [Refused], caller retries or falls back to the classic
-     blocking Exclude/Include.
+     blocking Exclude.
    - Revision moved (some other membership change committed since the
      snapshot): [Granted (false, _)] KEEPING the fence — the caller
-     re-reads St (which can no longer move) and re-decides; if the change
+     re-reads St (which can no longer move) and re-decides; if the drop
      is still wanted, the next attempt must succeed.
-   - Revision stands: mutate exactly as [h_exclude]/[h_include] would.
-     A Drop that would empty [St] is refused outright — the last state
-     holder is never evicted, however sick: a slow state beats no state.
-
-   Include answers the same committed-version fence as the classic
-   [h_include]: the caller must catch the store up to at least that
-   version before its inclusion action may commit. The St revision itself
-   is bumped by [install_snapshot] at commit, like every other membership
-   change. *)
-let h_membership t { mb_uid; mb_action; mb_op; mb_node; mb_rev } =
+   - Revision stands: mutate exactly as [h_exclude] would. A drop that
+     would empty [St] is refused outright — the last state holder is
+     never evicted, however sick: a slow state beats no state. *)
+let h_membership t { mb_uid; mb_action; mb_node; mb_rev } =
   touch_guard t mb_action;
   match entry_opt t mb_uid with
   | None -> absent t mb_uid
   | Some e ->
       let mode =
-        match mb_op with
-        | Drop_member ->
-            if t.use_exclude_write then Lockmgr.Mode.Exclude_write
-            else Lockmgr.Mode.Write
-        | Add_member -> Lockmgr.Mode.Write
+        if t.use_exclude_write then Lockmgr.Mode.Exclude_write
+        else Lockmgr.Mode.Write
       in
       let key = st_key mb_uid in
       if not (Lockmgr.Manager.available t.locks ~owner:mb_action ~mode key)
@@ -1065,47 +1050,27 @@ let h_membership t { mb_uid; mb_action; mb_op; mb_node; mb_rev } =
           Granted (false, e.e_image.im_state.im_version)
         end
         else
-          match mb_op with
-          | Drop_member ->
-              let st = e.e_image.im_state.im_st in
-              if List.mem mb_node st && List.length st <= 1 then begin
-                Sim.Metrics.incr (metrics t) "gvd.exclude_refused";
-                Refused "would empty St"
-              end
-              else begin
-                save_st t ~action:mb_action e;
-                e.e_image <-
+          let st = e.e_image.im_state.im_st in
+          if List.mem mb_node st && List.length st <= 1 then begin
+            Sim.Metrics.incr (metrics t) "gvd.exclude_refused";
+            Refused "would empty St"
+          end
+          else begin
+            save_st t ~action:mb_action e;
+            e.e_image <-
+              {
+                e.e_image with
+                im_state =
                   {
-                    e.e_image with
-                    im_state =
-                      {
-                        e.e_image.im_state with
-                        im_st = List.filter (fun n -> n <> mb_node) st;
-                      };
+                    e.e_image.im_state with
+                    im_st = List.filter (fun n -> n <> mb_node) st;
                   };
-                tracef t "%s exclude-validated %s from St(%a)" mb_action
-                  mb_node Store.Uid.pp mb_uid;
-                Sim.Metrics.incr (metrics t) "gvd.exclusions";
-                Granted (true, e.e_image.im_state.im_version)
-              end
-          | Add_member ->
-              save_st t ~action:mb_action e;
-              e.e_image <-
-                {
-                  e.e_image with
-                  im_state =
-                    {
-                      e.e_image.im_state with
-                      im_st = add_unique mb_node e.e_image.im_state.im_st;
-                      im_st_home =
-                        add_unique mb_node e.e_image.im_state.im_st_home;
-                    };
-                };
-              tracef t "%s include-validated %s into St(%a) -> [%s]" mb_action
-                mb_node Store.Uid.pp mb_uid
-                (String.concat "," e.e_image.im_state.im_st);
-              Sim.Metrics.incr (metrics t) "gvd.includes";
-              Granted (true, e.e_image.im_state.im_version)
+              };
+            tracef t "%s exclude-validated %s from St(%a)" mb_action mb_node
+              Store.Uid.pp mb_uid;
+            Sim.Metrics.incr (metrics t) "gvd.exclusions";
+            Granted (true, e.e_image.im_state.im_version)
+          end
       end
 
 (* Synchronously push the committed images (with their snapshot versions)
@@ -1287,16 +1252,14 @@ let manager t =
         transfer_guard t action parent);
   }
 
-let install ?(lock_timeout = 30.0) ?(use_exclude_write = true)
-    ?(durable = false) ?(service_time = 0.0) art ~node =
+let install ?(use_exclude_write = true) ?(durable = false)
+    ?(service_time = 0.0) art ~node =
   let t =
     {
       art;
       gvd_node = node;
-      lock_timeout;
       use_exclude_write;
       durable;
-      g_hedged = false;
       service_time;
       service = Sim.Semaphore.create 1;
       moved_out = Hashtbl.create 16;
@@ -1463,13 +1426,13 @@ let install ?(lock_timeout = 30.0) ?(use_exclude_write = true)
 
 (* -- client stubs: call, then enlist the action with the database -- *)
 
-let set_hedged t flag = t.g_hedged <- flag
-
-(* Plain idempotent reads may race a backup copy against a browned-out
-   shard (same destination — under per-message brownout inflation a
-   re-send is a fresh draw). Everything that enlists stays un-hedged. *)
+(* Under a gray-failure profile, plain idempotent reads race a backup copy
+   against a browned-out shard (same destination — under per-message
+   brownout inflation a re-send is a fresh draw). Everything that enlists
+   stays un-hedged: it stages locks and counter updates, and a duplicate
+   delivery would ride below the dedup guard. *)
 let plain_call t ~from ep req =
-  if t.g_hedged then
+  if Net.Network.hedged (Action.Atomic.network t.art) then
     Net.Rpc.call_hedged (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
       ~hedge:(Net.Rpc.hedge ()) ep req
   else Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req
@@ -1557,25 +1520,14 @@ let include_ t ~act ~uid node =
   call_enlisted t ~act t.ep_include
     { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
 
-(* The optimistic membership stubs enlist like every other mutator: the
-   handler takes the fence lock and stages a before-image for the action,
-   so action end must release/restore them whatever the outcome. *)
+(* The validated Exclude enlists like every other mutator: the handler
+   takes the fence lock and stages a before-image for the action, so
+   action end must release/restore them whatever the outcome. *)
 let exclude_validated t ~act ~uid ~rev node =
   call_enlisted t ~act t.ep_membership
     {
       mb_uid = uid;
       mb_action = Action.Atomic.owner act;
-      mb_op = Drop_member;
-      mb_node = node;
-      mb_rev = rev;
-    }
-
-let include_validated t ~act ~uid ~rev node =
-  call_enlisted t ~act t.ep_membership
-    {
-      mb_uid = uid;
-      mb_action = Action.Atomic.owner act;
-      mb_op = Add_member;
       mb_node = node;
       mb_rev = rev;
     }

@@ -32,7 +32,6 @@ type t
 (** The database runtime (client handle and server state). *)
 
 val install :
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable:bool ->
   ?service_time:float ->
@@ -40,8 +39,8 @@ val install :
   node:Net.Network.node_id ->
   t
 (** [install art ~node] hosts the database on [node] and registers its
-    endpoints and resource manager. [lock_timeout] (default 30.0) bounds
-    lock waits inside handlers; a timed-out wait refuses the operation.
+    endpoints and resource manager. Lock waits inside handlers are
+    bounded at 30.0; a timed-out wait refuses the operation.
     [use_exclude_write] (default true) selects the §4.2.1 lock type for
     [Exclude].
 
@@ -57,19 +56,18 @@ val install :
     single service unit and holds it that long. The default keeps the
     node infinitely fast, byte-for-byte the seed behaviour; a positive
     value makes a single naming node a measurable bottleneck, which is
-    what the sharded tier ({!Router}) relieves. *)
+    what the sharded tier ({!Router}) relieves.
+
+    Under a gray-failure profile ({!Net.Network.hedged}) the plain
+    idempotent reads — {!lookup}, {!entry_info}, {!get_view_snapshot},
+    {!get_server_snapshot} — race a health-delayed backup copy
+    ({!Net.Rpc.call_hedged}). The enlisted operations are {e never}
+    hedged: they take locks and stage counter updates, and a hedged
+    duplicate would ride below the RPC duplicate guard (e.g. a
+    double-staged Increment in [bind_batch]). *)
 
 val node : t -> Net.Network.node_id
 (** The service node. *)
-
-val set_hedged : t -> bool -> unit
-(** Hedge the plain idempotent reads — {!lookup}, {!entry_info},
-    {!get_view_snapshot}, {!get_server_snapshot} — with a health-delayed
-    backup copy ({!Net.Rpc.call_hedged}); default off, off is
-    byte-identical. The enlisted operations are {e never} hedged: they
-    take locks and stage counter updates, and a hedged duplicate would
-    ride below the RPC duplicate guard (e.g. a double-staged Increment in
-    [bind_batch]). *)
 
 val resource : string
 (** The {!Action.Resource_host} resource name, ["gvd"]. *)
@@ -282,19 +280,18 @@ val validate_view :
     validates against a revision that can no longer move, so one conflict
     costs exactly one retry. Idempotent under duplicate delivery. *)
 
-(** {2 Optimistic membership changes}
+(** {2 Validated Exclude}
 
-    The §13 discipline applied to §4.2's own operations: a caller that
-    decided a membership change off a lock-free [(St, rev)] snapshot
-    ({!get_view_commit}) asks for it to be applied {e only if the
+    The §13 discipline applied to §4.2's own Exclude: a caller that
+    decided to drop a store off a lock-free [(St, rev)] snapshot
+    ({!get_view_commit}) asks for the drop to be applied {e only if the
     revision still stands} — decide-then-mutate becomes one atomic round,
     with no blocking lock wait on the conflict-free path. On a moved
     revision the reply is [Granted (false, _)] and the just-taken fence
     is deliberately kept (as in {!validate_view}), so the caller's
     re-read sees a revision that can no longer move and a re-decided
     retry must succeed: one conflict costs one retry. [Refused] (fence
-    unavailable) callers fall back to the classic blocking
-    {!exclude}/{!include_}. *)
+    unavailable) callers fall back to the classic blocking {!exclude}. *)
 
 val exclude_validated :
   t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
@@ -303,15 +300,6 @@ val exclude_validated :
 (** Remove one store node from [StA] iff the committed St revision still
     equals [rev]. Refuses outright (never mutating) if the removal would
     empty [St]: the last state holder is never evicted, however sick. *)
-
-val include_validated :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
-  Net.Network.node_id ->
-  ((bool * Store.Version.t) reply, Net.Rpc.error) result
-(** Re-admit a store node to [StA] iff the revision still equals [rev].
-    [Granted (true, fence)] carries the same committed-version fence as
-    {!include_}: the caller must hold a state at least that new before
-    its inclusion action may commit. *)
 
 (** {2 Replicating the service itself} (§3.1's deferred extension)
 

@@ -23,54 +23,7 @@ let newest_state t ~from ~stores uid =
         | Ok None | Error _ -> best)
     None stores
 
-(* Bounded optimistic attempts before falling back to the classic locked
-   membership round (mirrors {!Replica.Commit}'s validate retries). *)
-let optimistic_attempts = 3
-
-(* Classic Include: the write-lock round of §4.2, fence = granted
-   version. *)
-let include_classic r ~act ~uid node =
-  match Router.include_ r ~act ~uid node with
-  | Ok (Gvd.Granted v) -> v
-  | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> raise (Action.Atomic.Abort why)
-  | Ok (Gvd.Moved dest) -> raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-  | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
-
-(* Optimistic Include: snapshot the St revision lock-free, then validate
-   it inside the Include round ({!Gvd.include_validated}). A conflict —
-   some other membership change or versioned commit bumped the revision
-   in between — kept the write fence, so the re-read revision can no
-   longer move and the bounded retry converges; exhaustion falls back to
-   the classic locked round so churn cannot starve a reintegration. *)
-let include_fence t r ~act ~node ~optimistic uid =
-  if not optimistic then include_classic r ~act ~uid node
-  else
-    let rec go attempt =
-      match Router.get_view_commit r ~from:node uid with
-      | Ok (Gvd.Granted (_, rev)) -> (
-          match Router.include_validated r ~act ~uid ~rev node with
-          | Ok (Gvd.Granted (true, v)) -> v
-          | Ok (Gvd.Granted (false, _)) ->
-              if attempt + 1 < optimistic_attempts then go (attempt + 1)
-              else begin
-                Sim.Metrics.incr
-                  (Net.Network.metrics (netw t))
-                  "reintegrate.optimistic_fallbacks";
-                include_classic r ~act ~uid node
-              end
-          | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
-              raise (Action.Atomic.Abort why)
-          | Ok (Gvd.Moved dest) ->
-              raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-          | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e)))
-      | _ ->
-          (* Snapshot unreachable: the locked round talks to the same
-             shard and will surface the real error. *)
-          include_classic r ~act ~uid node
-    in
-    go 0
-
-let reintegrate_store_one t ?(optimistic = false) ~node uid =
+let reintegrate_store_one t ~node uid =
   let r = Binder.router t in
   let sh = Action.Atomic.store_host (art t) in
   Action.Atomic.atomically (art t) ~node (fun act ->
@@ -78,7 +31,15 @@ let reintegrate_store_one t ?(optimistic = false) ~node uid =
          holding a read lock on the entry, so the fetch below sees the
          final committed state. The granted fence is the committed
          version this node must reach before the inclusion may commit. *)
-      let fence = include_fence t r ~act ~node ~optimistic uid in
+      let fence =
+        match Router.include_ r ~act ~uid node with
+        | Ok (Gvd.Granted v) -> v
+        | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
+            raise (Action.Atomic.Abort why)
+        | Ok (Gvd.Moved dest) ->
+            raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
+        | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
+      in
       let sources =
         match Router.entry_info r ~from:node uid with
         | Ok (Some info) -> info.Gvd.ei_st_home
@@ -115,7 +76,7 @@ let reintegrate_store_one t ?(optimistic = false) ~node uid =
           Sim.Metrics.incr (Net.Network.metrics (netw t)) "reintegrate.fenced";
           raise (Action.Atomic.Abort "latest committed state unreachable"))
 
-let reintegrate_store_now t ?optimistic ~node ?(retry_delay = 2.0) () =
+let reintegrate_store_now t ~node ?(retry_delay = 2.0) () =
   let uids =
     match Router.stored_on (Binder.router t) ~from:node node with
     | Ok uids -> uids
@@ -129,22 +90,30 @@ let reintegrate_store_now t ?optimistic ~node ?(retry_delay = 2.0) () =
           ~op:"reintegrate.include"
           (Net.Retry.policy ~attempts:20 ~base:retry_delay ~factor:1.5
              ~max_delay:8.0 ())
-          (fun () -> reintegrate_store_one t ?optimistic ~node uid)
+          (fun () -> reintegrate_store_one t ~node uid)
       with
       | Ok () ->
           Sim.Metrics.incr (Net.Network.metrics (netw t)) "reintegrate.includes"
       | Error _ -> ())
     uids
 
-let attach_store_node t ?optimistic ~node ?retry_delay () =
+let attach_store_node t ~node ?retry_delay () =
   Net.Network.on_recover (netw t) node (fun () ->
-      reintegrate_store_now t ?optimistic ~node ?retry_delay ())
+      reintegrate_store_now t ~node ?retry_delay ())
+
+(* Bounded validated Exclude attempts before falling back to the classic
+   locked round (mirrors {!Replica.Commit}'s validate retries). *)
+let validated_attempts = 3
 
 (* Exclude a sick (but possibly still-up) store from one object's [St],
    driven by an observer node — the autonomic controller's half of §4.2,
    where the exclusion is proposed by whoever detected the failure
-   rather than by a commit that tripped over it. *)
-let exclude_store_one t ?(optimistic = true) ~from ~node uid =
+   rather than by a commit that tripped over it. The St revision is read
+   lock-free and validated inside the Exclude round
+   ({!Gvd.exclude_validated}); a conflict kept the fence, so the bounded
+   retry converges, and exhaustion or an unreachable snapshot falls back
+   to the classic locked round. *)
+let exclude_store_one t ~from ~node uid =
   let r = Binder.router t in
   Action.Atomic.atomically (art t) ~node:from (fun act ->
       let classic () =
@@ -156,37 +125,35 @@ let exclude_store_one t ?(optimistic = true) ~from ~node uid =
             raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
         | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
       in
-      if not optimistic then classic ()
-      else
-        let rec go attempt =
-          match Router.get_view_commit r ~from uid with
-          | Ok (Gvd.Granted (st, rev)) ->
-              if not (List.mem node st) then
-                raise (Action.Atomic.Abort "not an St member")
-              else if List.length st <= 1 then
-                raise (Action.Atomic.Abort "would empty St")
-              else (
-                match Router.exclude_validated r ~act ~uid ~rev node with
-                | Ok (Gvd.Granted (true, _)) -> ()
-                | Ok (Gvd.Granted (false, _)) ->
-                    if attempt + 1 < optimistic_attempts then go (attempt + 1)
-                    else begin
-                      Sim.Metrics.incr
-                        (Net.Network.metrics (netw t))
-                        "reintegrate.optimistic_fallbacks";
-                      classic ()
-                    end
-                | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
-                    raise (Action.Atomic.Abort why)
-                | Ok (Gvd.Moved dest) ->
-                    raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-                | Error e ->
-                    raise (Action.Atomic.Abort (Net.Rpc.error_to_string e)))
-          | _ -> classic ()
-        in
-        go 0)
+      let rec go attempt =
+        match Router.get_view_commit r ~from uid with
+        | Ok (Gvd.Granted (st, rev)) ->
+            if not (List.mem node st) then
+              raise (Action.Atomic.Abort "not an St member")
+            else if List.length st <= 1 then
+              raise (Action.Atomic.Abort "would empty St")
+            else (
+              match Router.exclude_validated r ~act ~uid ~rev node with
+              | Ok (Gvd.Granted (true, _)) -> ()
+              | Ok (Gvd.Granted (false, _)) ->
+                  if attempt + 1 < validated_attempts then go (attempt + 1)
+                  else begin
+                    Sim.Metrics.incr
+                      (Net.Network.metrics (netw t))
+                      "reintegrate.optimistic_fallbacks";
+                    classic ()
+                  end
+              | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
+                  raise (Action.Atomic.Abort why)
+              | Ok (Gvd.Moved dest) ->
+                  raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
+              | Error e ->
+                  raise (Action.Atomic.Abort (Net.Rpc.error_to_string e)))
+        | _ -> classic ()
+      in
+      go 0)
 
-let exclude_store_now t ?optimistic ~from ~node () =
+let exclude_store_now t ~from ~node () =
   let r = Binder.router t in
   let uids =
     match Router.stored_on r ~from node with Ok uids -> uids | Error _ -> []
@@ -199,7 +166,7 @@ let exclude_store_now t ?optimistic ~from ~node () =
       match Router.get_view_snapshot r ~from uid with
       | Ok (Gvd.Granted (st, _)) when List.mem node st && List.length st > 1
         -> (
-          match exclude_store_one t ?optimistic ~from ~node uid with
+          match exclude_store_one t ~from ~node uid with
           | Ok () ->
               Sim.Metrics.incr
                 (Net.Network.metrics (netw t))

@@ -18,7 +18,6 @@
 
 val attach_store_node :
   Binder.t ->
-  ?optimistic:bool ->
   node:Net.Network.node_id ->
   ?retry_delay:float ->
   unit ->
@@ -26,12 +25,7 @@ val attach_store_node :
 (** Arrange that whenever [node] recovers, it reintegrates every object
     whose [st_home] lists it. Must be attached {e after}
     {!Action.Recovery.attach} so in-doubt 2PC records are resolved
-    first.
-
-    [optimistic] (default false) runs each Include as a validated round
-    ({!Gvd.include_validated}): the St revision is read lock-free and
-    checked inside the round, with bounded retries then classic fallback
-    — the same discipline as the optimistic commit path. *)
+    first. *)
 
 val attach_server_node :
   Binder.t -> node:Net.Network.node_id -> ?retry_delay:float -> unit -> unit
@@ -41,7 +35,6 @@ val attach_server_node :
 
 val reintegrate_store_now :
   Binder.t ->
-  ?optimistic:bool ->
   node:Net.Network.node_id ->
   ?retry_delay:float ->
   unit ->
@@ -50,7 +43,6 @@ val reintegrate_store_now :
 
 val exclude_store_now :
   Binder.t ->
-  ?optimistic:bool ->
   from:Net.Network.node_id ->
   node:Net.Network.node_id ->
   unit ->
@@ -59,10 +51,10 @@ val exclude_store_now :
     from a fiber on [from], exclude the sick store [node] from the [St]
     of every object it holds, one atomic action per object, and return
     how many exclusions committed. Objects where [node] is already out
-    of [St], or is the last remaining copy, are skipped. [optimistic]
-    (default true) validates the St revision inside each Exclude round
-    ({!Gvd.exclude_validated}), bounded retries then the classic locked
-    {!Router.exclude}. *)
+    of [St], or is the last remaining copy, are skipped. Each Exclude
+    validates the St revision inside its round
+    ({!Gvd.exclude_validated}), with bounded retries then the classic
+    locked {!Router.exclude}. *)
 
 val reinsert_server_now :
   Binder.t -> node:Net.Network.node_id -> ?retry_delay:float -> unit -> unit

@@ -23,13 +23,12 @@ type t = {
 let bounce_tries = 8
 let migration_pause = 0.5
 
-let create ?lock_timeout ?use_exclude_write ?durable ?service_time art ~nodes =
+let create ?use_exclude_write ?durable ?service_time art ~nodes =
   if nodes = [] then invalid_arg "Router.create: no naming nodes";
   let gvds =
     List.map
       (fun node ->
-        (node, Gvd.install ?lock_timeout ?use_exclude_write ?durable
-           ?service_time art ~node))
+        (node, Gvd.install ?use_exclude_write ?durable ?service_time art ~node))
       nodes
   in
   {
@@ -146,9 +145,6 @@ let validate_view t ~act ~uid ~version ~rev =
 
 let exclude_validated t ~act ~uid ~rev node =
   dispatch t ~uid (fun g -> Gvd.exclude_validated g ~act ~uid ~rev node)
-
-let include_validated t ~act ~uid ~rev node =
-  dispatch t ~uid (fun g -> Gvd.include_validated g ~act ~uid ~rev node)
 
 let retire_server_home t ~act ~uid node =
   dispatch t ~uid (fun g -> Gvd.retire_server_home g ~act ~uid node)

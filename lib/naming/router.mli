@@ -13,7 +13,6 @@
 type t
 
 val create :
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable:bool ->
   ?service_time:float ->
@@ -100,14 +99,8 @@ val exclude_validated :
   t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
   Net.Network.node_id ->
   ((bool * Store.Version.t) Gvd.reply, Net.Rpc.error) result
-(** Optimistic single-node Exclude on the owning shard
+(** Validated single-node Exclude on the owning shard
     ({!Gvd.exclude_validated}). *)
-
-val include_validated :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
-  Net.Network.node_id ->
-  ((bool * Store.Version.t) Gvd.reply, Net.Rpc.error) result
-(** Optimistic Include on the owning shard ({!Gvd.include_validated}). *)
 
 val retire_server_home :
   t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->

@@ -6,6 +6,8 @@ type topology = {
   client_nodes : Net.Network.node_id list;
 }
 
+type gray_failure = Net.Network.gray_failure = Hedged | Autonomic
+
 type t = {
   w_eng : Sim.Engine.t;
   w_net : Net.Network.t;
@@ -37,33 +39,23 @@ let uid_supply t = t.w_sup
 let topology t = t.w_topology
 let autonomic t = t.w_autonomic
 
-let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
-    ?(durable_naming = false) ?(cleanup_period = 0.0) ?(extra_impls = [])
-    ?bind_cache_lease ?(naming_service_time = 0.0) ?(use_flush_delay = 5.0)
+let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
+    ?(cleanup_period = 0.0) ?bind_cache_lease ?(naming_service_time = 0.0)
     ?(delta_shipping = false) ?(force_delta = false)
-    ?(floor_gossip_period = 0.0)
-    ?(hedged_rpc = false) ?(deadline_shedding = false)
-    ?(degraded_trips = false) ?(hedge_to_sibling = false)
-    ?(autonomic_membership = false) ?autonomic_config topology =
+    ?(floor_gossip_period = 0.0) ?gray_failure topology =
   let eng = Sim.Engine.create ?seed () in
-  let net = Net.Network.create ?latency eng in
+  (* The gray-failure profile (§15, §16) lives on the network: every layer
+     above reads it where it acts, so there is nothing else to wire. *)
+  let net = Net.Network.create ?latency ?gray_failure eng in
   let rpc = Net.Rpc.create net in
   let sh = Action.Store_host.create rpc in
   let rh = Action.Resource_host.create rpc in
   let art = Action.Atomic.make_runtime sh rh in
   let impls = Replica.Object_impl.registry () in
-  List.iter (Replica.Object_impl.register impls)
-    (Replica.Object_impl.stock_all @ extra_impls);
+  List.iter (Replica.Object_impl.register impls) Replica.Object_impl.stock_all;
   let srv = Replica.Server.create art impls in
   Replica.Server.set_delta_shipping srv delta_shipping;
   Replica.Server.set_force_delta srv force_delta;
-  (* Gray-failure resilience plane (§15), all off by default with the off
-     path byte-identical: hedged scatter-gathers, server-side shedding of
-     deadline-expired calls, and breaker trips on sustained slowness. *)
-  Replica.Server.set_hedged_rpc srv hedged_rpc;
-  Replica.Server.set_sibling_hedge srv hedge_to_sibling;
-  Net.Rpc.set_shed_expired rpc deadline_shedding;
-  Net.Retry.set_degraded_trips (Action.Atomic.retry art) degraded_trips;
   (* Stores sit below the implementation registry, so the op folder delta
      prepares resolve with is injected here. Installed regardless of the
      flag: it only ever runs for delta prepares, which only a
@@ -115,18 +107,16 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
     topology.store_nodes;
   let grt = Replica.Group.create srv ~sequencer:topology.gvd_node in
   let router =
-    Router.create ~lock_timeout ~use_exclude_write ~durable:durable_naming
+    Router.create ~use_exclude_write ~durable:durable_naming
       ~service_time:naming_service_time art ~nodes:naming_nodes
   in
   let gvd = Router.primary router in
-  if hedged_rpc then
-    List.iter (fun g -> Gvd.set_hedged g true) (Router.gvds router);
   let cache =
     Option.map
       (fun lease -> Bind_cache.create ~lease (Net.Network.metrics net))
       bind_cache_lease
   in
-  let bdr = Binder.create ?cache ~flush_delay:use_flush_delay router grt in
+  let bdr = Binder.create ?cache router grt in
   List.iter
     (fun n -> Reintegration.attach_store_node bdr ~node:n ())
     topology.store_nodes;
@@ -162,44 +152,45 @@ let create ?seed ?latency ?(lock_timeout = 30.0) ?(use_exclude_write = true)
         in
         spawn_gossip ();
         Net.Network.on_recover net gossiper spawn_gossip);
-  (* The autonomic membership plane (§16): one controller daemon per
-     server node, probing the stores' latency health and driving the
-     §4.2 Exclude/Include protocols for gray failures. The plane lives
-     in [lib/replica], below the naming tier, so the naming-facing
-     drivers are injected here: the probe is a floors read, the Exclude
-     is the observer-driven validated round, and the re-Include spawns
-     the optimistic catch-up reintegration on the healed store itself
-     (it must run there — the include fence and state seed are the
-     store's own atomic action). *)
+  (* The autonomic membership plane (§16), under the [Autonomic] profile:
+     one controller daemon per server node, probing the stores' latency
+     health and driving the §4.2 Exclude/Include protocols for gray
+     failures. The plane lives in [lib/replica], below the naming tier,
+     so the naming-facing drivers are injected here: the probe is a
+     floors read, the Exclude is the observer-driven validated round, and
+     the re-Include spawns the recovery-time catch-up reintegration on
+     the healed store itself (it must run there — the include fence and
+     state seed are the store's own atomic action). *)
   let autonomic =
-    if not autonomic_membership then None
-    else begin
-      let deps =
-        {
-          Replica.Autonomic.d_rpc = rpc;
-          d_stores = topology.store_nodes;
-          d_servers = topology.server_nodes;
-          d_probe =
-            (fun ~from ~store ->
-              match Action.Store_host.floors_all sh ~from ~stores:[ store ] with
-              | [ (_, Ok _) ] -> Ok ()
-              | [ (_, Error e) ] -> Error e
-              | _ -> Error Net.Rpc.No_service);
-          d_exclude =
-            (fun ~from ~store ->
-              Reintegration.exclude_store_now bdr ~from ~node:store ());
-          d_include =
-            (fun ~store ->
-              Net.Network.spawn_on net store ~name:"autonomic-include"
-                (fun () ->
-                  Reintegration.reintegrate_store_now bdr ~optimistic:true
-                    ~node:store ()));
-        }
-      in
-      let plane = Replica.Autonomic.create ?config:autonomic_config deps in
-      List.iter (fun n -> Replica.Autonomic.start plane n) topology.server_nodes;
-      Some plane
-    end
+    match gray_failure with
+    | None | Some Hedged -> None
+    | Some Autonomic ->
+        let deps =
+          {
+            Replica.Autonomic.d_rpc = rpc;
+            d_stores = topology.store_nodes;
+            d_servers = topology.server_nodes;
+            d_probe =
+              (fun ~from ~store ->
+                match
+                  Action.Store_host.floors_all sh ~from ~stores:[ store ]
+                with
+                | [ (_, Ok _) ] -> Ok ()
+                | [ (_, Error e) ] -> Error e
+                | _ -> Error Net.Rpc.No_service);
+            d_exclude =
+              (fun ~from ~store ->
+                Reintegration.exclude_store_now bdr ~from ~node:store ());
+            d_include =
+              (fun ~store ->
+                Net.Network.spawn_on net store ~name:"autonomic-include"
+                  (fun () ->
+                    Reintegration.reintegrate_store_now bdr ~node:store ()));
+          }
+        in
+        let plane = Replica.Autonomic.create deps in
+        List.iter (Replica.Autonomic.start plane) topology.server_nodes;
+        Some plane
   in
   {
     w_eng = eng;
@@ -222,8 +213,7 @@ let create_object t ~name ~impl ?initial ~sv ~st () =
     match initial with
     | Some p -> p
     | None -> (
-        (* Resolve through the stock + extra registry held by the server
-           runtime: activation would do the same. *)
+        (* Resolve through the stock registry, as activation would. *)
         match
           List.find_opt
             (fun i -> String.equal i.Replica.Object_impl.impl_name impl)

@@ -24,30 +24,33 @@ type topology = {
 
 type t
 
+type gray_failure = Net.Network.gray_failure =
+  | Hedged
+      (** hedged scatter-gathers, deadline shedding and degraded breaker
+          trips (docs/PROTOCOLS.md §15) *)
+  | Autonomic
+      (** [Hedged] plus sibling-hedge routing and the autonomic
+          membership controllers (docs/PROTOCOLS.md §16) *)
+(** The gray-failure profile: which resilience planes turn sick-but-alive
+    stores into latency the system routes around, and (under
+    [Autonomic]) into the paper's §4.2 Exclude/Include. *)
+
 val create :
   ?seed:int64 ->
   ?latency:(Sim.Rng.t -> float) ->
-  ?lock_timeout:float ->
   ?use_exclude_write:bool ->
   ?durable_naming:bool ->
   ?cleanup_period:float ->
-  ?extra_impls:Replica.Object_impl.t list ->
   ?bind_cache_lease:float ->
   ?naming_service_time:float ->
-  ?use_flush_delay:float ->
   ?delta_shipping:bool ->
   ?force_delta:bool ->
   ?floor_gossip_period:float ->
-  ?hedged_rpc:bool ->
-  ?deadline_shedding:bool ->
-  ?degraded_trips:bool ->
-  ?hedge_to_sibling:bool ->
-  ?autonomic_membership:bool ->
-  ?autonomic_config:Replica.Autonomic.config ->
+  ?gray_failure:gray_failure ->
   topology ->
   t
-(** Build a world. Stock object implementations (counter, account,
-    register) are always available; [extra_impls] adds more.
+(** Build a world. The stock object implementations
+    ({!Replica.Object_impl.stock_all}) are available.
     [cleanup_period] enables the use-list cleanup daemon with that sweep
     period; the default (0.0) leaves it off — the daemon is an infinite
     fiber, so worlds running it must drive the engine with [run ~until]. [use_exclude_write] selects
@@ -56,7 +59,10 @@ val create :
     persistent object instead of being assumed always available (see
     {!Gvd.install}). Recovery hooks
     (2PC resolution, then store reintegration, then server reinsertion)
-    are attached to every node per its capabilities.
+    are attached to every node per its capabilities. Naming-tier lock
+    waits are bounded at 30.0, and credited use-list [Decrement]s
+    coalesce for 5.0 before they are flushed (a blocked [Insert] pulls
+    them early, see {!Binder.pull_credits}).
 
     [delta_shipping] (default false) turns on op-log delta replication
     for the commit copy-back ({!Replica.Server.set_delta_shipping},
@@ -78,41 +84,36 @@ val create :
     [run] still terminates with the daemon parked, and a crash of the
     gossiping server re-arms the daemon on recovery.
 
-    The gray-failure resilience knobs (docs/PROTOCOLS.md §15, all default
-    false with the off paths byte-identical): [hedged_rpc] turns on
-    hedged scatter-gathers for idempotent fan-outs (2PC prepares and
-    phase-2 deliveries, activation probes, group role probes, plain
-    naming reads) plus latency-ranked replica preference, [deadline_shedding]
-    makes servers refuse calls whose initiator's deadline has already
-    passed (metric [retry.shed_expired]; only abortable phase-1 work
-    carries deadlines — phase-2 of a decided outcome is never shed), and
-    [degraded_trips] lets the retry breaker trip on sustained slowness
-    as reported by {!Net.Health}, with latency-checked half-open
-    recovery.
-
-    The autonomic membership knobs (docs/PROTOCOLS.md §16, both default
-    false with the off paths byte-identical): [hedge_to_sibling]
-    (effective only with [hedged_rpc]) routes a hedged commit-path leg's
-    backup copy to a healthy {e sibling} [St] member when the primary is
-    sustainedly slow — a sibling win counts as the leg's failure, never
-    as the primary's answer ({!Replica.Server.set_sibling_hedge}) — and
-    walks activation store reads healthiest-first.
-    [autonomic_membership] starts one {!Replica.Autonomic} controller
-    daemon per server node: stores that stay sustainedly slow past the
-    hysteresis window, as seen by a quorum of controllers, are Excluded
-    from their [St] sets through the optimistic validated round, and
-    re-Included (with catch-up through the reintegration fence) once
-    they heal, with a cooldown damping membership flaps.
-    [autonomic_config] overrides {!Replica.Autonomic.default_config}.
+    [gray_failure] (default none: every plane below is off) selects the
+    world's gray-failure profile, fixed on its network
+    ({!Net.Network.gray_failure}) for the world's whole life:
+    - [Hedged] turns on hedged scatter-gathers for idempotent fan-outs
+      (2PC prepares and phase-2 deliveries, activation probes, group role
+      probes, plain naming reads) plus latency-ranked replica preference;
+      deadline shedding, where servers refuse calls whose initiator's
+      deadline has already passed (metric [retry.shed_expired]; only
+      abortable phase-1 work carries deadlines — phase-2 of a decided
+      outcome is never shed); and retry-breaker trips on sustained
+      slowness as reported by {!Net.Health}, with latency-checked
+      half-open recovery.
+    - [Autonomic] is [Hedged] plus sibling-hedge routing — a hedged
+      commit-path leg's backup copy goes to a healthy {e sibling} [St]
+      member when the primary is sustainedly slow (a sibling win counts
+      as the leg's failure, never as the primary's answer), and
+      activation store reads walk healthiest-first — plus one
+      {!Replica.Autonomic} controller daemon per server node, with
+      {!Replica.Autonomic.default_config}: stores that stay sustainedly
+      slow past the hysteresis window, as seen by a quorum of
+      controllers, are Excluded from their [St] sets through the
+      validated round, and re-Included (with catch-up through the
+      reintegration fence) once they heal, with a cooldown damping
+      membership flaps.
 
     [bind_cache_lease] (default off) enables the client-side lease cache
     of bind results with that lease duration (see {!Bind_cache}).
     [naming_service_time] (default 0.0) models the per-operation CPU cost
     of each naming shard (see {!Gvd.install}); both defaults reproduce
-    the seed behaviour exactly. [use_flush_delay] (default 5.0) is the
-    use-list decrement coalescing window handed to {!Binder.create}; a
-    blocked [Insert] pulls pending credits early regardless (see
-    {!Binder.pull_credits}). *)
+    the seed behaviour exactly. *)
 
 (* Substrate access *)
 
@@ -136,8 +137,7 @@ val topology : t -> topology
 (** The topology the world was created from. *)
 
 val autonomic : t -> Replica.Autonomic.t option
-(** The autonomic membership plane, when [autonomic_membership] was
-    set. *)
+(** The autonomic membership plane, under the [Autonomic] profile. *)
 
 val create_object :
   t ->
@@ -169,9 +169,9 @@ val with_bound :
     [scheme], executes [body act group], and commits (with the paper's
     commit-time state copy-back and exclusion attached). Returns the
     body's value or the abort reason. [deadline] is the relative time
-    budget handed to {!Action.Atomic.atomically}; with the world's
-    [deadline_shedding] knob on it also propagates to servers, which
-    refuse expired phase-1 work on its behalf. *)
+    budget handed to {!Action.Atomic.atomically}; under a gray-failure
+    profile it also propagates to servers, which refuse expired phase-1
+    work on its behalf. *)
 
 val invoke :
   t ->

@@ -5,7 +5,8 @@
    (pure arithmetic on the virtual clock: no RNG draws, no events, so the
    always-on bookkeeping leaves fault-free worlds byte-identical). The
    consumers are Retry's degraded breaker trips, the hedged scatter delay,
-   and health-ordered replica preference — all knob-gated. *)
+   and health-ordered replica preference — all live only under a
+   gray-failure profile ({!Network.gray_failure}). *)
 
 type dest = {
   mutable d_ewma : float; (* smoothed round-trip latency *)

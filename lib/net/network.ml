@@ -37,6 +37,8 @@ type brownout = {
   bo_hi : float; (* inflation magnitude, uniform in [lo, hi] *)
 }
 
+type gray_failure = Hedged | Autonomic
+
 type t = {
   eng : Sim.Engine.t;
   nodes : (node_id, node) Hashtbl.t;
@@ -51,6 +53,7 @@ type t = {
   brownouts : (node_id, brownout) Hashtbl.t;
   mutable faults_ever : bool;
   net_health : Health.t;
+  gray : gray_failure option;
 }
 
 let default_latency rng = Sim.Rng.uniform rng 0.5 1.5
@@ -63,7 +66,8 @@ let derive_stream base label =
   let h = Int64.of_int (Hashtbl.hash label) in
   Sim.Rng.create (Int64.logxor b (Int64.mul h 0x9E3779B97F4A7C15L))
 
-let create ?(latency = default_latency) ?(detect_delay = 1.0) eng =
+let create ?(latency = default_latency) ?(detect_delay = 1.0) ?gray_failure
+    eng =
   let net_rng = Sim.Rng.split (Sim.Engine.rng eng) in
   {
     eng;
@@ -79,6 +83,7 @@ let create ?(latency = default_latency) ?(detect_delay = 1.0) eng =
     brownouts = Hashtbl.create 4;
     faults_ever = false;
     net_health = Health.create ();
+    gray = gray_failure;
   }
 
 let derive_rng t label = derive_stream t.net_rng label
@@ -87,6 +92,8 @@ let engine t = t.eng
 let trace t = t.net_trace
 let metrics t = t.net_metrics
 let health t = t.net_health
+let gray_failure t = t.gray
+let hedged t = Option.is_some t.gray
 
 let node t id =
   match Hashtbl.find_opt t.nodes id with

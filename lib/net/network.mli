@@ -28,15 +28,34 @@ type node_id = string
 exception Unknown_node of node_id
 (** Raised when an operation names a node that was never added. *)
 
+type gray_failure =
+  | Hedged
+      (** hedged scatter-gathers for idempotent fan-outs with
+          latency-ranked replica preference, server-side shedding of
+          calls whose propagated deadline has passed, and retry-breaker
+          trips on sustained slowness (docs/PROTOCOLS.md §15) *)
+  | Autonomic
+      (** [Hedged] plus sibling-hedge routing: a hedged commit-path leg's
+          backup copy goes to a healthy sibling [St] member, and
+          activation store reads walk healthiest-first. The membership
+          controllers of §16 are started by the naming tier's world
+          assembly, which reads the same setting. *)
+(** The gray-failure profile of a world: which resilience planes are
+    live. A network created without one runs every fan-out, call and
+    breaker on the plain path. *)
+
 val create :
   ?latency:(Sim.Rng.t -> float) ->
   ?detect_delay:float ->
+  ?gray_failure:gray_failure ->
   Sim.Engine.t ->
   t
 (** [create eng] is an empty network driven by [eng].
     [latency] samples per-message transit time (default: uniform in
     [\[0.5, 1.5\]]). [detect_delay] is the failure-detector notification
-    delay applied when a crash aborts in-flight RPCs (default [1.0]). *)
+    delay applied when a crash aborts in-flight RPCs (default [1.0]).
+    [gray_failure] (default none) fixes the world's gray-failure profile
+    for its whole life; every layer above reads it from here. *)
 
 val engine : t -> Sim.Engine.t
 (** The engine driving this network. *)
@@ -52,6 +71,14 @@ val health : t -> Health.t
     completion into it; retry breakers, hedged scatters and replica
     ranking read it. Always on — its bookkeeping is pure arithmetic, so
     fault-free worlds are unperturbed. *)
+
+val gray_failure : t -> gray_failure option
+(** The profile the network was created with. *)
+
+val hedged : t -> bool
+(** Whether any gray-failure profile is set: hedged scatters, deadline
+    shedding ({!Rpc.call}) and degraded breaker trips ({!Retry.run}) are
+    live under both [Hedged] and [Autonomic]. *)
 
 val add_node : t -> node_id -> unit
 (** [add_node t id] registers a fresh, up node. Raises [Invalid_argument]

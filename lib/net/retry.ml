@@ -35,7 +35,6 @@ type t = {
   net : Network.t;
   rng : Sim.Rng.t;
   breakers : (Network.node_id, breaker) Hashtbl.t;
-  mutable degraded : bool;
 }
 
 let breaker_threshold = 3
@@ -50,12 +49,9 @@ let create net =
        are unperturbed. *)
     rng = Network.derive_rng net "retry";
     breakers = Hashtbl.create 8;
-    degraded = false;
   }
 
 let network t = t.net
-let set_degraded_trips t flag = t.degraded <- flag
-let degraded_trips t = t.degraded
 
 let breaker t dst =
   match Hashtbl.find_opt t.breakers dst with
@@ -93,14 +89,15 @@ let run t ?dst ?deadline_at ~op (p : policy) body =
       d *. (1.0 +. (p.jitter *. Sim.Rng.uniform t.rng (-1.0) 1.0))
     else d
   in
-  (* Degraded trip: with the knob on, sustained slowness reported by the
-     health plane opens the breaker exactly like consecutive failures — a
-     browned-out node is functionally down for latency-sensitive work.
+  (* Degraded trip: under a gray-failure profile ({!Network.hedged}),
+     sustained slowness reported by the health plane opens the breaker
+     exactly like consecutive failures — a browned-out node is
+     functionally down for latency-sensitive work.
      The trip pre-loads [consecutive] so a failed half-open probe reopens
      with escalation, and marks [degraded_trip] so a probe that succeeds
      but is still slow reopens rather than closing. *)
   let maybe_degrade dstid =
-    if t.degraded then begin
+    if Network.hedged t.net then begin
       let b = breaker t dstid in
       if
         now () >= b.open_until
@@ -162,7 +159,7 @@ let run t ?dst ?deadline_at ~op (p : policy) body =
     | Some dstid ->
         let b = breaker t dstid in
         if
-          b.degraded_trip && t.degraded
+          b.degraded_trip
           && Health.is_slow (Network.health t.net)
                ~latency:(now () -. started)
         then begin

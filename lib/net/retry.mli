@@ -60,20 +60,6 @@ val breaker_open : t -> Network.node_id -> bool
 (** Whether the destination's breaker is currently open (calls to it are
     being shed). *)
 
-val set_degraded_trips : t -> bool -> unit
-(** Enable (or disable) gray-failure breaker trips: when on, a destination
-    that {!Health.sustained_slow} reports as persistently slow has its
-    breaker opened ([retry.degraded_trips]) exactly as if it had failed
-    [breaker_threshold] times — slow enough is down for latency-sensitive
-    work. While tripped this way, a half-open probe that succeeds but is
-    {e still slow} reopens the breaker with a doubled cooldown
-    ([retry.degraded_reopens]) — the caller keeps the successful result —
-    and only a fast success closes it. Default off; when off no health
-    state is consulted and trajectories are byte-identical. *)
-
-val degraded_trips : t -> bool
-(** Whether gray-failure trips are enabled. *)
-
 val run :
   t ->
   ?dst:Network.node_id ->
@@ -95,6 +81,16 @@ val run :
     half-open probe ([retry.forced_probes], single-flight per
     destination) — otherwise a deadline-bounded caller could shed every
     attempt and never discover the destination recovered.
+
+    Under a gray-failure profile ({!Network.hedged}) the breaker also
+    trips on slowness: a destination {!Health.sustained_slow} reports as
+    persistently slow has its breaker opened ([retry.degraded_trips])
+    exactly as if it had failed three times — slow enough is down for
+    latency-sensitive work. While tripped this way, a half-open probe
+    that succeeds but is {e still slow} reopens the breaker with a
+    doubled cooldown ([retry.degraded_reopens]) — the caller keeps the
+    successful result — and only a fast success closes it. Without a
+    profile no health state is consulted.
 
     [deadline_at] is an absolute virtual-time deadline (typically an
     enclosing action's — see {!Action}[.Atomic.deadline]); the policy's own

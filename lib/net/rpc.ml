@@ -34,7 +34,6 @@ type t = {
   mutable next_req : int;
   seen : (string, unit) Hashtbl.t;
   dedup_hooked : (Network.node_id, unit) Hashtbl.t;
-  mutable shed : bool;
 }
 
 let create ?(default_timeout = 60.0) net =
@@ -45,12 +44,9 @@ let create ?(default_timeout = 60.0) net =
     next_req = 0;
     seen = Hashtbl.create 64;
     dedup_hooked = Hashtbl.create 8;
-    shed = false;
   }
 
 let network t = t.net
-let set_shed_expired t flag = t.shed <- flag
-let shed_expired t = t.shed
 
 (* At-most-once request guard. The fault plane can deliver a request twice
    (dup injection); replaying a non-idempotent handler — staging a second
@@ -155,9 +151,9 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
                 request metadata. If the initiator has already given up by
                 the time the request is unpacked, running the handler is
                 pure waste — a shedding server answers [Timed_out] at once
-                instead of holding locks for a doomed round. Knob-gated:
-                with [shed] off the deadline is carried but never acted
-                on, so the off path is byte-identical. *)
+                instead of holding locks for a doomed round. Live only
+                under a gray-failure profile ({!Network.hedged}); without
+                one the deadline is carried but never acted on. *)
              (* Cooperative hedge cancellation: if the race this copy
                 belongs to has already settled, the delivery is dropped
                 before the handler runs — indistinguishable from a lost
@@ -171,7 +167,7 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
              in
              let expired =
                match deadline_at with
-               | Some d -> t.shed && Sim.Engine.now eng > d
+               | Some d -> Network.hedged t.net && Sim.Engine.now eng > d
                | None -> false
              in
              if dead then begin

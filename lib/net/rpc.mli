@@ -55,18 +55,6 @@ val create : ?default_timeout:float -> Network.t -> t
 val network : t -> Network.t
 (** The underlying network. *)
 
-val set_shed_expired : t -> bool -> unit
-(** Enable (or disable) server-side shedding of expired calls: when on, a
-    request whose propagated [deadline_at] has already passed at unpack
-    time is answered [Error Timed_out] immediately instead of running the
-    handler — the initiator has given up, so the work (and any locks it
-    would take) is pure waste. Each shed bumps [retry.shed_expired].
-    Default off; when off the deadline metadata is carried but never acted
-    on, leaving trajectories byte-identical. *)
-
-val shed_expired : t -> bool
-(** Whether expired-call shedding is on. *)
-
 val serve :
   t -> node:Network.node_id -> ('req, 'resp) endpoint -> ('req -> 'resp) -> unit
 (** [serve t ~node ep h] installs [h] as the handler for [ep] on [node],
@@ -95,9 +83,13 @@ val call :
     within a fiber. Every call bumps the aggregate [rpc.calls] counter
     and a per-operation [rpc.op.<endpoint name>] counter, and feeds its
     round-trip outcome into {!Network.health}. [deadline_at] propagates
-    the initiator's absolute deadline in the request metadata so a
-    shedding server (see {!set_shed_expired}) can refuse work whose
-    initiator has already timed out. *)
+    the initiator's absolute deadline in the request metadata. Under a
+    gray-failure profile ({!Network.hedged}) the server sheds a request
+    whose deadline has already passed at unpack time: it answers
+    [Error Timed_out] at once instead of running the handler, since the
+    initiator has given up and the work (and any locks it would take) is
+    pure waste. Each shed bumps [retry.shed_expired]. Without a profile
+    the deadline is carried but never acted on. *)
 
 type hedge
 (** Policy for hedged (backup-request) calls. *)

@@ -11,10 +11,10 @@
    closes the loop at the membership layer instead: probe the stores on a
    fixed cadence, feed a private latency tracker, and once a store has
    looked sustainedly slow for a full hysteresis window AND a quorum of
-   controllers concurs, propose its Exclude through the optimistic
-   validated round. When the store looks healthy again for the same
-   window, trigger its catch-up re-Include, and damp the next Exclude
-   with a cooldown so a flapping brownout cannot livelock membership.
+   controllers concurs, propose its Exclude through the validated round.
+   When the store looks healthy again for the same window, trigger its
+   catch-up re-Include, and damp the next Exclude with a cooldown so a
+   flapping brownout cannot livelock membership.
 
    Decision doctrine, in order:
    - hysteresis: K consecutive probe rounds must flag the store
@@ -36,9 +36,9 @@
    every naming-facing operation is injected ({!deps}) — tests fabricate
    the closures to unit-test the decision logic without a world.
 
-   Off means off: nothing here runs unless {!attach} is called
-   ({!Naming.Service.create}'s [autonomic_membership] knob), and the
-   plane draws no RNG, so worlds without it are byte-identical. *)
+   Off means off: nothing here runs unless {!attach} is called (the
+   [Autonomic] gray-failure profile of {!Naming.Service.create}), and
+   the plane draws no RNG, so worlds without it are byte-identical. *)
 
 type config = {
   au_period : float;

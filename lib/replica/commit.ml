@@ -35,17 +35,19 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
           let target = view.Server.cv_version.Store.Version.counter in
           let delta_on = Server.delta_shipping srv in
           let olog = Server.oplog srv in
-          (* Gray-failure plane (both off by default, off = byte-identical):
-             hedge the idempotent 2PC scatters with health-delayed backups,
-             and ride the action's deadline on the phase-1 prepares issued
-             for this commit alone (see {!Groupcommit.prepare}) so shedding
-             servers can refuse votes this commit already gave up on.
+          (* Gray-failure plane (live only under a profile, see
+             {!Net.Network.gray_failure}): hedge the idempotent 2PC
+             scatters with health-delayed backups, and ride the action's
+             deadline on the phase-1 prepares issued for this commit
+             alone (see {!Groupcommit.prepare}) so shedding servers can
+             refuse votes this commit already gave up on.
              Phase-2 commit/abort deliberately carries no deadline: a
              decided outcome must reach the stores even when the initiator
              stopped waiting — shedding it would leak reservations and
              stall the acked floor. *)
+          let net = Action.Atomic.network art in
           let hedge =
-            if Server.hedged_rpc srv then Some (Net.Rpc.hedge ()) else None
+            if Net.Network.hedged net then Some (Net.Rpc.hedge ()) else None
           in
           let deadline_at = Action.Atomic.deadline act in
           (* Sibling-hedge map for one membership [current_st]: when the
@@ -58,25 +60,26 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
              into the ordinary §4.2 exclude / forget-ack conservatism —
              the win buys latency (the gather stops waiting on the
              browned node after one healthy round-trip), never a
-             substituted answer. Off unless both [hedged_rpc] and
-             [hedge_to_sibling] are set; off is byte-identical. *)
+             substituted answer. Live only under the [Autonomic]
+             profile. *)
           let alt_map current_st =
-            if hedge = None || not (Server.sibling_hedge srv) then None
-            else
-              let h = Net.Network.health (Action.Atomic.network art) in
-              Some
-                (fun dst ->
-                  let now = Sim.Engine.now eng in
-                  if Net.Health.sustained_slow h ~now dst then
-                    match
-                      Net.Health.rank h ~now
-                        (List.filter (fun s -> s <> dst) current_st)
-                    with
-                    | best :: _ when not (Net.Health.sustained_slow h ~now best)
-                      ->
-                        Some best
-                    | _ -> None
-                  else None)
+            match Net.Network.gray_failure net with
+            | None | Some Net.Network.Hedged -> None
+            | Some Net.Network.Autonomic ->
+                let h = Net.Network.health net in
+                Some
+                  (fun dst ->
+                    let now = Sim.Engine.now eng in
+                    if Net.Health.sustained_slow h ~now dst then
+                      match
+                        Net.Health.rank h ~now
+                          (List.filter (fun s -> s <> dst) current_st)
+                      with
+                      | best :: _
+                        when not (Net.Health.sustained_slow h ~now best) ->
+                          Some best
+                      | _ -> None
+                    else None)
           in
           (* Golden shadow for the audit: whatever mix of deltas and full
              states the stores end up applying, their committed bytes for

@@ -93,8 +93,8 @@ let record_acked rt ~act g serial = Hashtbl.replace rt.acked (acked_key act g) s
 
 (* Hedged first-answer race over the members, healthiest first: task [i]
    launches [i] hedge delays after the first, so a healthy head answers
-   before the sick tail is ever asked. Knob-gated by callers — the
-   un-hedged paths below are the exact pre-hedging code. *)
+   before the sick tail is ever asked. Callers take it only under a
+   gray-failure profile ({!Net.Network.hedged}). *)
 let hedged_first rt members task =
   let h = Net.Network.health (net rt) in
   let ranked = Net.Health.rank h ~now:(Sim.Engine.now (eng rt)) members in
@@ -106,11 +106,12 @@ let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
   (* Pass 1: activate plainly wherever possible — all candidate servers
      at once, keeping the activated list in server order so replica
      preference (coordinator choice, single-copy pick) is unchanged.
-     Under hedged RPC the candidate order is health-ranked first, so the
-     replica preference that falls out — coordinator choice, single-copy
-     pick, GetServer answers — leans away from browned-out nodes. *)
+     Under a gray-failure profile the candidate order is health-ranked
+     first, so the replica preference that falls out — coordinator
+     choice, single-copy pick, GetServer answers — leans away from
+     browned-out nodes. *)
   let servers =
-    if Server.hedged_rpc rt.srv then
+    if Net.Network.hedged (net rt) then
       Net.Health.rank
         (Net.Network.health (net rt))
         ~now:(Sim.Engine.now (eng rt))
@@ -228,17 +229,17 @@ let rpc_invoke rt g ~act ~write ~serial ~op server =
    failover), retrying through the shared policy while election settles. *)
 let find_coordinator rt g =
   (* Probe every member at once; pick the first (in member order)
-     claiming the coordinator role, as the serial scan did. Under hedged
-     RPC the probe is a tiered race instead — healthiest member first,
-     the next launched only a hedge delay later — so one browned-out
-     cohort cannot drag the whole probe to its pace. *)
+     claiming the coordinator role, as the serial scan did. Under a
+     gray-failure profile the probe is a tiered race instead — healthiest
+     member first, the next launched only a hedge delay later — so one
+     browned-out cohort cannot drag the whole probe to its pace. *)
   let ask m =
     match Server.role_of rt.srv ~from:g.g_client ~server:m ~uid:g.g_uid with
     | Ok (Some Server.Coordinator) -> Some m
     | Ok _ | Error _ -> None
   in
   let probe () =
-    if Server.hedged_rpc rt.srv then hedged_first rt g.g_members ask
+    if Net.Network.hedged (net rt) then hedged_first rt g.g_members ask
     else
       Sim.Join.all (eng rt) (List.map (fun m () -> ask m) g.g_members)
       |> List.find_map Fun.id
@@ -372,9 +373,9 @@ let commit_view rt g ~act =
   let acked = last_acked rt ~act g in
   (* Ask every live member at once; the first answer in member order wins
      (members are mutually consistent, so any holder's view is the view).
-     Under hedged RPC, a tiered race healthiest-first instead: since any
-     holder's view is the view, the fastest healthy answer is as good as
-     the gather. *)
+     Under a gray-failure profile, a tiered race healthiest-first
+     instead: since any holder's view is the view, the fastest healthy
+     answer is as good as the gather. *)
   let ask m =
     match
       Server.commit_view rt.srv ~from:g.g_client ~server:m ~uid:g.g_uid
@@ -384,7 +385,7 @@ let commit_view rt g ~act =
     | Ok None | Error _ -> None
   in
   let try_members members =
-    if Server.hedged_rpc rt.srv then hedged_first rt members ask
+    if Net.Network.hedged (net rt) then hedged_first rt members ask
     else
       Sim.Join.all (eng rt) (List.map (fun m () -> ask m) members)
       |> List.find_map Fun.id

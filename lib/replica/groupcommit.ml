@@ -10,7 +10,7 @@
    transport error on one store) is peeled out for an ordinary solo
    retry while its batchmates proceed untouched.
 
-   Window discipline (the [use_flush_delay] quiescence-pull pattern): an
+   Window discipline (the use-list flush's quiescence-pull pattern): an
    opening batch holds its leader for at most [window] simulated time,
    and closes early the moment no commit that could still join is in
    flight. "Could still join" is tracked by an approaching counter:
@@ -87,9 +87,6 @@ type t = {
   mutable gc_expecting : int; (* sealed commits whose phase 2 is pending *)
   mutable gc_batches : batch list; (* open phase-1 batches, oldest first *)
   mutable gc_p2 : p2_batch list; (* open phase-2 batches, oldest first *)
-  mutable gc_hedged : bool;
-      (* mirror of [Server.hedged_rpc]: hedge every store scatter issued
-         from this plane (all idempotent at the store) *)
 }
 
 (* How long an opening batch holds its leader for joiners, in simulated
@@ -111,11 +108,14 @@ let create ~engine ~store_host ~metrics olog =
     gc_expecting = 0;
     gc_batches = [];
     gc_p2 = [];
-    gc_hedged = false;
   }
 
-let set_hedged t flag = t.gc_hedged <- flag
-let gc_hedge t = if t.gc_hedged then Some (Net.Rpc.hedge ()) else None
+(* Under a gray-failure profile every store scatter issued from this plane
+   is hedged: all of them are idempotent at the store. *)
+let gc_hedge t =
+  if Net.Network.hedged (Net.Rpc.network (Action.Store_host.rpc t.gc_sh)) then
+    Some (Net.Rpc.hedge ())
+  else None
 
 (* Quiescence-pull: no in-flight commit can join any longer, so every
    open batch may close now rather than wait out its window. *)

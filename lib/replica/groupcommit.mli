@@ -10,7 +10,11 @@
     through the plane; a batch of one issues the ordinary solo scatter.
     Everything transactional stays per action — a member refused at any
     store is peeled out for a solo retry; its batchmates are
-    unaffected. *)
+    unaffected. Under a gray-failure profile ({!Net.Network.hedged})
+    every store scatter the plane issues (solo and batched prepare,
+    phase-2 commit/abort) races a health-delayed backup copy
+    ({!Net.Rpc.call_all}'s [?hedge]) — safe because every one of them is
+    idempotent at the store. *)
 
 type t
 
@@ -24,13 +28,6 @@ val create :
 
 val window : float
 (** The batch window in simulated time (2.0). *)
-
-val set_hedged : t -> bool -> unit
-(** Hedge every store scatter this plane issues (solo and batched prepare,
-    phase-2 commit/abort) with a health-delayed backup copy
-    ({!Net.Rpc.call_all}'s [?hedge]) — safe because every one of them is
-    idempotent at the store. Mirrors {!Server.set_hedged_rpc}; default
-    off, and off is byte-identical. *)
 
 (** {2 Phase 1} *)
 

@@ -145,16 +145,6 @@ type runtime = {
       (* skip the per-write size comparison: ship a coverable delta even
          when the full state encodes smaller (chaos worlds keep the delta
          path exercised on small objects) *)
-  mutable hedged_rpc : bool;
-      (* default off: hedge the idempotent legs of commit copy-back and
-         activation/role scatter-gathers with health-delayed backups; off,
-         every scatter takes the exact pre-hedging code path *)
-  mutable sibling_hedge : bool;
-      (* default off; effective only with [hedged_rpc]: route a hedged
-         commit-path leg's backup copy to a healthy sibling [St] member
-         when the primary is sustainedly slow, and health-rank the
-         activation's store-read order ({!Replica.Commit}'s alt map,
-         {!do_activate}) *)
   g_commit : Groupcommit.t;
       (* the group-commit plane commits on this runtime batch through *)
   (* In-flight presumed-abort probes for instance locks whose holder's
@@ -186,8 +176,6 @@ let create art impls =
     o_log;
     delta_shipping = false;
     force_delta = false;
-    hedged_rpc = false;
-    sibling_hedge = false;
     g_commit =
       Groupcommit.create
         ~engine:(Action.Atomic.engine art)
@@ -205,15 +193,6 @@ let set_delta_shipping t flag = t.delta_shipping <- flag
 let force_delta t = t.force_delta
 let set_force_delta t flag = t.force_delta <- flag
 let groupcommit t = t.g_commit
-
-let hedged_rpc t = t.hedged_rpc
-
-let set_hedged_rpc t flag =
-  t.hedged_rpc <- flag;
-  Groupcommit.set_hedged t.g_commit flag
-
-let sibling_hedge t = t.sibling_hedge
-let set_sibling_hedge t flag = t.sibling_hedge <- flag
 let invoke_channel t = t.ch_invoke
 let reply_endpoint t = t.ep_reply
 let mc t = t.mc
@@ -719,18 +698,17 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
       | Some impl -> (
           let sh = Action.Atomic.store_host t.art in
           (* The activation probe walks [StA] in order until one store
-             yields a state. Under [sibling_hedge], walk it healthiest
-             first ({!Net.Health.rank}) so a browned first replica does
-             not put its tail latency in front of every activation; the
-             rank is the identity while every store looks healthy, and
-             off the flag the order is untouched (byte-identical). *)
+             yields a state. Under the [Autonomic] profile, walk it
+             healthiest first ({!Net.Health.rank}) so a browned first
+             replica does not put its tail latency in front of every
+             activation; the rank is the identity while every store looks
+             healthy. *)
           let probe_stores =
-            if t.sibling_hedge && a_stores <> [] then
-              let h = Net.Network.health (Action.Atomic.network t.art) in
-              Net.Health.rank h
-                ~now:(Sim.Engine.now (Action.Atomic.engine t.art))
-                a_stores
-            else a_stores
+            match Net.Network.gray_failure (net t) with
+            | Some Net.Network.Autonomic ->
+                Net.Health.rank (Net.Network.health (net t))
+                  ~now:(Sim.Engine.now (eng t)) a_stores
+            | None | Some Net.Network.Hedged -> a_stores
           in
           let state =
             if a_stores = [] then Some (Store.Object_state.initial impl.Object_impl.initial)

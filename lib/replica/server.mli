@@ -51,28 +51,6 @@ val groupcommit : runtime -> Groupcommit.t
 (** The group-commit plane of this runtime: {!Commit.attach} batches its
     prepare and phase-2 scatters through it. *)
 
-val hedged_rpc : runtime -> bool
-
-val set_hedged_rpc : runtime -> bool -> unit
-(** Enable hedged scatter-gathers (default off): the idempotent legs of
-    the commit copy-back (prepare / phase-2 / abort, solo and batched via
-    {!groupcommit}) and the activation, coordinator-probe and commit-view
-    fan-outs race a health-delayed backup copy against a slow primary
-    ({!Net.Rpc.call_hedged}, {!Sim.Join.hedged}). Off, every scatter takes
-    the exact pre-hedging code path, byte-identical. *)
-
-val sibling_hedge : runtime -> bool
-
-val set_sibling_hedge : runtime -> bool -> unit
-(** Sibling-hedge routing (default off; effective only with
-    {!set_hedged_rpc}): when a commit-path leg's primary store is
-    sustainedly slow ({!Net.Health.sustained_slow}), the hedged backup
-    copy goes to the healthiest {e other} [St] member instead of
-    re-sending to the slow node, and a sibling win counts as the leg's
-    failure — never as the primary's answer ({!Net.Rpc.call_hedged}'s
-    [?alt]). Activation store reads walk [StA] healthiest-first under
-    the same flag. Off is byte-identical. *)
-
 val force_delta : runtime -> bool
 
 val set_force_delta : runtime -> bool -> unit

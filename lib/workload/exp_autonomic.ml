@@ -9,14 +9,16 @@ open Naming
    messages inflated) and HEALS mid-run. Four modes over the same seed
    and schedule:
 
-   - [baseline]  : no fault, same knobs as [autonomic] — the yardstick;
+   - [baseline]  : no fault, same profile as [autonomic] — the yardstick;
    - [unhedged]  : the fault with no countermeasure at all;
-   - [hedged]    : [hedged_rpc] only. The backup copy re-sends to the
+   - [hedged]    : the [Hedged] gray-failure profile. The backup copy
+                   re-sends to the
                    SAME browned store, so under a harsh brownout both
                    copies draw the inflation and the tail barely moves —
                    hedging is built for rare inflation, not a store that
                    is simply sick;
-   - [autonomic] : [hedged_rpc] plus the §16 controller. After the
+   - [autonomic] : the [Autonomic] profile, adding the §16 controller
+                   (and sibling-hedge routing). After the
                    hysteresis window the browned store is Excluded from
                    every [St]; commits then scatter to the healthy store
                    only and steady-state latency returns to baseline.
@@ -62,10 +64,14 @@ type sample = {
 }
 
 let episode ~mode ~prob ~commits ~seed () =
-  let hedged = match mode with Baseline | Autonomic | Hedged -> true | Unhedged -> false in
-  let autonomic = match mode with Baseline | Autonomic -> true | _ -> false in
+  let gray_failure =
+    match mode with
+    | Unhedged -> None
+    | Hedged -> Some Service.Hedged
+    | Baseline | Autonomic -> Some Service.Autonomic
+  in
   let w =
-    Service.create ~seed ~hedged_rpc:hedged ~autonomic_membership:autonomic
+    Service.create ~seed ?gray_failure
       ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
       {
         Service.gvd_node = "ns";
@@ -147,7 +153,7 @@ let episode ~mode ~prob ~commits ~seed () =
 
 (* The acceptance pins read this triple: steady-state p99 inside the
    brownout, autonomic vs hedging-only, both against the no-fault
-   baseline with identical knobs and seed. *)
+   baseline with identical profile and seed. *)
 let pins ?(prob = 0.7) ?(commits = 130) ?(seed = 47L) () =
   let baseline = episode ~mode:Baseline ~prob ~commits ~seed () in
   let hedged = episode ~mode:Hedged ~prob ~commits ~seed () in

@@ -28,7 +28,7 @@ type sample = {
 
 val episode :
   mode:mode -> prob:float -> commits:int -> seed:int64 -> unit -> sample
-(** One run. [Baseline] has no fault but the autonomic knobs on;
+(** One run. [Baseline] has no fault but the [Autonomic] profile on;
     [Unhedged] / [Hedged] / [Autonomic] brown out t1 over [2, 400) with
     the given per-message probability. *)
 

@@ -8,10 +8,10 @@ open Naming
    inflation, always below the 30s lock/multicast timeouts — the node is
    slow, never dead, so nothing in the failure detectors or breakers
    fires on its own. Each brownout probability runs the SAME seed twice:
-   once with the world's [hedged_rpc] knob off (the seed behaviour) and
-   once with it on, so the only difference is the hedging plane — the
-   per-destination health tracker delaying a backup copy of each
-   idempotent store scatter and racing it against the primary.
+   once without a gray-failure profile (the seed behaviour) and once
+   under the [Hedged] profile, so the only difference is that plane —
+   chiefly the per-destination health tracker delaying a backup copy of
+   each idempotent store scatter and racing it against the primary.
 
    The quantity of interest is the tail: an unhedged commit whose
    prepare (or phase-2) message draws the inflation eats the full 15-28s
@@ -40,7 +40,8 @@ let episode ~hedged ~prob ~commits ~seed () =
        15-28s inflation inside the baseline. On a 0.05-0.15s fabric the
        healthy commit is ~2.5s and a single browned hop is a 10x tail
        event — the regime hedging is built for. *)
-    Service.create ~seed ~hedged_rpc:hedged
+    Service.create ~seed
+      ?gray_failure:(if hedged then Some Service.Hedged else None)
       ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
       {
         Service.gvd_node = "ns";
@@ -148,7 +149,7 @@ let run () =
         "of it gains U(15,28)s extra latency with the row's probability —";
         "below every timeout, so only the latency plane can see the";
         "sickness. Same seed per row pair; the only difference is the";
-        "hedged_rpc knob. Hedged store scatters launch a backup copy of";
+        "Hedged profile. Hedged store scatters launch a backup copy of";
         "the idempotent prepare/phase-2 call after a health-derived delay";
         "(EWMA + 3 x deviation over the fleet, floored at 4s) and take";
         "the first answer: a commit only stays slow when both draws come";

@@ -3,10 +3,11 @@
     Commits a long sequence of two-store writes while one store suffers a
     brownout ({!Net.Fault.brownout_for} — probabilistic service-time
     inflation below every timeout) and compares commit-latency
-    percentiles with the world's [hedged_rpc] knob off vs on, same seed,
-    same schedule. Hedged scatters race a health-delayed backup copy of
-    each idempotent store call against the primary, so the latency tail
-    of the browned store is suppressed quadratically. *)
+    percentiles without and with the [Hedged] gray-failure profile
+    ({!Naming.Service.gray_failure}), same seed, same schedule. Hedged
+    scatters race a health-delayed backup copy of each idempotent store call
+    against the primary, so the latency tail of the browned store is
+    suppressed quadratically. *)
 
 type sample = {
   b_commits : int;
@@ -21,8 +22,8 @@ type sample = {
 val episode :
   hedged:bool -> prob:float -> commits:int -> seed:int64 -> unit -> sample
 (** One world: [commits] sequential commits from a single client with the
-    brownout at [prob] on store ["t1"]; [hedged] sets the world's
-    [hedged_rpc] knob. Deterministic in all four parameters. *)
+    brownout at [prob] on store ["t1"]; [hedged] selects the [Hedged]
+    gray-failure profile. Deterministic in all four parameters. *)
 
 val p99_ratio :
   ?prob:float -> ?commits:int -> ?seed:int64 -> unit ->

@@ -192,22 +192,23 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        snapshots and the group-commit plane and binds scheme A with one
        Join scatter, so batch leadership, peel-outs, orphaned members and
        floor piggybacking all run under the fault schedule. The brownout
-       world turns on the whole gray-failure plane — hedged scatters,
+       world runs the [Hedged] gray-failure profile — hedged scatters,
        deadline shedding (solo and singleton-batch prepares carry the
        action deadline), degraded breaker trips — plus the periodic
        floor-gossip daemon, whose daemon sleeps are what let the drain
-       below still terminate. The autonomic world stacks the §16
-       membership plane on top of the brownout world's knobs: three
-       controller daemons (one per server) probing the stores, plus
-       sibling-hedge routing on the commit path — flapping brownouts,
+       below still terminate. The autonomic world runs the [Autonomic]
+       profile on the brownout world's schedule: three controller
+       daemons (one per server) probing the stores, plus sibling-hedge
+       routing on the commit path — flapping brownouts,
        crash churn and the controllers' Exclude/Include churn all share
        the schedule, and the audit must still come out clean without the
        membership plane livelocking (hysteresis + cooldown). *)
     Service.create ~seed ~durable_naming:durable ~delta_shipping:true
       ~force_delta:true ~floor_gossip_period:(if brownout then 7.0 else 0.0)
-      ~hedged_rpc:brownout ~deadline_shedding:brownout
-      ~degraded_trips:brownout ~hedge_to_sibling:autonomic
-      ~autonomic_membership:autonomic
+      ?gray_failure:
+        (if autonomic then Some Service.Autonomic
+         else if brownout then Some Service.Hedged
+         else None)
       {
         Service.gvd_node = "ns";
         gvd_nodes = [ "ns2" ];
@@ -323,8 +324,9 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
             (* The brownout world gives every action a real time budget:
                the client stops waiting at 25s (comfortably above the
                healthy commit path, below the retry tail a browned
-               store can induce), and with the shedding knob on the
-               servers refuse phase-1 work for actions already past it. *)
+               store can induce), and under the world's gray-failure
+               profile the servers refuse phase-1 work for actions
+               already past it. *)
             (match
                Service.with_bound
                  ?deadline:(if brownout then Some 25.0 else None)

@@ -24,20 +24,21 @@
     committed entries from the database), {e brownout} (the durable
     crash pool extended with gray
     failures — {!Net.Fault.brownout_for} service-time inflation that
-    stays below every timeout — with the whole resilience plane on:
+    stays below every timeout — under the [Hedged] gray-failure profile:
     hedged scatter-gathers, 25s action deadlines propagated to servers
     that shed expired phase-1 work, breaker trips on sustained
     slowness, and the periodic floor-gossip daemon running throughout,
     its idle waits daemon-parked so quiescence drains still terminate.
     The check additionally fails if [retry.shed_expired] never fired
     across the brownout runs — the shedding plane must be exercised,
-    not merely enabled), and {e autonomic} (the brownout world plus the
-    §16 membership plane: one {!Replica.Autonomic} controller daemon per
-    server probing the stores and driving health-based Exclude/Include
-    through the validated membership rounds, and sibling-hedge routing
-    of commit-path backup copies — flapping brownouts, crash churn and
-    controller-driven membership churn under one schedule, which must
-    neither livelock membership nor dirty the audit).
+    not merely enabled), and {e autonomic} (the brownout world under the
+    [Autonomic] profile, adding the §16 membership plane: one
+    {!Replica.Autonomic} controller daemon per server probing the stores and
+    driving health-based Exclude/Include through the validated membership
+    rounds, and sibling-hedge routing of commit-path backup copies —
+    flapping brownouts, crash churn and controller-driven membership churn
+    under one schedule, which must neither livelock membership nor dirty the
+    audit).
 
     Every run is a pure function of its seed: a failing seed replays the
     whole world bit-for-bit, and the offending schedule is greedily
@@ -69,11 +70,12 @@ val run_world :
   ?durable:bool -> ?brownout:bool -> ?autonomic:bool ->
   seed:int64 -> events:fault_event list -> unit -> outcome
 (** One full run: build the world from [seed] (durable naming iff
-    [durable]; iff [brownout], the gray-failure resilience plane — hedged
-    scatters, 25s action deadlines with server-side shedding, degraded
-    breaker trips — plus the 7.0-period floor-gossip daemon; iff
-    [autonomic], additionally the §16 membership plane and sibling-hedge
-    routing), inject [events], drive the workload to quiescence, audit.
+    [durable]; iff [brownout], the [Hedged] gray-failure profile — hedged
+    scatters, server-side deadline shedding, degraded breaker trips — with
+    25s action deadlines and the 7.0-period floor-gossip daemon; iff
+    [autonomic], the [Autonomic] profile instead, adding the §16 membership
+    plane and sibling-hedge routing), inject [events], drive the workload to
+    quiescence, audit.
     Deterministic in [(durable, brownout, autonomic, seed, events)]. *)
 
 val check_seed :

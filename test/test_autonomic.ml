@@ -3,7 +3,7 @@
    heal-then-re-Include — driven deterministically through fabricated
    drivers, plus the tab-autonomic tier-1 pins (autonomic steady-state
    p99 back at baseline under a harsh brownout, healed store re-included
-   consistently) and the off-path identity of the sibling-hedge knob. *)
+   consistently). *)
 
 open Naming
 module Au = Replica.Autonomic
@@ -235,47 +235,6 @@ let test_autonomic_pins () =
     auto.a_consistent
 
 (* ------------------------------------------------------------------ *)
-(* Off-path identity: with healthy stores no hedge ever fires, so
-   routing the backup copy to a sibling is a latent change — the whole
-   trace must be byte-identical with the knob on. *)
-
-let sibling_trace ~hedge () =
-  let w =
-    Service.create ~seed:53L ~hedged_rpc:true ~hedge_to_sibling:hedge
-      ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
-      {
-        Service.gvd_node = "ns";
-        gvd_nodes = [];
-        server_nodes = [ "alpha" ];
-        store_nodes = [ "t1"; "t2" ];
-        client_nodes = [ "c1" ];
-      }
-  in
-  let uid =
-    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
-      ~st:[ "t1"; "t2" ] ()
-  in
-  Service.run ~until:1.0 w;
-  let eng = Service.engine w in
-  let crng = Sim.Rng.split (Sim.Engine.rng eng) in
-  Service.spawn_client w "c1" (fun () ->
-      for _ = 1 to 12 do
-        ignore
-          (Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
-             ~policy:Replica.Policy.Single_copy_passive ~uid
-             (fun act group -> ignore (Service.invoke w group ~act "add 1")));
-        Sim.Engine.sleep eng (Sim.Rng.uniform crng 1.0 3.0)
-      done);
-  Service.run w;
-  Sim.Trace.entries (Service.trace w)
-
-let test_sibling_hedge_off_path_identical () =
-  let off = sibling_trace ~hedge:false () in
-  let on = sibling_trace ~hedge:true () in
-  check_int "same trace length" (List.length off) (List.length on);
-  check_bool "byte-identical traces with the knob on" true (off = on)
-
-(* ------------------------------------------------------------------ *)
 (* Property: random brownout/heal schedules on the full autonomic world
    — every commit lands, and whatever membership state the run ends in
    (store back in, or still out), the chaos audit is clean: St members
@@ -289,8 +248,7 @@ let prop_autonomic_random_schedules =
         (float_range 30.0 300.0))
     (fun (seed, prob, duration) ->
       let w =
-        Service.create ~seed:(Int64.of_int seed) ~hedged_rpc:true
-          ~hedge_to_sibling:true ~autonomic_membership:true
+        Service.create ~seed:(Int64.of_int seed) ~gray_failure:Service.Autonomic
           ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
           {
             Service.gvd_node = "ns";
@@ -338,8 +296,6 @@ let suite =
           test_failed_exclude_backs_off;
         Alcotest.test_case "pins: steady p99 at baseline, healed re-include"
           `Quick test_autonomic_pins;
-        Alcotest.test_case "prob 0: sibling hedge knob is trace-identical"
-          `Quick test_sibling_hedge_off_path_identical;
         Test_util.qcheck prop_autonomic_random_schedules;
       ] );
   ]

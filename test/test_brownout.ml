@@ -2,8 +2,9 @@
    latency health tracker, deadline propagation and server-side shedding,
    the deadline-independent forced half-open probe, daemon-aware drains
    (floor gossip no longer blocks quiescence), cooperative hedge
-   cancellation, and the tab-brownout tier-1 pin: hedged p99 commit
-   latency >= 2x better than unhedged under a browned-out store. *)
+   cancellation, the tab-brownout tier-1 pin (hedged p99 commit latency
+   >= 2x better than unhedged under a browned-out store), and the
+   gray-failure profile table: which planes each profile turns on. *)
 
 open Naming
 
@@ -92,9 +93,9 @@ let test_health_hedge_delay_floor () =
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation and server-side shedding *)
 
-let shed_world () =
+let shed_world ?gray_failure () =
   let eng = Sim.Engine.create ~seed:7L () in
-  let net = Net.Network.create eng in
+  let net = Net.Network.create ?gray_failure eng in
   let rpc = Net.Rpc.create net in
   List.iter (Net.Network.add_node net) [ "client"; "server" ];
   (eng, net, rpc)
@@ -102,8 +103,7 @@ let shed_world () =
 let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "echo"
 
 let test_shed_expired_refuses_work () =
-  let eng, net, rpc = shed_world () in
-  Net.Rpc.set_shed_expired rpc true;
+  let eng, net, rpc = shed_world ~gray_failure:Net.Network.Hedged () in
   let ran = ref 0 in
   Net.Rpc.serve rpc ~node:"server" echo (fun s -> incr ran; s);
   let got = ref (Ok "unset") in
@@ -243,6 +243,97 @@ let test_hedge_cancellation_keeps_rounds_sound () =
     s.Workload.Exp_brownout.b_commits
 
 (* ------------------------------------------------------------------ *)
+(* The gray-failure profile: one setting, three worlds. Each row names
+   the planes that must be live under its profile, and each plane is
+   probed by its own observable effect: hedged scatters and sibling
+   wins against a store browned out on every message, a call whose
+   deadline passed before it landed, a retry towards a destination the
+   health plane reports sustainedly slow, and the controller handle.
+   Only health records are forged ([forge_slow]); every decision taken
+   on them is the plane's own. *)
+
+let forge_slow net ~now dst =
+  for i = 1 to 6 do
+    Net.Health.note_failure (Net.Network.health net) ~dst
+      ~now:(now +. (0.1 *. float_of_int i))
+  done
+
+type planes = {
+  p_hedges : int;
+  p_sibling_wins : int;
+  p_shed : bool;
+  p_tripped : bool;
+  p_controllers : bool;
+}
+
+let probe_planes gray_failure =
+  let w =
+    Service.create ~seed:11L ?gray_failure
+      ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
+      topo
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "t1"; "t2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  let net = Service.network w in
+  let eng = Service.engine w in
+  let m = Service.metrics w in
+  Net.Fault.brownout_for net ~at:2.0 ~duration:1.0e9 ~prob:1.0 ~lo:10.0
+    ~hi:12.0 "t1";
+  Service.spawn_client w "c1" (fun () ->
+      (* t1 already looks sustainedly slow when the first commit starts,
+         before any controller could have excluded it. *)
+      forge_slow net ~now:(Sim.Engine.now eng) "t1";
+      for _ = 1 to 8 do
+        ignore
+          (Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+             ~policy:Replica.Policy.Single_copy_passive ~uid
+             (fun act group -> ignore (Service.invoke w group ~act "add 1")));
+        Sim.Engine.sleep eng 3.0
+      done);
+  Service.run ~until:400.0 w;
+  let rpc = Action.Atomic.rpc (Service.atomic w) in
+  Net.Rpc.serve rpc ~node:"alpha" echo Fun.id;
+  let shed = ref false and tripped = ref false in
+  Service.spawn_client w "c1" (fun () ->
+      shed :=
+        Net.Rpc.call rpc ~from:"c1" ~dst:"alpha" ~deadline_at:0.0 echo "hi"
+        = Error Net.Rpc.Timed_out;
+      forge_slow net ~now:(Sim.Engine.now eng) "ns";
+      let retry = Action.Atomic.retry (Service.atomic w) in
+      tripped :=
+        Result.is_error
+          (Net.Retry.run retry ~dst:"ns" ~op:"probe"
+             (Net.Retry.policy ~attempts:1 ())
+             (fun () -> Ok ()))
+        && Net.Retry.breaker_open retry "ns");
+  Service.run ~until:800.0 w;
+  {
+    p_hedges = Sim.Metrics.counter m "rpc.hedges";
+    p_sibling_wins = Sim.Metrics.counter m "rpc.sibling_wins";
+    p_shed = !shed;
+    p_tripped = !tripped;
+    p_controllers = Service.autonomic w <> None;
+  }
+
+let test_profiles_switch_their_planes () =
+  List.iter
+    (fun (label, gray_failure, hedged, autonomic) ->
+      let p = probe_planes gray_failure in
+      check_bool (label ^ ": hedged scatters") hedged (p.p_hedges > 0);
+      check_bool (label ^ ": deadline shedding") hedged p.p_shed;
+      check_bool (label ^ ": degraded breaker trips") hedged p.p_tripped;
+      check_bool (label ^ ": sibling routing") autonomic (p.p_sibling_wins > 0);
+      check_bool (label ^ ": autonomic controllers") autonomic p.p_controllers)
+    [
+      ("none", None, false, false);
+      ("Hedged", Some Service.Hedged, true, false);
+      ("Autonomic", Some Service.Autonomic, true, true);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Property: hedged duplicates stay exactly-once under dup=1.0 links
    and random brownout schedules *)
 
@@ -252,7 +343,10 @@ let prop_hedged_dup_exactly_once =
     QCheck.(
       triple (int_range 1 1000) (float_range 0.0 0.3) (float_range 5.0 15.0))
     (fun (seed, prob, lo) ->
-      let w = Service.create ~seed:(Int64.of_int seed) ~hedged_rpc:true topo in
+      let w =
+        Service.create ~seed:(Int64.of_int seed) ~gray_failure:Service.Hedged
+          topo
+      in
       let uid =
         Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
           ~st:[ "t1"; "t2" ] ()
@@ -319,6 +413,8 @@ let suite =
           test_brownout_off_path_identical;
         Alcotest.test_case "late losing hedge cannot wedge later rounds"
           `Quick test_hedge_cancellation_keeps_rounds_sound;
+        Alcotest.test_case "profiles switch exactly their planes" `Quick
+          test_profiles_switch_their_planes;
         Test_util.qcheck prop_hedged_dup_exactly_once;
       ] );
   ]

@@ -108,17 +108,17 @@ let test_singleton_matches_solo () =
   check_int "no batched prepares" 0 (counter m "rpc.op.store.prepare_batch");
   check_int "no batched commits" 0 (counter m "rpc.op.store.commit_batch")
 
-(* The singleton scatter carries the action deadline: with shedding on, a
-   lone commit whose prepares reach the stores after its deadline is
-   refused there. Fixed unit latency makes the timing exact: the commit
-   starts 1.5 before the deadline, its commit-view request lands 0.5
-   before it, and the prepares land 3.5 after it, behind the commit-view
-   and St-snapshot round trips. *)
+(* The singleton scatter carries the action deadline: under a gray-failure
+   profile servers shed expired work, so a lone commit whose prepares reach the
+   stores after its deadline is refused there. Fixed unit latency makes the
+   timing exact: the commit starts 1.5 before the deadline, its commit-view
+   request lands 0.5 before it, and the prepares land 3.5 after it, behind
+   the commit-view and St-snapshot round trips. *)
 
 let test_singleton_prepare_carries_deadline () =
   let w =
-    Service.create ~seed:19L ~latency:(fun _ -> 1.0) ~deadline_shedding:true
-      (topo [ "c1" ])
+    Service.create ~seed:19L ~latency:(fun _ -> 1.0)
+      ~gray_failure:Service.Hedged (topo [ "c1" ])
   in
   let uid = new_counter w "obj" in
   Service.run ~until:1.0 w;

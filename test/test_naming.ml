@@ -18,8 +18,8 @@ let topo ~servers ~stores ~clients =
     client_nodes = clients;
   }
 
-let small_world ?seed ?lock_timeout ?use_exclude_write ?cleanup_period () =
-  Service.create ?seed ?lock_timeout ?use_exclude_write ?cleanup_period
+let small_world ?seed ?use_exclude_write ?cleanup_period () =
+  Service.create ?seed ?use_exclude_write ?cleanup_period
     (topo ~servers:[ "alpha"; "alpha2" ] ~stores:[ "beta1"; "beta2" ]
        ~clients:[ "c1"; "c2" ])
 
