@@ -255,12 +255,12 @@ let bench_contended_binds () =
     clients;
   Service.run w
 
-(* The same database bind work both ways, back to back: five one-round
-   batched binds, then five binds composed from the serial
+(* The same database bind work two ways, one subject each: five
+   one-round batched binds, or five binds composed from the serial
    GetServer/Increment/GetView (+ trailing Decrement) rounds the batch
-   replaced. The spread within this subject is what batching buys on the
-   naming hot path. *)
-let bench_batched_vs_serial () =
+   replaced. The gap between the two subjects is what batching buys on
+   the naming hot path. *)
+let bench_binds ~batched () =
   let open Naming in
   let w = small_world () in
   let uid =
@@ -268,79 +268,85 @@ let bench_batched_vs_serial () =
       ~st:[ "beta1"; "beta2" ] ()
   in
   Service.spawn_client w "c1" (fun () ->
-      for _ = 1 to 5 do
-        match
-          Binder.bind_independent (Service.binder w) ~client:"c1" ~uid
-            ~policy:Replica.Policy.Single_copy_passive
-        with
-        | Ok pb -> Binder.release_independent (Service.binder w) pb
-        | Error _ -> ()
-      done;
-      for _ = 1 to 5 do
+      if batched then
+        for _ = 1 to 5 do
+          match
+            Binder.bind_independent (Service.binder w) ~client:"c1" ~uid
+              ~policy:Replica.Policy.Single_copy_passive
+          with
+          | Ok pb -> Binder.release_independent (Service.binder w) pb
+          | Error _ -> ()
+        done
+      else
+        for _ = 1 to 5 do
+          ignore
+            (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                 (match Gvd.get_server (Service.gvd w) ~act uid with
+                 | Ok _ -> ()
+                 | Error _ -> ());
+                 (match
+                    Gvd.increment (Service.gvd w) ~act ~uid ~client:"c1"
+                      [ "alpha" ]
+                  with
+                 | Ok _ -> ()
+                 | Error _ -> ());
+                 match Gvd.get_view (Service.gvd w) ~act uid with
+                 | Ok _ -> ()
+                 | Error _ -> ()));
+          ignore
+            (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                 match
+                   Gvd.decrement (Service.gvd w) ~act ~uid ~client:"c1"
+                     [ "alpha" ]
+                 with
+                 | Ok _ -> ()
+                 | Error _ -> ()))
+        done);
+  Service.run w
+
+(* The same five-commit copy-back episode with delta shipping on or off,
+   one subject each. The "small" subjects write a counter (payload is
+   op-sized, deltas buy little); the "large" subjects make small writes
+   to a kvmap preloaded with ~1.5 KB of entries, where the delta path
+   ships a few dozen op bytes per store instead of the whole payload. The
+   gap between a delta subject and its full twin is what delta shipping
+   buys on the copy-back hot path. *)
+let bench_copy_back ~delta ~impl ~initial ~op () =
+  let open Naming in
+  let w =
+    Service.create ~seed:5L ~delta_shipping:delta
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [];
+        server_nodes = [ "alpha" ];
+        store_nodes = [ "beta1"; "beta2" ];
+        client_nodes = [ "c1" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl ?initial ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  Service.spawn_client w "c1" (fun () ->
+      for i = 1 to 5 do
         ignore
-          (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-               (match Gvd.get_server (Service.gvd w) ~act uid with
-               | Ok _ -> ()
-               | Error _ -> ());
-               (match
-                  Gvd.increment (Service.gvd w) ~act ~uid ~client:"c1"
-                    [ "alpha" ]
-                with
-               | Ok _ -> ()
-               | Error _ -> ());
-               match Gvd.get_view (Service.gvd w) ~act uid with
-               | Ok _ -> ()
-               | Error _ -> ()));
-        ignore
-          (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-               match
-                 Gvd.decrement (Service.gvd w) ~act ~uid ~client:"c1"
-                   [ "alpha" ]
-               with
-               | Ok _ -> ()
-               | Error _ -> ()))
+          (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+             ~policy:Replica.Policy.Single_copy_passive ~uid
+             (fun act group -> Service.invoke w group ~act (op i)))
       done);
   Service.run w
 
-(* The same five-commit copy-back episode both ways, back to back: delta
-   shipping on, then off. The "small" subject writes a counter (payload
-   is op-sized, deltas buy little); the "large" subject makes small
-   writes to a kvmap preloaded with ~1.5 KB of entries, where the delta
-   path ships a few dozen op bytes per store instead of the whole
-   payload. The spread within each subject is what delta shipping buys
-   on the copy-back hot path. *)
-let bench_delta_vs_full ~impl ~initial ~op () =
-  let open Naming in
-  let one delta =
-    let w =
-      Service.create ~seed:5L ~delta_shipping:delta
-        {
-          Service.gvd_node = "ns";
-          gvd_nodes = [];
-          server_nodes = [ "alpha" ];
-          store_nodes = [ "beta1"; "beta2" ];
-          client_nodes = [ "c1" ];
-        }
-    in
-    let uid =
-      Service.create_object w ~name:"obj" ~impl ?initial ~sv:[ "alpha" ]
-        ~st:[ "beta1"; "beta2" ] ()
-    in
-    Service.spawn_client w "c1" (fun () ->
-        for i = 1 to 5 do
-          ignore
-            (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
-               ~policy:Replica.Policy.Single_copy_passive ~uid
-               (fun act group -> Service.invoke w group ~act (op i)))
-        done);
-    Service.run w
-  in
-  one true;
-  one false
+let bench_copy_back_small ~delta =
+  bench_copy_back ~delta ~impl:"counter" ~initial:None ~op:(fun i ->
+      Printf.sprintf "add %d" i)
 
-let delta_large_preload =
-  String.concat ";"
-    (List.init 40 (fun i -> Printf.sprintf "key%02d=%032d" i i))
+let bench_copy_back_large ~delta =
+  bench_copy_back ~delta ~impl:"kvmap"
+    ~initial:
+      (Some
+         (String.concat ";"
+            (List.init 40 (fun i -> Printf.sprintf "key%02d=%032d" i i))))
+    ~op:(fun i -> Printf.sprintf "put hot v%d" i)
 
 (* Five scheme-B write commits, each validating a lock-free St snapshot
    inside its prepare round. Scheme B binds are snapshot reads, so the
@@ -400,54 +406,12 @@ let bench_schemea () =
   Service.run w
 
 (* The 48-commit synchronised-wave episode at 8 clients: one prepare and
-   one phase-2 scatter per store per batch, floors piggybacked on the
-   acks. tab-groupcommit tabulates the same episode's store-round
+   one phase-2 round per store per batch. tab-groupcommit tabulates the same episode's store-round
    counts. *)
 let bench_grouped_8_clients () =
   ignore
     (Workload.Exp_groupcommit.episode ~clients:8 ()
       : Workload.Exp_groupcommit.sample)
-
-(* The very first commit of a fresh writer, both ways, back to back:
-   after an anti-entropy floor-gossip round (the commit delta-hits off
-   the gossiped floor and ships op bytes), then without one (cold
-   acked-version vector: the commit ships the whole ~1.5 KB kvmap per
-   store). *)
-let bench_first_commit_after_activation () =
-  let open Naming in
-  let one gossip =
-    let w =
-      Service.create ~seed:5L ~delta_shipping:true
-        {
-          Service.gvd_node = "ns";
-          gvd_nodes = [];
-          server_nodes = [ "alpha" ];
-          store_nodes = [ "beta1"; "beta2" ];
-          client_nodes = [ "c1" ];
-        }
-    in
-    let uid =
-      Service.create_object w ~name:"obj" ~impl:"kvmap"
-        ~initial:delta_large_preload ~sv:[ "alpha" ]
-        ~st:[ "beta1"; "beta2" ] ()
-    in
-    Service.run ~until:1.0 w;
-    if gossip then begin
-      let gc = Replica.Server.groupcommit (Service.server_runtime w) in
-      Net.Network.spawn_on (Service.network w) "alpha" (fun () ->
-          Replica.Groupcommit.anti_entropy gc ~from:"alpha"
-            ~stores:[ "beta1"; "beta2" ]);
-      Service.run w
-    end;
-    Service.spawn_client w "c1" (fun () ->
-        ignore
-          (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
-             ~policy:Replica.Policy.Single_copy_passive ~uid
-             (fun act group -> Service.invoke w group ~act "put hot v1")));
-    Service.run w
-  in
-  one true;
-  one false
 
 (* The tab-brownout episode under one profile: one store browned out at
    a low per-message probability. Hedged, the slow store's scatters race
@@ -486,8 +450,8 @@ let micro_tests =
         (Staged.stage (bench_bound_action Naming.Scheme.Nested_toplevel));
       Test.make ~name:"bind.8-clients-contended"
         (Staged.stage bench_contended_binds);
-      Test.make ~name:"bind.batched-vs-serial"
-        (Staged.stage bench_batched_vs_serial);
+      Test.make ~name:"bind.batched" (Staged.stage (bench_binds ~batched:true));
+      Test.make ~name:"bind.serial" (Staged.stage (bench_binds ~batched:false));
       Test.make ~name:"bind.retry-under-drop-1pct"
         (Staged.stage (bench_binds_under_drop 0.01));
       Test.make ~name:"bind.retry-under-drop-5pct"
@@ -500,21 +464,18 @@ let micro_tests =
         (Staged.stage bench_router_binds_sharded);
       Test.make ~name:"cache.5-repeat-binds"
         (Staged.stage bench_cached_repeat_binds);
-      Test.make ~name:"commit.delta-vs-full-small"
-        (Staged.stage
-           (bench_delta_vs_full ~impl:"counter" ~initial:None ~op:(fun i ->
-                Printf.sprintf "add %d" i)));
-      Test.make ~name:"commit.delta-vs-full-large"
-        (Staged.stage
-           (bench_delta_vs_full ~impl:"kvmap"
-              ~initial:(Some delta_large_preload) ~op:(fun i ->
-                Printf.sprintf "put hot v%d" i)));
+      Test.make ~name:"commit.delta-small"
+        (Staged.stage (bench_copy_back_small ~delta:true));
+      Test.make ~name:"commit.full-small"
+        (Staged.stage (bench_copy_back_small ~delta:false));
+      Test.make ~name:"commit.delta-large"
+        (Staged.stage (bench_copy_back_large ~delta:true));
+      Test.make ~name:"commit.full-large"
+        (Staged.stage (bench_copy_back_large ~delta:false));
       Test.make ~name:"commit.optimistic" (Staged.stage bench_optimistic);
       Test.make ~name:"bind.schemeA" (Staged.stage bench_schemea);
       Test.make ~name:"commit.grouped-8-clients"
         (Staged.stage bench_grouped_8_clients);
-      Test.make ~name:"commit.first-commit-delta-after-activation"
-        (Staged.stage bench_first_commit_after_activation);
       Test.make ~name:"commit.brownout-hedged"
         (Staged.stage (bench_brownout ~hedged:true));
       Test.make ~name:"commit.brownout-unhedged"

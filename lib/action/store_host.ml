@@ -44,17 +44,16 @@ type t = {
   mutable delta_applier :
     (impl:string -> payload:string -> op:string -> string option) option;
   ep_read : (read_req, Store.Object_state.t option) Net.Rpc.endpoint;
-  ep_prepare : (prepare_req, vote) Net.Rpc.endpoint;
-  ep_commit : (string, unit) Net.Rpc.endpoint;
+  (* One prepare (resp. commit) round carries the sub-records of every
+     action that writes this store in the round — a group-commit batch, or
+     a lone action's list of one. Voting, staging and idempotence stay per
+     action: the handlers run the per-action logic sub-record by
+     sub-record. *)
+  ep_prepare : (prepare_req list, (string * vote) list) Net.Rpc.endpoint;
+  ep_commit : (string list, unit) Net.Rpc.endpoint;
   ep_abort : (string, unit) Net.Rpc.endpoint;
   ep_decision : (string, Store.Intent_log.decision option) Net.Rpc.endpoint;
-  (* Group-commit plane: one prepare (resp. commit) round carrying the
-     sub-records of every batch member that writes this store. Voting,
-     staging and idempotence stay per action — the batched handlers just
-     run the per-action logic sub-record by sub-record. *)
-  ep_prepare_batch : (prepare_req list, (string * vote) list) Net.Rpc.endpoint;
-  ep_commit_batch : (string list, (Store.Uid.t * int) list) Net.Rpc.endpoint;
-  ep_floors : (unit, (Store.Uid.t * int) list) Net.Rpc.endpoint;
+  ep_probe : (unit, unit) Net.Rpc.endpoint;
 }
 
 let create rpc_rt =
@@ -69,9 +68,7 @@ let create rpc_rt =
     ep_commit = Net.Rpc.endpoint "store.commit";
     ep_abort = Net.Rpc.endpoint "store.abort";
     ep_decision = Net.Rpc.endpoint "store.decision";
-    ep_prepare_batch = Net.Rpc.endpoint "store.prepare_batch";
-    ep_commit_batch = Net.Rpc.endpoint "store.commit_batch";
-    ep_floors = Net.Rpc.endpoint "store.floors";
+    ep_probe = Net.Rpc.endpoint "store.probe";
   }
 
 let rpc t = t.rpc_rt
@@ -170,11 +167,9 @@ let resolve_write t h = function
               | _ -> Error (uid, committed_counter)))
       | _ -> Error (uid, committed_counter))
 
-(* The phase-1 handler, shared verbatim between the solo [store.prepare]
-   endpoint and the batched [store.prepare_batch] one (which folds it over
-   its sub-records): validation, reservations, staging, hooks and traces
-   are identical either way, so a batch of one is indistinguishable from a
-   solo prepare at the store. *)
+(* The phase-1 logic for one sub-record of a [store.prepare] round:
+   validation, reservations, staging, hooks and traces are per action, so
+   one action's refusal never touches another's vote in the same round. *)
 let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
       let netw = Net.Rpc.network t.rpc_rt in
       let resolved, misses =
@@ -290,19 +285,6 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
         Vote_stale
       end
 
-(* The committed counter of every object this store holds: the acked-floor
-   gossip payload. Batched phase-2 acks carry it (post-apply), and the
-   anti-entropy round reads it directly, so coordinators can reseed the
-   shared per-(store,object) floor without ever having written here. *)
-let floors_of h =
-  List.map
-    (fun uid ->
-      ( uid,
-        match Store.Object_store.read h.h_objects uid with
-        | Some e -> e.Store.Object_state.version.Store.Version.counter
-        | None -> -1 ))
-    (Store.Object_store.uids h.h_objects)
-
 let add t node =
   if Hashtbl.mem t.hosts node then
     invalid_arg (Printf.sprintf "Store_host.add: %s already hosted" node);
@@ -310,14 +292,10 @@ let add t node =
   Hashtbl.add t.hosts node h;
   Net.Rpc.serve t.rpc_rt ~node t.ep_read (fun uid ->
       Store.Object_store.read h.h_objects uid);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_prepare (fun req -> prepare_one t h node req);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_prepare_batch (fun reqs ->
+  Net.Rpc.serve t.rpc_rt ~node t.ep_prepare (fun reqs ->
       List.map (fun req -> (req.pr_action, prepare_one t h node req)) reqs);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_commit (fun action -> apply_commit h action);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_commit_batch (fun actions ->
-      List.iter (fun action -> apply_commit h action) actions;
-      floors_of h);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_floors (fun () -> floors_of h);
+  Net.Rpc.serve t.rpc_rt ~node t.ep_commit (List.iter (apply_commit h));
+  Net.Rpc.serve t.rpc_rt ~node t.ep_probe (fun () -> ());
   Net.Rpc.serve t.rpc_rt ~node t.ep_abort (fun action ->
       Store.Intent_log.resolve h.h_log ~action);
   Net.Rpc.serve t.rpc_rt ~node t.ep_decision (fun action ->
@@ -332,19 +310,32 @@ let seed t node uid state = Store.Object_store.write (host t node).h_objects uid
 
 let read t ~from ~store uid = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_read uid
 
-let full_writes writes = List.map (fun (uid, state) -> (uid, Full state)) writes
+(* A round's answer for one of its actions; a store that answered without
+   that action's sub-record never received it. *)
+let vote_of ~action = function
+  | Error e -> Error e
+  | Ok votes -> (
+      match List.assoc_opt action votes with
+      | Some v -> Ok v
+      | None -> Error Net.Rpc.No_service)
 
 let prepare t ~from ~store ~action ~coordinator writes =
-  Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_prepare
-    {
-      pr_action = action;
-      pr_coordinator = coordinator;
-      pr_writes = full_writes writes;
-    }
+  vote_of ~action
+    (Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_prepare
+       [
+         {
+           pr_action = action;
+           pr_coordinator = coordinator;
+           pr_writes = List.map (fun (uid, state) -> (uid, Full state)) writes;
+         };
+       ])
 
-let commit t ~from ~store ~action = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_commit action
+let commit t ~from ~store ~action =
+  Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_commit [ action ]
 
 let abort t ~from ~store ~action = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_abort action
+
+let probe t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_probe ()
 
 (* The 2PC fan-outs below accept a hedging policy and a propagated
    deadline: prepare records the same intent twice idempotently (replays
@@ -391,42 +382,33 @@ let scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary ep reqs =
            reqs)
   | _ -> Net.Rpc.call_all t.rpc_rt ~from ?hedge ?deadline_at ep reqs
 
+let prepare_all t ~from ?hedge ?deadline_at ?alt_of per_store =
+  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:false
+    t.ep_prepare per_store
+
 let prepare_each t ~from ?hedge ?deadline_at ?alt_of ~action ~coordinator
     writes =
-  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:false
-    t.ep_prepare
-    (List.map
-       (fun (store, ws) ->
-         (store, { pr_action = action; pr_coordinator = coordinator; pr_writes = ws }))
-       writes)
+  List.map
+    (fun (store, r) -> (store, vote_of ~action r))
+    (prepare_all t ~from ?hedge ?deadline_at ?alt_of
+       (List.map
+          (fun (store, ws) ->
+            ( store,
+              [
+                {
+                  pr_action = action;
+                  pr_coordinator = coordinator;
+                  pr_writes = ws;
+                };
+              ] ))
+          writes))
 
-let commit_all t ~from ?hedge ?deadline_at ?alt_of ~stores action =
-  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:true
-    t.ep_commit
+let commit_all t ~from ?hedge ?alt_of per_store =
+  scatter_alt t ~from ?hedge ?alt_of ~keep_primary:true t.ep_commit per_store
+
+let abort_all t ~from ?hedge ?alt_of ~stores action =
+  scatter_alt t ~from ?hedge ?alt_of ~keep_primary:true t.ep_abort
     (List.map (fun store -> (store, action)) stores)
-
-let abort_all t ~from ?hedge ?deadline_at ?alt_of ~stores action =
-  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:true
-    t.ep_abort
-    (List.map (fun store -> (store, action)) stores)
-
-(* Batched prepares are NEVER sibling-routed: one store's batch can carry
-   sub-records of actions whose [St] does not include the sibling, and a
-   sibling staging such an intent would hold it forever (its phase-2
-   fan-out never visits a non-member). Batched phase-2 is safe — an
-   unknown action resolves as a no-op — so [commit_batch] takes the alt
-   map while [prepare_batch] keeps same-node backups. *)
-let prepare_batch t ~from ?hedge ?deadline_at per_store =
-  Net.Rpc.call_all t.rpc_rt ~from ?hedge ?deadline_at t.ep_prepare_batch
-    per_store
-
-let commit_batch t ~from ?hedge ?deadline_at ?alt_of per_store =
-  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:true
-    t.ep_commit_batch per_store
-
-let floors_all t ~from ~stores =
-  Net.Rpc.call_all t.rpc_rt ~from t.ep_floors
-    (List.map (fun store -> (store, ())) stores)
 
 let decision t ~from ~coordinator ~action =
   Net.Rpc.call t.rpc_rt ~from ~dst:coordinator t.ep_decision action

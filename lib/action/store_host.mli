@@ -90,6 +90,28 @@ type vote =
   | Vote_stale
   | Vote_delta_miss of int
 
+type prepare_req = {
+  pr_action : string;
+  pr_coordinator : string;
+  pr_writes : (Store.Uid.t * write) list;
+}
+(** One action's phase-1 sub-record for one store. A [store.prepare]
+    round carries a list of them — every action of a group-commit batch
+    ({!Replica.Groupcommit}) that writes the store, or a lone action's
+    list of one — and the store answers one vote per sub-record, in
+    order. Validation, write reservations, intent-log staging, the
+    prepare/reservation hooks and duplicate-delivery replacement all run
+    per sub-record, so one action's refusal ([Vote_stale]/
+    [Vote_delta_miss]) affects only its own vote. A [store.commit] round
+    likewise carries a list of actions, each applied idempotently. *)
+
+val vote_of :
+  action:string ->
+  ((string * vote) list, Net.Rpc.error) result ->
+  (vote, Net.Rpc.error) result
+(** [action]'s vote out of one store's answer to a prepare round
+    ([Error No_service] if the answer lacks it). *)
+
 val prepare :
   t ->
   from:Net.Network.node_id ->
@@ -98,8 +120,9 @@ val prepare :
   coordinator:Net.Network.node_id ->
   (Store.Uid.t * Store.Object_state.t) list ->
   (vote, Net.Rpc.error) result
-(** Phase-1 write of full states: validate versions and record intentions
-    durably on [store]; [Ok (Vote_yes _)] is a yes-vote. *)
+(** Phase-1 write of full states by one action to one store (a round of
+    one sub-record): validate versions and record intentions durably on
+    [store]; [Ok (Vote_yes _)] is a yes-vote. *)
 
 val commit :
   t ->
@@ -119,23 +142,27 @@ val abort :
   (unit, Net.Rpc.error) result
 (** Phase-2 abort: discard the intentions of [action]. *)
 
-val prepare_each :
+val probe :
+  t -> from:Net.Network.node_id -> store:Net.Network.node_id -> (unit, Net.Rpc.error) result
+(** A no-op round trip to [store]: a latency/liveness sample for health
+    probing, with nothing read or written. *)
+
+val prepare_all :
   t ->
   from:Net.Network.node_id ->
   ?hedge:Net.Rpc.hedge ->
   ?deadline_at:float ->
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
-  action:string ->
-  coordinator:Net.Network.node_id ->
-  (Net.Network.node_id * (Store.Uid.t * write) list) list ->
-  (Net.Network.node_id * (vote, Net.Rpc.error) result) list
-(** Scatter {!prepare} to every store concurrently ({!Net.Rpc.call_all});
-    votes come back in store order. The commit-time state copy (§2.3(3))
-    issues this one parallel write to all of [StA] instead of a chain of
-    blocking calls, so its latency is one round-trip, not [|St|] of them.
-    Each store gets its own write list, so the copy-back can ship a delta
-    to stores whose acknowledged version it knows and full state to the
-    rest.
+  (Net.Network.node_id * prepare_req list) list ->
+  (Net.Network.node_id * ((string * vote) list, Net.Rpc.error) result) list
+(** Scatter one prepare round to every listed store concurrently
+    ({!Net.Rpc.call_all}); answers come back in store order, each a
+    per-action vote list in sub-record order. The commit-time state copy
+    (§2.3(3)) issues this one parallel write to all of [StA] instead of a
+    chain of blocking calls, so its latency is one round-trip, not [|St|]
+    of them. Each store gets its own sub-records, so the copy-back can
+    ship a delta to stores whose acknowledged version it knows and full
+    state to the rest.
 
     The 2PC fan-outs take an optional hedging policy and propagated
     deadline (see {!Net.Rpc.call_all}). Hedging is safe here: a replayed
@@ -153,86 +180,46 @@ val prepare_each :
     legs keep the primary copy in flight ({!Net.Rpc.call_hedged}'s
     [keep_primary]) because the primary must still apply its decision.
     The caller must only map to siblings that hold every object in the
-    leg's write list. *)
+    leg's sub-records — so a round carrying several actions, whose [St]
+    need not include the sibling, must not pass one: a staged intent
+    there would dangle forever. *)
 
-val commit_all :
+val prepare_each :
   t ->
   from:Net.Network.node_id ->
   ?hedge:Net.Rpc.hedge ->
   ?deadline_at:float ->
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
-  stores:Net.Network.node_id list ->
-  string ->
+  action:string ->
+  coordinator:Net.Network.node_id ->
+  (Net.Network.node_id * (Store.Uid.t * write) list) list ->
+  (Net.Network.node_id * (vote, Net.Rpc.error) result) list
+(** {!prepare_all} for one action: one sub-record per store, the action's
+    vote per store. *)
+
+val commit_all :
+  t ->
+  from:Net.Network.node_id ->
+  ?hedge:Net.Rpc.hedge ->
+  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  (Net.Network.node_id * string list) list ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** [commit_all t ~from ~stores action]: scatter {!commit} (phase-2) to
-    every store concurrently. *)
+(** Scatter one phase-2 commit round per store, each applying the listed
+    actions' intentions. [alt_of] sibling-routes as in {!prepare_all};
+    unlike a prepare, a phase-2 round may take it even when it carries
+    several actions, because an action unknown to the sibling resolves
+    as a no-op there. *)
 
 val abort_all :
   t ->
   from:Net.Network.node_id ->
   ?hedge:Net.Rpc.hedge ->
-  ?deadline_at:float ->
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
   stores:Net.Network.node_id list ->
   string ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** [abort_all t ~from ~stores action]: scatter {!abort} (phase-2 abort /
     prepare withdrawal) concurrently. *)
-
-(** {2 Group-commit rounds} (see {!Replica.Groupcommit})
-
-    One RPC round per store carrying per-action sub-records for a whole
-    batch of concurrent commits. The store runs the per-action phase-1
-    logic over each sub-record in order — validation, write reservations,
-    intent-log staging, the prepare/reservation hooks and duplicate
-    delivery replacement are exactly the solo path's, so one member's
-    refusal ([Vote_stale]/[Vote_delta_miss]) affects only that member's
-    vote, never its batchmates. *)
-
-type prepare_req = {
-  pr_action : string;
-  pr_coordinator : string;
-  pr_writes : (Store.Uid.t * write) list;
-}
-(** One batch member's phase-1 sub-record for one store: the same triple
-    the solo {!prepare_each} sends, just bundled. *)
-
-val prepare_batch :
-  t ->
-  from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
-  ?deadline_at:float ->
-  (Net.Network.node_id * prepare_req list) list ->
-  (Net.Network.node_id * ((string * vote) list, Net.Rpc.error) result) list
-(** Scatter one batched prepare per store; each store answers a per-action
-    vote list (in sub-record order). *)
-
-val commit_batch :
-  t ->
-  from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
-  ?deadline_at:float ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
-  (Net.Network.node_id * string list) list ->
-  (Net.Network.node_id * ((Store.Uid.t * int) list, Net.Rpc.error) result) list
-(** Scatter one batched phase-2 commit per store: the store applies each
-    listed action's intentions ({e idempotent, per action}) and its ack
-    carries the committed counter of {e every} object it holds — the
-    acked-version floor gossip the coordinator folds into
-    {!Replica.Oplog.note_store}. [alt_of] sibling-routes as in
-    {!commit_all} (a sibling win is the leg's error, so a sibling's
-    floors are never mistaken for the primary's); batched {e prepares}
-    deliberately never take an alt map — one store's batch can carry
-    sub-records of actions whose [St] does not include the sibling, and
-    a staged intent there would dangle forever. *)
-
-val floors_all :
-  t ->
-  from:Net.Network.node_id ->
-  stores:Net.Network.node_id list ->
-  (Net.Network.node_id * ((Store.Uid.t * int) list, Net.Rpc.error) result) list
-(** One anti-entropy round: read each store's committed counters without
-    committing anything (quiet-store floor gossip). *)
 
 val decision :
   t ->

@@ -41,8 +41,7 @@ let autonomic t = t.w_autonomic
 
 let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
     ?(cleanup_period = 0.0) ?bind_cache_lease ?(naming_service_time = 0.0)
-    ?(delta_shipping = false) ?(force_delta = false)
-    ?(floor_gossip_period = 0.0) ?gray_failure topology =
+    ?delta_shipping ?force_delta ?gray_failure topology =
   let eng = Sim.Engine.create ?seed () in
   (* The gray-failure profile (§15, §16) lives on the network: every layer
      above reads it where it acts, so there is nothing else to wire. *)
@@ -53,9 +52,7 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
   let art = Action.Atomic.make_runtime sh rh in
   let impls = Replica.Object_impl.registry () in
   List.iter (Replica.Object_impl.register impls) Replica.Object_impl.stock_all;
-  let srv = Replica.Server.create art impls in
-  Replica.Server.set_delta_shipping srv delta_shipping;
-  Replica.Server.set_force_delta srv force_delta;
+  let srv = Replica.Server.create ?delta_shipping ?force_delta art impls in
   (* Stores sit below the implementation registry, so the op folder delta
      prepares resolve with is injected here. Installed regardless of the
      flag: it only ever runs for delta prepares, which only a
@@ -126,41 +123,15 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
   if cleanup_period > 0.0 then
     List.iter (fun g -> Cleanup.start g ~period:cleanup_period art)
       (Router.gvds router);
-  (* Low-rate acked-floor anti-entropy for quiet stores: one server-side
-     daemon polls every store's committed counters into the shared floor
-     ({!Replica.Groupcommit.anti_entropy}). The idle wait is a
-     {!Sim.Engine.daemon_sleep}, so drain-mode [run] (and the chaos
-     harness's quiescence check) ignores the parked daemon instead of
-     spinning on it forever; the anti-entropy rounds themselves still run
-     as ordinary foreground work. A crash of the gossiper node kills the
-     fiber with its group, so recovery re-arms it for the new
-     incarnation. *)
-  if floor_gossip_period > 0.0 then (
-    match topology.server_nodes with
-    | [] -> ()
-    | gossiper :: _ ->
-        let spawn_gossip () =
-          Net.Network.spawn_on net gossiper ~name:"floor-gossip" (fun () ->
-              let gcp = Replica.Server.groupcommit srv in
-              let rec loop () =
-                Sim.Engine.daemon_sleep eng floor_gossip_period;
-                Replica.Groupcommit.anti_entropy gcp ~from:gossiper
-                  ~stores:topology.store_nodes;
-                loop ()
-              in
-              loop ())
-        in
-        spawn_gossip ();
-        Net.Network.on_recover net gossiper spawn_gossip);
   (* The autonomic membership plane (§16), under the [Autonomic] profile:
      one controller daemon per server node, probing the stores' latency
      health and driving the §4.2 Exclude/Include protocols for gray
      failures. The plane lives in [lib/replica], below the naming tier,
      so the naming-facing drivers are injected here: the probe is a
-     floors read, the Exclude is the observer-driven validated round, and
-     the re-Include spawns the recovery-time catch-up reintegration on
-     the healed store itself (it must run there — the include fence and
-     state seed are the store's own atomic action). *)
+     no-op store round trip, the Exclude is the observer-driven validated
+     round, and the re-Include spawns the recovery-time catch-up
+     reintegration on the healed store itself (it must run there — the
+     include fence and state seed are the store's own atomic action). *)
   let autonomic =
     match gray_failure with
     | None | Some Hedged -> None
@@ -170,14 +141,7 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
             Replica.Autonomic.d_rpc = rpc;
             d_stores = topology.store_nodes;
             d_servers = topology.server_nodes;
-            d_probe =
-              (fun ~from ~store ->
-                match
-                  Action.Store_host.floors_all sh ~from ~stores:[ store ]
-                with
-                | [ (_, Ok _) ] -> Ok ()
-                | [ (_, Error e) ] -> Error e
-                | _ -> Error Net.Rpc.No_service);
+            d_probe = Action.Store_host.probe sh;
             d_exclude =
               (fun ~from ~store ->
                 Reintegration.exclude_store_now bdr ~from ~node:store ());

@@ -45,7 +45,6 @@ val create :
   ?naming_service_time:float ->
   ?delta_shipping:bool ->
   ?force_delta:bool ->
-  ?floor_gossip_period:float ->
   ?gray_failure:gray_failure ->
   topology ->
   t
@@ -65,24 +64,19 @@ val create :
     them early, see {!Binder.pull_credits}).
 
     [delta_shipping] (default false) turns on op-log delta replication
-    for the commit copy-back ({!Replica.Server.set_delta_shipping},
+    for the commit copy-back ({!Replica.Server.create},
     {!Replica.Oplog}): stores the coordinator knows to be exactly one log
     suffix behind receive the operations, not the whole state. The
     default runs the seed's full-state copy byte-identically.
     [force_delta] (default false) skips the per-write encoded-size
     comparison and ships a delta whenever the base version is known —
     the pre-comparison behaviour, kept for worlds that measure delta
-    coverage rather than bytes ({!Replica.Server.set_force_delta}).
+    coverage rather than bytes. Both are fixed for the world's life.
 
     Commits go through the group-commit plane ({!Replica.Groupcommit},
     docs/PROTOCOLS.md §14) and validate a lock-free [St] snapshot inside
     the prepare round ({!Replica.Commit.attach}, §13); scheme A's three
-    bind reads leave as one {!Sim.Join} round. [floor_gossip_period]
-    (default 0.0 = off) runs a low-rate anti-entropy daemon that folds
-    every store's committed counters into the shared floor. Its idle
-    waits are daemon sleeps ({!Sim.Engine.daemon_sleep}), so drain-mode
-    [run] still terminates with the daemon parked, and a crash of the
-    gossiping server re-arms the daemon on recovery.
+    bind reads leave as one {!Sim.Join} round.
 
     [gray_failure] (default none: every plane below is off) selects the
     world's gray-failure profile, fixed on its network

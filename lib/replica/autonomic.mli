@@ -58,8 +58,8 @@ type deps = {
     from:Net.Network.node_id ->
     store:Net.Network.node_id ->
     (unit, Net.Rpc.error) result;
-      (** one cheap read RPC to [store] (the controller times it); must
-          run in a fiber on [from] *)
+      (** one no-op RPC to [store] (the controller times it); must run
+          in a fiber on [from] *)
   d_exclude : from:Net.Network.node_id -> store:Net.Network.node_id -> int;
       (** exclude [store] from every object it holds and return how many
           exclusions committed ({!Naming.Reintegration.exclude_store_now});

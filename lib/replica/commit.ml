@@ -315,7 +315,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                             ~prepare:(fun () -> true)
                             ~commit:(fun () ->
                               let results =
-                                Groupcommit.commit_batched gc ?alt_of ~client
+                                Groupcommit.commit gc ?alt_of ~client
                                   ~stores:ok action
                               in
                               if delta_on then
@@ -333,7 +333,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                                   results)
                             ~abort:(fun () ->
                               ignore
-                                (Groupcommit.abort_batched gc ?alt_of ~client
+                                (Groupcommit.abort gc ?alt_of ~client
                                    ~stores:ok action));
                           `Done (Ok ())))
           in

@@ -12,7 +12,7 @@
       the copy entirely;
     + prepare the new state on every node of the group's [StA] view —
       when the server runtime has delta shipping enabled
-      ({!Server.set_delta_shipping}), each store is shipped the op-log
+      ({!Server.delta_shipping}), each store is shipped the op-log
       suffix [(v_store, v_commit]] instead of the full state whenever the
       acknowledged-version vector knows [v_store] and the commit view's
       chain covers the gap ({!Oplog}); a [Vote_delta_miss] reseeds the

@@ -2,11 +2,12 @@
 
    Concurrent commit copy-backs from the same runtime that target
    overlapping store sets merge into one batch, which pays ONE prepare
-   scatter and ONE phase-2 scatter per store for every member
-   ({!Action.Store_host.prepare_batch} / [commit_batch]) instead of one
-   per member. Everything transactional stays per action at the store —
-   voting, write reservations, intent-log staging, recovery, duplicate
-   delivery — so a refused member ([Vote_stale], [Vote_delta_miss], or a
+   round and ONE phase-2 round per store for every member (each round
+   carries the members' per-action sub-records, see
+   {!Action.Store_host.prepare_all}) instead of one per member.
+   Everything transactional stays per action at the store — voting,
+   write reservations, intent-log staging, recovery, duplicate delivery —
+   so a refused member ([Vote_stale], [Vote_delta_miss], or a
    transport error on one store) is peeled out for an ordinary solo
    retry while its batchmates proceed untouched.
 
@@ -28,15 +29,9 @@
    fall back to a solo prepare/commit (both idempotent at the store), so
    a chaos world cannot wedge a batchmate forever.
 
-   Piggybacked floor gossip: a batched phase-2 ack carries the store's
-   committed counter for every object it holds; folding those into
-   {!Oplog.note_store} lets a coordinator that never wrote an object —
-   e.g. a freshly activated server — base its first copy-back on a
-   delta. {!anti_entropy} is the same exchange for quiet stores, driven
-   by an optional low-rate daemon (see {!Naming.Service.create}).
-
    Every commit goes through the plane ({!Replica.Commit.attach}); a
-   batch that closes with one member issues the ordinary solo scatter. *)
+   batch that closes with one member scatters the same rounds with one
+   sub-record each, carrying that member's deadline and sibling map. *)
 
 type member = {
   m_client : Net.Network.node_id;
@@ -45,8 +40,9 @@ type member = {
     (Net.Network.node_id * (Store.Uid.t * Action.Store_host.write) list) list;
   m_alt : (Net.Network.node_id -> Net.Network.node_id option) option;
       (* the member's sibling-hedge map (see {!Replica.Commit}); only the
-         solo/singleton scatters use it — batched prepares never
-         alt-route (see {!Action.Store_host.prepare_batch}) *)
+         scatters issued on this member's own behalf use it — a
+         multi-member prepare never alt-routes (see
+         {!Action.Store_host.prepare_all}) *)
   m_deadline : float option;
       (* the member's action deadline; like [m_alt], carried only by the
          scatters issued on this member's own behalf *)
@@ -82,7 +78,6 @@ type t = {
   gc_eng : Sim.Engine.t;
   gc_sh : Action.Store_host.t;
   gc_metrics : Sim.Metrics.t;
-  gc_olog : Oplog.t;
   mutable gc_approaching : int; (* commits between enter and their prepare *)
   mutable gc_expecting : int; (* sealed commits whose phase 2 is pending *)
   mutable gc_batches : batch list; (* open phase-1 batches, oldest first *)
@@ -98,12 +93,11 @@ let window = 2.0
    world (the leader always answers within [window]). *)
 let orphan_grace = 90.0
 
-let create ~engine ~store_host ~metrics olog =
+let create ~engine ~store_host ~metrics =
   {
     gc_eng = engine;
     gc_sh = store_host;
     gc_metrics = metrics;
-    gc_olog = olog;
     gc_approaching = 0;
     gc_expecting = 0;
     gc_batches = [];
@@ -168,29 +162,28 @@ let abandon2 t batch =
     t.gc_p2 <- List.filter (fun b -> b != batch) t.gc_p2
   end
 
-(* Leader duty, phase 1: close the batch, issue one prepare_batch round
-   per store in the union, and hand each member its own per-store votes.
-   A batch that closed with a single member — its own leader — issues the
-   ordinary solo scatter instead, deadline included, so vote shapes,
-   rounds and store-side behaviour are exactly a solo commit's. The
-   batched round carries no deadline: one member's expiry must not shed
-   its batchmates' prepares. *)
+(* Leader duty, phase 1: close the batch, issue one prepare round per
+   store in the union, and hand each member its own per-store votes. A
+   batch of one carries its member's deadline and sibling map, so a lone
+   commit's rounds are exactly those of an unbatched commit. A
+   multi-member round carries no deadline — one member's expiry must not
+   shed its batchmates' prepares — and never alt-routes. *)
 let scatter t batch =
   batch.b_open <- false;
   t.gc_batches <- List.filter (fun b -> b != batch) t.gc_batches;
   let members = List.rev batch.b_members in
   match members with
   | [] -> ()
-  | [ m ] ->
-      Sim.Metrics.incr t.gc_metrics "groupcommit.solo_batches";
-      Sim.Ivar.fill m.m_votes
-        (Action.Store_host.prepare_each t.gc_sh ~from:m.m_client
-           ?hedge:(gc_hedge t) ?deadline_at:m.m_deadline ?alt_of:m.m_alt
-           ~action:m.m_action ~coordinator:m.m_client m.m_writes)
-  | leader :: _ ->
-      Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
-      Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
-        (float_of_int (List.length members));
+  | leader :: rest ->
+      let deadline_at, alt_of =
+        if rest = [] then (leader.m_deadline, leader.m_alt)
+        else begin
+          Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
+          Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
+            (float_of_int (List.length members));
+          (None, None)
+        end
+      in
       let stores =
         List.fold_left (fun acc m -> union acc (List.map fst m.m_writes)) []
           members
@@ -213,25 +206,19 @@ let scatter t batch =
           stores
       in
       let results =
-        Action.Store_host.prepare_batch t.gc_sh ~from:leader.m_client
-          ?hedge:(gc_hedge t) reqs
+        Action.Store_host.prepare_all t.gc_sh ~from:leader.m_client
+          ?hedge:(gc_hedge t) ?deadline_at ?alt_of reqs
       in
       List.iter
         (fun m ->
-          let votes =
-            List.map
-              (fun (store, _) ->
-                ( store,
-                  match List.assoc_opt store results with
-                  | None | Some (Ok []) -> Error Net.Rpc.No_service
-                  | Some (Error e) -> Error e
-                  | Some (Ok votes) -> (
-                      match List.assoc_opt m.m_action votes with
-                      | Some v -> Ok v
-                      | None -> Error Net.Rpc.No_service) ))
-              m.m_writes
-          in
-          Sim.Ivar.fill m.m_votes votes)
+          Sim.Ivar.fill m.m_votes
+            (List.map
+               (fun (store, _) ->
+                 ( store,
+                   match List.assoc_opt store results with
+                   | None -> Error Net.Rpc.No_service
+                   | Some r -> Action.Store_host.vote_of ~action:m.m_action r ))
+               m.m_writes))
         members
 
 let solo_prepare t ?deadline_at ?alt_of ~client ~action writes =
@@ -312,23 +299,17 @@ let prepare t tok ?deadline_at ?alt_of ~client ~action writes =
         solo_prepare t ?deadline_at ?alt_of ~client ~action writes
       end
 
-(* Leader duty, phase 2: one commit_batch round per store; fold the
-   floors each ack piggybacks into the shared per-(store,object) floor,
-   then hand each member its per-store acks. Singleton batches take the
-   solo commit scatter (no floor payload — byte-identical to unbatched),
-   matching phase 1's discipline. *)
+(* Leader duty, phase 2: one commit round per store, under the leader's
+   sibling map (safe for any batch size: an action unknown to the sibling
+   resolves as a no-op there), then hand each member its per-store
+   acks. *)
 let scatter2 t batch =
   batch.pb_open <- false;
   t.gc_p2 <- List.filter (fun b -> b != batch) t.gc_p2;
   let members = List.rev batch.pb_members in
   match members with
   | [] -> ()
-  | [ m ] ->
-      Sim.Ivar.fill m.p_acks
-        (Action.Store_host.commit_all t.gc_sh ~from:m.p_client
-           ?hedge:(gc_hedge t) ?alt_of:m.p_alt ~stores:m.p_stores m.p_action)
   | leader :: _ ->
-      Sim.Metrics.incr t.gc_metrics "groupcommit.p2_batches";
       let stores =
         List.fold_left (fun acc m -> union acc m.p_stores) [] members
       in
@@ -343,42 +324,24 @@ let scatter2 t batch =
           stores
       in
       let results =
-        Action.Store_host.commit_batch t.gc_sh ~from:leader.p_client
+        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
           ?hedge:(gc_hedge t) ?alt_of:leader.p_alt reqs
       in
       List.iter
-        (fun (store, r) ->
-          match r with
-          | Ok floors ->
-              List.iter
-                (fun (uid, c) ->
-                  if c >= 0 then begin
-                    Sim.Metrics.incr t.gc_metrics
-                      "groupcommit.floors_gossiped";
-                    Oplog.note_store t.gc_olog ~store ~uid c
-                  end)
-                floors
-          | Error _ -> ())
-        results;
-      List.iter
         (fun m ->
-          let acks =
-            List.map
-              (fun store ->
-                ( store,
-                  match List.assoc_opt store results with
-                  | Some (Ok _) -> Ok ()
-                  | Some (Error e) -> Error e
-                  | None -> Error Net.Rpc.No_service ))
-              m.p_stores
-          in
-          Sim.Ivar.fill m.p_acks acks)
+          Sim.Ivar.fill m.p_acks
+            (List.map
+               (fun store ->
+                 ( store,
+                   Option.value ~default:(Error Net.Rpc.No_service)
+                     (List.assoc_opt store results) ))
+               m.p_stores))
         members
 
 (* Batched phase 2 for a commit registered with {!expect_phase2}. Runs in
    the committing fiber (a 2PC participant's commit closure); the same
    join/lead/orphan discipline as phase 1. *)
-let commit_batched t ?alt_of ~client ~stores action =
+let commit t ?alt_of ~client ~stores action =
   let m =
     {
       p_client = client;
@@ -426,34 +389,14 @@ let commit_batched t ?alt_of ~client ~stores action =
       Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
       abandon2 t batch;
       Action.Store_host.commit_all t.gc_sh ~from:client ?hedge:(gc_hedge t)
-        ?alt_of ~stores action
+        ?alt_of
+        (List.map (fun store -> (store, [ action ])) stores)
 
 (* Phase-2 abort of a commit registered with {!expect_phase2}: aborts are
-   rare and carry no floor payload worth amortising, so they go out solo
-   — but the registration must still settle or phase-2 quiescence-pull
-   would stall at a count that never drains. *)
-let abort_batched t ?alt_of ~client ~stores action =
+   rare, so they go out unbatched — but the registration must still
+   settle or phase-2 quiescence-pull would stall at a count that never
+   drains. *)
+let abort t ?alt_of ~client ~stores action =
   settle_phase2 t;
   Action.Store_host.abort_all t.gc_sh ~from:client ?hedge:(gc_hedge t) ?alt_of
     ~stores action
-
-(* One anti-entropy round: read every store's committed counters and fold
-   them into the shared floor. Cheap (one scatter, no writes) and safe
-   (the floor is a monotone max; a racing commit only raises it), it
-   covers the stores the piggyback cannot: quiet ones, and floors lost
-   to {!Oplog.drop_store} when a store crashed. *)
-let anti_entropy t ~from ~stores =
-  Sim.Metrics.incr t.gc_metrics "groupcommit.anti_entropy_rounds";
-  List.iter
-    (fun (store, r) ->
-      match r with
-      | Ok floors ->
-          List.iter
-            (fun (uid, c) ->
-              if c >= 0 then begin
-                Sim.Metrics.incr t.gc_metrics "groupcommit.floors_gossiped";
-                Oplog.note_store t.gc_olog ~store ~uid c
-              end)
-            floors
-      | Error _ -> ())
-    (Action.Store_host.floors_all t.gc_sh ~from ~stores)

@@ -1,18 +1,19 @@
 (** Coordinator-side group commit: concurrent 2PC copy-backs whose store
-    sets overlap merge into one batch that pays one prepare scatter and
-    one phase-2 scatter per store ({!Action.Store_host.prepare_batch} /
-    [commit_batch]), with the store's acked-version floors piggybacked on
-    the batched phase-2 acks ({!Oplog.note_store}).
+    sets overlap merge into one batch that pays one prepare round and one
+    phase-2 round per store, each carrying the members' per-action
+    sub-records ({!Action.Store_host.prepare_all} /
+    {!Action.Store_host.commit_all}).
 
     Batches close on a fixed {!window} with quiescence-pull: the window
     ends early as soon as no commit that could still join is in flight,
     so a lone commit never waits. Every commit of {!Commit.attach} goes
-    through the plane; a batch of one issues the ordinary solo scatter.
+    through the plane; a batch of one scatters the same rounds with one
+    sub-record each.
     Everything transactional stays per action — a member refused at any
     store is peeled out for a solo retry; its batchmates are
     unaffected. Under a gray-failure profile ({!Net.Network.hedged})
-    every store scatter the plane issues (solo and batched prepare,
-    phase-2 commit/abort) races a health-delayed backup copy
+    every store scatter the plane issues (batch rounds, peel-out and
+    orphan retries, phase-2 commit/abort) races a health-delayed backup copy
     ({!Net.Rpc.call_all}'s [?hedge]) — safe because every one of them is
     idempotent at the store. *)
 
@@ -22,7 +23,6 @@ val create :
   engine:Sim.Engine.t ->
   store_host:Action.Store_host.t ->
   metrics:Sim.Metrics.t ->
-  Oplog.t ->
   t
 (** One plane per {!Server.runtime}. *)
 
@@ -60,39 +60,36 @@ val prepare :
     a fiber on [client].
 
     [deadline_at] (the action's deadline) and [alt_of] (the member's
-    sibling-hedge map, {!Action.Store_host.prepare_each}) apply only to
-    the scatters issued on this member's own behalf — the singleton-batch
-    solo prepare, the peel-out retry and the orphan fallback. A
-    multi-member [prepare_batch] round carries no deadline, because one
-    member's expiry must not shed its batchmates' prepares, and never
-    alt-routes (see {!Action.Store_host.prepare_batch}). *)
+    sibling-hedge map, {!Action.Store_host.prepare_all}) apply only to
+    the scatters issued on this member's own behalf — a batch of one,
+    the peel-out retry and the orphan fallback. A multi-member prepare
+    round carries no deadline, because one member's expiry must not shed
+    its batchmates' prepares, and never alt-routes (see
+    {!Action.Store_host.prepare_all}). *)
 
 (** {2 Phase 2} *)
 
 val expect_phase2 : t -> unit
 (** Register a sealed commit whose phase 2 is still to come: phase-2
     batches hold their window open for every registration until it
-    settles through {!commit_batched} or {!abort_batched}. *)
+    settles through {!commit} or {!abort}. *)
 
-val commit_batched :
+val commit :
   t ->
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** Batched phase-2 commit, shaped like {!Action.Store_host.commit_all}'s
-    result. The batch leader folds the floors piggybacked on each store's
-    ack into the shared per-(store,object) floor before distributing
-    acks. Must run in a fiber on [client].
+(** Batched phase-2 commit: this member's per-store acks. Must run in a
+    fiber on [client].
 
-    [alt_of] sibling-routes the singleton solo scatter, the orphan
-    fallback, and — as the leader's map — the batched [commit_batch]
-    round (safe: an unknown action resolves as a no-op at the store, and
-    a sibling win surfaces as the leg's error so a sibling's floors are
-    never folded as the primary's). *)
+    [alt_of] sibling-routes the orphan fallback and — as the leader's
+    map — the batch's commit round, whatever its size (safe: an unknown
+    action resolves as a no-op at the store, and a sibling win surfaces
+    as the leg's error). *)
 
-val abort_batched :
+val abort :
   t ->
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
   client:Net.Network.node_id ->
@@ -101,12 +98,3 @@ val abort_batched :
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** Phase-2 abort: settles the {!expect_phase2} registration and issues
     the ordinary solo abort scatter (aborts are not batched). *)
-
-(** {2 Floor anti-entropy} *)
-
-val anti_entropy : t -> from:Net.Network.node_id -> stores:Net.Network.node_id list -> unit
-(** One read-only gossip round: fetch every store's committed counters
-    and fold them into the shared floor — covers quiet stores and floors
-    lost to a store crash ({!Oplog.drop_store}). Independent of the
-    batch window; {!Naming.Service.create}'s [floor_gossip_period] runs
-    this from a daemon fiber. Must run in a fiber on [from]. *)

@@ -20,9 +20,9 @@ type t = {
   vv : (Net.Network.node_id * Net.Network.node_id * int, int) Hashtbl.t;
   (* (store, uid serial) -> highest committed counter ANY client has seen
      the store acknowledge — seeded from the committed-version levels that
-     prepare votes and delta-miss votes piggyback. A writer that has never
-     committed to the store itself starts from this shared floor instead
-     of shipping full state. Monotone (max-merge): versions are global per
+     yes-votes piggyback and from phase-2 acknowledgements. A writer that
+     has never committed to the store itself starts from this shared floor
+     instead of shipping full state. Monotone (max-merge): versions are global per
      object, so the floor is a valid lower bound on the store's committed
      counter; a stale floor costs a delta-miss retry, never correctness. *)
   sv : (Net.Network.node_id * int, int) Hashtbl.t;

@@ -117,10 +117,12 @@ val drop_client : t -> Net.Network.node_id -> unit
 
 (** {2 Shared per-store floor} (keyed by store and object only)
 
-    Prepare and delta-miss votes piggyback the store's committed counter;
-    every coordinator folds those levels into this client-independent
-    vector, so the {e first} commit from a new client can already start
-    from a delta instead of full state. Monotone max-merge: versions are
+    Two sources feed it, both only under delta shipping: the pre-stage
+    committed counter a yes-vote piggybacks per prepared object, and the
+    coordinator's own phase-2 acknowledgements (the store now holds the
+    committed version). Every coordinator folds those levels into this
+    client-independent vector, so the {e first} commit from a new client
+    can already start from a delta instead of full state. Monotone max-merge: versions are
     global per object, so the floor is a valid lower bound; staleness
     costs one delta-miss retry, never correctness. *)
 

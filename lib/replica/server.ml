@@ -138,10 +138,10 @@ type runtime = {
   lock_timeout : float;
   mutable eager_checkpoints : bool;
   o_log : Oplog.t;
-  mutable delta_shipping : bool;
+  delta_shipping : bool;
       (* default off: worlds that never enable it run byte-identically to
          the pre-oplog behaviour (no appends, no chains in views) *)
-  mutable force_delta : bool;
+  force_delta : bool;
       (* skip the per-write size comparison: ship a coverable delta even
          when the full state encodes smaller (chaos worlds keep the delta
          path exercised on small objects) *)
@@ -154,7 +154,7 @@ type runtime = {
 
 let resource_name uid = "obj:" ^ Store.Uid.to_string uid
 
-let create art impls =
+let create ?(delta_shipping = false) ?(force_delta = false) art impls =
   let o_log = Oplog.create (Net.Network.metrics (Action.Atomic.network art)) in
   {
     art;
@@ -174,14 +174,13 @@ let create art impls =
     lock_timeout = 30.0;
     eager_checkpoints = true;
     o_log;
-    delta_shipping = false;
-    force_delta = false;
+    delta_shipping;
+    force_delta;
     g_commit =
       Groupcommit.create
         ~engine:(Action.Atomic.engine art)
         ~store_host:(Action.Atomic.store_host art)
-        ~metrics:(Net.Network.metrics (Action.Atomic.network art))
-        o_log;
+        ~metrics:(Net.Network.metrics (Action.Atomic.network art));
     breaking = Hashtbl.create 16;
   }
 
@@ -189,9 +188,7 @@ let atomic_runtime t = t.art
 let set_eager_checkpoints t flag = t.eager_checkpoints <- flag
 let oplog t = t.o_log
 let delta_shipping t = t.delta_shipping
-let set_delta_shipping t flag = t.delta_shipping <- flag
 let force_delta t = t.force_delta
-let set_force_delta t flag = t.force_delta <- flag
 let groupcommit t = t.g_commit
 let invoke_channel t = t.ch_invoke
 let reply_endpoint t = t.ep_reply

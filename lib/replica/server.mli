@@ -26,9 +26,27 @@ type role = Plain | Coordinator | Cohort
 type runtime
 (** Server machinery for one simulated world. *)
 
-val create : Action.Atomic.runtime -> (string, Object_impl.t) Hashtbl.t -> runtime
+val create :
+  ?delta_shipping:bool ->
+  ?force_delta:bool ->
+  Action.Atomic.runtime ->
+  (string, Object_impl.t) Hashtbl.t ->
+  runtime
 (** [create art impls] builds the runtime over the action runtime and an
-    implementation registry. *)
+    implementation registry.
+
+    [delta_shipping] (default off) enables op-log delta replication. Off,
+    the runtime records nothing and commit views carry no chains, so
+    worlds run byte-identically to the pre-oplog behaviour; on, instance
+    commits append their op provenance to {!oplog} before releasing
+    locks, checkpoints carry staged ops and the retained log, and
+    {!Commit.attach} ships per-store log suffixes instead of full states
+    wherever the acknowledged-version vector allows.
+
+    [force_delta] (default off) skips {!Commit.attach}'s per-write size
+    comparison and ships every coverable delta even when the full state
+    would encode smaller. Chaos worlds set it so small objects keep the
+    delta path — and its audit coverage — exercised. *)
 
 val atomic_runtime : runtime -> Action.Atomic.runtime
 
@@ -37,27 +55,14 @@ val oplog : runtime -> Oplog.t
     shadow this runtime maintains for delta state shipping. *)
 
 val delta_shipping : runtime -> bool
-
-val set_delta_shipping : runtime -> bool -> unit
-(** Enable op-log delta replication (default off). Off, the runtime
-    records nothing and commit views carry no chains, so worlds run
-    byte-identically to the pre-oplog behaviour; on, instance commits
-    append their op provenance to {!oplog} before releasing locks,
-    checkpoints carry staged ops and the retained log, and
-    {!Commit.attach} ships per-store log suffixes instead of full states
-    wherever the acknowledged-version vector allows. *)
+(** The [delta_shipping] setting the runtime was created with. *)
 
 val groupcommit : runtime -> Groupcommit.t
 (** The group-commit plane of this runtime: {!Commit.attach} batches its
     prepare and phase-2 scatters through it. *)
 
 val force_delta : runtime -> bool
-
-val set_force_delta : runtime -> bool -> unit
-(** Skip {!Commit.attach}'s per-write size comparison and ship every
-    coverable delta even when the full state would encode smaller
-    (default off). Chaos worlds set this so small objects keep the delta
-    path — and its audit coverage — exercised. *)
+(** The [force_delta] setting the runtime was created with. *)
 
 val set_eager_checkpoints : runtime -> bool -> unit
 (** Coordinator-cohort checkpointing policy: [true] (default) checkpoints

@@ -166,8 +166,8 @@ let self_group _t = !current_group
 let sleep t dt =
   suspend t (fun resume -> push t ~delay:dt (fun () -> resume (Ok ())))
 
-(* A daemon sleep parks an idle periodic fiber (anti-entropy gossip, cache
-   sweepers). Its wakeup event is daemon-flagged, so a drain-mode [run]
+(* A daemon sleep parks an idle periodic fiber (an autonomic controller).
+   Its wakeup event is daemon-flagged, so a drain-mode [run]
    stops without firing it, and the parked suspension is not reported by
    [leaked_fibers] — the fiber is idle by design, not lost. Once resumed
    (time-bounded runs), the fiber's work is ordinary non-daemon events. *)

@@ -86,8 +86,8 @@ val daemon_sleep : t -> float -> unit
     wakeup event does not count as pending work, so a drain-mode {!run}
     (no [until]) stops once only daemon wakeups remain, leaving the fiber
     parked — and {!leaked_fibers} does not report it. Periodic
-    housekeeping loops (anti-entropy gossip) sleep with this so worlds
-    that drain to quiescence can still run them. *)
+    housekeeping loops (the autonomic controllers) sleep with this so
+    worlds that drain to quiescence can still run them. *)
 
 val yield : t -> unit
 (** [yield t] re-queues the calling fiber at the current time, letting

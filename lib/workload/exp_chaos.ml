@@ -190,13 +190,11 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        the size comparison every time — forcing keeps the delta path
        under fault coverage. Every world commits through validated
        snapshots and the group-commit plane and binds scheme A with one
-       Join scatter, so batch leadership, peel-outs, orphaned members and
-       floor piggybacking all run under the fault schedule. The brownout
-       world runs the [Hedged] gray-failure profile — hedged scatters,
-       deadline shedding (solo and singleton-batch prepares carry the
-       action deadline), degraded breaker trips — plus the periodic
-       floor-gossip daemon, whose daemon sleeps are what let the drain
-       below still terminate. The autonomic world runs the [Autonomic]
+       Join scatter, so batch leadership, peel-outs and orphaned members
+       all run under the fault schedule. The brownout world runs the
+       [Hedged] gray-failure profile — hedged scatters, deadline shedding
+       (a batch of one, peel-outs and orphan retries carry the action
+       deadline), degraded breaker trips. The autonomic world runs the [Autonomic]
        profile on the brownout world's schedule: three controller
        daemons (one per server) probing the stores, plus sibling-hedge
        routing on the commit path — flapping brownouts,
@@ -204,7 +202,7 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        the schedule, and the audit must still come out clean without the
        membership plane livelocking (hysteresis + cooldown). *)
     Service.create ~seed ~durable_naming:durable ~delta_shipping:true
-      ~force_delta:true ~floor_gossip_period:(if brownout then 7.0 else 0.0)
+      ~force_delta:true
       ?gray_failure:
         (if autonomic then Some Service.Autonomic
          else if brownout then Some Service.Hedged
@@ -536,17 +534,16 @@ let run_check ?(seeds = default_seeds) () =
       "fallbacks under the fault plane. Every world commits through the";
       "validated lock-free snapshot and the group-commit plane (window";
       "2.0) and binds scheme A through one Join scatter, putting batch";
-      "leadership, peel-outs, orphaned members and piggybacked floor";
-      "gossip under the fault schedules. The classic world never crashes";
+      "leadership, peel-outs and orphaned members under the fault";
+      "schedules. The classic world never crashes";
       "naming; the durable-ns world runs durable naming and adds the";
       "naming shards to the crash pool. The brownout world adds";
       "gray failures (per-node service-time inflation, below every";
       "timeout) to the durable crash pool and runs the resilience plane";
       "against them: hedged 2PC/naming scatters, 25s action deadlines";
       "with server-side shedding of expired phase-1 work";
-      "(retry.shed_expired must fire somewhere in the seed set),";
-      "breaker trips on sustained slowness, and the periodic";
-      "floor-gossip daemon kept alive across crashes. The autonomic";
+      "(retry.shed_expired must fire somewhere in the seed set), and";
+      "breaker trips on sustained slowness. The autonomic";
       "world stacks the §16 membership plane on the brownout knobs:";
       "per-server controller daemons probing the stores and driving";
       "health-based Exclude/Include through the validated rounds, plus";

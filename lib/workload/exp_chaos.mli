@@ -15,9 +15,8 @@
 
     Every world commits by validating a lock-free St snapshot in the
     prepare round, through the group-commit plane, and binds scheme A
-    with one Join scatter, so batch leadership, vote peel-outs, orphaned
-    members and piggybacked floor gossip all run under the fault
-    schedules, with St-revision monotonicity monitored. Four world
+    with one Join scatter, so batch leadership, vote peel-outs and
+    orphaned members all run under the fault schedules, with St-revision monotonicity monitored. Four world
     variants run per seed: {e classic} (naming nodes never crash — the
     paper's §3.1 availability assumption), {e durable-ns} (durable
     naming; the naming shards join the crash pool and recover their
@@ -26,10 +25,8 @@
     failures — {!Net.Fault.brownout_for} service-time inflation that
     stays below every timeout — under the [Hedged] gray-failure profile:
     hedged scatter-gathers, 25s action deadlines propagated to servers
-    that shed expired phase-1 work, breaker trips on sustained
-    slowness, and the periodic floor-gossip daemon running throughout,
-    its idle waits daemon-parked so quiescence drains still terminate.
-    The check additionally fails if [retry.shed_expired] never fired
+    that shed expired phase-1 work, and breaker trips on sustained
+    slowness. The check additionally fails if [retry.shed_expired] never fired
     across the brownout runs — the shedding plane must be exercised,
     not merely enabled), and {e autonomic} (the brownout world under the
     [Autonomic] profile, adding the §16 membership plane: one
@@ -72,7 +69,7 @@ val run_world :
 (** One full run: build the world from [seed] (durable naming iff
     [durable]; iff [brownout], the [Hedged] gray-failure profile — hedged
     scatters, server-side deadline shedding, degraded breaker trips — with
-    25s action deadlines and the 7.0-period floor-gossip daemon; iff
+    25s action deadlines; iff
     [autonomic], the [Autonomic] profile instead, adding the §16 membership
     plane and sibling-hedge routing), inject [events], drive the workload to
     quiescence, audit.

@@ -11,10 +11,10 @@ open Naming
    batch pays one prepare scatter and one phase-2 scatter per store.
 
    The measured quantity is store RPC rounds per commit: the sum of the
-   per-endpoint RPC counters over every phase-1/phase-2 store operation
-   (solo and batched), divided by commits. A lone client's batches are
-   all singletons, which issue the solo scatter: 2 × |St| rounds
-   (prepare + commit per store); a batch of [k] amortises those same
+   per-endpoint RPC counters over every phase-1/phase-2 store operation,
+   divided by commits. A lone client's batches are all singletons, which
+   pay a lone commit's 2 × |St| rounds (prepare + commit per store); a
+   batch of [k] amortises those same
    rounds k ways. [round_reduction] exposes the 1-client/8-client ratio
    for the tier-1 pin (>= 1.5x). *)
 
@@ -31,16 +31,9 @@ type sample = {
   g_pulled : int;
 }
 
-(* Every store-side op a commit can pay, solo or batched, phase 1 or 2 —
-   including aborts and solo retries, so peel-outs are charged honestly. *)
-let store_ops =
-  [
-    "store.prepare";
-    "store.prepare_batch";
-    "store.commit";
-    "store.commit_batch";
-    "store.abort";
-  ]
+(* Every store-side op a commit can pay, phase 1 or 2 — including aborts
+   and solo retries, so peel-outs are charged honestly. *)
+let store_ops = [ "store.prepare"; "store.commit"; "store.abort" ]
 
 let episode ~clients () =
   let client_nodes = List.init clients (fun i -> Printf.sprintf "c%d" (i + 1)) in
@@ -154,9 +147,9 @@ let run () =
         "row. 'store RPCs' sums every";
         "phase-1/phase-2 store operation including aborts and peel-out solo";
         "retries; 'peels' counts members whose vote fell short of all-yes";
-        "and who re-ran solo (never aborting batchmates). Batched phase-2";
-        "acks piggyback the store's acked-version floors (PROTOCOLS.md";
-        "S14). The >= 1.5x reduction at 8 clients is pinned as a tier-1";
-        "test (test_groupcommit.ml).";
+        "and who re-ran solo (never aborting batchmates). Each round";
+        "carries one sub-record per member (PROTOCOLS.md S14). The";
+        ">= 1.5x reduction at 8 clients is pinned as a tier-1 test";
+        "(test_groupcommit.ml).";
       ]
     rows

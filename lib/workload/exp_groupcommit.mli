@@ -3,8 +3,8 @@
 
     Synchronised waves of disjoint-object writes over a shared two-store
     [St], from 1 to 8 clients. A lone client's batches are singletons and
-    pay the solo scatter; with more clients, batched commits pay one
-    prepare and one phase-2 scatter per store for the whole batch, so
+    pay one prepare and one phase-2 round per store each; with more
+    clients, batched commits pay those rounds once for the whole batch, so
     store RPC rounds per commit drop with the batch size. *)
 
 type sample = {

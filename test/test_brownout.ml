@@ -1,7 +1,7 @@
 (* Tests for the gray-failure resilience plane: the per-destination
    latency health tracker, deadline propagation and server-side shedding,
    the deadline-independent forced half-open probe, daemon-aware drains
-   (floor gossip no longer blocks quiescence), cooperative hedge
+   (periodic controllers no longer block quiescence), cooperative hedge
    cancellation, the tab-brownout tier-1 pin (hedged p99 commit latency
    >= 2x better than unhedged under a browned-out store), and the
    gray-failure profile table: which planes each profile turns on. *)
@@ -169,7 +169,7 @@ let test_forced_probe_under_deadline () =
     (Net.Retry.breaker_open retry "server")
 
 (* ------------------------------------------------------------------ *)
-(* Daemon-aware drain: floor gossip must not block quiescence *)
+(* Daemon-aware drain: periodic controllers must not block quiescence *)
 
 let topo =
   {
@@ -180,11 +180,12 @@ let topo =
     client_nodes = [ "c1" ];
   }
 
-let test_gossip_daemon_drains () =
-  (* Before daemon-aware drains this looped forever: every gossip cycle
-     issued an RPC whose 60s guard timer kept [nondaemon_queued] above
-     zero, so the drain chased an ever-receding horizon. *)
-  let w = Service.create ~seed:5L ~floor_gossip_period:7.0 topo in
+let test_autonomic_daemons_drain () =
+  (* Before daemon-aware drains this looped forever: every controller
+     cycle issues probe RPCs whose 60s guard timers kept
+     [nondaemon_queued] above zero, so the drain chased an ever-receding
+     horizon. *)
+  let w = Service.create ~seed:5L ~gray_failure:Service.Autonomic topo in
   let uid =
     Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
       ~st:[ "t1"; "t2" ] ()
@@ -405,8 +406,8 @@ let suite =
           test_shed_off_deadline_is_inert;
         Alcotest.test_case "forced half-open probe beats the deadline" `Quick
           test_forced_probe_under_deadline;
-        Alcotest.test_case "floor-gossip daemon does not block the drain"
-          `Quick test_gossip_daemon_drains;
+        Alcotest.test_case "autonomic daemons never block the drain"
+          `Quick test_autonomic_daemons_drain;
         Alcotest.test_case "pin: hedged p99 >= 2x under brownout" `Quick
           test_brownout_p99_pin;
         Alcotest.test_case "prob 0: hedged run identical to unhedged" `Quick

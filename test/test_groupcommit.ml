@@ -1,9 +1,10 @@
 (* Tests for the group-commit plane (Replica.Groupcommit): batch window
-   close and quiescence-pull, singleton batches issuing the solo scatter
-   with the action deadline, per-action vote peel-out, acked-floor
-   piggybacking and anti-entropy gossip, the tier-1 round-reduction pin,
-   and a QCheck property that batched commits under random interleavings
-   leave every store exactly where a sequential run would. *)
+   close and quiescence-pull, batches of one paying a lone commit's rounds
+   with the action deadline, per-action vote peel-out, the shared floor's
+   re-learning from votes and acks after a store crash, the tier-1
+   round-reduction pin, and a QCheck property that batched commits under
+   random interleavings leave every store exactly where a sequential run
+   would. *)
 
 open Naming
 
@@ -21,8 +22,7 @@ let topo clients =
     client_nodes = clients;
   }
 
-let mk_world ?(seed = 13L) ?(gossip = 0.0) clients =
-  Service.create ~seed ~floor_gossip_period:gossip (topo clients)
+let mk_world ?(seed = 13L) clients = Service.create ~seed (topo clients)
 
 let new_counter w name =
   Service.create_object w ~name ~impl:"counter" ~sv:[ "alpha" ] ~st:stores ()
@@ -82,9 +82,9 @@ let test_window_expiry () =
     (counter (Service.metrics w) "groupcommit.window_closes" >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* A singleton batch is the solo scatter: one prepare and one commit RPC
-   per store for each lone commit, and the batched endpoints never fire
-   for a batch of one. *)
+(* A batch of one pays exactly a lone commit's rounds: one store.prepare
+   and one store.commit RPC per store, and no other store endpoint fires
+   (store.read aside: activation reads the state). *)
 
 let test_singleton_matches_solo () =
   let w = mk_world ~seed:17L [ "c1" ] in
@@ -102,11 +102,15 @@ let test_singleton_matches_solo () =
     (payload w "t1" uid);
   Alcotest.(check (option string)) "t2 counted to 3" (Some "3")
     (payload w "t2" uid);
-  let solo_rounds = 3 * List.length stores in
-  check_int "solo prepares" solo_rounds (counter m "rpc.op.store.prepare");
-  check_int "solo commits" solo_rounds (counter m "rpc.op.store.commit");
-  check_int "no batched prepares" 0 (counter m "rpc.op.store.prepare_batch");
-  check_int "no batched commits" 0 (counter m "rpc.op.store.commit_batch")
+  let rounds = 3 * List.length stores in
+  Alcotest.(check (list (pair string int)))
+    "store rounds"
+    [ ("rpc.op.store.commit", rounds); ("rpc.op.store.prepare", rounds) ]
+    (List.filter
+       (fun (name, _) ->
+         String.starts_with ~prefix:"rpc.op.store." name
+         && name <> "rpc.op.store.read")
+       (Sim.Metrics.counters m))
 
 (* The singleton scatter carries the action deadline: under a gray-failure
    profile servers shed expired work, so a lone commit whose prepares reach the
@@ -197,96 +201,75 @@ let test_peel_out () =
   Alcotest.(check (option string)) "obj-2 untouched" (Some "0")
     (payload w "t2" uid2)
 
-(* Floors piggyback on the batched phase-2 acks: after a two-member
-   batch commits, every (store, object) floor is known to the oplog
-   without any anti-entropy round having run. *)
-
-let test_floor_piggyback () =
-  let w, uid1, uid2, results = paired_world ~sabotage:false () in
-  let m = Service.metrics w in
-  check_bool "both committed" true
-    (Hashtbl.find results "c1" = Ok () && Hashtbl.find results "c2" = Ok ());
-  check_int "one batched phase 2" 1 (counter m "groupcommit.p2_batches");
-  check_bool "floors folded from the acks" true
-    (counter m "groupcommit.floors_gossiped" >= 4);
-  check_int "no anti-entropy ran" 0 (counter m "groupcommit.anti_entropy_rounds");
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  let sh = Service.store_host w in
-  List.iter
-    (fun store ->
-      let os = Action.Store_host.objects sh store in
-      List.iter
-        (fun uid ->
-          let v = Option.get (Store.Object_store.version_of os uid) in
-          Alcotest.(check (option int))
-            (Printf.sprintf "floor %s" store)
-            (Some v.Store.Version.counter)
-            (Replica.Oplog.store_floor olog ~store ~uid))
-        [ uid1; uid2 ])
-    stores
-
 (* ------------------------------------------------------------------ *)
-(* Anti-entropy floor gossip: a round seeds the floors of quiet stores;
-   a store crash drops its floors (Oplog.drop_store); a round after
-   recovery converges them back. *)
+(* The shared floor's two sources — yes-vote levels and the coordinator's
+   phase-2 acks — re-learn a floor a store crash dropped
+   (Oplog.drop_store): the first commit after the crash ships full state
+   to the store and learns its level, from the vote before phase 2 and
+   from the ack after it, and a client that never wrote the object then
+   delta-hits there off the floor alone. *)
 
-let test_anti_entropy_convergence () =
-  let w = mk_world ~seed:29L [ "c1" ] in
-  let uid = new_counter w "obj" in
+let test_floor_relearned_after_crash () =
+  let w =
+    Service.create ~seed:29L ~delta_shipping:true (topo [ "c1"; "c2"; "c3" ])
+  in
+  let preload =
+    String.concat ";"
+      (List.init 40 (fun i -> Printf.sprintf "key%02d=%032d" i i))
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"kvmap" ~initial:preload
+      ~sv:[ "alpha" ] ~st:stores ()
+  in
   Service.run ~until:1.0 w;
-  Service.spawn_client w "c1" (fun () ->
-      match commit_add w ~client:"c1" ~uid with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "commit failed: %s" e);
-  Service.run w;
-  let gc = Replica.Server.groupcommit (Service.server_runtime w) in
+  let m = Service.metrics w in
   let olog = Replica.Server.oplog (Service.server_runtime w) in
   let floor store = Replica.Oplog.store_floor olog ~store ~uid in
-  let committed store =
-    let os = Action.Store_host.objects (Service.store_host w) store in
-    (Option.get (Store.Object_store.version_of os uid)).Store.Version.counter
-  in
-  (* Solo commits never fed the floor (delta shipping is off here). *)
-  Alcotest.(check (option int)) "no floor yet" None (floor "t1");
-  let gossip () =
-    Net.Network.spawn_on (Service.network w) "alpha" (fun () ->
-        Replica.Groupcommit.anti_entropy gc ~from:"alpha" ~stores);
+  (* A participant prepares after the copy-back's prepare round and
+     before its phase 2: it sees what the votes alone taught the floor. *)
+  let at_vote = ref None in
+  let put ?(probe = false) client v =
+    Service.spawn_client w client (fun () ->
+        match
+          Service.with_bound w ~client ~scheme:Scheme.Independent
+            ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+              ignore (Service.invoke w group ~act ("put hot " ^ v));
+              if probe then
+                Action.Atomic.add_participant act ~name:"floor-probe"
+                  ~prepare:(fun () ->
+                    at_vote := floor "t1";
+                    true)
+                  ~commit:ignore ~abort:ignore)
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s's commit failed: %s" client e);
     Service.run w
   in
-  gossip ();
-  Alcotest.(check (option int)) "t1 floor" (Some (committed "t1")) (floor "t1");
-  Alcotest.(check (option int)) "t2 floor" (Some (committed "t2")) (floor "t2");
-  (* Crash t1: its floors die with it; t2's survive. *)
+  put "c1" "v1";
+  Alcotest.(check (option int)) "t1 floor learned" (Some 1) (floor "t1");
   let eng = Service.engine w in
-  let now = Sim.Engine.now eng in
-  Net.Fault.crash_for (Service.network w) ~at:(now +. 1.0) ~duration:10.0 "t1";
+  Net.Fault.crash_for (Service.network w)
+    ~at:(Sim.Engine.now eng +. 1.0)
+    ~duration:10.0 "t1";
   let mid = ref (Some (-1)) in
   Sim.Engine.schedule eng ~delay:5.0 (fun () -> mid := floor "t1");
   Service.run w;
   Alcotest.(check (option int)) "crash dropped t1's floor" None !mid;
-  Alcotest.(check (option int)) "t2 floor survives" (Some (committed "t2"))
-    (floor "t2");
-  (* A round after recovery converges the floor back. *)
-  gossip ();
-  Alcotest.(check (option int)) "t1 floor restored" (Some (committed "t1"))
+  Alcotest.(check (option int)) "t2 floor survives" (Some 1) (floor "t2");
+  let fallbacks = counter m "commit.delta_fallbacks" in
+  let hits = counter m "commit.delta_hits" in
+  put ~probe:true "c2" "v2";
+  check_int "full state to t1 only" (fallbacks + 1)
+    (counter m "commit.delta_fallbacks");
+  check_int "delta to t2" (hits + 1) (counter m "commit.delta_hits");
+  Alcotest.(check (option int)) "the vote re-learned t1's pre-stage level"
+    (Some 1) !at_vote;
+  Alcotest.(check (option int)) "the ack raised it to the commit" (Some 2)
     (floor "t1");
-  check_int "two anti-entropy rounds" 2
-    (counter (Service.metrics w) "groupcommit.anti_entropy_rounds")
-
-(* The Service-level daemon: [floor_gossip_period] runs rounds on its
-   own cadence (an infinite fiber, so the world is driven with ~until). *)
-
-let test_gossip_daemon () =
-  let w = mk_world ~seed:31L ~gossip:7.0 [ "c1" ] in
-  let uid = new_counter w "obj" in
-  Service.run ~until:30.0 w;
-  let m = Service.metrics w in
-  (* Fires every ~7.0 plus the round's own RPC time: 3 rounds by 30. *)
-  check_int "rounds on the 7.0 cadence" 3
-    (counter m "groupcommit.anti_entropy_rounds");
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  check_bool "quiet store's floor is known" true
-    (Replica.Oplog.store_floor olog ~store:"t1" ~uid <> None)
+  put "c3" "v3";
+  check_int "fresh writer delta-hits on both stores" (hits + 3)
+    (counter m "commit.delta_hits");
+  check_int "no fallback" (fallbacks + 1) (counter m "commit.delta_fallbacks")
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance pin: at 8 synchronised clients, group commit cuts
@@ -376,12 +359,8 @@ let suite =
           test_singleton_prepare_carries_deadline;
         Alcotest.test_case "stale member peels out, batchmate commits" `Quick
           test_peel_out;
-        Alcotest.test_case "floors piggyback on batched phase-2 acks" `Quick
-          test_floor_piggyback;
-        Alcotest.test_case "anti-entropy converges floors after a crash" `Quick
-          test_anti_entropy_convergence;
-        Alcotest.test_case "floor-gossip daemon runs on its period" `Quick
-          test_gossip_daemon;
+        Alcotest.test_case "vote and ack re-learn a crashed store's floor"
+          `Quick test_floor_relearned_after_crash;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_matches_sequential;
