@@ -70,6 +70,7 @@ let demo_cmd =
           client_nodes = [ "client" ];
         }
     in
+    Sim.Trace.set_enabled (Service.trace w) true;
     let uid =
       Service.create_object w ~name:"account" ~impl:"account"
         ~sv:[ "alpha" ] ~st:[ "beta1"; "beta2" ] ()

@@ -2,7 +2,7 @@ type t = {
   net : Net.Network.t;
   node : Net.Network.node_id;
   abort : scope:string -> action:string -> unit;
-  watches : (string * string, Net.Network.watch * string) Hashtbl.t;
+  watches : (string * string, Net.Network.watch) Hashtbl.t;
 }
 
 let create net ~node ~abort = { net; node; abort; watches = Hashtbl.create 32 }
@@ -26,16 +26,16 @@ let touch t ~scope ~action =
                   t.abort ~scope ~action)
             end)
       in
-      Hashtbl.add t.watches key (w, origin)
+      Hashtbl.add t.watches key w
     end
   end
 
 let settle t ~scope ~action =
   match Hashtbl.find_opt t.watches (scope, action) with
   | None -> ()
-  | Some (w, origin) ->
+  | Some w ->
       Hashtbl.remove t.watches (scope, action);
-      Net.Network.unwatch t.net origin w
+      Net.Network.unwatch t.net w
 
 let transfer t ~scope ~action ~parent =
   settle t ~scope ~action;

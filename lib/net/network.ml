@@ -2,6 +2,15 @@ type node_id = string
 
 exception Unknown_node of node_id
 
+(* A crash watch is a node of its target's intrusive doubly linked watch
+   list, newest first, so [unwatch] is an O(1) unlink. A watch outside the
+   list links to itself and holds no neighbour alive. *)
+type watch = {
+  w_action : unit -> unit;
+  mutable w_prev : watch;
+  mutable w_next : watch;
+}
+
 type node = {
   id : node_id;
   mutable up : bool;
@@ -9,8 +18,7 @@ type node = {
   mutable grp : Sim.Engine.group;
   mutable crash_hooks : (unit -> unit) list; (* newest first *)
   mutable recover_hooks : (unit -> unit) list; (* newest first *)
-  mutable watches : (int * (unit -> unit)) list; (* watch id, action *)
-  mutable next_watch : int;
+  watches : watch; (* sentinel of the live watch list *)
   fifo_last : (node_id, float ref) Hashtbl.t;
       (* per-source last FIFO delivery time *)
 }
@@ -51,7 +59,8 @@ type t = {
   mutable partitions : (node_id * node_id) list;
   faults : (node_id * node_id, link_fault) Hashtbl.t;
   brownouts : (node_id, brownout) Hashtbl.t;
-  mutable faults_ever : bool;
+  mutable dup_ever : bool;
+  msgs : Sim.Metrics.handle;
   net_health : Health.t;
   gray : gray_failure option;
 }
@@ -69,6 +78,7 @@ let derive_stream base label =
 let create ?(latency = default_latency) ?(detect_delay = 1.0) ?gray_failure
     eng =
   let net_rng = Sim.Rng.split (Sim.Engine.rng eng) in
+  let net_metrics = Sim.Metrics.create () in
   {
     eng;
     nodes = Hashtbl.create 16;
@@ -76,12 +86,13 @@ let create ?(latency = default_latency) ?(detect_delay = 1.0) ?gray_failure
     detect_delay;
     net_rng;
     fault_rng = derive_stream net_rng "fault";
-    net_trace = Sim.Trace.create ();
-    net_metrics = Sim.Metrics.create ();
+    net_trace = Sim.Trace.create ~enabled:false ();
+    net_metrics;
     partitions = [];
     faults = Hashtbl.create 8;
     brownouts = Hashtbl.create 4;
-    faults_ever = false;
+    dup_ever = false;
+    msgs = Sim.Metrics.handle net_metrics "net.msgs";
     net_health = Health.create ();
     gray = gray_failure;
   }
@@ -96,9 +107,19 @@ let gray_failure t = t.gray
 let hedged t = Option.is_some t.gray
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> raise (Unknown_node id)
+  match Hashtbl.find t.nodes id with
+  | n -> n
+  | exception Not_found -> raise (Unknown_node id)
+
+let unlinked_watch action =
+  let rec w = { w_action = action; w_prev = w; w_next = w } in
+  w
+
+let unlink w =
+  w.w_prev.w_next <- w.w_next;
+  w.w_next.w_prev <- w.w_prev;
+  w.w_prev <- w;
+  w.w_next <- w
 
 let add_node t id =
   if Hashtbl.mem t.nodes id then
@@ -111,8 +132,7 @@ let add_node t id =
       grp = Sim.Engine.new_group t.eng;
       crash_hooks = [];
       recover_hooks = [];
-      watches = [];
-      next_watch = 0;
+      watches = unlinked_watch ignore;
       fifo_last = Hashtbl.create 4;
     }
 
@@ -139,12 +159,15 @@ let crash t id =
     List.iter (fun f -> f ()) (List.rev n.crash_hooks);
     (* Fire crash watches after the detection delay, modelling the failure
        detector's notification latency. *)
-    let fired = n.watches in
-    n.watches <- [];
-    List.iter
-      (fun (_, action) ->
-        Sim.Engine.schedule t.eng ~delay:t.detect_delay (fun () -> action ()))
-      fired
+    let rec fire w =
+      if w != n.watches then begin
+        let next = w.w_next in
+        unlink w;
+        Sim.Engine.schedule t.eng ~delay:t.detect_delay w.w_action;
+        fire next
+      end
+    in
+    fire n.watches.w_next
   end
 
 let recover t id =
@@ -175,11 +198,14 @@ let set_partitioned t a b flag =
   let without = List.filter (fun q -> q <> p) t.partitions in
   t.partitions <- (if flag then p :: without else without)
 
-let partitioned t a b = List.mem (pair a b) t.partitions
+let partitioned t a b =
+  match t.partitions with [] -> false | ps -> List.mem (pair a b) ps
 
 (* -- Message-level fault plane ----------------------------------------- *)
 
-let find_fault t ~src ~dst = Hashtbl.find_opt t.faults (src, dst)
+let find_fault t ~src ~dst =
+  if Hashtbl.length t.faults = 0 then None
+  else Hashtbl.find_opt t.faults (src, dst)
 
 let ensure_fault t ~src ~dst =
   match find_fault t ~src ~dst with
@@ -196,7 +222,6 @@ let ensure_fault t ~src ~dst =
         }
       in
       Hashtbl.add t.faults (src, dst) fl;
-      t.faults_ever <- true;
       fl
 
 let fault_blank fl =
@@ -209,6 +234,7 @@ let drop_if_blank t ~src ~dst fl =
 let set_link_fault t ?(drop = 0.0) ?(dup = 0.0) ?(reorder = 0.0)
     ?(spike_prob = 0.0) ?(spike = 0.0) ~src ~dst () =
   let fl = ensure_fault t ~src ~dst in
+  if dup > 0.0 then t.dup_ever <- true;
   fl.f_drop <- drop;
   fl.f_dup <- dup;
   fl.f_reorder <- reorder;
@@ -248,7 +274,6 @@ let oneway_cut t ~src ~dst =
 let set_brownout t ?(prob = 0.2) ~lo ~hi node =
   ignore (Hashtbl.mem t.nodes node || raise (Unknown_node node));
   Hashtbl.replace t.brownouts node { bo_prob = prob; bo_lo = lo; bo_hi = hi };
-  t.faults_ever <- true;
   record t "fault" "brownout %s p=%.2f +[%.1f,%.1f]" node prob lo hi
 
 let clear_brownout t node =
@@ -292,7 +317,7 @@ let clear_all_faults t =
 let faults_active t =
   Hashtbl.length t.faults > 0 || Hashtbl.length t.brownouts > 0
 
-let faults_ever t = t.faults_ever
+let dup_ever t = t.dup_ever
 
 let reachable t src dst =
   (node t dst).up
@@ -306,9 +331,10 @@ let sample_latency t = t.latency t.net_rng
    and the pair is unpartitioned (and the directed link not cut) at that
    moment. The destination may have crashed and recovered while the message
    was in flight — it is then delivered to the new incarnation, as a real
-   network would. *)
-let deliver t ~src ~dst ~delay f =
-  ignore src;
+   network would. The receiver runs inside the delivery event: a [fiber]
+   receiver starts its fiber there (it may suspend), any other runs as a
+   plain callback. *)
+let deliver t ~fiber ~src ~dst ~delay f =
   Sim.Engine.schedule t.eng ~delay (fun () ->
       let n = node t dst in
       if n.up && not (partitioned t src dst) then
@@ -316,7 +342,8 @@ let deliver t ~src ~dst ~delay f =
           record t "fault" "cut drop %s->%s (one-way partition)" src dst;
           Sim.Metrics.incr t.net_metrics "fault.cut_dropped"
         end
-        else Sim.Engine.spawn t.eng ~group:n.grp ~name:(src ^ "->" ^ dst) f
+        else if fiber then Sim.Engine.start t.eng ~group:n.grp ~name:(src ^ "->" ^ dst) f
+        else f ()
       else begin
         record t "net" "drop %s->%s (dst down or partitioned)" src dst;
         Sim.Metrics.incr t.net_metrics "net.dropped"
@@ -327,12 +354,12 @@ let deliver t ~src ~dst ~delay f =
    installing a fault on one link never shifts the latency stream observed
    by other links. All fault decisions draw from the independent
    [fault_rng] stream. *)
-let send t ~src ~dst f =
-  Sim.Metrics.incr t.net_metrics "net.msgs";
+let transmit t ~fiber ~src ~dst f =
+  Sim.Metrics.bump t.msgs;
   let delay = sample_latency t in
   let delay = delay +. brownout_extra t ~src ~dst in
   match find_fault t ~src ~dst with
-  | None -> deliver t ~src ~dst ~delay f
+  | None -> deliver t ~fiber ~src ~dst ~delay f
   | Some fl ->
       if fl.f_drop > 0.0 && Sim.Rng.bool t.fault_rng fl.f_drop then begin
         record t "fault" "drop %s->%s (injected)" src dst;
@@ -362,18 +389,21 @@ let send t ~src ~dst f =
         if fl.f_dup > 0.0 && Sim.Rng.bool t.fault_rng fl.f_dup then begin
           record t "fault" "dup %s->%s" src dst;
           Sim.Metrics.incr t.net_metrics "fault.dup";
-          deliver t ~src ~dst
+          deliver t ~fiber ~src ~dst
             ~delay:(delay +. Sim.Rng.uniform t.fault_rng 0.1 1.0)
             f
         end;
-        deliver t ~src ~dst ~delay f
+        deliver t ~fiber ~src ~dst ~delay f
       end
+
+let send t ~src ~dst f = transmit t ~fiber:true ~src ~dst f
+let reply t ~src ~dst f = transmit t ~fiber:false ~src ~dst f
 
 (* FIFO sends model the sequencer's reliable ordered channel: drop, dup and
    reorder would violate its contract (PROTOCOLS §11), so only delay spikes
    and cuts apply here. *)
 let send_fifo t ~src ~dst f =
-  Sim.Metrics.incr t.net_metrics "net.msgs";
+  Sim.Metrics.bump t.msgs;
   let n = node t dst in
   let last =
     match Hashtbl.find_opt n.fifo_last src with
@@ -397,20 +427,21 @@ let send_fifo t ~src ~dst f =
   in
   let arrival = Float.max (now +. lat) (!last +. 1e-6) in
   last := arrival;
-  deliver t ~src ~dst ~delay:(arrival -. now) f
-
-type watch = int
+  deliver t ~fiber:true ~src ~dst ~delay:(arrival -. now) f
 
 let watch_crash t id f =
   let n = node t id in
-  let w = n.next_watch in
-  n.next_watch <- w + 1;
-  if n.up then n.watches <- (w, f) :: n.watches
+  let w = unlinked_watch f in
+  if n.up then begin
+    let s = n.watches in
+    w.w_next <- s.w_next;
+    w.w_prev <- s;
+    s.w_next.w_prev <- w;
+    s.w_next <- w
+  end
   else
     (* Already down: notify after the detection delay. *)
-    Sim.Engine.schedule t.eng ~delay:t.detect_delay (fun () -> f ());
+    Sim.Engine.schedule t.eng ~delay:t.detect_delay f;
   w
 
-let unwatch t id w =
-  let n = node t id in
-  n.watches <- List.filter (fun (w', _) -> w' <> w) n.watches
+let unwatch _t w = unlink w

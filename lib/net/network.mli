@@ -61,7 +61,9 @@ val engine : t -> Sim.Engine.t
 (** The engine driving this network. *)
 
 val trace : t -> Sim.Trace.t
-(** The network's trace sink (shared with upper layers by convention). *)
+(** The network's trace sink (shared with upper layers by convention). It
+    starts disabled; a reader turns it on with {!Sim.Trace.set_enabled}
+    before the run it wants to see. *)
 
 val metrics : t -> Sim.Metrics.t
 (** The network's metrics registry (shared with upper layers). *)
@@ -198,10 +200,11 @@ val clear_all_faults : t -> unit
 val faults_active : t -> bool
 (** Whether any link fault rule (including one-way cuts) is installed. *)
 
-val faults_ever : t -> bool
-(** Whether any fault rule was ever installed in this network's lifetime.
-    The RPC layer uses this to switch on duplicate suppression without
-    taxing fault-free worlds. *)
+val dup_ever : t -> bool
+(** Whether a link rule with [dup > 0] was ever installed in this
+    network's lifetime — the only fault that delivers a message twice. The
+    RPC layer uses this to switch on duplicate suppression without taxing
+    other worlds. *)
 
 val derive_rng : t -> string -> Sim.Rng.t
 (** [derive_rng t label] is an independent RNG stream deterministically
@@ -215,8 +218,15 @@ val sample_latency : t -> float
 val send : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
 (** [send t ~src ~dst f] delivers [f] to [dst] after one latency sample:
     at delivery time, if [dst] is up and the pair is not partitioned, [f]
-    runs as a fresh fiber in [dst]'s group; otherwise the message is
-    silently dropped (fail-silent network discards mail for dead nodes). *)
+    runs as a fresh fiber in [dst]'s group, started inside the delivery
+    event ({!Sim.Engine.start}); otherwise the message is silently dropped
+    (fail-silent network discards mail for dead nodes). *)
+
+val reply : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
+(** Like {!send}, but [f] runs as a plain callback in the delivery event,
+    with no fiber: it must not suspend. For an RPC answer, which only
+    resumes the waiting caller. An exception [f] raises escapes
+    {!Sim.Engine.run}. *)
 
 val send_fifo : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
 (** Like {!send} but deliveries from [src] to [dst] preserve send order
@@ -233,5 +243,6 @@ val watch_crash : t -> node_id -> (unit -> unit) -> watch
     the callee dies mid-call, modelling the perfect failure detector the
     paper assumes. *)
 
-val unwatch : t -> node_id -> watch -> unit
-(** Cancel a crash watch. *)
+val unwatch : t -> watch -> unit
+(** Cancel a crash watch: O(1). A no-op once the watch has fired or been
+    cancelled. *)

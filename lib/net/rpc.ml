@@ -10,16 +10,21 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 type ('req, 'resp) endpoint = {
   ep_name : string;
+  ep_id : int; (* process-unique; keys the per-world round counter *)
   inject_req : 'req -> Univ.t;
   project_req : Univ.t -> 'req option;
   inject_resp : 'resp -> Univ.t;
   project_resp : Univ.t -> 'resp option;
 }
 
+let next_endpoint = ref 0
+
 let endpoint name =
   let inject_req, project_req = Univ.embed () in
   let inject_resp, project_resp = Univ.embed () in
-  { ep_name = name; inject_req; project_req; inject_resp; project_resp }
+  let ep_id = !next_endpoint in
+  incr next_endpoint;
+  { ep_name = name; ep_id; inject_req; project_req; inject_resp; project_resp }
 
 let endpoint_name ep = ep.ep_name
 
@@ -32,8 +37,12 @@ type t = {
   services : (Network.node_id * string, raw_handler) Hashtbl.t;
   default_timeout : float;
   mutable next_req : int;
-  seen : (string, unit) Hashtbl.t;
-  dedup_hooked : (Network.node_id, unit) Hashtbl.t;
+  seen : (Network.node_id, (int, unit) Hashtbl.t) Hashtbl.t;
+      (* per destination: the request ids it has already run *)
+  calls : Sim.Metrics.handle;
+  ops : (int, Sim.Metrics.handle) Hashtbl.t;
+      (* per endpoint id: its "rpc.op.<name>" counter. Per world, so a
+         world's size does not depend on what ran before it. *)
 }
 
 let create ?(default_timeout = 60.0) net =
@@ -42,58 +51,57 @@ let create ?(default_timeout = 60.0) net =
     services = Hashtbl.create 64;
     default_timeout;
     next_req = 0;
-    seen = Hashtbl.create 64;
-    dedup_hooked = Hashtbl.create 8;
+    seen = Hashtbl.create 8;
+    calls = Sim.Metrics.handle (Network.metrics net) "rpc.calls";
+    ops = Hashtbl.create 64;
   }
 
 let network t = t.net
+
+let op_handle t ep =
+  match Hashtbl.find t.ops ep.ep_id with
+  | h -> h
+  | exception Not_found ->
+      let name = Printf.sprintf "rpc.op.%s" ep.ep_name in
+      let h = Sim.Metrics.handle (Network.metrics t.net) name in
+      Hashtbl.add t.ops ep.ep_id h;
+      h
 
 (* At-most-once request guard. The fault plane can deliver a request twice
    (dup injection); replaying a non-idempotent handler — staging a second
    Increment in gvd.bind_batch, double-applying a merged Decrement — would
    corrupt counters. Each request carries a fresh id; the destination keeps
-   a volatile seen-table (cleared when it crashes, like any in-memory dedup
-   cache) and drops replays, counted as [rpc.dup_suppressed]. Activated
-   only once a world installs message faults ([Network.faults_ever]), so
-   fault-free worlds allocate and check nothing. *)
-let dedup_key ~dst ~from rid =
-  String.concat "\x00" [ dst; from; string_of_int rid ]
-
-let hook_dedup_clear t dst =
-  if not (Hashtbl.mem t.dedup_hooked dst) then begin
-    Hashtbl.add t.dedup_hooked dst ();
-    Network.on_crash t.net dst (fun () ->
-        let prefix = dst ^ "\x00" in
-        let plen = String.length prefix in
-        let doomed =
-          Hashtbl.fold
-            (fun k () acc ->
-              if String.length k >= plen && String.sub k 0 plen = prefix then
-                k :: acc
-              else acc)
-            t.seen []
-        in
-        List.iter (Hashtbl.remove t.seen) doomed)
-  end
+   a volatile seen-table (reset when it crashes, like any in-memory dedup
+   cache) and drops replays, counted as [rpc.dup_suppressed]. Armed only
+   once a world installs a duplicating link rule ([Network.dup_ever]): no
+   other fault delivers twice, so other worlds allocate and check
+   nothing. *)
+let seen_at t dst =
+  match Hashtbl.find t.seen dst with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.add t.seen dst tbl;
+      Network.on_crash t.net dst (fun () -> Hashtbl.reset tbl);
+      tbl
 
 (* Wrap a request-delivery thunk with the duplicate guard. Returns the
-   thunk unchanged in fault-free worlds. *)
+   thunk unchanged in worlds that never duplicate. *)
 let guard_duplicate t ~from ~dst thunk =
-  if not (Network.faults_ever t.net) then thunk
+  if not (Network.dup_ever t.net) then thunk
   else begin
-    hook_dedup_clear t dst;
+    let seen = seen_at t dst in
     let rid = t.next_req in
     t.next_req <- rid + 1;
-    let key = dedup_key ~dst ~from rid in
     fun () ->
-      if Hashtbl.mem t.seen key then begin
+      if Hashtbl.mem seen rid then begin
         Sim.Metrics.incr (Network.metrics t.net) "rpc.dup_suppressed";
         Sim.Trace.recordf (Network.trace t.net)
           ~now:(Sim.Engine.now (Network.engine t.net))
           ~tag:"rpc" "dup suppressed %s->%s" from dst
       end
       else begin
-        Hashtbl.add t.seen key ();
+        Hashtbl.add seen rid ();
         thunk ()
       end
   end
@@ -118,14 +126,20 @@ let record t fmt =
     ~now:(Sim.Engine.now (Network.engine t.net))
     ~tag:"rpc" fmt
 
+let error_counter = function
+  | Unreachable -> "rpc.unreachable"
+  | Crashed -> "rpc.crashed"
+  | Timed_out -> "rpc.timed_out"
+  | No_service -> "rpc.no_service"
+
 let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
   let eng = Network.engine t.net in
   let start = Sim.Engine.now eng in
-  Sim.Metrics.incr (Network.metrics t.net) "rpc.calls";
+  Sim.Metrics.bump t.calls;
   (* Per-operation round counter: lets tests and experiments assert how
      many network rounds a protocol step costs (e.g. a batched bind is
      exactly one "rpc.op.gvd.bind_batch" tick). *)
-  Sim.Metrics.incr (Network.metrics t.net) ("rpc.op." ^ ep.ep_name);
+  Sim.Metrics.bump (op_handle t ep);
   if not (Network.reachable t.net from dst) then begin
     (* The callee is already known-dead (or unreachable): the failure
        detector answers after one detection latency. *)
@@ -136,15 +150,18 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
     Error Unreachable
   end
   else begin
-    let watch_ref = ref None in
     let register resume =
+      (* By the time a crash of [dst] fires the watch, the crash has
+         already taken it off the watch list. *)
+      let watch =
+        Network.watch_crash t.net dst (fun () -> resume (Ok (Error Crashed)))
+      in
       let finish r =
-        (match !watch_ref with
-        | Some w -> Network.unwatch t.net dst w
-        | None -> ());
+        Network.unwatch t.net watch;
         resume (Ok r)
       in
-      watch_ref := Some (Network.watch_crash t.net dst (fun () -> finish (Error Crashed)));
+      (* Answers only resume the caller, so they arrive without a fiber. *)
+      let answer r = Network.reply t.net ~src:dst ~dst:from (fun () -> finish r) in
       Network.send t.net ~src:from ~dst
         (guard_duplicate t ~from ~dst (fun () ->
              (* Deadline propagation: the caller's deadline rides in the
@@ -174,23 +191,19 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
                Sim.Metrics.incr (Network.metrics t.net) "rpc.hedge_cancelled";
                record t "%s: dropped cancelled hedge copy %s.%s" dst from
                  ep.ep_name;
-               Network.send t.net ~src:dst ~dst:from (fun () ->
-                   finish (Error Timed_out))
+               answer (Error Timed_out)
              end
              else if expired then begin
                Sim.Metrics.incr (Network.metrics t.net) "retry.shed_expired";
                record t "%s: shed expired call %s.%s" dst from ep.ep_name;
-               Network.send t.net ~src:dst ~dst:from (fun () ->
-                   finish (Error Timed_out))
+               answer (Error Timed_out)
              end
              else
-               match Hashtbl.find_opt t.services (dst, ep.ep_name) with
-               | None ->
-                   Network.send t.net ~src:dst ~dst:from (fun () ->
-                       finish (Error No_service))
-               | Some raw ->
+               match Hashtbl.find t.services (dst, ep.ep_name) with
+               | exception Not_found -> answer (Error No_service)
+               | raw ->
                    raw (ep.inject_req req) ~reply:(fun resp_payload ->
-                       Network.send t.net ~src:dst ~dst:from (fun () ->
+                       Network.reply t.net ~src:dst ~dst:from (fun () ->
                            match ep.project_resp resp_payload with
                            | Some resp -> finish (Ok resp)
                            | None ->
@@ -218,8 +231,7 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
         | Unreachable | Crashed | Timed_out ->
             Health.note_failure (Network.health t.net) ~dst ~now);
         record t "%s: %s.%s -> %s" from dst ep.ep_name (error_to_string e);
-        Sim.Metrics.incr (Network.metrics t.net)
-          ("rpc." ^ String.map (function ' ' -> '_' | c -> c) (error_to_string e)));
+        Sim.Metrics.incr (Network.metrics t.net) (error_counter e));
     outcome
   end
 
@@ -330,6 +342,6 @@ let notify t ~from ~dst ep req =
   if Network.reachable t.net from dst then
     Network.send t.net ~src:from ~dst
       (guard_duplicate t ~from ~dst (fun () ->
-           match Hashtbl.find_opt t.services (dst, ep.ep_name) with
-           | None -> ()
-           | Some raw -> raw (ep.inject_req req) ~reply:(fun _ -> ())))
+           match Hashtbl.find t.services (dst, ep.ep_name) with
+           | exception Not_found -> ()
+           | raw -> raw (ep.inject_req req) ~reply:(fun _ -> ())))

@@ -1,28 +1,27 @@
 type group = { gid : int; mutable alive : bool }
 
-(* [daemon] doubles as the "no longer counted in [nondaemon_queued]" bit:
-   true from birth for daemon wakeups, flipped on pop (when the count is
-   released) and by {!timeout}'s demotion of guard timers whose operation
-   already settled. Both paths are idempotent through the flag. *)
-type event = {
-  time : float;
-  seq : int;
-  thunk : unit -> unit;
-  mutable daemon : bool;
+(* The leak-audit registry: every parked suspension is a node of an
+   intrusive doubly linked list, newest first, so parking and resuming are
+   O(1). A node outside the list links to itself — which is also its
+   resumer's "already fired" flag — and holds no neighbour alive. *)
+type parked = {
+  p_name : string;
+  p_group : group;
+  p_daemon : bool;
+  mutable prev : parked;
+  mutable next : parked;
 }
 
 type t = {
   mutable clock : float;
-  mutable seq : int;
   mutable gid : int;
-  queue : event Heap.t;
+  queue : Heap.t;
   root : group;
   engine_rng : Rng.t;
   mutable fiber_error : exn option;
   mutable processed : int;
   mutable suspended : int;
-  mutable suspend_id : int;
-  suspended_tbl : (int, string * group * bool) Hashtbl.t;
+  parked : parked; (* sentinel of the registry *)
   mutable detect_deadlock : bool;
   mutable nondaemon_queued : int;
       (* queued events that represent real work; a drain-mode [run] stops
@@ -35,24 +34,21 @@ type t = {
 exception Deadlock of string
 exception Timed_out
 
-let compare_event a b =
-  match Float.compare a.time b.time with
-  | 0 -> Int.compare a.seq b.seq
-  | c -> c
-
 let create ?(seed = 1L) () =
+  let root = { gid = 0; alive = true } in
+  let rec sentinel =
+    { p_name = ""; p_group = root; p_daemon = true; prev = sentinel; next = sentinel }
+  in
   {
     clock = 0.0;
-    seq = 0;
     gid = 1;
-    queue = Heap.create ~compare:compare_event;
-    root = { gid = 0; alive = true };
+    queue = Heap.create ();
+    root;
     engine_rng = Rng.create seed;
     fiber_error = None;
     processed = 0;
     suspended = 0;
-    suspend_id = 0;
-    suspended_tbl = Hashtbl.create 64;
+    parked = sentinel;
     detect_deadlock = false;
     nondaemon_queued = 0;
     next_suspend_daemon = false;
@@ -70,23 +66,29 @@ let new_group t =
 let kill_group t g = if g != t.root then g.alive <- false
 let group_alive g = g.alive
 
-let push_ev ?(daemon = false) t ~delay thunk =
+let push_ev t ~daemon ~delay thunk =
   let delay = if delay < 0.0 then 0.0 else delay in
-  let e = { time = t.clock +. delay; seq = t.seq; thunk; daemon } in
-  t.seq <- t.seq + 1;
   if not daemon then t.nondaemon_queued <- t.nondaemon_queued + 1;
-  Heap.push t.queue e;
-  e
+  Heap.push t.queue ~time:(t.clock +. delay) ~daemon thunk
 
-let push ?daemon t ~delay thunk = ignore (push_ev ?daemon t ~delay thunk : event)
-
-let release_count t e =
-  if not e.daemon then begin
-    e.daemon <- true;
-    t.nondaemon_queued <- t.nondaemon_queued - 1
-  end
+let push t ~delay thunk = ignore (push_ev t ~daemon:false ~delay thunk : Heap.event)
 
 let schedule t ~delay f = push t ~delay f
+
+let link t p =
+  let s = t.parked in
+  p.next <- s.next;
+  p.prev <- s;
+  s.next.prev <- p;
+  s.next <- p
+
+let unlink p =
+  p.prev.next <- p.next;
+  p.next.prev <- p.prev;
+  p.prev <- p;
+  p.next <- p
+
+let linked p = p.next != p
 
 type 'a resumer = ('a, exn) result -> unit
 
@@ -97,51 +99,48 @@ type _ Effect.t += Suspend : (group * ('a resumer -> unit)) -> 'a Effect.t
    read outside fiber code, so stale values between events are harmless. *)
 let current_group : group ref = ref { gid = -1; alive = true }
 
-(* Each fiber runs under one deep handler installed by [spawn]. The handler
-   turns [Suspend] into a queue-mediated resumption: the registrant receives
-   a [resume] closure which (idempotently, and only while the fiber's group
-   is alive) schedules the continuation. A killed group drops resumptions,
-   so the fiber disappears at its suspension point without unwinding —
-   matching fail-silent crash semantics. *)
-let spawn t ?group ?(name = "fiber") f =
-  let g = match group with None -> t.root | Some g -> g in
+(* Each fiber runs under one deep handler. The handler turns [Suspend]
+   into a queue-mediated resumption: the registrant receives a [resume]
+   closure which (idempotently, and only while the fiber's group is alive)
+   schedules the continuation. A killed group drops resumptions, so the
+   fiber disappears at its suspension point without unwinding — matching
+   fail-silent crash semantics. *)
+let run_fiber t g name f =
   let body () =
     current_group := g;
     f ()
   in
-  let handler () =
-    let open Effect.Deep in
-    match_with body ()
-      {
-        retc = (fun () -> ());
-        exnc =
-          (fun e ->
-            let bt = Printexc.get_backtrace () in
-            if t.fiber_error = None then
-              t.fiber_error <-
-                Some
-                  (Failure
-                     (Printf.sprintf "fiber %s died: %s\n%s" name
-                        (Printexc.to_string e) bt)));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend (fg, register) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    t.suspended <- t.suspended + 1;
-                    let sid = t.suspend_id in
-                    t.suspend_id <- t.suspend_id + 1;
-                    let daemon = t.next_suspend_daemon in
-                    t.next_suspend_daemon <- false;
-                    Hashtbl.replace t.suspended_tbl sid (name, fg, daemon);
-                    let fired = ref false in
-                    let resume (r : (a, exn) result) =
-                      if not fg.alive then Hashtbl.remove t.suspended_tbl sid
-                      else if not !fired then begin
-                        fired := true;
+  let open Effect.Deep in
+  match_with body ()
+    {
+      retc = (fun () -> ());
+      exnc =
+        (fun e ->
+          let bt = Printexc.get_backtrace () in
+          if t.fiber_error = None then
+            t.fiber_error <-
+              Some
+                (Failure
+                   (Printf.sprintf "fiber %s died: %s\n%s" name
+                      (Printexc.to_string e) bt)));
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend (fg, register) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  t.suspended <- t.suspended + 1;
+                  let daemon = t.next_suspend_daemon in
+                  t.next_suspend_daemon <- false;
+                  let rec p =
+                    { p_name = name; p_group = fg; p_daemon = daemon; prev = p; next = p }
+                  in
+                  link t p;
+                  let resume (r : (a, exn) result) =
+                    if linked p then begin
+                      unlink p;
+                      if fg.alive then begin
                         t.suspended <- t.suspended - 1;
-                        Hashtbl.remove t.suspended_tbl sid;
                         push t ~delay:0.0 (fun () ->
                             if fg.alive then begin
                               current_group := fg;
@@ -150,12 +149,26 @@ let spawn t ?group ?(name = "fiber") f =
                               | Error e -> discontinue k e
                             end)
                       end
-                    in
-                    register resume)
-            | _ -> None);
-      }
-  in
-  if g.alive then push t ~delay:0.0 (fun () -> if g.alive then handler ())
+                    end
+                  in
+                  register resume)
+          | _ -> None);
+    }
+
+let spawn t ?group ?(name = "fiber") f =
+  let g = match group with None -> t.root | Some g -> g in
+  if g.alive then push t ~delay:0.0 (fun () -> if g.alive then run_fiber t g name f)
+
+(* Starting inside the current event instead of a delay-0 start event keeps
+   the (time, seq) order of every other event whenever nothing else is due
+   at this instant — see DESIGN.md §5. The caller's group is restored once
+   the fiber first suspends or ends. *)
+let start t ~group ~name f =
+  if group.alive then begin
+    let caller = !current_group in
+    run_fiber t group name f;
+    current_group := caller
+  end
 
 let suspend _t register =
   let g = !current_group in
@@ -178,7 +191,9 @@ let daemon_sleep t dt =
     (Suspend
        ( g,
          fun resume ->
-           push t ~daemon:true ~delay:dt (fun () -> resume (Ok ())) ))
+           ignore
+             (push_ev t ~daemon:true ~delay:dt (fun () -> resume (Ok ()))
+               : Heap.event) ))
 
 let yield t = sleep t 0.0
 
@@ -189,74 +204,59 @@ let timeout t dt register =
       (Suspend
          ( g,
            fun resume ->
-             (* The guard timer counts as pending work only while the
-                operation is unsettled: once either side fires, the timer
-                is demoted so a drain-mode [run] can reach quiescence
-                without chasing every armed-but-moot guard to its expiry.
-                A guard for an operation that never settles (request
-                dropped by a link fault) stays counted and WILL fire — the
-                suspended caller's only wakeup. Popping releases the same
-                count through the same flag, so the demotion is exactly
-                once whichever comes first. *)
-             let settled = ref false in
-             let demote = ref (fun () -> ()) in
-             let fire r =
-               if not !settled then begin
-                 settled := true;
-                 !demote ();
-                 resume r
-               end
+             (* Whichever side settles first wins. When the operation
+                settles, its guard timer leaves the queue at once, so a
+                drain-mode [run] reaches quiescence without the moot guard
+                and no later event has to sift past it. A guard for an
+                operation that never settles (request dropped by a link
+                fault) stays queued and WILL fire — the suspended caller's
+                only wakeup. *)
+             let guard =
+               push_ev t ~daemon:false ~delay:dt (fun () ->
+                   resume (Error Timed_out))
              in
-             let ev =
-               push_ev t ~delay:dt (fun () -> fire (Error Timed_out))
-             in
-             (demote := fun () -> release_count t ev);
-             register fire ))
+             register (fun r ->
+                 if Heap.queued guard then begin
+                   Heap.remove t.queue guard;
+                   t.nondaemon_queued <- t.nondaemon_queued - 1;
+                   resume r
+                 end) ))
   with
   | v -> Ok v
   | exception Timed_out -> Error Timed_out
 
 let set_detect_deadlock t flag = t.detect_deadlock <- flag
 
+let check_deadlock t =
+  if t.detect_deadlock && Heap.is_empty t.queue && t.suspended > 0 then
+    raise
+      (Deadlock
+         (Printf.sprintf "%d fiber(s) suspended with empty queue" t.suspended))
+
 let run ?(until = infinity) ?(max_steps = max_int) t =
   let drain = until = infinity in
   let rec loop steps =
     if steps >= max_steps then ()
-    else if drain && t.nondaemon_queued = 0 then
+    else if (drain && t.nondaemon_queued = 0) || Heap.is_empty t.queue then
       (* Quiescence: only daemon wakeups (idle periodic fibers) remain.
          Leave them queued and parked — a later [run ~until] resumes them;
-         a world with no daemons hits this exactly when the queue empties,
-         so daemon-free runs are unchanged. *)
-      (if
-         t.detect_deadlock && Heap.peek t.queue = None && t.suspended > 0
-       then
-         raise
-           (Deadlock
-              (Printf.sprintf "%d fiber(s) suspended with empty queue"
-                 t.suspended)))
+         a world with no daemons hits this exactly when the queue empties. *)
+      check_deadlock t
     else
-      match Heap.peek t.queue with
-      | None ->
-          if t.detect_deadlock && t.suspended > 0 then
-            raise
-              (Deadlock
-                 (Printf.sprintf "%d fiber(s) suspended with empty queue"
-                    t.suspended))
-      | Some e when e.time > until -> ()
-      | Some _ -> (
-          match Heap.pop t.queue with
-          | None -> ()
-          | Some e ->
-              release_count t e;
-              t.clock <- (if e.time > t.clock then e.time else t.clock);
-              t.processed <- t.processed + 1;
-              e.thunk ();
-              (match t.fiber_error with
-              | Some err ->
-                  t.fiber_error <- None;
-                  raise err
-              | None -> ());
-              loop (steps + 1))
+      let e = Heap.top t.queue in
+      if e.time <= until then begin
+        ignore (Heap.pop t.queue : Heap.event);
+        if not e.daemon then t.nondaemon_queued <- t.nondaemon_queued - 1;
+        if e.time > t.clock then t.clock <- e.time;
+        t.processed <- t.processed + 1;
+        e.thunk ();
+        (match t.fiber_error with
+        | Some err ->
+            t.fiber_error <- None;
+            raise err
+        | None -> ());
+        loop (steps + 1)
+      end
   in
   loop 0
 
@@ -269,13 +269,14 @@ let leaked_fibers t =
      wakeup that can no longer come. Daemon-parked suspensions (idle
      periodic fibers sleeping via [daemon_sleep]) are excluded: their
      wakeup is queued, merely never fired by a drain-mode [run]. *)
-  let dead =
-    Hashtbl.fold
-      (fun sid (_, fg, _) acc -> if fg.alive then acc else sid :: acc)
-      t.suspended_tbl []
+  let rec walk p acc =
+    if p == t.parked then acc
+    else
+      let next = p.next in
+      if not p.p_group.alive then begin
+        unlink p;
+        walk next acc
+      end
+      else walk next (if p.p_daemon then acc else p.p_name :: acc)
   in
-  List.iter (Hashtbl.remove t.suspended_tbl) dead;
-  Hashtbl.fold
-    (fun _ (nm, _, daemon) acc -> if daemon then acc else nm :: acc)
-    t.suspended_tbl []
-  |> List.sort String.compare
+  List.sort String.compare (walk t.parked.next [])

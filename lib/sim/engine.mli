@@ -56,6 +56,15 @@ val spawn : t -> ?group:group -> ?name:string -> (unit -> unit) -> unit
     (other than the internal kill signal) is recorded and re-raised by
     {!run}. [name] is used in error reports. *)
 
+val start : t -> group:group -> name:string -> (unit -> unit) -> unit
+(** [start t ~group ~name f] runs fiber [f] at once, inside the current
+    event, up to its first suspension point; {!spawn} instead queues a
+    start event. Meant for plain event callbacks such as a message
+    delivery: when nothing else is due at this instant, the delay-0 start
+    event would have been the next to pop, so starting inline keeps every
+    other event, RNG draw and result in place while saving the event. A
+    no-op when [group] is dead. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs the plain callback [f] at time [now t +.
     delay]. [f] must not perform fiber effects; use [spawn] for that. *)
@@ -95,7 +104,9 @@ val yield : t -> unit
 
 val timeout : t -> float -> ('a resumer -> unit) -> ('a, exn) result
 (** [timeout t dt register] is like [suspend] but resumes with
-    [Error Timed_out] if nothing resumed the fiber within [dt]. *)
+    [Error Timed_out] if nothing resumed the fiber within [dt]. Its guard
+    timer is a queued event; when the operation settles first, the guard
+    is removed from the queue at once. *)
 
 exception Timed_out
 (** Raised (inside the fiber) when a [timeout] expires. *)

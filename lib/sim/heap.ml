@@ -1,75 +1,101 @@
-type 'a t = {
-  compare : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable size : int;
+type event = {
+  time : float;
+  seq : int;
+  daemon : bool;
+  thunk : unit -> unit;
+  mutable slot : int; (* index in [data]; -1 once popped or removed *)
 }
 
-let create ~compare = { compare; data = [||]; size = 0 }
+type t = { mutable data : event array; mutable size : int; mutable next_seq : int }
+
+let placeholder = { time = 0.0; seq = -1; daemon = true; thunk = ignore; slot = -1 }
+
+let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
-let grow h x =
+let queued e = e.slot >= 0
+
+(* Comparisons are inlined on the two key fields: no closure call, and the
+   boxed [time] of each event is read in place. *)
+let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+let[@inline] place h i e =
+  h.data.(i) <- e;
+  e.slot <- i
+
+(* Hole-based sifting: the moving event [e] is written once, at its final
+   slot, and every event it passes moves one level. *)
+let sift_up h i e =
+  let i = ref i in
+  while !i > 0 && before e h.data.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    place h !i h.data.(p);
+    i := p
+  done;
+  place h !i e
+
+let sift_down h i e =
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= h.size then sinking := false
+    else begin
+      let r = l + 1 in
+      let c = if r < h.size && before h.data.(r) h.data.(l) then r else l in
+      if before h.data.(c) e then begin
+        place h !i h.data.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  place h !i e
+
+let push h ~time ~daemon thunk =
+  let e = { time; seq = h.next_seq; daemon; thunk; slot = -1 } in
+  h.next_seq <- h.next_seq + 1;
   let capacity = Array.length h.data in
   if h.size = capacity then begin
-    let capacity' = if capacity = 0 then 16 else capacity * 2 in
-    let data' = Array.make capacity' x in
-    Array.blit h.data 0 data' 0 h.size;
-    h.data <- data'
-  end
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.compare h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && h.compare h.data.(left) h.data.(!smallest) < 0 then
-    smallest := left;
-  if right < h.size && h.compare h.data.(right) h.data.(!smallest) < 0 then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
-
-let push h x =
-  grow h x;
-  h.data.(h.size) <- x;
+    let data = Array.make (if capacity = 0 then 16 else 2 * capacity) placeholder in
+    Array.blit h.data 0 data 0 h.size;
+    h.data <- data
+  end;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) e;
+  e
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty queue";
+  h.data.(0)
+
+(* Fill slot [i] with the last event and restore the heap order around it. *)
+let refill h i =
+  h.size <- h.size - 1;
+  let last = h.data.(h.size) in
+  h.data.(h.size) <- placeholder;
+  if i < h.size then
+    if i > 0 && before last h.data.((i - 1) / 2) then sift_up h i last
+    else sift_down h i last
 
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let root = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some root
+  let e = top h in
+  refill h 0;
+  e.slot <- -1;
+  e
+
+let remove h e =
+  if e.slot >= 0 then begin
+    let i = e.slot in
+    e.slot <- -1;
+    refill h i
   end
 
 let clear h =
+  for i = 0 to h.size - 1 do
+    h.data.(i).slot <- -1
+  done;
   h.data <- [||];
   h.size <- 0
-
-let to_list h =
-  let rec collect i acc =
-    if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc)
-  in
-  collect (h.size - 1) []

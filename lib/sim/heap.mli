@@ -1,34 +1,51 @@
-(** Resizable binary min-heap, used as the simulator's event queue.
+(** The simulator's event queue: a resizable binary min-heap of events
+    ordered by (time, insertion sequence).
 
-    The heap is polymorphic in its element type; the ordering is fixed at
-    creation time by a [compare] function following the [Stdlib.compare]
-    convention. All operations are amortised O(log n) except [peek] and
-    [length], which are O(1). *)
+    The queue numbers events in push order, so events due at the same
+    instant pop first-in first-out. Every event tracks its own slot in the
+    heap, which lets a queued event be removed in O(log n) — the engine
+    takes a settled operation's guard timer out this way instead of leaving
+    it to pop. [push], [pop] and [remove] are O(log n); the rest is O(1). *)
 
-type 'a t
-(** A mutable min-heap of ['a] values. *)
+type event = private {
+  time : float;  (** virtual time the event is due *)
+  seq : int;  (** push order, the tie-break between equal times *)
+  daemon : bool;  (** an idle daemon's wakeup rather than pending work *)
+  thunk : unit -> unit;  (** what the event runs *)
+  mutable slot : int;  (** index in its queue; -1 once popped or removed *)
+}
+(** A queued (or formerly queued) event. *)
 
-val create : compare:('a -> 'a -> int) -> 'a t
-(** [create ~compare] is an empty heap ordered by [compare]. *)
+type t
+(** A mutable event queue. *)
 
-val length : 'a t -> int
-(** [length h] is the number of elements currently stored in [h]. *)
+val create : unit -> t
+(** [create ()] is an empty queue. *)
 
-val is_empty : 'a t -> bool
+val length : t -> int
+(** Number of queued events. *)
+
+val is_empty : t -> bool
 (** [is_empty h] is [length h = 0]. *)
 
-val push : 'a t -> 'a -> unit
-(** [push h x] inserts [x] into [h]. *)
+val push : t -> time:float -> daemon:bool -> (unit -> unit) -> event
+(** [push h ~time ~daemon thunk] queues a new event and returns it. Its
+    [seq] is one more than the previous push's. *)
 
-val peek : 'a t -> 'a option
-(** [peek h] is the minimum element of [h], without removing it. *)
+val top : t -> event
+(** The earliest queued event, left in place. Raises [Invalid_argument] on
+    an empty queue. *)
 
-val pop : 'a t -> 'a option
-(** [pop h] removes and returns the minimum element of [h]. *)
+val pop : t -> event
+(** Remove and return the earliest queued event. Raises [Invalid_argument]
+    on an empty queue. *)
 
-val clear : 'a t -> unit
-(** [clear h] removes every element from [h]. *)
+val remove : t -> event -> unit
+(** [remove h e] takes [e] out of [h]; it will never be popped. A no-op if
+    [e] is no longer queued. *)
 
-val to_list : 'a t -> 'a list
-(** [to_list h] is a snapshot of the elements of [h] in unspecified order.
-    [h] is unchanged. *)
+val queued : event -> bool
+(** Whether the event is still in its queue: false once popped or removed. *)
+
+val clear : t -> unit
+(** [clear h] removes every event from [h]. *)

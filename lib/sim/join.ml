@@ -20,7 +20,7 @@ let scatter ?(base = 0) eng tasks ~on_done =
     (fun i f ->
       let i = i + base in
       Engine.spawn eng ~group
-        ~name:(Printf.sprintf "join.worker.%d" i)
+        ~name:("join.worker." ^ string_of_int i)
         (fun () -> on_done i (f ())))
     tasks
 
@@ -86,7 +86,7 @@ let hedged eng ~delay tasks =
               if not (Ivar.is_filled iv) then begin
                 incr outstanding;
                 Engine.spawn eng ~group
-                  ~name:(Printf.sprintf "join.hedged.%d" i)
+                  ~name:("join.hedged." ^ string_of_int i)
                   (fun () -> settle (f ()))
               end))
         tasks;

@@ -17,6 +17,17 @@ let incr t ?(by = 1) name =
   let r = find_counter t name in
   r := !r + by
 
+type handle = { h_reg : t; h_name : string; mutable h_cell : int ref }
+
+(* Shared by every handle not yet bumped; never incremented itself. *)
+let unregistered = ref 0
+
+let handle t name = { h_reg = t; h_name = name; h_cell = unregistered }
+
+let bump h =
+  if h.h_cell == unregistered then h.h_cell <- find_counter h.h_reg h.h_name;
+  h.h_cell := !(h.h_cell) + 1
+
 let counter t name =
   match Hashtbl.find_opt t.counters_tbl name with Some r -> !r | None -> 0
 
@@ -75,10 +86,6 @@ let merge_into ~dst src =
   Hashtbl.iter
     (fun k r -> List.iter (fun v -> observe dst k v) (List.rev !r))
     src.samples_tbl
-
-let clear t =
-  Hashtbl.reset t.counters_tbl;
-  Hashtbl.reset t.samples_tbl
 
 let pp ppf t =
   List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@." k v) (counters t);

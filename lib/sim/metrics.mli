@@ -15,6 +15,18 @@ val incr : t -> ?by:int -> string -> unit
 (** [incr t name] adds [by] (default 1) to the counter [name], creating it
     at zero if absent. *)
 
+type handle
+(** A counter resolved once, for hot paths that bump the same counter on
+    every call. *)
+
+val handle : t -> string -> handle
+(** [handle t name] is a handle on counter [name] of [t]. The counter is
+    created at the handle's first {!bump}, so an unbumped handle leaves
+    {!counters} unchanged. *)
+
+val bump : handle -> unit
+(** [bump h] is [incr t name] without the name lookup. *)
+
 val counter : t -> string -> int
 (** Current value of counter [name]; 0 if never incremented. *)
 
@@ -46,9 +58,6 @@ val distributions : t -> string list
 val merge_into : dst:t -> t -> unit
 (** [merge_into ~dst src] adds all of [src]'s counters and samples into
     [dst]; used to aggregate repeated trials. *)
-
-val clear : t -> unit
-(** Reset the registry. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render counters and distribution summaries. *)

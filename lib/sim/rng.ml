@@ -1,34 +1,42 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: reading and
+   writing it with the int64 primitives allocates nothing, where a mutable
+   [int64] record field would box every new state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let split t = { state = int64 t }
+let int64 t = next t
+
+let split t = create (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit int non-negatively. *)
-  let raw = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
+  let raw = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   raw mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits mapped to [0, 1). *)
-  let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+  let raw = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (raw /. 9007199254740992.0)
-
 let bool t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true

@@ -48,6 +48,33 @@ let test_crash_recover_incarnation () =
   check_bool "up" true (Network.is_up net "a");
   check_int "inc bumped" 1 (Network.incarnation net "a")
 
+(* Crash watches fire newest first; an unwatch before the crash cancels,
+   one after it is a no-op that leaves the next incarnation's watches
+   intact. *)
+let test_crash_watches () =
+  let eng, net, _ = make_world () in
+  Network.add_node net "a";
+  let fired = ref [] in
+  let watch name = Network.watch_crash net "a" (fun () -> fired := name :: !fired) in
+  let w1 = watch "w1" in
+  ignore (watch "w2" : Network.watch);
+  let w3 = watch "w3" in
+  ignore (watch "w4" : Network.watch);
+  Network.unwatch net w3;
+  Network.crash net "a";
+  Network.unwatch net w1;
+  Engine.run eng;
+  Alcotest.(check (list string)) "newest first" [ "w4"; "w2"; "w1" ] (List.rev !fired);
+  fired := [];
+  Network.recover net "a";
+  ignore (watch "w5" : Network.watch);
+  let w6 = watch "w6" in
+  Network.unwatch net w1;
+  Network.unwatch net w6;
+  Network.crash net "a";
+  Engine.run eng;
+  Alcotest.(check (list string)) "next incarnation" [ "w5" ] !fired
+
 let test_crash_hooks_fire () =
   let eng, net, _ = make_world () in
   Network.add_node net "a";
@@ -126,6 +153,25 @@ let test_rpc_roundtrip () =
       | Error e -> got := Rpc.error_to_string e);
   Engine.run eng;
   check_string "reply" "hi!" !got
+
+(* A message hop costs one engine event: the request's handler fiber starts
+   inside its delivery, the reply resumes the caller from inside its own,
+   and the settled guard timer leaves the queue. Ten sequential echoes are
+   the caller's start plus three events each — request delivery, reply
+   delivery, the caller's resumption — and no guard is left to pop later. *)
+let test_rpc_roundtrip_event_count () =
+  let eng, net, rpc = make_world () in
+  Network.add_node net "client";
+  Network.add_node net "server";
+  Rpc.serve rpc ~node:"server" echo Fun.id;
+  Network.spawn_on net "client" (fun () ->
+      for _ = 1 to 10 do
+        ignore (Rpc.call rpc ~from:"client" ~dst:"server" echo "hi")
+      done);
+  Engine.run eng;
+  check_int "drained" 31 (Engine.processed_events eng);
+  Engine.run ~until:1e9 eng;
+  check_int "no guard timer left" 31 (Engine.processed_events eng)
 
 let test_rpc_unreachable_when_down () =
   let eng, net, rpc = make_world () in
@@ -383,6 +429,7 @@ let suite =
         tc "unknown raises" `Quick test_unknown_node_raises;
         tc "crash recover incarnation" `Quick test_crash_recover_incarnation;
         tc "hooks fire" `Quick test_crash_hooks_fire;
+        tc "crash watches" `Quick test_crash_watches;
         tc "crash kills fibers" `Quick test_crash_kills_node_fibers;
         tc "message to down node dropped" `Quick test_message_to_down_node_dropped;
         tc "partition blocks" `Quick test_partition_blocks_delivery;
@@ -391,6 +438,7 @@ let suite =
     ( "net.rpc",
       [
         tc "roundtrip" `Quick test_rpc_roundtrip;
+        tc "roundtrip event count" `Quick test_rpc_roundtrip_event_count;
         tc "unreachable when down" `Quick test_rpc_unreachable_when_down;
         tc "crash mid call" `Quick test_rpc_crash_mid_call;
         tc "no service" `Quick test_rpc_no_service;

@@ -10,47 +10,61 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
-let test_heap_order () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+(* The heap is the engine's event queue: events keyed by time, ties broken
+   by push order. [drain_times] pops everything and returns the times. *)
+let push_at h time = Heap.push h ~time ~daemon:false ignore
+
+let drain_times h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc else go ((Heap.pop h).Heap.time :: acc)
   in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  go []
+
+let test_heap_order () =
+  let h = Heap.create () in
+  List.iter (fun t -> ignore (push_at h t)) [ 5.; 1.; 4.; 1.; 3.; 9.; 2. ];
+  Alcotest.(check (list (float 0.0)))
+    "sorted" [ 1.; 1.; 2.; 3.; 4.; 5.; 9. ] (drain_times h)
 
 let test_heap_empty () =
-  let h = Heap.create ~compare:Int.compare in
+  let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h)
+  (match Heap.top h with
+  | _ -> Alcotest.fail "top of an empty queue"
+  | exception Invalid_argument _ -> ());
+  match Heap.pop h with
+  | _ -> Alcotest.fail "pop of an empty queue"
+  | exception Invalid_argument _ -> ()
 
 let test_heap_peek_stable () =
-  let h = Heap.create ~compare:Int.compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  check_int "length unchanged" 2 (Heap.length h)
+  let h = Heap.create () in
+  ignore (push_at h 3.0);
+  let e = push_at h 1.0 in
+  check_bool "top" true (Heap.top h == e);
+  check_int "length unchanged" 2 (Heap.length h);
+  check_bool "still queued" true (Heap.queued e)
 
 let test_heap_clear () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
+  let h = Heap.create () in
+  let es = List.map (push_at h) [ 1.; 2.; 3. ] in
   Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
+  check_bool "cleared" true (Heap.is_empty h);
+  check_bool "none queued" false (List.exists Heap.queued es)
 
 let test_heap_large () =
-  let h = Heap.create ~compare:Int.compare in
+  let h = Heap.create () in
   let rng = Rng.create 42L in
   for _ = 1 to 10_000 do
-    Heap.push h (Rng.int rng 1_000_000)
+    ignore (push_at h (float_of_int (Rng.int rng 1_000_000)))
   done;
   let rec drain prev n =
-    match Heap.pop h with
-    | None -> n
-    | Some x ->
-        if x < prev then Alcotest.fail "heap order violated";
-        drain x (n + 1)
+    if Heap.is_empty h then n
+    else
+      let e = Heap.pop h in
+      if e.Heap.time < prev then Alcotest.fail "heap order violated";
+      drain e.Heap.time (n + 1)
   in
-  check_int "all popped" 10_000 (drain min_int 0)
+  check_int "all popped" 10_000 (drain neg_infinity 0)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -97,6 +111,29 @@ let test_rng_shuffle_permutation () =
   let xs = [ 1; 2; 3; 4; 5; 6 ] in
   let ys = Rng.shuffle rng xs in
   Alcotest.(check (list int)) "same multiset" xs (List.sort compare ys)
+
+(* The first draws of a fixed seed, recorded from the boxed-state
+   generator the unboxed one replaced: the stream must stay bit-identical,
+   or every seeded experiment would move. *)
+let test_rng_stream_pinned () =
+  let draws f = let r = Rng.create 20260517L in List.init 8 (fun _ -> f r) in
+  Alcotest.(check (list int64)) "int64"
+    [ 4575549421988790757L; 1031250359864946218L; 2827596962581378985L;
+      1770510012810282063L; -6887769693541876095L; -6597715850032917959L;
+      -7400548412653973762L; -4692148899943427683L ]
+    (draws Rng.int64);
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.fbfcefa7ef16p-3; 0x1.c9f797a1c7cdp-5; 0x1.39ed23a655178p-3;
+      0x1.8921d79e0d44p-4; 0x1.40d373e9d3787p-1; 0x1.48e068c7fba5ap-1;
+      0x1.3297f0db615b9p-1; 0x1.7dc446df0343ap-1 ]
+    (draws (fun r -> Rng.float r 1.0));
+  Alcotest.(check (list int)) "int"
+    [ 197689; 236554; 344746; 570515; 918880; 158414; 894463; 530983 ]
+    (draws (fun r -> Rng.int r 1_000_000));
+  let child = Rng.split (Rng.create 20260517L) in
+  Alcotest.(check (list int64)) "split"
+    [ 8204939365776924436L; -8809960848269883254L; -1311850132914217107L ]
+    (List.init 3 (fun _ -> Rng.int64 child))
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -197,6 +234,25 @@ let test_engine_deadlock_detection () =
   match Engine.run eng with
   | () -> Alcotest.fail "expected deadlock"
   | exception Engine.Deadlock _ -> ()
+
+(* The leak audit names a live fiber parked on an ivar nobody fills, drops
+   one whose group was killed, and forgets both once they are resumed. *)
+let test_engine_leaked_fibers () =
+  let eng = Engine.create () in
+  let g = Engine.new_group eng in
+  let iv = Ivar.create () in
+  Engine.spawn eng ~name:"stuck" (fun () -> ignore (Ivar.read eng iv : int));
+  Engine.spawn eng ~group:g ~name:"doomed" (fun () -> ignore (Ivar.read eng iv : int));
+  Engine.spawn eng ~name:"done" (fun () -> Engine.sleep eng 1.0);
+  Engine.run eng;
+  Alcotest.(check (list string)) "both parked" [ "doomed"; "stuck" ]
+    (Engine.leaked_fibers eng);
+  Engine.kill_group eng g;
+  Alcotest.(check (list string)) "killed group dropped" [ "stuck" ]
+    (Engine.leaked_fibers eng);
+  Ivar.fill iv 1;
+  Engine.run eng;
+  Alcotest.(check (list string)) "resumed" [] (Engine.leaked_fibers eng)
 
 let test_engine_yield_interleaves () =
   let eng = Engine.create () in
@@ -457,14 +513,66 @@ let test_metrics_merge () =
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
+    QCheck.(list (int_range 0 20))
     (fun xs ->
-      let h = Heap.create ~compare:Int.compare in
-      List.iter (Heap.push h) xs;
+      let h = Heap.create () in
+      let es = List.map (fun x -> push_at h (float_of_int x)) xs in
+      let key (e : Heap.event) = (e.time, e.seq) in
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+        if Heap.is_empty h then List.rev acc else drain (key (Heap.pop h) :: acc)
       in
-      drain [] = List.sort Int.compare xs)
+      drain [] = List.sort compare (List.map key es))
+
+(* Model test of the queue: a random program of pushes, removals of a
+   random queued-or-not event, and pops, checked against a sorted list.
+   Each event's thunk logs its id; popping runs it. A removed event must
+   never come out, and everything pops in (time, seq) order. *)
+let prop_queue_model =
+  QCheck.Test.make ~name:"queue model: push, remove, pop" ~count:300
+    QCheck.(list (pair (int_range 0 2) (int_range 0 15)))
+    (fun prog ->
+      let h = Heap.create () in
+      let ran = ref None in
+      let pushed = ref [] (* newest first *) in
+      let model = ref [] (* (time, seq) of the queued events *) in
+      let removed = ref [] in
+      let ok = ref true in
+      let pop () =
+        match List.sort compare !model with
+        | [] -> ok := !ok && Heap.is_empty h
+        | (time, seq) :: rest ->
+            let e = Heap.pop h in
+            ran := None;
+            e.Heap.thunk ();
+            ok :=
+              !ok && e.Heap.time = time && !ran = Some seq
+              && not (List.mem seq !removed);
+            model := rest
+      in
+      List.iter
+        (fun (op, x) ->
+          match op with
+          | 0 ->
+              let seq = List.length !pushed in
+              let e =
+                Heap.push h ~time:(float_of_int x) ~daemon:false (fun () ->
+                    ran := Some seq)
+              in
+              ok := !ok && e.Heap.seq = seq;
+              pushed := e :: !pushed;
+              model := (float_of_int x, seq) :: !model
+          | 1 when !pushed <> [] ->
+              let e = List.nth !pushed (x mod List.length !pushed) in
+              Heap.remove h e;
+              removed := e.Heap.seq :: !removed;
+              model := List.filter (fun (_, s) -> s <> e.Heap.seq) !model;
+              ok := !ok && not (Heap.queued e)
+          | _ -> pop ())
+        prog;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
 
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"rng int within bounds" ~count:500
@@ -495,6 +603,7 @@ let suite =
         tc "clear" `Quick test_heap_clear;
         tc "large" `Quick test_heap_large;
         Test_util.qcheck prop_heap_sorts;
+        Test_util.qcheck prop_queue_model;
       ] );
     ( "sim.rng",
       [
@@ -505,6 +614,7 @@ let suite =
         tc "bool extremes" `Quick test_rng_bool_extremes;
         tc "pick" `Quick test_rng_pick;
         tc "shuffle permutation" `Quick test_rng_shuffle_permutation;
+        tc "stream pinned" `Quick test_rng_stream_pinned;
         Test_util.qcheck prop_rng_int_in_bounds;
       ] );
     ( "sim.engine",
@@ -518,6 +628,7 @@ let suite =
         tc "timeout beaten by result" `Quick test_engine_timeout_beaten_by_result;
         tc "fiber exception propagates" `Quick test_engine_fiber_exception_propagates;
         tc "deadlock detection" `Quick test_engine_deadlock_detection;
+        tc "leaked fibers" `Quick test_engine_leaked_fibers;
         tc "yield interleaves" `Quick test_engine_yield_interleaves;
         tc "until bound" `Quick test_engine_until_bound;
       ] );
