@@ -304,17 +304,14 @@ let bench_binds ~batched () =
         done);
   Service.run w
 
-(* The same five-commit copy-back episode with delta shipping on or off,
-   one subject each. The "small" subjects write a counter (payload is
-   op-sized, deltas buy little); the "large" subjects make small writes
-   to a kvmap preloaded with ~1.5 KB of entries, where the delta path
-   ships a few dozen op bytes per store instead of the whole payload. The
-   gap between a delta subject and its full twin is what delta shipping
-   buys on the copy-back hot path. *)
-let bench_copy_back ~delta ~impl ~initial ~op () =
+(* A five-commit copy-back episode: every commit writes the object's
+   whole new state to both stores. The "small" subject writes a counter
+   (an op-sized payload); the "large" subject makes small writes to a
+   kvmap preloaded with ~1.5 KB of entries. *)
+let bench_copy_back ~impl ~initial ~op () =
   let open Naming in
   let w =
-    Service.create ~seed:5L ~delta_shipping:delta
+    Service.create ~seed:5L
       {
         Service.gvd_node = "ns";
         gvd_nodes = [];
@@ -336,12 +333,12 @@ let bench_copy_back ~delta ~impl ~initial ~op () =
       done);
   Service.run w
 
-let bench_copy_back_small ~delta =
-  bench_copy_back ~delta ~impl:"counter" ~initial:None ~op:(fun i ->
+let bench_copy_back_small =
+  bench_copy_back ~impl:"counter" ~initial:None ~op:(fun i ->
       Printf.sprintf "add %d" i)
 
-let bench_copy_back_large ~delta =
-  bench_copy_back ~delta ~impl:"kvmap"
+let bench_copy_back_large =
+  bench_copy_back ~impl:"kvmap"
     ~initial:
       (Some
          (String.concat ";"
@@ -464,14 +461,8 @@ let micro_tests =
         (Staged.stage bench_router_binds_sharded);
       Test.make ~name:"cache.5-repeat-binds"
         (Staged.stage bench_cached_repeat_binds);
-      Test.make ~name:"commit.delta-small"
-        (Staged.stage (bench_copy_back_small ~delta:true));
-      Test.make ~name:"commit.full-small"
-        (Staged.stage (bench_copy_back_small ~delta:false));
-      Test.make ~name:"commit.delta-large"
-        (Staged.stage (bench_copy_back_large ~delta:true));
-      Test.make ~name:"commit.full-large"
-        (Staged.stage (bench_copy_back_large ~delta:false));
+      Test.make ~name:"commit.full-small" (Staged.stage bench_copy_back_small);
+      Test.make ~name:"commit.full-large" (Staged.stage bench_copy_back_large);
       Test.make ~name:"commit.optimistic" (Staged.stage bench_optimistic);
       Test.make ~name:"bind.schemeA" (Staged.stage bench_schemea);
       Test.make ~name:"commit.grouped-8-clients"

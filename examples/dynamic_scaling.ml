@@ -51,8 +51,7 @@ let () =
       Sim.Engine.sleep eng 60.0;
       (* Step 1: durability — a second store, state copied under lock. *)
       (match
-         Admin.add_store (Service.binder world)
-           ~server_rt:(Service.server_runtime world) ~from:"ops" ~uid "disk2"
+         Admin.add_store (Service.binder world) ~from:"ops" ~uid "disk2"
        with
       | Ok () -> show world uid "after add_store disk2"
       | Error e -> Printf.printf "add_store: %s\n" (Admin.error_to_string e));

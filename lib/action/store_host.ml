@@ -2,30 +2,13 @@ type host = { h_objects : Store.Object_store.t; h_log : Store.Intent_log.t }
 
 type read_req = Store.Uid.t
 
-type delta = {
-  d_impl : string;
-  d_base : int;
-  d_steps : (Store.Version.t * string list) list; (* oldest first, contiguous *)
-}
-
-type write = Full of Store.Object_state.t | Delta of delta
-
 type prepare_req = {
   pr_action : string;
   pr_coordinator : string;
-  pr_writes : (Store.Uid.t * write) list;
+  pr_writes : (Store.Uid.t * Store.Object_state.t) list;
 }
 
-(* A yes vote piggybacks, per prepared object, the committed counter the
-   store held when it staged the write (-1 = nothing yet): coordinators
-   fold these levels into a shared per-(store,object) floor so even a
-   client that never committed here before can base its next copy-back on
-   a delta. The counter is pre-stage — the post-commit level is learned
-   from the phase-2 acknowledgement as before. *)
-type vote =
-  | Vote_yes of (Store.Uid.t * int) list
-  | Vote_stale
-  | Vote_delta_miss of int
+type vote = Vote_yes | Vote_stale
 
 type t = {
   rpc_rt : Net.Rpc.t;
@@ -36,13 +19,6 @@ type t = {
   mutable reservation_hook :
     (node:Net.Network.node_id -> blockers:(string * string) list -> unit)
     option;
-  (* Folds one operation over a payload under a named implementation;
-     [None] refuses (unknown implementation, or the op failed to apply).
-     Installed by the world-assembly layer from the object-implementation
-     registry: stores sit below the replica layer and cannot reach the
-     registry themselves. Unset means every delta prepare misses. *)
-  mutable delta_applier :
-    (impl:string -> payload:string -> op:string -> string option) option;
   ep_read : (read_req, Store.Object_state.t option) Net.Rpc.endpoint;
   (* One prepare (resp. commit) round carries the sub-records of every
      action that writes this store in the round — a group-commit batch, or
@@ -62,7 +38,6 @@ let create rpc_rt =
     hosts = Hashtbl.create 16;
     prepare_hook = None;
     reservation_hook = None;
-    delta_applier = None;
     ep_read = Net.Rpc.endpoint "store.read";
     ep_prepare = Net.Rpc.endpoint "store.prepare";
     ep_commit = Net.Rpc.endpoint "store.commit";
@@ -97,193 +72,90 @@ let apply_commit h action =
         writes);
   Store.Intent_log.resolve h.h_log ~action
 
-(* Resolve a wire write to the full state the intent log will stage.
-
-   A [Full] write passes through. A [Delta] folds its op suffix over the
-   store's committed payload — but only when the suffix's base version is
-   exactly what the store holds (a lower base would re-apply history, a
-   higher one would skip it) and every step is present, contiguous, and
-   applies cleanly. Anything else is a {e delta miss}, answered with the
-   store's committed counter so the coordinator can reseed its vector and
-   ship full state. The resolved state is staged like any full write:
-   phase 2, in-doubt resolution and recovery replay see no difference.
-
-   Re-delivery safety: a duplicate delta prepare before the commit
-   re-folds over the unchanged committed payload to the identical staged
-   state ({!Store.Intent_log.prepare} replaces); one arriving after the
-   commit finds the store already at the delta's target version and
-   resolves to the store's own state — the delta counterpart of the full
-   path's same-version replay acceptance. *)
-let resolve_write t h = function
-  | uid, Full state -> Ok (uid, state, `Full)
-  | uid, Delta d -> (
-      let current = Store.Object_store.read h.h_objects uid in
-      let committed_counter =
-        match current with
-        | Some e -> e.Store.Object_state.version.Store.Version.counter
-        | None -> -1
-      in
-      let target =
-        match List.rev d.d_steps with
-        | (v, _) :: _ -> Some v
-        | [] -> None
-      in
-      let contiguous =
-        let rec check prev = function
-          | [] -> true
-          | ((v : Store.Version.t), ops) :: rest ->
-              ops <> []
-              && (match prev with
-                 | None -> v.counter = d.d_base + 1
-                 | Some p -> Store.Version.follows v p)
-              && check (Some v) rest
-        in
-        check None d.d_steps
-      in
-      match (current, target) with
-      | Some existing, Some target
-        when Store.Version.equal existing.Store.Object_state.version target ->
-          Ok (uid, existing, `Delta)
-      | Some existing, Some _
-        when committed_counter = d.d_base && contiguous -> (
-          match t.delta_applier with
-          | None -> Error (uid, committed_counter)
-          | Some apply -> (
-              let folded =
-                List.fold_left
-                  (fun acc (_, ops) ->
-                    Option.bind acc (fun payload ->
-                        List.fold_left
-                          (fun acc op ->
-                            Option.bind acc (fun payload ->
-                                apply ~impl:d.d_impl ~payload ~op))
-                          (Some payload) ops))
-                  (Some existing.Store.Object_state.payload)
-                  d.d_steps
-              in
-              match (folded, target) with
-              | Some payload, Some version ->
-                  Ok (uid, Store.Object_state.make ~payload ~version, `Delta)
-              | _ -> Error (uid, committed_counter)))
-      | _ -> Error (uid, committed_counter))
-
 (* The phase-1 logic for one sub-record of a [store.prepare] round:
    validation, reservations, staging, hooks and traces are per action, so
    one action's refusal never touches another's vote in the same round. *)
 let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
-      let netw = Net.Rpc.network t.rpc_rt in
-      let resolved, misses =
-        List.fold_left
-          (fun (resolved, misses) w ->
-            match resolve_write t h w with
-            | Ok r -> (r :: resolved, misses)
-            | Error m -> (resolved, m :: misses))
-          ([], []) pr_writes
-      in
-      let resolved = List.rev resolved and misses = List.rev misses in
-      match misses with
-      | (uid, counter) :: _ ->
-          Sim.Metrics.incr (Net.Network.metrics netw) "store.delta_misses";
-          Sim.Trace.recordf (Net.Network.trace netw)
-            ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
-            "%s: %s delta miss on %s (store at %d)" node pr_action
-            (Store.Uid.to_string uid) counter;
-          Vote_delta_miss counter
-      | [] ->
-      (* Backward validation: each write must be the direct successor of
-         the committed state (or recreate the same version during a
-         recovery replay). A gap or a sibling version means the writer
-         activated from a stale state. Delta-resolved writes already
-         proved succession (their op chain starts at the committed
-         counter), including multi-step chains a full write could not
-         validate. *)
-      let valid (uid, state, origin) =
-        match origin with
-        | `Delta -> true
-        | `Full -> (
-            match Store.Object_store.read h.h_objects uid with
-            | None -> true
-            | Some existing ->
-                let incoming = state.Store.Object_state.version.Store.Version.counter in
-                let current = existing.Store.Object_state.version.Store.Version.counter in
-                incoming = current + 1 || incoming = current && Store.Object_state.equal state existing)
-      in
-      (* A pending prepare of another action is a write reservation:
-         admitting a second writer for the same object would let two
-         version-(n+1) siblings both commit (the apply order, not the
-         validation, would then pick the survivor). *)
-      let reserved (uid, _, _) =
-        List.exists
-          (fun a -> not (String.equal a pr_action))
-          (Store.Intent_log.pending_writers h.h_log uid)
-      in
-      List.iter
-        (fun ((uid, state, _) as w) ->
-          if not (valid w) then
-            Sim.Trace.recordf (Net.Network.trace netw)
-              ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
-              "%s: %s stale prepare of %s (incoming %s vs stored %s)" node
-              pr_action (Store.Uid.to_string uid)
-              (Store.Version.to_string state.Store.Object_state.version)
-              (match Store.Object_store.read h.h_objects uid with
-              | Some e -> Store.Version.to_string e.Store.Object_state.version
-              | None -> "none")
-          else if reserved w then
-            Sim.Trace.recordf (Net.Network.trace netw)
-              ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
-              "%s: %s blocked by reservation of [%s] on %s" node pr_action
-              (String.concat ","
-                 (List.filter
-                    (fun a -> not (String.equal a pr_action))
-                    (Store.Intent_log.pending_writers h.h_log uid)))
-              (Store.Uid.to_string uid))
-        resolved;
-      if List.for_all valid resolved && not (List.exists reserved resolved)
-      then begin
-        Store.Intent_log.prepare h.h_log ~action:pr_action
-          ~coordinator:pr_coordinator
-          (List.map (fun (uid, state, _) -> (uid, state)) resolved);
-        (match t.prepare_hook with
-        | Some hook ->
-            hook ~node ~action:pr_action ~coordinator:pr_coordinator
-        | None -> ());
-        Vote_yes
-          (List.map
-             (fun (uid, _, _) ->
-               ( uid,
-                 match Store.Object_store.read h.h_objects uid with
-                 | Some e ->
-                     e.Store.Object_state.version.Store.Version.counter
-                 | None -> -1 ))
-             resolved)
-      end
-      else begin
-        (* If the refusal came from another action's write reservation,
-           report the blockers (with their coordinators) so in-doubt
-           resolution can break reservations whose coordinator is
-           partitioned away — a crash fires [prepare_hook]'s watch, but a
-           partition severs the abort fan-out without killing anyone. *)
-        (match t.reservation_hook with
-        | None -> ()
-        | Some hook ->
-            let blockers =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun (uid, _, _) ->
-                     List.filter_map
-                       (fun a ->
-                         if String.equal a pr_action then None
-                         else
-                           Option.map
-                             (fun { Store.Intent_log.coordinator; _ } ->
-                               (a, coordinator))
-                             (Store.Intent_log.prepared h.h_log ~action:a))
-                       (Store.Intent_log.pending_writers h.h_log uid))
-                   resolved)
-            in
-            if blockers <> [] then hook ~node ~blockers);
-        Vote_stale
-      end
+  let netw = Net.Rpc.network t.rpc_rt in
+  (* Backward validation: each write must be the direct successor of
+     the committed state (or recreate the same version during a
+     recovery replay). A gap or a sibling version means the writer
+     activated from a stale state. *)
+  let valid (uid, state) =
+    match Store.Object_store.read h.h_objects uid with
+    | None -> true
+    | Some existing ->
+        let incoming = state.Store.Object_state.version.Store.Version.counter in
+        let current = existing.Store.Object_state.version.Store.Version.counter in
+        incoming = current + 1 || incoming = current && Store.Object_state.equal state existing
+  in
+  (* A pending prepare of another action is a write reservation:
+     admitting a second writer for the same object would let two
+     version-(n+1) siblings both commit (the apply order, not the
+     validation, would then pick the survivor). *)
+  let reserved (uid, _) =
+    List.exists
+      (fun a -> not (String.equal a pr_action))
+      (Store.Intent_log.pending_writers h.h_log uid)
+  in
+  List.iter
+    (fun ((uid, state) as w) ->
+      if not (valid w) then
+        Sim.Trace.recordf (Net.Network.trace netw)
+          ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
+          "%s: %s stale prepare of %s (incoming %s vs stored %s)" node
+          pr_action (Store.Uid.to_string uid)
+          (Store.Version.to_string state.Store.Object_state.version)
+          (match Store.Object_store.read h.h_objects uid with
+          | Some e -> Store.Version.to_string e.Store.Object_state.version
+          | None -> "none")
+      else if reserved w then
+        Sim.Trace.recordf (Net.Network.trace netw)
+          ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
+          "%s: %s blocked by reservation of [%s] on %s" node pr_action
+          (String.concat ","
+             (List.filter
+                (fun a -> not (String.equal a pr_action))
+                (Store.Intent_log.pending_writers h.h_log uid)))
+          (Store.Uid.to_string uid))
+    pr_writes;
+  if List.for_all valid pr_writes && not (List.exists reserved pr_writes)
+  then begin
+    Store.Intent_log.prepare h.h_log ~action:pr_action
+      ~coordinator:pr_coordinator pr_writes;
+    (match t.prepare_hook with
+    | Some hook ->
+        hook ~node ~action:pr_action ~coordinator:pr_coordinator
+    | None -> ());
+    Vote_yes
+  end
+  else begin
+    (* If the refusal came from another action's write reservation,
+       report the blockers (with their coordinators) so in-doubt
+       resolution can break reservations whose coordinator is
+       partitioned away — a crash fires [prepare_hook]'s watch, but a
+       partition severs the abort fan-out without killing anyone. *)
+    (match t.reservation_hook with
+    | None -> ()
+    | Some hook ->
+        let blockers =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun (uid, _) ->
+                 List.filter_map
+                   (fun a ->
+                     if String.equal a pr_action then None
+                     else
+                       Option.map
+                         (fun { Store.Intent_log.coordinator; _ } ->
+                           (a, coordinator))
+                         (Store.Intent_log.prepared h.h_log ~action:a))
+                   (Store.Intent_log.pending_writers h.h_log uid))
+               pr_writes)
+        in
+        if blockers <> [] then hook ~node ~blockers);
+    Vote_stale
+  end
 
 let add t node =
   if Hashtbl.mem t.hosts node then
@@ -326,7 +198,7 @@ let prepare t ~from ~store ~action ~coordinator writes =
          {
            pr_action = action;
            pr_coordinator = coordinator;
-           pr_writes = List.map (fun (uid, state) -> (uid, Full state)) writes;
+           pr_writes = writes;
          };
        ])
 
@@ -349,8 +221,8 @@ let probe t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_probe ()
    same work its own leg does (prepare replaces per-action; phase-2
    resolves idempotently) — but its answer is NOT the primary's: a
    sibling win is reported as [Error Timed_out] for the leg, which the
-   commit layer already handles (§4.2 exclude-on-failure at prepare,
-   conservative floor forgetting at phase-2). The payoff is purely
+   commit layer already handles (§4.2 exclude-on-failure at prepare).
+   The payoff is purely
    latency: the gather stops waiting on the browned node after one
    healthy round trip instead of one inflated one. *)
 
@@ -415,7 +287,6 @@ let decision t ~from ~coordinator ~action =
 
 let set_prepare_hook t hook = t.prepare_hook <- Some hook
 let set_reservation_hook t hook = t.reservation_hook <- Some hook
-let set_delta_applier t applier = t.delta_applier <- Some applier
 
 let record_decision t ~node ~action d =
   Store.Intent_log.record_decision (host t node).h_log ~action d

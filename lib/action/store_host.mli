@@ -48,52 +48,20 @@ val read :
   (Store.Object_state.t option, Net.Rpc.error) result
 (** Read the committed state of an object from a store node. *)
 
-type delta = {
-  d_impl : string;  (** implementation folding the ops *)
-  d_base : int;
-      (** committed counter the suffix starts above: the store must hold
-          exactly this version for the delta to apply *)
-  d_steps : (Store.Version.t * string list) list;
-      (** the op suffix, oldest first; contiguous versions
-          [d_base+1 ..], each with the ops that produced it *)
-}
-(** A delta write: the operation suffix [(d_base, target]] of an object's
-    committed history, shipped in place of the full state when the
-    coordinator knows the store already holds version [d_base] (see
-    {!Replica.Oplog}). The store folds the ops over its committed payload
-    {e at prepare time} and stages the resulting full state, so phase 2,
-    in-doubt resolution and recovery replay are identical to the
-    full-state path. *)
-
-type write = Full of Store.Object_state.t | Delta of delta
-
-(** A participant's phase-1 vote. [Vote_yes levels] carries, per prepared
-    object, the committed counter the store held when it staged the write
-    ([-1] = nothing yet): coordinators fold these levels into the shared
-    per-(store,object) floor ({!Replica.Oplog.note_store}), so even a
-    first-contact writer can base its next copy-back on a delta.
+(** A participant's phase-1 vote. [Vote_yes] stages the write.
 
     [Vote_stale] is backward validation:
     the incoming state's version is not the direct successor of what the
     store holds, meaning the writer worked from a stale activation (e.g.
     two clients activated disjoint replica sets during churn — the
     split-brain the Arjuna lock store prevents physically). The action
-    must abort; excluding the store would be wrong, it is healthy.
-
-    [Vote_delta_miss c] refuses a delta whose base does not match the
-    store's committed counter [c] ([-1] when the store holds nothing), or
-    that the store cannot fold (no applier, unknown implementation, an op
-    that fails). Nothing was staged; the coordinator reseeds its
-    acknowledged-version vector from [c] and retries with full state. *)
-type vote =
-  | Vote_yes of (Store.Uid.t * int) list
-  | Vote_stale
-  | Vote_delta_miss of int
+    must abort; excluding the store would be wrong, it is healthy. *)
+type vote = Vote_yes | Vote_stale
 
 type prepare_req = {
   pr_action : string;
   pr_coordinator : string;
-  pr_writes : (Store.Uid.t * write) list;
+  pr_writes : (Store.Uid.t * Store.Object_state.t) list;
 }
 (** One action's phase-1 sub-record for one store. A [store.prepare]
     round carries a list of them — every action of a group-commit batch
@@ -101,8 +69,8 @@ type prepare_req = {
     list of one — and the store answers one vote per sub-record, in
     order. Validation, write reservations, intent-log staging, the
     prepare/reservation hooks and duplicate-delivery replacement all run
-    per sub-record, so one action's refusal ([Vote_stale]/
-    [Vote_delta_miss]) affects only its own vote. A [store.commit] round
+    per sub-record, so one action's refusal ([Vote_stale]) affects only
+    its own vote. A [store.commit] round
     likewise carries a list of actions, each applied idempotently. *)
 
 val vote_of :
@@ -122,7 +90,7 @@ val prepare :
   (vote, Net.Rpc.error) result
 (** Phase-1 write of full states by one action to one store (a round of
     one sub-record): validate versions and record intentions durably on
-    [store]; [Ok (Vote_yes _)] is a yes-vote. *)
+    [store]; [Ok Vote_yes] is a yes-vote. *)
 
 val commit :
   t ->
@@ -160,9 +128,7 @@ val prepare_all :
     per-action vote list in sub-record order. The commit-time state copy
     (§2.3(3)) issues this one parallel write to all of [StA] instead of a
     chain of blocking calls, so its latency is one round-trip, not [|St|]
-    of them. Each store gets its own sub-records, so the copy-back can
-    ship a delta to stores whose acknowledged version it knows and full
-    state to the rest.
+    of them.
 
     The 2PC fan-outs take an optional hedging policy and propagated
     deadline (see {!Net.Rpc.call_all}). Hedging is safe here: a replayed
@@ -192,7 +158,7 @@ val prepare_each :
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
   action:string ->
   coordinator:Net.Network.node_id ->
-  (Net.Network.node_id * (Store.Uid.t * write) list) list ->
+  (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (vote, Net.Rpc.error) result) list
 (** {!prepare_all} for one action: one sub-record per store, the action's
     vote per store. *)
@@ -247,14 +213,6 @@ val set_reservation_hook :
     reservations on the objects. [blockers] lists each blocking action
     with its coordinator. {!Recovery.break_stale_reservations} uses it to
     resolve reservations whose coordinator has been partitioned away. *)
-
-val set_delta_applier :
-  t -> (impl:string -> payload:string -> op:string -> string option) -> unit
-(** Install the operation folder delta prepares resolve with ([None]
-    refuses the op and misses the delta). Stores sit below the
-    object-implementation registry, so the world-assembly layer injects
-    this; a runtime without one answers every delta with
-    [Vote_delta_miss]. *)
 
 val record_decision :
   t -> node:Net.Network.node_id -> action:string -> Store.Intent_log.decision -> unit

@@ -8,8 +8,7 @@ let add act ~store ~writes =
       match
         Store_host.prepare sh ~from ~store ~action ~coordinator:from (writes ())
       with
-      | Ok (Store_host.Vote_yes _) -> true
-      | Ok (Store_host.Vote_stale | Store_host.Vote_delta_miss _) | Error _ ->
-          false)
+      | Ok Store_host.Vote_yes -> true
+      | Ok Store_host.Vote_stale | Error _ -> false)
     ~commit:(fun () -> ignore (Store_host.commit sh ~from ~store ~action))
     ~abort:(fun () -> ignore (Store_host.abort sh ~from ~store ~action))

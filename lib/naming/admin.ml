@@ -57,7 +57,7 @@ let retire_store t ~from ~uid node =
   administratively t ~from (fun act ->
       lift_reply (Router.retire_store_home (Binder.router t) ~act ~uid node))
 
-let add_store t ~server_rt ~from ~uid node =
+let add_store t ~from ~uid node =
   let sh = Action.Atomic.store_host (art t) in
   administratively t ~from (fun act ->
       (* Include first: the write lock serialises against in-flight
@@ -90,13 +90,12 @@ let add_store t ~server_rt ~from ~uid node =
             (Administrative
                (Unavailable "no reachable source holds the latest committed state"))
       | Some state -> (
-          ignore server_rt;
           match
             Action.Store_host.prepare sh ~from ~store:node
               ~action:(Action.Atomic.owner act) ~coordinator:from
               [ (uid, state) ]
           with
-          | Ok (Action.Store_host.Vote_yes _) ->
+          | Ok Action.Store_host.Vote_yes ->
               Action.Atomic.add_participant act ~name:("admin-copy:" ^ node)
                 ~prepare:(fun () -> true)
                 ~commit:(fun () ->
@@ -107,8 +106,5 @@ let add_store t ~server_rt ~from ~uid node =
                   ignore
                     (Action.Store_host.abort sh ~from ~store:node
                        ~action:(Action.Atomic.owner act)))
-          | Ok
-              ( Action.Store_host.Vote_stale
-              | Action.Store_host.Vote_delta_miss _ )
-          | Error _ ->
+          | Ok Action.Store_host.Vote_stale | Error _ ->
               raise (Administrative (Unavailable ("cannot copy state to " ^ node)))))

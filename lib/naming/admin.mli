@@ -47,7 +47,6 @@ val retire_server :
 
 val add_store :
   Binder.t ->
-  server_rt:Replica.Server.runtime ->
   from:Net.Network.node_id ->
   uid:Store.Uid.t ->
   Net.Network.node_id ->

@@ -210,7 +210,6 @@ type t = {
   ep_get_view : (read_req, Net.Network.node_id list reply) Net.Rpc.endpoint;
   ep_batch : (batch_req, batch_view reply) Net.Rpc.endpoint;
   ep_view_snap : (Store.Uid.t, (Net.Network.node_id list * int) reply) Net.Rpc.endpoint;
-  ep_server_snap : (Store.Uid.t, (server_view * int) reply) Net.Rpc.endpoint;
   ep_view_commit : (Store.Uid.t, (Net.Network.node_id list * int) reply) Net.Rpc.endpoint;
   ep_validate : (validate_req, bool reply) Net.Rpc.endpoint;
   ep_membership : (member_req, (bool * Store.Version.t) reply) Net.Rpc.endpoint;
@@ -597,20 +596,6 @@ let h_get_view_commit t uid =
       Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
       Granted (e.e_snap.im_state.im_st, e.e_snap.im_state.im_st_rev)
 
-let h_get_server_snapshot t uid =
-  match entry_opt t uid with
-  | None -> absent t uid
-  | Some e ->
-      Sim.Metrics.incr (metrics t) "gvd.get_server";
-      Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
-      Granted
-        ( {
-            sv_servers = e.e_snap.im_server.im_sv;
-            sv_uses =
-              List.map (fun n -> (n, use_list e.e_snap n)) e.e_snap.im_server.im_sv;
-          },
-          e.e_version )
-
 let take k xs =
   let rec go k = function
     | [] -> []
@@ -704,6 +689,19 @@ let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
               }
           end)
 
+(* The §4.2.1 write fence: the exclude-write lock, or a plain write lock
+   when the world turns [use_exclude_write] off. [take_fence] promotes a
+   lock the action already holds on [key], else acquires one without
+   waiting. *)
+let fence_mode t =
+  if t.use_exclude_write then Lockmgr.Mode.Exclude_write else Lockmgr.Mode.Write
+
+let take_fence t ~action key =
+  let mode = fence_mode t in
+  match Lockmgr.Manager.holds t.locks ~owner:action key with
+  | Some _ -> Lockmgr.Manager.promote t.locks ~owner:action ~to_mode:mode key
+  | None -> Lockmgr.Manager.try_acquire t.locks ~owner:action ~mode key
+
 (* Exclude: promote (or acquire) the §4.2.1 lock on every listed entry
    first; only mutate once every lock is held, so refusal leaves the
    database untouched. *)
@@ -718,17 +716,11 @@ let h_exclude t { x_action; x_pairs } =
   with
   | Some dest -> Moved dest
   | None ->
-  let mode =
-    if t.use_exclude_write then Lockmgr.Mode.Exclude_write else Lockmgr.Mode.Write
+  let all_locked =
+    List.for_all
+      (fun (uid, _) -> take_fence t ~action:x_action (st_key uid))
+      x_pairs
   in
-  let acquire uid =
-    let key = st_key uid in
-    match Lockmgr.Manager.holds t.locks ~owner:x_action key with
-    | Some _ -> Lockmgr.Manager.promote t.locks ~owner:x_action ~to_mode:mode key
-    | None ->
-        Lockmgr.Manager.try_acquire t.locks ~owner:x_action ~mode key
-  in
-  let all_locked = List.for_all (fun (uid, _) -> acquire uid) x_pairs in
   if not all_locked then begin
     Sim.Metrics.incr (metrics t) "gvd.exclude_refused";
     Refused "exclude lock promotion refused"
@@ -908,17 +900,8 @@ let h_note_version t { n_uid; n_action; n_version } =
   match entry_opt t n_uid with
   | None -> absent t n_uid
   | Some e ->
-      let mode =
-        if t.use_exclude_write then Lockmgr.Mode.Exclude_write
-        else Lockmgr.Mode.Write
-      in
       let key = st_key n_uid in
-      let locked =
-        match Lockmgr.Manager.holds t.locks ~owner:n_action key with
-        | Some _ -> Lockmgr.Manager.promote t.locks ~owner:n_action ~to_mode:mode key
-        | None -> Lockmgr.Manager.try_acquire t.locks ~owner:n_action ~mode key
-      in
-      if not locked then begin
+      if not (take_fence t ~action:n_action key) then begin
         break_stale_lock_holders t key;
         Refused "version-note lock refused"
       end
@@ -961,10 +944,7 @@ let h_validate_view t { vv_uid; vv_action; vv_version; vv_rev } =
   match entry_opt t vv_uid with
   | None -> absent t vv_uid
   | Some e ->
-      let mode =
-        if t.use_exclude_write then Lockmgr.Mode.Exclude_write
-        else Lockmgr.Mode.Write
-      in
+      let mode = fence_mode t in
       let key = st_key vv_uid in
       (* Probe before mutating: [available] is the pure validate-under-mode
          query, so a doomed request breaks stale holders and refuses
@@ -976,14 +956,8 @@ let h_validate_view t { vv_uid; vv_action; vv_version; vv_rev } =
         Refused "validate lock refused"
       end
       else begin
-        let locked =
-          match Lockmgr.Manager.holds t.locks ~owner:vv_action key with
-          | Some _ ->
-              Lockmgr.Manager.promote t.locks ~owner:vv_action ~to_mode:mode key
-          | None ->
-              Lockmgr.Manager.try_acquire t.locks ~owner:vv_action ~mode key
-        in
-        if not locked then Refused "validate lock refused"
+        if not (take_fence t ~action:vv_action key) then
+          Refused "validate lock refused"
         else if e.e_snap.im_state.im_st_rev <> vv_rev then begin
           Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
           tracef t "%s validate %a: rev %d moved to %d" vv_action Store.Uid.pp
@@ -1023,10 +997,7 @@ let h_membership t { mb_uid; mb_action; mb_node; mb_rev } =
   match entry_opt t mb_uid with
   | None -> absent t mb_uid
   | Some e ->
-      let mode =
-        if t.use_exclude_write then Lockmgr.Mode.Exclude_write
-        else Lockmgr.Mode.Write
-      in
+      let mode = fence_mode t in
       let key = st_key mb_uid in
       if not (Lockmgr.Manager.available t.locks ~owner:mb_action ~mode key)
       then begin
@@ -1035,14 +1006,8 @@ let h_membership t { mb_uid; mb_action; mb_node; mb_rev } =
         Refused "membership lock refused"
       end
       else begin
-        let locked =
-          match Lockmgr.Manager.holds t.locks ~owner:mb_action key with
-          | Some _ ->
-              Lockmgr.Manager.promote t.locks ~owner:mb_action ~to_mode:mode key
-          | None ->
-              Lockmgr.Manager.try_acquire t.locks ~owner:mb_action ~mode key
-        in
-        if not locked then Refused "membership lock refused"
+        if not (take_fence t ~action:mb_action key) then
+          Refused "membership lock refused"
         else if e.e_snap.im_state.im_st_rev <> mb_rev then begin
           Sim.Metrics.incr (metrics t) "gvd.membership_conflicts";
           tracef t "%s membership %a: rev %d moved to %d" mb_action
@@ -1286,7 +1251,6 @@ let install ?(use_exclude_write = true) ?(durable = false)
       ep_get_view = Net.Rpc.endpoint "gvd.get_view";
       ep_batch = Net.Rpc.endpoint "gvd.bind_batch";
       ep_view_snap = Net.Rpc.endpoint "gvd.get_view_snapshot";
-      ep_server_snap = Net.Rpc.endpoint "gvd.get_server_snapshot";
       ep_exclude = Net.Rpc.endpoint "gvd.exclude";
       ep_include = Net.Rpc.endpoint "gvd.include";
       ep_retire_sv = Net.Rpc.endpoint "gvd.retire_sv";
@@ -1341,8 +1305,6 @@ let install ?(use_exclude_write = true) ?(durable = false)
       serviced t (fun () -> h_batch t req));
   Net.Rpc.serve rpc ~node t.ep_view_snap (fun uid ->
       serviced t (fun () -> h_get_view_snapshot t uid));
-  Net.Rpc.serve rpc ~node t.ep_server_snap (fun uid ->
-      serviced t (fun () -> h_get_server_snapshot t uid));
   Net.Rpc.serve rpc ~node t.ep_exclude (fun req ->
       serviced t (fun () -> h_exclude t req));
   Net.Rpc.serve rpc ~node t.ep_include (fun req ->
@@ -1510,7 +1472,6 @@ let bind_batch t ~act ~uid ~client ~replicas ~credits =
 (* Snapshot reads are lock-free and touch no recoverable state, so they
    are plain calls — no enlistment, nothing for the action to release. *)
 let get_view_snapshot t ~from uid = plain_call t ~from t.ep_view_snap uid
-let get_server_snapshot t ~from uid = plain_call t ~from t.ep_server_snap uid
 
 let exclude t ~act pairs =
   call_enlisted t ~act t.ep_exclude

@@ -59,8 +59,8 @@ val install :
     what the sharded tier ({!Router}) relieves.
 
     Under a gray-failure profile ({!Net.Network.hedged}) the plain
-    idempotent reads — {!lookup}, {!entry_info}, {!get_view_snapshot},
-    {!get_server_snapshot} — race a health-delayed backup copy
+    idempotent reads — {!lookup}, {!entry_info}, {!get_view_snapshot} —
+    race a health-delayed backup copy
     ({!Net.Rpc.call_hedged}). The enlisted operations are {e never}
     hedged: they take locks and stage counter updates, and a hedged
     duplicate would ride below the RPC duplicate guard (e.g. a
@@ -205,11 +205,6 @@ val get_view_snapshot :
   Store.Uid.t -> ((Net.Network.node_id list * int) reply, Net.Rpc.error) result
 (** Lock-free read of the committed [StA] snapshot and its version. Not
     enlisted in any action (there is nothing to undo or release). *)
-
-val get_server_snapshot :
-  t -> from:Net.Network.node_id ->
-  Store.Uid.t -> ((server_view * int) reply, Net.Rpc.error) result
-(** Lock-free read of the committed [SvA] snapshot (with use lists). *)
 
 (** {2 Object State database operations} (§4.2) *)
 

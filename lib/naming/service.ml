@@ -41,7 +41,7 @@ let autonomic t = t.w_autonomic
 
 let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
     ?(cleanup_period = 0.0) ?bind_cache_lease ?(naming_service_time = 0.0)
-    ?delta_shipping ?force_delta ?gray_failure topology =
+    ?gray_failure topology =
   let eng = Sim.Engine.create ?seed () in
   (* The gray-failure profile (§15, §16) lives on the network: every layer
      above reads it where it acts, so there is nothing else to wire. *)
@@ -52,17 +52,7 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
   let art = Action.Atomic.make_runtime sh rh in
   let impls = Replica.Object_impl.registry () in
   List.iter (Replica.Object_impl.register impls) Replica.Object_impl.stock_all;
-  let srv = Replica.Server.create ?delta_shipping ?force_delta art impls in
-  (* Stores sit below the implementation registry, so the op folder delta
-     prepares resolve with is injected here. Installed regardless of the
-     flag: it only ever runs for delta prepares, which only a
-     delta-shipping copy-back emits. *)
-  Action.Store_host.set_delta_applier sh (fun ~impl ~payload ~op ->
-      match Hashtbl.find_opt impls impl with
-      | None -> None
-      | Some i -> (
-          try Some (fst (i.Replica.Object_impl.apply payload op))
-          with _ -> None));
+  let srv = Replica.Server.create art impls in
   (* The primary naming node first, then the extra shards in declaration
      order — the shard-map node set. *)
   let naming_nodes =
@@ -85,23 +75,6 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
   Action.Recovery.guard_prepares art;
   Action.Recovery.break_stale_reservations art ();
   List.iter (fun n -> Replica.Server.install_host srv n) topology.server_nodes;
-  (* The acknowledged-version vector is client-volatile state: entries of
-     a crashed client die with it (a recovered incarnation starts from
-     full-state shipping, the safe default). *)
-  List.iter
-    (fun c ->
-      Net.Network.on_crash net c (fun () ->
-          Replica.Oplog.drop_client (Replica.Server.oplog srv) c))
-    topology.client_nodes;
-  (* The shared per-store floor likewise never outlives the store's
-     incarnation: a recovering store replays its intent log, so the
-     conservative reset (floor staleness only ever costs a delta-miss
-     retry) keeps the seeding trivially safe. *)
-  List.iter
-    (fun s ->
-      Net.Network.on_crash net s (fun () ->
-          Replica.Oplog.drop_store (Replica.Server.oplog srv) s))
-    topology.store_nodes;
   let grt = Replica.Group.create srv ~sequencer:topology.gvd_node in
   let router =
     Router.create ~use_exclude_write ~durable:durable_naming

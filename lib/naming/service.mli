@@ -43,8 +43,6 @@ val create :
   ?cleanup_period:float ->
   ?bind_cache_lease:float ->
   ?naming_service_time:float ->
-  ?delta_shipping:bool ->
-  ?force_delta:bool ->
   ?gray_failure:gray_failure ->
   topology ->
   t
@@ -63,15 +61,8 @@ val create :
     coalesce for 5.0 before they are flushed (a blocked [Insert] pulls
     them early, see {!Binder.pull_credits}).
 
-    [delta_shipping] (default false) turns on op-log delta replication
-    for the commit copy-back ({!Replica.Server.create},
-    {!Replica.Oplog}): stores the coordinator knows to be exactly one log
-    suffix behind receive the operations, not the whole state. The
-    default runs the seed's full-state copy byte-identically.
-    [force_delta] (default false) skips the per-write encoded-size
-    comparison and ships a delta whenever the base version is known —
-    the pre-comparison behaviour, kept for worlds that measure delta
-    coverage rather than bytes. Both are fixed for the world's life.
+    The commit copy-back writes the object's whole new state to every
+    store in [StA] (§2.3(3)).
 
     Commits go through the group-commit plane ({!Replica.Groupcommit},
     docs/PROTOCOLS.md §14) and validate a lock-free [St] snapshot inside

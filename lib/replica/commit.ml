@@ -32,9 +32,6 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
             Store.Object_state.make ~payload:view.Server.cv_payload
               ~version:view.Server.cv_version
           in
-          let target = view.Server.cv_version.Store.Version.counter in
-          let delta_on = Server.delta_shipping srv in
-          let olog = Server.oplog srv in
           (* Gray-failure plane (live only under a profile, see
              {!Net.Network.gray_failure}): hedge the idempotent 2PC
              scatters with health-delayed backups, and ride the action's
@@ -43,8 +40,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
              refuse votes this commit already gave up on.
              Phase-2 commit/abort deliberately carries no deadline: a
              decided outcome must reach the stores even when the initiator
-             stopped waiting — shedding it would leak reservations and
-             stall the acked floor. *)
+             stopped waiting — shedding it would leak reservations. *)
           let net = Action.Atomic.network art in
           let hedge =
             if Net.Network.hedged net then Some (Net.Rpc.hedge ()) else None
@@ -57,11 +53,10 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
              the same object (it is in [St]), so a duplicate prepare or
              phase-2 there is idempotent; a sibling win surfaces as the
              leg's own error ({!Action.Store_host.prepare_each}), flowing
-             into the ordinary §4.2 exclude / forget-ack conservatism —
-             the win buys latency (the gather stops waiting on the
-             browned node after one healthy round-trip), never a
-             substituted answer. Live only under the [Autonomic]
-             profile. *)
+             into the ordinary §4.2 exclude — the win buys latency (the
+             gather stops waiting on the browned node after one healthy
+             round-trip), never a substituted answer. Live only under the
+             [Autonomic] profile. *)
           let alt_map current_st =
             match Net.Network.gray_failure net with
             | None | Some Net.Network.Hedged -> None
@@ -81,92 +76,20 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                       | _ -> None
                     else None)
           in
-          (* Golden shadow for the audit: whatever mix of deltas and full
-             states the stores end up applying, their committed bytes for
-             this version must equal this payload. *)
-          if delta_on then
-            Oplog.record_golden olog ~uid ~version:view.Server.cv_version
-              ~payload:view.Server.cv_payload;
-          let write_bytes = function
-            | Action.Store_host.Full s -> Store.Object_state.bytes s
-            | Action.Store_host.Delta d ->
-                List.fold_left
-                  (fun acc (_, ops) ->
-                    List.fold_left
-                      (fun acc op -> acc + String.length op)
-                      acc ops)
-                  0 d.Action.Store_host.d_steps
-          in
-          (* Per-store delta-vs-full decision: ship the op suffix
-             [(v_store, v_commit]] iff the version knowledge (this client's
-             acknowledged vector, else the shared floor other writers'
-             votes seeded) says where the store stands and the commit
-             view's chain covers the whole gap — and the suffix actually
-             encodes smaller than the full state (an op-heavy history on a
-             tiny object can outweigh its payload; [Server.force_delta]
-             skips the size check to keep chaos coverage of the delta
-             path). A store never heard from, a vector entry at the target
-             already, or a truncated chain all fall back to full state. *)
-          let choose store =
-            if not delta_on then Action.Store_host.Full full_state
-            else
-              let fallback () =
-                Sim.Metrics.incr metrics "commit.delta_fallbacks";
-                Action.Store_host.Full full_state
-              in
-              match Oplog.known_version olog ~client ~store ~uid with
-              | Some base when base < target -> (
-                  match
-                    Oplog.suffix_of view.Server.cv_delta ~base ~upto:target
-                  with
-                  | Some steps ->
-                      let delta =
-                        Action.Store_host.Delta
-                          {
-                            Action.Store_host.d_impl = group.Group.g_impl;
-                            d_base = base;
-                            d_steps = steps;
-                          }
-                      in
-                      if
-                        Server.force_delta srv
-                        || write_bytes delta <= write_bytes (Full full_state)
-                      then delta
-                      else begin
-                        Sim.Metrics.incr metrics "commit.delta_oversize";
-                        Action.Store_host.Full full_state
-                      end
-                  | None -> fallback ())
-              | _ -> fallback ()
-          in
-          let charge w =
-            Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:(write_bytes w)
-          in
-          (* Fold the committed levels a yes-vote piggybacks into the
-             shared per-(store,object) floor: the next writer — any
-             client — can start its copy-back from a delta based there. *)
-          let seed_levels store vote =
-            if delta_on then
-              match vote with
-              | Ok (Action.Store_host.Vote_yes levels) ->
-                  List.iter
-                    (fun (u, c) -> Oplog.note_store olog ~store ~uid:u c)
-                    levels
-              | _ -> ()
-          in
+          let full_bytes = Store.Object_state.bytes full_state in
           (* One copy-back attempt against the membership [current_st]:
-             scatter the prepares, absorb delta misses, detect staleness,
-             exclude unreachable stores, then [seal] the naming tier's
-             view of the commit — the optimistic validate-and-note, or the
-             locked fallback's version note. [`Conflict] (validation only:
-             a membership change committed under our feet) withdraws the
-             prepares so the caller can retry against fresh [St]. *)
+             scatter the prepares, detect staleness, exclude unreachable
+             stores, then [seal] the naming tier's view of the commit —
+             the optimistic validate-and-note, or the locked fallback's
+             version note. [`Conflict] (validation only: a membership
+             change committed under our feet) withdraws the prepares so
+             the caller can retry against fresh [St]. *)
           let run current_st ~seal =
             let alt_of = alt_map current_st in
-            let writes =
-              List.map (fun store -> (store, choose store)) current_st
-            in
-            List.iter (fun (_, w) -> charge w) writes;
+            List.iter
+              (fun _ ->
+                Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
+              current_st;
             (* The paper's parallel write to all of StA: one concurrent
                prepare per store, votes gathered in store order. Latency is
                the slowest round-trip, not the sum. The prepare joins (or
@@ -174,73 +97,25 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                exactly like [prepare_each]'s, with any non-yes member
                already peeled out to a solo retry inside. *)
             let scattered = Sim.Engine.now eng in
-            let per_store = List.map (fun (s, w) -> (s, [ (uid, w) ])) writes in
+            let per_store =
+              List.map (fun s -> (s, [ (uid, full_state) ])) current_st
+            in
             let votes =
               Groupcommit.prepare gc tok ?deadline_at ?alt_of ~client ~action
                 per_store
-            in
-            if delta_on then
-              List.iter
-                (fun (store, vote) ->
-                  match (List.assoc_opt store writes, vote) with
-                  | ( Some (Action.Store_host.Delta _),
-                      Ok
-                        ( Action.Store_host.Vote_yes _
-                        | Action.Store_host.Vote_stale ) ) ->
-                      Sim.Metrics.incr metrics "commit.delta_hits"
-                  | _ -> ())
-                votes;
-            let ok, stale, missed, unreachable =
-              List.fold_left
-                (fun (ok, stale, missed, unreachable) (store, vote) ->
-                  seed_levels store vote;
-                  match vote with
-                  | Ok (Action.Store_host.Vote_yes _) ->
-                      (store :: ok, stale, missed, unreachable)
-                  | Ok Action.Store_host.Vote_stale ->
-                      (ok, store :: stale, missed, unreachable)
-                  | Ok (Action.Store_host.Vote_delta_miss counter) ->
-                      (ok, stale, (store, counter) :: missed, unreachable)
-                  | Error _ -> (ok, stale, missed, store :: unreachable))
-                ([], [], [], []) votes
-            in
-            (* A delta miss means the vector was wrong about that store
-               (recovered with an older state, or our last commit's
-               acknowledgement never arrived). Nothing was staged there:
-               reseed the vector from the counter the store reported and
-               retry those stores — and only those — with full state. *)
-            let retry_votes =
-              match missed with
-              | [] -> []
-              | missed ->
-                  List.iter
-                    (fun (store, counter) ->
-                      Oplog.note_acked olog ~client ~store ~uid counter;
-                      Sim.Metrics.incr metrics "commit.delta_fallbacks";
-                      charge (Action.Store_host.Full full_state))
-                    missed;
-                  Action.Store_host.prepare_each sh ~from:client ?hedge
-                    ?deadline_at ?alt_of ~action ~coordinator:client
-                    (List.map
-                       (fun (store, _) ->
-                         (store, [ (uid, Action.Store_host.Full full_state) ]))
-                       missed)
             in
             Sim.Metrics.observe metrics "commit.fanout"
               (Sim.Engine.now eng -. scattered);
             let ok, stale, unreachable =
               List.fold_left
                 (fun (ok, stale, unreachable) (store, vote) ->
-                  seed_levels store vote;
                   match vote with
-                  | Ok (Action.Store_host.Vote_yes _) ->
+                  | Ok Action.Store_host.Vote_yes ->
                       (store :: ok, stale, unreachable)
-                  | Ok
-                      ( Action.Store_host.Vote_stale
-                      | Action.Store_host.Vote_delta_miss _ ) ->
+                  | Ok Action.Store_host.Vote_stale ->
                       (ok, store :: stale, unreachable)
                   | Error _ -> (ok, stale, store :: unreachable))
-                (ok, stale, unreachable) retry_votes
+                ([], [], []) votes
             in
             let ok = List.rev ok and failed = List.rev unreachable in
             (* Any early abort from here on must withdraw the prepare
@@ -302,39 +177,16 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                              set: its commit/abort scatters to every
                              prepared store concurrently instead of
                              registering |St| serially notified
-                             participants. A store's commit
-                             acknowledgement is what advances the
-                             acknowledged-version vector: only then is the
-                             store known to hold [target], so only then
-                             may the next copy ship it a delta based
-                             there. A lost acknowledgement clears the
-                             entry instead — the store may or may not have
-                             applied, and the next copy must not presume. *)
+                             participants. *)
                           Groupcommit.expect_phase2 gc;
                           Action.Atomic.add_participant act ~name:"st-copy"
                             ~prepare:(fun () -> true)
                             ~commit:(fun () ->
-                              let results =
-                                Groupcommit.commit gc ?alt_of ~client
-                                  ~stores:ok action
-                              in
-                              if delta_on then
-                                List.iter
-                                  (fun (store, r) ->
-                                    match r with
-                                    | Ok () ->
-                                        Oplog.note_acked olog ~client ~store
-                                          ~uid target;
-                                        Oplog.note_store olog ~store ~uid
-                                          target
-                                    | Error _ ->
-                                        Oplog.forget_ack olog ~client ~store
-                                          ~uid)
-                                  results)
+                              Groupcommit.commit gc ?alt_of ~client
+                                ~stores:ok action)
                             ~abort:(fun () ->
-                              ignore
-                                (Groupcommit.abort gc ?alt_of ~client
-                                   ~stores:ok action));
+                              Groupcommit.abort gc ?alt_of ~client
+                                ~stores:ok action);
                           `Done (Ok ())))
           in
           (* The locked fallback: re-read [St] under a read lock owned by

@@ -10,14 +10,8 @@
     + fetch the commit view from a functioning replica (abort if none);
     + {e read optimisation}: if the action never modified the object, skip
       the copy entirely;
-    + prepare the new state on every node of the group's [StA] view —
-      when the server runtime has delta shipping enabled
-      ({!Server.delta_shipping}), each store is shipped the op-log
-      suffix [(v_store, v_commit]] instead of the full state whenever the
-      acknowledged-version vector knows [v_store] and the commit view's
-      chain covers the gap ({!Oplog}); a [Vote_delta_miss] reseeds the
-      vector from the store's reported counter and retries that store
-      with full state in a second prepare round;
+    + prepare the object's whole new state on every node of the group's
+      [StA] view (metric [commit.bytes_shipped] sums the bytes shipped);
     + if {e every} store is unreachable, abort;
     + if {e some} failed, invoke the [exclude] callback (provided by the
       naming layer; it performs the paper's lock promotion and [Exclude]

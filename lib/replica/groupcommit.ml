@@ -7,7 +7,7 @@
    {!Action.Store_host.prepare_all}) instead of one per member.
    Everything transactional stays per action at the store — voting,
    write reservations, intent-log staging, recovery, duplicate delivery —
-   so a refused member ([Vote_stale], [Vote_delta_miss], or a
+   so a refused member ([Vote_stale], or a
    transport error on one store) is peeled out for an ordinary solo
    retry while its batchmates proceed untouched.
 
@@ -37,7 +37,7 @@ type member = {
   m_client : Net.Network.node_id;
   m_action : string;
   m_writes :
-    (Net.Network.node_id * (Store.Uid.t * Action.Store_host.write) list) list;
+    (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list;
   m_alt : (Net.Network.node_id -> Net.Network.node_id option) option;
       (* the member's sibling-hedge map (see {!Replica.Commit}); only the
          scatters issued on this member's own behalf use it — a
@@ -63,8 +63,7 @@ type p2_member = {
   p_action : string;
   p_stores : Net.Network.node_id list;
   p_alt : (Net.Network.node_id -> Net.Network.node_id option) option;
-  p_acks :
-    (Net.Network.node_id * (unit, Net.Rpc.error) result) list Sim.Ivar.t;
+  p_done : unit Sim.Ivar.t;
 }
 
 type p2_batch = {
@@ -229,7 +228,7 @@ let all_yes votes =
   votes <> []
   && List.for_all
        (fun (_, v) ->
-         match v with Ok (Action.Store_host.Vote_yes _) -> true | _ -> false)
+         match v with Ok Action.Store_host.Vote_yes -> true | _ -> false)
        votes
 
 (* A member's phase-1: join (or open) a batch, lead it if first, and wait
@@ -237,8 +236,7 @@ let all_yes votes =
    batch peels this member out: the batch votes are discarded and the
    member re-runs the ordinary solo prepare from its own node — a genuine
    conflict then aborts on the solo verdict exactly as an unbatched
-   commit would, and a delta miss flows into the caller's usual
-   reseed-and-retry, while the batchmates' staged prepares are untouched.
+   commit would, while the batchmates' staged prepares are untouched.
    (Duplicate prepare delivery is idempotent at the store:
    {!Store.Intent_log.prepare} replaces.) *)
 let prepare t tok ?deadline_at ?alt_of ~client ~action writes =
@@ -301,8 +299,7 @@ let prepare t tok ?deadline_at ?alt_of ~client ~action writes =
 
 (* Leader duty, phase 2: one commit round per store, under the leader's
    sibling map (safe for any batch size: an action unknown to the sibling
-   resolves as a no-op there), then hand each member its per-store
-   acks. *)
+   resolves as a no-op there), then release every member. *)
 let scatter2 t batch =
   batch.pb_open <- false;
   t.gc_p2 <- List.filter (fun b -> b != batch) t.gc_p2;
@@ -323,20 +320,10 @@ let scatter2 t batch =
                 members ))
           stores
       in
-      let results =
-        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
-          ?hedge:(gc_hedge t) ?alt_of:leader.p_alt reqs
-      in
-      List.iter
-        (fun m ->
-          Sim.Ivar.fill m.p_acks
-            (List.map
-               (fun store ->
-                 ( store,
-                   Option.value ~default:(Error Net.Rpc.No_service)
-                     (List.assoc_opt store results) ))
-               m.p_stores))
-        members
+      ignore
+        (Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
+           ?hedge:(gc_hedge t) ?alt_of:leader.p_alt reqs);
+      List.iter (fun m -> Sim.Ivar.fill m.p_done ()) members
 
 (* Batched phase 2 for a commit registered with {!expect_phase2}. Runs in
    the committing fiber (a 2PC participant's commit closure); the same
@@ -348,7 +335,7 @@ let commit t ?alt_of ~client ~stores action =
       p_action = action;
       p_stores = stores;
       p_alt = alt_of;
-      p_acks = Sim.Ivar.create ();
+      p_done = Sim.Ivar.create ();
     }
   in
   let leading, batch =
@@ -382,15 +369,16 @@ let commit t ?alt_of ~client ~stores action =
     scatter2 t batch
   end;
   match
-    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_acks
+    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_done
   with
-  | Ok acks -> acks
+  | Ok () -> ()
   | Error _ ->
       Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
       abandon2 t batch;
-      Action.Store_host.commit_all t.gc_sh ~from:client ?hedge:(gc_hedge t)
-        ?alt_of
-        (List.map (fun store -> (store, [ action ])) stores)
+      ignore
+        (Action.Store_host.commit_all t.gc_sh ~from:client
+           ?hedge:(gc_hedge t) ?alt_of
+           (List.map (fun store -> (store, [ action ])) stores))
 
 (* Phase-2 abort of a commit registered with {!expect_phase2}: aborts are
    rare, so they go out unbatched — but the registration must still
@@ -398,5 +386,6 @@ let commit t ?alt_of ~client ~stores action =
    drains. *)
 let abort t ?alt_of ~client ~stores action =
   settle_phase2 t;
-  Action.Store_host.abort_all t.gc_sh ~from:client ?hedge:(gc_hedge t) ?alt_of
-    ~stores action
+  ignore
+    (Action.Store_host.abort_all t.gc_sh ~from:client ?hedge:(gc_hedge t)
+       ?alt_of ~stores action)

@@ -50,7 +50,7 @@ val prepare :
   ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
   client:Net.Network.node_id ->
   action:string ->
-  (Net.Network.node_id * (Store.Uid.t * Action.Store_host.write) list) list ->
+  (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
 (** Join (or open and lead) a batch and return this member's per-store
     votes, shaped exactly like {!Action.Store_host.prepare_each}'s
@@ -80,14 +80,14 @@ val commit :
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
-  (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** Batched phase-2 commit: this member's per-store acks. Must run in a
-    fiber on [client].
+  unit
+(** Batched phase-2 commit: returns once this member's commit round has
+    been answered (or has failed; a store that missed it resolves the
+    action through in-doubt recovery). Must run in a fiber on [client].
 
     [alt_of] sibling-routes the orphan fallback and — as the leader's
     map — the batch's commit round, whatever its size (safe: an unknown
-    action resolves as a no-op at the store, and a sibling win surfaces
-    as the leg's error). *)
+    action resolves as a no-op at the store). *)
 
 val abort :
   t ->
@@ -95,6 +95,6 @@ val abort :
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
-  (Net.Network.node_id * (unit, Net.Rpc.error) result) list
+  unit
 (** Phase-2 abort: settles the {!expect_phase2} registration and issues
     the ordinary solo abort scatter (aborts are not batched). *)

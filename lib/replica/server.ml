@@ -14,12 +14,6 @@ type commit_view = {
   cv_payload : string;
   cv_version : Store.Version.t;
   cv_dirty : bool;
-  cv_delta : (Store.Version.t * string list) list;
-      (* the replica's retained op chain, oldest first, ending in the ops
-         the action staged (as version [cv_version]); empty when delta
-         shipping is off or the chain would be useless (clean view, or a
-         write whose ops were not recorded). The copy-back cuts per-store
-         suffixes out of this. *)
 }
 
 type mc_invoke = {
@@ -46,10 +40,6 @@ type instance = {
   mutable i_committed : string;
   mutable i_version : Store.Version.t;
   i_staged : (string, string) Hashtbl.t; (* action -> staged payload *)
-  i_staged_ops : (string, string list) Hashtbl.t;
-      (* action -> write ops staged so far, newest first; the provenance
-         of the staged payload: folding the reversed list over
-         [i_committed] reproduces [i_staged]. Feeds the op log at commit. *)
   i_applied : (string, string) Hashtbl.t; (* "action#serial" -> reply *)
   i_locks : Lockmgr.Manager.t;
   mutable i_role : role;
@@ -107,14 +97,7 @@ type checkpoint_msg = {
   k_committed : string;
   k_version : Store.Version.t;
   k_staged : (string * string) list;
-  k_staged_ops : (string * string list) list;
-      (* staged payloads and their op provenance travel together: a
-         promoted cohort that lost the ops could still commit, but could
-         no longer ship deltas for the write *)
   k_applied : (string * string) list;
-  k_oplog : (Store.Version.t * string list) list;
-      (* the coordinator's retained op log for the object, oldest first;
-         cohorts adopt it wholesale (checkpoint-anchored truncation) *)
   k_holders : (string * Lockmgr.Mode.t) list;
   k_members : Net.Network.node_id list;
   k_coordinator : Net.Network.node_id;
@@ -137,14 +120,6 @@ type runtime = {
   ch_invoke : mc_invoke Net.Multicast.channel;
   lock_timeout : float;
   mutable eager_checkpoints : bool;
-  o_log : Oplog.t;
-  delta_shipping : bool;
-      (* default off: worlds that never enable it run byte-identically to
-         the pre-oplog behaviour (no appends, no chains in views) *)
-  force_delta : bool;
-      (* skip the per-write size comparison: ship a coverable delta even
-         when the full state encodes smaller (chaos worlds keep the delta
-         path exercised on small objects) *)
   g_commit : Groupcommit.t;
       (* the group-commit plane commits on this runtime batch through *)
   (* In-flight presumed-abort probes for instance locks whose holder's
@@ -154,8 +129,7 @@ type runtime = {
 
 let resource_name uid = "obj:" ^ Store.Uid.to_string uid
 
-let create ?(delta_shipping = false) ?(force_delta = false) art impls =
-  let o_log = Oplog.create (Net.Network.metrics (Action.Atomic.network art)) in
+let create art impls =
   {
     art;
     impls;
@@ -173,9 +147,6 @@ let create ?(delta_shipping = false) ?(force_delta = false) art impls =
     ch_invoke = Net.Multicast.channel "server.invoke.mc";
     lock_timeout = 30.0;
     eager_checkpoints = true;
-    o_log;
-    delta_shipping;
-    force_delta;
     g_commit =
       Groupcommit.create
         ~engine:(Action.Atomic.engine art)
@@ -186,9 +157,6 @@ let create ?(delta_shipping = false) ?(force_delta = false) art impls =
 
 let atomic_runtime t = t.art
 let set_eager_checkpoints t flag = t.eager_checkpoints <- flag
-let oplog t = t.o_log
-let delta_shipping t = t.delta_shipping
-let force_delta t = t.force_delta
 let groupcommit t = t.g_commit
 let invoke_channel t = t.ch_invoke
 let reply_endpoint t = t.ep_reply
@@ -276,15 +244,7 @@ let checkpoint_to_cohorts t inst =
         k_committed = inst.i_committed;
         k_version = inst.i_version;
         k_staged = Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.i_staged [];
-        k_staged_ops =
-          (if t.delta_shipping then
-             Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.i_staged_ops []
-           else []);
         k_applied = Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.i_applied [];
-        k_oplog =
-          (if t.delta_shipping then
-             Oplog.records t.o_log ~node:inst.i_node ~uid:inst.i_uid
-           else []);
         k_holders = holders_snapshot inst;
         k_members = inst.i_members;
         k_coordinator = inst.i_node;
@@ -324,20 +284,6 @@ let make_manager t inst =
             inst.i_version <-
               Store.Version.next inst.i_version ~committed_by:action;
             Hashtbl.remove inst.i_staged action;
-            (* Append the committed version's op provenance before the
-               locks drop: the next writer's commit view must already see
-               a chain that reaches this version. A write whose ops were
-               not recorded (a checkpoint from a pre-oplog coordinator)
-               leaves a deliberate gap — gaps force full-state fallback,
-               never a wrong delta. *)
-            (if t.delta_shipping then
-               match Hashtbl.find_opt inst.i_staged_ops action with
-               | Some (_ :: _ as ops) ->
-                   Oplog.append t.o_log ~now:(Sim.Engine.now (eng t))
-                     ~node:inst.i_node ~uid:inst.i_uid ~version:inst.i_version
-                     ~ops:(List.rev ops)
-               | Some [] | None -> ());
-            Hashtbl.remove inst.i_staged_ops action;
             tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
               Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
         | None ->
@@ -355,7 +301,6 @@ let make_manager t inst =
     m_abort =
       (fun ~action ->
         Hashtbl.remove inst.i_staged action;
-        Hashtbl.remove inst.i_staged_ops action;
         clean_applied inst action;
         release action;
         settle_action inst action;
@@ -370,15 +315,7 @@ let make_manager t inst =
         (match Hashtbl.find_opt inst.i_staged action with
         | Some payload ->
             Hashtbl.replace inst.i_staged parent payload;
-            Hashtbl.remove inst.i_staged action;
-            (* The ops move with the payload they produced: the child's
-               staged state replaces the parent's, so its provenance
-               replaces the parent's too (the child folded over whatever
-               the parent had staged). *)
-            (match Hashtbl.find_opt inst.i_staged_ops action with
-            | Some ops -> Hashtbl.replace inst.i_staged_ops parent ops
-            | None -> Hashtbl.remove inst.i_staged_ops parent);
-            Hashtbl.remove inst.i_staged_ops action
+            Hashtbl.remove inst.i_staged action
         | None -> ());
         Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
           ~to_owner:parent;
@@ -531,15 +468,6 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                 let payload', reply = inst.i_impl.Object_impl.apply payload v_op in
                 if v_write then begin
                   Hashtbl.replace inst.i_staged v_action payload';
-                  (* Provenance, recorded exactly once per applied
-                     invocation (the dedup table above short-circuits
-                     retries): the op log entry this write will become. *)
-                  (if t.delta_shipping then
-                     let prev =
-                       Option.value ~default:[]
-                         (Hashtbl.find_opt inst.i_staged_ops v_action)
-                     in
-                     Hashtbl.replace inst.i_staged_ops v_action (v_op :: prev));
                   tracef t "%s: %s writes %a: %S -> %S (base %a)" node v_action
                     Store.Uid.pp v_uid payload payload' Store.Version.pp
                     inst.i_version
@@ -564,7 +492,6 @@ let apply_checkpoint t node msg =
             i_committed = msg.k_committed;
             i_version = msg.k_version;
             i_staged = Hashtbl.create 8;
-            i_staged_ops = Hashtbl.create 8;
             i_applied = Hashtbl.create 8;
             i_locks = Lockmgr.Manager.create (eng t);
             i_role = Cohort;
@@ -583,19 +510,8 @@ let apply_checkpoint t node msg =
     inst.i_version <- msg.k_version;
     Hashtbl.reset inst.i_staged;
     List.iter (fun (k, v) -> Hashtbl.replace inst.i_staged k v) msg.k_staged;
-    Hashtbl.reset inst.i_staged_ops;
-    List.iter
-      (fun (k, v) -> Hashtbl.replace inst.i_staged_ops k v)
-      msg.k_staged_ops;
     Hashtbl.reset inst.i_applied;
     List.iter (fun (k, v) -> Hashtbl.replace inst.i_applied k v) msg.k_applied;
-    (* Adopt the coordinator's retained op log for this object: the
-       checkpoint anchors how far back this cohort can ever ship deltas
-       from, which keeps cohort logs in lock-step with compaction at the
-       coordinator. *)
-    if t.delta_shipping then
-      Oplog.install t.o_log ~now:(Sim.Engine.now (eng t)) ~node
-        ~uid:msg.k_uid msg.k_oplog;
     inst.i_ckpt_holders <- msg.k_holders;
     inst.i_members <- msg.k_members
   end
@@ -661,7 +577,6 @@ let make_instance t node impl uid state role members =
     i_committed = state.Store.Object_state.payload;
     i_version = state.Store.Object_state.version;
     i_staged = Hashtbl.create 8;
-    i_staged_ops = Hashtbl.create 8;
     i_applied = Hashtbl.create 8;
     i_locks = Lockmgr.Manager.create (eng t);
     i_role = role;
@@ -764,27 +679,13 @@ let do_view t node { cw_uid; cw_action; cw_last_acked } =
           let cv_version =
             Store.Version.next inst.i_version ~committed_by:cw_action
           in
-          (* The chain the copy-back cuts suffixes from: this replica's
-             retained committed history plus the dirty write itself. A
-             write with no recorded ops yields an empty chain — the
-             copy-back then ships full state everywhere. *)
-          let cv_delta =
-            if not t.delta_shipping then []
-            else
-              match Hashtbl.find_opt inst.i_staged_ops cw_action with
-              | Some (_ :: _ as ops) ->
-                  Oplog.records t.o_log ~node ~uid:cw_uid
-                  @ [ (cv_version, List.rev ops) ]
-              | Some [] | None -> []
-          in
-          Some { cv_payload = staged; cv_version; cv_dirty = true; cv_delta }
+          Some { cv_payload = staged; cv_version; cv_dirty = true }
       | None ->
           Some
             {
               cv_payload = inst.i_committed;
               cv_version = inst.i_version;
               cv_dirty = false;
-              cv_delta = [];
             })
 
 let instance_quiescent inst =
@@ -843,12 +744,10 @@ let install_host t node =
              tracef t "%s: aborting orphaned action %s on %a" node action
                Store.Uid.pp inst.i_uid;
              (make_manager t inst).Action.Resource_host.m_abort ~action));
-  (* Instances are volatile: destroy them on crash, and their op logs
-     with them — a recovered node re-activates from the stores and
-     rebuilds history from its next commits. *)
+  (* Instances are volatile: destroy them on crash — a recovered node
+     re-activates from the stores. *)
   Net.Network.on_crash (net t) node (fun () ->
-      Hashtbl.reset (node_instances t node);
-      Oplog.drop_node t.o_log node)
+      Hashtbl.reset (node_instances t node))
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_activate

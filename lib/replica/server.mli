@@ -27,42 +27,15 @@ type runtime
 (** Server machinery for one simulated world. *)
 
 val create :
-  ?delta_shipping:bool ->
-  ?force_delta:bool ->
-  Action.Atomic.runtime ->
-  (string, Object_impl.t) Hashtbl.t ->
-  runtime
+  Action.Atomic.runtime -> (string, Object_impl.t) Hashtbl.t -> runtime
 (** [create art impls] builds the runtime over the action runtime and an
-    implementation registry.
-
-    [delta_shipping] (default off) enables op-log delta replication. Off,
-    the runtime records nothing and commit views carry no chains, so
-    worlds run byte-identically to the pre-oplog behaviour; on, instance
-    commits append their op provenance to {!oplog} before releasing
-    locks, checkpoints carry staged ops and the retained log, and
-    {!Commit.attach} ships per-store log suffixes instead of full states
-    wherever the acknowledged-version vector allows.
-
-    [force_delta] (default off) skips {!Commit.attach}'s per-write size
-    comparison and ships every coverable delta even when the full state
-    would encode smaller. Chaos worlds set it so small objects keep the
-    delta path — and its audit coverage — exercised. *)
+    implementation registry. *)
 
 val atomic_runtime : runtime -> Action.Atomic.runtime
-
-val oplog : runtime -> Oplog.t
-(** The per-object operation logs, acknowledged-version vector and golden
-    shadow this runtime maintains for delta state shipping. *)
-
-val delta_shipping : runtime -> bool
-(** The [delta_shipping] setting the runtime was created with. *)
 
 val groupcommit : runtime -> Groupcommit.t
 (** The group-commit plane of this runtime: {!Commit.attach} batches its
     prepare and phase-2 scatters through it. *)
-
-val force_delta : runtime -> bool
-(** The [force_delta] setting the runtime was created with. *)
 
 val set_eager_checkpoints : runtime -> bool -> unit
 (** Coordinator-cohort checkpointing policy: [true] (default) checkpoints
@@ -140,12 +113,6 @@ type commit_view = {
   cv_payload : string;
   cv_version : Store.Version.t;
   cv_dirty : bool;  (** the action staged a write *)
-  cv_delta : (Store.Version.t * string list) list;
-      (** the replica's retained op chain (oldest first), ending with the
-          ops of the dirty write at [cv_version]; empty unless delta
-          shipping is on and the write's provenance is fully known. The
-          copy-back cuts per-store suffixes [(v_store, cv_version]] out
-          of it ({!Oplog.suffix_of}). *)
 }
 
 val commit_view :

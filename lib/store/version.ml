@@ -15,5 +15,3 @@ let compare a b =
 
 let to_string t = Printf.sprintf "v%d(%s)" t.counter t.committed_by
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let follows a b = a.counter = b.counter + 1

@@ -21,9 +21,3 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-val follows : t -> t -> bool
-(** [follows a b]: [a] is a direct successor of [b] by counter —
-    contiguity of a committed-version chain, regardless of which actions
-    committed the steps. Backward validation and delta-suffix checks both
-    reduce to runs of this relation. *)

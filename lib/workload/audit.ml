@@ -36,36 +36,6 @@ let chaos w =
   let net = Service.network w in
   let topo = Service.topology w in
   let uid_str uid = Format.asprintf "%a" Store.Uid.pp uid in
-  (* Delta-replication ground truth: every store's committed bytes must
-     equal what a full-state install of that version would have written
-     (the golden shadow {!Replica.Oplog.record_golden} keeps). A
-     divergence means a delta folded to the wrong payload — exactly the
-     corruption full-state shipping could never produce. Worlds without
-     delta shipping record no golden entries, so this is vacuous there. *)
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  let golden_check uid =
-    List.iter
-      (fun node ->
-        match
-          Store.Object_store.read
-            (Action.Store_host.objects (Service.store_host w) node)
-            uid
-        with
-        | None -> ()
-        | Some s -> (
-            let version = s.Store.Object_state.version in
-            match Replica.Oplog.golden olog ~uid ~version with
-            | Some expected
-              when not (String.equal expected s.Store.Object_state.payload) ->
-                add
-                  "%s: store %s %s diverges from full-state replay (%S vs \
-                   golden %S)"
-                  (uid_str uid) node
-                  (Store.Version.to_string version)
-                  s.Store.Object_state.payload expected
-            | _ -> ()))
-      topo.Service.store_nodes
-  in
   (* Per-shard, per-object invariants: mutual consistency of StA and
      use-list quiescence (a non-empty counter after quiesce + cleanup is
      an orphan the protocol failed to repair, or a live client's credit
@@ -77,7 +47,6 @@ let chaos w =
           (match mutual_consistency w uid with
           | Ok () -> ()
           | Error why -> add "%s: %s" (uid_str uid) why);
-          golden_check uid;
           (* The optimistic-commit validation fence: the St revision
              counts only committed membership changes, and every install
              that bumps it also bumps the entry version — so it must sit

@@ -8,11 +8,6 @@ open Naming
    is greedily minimized — events dropped, then surviving events weakened
    by halving their fault durations — before being printed.
 
-   Both variants run with op-log delta shipping enabled: the copy-back
-   mixes delta and full-state prepares under the fault plane, and
-   Audit.chaos additionally holds every store's committed bytes to the
-   golden full-state shadow.
-
    Soundness choices: in the classic variant the naming nodes never crash
    (§3.1's availability assumption); the durable-ns variant runs the
    world with durable naming, where a crashed shard recovers its
@@ -186,9 +181,7 @@ type outcome = {
 let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
     ~seed ~events () =
   let w =
-    (* [force_delta]: the chaos objects are counters, whose deltas lose
-       the size comparison every time — forcing keeps the delta path
-       under fault coverage. Every world commits through validated
+    (* Every world commits through validated
        snapshots and the group-commit plane and binds scheme A with one
        Join scatter, so batch leadership, peel-outs and orphaned members
        all run under the fault schedule. The brownout world runs the
@@ -201,8 +194,7 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        crash churn and the controllers' Exclude/Include churn all share
        the schedule, and the audit must still come out clean without the
        membership plane livelocking (hysteresis + cooldown). *)
-    Service.create ~seed ~durable_naming:durable ~delta_shipping:true
-      ~force_delta:true
+    Service.create ~seed ~durable_naming:durable
       ?gray_failure:
         (if autonomic then Some Service.Autonomic
          else if brownout then Some Service.Hedged
@@ -529,13 +521,11 @@ let run_check ?(seeds = default_seeds) () =
     [
       "Seed-deterministic nemesis schedules (crashes, partitions, one-way";
       "cuts, lossy/duplicating/reordering links) over randomized";
-      "bind/commit workloads with a mid-run shard rebalance; delta";
-      "shipping is ON, so copy-backs mix op-log deltas with full-state";
-      "fallbacks under the fault plane. Every world commits through the";
-      "validated lock-free snapshot and the group-commit plane (window";
-      "2.0) and binds scheme A through one Join scatter, putting batch";
-      "leadership, peel-outs and orphaned members under the fault";
-      "schedules. The classic world never crashes";
+      "bind/commit workloads with a mid-run shard rebalance. Every world";
+      "commits through the validated lock-free snapshot and the";
+      "group-commit plane (window 2.0) and binds scheme A through one";
+      "Join scatter, putting batch leadership, peel-outs and orphaned";
+      "members under the fault schedules. The classic world never crashes";
       "naming; the durable-ns world runs durable naming and adds the";
       "naming shards to the crash pool. The brownout world adds";
       "gray failures (per-node service-time inflation, below every";
@@ -553,8 +543,7 @@ let run_check ?(seeds = default_seeds) () =
       "after its catch-up fence or leave a still-consistent smaller St.";
       "Servers/stores heal, crashed";
       "clients stay down for the cleanup protocol. After quiescence,";
-      "Audit.chaos checks StA mutual consistency, byte-equality of every";
-      "store against the full-state golden shadow, snapshot-version and";
+      "Audit.chaos checks StA mutual consistency, snapshot-version and";
       "St-revision monotonicity, use-list quiescence, residual";
       "locks/reservations and leaked fibers, plus commit accounting";
       "bounds. Failing schedules";

@@ -8,11 +8,6 @@
     cleanup sweeps) and checks the consolidated {!Audit.chaos} invariants
     plus commit-accounting bounds and snapshot-version monotonicity.
 
-    Delta shipping ({!Service.create}'s [delta_shipping]) is enabled in
-    every chaos world, so commit copy-backs mix op-log delta prepares
-    with full-state fallbacks under the fault plane, and the audit's
-    golden-shadow byte-equality check is live.
-
     Every world commits by validating a lock-free St snapshot in the
     prepare round, through the group-commit plane, and binds scheme A
     with one Join scatter, so batch leadership, vote peel-outs and

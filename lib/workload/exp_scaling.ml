@@ -63,8 +63,7 @@ let run ?(seed = 101L) () =
       in
       Sim.Engine.sleep eng 100.0;
       retry_admin "add_store" (fun () ->
-          Admin.add_store (Service.binder w)
-            ~server_rt:(Service.server_runtime w) ~from:"ops" ~uid "disk2");
+          Admin.add_store (Service.binder w) ~from:"ops" ~uid "disk2");
       Sim.Engine.sleep eng 100.0;
       retry_admin "add_server" (fun () ->
           Admin.add_server (Service.binder w) ~from:"ops" ~uid "srv2");

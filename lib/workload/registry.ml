@@ -122,12 +122,6 @@ let all =
       runner = (fun () -> Exp_shard_scaling.run ());
     };
     {
-      id = "tab-delta";
-      paper_artefact = "§2.3(3) (optimised)";
-      synopsis = "op-log delta shipping vs full-state commit copy-back";
-      runner = (fun () -> Exp_delta.run ());
-    };
-    {
       id = "tab-groupcommit";
       paper_artefact = "§2.3(3) (optimised)";
       synopsis = "group-commit: coalesced 2PC rounds per store";

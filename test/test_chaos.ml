@@ -285,6 +285,82 @@ let test_dup_decrement_flush_idempotent () =
     (Gvd.quiescent (Service.gvd w) uid);
   Alcotest.(check (list string)) "audit clean" [] (Workload.Audit.chaos w)
 
+(* Duplicate delivery on the commit path: a link that duplicates every
+   client<->store message, reorders some and drops a few while full
+   states are copied back. Rpc dedup plus the store's per-action prepare
+   replacement and idempotent phase 2 must land each acknowledged commit
+   exactly once. *)
+
+let test_dup_copy_back_exact () =
+  let w =
+    Service.create ~seed:21L
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [];
+        server_nodes = [ "alpha" ];
+        store_nodes = [ "t1"; "t2" ];
+        client_nodes = [ "c1"; "c2" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "t1"; "t2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  let net = Service.network w in
+  List.iter
+    (fun (src, dst) ->
+      Net.Fault.link_faults_for net ~at:1.0 ~duration:600.0 ~drop:0.1
+        ~dup:1.0 ~reorder:0.3 ~spike_prob:0.0 ~spike:0.0 ~src ~dst ())
+    [ ("c1", "t1"); ("c1", "t2"); ("t1", "c1"); ("t2", "c1") ];
+  let committed = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      for _ = 1 to 8 do
+        (match
+           Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+             ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+               ignore (Service.invoke w group ~act "add 1"))
+         with
+        | Ok () -> incr committed
+        | Error _ -> ());
+        Sim.Engine.sleep (Service.engine w) 5.0
+      done);
+  Service.run w;
+  (* Same janitor pass as the chaos harness: re-pull any phase-2
+     decision a dropped message left in doubt. *)
+  List.iter
+    (fun node ->
+      Net.Network.spawn_on net node ~name:(node ^ ".resolve") (fun () ->
+          Action.Recovery.resolve_in_doubt (Service.atomic w) ~node ()))
+    [ "t1"; "t2" ];
+  Service.run w;
+  check_bool "committed something" true (!committed > 0);
+  check_bool "duplicates were injected" true
+    (Sim.Metrics.counter (Service.metrics w) "fault.dup" > 0);
+  (* The newest store state equals the acknowledged commit count: every
+     duplicated or reordered copy-back applied exactly once. *)
+  let newest =
+    List.fold_left
+      (fun best node ->
+        match
+          Store.Object_store.read
+            (Action.Store_host.objects (Service.store_host w) node)
+            uid
+        with
+        | Some s -> (
+            match best with
+            | Some b when not (Store.Object_state.newer_than s b) -> Some b
+            | _ -> Some s)
+        | None -> best)
+      None [ "t1"; "t2" ]
+  in
+  (match newest with
+  | Some s ->
+      Alcotest.(check string)
+        "exact count" (string_of_int !committed) s.Store.Object_state.payload
+  | None -> Alcotest.fail "no committed state");
+  Alcotest.(check (list string)) "audit clean" [] (Workload.Audit.chaos w)
+
 (* ------------------------------------------------------------------ *)
 (* The chaos harness itself *)
 
@@ -337,6 +413,8 @@ let suite =
         tc "bind_batch under duplication" `Quick test_dup_bind_idempotent;
         tc "merged decrement under duplication" `Quick
           test_dup_decrement_flush_idempotent;
+        tc "full-state copy-back under a duplicating link" `Quick
+          test_dup_copy_back_exact;
       ] );
     ( "chaos.harness",
       [

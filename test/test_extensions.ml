@@ -178,8 +178,7 @@ let test_admin_add_store_copies_latest () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail e);
       match
-        Admin.add_store (Service.binder w)
-          ~server_rt:(Service.server_runtime w) ~from:"c1" ~uid "beta3"
+        Admin.add_store (Service.binder w) ~from:"c1" ~uid "beta3"
       with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Admin.error_to_string e));
@@ -208,8 +207,7 @@ let test_admin_grown_store_used_by_next_commit () =
   let w, uid = admin_world () in
   Service.spawn_client w "c1" (fun () ->
       (match
-         Admin.add_store (Service.binder w)
-           ~server_rt:(Service.server_runtime w) ~from:"c1" ~uid "beta3"
+         Admin.add_store (Service.binder w) ~from:"c1" ~uid "beta3"
        with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Admin.error_to_string e));

@@ -52,10 +52,8 @@ let test_prepare_validates_successor () =
             ~store:"beta1" ~action ~coordinator:"c1"
             [ (uid, mk_state "b" counter) ]
         with
-        | Ok (Action.Store_host.Vote_yes _) -> votes := (action, "yes") :: !votes
+        | Ok Action.Store_host.Vote_yes -> votes := (action, "yes") :: !votes
         | Ok Action.Store_host.Vote_stale -> votes := (action, "stale") :: !votes
-        | Ok (Action.Store_host.Vote_delta_miss _) ->
-            votes := (action, "miss") :: !votes
         | Error _ -> votes := (action, "error") :: !votes
       in
       try_prepare "succ" 4;
@@ -82,7 +80,7 @@ let test_reservation_released_by_abort () =
            ~coordinator:"c1"
            [ (uid, mk_state "b" 1) ]
        with
-      | Ok (Action.Store_host.Vote_yes _) -> ()
+      | Ok Action.Store_host.Vote_yes -> ()
       | _ -> Alcotest.fail "first prepare");
       ignore (Action.Store_host.abort sh ~from:"c1" ~store:"beta1" ~action:"t1");
       match
@@ -90,9 +88,8 @@ let test_reservation_released_by_abort () =
           ~coordinator:"c1"
           [ (uid, mk_state "c" 1) ]
       with
-      | Ok (Action.Store_host.Vote_yes _) -> second := "yes"
+      | Ok Action.Store_host.Vote_yes -> second := "yes"
       | Ok Action.Store_host.Vote_stale -> second := "stale"
-      | Ok (Action.Store_host.Vote_delta_miss _) -> second := "miss"
       | Error _ -> second := "error");
   Service.run w;
   check_string "reservation freed" "yes" !second

@@ -202,76 +202,6 @@ let test_peel_out () =
     (payload w "t2" uid2)
 
 (* ------------------------------------------------------------------ *)
-(* The shared floor's two sources — yes-vote levels and the coordinator's
-   phase-2 acks — re-learn a floor a store crash dropped
-   (Oplog.drop_store): the first commit after the crash ships full state
-   to the store and learns its level, from the vote before phase 2 and
-   from the ack after it, and a client that never wrote the object then
-   delta-hits there off the floor alone. *)
-
-let test_floor_relearned_after_crash () =
-  let w =
-    Service.create ~seed:29L ~delta_shipping:true (topo [ "c1"; "c2"; "c3" ])
-  in
-  let preload =
-    String.concat ";"
-      (List.init 40 (fun i -> Printf.sprintf "key%02d=%032d" i i))
-  in
-  let uid =
-    Service.create_object w ~name:"obj" ~impl:"kvmap" ~initial:preload
-      ~sv:[ "alpha" ] ~st:stores ()
-  in
-  Service.run ~until:1.0 w;
-  let m = Service.metrics w in
-  let olog = Replica.Server.oplog (Service.server_runtime w) in
-  let floor store = Replica.Oplog.store_floor olog ~store ~uid in
-  (* A participant prepares after the copy-back's prepare round and
-     before its phase 2: it sees what the votes alone taught the floor. *)
-  let at_vote = ref None in
-  let put ?(probe = false) client v =
-    Service.spawn_client w client (fun () ->
-        match
-          Service.with_bound w ~client ~scheme:Scheme.Independent
-            ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
-              ignore (Service.invoke w group ~act ("put hot " ^ v));
-              if probe then
-                Action.Atomic.add_participant act ~name:"floor-probe"
-                  ~prepare:(fun () ->
-                    at_vote := floor "t1";
-                    true)
-                  ~commit:ignore ~abort:ignore)
-        with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "%s's commit failed: %s" client e);
-    Service.run w
-  in
-  put "c1" "v1";
-  Alcotest.(check (option int)) "t1 floor learned" (Some 1) (floor "t1");
-  let eng = Service.engine w in
-  Net.Fault.crash_for (Service.network w)
-    ~at:(Sim.Engine.now eng +. 1.0)
-    ~duration:10.0 "t1";
-  let mid = ref (Some (-1)) in
-  Sim.Engine.schedule eng ~delay:5.0 (fun () -> mid := floor "t1");
-  Service.run w;
-  Alcotest.(check (option int)) "crash dropped t1's floor" None !mid;
-  Alcotest.(check (option int)) "t2 floor survives" (Some 1) (floor "t2");
-  let fallbacks = counter m "commit.delta_fallbacks" in
-  let hits = counter m "commit.delta_hits" in
-  put ~probe:true "c2" "v2";
-  check_int "full state to t1 only" (fallbacks + 1)
-    (counter m "commit.delta_fallbacks");
-  check_int "delta to t2" (hits + 1) (counter m "commit.delta_hits");
-  Alcotest.(check (option int)) "the vote re-learned t1's pre-stage level"
-    (Some 1) !at_vote;
-  Alcotest.(check (option int)) "the ack raised it to the commit" (Some 2)
-    (floor "t1");
-  put "c3" "v3";
-  check_int "fresh writer delta-hits on both stores" (hits + 3)
-    (counter m "commit.delta_hits");
-  check_int "no fallback" (fallbacks + 1) (counter m "commit.delta_fallbacks")
-
-(* ------------------------------------------------------------------ *)
 (* The acceptance pin: at 8 synchronised clients, group commit cuts
    store RPC rounds per commit by at least 1.5x against a lone client's
    singleton batches (measured: well above), without losing a single
@@ -359,8 +289,6 @@ let suite =
           test_singleton_prepare_carries_deadline;
         Alcotest.test_case "stale member peels out, batchmate commits" `Quick
           test_peel_out;
-        Alcotest.test_case "vote and ack re-learn a crashed store's floor"
-          `Quick test_floor_relearned_after_crash;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_matches_sequential;

@@ -169,8 +169,7 @@ let test_validate_view_idempotent () =
 (* The churn property: optimistic commits racing Exclude/re-Include
    churn (a bounced store) across random schemes keep exact accounting,
    mutually consistent stores, monotone snapshot versions and St
-   revisions, and leave the world audit-clean. Delta shipping is forced
-   so the golden-shadow byte check is live too. *)
+   revisions, and leave the world audit-clean. *)
 
 let prop_optimistic_churn_exact =
   QCheck.Test.make
@@ -179,7 +178,7 @@ let prop_optimistic_churn_exact =
     QCheck.(pair int64 (int_range 2 5))
     (fun (seed, writes) ->
       let w =
-        Service.create ~seed ~delta_shipping:true ~force_delta:true
+        Service.create ~seed
           {
             Service.gvd_node = "ns";
             gvd_nodes = [];

@@ -274,19 +274,12 @@ let prop_snapshot_version_monotone =
             | Ok () | Error _ -> ());
             Sim.Engine.sleep eng (Sim.Rng.uniform rng 0.5 4.0)
           done);
-      (* Lock-free poller: both snapshot endpoints report the same entry
-         version; neither may ever observe it decreasing. *)
+      (* Lock-free poller: the snapshot endpoint reports the entry
+         version, which it may never observe decreasing. *)
       Service.spawn_client w "c3" (fun () ->
           for _ = 1 to rounds * 6 do
             Sim.Engine.sleep eng (Sim.Rng.uniform rng 0.2 2.0);
-            (match
-               Gvd.get_view_snapshot (Service.gvd w) ~from:"c3" uid
-             with
-            | Ok (Gvd.Granted (_, v)) -> observe v
-            | _ -> ());
-            match
-              Gvd.get_server_snapshot (Service.gvd w) ~from:"c3" uid
-            with
+            match Gvd.get_view_snapshot (Service.gvd w) ~from:"c3" uid with
             | Ok (Gvd.Granted (_, v)) -> observe v
             | _ -> ()
           done);

@@ -30,13 +30,13 @@ let test_table_cells () =
 
 let test_registry_complete () =
   let ids = Workload.Registry.ids () in
-  check_int "twenty-four experiments" 24 (List.length ids);
+  check_int "twenty-three experiments" 23 (List.length ids);
   List.iter
     (fun id ->
       check_bool (id ^ " found") true (Workload.Registry.find id <> None))
     [
       "fig1-divergence"; "fig5-general"; "tab-schemes"; "tab-hybrid";
-      "tab-shard-scaling"; "tab-delta"; "tab-chaos"; "tab-brownout";
+      "tab-shard-scaling"; "tab-chaos"; "tab-brownout";
     ];
   check_bool "unknown rejected" true (Workload.Registry.find "nope" = None)
 
