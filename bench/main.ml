@@ -29,6 +29,22 @@ let bench_lock_cycle () =
     Lockmgr.Manager.release mgr ~owner "k"
   done
 
+(* One action's end on a manager that has already served 1,024 keys, each
+   locked and released by its own owner: the release must cost the
+   action's own two locks, not the manager's history. *)
+let bench_lock_release_all =
+  let eng = Sim.Engine.create () in
+  let mgr = Lockmgr.Manager.create eng in
+  for i = 1 to 1024 do
+    let owner = Printf.sprintf "warm%d" i and key = Printf.sprintf "k%d" i in
+    assert (Lockmgr.Manager.try_acquire mgr ~owner ~mode:Lockmgr.Mode.Write key);
+    Lockmgr.Manager.release_all mgr ~owner
+  done;
+  fun () ->
+    assert (Lockmgr.Manager.try_acquire mgr ~owner:"a" ~mode:Lockmgr.Mode.Write "k1");
+    assert (Lockmgr.Manager.try_acquire mgr ~owner:"a" ~mode:Lockmgr.Mode.Write "k2");
+    Lockmgr.Manager.release_all mgr ~owner:"a"
+
 let with_rpc_world f =
   let eng = Sim.Engine.create () in
   let net = Net.Network.create eng in
@@ -434,6 +450,7 @@ let micro_tests =
     [
       Test.make ~name:"engine.200-fibers" (Staged.stage bench_engine_fibers);
       Test.make ~name:"lock.100-write-cycles" (Staged.stage bench_lock_cycle);
+      Test.make ~name:"lock.release-all-1024-keys" (Staged.stage bench_lock_release_all);
       Test.make ~name:"rpc.50-roundtrips" (Staged.stage bench_rpc_roundtrips);
       Test.make ~name:"mcast.20-atomic-casts" (Staged.stage bench_atomic_multicast);
       Test.make ~name:"2pc.10-commits" (Staged.stage (bench_2pc ?drop:None));

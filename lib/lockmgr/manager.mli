@@ -17,7 +17,13 @@
     blocked, which prevents writer starvation. Lock {e promotion}
     ([promote]) is the paper's try-operation: it succeeds immediately or
     fails without waiting, and a failed promotion aborts the client action
-    (§4.2.1). *)
+    (§4.2.1).
+
+    The lock table holds only locked keys: a key's entry goes when its
+    last holder and last waiter leave, so the table's size follows the
+    locks held now, not every key ever locked. The manager also indexes
+    each owner's keys, so {!release_all} and {!transfer_all} cost the
+    owner's own locks. *)
 
 type t
 (** A lock manager. *)
@@ -61,7 +67,10 @@ val release : t -> owner:owner -> string -> unit
 
 val release_all : t -> owner:owner -> unit
 (** Release every lock held by [owner] and cancel its waiting requests;
-    called when the owning action commits (top-level) or aborts. *)
+    called when the owning action commits (top-level) or aborts. Visits
+    only [owner]'s keys, in [String.compare] order: when the release
+    unblocks waiters on several keys, they are granted — and their fibers
+    resume — key by key in that order. *)
 
 val release_everything : ?keep:(owner -> bool) -> t -> unit
 (** Drop every lock and cancel every waiter — a crash of the hosting node
@@ -72,7 +81,10 @@ val release_everything : ?keep:(owner -> bool) -> t -> unit
 
 val transfer_all : t -> from_owner:owner -> to_owner:owner -> unit
 (** Move every lock held by [from_owner] to [to_owner], merging modes by
-    strength — the Arjuna nested-commit rule (locks pass to the parent). *)
+    strength — the Arjuna nested-commit rule (locks pass to the parent).
+    A waiter the move unblocks (a descendant of [to_owner] that now
+    inherits the lock) is granted at once, keys in [String.compare]
+    order as in {!release_all}. *)
 
 val holds : t -> owner:owner -> string -> Mode.t option
 (** The mode [owner] holds on [key], if any. *)
@@ -89,6 +101,10 @@ val waiting : t -> string -> int
 
 val locked_keys : t -> owner:owner -> string list
 (** All keys on which [owner] holds a lock, sorted. *)
+
+val tracked_keys : t -> string list
+(** The keys the lock table has an entry for, sorted: exactly the keys
+    with a holder or a queued request. *)
 
 val pp : Format.formatter -> t -> unit
 (** Dump the lock table (holders and queue lengths). *)
