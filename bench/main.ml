@@ -301,8 +301,8 @@ let bench_binds ~batched () =
                  | Ok _ -> ()
                  | Error _ -> ());
                  (match
-                    Gvd.increment (Service.gvd w) ~act ~uid ~client:"c1"
-                      [ "alpha" ]
+                    Gvd.update (Service.gvd w) ~act
+                      [ (uid, Gvd.Increment { client = "c1"; servers = [ "alpha" ] }) ]
                   with
                  | Ok _ -> ()
                  | Error _ -> ());
@@ -312,8 +312,8 @@ let bench_binds ~batched () =
           ignore
             (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
                  match
-                   Gvd.decrement (Service.gvd w) ~act ~uid ~client:"c1"
-                     [ "alpha" ]
+                   Gvd.update (Service.gvd w) ~act
+                     [ (uid, Gvd.Decrement { client = "c1"; servers = [ "alpha" ] }) ]
                  with
                  | Ok _ -> ()
                  | Error _ -> ()))

@@ -11,13 +11,12 @@ let art t = Replica.Server.atomic_runtime (Replica.Group.server_runtime (Binder.
 
 exception Administrative of error
 
-let lift_reply = function
-  | Ok (Gvd.Granted v) -> v
-  | Ok (Gvd.Busy why) -> raise (Administrative (Busy why))
-  | Ok (Gvd.Refused why) -> raise (Administrative (Refused why))
-  | Ok (Gvd.Moved dest) ->
-      raise (Administrative (Unavailable ("wrong shard: " ^ dest)))
-  | Error e -> raise (Administrative (Unavailable (Net.Rpc.error_to_string e)))
+let update t ~act ~uid op =
+  match Router.update (Binder.router t) ~act [ (uid, op) ] with
+  | Ok o -> o.Gvd.o_fence
+  | Error (Router.Busy why) -> raise (Administrative (Busy why))
+  | Error (Router.Refused why) -> raise (Administrative (Refused why))
+  | Error (Router.Unreachable why) -> raise (Administrative (Unavailable why))
 
 let administratively t ~from body =
   match
@@ -34,13 +33,12 @@ let administratively t ~from body =
       else Error (Refused reason)
 
 let add_server t ~from ~uid node =
-  administratively t ~from (fun act ->
-      lift_reply (Router.insert (Binder.router t) ~act ~uid node))
+  administratively t ~from (fun act -> ignore (update t ~act ~uid (Gvd.Insert node)))
 
 let retire_server t ~from ~uid node =
   let r =
     administratively t ~from (fun act ->
-        lift_reply (Router.retire_server_home (Binder.router t) ~act ~uid node))
+        ignore (update t ~act ~uid (Gvd.Retire_sv node)))
   in
   (match r with
   | Ok () ->
@@ -54,8 +52,7 @@ let retire_server t ~from ~uid node =
   r
 
 let retire_store t ~from ~uid node =
-  administratively t ~from (fun act ->
-      lift_reply (Router.retire_store_home (Binder.router t) ~act ~uid node))
+  administratively t ~from (fun act -> ignore (update t ~act ~uid (Gvd.Retire_st node)))
 
 let add_store t ~from ~uid node =
   let sh = Action.Atomic.store_host (art t) in
@@ -63,7 +60,7 @@ let add_store t ~from ~uid node =
       (* Include first: the write lock serialises against in-flight
          commits, so the state copied below stays the latest until this
          action commits (the reintegration discipline, §4.2). *)
-      let fence = lift_reply (Router.include_ (Binder.router t) ~act ~uid node) in
+      let fence = update t ~act ~uid (Gvd.Include node) in
       let sources =
         match Router.entry_info (Binder.router t) ~from uid with
         | Ok (Some info) -> info.Gvd.ei_st_home

@@ -74,13 +74,12 @@ let take k xs =
 (* ------------------------------------------------------------------ *)
 (* Exclusion, per scheme (§4.2) *)
 
+let or_why r = Result.map_error Router.failure_to_string r
+
 let exclusion t ~scheme ~uid act failed =
   let run act' =
-    match Router.exclude t.b_router ~act:act' [ (uid, failed) ] with
-    | Ok (Gvd.Granted ()) -> Ok ()
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    or_why (Router.update t.b_router ~act:act' [ (uid, Gvd.Exclude failed) ])
+    |> Result.map ignore
   in
   match scheme with
   | Scheme.Standard -> run act
@@ -96,6 +95,23 @@ let exclusion t ~scheme ~uid act failed =
       with
       | Ok () -> Ok ()
       | Error why -> Error why)
+
+(* The optimistic commit's two naming rounds, shared with the hybrid
+   scheme: the lock-free (St, revision) read when commit processing
+   starts, and the validate-and-note inside the prepare round. *)
+let committed_stores router ~act uid =
+  or_why (Router.read router ~act uid Gvd.Committed)
+  |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
+
+let validate_note router ~uid act ~version ~rev =
+  match Router.update router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
+  | Ok { Gvd.o_applied = true; _ } -> `Validated
+  | Ok { Gvd.o_applied = false; _ } | Error (Router.Busy _ | Router.Refused _) ->
+      (* A refusal means the write fence is held by a membership change in
+         flight right now — morally the same as a revision conflict: retry
+         against the St that change is about to commit. *)
+      `Conflict
+  | Error (Router.Unreachable why) -> `Failed why
 
 let attach_commit t ~scheme ~act ~uid group =
   (* Commit processing re-reads StA at commit time: the bind-time view
@@ -116,40 +132,16 @@ let attach_commit t ~scheme ~act ~uid group =
      The bind-time snapshot path is unrelated: it serves reads only and
      provides no fence. *)
   let current_stores act' =
-    match Router.get_view t.b_router ~act:act' uid with
-    | Ok (Gvd.Granted st) -> Ok st
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    or_why (Router.read t.b_router ~act:act' uid Gvd.Stores)
+    |> Result.map (fun v -> v.Gvd.v_stores)
   in
   let note_version act' version =
-    match Router.note_version t.b_router ~act:act' ~uid version with
-    | Ok (Gvd.Granted ()) -> Ok ()
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    or_why (Router.update t.b_router ~act:act' [ (uid, Gvd.Note_version version) ])
+    |> Result.map ignore
   in
   let exclude act' failed = exclusion t ~scheme ~uid act' failed in
-  let client = Action.Atomic.node act in
-  let snapshot_stores () =
-    match Router.get_view_commit t.b_router ~from:client uid with
-    | Ok (Gvd.Granted (st, rev)) -> Ok (st, rev)
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
-  in
-  let validate act' ~version ~rev =
-    match Router.validate_view t.b_router ~act:act' ~uid ~version ~rev with
-    | Ok (Gvd.Granted true) -> `Validated
-    | Ok (Gvd.Granted false) -> `Conflict
-    | Ok (Gvd.Refused _) | Ok (Gvd.Busy _) ->
-        (* The write fence is held by a membership change in flight right
-           now — morally the same as a revision conflict: retry against
-           the St that change is about to commit. *)
-        `Conflict
-    | Ok (Gvd.Moved dest) -> `Failed ("wrong shard: " ^ dest)
-    | Error e -> `Failed (Net.Rpc.error_to_string e)
-  in
+  let snapshot_stores () = committed_stores t.b_router ~act uid in
+  let validate = validate_note t.b_router ~uid in
   Replica.Commit.attach t.b_grt act group ~current_stores ~note_version
     ~snapshot_stores ~validate ~exclude ()
 
@@ -187,18 +179,12 @@ let activate_counted t ~client ~uid ~impl ~policy ~servers ~stores =
    raise. *)
 let standard_reads t ~act ~client uid =
   let read_sv nested =
-    match Router.get_server t.b_router ~act:nested uid with
-    | Ok (Gvd.Granted view) -> Ok view.Gvd.sv_servers
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    or_why (Router.read t.b_router ~act:nested uid Gvd.Servers)
+    |> Result.map (fun v -> v.Gvd.v_servers)
   in
   let read_st nested =
-    match Router.get_view t.b_router ~act:nested uid with
-    | Ok (Gvd.Granted st) -> Ok st
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    or_why (Router.read t.b_router ~act:nested uid Gvd.Stores)
+    |> Result.map (fun v -> v.Gvd.v_stores)
   in
   let joined =
     Action.Atomic.atomically_nested act (fun nested ->
@@ -284,23 +270,18 @@ let fresh_bind_db t ~client ~uid ~policy ~credits act =
     Router.bind_batch t.b_router ~act ~uid ~client
       ~replicas:(Replica.Policy.replicas policy) ~credits
   with
-  | Ok (Gvd.Granted bv) ->
+  | Ok bv ->
       if bv.Gvd.bv_removed <> [] then
         Sim.Metrics.incr (metrics t)
           ~by:(List.length bv.Gvd.bv_removed)
           "bind.removed_dead";
       bv
-  | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> raise (Action.Atomic.Abort why)
-  | Ok (Gvd.Moved dest) -> raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-  | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
+  | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
 
 let decrement_db t ~client ~uid ~servers act =
-  match Router.decrement t.b_router ~act ~uid ~client servers with
-  | Ok (Gvd.Granted ()) -> ()
-  | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> raise (Action.Atomic.Abort why)
-  | Ok (Gvd.Moved dest) ->
-      raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-  | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
+  match Router.update t.b_router ~act [ (uid, Gvd.Decrement { client; servers }) ] with
+  | Ok _ -> ()
+  | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
 
 (* Expand credits into the node list the Decrement endpoint expects: a
    node listed k times decrements k counts. *)

@@ -145,3 +145,17 @@ val exclusion :
   Action.Atomic.t -> Net.Network.node_id list -> (unit, string) result
 (** The [Exclude] implementation handed to commit processing
     ({!Replica.Commit.attach}); exposed for tests. *)
+
+val committed_stores :
+  Router.t -> act:Action.Atomic.t -> Store.Uid.t ->
+  (Net.Network.node_id list * int, string) result
+(** The optimistic commit's lock-free [(StA, St revision)] read, issued
+    from [act]'s node ({!Replica.Commit.attach}'s [snapshot_stores]). *)
+
+val validate_note :
+  Router.t -> uid:Store.Uid.t -> Action.Atomic.t ->
+  version:Store.Version.t -> rev:int ->
+  [ `Validated | `Conflict | `Failed of string ]
+(** The optimistic commit's validate-and-note: a [Note_version] update
+    with [~if_rev:rev]. A moved revision or a refused fence is a
+    [`Conflict]; an unreachable shard is [`Failed]. *)

@@ -6,11 +6,6 @@ type 'a reply =
       (* wrong shard: the entry was handed off to the given naming node;
          the router follows the hint and retries there *)
 
-type server_view = {
-  sv_servers : Net.Network.node_id list;
-  sv_uses : (Net.Network.node_id * Use_list.t) list;
-}
-
 type entry_info = {
   ei_impl : string;
   ei_sv_home : Net.Network.node_id list;
@@ -68,50 +63,42 @@ type entry = {
          handoffs and the bind cache *)
 }
 
+(* -- the paper's operations (§4.1, §4.2) -- *)
+
+type read = Servers | Stores | Committed
+
+type view = {
+  v_servers : Net.Network.node_id list;
+  v_stores : Net.Network.node_id list;
+  v_version : int;
+  v_rev : int;
+}
+
+type op =
+  | Insert of Net.Network.node_id
+  | Remove of Net.Network.node_id
+  | Increment of { client : Net.Network.node_id; servers : Net.Network.node_id list }
+  | Decrement of { client : Net.Network.node_id; servers : Net.Network.node_id list }
+  | Zero of Net.Network.node_id
+  | Include of Net.Network.node_id
+  | Exclude of Net.Network.node_id list
+  | Evict of Net.Network.node_id
+  | Retire_sv of Net.Network.node_id
+  | Retire_st of Net.Network.node_id
+  | Note_version of Store.Version.t
+
+type outcome = { o_applied : bool; o_fence : Store.Version.t }
+
 (* -- wire types -- *)
 
-type op_req = { o_uid : Store.Uid.t; o_action : string; o_node : Net.Network.node_id }
+(* [r_lock = None] is the lock-free committed read; otherwise the read
+   takes a Read lock on one half for the named action. *)
+type read_req = { r_uid : Store.Uid.t; r_lock : (string * side) option }
 
-type use_req = {
-  u_uid : Store.Uid.t;
-  u_action : string;
-  u_client : Net.Network.node_id;
-  u_nodes : Net.Network.node_id list;
-}
-
-type excl_req = {
-  x_action : string;
-  x_pairs : (Store.Uid.t * Net.Network.node_id list) list;
-}
-
-type read_req = { r_uid : Store.Uid.t; r_action : string }
-
-type note_req = { n_uid : Store.Uid.t; n_action : string; n_version : Store.Version.t }
-
-(* The optimistic commit's combined validate-and-note: one request carries
-   both the version note the classic path sends ([vv_version]) and the St
-   revision the committing client's lock-free snapshot read observed
-   ([vv_rev]). The handler re-checks the revision under the note's own
-   write-fence lock, so a Granted-[true] reply means "no Include/Exclude
-   committed since your snapshot AND the fence now holds to your action's
-   end" — in a single RPC round. *)
-type validate_req = {
-  vv_uid : Store.Uid.t;
-  vv_action : string;
-  vv_version : Store.Version.t;
-  vv_rev : int;
-}
-
-(* Validated Exclude (the §13 discipline applied to §4.2's own
-   operation): the caller read (St, rev) lock-free, decided to drop
-   [mb_node] off that snapshot, and now asks for the drop to be applied
-   only if the revision still stands — decide-then-mutate in one atomic
-   round instead of a blind mutation under a blocking lock. *)
-type member_req = {
-  mb_uid : Store.Uid.t;
-  mb_action : string;
-  mb_node : Net.Network.node_id;
-  mb_rev : int;
+type update_req = {
+  up_action : string;
+  up_ops : (Store.Uid.t * op) list;
+  up_if_rev : int option;
 }
 
 (* The single-round bind request (schemes B/C): GetServer + Remove(dead)
@@ -157,6 +144,24 @@ type handoff_req = { hr_uid : Store.Uid.t; hr_dest : Net.Network.node_id }
 let ep_mirror : ((int * image * int) list, unit) Net.Rpc.endpoint =
   Net.Rpc.endpoint "gvd.mirror"
 
+(* Everything the database holds for one in-flight action. An action has
+   a record from its first operation on this shard until it commits,
+   aborts or passes to its parent. *)
+type action_state = {
+  mutable a_prepared : bool;
+      (* with [durable]: voted yes and awaits phase 2 — its stage and
+         locks are stable, survive a crash and are resolved against the
+         coordinator's decision on recovery *)
+  mutable a_undo : (int * side * half_image) list;
+      (* before-images, at most one per (entry serial, side) *)
+  mutable a_redo : (int * op list) list;
+      (* staged commuting use-list ops per entry serial, in arrival
+         order. Unlike the structural Sv/St writes these are redo
+         records, applied at commit and simply dropped at abort: a
+         before-image restore would erase the committed deltas of
+         concurrent [Delta]-mode holders. *)
+}
+
 type t = {
   art : Action.Atomic.runtime;
   gvd_node : Net.Network.node_id;
@@ -175,51 +180,24 @@ type t = {
      service node. With [durable], a crash restores every entry to its
      committed image and wipes locks — so pre-crash actions must vote no
      at prepare (their reads and staged updates are gone). *)
-  known_actions : (string, unit) Hashtbl.t;
-  (* With [durable], the actions that voted yes here and await phase 2:
-     their staged updates and locks are stable, so they survive a crash
-     and are resolved against the coordinator's decision on recovery. *)
-  prepared : (string, unit) Hashtbl.t;
+  actions : (string, action_state) Hashtbl.t;
   (* In-flight presumed-abort probes for lock holders whose coordinator
      is partitioned away, keyed by holder action. *)
   breaking : (string, unit) Hashtbl.t;
   entries : (int, entry) Hashtbl.t; (* keyed by uid serial *)
   names : (string, Store.Uid.t) Hashtbl.t;
   locks : Lockmgr.Manager.t;
-  (* Before-images per action and per independently-locked half:
-     (action, uid serial, side) -> half image. *)
-  undo : (string * int * side, half_image) Hashtbl.t;
-  (* Staged commuting use-list updates per action and entry:
-     (action, uid serial) -> (server node, client, delta). Unlike the
-     structural Sv/St writes these are operation (redo) records, applied
-     at commit and simply dropped at abort: a before-image restore would
-     erase the committed deltas of concurrent [Delta]-mode holders. *)
-  pending : (string * int, (Net.Network.node_id * Net.Network.node_id * int) list) Hashtbl.t;
-  mutable guard : Action.Orphan_guard.t option;
+  guard : Action.Orphan_guard.t;
       (* watches action origins; aborts orphaned actions of dead clients *)
   ep_lookup : (string, Store.Uid.t option) Net.Rpc.endpoint;
   ep_info : (Store.Uid.t, entry_info option) Net.Rpc.endpoint;
   ep_stored_on : (Net.Network.node_id, Store.Uid.t list) Net.Rpc.endpoint;
   ep_served_by : (Net.Network.node_id, Store.Uid.t list) Net.Rpc.endpoint;
-  ep_get_server : (read_req, server_view reply) Net.Rpc.endpoint;
-  ep_insert : (op_req, unit reply) Net.Rpc.endpoint;
-  ep_remove : (op_req, unit reply) Net.Rpc.endpoint;
-  ep_increment : (use_req, unit reply) Net.Rpc.endpoint;
-  ep_decrement : (use_req, unit reply) Net.Rpc.endpoint;
-  ep_zero : (use_req, unit reply) Net.Rpc.endpoint;
-  ep_get_view : (read_req, Net.Network.node_id list reply) Net.Rpc.endpoint;
+  ep_read : (read_req, view reply) Net.Rpc.endpoint;
+  ep_update : (update_req, outcome reply) Net.Rpc.endpoint;
   ep_batch : (batch_req, batch_view reply) Net.Rpc.endpoint;
-  ep_view_snap : (Store.Uid.t, (Net.Network.node_id list * int) reply) Net.Rpc.endpoint;
-  ep_view_commit : (Store.Uid.t, (Net.Network.node_id list * int) reply) Net.Rpc.endpoint;
-  ep_validate : (validate_req, bool reply) Net.Rpc.endpoint;
-  ep_membership : (member_req, (bool * Store.Version.t) reply) Net.Rpc.endpoint;
-  ep_exclude : (excl_req, unit reply) Net.Rpc.endpoint;
-  ep_include : (op_req, Store.Version.t reply) Net.Rpc.endpoint;
-  ep_retire_sv : (op_req, unit reply) Net.Rpc.endpoint;
-  ep_retire_st : (op_req, unit reply) Net.Rpc.endpoint;
-  ep_note_version : (note_req, unit reply) Net.Rpc.endpoint;
   ep_handoff : (handoff_req, handoff reply) Net.Rpc.endpoint;
-  ep_snapshot : (unit, (int * image * int) list) Net.Rpc.endpoint;
+  ep_resync : (unit, (int * image * int) list) Net.Rpc.endpoint;
   mutable backups : t list;
       (* §3.1 extension: further database instances receiving the
          committed images of every touched entry, synchronously, at each
@@ -240,8 +218,8 @@ let tracef t fmt =
 
 let metrics t = Net.Network.metrics (netw t)
 
-let sv_key uid = "sv:" ^ Store.Uid.to_string uid
-let st_key uid = "st:" ^ Store.Uid.to_string uid
+let key_of side uid =
+  (match side with Sv_side -> "sv:" | St_side -> "st:") ^ Store.Uid.to_string uid
 
 let entry_opt t uid = Hashtbl.find_opt t.entries (Store.Uid.serial uid)
 
@@ -268,60 +246,46 @@ let serviced t f =
   f ()
 
 let entry_exn t uid =
-  match entry_opt t uid with
-  | Some e -> e
-  | None -> failwith ("gvd: unknown object " ^ Store.Uid.to_string uid)
+  try Hashtbl.find t.entries (Store.Uid.serial uid)
+  with Not_found -> failwith ("gvd: unknown object " ^ Store.Uid.to_string uid)
+
+let record t action =
+  match Hashtbl.find_opt t.actions action with
+  | Some a -> a
+  | None ->
+      let a = { a_prepared = false; a_undo = []; a_redo = [] } in
+      Hashtbl.add t.actions action a;
+      a
+
+(* Register the action with this shard and its orphan guard. Called only
+   once the request is known to be for an entry this shard holds: a
+   bounced request must leave no record and no crash watch behind. *)
+let touch_guard t action =
+  Action.Orphan_guard.touch t.guard ~scope:resource ~action;
+  record t action
 
 (* Record the before-image of ONE side of the entry for the action, once:
    the side the action's lock actually covers. *)
-let save_sv t ~action e =
-  let key = (action, Store.Uid.serial e.e_uid, Sv_side) in
-  if not (Hashtbl.mem t.undo key) then
-    Hashtbl.add t.undo key (Server_half e.e_image.im_server)
+let rec has_undo serial side = function
+  | [] -> false
+  | (s, sd, _) :: rest -> (s = serial && sd = side) || has_undo serial side rest
 
-let save_st t ~action e =
-  let key = (action, Store.Uid.serial e.e_uid, St_side) in
-  if not (Hashtbl.mem t.undo key) then
-    Hashtbl.add t.undo key (State_half e.e_image.im_state)
+let save_half a e side =
+  let serial = Store.Uid.serial e.e_uid in
+  if not (has_undo serial side a.a_undo) then
+    let half =
+      match side with
+      | Sv_side -> Server_half e.e_image.im_server
+      | St_side -> State_half e.e_image.im_state
+    in
+    a.a_undo <- (serial, side, half) :: a.a_undo
 
-(* Stage commuting use-list deltas for the action (redo records, applied
-   at commit). Only taken under the [Delta] lock. *)
-let stage_deltas t ~action e deltas =
-  let key = (action, Store.Uid.serial e.e_uid) in
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.pending key) in
-  Hashtbl.replace t.pending key (cur @ deltas)
+(* Stage commuting use-list ops for the action (redo records, applied at
+   commit). Only taken under the [Delta] lock. *)
+let stage a serial ops =
+  let cur = Option.value ~default:[] (List.assoc_opt serial a.a_redo) in
+  a.a_redo <- (serial, cur @ ops) :: List.remove_assoc serial a.a_redo
 
-let rec apply_n f n x = if n <= 0 then x else apply_n f (n - 1) (f x)
-
-let apply_delta ul ~client d =
-  if d >= 0 then apply_n (fun ul -> Use_list.increment ul ~client) d ul
-  else apply_n (fun ul -> Use_list.decrement ul ~client) (-d) ul
-
-let touch_guard t action =
-  Hashtbl.replace t.known_actions action ();
-  match t.guard with
-  | Some g -> Action.Orphan_guard.touch g ~scope:"gvd" ~action
-  | None -> ()
-
-let settle_guard t action =
-  match t.guard with
-  | Some g -> Action.Orphan_guard.settle g ~scope:"gvd" ~action
-  | None -> ()
-
-let transfer_guard t action parent =
-  match t.guard with
-  | Some g -> Action.Orphan_guard.transfer g ~scope:"gvd" ~action ~parent
-  | None -> ()
-
-(* A refused database lock may be held by an action whose coordinator is
-   partitioned away: its phase-2 fan-out (commit or abort) never reached
-   this node, the orphan guard only fires on crashes, and nothing retries
-   the release after the cut heals. Probe such holders' coordinators from
-   a separate fiber and complete them locally through the registered
-   resource manager — a commit decision commits, anything else (or a
-   coordinator unreachable through the whole probe budget) is presumed
-   abort. Holders with a reachable coordinator are live contention and
-   are left alone, so healthy runs see no extra traffic. *)
 (* Complete [owner] locally from its coordinator's decision while
    [pending ()] holds: a commit decision commits, anything else (or a
    coordinator unreachable through the whole probe budget) is presumed
@@ -331,18 +295,13 @@ let settle_from_coordinator t owner ~pending =
   let coordinator = Action.Orphan_guard.origin_of_action owner in
   let rh = Action.Atomic.resource_host t.art in
   let finish how =
-    match how with
-    | `Commit ->
-        tracef t "%s: wedged holder %s -> commit" t.gvd_node owner;
-        ignore
-          (Action.Resource_host.commit rh ~from:t.gvd_node ~node:t.gvd_node
-             ~resource ~action:owner)
-    | `Abort why ->
-        tracef t "%s: wedged holder %s -> presumed abort (%s)" t.gvd_node
-          owner why;
-        ignore
-          (Action.Resource_host.abort rh ~from:t.gvd_node ~node:t.gvd_node
-             ~resource ~action:owner)
+    let complete, verdict =
+      match how with
+      | `Commit -> (Action.Resource_host.commit, "commit")
+      | `Abort why -> (Action.Resource_host.abort, "presumed abort (" ^ why ^ ")")
+    in
+    tracef t "%s: wedged holder %s -> %s" t.gvd_node owner verdict;
+    ignore (complete rh ~from:t.gvd_node ~node:t.gvd_node ~resource ~action:owner)
   in
   let rec settle n =
     if pending () then
@@ -363,6 +322,13 @@ let settle_from_coordinator t owner ~pending =
   in
   settle 5
 
+(* A refused database lock may be held by an action whose coordinator is
+   partitioned away: its phase-2 fan-out (commit or abort) never reached
+   this node, the orphan guard only fires on crashes, and nothing retries
+   the release after the cut heals. Probe such holders' coordinators from
+   a separate fiber and settle them from the decision. Holders with a
+   reachable coordinator are live contention and are left alone, so
+   healthy runs see no extra traffic. *)
 let break_stale_lock_holders t key =
   List.iter
     (fun (owner, _mode) ->
@@ -383,25 +349,57 @@ let break_stale_lock_holders t key =
       end)
     (Lockmgr.Manager.holders t.locks key)
 
-(* Lock acquisition helpers: block up to the timeout, refuse after. *)
+(* -- locks -- *)
+
+(* Each update op declares the lock it needs on its half: a blocking
+   acquisition (bounded by [lock_timeout], refused after), or the §4.2.1
+   write fence, which never waits. *)
+type lock = Blocking of Lockmgr.Mode.t | Fence
+
 let lock_timeout = 30.0
 
-let with_lock t ~action ~mode key (f : unit -> 'a reply) : 'a reply =
-  touch_guard t action;
-  match
-    Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:lock_timeout
-      key
-  with
-  | Ok () -> f ()
-  | Error `Timeout ->
-      break_stale_lock_holders t key;
-      Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
-      Refused (Printf.sprintf "lock %s (%s) refused" key (Lockmgr.Mode.to_string mode))
+(* The §4.2.1 write fence: the exclude-write lock, or a plain write lock
+   when the world turns [use_exclude_write] off. [take_fence] promotes a
+   lock the action already holds on [key], else acquires one without
+   waiting. *)
+let fence_mode t =
+  if t.use_exclude_write then Lockmgr.Mode.Exclude_write else Lockmgr.Mode.Write
 
-let uses_of im = im.im_server.im_uses
+let take_fence t ~action key =
+  let mode = fence_mode t in
+  match Lockmgr.Manager.holds t.locks ~owner:action key with
+  | Some _ -> Lockmgr.Manager.promote t.locks ~owner:action ~to_mode:mode key
+  | None -> Lockmgr.Manager.try_acquire t.locks ~owner:action ~mode key
+
+let refuse t key mode =
+  break_stale_lock_holders t key;
+  Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
+  Some (Refused (Printf.sprintf "lock %s (%s) refused" key (Lockmgr.Mode.to_string mode)))
+
+(* Take one lock for [action]; [Some refusal] when it cannot be had. A
+   refusal probes the key's holders for a partitioned-away coordinator. *)
+let take_lock t ~action lock key =
+  match lock with
+  | Blocking mode -> (
+      match Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:lock_timeout key with
+      | Ok () -> None
+      | Error `Timeout -> refuse t key mode)
+  | Fence -> if take_fence t ~action key then None else refuse t key (fence_mode t)
+
+(* -- the ops: side, lock, precondition and pure image transform -- *)
+
+let side_of = function
+  | Insert _ | Remove _ | Increment _ | Decrement _ | Zero _ | Retire_sv _ -> Sv_side
+  | Include _ | Exclude _ | Evict _ | Retire_st _ | Note_version _ -> St_side
+
+let lock_of = function
+  | Increment _ | Decrement _ -> Blocking Lockmgr.Mode.Delta
+  | Exclude _ | Evict _ | Note_version _ -> Fence
+  | Insert _ | Remove _ | Zero _ | Retire_sv _ | Include _ | Retire_st _ ->
+      Blocking Lockmgr.Mode.Write
 
 let use_list im node =
-  match List.assoc_opt node (uses_of im) with
+  match List.assoc_opt node im.im_server.im_uses with
   | Some ul -> ul
   | None -> Use_list.empty
 
@@ -419,6 +417,106 @@ let all_quiescent im =
   List.for_all (fun (_, ul) -> Use_list.is_empty ul) im.im_server.im_uses
 
 let add_unique x xs = if List.mem x xs then xs else xs @ [ x ]
+let without x xs = List.filter (fun n -> n <> x) xs
+
+let with_sv im f = { im with im_server = f im.im_server }
+let with_st im f = { im with im_state = f im.im_state }
+
+let bump_uses im ~client servers step =
+  List.fold_left
+    (fun im node -> set_use_list im node (step (use_list im node) ~client))
+    im servers
+
+let apply op im =
+  match op with
+  | Insert n ->
+      with_sv im (fun sv ->
+          { sv with im_sv = add_unique n sv.im_sv; im_sv_home = add_unique n sv.im_sv_home })
+  | Remove n -> with_sv im (fun sv -> { sv with im_sv = without n sv.im_sv })
+  | Increment { client; servers } -> bump_uses im ~client servers Use_list.increment
+  | Decrement { client; servers } -> bump_uses im ~client servers Use_list.decrement
+  | Zero client ->
+      List.fold_left
+        (fun im node ->
+          set_use_list im node (Use_list.drop_client (use_list im node) ~client))
+        im
+        (List.map fst im.im_server.im_uses)
+  | Retire_sv n ->
+      with_sv im (fun sv ->
+          {
+            im_sv = without n sv.im_sv;
+            im_sv_home = without n sv.im_sv_home;
+            im_uses = List.remove_assoc n sv.im_uses;
+          })
+  | Include n ->
+      with_st im (fun st ->
+          { st with im_st = add_unique n st.im_st; im_st_home = add_unique n st.im_st_home })
+  | Exclude ns ->
+      with_st im (fun st ->
+          { st with im_st = List.filter (fun n -> not (List.mem n ns)) st.im_st })
+  | Evict n -> with_st im (fun st -> { st with im_st = without n st.im_st })
+  | Retire_st n ->
+      with_st im (fun st ->
+          { st with im_st = without n st.im_st; im_st_home = without n st.im_st_home })
+  | Note_version v ->
+      if Store.Version.newer_than v im.im_state.im_version then
+        with_st im (fun st -> { st with im_version = v })
+      else im
+
+(* Checked on the working image once every lock is held: [Insert] and
+   [Retire_sv] need quiescence (§4.1.2), and the last state holder is
+   never evicted, however sick — a slow state beats no state. *)
+let precondition op im =
+  match op with
+  | (Insert _ | Retire_sv _) when not (all_quiescent im) -> Some (Busy "object not quiescent")
+  | Evict n when List.mem n im.im_state.im_st && List.length im.im_state.im_st <= 1 ->
+      Some (Refused "would empty St")
+  | _ -> None
+
+let counter = function
+  | Insert _ -> Some ("gvd.inserts", 1)
+  | Remove _ -> Some ("gvd.removes", 1)
+  | Increment _ -> Some ("gvd.increments", 1)
+  | Decrement _ -> Some ("gvd.decrements", 1)
+  | Zero _ -> Some ("gvd.zeroes", 1)
+  | Include _ -> Some ("gvd.includes", 1)
+  | Exclude ns -> Some ("gvd.exclusions", List.length ns)
+  | Evict _ -> Some ("gvd.exclusions", 1)
+  | Retire_sv _ -> Some ("gvd.server_retirements", 1)
+  | Retire_st _ -> Some ("gvd.store_retirements", 1)
+  | Note_version _ -> None
+
+let pp_op ppf op =
+  let nodes = String.concat "," in
+  match op with
+  | Insert n -> Format.fprintf ppf "insert %s" n
+  | Remove n -> Format.fprintf ppf "remove %s" n
+  | Increment { client; servers } -> Format.fprintf ppf "increment %s@@[%s]" client (nodes servers)
+  | Decrement { client; servers } -> Format.fprintf ppf "decrement %s@@[%s]" client (nodes servers)
+  | Zero client -> Format.fprintf ppf "zero %s" client
+  | Include n -> Format.fprintf ppf "include %s" n
+  | Exclude ns -> Format.fprintf ppf "exclude [%s]" (nodes ns)
+  | Evict n -> Format.fprintf ppf "evict %s" n
+  | Retire_sv n -> Format.fprintf ppf "retire server %s" n
+  | Retire_st n -> Format.fprintf ppf "retire store %s" n
+  | Note_version v -> Format.fprintf ppf "note version %a" Store.Version.pp v
+
+(* Stage the op as a redo record (under the [Delta] lock), or apply it in
+   place behind a before-image. *)
+let perform t a ~action ~staged e op =
+  if staged then stage a (Store.Uid.serial e.e_uid) [ op ]
+  else begin
+    save_half a e (side_of op);
+    e.e_image <- apply op e.e_image
+  end;
+  (match counter op with
+  | Some (name, by) -> Sim.Metrics.incr (metrics t) ~by name
+  | None -> ());
+  (* Structural changes only: counter traffic and version notes ride
+     every bind and commit. *)
+  match op with
+  | Increment _ | Decrement _ | Note_version _ -> ()
+  | _ -> tracef t "%s %a on %a" action pp_op op Store.Uid.pp e.e_uid
 
 (* -- handler bodies (run on the service node) -- *)
 
@@ -448,161 +546,135 @@ let register_direct t ~uid ~name ~impl ~sv ~st =
   tracef t "register %a sv=[%s] st=[%s]" Store.Uid.pp uid
     (String.concat "," sv) (String.concat "," st)
 
-let h_get_server t { r_uid; r_action } =
-  match entry_opt t r_uid with
-  | None -> absent t r_uid
-  | Some e ->
-      with_lock t ~action:r_action ~mode:Lockmgr.Mode.Read (sv_key r_uid)
-        (fun () ->
-          Sim.Metrics.incr (metrics t) "gvd.get_server";
-          Granted
-            {
-              sv_servers = e.e_image.im_server.im_sv;
-              sv_uses =
-                List.map
-                  (fun n -> (n, use_list e.e_image n))
-                  e.e_image.im_server.im_sv;
-            })
+let view_of e sv st =
+  {
+    v_servers = sv.im_sv;
+    v_stores = st.im_st;
+    v_version = e.e_version;
+    v_rev = e.e_snap.im_state.im_st_rev;
+  }
 
-let h_insert t { o_uid; o_action; o_node } =
-  match entry_opt t o_uid with
-  | None -> absent t o_uid
-  | Some e ->
-      with_lock t ~action:o_action ~mode:Lockmgr.Mode.Write (sv_key o_uid)
-        (fun () ->
-          if not (all_quiescent e.e_image) then begin
-            Sim.Metrics.incr (metrics t) "gvd.insert_busy";
-            Busy "object not quiescent"
-          end
-          else begin
-            save_sv t ~action:o_action e;
-            e.e_image <-
-              {
-                e.e_image with
-                im_server =
-                  {
-                    e.e_image.im_server with
-                    im_sv = add_unique o_node e.e_image.im_server.im_sv;
-                    im_sv_home = add_unique o_node e.e_image.im_server.im_sv_home;
-                  };
-              };
-            tracef t "%s insert %s into Sv(%a)" o_action o_node Store.Uid.pp o_uid;
-            Sim.Metrics.incr (metrics t) "gvd.inserts";
-            Granted ()
-          end)
-
-let h_remove t { o_uid; o_action; o_node } =
-  match entry_opt t o_uid with
-  | None -> absent t o_uid
-  | Some e ->
-      with_lock t ~action:o_action ~mode:Lockmgr.Mode.Write (sv_key o_uid)
-        (fun () ->
-          save_sv t ~action:o_action e;
-          e.e_image <-
-            {
-              e.e_image with
-              im_server =
-                {
-                  e.e_image.im_server with
-                  im_sv =
-                    List.filter (fun n -> n <> o_node) e.e_image.im_server.im_sv;
-                };
-            };
-          tracef t "%s remove %s from Sv(%a)" o_action o_node Store.Uid.pp o_uid;
-          Sim.Metrics.incr (metrics t) "gvd.removes";
-          Granted ())
-
-(* Increment/Decrement: commuting counter updates under the [Delta] lock,
-   so concurrent binders no longer serialise behind a write lock
-   (§4.1.3's contention problem). The updates are staged as redo records
-   and applied when the action commits; abort just drops them — a
-   before-image restore would erase concurrent holders' committed
-   deltas. [delta] is +1 (increment) or -1 (decrement) per listed node. *)
-let h_use_delta t ~delta ~name { u_uid; u_action; u_client; u_nodes } =
-  match entry_opt t u_uid with
-  | None -> absent t u_uid
-  | Some e ->
-      with_lock t ~action:u_action ~mode:Lockmgr.Mode.Delta (sv_key u_uid)
-        (fun () ->
-          stage_deltas t ~action:u_action e
-            (List.map (fun node -> (node, u_client, delta)) u_nodes);
-          Sim.Metrics.incr (metrics t) ("gvd." ^ name);
-          Granted ())
-
-(* Zero (the cleanup protocol's repair for a crashed client) is not a
-   commuting update — it erases the client's counters whatever their
-   value — so it keeps the write lock and before-image undo. Strict 2PL
-   makes the two undo disciplines safe to mix: [Write] excludes [Delta],
-   so no staged delta can exist on an entry while a zero's before-image
-   is live, and vice versa. *)
-let h_zero t { u_uid; u_action; u_client; u_nodes = _ } =
-  match entry_opt t u_uid with
-  | None -> absent t u_uid
-  | Some e ->
-      with_lock t ~action:u_action ~mode:Lockmgr.Mode.Write (sv_key u_uid)
-        (fun () ->
-          save_sv t ~action:u_action e;
-          e.e_image <-
-            List.fold_left
-              (fun im node ->
-                set_use_list im node
-                  (Use_list.drop_client (use_list im node) ~client:u_client))
-              e.e_image
-              (List.map fst e.e_image.im_server.im_uses);
-          Sim.Metrics.incr (metrics t) "gvd.zeroes";
-          Granted ())
-
-let h_get_view t { r_uid; r_action } =
-  match entry_opt t r_uid with
-  | None -> absent t r_uid
-  | Some e ->
-      (* A locked GetView that finds the St entry unavailable is about to
-         queue: count it, so experiments can attribute naming-tier lock
-         waits to this path specifically (the probe is pure). *)
-      if
-        not
-          (Lockmgr.Manager.available t.locks ~owner:r_action
-             ~mode:Lockmgr.Mode.Read (st_key r_uid))
-      then Sim.Metrics.incr (metrics t) "gvd.view_lock_waits";
-      with_lock t ~action:r_action ~mode:Lockmgr.Mode.Read (st_key r_uid)
-        (fun () ->
-          Sim.Metrics.incr (metrics t) "gvd.get_view";
-          Granted e.e_image.im_state.im_st)
-
-(* Lock-free snapshot reads (schemes B/C): serve the latest committed
-   image without touching the lock table. Writers install a new snapshot
-   only at commit, so a snapshot reader can never observe an uncommitted
+(* GetServer and GetView take a Read lock on their half for the action
+   and answer that half from the working image. The lock-free committed
+   read (schemes B/C, and every commit's St snapshot) serves the latest
+   committed image without touching the lock table: writers install a
+   new snapshot only at commit, so it never shows an uncommitted
    mutation; the price is bounded staleness, which the commit-time
-   machinery (store-side backward validation, the Include version fence)
-   already tolerates. Scheme A keeps the locked read path — Figure 6's
-   semantics depend on its read locks being held to action end. *)
-let h_get_view_snapshot t uid =
-  match entry_opt t uid with
-  | None -> absent t uid
-  | Some e ->
-      Sim.Metrics.incr (metrics t) "gvd.get_view";
-      Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
-      Granted (e.e_snap.im_state.im_st, e.e_version)
+   machinery (store-side backward validation, the [if_rev] check, the
+   Include version fence) already tolerates. Scheme A keeps the locked
+   reads — Figure 6's semantics depend on its read locks being held to
+   action end. *)
+let h_read t { r_uid; r_lock } =
+  match entry_opt t r_uid with
+  | None -> absent t r_uid
+  | Some e -> (
+      let m = metrics t in
+      match r_lock with
+      | None ->
+          Sim.Metrics.incr m "gvd.get_view";
+          Sim.Metrics.incr m "gvd.snapshot_reads";
+          Granted (view_of e e.e_snap.im_server e.e_snap.im_state)
+      | Some (action, side) -> (
+          let key = key_of side r_uid in
+          (* A locked GetView that finds the St entry unavailable is about
+             to queue: count it, so experiments can attribute naming-tier
+             lock waits to this path specifically (the probe is pure). *)
+          if
+            side = St_side
+            && not
+                 (Lockmgr.Manager.available t.locks ~owner:action
+                    ~mode:Lockmgr.Mode.Read key)
+          then Sim.Metrics.incr m "gvd.view_lock_waits";
+          ignore (touch_guard t action : action_state);
+          match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+          | Some refusal -> refusal
+          | None -> (
+              match side with
+              | Sv_side ->
+                  Sim.Metrics.incr m "gvd.get_server";
+                  Granted (view_of e e.e_image.im_server e.e_snap.im_state)
+              | St_side ->
+                  Sim.Metrics.incr m "gvd.get_view";
+                  Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
 
-(* The optimistic commit's St read: the committed member list plus the St
-   revision to validate against at prepare time. Lock-free like the other
-   snapshot reads — the fence the classic locked GetView provided is
-   re-established (or the staleness detected) by [h_validate_view]. *)
-let h_get_view_commit t uid =
-  match entry_opt t uid with
-  | None -> absent t uid
-  | Some e ->
-      Sim.Metrics.incr (metrics t) "gvd.get_view";
-      Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
-      Granted (e.e_snap.im_state.im_st, e.e_snap.im_state.im_st_rev)
+(* The steps of [h_update], each a walk over the request's ops. They are
+   top-level functions so the update path allocates no closures. *)
+let rec absent_entry t = function
+  | [] -> None
+  | (uid, _) :: rest -> if owns t uid then absent_entry t rest else Some (absent t uid)
 
-let take k xs =
-  let rec go k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: go (k - 1) rest
-  in
-  go k xs
+let rec lock_all t ~action = function
+  | [] -> None
+  | (uid, op) :: rest -> (
+      match take_lock t ~action (lock_of op) (key_of (side_of op) uid) with
+      | None -> lock_all t ~action rest
+      | refusal -> refusal)
+
+let rec rev_moved t rev = function
+  | [] -> false
+  | (uid, _) :: rest -> (entry_exn t uid).e_snap.im_state.im_st_rev <> rev || rev_moved t rev rest
+
+let rec unmet t = function
+  | [] -> None
+  | (uid, op) :: rest -> (
+      match precondition op (entry_exn t uid).e_image with
+      | None -> unmet t rest
+      | refusal -> refusal)
+
+let rec perform_all t a ~action = function
+  | [] -> ()
+  | (uid, op) :: rest ->
+      perform t a ~action ~staged:(lock_of op = Blocking Lockmgr.Mode.Delta) (entry_exn t uid) op;
+      perform_all t a ~action rest
+
+let rec newest_fence t v = function
+  | [] -> v
+  | (uid, _) :: rest ->
+      let v' = (entry_exn t uid).e_image.im_state.im_version in
+      newest_fence t (if Store.Version.newer_than v' v then v' else v) rest
+
+(* One handler for every mutation, in a fixed order: the ownership check
+   (every named entry must live here — before anything is recorded for
+   the action), the locks for every op in request order, the [if_rev]
+   check, the preconditions, then stage or apply. A refusal at any step
+   leaves the working image untouched; locks already granted stay with
+   the action and go at its end.
+
+   [if_rev] is decide-then-mutate in one round (§13): the caller read
+   (St, rev) lock-free and asks for its ops only if the committed St
+   revision still stands. On a moved revision nothing is applied but the
+   fence just taken is deliberately KEPT — it belongs to the action and
+   blocks further membership commits, so the caller's re-read sees a
+   revision that can no longer move and its retry must succeed: one
+   conflict costs one retry, not a livelock. With [Note_version] this is
+   the optimistic commit's validate-and-note; with [Evict], the
+   autonomic controller's validated exclusion.
+
+   Idempotent under duplicate delivery: lock grants are re-entrant,
+   before-images are saved once per action, version notes advance only
+   forward, and a revision cannot move while its fence is held. Staged
+   counter ops are not idempotent, which is why updates are never
+   hedged. *)
+let h_update t { up_action = action; up_ops = ops; up_if_rev } =
+  match absent_entry t ops with
+  | Some bounce -> bounce
+  | None -> (
+      let a = touch_guard t action in
+      match lock_all t ~action ops with
+      | Some refusal -> refusal
+      | None -> (
+          match up_if_rev with
+          | Some rev when rev_moved t rev ops ->
+              Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
+              tracef t "%s: St revision moved from %d" action rev;
+              Granted { o_applied = false; o_fence = newest_fence t Store.Version.initial ops }
+          | _ -> (
+              match unmet t ops with
+              | Some refusal -> refusal
+              | None ->
+                  perform_all t a ~action ops;
+                  let fence = newest_fence t Store.Version.initial ops in
+                  Granted { o_applied = true; o_fence = fence })))
 
 (* The single-round bind (schemes B/C): one request carries the whole
    database half of a Figure-7/8 bind — GetServer, Remove of detectably
@@ -619,63 +691,56 @@ let take k xs =
 let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
   match entry_opt t bt_uid with
   | None -> absent t bt_uid
-  | Some e ->
+  | Some e -> (
+      let m = metrics t in
       let up n = Net.Network.is_up (netw t) n in
       let structural =
         List.exists (fun n -> not (up n)) e.e_snap.im_server.im_sv
       in
       let mode = if structural then Lockmgr.Mode.Write else Lockmgr.Mode.Delta in
-      with_lock t ~action:bt_action ~mode (sv_key bt_uid) (fun () ->
-          Sim.Metrics.incr (metrics t) "gvd.batch_binds";
-          Sim.Metrics.incr (metrics t) "gvd.get_server";
-          let sv = e.e_image.im_server.im_sv in
-          let dead = List.filter (fun n -> not (up n)) sv in
-          let removed =
-            if mode = Lockmgr.Mode.Write && dead <> [] then begin
-              save_sv t ~action:bt_action e;
-              e.e_image <-
-                {
-                  e.e_image with
-                  im_server =
-                    {
-                      e.e_image.im_server with
-                      im_sv = List.filter (fun n -> not (List.mem n dead)) sv;
-                    };
-                };
-              Sim.Metrics.incr (metrics t) ~by:(List.length dead) "gvd.removes";
-              dead
-            end
-            else []
-          in
+      let a = touch_guard t bt_action in
+      match take_lock t ~action:bt_action (Blocking mode) (key_of Sv_side bt_uid) with
+      | Some refusal -> refusal
+      | None ->
+          Sim.Metrics.incr m "gvd.batch_binds";
+          Sim.Metrics.incr m "gvd.get_server";
+          let dead = List.filter (fun n -> not (up n)) e.e_image.im_server.im_sv in
+          let removed = if mode = Lockmgr.Mode.Write then dead else [] in
+          List.iter (fun n -> perform t a ~action:bt_action ~staged:false e (Remove n)) removed;
           let live = List.filter up e.e_image.im_server.im_sv in
           let in_use =
             List.filter
               (fun n -> not (Use_list.is_empty (use_list e.e_image n)))
               live
           in
-          let chosen = if in_use = [] then take bt_replicas live else in_use in
+          let chosen =
+            if in_use = [] then List.filteri (fun i _ -> i < bt_replicas) live else in_use
+          in
           if chosen = [] then Refused "no live server"
           else begin
-            Sim.Metrics.incr (metrics t) "gvd.increments";
-            if bt_credits <> [] then Sim.Metrics.incr (metrics t) "gvd.decrements";
-            let deltas =
-              List.map (fun n -> (n, bt_client, 1)) chosen
-              @ List.map (fun (n, c) -> (n, bt_client, -c)) bt_credits
+            (* Under the Write lock no concurrent counter holder exists, so
+               the counter ops apply in place behind the before-image. *)
+            let ops =
+              Increment { client = bt_client; servers = chosen }
+              ::
+              (if bt_credits = [] then []
+               else
+                 [
+                   Decrement
+                     {
+                       client = bt_client;
+                       servers =
+                         List.concat_map
+                           (fun (n, c) -> List.init c (fun _ -> n))
+                           bt_credits;
+                     };
+                 ])
             in
-            (match mode with
-            | Lockmgr.Mode.Delta -> stage_deltas t ~action:bt_action e deltas
-            | _ ->
-                (* Write mode excludes every concurrent counter holder,
-                   so the before-image is a sound undo and the deltas can
-                   apply in place. *)
-                save_sv t ~action:bt_action e;
-                e.e_image <-
-                  List.fold_left
-                    (fun im (node, client, d) ->
-                      set_use_list im node (apply_delta (use_list im node) ~client d))
-                    e.e_image deltas);
-            Sim.Metrics.incr (metrics t) "gvd.get_view";
-            Sim.Metrics.incr (metrics t) "gvd.snapshot_reads";
+            List.iter
+              (perform t a ~action:bt_action ~staged:(mode = Lockmgr.Mode.Delta) e)
+              ops;
+            Sim.Metrics.incr m "gvd.get_view";
+            Sim.Metrics.incr m "gvd.snapshot_reads";
             tracef t "%s batch-bind %a chosen=[%s]%s" bt_action Store.Uid.pp
               bt_uid (String.concat "," chosen)
               (if removed = [] then "" else " removed=[" ^ String.concat "," removed ^ "]");
@@ -689,143 +754,6 @@ let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
               }
           end)
 
-(* The §4.2.1 write fence: the exclude-write lock, or a plain write lock
-   when the world turns [use_exclude_write] off. [take_fence] promotes a
-   lock the action already holds on [key], else acquires one without
-   waiting. *)
-let fence_mode t =
-  if t.use_exclude_write then Lockmgr.Mode.Exclude_write else Lockmgr.Mode.Write
-
-let take_fence t ~action key =
-  let mode = fence_mode t in
-  match Lockmgr.Manager.holds t.locks ~owner:action key with
-  | Some _ -> Lockmgr.Manager.promote t.locks ~owner:action ~to_mode:mode key
-  | None -> Lockmgr.Manager.try_acquire t.locks ~owner:action ~mode key
-
-(* Exclude: promote (or acquire) the §4.2.1 lock on every listed entry
-   first; only mutate once every lock is held, so refusal leaves the
-   database untouched. *)
-let h_exclude t { x_action; x_pairs } =
-  touch_guard t x_action;
-  match
-    List.find_map
-      (fun (uid, _) ->
-        if owns t uid then None
-        else Hashtbl.find_opt t.moved_out (Store.Uid.serial uid))
-      x_pairs
-  with
-  | Some dest -> Moved dest
-  | None ->
-  let all_locked =
-    List.for_all
-      (fun (uid, _) -> take_fence t ~action:x_action (st_key uid))
-      x_pairs
-  in
-  if not all_locked then begin
-    Sim.Metrics.incr (metrics t) "gvd.exclude_refused";
-    Refused "exclude lock promotion refused"
-  end
-  else begin
-    List.iter
-      (fun (uid, nodes) ->
-        match entry_opt t uid with
-        | None -> ()
-        | Some e ->
-            save_st t ~action:x_action e;
-            e.e_image <-
-              {
-                e.e_image with
-                im_state =
-                  {
-                    e.e_image.im_state with
-                    im_st =
-                      List.filter
-                        (fun n -> not (List.mem n nodes))
-                        e.e_image.im_state.im_st;
-                  };
-              };
-            tracef t "%s exclude [%s] from St(%a)" x_action
-              (String.concat "," nodes) Store.Uid.pp uid;
-            Sim.Metrics.incr (metrics t) ~by:(List.length nodes) "gvd.exclusions")
-      x_pairs;
-    Granted ()
-  end
-
-let h_retire_sv t { o_uid; o_action; o_node } =
-  match entry_opt t o_uid with
-  | None -> absent t o_uid
-  | Some e ->
-      with_lock t ~action:o_action ~mode:Lockmgr.Mode.Write (sv_key o_uid)
-        (fun () ->
-          if not (all_quiescent e.e_image) then Busy "object not quiescent"
-          else begin
-            save_sv t ~action:o_action e;
-            e.e_image <-
-              {
-                e.e_image with
-                im_server =
-                  {
-                    im_sv =
-                      List.filter (fun n -> n <> o_node) e.e_image.im_server.im_sv;
-                    im_sv_home =
-                      List.filter (fun n -> n <> o_node)
-                        e.e_image.im_server.im_sv_home;
-                    im_uses = List.remove_assoc o_node e.e_image.im_server.im_uses;
-                  };
-              };
-            tracef t "%s retire server %s from %a" o_action o_node Store.Uid.pp
-              o_uid;
-            Sim.Metrics.incr (metrics t) "gvd.server_retirements";
-            Granted ()
-          end)
-
-let h_retire_st t { o_uid; o_action; o_node } =
-  match entry_opt t o_uid with
-  | None -> absent t o_uid
-  | Some e ->
-      with_lock t ~action:o_action ~mode:Lockmgr.Mode.Write (st_key o_uid)
-        (fun () ->
-          save_st t ~action:o_action e;
-          e.e_image <-
-            {
-              e.e_image with
-              im_state =
-                {
-                  e.e_image.im_state with
-                  im_st =
-                    List.filter (fun n -> n <> o_node) e.e_image.im_state.im_st;
-                  im_st_home =
-                    List.filter (fun n -> n <> o_node)
-                      e.e_image.im_state.im_st_home;
-                };
-            };
-          tracef t "%s retire store %s from %a" o_action o_node Store.Uid.pp o_uid;
-          Sim.Metrics.incr (metrics t) "gvd.store_retirements";
-          Granted ())
-
-let h_include t { o_uid; o_action; o_node } =
-  match entry_opt t o_uid with
-  | None -> absent t o_uid
-  | Some e ->
-      with_lock t ~action:o_action ~mode:Lockmgr.Mode.Write (st_key o_uid)
-        (fun () ->
-          save_st t ~action:o_action e;
-          e.e_image <-
-            {
-              e.e_image with
-              im_state =
-                {
-                  e.e_image.im_state with
-                  im_st = add_unique o_node e.e_image.im_state.im_st;
-                  im_st_home = add_unique o_node e.e_image.im_state.im_st_home;
-                };
-            };
-          tracef t "%s include %s into St(%a) -> [%s]" o_action o_node
-            Store.Uid.pp o_uid
-            (String.concat "," e.e_image.im_state.im_st);
-          Sim.Metrics.incr (metrics t) "gvd.includes";
-          Granted e.e_image.im_state.im_version)
-
 (* Hand an entry off to another shard (online rebalance). Runs atomically
    at the simulation level — no suspension points between the check and
    the removal — so no bind can observe a half-migrated entry. Only
@@ -837,11 +765,12 @@ let h_handoff t { hr_uid; hr_dest } =
   match entry_opt t hr_uid with
   | None -> absent t hr_uid
   | Some e ->
-      let free key =
+      let free side =
+        let key = key_of side hr_uid in
         Lockmgr.Manager.holders t.locks key = []
         && Lockmgr.Manager.waiting t.locks key = 0
       in
-      if not (free (sv_key hr_uid) && free (st_key hr_uid)) then begin
+      if not (free Sv_side && free St_side) then begin
         Sim.Metrics.incr (metrics t) "gvd.handoff_busy";
         Busy "entry locked"
       end
@@ -893,157 +822,11 @@ let handoff_out t ~from ~uid ~dest =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_handoff
     { hr_uid = uid; hr_dest = dest }
 
-(* Record the committed version at commit time, under the same lock
-   discipline as Exclude (§4.2.1): readers are unaffected. *)
-let h_note_version t { n_uid; n_action; n_version } =
-  touch_guard t n_action;
-  match entry_opt t n_uid with
-  | None -> absent t n_uid
-  | Some e ->
-      let key = st_key n_uid in
-      if not (take_fence t ~action:n_action key) then begin
-        break_stale_lock_holders t key;
-        Refused "version-note lock refused"
-      end
-      else begin
-        save_st t ~action:n_action e;
-        if Store.Version.newer_than n_version e.e_image.im_state.im_version then
-          e.e_image <-
-            {
-              e.e_image with
-              im_state = { e.e_image.im_state with im_version = n_version };
-            };
-        Granted ()
-      end
-
-(* The optimistic commit's validate-and-note, one RPC round (§4.2.1
-   relaxed): re-check the St revision the committing client's lock-free
-   snapshot read observed, under the same write-fence lock the classic
-   version note takes.
-
-   - Lock refused (an Include/Exclude holds the write lock right now):
-     [Refused] — the client treats it like a conflict and retries.
-   - Revision moved (a membership change committed since the snapshot):
-     [Granted false]. The just-acquired fence is deliberately KEPT — it
-     belongs to the action and blocks further membership commits, so the
-     retried copy-back re-reads a revision that can no longer move and the
-     next validation must succeed: one conflict costs one retry, not a
-     livelock.
-   - Revision stands: record the committed version exactly as
-     [h_note_version] would and reply [Granted true]. From here to action
-     end the fence excludes concurrent Includes — the same guarantee the
-     classic locked GetView provided, established at prepare time instead
-     of commit start.
-
-   Idempotent under duplicate delivery: the lock grant is re-entrant, the
-   before-image save is once-per-action, the version advance is guarded by
-   [newer_than], and the revision cannot change between duplicates while
-   the fence is held. *)
-let h_validate_view t { vv_uid; vv_action; vv_version; vv_rev } =
-  touch_guard t vv_action;
-  match entry_opt t vv_uid with
-  | None -> absent t vv_uid
-  | Some e ->
-      let mode = fence_mode t in
-      let key = st_key vv_uid in
-      (* Probe before mutating: [available] is the pure validate-under-mode
-         query, so a doomed request breaks stale holders and refuses
-         without installing a lock or saving an image. *)
-      if not (Lockmgr.Manager.available t.locks ~owner:vv_action ~mode key)
-      then begin
-        break_stale_lock_holders t key;
-        Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
-        Refused "validate lock refused"
-      end
-      else begin
-        if not (take_fence t ~action:vv_action key) then
-          Refused "validate lock refused"
-        else if e.e_snap.im_state.im_st_rev <> vv_rev then begin
-          Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
-          tracef t "%s validate %a: rev %d moved to %d" vv_action Store.Uid.pp
-            vv_uid vv_rev e.e_snap.im_state.im_st_rev;
-          Granted false
-        end
-        else begin
-          save_st t ~action:vv_action e;
-          if Store.Version.newer_than vv_version e.e_image.im_state.im_version
-          then
-            e.e_image <-
-              {
-                e.e_image with
-                im_state = { e.e_image.im_state with im_version = vv_version };
-              };
-          Granted true
-        end
-      end
-
-(* Validated Exclude: the same validate-under-the-fence shape as
-   [h_validate_view], driving §4.2's own membership mutation. The caller
-   (the autonomic controller) read (St, rev) lock-free, decided "drop n"
-   off that snapshot, and the handler applies the drop only if the
-   revision still stands:
-
-   - Lock refused: [Refused], caller retries or falls back to the classic
-     blocking Exclude.
-   - Revision moved (some other membership change committed since the
-     snapshot): [Granted (false, _)] KEEPING the fence — the caller
-     re-reads St (which can no longer move) and re-decides; if the drop
-     is still wanted, the next attempt must succeed.
-   - Revision stands: mutate exactly as [h_exclude] would. A drop that
-     would empty [St] is refused outright — the last state holder is
-     never evicted, however sick: a slow state beats no state. *)
-let h_membership t { mb_uid; mb_action; mb_node; mb_rev } =
-  touch_guard t mb_action;
-  match entry_opt t mb_uid with
-  | None -> absent t mb_uid
-  | Some e ->
-      let mode = fence_mode t in
-      let key = st_key mb_uid in
-      if not (Lockmgr.Manager.available t.locks ~owner:mb_action ~mode key)
-      then begin
-        break_stale_lock_holders t key;
-        Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
-        Refused "membership lock refused"
-      end
-      else begin
-        if not (take_fence t ~action:mb_action key) then
-          Refused "membership lock refused"
-        else if e.e_snap.im_state.im_st_rev <> mb_rev then begin
-          Sim.Metrics.incr (metrics t) "gvd.membership_conflicts";
-          tracef t "%s membership %a: rev %d moved to %d" mb_action
-            Store.Uid.pp mb_uid mb_rev e.e_snap.im_state.im_st_rev;
-          Granted (false, e.e_image.im_state.im_version)
-        end
-        else
-          let st = e.e_image.im_state.im_st in
-          if List.mem mb_node st && List.length st <= 1 then begin
-            Sim.Metrics.incr (metrics t) "gvd.exclude_refused";
-            Refused "would empty St"
-          end
-          else begin
-            save_st t ~action:mb_action e;
-            e.e_image <-
-              {
-                e.e_image with
-                im_state =
-                  {
-                    e.e_image.im_state with
-                    im_st = List.filter (fun n -> n <> mb_node) st;
-                  };
-              };
-            tracef t "%s exclude-validated %s from St(%a)" mb_action mb_node
-              Store.Uid.pp mb_uid;
-            Sim.Metrics.incr (metrics t) "gvd.exclusions";
-            Granted (true, e.e_image.im_state.im_version)
-          end
-      end
-
 (* Synchronously push the committed images (with their snapshot versions)
    of the given entry serials to every backup instance: ONE coalesced
    payload per commit, scattered to all backups in a single [call_all]
-   round — previously this was one RPC per mutated entry per operation.
-   A push failure is tolerated (that backup is down; it resynchronises by
-   pulling a snapshot on recovery). *)
+   round. A push failure is tolerated (that backup is down; it
+   resynchronises by pulling a snapshot on recovery). *)
 let mirror_push t serials =
   match t.backups with
   | [] -> ()
@@ -1054,26 +837,25 @@ let mirror_push t serials =
             Option.map
               (fun e -> (serial, e.e_image, e.e_version))
               (Hashtbl.find_opt t.entries serial))
-          (List.sort_uniq Int.compare serials)
+          serials
       in
       if payload <> [] then
         ignore
           (Net.Rpc.call_all (Action.Atomic.rpc t.art) ~from:t.gvd_node ep_mirror
              (List.map (fun b -> (b.gvd_node, payload)) backups))
 
+let install_images t images =
+  List.iter
+    (fun (serial, im, version) ->
+      match Hashtbl.find_opt t.entries serial with
+      | Some e ->
+          e.e_image <- im;
+          e.e_snap <- im;
+          e.e_version <- max version e.e_version
+      | None -> ())
+    images
+
 (* -- resource manager: ties the database into action completion -- *)
-
-let actions_images t action =
-  Hashtbl.fold
-    (fun (a, serial, side) half acc ->
-      if String.equal a action then (serial, side, half) :: acc else acc)
-    t.undo []
-
-let actions_deltas t action =
-  Hashtbl.fold
-    (fun (a, serial) ops acc ->
-      if String.equal a action then (serial, ops) :: acc else acc)
-    t.pending []
 
 let restore_half e half =
   match half with
@@ -1113,6 +895,13 @@ let install_snapshot t serial sides =
           e.e_snap sides;
       e.e_version <- e.e_version + 1
 
+(* Take the action's record out of the table: commit, abort and transfer
+   read only the action's own state. *)
+let take_action t action =
+  let a = Hashtbl.find_opt t.actions action in
+  Hashtbl.remove t.actions action;
+  a
+
 let manager t =
   {
     Action.Resource_host.m_prepare =
@@ -1122,103 +911,87 @@ let manager t =
            last crash lost its locks and staged updates and must abort,
            and a yes vote makes the action's stage stable. *)
         if not t.durable then true
-        else if Hashtbl.mem t.known_actions action then begin
-          Hashtbl.replace t.prepared action ();
-          true
-        end
-        else false);
+        else
+          match Hashtbl.find_opt t.actions action with
+          | Some a ->
+              a.a_prepared <- true;
+              true
+          | None -> false);
     m_commit =
       (fun ~action ->
-        let images = actions_images t action in
-        let deltas = actions_deltas t action in
-        (* Apply the staged commuting counter updates first... *)
-        List.iter
-          (fun (serial, ops) ->
-            (match Hashtbl.find_opt t.entries serial with
-            | Some e ->
-                e.e_image <-
-                  List.fold_left
-                    (fun im (node, client, d) ->
-                      set_use_list im node
-                        (apply_delta (use_list im node) ~client d))
-                    e.e_image ops
-            | None -> ());
-            Hashtbl.remove t.pending (action, serial))
-          deltas;
-        (* ...then install a fresh committed snapshot for every half the
-           action touched, bumping each entry's version exactly once, and
-           only then release the locks: a lock-free reader can never see
-           a pre-install state after a later action was granted. *)
-        let touched_sides =
-          List.map (fun (s, side, _) -> (s, side)) images
-          @ List.map (fun (s, _) -> (s, Sv_side)) deltas
-          |> List.sort_uniq compare
+        let touched =
+          match take_action t action with
+          | None -> []
+          | Some a ->
+              (* Apply the staged commuting counter updates first... *)
+              List.iter
+                (fun (serial, ops) ->
+                  match Hashtbl.find_opt t.entries serial with
+                  | Some e -> e.e_image <- List.fold_left (fun im op -> apply op im) e.e_image ops
+                  | None -> ())
+                a.a_redo;
+              (* ...then install a fresh committed snapshot for every half
+                 the action touched, bumping each entry's version exactly
+                 once, and only then release the locks: a lock-free reader
+                 can never see a pre-install state after a later action
+                 was granted. *)
+              let touched_sides =
+                List.map (fun (s, side, _) -> (s, side)) a.a_undo
+                @ List.map (fun (s, _) -> (s, Sv_side)) a.a_redo
+                |> List.sort_uniq compare
+              in
+              let touched = List.sort_uniq Int.compare (List.map fst touched_sides) in
+              List.iter
+                (fun serial ->
+                  install_snapshot t serial
+                    (List.filter_map
+                       (fun (s, side) -> if s = serial then Some side else None)
+                       touched_sides))
+                touched;
+              touched
         in
-        let touched = List.sort_uniq Int.compare (List.map fst touched_sides) in
-        List.iter
-          (fun serial ->
-            install_snapshot t serial
-              (List.filter_map
-                 (fun (s, side) -> if s = serial then Some side else None)
-                 touched_sides))
-          touched;
-        List.iter
-          (fun (serial, side, _) -> Hashtbl.remove t.undo (action, serial, side))
-          images;
         Lockmgr.Manager.release_all t.locks ~owner:action;
-        Hashtbl.remove t.known_actions action;
-        Hashtbl.remove t.prepared action;
-        settle_guard t action;
+        Action.Orphan_guard.settle t.guard ~scope:resource ~action;
         mirror_push t touched);
     m_abort =
       (fun ~action ->
-        List.iter
-          (fun (serial, side, half) ->
-            (match Hashtbl.find_opt t.entries serial with
-            | Some e ->
-                restore_half e half;
-                tracef t "%s undo-restore entry %d -> St=[%s]" action serial
-                  (String.concat "," e.e_image.im_state.im_st)
-            | None -> ());
-            Hashtbl.remove t.undo (action, serial, side))
-          (actions_images t action);
-        (* Staged deltas are redo records: abort just drops them. *)
-        List.iter
-          (fun (serial, _) -> Hashtbl.remove t.pending (action, serial))
-          (actions_deltas t action);
+        (match take_action t action with
+        | None -> ()
+        | Some a ->
+            (* Staged deltas are redo records: abort just drops them. *)
+            List.iter
+              (fun (serial, _, half) ->
+                match Hashtbl.find_opt t.entries serial with
+                | Some e ->
+                    restore_half e half;
+                    tracef t "%s undo-restore entry %d -> St=[%s]" action serial
+                      (String.concat "," e.e_image.im_state.im_st)
+                | None -> ())
+              a.a_undo);
         Lockmgr.Manager.release_all t.locks ~owner:action;
-        Hashtbl.remove t.known_actions action;
-        Hashtbl.remove t.prepared action;
-        settle_guard t action);
+        Action.Orphan_guard.settle t.guard ~scope:resource ~action);
     m_transfer =
       (fun ~action ~parent ->
-        List.iter
-          (fun (serial, side, half) ->
+        (match take_action t action with
+        | None -> ()
+        | Some c ->
+            let p = record t parent in
             (* The parent keeps its own (older) before-image if it has
-               one; otherwise it inherits the child's. *)
-            if not (Hashtbl.mem t.undo (parent, serial, side)) then
-              Hashtbl.add t.undo (parent, serial, side) half;
-            Hashtbl.remove t.undo (action, serial, side))
-          (actions_images t action);
-        (* Staged deltas append to the parent's: both sets apply when the
-           top-level action eventually commits. *)
-        List.iter
-          (fun (serial, ops) ->
-            let pkey = (parent, serial) in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt t.pending pkey) in
-            Hashtbl.replace t.pending pkey (cur @ ops);
-            Hashtbl.remove t.pending (action, serial))
-          (actions_deltas t action);
+               one; otherwise it inherits the child's. Staged deltas
+               append to the parent's: both sets apply when the top-level
+               action eventually commits. *)
+            List.iter
+              (fun ((serial, side, _) as img) ->
+                if not (has_undo serial side p.a_undo) then p.a_undo <- img :: p.a_undo)
+              c.a_undo;
+            List.iter (fun (serial, ops) -> stage p serial ops) c.a_redo);
         Lockmgr.Manager.transfer_all t.locks ~from_owner:action ~to_owner:parent;
-        if Hashtbl.mem t.known_actions action then begin
-          Hashtbl.remove t.known_actions action;
-          Hashtbl.replace t.known_actions parent ()
-        end;
-        transfer_guard t action parent);
+        Action.Orphan_guard.transfer t.guard ~scope:resource ~action ~parent);
   }
 
 let install ?(use_exclude_write = true) ?(durable = false)
     ?(service_time = 0.0) art ~node =
+  let orphan_abort = ref (fun ~action:_ -> ()) in
   let t =
     {
       art;
@@ -1228,39 +1001,24 @@ let install ?(use_exclude_write = true) ?(durable = false)
       service_time;
       service = Sim.Semaphore.create 1;
       moved_out = Hashtbl.create 16;
-      known_actions = Hashtbl.create 64;
-      prepared = Hashtbl.create 16;
+      actions = Hashtbl.create 64;
       breaking = Hashtbl.create 16;
       entries = Hashtbl.create 64;
       names = Hashtbl.create 64;
       locks = Lockmgr.Manager.create ~metrics:(Net.Network.metrics (Action.Atomic.network art))
           (Action.Atomic.engine art);
-      undo = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
-      guard = None;
+      guard =
+        Action.Orphan_guard.create (Action.Atomic.network art) ~node
+          ~abort:(fun ~scope:_ ~action -> !orphan_abort ~action);
       ep_lookup = Net.Rpc.endpoint "gvd.lookup";
       ep_info = Net.Rpc.endpoint "gvd.info";
       ep_stored_on = Net.Rpc.endpoint "gvd.stored_on";
       ep_served_by = Net.Rpc.endpoint "gvd.served_by";
-      ep_get_server = Net.Rpc.endpoint "gvd.get_server";
-      ep_insert = Net.Rpc.endpoint "gvd.insert";
-      ep_remove = Net.Rpc.endpoint "gvd.remove";
-      ep_increment = Net.Rpc.endpoint "gvd.increment";
-      ep_decrement = Net.Rpc.endpoint "gvd.decrement";
-      ep_zero = Net.Rpc.endpoint "gvd.zero";
-      ep_get_view = Net.Rpc.endpoint "gvd.get_view";
+      ep_read = Net.Rpc.endpoint "gvd.read";
+      ep_update = Net.Rpc.endpoint "gvd.update";
       ep_batch = Net.Rpc.endpoint "gvd.bind_batch";
-      ep_view_snap = Net.Rpc.endpoint "gvd.get_view_snapshot";
-      ep_exclude = Net.Rpc.endpoint "gvd.exclude";
-      ep_include = Net.Rpc.endpoint "gvd.include";
-      ep_retire_sv = Net.Rpc.endpoint "gvd.retire_sv";
-      ep_retire_st = Net.Rpc.endpoint "gvd.retire_st";
-      ep_note_version = Net.Rpc.endpoint "gvd.note_version";
-      ep_view_commit = Net.Rpc.endpoint "gvd.get_view_commit";
-      ep_validate = Net.Rpc.endpoint "gvd.validate_view";
-      ep_membership = Net.Rpc.endpoint "gvd.membership";
       ep_handoff = Net.Rpc.endpoint "gvd.handoff";
-      ep_snapshot = Net.Rpc.endpoint "gvd.snapshot";
+      ep_resync = Net.Rpc.endpoint "gvd.snapshot";
       backups = [];
     }
   in
@@ -1275,102 +1033,56 @@ let install ?(use_exclude_write = true) ?(durable = false)
             ei_st_home = e.e_image.im_state.im_st_home;
           })
         (entry_opt t uid));
-  Net.Rpc.serve rpc ~node t.ep_stored_on (fun n ->
-      Hashtbl.fold
-        (fun _ e acc ->
-          if List.mem n e.e_image.im_state.im_st_home then e.e_uid :: acc else acc)
-        t.entries []
-      |> List.sort Store.Uid.compare);
-  Net.Rpc.serve rpc ~node t.ep_served_by (fun n ->
-      Hashtbl.fold
-        (fun _ e acc ->
-          if List.mem n e.e_image.im_server.im_sv_home then e.e_uid :: acc else acc)
-        t.entries []
-      |> List.sort Store.Uid.compare);
-  Net.Rpc.serve rpc ~node t.ep_get_server (fun req ->
-      serviced t (fun () -> h_get_server t req));
-  Net.Rpc.serve rpc ~node t.ep_insert (fun req ->
-      serviced t (fun () -> h_insert t req));
-  Net.Rpc.serve rpc ~node t.ep_remove (fun req ->
-      serviced t (fun () -> h_remove t req));
-  Net.Rpc.serve rpc ~node t.ep_increment (fun req ->
-      serviced t (fun () -> h_use_delta t ~name:"increments" ~delta:1 req));
-  Net.Rpc.serve rpc ~node t.ep_decrement (fun req ->
-      serviced t (fun () -> h_use_delta t ~name:"decrements" ~delta:(-1) req));
-  Net.Rpc.serve rpc ~node t.ep_zero (fun req ->
-      serviced t (fun () -> h_zero t req));
-  Net.Rpc.serve rpc ~node t.ep_get_view (fun req ->
-      serviced t (fun () -> h_get_view t req));
-  Net.Rpc.serve rpc ~node t.ep_batch (fun req ->
-      serviced t (fun () -> h_batch t req));
-  Net.Rpc.serve rpc ~node t.ep_view_snap (fun uid ->
-      serviced t (fun () -> h_get_view_snapshot t uid));
-  Net.Rpc.serve rpc ~node t.ep_exclude (fun req ->
-      serviced t (fun () -> h_exclude t req));
-  Net.Rpc.serve rpc ~node t.ep_include (fun req ->
-      serviced t (fun () -> h_include t req));
-  Net.Rpc.serve rpc ~node t.ep_retire_sv (fun req -> h_retire_sv t req);
-  Net.Rpc.serve rpc ~node t.ep_retire_st (fun req -> h_retire_st t req);
-  Net.Rpc.serve rpc ~node t.ep_note_version (fun req ->
-      serviced t (fun () -> h_note_version t req));
-  Net.Rpc.serve rpc ~node t.ep_view_commit (fun uid ->
-      serviced t (fun () -> h_get_view_commit t uid));
-  Net.Rpc.serve rpc ~node t.ep_validate (fun req ->
-      serviced t (fun () -> h_validate_view t req));
-  Net.Rpc.serve rpc ~node t.ep_membership (fun req ->
-      serviced t (fun () -> h_membership t req));
+  let homed_on home n =
+    Hashtbl.fold
+      (fun _ e acc -> if List.mem n (home e.e_image) then e.e_uid :: acc else acc)
+      t.entries []
+    |> List.sort Store.Uid.compare
+  in
+  Net.Rpc.serve rpc ~node t.ep_stored_on (homed_on (fun im -> im.im_state.im_st_home));
+  Net.Rpc.serve rpc ~node t.ep_served_by (homed_on (fun im -> im.im_server.im_sv_home));
+  Net.Rpc.serve rpc ~node t.ep_read (fun req -> serviced t (fun () -> h_read t req));
+  Net.Rpc.serve rpc ~node t.ep_update (fun req -> serviced t (fun () -> h_update t req));
+  Net.Rpc.serve rpc ~node t.ep_batch (fun req -> serviced t (fun () -> h_batch t req));
   Net.Rpc.serve rpc ~node t.ep_handoff (fun req -> h_handoff t req);
   Net.Rpc.serve rpc ~node ep_mirror (fun images ->
-      List.iter
-        (fun (serial, im, version) ->
-          match Hashtbl.find_opt t.entries serial with
-          | Some e ->
-              e.e_image <- im;
-              e.e_snap <- im;
-              e.e_version <- max version e.e_version
-          | None -> ())
-        images;
+      install_images t images;
       Sim.Metrics.incr (metrics t) "gvd.mirror_applies");
-  Net.Rpc.serve rpc ~node t.ep_snapshot (fun () ->
+  Net.Rpc.serve rpc ~node t.ep_resync (fun () ->
       Hashtbl.fold
         (fun serial e acc -> (serial, e.e_snap, e.e_version) :: acc)
         t.entries []);
   let mgr = manager t in
   Action.Resource_host.register (Action.Atomic.resource_host art) ~node
     ~resource mgr;
-  t.guard <-
-    Some
-      (Action.Orphan_guard.create (Action.Atomic.network art) ~node
-         ~abort:(fun ~scope:_ ~action ->
-           Sim.Metrics.incr (metrics t) "gvd.orphan_aborts";
-           tracef t "aborting orphaned action %s" action;
-           mgr.Action.Resource_host.m_abort ~action));
+  (orphan_abort :=
+     fun ~action ->
+       Sim.Metrics.incr (metrics t) "gvd.orphan_aborts";
+       tracef t "aborting orphaned action %s" action;
+       mgr.Action.Resource_host.m_abort ~action);
   if durable then begin
     (* The persistent-object semantics of the database itself: committed
        entry images are stable, and so is the stage of every prepared
        action; the locks, before-images and staged updates of all other
        in-flight actions are volatile and die with the node. *)
     let net = Action.Atomic.network art in
-    let in_doubt action = Hashtbl.mem t.prepared action in
-    let keep tbl action_of =
-      let kept =
-        Hashtbl.fold
-          (fun k v acc -> if in_doubt (action_of k) then (k, v) :: acc else acc)
-          tbl []
-      in
-      Hashtbl.reset tbl;
-      List.iter (fun (k, v) -> Hashtbl.replace tbl k v) kept
+    let in_doubt action =
+      match Hashtbl.find_opt t.actions action with
+      | Some a -> a.a_prepared
+      | None -> false
     in
     Net.Network.on_crash net node (fun () ->
-        Hashtbl.iter
-          (fun (action, serial, _) half ->
-            match Hashtbl.find_opt t.entries serial with
-            | Some e when not (in_doubt action) -> restore_half e half
-            | _ -> ())
-          t.undo;
-        keep t.undo (fun (action, _, _) -> action);
-        keep t.pending fst;
-        keep t.known_actions Fun.id;
+        Hashtbl.filter_map_inplace
+          (fun _ a ->
+            if a.a_prepared then Some a
+            else begin
+              List.iter
+                (fun (serial, _, half) ->
+                  Option.iter (fun e -> restore_half e half) (Hashtbl.find_opt t.entries serial))
+                a.a_undo;
+              None
+            end)
+          t.actions;
         Lockmgr.Manager.release_everything ~keep:in_doubt t.locks;
         Sim.Metrics.incr (metrics t) "gvd.crash_resets");
     (* A phase 2 sent while the node was down is never re-sent: settle
@@ -1382,23 +1094,27 @@ let install ?(use_exclude_write = true) ?(durable = false)
               ~name:(Printf.sprintf "%s.in-doubt:%s" node action) (fun () ->
                 settle_from_coordinator t action ~pending:(fun () ->
                     in_doubt action)))
-          (Hashtbl.fold (fun action () acc -> action :: acc) t.prepared []))
+          (Hashtbl.fold
+             (fun action a acc -> if a.a_prepared then action :: acc else acc)
+             t.actions []
+          |> List.sort String.compare))
   end;
   t
 
-(* -- client stubs: call, then enlist the action with the database -- *)
+(* -- client stubs -- *)
 
 (* Under a gray-failure profile, plain idempotent reads race a backup copy
    against a browned-out shard (same destination — under per-message
-   brownout inflation a re-send is a fresh draw). Everything that enlists
-   stays un-hedged: it stages locks and counter updates, and a duplicate
-   delivery would ride below the dedup guard. *)
+   brownout inflation a re-send is a fresh draw). Everything issued for
+   an action stays un-hedged: it stages locks and counter updates, and a
+   duplicate delivery would ride below the dedup guard. *)
 let plain_call t ~from ep req =
   if Net.Network.hedged (Action.Atomic.network t.art) then
     Net.Rpc.call_hedged (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
       ~hedge:(Net.Rpc.hedge ()) ep req
   else Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req
 
+(* Call, then enlist the action with the database. *)
 let call_enlisted t ~act ep req =
   let from = Action.Atomic.node act in
   let result = Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req in
@@ -1431,33 +1147,24 @@ let stored_on t ~from n =
 let served_by t ~from n =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_served_by n
 
-let get_server t ~act uid =
-  call_enlisted t ~act t.ep_get_server
-    { r_uid = uid; r_action = Action.Atomic.owner act }
+let read t ~act uid r =
+  let locked side = { r_uid = uid; r_lock = Some (Action.Atomic.owner act, side) } in
+  match r with
+  | Servers -> call_enlisted t ~act t.ep_read (locked Sv_side)
+  | Stores -> call_enlisted t ~act t.ep_read (locked St_side)
+  | Committed ->
+      (* Lock-free: nothing to enlist, undo or release. *)
+      Net.Rpc.call (Action.Atomic.rpc t.art) ~from:(Action.Atomic.node act)
+        ~dst:t.gvd_node t.ep_read { r_uid = uid; r_lock = None }
 
-let insert t ~act ~uid node =
-  call_enlisted t ~act t.ep_insert
-    { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
+let snapshot t ~from uid = plain_call t ~from t.ep_read { r_uid = uid; r_lock = None }
 
-let remove t ~act ~uid node =
-  call_enlisted t ~act t.ep_remove
-    { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
+let get_server t ~act uid = read t ~act uid Servers
+let get_view t ~act uid = read t ~act uid Stores
 
-let increment t ~act ~uid ~client nodes =
-  call_enlisted t ~act t.ep_increment
-    { u_uid = uid; u_action = Action.Atomic.owner act; u_client = client; u_nodes = nodes }
-
-let decrement t ~act ~uid ~client nodes =
-  call_enlisted t ~act t.ep_decrement
-    { u_uid = uid; u_action = Action.Atomic.owner act; u_client = client; u_nodes = nodes }
-
-let zero_client t ~act ~uid ~client =
-  call_enlisted t ~act t.ep_zero
-    { u_uid = uid; u_action = Action.Atomic.owner act; u_client = client; u_nodes = [] }
-
-let get_view t ~act uid =
-  call_enlisted t ~act t.ep_get_view
-    { r_uid = uid; r_action = Action.Atomic.owner act }
+let update t ~act ?if_rev ops =
+  call_enlisted t ~act t.ep_update
+    { up_action = Action.Atomic.owner act; up_ops = ops; up_if_rev = if_rev }
 
 let bind_batch t ~act ~uid ~client ~replicas ~credits =
   call_enlisted t ~act t.ep_batch
@@ -1469,30 +1176,6 @@ let bind_batch t ~act ~uid ~client ~replicas ~credits =
       bt_credits = credits;
     }
 
-(* Snapshot reads are lock-free and touch no recoverable state, so they
-   are plain calls — no enlistment, nothing for the action to release. *)
-let get_view_snapshot t ~from uid = plain_call t ~from t.ep_view_snap uid
-
-let exclude t ~act pairs =
-  call_enlisted t ~act t.ep_exclude
-    { x_action = Action.Atomic.owner act; x_pairs = pairs }
-
-let include_ t ~act ~uid node =
-  call_enlisted t ~act t.ep_include
-    { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
-
-(* The validated Exclude enlists like every other mutator: the handler
-   takes the fence lock and stages a before-image for the action, so
-   action end must release/restore them whatever the outcome. *)
-let exclude_validated t ~act ~uid ~rev node =
-  call_enlisted t ~act t.ep_membership
-    {
-      mb_uid = uid;
-      mb_action = Action.Atomic.owner act;
-      mb_node = node;
-      mb_rev = rev;
-    }
-
 let mirror_to t backup =
   if not (List.memq backup t.backups) then t.backups <- t.backups @ [ backup ]
 
@@ -1501,55 +1184,17 @@ let resync_from t ~source ~from =
      node, within a recovery fiber) and install them locally. *)
   match
     Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:source.gvd_node
-      source.ep_snapshot ()
+      source.ep_resync ()
   with
   | Ok images ->
-      List.iter
-        (fun (serial, im, version) ->
-          match Hashtbl.find_opt t.entries serial with
-          | Some e ->
-              e.e_image <- im;
-              e.e_snap <- im;
-              e.e_version <- max version e.e_version
-          | None -> ())
-        images;
+      install_images t images;
       Sim.Metrics.incr (metrics t) "gvd.resyncs";
       Ok ()
   | Error e -> Error e
 
-let note_version t ~act ~uid version =
-  call_enlisted t ~act t.ep_note_version
-    { n_uid = uid; n_action = Action.Atomic.owner act; n_version = version }
-
-(* Lock-free like the other snapshot stubs: a plain, non-enlisted call.
-   Nothing recoverable happens server-side until [validate_view]. *)
-let get_view_commit t ~from uid =
-  Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_view_commit
-    uid
-
-(* The validate half DOES take the write fence and stage a version note,
-   so it enlists exactly like [note_version]. *)
-let validate_view t ~act ~uid ~version ~rev =
-  call_enlisted t ~act t.ep_validate
-    {
-      vv_uid = uid;
-      vv_action = Action.Atomic.owner act;
-      vv_version = version;
-      vv_rev = rev;
-    }
-
-let committed_version t uid = (entry_exn t uid).e_image.im_state.im_version
-
-let retire_server_home t ~act ~uid node =
-  call_enlisted t ~act t.ep_retire_sv
-    { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
-
-let retire_store_home t ~act ~uid node =
-  call_enlisted t ~act t.ep_retire_st
-    { o_uid = uid; o_action = Action.Atomic.owner act; o_node = node }
-
 (* -- direct introspection -- *)
 
+let committed_version t uid = (entry_exn t uid).e_image.im_state.im_version
 let current_sv t uid = (entry_exn t uid).e_image.im_server.im_sv
 let current_st t uid = (entry_exn t uid).e_image.im_state.im_st
 
@@ -1570,7 +1215,7 @@ let all_uids t =
 let residual_locks t = Lockmgr.Manager.all_held t.locks
 
 let residual_actions t =
-  let acts = Hashtbl.create 8 in
-  Hashtbl.iter (fun (a, _) _ -> Hashtbl.replace acts a ()) t.pending;
-  Hashtbl.iter (fun (a, _, _) _ -> Hashtbl.replace acts a ()) t.undo;
-  Hashtbl.fold (fun a () acc -> a :: acc) acts [] |> List.sort String.compare
+  Hashtbl.fold
+    (fun name a acc -> if a.a_undo <> [] || a.a_redo <> [] then name :: acc else acc)
+    t.actions []
+  |> List.sort String.compare

@@ -58,10 +58,13 @@ val install :
     value makes a single naming node a measurable bottleneck, which is
     what the sharded tier ({!Router}) relieves.
 
+    Every request carrying a database operation — {!read}, {!update},
+    {!bind_batch} — pays [service_time].
+
     Under a gray-failure profile ({!Net.Network.hedged}) the plain
-    idempotent reads — {!lookup}, {!entry_info}, {!get_view_snapshot} —
-    race a health-delayed backup copy
-    ({!Net.Rpc.call_hedged}). The enlisted operations are {e never}
+    idempotent reads issued outside any action — {!lookup},
+    {!entry_info}, {!snapshot} — race a health-delayed backup copy
+    ({!Net.Rpc.call_hedged}). Requests issued for an action are {e never}
     hedged: they take locks and stage counter updates, and a hedged
     duplicate would ride below the RPC duplicate guard (e.g. a
     double-staged Increment in [bind_batch]). *)
@@ -73,21 +76,16 @@ val resource : string
 (** The {!Action.Resource_host} resource name, ["gvd"]. *)
 
 (** Outcome of a database operation: [Refused] means a lock could not be
-    granted (the caller should abort its action); [Busy] is
-    [Insert]-specific — the object is not quiescent; [Moved] is the
-    wrong-shard bounce — the entry was handed off to the given naming
-    node and the caller (normally {!Router}) should retry there. *)
+    granted or a precondition failed (the caller should abort its
+    action); [Busy] means the object is not quiescent ([Insert],
+    [Retire_sv]) or, for a handoff, locked; [Moved] is the wrong-shard
+    bounce — the entry was handed off to the given naming node and the
+    caller (normally {!Router}) should retry there. *)
 type 'a reply =
   | Granted of 'a
   | Busy of string
   | Refused of string
   | Moved of Net.Network.node_id
-
-type server_view = {
-  sv_servers : Net.Network.node_id list;  (** current [SvA] *)
-  sv_uses : (Net.Network.node_id * Use_list.t) list;
-      (** use list per server node (same order as [sv_servers]) *)
-}
 
 (** {2 Administrative operations} (no locking; used at world setup and by
     tests) *)
@@ -127,53 +125,125 @@ val served_by :
   t -> from:Net.Network.node_id -> Net.Network.node_id -> (Store.Uid.t list, Net.Rpc.error) result
 (** Objects whose [sv_home] contains the node. *)
 
-(** {2 Object Server database operations} (§4.1) *)
+(** {2 The paper's operations}
+
+    Three request shapes serve the eight operations of §4 (GetServer,
+    Insert, Remove, Increment, Decrement; GetView, Exclude, Include) and
+    the extensions built on them: one {!read}, one typed {!update} and
+    the single-round {!bind_batch}. Every committing action installs a
+    fresh immutable snapshot of the entry halves it touched and bumps a
+    per-entry version; lock-free reads see only these snapshots. *)
+
+(** What a read returns and which lock it takes. *)
+type read =
+  | Servers
+      (** GetServer (§4.1): a Read lock on [SvA] for the action, held to
+          its end; enlisted. [v_servers] is the working [SvA]. *)
+  | Stores
+      (** GetView (§4.2): a Read lock on [StA] for the action; enlisted.
+          [v_stores] is the working [StA]. *)
+  | Committed
+      (** The lock-free committed read: no lock, no enlistment, nothing
+          to undo or release. Every field comes from the committed
+          snapshot. *)
+
+type view = {
+  v_servers : Net.Network.node_id list;  (** [SvA] *)
+  v_stores : Net.Network.node_id list;  (** [StA] *)
+  v_version : int;  (** entry snapshot version *)
+  v_rev : int;  (** committed St revision, the [if_rev] of {!update} *)
+}
+(** One view of an entry. The half a locked read covers comes from the
+    working image; everything else from the committed snapshot. *)
+
+val read :
+  t -> act:Action.Atomic.t -> Store.Uid.t -> read -> (view reply, Net.Rpc.error) result
+(** [read t ~act uid r], issued from [act]'s node. Never hedged. *)
+
+val snapshot :
+  t -> from:Net.Network.node_id -> Store.Uid.t -> (view reply, Net.Rpc.error) result
+(** The [Committed] read issued outside any action. Under a gray-failure
+    profile it is hedged like {!lookup}. *)
 
 val get_server :
+  t -> act:Action.Atomic.t -> Store.Uid.t -> (view reply, Net.Rpc.error) result
+(** GetServer: [read t ~act uid Servers]. *)
+
+val get_view :
+  t -> act:Action.Atomic.t -> Store.Uid.t -> (view reply, Net.Rpc.error) result
+(** GetView: [read t ~act uid Stores]. *)
+
+(** A mutation of one entry. Each op declares the half it writes, the
+    lock it takes there and a pure transform of that half:
+
+    - [Sv] half, blocking [Write] lock, applied in place behind a
+      before-image: [Insert] (needs quiescence — all use lists empty —
+      else [Busy], §4.1.2), [Remove], [Zero] (drop every counter of a
+      crashed client, §4.1.3) and [Retire_sv] (leave [SvA] and
+      [sv_home] for good, so recovery will not re-insert; needs
+      quiescence).
+    - [Sv] half, blocking {!Lockmgr.Mode.Delta} lock, staged as a redo
+      record applied at commit and dropped at abort: [Increment] and
+      [Decrement] of [client]'s counter in the use list of each listed
+      server (§4.1.3). Counter updates commute, so concurrent binders do
+      not serialise.
+    - [St] half, blocking [Write] lock: [Include] (re-admit a store) and
+      [Retire_st] (leave [StA] and [st_home] for good).
+    - [St] half, the §4.2.1 write fence — exclude-write, compatible with
+      readers, taken without waiting (promoting the action's read lock
+      when it has one): [Exclude] (§4.2), [Evict] (exclude one store,
+      refused rather than empty [StA] — the last state holder is never
+      evicted, however sick) and [Note_version] (record the version the
+      committing action installs; the fence {!outcome} reports). *)
+type op =
+  | Insert of Net.Network.node_id
+  | Remove of Net.Network.node_id
+  | Increment of { client : Net.Network.node_id; servers : Net.Network.node_id list }
+  | Decrement of { client : Net.Network.node_id; servers : Net.Network.node_id list }
+  | Zero of Net.Network.node_id  (** the crashed client *)
+  | Include of Net.Network.node_id
+  | Exclude of Net.Network.node_id list
+  | Evict of Net.Network.node_id
+  | Retire_sv of Net.Network.node_id
+  | Retire_st of Net.Network.node_id
+  | Note_version of Store.Version.t
+
+type outcome = {
+  o_applied : bool;  (** false only when [if_rev] did not match *)
+  o_fence : Store.Version.t;
+      (** the newest committed-version fence of the named entries. After
+          an [Include], the caller must hold (or fetch) a state at least
+          that new before its inclusion action may commit, else a store
+          whose state was rewound by unlucky crash timing would serve
+          stale activations. *)
+}
+
+val update :
   t ->
   act:Action.Atomic.t ->
-  Store.Uid.t ->
-  (server_view reply, Net.Rpc.error) result
-(** Read [SvA] and the use lists under a read lock owned by [act]. *)
+  ?if_rev:int ->
+  (Store.Uid.t * op) list ->
+  (outcome reply, Net.Rpc.error) result
+(** Run the ops for [act], enlisted, never hedged. One handler runs every
+    request in the same order: the ownership check (any entry this shard
+    does not hold answers [Moved] or [Refused "unknown object"] before
+    anything is recorded for the action), the lock of every op in request
+    order ([Refused] if a blocking lock times out after 30.0 or a fence
+    is unavailable), the [if_rev] check, the preconditions ([Busy] or
+    [Refused]), then stage or apply. A refusal leaves the entries
+    untouched; locks already granted stay with [act] until it ends.
 
-val insert :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit reply, Net.Rpc.error) result
-(** Add a server node to [SvA]. Requires the write lock and quiescence
-    (all use lists empty): returns [Busy] otherwise — a recovered server
-    node retries until the object is quiescent (§4.1.2). *)
+    [if_rev] is decide-then-mutate in one round (§13): apply the ops only
+    if the committed St revision of every named entry still equals it.
+    On a mismatch nothing is applied ([o_applied = false]) but the fence
+    just taken is {e kept}, so the caller's re-read sees a revision that
+    can no longer move and one conflict costs one retry. With
+    [Note_version], this is the optimistic commit's validate-and-note,
+    inside the prepare round; with [Evict], the autonomic controller's
+    validated exclusion. Idempotent under duplicate delivery except for
+    staged counter ops. *)
 
-val remove :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit reply, Net.Rpc.error) result
-(** Remove a server node from [SvA] (write lock). *)
-
-val increment :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> client:Net.Network.node_id ->
-  Net.Network.node_id list -> (unit reply, Net.Rpc.error) result
-(** Bump [client]'s counter in the use list of each listed server node —
-    §4.1.3. Counter updates commute, so this takes the {!Lockmgr.Mode.Delta}
-    lock (compatible with other increments/decrements and with readers)
-    and stages a redo record that is applied when [act] commits. *)
-
-val decrement :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> client:Net.Network.node_id ->
-  Net.Network.node_id list -> (unit reply, Net.Rpc.error) result
-(** Undo one [increment] (also [Delta]-mode, staged until commit). *)
-
-val zero_client :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> client:Net.Network.node_id ->
-  (unit reply, Net.Rpc.error) result
-(** Drop every counter of [client] on the object — the cleanup protocol's
-    repair for crashed clients (§4.1.3). *)
-
-(** {2 Single-round batched bind and snapshot reads}
-
-    Every committing action installs a fresh immutable snapshot of the
-    entry halves it touched and bumps a per-entry version. Schemes B/C
-    read these snapshots lock-free; scheme A keeps the locked
-    {!get_server}/{!get_view} path so Figure 6's read-lock semantics are
-    untouched. *)
+(** {2 Single-round batched bind} *)
 
 type batch_view = {
   bv_impl : string;  (** implementation name (saves the impl_of round) *)
@@ -200,101 +270,8 @@ val bind_batch :
     server is detectably dead (then a structural write). [replicas] is
     the activation-subset size wanted when no server is in use yet. *)
 
-val get_view_snapshot :
-  t -> from:Net.Network.node_id ->
-  Store.Uid.t -> ((Net.Network.node_id list * int) reply, Net.Rpc.error) result
-(** Lock-free read of the committed [StA] snapshot and its version. Not
-    enlisted in any action (there is nothing to undo or release). *)
-
-(** {2 Object State database operations} (§4.2) *)
-
-val get_view :
-  t -> act:Action.Atomic.t -> Store.Uid.t ->
-  (Net.Network.node_id list reply, Net.Rpc.error) result
-(** Read [StA] under a read lock owned by [act]. *)
-
-val exclude :
-  t -> act:Action.Atomic.t -> (Store.Uid.t * Net.Network.node_id list) list ->
-  (unit reply, Net.Rpc.error) result
-(** Batch-remove store nodes from the [St] sets (§4.2): for each object,
-    promote the caller's read lock to exclude-write (or acquire it
-    afresh); refusal means the caller must abort. *)
-
-val include_ :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (Store.Version.t reply, Net.Rpc.error) result
-(** Re-admit a store node to [StA] (write lock). The granted value is the
-    {e committed-version fence}: the caller must hold (or fetch) a state
-    at least that new before its inclusion action may commit, else a
-    store whose state was rewound by unlucky crash timing would serve
-    stale activations. *)
-
-val note_version :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Store.Version.t ->
-  (unit reply, Net.Rpc.error) result
-(** Record, within the committing action, the version its commit installs
-    (exclude-write lock, like [Exclude]); the fence {!include_} checks.
-    Refusal must abort the action. *)
-
 val committed_version : t -> Store.Uid.t -> Store.Version.t
 (** Introspection: the current committed-version fence. *)
-
-(** {2 Optimistic commit validation}
-
-    The classic commit-time re-read ({!get_view} + {!note_version}) holds
-    a read lock on [StA] from commit start across the copy-back fan-out
-    to fence concurrent Includes. The optimistic path replaces the lock
-    with validation: read the committed snapshot and its {e St revision}
-    lock-free when commit processing starts ({!get_view_commit}), fan the
-    copy-back out against it, then {!validate_view} inside the prepare
-    round — if a membership change committed in between, the revision
-    moved and the commit retries against fresh [St]; if not, the
-    validation takes the same write fence the classic note took and the
-    guarantee is re-established, with zero naming-tier lock waits on the
-    conflict-free path. The St revision counts only committed
-    Include/Exclude/retire changes, so concurrent binds (use-list
-    traffic) never conflict a committer. *)
-
-val get_view_commit :
-  t -> from:Net.Network.node_id ->
-  Store.Uid.t -> ((Net.Network.node_id list * int) reply, Net.Rpc.error) result
-(** Lock-free read of the committed [StA] snapshot and its {e St
-    revision} (not the per-entry snapshot version — see above). Not
-    enlisted; nothing to undo or release. *)
-
-val validate_view :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t ->
-  version:Store.Version.t -> rev:int ->
-  (bool reply, Net.Rpc.error) result
-(** Validate-and-note in one round, inside the prepare fan-out:
-    re-acquire the exclude-write fence (non-blocking — [Refused] if held
-    by a membership change in flight), compare [rev] against the
-    committed St revision, and on match record [version] exactly as
-    {!note_version} would, answering [Granted true]. On mismatch answers
-    [Granted false] {e keeping the fence}: the retried copy-back then
-    validates against a revision that can no longer move, so one conflict
-    costs exactly one retry. Idempotent under duplicate delivery. *)
-
-(** {2 Validated Exclude}
-
-    The §13 discipline applied to §4.2's own Exclude: a caller that
-    decided to drop a store off a lock-free [(St, rev)] snapshot
-    ({!get_view_commit}) asks for the drop to be applied {e only if the
-    revision still stands} — decide-then-mutate becomes one atomic round,
-    with no blocking lock wait on the conflict-free path. On a moved
-    revision the reply is [Granted (false, _)] and the just-taken fence
-    is deliberately kept (as in {!validate_view}), so the caller's
-    re-read sees a revision that can no longer move and a re-decided
-    retry must succeed: one conflict costs one retry. [Refused] (fence
-    unavailable) callers fall back to the classic blocking {!exclude}. *)
-
-val exclude_validated :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
-  Net.Network.node_id ->
-  ((bool * Store.Version.t) reply, Net.Rpc.error) result
-(** Remove one store node from [StA] iff the committed St revision still
-    equals [rev]. Refuses outright (never mutating) if the removal would
-    empty [St]: the last state holder is never evicted, however sick. *)
 
 (** {2 Replicating the service itself} (§3.1's deferred extension)
 
@@ -319,22 +296,6 @@ val resync_from :
 (** Pull a full snapshot of committed images from [source] (an RPC issued
     from [from], normally the caller's own recovering node) and install it
     locally. *)
-
-(** {2 Retirement} (administrative changes to the replication degree) *)
-
-val retire_server_home :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit reply, Net.Rpc.error) result
-(** Permanently remove a node from [SvA] {e and} from [sv_home], so
-    recovery will not re-insert it. Requires the write lock and, like
-    [Insert], quiescence ([Busy] otherwise) — retiring a server out from
-    under bound clients would break their bindings. *)
-
-val retire_store_home :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit reply, Net.Rpc.error) result
-(** Permanently remove a node from [StA] and [st_home] (write lock), so
-    recovery will not re-include it. *)
 
 (** {2 Shard handoff} (online rebalance; used by {!Router})
 

@@ -57,11 +57,9 @@ let hybrid_reads t ~act ~client uid =
     | Error e -> Error (Net.Rpc.error_to_string e)
   in
   let read_st nested =
-    match Router.get_view router ~act:nested uid with
-    | Ok (Gvd.Granted st) -> Ok st
-    | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-    | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-    | Error e -> Error (Net.Rpc.error_to_string e)
+    Router.read router ~act:nested uid Gvd.Stores
+    |> Result.map (fun v -> v.Gvd.v_stores)
+    |> Result.map_error Router.failure_to_string
   in
   let joined =
     Action.Atomic.atomically_nested act (fun nested ->
@@ -110,11 +108,9 @@ let bind t ~act ~uid ~policy =
         | Error why -> Error (Binder.No_server why)
         | Ok group ->
             let current_stores act' =
-              match Router.get_view router ~act:act' uid with
-              | Ok (Gvd.Granted nodes) -> Ok nodes
-              | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-              | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-              | Error e -> Error (Net.Rpc.error_to_string e)
+              Router.read router ~act:act' uid Gvd.Stores
+              |> Result.map (fun v -> v.Gvd.v_stores)
+              |> Result.map_error Router.failure_to_string
             in
             let exclude act' failed =
               Binder.exclusion t.binder ~scheme:Scheme.Standard ~uid act'
@@ -125,23 +121,10 @@ let bind t ~act ~uid ~policy =
                round. The hybrid scheme keeps no version fence, so there
                is no [note_version] — validation's only job here is the
                revision check. *)
-            let snapshot_stores () =
-              match Router.get_view_commit router ~from:client uid with
-              | Ok (Gvd.Granted (nodes, rev)) -> Ok (nodes, rev)
-              | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) -> Error why
-              | Ok (Gvd.Moved dest) -> Error ("wrong shard: " ^ dest)
-              | Error e -> Error (Net.Rpc.error_to_string e)
-            in
-            let validate act' ~version ~rev =
-              match Router.validate_view router ~act:act' ~uid ~version ~rev with
-              | Ok (Gvd.Granted true) -> `Validated
-              | Ok (Gvd.Granted false) -> `Conflict
-              | Ok (Gvd.Refused _) | Ok (Gvd.Busy _) -> `Conflict
-              | Ok (Gvd.Moved dest) -> `Failed ("wrong shard: " ^ dest)
-              | Error e -> `Failed (Net.Rpc.error_to_string e)
-            in
+            let snapshot_stores () = Binder.committed_stores router ~act uid in
             Replica.Commit.attach grt act group ~current_stores
-              ~snapshot_stores ~validate ~exclude ();
+              ~snapshot_stores ~validate:(Binder.validate_note router ~uid)
+              ~exclude ();
             Ok
               {
                 Binder.bd_uid = uid;

@@ -32,13 +32,9 @@ let reintegrate_store_one t ~node uid =
          final committed state. The granted fence is the committed
          version this node must reach before the inclusion may commit. *)
       let fence =
-        match Router.include_ r ~act ~uid node with
-        | Ok (Gvd.Granted v) -> v
-        | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
-            raise (Action.Atomic.Abort why)
-        | Ok (Gvd.Moved dest) ->
-            raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-        | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
+        match Router.update r ~act [ (uid, Gvd.Include node) ] with
+        | Ok o -> o.Gvd.o_fence
+        | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
       in
       let sources =
         match Router.entry_info r ~from:node uid with
@@ -109,47 +105,35 @@ let validated_attempts = 3
    driven by an observer node — the autonomic controller's half of §4.2,
    where the exclusion is proposed by whoever detected the failure
    rather than by a commit that tripped over it. The St revision is read
-   lock-free and validated inside the Exclude round
-   ({!Gvd.exclude_validated}); a conflict kept the fence, so the bounded
-   retry converges, and exhaustion or an unreachable snapshot falls back
-   to the classic locked round. *)
+   lock-free and validated inside the Exclude round (an [Evict] update
+   with [~if_rev]); a conflict kept the fence, so the bounded retry
+   converges, and exhaustion or an unreachable snapshot falls back to
+   the classic locked round. *)
 let exclude_store_one t ~from ~node uid =
   let r = Binder.router t in
   Action.Atomic.atomically (art t) ~node:from (fun act ->
-      let classic () =
-        match Router.exclude r ~act [ (uid, [ node ]) ] with
-        | Ok (Gvd.Granted ()) -> ()
-        | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
-            raise (Action.Atomic.Abort why)
-        | Ok (Gvd.Moved dest) ->
-            raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-        | Error e -> raise (Action.Atomic.Abort (Net.Rpc.error_to_string e))
+      let update ?if_rev op =
+        match Router.update r ~act ?if_rev [ (uid, op) ] with
+        | Ok o -> o.Gvd.o_applied
+        | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
       in
+      let classic () = ignore (update (Gvd.Exclude [ node ]) : bool) in
       let rec go attempt =
-        match Router.get_view_commit r ~from uid with
-        | Ok (Gvd.Granted (st, rev)) ->
+        match Router.read r ~act uid Gvd.Committed with
+        | Ok { Gvd.v_stores = st; v_rev = rev; _ } ->
             if not (List.mem node st) then
               raise (Action.Atomic.Abort "not an St member")
             else if List.length st <= 1 then
               raise (Action.Atomic.Abort "would empty St")
-            else (
-              match Router.exclude_validated r ~act ~uid ~rev node with
-              | Ok (Gvd.Granted (true, _)) -> ()
-              | Ok (Gvd.Granted (false, _)) ->
-                  if attempt + 1 < validated_attempts then go (attempt + 1)
-                  else begin
-                    Sim.Metrics.incr
-                      (Net.Network.metrics (netw t))
-                      "reintegrate.optimistic_fallbacks";
-                    classic ()
-                  end
-              | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
-                  raise (Action.Atomic.Abort why)
-              | Ok (Gvd.Moved dest) ->
-                  raise (Action.Atomic.Abort ("wrong shard: " ^ dest))
-              | Error e ->
-                  raise (Action.Atomic.Abort (Net.Rpc.error_to_string e)))
-        | _ -> classic ()
+            else if not (update ~if_rev:rev (Gvd.Evict node)) then
+              if attempt + 1 < validated_attempts then go (attempt + 1)
+              else begin
+                Sim.Metrics.incr
+                  (Net.Network.metrics (netw t))
+                  "reintegrate.optimistic_fallbacks";
+                classic ()
+              end
+        | Error _ -> classic ()
       in
       go 0)
 
@@ -163,8 +147,8 @@ let exclude_store_now t ~from ~node () =
       (* Skip objects where [node] is no longer a member (a commit's own
          §4.2 exclusion beat us to it) or is the last copy: excluding
          the only replica would lose the object. *)
-      match Router.get_view_snapshot r ~from uid with
-      | Ok (Gvd.Granted (st, _)) when List.mem node st && List.length st > 1
+      match Router.snapshot r ~from uid with
+      | Ok { Gvd.v_stores = st; _ } when List.mem node st && List.length st > 1
         -> (
           match exclude_store_one t ~from ~node uid with
           | Ok () ->
@@ -199,12 +183,11 @@ let reinsert_server_now t ~node ?(retry_delay = 2.0) () =
           (fun () ->
             let res =
               Action.Atomic.atomically (art t) ~node (fun act ->
-                  match Router.insert r ~act ~uid node with
-                  | Ok (Gvd.Granted ()) -> `Done
-                  | Ok (Gvd.Busy _) | Ok (Gvd.Moved _) -> `Busy
-                  | Ok (Gvd.Refused why) -> raise (Action.Atomic.Abort why)
-                  | Error e ->
-                      raise (Action.Atomic.Abort (Net.Rpc.error_to_string e)))
+                  match Router.update r ~act [ (uid, Gvd.Insert node) ] with
+                  | Ok _ -> `Done
+                  | Error (Router.Busy _) -> `Busy
+                  | Error (Router.Refused why | Router.Unreachable why) ->
+                      raise (Action.Atomic.Abort why))
             in
             match res with
             | Ok `Done -> Ok ()

@@ -52,9 +52,8 @@ val exclude_store_now :
     of every object it holds, one atomic action per object, and return
     how many exclusions committed. Objects where [node] is already out
     of [St], or is the last remaining copy, are skipped. Each Exclude
-    validates the St revision inside its round
-    ({!Gvd.exclude_validated}), with bounded retries then the classic
-    locked {!Router.exclude}. *)
+    validates the St revision inside its round (an [Evict] update with
+    [~if_rev]), with bounded retries then a classic [Exclude]. *)
 
 val reinsert_server_now :
   Binder.t -> node:Net.Network.node_id -> ?retry_delay:float -> unit -> unit

@@ -17,38 +17,27 @@ type t = {
   rt_art : Action.Atomic.runtime;
   mutable rt_map : Shard_map.t;
   mutable rt_migrating : bool;
-  rt_eng : Sim.Engine.t;
 }
 
 let bounce_tries = 8
 let migration_pause = 0.5
 
-let create ?use_exclude_write ?durable ?service_time art ~nodes =
-  if nodes = [] then invalid_arg "Router.create: no naming nodes";
-  let gvds =
-    List.map
-      (fun node ->
-        (node, Gvd.install ?use_exclude_write ?durable ?service_time art ~node))
-      nodes
-  in
+let of_gvds art gvds =
+  let nodes = List.map Gvd.node gvds in
   {
-    rt_gvds = gvds;
-    rt_primary = snd (List.hd gvds);
+    rt_gvds = List.combine nodes gvds;
+    rt_primary = List.hd gvds;
     rt_art = art;
     rt_map = Shard_map.create ~nodes;
     rt_migrating = false;
-    rt_eng = Action.Atomic.engine art;
   }
 
-let of_gvd art gvd =
-  {
-    rt_gvds = [ (Gvd.node gvd, gvd) ];
-    rt_primary = gvd;
-    rt_art = art;
-    rt_map = Shard_map.create ~nodes:[ Gvd.node gvd ];
-    rt_migrating = false;
-    rt_eng = Action.Atomic.engine art;
-  }
+let create ?use_exclude_write ?durable ?service_time art ~nodes =
+  if nodes = [] then invalid_arg "Router.create: no naming nodes";
+  of_gvds art
+    (List.map (fun node -> Gvd.install ?use_exclude_write ?durable ?service_time art ~node) nodes)
+
+let of_gvd art gvd = of_gvds art [ gvd ]
 
 let map t = t.rt_map
 let primary t = t.rt_primary
@@ -64,63 +53,53 @@ let owner_gvd t uid =
   | Some g -> g
   | None -> t.rt_primary
 
+type failure = Busy of string | Refused of string | Unreachable of string
+
+let failure_to_string = function Busy why | Refused why | Unreachable why -> why
+
 (* Shard a uid-keyed operation: run [call] against the owning instance,
-   follow [Moved] hints, and absorb the migration window. The wrappers
-   below never surface [Moved] to callers — an unresolvable bounce
-   (exhausted retries, hint at an unknown node) degrades to [Refused].
-   Moved hints are chased immediately (the destination is named in the
-   hint — no point backing off); only the migration in-flight window
-   waits, through the shared retry policy. *)
+   follow [Moved] hints, and absorb the migration window. [Moved] never
+   reaches callers — an unresolvable bounce (exhausted retries, hint at an
+   unknown node) degrades to [Refused]. Moved hints are chased immediately
+   (the destination is named in the hint — no point backing off); only
+   the migration in-flight window waits, through the shared retry
+   policy. *)
 let dispatch t ~uid (call : Gvd.t -> ('a Gvd.reply, Net.Rpc.error) result) =
   let m = metrics t in
   let bounces = ref bounce_tries in
   let rec chase g =
     match call g with
-    | Ok (Gvd.Moved dest) ->
-        Sim.Metrics.incr m "router.bounces";
-        decr bounces;
-        if !bounces < 0 then `Done (Ok (Gvd.Refused "shard map unstable"))
-        else (
-          match gvd_for t dest with
-          | Some g' -> chase g'
-          | None -> `Done (Ok (Gvd.Refused ("moved to unknown shard " ^ dest))))
-    | Ok (Gvd.Refused "unknown object") as r when t.rt_migrating ->
+    | Ok (Gvd.Granted v) -> Ok (Ok v)
+    | Ok (Gvd.Busy why) -> Ok (Error (Busy why))
+    | Ok (Gvd.Refused "unknown object") when t.rt_migrating ->
         (* The entry may be in flight between shards: back off and
            re-route from the current map. *)
-        `Wait r
-    | r -> `Done r
+        Sim.Metrics.incr m "router.retry_waits";
+        Error "entry in flight between shards"
+    | Ok (Gvd.Refused why) -> Ok (Error (Refused why))
+    | Error e -> Ok (Error (Unreachable (Net.Rpc.error_to_string e)))
+    | Ok (Gvd.Moved dest) -> (
+        Sim.Metrics.incr m "router.bounces";
+        decr bounces;
+        if !bounces < 0 then Ok (Error (Refused "shard map unstable"))
+        else
+          match gvd_for t dest with
+          | Some g' -> chase g'
+          | None -> Ok (Error (Refused ("moved to unknown shard " ^ dest))))
   in
-  let last = ref None in
   match
     Net.Retry.run (Action.Atomic.retry t.rt_art) ~op:"router.dispatch"
       (Net.Retry.policy ~attempts:(bounce_tries + 1) ~base:migration_pause
          ~factor:1.5 ~max_delay:2.0 ())
-      (fun () ->
-        match chase (owner_gvd t uid) with
-        | `Done r -> Ok r
-        | `Wait r ->
-            last := Some r;
-            Sim.Metrics.incr m "router.retry_waits";
-            Error "entry in flight between shards")
+      (fun () -> chase (owner_gvd t uid))
   with
   | Ok r -> r
-  | Error _ -> (
-      (* Waited out the whole window: surface the shard's last answer. *)
-      match !last with
-      | Some r -> r
-      | None -> Ok (Gvd.Refused "unknown object"))
+  | Error _ -> Error (Refused "unknown object")
 
 (* -- uid-keyed database operations, shard-dispatched -- *)
 
-let get_server t ~act uid = dispatch t ~uid (fun g -> Gvd.get_server g ~act uid)
-
-let insert t ~act ~uid node = dispatch t ~uid (fun g -> Gvd.insert g ~act ~uid node)
-
-
-let decrement t ~act ~uid ~client nodes =
-  dispatch t ~uid (fun g -> Gvd.decrement g ~act ~uid ~client nodes)
-
-let get_view t ~act uid = dispatch t ~uid (fun g -> Gvd.get_view g ~act uid)
+let read t ~act uid r = dispatch t ~uid (fun g -> Gvd.read g ~act uid r)
+let snapshot t ~from uid = dispatch t ~uid (fun g -> Gvd.snapshot g ~from uid)
 
 (* The single-round bind: the whole database half of a scheme-B/C bind is
    one uid-keyed request, so it dispatches to (and runs atomically on)
@@ -128,52 +107,30 @@ let get_view t ~act uid = dispatch t ~uid (fun g -> Gvd.get_view g ~act uid)
 let bind_batch t ~act ~uid ~client ~replicas ~credits =
   dispatch t ~uid (fun g -> Gvd.bind_batch g ~act ~uid ~client ~replicas ~credits)
 
-let get_view_snapshot t ~from uid =
-  dispatch t ~uid (fun g -> Gvd.get_view_snapshot g ~from uid)
-
-let include_ t ~act ~uid node =
-  dispatch t ~uid (fun g -> Gvd.include_ g ~act ~uid node)
-
-let note_version t ~act ~uid version =
-  dispatch t ~uid (fun g -> Gvd.note_version g ~act ~uid version)
-
-let get_view_commit t ~from uid =
-  dispatch t ~uid (fun g -> Gvd.get_view_commit g ~from uid)
-
-let validate_view t ~act ~uid ~version ~rev =
-  dispatch t ~uid (fun g -> Gvd.validate_view g ~act ~uid ~version ~rev)
-
-let exclude_validated t ~act ~uid ~rev node =
-  dispatch t ~uid (fun g -> Gvd.exclude_validated g ~act ~uid ~rev node)
-
-let retire_server_home t ~act ~uid node =
-  dispatch t ~uid (fun g -> Gvd.retire_server_home g ~act ~uid node)
-
-let retire_store_home t ~act ~uid node =
-  dispatch t ~uid (fun g -> Gvd.retire_store_home g ~act ~uid node)
-
-(* Exclude is a batch: group the pairs by owning shard and run one
-   sub-exclude per shard (in practice the batch is a single object). All
-   sub-replies must be Granted; the first failure wins — partial grants
-   are harmless because each is undone by the caller's abort. *)
-let exclude t ~act pairs =
-  let groups =
-    List.fold_left
-      (fun acc ((uid, _) as pair) ->
-        let owner = Shard_map.owner t.rt_map uid in
-        let cur = Option.value ~default:[] (List.assoc_opt owner acc) in
-        (owner, cur @ [ pair ]) :: List.remove_assoc owner acc)
-      [] pairs
-  in
-  let rec run = function
-    | [] -> Ok (Gvd.Granted ())
-    | (_, group) :: rest -> (
-        let uid = fst (List.hd group) in
-        match dispatch t ~uid (fun g -> Gvd.exclude g ~act group) with
-        | Ok (Gvd.Granted ()) -> run rest
-        | other -> other)
-  in
-  run groups
+(* An update naming entries on several shards runs one sub-update per
+   owning shard, in order of first appearance (in practice a request
+   names one entry). The first failure wins — partial grants are harmless
+   because each is undone by the caller's abort. *)
+let rec update t ~act ?if_rev ops =
+  match ops with
+  | [] -> Ok { Gvd.o_applied = true; o_fence = Store.Version.initial }
+  | [ (uid, _) ] -> dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev ops)
+  | (uid, _) :: _ -> (
+      let here = Shard_map.owner t.rt_map uid in
+      let mine, others =
+        List.partition (fun (u, _) -> Shard_map.owner t.rt_map u = here) ops
+      in
+      match dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev mine) with
+      | Ok o when others <> [] ->
+          update t ~act ?if_rev others
+          |> Result.map (fun (o' : Gvd.outcome) ->
+                 {
+                   Gvd.o_applied = o.Gvd.o_applied && o'.o_applied;
+                   o_fence =
+                     (if Store.Version.newer_than o'.o_fence o.o_fence then o'.o_fence
+                      else o.o_fence);
+                 })
+      | r -> r)
 
 (* -- administrative / name-space operations -- *)
 
@@ -181,38 +138,29 @@ let register_direct t ~uid ~name ~impl ~sv ~st =
   let g = owner_gvd t uid in
   Gvd.register_direct g ~uid ~name ~impl ~sv ~st
 
+(* Ask the shards in order until one knows the answer; an unreachable
+   shard is skipped unless it is the last. *)
+let rec first_found query = function
+  | [] -> Ok None
+  | g :: rest -> (
+      match query g with
+      | Ok (Some _) as found -> found
+      | (Ok None | Error _) when rest <> [] -> first_found query rest
+      | r -> r)
+
 let lookup t ~from name =
   (* Names live on the shard owning their UID; resolution scans shards in
      order. A single-shard world issues exactly one RPC, as the seed did. *)
-  let rec scan = function
-    | [] -> Ok None
-    | (_, g) :: rest -> (
-        match Gvd.lookup g ~from name with
-        | Ok (Some uid) -> Ok (Some uid)
-        | Ok None -> if rest = [] then Ok None else scan rest
-        | Error _ when rest <> [] -> scan rest
-        | Error e -> Error e)
-  in
-  scan t.rt_gvds
+  first_found (fun g -> Gvd.lookup g ~from name) (gvds t)
 
 let entry_info t ~from uid =
-  let owner = Shard_map.owner t.rt_map uid in
-  let rec scan = function
-    | [] -> Ok None
-    | g :: rest -> (
-        match Gvd.entry_info g ~from uid with
-        | Ok (Some info) -> Ok (Some info)
-        | Ok None -> if rest = [] then Ok None else scan rest
-        | Error _ when rest <> [] -> scan rest
-        | Error e -> Error e)
-  in
   (* Owner first; the rest only as a migration-window fallback. *)
   let ordered =
-    match gvd_for t owner with
-    | Some g -> g :: List.filter (fun g' -> g' != g) (List.map snd t.rt_gvds)
-    | None -> List.map snd t.rt_gvds
+    match gvd_for t (Shard_map.owner t.rt_map uid) with
+    | Some g -> g :: List.filter (fun g' -> g' != g) (gvds t)
+    | None -> gvds t
   in
-  scan ordered
+  first_found (fun g -> Gvd.entry_info g ~from uid) ordered
 
 let union_query t ~from per_shard =
   List.fold_left
@@ -277,13 +225,16 @@ let migrate_one t ~from ~uid ~src ~dest_gvd =
   | Ok granted -> granted
   | Error _ -> false
 
-let rebalance t ~from nodes =
-  let nodes = List.sort_uniq String.compare nodes in
+let check_naming_nodes t fn nodes =
   List.iter
     (fun n ->
       if not (List.mem_assoc n t.rt_gvds) then
-        invalid_arg ("Router.rebalance: " ^ n ^ " is not a naming node"))
-    nodes;
+        invalid_arg (Printf.sprintf "Router.%s: %s is not a naming node" fn n))
+    nodes
+
+let rebalance t ~from nodes =
+  let nodes = List.sort_uniq String.compare nodes in
+  check_naming_nodes t "rebalance" nodes;
   let new_map = Shard_map.with_nodes t.rt_map nodes in
   let m = metrics t in
   Sim.Metrics.incr m "router.rebalances";
@@ -311,9 +262,5 @@ let rebalance t ~from nodes =
 let reset_map t nodes =
   if all_uids t <> [] then
     invalid_arg "Router.reset_map: shards are not empty (setup-time only)";
-  List.iter
-    (fun n ->
-      if not (List.mem_assoc n t.rt_gvds) then
-        invalid_arg ("Router.reset_map: " ^ n ^ " is not a naming node"))
-    nodes;
+  check_naming_nodes t "reset_map" nodes;
   t.rt_map <- Shard_map.with_nodes t.rt_map nodes

@@ -7,8 +7,9 @@
     monolithic service. After an online {!rebalance}, requests routed by
     a stale map are healed by the shard-side [Moved] bounce: the router
     follows the hint, bounded, and retries the brief in-flight window of
-    a migrating entry with a short pause. Wrappers never surface
-    [Gvd.Moved] to callers — exhausted bounces degrade to [Refused]. *)
+    a migrating entry with a short pause. The dispatched operations never
+    surface [Gvd.Moved] to callers — exhausted bounces degrade to
+    [Refused]. *)
 
 type t
 
@@ -35,24 +36,38 @@ val migrating : t -> bool
 
 (** {2 Shard-dispatched database operations}
 
-    Same signatures and semantics as the {!Gvd} client stubs, plus
-    routing. *)
+    The {!Gvd} requests plus routing. Every one returns the granted value
+    or a {!failure}; [Moved] never reaches callers. *)
 
-val get_server :
-  t -> act:Action.Atomic.t -> Store.Uid.t ->
-  (Gvd.server_view Gvd.reply, Net.Rpc.error) result
+type failure =
+  | Busy of string  (** the object is not quiescent *)
+  | Refused of string
+      (** a lock or precondition refused, or the entry could not be found
+          on any shard *)
+  | Unreachable of string  (** the RPC failed ({!Net.Rpc.error_to_string}) *)
 
-val insert :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit Gvd.reply, Net.Rpc.error) result
+val failure_to_string : failure -> string
+(** The reason carried by the failure. *)
 
-val decrement :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> client:Net.Network.node_id ->
-  Net.Network.node_id list -> (unit Gvd.reply, Net.Rpc.error) result
+val read :
+  t -> act:Action.Atomic.t -> Store.Uid.t -> Gvd.read -> (Gvd.view, failure) result
+(** {!Gvd.read} on the owning shard. *)
 
-val get_view :
-  t -> act:Action.Atomic.t -> Store.Uid.t ->
-  (Net.Network.node_id list Gvd.reply, Net.Rpc.error) result
+val snapshot :
+  t -> from:Net.Network.node_id -> Store.Uid.t -> (Gvd.view, failure) result
+(** {!Gvd.snapshot}: the committed read outside any action (hedged under
+    a gray-failure profile). *)
+
+val update :
+  t ->
+  act:Action.Atomic.t ->
+  ?if_rev:int ->
+  (Store.Uid.t * Gvd.op) list ->
+  (Gvd.outcome, failure) result
+(** {!Gvd.update}. Ops are grouped by owning shard and each group runs as
+    one request, in order of first appearance; the first failure wins.
+    [o_applied] is the conjunction and [o_fence] the newest fence over
+    the groups. *)
 
 val bind_batch :
   t ->
@@ -61,54 +76,9 @@ val bind_batch :
   client:Net.Network.node_id ->
   replicas:int ->
   credits:(Net.Network.node_id * int) list ->
-  (Gvd.batch_view Gvd.reply, Net.Rpc.error) result
+  (Gvd.batch_view, failure) result
 (** The single-round bind ({!Gvd.bind_batch}); uid-keyed, so the whole
     batch runs atomically on the one owning shard. *)
-
-val get_view_snapshot :
-  t -> from:Net.Network.node_id -> Store.Uid.t ->
-  ((Net.Network.node_id list * int) Gvd.reply, Net.Rpc.error) result
-(** Lock-free committed-snapshot read of [StA] (with entry version). *)
-
-val exclude :
-  t -> act:Action.Atomic.t -> (Store.Uid.t * Net.Network.node_id list) list ->
-  (unit Gvd.reply, Net.Rpc.error) result
-(** Pairs are grouped by owning shard and excluded per shard. *)
-
-val include_ :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (Store.Version.t Gvd.reply, Net.Rpc.error) result
-
-val note_version :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Store.Version.t ->
-  (unit Gvd.reply, Net.Rpc.error) result
-
-val get_view_commit :
-  t -> from:Net.Network.node_id -> Store.Uid.t ->
-  ((Net.Network.node_id list * int) Gvd.reply, Net.Rpc.error) result
-(** Lock-free committed [StA] read with its {e St revision}, for the
-    optimistic commit path ({!Gvd.get_view_commit}). *)
-
-val validate_view :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t ->
-  version:Store.Version.t -> rev:int ->
-  (bool Gvd.reply, Net.Rpc.error) result
-(** Validate-and-note on the owning shard ({!Gvd.validate_view}). *)
-
-val exclude_validated :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> rev:int ->
-  Net.Network.node_id ->
-  ((bool * Store.Version.t) Gvd.reply, Net.Rpc.error) result
-(** Validated single-node Exclude on the owning shard
-    ({!Gvd.exclude_validated}). *)
-
-val retire_server_home :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit Gvd.reply, Net.Rpc.error) result
-
-val retire_store_home :
-  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Net.Network.node_id ->
-  (unit Gvd.reply, Net.Rpc.error) result
 
 (** {2 Administrative and name-space operations} *)
 

@@ -41,9 +41,10 @@ val attach :
     (action, bound group).
 
     [St] and its membership revision come from [snapshot_stores], a
-    lock-free snapshot read ({!Naming.Gvd.get_view_commit}) taken when
+    lock-free committed read ({!Naming.Gvd.read} [Committed]) taken when
     commit processing starts, and [validate] re-checks the revision
-    inside the prepare round ({!Naming.Gvd.validate_view}), noting the
+    inside the prepare round (a [Note_version] {!Naming.Gvd.update} with
+    [~if_rev]), noting the
     committed version on success. [`Conflict] — an Include/Exclude
     committed between snapshot and validation — withdraws the prepares
     and retries the whole fan-out against fresh [St] (bounded attempts;
@@ -58,7 +59,7 @@ val attach :
     (the naming layer passes a [GetView]; the default is the bind-time
     view), and [note_version] records the version this commit installs
     in the naming service's committed-version fence
-    ({!Naming.Gvd.note_version}; the default records nothing). A refused
+    (a [Note_version] {!Naming.Gvd.update}; the default records nothing). A refused
     note aborts the commit.
 
     The prepare and phase-2 scatters go through the runtime's

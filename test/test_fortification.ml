@@ -187,8 +187,8 @@ let test_retire_store_home_forgotten () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             match Gvd.retire_store_home (Service.gvd w) ~act ~uid "beta2" with
-             | Ok (Gvd.Granted ()) -> ()
+             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Retire_st "beta2") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "retire"));
       match Gvd.entry_info (Service.gvd w) ~from:"c1" uid with
       | Ok (Some info) -> home := info.Gvd.ei_st_home
@@ -206,8 +206,8 @@ let test_retire_rolls_back_on_abort () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.retire_store_home (Service.gvd w) ~act ~uid "beta2" with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Retire_st "beta2") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "retire");
              raise (Action.Atomic.Abort "no"))));
   Service.run w;
@@ -231,8 +231,8 @@ let test_durable_gvd_restores_committed_images () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.exclude (Service.gvd w) ~act [ (uid, [ "beta2" ]) ] with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
              Sim.Engine.sleep eng 50.0)));
   Sim.Engine.schedule eng ~delay:10.0 (fun () -> Net.Network.crash net "ns");
@@ -263,8 +263,8 @@ let test_durable_gvd_keeps_prepared_stage () =
   Service.spawn_client w "c1" (fun () ->
       r :=
         Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-            (match Gvd.exclude (Service.gvd w) ~act [ (uid, [ "beta2" ]) ] with
-            | Ok (Gvd.Granted ()) -> ()
+            (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+            | Ok (Gvd.Granted _) -> ()
             | _ -> Alcotest.fail "exclude");
             Net.Fault.crash_for (Service.network w)
               ~at:(Sim.Engine.now eng +. 2.5) ~duration:5.0 "ns"));
@@ -379,8 +379,8 @@ let test_mirror_aborts_propagate_nothing () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.remove (Service.gvd w) ~act ~uid "alpha" with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
              raise (Action.Atomic.Abort "no"))));
   Service.run w;

@@ -105,10 +105,10 @@ let test_get_server_and_view () =
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
              (match Gvd.get_server (Service.gvd w) ~act uid with
-             | Ok (Gvd.Granted view) -> sv := view.Gvd.sv_servers
+             | Ok (Gvd.Granted view) -> sv := view.Gvd.v_servers
              | _ -> Alcotest.fail "get_server");
              match Gvd.get_view (Service.gvd w) ~act uid with
-             | Ok (Gvd.Granted nodes) -> st := nodes
+             | Ok (Gvd.Granted v) -> st := v.Gvd.v_stores
              | _ -> Alcotest.fail "get_view")));
   Service.run w;
   Alcotest.check slist "sv" [ "alpha"; "alpha2" ] !sv;
@@ -120,16 +120,16 @@ let test_insert_remove_include_exclude () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.insert (Service.gvd w) ~act ~uid "alpha2" with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "insert");
-             (match Gvd.remove (Service.gvd w) ~act ~uid "alpha" with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
-             (match Gvd.exclude (Service.gvd w) ~act [ (uid, [ "beta2" ]) ] with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
-             match Gvd.include_ (Service.gvd w) ~act ~uid "beta2" with
+             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Include "beta2") ] with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "include")));
   Service.run w;
@@ -143,11 +143,11 @@ let test_abort_restores_image () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.remove (Service.gvd w) ~act ~uid "alpha" with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
-             (match Gvd.exclude (Service.gvd w) ~act [ (uid, [ "beta1" ]) ] with
-             | Ok (Gvd.Granted ()) -> ()
+             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta1" ]) ] with
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
              raise (Action.Atomic.Abort "roll it back"))));
   Service.run w;
@@ -163,8 +163,8 @@ let test_nested_action_transfer () =
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun parent ->
              ignore
                (Action.Atomic.atomically_nested parent (fun child ->
-                    match Gvd.remove (Service.gvd w) ~act:child ~uid "alpha" with
-                    | Ok (Gvd.Granted ()) -> ()
+                    match Gvd.update (Service.gvd w) ~act:child [ (uid, Gvd.Remove "alpha") ] with
+                    | Ok (Gvd.Granted _) -> ()
                     | _ -> Alcotest.fail "remove in child"));
              (* Child committed into parent; aborting the parent must undo
                 the child's database change. *)
@@ -183,21 +183,157 @@ let test_insert_busy_when_in_use () =
              (* Simulate a scheme-B user: bump the use list in this action
                 and hold it open while another action tries Insert. *)
              (match
-                Gvd.increment (Service.gvd w) ~act ~uid ~client:"c1" [ "alpha" ]
+                Gvd.update (Service.gvd w) ~act
+                  [ (uid, Gvd.Increment { client = "c1"; servers = [ "alpha" ] }) ]
               with
-             | Ok (Gvd.Granted ()) -> ()
+             | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "increment"))));
   Service.run w;
   check_bool "not quiescent" false (Gvd.quiescent (Service.gvd w) uid);
   Service.spawn_client w "c2" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             match Gvd.insert (Service.gvd w) ~act ~uid "alpha2" with
+             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
              | Ok (Gvd.Busy _) -> got := "busy"
-             | Ok (Gvd.Granted ()) -> got := "granted"
+             | Ok (Gvd.Granted _) -> got := "granted"
              | _ -> got := "other")));
   Service.run w;
   check_string "busy" "busy" !got
+
+(* ------------------------------------------------------------------ *)
+(* The typed update, op by op *)
+
+(* One row per op: the half and lock mode it must take, the counter it
+   bumps, and what a commit must leave behind. Every row starts from
+   Sv=[alpha], St=[beta1; beta2] and the initial version fence; the
+   Decrement and Zero rows start with c2 holding one use of alpha. *)
+let noted = Store.Version.next Store.Version.initial ~committed_by:"c1:0"
+
+let update_rows =
+  let sv w uid = Gvd.current_sv (Service.gvd w) uid in
+  let st w uid = List.sort String.compare (Gvd.current_st (Service.gvd w) uid) in
+  let uses w uid =
+    List.map (fun (n, ul) -> (n, Use_list.total ul)) (Gvd.current_uses (Service.gvd w) uid)
+  in
+  let uses_t = Alcotest.(list (pair string int)) in
+  let ex = Lockmgr.Mode.Exclude_write and wr = Lockmgr.Mode.Write in
+  [
+    ("insert", Gvd.Insert "alpha2", "sv", wr, Some "gvd.inserts", fun w uid ->
+      Alcotest.check slist "Sv grew" [ "alpha"; "alpha2" ] (sv w uid));
+    ("remove", Gvd.Remove "alpha", "sv", wr, Some "gvd.removes", fun w uid ->
+      Alcotest.check slist "Sv shrank" [] (sv w uid));
+    ("increment", Gvd.Increment { client = "c2"; servers = [ "alpha" ] }, "sv",
+      Lockmgr.Mode.Delta, Some "gvd.increments", fun w uid ->
+      Alcotest.check uses_t "count up" [ ("alpha", 1) ] (uses w uid));
+    ("decrement", Gvd.Decrement { client = "c2"; servers = [ "alpha" ] }, "sv",
+      Lockmgr.Mode.Delta, Some "gvd.decrements", fun w uid ->
+      Alcotest.check uses_t "count down" [ ("alpha", 0) ] (uses w uid));
+    ("zero", Gvd.Zero "c2", "sv", wr, Some "gvd.zeroes", fun w uid ->
+      Alcotest.check uses_t "client dropped" [ ("alpha", 0) ] (uses w uid));
+    ("retire sv", Gvd.Retire_sv "alpha", "sv", wr, Some "gvd.server_retirements",
+      fun w uid -> Alcotest.check slist "Sv retired" [] (sv w uid));
+    ("include", Gvd.Include "beta3", "st", wr, Some "gvd.includes", fun w uid ->
+      Alcotest.check slist "St grew" [ "beta1"; "beta2"; "beta3" ] (st w uid));
+    ("exclude", Gvd.Exclude [ "beta2" ], "st", ex, Some "gvd.exclusions", fun w uid ->
+      Alcotest.check slist "St shrank" [ "beta1" ] (st w uid));
+    ("evict", Gvd.Evict "beta2", "st", ex, Some "gvd.exclusions", fun w uid ->
+      Alcotest.check slist "St shrank" [ "beta1" ] (st w uid));
+    ("retire st", Gvd.Retire_st "beta2", "st", wr, Some "gvd.store_retirements",
+      fun w uid -> Alcotest.check slist "St retired" [ "beta1" ] (st w uid));
+    ("note version", Gvd.Note_version noted, "st", ex, None, fun w uid ->
+      check_bool "fence advanced" true
+        (Store.Version.equal noted (Gvd.committed_version (Service.gvd w) uid)));
+  ]
+
+let run_update_row ~commit (name, op, half, mode, counter, applied) =
+  let w =
+    Service.create ~seed:3L
+      (topo ~servers:[ "alpha"; "alpha2" ] ~stores:[ "beta1"; "beta2"; "beta3" ]
+         ~clients:[ "c1"; "c2" ])
+  in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w and m = Service.metrics w in
+  let state () =
+    ( Gvd.current_sv gvd uid,
+      List.sort String.compare (Gvd.current_st gvd uid),
+      List.map (fun (n, ul) -> (n, Use_list.total ul)) (Gvd.current_uses gvd uid),
+      Store.Version.to_string (Gvd.committed_version gvd uid) )
+  in
+  (match op with
+  | Gvd.Decrement _ | Gvd.Zero _ ->
+      Service.spawn_client w "c1" (fun () ->
+          ignore
+            (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                 ignore
+                   (Gvd.update gvd ~act
+                      [ (uid, Gvd.Increment { client = "c2"; servers = [ "alpha" ] }) ]))))
+  | _ -> ());
+  Service.run w;
+  let before = state () in
+  let count () = Option.fold ~none:0 ~some:(Sim.Metrics.counter m) counter in
+  let counted = count () in
+  let key = half ^ ":" ^ Store.Uid.to_string uid in
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+             (match Gvd.update gvd ~act [ (uid, op) ] with
+             | Ok (Gvd.Granted o) -> check_bool (name ^ " applied") true o.Gvd.o_applied
+             | _ -> Alcotest.fail (name ^ " not granted"));
+             let held = Option.value ~default:[] (List.assoc_opt key (Gvd.residual_locks gvd)) in
+             check_bool (name ^ " lock mode on " ^ key) true
+               (List.exists
+                  (fun (owner, m) -> owner = Action.Atomic.owner act && Lockmgr.Mode.equal m mode)
+                  held);
+             if not commit then raise (Action.Atomic.Abort "roll back"))));
+  Service.run w;
+  check_int (name ^ " counted") (if counter = None then 0 else 1) (count () - counted);
+  if commit then applied w uid
+  else
+    check_bool (name ^ " abort leaves the pre-image") true (state () = before);
+  Alcotest.(check (list string)) (name ^ " nothing staged") [] (Gvd.residual_actions gvd)
+
+let test_update_ops_commit () = List.iter (run_update_row ~commit:true) update_rows
+let test_update_ops_abort () = List.iter (run_update_row ~commit:false) update_rows
+
+(* A moved St revision: the update is not applied, but the fence it took
+   stays with the action, so a membership change cannot slip in before
+   the caller's retry. *)
+let test_update_if_rev_keeps_fence () =
+  let w = small_world () in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w and eng = Service.engine w in
+  let outcome = ref None and included = ref "none" in
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+             let rev =
+               match Gvd.read gvd ~act uid Gvd.Committed with
+               | Ok (Gvd.Granted v) -> v.Gvd.v_rev
+               | _ -> Alcotest.fail "committed read"
+             in
+             (* A membership change commits behind the snapshot. *)
+             ignore
+               (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun other ->
+                    ignore (Gvd.update gvd ~act:other [ (uid, Gvd.Exclude [ "beta2" ]) ])));
+             (* Let its phase 2 reach the database. *)
+             Sim.Engine.sleep eng 5.0;
+             (match Gvd.update gvd ~act ~if_rev:rev [ (uid, Gvd.Note_version noted) ] with
+             | Ok (Gvd.Granted o) -> outcome := Some o.Gvd.o_applied
+             | _ -> Alcotest.fail "validate refused");
+             Sim.Engine.sleep eng 60.0)));
+  Service.spawn_client w "c2" (fun () ->
+      Sim.Engine.sleep eng 15.0;
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
+             match Gvd.update gvd ~act [ (uid, Gvd.Include "beta2") ] with
+             | Ok (Gvd.Granted _) -> included := "granted"
+             | Ok (Gvd.Refused _) -> included := "refused"
+             | _ -> included := "other")));
+  Service.run w;
+  Alcotest.(check (option bool)) "not applied" (Some false) !outcome;
+  check_string "include refused behind the kept fence" "refused" !included;
+  check_bool "fence not advanced" true
+    (Store.Version.equal Store.Version.initial (Gvd.committed_version gvd uid))
 
 (* ------------------------------------------------------------------ *)
 (* Lock semantics across actions (figure 6 blocking behaviour) *)
@@ -221,8 +357,8 @@ let test_standard_read_lock_blocks_insert_until_commit () =
       Sim.Engine.sleep eng 5.0;
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             match Gvd.insert (Service.gvd w) ~act ~uid "alpha2" with
-             | Ok (Gvd.Granted ()) -> insert_done_at := Sim.Engine.now eng
+             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
+             | Ok (Gvd.Granted _) -> insert_done_at := Sim.Engine.now eng
              | Ok (Gvd.Busy _) -> Alcotest.fail "unexpected busy"
              | _ -> Alcotest.fail "insert refused")));
   Service.run w;
@@ -258,8 +394,8 @@ let test_exclude_write_vs_plain_write_promotion () =
                (match Gvd.get_view (Service.gvd w) ~act uid with
                | Ok (Gvd.Granted _) -> ()
                | _ -> Alcotest.fail "get_view c1");
-               match Gvd.exclude (Service.gvd w) ~act [ (uid, [ "beta2" ]) ] with
-               | Ok (Gvd.Granted ()) -> result := "granted"
+               match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+               | Ok (Gvd.Granted _) -> result := "granted"
                | Ok (Gvd.Refused _) -> result := "refused"
                | _ -> result := "other")));
     Service.run w;
@@ -451,12 +587,10 @@ let test_batched_bind_is_one_round () =
       | Ok pb ->
           check_int "one batch round" 1
             (Sim.Metrics.counter m "rpc.op.gvd.bind_batch");
-          check_int "no GetServer round" 0
-            (Sim.Metrics.counter m "rpc.op.gvd.get_server");
-          check_int "no GetView round" 0
-            (Sim.Metrics.counter m "rpc.op.gvd.get_view");
+          check_int "no GetServer or GetView round" 0
+            (Sim.Metrics.counter m "rpc.op.gvd.read");
           check_int "no Increment round" 0
-            (Sim.Metrics.counter m "rpc.op.gvd.increment");
+            (Sim.Metrics.counter m "rpc.op.gvd.update");
           check_int "no impl lookup round" 0
             (Sim.Metrics.counter m "rpc.op.gvd.info");
           check_int "counter incremented" 1 (use_count w uid "alpha");
@@ -483,7 +617,7 @@ let test_rebind_cancels_decrement () =
       (* The Decrement is deferred: the database still shows the bind. *)
       check_int "decrement deferred" 1 (use_count w uid "alpha");
       check_int "no decrement round yet" 0
-        (Sim.Metrics.counter m "rpc.op.gvd.decrement");
+        (Sim.Metrics.counter m "rpc.op.gvd.update");
       match Binder.bind_independent b ~client:"c1" ~uid ~policy with
       | Error e -> Alcotest.fail (Binder.bind_error_to_string e)
       | Ok pb2 ->
@@ -492,7 +626,7 @@ let test_rebind_cancels_decrement () =
           check_int "credits piggybacked once" 1
             (Sim.Metrics.counter m "bind.coalesced_sends");
           check_int "still no decrement round" 0
-            (Sim.Metrics.counter m "rpc.op.gvd.decrement");
+            (Sim.Metrics.counter m "rpc.op.gvd.update");
           Binder.release_independent b pb2);
   Service.run w;
   (* The last release had no rebind to ride on: the deferred flush sent
@@ -500,7 +634,7 @@ let test_rebind_cancels_decrement () =
   check_bool "quiescent after flush" true (Gvd.quiescent (Service.gvd w) uid);
   check_int "one merged flush" 1 (Sim.Metrics.counter m "bind.flushes");
   check_int "one decrement round total" 1
-    (Sim.Metrics.counter m "rpc.op.gvd.decrement")
+    (Sim.Metrics.counter m "rpc.op.gvd.update")
 
 let test_crashed_client_unflushed_delta_cleanup () =
   (* A client crash with a buffered (unflushed) Decrement leaves exactly
@@ -822,6 +956,9 @@ let suite =
         tc "abort restores image" `Quick test_abort_restores_image;
         tc "nested action transfer" `Quick test_nested_action_transfer;
         tc "insert busy when in use" `Quick test_insert_busy_when_in_use;
+        tc "every update op commits" `Quick test_update_ops_commit;
+        tc "every update op aborts" `Quick test_update_ops_abort;
+        tc "if_rev mismatch keeps the fence" `Quick test_update_if_rev_keeps_fence;
       ] );
     ( "naming.locks",
       [

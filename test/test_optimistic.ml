@@ -111,10 +111,11 @@ let test_snapshot_error_falls_back () =
     (Sim.Metrics.counter m "commit.validate_fallbacks")
 
 (* ------------------------------------------------------------------ *)
-(* validate_view at the shard: idempotent under duplicate delivery — the
-   fence grant is re-entrant, the version advance is newer_than-guarded,
-   and the revision cannot move while the fence is held, so a duplicate
-   answers [Granted true] again. *)
+(* The validate-and-note (a [Note_version] update with [~if_rev]) at the
+   shard: idempotent under duplicate delivery — the fence grant is
+   re-entrant, the version advance is newer_than-guarded, and the
+   revision cannot move while the fence is held, so a duplicate is
+   applied again. *)
 
 let test_validate_view_idempotent () =
   let w =
@@ -139,9 +140,9 @@ let test_validate_view_idempotent () =
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
              let rev =
-               match Router.get_view_commit router ~from:"c1" uid with
-               | Ok (Gvd.Granted (_, rev)) -> rev
-               | _ -> Alcotest.fail "get_view_commit refused"
+               match Router.read router ~act uid Gvd.Committed with
+               | Ok v -> v.Gvd.v_rev
+               | Error _ -> Alcotest.fail "committed read refused"
              in
              let version =
                Store.Version.next
@@ -151,10 +152,11 @@ let test_validate_view_idempotent () =
              noted := version;
              let validate () =
                match
-                 Router.validate_view router ~act ~uid ~version ~rev
+                 Router.update router ~act ~if_rev:rev
+                   [ (uid, Gvd.Note_version version) ]
                with
-               | Ok (Gvd.Granted ok) -> ok
-               | _ -> false
+               | Ok o -> o.Gvd.o_applied
+               | Error _ -> false
              in
              replies := [ validate (); validate () ])));
   Service.run w;

@@ -244,8 +244,8 @@ let prop_snapshot_version_monotone =
             (match
                Action.Atomic.atomically (Service.atomic w) ~node:"c1"
                  (fun act ->
-                   (match Gvd.exclude gvd ~act [ (uid, [ "t2" ]) ] with
-                   | Ok (Gvd.Granted ()) -> ()
+                   (match Gvd.update gvd ~act [ (uid, Gvd.Exclude [ "t2" ]) ] with
+                   | Ok (Gvd.Granted _) -> ()
                    | _ -> raise (Action.Atomic.Abort "exclude"));
                    if Sim.Rng.bool rng 0.3 then
                      raise (Action.Atomic.Abort "chaos"))
@@ -255,7 +255,7 @@ let prop_snapshot_version_monotone =
             (match
                Action.Atomic.atomically (Service.atomic w) ~node:"c1"
                  (fun act ->
-                   match Gvd.include_ gvd ~act ~uid "t2" with
+                   match Gvd.update gvd ~act [ (uid, Gvd.Include "t2") ] with
                    | Ok (Gvd.Granted _) -> ()
                    | _ -> raise (Action.Atomic.Abort "include"))
              with
@@ -279,8 +279,8 @@ let prop_snapshot_version_monotone =
       Service.spawn_client w "c3" (fun () ->
           for _ = 1 to rounds * 6 do
             Sim.Engine.sleep eng (Sim.Rng.uniform rng 0.2 2.0);
-            match Gvd.get_view_snapshot (Service.gvd w) ~from:"c3" uid with
-            | Ok (Gvd.Granted (_, v)) -> observe v
+            match Gvd.snapshot (Service.gvd w) ~from:"c3" uid with
+            | Ok (Gvd.Granted v) -> observe v.Gvd.v_version
             | _ -> ()
           done);
       Service.run w;

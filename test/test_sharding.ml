@@ -277,8 +277,8 @@ let test_moved_bounce_heals_stale_route () =
       | _ -> Alcotest.fail "handoff refused");
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             match Router.get_view router ~act uid with
-             | Ok (Gvd.Granted st) -> got := Some st
+             match Router.read router ~act uid Gvd.Stores with
+             | Ok v -> got := Some v.Gvd.v_stores
              | _ -> Alcotest.fail "routed read failed")));
   Service.run w;
   (match !got with
@@ -286,6 +286,112 @@ let test_moved_bounce_heals_stale_route () =
   | None -> Alcotest.fail "no reply");
   check_bool "bounce was taken" true
     (Sim.Metrics.counter (Service.metrics w) "router.bounces" > 0)
+
+(* An update that reaches the receiving shard while the handoff reply is
+   still in flight must be refused as "unknown object" — the router then
+   retries — not granted with nothing changed. *)
+let test_update_in_handoff_window_refused () =
+  let w = Service.create ~seed:31L (sharded_topo [ "ns2" ]) in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  let router = Service.router w in
+  let src_node = Shard_map.owner (Router.map router) uid in
+  let src = List.find (fun g -> Gvd.node g = src_node) (Router.gvds router) in
+  let dst = List.find (fun g -> Gvd.node g <> src_node) (Router.gvds router) in
+  let replies = ref [] in
+  Service.spawn_client w "c1" (fun () ->
+      let ho =
+        match Gvd.handoff_out src ~from:"c1" ~uid ~dest:(Gvd.node dst) with
+        | Ok (Gvd.Granted ho) -> ho
+        | _ -> Alcotest.fail "handoff refused"
+      in
+      (* Not accepted yet: dst does not hold the entry. *)
+      List.iter
+        (fun op ->
+          ignore
+            (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                 match Gvd.update dst ~act [ (uid, op) ] with
+                 | Ok (Gvd.Refused why) -> replies := why :: !replies
+                 | Ok (Gvd.Granted _) -> replies := "granted" :: !replies
+                 | _ -> replies := "other" :: !replies)))
+        [ Gvd.Exclude [ "beta2" ]; Gvd.Include "beta2";
+          Gvd.Note_version Store.Version.initial ];
+      Gvd.accept_handoff dst ho;
+      (* Once home, the routed exclusion lands (via the Moved bounce). *)
+      match
+        Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+            match Router.update router ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+            | Ok _ -> ()
+            | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
+      with
+      | Ok () -> ()
+      | Error why -> Alcotest.fail why);
+  Service.run w;
+  Alcotest.(check (list string))
+    "every op refused in the window"
+    [ "unknown object"; "unknown object"; "unknown object" ]
+    !replies;
+  Alcotest.(check (list string)) "exclusion not lost" [ "beta1" ] (Gvd.current_st dst uid);
+  Alcotest.(check int) "no lock left on dst" 0 (List.length (Gvd.residual_locks dst))
+
+(* A request that bounces off the source shard is not enlisted there, so
+   it must leave no crash watch behind: when the client later crashes,
+   no orphan abort may fire for an action that committed elsewhere. *)
+let test_bounced_update_leaves_no_orphan_watch () =
+  let run name body =
+    let w = Service.create ~seed:31L (sharded_topo [ "ns2" ]) in
+    let uid =
+      Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+        ~st:[ "beta1"; "beta2" ] ()
+    in
+    Service.run ~until:1.0 w;
+    let router = Service.router w in
+    let src_node = Shard_map.owner (Router.map router) uid in
+    let src = List.find (fun g -> Gvd.node g = src_node) (Router.gvds router) in
+    let dst = List.find (fun g -> Gvd.node g <> src_node) (Router.gvds router) in
+    Service.spawn_client w "c1" (fun () ->
+        (match Gvd.handoff_out src ~from:"c1" ~uid ~dest:(Gvd.node dst) with
+        | Ok (Gvd.Granted ho) -> Gvd.accept_handoff dst ho
+        | _ -> Alcotest.fail "handoff refused");
+        match
+          Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+              match body router act uid with
+              | Ok () -> ()
+              | Error why -> raise (Action.Atomic.Abort why))
+        with
+        | Ok () -> ()
+        | Error why -> Alcotest.fail (name ^ ": " ^ why));
+    Service.run w;
+    Net.Fault.crash_at (Service.network w) ~at:(Sim.Engine.now (Service.engine w) +. 1.0) "c1";
+    Service.run w;
+    check_int (name ^ ": no orphan abort") 0
+      (Sim.Metrics.counter (Service.metrics w) "gvd.orphan_aborts")
+  in
+  let update ?if_rev op router act uid =
+    Router.update router ~act ?if_rev [ (uid, op) ]
+    |> Result.map ignore
+    |> Result.map_error Router.failure_to_string
+  in
+  let rev router act uid =
+    match Router.read router ~act uid Gvd.Committed with
+    | Ok v -> v.Gvd.v_rev
+    | Error _ -> Alcotest.fail "committed read"
+  in
+  let version = Store.Version.next Store.Version.initial ~committed_by:"c1:0" in
+  run "exclude" (update (Gvd.Exclude [ "beta2" ]));
+  run "note version" (update (Gvd.Note_version version));
+  run "validated note" (fun r act uid ->
+      update ~if_rev:(rev r act uid) (Gvd.Note_version version) r act uid);
+  run "validated evict" (fun r act uid ->
+      update ~if_rev:(rev r act uid) (Gvd.Evict "beta2") r act uid);
+  run "get view" (fun r act uid ->
+      Router.read r ~act uid Gvd.Stores
+      |> Result.map ignore
+      |> Result.map_error Router.failure_to_string);
+  run "insert" (update (Gvd.Insert "alpha2"))
 
 (* ------------------------------------------------------------------ *)
 (* Cache behaviour end to end *)
@@ -391,6 +497,9 @@ let suite =
         tc "ops across shards" `Quick test_multi_shard_ops;
         tc "all schemes across shards" `Quick test_multi_shard_binds_all_schemes;
         tc "moved bounce heals stale route" `Quick test_moved_bounce_heals_stale_route;
+        tc "update in handoff window refused" `Quick test_update_in_handoff_window_refused;
+        tc "bounced update leaves no orphan watch" `Quick
+          test_bounced_update_leaves_no_orphan_watch;
         tc "online rebalance under load" `Slow test_online_rebalance_under_load;
         tc "audit exact with shards and cache" `Slow
           test_audit_exact_with_shards_and_cache;
