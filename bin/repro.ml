@@ -103,7 +103,9 @@ let demo_cmd =
 
 let audit_cmd =
   let doc =
-    "Run the accounting audit: random clients, schemes and node churn;      verify exactly-once application and store mutual consistency."
+    "Run the accounting audit: random clients, schemes and node churn; \
+     verify exactly-once application and store mutual consistency; exit \
+     non-zero if any trial mismatches."
   in
   let seeds =
     Arg.(value & opt int 20 & info [ "trials" ] ~docv:"N" ~doc:"number of seeded trials")
@@ -117,12 +119,16 @@ let audit_cmd =
         Format.printf "seed=%d %a@." seed Workload.Audit.pp_report r
       end
     done;
-    if !bad = 0 then Printf.printf "audit: %d/%d trials exact
-" trials trials
-    else Printf.printf "audit: %d/%d trials MISMATCHED
-" !bad trials
+    if !bad = 0 then begin
+      Printf.printf "audit: %d/%d trials exact\n" trials trials;
+      `Ok ()
+    end
+    else begin
+      Printf.printf "audit: %d/%d trials MISMATCHED\n" !bad trials;
+      `Error (false, "accounting audit failed (see the reports above)")
+    end
   in
-  Cmd.v (Cmd.info "audit" ~doc) Term.(const run $ seeds)
+  Cmd.v (Cmd.info "audit" ~doc) Term.(ret (const run $ seeds))
 
 let chaos_cmd =
   let doc =

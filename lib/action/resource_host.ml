@@ -53,6 +53,11 @@ let register t ~node ~resource m =
 
 let registered t ~node ~resource = Hashtbl.mem t.managers (node, resource)
 
+let abort_here t ~node ~resource ~action =
+  match Hashtbl.find_opt t.managers (node, resource) with
+  | Some m -> m.m_abort ~action
+  | None -> ()
+
 let req resource action parent =
   { r_resource = resource; r_action = action; r_parent = parent }
 

@@ -35,6 +35,11 @@ val register : t -> node:Net.Network.node_id -> resource:string -> manager -> un
 
 val registered : t -> node:Net.Network.node_id -> resource:string -> bool
 
+val abort_here :
+  t -> node:Net.Network.node_id -> resource:string -> action:string -> unit
+(** Run [resource]'s abort on [node] directly, without a message; the
+    caller runs on [node]. A no-op if nothing is registered there. *)
+
 (* Remote action-end operations; called from a fiber on [from]. *)
 
 val prepare :

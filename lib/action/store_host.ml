@@ -1,4 +1,21 @@
-type host = { h_objects : Store.Object_store.t; h_log : Store.Intent_log.t }
+type hooks = {
+  prepared : action:string -> coordinator:string -> unit;
+  resolved : action:string -> unit;
+  blocked : (string * string) list -> unit;
+}
+
+let no_hooks =
+  {
+    prepared = (fun ~action:_ ~coordinator:_ -> ());
+    resolved = (fun ~action:_ -> ());
+    blocked = ignore;
+  }
+
+type host = {
+  h_objects : Store.Object_store.t;
+  h_log : Store.Intent_log.t;
+  mutable h_hooks : hooks;
+}
 
 type read_req = Store.Uid.t
 
@@ -13,12 +30,6 @@ type vote = Vote_yes | Vote_stale
 type t = {
   rpc_rt : Net.Rpc.t;
   hosts : (Net.Network.node_id, host) Hashtbl.t;
-  mutable prepare_hook :
-    (node:Net.Network.node_id -> action:string -> coordinator:string -> unit)
-    option;
-  mutable reservation_hook :
-    (node:Net.Network.node_id -> blockers:(string * string) list -> unit)
-    option;
   ep_read : (read_req, Store.Object_state.t option) Net.Rpc.endpoint;
   (* One prepare (resp. commit) round carries the sub-records of every
      action that writes this store in the round — a group-commit batch, or
@@ -28,7 +39,6 @@ type t = {
   ep_prepare : (prepare_req list, (string * vote) list) Net.Rpc.endpoint;
   ep_commit : (string list, unit) Net.Rpc.endpoint;
   ep_abort : (string, unit) Net.Rpc.endpoint;
-  ep_decision : (string, Store.Intent_log.decision option) Net.Rpc.endpoint;
   ep_probe : (unit, unit) Net.Rpc.endpoint;
 }
 
@@ -36,13 +46,10 @@ let create rpc_rt =
   {
     rpc_rt;
     hosts = Hashtbl.create 16;
-    prepare_hook = None;
-    reservation_hook = None;
     ep_read = Net.Rpc.endpoint "store.read";
     ep_prepare = Net.Rpc.endpoint "store.prepare";
     ep_commit = Net.Rpc.endpoint "store.commit";
     ep_abort = Net.Rpc.endpoint "store.abort";
-    ep_decision = Net.Rpc.endpoint "store.decision";
     ep_probe = Net.Rpc.endpoint "store.probe";
   }
 
@@ -56,8 +63,14 @@ let host t node =
   | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Store_host: no store on %s" node)
 
+(* Every way an intent leaves the log — commit, abort, termination —
+   passes here, so the termination hooks see each one end. *)
+let resolve h action =
+  Store.Intent_log.resolve h.h_log ~action;
+  h.h_hooks.resolved ~action
+
 let apply_commit h action =
-  (match Store.Intent_log.prepared h.h_log ~action with
+  match Store.Intent_log.prepared h.h_log ~action with
   | None -> () (* already applied: idempotent *)
   | Some { Store.Intent_log.writes; _ } ->
       List.iter
@@ -69,8 +82,8 @@ let apply_commit h action =
             | None -> false
           in
           if not stale then Store.Object_store.write h.h_objects uid state)
-        writes);
-  Store.Intent_log.resolve h.h_log ~action
+        writes;
+      resolve h action
 
 (* The phase-1 logic for one sub-record of a [store.prepare] round:
    validation, reservations, staging, hooks and traces are per action, so
@@ -123,44 +136,42 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
   then begin
     Store.Intent_log.prepare h.h_log ~action:pr_action
       ~coordinator:pr_coordinator pr_writes;
-    (match t.prepare_hook with
-    | Some hook ->
-        hook ~node ~action:pr_action ~coordinator:pr_coordinator
-    | None -> ());
+    h.h_hooks.prepared ~action:pr_action ~coordinator:pr_coordinator;
     Vote_yes
   end
   else begin
-    (* If the refusal came from another action's write reservation,
-       report the blockers (with their coordinators) so in-doubt
-       resolution can break reservations whose coordinator is
-       partitioned away — a crash fires [prepare_hook]'s watch, but a
-       partition severs the abort fan-out without killing anyone. *)
-    (match t.reservation_hook with
-    | None -> ()
-    | Some hook ->
-        let blockers =
-          List.sort_uniq compare
-            (List.concat_map
-               (fun (uid, _) ->
-                 List.filter_map
-                   (fun a ->
-                     if String.equal a pr_action then None
-                     else
-                       Option.map
-                         (fun { Store.Intent_log.coordinator; _ } ->
-                           (a, coordinator))
-                         (Store.Intent_log.prepared h.h_log ~action:a))
-                   (Store.Intent_log.pending_writers h.h_log uid))
-               pr_writes)
-        in
-        if blockers <> [] then hook ~node ~blockers);
+    (* A refusal by other actions' write reservations reports the
+       blockers, so termination can settle those whose coordinator is
+       partitioned away: a partition severs their phase 2 without
+       crashing anyone. *)
+    let blockers =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (uid, _) ->
+             List.filter_map
+               (fun a ->
+                 if String.equal a pr_action then None
+                 else
+                   Option.map
+                     (fun { Store.Intent_log.coordinator; _ } -> (a, coordinator))
+                     (Store.Intent_log.prepared h.h_log ~action:a))
+               (Store.Intent_log.pending_writers h.h_log uid))
+           pr_writes)
+    in
+    if blockers <> [] then h.h_hooks.blocked blockers;
     Vote_stale
   end
 
 let add t node =
   if Hashtbl.mem t.hosts node then
     invalid_arg (Printf.sprintf "Store_host.add: %s already hosted" node);
-  let h = { h_objects = Store.Object_store.create (); h_log = Store.Intent_log.create () } in
+  let h =
+    {
+      h_objects = Store.Object_store.create ();
+      h_log = Store.Intent_log.create ();
+      h_hooks = no_hooks;
+    }
+  in
   Hashtbl.add t.hosts node h;
   Net.Rpc.serve t.rpc_rt ~node t.ep_read (fun uid ->
       Store.Object_store.read h.h_objects uid);
@@ -168,10 +179,7 @@ let add t node =
       List.map (fun req -> (req.pr_action, prepare_one t h node req)) reqs);
   Net.Rpc.serve t.rpc_rt ~node t.ep_commit (List.iter (apply_commit h));
   Net.Rpc.serve t.rpc_rt ~node t.ep_probe (fun () -> ());
-  Net.Rpc.serve t.rpc_rt ~node t.ep_abort (fun action ->
-      Store.Intent_log.resolve h.h_log ~action);
-  Net.Rpc.serve t.rpc_rt ~node t.ep_decision (fun action ->
-      Store.Intent_log.decision_of h.h_log ~action)
+  Net.Rpc.serve t.rpc_rt ~node t.ep_abort (resolve h)
 
 let hosted t node = Hashtbl.mem t.hosts node
 
@@ -282,11 +290,9 @@ let abort_all t ~from ?hedge ?alt_of ~stores action =
   scatter_alt t ~from ?hedge ?alt_of ~keep_primary:true t.ep_abort
     (List.map (fun store -> (store, action)) stores)
 
-let decision t ~from ~coordinator ~action =
-  Net.Rpc.call t.rpc_rt ~from ~dst:coordinator t.ep_decision action
+let set_hooks t node hooks = (host t node).h_hooks <- hooks
 
-let set_prepare_hook t hook = t.prepare_hook <- Some hook
-let set_reservation_hook t hook = t.reservation_hook <- Some hook
+let discard t node ~action = resolve (host t node) action
 
 let record_decision t ~node ~action d =
   Store.Intent_log.record_decision (host t node).h_log ~action d

@@ -7,8 +7,8 @@
 
     Contents survive crashes. What a crash does interrupt is protocol
     participation: a node that crashes between [prepare] and [commit] holds
-    an in-doubt record that {!Recovery} resolves against the coordinator's
-    decision record. *)
+    an in-doubt record that {!Termination} resolves against the
+    coordinator's decision record. *)
 
 type t
 (** The store-hosting runtime for one simulated world. *)
@@ -68,7 +68,7 @@ type prepare_req = {
     ({!Replica.Groupcommit}) that writes the store, or a lone action's
     list of one — and the store answers one vote per sub-record, in
     order. Validation, write reservations, intent-log staging, the
-    prepare/reservation hooks and duplicate-delivery replacement all run
+    termination hooks and duplicate-delivery replacement all run
     per sub-record, so one action's refusal ([Vote_stale]) affects only
     its own vote. A [store.commit] round
     likewise carries a list of actions, each applied idempotently. *)
@@ -187,32 +187,24 @@ val abort_all :
 (** [abort_all t ~from ~stores action]: scatter {!abort} (phase-2 abort /
     prepare withdrawal) concurrently. *)
 
-val decision :
-  t ->
-  from:Net.Network.node_id ->
-  coordinator:Net.Network.node_id ->
-  action:string ->
-  (Store.Intent_log.decision option, Net.Rpc.error) result
-(** Query a coordinator's decision record (used by recovery; presumed
-    abort applies when the coordinator has forgotten the action). *)
+(** What a store tells its termination machinery ({!Termination.attach}),
+    on the store's node. *)
+type hooks = {
+  prepared : action:string -> coordinator:string -> unit;
+      (** a prepare was accepted: a yes vote *)
+  resolved : action:string -> unit;
+      (** an intent left the log: committed, aborted or discarded *)
+  blocked : (string * string) list -> unit;
+      (** a prepare was refused by these actions' write reservations
+          (each with its coordinator) *)
+}
 
-val set_prepare_hook :
-  t ->
-  (node:Net.Network.node_id -> action:string -> coordinator:string -> unit) ->
-  unit
-(** Install a callback invoked (on the store node, within the prepare
-    handler) for every accepted prepare. {!Recovery.guard_prepares} uses
-    it to arrange in-doubt resolution should the coordinator crash. *)
+val set_hooks : t -> Net.Network.node_id -> hooks -> unit
+(** Install [node]'s hooks, replacing any previous ones. *)
 
-val set_reservation_hook :
-  t ->
-  (node:Net.Network.node_id -> blockers:(string * string) list -> unit) ->
-  unit
-(** Install a callback invoked (on the store node, within the prepare
-    handler) when a prepare is refused because other actions hold write
-    reservations on the objects. [blockers] lists each blocking action
-    with its coordinator. {!Recovery.break_stale_reservations} uses it to
-    resolve reservations whose coordinator has been partitioned away. *)
+val discard : t -> Net.Network.node_id -> action:string -> unit
+(** Local abort: drop [action]'s intent on [node] (idempotent). The
+    caller runs on [node]. *)
 
 val record_decision :
   t -> node:Net.Network.node_id -> action:string -> Store.Intent_log.decision -> unit

@@ -149,9 +149,9 @@ let ep_mirror : ((int * image * int) list, unit) Net.Rpc.endpoint =
    aborts or passes to its parent. *)
 type action_state = {
   mutable a_prepared : bool;
-      (* with [durable]: voted yes and awaits phase 2 — its stage and
-         locks are stable, survive a crash and are resolved against the
-         coordinator's decision on recovery *)
+      (* voted yes and awaits phase 2. With [durable] its stage and
+         locks are stable: they survive a crash and are resolved by
+         termination on recovery *)
   mutable a_undo : (int * side * half_image) list;
       (* before-images, at most one per (entry serial, side) *)
   mutable a_redo : (int * op list) list;
@@ -181,14 +181,11 @@ type t = {
      committed image and wipes locks — so pre-crash actions must vote no
      at prepare (their reads and staged updates are gone). *)
   actions : (string, action_state) Hashtbl.t;
-  (* In-flight presumed-abort probes for lock holders whose coordinator
-     is partitioned away, keyed by holder action. *)
-  breaking : (string, unit) Hashtbl.t;
   entries : (int, entry) Hashtbl.t; (* keyed by uid serial *)
   names : (string, Store.Uid.t) Hashtbl.t;
   locks : Lockmgr.Manager.t;
-  guard : Action.Orphan_guard.t;
-      (* watches action origins; aborts orphaned actions of dead clients *)
+  term : Action.Termination.t;
+      (* how the shard's actions end when their coordinator is lost *)
   ep_lookup : (string, Store.Uid.t option) Net.Rpc.endpoint;
   ep_info : (Store.Uid.t, entry_info option) Net.Rpc.endpoint;
   ep_stored_on : (Net.Network.node_id, Store.Uid.t list) Net.Rpc.endpoint;
@@ -257,11 +254,11 @@ let record t action =
       Hashtbl.add t.actions action a;
       a
 
-(* Register the action with this shard and its orphan guard. Called only
-   once the request is known to be for an entry this shard holds: a
+(* Register the action with this shard and its termination state. Called
+   only once the request is known to be for an entry this shard holds: a
    bounced request must leave no record and no crash watch behind. *)
-let touch_guard t action =
-  Action.Orphan_guard.touch t.guard ~scope:resource ~action;
+let touch_action t action =
+  Action.Termination.touch t.term ~scope:resource ~action;
   record t action
 
 (* Record the before-image of ONE side of the entry for the action, once:
@@ -286,69 +283,6 @@ let stage a serial ops =
   let cur = Option.value ~default:[] (List.assoc_opt serial a.a_redo) in
   a.a_redo <- (serial, cur @ ops) :: List.remove_assoc serial a.a_redo
 
-(* Complete [owner] locally from its coordinator's decision while
-   [pending ()] holds: a commit decision commits, anything else (or a
-   coordinator unreachable through the whole probe budget) is presumed
-   abort. A still-active action is left alone — its own phase 2 will
-   arrive. Runs in a fiber on the service node. *)
-let settle_from_coordinator t owner ~pending =
-  let coordinator = Action.Orphan_guard.origin_of_action owner in
-  let rh = Action.Atomic.resource_host t.art in
-  let finish how =
-    let complete, verdict =
-      match how with
-      | `Commit -> (Action.Resource_host.commit, "commit")
-      | `Abort why -> (Action.Resource_host.abort, "presumed abort (" ^ why ^ ")")
-    in
-    tracef t "%s: wedged holder %s -> %s" t.gvd_node owner verdict;
-    ignore (complete rh ~from:t.gvd_node ~node:t.gvd_node ~resource ~action:owner)
-  in
-  let rec settle n =
-    if pending () then
-      match
-        Action.Atomic.query_decision t.art ~from:t.gvd_node ~coordinator
-          ~action:owner
-      with
-      | Ok Action.Atomic.D_commit -> finish `Commit
-      | Ok (Action.Atomic.D_abort | Action.Atomic.D_unknown) ->
-          finish (`Abort "decided")
-      | Ok Action.Atomic.D_active -> ()
-      | Error _ ->
-          if n = 0 then finish (`Abort "coordinator unreachable")
-          else begin
-            Sim.Engine.sleep (eng t) 2.0;
-            settle (n - 1)
-          end
-  in
-  settle 5
-
-(* A refused database lock may be held by an action whose coordinator is
-   partitioned away: its phase-2 fan-out (commit or abort) never reached
-   this node, the orphan guard only fires on crashes, and nothing retries
-   the release after the cut heals. Probe such holders' coordinators from
-   a separate fiber and settle them from the decision. Holders with a
-   reachable coordinator are live contention and are left alone, so
-   healthy runs see no extra traffic. *)
-let break_stale_lock_holders t key =
-  List.iter
-    (fun (owner, _mode) ->
-      let coordinator = Action.Orphan_guard.origin_of_action owner in
-      if
-        (not (Hashtbl.mem t.breaking owner))
-        && not (Net.Network.reachable (netw t) t.gvd_node coordinator)
-      then begin
-        Hashtbl.add t.breaking owner ();
-        Net.Network.spawn_on (netw t) t.gvd_node
-          ~name:(Printf.sprintf "%s.break-lock:%s" t.gvd_node owner)
-          (fun () ->
-            settle_from_coordinator t owner ~pending:(fun () ->
-                List.exists
-                  (fun (o, _) -> String.equal o owner)
-                  (Lockmgr.Manager.holders t.locks key));
-            Hashtbl.remove t.breaking owner)
-      end)
-    (Lockmgr.Manager.holders t.locks key)
-
 (* -- locks -- *)
 
 (* Each update op declares the lock it needs on its half: a blocking
@@ -371,8 +305,11 @@ let take_fence t ~action key =
   | Some _ -> Lockmgr.Manager.promote t.locks ~owner:action ~to_mode:mode key
   | None -> Lockmgr.Manager.try_acquire t.locks ~owner:action ~mode key
 
+(* A holder whose coordinator is partitioned away may never release:
+   termination settles it. *)
 let refuse t key mode =
-  break_stale_lock_holders t key;
+  Action.Termination.refused t.term ~scope:resource
+    (List.map fst (Lockmgr.Manager.holders t.locks key));
   Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
   Some (Refused (Printf.sprintf "lock %s (%s) refused" key (Lockmgr.Mode.to_string mode)))
 
@@ -585,7 +522,7 @@ let h_read t { r_uid; r_lock } =
                  (Lockmgr.Manager.available t.locks ~owner:action
                     ~mode:Lockmgr.Mode.Read key)
           then Sim.Metrics.incr m "gvd.view_lock_waits";
-          ignore (touch_guard t action : action_state);
+          ignore (touch_action t action : action_state);
           match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
           | Some refusal -> refusal
           | None -> (
@@ -659,7 +596,7 @@ let h_update t { up_action = action; up_ops = ops; up_if_rev } =
   match absent_entry t ops with
   | Some bounce -> bounce
   | None -> (
-      let a = touch_guard t action in
+      let a = touch_action t action in
       match lock_all t ~action ops with
       | Some refusal -> refusal
       | None -> (
@@ -698,7 +635,7 @@ let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
         List.exists (fun n -> not (up n)) e.e_snap.im_server.im_sv
       in
       let mode = if structural then Lockmgr.Mode.Write else Lockmgr.Mode.Delta in
-      let a = touch_guard t bt_action in
+      let a = touch_action t bt_action in
       match take_lock t ~action:bt_action (Blocking mode) (key_of Sv_side bt_uid) with
       | Some refusal -> refusal
       | None ->
@@ -910,13 +847,16 @@ let manager t =
            with a durable (crashable) service, an action from before the
            last crash lost its locks and staged updates and must abort,
            and a yes vote makes the action's stage stable. *)
-        if not t.durable then true
-        else
+        let known =
           match Hashtbl.find_opt t.actions action with
           | Some a ->
               a.a_prepared <- true;
               true
-          | None -> false);
+          | None -> false
+        in
+        let yes = known || not t.durable in
+        if yes then Action.Termination.vote t.term ~scope:resource ~action;
+        yes);
     m_commit =
       (fun ~action ->
         let touched =
@@ -951,7 +891,7 @@ let manager t =
               touched
         in
         Lockmgr.Manager.release_all t.locks ~owner:action;
-        Action.Orphan_guard.settle t.guard ~scope:resource ~action;
+        Action.Termination.forget t.term ~scope:resource ~action;
         mirror_push t touched);
     m_abort =
       (fun ~action ->
@@ -969,7 +909,7 @@ let manager t =
                 | None -> ())
               a.a_undo);
         Lockmgr.Manager.release_all t.locks ~owner:action;
-        Action.Orphan_guard.settle t.guard ~scope:resource ~action);
+        Action.Termination.forget t.term ~scope:resource ~action);
     m_transfer =
       (fun ~action ~parent ->
         (match take_action t action with
@@ -986,12 +926,49 @@ let manager t =
               c.a_undo;
             List.iter (fun (serial, ops) -> stage p serial ops) c.a_redo);
         Lockmgr.Manager.transfer_all t.locks ~from_owner:action ~to_owner:parent;
-        Action.Orphan_guard.transfer t.guard ~scope:resource ~action ~parent);
+        Action.Termination.transfer t.term ~scope:resource ~action ~parent);
+  }
+
+(* How termination ends an action at the shard on [node]. *)
+let termination_ops art ~node ~actions ~entries ~locks =
+  let rh = Action.Atomic.resource_host art in
+  let net = Action.Atomic.network art in
+  {
+    Action.Termination.holds =
+      (fun ~scope:_ ~action ->
+        Hashtbl.mem actions action
+        || Lockmgr.Manager.locked_keys locks ~owner:action <> []);
+    evidence =
+      (fun ~scope:_ ~action ->
+        match Hashtbl.find_opt actions action with
+        | None -> []
+        | Some a ->
+            List.map (fun (serial, _, _) -> serial) a.a_undo @ List.map fst a.a_redo
+            |> List.sort_uniq Int.compare
+            |> List.filter_map (fun serial ->
+                   Option.map (fun e -> e.e_uid) (Hashtbl.find_opt entries serial)));
+    complete =
+      (fun ~scope:_ ~action -> function
+        | Action.Termination.Orphan_abort ->
+            Sim.Metrics.incr (Net.Network.metrics net) "gvd.orphan_aborts";
+            Sim.Trace.recordf (Net.Network.trace net)
+              ~now:(Sim.Engine.now (Action.Atomic.engine art))
+              ~tag:"gvd" "aborting orphaned action %s" action;
+            Action.Resource_host.abort_here rh ~node ~resource ~action
+        | Commit ->
+            ignore (Action.Resource_host.commit rh ~from:node ~node ~resource ~action)
+        | Abort | Presumed_abort ->
+            ignore (Action.Resource_host.abort rh ~from:node ~node ~resource ~action));
   }
 
 let install ?(use_exclude_write = true) ?(durable = false)
     ?(service_time = 0.0) art ~node =
-  let orphan_abort = ref (fun ~action:_ -> ()) in
+  let actions = Hashtbl.create 64 in
+  let entries = Hashtbl.create 64 in
+  let locks =
+    Lockmgr.Manager.create ~metrics:(Net.Network.metrics (Action.Atomic.network art))
+      (Action.Atomic.engine art)
+  in
   let t =
     {
       art;
@@ -1001,15 +978,13 @@ let install ?(use_exclude_write = true) ?(durable = false)
       service_time;
       service = Sim.Semaphore.create 1;
       moved_out = Hashtbl.create 16;
-      actions = Hashtbl.create 64;
-      breaking = Hashtbl.create 16;
-      entries = Hashtbl.create 64;
+      actions;
+      entries;
       names = Hashtbl.create 64;
-      locks = Lockmgr.Manager.create ~metrics:(Net.Network.metrics (Action.Atomic.network art))
-          (Action.Atomic.engine art);
-      guard =
-        Action.Orphan_guard.create (Action.Atomic.network art) ~node
-          ~abort:(fun ~scope:_ ~action -> !orphan_abort ~action);
+      locks;
+      term =
+        Action.Termination.create art ~node
+          (termination_ops art ~node ~actions ~entries ~locks);
       ep_lookup = Net.Rpc.endpoint "gvd.lookup";
       ep_info = Net.Rpc.endpoint "gvd.info";
       ep_stored_on = Net.Rpc.endpoint "gvd.stored_on";
@@ -1052,14 +1027,8 @@ let install ?(use_exclude_write = true) ?(durable = false)
       Hashtbl.fold
         (fun serial e acc -> (serial, e.e_snap, e.e_version) :: acc)
         t.entries []);
-  let mgr = manager t in
   Action.Resource_host.register (Action.Atomic.resource_host art) ~node
-    ~resource mgr;
-  (orphan_abort :=
-     fun ~action ->
-       Sim.Metrics.incr (metrics t) "gvd.orphan_aborts";
-       tracef t "aborting orphaned action %s" action;
-       mgr.Action.Resource_host.m_abort ~action);
+    ~resource (manager t);
   if durable then begin
     (* The persistent-object semantics of the database itself: committed
        entry images are stable, and so is the stage of every prepared
@@ -1086,14 +1055,10 @@ let install ?(use_exclude_write = true) ?(durable = false)
         Lockmgr.Manager.release_everything ~keep:in_doubt t.locks;
         Sim.Metrics.incr (metrics t) "gvd.crash_resets");
     (* A phase 2 sent while the node was down is never re-sent: settle
-       each in-doubt action from its coordinator's decision. *)
+       each in-doubt action by termination. *)
     Net.Network.on_recover net node (fun () ->
         List.iter
-          (fun action ->
-            Net.Network.spawn_on net node
-              ~name:(Printf.sprintf "%s.in-doubt:%s" node action) (fun () ->
-                settle_from_coordinator t action ~pending:(fun () ->
-                    in_doubt action)))
+          (fun action -> Action.Termination.recover t.term ~scope:resource ~action)
           (Hashtbl.fold
              (fun action a acc -> if a.a_prepared then action :: acc else acc)
              t.actions []

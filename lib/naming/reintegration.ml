@@ -72,7 +72,7 @@ let reintegrate_store_one t ~node uid =
           Sim.Metrics.incr (Net.Network.metrics (netw t)) "reintegrate.fenced";
           raise (Action.Atomic.Abort "latest committed state unreachable"))
 
-let reintegrate_store_now t ~node ?(retry_delay = 2.0) () =
+let reintegrate_store_now t ~node =
   let uids =
     match Router.stored_on (Binder.router t) ~from:node node with
     | Ok uids -> uids
@@ -84,7 +84,7 @@ let reintegrate_store_now t ~node ?(retry_delay = 2.0) () =
         Net.Retry.run
           (Action.Atomic.retry (art t))
           ~op:"reintegrate.include"
-          (Net.Retry.policy ~attempts:20 ~base:retry_delay ~factor:1.5
+          (Net.Retry.policy ~attempts:20 ~base:2.0 ~factor:1.5
              ~max_delay:8.0 ())
           (fun () -> reintegrate_store_one t ~node uid)
       with
@@ -93,9 +93,8 @@ let reintegrate_store_now t ~node ?(retry_delay = 2.0) () =
       | Error _ -> ())
     uids
 
-let attach_store_node t ~node ?retry_delay () =
-  Net.Network.on_recover (netw t) node (fun () ->
-      reintegrate_store_now t ~node ?retry_delay ())
+let attach_store_node t ~node =
+  Net.Network.on_recover (netw t) node (fun () -> reintegrate_store_now t ~node)
 
 (* Bounded validated Exclude attempts before falling back to the classic
    locked round (mirrors {!Replica.Commit}'s validate retries). *)
@@ -163,7 +162,7 @@ let exclude_store_now t ~from ~node () =
       | _ -> excluded)
     0 uids
 
-let reinsert_server_now t ~node ?(retry_delay = 2.0) () =
+let reinsert_server_now t ~node =
   let eng = Action.Atomic.engine (art t) in
   let r = Binder.router t in
   let uids =
@@ -178,7 +177,7 @@ let reinsert_server_now t ~node ?(retry_delay = 2.0) () =
         Net.Retry.run
           (Action.Atomic.retry (art t))
           ~op:"reintegrate.insert"
-          (Net.Retry.policy ~attempts:60 ~base:retry_delay ~factor:1.3
+          (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.3
              ~max_delay:8.0 ())
           (fun () ->
             let res =
@@ -214,6 +213,5 @@ let reinsert_server_now t ~node ?(retry_delay = 2.0) () =
             "reintegrate.insert_gave_up")
     uids
 
-let attach_server_node t ~node ?retry_delay () =
-  Net.Network.on_recover (netw t) node (fun () ->
-      reinsert_server_now t ~node ?retry_delay ())
+let attach_server_node t ~node =
+  Net.Network.on_recover (netw t) node (fun () -> reinsert_server_now t ~node)

@@ -16,30 +16,20 @@
     retries until quiescent, and the elapsed time is the {e reintegration
     delay} measured by the Figure-6/7 experiments. *)
 
-val attach_store_node :
-  Binder.t ->
-  node:Net.Network.node_id ->
-  ?retry_delay:float ->
-  unit ->
-  unit
+val attach_store_node : Binder.t -> node:Net.Network.node_id -> unit
 (** Arrange that whenever [node] recovers, it reintegrates every object
     whose [st_home] lists it. Must be attached {e after}
-    {!Action.Recovery.attach} so in-doubt 2PC records are resolved
+    {!Action.Termination.attach} so in-doubt 2PC records are resolved
     first. *)
 
-val attach_server_node :
-  Binder.t -> node:Net.Network.node_id -> ?retry_delay:float -> unit -> unit
+val attach_server_node : Binder.t -> node:Net.Network.node_id -> unit
 (** Arrange that whenever [node] recovers, it re-runs [Insert] for every
     object whose [sv_home] lists it, retrying while [Busy]. Records the
     per-object delay in the [reintegrate.insert_delay] metric. *)
 
-val reintegrate_store_now :
-  Binder.t ->
-  node:Net.Network.node_id ->
-  ?retry_delay:float ->
-  unit ->
-  unit
-(** Run the store protocol immediately (from a fiber on [node]). *)
+val reintegrate_store_now : Binder.t -> node:Net.Network.node_id -> unit
+(** Run the store protocol immediately (from a fiber on [node]); retries
+    start 2.0 apart. *)
 
 val exclude_store_now :
   Binder.t ->
@@ -55,6 +45,6 @@ val exclude_store_now :
     validates the St revision inside its round (an [Evict] update with
     [~if_rev]), with bounded retries then a classic [Exclude]. *)
 
-val reinsert_server_now :
-  Binder.t -> node:Net.Network.node_id -> ?retry_delay:float -> unit -> unit
-(** Run the server protocol immediately (from a fiber on [node]). *)
+val reinsert_server_now : Binder.t -> node:Net.Network.node_id -> unit
+(** Run the server protocol immediately (from a fiber on [node]); retries
+    start 2.0 apart. *)

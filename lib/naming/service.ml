@@ -64,16 +64,14 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
       ((naming_nodes @ topology.server_nodes)
       @ topology.store_nodes @ topology.client_nodes)
   in
-  (* Hook order per node matters: 2PC resolution must precede naming-level
-     reintegration. *)
+  (* Hook order per node matters: 2PC termination must precede
+     naming-level reintegration. *)
   List.iter
     (fun n ->
       Net.Network.add_node net n;
       Action.Store_host.add sh n;
-      Action.Recovery.attach art ~node:n)
+      Action.Termination.attach art ~node:n)
     all_nodes;
-  Action.Recovery.guard_prepares art;
-  Action.Recovery.break_stale_reservations art ();
   List.iter (fun n -> Replica.Server.install_host srv n) topology.server_nodes;
   let grt = Replica.Group.create srv ~sequencer:topology.gvd_node in
   let router =
@@ -88,10 +86,10 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
   in
   let bdr = Binder.create ?cache router grt in
   List.iter
-    (fun n -> Reintegration.attach_store_node bdr ~node:n ())
+    (fun n -> Reintegration.attach_store_node bdr ~node:n)
     topology.store_nodes;
   List.iter
-    (fun n -> Reintegration.attach_server_node bdr ~node:n ())
+    (fun n -> Reintegration.attach_server_node bdr ~node:n)
     topology.server_nodes;
   if cleanup_period > 0.0 then
     List.iter (fun g -> Cleanup.start g ~period:cleanup_period art)
@@ -122,7 +120,7 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
               (fun ~store ->
                 Net.Network.spawn_on net store ~name:"autonomic-include"
                   (fun () ->
-                    Reintegration.reintegrate_store_now bdr ~node:store ()));
+                    Reintegration.reintegrate_store_now bdr ~node:store));
           }
         in
         let plane = Replica.Autonomic.create deps in

@@ -55,6 +55,7 @@ type instance = {
      action timed out and aborted — and executing it would stage payload
      and take locks that no completion will ever clean up. *)
   mutable i_settled : string list;
+  i_scope : string; (* the uid as a string: the instance's key on its node *)
 }
 
 type activate_req = {
@@ -107,7 +108,8 @@ type runtime = {
   art : Action.Atomic.runtime;
   impls : (string, Object_impl.t) Hashtbl.t;
   instances : (Net.Network.node_id, (string, instance) Hashtbl.t) Hashtbl.t;
-  guards : (Net.Network.node_id, Action.Orphan_guard.t) Hashtbl.t;
+  terms : (Net.Network.node_id, Action.Termination.t) Hashtbl.t;
+      (* per host node, one termination scope per instance (its uid) *)
   mc : Net.Multicast.t;
   ep_activate : (activate_req, activate_result) Net.Rpc.endpoint;
   ep_invoke : (invoke_req, invoke_result) Net.Rpc.endpoint;
@@ -122,9 +124,6 @@ type runtime = {
   mutable eager_checkpoints : bool;
   g_commit : Groupcommit.t;
       (* the group-commit plane commits on this runtime batch through *)
-  (* In-flight presumed-abort probes for instance locks whose holder's
-     coordinator is partitioned away: (node, uid, holder) triples. *)
-  breaking : (string * string * string, unit) Hashtbl.t;
 }
 
 let resource_name uid = "obj:" ^ Store.Uid.to_string uid
@@ -134,7 +133,7 @@ let create art impls =
     art;
     impls;
     instances = Hashtbl.create 16;
-    guards = Hashtbl.create 16;
+    terms = Hashtbl.create 16;
     mc = Net.Multicast.create (Action.Atomic.rpc art);
     ep_activate = Net.Rpc.endpoint "server.activate";
     ep_invoke = Net.Rpc.endpoint "server.invoke";
@@ -152,7 +151,6 @@ let create art impls =
         ~engine:(Action.Atomic.engine art)
         ~store_host:(Action.Atomic.store_host art)
         ~metrics:(Net.Network.metrics (Action.Atomic.network art));
-    breaking = Hashtbl.create 16;
   }
 
 let atomic_runtime t = t.art
@@ -182,13 +180,9 @@ let node_instances t node =
 let find_instance t node uid =
   Hashtbl.find_opt (node_instances t node) (Store.Uid.to_string uid)
 
-let guard_of t node = Hashtbl.find_opt t.guards node
-
-let touch_guard t node uid action =
-  match guard_of t node with
-  | Some g ->
-      Action.Orphan_guard.touch g ~scope:(Store.Uid.to_string uid) ~action
-  | None -> ()
+(* The termination state of the instance's host node; an instance's
+   scope there is its uid. *)
+let term_of t inst = Hashtbl.find t.terms inst.i_node
 
 let applied_key action serial = Printf.sprintf "%s#%d" action serial
 
@@ -264,18 +258,21 @@ let checkpoint_to_cohorts t inst =
              Sim.Metrics.incr (metrics t) "server.checkpoint_failures")
   end
 
+let release inst action =
+  Lockmgr.Manager.release_all inst.i_locks ~owner:action;
+  (* Also prune the action from the checkpointed holder snapshot: a
+     cohort promoted after this action ended must not resurrect its
+     locks (they would never be released — a phantom wedge). *)
+  inst.i_ckpt_holders <-
+    List.filter (fun (o, _) -> not (String.equal o action)) inst.i_ckpt_holders
+
 (* The resource manager wiring an instance into action completion. *)
 let make_manager t inst =
-  let release action =
-    Lockmgr.Manager.release_all inst.i_locks ~owner:action;
-    (* Also prune the action from the checkpointed holder snapshot: a
-       cohort promoted after this action ended must not resurrect its
-       locks (they would never be released — a phantom wedge). *)
-    inst.i_ckpt_holders <-
-      List.filter (fun (o, _) -> not (String.equal o action)) inst.i_ckpt_holders
-  in
   {
-    Action.Resource_host.m_prepare = (fun ~action:_ -> true);
+    Action.Resource_host.m_prepare =
+      (fun ~action ->
+        Action.Termination.vote (term_of t inst) ~scope:inst.i_scope ~action;
+        true);
     m_commit =
       (fun ~action ->
         (match Hashtbl.find_opt inst.i_staged action with
@@ -290,25 +287,17 @@ let make_manager t inst =
             tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
               action Store.Uid.pp inst.i_uid);
         clean_applied inst action;
-        release action;
+        release inst action;
         settle_action inst action;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.settle g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action
-        | None -> ());
+        Action.Termination.forget (term_of t inst) ~scope:inst.i_scope ~action;
         checkpoint_to_cohorts t inst);
     m_abort =
       (fun ~action ->
         Hashtbl.remove inst.i_staged action;
         clean_applied inst action;
-        release action;
+        release inst action;
         settle_action inst action;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.settle g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action
-        | None -> ());
+        Action.Termination.forget (term_of t inst) ~scope:inst.i_scope ~action;
         checkpoint_to_cohorts t inst);
     m_transfer =
       (fun ~action ~parent ->
@@ -327,90 +316,15 @@ let make_manager t inst =
           List.map
             (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
             inst.i_ckpt_holders;
-        (match guard_of t inst.i_node with
-        | Some g ->
-            Action.Orphan_guard.transfer g
-              ~scope:(Store.Uid.to_string inst.i_uid) ~action ~parent
-        | None -> ());
+        Action.Termination.transfer (term_of t inst) ~scope:inst.i_scope ~action
+          ~parent;
         checkpoint_to_cohorts t inst);
   }
 
 let install_instance t node inst =
-  Hashtbl.replace (node_instances t node) (Store.Uid.to_string inst.i_uid) inst;
+  Hashtbl.replace (node_instances t node) inst.i_scope inst;
   Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
     ~resource:(resource_name inst.i_uid) (make_manager t inst)
-
-(* A lock wait that timed out may be blocked by an action whose
-   coordinator is partitioned away: the coordinator's abort fan-out never
-   reached this node, the orphan guard only fires on crashes, and nothing
-   retries the release after the cut heals — the instance would be wedged
-   forever. Probe such holders' coordinators from a separate fiber: a
-   commit decision completes the holder locally, an abort/unknown one (or
-   a coordinator unreachable through the whole probe budget) is presumed
-   abort. Holders whose coordinator is reachable are left alone — that is
-   live contention, resolved by the holder's own completion fan-out. *)
-let break_stale_holders t node inst =
-  List.iter
-    (fun (owner, _mode) ->
-      let coordinator = Action.Orphan_guard.origin_of_action owner in
-      let key = (node, Store.Uid.to_string inst.i_uid, owner) in
-      if
-        (not (Hashtbl.mem t.breaking key))
-        && not (Net.Network.reachable (net t) node coordinator)
-      then begin
-        Hashtbl.add t.breaking key ();
-        Net.Network.spawn_on (net t) node
-          ~name:(Printf.sprintf "%s.break-lock:%s" node owner)
-          (fun () ->
-            let rh = Action.Atomic.resource_host t.art in
-            let resource = resource_name inst.i_uid in
-            let finish how =
-              match how with
-              | `Commit ->
-                  tracef t "%s: wedged holder %s -> commit" node owner;
-                  ignore
-                    (Action.Resource_host.commit rh ~from:node ~node ~resource
-                       ~action:owner)
-              | `Abort why ->
-                  tracef t "%s: wedged holder %s -> presumed abort (%s)" node
-                    owner why;
-                  ignore
-                    (Action.Resource_host.abort rh ~from:node ~node ~resource
-                       ~action:owner);
-                  (* The presumption may be wrong (the coordinator may in
-                     fact have committed, unreachably): this instance's
-                     volatile state is now suspect, so passivate it — the
-                     next activation rebuilds from the object stores,
-                     which hold the committed truth. *)
-                  ignore
-                    (Net.Rpc.call
-                       (Action.Atomic.rpc t.art)
-                       ~from:node ~dst:node t.ep_passivate inst.i_uid)
-            in
-            let rec settle n =
-              if List.mem_assoc owner (holders_snapshot inst) then
-                match
-                  Action.Atomic.query_decision t.art ~from:node ~coordinator
-                    ~action:owner
-                with
-                | Ok Action.Atomic.D_commit -> finish `Commit
-                | Ok (Action.Atomic.D_abort | Action.Atomic.D_unknown) ->
-                    finish (`Abort "decided")
-                | Ok Action.Atomic.D_active ->
-                    (* The cut healed and the action is still live: its
-                       own completion will release the lock. *)
-                    ()
-                | Error _ ->
-                    if n = 0 then finish (`Abort "coordinator unreachable")
-                    else begin
-                      Sim.Engine.sleep (eng t) 2.0;
-                      settle (n - 1)
-                    end
-            in
-            settle 5;
-            Hashtbl.remove t.breaking key)
-      end)
-    (holders_snapshot inst)
 
 (* Core invocation logic, shared by the RPC and multicast paths. Runs in a
    fiber on the instance's node. *)
@@ -439,14 +353,18 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
         match Hashtbl.find_opt inst.i_applied key with
         | Some cached -> Reply cached (* exactly-once across retries *)
         | None -> (
-            touch_guard t node v_uid v_action;
+            Action.Termination.touch (term_of t inst) ~scope:inst.i_scope
+              ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
             match
               Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode
                 ~timeout:t.lock_timeout "state"
             with
             | Error `Timeout ->
-                break_stale_holders t node inst;
+                (* A holder whose coordinator is partitioned away may
+                   never release: termination settles it. *)
+                Action.Termination.refused (term_of t inst) ~scope:inst.i_scope
+                  (List.map fst (holders_snapshot inst));
                 Sim.Metrics.incr (metrics t) "server.lock_refusals";
                 Locked
             | Ok () when is_settled inst v_action ->
@@ -487,6 +405,7 @@ let apply_checkpoint t node msg =
         let inst =
           {
             i_uid = msg.k_uid;
+            i_scope = Store.Uid.to_string msg.k_uid;
             i_impl = impl;
             i_node = node;
             i_committed = msg.k_committed;
@@ -572,6 +491,7 @@ let rec arrange_promotion_chain t node uid coordinator =
 let make_instance t node impl uid state role members =
   {
     i_uid = uid;
+    i_scope = Store.Uid.to_string uid;
     i_impl = impl;
     i_node = node;
     i_committed = state.Store.Object_state.payload;
@@ -691,6 +611,46 @@ let do_view t node { cw_uid; cw_action; cw_last_acked } =
 let instance_quiescent inst =
   Hashtbl.length inst.i_staged = 0 && holders_snapshot inst = []
 
+(* How termination ends an action at one of [node]'s instances. *)
+let termination_ops t node =
+  let rh = Action.Atomic.resource_host t.art in
+  let find scope = Hashtbl.find_opt (node_instances t node) scope in
+  {
+    Action.Termination.holds =
+      (fun ~scope ~action ->
+        match find scope with
+        | Some inst ->
+            List.mem_assoc action (holders_snapshot inst)
+            || Hashtbl.mem inst.i_staged action
+        | None -> false);
+    evidence =
+      (fun ~scope ~action:_ ->
+        match find scope with Some inst -> [ inst.i_uid ] | None -> []);
+    complete =
+      (fun ~scope ~action outcome ->
+        match find scope with
+        | None -> ()
+        | Some inst -> (
+            let resource = resource_name inst.i_uid in
+            let local f = ignore (f rh ~from:node ~node ~resource ~action) in
+            match outcome with
+            | Action.Termination.Orphan_abort ->
+                Sim.Metrics.incr (metrics t) "server.orphan_aborts";
+                tracef t "%s: aborting orphaned action %s on %a" node action
+                  Store.Uid.pp inst.i_uid;
+                Action.Resource_host.abort_here rh ~node ~resource ~action
+            | Commit -> local Action.Resource_host.commit
+            | Abort -> local Action.Resource_host.abort
+            | Presumed_abort ->
+                local Action.Resource_host.abort;
+                (* The action may in fact have committed, unreachably:
+                   this volatile copy is suspect, so passivate it and let
+                   the next activation rebuild from the stores. *)
+                ignore
+                  (Net.Rpc.call (Action.Atomic.rpc t.art) ~from:node ~dst:node
+                     t.ep_passivate inst.i_uid)));
+  }
+
 let install_host t node =
   let rpc = Action.Atomic.rpc t.art in
   Net.Rpc.serve rpc ~node t.ep_activate (fun req -> do_activate t node req);
@@ -727,23 +687,8 @@ let install_host t node =
       in
       Net.Rpc.notify rpc ~from:node ~dst:mi.mi_reply_to t.ep_reply
         { mr_req = mi.mi_req; mr_replica = node; mr_result = result });
-  (* Watch for clients that crash mid-action and abort their orphaned
-     locks and staged state at this node's instances. *)
-  Hashtbl.replace t.guards node
-    (Action.Orphan_guard.create (net t) ~node ~abort:(fun ~scope ~action ->
-         let found =
-           Hashtbl.fold
-             (fun key inst acc ->
-               if String.equal key scope then Some inst else acc)
-             (node_instances t node) None
-         in
-         match found with
-         | None -> ()
-         | Some inst ->
-             Sim.Metrics.incr (metrics t) "server.orphan_aborts";
-             tracef t "%s: aborting orphaned action %s on %a" node action
-               Store.Uid.pp inst.i_uid;
-             (make_manager t inst).Action.Resource_host.m_abort ~action));
+  Hashtbl.replace t.terms node
+    (Action.Termination.create t.art ~node (termination_ops t node));
   (* Instances are volatile: destroy them on crash — a recovered node
      re-activates from the stores. *)
   Net.Network.on_crash (net t) node (fun () ->

@@ -9,21 +9,6 @@
 
 type 'a task = unit -> 'a
 
-(* Spawn one fiber per task; [on_done i r] runs in the worker fiber as soon
-   as task [i] finishes. Tasks are spawned in list order, and the engine's
-   (time, seq) queue makes every interleaving deterministic. [base] offsets
-   the task indices reported to [on_done] (and the worker names) when the
-   caller runs a prefix of the tasks itself. *)
-let scatter ?(base = 0) eng tasks ~on_done =
-  let group = Engine.self_group eng in
-  List.iteri
-    (fun i f ->
-      let i = i + base in
-      Engine.spawn eng ~group
-        ~name:("join.worker." ^ string_of_int i)
-        (fun () -> on_done i (f ())))
-    tasks
-
 let all eng tasks =
   match tasks with
   | [] -> []
@@ -45,7 +30,13 @@ let all eng tasks =
          event trajectory is the same while one fiber per scatter is
          saved. Note this means an exception from task 0 propagates in
          the calling fiber. *)
-      scatter ~base:1 eng rest ~on_done:settle;
+      let group = Engine.self_group eng in
+      List.iteri
+        (fun i f ->
+          Engine.spawn eng ~group
+            ~name:("join.worker." ^ string_of_int (i + 1))
+            (fun () -> settle (i + 1) (f ())))
+        rest;
       settle 0 (f0 ());
       if !remaining > 0 then Ivar.read eng iv;
       Array.to_list results
@@ -91,68 +82,3 @@ let hedged eng ~delay tasks =
               end))
         tasks;
       Ivar.read eng iv
-
-let first_error eng tasks =
-  match tasks with
-  | [] -> Ok []
-  | [ f ] -> ( match f () with Ok v -> Ok [ v ] | Error e -> Error e)
-  | tasks ->
-      let n = List.length tasks in
-      let results = Array.make n None in
-      let remaining = ref n in
-      let iv = Ivar.create () in
-      scatter eng tasks ~on_done:(fun i r ->
-          results.(i) <- Some r;
-          decr remaining;
-          match r with
-          | Error e -> ignore (Ivar.try_fill iv (Error e))
-          | Ok _ -> if !remaining = 0 then ignore (Ivar.try_fill iv (Ok ())));
-      (match Ivar.read eng iv with
-      | Error e -> Error e
-      | Ok () ->
-          Ok
-            (Array.to_list results
-            |> List.filter_map (function
-                 | Some (Ok v) -> Some v
-                 | Some (Error _) | None -> None)))
-
-let quorum eng ~k tasks =
-  let n = List.length tasks in
-  if k <= 0 then begin
-    (* Trivially satisfied; still run the tasks (their effects may matter)
-       but do not wait for them. *)
-    scatter eng tasks ~on_done:(fun _ _ -> ());
-    Ok []
-  end
-  else begin
-    let results = Array.make (max n 1) None in
-    let remaining = ref n in
-    let successes = ref 0 in
-    let iv = Ivar.create () in
-    let settle i r =
-      results.(i) <- Some r;
-      decr remaining;
-      (match r with
-      | Ok _ ->
-          incr successes;
-          if !successes >= k then ignore (Ivar.try_fill iv true)
-      | Error _ -> ());
-      if !remaining = 0 then ignore (Ivar.try_fill iv (!successes >= k))
-    in
-    (match tasks with
-    | [] -> ignore (Ivar.try_fill iv false)
-    | [ f ] -> settle 0 (f ())
-    | tasks -> scatter eng tasks ~on_done:settle);
-    if Ivar.read eng iv then
-      Ok
-        (Array.to_list results
-        |> List.filter_map (function
-             | Some (Ok v) -> Some v
-             | Some (Error _) | None -> None))
-    else
-      Error
-        (Array.to_list results
-        |> List.filter_map (function
-             | Some (Error e) -> Some e
-             | Some (Ok _) | None -> None))
-  end

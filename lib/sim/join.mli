@@ -37,19 +37,3 @@ val hedged : Engine.t -> delay:float -> 'a option task list -> 'a option
     caller's group and their answers are discarded, so hedging is only
     safe over idempotent work (reads, probes, duplicate-tolerant
     requests). A single-task list runs inline, mirroring {!all}. *)
-
-val first_error :
-  Engine.t -> ('a, 'e) result task list -> ('a list, 'e) result
-(** [first_error eng tasks] resumes the caller as soon as any task returns
-    [Error e] (returning that first error, in completion order), or with
-    [Ok] of all results in task order when every task succeeds. Remaining
-    tasks keep running detached; their results are discarded. *)
-
-val quorum :
-  Engine.t -> k:int -> ('a, 'e) result task list -> ('a list, 'e list) result
-(** [quorum eng ~k tasks] resumes the caller as soon as [k] tasks have
-    succeeded — [Ok successes] lists, in task order, every success recorded
-    by the time the caller resumes (at least [k]). If all tasks settle with
-    fewer than [k] successes the result is [Error] of their errors in task
-    order. [k <= 0] returns [Ok []] immediately while the tasks run
-    detached. *)

@@ -350,7 +350,7 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
   List.iter
     (fun node ->
       Net.Network.spawn_on net node ~name:(node ^ ".chaos-resolve")
-        (fun () -> Action.Recovery.resolve_in_doubt (Service.atomic w) ~node ()))
+        (fun () -> Action.Termination.resolve_in_doubt (Service.atomic w) ~node))
     stores;
   Service.run w;
   List.iter

@@ -10,7 +10,8 @@
       other two, and the recovery [Insert]'s wait for quiescence);
     - one client crashes while bound (leaving orphaned use counters under
       schemes B/C for the cleanup daemon, but only briefly-held locks
-      under scheme A thanks to the orphan guard).
+      under scheme A, which termination aborts once the client is
+      reported dead).
 
     Reported per scheme: commit rate, mean bind latency, futile bind
     attempts, dead-server removals, database lock waits, database

@@ -29,7 +29,7 @@ let make_world ?seed nodes =
     (fun n ->
       Net.Network.add_node net n;
       Store_host.add sh n;
-      Recovery.attach rt ~node:n)
+      Termination.attach rt ~node:n)
     nodes;
   { eng; net; sh; rh; rt; sup = Uid.supply () }
 

@@ -331,7 +331,7 @@ let test_dup_copy_back_exact () =
   List.iter
     (fun node ->
       Net.Network.spawn_on net node ~name:(node ^ ".resolve") (fun () ->
-          Action.Recovery.resolve_in_doubt (Service.atomic w) ~node ()))
+          Action.Termination.resolve_in_doubt (Service.atomic w) ~node))
     [ "t1"; "t2" ];
   Service.run w;
   check_bool "committed something" true (!committed > 0);

@@ -83,92 +83,6 @@ let test_all_deterministic () =
   check_bool "different seed, different draws" true (r1 <> r3)
 
 (* ------------------------------------------------------------------ *)
-(* first_error *)
-
-let test_first_error_all_ok () =
-  let r, _ =
-    in_fiber (fun eng ->
-        Join.first_error eng
-          (List.mapi
-             (fun i d () ->
-               Engine.sleep eng d;
-               Ok i)
-             [ 4.0; 2.0 ]))
-  in
-  (match r with
-  | Ok l -> Alcotest.(check (list int)) "task order" [ 0; 1 ] l
-  | Error _ -> Alcotest.fail "unexpected error")
-
-let test_first_error_early_return () =
-  (* The error at t=1 resumes the caller without waiting for the slow
-     success at t=50. *)
-  let r, t =
-    in_fiber (fun eng ->
-        Join.first_error eng
-          [
-            (fun () ->
-              Engine.sleep eng 50.0;
-              Ok "slow");
-            (fun () ->
-              Engine.sleep eng 1.0;
-              Error "boom");
-          ])
-  in
-  (match r with
-  | Error e -> Alcotest.(check string) "first error" "boom" e
-  | Ok _ -> Alcotest.fail "expected error");
-  check_float "did not wait for the slow task" 1.0 t
-
-(* ------------------------------------------------------------------ *)
-(* quorum *)
-
-let test_quorum_early_return () =
-  (* k=2 of 3: the caller resumes at the second success (t=2), long
-     before the straggler at t=40 settles. *)
-  let r, t =
-    in_fiber (fun eng ->
-        Join.quorum eng ~k:2
-          (List.mapi
-             (fun i d () ->
-               Engine.sleep eng d;
-               Ok i)
-             [ 1.0; 40.0; 2.0 ]))
-  in
-  (match r with
-  | Ok l ->
-      (* Successes recorded by resume time, in task order. *)
-      Alcotest.(check (list int)) "task order, k successes" [ 0; 2 ] l
-  | Error _ -> Alcotest.fail "expected quorum");
-  check_float "resumed at the k-th success" 2.0 t
-
-let test_quorum_failure () =
-  let r, _ =
-    in_fiber (fun eng ->
-        Join.quorum eng ~k:2
-          [
-            (fun () ->
-              Engine.sleep eng 2.0;
-              Error "e0");
-            (fun () ->
-              Engine.sleep eng 1.0;
-              Ok ());
-            (fun () ->
-              Engine.sleep eng 3.0;
-              Error "e2");
-          ])
-  in
-  match r with
-  | Error es -> Alcotest.(check (list string)) "errors, task order" [ "e0"; "e2" ] es
-  | Ok _ -> Alcotest.fail "quorum should fail with 1 < k successes"
-
-let test_quorum_zero () =
-  let r, t = in_fiber (fun eng -> Join.quorum eng ~k:0 [ (fun () -> Ok 1) ]) in
-  (match r with
-  | Ok l -> check_int "immediate empty quorum" 0 (List.length l)
-  | Error _ -> Alcotest.fail "k=0 is trivially satisfied");
-  check_float "immediate" 0.0 t
-
-(* ------------------------------------------------------------------ *)
 (* crash fate *)
 
 let test_workers_share_caller_group () =
@@ -200,14 +114,6 @@ let suite =
           test_all_parallel_elapsed;
         Alcotest.test_case "all: deterministic under seed" `Quick
           test_all_deterministic;
-        Alcotest.test_case "first_error: all ok" `Quick test_first_error_all_ok;
-        Alcotest.test_case "first_error: early return" `Quick
-          test_first_error_early_return;
-        Alcotest.test_case "quorum: early return at k" `Quick
-          test_quorum_early_return;
-        Alcotest.test_case "quorum: failure collects errors" `Quick
-          test_quorum_failure;
-        Alcotest.test_case "quorum: k=0 immediate" `Quick test_quorum_zero;
         Alcotest.test_case "workers share caller's crash fate" `Quick
           test_workers_share_caller_group;
       ] );

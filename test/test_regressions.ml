@@ -64,8 +64,8 @@ let test_multi_object_action_commits_both () =
 
 (* Defect: a client crash mid-action left its database locks held forever
    (the coordinator never runs the action-end protocol), wedging the entry
-   for every later client. The orphan guard must abort the dead client's
-   action at the database. *)
+   for every later client. Termination must abort the dead client's
+   unvoted action at the database. *)
 let test_orphan_guard_releases_dead_clients_locks () =
   let w = Service.create ~seed:2L topo in
   let uid =
@@ -296,6 +296,77 @@ let test_split_undo_no_resurrection () =
     (Gvd.current_st gvd uid);
   check_bool "B's counters rolled back too" true (Gvd.quiescent gvd uid)
 
+(* Defect: a participant that had voted yes learnt its fate from the
+   orphan guard, which aborted blindly once the client (the coordinator)
+   crashed, even when the client had already recorded Commit and only its
+   phase 2 was cut short. The server instance then served the pre-commit
+   state while both stores applied the commit after the client's
+   recovery, and a naming-database Exclude was undone after its action
+   committed, leaving a stale store in [St]. A yes-voted participant must
+   settle from the coordinator's decision record. *)
+let voted_world ~partition =
+  let w = Service.create ~seed:7L topo in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "beta1"; "beta2" ] ()
+  in
+  if partition then
+    Net.Fault.partition_for (Service.network w) ~at:0.0 ~duration:100.0 "c1"
+      "beta2";
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+           ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+             ignore (Service.invoke w group ~act "add 5"))));
+  (w, uid)
+
+(* The client's decision instant, from a first, crash-free run. *)
+let decision_time ~partition =
+  let w, _ = voted_world ~partition in
+  Sim.Trace.set_enabled (Service.trace w) true;
+  Service.run w;
+  match
+    List.find_opt
+      (fun e -> String.ends_with ~suffix:" commit" e.Sim.Trace.detail)
+      (Sim.Trace.with_tag (Service.trace w) "action")
+  with
+  | Some e -> e.Sim.Trace.at
+  | None -> Alcotest.fail "the crash-free run never committed"
+
+(* The same world, with the client crashed for 20s half a time unit
+   after its decision: past the decision record, before phase 2 reached
+   every participant. *)
+let crashed_after_decision ~partition =
+  let at = decision_time ~partition +. 0.5 in
+  let w, uid = voted_world ~partition in
+  Net.Fault.crash_for (Service.network w) ~at ~duration:20.0 "c1";
+  (w, uid)
+
+let test_voted_instance_settles_from_decision () =
+  let w, uid = crashed_after_decision ~partition:false in
+  let read = ref "never ran" in
+  Sim.Engine.schedule (Service.engine w) ~delay:200.0 (fun () ->
+      Service.spawn_client w "c2" (fun () ->
+          match
+            Service.with_bound w ~client:"c2" ~scheme:Scheme.Standard
+              ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+                Service.invoke w group ~act ~write:false "get")
+          with
+          | Ok v -> read := v
+          | Error e -> read := "error: " ^ e));
+  Service.run w;
+  check_string "the committed add is visible" "5" !read
+
+let test_voted_exclude_survives_coordinator_crash () =
+  let w, uid = crashed_after_decision ~partition:true in
+  Service.run w;
+  Alcotest.(check (list string))
+    "the commit-time Exclude stays committed" [ "beta1" ]
+    (Gvd.current_st (Service.gvd w) uid);
+  match Workload.Audit.mutual_consistency w uid with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -317,5 +388,9 @@ let suite =
           test_stale_replica_does_not_outrace_live_one;
         tc "split undo: no cross-lock resurrection" `Quick
           test_split_undo_no_resurrection;
+        tc "voted instance settles from the decision" `Quick
+          test_voted_instance_settles_from_decision;
+        tc "voted exclude survives a coordinator crash" `Quick
+          test_voted_exclude_survives_coordinator_crash;
       ] );
   ]

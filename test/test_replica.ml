@@ -35,7 +35,7 @@ let make_world ?seed ~servers ~stores ~clients () =
     (fun n ->
       Net.Network.add_node net n;
       Action.Store_host.add sh n;
-      Action.Recovery.attach art ~node:n)
+      Action.Termination.attach art ~node:n)
     (List.sort_uniq String.compare all);
   List.iter (fun n -> Server.install_host srv n) servers;
   let grt = Group.create srv ~sequencer:"ns" in
