@@ -30,6 +30,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val to_string : t -> string
-(** Canonical rendering, also used as the lock-owner key. *)
+(** Canonical rendering, also used as the lock-owner key. It is computed
+    once, when the id is made ([child] extends its parent's), so every
+    call returns the same string without building it. *)
 
 val pp : Format.formatter -> t -> unit

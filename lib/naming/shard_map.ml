@@ -14,15 +14,14 @@ type t = {
 
 let vnodes = 64
 
-(* FNV-1a, 64-bit. *)
+(* FNV-1a, 64-bit. A plain loop: the accumulator stays an unboxed local
+   instead of a boxed ref captured by a closure. *)
 let fnv1a s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
   !h
 
 (* splitmix64 finaliser: spreads FNV's low-entropy high bits. *)

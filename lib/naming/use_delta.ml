@@ -8,10 +8,18 @@
 
 type key = Net.Network.node_id * int (* client, uid serial *)
 
+(* One (client, uid)'s credits: an unsorted association of node to count,
+   one entry per node, sorted only when taken. *)
+type bucket = {
+  b_client : Net.Network.node_id;
+  b_uid : Store.Uid.t;
+  mutable b_credits : (Net.Network.node_id * int) list;
+}
+
 type t = {
-  buf : (key, (Net.Network.node_id, int) Hashtbl.t) Hashtbl.t;
-  (* uids with a non-empty bucket per client, oldest first *)
-  mutable queue : (Net.Network.node_id * Store.Uid.t) list;
+  buf : (key, bucket) Hashtbl.t;
+  (* the non-empty buckets, newest first *)
+  mutable queue : bucket list;
   scheduled : (Net.Network.node_id, unit) Hashtbl.t;
 }
 
@@ -25,55 +33,53 @@ let bucket t ~client ~uid =
   match Hashtbl.find_opt t.buf k with
   | Some b -> b
   | None ->
-      let b = Hashtbl.create 4 in
+      let b = { b_client = client; b_uid = uid; b_credits = [] } in
       Hashtbl.add t.buf k b;
-      t.queue <- t.queue @ [ (client, uid) ];
+      t.queue <- b :: t.queue;
       b
+
+let rec add_credit node count = function
+  | [] -> [ (node, count) ]
+  | (n, c) :: rest when String.equal n node -> (n, c + count) :: rest
+  | entry :: rest -> entry :: add_credit node count rest
 
 let credit t ~client ~uid ~node ~count =
   if count > 0 then begin
     let b = bucket t ~client ~uid in
-    let cur = Option.value ~default:0 (Hashtbl.find_opt b node) in
-    Hashtbl.replace b node (cur + count)
+    b.b_credits <- add_credit node count b.b_credits
   end
-
-let sorted_credits b =
-  Hashtbl.fold (fun node count acc -> (node, count) :: acc) b []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let take t ~client ~uid =
   let k = key client uid in
   match Hashtbl.find_opt t.buf k with
   | None -> []
   | Some b ->
-      let credits = sorted_credits b in
       Hashtbl.remove t.buf k;
-      t.queue <-
-        List.filter
-          (fun (c, u) -> not (String.equal c client && Store.Uid.equal u uid))
-          t.queue;
-      credits
+      t.queue <- List.filter (fun b' -> b' != b) t.queue;
+      List.sort (fun (x, _) (y, _) -> String.compare x y) b.b_credits
 
 let restore t ~client ~uid credits =
   List.iter (fun (node, count) -> credit t ~client ~uid ~node ~count) credits
 
+(* Folding the newest-first queue onto a list yields oldest first. *)
 let pending_uids t ~client =
-  List.filter_map
-    (fun (c, u) -> if String.equal c client then Some u else None)
-    t.queue
-
+  List.fold_left
+    (fun acc b -> if String.equal b.b_client client then b.b_uid :: acc else acc)
+    [] t.queue
 
 let clients_with t ~uid =
-  List.filter_map
-    (fun (c, u) -> if Store.Uid.equal u uid then Some c else None)
-    t.queue
+  List.fold_left
+    (fun acc b -> if Store.Uid.equal b.b_uid uid then b.b_client :: acc else acc)
+    [] t.queue
 
 let drop_client t ~client =
-  List.iter
-    (fun (c, u) ->
-      if String.equal c client then Hashtbl.remove t.buf (key c u))
-    t.queue;
-  t.queue <- List.filter (fun (c, _) -> not (String.equal c client)) t.queue;
+  t.queue <-
+    List.filter
+      (fun b ->
+        let mine = String.equal b.b_client client in
+        if mine then Hashtbl.remove t.buf (key client b.b_uid);
+        not mine)
+      t.queue;
   Hashtbl.remove t.scheduled client
 
 let flush_scheduled t ~client = Hashtbl.mem t.scheduled client

@@ -193,10 +193,9 @@ let enlist_members act g =
     | Policy.Single_copy_passive -> true
     | Policy.Active _ | Policy.Coordinator_cohort _ -> false
   in
+  let resource = Server.resource_name g.g_uid in
   List.iter
-    (fun m ->
-      Action.Atomic.enlist act ~required ~node:m
-        ~resource:(Server.resource_name g.g_uid) ())
+    (fun m -> Action.Atomic.enlist act ~required ~node:m ~resource ())
     g.g_members
 
 (* --- point-to-point invocation (single copy and coordinator-cohort) --- *)

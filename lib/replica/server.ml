@@ -49,13 +49,14 @@ type instance = {
   mutable i_ckpt_holders : (string * Lockmgr.Mode.t) list;
   mutable i_ckpt_stamp : float; (* newest checkpoint applied *)
   (* Recently finished (committed, aborted or transferred-to-parent)
-     actions, newest first, bounded. An invocation of a settled action
+     actions, bounded: a ring of distinct action ids, grown up to its cap
+     and then overwritten oldest first. An invocation of a settled action
      must be refused: it is a straggler — a duplicated multicast
      delivery, or a fiber that sat parked on the instance lock while its
      action timed out and aborted — and executing it would stage payload
      and take locks that no completion will ever clean up. *)
-  mutable i_settled : string list;
-  i_scope : string; (* the uid as a string: the instance's key on its node *)
+  mutable i_settled : string array;
+  mutable i_settled_n : int; (* distinct actions ever settled here *)
 }
 
 type activate_req = {
@@ -181,28 +182,37 @@ let find_instance t node uid =
   Hashtbl.find_opt (node_instances t node) (Store.Uid.to_string uid)
 
 (* The termination state of the instance's host node; an instance's
-   scope there is its uid. *)
+   scope there is its uid, also its key in the node's instance table. *)
 let term_of t inst = Hashtbl.find t.terms inst.i_node
+let scope inst = Store.Uid.to_string inst.i_uid
 
-let applied_key action serial = Printf.sprintf "%s#%d" action serial
+let applied_key action serial = action ^ "#" ^ string_of_int serial
 
-(* Tombstone a finished action on the instance (bounded, newest first).
-   The bound only forgets ancient history: a straggler invocation arrives
-   within a lock timeout of its action's end, not dozens of actions
-   later. *)
+(* Tombstone a finished action on the instance (the [settled_cap] newest
+   distinct ones). The bound only forgets ancient history: a straggler
+   invocation arrives within a lock timeout of its action's end, not
+   dozens of actions later. *)
 let settled_cap = 64
 
-let settle_action inst action =
-  if not (List.mem action inst.i_settled) then begin
-    let kept =
-      if List.length inst.i_settled >= settled_cap then
-        List.filteri (fun i _ -> i < settled_cap - 1) inst.i_settled
-      else inst.i_settled
-    in
-    inst.i_settled <- action :: kept
-  end
+let is_settled inst action =
+  let ring = inst.i_settled in
+  let rec scan i = i >= 0 && (String.equal ring.(i) action || scan (i - 1)) in
+  scan (min inst.i_settled_n settled_cap - 1)
 
-let is_settled inst action = List.mem action inst.i_settled
+(* The ring doubles from 4 slots while it fills, so an instance that sees
+   few actions holds few slots; once full, slot [n mod settled_cap] holds
+   the oldest. *)
+let settle_action inst action =
+  if not (is_settled inst action) then begin
+    let n = inst.i_settled_n in
+    if n < settled_cap && n = Array.length inst.i_settled then begin
+      let grown = Array.make (min settled_cap (max 4 (2 * n))) "" in
+      Array.blit inst.i_settled 0 grown 0 n;
+      inst.i_settled <- grown
+    end;
+    inst.i_settled.(n mod settled_cap) <- action;
+    inst.i_settled_n <- n + 1
+  end
 
 (* Remove dedup entries belonging to [action] or any of its descendants
    (hierarchical ids: descendants have "<action>." as a prefix). *)
@@ -271,7 +281,7 @@ let make_manager t inst =
   {
     Action.Resource_host.m_prepare =
       (fun ~action ->
-        Action.Termination.vote (term_of t inst) ~scope:inst.i_scope ~action;
+        Action.Termination.vote (term_of t inst) ~scope:(scope inst) ~action;
         true);
     m_commit =
       (fun ~action ->
@@ -289,7 +299,7 @@ let make_manager t inst =
         clean_applied inst action;
         release inst action;
         settle_action inst action;
-        Action.Termination.forget (term_of t inst) ~scope:inst.i_scope ~action;
+        Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action;
         checkpoint_to_cohorts t inst);
     m_abort =
       (fun ~action ->
@@ -297,7 +307,7 @@ let make_manager t inst =
         clean_applied inst action;
         release inst action;
         settle_action inst action;
-        Action.Termination.forget (term_of t inst) ~scope:inst.i_scope ~action;
+        Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action;
         checkpoint_to_cohorts t inst);
     m_transfer =
       (fun ~action ~parent ->
@@ -316,13 +326,13 @@ let make_manager t inst =
           List.map
             (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
             inst.i_ckpt_holders;
-        Action.Termination.transfer (term_of t inst) ~scope:inst.i_scope ~action
+        Action.Termination.transfer (term_of t inst) ~scope:(scope inst) ~action
           ~parent;
         checkpoint_to_cohorts t inst);
   }
 
 let install_instance t node inst =
-  Hashtbl.replace (node_instances t node) inst.i_scope inst;
+  Hashtbl.replace (node_instances t node) (scope inst) inst;
   Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
     ~resource:(resource_name inst.i_uid) (make_manager t inst)
 
@@ -353,7 +363,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
         match Hashtbl.find_opt inst.i_applied key with
         | Some cached -> Reply cached (* exactly-once across retries *)
         | None -> (
-            Action.Termination.touch (term_of t inst) ~scope:inst.i_scope
+            Action.Termination.touch (term_of t inst) ~scope:(scope inst)
               ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
             match
@@ -363,7 +373,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
             | Error `Timeout ->
                 (* A holder whose coordinator is partitioned away may
                    never release: termination settles it. *)
-                Action.Termination.refused (term_of t inst) ~scope:inst.i_scope
+                Action.Termination.refused (term_of t inst) ~scope:(scope inst)
                   (List.map fst (holders_snapshot inst));
                 Sim.Metrics.incr (metrics t) "server.lock_refusals";
                 Locked
@@ -405,7 +415,6 @@ let apply_checkpoint t node msg =
         let inst =
           {
             i_uid = msg.k_uid;
-            i_scope = Store.Uid.to_string msg.k_uid;
             i_impl = impl;
             i_node = node;
             i_committed = msg.k_committed;
@@ -417,7 +426,8 @@ let apply_checkpoint t node msg =
             i_members = msg.k_members;
             i_ckpt_holders = [];
             i_ckpt_stamp = neg_infinity;
-            i_settled = [];
+            i_settled = [||];
+            i_settled_n = 0;
           }
         in
         install_instance t node inst;
@@ -491,7 +501,6 @@ let rec arrange_promotion_chain t node uid coordinator =
 let make_instance t node impl uid state role members =
   {
     i_uid = uid;
-    i_scope = Store.Uid.to_string uid;
     i_impl = impl;
     i_node = node;
     i_committed = state.Store.Object_state.payload;
@@ -503,7 +512,8 @@ let make_instance t node impl uid state role members =
     i_members = members;
     i_ckpt_holders = [];
     i_ckpt_stamp = neg_infinity;
-    i_settled = [];
+    i_settled = [||];
+    i_settled_n = 0;
   }
 
 let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =

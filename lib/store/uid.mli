@@ -30,6 +30,8 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_string : t -> string
-(** ["label#serial"], e.g. ["account#3"]. *)
+(** ["label#serial"], e.g. ["account#3"]. It is computed once, by
+    {!fresh}, so every call returns the same string without building
+    it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -55,6 +55,63 @@ let test_action_id_structure () =
   | None -> Alcotest.fail "no parent");
   check_bool "top has no parent" true (Action_id.parent top = None)
 
+(* The renderings are lock-owner keys, decision-record keys and trace
+   text: whatever builds them must give the canonical "org:s1.s2..." and
+   "label#serial" forms, byte for byte. *)
+let prop_identifier_renderings =
+  let canonical org path =
+    org ^ ":" ^ String.concat "." (List.map string_of_int path)
+  in
+  QCheck.Test.make ~name:"action id and uid renderings are canonical" ~count:300
+    QCheck.(
+      triple
+        (string_gen_of_size (Gen.int_range 0 6) Gen.printable)
+        (list_of_size (Gen.int_range 1 6) (int_bound 100_000))
+        (int_range 0 8))
+    (fun (org, path, skip) ->
+      let renders id rev_path =
+        String.equal (Action_id.to_string id) (canonical org (List.rev rev_path))
+      in
+      (* Every id of the chain, deepest first, with its path reversed. *)
+      let chain =
+        List.fold_left
+          (fun ids serial ->
+            let id, rev_path = List.hd ids in
+            (Action_id.child id ~serial, serial :: rev_path) :: ids)
+          [ (Action_id.top ~origin:org ~serial:(List.hd path), [ List.hd path ]) ]
+          (List.tl path)
+      in
+      let chain_ok =
+        List.for_all
+          (fun (id, rev_path) ->
+            renders id rev_path
+            &&
+            match (Action_id.parent id, rev_path) with
+            | None, [ _ ] -> true
+            | Some up, _ :: (_ :: _ as rev_up) -> renders up rev_up
+            | _ -> false)
+          chain
+      in
+      let deepest = fst (List.hd chain) in
+      let kid = Action_id.child deepest ~serial:skip in
+      let round_trip =
+        match Action_id.parent kid with
+        | Some p ->
+            Action_id.equal p deepest
+            && Action_id.compare p deepest = 0
+            && String.equal (Action_id.to_string p) (Action_id.to_string deepest)
+        | None -> false
+      in
+      let sup = Uid.supply () in
+      for _ = 1 to skip do
+        ignore (Uid.fresh sup ~label:"pad")
+      done;
+      let uid = Uid.fresh sup ~label:org in
+      chain_ok && round_trip
+      && Action_id.depth kid = List.length path + 1
+      && String.equal (Uid.to_string uid) (org ^ "#" ^ string_of_int skip)
+      && Uid.serial uid = skip)
+
 (* ------------------------------------------------------------------ *)
 (* Commit and abort basics *)
 
@@ -436,7 +493,11 @@ let test_recovery_waits_while_action_active () =
 let suite =
   let tc = Alcotest.test_case in
   [
-    ("action.id", [ tc "structure" `Quick test_action_id_structure ]);
+    ( "action.id",
+      [
+        tc "structure" `Quick test_action_id_structure;
+        Test_util.qcheck prop_identifier_renderings;
+      ] );
     ( "action.atomic",
       [
         tc "commit applies to stores" `Quick test_commit_applies_to_stores;

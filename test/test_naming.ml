@@ -682,6 +682,83 @@ let test_crashed_client_unflushed_delta_cleanup () =
   check_bool "quiescent after sweep" true (Gvd.quiescent (Service.gvd w) uid)
 
 (* ------------------------------------------------------------------ *)
+(* Use_delta: the client-side credit buffer on its own *)
+
+let credits = Alcotest.(list (pair string int))
+
+let delta_uids () =
+  let sup = Store.Uid.supply () in
+  let a = Store.Uid.fresh sup ~label:"a" in
+  let b = Store.Uid.fresh sup ~label:"b" in
+  let c = Store.Uid.fresh sup ~label:"c" in
+  (a, b, c)
+
+let uid_strings = List.map Store.Uid.to_string
+
+let test_use_delta_credit_and_take () =
+  let a, b, _ = delta_uids () in
+  let d = Use_delta.create () in
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"gamma" ~count:1;
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"alpha" ~count:2;
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"gamma" ~count:3;
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"beta" ~count:0;
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"beta" ~count:(-4);
+  Use_delta.credit d ~client:"c1" ~uid:b ~node:"alpha" ~count:0;
+  check_bool "a count <= 0 opens no bucket" true
+    (Use_delta.clients_with d ~uid:b = []);
+  Alcotest.check slist "b never pending" [ "a#0" ]
+    (uid_strings (Use_delta.pending_uids d ~client:"c1"));
+  Alcotest.check credits "merged, sorted by node"
+    [ ("alpha", 2); ("gamma", 4) ]
+    (Use_delta.take d ~client:"c1" ~uid:a);
+  Alcotest.check credits "take empties the bucket" []
+    (Use_delta.take d ~client:"c1" ~uid:a);
+  Alcotest.check slist "nothing pending" []
+    (uid_strings (Use_delta.pending_uids d ~client:"c1"));
+  Use_delta.restore d ~client:"c1" ~uid:a [ ("gamma", 4); ("alpha", 2) ];
+  Use_delta.credit d ~client:"c1" ~uid:a ~node:"alpha" ~count:1;
+  Alcotest.check credits "restore puts credits back"
+    [ ("alpha", 3); ("gamma", 4) ]
+    (Use_delta.take d ~client:"c1" ~uid:a)
+
+let test_use_delta_order_and_drop () =
+  let a, b, c = delta_uids () in
+  let d = Use_delta.create () in
+  let credit client uid = Use_delta.credit d ~client ~uid ~node:"alpha" ~count:1 in
+  credit "c1" b;
+  credit "c2" a;
+  credit "c1" c;
+  credit "c1" a;
+  credit "c3" a;
+  credit "c1" b;
+  Alcotest.check slist "c1 oldest first" [ "b#1"; "c#2"; "a#0" ]
+    (uid_strings (Use_delta.pending_uids d ~client:"c1"));
+  Alcotest.check slist "holders of a oldest first" [ "c2"; "c1"; "c3" ]
+    (Use_delta.clients_with d ~uid:a);
+  (* A taken bucket that is credited again goes to the back. *)
+  ignore (Use_delta.take d ~client:"c1" ~uid:b);
+  credit "c1" b;
+  Alcotest.check slist "retaken bucket is newest" [ "c#2"; "a#0"; "b#1" ]
+    (uid_strings (Use_delta.pending_uids d ~client:"c1"));
+  Use_delta.set_flush_scheduled d ~client:"c1" true;
+  Use_delta.set_flush_scheduled d ~client:"c2" true;
+  Use_delta.drop_client d ~client:"c1";
+  check_bool "dropped client's flag cleared" false
+    (Use_delta.flush_scheduled d ~client:"c1");
+  check_bool "other client's flag kept" true
+    (Use_delta.flush_scheduled d ~client:"c2");
+  Alcotest.check slist "dropped client holds nothing" []
+    (uid_strings (Use_delta.pending_uids d ~client:"c1"));
+  Alcotest.check credits "dropped credits are gone" []
+    (Use_delta.take d ~client:"c1" ~uid:c);
+  Alcotest.check slist "other clients kept, in order" [ "c2"; "c3" ]
+    (Use_delta.clients_with d ~uid:a);
+  Alcotest.check credits "other client's credits intact" [ ("alpha", 1) ]
+    (Use_delta.take d ~client:"c2" ~uid:a);
+  Use_delta.set_flush_scheduled d ~client:"c2" false;
+  check_bool "flag cleared" false (Use_delta.flush_scheduled d ~client:"c2")
+
+(* ------------------------------------------------------------------ *)
 (* Commit-time exclusion end-to-end *)
 
 let test_commit_exclusion_updates_gvd scheme () =
@@ -979,6 +1056,11 @@ let suite =
           test_independent_use_lists_track_binding;
         tc "second client joins in-use servers" `Quick
           test_second_client_joins_in_use_servers;
+      ] );
+    ( "naming.use_delta",
+      [
+        tc "credit merge, take, restore" `Quick test_use_delta_credit_and_take;
+        tc "oldest-first order, drop_client" `Quick test_use_delta_order_and_drop;
       ] );
     ( "naming.batch",
       [

@@ -533,6 +533,71 @@ let test_passivation_refused_while_in_use () =
                  | Error _ -> Alcotest.fail "passivate rpc failed"))));
   Sim.Engine.run w.eng
 
+(* ------------------------------------------------------------------ *)
+(* Settled tombstones *)
+
+(* An instance remembers the 64 newest distinct actions that ended on it
+   and refuses their stragglers. Actions end here through the resource
+   manager's abort, driven directly by action-id string. *)
+let test_settled_tombstones () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  let refusals () =
+    Sim.Metrics.counter (Net.Network.metrics w.net) "server.settled_refusals"
+  in
+  let name i = Printf.sprintf "c:%d" i in
+  let settle i =
+    match
+      Action.Resource_host.abort (Action.Atomic.resource_host w.art) ~from:"c"
+        ~node:"alpha" ~resource:(Server.resource_name uid) ~action:(name i)
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "abort rpc failed"
+  in
+  let serial = ref 0 in
+  let invoke i =
+    incr serial;
+    match
+      Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action:(name i)
+        ~serial:!serial ~last_acked:0 ~write:false ~op:"get"
+    with
+    | Ok (Server.Reply _) -> `Ran
+    | Ok Server.Settled -> `Settled
+    | Ok _ | Error _ -> Alcotest.fail "unexpected invoke result"
+  in
+  let check_invoke msg expected i =
+    check_bool msg true (invoke i = expected)
+  in
+  let finished = ref false in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      (match
+         Server.activate w.srv ~from:"c" ~server:"alpha" ~uid ~impl:"counter"
+           ~stores:[ "beta" ] ~role:Server.Plain ~members:[ "alpha" ]
+       with
+      | Ok (Server.Activated _) -> ()
+      | _ -> Alcotest.fail "activation failed");
+      check_invoke "a live action runs" `Ran 0;
+      settle 0;
+      check_invoke "a settled action is refused" `Settled 0;
+      check_int "refusal counted" 1 (refusals ());
+      (* Settling a settled action again adds no tombstone and does not
+         make it newer: 63 more fill the 64. *)
+      settle 1;
+      settle 0;
+      for i = 2 to 63 do
+        settle i
+      done;
+      check_invoke "64 distinct: the oldest is kept" `Settled 0;
+      settle 64;
+      check_invoke "the 65th forgets the oldest" `Ran 0;
+      for i = 1 to 64 do
+        check_invoke (Printf.sprintf "%s still refused" (name i)) `Settled i
+      done;
+      check_int "every refusal counted" 66 (refusals ());
+      finished := true);
+  Sim.Engine.run w.eng;
+  check_bool "ran to the end" true !finished
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -572,4 +637,6 @@ let suite =
         tc "after quiescence" `Quick test_passivation_after_quiescence;
         tc "refused while in use" `Quick test_passivation_refused_while_in_use;
       ] );
+    ( "replica.settled",
+      [ tc "tombstones refuse and forget oldest" `Quick test_settled_tombstones ] );
   ]
