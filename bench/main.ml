@@ -391,8 +391,8 @@ let bench_optimistic () =
       done);
   Service.run w
 
-(* Five scheme-A bind/commit cycles: the three naming reads scattered as
-   one Join round. *)
+(* Five scheme-A bind/commit cycles: each bind's naming reads are one
+   locked bind round. *)
 let bench_schemea () =
   let open Naming in
   let w =

@@ -14,7 +14,6 @@ type entry = {
   ce_impl : string;
   ce_servers : Net.Network.node_id list;
   ce_stores : Net.Network.node_id list;
-  ce_version : int; (* GVD snapshot version the entry was filled from *)
   ce_expires : float; (* absolute sim time *)
 }
 
@@ -46,13 +45,12 @@ let find t ~now ~client uid =
       Sim.Metrics.incr t.bc_metrics "cache.miss";
       None
 
-let fill t ~now ~client uid ~impl ~servers ~stores ~version =
+let fill t ~now ~client uid ~impl ~servers ~stores =
   Hashtbl.replace t.bc_tbl (key client uid)
     {
       ce_impl = impl;
       ce_servers = servers;
       ce_stores = stores;
-      ce_version = version;
       ce_expires = now +. t.bc_lease;
     }
 

@@ -12,10 +12,6 @@ type entry = {
   ce_impl : string;
   ce_servers : Net.Network.node_id list;
   ce_stores : Net.Network.node_id list;
-  ce_version : int;
-      (** GVD snapshot version the entry was filled from: lets diagnostics
-          (and future invalidation protocols) compare a cached view
-          against the entry's current committed version *)
   ce_expires : float;
 }
 
@@ -38,7 +34,6 @@ val fill :
   impl:string ->
   servers:Net.Network.node_id list ->
   stores:Net.Network.node_id list ->
-  version:int ->
   unit
 
 val renew : t -> now:float -> client:Net.Network.node_id -> Store.Uid.t -> unit

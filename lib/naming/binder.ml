@@ -30,7 +30,6 @@ type binding = {
   bd_group : Replica.Group.t;
   bd_servers : Net.Network.node_id list;
   bd_stores : Net.Network.node_id list;
-  bd_version : int;
 }
 
 type bind_error = Name_refused of string | No_server of string
@@ -49,19 +48,12 @@ type prebinding = {
          Decrement must mirror exactly this set, not the (possibly
          smaller) set that actually activated *)
   pb_stores : Net.Network.node_id list;
-  pb_version : int;
   mutable pb_released : bool;
 }
 
 let art t = Replica.Server.atomic_runtime (Replica.Group.server_runtime t.b_grt)
 let netw t = Action.Atomic.network (art t)
 let metrics t = Net.Network.metrics (netw t)
-
-let impl_of t ~from uid =
-  match Router.entry_info t.b_router ~from uid with
-  | Ok (Some info) -> Ok info.Gvd.ei_impl
-  | Ok None -> Error (Name_refused "unknown object")
-  | Error e -> Error (Name_refused (Net.Rpc.error_to_string e))
 
 let take k xs =
   let rec go k = function
@@ -164,65 +156,19 @@ let activate_counted t ~client ~uid ~impl ~policy ~servers ~stores =
 (* ------------------------------------------------------------------ *)
 (* Figure 6: standard nested actions *)
 
-(* Figure 6's three naming reads: impl_of, GetServer and GetView, the
-   latter two inside a nested action (their read locks pass to [act] on
-   nested commit and are held to top-level completion — the exclusion
-   fence). The paper issues them serially; nothing about the locks NEEDS
-   that: the three reads touch three independently locked pieces (the
-   name table, [sv:], [st:]), none reads another's output, and lock
-   acquisition order between distinct keys carries no deadlock
-   obligation here because every bind asks for them in [Read] mode. So
-   the three requests leave as one {!Sim.Join} scatter — each lands
-   exactly as its serial twin would (same lock mode, same owning action,
-   same enlistment), only concurrently, collapsing three round-trips
-   into one. Failures are carried back as values: a Join task must never
-   raise. *)
-let standard_reads t ~act ~client uid =
-  let read_sv nested =
-    or_why (Router.read t.b_router ~act:nested uid Gvd.Servers)
-    |> Result.map (fun v -> v.Gvd.v_servers)
-  in
-  let read_st nested =
-    or_why (Router.read t.b_router ~act:nested uid Gvd.Stores)
-    |> Result.map (fun v -> v.Gvd.v_stores)
-  in
-  let joined =
-    Action.Atomic.atomically_nested act (fun nested ->
-        let results =
-          Sim.Join.all
-            (Action.Atomic.engine (art t))
-            [
-              (fun () -> `Impl (impl_of t ~from:client uid));
-              (fun () -> `Sv (read_sv nested));
-              (fun () -> `St (read_st nested));
-            ]
-        in
-        let impl = ref None and sv = ref None and st = ref None in
-        List.iter
-          (function
-            | `Impl r -> impl := Some r
-            | `Sv r -> sv := Some r
-            | `St r -> st := Some r)
-          results;
-        match (!impl, !sv, !st) with
-        | Some (Ok impl), Some (Ok sv), Some (Ok st) -> `Bound (impl, sv, st)
-        | Some (Error e), _, _ -> `Name_error e
-        | _, Some (Error why), _ | _, _, Some (Error why) ->
-            (* Abort from the nested fiber, not a Join task: the grants
-               the other reads DID get are released by the abort. *)
-            raise (Action.Atomic.Abort why)
-        | _ -> raise (Action.Atomic.Abort "pipelined bind: missing read"))
-  in
-  match joined with
-  | Error why -> Error (Name_refused why)
-  | Ok (`Name_error e) -> Error e
-  | Ok (`Bound (impl, sv, st)) -> Ok (impl, sv, st)
-
+(* Figure 6's naming reads are one [Locked] bind request inside a nested
+   action: its Read locks on [sv:] and [st:] pass to [act] on nested
+   commit and are held to top-level completion — the exclusion fence. *)
 let bind_standard t ~act ~uid ~policy =
   let client = Action.Atomic.node act in
-  match standard_reads t ~act ~client uid with
-  | Error e -> Error e
-  | Ok (impl, sv, st) -> (
+  match
+    Action.Atomic.atomically_nested act (fun nested ->
+        match Router.bind t.b_router ~act:nested ~uid Gvd.Locked with
+        | Ok bv -> bv
+        | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
+  with
+  | Error why -> Error (Name_refused why)
+  | Ok { Gvd.bv_impl = impl; bv_servers = sv; bv_stores = st; _ } -> (
       (* Static Sv: pick the first k entries, dead or not ("the hard
          way", §4.1.2). Under a gray-failure profile the candidate order is
          health-ranked first, steering the static pick away from
@@ -246,7 +192,6 @@ let bind_standard t ~act ~uid ~policy =
         | Error e -> Error e
         | Ok group ->
             attach_commit t ~scheme:Scheme.Standard ~act ~uid group;
-            (* impl_of + GetServer + GetView, scattered as one round. *)
             Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
             Ok
               {
@@ -255,20 +200,19 @@ let bind_standard t ~act ~uid ~policy =
                 bd_group = group;
                 bd_servers = group.Replica.Group.g_members;
                 bd_stores = st;
-                bd_version = 0;
               })
 
 (* ------------------------------------------------------------------ *)
 (* Figures 7 and 8: use lists, removal of dead servers *)
 
-(* The database half of a Figure-7/8 bind: since the batch endpoint this
-   is ONE RPC round — GetServer + Remove(dead) + Increment + GetView
-   collapsed server-side, with the caller's pending decrement credits
-   piggybacked. Runs inside a top-level action of its own. *)
-let fresh_bind_db t ~client ~uid ~policy ~credits act =
+(* The database half of a Figure-7/8 bind: ONE [Counted] bind round —
+   GetServer + Remove(dead) + Increment + GetView collapsed server-side,
+   with the caller's pending decrement credits piggybacked. Runs inside a
+   top-level action of its own. *)
+let fresh_bind_db t ~uid ~policy ~credits act =
   match
-    Router.bind_batch t.b_router ~act ~uid ~client
-      ~replicas:(Replica.Policy.replicas policy) ~credits
+    Router.bind t.b_router ~act ~uid
+      (Gvd.Counted { replicas = Replica.Policy.replicas policy; credits })
   with
   | Ok bv ->
       if bv.Gvd.bv_removed <> [] then
@@ -393,7 +337,7 @@ let pull_credits t ~uid =
     (Use_delta.clients_with t.b_deltas ~uid)
 
 (* The trailing Decrement of Figures 7/8, coalesced: credit the buffer
-   and let the deferred flush — or the next bind's batch request, which
+   and let the deferred flush — or the next bind's request, which
    cancels the pair in its own round — carry it to the database. *)
 let credit_release t ~client ~uid ~servers =
   List.iter
@@ -402,9 +346,9 @@ let credit_release t ~client ~uid ~servers =
   Sim.Metrics.incr (metrics t) ~by:(List.length servers) "bind.credits";
   schedule_flush t ~client
 
-(* Take the client's pending credits for piggybacking on a bind batch;
+(* Take the client's pending credits for piggybacking on a counted bind;
    [restore_credits] puts them back (and re-arms the flush) when the
-   batch action failed — its staged deltas, credits included, were
+   bind action failed — its staged deltas, credits included, were
    dropped server-side. *)
 let take_credits t ~client ~uid =
   let credits = Use_delta.take t.b_deltas ~client ~uid in
@@ -421,14 +365,14 @@ let bind_independent t ~client ~uid ~policy =
   let credits = take_credits t ~client ~uid in
   match
     Action.Atomic.atomically (art t) ~node:client (fun act ->
-        fresh_bind_db t ~client ~uid ~policy ~credits act)
+        fresh_bind_db t ~uid ~policy ~credits act)
   with
   | Error why ->
       restore_credits t ~client ~uid credits;
       Error (Name_refused why)
   | Ok bv -> (
       Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
-      let chosen = bv.Gvd.bv_chosen and st = bv.Gvd.bv_stores in
+      let chosen = bv.Gvd.bv_servers and st = bv.Gvd.bv_stores in
       match
         activate_counted t ~client ~uid ~impl:bv.Gvd.bv_impl ~policy
           ~servers:chosen ~stores:st
@@ -447,7 +391,6 @@ let bind_independent t ~client ~uid ~policy =
               pb_servers = group.Replica.Group.g_members;
               pb_incremented = chosen;
               pb_stores = st;
-              pb_version = bv.Gvd.bv_version;
               pb_released = false;
             })
 
@@ -460,7 +403,6 @@ let use_prebinding t ~act pb =
       bd_group = pb.pb_group;
       bd_servers = pb.pb_servers;
       bd_stores = pb.pb_stores;
-      bd_version = pb.pb_version;
     }
 
 let release_independent t pb =
@@ -475,14 +417,14 @@ let bind_nested_toplevel t ~act ~uid ~policy =
   let credits = take_credits t ~client ~uid in
   match
     Action.Atomic.atomically_nested_top act (fun dbact ->
-        fresh_bind_db t ~client ~uid ~policy ~credits dbact)
+        fresh_bind_db t ~uid ~policy ~credits dbact)
   with
   | Error why ->
       restore_credits t ~client ~uid credits;
       Error (Name_refused why)
   | Ok bv -> (
       Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
-      let chosen = bv.Gvd.bv_chosen and st = bv.Gvd.bv_stores in
+      let chosen = bv.Gvd.bv_servers and st = bv.Gvd.bv_stores in
       match
         activate_counted t ~client ~uid ~impl:bv.Gvd.bv_impl ~policy
           ~servers:chosen ~stores:st
@@ -504,7 +446,6 @@ let bind_nested_toplevel t ~act ~uid ~policy =
               bd_group = group;
               bd_servers = group.Replica.Group.g_members;
               bd_stores = st;
-              bd_version = bv.Gvd.bv_version;
             })
 
 let bind_uncached t ~act ~scheme ~uid ~policy =
@@ -559,7 +500,6 @@ let bind_cached t cache ~act ~scheme ~uid ~policy (e : Bind_cache.entry) =
           bd_group = group;
           bd_servers = group.Replica.Group.g_members;
           bd_stores = e.Bind_cache.ce_stores;
-          bd_version = e.Bind_cache.ce_version;
         }
 
 let bind t ~act ~scheme ~uid ~policy =
@@ -595,6 +535,6 @@ let bind t ~act ~scheme ~uid ~policy =
       | Ok b, Some cache ->
           Bind_cache.fill cache ~now:(Sim.Engine.now eng) ~client uid
             ~impl:b.bd_group.Replica.Group.g_impl ~servers:b.bd_servers
-            ~stores:b.bd_stores ~version:b.bd_version
+            ~stores:b.bd_stores
       | _ -> ());
       finish r

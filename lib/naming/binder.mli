@@ -6,26 +6,32 @@
     replication policy, activates the replicas, and attaches commit-time
     processing (state copy-back with [Exclude]) to the client's action.
 
-    - {!bind_standard} (Figure 6) runs the database reads as nested
-      actions of the client action. Selection works on the {e static}
-      [SvA]: crashed servers are only discovered by failed activation
-      attempts, counted in the [bind.futile] metric.
+    Every scheme sends the database half of a bind as one {!Router.bind}
+    request; the schemes differ in the action that owns it and in what
+    the request asks of the entry ({!Gvd.bind_use}).
+
+    - {!bind_standard} (Figure 6) sends a [Locked] request from a nested
+      action of the client action: GetServer and GetView's read locks
+      pass to the client action when the nested action commits and are
+      held to its end. Selection works on the {e static} [SvA]: crashed
+      servers are only discovered by failed activation attempts, counted
+      in the [bind.futile] metric.
     - {!bind_independent} (Figure 7) runs {e before} the client action(s):
       the whole database half — read [SvA] with use lists, remove
       detectably-dead servers, increment the chosen subset, read [StA] —
-      is one {!Gvd.bind_batch} request, a single RPC round inside one
-      independent top-level action. {!use_prebinding} attaches the
+      is one [Counted] request inside one independent top-level
+      action. {!use_prebinding} attaches the
       resulting group to each client action; {!release_independent}
       {e credits} the trailing [Decrement] into the {!Use_delta} buffer
       instead of sending it immediately.
-    - {!bind_nested_toplevel} (Figure 8) sends the same single-round
-      batch from {e inside} the client action using a nested top-level
+    - {!bind_nested_toplevel} (Figure 8) sends the same [Counted]
+      request from {e inside} the client action using a nested top-level
       action, and credits the [Decrement] when the client action ends
       (whether it commits or aborts — the use-list update is durable
       either way, as nested top-level actions are).
 
     Buffered credits leave the client in one of two coalesced forms: the
-    next bind of the same (client, object) piggybacks them on its batch
+    next bind of the same (client, object) piggybacks them on its bind
     request — cancelling the increment/decrement pair within that one
     round — or a deferred flush fiber (after a 5.0 coalescing window
     that a blocked [Insert] can cut short, see {!pull_credits}) sends every
@@ -34,9 +40,8 @@
     counters the cleanup protocol repairs.
 
     The [bind.naming_rounds] distribution records the bind-time naming
-    RPC rounds per fresh bind: 1 for scheme A (impl_of + GetServer +
-    GetView as one {!Sim.Join} scatter), 1 for schemes B/C, 0 on a cache
-    hit.
+    RPC rounds per bind: 1 for a fresh bind under every scheme, 0 on a
+    cache hit.
 
     The commit-time [Exclude] follows the scheme as well: under
     [Standard] it runs inside the client action by promoting the held read
@@ -68,9 +73,6 @@ type binding = {
   bd_group : Replica.Group.t;
   bd_servers : Net.Network.node_id list;  (** the selected [SvA'] *)
   bd_stores : Net.Network.node_id list;  (** the [StA] view at bind time *)
-  bd_version : int;
-      (** GVD snapshot version the bind read (0 under scheme A, which
-          reads under locks and carries no version) *)
 }
 
 type bind_error =

@@ -101,24 +101,30 @@ type update_req = {
   up_if_rev : int option;
 }
 
-(* The single-round bind request (schemes B/C): GetServer + Remove(dead)
-   + Increment + GetView collapsed into one database operation, with the
-   caller's coalesced pending Decrements ([bt_credits], one count per
-   server node) piggybacked on the same round. *)
-type batch_req = {
+(* What a bind needs from the entry. [Locked] (scheme A) holds Read locks
+   on both halves for the caller's action; [Counted] (schemes B/C) bumps
+   the chosen servers' use counters, with the caller's coalesced pending
+   Decrements ([credits], one count per server node) piggybacked. *)
+type bind_use =
+  | Locked
+  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
+
+(* The single-round bind request of every scheme. *)
+type bind_req = {
   bt_uid : Store.Uid.t;
   bt_action : string;
   bt_client : Net.Network.node_id;
-  bt_replicas : int; (* activation subset size wanted by the policy *)
-  bt_credits : (Net.Network.node_id * int) list;
+  bt_use : bind_use;
 }
 
-type batch_view = {
+type bind_view = {
   bv_impl : string;
-  bv_chosen : Net.Network.node_id list; (* the servers whose counters were bumped *)
+  bv_servers : Net.Network.node_id list;
+      (* Locked: the working SvA; Counted: the servers whose counters were
+         bumped *)
   bv_removed : Net.Network.node_id list; (* dead servers pruned from SvA *)
-  bv_stores : Net.Network.node_id list; (* committed StA snapshot *)
-  bv_version : int; (* snapshot version of the entry *)
+  bv_stores : Net.Network.node_id list;
+      (* Locked: the working StA; Counted: the committed StA snapshot *)
 }
 
 (* A migrating entry in flight between shards: the full recoverable image
@@ -192,7 +198,7 @@ type t = {
   ep_served_by : (Net.Network.node_id, Store.Uid.t list) Net.Rpc.endpoint;
   ep_read : (read_req, view reply) Net.Rpc.endpoint;
   ep_update : (update_req, outcome reply) Net.Rpc.endpoint;
-  ep_batch : (batch_req, batch_view reply) Net.Rpc.endpoint;
+  ep_bind : (bind_req, bind_view reply) Net.Rpc.endpoint;
   ep_handoff : (handoff_req, handoff reply) Net.Rpc.endpoint;
   ep_resync : (unit, (int * image * int) list) Net.Rpc.endpoint;
   mutable backups : t list;
@@ -491,6 +497,25 @@ let view_of e sv st =
     v_rev = e.e_snap.im_state.im_st_rev;
   }
 
+(* GetServer or GetView's lock step: a blocking Read lock on one half for
+   the action, counted as that read once granted; [Some refusal] when it
+   cannot be had. *)
+let read_lock t ~action side uid =
+  let m = metrics t in
+  let key = key_of side uid in
+  (* A locked GetView that finds the St entry unavailable is about to
+     queue: count it, so experiments can attribute naming-tier lock waits
+     to this path specifically (the probe is pure). *)
+  if
+    side = St_side
+    && not (Lockmgr.Manager.available t.locks ~owner:action ~mode:Lockmgr.Mode.Read key)
+  then Sim.Metrics.incr m "gvd.view_lock_waits";
+  match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+  | Some _ as refusal -> refusal
+  | None ->
+      Sim.Metrics.incr m (match side with Sv_side -> "gvd.get_server" | St_side -> "gvd.get_view");
+      None
+
 (* GetServer and GetView take a Read lock on their half for the action
    and answer that half from the working image. The lock-free committed
    read (schemes B/C, and every commit's St snapshot) serves the latest
@@ -498,41 +523,27 @@ let view_of e sv st =
    new snapshot only at commit, so it never shows an uncommitted
    mutation; the price is bounded staleness, which the commit-time
    machinery (store-side backward validation, the [if_rev] check, the
-   Include version fence) already tolerates. Scheme A keeps the locked
-   reads — Figure 6's semantics depend on its read locks being held to
-   action end. *)
+   Include version fence) already tolerates. Scheme A's [Locked] bind
+   takes the same locks through [read_lock] — Figure 6's semantics
+   depend on its read locks being held to action end. *)
 let h_read t { r_uid; r_lock } =
   match entry_opt t r_uid with
   | None -> absent t r_uid
   | Some e -> (
-      let m = metrics t in
       match r_lock with
       | None ->
+          let m = metrics t in
           Sim.Metrics.incr m "gvd.get_view";
           Sim.Metrics.incr m "gvd.snapshot_reads";
           Granted (view_of e e.e_snap.im_server e.e_snap.im_state)
       | Some (action, side) -> (
-          let key = key_of side r_uid in
-          (* A locked GetView that finds the St entry unavailable is about
-             to queue: count it, so experiments can attribute naming-tier
-             lock waits to this path specifically (the probe is pure). *)
-          if
-            side = St_side
-            && not
-                 (Lockmgr.Manager.available t.locks ~owner:action
-                    ~mode:Lockmgr.Mode.Read key)
-          then Sim.Metrics.incr m "gvd.view_lock_waits";
           ignore (touch_action t action : action_state);
-          match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+          match read_lock t ~action side r_uid with
           | Some refusal -> refusal
           | None -> (
               match side with
-              | Sv_side ->
-                  Sim.Metrics.incr m "gvd.get_server";
-                  Granted (view_of e e.e_image.im_server e.e_snap.im_state)
-              | St_side ->
-                  Sim.Metrics.incr m "gvd.get_view";
-                  Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
+              | Sv_side -> Granted (view_of e e.e_image.im_server e.e_snap.im_state)
+              | St_side -> Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
 
 (* The steps of [h_update], each a walk over the request's ops. They are
    top-level functions so the update path allocates no closures. *)
@@ -613,83 +624,98 @@ let h_update t { up_action = action; up_ops = ops; up_if_rev } =
                   let fence = newest_fence t Store.Version.initial ops in
                   Granted { o_applied = true; o_fence = fence })))
 
-(* The single-round bind (schemes B/C): one request carries the whole
-   database half of a Figure-7/8 bind — GetServer, Remove of detectably
-   dead servers, Increment of the chosen subset — with the caller's
-   coalesced pending Decrements piggybacked, and the reply carries the
-   committed StA snapshot so no separate GetView round is needed.
+(* The single-round bind: one request carries the whole database half of
+   a bind, and the reply carries the impl, so no impl lookup, GetServer or
+   GetView round is needed.
 
-   The lock mode is chosen by a lock-free peek at the committed
-   snapshot: only when a listed server is detectably dead does the
-   handler need the write lock (for the structural Remove); the common
-   case runs in [Delta] mode and concurrent binders commute. A server
-   that dies between the peek and the grant is simply not chosen — its
-   Remove happens on a later bind. *)
-let h_batch t { bt_uid; bt_action; bt_client; bt_replicas; bt_credits } =
+   [Locked] (Figure 6) is GetServer then GetView for the caller's action:
+   Read locks on [sv:] and then [st:], answered from the working image.
+   It changes nothing, so it keeps no before-image.
+
+   [Counted] (Figures 7/8) is GetServer, Remove of detectably dead
+   servers and Increment of the chosen subset, with the caller's
+   coalesced pending Decrements piggybacked; the reply carries the
+   committed StA snapshot. The lock mode is chosen by a lock-free peek at
+   the committed snapshot: only when a listed server is detectably dead
+   does the handler need the write lock (for the structural Remove); the
+   common case runs in [Delta] mode and concurrent binders commute. A
+   server that dies between the peek and the grant is simply not chosen —
+   its Remove happens on a later bind. *)
+let bind_locked t e ~action =
+  let uid = e.e_uid in
+  match read_lock t ~action Sv_side uid with
+  | Some refusal -> refusal
+  | None -> (
+      match read_lock t ~action St_side uid with
+      | Some refusal -> refusal
+      | None ->
+          Granted
+            {
+              bv_impl = e.e_impl;
+              bv_servers = e.e_image.im_server.im_sv;
+              bv_removed = [];
+              bv_stores = e.e_image.im_state.im_st;
+            })
+
+let bind_counted t e a ~action ~client ~replicas ~credits =
+  let m = metrics t in
+  let uid = e.e_uid in
+  let up n = Net.Network.is_up (netw t) n in
+  let structural = List.exists (fun n -> not (up n)) e.e_snap.im_server.im_sv in
+  let mode = if structural then Lockmgr.Mode.Write else Lockmgr.Mode.Delta in
+  match take_lock t ~action (Blocking mode) (key_of Sv_side uid) with
+  | Some refusal -> refusal
+  | None ->
+      Sim.Metrics.incr m "gvd.batch_binds";
+      Sim.Metrics.incr m "gvd.get_server";
+      let dead = List.filter (fun n -> not (up n)) e.e_image.im_server.im_sv in
+      let removed = if mode = Lockmgr.Mode.Write then dead else [] in
+      List.iter (fun n -> perform t a ~action ~staged:false e (Remove n)) removed;
+      let live = List.filter up e.e_image.im_server.im_sv in
+      let in_use =
+        List.filter (fun n -> not (Use_list.is_empty (use_list e.e_image n))) live
+      in
+      let chosen = if in_use = [] then List.filteri (fun i _ -> i < replicas) live else in_use in
+      if chosen = [] then Refused "no live server"
+      else begin
+        (* Under the Write lock no concurrent counter holder exists, so
+           the counter ops apply in place behind the before-image. *)
+        let ops =
+          Increment { client; servers = chosen }
+          ::
+          (if credits = [] then []
+           else
+             [
+               Decrement
+                 {
+                   client;
+                   servers = List.concat_map (fun (n, c) -> List.init c (fun _ -> n)) credits;
+                 };
+             ])
+        in
+        List.iter (perform t a ~action ~staged:(mode = Lockmgr.Mode.Delta) e) ops;
+        Sim.Metrics.incr m "gvd.get_view";
+        Sim.Metrics.incr m "gvd.snapshot_reads";
+        tracef t "%s counted bind %a chosen=[%s]%s" action Store.Uid.pp uid
+          (String.concat "," chosen)
+          (if removed = [] then "" else " removed=[" ^ String.concat "," removed ^ "]");
+        Granted
+          {
+            bv_impl = e.e_impl;
+            bv_servers = chosen;
+            bv_removed = removed;
+            bv_stores = e.e_snap.im_state.im_st;
+          }
+      end
+
+let h_bind t { bt_uid; bt_action = action; bt_client = client; bt_use } =
   match entry_opt t bt_uid with
   | None -> absent t bt_uid
   | Some e -> (
-      let m = metrics t in
-      let up n = Net.Network.is_up (netw t) n in
-      let structural =
-        List.exists (fun n -> not (up n)) e.e_snap.im_server.im_sv
-      in
-      let mode = if structural then Lockmgr.Mode.Write else Lockmgr.Mode.Delta in
-      let a = touch_action t bt_action in
-      match take_lock t ~action:bt_action (Blocking mode) (key_of Sv_side bt_uid) with
-      | Some refusal -> refusal
-      | None ->
-          Sim.Metrics.incr m "gvd.batch_binds";
-          Sim.Metrics.incr m "gvd.get_server";
-          let dead = List.filter (fun n -> not (up n)) e.e_image.im_server.im_sv in
-          let removed = if mode = Lockmgr.Mode.Write then dead else [] in
-          List.iter (fun n -> perform t a ~action:bt_action ~staged:false e (Remove n)) removed;
-          let live = List.filter up e.e_image.im_server.im_sv in
-          let in_use =
-            List.filter
-              (fun n -> not (Use_list.is_empty (use_list e.e_image n)))
-              live
-          in
-          let chosen =
-            if in_use = [] then List.filteri (fun i _ -> i < bt_replicas) live else in_use
-          in
-          if chosen = [] then Refused "no live server"
-          else begin
-            (* Under the Write lock no concurrent counter holder exists, so
-               the counter ops apply in place behind the before-image. *)
-            let ops =
-              Increment { client = bt_client; servers = chosen }
-              ::
-              (if bt_credits = [] then []
-               else
-                 [
-                   Decrement
-                     {
-                       client = bt_client;
-                       servers =
-                         List.concat_map
-                           (fun (n, c) -> List.init c (fun _ -> n))
-                           bt_credits;
-                     };
-                 ])
-            in
-            List.iter
-              (perform t a ~action:bt_action ~staged:(mode = Lockmgr.Mode.Delta) e)
-              ops;
-            Sim.Metrics.incr m "gvd.get_view";
-            Sim.Metrics.incr m "gvd.snapshot_reads";
-            tracef t "%s batch-bind %a chosen=[%s]%s" bt_action Store.Uid.pp
-              bt_uid (String.concat "," chosen)
-              (if removed = [] then "" else " removed=[" ^ String.concat "," removed ^ "]");
-            Granted
-              {
-                bv_impl = e.e_impl;
-                bv_chosen = chosen;
-                bv_removed = removed;
-                bv_stores = e.e_snap.im_state.im_st;
-                bv_version = e.e_version;
-              }
-          end)
+      let a = touch_action t action in
+      match bt_use with
+      | Locked -> bind_locked t e ~action
+      | Counted { replicas; credits } -> bind_counted t e a ~action ~client ~replicas ~credits)
 
 (* Hand an entry off to another shard (online rebalance). Runs atomically
    at the simulation level — no suspension points between the check and
@@ -991,7 +1017,7 @@ let install ?(use_exclude_write = true) ?(durable = false)
       ep_served_by = Net.Rpc.endpoint "gvd.served_by";
       ep_read = Net.Rpc.endpoint "gvd.read";
       ep_update = Net.Rpc.endpoint "gvd.update";
-      ep_batch = Net.Rpc.endpoint "gvd.bind_batch";
+      ep_bind = Net.Rpc.endpoint "gvd.bind";
       ep_handoff = Net.Rpc.endpoint "gvd.handoff";
       ep_resync = Net.Rpc.endpoint "gvd.snapshot";
       backups = [];
@@ -1018,7 +1044,7 @@ let install ?(use_exclude_write = true) ?(durable = false)
   Net.Rpc.serve rpc ~node t.ep_served_by (homed_on (fun im -> im.im_server.im_sv_home));
   Net.Rpc.serve rpc ~node t.ep_read (fun req -> serviced t (fun () -> h_read t req));
   Net.Rpc.serve rpc ~node t.ep_update (fun req -> serviced t (fun () -> h_update t req));
-  Net.Rpc.serve rpc ~node t.ep_batch (fun req -> serviced t (fun () -> h_batch t req));
+  Net.Rpc.serve rpc ~node t.ep_bind (fun req -> serviced t (fun () -> h_bind t req));
   Net.Rpc.serve rpc ~node t.ep_handoff (fun req -> h_handoff t req);
   Net.Rpc.serve rpc ~node ep_mirror (fun images ->
       install_images t images;
@@ -1131,14 +1157,13 @@ let update t ~act ?if_rev ops =
   call_enlisted t ~act t.ep_update
     { up_action = Action.Atomic.owner act; up_ops = ops; up_if_rev = if_rev }
 
-let bind_batch t ~act ~uid ~client ~replicas ~credits =
-  call_enlisted t ~act t.ep_batch
+let bind t ~act ~uid use =
+  call_enlisted t ~act t.ep_bind
     {
       bt_uid = uid;
       bt_action = Action.Atomic.owner act;
-      bt_client = client;
-      bt_replicas = replicas;
-      bt_credits = credits;
+      bt_client = Action.Atomic.node act;
+      bt_use = use;
     }
 
 let mirror_to t backup =

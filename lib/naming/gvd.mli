@@ -59,7 +59,7 @@ val install :
     what the sharded tier ({!Router}) relieves.
 
     Every request carrying a database operation — {!read}, {!update},
-    {!bind_batch} — pays [service_time].
+    {!bind} — pays [service_time].
 
     Under a gray-failure profile ({!Net.Network.hedged}) the plain
     idempotent reads issued outside any action — {!lookup},
@@ -67,7 +67,7 @@ val install :
     ({!Net.Rpc.call_hedged}). Requests issued for an action are {e never}
     hedged: they take locks and stage counter updates, and a hedged
     duplicate would ride below the RPC duplicate guard (e.g. a
-    double-staged Increment in [bind_batch]). *)
+    double-staged Increment in a [Counted] {!bind}). *)
 
 val node : t -> Net.Network.node_id
 (** The service node. *)
@@ -130,7 +130,7 @@ val served_by :
     Three request shapes serve the eight operations of §4 (GetServer,
     Insert, Remove, Increment, Decrement; GetView, Exclude, Include) and
     the extensions built on them: one {!read}, one typed {!update} and
-    the single-round {!bind_batch}. Every committing action installs a
+    the single-round {!bind}. Every committing action installs a
     fresh immutable snapshot of the entry halves it touched and bumps a
     per-entry version; lock-free reads see only these snapshots. *)
 
@@ -243,32 +243,45 @@ val update :
     validated exclusion. Idempotent under duplicate delivery except for
     staged counter ops. *)
 
-(** {2 Single-round batched bind} *)
+(** {2 Single-round bind}
 
-type batch_view = {
-  bv_impl : string;  (** implementation name (saves the impl_of round) *)
-  bv_chosen : Net.Network.node_id list;
-      (** the activation subset whose counters were incremented *)
+    One request carries the whole database half of a bind under every
+    scheme; the schemes differ only in what the request asks of the
+    entry. *)
+
+(** What a bind needs from the entry. *)
+type bind_use =
+  | Locked
+      (** Scheme A (Figure 6): GetServer then GetView — a Read lock on
+          [SvA] and then on [StA] for the action, held to its end. Changes
+          nothing. The reply's halves are the working [SvA] and [StA]. *)
+  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
+      (** Schemes B/C (Figures 7/8): GetServer + Remove(dead) +
+          Increment(chosen) + GetView, with the caller's coalesced pending
+          Decrements ([credits], one count per server node) piggybacked.
+          Runs in [Delta] lock mode unless a listed server is detectably
+          dead (then a structural write). [replicas] is the
+          activation-subset size wanted when no server is in use yet. *)
+
+type bind_view = {
+  bv_impl : string;  (** implementation name (saves the impl lookup) *)
+  bv_servers : Net.Network.node_id list;
+      (** [Locked]: the working [SvA]; [Counted]: the activation subset
+          whose counters were incremented *)
   bv_removed : Net.Network.node_id list;
-      (** detectably dead servers pruned from [SvA] in the same round *)
-  bv_stores : Net.Network.node_id list;  (** committed [StA] snapshot *)
-  bv_version : int;  (** entry snapshot version *)
+      (** detectably dead servers pruned from [SvA] in the same round
+          ([Counted] only) *)
+  bv_stores : Net.Network.node_id list;
+      (** [Locked]: the working [StA]; [Counted]: the committed [StA]
+          snapshot *)
 }
 
-val bind_batch :
-  t ->
-  act:Action.Atomic.t ->
-  uid:Store.Uid.t ->
-  client:Net.Network.node_id ->
-  replicas:int ->
-  credits:(Net.Network.node_id * int) list ->
-  (batch_view reply, Net.Rpc.error) result
-(** The whole database half of a scheme-B/C bind in one RPC round:
-    GetServer + Remove(dead) + Increment(chosen) + GetView, with the
-    caller's coalesced pending Decrements ([credits], one count per
-    server node) piggybacked. Runs in [Delta] lock mode unless a listed
-    server is detectably dead (then a structural write). [replicas] is
-    the activation-subset size wanted when no server is in use yet. *)
+val bind :
+  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> bind_use ->
+  (bind_view reply, Net.Rpc.error) result
+(** The whole database half of a bind in one RPC round, for [act] and
+    from [act]'s node (the client whose counters a [Counted] bind
+    bumps). Enlisted, never hedged. *)
 
 val committed_version : t -> Store.Uid.t -> Store.Version.t
 (** Introspection: the current committed-version fence. *)

@@ -132,5 +132,4 @@ let bind t ~act ~uid ~policy =
                 bd_group = group;
                 bd_servers = group.Replica.Group.g_members;
                 bd_stores = st;
-                bd_version = 0;
               })

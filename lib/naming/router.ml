@@ -101,11 +101,10 @@ let dispatch t ~uid (call : Gvd.t -> ('a Gvd.reply, Net.Rpc.error) result) =
 let read t ~act uid r = dispatch t ~uid (fun g -> Gvd.read g ~act uid r)
 let snapshot t ~from uid = dispatch t ~uid (fun g -> Gvd.snapshot g ~from uid)
 
-(* The single-round bind: the whole database half of a scheme-B/C bind is
-   one uid-keyed request, so it dispatches to (and runs atomically on)
-   exactly one shard. *)
-let bind_batch t ~act ~uid ~client ~replicas ~credits =
-  dispatch t ~uid (fun g -> Gvd.bind_batch g ~act ~uid ~client ~replicas ~credits)
+(* The single-round bind of every scheme: the whole database half of a
+   bind is one uid-keyed request, so it dispatches to (and runs atomically
+   on) exactly one shard. *)
+let bind t ~act ~uid use = dispatch t ~uid (fun g -> Gvd.bind g ~act ~uid use)
 
 (* An update naming entries on several shards runs one sub-update per
    owning shard, in order of first appearance (in practice a request

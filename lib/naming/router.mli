@@ -69,16 +69,11 @@ val update :
     [o_applied] is the conjunction and [o_fence] the newest fence over
     the groups. *)
 
-val bind_batch :
-  t ->
-  act:Action.Atomic.t ->
-  uid:Store.Uid.t ->
-  client:Net.Network.node_id ->
-  replicas:int ->
-  credits:(Net.Network.node_id * int) list ->
-  (Gvd.batch_view, failure) result
-(** The single-round bind ({!Gvd.bind_batch}); uid-keyed, so the whole
-    batch runs atomically on the one owning shard. *)
+val bind :
+  t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Gvd.bind_use ->
+  (Gvd.bind_view, failure) result
+(** The single-round bind of every scheme ({!Gvd.bind}); uid-keyed, so
+    the whole request runs atomically on the one owning shard. *)
 
 (** {2 Administrative and name-space operations} *)
 

@@ -1,6 +1,6 @@
 (* Client-side use-list delta buffer: pending Decrements, keyed by
    (client node, object uid, server node), waiting to be coalesced into a
-   later bind's batch request or flushed in one merged Decrement action.
+   later bind's request or flushed in one merged Decrement action.
    A pure in-memory structure — all scheduling (flush fibers, retries)
    belongs to the binder that owns the buffer. Keyed by client because
    one binder serves every client node of a world and a credit must only

@@ -4,7 +4,7 @@
     its own immediate action: it {e credits} the counts here, and they
     leave the client in one of two coalesced forms —
 
-    - piggybacked on the next bind's {!Gvd.bind_batch} request for the
+    - piggybacked on the next bind's {!Gvd.bind} request for the
       same (client, object) — a rebind thus cancels the
       increment/decrement pair within its own single round, and a
       net-zero pair never costs a dedicated action — or

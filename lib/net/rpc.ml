@@ -69,7 +69,7 @@ let op_handle t ep =
 
 (* At-most-once request guard. The fault plane can deliver a request twice
    (dup injection); replaying a non-idempotent handler — staging a second
-   Increment in gvd.bind_batch, double-applying a merged Decrement — would
+   Increment in gvd.bind, double-applying a merged Decrement — would
    corrupt counters. Each request carries a fresh id; the destination keeps
    a volatile seen-table (reset when it crashes, like any in-memory dedup
    cache) and drops replays, counted as [rpc.dup_suppressed]. Armed only
@@ -137,8 +137,8 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
   let start = Sim.Engine.now eng in
   Sim.Metrics.bump t.calls;
   (* Per-operation round counter: lets tests and experiments assert how
-     many network rounds a protocol step costs (e.g. a batched bind is
-     exactly one "rpc.op.gvd.bind_batch" tick). *)
+     many network rounds a protocol step costs (e.g. a bind is exactly
+     one "rpc.op.gvd.bind" tick). *)
   Sim.Metrics.bump (op_handle t ep);
   if not (Network.reachable t.net from dst) then begin
     (* The callee is already known-dead (or unreachable): the failure

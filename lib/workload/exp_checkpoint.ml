@@ -27,16 +27,28 @@ let run_variant ~seed ~eager =
   Net.Fault.churn net ~rng:(Sim.Rng.split rng) ~mttf:120.0 ~mttr:30.0
     ~until:horizon "k1";
   let commits = ref 0 and staged_lost = ref 0 and other_aborts = ref 0 in
+  let injected = ref 0 in
+  let k1_coordinates (group : Replica.Group.t) =
+    (match group.g_members with "k1" :: _ -> true | _ -> false)
+    && Net.Network.is_up net "k1"
+  in
   Service.spawn_client w "c1" (fun () ->
-      for _ = 1 to actions do
+      for i = 1 to actions do
         (match
            Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
              ~policy:(Replica.Policy.Coordinator_cohort 2) ~uid
              (fun act group ->
                (* Three spaced updates: a coordinator crash between them
                   exercises mid-action failover. *)
-               for _ = 1 to 3 do
+               for j = 1 to 3 do
                  ignore (Service.invoke w group ~act "incr");
+                 (* The churn alone may never land between two updates of
+                    one action, so every tenth action also crashes a live
+                    k1 coordinator just after its first update. *)
+                 if j = 1 && i mod 10 = 0 && k1_coordinates group then begin
+                   incr injected;
+                   Net.Fault.crash_for net ~at:(Sim.Engine.now eng +. 1.0) ~duration:30.0 "k1"
+                 end;
                  Sim.Engine.sleep eng 4.0
                done)
          with
@@ -58,6 +70,7 @@ let run_variant ~seed ~eager =
     Table.cell_i !other_aborts;
     Table.cell_i (Sim.Metrics.counter m "server.checkpoints");
     Table.cell_i (Sim.Metrics.counter m "server.promotions");
+    Table.cell_i !injected;
   ]
 
 let run ?(seed = 81L) () =
@@ -66,7 +79,7 @@ let run ?(seed = 81L) () =
     ~columns:
       [
         "policy"; "actions"; "commits"; "staged-lost aborts"; "other aborts";
-        "checkpoint msgs"; "promotions";
+        "checkpoint msgs"; "promotions"; "injected";
       ]
     ~notes:
       [
@@ -76,5 +89,7 @@ let run ?(seed = 81L) () =
         "checkpoint message per invocation; lazy checkpointing slashes the";
         "traffic but every mid-action failover aborts the client's action";
         "(detected as State_lost — never silent data loss).";
+        "Besides the churn, every tenth action crashes a live k1 coordinator";
+        "1.0 after its first update, for 30.0 ('injected').";
       ]
     [ run_variant ~seed ~eager:true; run_variant ~seed ~eager:false ]

@@ -13,6 +13,11 @@
       client's last-acknowledged serial and answers [State_lost], and the
       action aborts rather than silently dropping updates.
 
+    Besides the random churn of [k1], every tenth action crashes [k1]
+    1.0 after its first update for 30.0 when [k1] is the live
+    coordinator, so each policy meets mid-action failovers whatever the
+    churn's timing; the [injected] column counts them.
+
     The trade is checkpoint traffic against availability of in-progress
     actions. *)
 

@@ -201,8 +201,8 @@ let run ?(seed = 131L) () =
          "lock; with snapshot reads and the single-round batched bind the";
          "Increment becomes a Delta-mode append, so their latency now also";
          "stays near-flat and a bind costs one RPC round (column 4). Scheme";
-         "A's three reads (GetServer + GetView + impl lookup) leave as one";
-         "Join scatter, so it pays one serial round too. Server acquisitions";
+         "A's locked GetServer + GetView travel as one bind request, so it";
+         "pays one round too. Server acquisitions";
          "refused under contention go through Net.Retry backoff instead of";
          "failing the bind; each retry counts as an extra round in column 4.";
          "";

@@ -12,8 +12,8 @@
     per scheme. Historically scheme A stayed flat while B/C grew with the
     client count; with snapshot reads and the single-round batched bind
     the Increment is a Delta-mode append and both curves are near-flat,
-    with every scheme paying one RPC round per bind (scheme A scatters
-    its three reads as one {!Sim.Join} round).
+    with every scheme paying one RPC round per bind (scheme A's locked
+    GetServer and GetView are one {!Gvd.bind} request).
 
     A second block races write commits against membership churn: the
     commit validates a lock-free snapshot and queues behind the churn's

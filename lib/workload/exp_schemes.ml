@@ -178,8 +178,8 @@ let comparison ?(seed = 31L) () =
         "Shape to check: standard has futile binds and zero removed-dead /";
         "orphans; independent and nested-toplevel trade extra db ops (and";
         "cleanup work after the client crash) for a fresh SvA view.";
-        "Scheme A scatters its three naming reads (impl, GetServer, GetView)";
-        "as one Join round; the nested read locks are still held to commit,";
-        "so its database behaviour is Figure 6's.";
+        "Every scheme binds in one naming round. Scheme A's round takes";
+        "GetServer's and GetView's read locks for a nested action and";
+        "they are held to commit, so its database behaviour is Figure 6's.";
       ]
     rows

@@ -207,7 +207,7 @@ let test_fault_spike_delays () =
 
 (* ------------------------------------------------------------------ *)
 (* Duplicate-delivery idempotence of the naming protocols: with the
-   client->gvd link duplicating every message, bind_batch increments and
+   client->gvd link duplicating every message, counted binds' increments and
    the merged Decrement flush must still apply exactly once. *)
 
 let dup_world () =

@@ -585,8 +585,8 @@ let test_batched_bind_is_one_round () =
       with
       | Error e -> Alcotest.fail (Binder.bind_error_to_string e)
       | Ok pb ->
-          check_int "one batch round" 1
-            (Sim.Metrics.counter m "rpc.op.gvd.bind_batch");
+          check_int "one bind round" 1
+            (Sim.Metrics.counter m "rpc.op.gvd.bind");
           check_int "no GetServer or GetView round" 0
             (Sim.Metrics.counter m "rpc.op.gvd.read");
           check_int "no Increment round" 0
@@ -597,6 +597,45 @@ let test_batched_bind_is_one_round () =
           Binder.release_independent (Service.binder w) pb);
   Service.run w;
   check_bool "quiescent after flush" true (Gvd.quiescent (Service.gvd w) uid)
+
+let test_standard_bind_is_one_round () =
+  (* Scheme A's naming reads are one locked bind round as well: no
+     GetServer, GetView or impl lookup round of their own. Its Read locks
+     on sv: and st: pass to the client action on nested commit and are
+     held until that action ends — Figure 6's exclusion fence. *)
+  let w = small_world () in
+  let uid = counter_object w "ctr" in
+  Service.run ~until:1.0 w;
+  let m = Service.metrics w in
+  let gvd = Service.gvd w in
+  let read_locked_by owner half =
+    let key = half ^ ":" ^ Store.Uid.to_string uid in
+    List.exists
+      (fun (o, mode) -> o = owner && Lockmgr.Mode.equal mode Lockmgr.Mode.Read)
+      (Option.value ~default:[] (List.assoc_opt key (Gvd.residual_locks gvd)))
+  in
+  Service.spawn_client w "c1" (fun () ->
+      match
+        Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+            match
+              Binder.bind_standard (Service.binder w) ~act ~uid
+                ~policy:Replica.Policy.Single_copy_passive
+            with
+            | Error e -> Alcotest.fail (Binder.bind_error_to_string e)
+            | Ok _ ->
+                check_int "one bind round" 1 (Sim.Metrics.counter m "rpc.op.gvd.bind");
+                check_int "no GetServer or GetView round" 0
+                  (Sim.Metrics.counter m "rpc.op.gvd.read");
+                check_int "no impl lookup round" 0 (Sim.Metrics.counter m "rpc.op.gvd.info");
+                let owner = Action.Atomic.owner act in
+                check_bool "sv read-locked by the client action" true (read_locked_by owner "sv");
+                check_bool "st read-locked by the client action" true (read_locked_by owner "st"))
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+  Service.run w;
+  Alcotest.(check (list string)) "no naming lock after the action" []
+    (List.map fst (Gvd.residual_locks gvd))
 
 let test_rebind_cancels_decrement () =
   (* A release inside the coalescing window buffers the Decrement as a
@@ -1065,6 +1104,7 @@ let suite =
     ( "naming.batch",
       [
         tc "batched bind is one round" `Quick test_batched_bind_is_one_round;
+        tc "scheme-A bind is one locked round" `Quick test_standard_bind_is_one_round;
         tc "rebind cancels deferred decrement" `Quick
           test_rebind_cancels_decrement;
         tc "crashed client's unflushed delta swept" `Quick

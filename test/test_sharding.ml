@@ -83,7 +83,7 @@ let test_cache_hit_miss_expiry () =
   let uid = List.hd (uids_of 1) in
   check_bool "cold miss" true (Bind_cache.find c ~now:0.0 ~client:"c1" uid = None);
   Bind_cache.fill c ~now:0.0 ~client:"c1" uid ~impl:"counter"
-    ~servers:[ "s1" ] ~stores:[ "t1" ] ~version:1;
+    ~servers:[ "s1" ] ~stores:[ "t1" ];
   (match Bind_cache.find c ~now:5.0 ~client:"c1" uid with
   | Some e ->
       check_string "cached impl" "counter" e.Bind_cache.ce_impl;
@@ -102,7 +102,7 @@ let test_cache_renew_and_invalidate () =
   let c = Bind_cache.create ~lease:10.0 m in
   let uid = List.hd (uids_of 1) in
   Bind_cache.fill c ~now:0.0 ~client:"c1" uid ~impl:"counter" ~servers:[ "s1" ]
-    ~stores:[ "t1" ] ~version:1;
+    ~stores:[ "t1" ];
   Bind_cache.renew c ~now:8.0 ~client:"c1" uid;
   check_bool "renewed entry outlives the original lease" true
     (Bind_cache.find c ~now:15.0 ~client:"c1" uid <> None);

@@ -143,7 +143,11 @@ let test_checkpoint_shape () =
       let cell r i = int_of_string (List.nth r i) in
       check_bool "eager commits everything" true (cell eager 2 = cell eager 1);
       check_int "eager never loses staging" 0 (cell eager 3);
+      check_bool "eager rides out injected crashes" true (cell eager 7 > 0);
       check_bool "lazy loses some mid-action failovers" true (cell lazy_ 3 > 0);
+      check_bool "lazy has injected crashes" true (cell lazy_ 7 > 0);
+      check_bool "lazy loses at least every injected crash" true
+        (cell lazy_ 3 >= cell lazy_ 7);
       check_bool "lazy sends far fewer checkpoints" true
         (cell lazy_ 5 * 2 < cell eager 5)
   | _ -> Alcotest.fail "unexpected row count"
@@ -267,8 +271,7 @@ let test_contention_shape () =
   check_bool "independent within 1.5x of standard at 32" true
     (latency 32 "independent" < 1.5 *. latency 32 "standard");
   check_bool "independent waits collapsed" true (waits 8 "independent" <= 22);
-  (* Round budget: the batched bind is one RPC round, and so is scheme A,
-     whose impl lookup + GetServer + GetView leave as one scatter. *)
+  (* Round budget: every scheme's bind is one RPC round. *)
   check_bool "batched bind is one round" true
     (abs_float (rounds 8 "independent" -. 1.0) < 0.01);
   check_bool "standard is one round" true
