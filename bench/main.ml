@@ -20,6 +20,36 @@ let bench_engine_fibers () =
   done;
   Sim.Engine.run eng
 
+(* 64 fibers ping-pong in pairs through ivars, so every hand-off is a
+   delay-0 resume, while 128 far-future guard timers wait in the event
+   heap — the shape of an e2e world, where RPC guards sit under a stream
+   of resumes. The guards are removed, not fired, when the last pair ends. *)
+let bench_resume_under_timers () =
+  let eng = Sim.Engine.create () in
+  let rounds = 20 and pairs_left = ref 32 in
+  let finished = Sim.Ivar.create () in
+  for _ = 1 to 128 do
+    Sim.Engine.spawn eng (fun () ->
+        ignore (Sim.Ivar.read_timeout eng 1000.0 finished : (unit, exn) result))
+  done;
+  for _ = 1 to 32 do
+    let ivs = Array.init (2 * rounds) (fun _ -> Sim.Ivar.create ()) in
+    Sim.Engine.spawn eng (fun () ->
+        for r = 0 to rounds - 1 do
+          Sim.Ivar.fill ivs.(2 * r) ();
+          Sim.Ivar.read eng ivs.((2 * r) + 1)
+        done;
+        decr pairs_left;
+        if !pairs_left = 0 then Sim.Ivar.fill finished ());
+    Sim.Engine.spawn eng (fun () ->
+        for r = 0 to rounds - 1 do
+          Sim.Ivar.read eng ivs.(2 * r);
+          Sim.Ivar.fill ivs.((2 * r) + 1) ()
+        done)
+  done;
+  Sim.Engine.run eng;
+  assert (Sim.Engine.now eng = 0.0)
+
 let bench_lock_cycle () =
   let eng = Sim.Engine.create () in
   let mgr = Lockmgr.Manager.create eng in
@@ -449,6 +479,8 @@ let micro_tests =
   Test.make_grouped ~name:"micro"
     [
       Test.make ~name:"engine.200-fibers" (Staged.stage bench_engine_fibers);
+      Test.make ~name:"engine.resume-under-timers"
+        (Staged.stage bench_resume_under_timers);
       Test.make ~name:"lock.100-write-cycles" (Staged.stage bench_lock_cycle);
       Test.make ~name:"lock.release-all-1024-keys" (Staged.stage bench_lock_release_all);
       Test.make ~name:"rpc.50-roundtrips" (Staged.stage bench_rpc_roundtrips);

@@ -74,6 +74,10 @@ let tracef t fmt =
     ~now:(Sim.Engine.now (engine t.rt))
     ~tag:"action" fmt
 
+(* Hot call sites check this first: a skipped [tracef] still evaluates and
+   wraps its arguments. *)
+let tracing t = Sim.Trace.enabled (Net.Network.trace (network t.rt))
+
 (* Install the coordinator decision service on a node the first time it
    coordinates. Consults the volatile active set, then the stable decision
    record; absence of both is presumed abort. *)
@@ -371,7 +375,7 @@ let commit_top t =
             Store.Intent_log.Commit;
           deactivate t;
           t.st <- Committed;
-          tracef t "%s commit" action;
+          if tracing t then tracef t "%s commit" action;
           Sim.Metrics.incr (metrics t) "action.commits";
           (* Phase 2, scattered: best effort; a crashed participant
              resolves through recovery against our decision record. *)

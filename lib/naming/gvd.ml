@@ -219,6 +219,10 @@ let tracef t fmt =
   Sim.Trace.recordf (Net.Network.trace (netw t)) ~now:(Sim.Engine.now (eng t))
     ~tag:"gvd" fmt
 
+(* Hot call sites check this first: a skipped [tracef] still evaluates and
+   wraps its arguments, and some build strings for them. *)
+let tracing t = Sim.Trace.enabled (Net.Network.trace (netw t))
+
 let metrics t = Net.Network.metrics (netw t)
 
 let key_of side uid =
@@ -486,8 +490,9 @@ let register_direct t ~uid ~name ~impl ~sv ~st =
   Hashtbl.replace t.entries (Store.Uid.serial uid)
     { e_uid = uid; e_impl = impl; e_image = image; e_snap = image; e_version = 0 };
   Hashtbl.replace t.names name uid;
-  tracef t "register %a sv=[%s] st=[%s]" Store.Uid.pp uid
-    (String.concat "," sv) (String.concat "," st)
+  if tracing t then
+    tracef t "register %a sv=[%s] st=[%s]" Store.Uid.pp uid
+      (String.concat "," sv) (String.concat "," st)
 
 let view_of e sv st =
   {
@@ -696,9 +701,11 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
         List.iter (perform t a ~action ~staged:(mode = Lockmgr.Mode.Delta) e) ops;
         Sim.Metrics.incr m "gvd.get_view";
         Sim.Metrics.incr m "gvd.snapshot_reads";
-        tracef t "%s counted bind %a chosen=[%s]%s" action Store.Uid.pp uid
-          (String.concat "," chosen)
-          (if removed = [] then "" else " removed=[" ^ String.concat "," removed ^ "]");
+        if tracing t then
+          tracef t "%s counted bind %a chosen=[%s]%s" action Store.Uid.pp uid
+            (String.concat "," chosen)
+            (if removed = [] then ""
+             else " removed=[" ^ String.concat "," removed ^ "]");
         Granted
           {
             bv_impl = e.e_impl;

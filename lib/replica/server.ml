@@ -168,6 +168,10 @@ let tracef t fmt =
   Sim.Trace.recordf (Net.Network.trace (net t)) ~now:(Sim.Engine.now (eng t))
     ~tag:"server" fmt
 
+(* Hot call sites check this first: a skipped [tracef] still evaluates and
+   wraps its arguments. *)
+let tracing t = Sim.Trace.enabled (Net.Network.trace (net t))
+
 let metrics t = Net.Network.metrics (net t)
 
 let node_instances t node =
@@ -291,11 +295,13 @@ let make_manager t inst =
             inst.i_version <-
               Store.Version.next inst.i_version ~committed_by:action;
             Hashtbl.remove inst.i_staged action;
-            tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
-              Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
+            if tracing t then
+              tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
+                Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
         | None ->
-            tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
-              action Store.Uid.pp inst.i_uid);
+            if tracing t then
+              tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
+                action Store.Uid.pp inst.i_uid);
         clean_applied inst action;
         release inst action;
         settle_action inst action;
@@ -396,9 +402,10 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                 let payload', reply = inst.i_impl.Object_impl.apply payload v_op in
                 if v_write then begin
                   Hashtbl.replace inst.i_staged v_action payload';
-                  tracef t "%s: %s writes %a: %S -> %S (base %a)" node v_action
-                    Store.Uid.pp v_uid payload payload' Store.Version.pp
-                    inst.i_version
+                  if tracing t then
+                    tracef t "%s: %s writes %a: %S -> %S (base %a)" node
+                      v_action Store.Uid.pp v_uid payload payload'
+                      Store.Version.pp inst.i_version
                 end;
                 Hashtbl.replace inst.i_applied key reply;
                 Sim.Metrics.incr (metrics t) "server.invocations";

@@ -16,6 +16,14 @@ type t = {
   mutable clock : float;
   mutable gid : int;
   queue : Heap.t;
+  (* The now-queue: a ring buffer of the plain events due at [clock], in
+     push order. Each slot holds a thunk and the sequence number it took
+     from [queue], so [run] can merge it with the heap in (time, seq)
+     order. Popped slots are cleared so no thunk outlives its event. *)
+  mutable now_seqs : int array;
+  mutable now_thunks : (unit -> unit) array;
+  mutable now_head : int;
+  mutable now_len : int;
   root : group;
   engine_rng : Rng.t;
   mutable fiber_error : exn option;
@@ -24,8 +32,9 @@ type t = {
   parked : parked; (* sentinel of the registry *)
   mutable detect_deadlock : bool;
   mutable nondaemon_queued : int;
-      (* queued events that represent real work; a drain-mode [run] stops
-         when only daemon wakeups (idle periodic fibers) remain *)
+      (* queued events (heap and now-queue) that represent real work; a
+         drain-mode [run] stops when only daemon wakeups (idle periodic
+         fibers) remain *)
   mutable next_suspend_daemon : bool;
       (* set by [daemon_sleep] just before performing Suspend, consumed by
          the handler to flag the parked suspension as a daemon's *)
@@ -33,6 +42,10 @@ type t = {
 
 exception Deadlock of string
 exception Timed_out
+
+(* The now-queue's first capacity; it doubles when full. A power of two,
+   so slot arithmetic is a mask. *)
+let now_capacity = 16
 
 let create ?(seed = 1L) () =
   let root = { gid = 0; alive = true } in
@@ -43,6 +56,10 @@ let create ?(seed = 1L) () =
     clock = 0.0;
     gid = 1;
     queue = Heap.create ();
+    now_seqs = Array.make now_capacity 0;
+    now_thunks = Array.make now_capacity ignore;
+    now_head = 0;
+    now_len = 0;
     root;
     engine_rng = Rng.create seed;
     fiber_error = None;
@@ -66,12 +83,50 @@ let new_group t =
 let kill_group t g = if g != t.root then g.alive <- false
 let group_alive g = g.alive
 
+(* A heap event: a future one, or one that must stay removable (a guard)
+   or daemon-flagged, even when it is due now. *)
 let push_ev t ~daemon ~delay thunk =
   let delay = if delay < 0.0 then 0.0 else delay in
   if not daemon then t.nondaemon_queued <- t.nondaemon_queued + 1;
   Heap.push t.queue ~time:(t.clock +. delay) ~daemon thunk
 
-let push t ~delay thunk = ignore (push_ev t ~daemon:false ~delay thunk : Heap.event)
+let grow_now t =
+  let cap = Array.length t.now_seqs in
+  let seqs = Array.make (2 * cap) 0 and thunks = Array.make (2 * cap) ignore in
+  for i = 0 to t.now_len - 1 do
+    let j = (t.now_head + i) land (cap - 1) in
+    seqs.(i) <- t.now_seqs.(j);
+    thunks.(i) <- t.now_thunks.(j)
+  done;
+  t.now_seqs <- seqs;
+  t.now_thunks <- thunks;
+  t.now_head <- 0
+
+(* A plain event due at the current instant skips the heap: it joins the
+   now-queue with the next sequence number, which is where the heap would
+   have ordered it. *)
+let push_now t thunk =
+  if t.now_len = Array.length t.now_seqs then grow_now t;
+  let i = (t.now_head + t.now_len) land (Array.length t.now_seqs - 1) in
+  t.now_seqs.(i) <- Heap.take_seq t.queue;
+  t.now_thunks.(i) <- thunk;
+  t.now_len <- t.now_len + 1;
+  t.nondaemon_queued <- t.nondaemon_queued + 1
+
+let pop_now t =
+  let i = t.now_head in
+  let thunk = t.now_thunks.(i) in
+  t.now_thunks.(i) <- ignore;
+  t.now_head <- (i + 1) land (Array.length t.now_seqs - 1);
+  t.now_len <- t.now_len - 1;
+  t.nondaemon_queued <- t.nondaemon_queued - 1;
+  thunk
+
+(* A delay that is not positive, or too small to move the clock, is due
+   now. A NaN delay is neither and goes to the heap, as it always did. *)
+let push t ~delay thunk =
+  if t.clock +. delay <= t.clock then push_now t thunk
+  else ignore (push_ev t ~daemon:false ~delay thunk : Heap.event)
 
 let schedule t ~delay f = push t ~delay f
 
@@ -141,7 +196,7 @@ let run_fiber t g name f =
                       unlink p;
                       if fg.alive then begin
                         t.suspended <- t.suspended - 1;
-                        push t ~delay:0.0 (fun () ->
+                        push_now t (fun () ->
                             if fg.alive then begin
                               current_group := fg;
                               match r with
@@ -157,7 +212,7 @@ let run_fiber t g name f =
 
 let spawn t ?group ?(name = "fiber") f =
   let g = match group with None -> t.root | Some g -> g in
-  if g.alive then push t ~delay:0.0 (fun () -> if g.alive then run_fiber t g name f)
+  if g.alive then push_now t (fun () -> if g.alive then run_fiber t g name f)
 
 (* Starting inside the current event instead of a delay-0 start event keeps
    the (time, seq) order of every other event whenever nothing else is due
@@ -227,34 +282,57 @@ let timeout t dt register =
 
 let set_detect_deadlock t flag = t.detect_deadlock <- flag
 
+let queue_empty t = t.now_len = 0 && Heap.is_empty t.queue
+
 let check_deadlock t =
-  if t.detect_deadlock && Heap.is_empty t.queue && t.suspended > 0 then
+  if t.detect_deadlock && queue_empty t && t.suspended > 0 then
     raise
       (Deadlock
          (Printf.sprintf "%d fiber(s) suspended with empty queue" t.suspended))
+
+(* Whether the next event in (time, seq) order is the heap's top rather
+   than the now-queue's head. Every now-queue event is due at [clock]: the
+   clock only advances by a heap pop, and the heap pops only when this
+   holds or the now-queue is empty. So the heap goes first only with an
+   event due at [clock] pushed before the now-queue's head — a guard or a
+   daemon wakeup due at once. *)
+let heap_first t =
+  t.now_len = 0
+  || (not (Heap.is_empty t.queue))
+     && (let e = Heap.top t.queue in
+         e.time <= t.clock && e.seq < t.now_seqs.(t.now_head))
+
+let fire t thunk =
+  t.processed <- t.processed + 1;
+  thunk ();
+  match t.fiber_error with
+  | Some err ->
+      t.fiber_error <- None;
+      raise err
+  | None -> ()
 
 let run ?(until = infinity) ?(max_steps = max_int) t =
   let drain = until = infinity in
   let rec loop steps =
     if steps >= max_steps then ()
-    else if (drain && t.nondaemon_queued = 0) || Heap.is_empty t.queue then
+    else if (drain && t.nondaemon_queued = 0) || queue_empty t then
       (* Quiescence: only daemon wakeups (idle periodic fibers) remain.
          Leave them queued and parked — a later [run ~until] resumes them;
          a world with no daemons hits this exactly when the queue empties. *)
       check_deadlock t
+    else if not (heap_first t) then begin
+      if t.clock <= until then begin
+        fire t (pop_now t);
+        loop (steps + 1)
+      end
+    end
     else
       let e = Heap.top t.queue in
       if e.time <= until then begin
         ignore (Heap.pop t.queue : Heap.event);
         if not e.daemon then t.nondaemon_queued <- t.nondaemon_queued - 1;
         if e.time > t.clock then t.clock <- e.time;
-        t.processed <- t.processed + 1;
-        e.thunk ();
-        (match t.fiber_error with
-        | Some err ->
-            t.fiber_error <- None;
-            raise err
-        | None -> ());
+        fire t e.thunk;
         loop (steps + 1)
       end
   in

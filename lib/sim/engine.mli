@@ -8,6 +8,14 @@
     the discrete-event model: determinism comes from the strictly ordered
     event queue (time, then insertion sequence).
 
+    The queue has two parts that {!run} merges. Future events, timeout
+    guards and daemon wakeups sit in a binary heap ({!Heap}). A plain event
+    due at the current instant — a fiber resume, a {!spawn}, a {!yield}, a
+    [schedule] or [sleep] whose delay is not positive or too small to move
+    the clock — skips the heap and joins a FIFO {e now-queue}, taking the
+    next number from the heap's sequence counter. The merged order is the
+    one (time, seq) order a single heap would give.
+
     Fibers belong to {e groups}. Killing a group (used to model a node
     crash) prevents every fiber of the group from ever being resumed; the
     fiber simply vanishes at its current suspension point, mirroring a
@@ -52,7 +60,8 @@ val group_alive : group -> bool
 
 val spawn : t -> ?group:group -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t ~group ~name f] schedules fiber [f] to start at the current
-    virtual time, after already-queued events. An exception escaping [f]
+    virtual time, after already-queued events. The start event joins the
+    now-queue. An exception escaping [f]
     (other than the internal kill signal) is recorded and re-raised by
     {!run}. [name] is used in error reports. *)
 
@@ -100,13 +109,15 @@ val daemon_sleep : t -> float -> unit
 
 val yield : t -> unit
 (** [yield t] re-queues the calling fiber at the current time, letting
-    other ready fibers run first. *)
+    other ready fibers run first. Its wakeup, like every resume, joins the
+    now-queue. *)
 
 val timeout : t -> float -> ('a resumer -> unit) -> ('a, exn) result
 (** [timeout t dt register] is like [suspend] but resumes with
     [Error Timed_out] if nothing resumed the fiber within [dt]. Its guard
-    timer is a queued event; when the operation settles first, the guard
-    is removed from the queue at once. *)
+    timer is a heap event even when [dt <= 0], so it stays removable: when
+    the operation settles first, the guard is removed from the queue at
+    once. *)
 
 exception Timed_out
 (** Raised (inside the fiber) when a [timeout] expires. *)
@@ -122,7 +133,15 @@ val run : ?until:float -> ?max_steps:int -> t -> unit
     Without [until] (drain mode) the run also stops as soon as only daemon
     wakeups remain queued (see {!daemon_sleep}) — worlds with no daemons
     behave exactly as before. Re-raises the first exception that escaped a
-    fiber, if any. *)
+    fiber, if any.
+
+    Each step pops the now-queue's head unless the heap's top is due at
+    the current instant with a lower sequence number: a guard or daemon
+    wakeup due at once, pushed before that head. Every now-queue event is
+    due at the current instant, since the clock only advances by a heap
+    pop, so this is the single-heap order. Now-queue events count towards
+    [max_steps], {!processed_events} and pending work like any other; an
+    [until] below the current clock runs none of them. *)
 
 val processed_events : t -> int
 (** Number of events processed so far; useful for budget assertions. *)

@@ -12,8 +12,6 @@ let placeholder = { time = 0.0; seq = -1; daemon = true; thunk = ignore; slot = 
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
 
-let length h = h.size
-
 let is_empty h = h.size = 0
 
 let queued e = e.slot >= 0
@@ -54,9 +52,13 @@ let sift_down h i e =
   done;
   place h !i e
 
+let take_seq h =
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  seq
+
 let push h ~time ~daemon thunk =
-  let e = { time; seq = h.next_seq; daemon; thunk; slot = -1 } in
-  h.next_seq <- h.next_seq + 1;
+  let e = { time; seq = take_seq h; daemon; thunk; slot = -1 } in
   let capacity = Array.length h.data in
   if h.size = capacity then begin
     let data = Array.make (if capacity = 0 then 16 else 2 * capacity) placeholder in
@@ -92,10 +94,3 @@ let remove h e =
     e.slot <- -1;
     refill h i
   end
-
-let clear h =
-  for i = 0 to h.size - 1 do
-    h.data.(i).slot <- -1
-  done;
-  h.data <- [||];
-  h.size <- 0

@@ -1,5 +1,8 @@
-(** The simulator's event queue: a resizable binary min-heap of events
-    ordered by (time, insertion sequence).
+(** The simulator's event heap: a resizable binary min-heap of events
+    ordered by (time, insertion sequence). It holds the engine's future
+    events plus the removable (timeout guards) and daemon-flagged ones;
+    plain events due at the current instant wait in the engine's FIFO
+    now-queue instead, numbered from this heap's counter ({!take_seq}).
 
     The queue numbers events in push order, so events due at the same
     instant pop first-in first-out. Every event tracks its own slot in the
@@ -22,15 +25,18 @@ type t
 val create : unit -> t
 (** [create ()] is an empty queue. *)
 
-val length : t -> int
-(** Number of queued events. *)
-
 val is_empty : t -> bool
-(** [is_empty h] is [length h = 0]. *)
+(** Whether no event is queued. *)
 
 val push : t -> time:float -> daemon:bool -> (unit -> unit) -> event
 (** [push h ~time ~daemon thunk] queues a new event and returns it. Its
-    [seq] is one more than the previous push's. *)
+    [seq] is {!take_seq}'s next number. *)
+
+val take_seq : t -> int
+(** [take_seq h] claims the next sequence number without queueing an
+    event: one more than the previous push's or claim's. An event kept
+    outside the heap (the engine's now-queue) takes its place in the
+    (time, seq) order this way. *)
 
 val top : t -> event
 (** The earliest queued event, left in place. Raises [Invalid_argument] on
@@ -46,6 +52,3 @@ val remove : t -> event -> unit
 
 val queued : event -> bool
 (** Whether the event is still in its queue: false once popped or removed. *)
-
-val clear : t -> unit
-(** [clear h] removes every event from [h]. *)

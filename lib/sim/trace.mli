@@ -21,13 +21,20 @@ val set_enabled : t -> bool -> unit
 (** Toggle recording. Disabled traces drop entries with no allocation
     beyond the call itself. *)
 
+val enabled : t -> bool
+(** Whether [t] records. A hot call site checks it before {!recordf}, so
+    a disabled trace costs the site one test and no allocation. *)
+
 val record : t -> now:float -> tag:string -> string -> unit
 (** [record t ~now ~tag detail] appends one entry. *)
 
 val recordf :
   t -> now:float -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant of {!record}. The format arguments are not evaluated
-    when the trace is disabled. *)
+(** Formatted variant of {!record}. When the trace is disabled nothing is
+    rendered, but the call still costs what OCaml's argument passing
+    costs: every argument is evaluated before the call, and the skipped
+    format allocates a closure per argument. Guard a hot call site with
+    {!enabled} instead. *)
 
 val entries : t -> entry list
 (** All entries in chronological (append) order. *)

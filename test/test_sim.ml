@@ -41,15 +41,10 @@ let test_heap_peek_stable () =
   ignore (push_at h 3.0);
   let e = push_at h 1.0 in
   check_bool "top" true (Heap.top h == e);
-  check_int "length unchanged" 2 (Heap.length h);
-  check_bool "still queued" true (Heap.queued e)
-
-let test_heap_clear () =
-  let h = Heap.create () in
-  let es = List.map (push_at h) [ 1.; 2.; 3. ] in
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h);
-  check_bool "none queued" false (List.exists Heap.queued es)
+  check_bool "still queued" true (Heap.queued e);
+  check_bool "top pops" true (Heap.pop h == e);
+  check_float "other left" 3.0 (Heap.pop h).Heap.time;
+  check_bool "drained" true (Heap.is_empty h)
 
 let test_heap_large () =
   let h = Heap.create () in
@@ -281,6 +276,101 @@ let test_engine_until_bound () =
       tick ());
   Engine.run ~until:10.5 eng;
   check_int "bounded ticks" 11 !count
+
+(* The now-queue: plain events due at the current instant skip the heap.
+   These pin its bookkeeping against the heap's. *)
+
+(* [processed_events] and [max_steps] count now-queue events; the e2e
+   benchmark slices its runs on that count. The second batch wraps round the
+   ring and makes it grow while it holds events. *)
+let test_engine_now_queue_counted () =
+  let eng = Engine.create () in
+  let ran = ref [] in
+  let spawn_range a b =
+    for i = a to b do
+      Engine.spawn eng (fun () -> ran := i :: !ran)
+    done
+  in
+  spawn_range 1 10;
+  Engine.run ~max_steps:6 eng;
+  check_int "six counted" 6 (Engine.processed_events eng);
+  spawn_range 11 40;
+  Engine.run ~max_steps:20 eng;
+  check_int "twenty-six counted" 26 (Engine.processed_events eng);
+  Engine.run eng;
+  Alcotest.(check (list int)) "push order" (List.init 40 (fun i -> i + 1)) (List.rev !ran);
+  check_int "all counted" 40 (Engine.processed_events eng)
+
+(* A bound below the clock runs nothing, even with events due now. *)
+let test_engine_until_below_clock () =
+  let eng = Engine.create () in
+  let fired = ref false in
+  Engine.schedule eng ~delay:2.0 (fun () ->
+      Engine.schedule eng ~delay:0.0 (fun () -> fired := true));
+  Engine.run ~max_steps:1 eng;
+  check_float "at 2" 2.0 (Engine.now eng);
+  Engine.run ~until:1.0 eng;
+  check_bool "not run" false !fired;
+  check_int "one counted" 1 (Engine.processed_events eng);
+  Engine.run ~until:2.0 eng;
+  check_bool "run at the bound" true !fired
+
+(* With only now-queue events left the queue is not empty, so a parked
+   fiber is not a deadlock. *)
+let test_engine_no_deadlock_on_now_queue () =
+  let eng = Engine.create () in
+  Engine.set_detect_deadlock eng true;
+  let iv = Ivar.create () and got = ref 0 in
+  Engine.spawn eng (fun () -> got := Ivar.read eng iv);
+  Engine.spawn eng (fun () -> Ivar.fill iv 3);
+  Engine.run ~max_steps:1 eng;
+  Engine.run ~until:0.0 eng;
+  check_int "woken" 3 !got;
+  Alcotest.(check (list string)) "none parked" [] (Engine.leaked_fibers eng)
+
+(* A daemon wakeup due now is a heap event and still not work: a
+   drain-mode run stops before it, a bounded run fires it. *)
+let test_engine_daemon_sleep_zero () =
+  let eng = Engine.create () in
+  let steps = ref 0 in
+  Engine.spawn eng (fun () ->
+      incr steps;
+      Engine.daemon_sleep eng 0.0;
+      incr steps);
+  Engine.run eng;
+  check_int "parked" 1 !steps;
+  Alcotest.(check (list string)) "not a leak" [] (Engine.leaked_fibers eng);
+  Engine.run ~until:0.0 eng;
+  check_int "woken" 2 !steps
+
+(* A guard due at once stays a removable heap event: an operation that
+   settles first takes it out, so it never pops. One settles inside
+   [register]; the other is settled by an event queued before the guard. *)
+let test_engine_timeout_guard_due_now () =
+  let eng = Engine.create () in
+  let results = ref [] in
+  Engine.spawn eng (fun () ->
+      let r = Engine.timeout eng 0.0 (fun resume -> resume (Ok 1)) in
+      results := r :: !results);
+  Engine.spawn eng (fun () ->
+      let iv = Ivar.create () in
+      Engine.schedule eng ~delay:0.0 (fun () -> Ivar.fill iv 2);
+      let r = Ivar.read_timeout eng (-1.0) iv in
+      results := r :: !results);
+  Engine.run eng;
+  check_bool "both settled" true
+    (match !results with [ Ok 2; Ok 1 ] -> true | _ -> false);
+  (* two starts, one fill, two resumes: no guard popped *)
+  check_int "no guard fired" 5 (Engine.processed_events eng);
+  (* A guard due now goes before a settling event queued after it. *)
+  let late = ref None in
+  Engine.spawn eng (fun () ->
+      late :=
+        Some
+          (Engine.timeout eng 0.0 (fun resume ->
+               Engine.schedule eng ~delay:0.0 (fun () -> resume (Ok ())))));
+  Engine.run eng;
+  check_bool "guard first" true (!late = Some (Error Engine.Timed_out))
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -574,6 +664,243 @@ let prop_queue_model =
       done;
       !ok && Heap.is_empty h)
 
+(* Merge-order model test. Random fiber programs of [schedule], [spawn],
+   [yield], [sleep], [timeout] (settled or not) and [daemon_sleep 0.0] run
+   on the engine in random [~max_steps] slices, with and without
+   [~until], then drain. A reference model with one list of events and no
+   now-queue replays them, running each event in (time, seq) order. Both
+   logs — which step ran, at what time, and where each slice stopped —
+   must agree, as must the final event count and clock. Delays include
+   one that rounds to zero at any clock from 0.5 up, and guards due at
+   once ([dt] of -1 or 0), so heap events land at the current instant
+   after now-queue pushes. *)
+type eop =
+  | Sleep of float
+  | Yield
+  | Timeout of float * float option (* guard delay, settle delay *)
+  | Daemon_sleep0
+  | Spawn of (int * eop) list
+  | Schedule of float
+
+let tiny = 1e-17 (* positive, yet [c +. tiny = c] for any c >= 0.5 *)
+
+let rec show_eop = function
+  | Sleep d -> Printf.sprintf "sleep %g" d
+  | Yield -> "yield"
+  | Timeout (dt, s) ->
+      Printf.sprintf "timeout %g%s" dt
+        (match s with None -> "" | Some d -> Printf.sprintf " settle %g" d)
+  | Daemon_sleep0 -> "daemon_sleep 0"
+  | Spawn ops -> "spawn " ^ show_script ops
+  | Schedule d -> Printf.sprintf "schedule %g" d
+
+and show_script ops =
+  let step (id, op) = Printf.sprintf "%d:%s" id (show_eop op) in
+  "[" ^ String.concat "; " (List.map step ops) ^ "]"
+
+let gen_engine_prog =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.0; tiny; 0.5; 1.0 ] in
+  let rec op depth =
+    frequency
+      ([
+         (3, map (fun d -> Sleep d) delay);
+         (2, return Yield);
+         (3, map2 (fun dt s -> Timeout (dt, s)) (oneofl [ -1.0; 0.0; 1.0 ])
+               (opt delay));
+         (1, return Daemon_sleep0);
+         (2, map (fun d -> Schedule d) delay);
+       ]
+      @ if depth > 0 then [ (2, map (fun ops -> Spawn ops) (script (depth - 1))) ]
+        else [])
+  and script depth =
+    map (List.map (fun o -> (0, o))) (list_size (int_range 0 5) (op depth))
+  in
+  (* Number every step once, so a log entry names it. *)
+  let number fibers =
+    let next = ref 0 in
+    let rec go ops =
+      List.map
+        (fun (_, o) ->
+          incr next;
+          let id = !next in
+          (id, match o with Spawn sub -> Spawn (go sub) | o -> o))
+        ops
+    in
+    List.map go fibers
+  in
+  let slice = pair (int_range 1 6) (opt (oneofl [ -1.0; 0.0; 0.5; 1.0 ])) in
+  map2
+    (fun fibers slices -> (number fibers, slices))
+    (list_size (int_range 1 4) (script 2))
+    (list_size (int_range 0 8) slice)
+
+let show_engine_prog (fibers, slices) =
+  String.concat "\n" (List.map show_script fibers)
+  ^ "\nslices: "
+  ^ String.concat " "
+      (List.map
+         (fun (n, u) ->
+           Printf.sprintf "%d/%s" n
+             (match u with None -> "-" | Some u -> Printf.sprintf "%g" u))
+         slices)
+
+(* The reference: every event in one list, run by least (time, seq). *)
+module Ref_engine = struct
+  type ev = {
+    time : float;
+    seq : int;
+    daemon : bool;
+    mutable live : bool;
+    run : unit -> unit;
+  }
+
+  type t = {
+    mutable clock : float;
+    mutable seq : int;
+    mutable evs : ev list;
+    mutable processed : int;
+  }
+
+  let create () = { clock = 0.0; seq = 0; evs = []; processed = 0 }
+
+  let push m ~daemon delay run =
+    let time = if m.clock +. delay <= m.clock then m.clock else m.clock +. delay in
+    let e = { time; seq = m.seq; daemon; live = true; run } in
+    m.seq <- m.seq + 1;
+    m.evs <- e :: m.evs;
+    e
+
+  let run ?(until = infinity) ?(max_steps = max_int) m =
+    let drain = until = infinity in
+    let rec loop steps =
+      m.evs <- List.filter (fun e -> e.live) m.evs;
+      let idle = m.evs = [] || (drain && List.for_all (fun e -> e.daemon) m.evs) in
+      if steps < max_steps && not idle then begin
+        let e =
+          List.fold_left
+            (fun a b -> if (b.time, b.seq) < (a.time, a.seq) then b else a)
+            (List.hd m.evs) m.evs
+        in
+        if e.time <= until then begin
+          e.live <- false;
+          if e.time > m.clock then m.clock <- e.time;
+          m.processed <- m.processed + 1;
+          e.run ();
+          loop (steps + 1)
+        end
+      end
+    in
+    loop 0
+
+  (* A fiber is its remaining steps; suspending hands [register] a resumer
+     that, once, queues the rest of the fiber at the current instant. *)
+  let rec fiber m log = function
+    | [] -> ()
+    | (id, op) :: rest -> (
+        log ('f', id, m.clock);
+        let suspend register =
+          let fired = ref false in
+          register (fun () ->
+              if not !fired then begin
+                fired := true;
+                ignore (push m ~daemon:false 0.0 (fun () -> fiber m log rest))
+              end)
+        in
+        match op with
+        | Sleep d -> suspend (fun resume -> ignore (push m ~daemon:false d resume))
+        | Yield -> suspend (fun resume -> ignore (push m ~daemon:false 0.0 resume))
+        | Daemon_sleep0 ->
+            suspend (fun resume -> ignore (push m ~daemon:true 0.0 resume))
+        | Timeout (dt, settle) ->
+            suspend (fun resume ->
+                let guard = push m ~daemon:false dt resume in
+                match settle with
+                | None -> ()
+                | Some d ->
+                    ignore
+                      (push m ~daemon:false d (fun () ->
+                           if guard.live then begin
+                             guard.live <- false;
+                             resume ()
+                           end)))
+        | Spawn ops ->
+            ignore
+              (push m ~daemon:false 0.0 (fun () ->
+                   log ('b', id, m.clock);
+                   fiber m log ops));
+            fiber m log rest
+        | Schedule d ->
+            ignore (push m ~daemon:false d (fun () -> log ('s', id, m.clock)));
+            fiber m log rest)
+end
+
+let rec engine_fiber eng log ops =
+  List.iter
+    (fun (id, op) ->
+      log ('f', id, Engine.now eng);
+      match op with
+      | Sleep d -> Engine.sleep eng d
+      | Yield -> Engine.yield eng
+      | Daemon_sleep0 -> Engine.daemon_sleep eng 0.0
+      | Timeout (dt, settle) ->
+          ignore
+            (Engine.timeout eng dt (fun resume ->
+                 match settle with
+                 | None -> ()
+                 | Some d -> Engine.schedule eng ~delay:d (fun () -> resume (Ok ())))
+              : (unit, exn) result)
+      | Spawn sub ->
+          Engine.spawn eng (fun () ->
+              log ('b', id, Engine.now eng);
+              engine_fiber eng log sub)
+      | Schedule d ->
+          Engine.schedule eng ~delay:d (fun () -> log ('s', id, Engine.now eng)))
+    ops
+
+let prop_engine_merge_order =
+  QCheck.Test.make ~name:"now-queue and heap run in (time, seq) order" ~count:500
+    (QCheck.make ~print:show_engine_prog gen_engine_prog)
+    (fun (fibers, slices) ->
+      let eng = Engine.create () and m = Ref_engine.create () in
+      let got = ref [] and want = ref [] in
+      let log_got e = got := e :: !got and log_want e = want := e :: !want in
+      (* Start every fiber at 0.5, so [tiny] rounds to zero from the first
+         step on. *)
+      List.iter
+        (fun ops ->
+          Engine.schedule eng ~delay:0.5 (fun () ->
+              Engine.spawn eng (fun () -> engine_fiber eng log_got ops));
+          let start () = Ref_engine.fiber m log_want ops in
+          ignore
+            (Ref_engine.push m ~daemon:false 0.5 (fun () ->
+                 ignore (Ref_engine.push m ~daemon:false 0.0 start))))
+        fibers;
+      List.iter
+        (fun (max_steps, until) ->
+          (match until with
+          | None ->
+              Engine.run ~max_steps eng;
+              Ref_engine.run ~max_steps m
+          | Some u ->
+              let until = Engine.now eng +. u in
+              Engine.run ~until ~max_steps eng;
+              Ref_engine.run ~until ~max_steps m);
+          (* Each slice ends after the same count, at the same time. *)
+          log_got ('|', Engine.processed_events eng, Engine.now eng);
+          log_want ('|', m.Ref_engine.processed, m.Ref_engine.clock))
+        slices;
+      Engine.run eng;
+      Ref_engine.run m;
+      let show log =
+        String.concat " "
+          (List.rev_map (fun (c, id, t) -> Printf.sprintf "%c%d@%g" c id t) log)
+      in
+      if !got <> !want then
+        QCheck.Test.fail_reportf "engine ran %s\nmodel ran  %s" (show !got) (show !want);
+      Engine.processed_events eng = m.Ref_engine.processed
+      && Engine.now eng = m.Ref_engine.clock)
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"rng int within bounds" ~count:500
     QCheck.(pair int64 (int_range 1 10000))
@@ -600,7 +927,6 @@ let suite =
         tc "order" `Quick test_heap_order;
         tc "empty" `Quick test_heap_empty;
         tc "peek stable" `Quick test_heap_peek_stable;
-        tc "clear" `Quick test_heap_clear;
         tc "large" `Quick test_heap_large;
         Test_util.qcheck prop_heap_sorts;
         Test_util.qcheck prop_queue_model;
@@ -631,6 +957,13 @@ let suite =
         tc "leaked fibers" `Quick test_engine_leaked_fibers;
         tc "yield interleaves" `Quick test_engine_yield_interleaves;
         tc "until bound" `Quick test_engine_until_bound;
+        tc "now-queue events counted" `Quick test_engine_now_queue_counted;
+        tc "until below clock runs nothing" `Quick test_engine_until_below_clock;
+        tc "no deadlock with now-queue events" `Quick
+          test_engine_no_deadlock_on_now_queue;
+        tc "daemon sleep 0 drains" `Quick test_engine_daemon_sleep_zero;
+        tc "timeout guard due now" `Quick test_engine_timeout_guard_due_now;
+        Test_util.qcheck prop_engine_merge_order;
       ] );
     ( "sim.ivar",
       [
