@@ -217,60 +217,29 @@ let abort t ~from ~store ~action = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_a
 
 let probe t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_probe ()
 
-(* The 2PC fan-outs below accept a hedging policy and a propagated
-   deadline: prepare records the same intent twice idempotently (replays
-   return the recorded vote), commit/abort resolve an intent-log entry
-   idempotently, so a hedged duplicate delivery is harmless.
+(* The 2PC fan-outs below are idempotent at the store: prepare records
+   the same intent twice (replays return the recorded vote), commit/abort
+   resolve an intent-log entry idempotently, so a hedged duplicate
+   delivery is harmless ({!Net.Rpc.call_all}).
 
-   With [?alt_of] (sibling-hedge routing), a leg whose destination the
-   caller maps to a sibling [St] member races its backup copy against
-   THAT node instead of re-rolling the sick destination's dice. The
-   sibling holds the same replicated object, so its handler does the
-   same work its own leg does (prepare replaces per-action; phase-2
-   resolves idempotently) — but its answer is NOT the primary's: a
-   sibling win is reported as [Error Timed_out] for the leg, which the
-   commit layer already handles (§4.2 exclude-on-failure at prepare).
-   The payoff is purely
-   latency: the gather stops waiting on the browned node after one
-   healthy round trip instead of one inflated one. *)
-
-let scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary ep reqs =
-  match (hedge, alt_of) with
-  | Some h, Some altf when List.exists (fun (d, _) -> altf d <> None) reqs ->
-      let netw = Net.Rpc.network t.rpc_rt in
-      (match reqs with
-      | [] | [ _ ] -> ()
-      | _ ->
-          Sim.Metrics.incr (Net.Network.metrics netw) "rpc.scatters";
-          Sim.Metrics.incr (Net.Network.metrics netw) ~by:(List.length reqs)
-            "rpc.scatter_calls");
-      Sim.Join.all (Net.Network.engine netw)
-        (List.map
-           (fun (dst, req) () ->
-             match altf dst with
-             | None ->
-                 ( dst,
-                   Net.Rpc.call_hedged t.rpc_rt ~from ~dst ?deadline_at
-                     ~hedge:h ep req )
-             | Some alt ->
-                 let won = ref false in
-                 let r =
-                   Net.Rpc.call_hedged t.rpc_rt ~from ~dst ~alt ~keep_primary
-                     ~alt_won:won ?deadline_at ~hedge:h ep req
-                 in
-                 (dst, if !won then Error Net.Rpc.Timed_out else r))
-           reqs)
-  | _ -> Net.Rpc.call_all t.rpc_rt ~from ?hedge ?deadline_at ep reqs
-
-let prepare_all t ~from ?hedge ?deadline_at ?alt_of per_store =
-  scatter_alt t ~from ?hedge ?deadline_at ?alt_of ~keep_primary:false
+   [st], when given, is the replica set the stores belong to: a leg may
+   race its backup copy against a sibling [St] member instead of
+   re-rolling the sick destination's dice. The sibling holds the same
+   replicated object, so its handler does the same work its own leg does
+   (prepare replaces per-action; phase-2 resolves idempotently) — but its
+   answer is NOT the primary's: a sibling win is the leg's
+   [Error Timed_out], which the commit layer already handles (§4.2
+   exclude-on-failure at prepare). The payoff is purely latency: the
+   gather stops waiting on the browned node after one healthy round trip
+   instead of one inflated one. *)
+let prepare_all t ~from ?deadline_at ?st per_store =
+  Net.Rpc.call_all t.rpc_rt ~from ?deadline_at ~idempotent:true ?replicas:st
     t.ep_prepare per_store
 
-let prepare_each t ~from ?hedge ?deadline_at ?alt_of ~action ~coordinator
-    writes =
+let prepare_each t ~from ?deadline_at ?st ~action ~coordinator writes =
   List.map
     (fun (store, r) -> (store, vote_of ~action r))
-    (prepare_all t ~from ?hedge ?deadline_at ?alt_of
+    (prepare_all t ~from ?deadline_at ?st
        (List.map
           (fun (store, ws) ->
             ( store,
@@ -283,11 +252,13 @@ let prepare_each t ~from ?hedge ?deadline_at ?alt_of ~action ~coordinator
               ] ))
           writes))
 
-let commit_all t ~from ?hedge ?alt_of per_store =
-  scatter_alt t ~from ?hedge ?alt_of ~keep_primary:true t.ep_commit per_store
+let commit_all t ~from ?st per_store =
+  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true ?replicas:st
+    ~keep_primary:true t.ep_commit per_store
 
-let abort_all t ~from ?hedge ?alt_of ~stores action =
-  scatter_alt t ~from ?hedge ?alt_of ~keep_primary:true t.ep_abort
+let abort_all t ~from ?st ~stores action =
+  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true ?replicas:st
+    ~keep_primary:true t.ep_abort
     (List.map (fun store -> (store, action)) stores)
 
 let set_hooks t node hooks = (host t node).h_hooks <- hooks

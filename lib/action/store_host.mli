@@ -118,9 +118,8 @@ val probe :
 val prepare_all :
   t ->
   from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
   ?deadline_at:float ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  ?st:Net.Network.node_id list ->
   (Net.Network.node_id * prepare_req list) list ->
   (Net.Network.node_id * ((string * vote) list, Net.Rpc.error) result) list
 (** Scatter one prepare round to every listed store concurrently
@@ -130,32 +129,29 @@ val prepare_all :
     chain of blocking calls, so its latency is one round-trip, not [|St|]
     of them.
 
-    The 2PC fan-outs take an optional hedging policy and propagated
-    deadline (see {!Net.Rpc.call_all}). Hedging is safe here: a replayed
+    The 2PC fan-outs are idempotent calls ({!Net.Rpc.call}): a replayed
     prepare re-stages the same intent ({!Store.Intent_log.prepare}
     replaces per action), and commit/abort resolve idempotently, so a
-    duplicate delivery changes nothing.
+    duplicate delivery changes nothing. [deadline_at] rides in each
+    request's metadata.
 
-    [alt_of] (effective only together with [hedge]) routes a leg's backup
-    copy to a {e sibling} [St] member instead of re-sending to the same
-    node: when it maps a destination to [Some sibling], the backup races
-    against that node, and a sibling win is reported as the leg's
-    [Error Timed_out] — the sibling's answer is never passed off as the
-    primary's. Prepare legs cancel the losing primary cooperatively (an
-    unstaged prepare is harmless once the leg counts as failed); phase-2
-    legs keep the primary copy in flight ({!Net.Rpc.call_hedged}'s
-    [keep_primary]) because the primary must still apply its decision.
-    The caller must only map to siblings that hold every object in the
-    leg's sub-records — so a round carrying several actions, whose [St]
-    need not include the sibling, must not pass one: a staged intent
-    there would dangle forever. *)
+    [st] is the [St] set the stores belong to
+    ({!Net.Rpc.call_all}'s [replicas]): a leg's backup copy may go to a
+    {e sibling} member instead of the same node, and a sibling win is
+    reported as the leg's [Error Timed_out] — the sibling's answer is
+    never passed off as the primary's. Prepare legs cancel the losing
+    primary cooperatively (an unstaged prepare is harmless once the leg
+    counts as failed); phase-2 legs keep the primary copy in flight
+    because the primary must still apply its decision. Every member of
+    [st] must hold every object in the round's sub-records — so a round
+    carrying several actions, whose [St] need not include the sibling,
+    must not pass one: a staged intent there would dangle forever. *)
 
 val prepare_each :
   t ->
   from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
   ?deadline_at:float ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  ?st:Net.Network.node_id list ->
   action:string ->
   coordinator:Net.Network.node_id ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
@@ -166,21 +162,19 @@ val prepare_each :
 val commit_all :
   t ->
   from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  ?st:Net.Network.node_id list ->
   (Net.Network.node_id * string list) list ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** Scatter one phase-2 commit round per store, each applying the listed
-    actions' intentions. [alt_of] sibling-routes as in {!prepare_all};
-    unlike a prepare, a phase-2 round may take it even when it carries
-    several actions, because an action unknown to the sibling resolves
-    as a no-op there. *)
+    actions' intentions. [st] as in {!prepare_all}; unlike a prepare, a
+    phase-2 round may pass it even when it carries several actions,
+    because an action unknown to the sibling resolves as a no-op
+    there. *)
 
 val abort_all :
   t ->
   from:Net.Network.node_id ->
-  ?hedge:Net.Rpc.hedge ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  ?st:Net.Network.node_id list ->
   stores:Net.Network.node_id list ->
   string ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list

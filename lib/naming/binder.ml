@@ -170,18 +170,10 @@ let bind_standard t ~act ~uid ~policy =
   | Error why -> Error (Name_refused why)
   | Ok { Gvd.bv_impl = impl; bv_servers = sv; bv_stores = st; _ } -> (
       (* Static Sv: pick the first k entries, dead or not ("the hard
-         way", §4.1.2). Under a gray-failure profile the candidate order is
-         health-ranked first, steering the static pick away from
-         browned-out servers (ties keep Sv order; without a gray-failure
-         profile the pick is untouched). *)
-      let sv =
-        if Net.Network.hedged (netw t) then
-          Net.Health.rank
-            (Net.Network.health (netw t))
-            ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
-            sv
-        else sv
-      in
+         way", §4.1.2), in the network's preference order
+         ({!Net.Network.rank_servers}), which steers the static pick away
+         from browned-out servers. *)
+      let sv = Net.Network.rank_servers (netw t) sv in
       let chosen = take (Replica.Policy.replicas policy) sv in
       if chosen = [] then Error (No_server "SvA is empty")
       else

@@ -1101,16 +1101,13 @@ let install ?(use_exclude_write = true) ?(durable = false)
 
 (* -- client stubs -- *)
 
-(* Under a gray-failure profile, plain idempotent reads race a backup copy
-   against a browned-out shard (same destination — under per-message
-   brownout inflation a re-send is a fresh draw). Everything issued for
-   an action stays un-hedged: it stages locks and counter updates, and a
-   duplicate delivery would ride below the dedup guard. *)
+(* Plain reads issued outside any action are idempotent, so they may be
+   hedged against a browned-out shard. Everything issued for an action is
+   not: it stages locks and counter updates, and a duplicate delivery
+   would ride below the dedup guard. *)
 let plain_call t ~from ep req =
-  if Net.Network.hedged (Action.Atomic.network t.art) then
-    Net.Rpc.call_hedged (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
-      ~hedge:(Net.Rpc.hedge ()) ep req
-  else Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req
+  Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
+    ~idempotent:true ep req
 
 (* Call, then enlist the action with the database. *)
 let call_enlisted t ~act ep req =

@@ -61,13 +61,14 @@ val install :
     Every request carrying a database operation — {!read}, {!update},
     {!bind} — pays [service_time].
 
-    Under a gray-failure profile ({!Net.Network.hedged}) the plain
-    idempotent reads issued outside any action — {!lookup},
-    {!entry_info}, {!snapshot} — race a health-delayed backup copy
-    ({!Net.Rpc.call_hedged}). Requests issued for an action are {e never}
-    hedged: they take locks and stage counter updates, and a hedged
-    duplicate would ride below the RPC duplicate guard (e.g. a
-    double-staged Increment in a [Counted] {!bind}). *)
+    The plain reads issued outside any action — {!lookup},
+    {!entry_info}, {!snapshot} — are idempotent calls
+    ({!Net.Rpc.call}'s [idempotent]): under a gray-failure profile they
+    race a health-delayed backup copy. Requests issued for an action are
+    {e not} idempotent and are never hedged: they take locks and stage
+    counter updates, and a hedged duplicate would ride below the RPC
+    duplicate guard (e.g. a double-staged Increment in a [Counted]
+    {!bind}). *)
 
 val node : t -> Net.Network.node_id
 (** The service node. *)
@@ -162,8 +163,8 @@ val read :
 
 val snapshot :
   t -> from:Net.Network.node_id -> Store.Uid.t -> (view reply, Net.Rpc.error) result
-(** The [Committed] read issued outside any action. Under a gray-failure
-    profile it is hedged like {!lookup}. *)
+(** The [Committed] read issued outside any action, an idempotent call
+    like {!lookup}. *)
 
 val get_server :
   t -> act:Action.Atomic.t -> Store.Uid.t -> (view reply, Net.Rpc.error) result

@@ -38,11 +38,11 @@ let take k xs =
 
 (* The hybrid bind's naming-tier reads: the lightweight name server's
    [Sv] set, the database's [impl], and [St] under the nested-action read
-   lock. They leave as one {!Sim.Join} scatter — the same independence
-   argument as scheme A's reads (three separately locked pieces, all
-   asked for in read mode, none feeding another), with the [St] lock
-   still owned by the nested action and held to top-level end. Join
-   tasks return values; only the nested fiber raises. *)
+   lock. They leave as one {!Sim.Join} scatter: the three pieces are
+   independent (each separately locked, all asked for in read mode, none
+   feeding another), with the [St] lock still owned by the nested action
+   and held to top-level end. Join tasks return values; only the nested
+   fiber raises. *)
 let hybrid_reads t ~act ~client uid =
   let router = Binder.router t.binder in
   let read_sv () =

@@ -55,8 +55,8 @@ val read :
 
 val snapshot :
   t -> from:Net.Network.node_id -> Store.Uid.t -> (Gvd.view, failure) result
-(** {!Gvd.snapshot}: the committed read outside any action (hedged under
-    a gray-failure profile). *)
+(** {!Gvd.snapshot}: the committed read outside any action (an idempotent
+    call, hedged under a gray-failure profile). *)
 
 val update :
   t ->

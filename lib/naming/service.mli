@@ -66,15 +66,16 @@ val create :
 
     Commits go through the group-commit plane ({!Replica.Groupcommit},
     docs/PROTOCOLS.md §14) and validate a lock-free [St] snapshot inside
-    the prepare round ({!Replica.Commit.attach}, §13); scheme A's three
-    bind reads leave as one {!Sim.Join} round.
+    the prepare round ({!Replica.Commit.attach}, §13). Every scheme's
+    bind is one [gvd.bind] round ({!Gvd.bind}).
 
     [gray_failure] (default none: every plane below is off) selects the
     world's gray-failure profile, fixed on its network
-    ({!Net.Network.gray_failure}) for the world's whole life:
-    - [Hedged] turns on hedged scatter-gathers for idempotent fan-outs
-      (2PC prepares and phase-2 deliveries, activation probes, group role
-      probes, plain naming reads) plus latency-ranked replica preference;
+    ({!Net.Network.gray_failure}) for the world's whole life and read
+    only inside [Net]:
+    - [Hedged] turns on hedged idempotent calls (2PC prepares and
+      phase-2 deliveries, group role and commit-view probes, plain naming
+      reads) plus latency-ranked server preference;
       deadline shedding, where servers refuse calls whose initiator's
       deadline has already passed (metric [retry.shed_expired]; only
       abortable phase-1 work carries deadlines — phase-2 of a decided

@@ -26,18 +26,15 @@ val create : ?slow_floor:float -> ?tau:float -> unit -> t
 
 val note_ok : t -> dst:string -> now:float -> latency:float -> unit
 (** Feed a successful call's round-trip [latency], classifying it as slow
-    iff it exceeds {!slow_threshold}. *)
+    iff it exceeds the current slow bar, [max slow_floor (3 * fleet
+    EWMA)]: relative to the {e fleet}, not the destination itself, so a
+    consistently sick node cannot normalize its own sickness away. *)
 
 val note_failure : t -> dst:string -> now:float -> unit
 (** Feed a transport failure (timeout, crash detection): counts as a slow
     call for the indicator but does not pollute the latency EWMA — how
     fast a node answers when it does answer is a separate question from
     whether it answered. *)
-
-val slow_threshold : t -> float
-(** The current slow bar: [max slow_floor (3 * fleet EWMA)]. Relative to
-    the {e fleet}, not the destination itself, so a consistently sick
-    node cannot normalize its own sickness away. *)
 
 val is_slow : t -> latency:float -> bool
 (** Whether a latency would be classified slow right now. *)

@@ -8,8 +8,6 @@ let channel name =
   let inject, project = Univ.embed () in
   { ch_name = name; inject; project }
 
-let channel_name ch = ch.ch_name
-
 type seq_request = {
   sr_channel : string;
   sr_members : Network.node_id list;
@@ -41,8 +39,6 @@ let listen t ~node ch h =
              ch.ch_name node)
   in
   Hashtbl.replace t.listeners (node, ch.ch_name) raw
-
-let unlisten t ~node ch = Hashtbl.remove t.listeners (node, ch.ch_name)
 
 let net t = Rpc.network t.rpc
 

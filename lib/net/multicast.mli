@@ -25,8 +25,6 @@ type 'm channel
 val channel : string -> 'm channel
 (** [channel name] is a fresh channel. *)
 
-val channel_name : 'm channel -> string
-
 val create : Rpc.t -> t
 (** [create rpc] is a multicast runtime sharing [rpc]'s network. The
     sequencer service is installed on nodes lazily by {!enable_sequencer}. *)
@@ -36,9 +34,6 @@ val listen :
 (** [listen t ~node ch h] installs [h] as [node]'s handler for messages on
     [ch]. [seq] is the sequencer-assigned total-order number, or [-1] for
     unreliable casts. The handler runs in a fiber on [node]. *)
-
-val unlisten : t -> node:Network.node_id -> 'm channel -> unit
-(** Remove the handler. *)
 
 val cast_unreliable :
   t -> from:Network.node_id -> members:Network.node_id list -> 'm channel -> 'm -> unit

@@ -106,6 +106,14 @@ let health t = t.net_health
 let gray_failure t = t.gray
 let hedged t = Option.is_some t.gray
 
+(* Replica preference under a profile: healthiest first, ties (and every
+   candidate while health has nothing to say) in the caller's order. *)
+let rank t nodes = Health.rank t.net_health ~now:(Sim.Engine.now t.eng) nodes
+let rank_servers t nodes = if hedged t then rank t nodes else nodes
+
+let rank_stores t nodes =
+  match t.gray with Some Autonomic -> rank t nodes | None | Some Hedged -> nodes
+
 let node t id =
   match Hashtbl.find t.nodes id with
   | n -> n
@@ -282,8 +290,6 @@ let clear_brownout t node =
     record t "fault" "brownout %s healed" node
   end
 
-let browned_out t node = Hashtbl.mem t.brownouts node
-
 (* Sum the service-time inflation a message suffers at each browned-out
    endpoint (slow to serve inbound mail, slow to push outbound mail).
    Draws come from [fault_rng] only when a brownout is installed, so
@@ -313,9 +319,6 @@ let clear_all_faults t =
     Hashtbl.reset t.brownouts;
     record t "fault" "all brownouts cleared"
   end
-
-let faults_active t =
-  Hashtbl.length t.faults > 0 || Hashtbl.length t.brownouts > 0
 
 let dup_ever t = t.dup_ever
 

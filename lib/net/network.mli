@@ -78,9 +78,22 @@ val gray_failure : t -> gray_failure option
 (** The profile the network was created with. *)
 
 val hedged : t -> bool
-(** Whether any gray-failure profile is set: hedged scatters, deadline
-    shedding ({!Rpc.call}) and degraded breaker trips ({!Retry.run}) are
-    live under both [Hedged] and [Autonomic]. *)
+(** Whether any gray-failure profile is set: hedged idempotent calls and
+    deadline shedding ({!Rpc.call}) and degraded breaker trips
+    ({!Retry.run}) are live under both [Hedged] and [Autonomic]. The
+    profile is read only inside this library: layers above declare what
+    a call is ({!Rpc.call}'s [idempotent], {!Rpc.call_all}'s [replicas])
+    and ask for an order ({!rank_servers}, {!rank_stores}). *)
+
+val rank_servers : t -> node_id list -> node_id list
+(** Candidate servers in preference order: under any gray-failure
+    profile healthiest first ({!Health.rank}), otherwise unchanged. Ties
+    keep the caller's order. *)
+
+val rank_stores : t -> node_id list -> node_id list
+(** The order in which to try the stores of a replica set for a read:
+    healthiest first under the [Autonomic] profile, otherwise
+    unchanged. *)
 
 val add_node : t -> node_id -> unit
 (** [add_node t id] registers a fresh, up node. Raises [Invalid_argument]
@@ -190,15 +203,9 @@ val set_brownout : t -> ?prob:float -> lo:float -> hi:float -> node_id -> unit
 val clear_brownout : t -> node_id -> unit
 (** Remove a node's brownout, if any. *)
 
-val browned_out : t -> node_id -> bool
-(** Whether the node currently has a brownout installed. *)
-
 val clear_all_faults : t -> unit
 (** Remove every link fault rule, one-way cut and brownout (the heal step
     of a chaos schedule). Symmetric partitions are not affected. *)
-
-val faults_active : t -> bool
-(** Whether any link fault rule (including one-way cuts) is installed. *)
 
 val dup_ever : t -> bool
 (** Whether a link rule with [dup > 0] was ever installed in this

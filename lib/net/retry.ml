@@ -18,8 +18,6 @@ let policy ?(attempts = 5) ?(base = 1.0) ?(factor = 2.0) ?(max_delay = 16.0)
   if attempts < 1 then invalid_arg "Retry.policy: attempts < 1";
   { attempts; base; factor; max_delay; jitter; budget }
 
-let default = policy ()
-
 type breaker = {
   mutable consecutive : int;
   mutable open_until : float;
@@ -50,8 +48,6 @@ let create net =
     rng = Network.derive_rng net "retry";
     breakers = Hashtbl.create 8;
   }
-
-let network t = t.net
 
 let breaker t dst =
   match Hashtbl.find_opt t.breakers dst with

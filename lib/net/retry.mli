@@ -44,8 +44,6 @@ val policy :
 (** Build a policy. Defaults: 5 attempts, base 1.0, factor 2.0, cap 16.0,
     jitter 0.1, no budget. Raises [Invalid_argument] if [attempts < 1]. *)
 
-val default : policy
-
 type t
 
 val create : Network.t -> t
@@ -53,8 +51,6 @@ val create : Network.t -> t
     runtime. Jitter draws from a stream derived from the network seed
     ({!Network.derive_rng}), so retried schedules are reproducible and
     fault-free runs (which never sleep a backoff) are unperturbed. *)
-
-val network : t -> Network.t
 
 val breaker_open : t -> Network.node_id -> bool
 (** Whether the destination's breaker is currently open (calls to it are

@@ -26,8 +26,6 @@ let endpoint name =
   incr next_endpoint;
   { ep_name = name; ep_id; inject_req; project_req; inject_resp; project_resp }
 
-let endpoint_name ep = ep.ep_name
-
 (* A raw handler receives the request payload and a [reply] callback. The
    reply callback transports the response back to the caller. *)
 type raw_handler = Univ.t -> reply:(Univ.t -> unit) -> unit
@@ -235,9 +233,6 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
     outcome
   end
 
-let call t ~from ~dst ?timeout ?deadline_at ep req =
-  call_gen t ~from ~dst ?timeout ?deadline_at ep req
-
 (* Hedged call: give the primary a head start derived from fleet-healthy
    latency; if it has not answered by then, race a backup and take the
    first [Ok]. The backup targets [alt] when given (a sibling replica) or
@@ -247,18 +242,13 @@ let call t ~from ~dst ?timeout ?deadline_at ep req =
    dedup guard — so only idempotent operations may be hedged; and once the
    race settles, copies still in flight are cancelled cooperatively at
    delivery (the [cancelled] probe above), so a slow loser can never run
-   the handler after the winner's round already moved the protocol on. *)
-type hedge = { hedge_floor : float }
-
-let hedge ?(floor = 4.0) () = { hedge_floor = floor }
-
-let call_hedged t ~from ~dst ?alt ?(keep_primary = false) ?alt_won ?timeout
-    ?deadline_at ~hedge ep req =
+   the handler after the winner's round already moved the protocol on.
+   A win by the sibling is not [dst]'s answer: it settles the race as
+   [Error Timed_out]. *)
+let hedged_call t ~from ~dst ?alt ~keep_primary ?timeout ?deadline_at ep req =
   let eng = Network.engine t.net in
   let backup_dst = match alt with Some a -> a | None -> dst in
-  let delay =
-    Health.hedge_delay ~floor:hedge.hedge_floor (Network.health t.net)
-  in
+  let delay = Health.hedge_delay (Network.health t.net) in
   let iv = Sim.Ivar.create () in
   let launched = ref 0 in
   let outstanding = ref 0 in
@@ -266,11 +256,10 @@ let call_hedged t ~from ~dst ?alt ?(keep_primary = false) ?alt_won ?timeout
   let settle ~backup r =
     match r with
     | Ok _ ->
-        if Sim.Ivar.try_fill iv r then
-          if backup && alt <> None then begin
-            Sim.Metrics.incr (Network.metrics t.net) "rpc.sibling_wins";
-            match alt_won with Some flag -> flag := true | None -> ()
-          end
+        let sibling = backup && alt <> None in
+        if Sim.Ivar.try_fill iv (if sibling then Error Timed_out else r)
+           && sibling
+        then Sim.Metrics.incr (Network.metrics t.net) "rpc.sibling_wins"
     | Error _ ->
         decr outstanding;
         (* Keep the last error only once no copy can still answer. *)
@@ -279,18 +268,19 @@ let call_hedged t ~from ~dst ?alt ?(keep_primary = false) ?alt_won ?timeout
   in
   let cancelled () = Sim.Ivar.is_filled iv in
   (* [keep_primary] exempts the primary copy from cooperative
-     cancellation: a phase-2 decision hedged to a sibling must STILL be
-     delivered to (and applied by) the primary store — the sibling's
-     quick answer only lets the gather stop waiting; it does not make the
-     primary's copy of the decision redundant, because the sibling
-     resolves its own intent, not the primary's. Dropping the primary's
-     copy would strand its prepared intent until a crash-recovery
-     decision query that a merely-slow (never crashed) store never
-     issues. Prepare-phase hedges keep the default cancel-both
-     behaviour: an unapplied prepare on the primary is harmless (the
-     caller counts the leg failed and §4.2-excludes the store for this
-     action). *)
-  let primary_cancelled = if keep_primary then None else Some cancelled in
+     cancellation when the backup went to a sibling: a phase-2 decision
+     must STILL be delivered to (and applied by) the primary store — the
+     sibling's quick answer only lets the gather stop waiting; it does not
+     make the primary's copy of the decision redundant, because the
+     sibling resolves its own intent, not the primary's. Dropping the
+     primary's copy would strand its prepared intent until a
+     crash-recovery decision query that a merely-slow (never crashed)
+     store never issues. Prepares cancel both copies: an unapplied
+     prepare on the primary is harmless (the caller counts the leg failed
+     and §4.2-excludes the store for this action). *)
+  let primary_cancelled =
+    if keep_primary && alt <> None then None else Some cancelled
+  in
   incr launched;
   incr outstanding;
   Sim.Engine.spawn eng ~group ~name:("rpc.hedge." ^ ep.ep_name) (fun () ->
@@ -316,26 +306,71 @@ let call_hedged t ~from ~dst ?alt ?(keep_primary = false) ?alt_won ?timeout
       end);
   Sim.Ivar.read eng iv
 
-let call_all t ~from ?timeout ?hedge ?deadline_at ep reqs =
+let call t ~from ~dst ?(idempotent = false) ?timeout ?deadline_at ep req =
+  if idempotent && Network.hedged t.net then
+    hedged_call t ~from ~dst ~keep_primary:false ?timeout ?deadline_at ep req
+  else call_gen t ~from ~dst ?timeout ?deadline_at ep req
+
+(* Sibling routing, live under the [Autonomic] profile only: a sustainedly
+   slow destination's backup copy goes to the healthiest other member of
+   its replica set, unless that one is sustainedly slow too. *)
+let sibling t ~replicas dst =
+  match Network.gray_failure t.net with
+  | None | Some Network.Hedged -> None
+  | Some Network.Autonomic ->
+      let h = Network.health t.net in
+      let now = Sim.Engine.now (Network.engine t.net) in
+      if Health.sustained_slow h ~now dst then
+        match Health.rank h ~now (List.filter (fun s -> s <> dst) replicas) with
+        | best :: _ when not (Health.sustained_slow h ~now best) -> Some best
+        | _ -> None
+      else None
+
+let call_all t ~from ?timeout ?deadline_at ?(idempotent = false) ?replicas
+    ?(keep_primary = false) ep reqs =
   (match reqs with
   | [] | [ _ ] -> ()
   | _ ->
       Sim.Metrics.incr (Network.metrics t.net) "rpc.scatters";
       Sim.Metrics.incr (Network.metrics t.net) ~by:(List.length reqs)
         "rpc.scatter_calls");
-  match hedge with
-  | None ->
-      Sim.Join.all (Network.engine t.net)
-        (List.map
-           (fun (dst, req) () ->
-             (dst, call t ~from ~dst ?timeout ?deadline_at ep req))
-           reqs)
-  | Some h ->
-      Sim.Join.all (Network.engine t.net)
-        (List.map
-           (fun (dst, req) () ->
-             (dst, call_hedged t ~from ~dst ?timeout ?deadline_at ~hedge:h ep req))
-           reqs)
+  let leg =
+    if idempotent && Network.hedged t.net then
+      (* Whether any leg routes is settled at scatter time; which sibling
+         a routed leg takes, when the leg launches. *)
+      let replicas =
+        match replicas with
+        | Some replicas
+          when List.exists (fun (d, _) -> sibling t ~replicas d <> None) reqs
+          ->
+            Some replicas
+        | _ -> None
+      in
+      fun dst req ->
+        let alt =
+          Option.bind replicas (fun replicas -> sibling t ~replicas dst)
+        in
+        hedged_call t ~from ~dst ?alt ~keep_primary ?timeout ?deadline_at ep
+          req
+    else fun dst req -> call_gen t ~from ~dst ?timeout ?deadline_at ep req
+  in
+  Sim.Join.all (Network.engine t.net)
+    (List.map (fun (dst, req) () -> (dst, leg dst req)) reqs)
+
+(* A first-answer race over replicas: the first [Some] in [nodes] order
+   from a plain gather, or under a gray-failure profile a tiered race,
+   healthiest first, where task [i] launches [i] hedge delays after the
+   first, so a healthy head answers before the sick tail is ever asked. *)
+let first_answer t nodes ask =
+  let eng = Network.engine t.net in
+  if Network.hedged t.net then
+    let h = Network.health t.net in
+    let ranked = Health.rank h ~now:(Sim.Engine.now eng) nodes in
+    Sim.Join.hedged eng ~delay:(Health.hedge_delay h)
+      (List.map (fun m () -> ask m) ranked)
+  else
+    Sim.Join.all eng (List.map (fun m () -> ask m) nodes)
+    |> List.find_map Fun.id
 
 let notify t ~from ~dst ep req =
   Sim.Metrics.incr (Network.metrics t.net) "rpc.notifies";

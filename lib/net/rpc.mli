@@ -42,8 +42,6 @@ val endpoint : string -> ('req, 'resp) endpoint
 (** [endpoint name] is a fresh endpoint. Two endpoints created by separate
     calls never interoperate, even with equal names. *)
 
-val endpoint_name : ('req, 'resp) endpoint -> string
-
 val create : ?default_timeout:float -> Network.t -> t
 (** [create net] is an RPC runtime for [net]. [default_timeout] (60.0)
     bounds every call that does not pass its own [?timeout]: the crash
@@ -72,6 +70,7 @@ val call :
   t ->
   from:Network.node_id ->
   dst:Network.node_id ->
+  ?idempotent:bool ->
   ?timeout:float ->
   ?deadline_at:float ->
   ('req, 'resp) endpoint ->
@@ -89,58 +88,29 @@ val call :
     [Error Timed_out] at once instead of running the handler, since the
     initiator has given up and the work (and any locks it would take) is
     pure waste. Each shed bumps [retry.shed_expired]. Without a profile
-    the deadline is carried but never acted on. *)
+    the deadline is carried but never acted on.
 
-type hedge
-(** Policy for hedged (backup-request) calls. *)
-
-val hedge : ?floor:float -> unit -> hedge
-(** [hedge ()] is a hedging policy whose backup delay is
-    {!Health.hedge_delay} with the given [floor] (default [4.0]). *)
-
-val call_hedged :
-  t ->
-  from:Network.node_id ->
-  dst:Network.node_id ->
-  ?alt:Network.node_id ->
-  ?keep_primary:bool ->
-  ?alt_won:bool ref ->
-  ?timeout:float ->
-  ?deadline_at:float ->
-  hedge:hedge ->
-  ('req, 'resp) endpoint ->
-  'req ->
-  ('resp, error) result
-(** Like {!call}, but if the primary has not answered within the
-    health-derived hedge delay, a backup copy races it — to [alt] when
-    given (a sibling replica), otherwise re-sent to [dst] — and the first
-    [Ok] wins. The loser is cancelled cooperatively: a backup whose
-    primary already won is never sent, a late reply is ignored, and a
-    copy still in flight when the race settles is dropped at delivery
-    {e before} the handler runs ([rpc.hedge_cancelled]) — so a slow
-    losing prepare can never re-stage state for an action whose winning
-    round already committed. Both copies may execute the handler when
+    [idempotent] (default [false]) declares that running the handler
+    twice is harmless. Under a gray-failure profile such a call is
+    {e hedged}: if [dst] has not answered within {!Health.hedge_delay},
+    a backup copy races it and the first [Ok] wins. The loser is
+    cancelled cooperatively: a backup whose primary already won is never
+    sent, a late reply is ignored, and a copy still in flight when the
+    race settles is dropped at delivery {e before} the handler runs
+    ([rpc.hedge_cancelled]). Both copies may still run the handler when
     deliveries interleave before the race settles (hedges ride below the
-    duplicate guard), so {b only idempotent operations may be hedged}.
-    Each backup actually launched bumps [rpc.hedges].
-
-    Sibling routing extensions: when [alt] is given and the backup copy
-    produces the winning [Ok], the [alt_won] cell (if any) is set — the
-    caller learns the answer came from the sibling, not [dst], and can
-    refuse to treat it as [dst]'s acknowledgement (each such win bumps
-    [rpc.sibling_wins]). [keep_primary] (default [false]) exempts the
-    {e primary} copy from cooperative cancellation — required for
-    sibling-routed phase-2 decisions, which must still reach the primary
-    even after the sibling's quicker answer settles the race; prepares
-    keep the default (cancel both), since an undelivered prepare on the
-    primary is harmless once the caller counts the leg as failed. *)
+    duplicate guard), which is why {b only idempotent calls are hedged}.
+    Each backup actually launched bumps [rpc.hedges]. Without a profile
+    the flag changes nothing. *)
 
 val call_all :
   t ->
   from:Network.node_id ->
   ?timeout:float ->
-  ?hedge:hedge ->
   ?deadline_at:float ->
+  ?idempotent:bool ->
+  ?replicas:Network.node_id list ->
+  ?keep_primary:bool ->
   ('req, 'resp) endpoint ->
   (Network.node_id * 'req) list ->
   (Network.node_id * ('resp, error) result) list
@@ -152,11 +122,30 @@ val call_all :
     {e maximum} of the individual call times, not their sum — this is the
     primitive behind the parallel commit copy-back. A one-element list is
     exactly equivalent to a plain [call]. Must run within a fiber.
-    With [?hedge] each leg becomes a {!call_hedged} (same-destination
-    backup), turning the scatter's straggler problem — one browned-out
-    participant stalls the whole gather — into a min-of-two draw.
-    Omitting [hedge] and [deadline_at] takes the exact pre-hedging code
-    path. *)
+    [idempotent] hedges each leg as in {!call}, turning the scatter's
+    straggler problem — one browned-out participant stalls the whole
+    gather — into a min-of-two draw.
+
+    [replicas] names the replica set the destinations belong to. Under
+    the [Autonomic] profile, an idempotent leg whose destination is
+    sustainedly slow ({!Health.sustained_slow}) sends its backup copy to
+    the healthiest other member that is not, instead of re-sending to the
+    slow node. Every member must be able to serve every leg's request. A
+    win by that sibling is not the destination's answer: the leg reports
+    [Error Timed_out] (each such win bumps [rpc.sibling_wins]).
+    [keep_primary] (default [false]) keeps a sibling-routed leg's primary
+    copy in flight after the sibling answered, for requests the
+    destination must still receive (a phase-2 decision). *)
+
+val first_answer :
+  t -> Network.node_id list -> (Network.node_id -> 'a option) -> 'a option
+(** [first_answer t nodes ask] asks replicas for an answer any of them
+    can give, and returns the first [Some] in [nodes] order once every
+    [ask] has settled ([None] if none answered). Under a gray-failure
+    profile it is a tiered race instead ({!Sim.Join.hedged}): healthiest
+    first ({!Health.rank}), each further replica asked only a
+    {!Health.hedge_delay} later, and the first [Some] wins. [ask] must be
+    idempotent. Must run within a fiber. *)
 
 val notify :
   t -> from:Network.node_id -> dst:Network.node_id -> ('req, unit) endpoint -> 'req -> unit

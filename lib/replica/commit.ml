@@ -32,50 +32,18 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
             Store.Object_state.make ~payload:view.Server.cv_payload
               ~version:view.Server.cv_version
           in
-          (* Gray-failure plane (live only under a profile, see
-             {!Net.Network.gray_failure}): hedge the idempotent 2PC
-             scatters with health-delayed backups, and ride the action's
-             deadline on the phase-1 prepares issued for this commit
-             alone (see {!Groupcommit.prepare}) so shedding servers can
-             refuse votes this commit already gave up on.
-             Phase-2 commit/abort deliberately carries no deadline: a
-             decided outcome must reach the stores even when the initiator
-             stopped waiting — shedding it would leak reservations. *)
-          let net = Action.Atomic.network art in
-          let hedge =
-            if Net.Network.hedged net then Some (Net.Rpc.hedge ()) else None
-          in
+          (* The action's deadline rides on the phase-1 prepares issued
+             for this commit alone (see {!Groupcommit.prepare}) so
+             shedding servers can refuse votes this commit already gave
+             up on. Phase-2 commit/abort deliberately carries no
+             deadline: a decided outcome must reach the stores even when
+             the initiator stopped waiting — shedding it would leak
+             reservations. Every store scatter names [current_st], so a
+             leg's backup copy may go to a sibling replica
+             ({!Action.Store_host.prepare_all}); a sibling win surfaces
+             as the leg's own error, flowing into the ordinary §4.2
+             exclude — never a substituted answer. *)
           let deadline_at = Action.Atomic.deadline act in
-          (* Sibling-hedge map for one membership [current_st]: when the
-             primary of a 2PC leg is sustainedly slow, route the leg's
-             hedged backup copy to the healthiest other [St] member
-             instead of re-sending to the slow node. The sibling holds
-             the same object (it is in [St]), so a duplicate prepare or
-             phase-2 there is idempotent; a sibling win surfaces as the
-             leg's own error ({!Action.Store_host.prepare_each}), flowing
-             into the ordinary §4.2 exclude — the win buys latency (the
-             gather stops waiting on the browned node after one healthy
-             round-trip), never a substituted answer. Live only under the
-             [Autonomic] profile. *)
-          let alt_map current_st =
-            match Net.Network.gray_failure net with
-            | None | Some Net.Network.Hedged -> None
-            | Some Net.Network.Autonomic ->
-                let h = Net.Network.health net in
-                Some
-                  (fun dst ->
-                    let now = Sim.Engine.now eng in
-                    if Net.Health.sustained_slow h ~now dst then
-                      match
-                        Net.Health.rank h ~now
-                          (List.filter (fun s -> s <> dst) current_st)
-                      with
-                      | best :: _
-                        when not (Net.Health.sustained_slow h ~now best) ->
-                          Some best
-                      | _ -> None
-                    else None)
-          in
           let full_bytes = Store.Object_state.bytes full_state in
           (* One copy-back attempt against the membership [current_st]:
              scatter the prepares, detect staleness, exclude unreachable
@@ -85,7 +53,6 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
              change committed under our feet) withdraws the prepares so
              the caller can retry against fresh [St]. *)
           let run current_st ~seal =
-            let alt_of = alt_map current_st in
             List.iter
               (fun _ ->
                 Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
@@ -101,8 +68,8 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
               List.map (fun s -> (s, [ (uid, full_state) ])) current_st
             in
             let votes =
-              Groupcommit.prepare gc tok ?deadline_at ?alt_of ~client ~action
-                per_store
+              Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
+                ~action per_store
             in
             Sim.Metrics.observe metrics "commit.fanout"
               (Sim.Engine.now eng -. scattered);
@@ -124,7 +91,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                future writer of the object. *)
             let withdraw_prepares () =
               ignore
-                (Action.Store_host.abort_all sh ~from:client ?hedge ?alt_of
+                (Action.Store_host.abort_all sh ~from:client ~st:current_st
                    ~stores:ok action)
             in
             if stale <> [] then begin
@@ -178,14 +145,14 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                              prepared store concurrently instead of
                              registering |St| serially notified
                              participants. *)
-                          Groupcommit.expect_phase2 gc;
+                          let p2 = Groupcommit.expect_phase2 gc in
                           Action.Atomic.add_participant act ~name:"st-copy"
                             ~prepare:(fun () -> true)
                             ~commit:(fun () ->
-                              Groupcommit.commit gc ?alt_of ~client
+                              Groupcommit.commit gc p2 ~st:current_st ~client
                                 ~stores:ok action)
                             ~abort:(fun () ->
-                              Groupcommit.abort gc ?alt_of ~client
+                              Groupcommit.abort gc p2 ~st:current_st ~client
                                 ~stores:ok action);
                           `Done (Ok ())))
           in

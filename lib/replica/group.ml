@@ -52,6 +52,7 @@ let server_runtime rt = rt.srv
 let art rt = Server.atomic_runtime rt.srv
 let net rt = Action.Atomic.network (art rt)
 let eng rt = Action.Atomic.engine (art rt)
+let rpc rt = Action.Atomic.rpc (art rt)
 let metrics rt = Net.Network.metrics (net rt)
 
 (* The client node must serve the multicast reply endpoint once. *)
@@ -91,33 +92,16 @@ let last_acked rt ~act g =
 
 let record_acked rt ~act g serial = Hashtbl.replace rt.acked (acked_key act g) serial
 
-(* Hedged first-answer race over the members, healthiest first: task [i]
-   launches [i] hedge delays after the first, so a healthy head answers
-   before the sick tail is ever asked. Callers take it only under a
-   gray-failure profile ({!Net.Network.hedged}). *)
-let hedged_first rt members task =
-  let h = Net.Network.health (net rt) in
-  let ranked = Net.Health.rank h ~now:(Sim.Engine.now (eng rt)) members in
-  Sim.Join.hedged (eng rt) ~delay:(Net.Health.hedge_delay h)
-    (List.map (fun m () -> task m) ranked)
-
 let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
   ensure_reply_service rt client;
   (* Pass 1: activate plainly wherever possible — all candidate servers
      at once, keeping the activated list in server order so replica
      preference (coordinator choice, single-copy pick) is unchanged.
-     Under a gray-failure profile the candidate order is health-ranked
-     first, so the replica preference that falls out — coordinator
-     choice, single-copy pick, GetServer answers — leans away from
-     browned-out nodes. *)
-  let servers =
-    if Net.Network.hedged (net rt) then
-      Net.Health.rank
-        (Net.Network.health (net rt))
-        ~now:(Sim.Engine.now (eng rt))
-        servers
-    else servers
-  in
+     The candidate order is the network's preference
+     ({!Net.Network.rank_servers}), so the replica preference that falls
+     out — coordinator choice, single-copy pick, GetServer answers —
+     leans away from browned-out nodes. *)
+  let servers = Net.Network.rank_servers (net rt) servers in
   let activated =
     Sim.Join.all (eng rt)
       (List.map
@@ -227,22 +211,15 @@ let rpc_invoke rt g ~act ~write ~serial ~op server =
 (* Coordinator-cohort: find the coordinator (it may have moved after a
    failover), retrying through the shared policy while election settles. *)
 let find_coordinator rt g =
-  (* Probe every member at once; pick the first (in member order)
-     claiming the coordinator role, as the serial scan did. Under a
-     gray-failure profile the probe is a tiered race instead — healthiest
-     member first, the next launched only a hedge delay later — so one
-     browned-out cohort cannot drag the whole probe to its pace. *)
+  (* Probe the members for the one claiming the coordinator role
+     ({!Net.Rpc.first_answer}), so one browned-out cohort cannot drag
+     the whole probe to its pace. *)
   let ask m =
     match Server.role_of rt.srv ~from:g.g_client ~server:m ~uid:g.g_uid with
     | Ok (Some Server.Coordinator) -> Some m
     | Ok _ | Error _ -> None
   in
-  let probe () =
-    if Net.Network.hedged (net rt) then hedged_first rt g.g_members ask
-    else
-      Sim.Join.all (eng rt) (List.map (fun m () -> ask m) g.g_members)
-      |> List.find_map Fun.id
-  in
+  let probe () = Net.Rpc.first_answer (rpc rt) g.g_members ask in
   match
     Net.Retry.run (Action.Atomic.retry (art rt)) ~op:"group.find_coordinator"
       (Net.Retry.policy ~attempts:10 ~base:2.0 ~factor:1.2 ~max_delay:4.0 ())
@@ -370,11 +347,9 @@ let invoke rt g ~act ?(write = true) op =
 let commit_view rt g ~act =
   let action = Action.Atomic.owner act in
   let acked = last_acked rt ~act g in
-  (* Ask every live member at once; the first answer in member order wins
-     (members are mutually consistent, so any holder's view is the view).
-     Under a gray-failure profile, a tiered race healthiest-first
-     instead: since any holder's view is the view, the fastest healthy
-     answer is as good as the gather. *)
+  (* Members are mutually consistent, so any holder's view is the view:
+     the first answer of {!Net.Rpc.first_answer} is as good as the
+     gather. *)
   let ask m =
     match
       Server.commit_view rt.srv ~from:g.g_client ~server:m ~uid:g.g_uid
@@ -383,12 +358,6 @@ let commit_view rt g ~act =
     | Ok (Some view) -> Some view
     | Ok None | Error _ -> None
   in
-  let try_members members =
-    if Net.Network.hedged (net rt) then hedged_first rt members ask
-    else
-      Sim.Join.all (eng rt) (List.map (fun m () -> ask m) members)
-      |> List.find_map Fun.id
-  in
   (* A replica that answered the invocation exists (or existed); live
      replicas that are merely behind the ordered stream catch up within a
      few latencies, so retry briefly before giving up. *)
@@ -396,7 +365,7 @@ let commit_view rt g ~act =
     ?deadline_at:(Action.Atomic.deadline act) ~op:"group.commit_view"
     (Net.Retry.policy ~attempts:6 ~base:2.0 ~factor:1.2 ~max_delay:4.0 ())
     (fun () ->
-      match try_members (live_members rt g) with
+      match Net.Rpc.first_answer (rpc rt) (live_members rt g) ask with
       | Some view -> Ok view
       | None -> Error "no functioning replica holds the action's state")
 

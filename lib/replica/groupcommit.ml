@@ -14,13 +14,13 @@
    Window discipline (the use-list flush's quiescence-pull pattern): an
    opening batch holds its leader for at most [window] simulated time,
    and closes early the moment no commit that could still join is in
-   flight. "Could still join" is tracked by an approaching counter:
-   {!enter} (called when commit processing starts) raises it, the
-   member's prepare arrival (or an early exit — abort, read-optimised
-   commit) lowers it; at zero every open batch's close ivar fills.
-   Phase-2 symmetrically: {!expect_phase2} registers a sealed commit
-   whose phase 2 is still to come, and the phase-2 batch closes early
-   when no registered commit remains outstanding.
+   flight. "Could still join" is tracked per phase by a pending count of
+   tokens: {!enter} (called when commit processing starts) issues a
+   phase-1 token, the member's prepare arrival (or an early exit — abort,
+   read-optimised commit) settles it; at zero every open batch of the
+   phase closes. Phase-2 symmetrically: {!expect_phase2} issues a token
+   for a sealed commit whose phase 2 is still to come, settled by its
+   {!commit} or {!abort}.
 
    Leadership and orphans: the first member to open a batch leads it —
    its fiber waits out the window and issues the scatter, distributing
@@ -31,56 +31,54 @@
 
    Every commit goes through the plane ({!Replica.Commit.attach}); a
    batch that closes with one member scatters the same rounds with one
-   sub-record each, carrying that member's deadline and sibling map. *)
+   sub-record each, carrying that member's deadline and [St]. *)
 
 type member = {
   m_client : Net.Network.node_id;
   m_action : string;
   m_writes :
     (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list;
-  m_alt : (Net.Network.node_id -> Net.Network.node_id option) option;
-      (* the member's sibling-hedge map (see {!Replica.Commit}); only the
-         scatters issued on this member's own behalf use it — a
-         multi-member prepare never alt-routes (see
+  m_st : Net.Network.node_id list;
+      (* the member's [St], whose siblings may serve its legs' backup
+         copies; only the scatters issued on this member's own behalf pass
+         it — a multi-member prepare never sibling-routes (see
          {!Action.Store_host.prepare_all}) *)
   m_deadline : float option;
-      (* the member's action deadline; like [m_alt], carried only by the
+      (* the member's action deadline; like [m_st], carried only by the
          scatters issued on this member's own behalf *)
   m_votes :
     (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
     Sim.Ivar.t;
 }
 
-type batch = {
-  mutable b_open : bool;
-  mutable b_members : member list; (* newest first; the last is the leader *)
-  mutable b_stores : Net.Network.node_id list; (* union, join order *)
-  b_close : unit Sim.Ivar.t;
-}
-
 type p2_member = {
   p_client : Net.Network.node_id;
   p_action : string;
   p_stores : Net.Network.node_id list;
-  p_alt : (Net.Network.node_id -> Net.Network.node_id option) option;
+  p_st : Net.Network.node_id list;
   p_done : unit Sim.Ivar.t;
 }
 
-type p2_batch = {
-  mutable pb_open : bool;
-  mutable pb_members : p2_member list;
-  mutable pb_stores : Net.Network.node_id list;
-  pb_close : unit Sim.Ivar.t;
+type 'm batch = {
+  mutable b_open : bool;
+  mutable b_members : 'm list; (* newest first; the last is the leader *)
+  mutable b_stores : Net.Network.node_id list; (* union, join order *)
+  b_close : unit Sim.Ivar.t;
+}
+
+(* One phase of the plane: its outstanding tokens and its open batches,
+   oldest first. *)
+type 'm phase = {
+  mutable ph_pending : int;
+  mutable ph_batches : 'm batch list;
 }
 
 type t = {
   gc_eng : Sim.Engine.t;
   gc_sh : Action.Store_host.t;
   gc_metrics : Sim.Metrics.t;
-  mutable gc_approaching : int; (* commits between enter and their prepare *)
-  mutable gc_expecting : int; (* sealed commits whose phase 2 is pending *)
-  mutable gc_batches : batch list; (* open phase-1 batches, oldest first *)
-  mutable gc_p2 : p2_batch list; (* open phase-2 batches, oldest first *)
+  gc_p1 : member phase; (* commits between enter and their prepare *)
+  gc_p2 : p2_member phase; (* sealed commits whose phase 2 is pending *)
 }
 
 (* How long an opening batch holds its leader for joiners, in simulated
@@ -97,85 +95,106 @@ let create ~engine ~store_host ~metrics =
     gc_eng = engine;
     gc_sh = store_host;
     gc_metrics = metrics;
-    gc_approaching = 0;
-    gc_expecting = 0;
-    gc_batches = [];
-    gc_p2 = [];
+    gc_p1 = { ph_pending = 0; ph_batches = [] };
+    gc_p2 = { ph_pending = 0; ph_batches = [] };
   }
-
-(* Under a gray-failure profile every store scatter issued from this plane
-   is hedged: all of them are idempotent at the store. *)
-let gc_hedge t =
-  if Net.Network.hedged (Net.Rpc.network (Action.Store_host.rpc t.gc_sh)) then
-    Some (Net.Rpc.hedge ())
-  else None
 
 (* Quiescence-pull: no in-flight commit can join any longer, so every
    open batch may close now rather than wait out its window. *)
-let pull_close t =
+let pull ph =
   List.iter
     (fun b -> if b.b_open then ignore (Sim.Ivar.try_fill b.b_close ()))
-    t.gc_batches
+    ph.ph_batches
 
-let pull_close2 t =
-  List.iter
-    (fun b -> if b.pb_open then ignore (Sim.Ivar.try_fill b.pb_close ()))
-    t.gc_p2
+type token = { tk_phase2 : bool; mutable tk_counted : bool }
 
-type token = { mutable tk_counted : bool }
+let issue ph ~phase2 =
+  ph.ph_pending <- ph.ph_pending + 1;
+  { tk_phase2 = phase2; tk_counted = true }
 
-let enter t =
-  t.gc_approaching <- t.gc_approaching + 1;
-  { tk_counted = true }
+let enter t = issue t.gc_p1 ~phase2:false
+let expect_phase2 t = issue t.gc_p2 ~phase2:true
+
+let settle ph =
+  ph.ph_pending <- ph.ph_pending - 1;
+  if ph.ph_pending = 0 then pull ph
 
 let leave t tok =
   if tok.tk_counted then begin
     tok.tk_counted <- false;
-    t.gc_approaching <- t.gc_approaching - 1;
-    if t.gc_approaching = 0 then pull_close t
+    if tok.tk_phase2 then settle t.gc_p2 else settle t.gc_p1
   end
-
-let expect_phase2 t = t.gc_expecting <- t.gc_expecting + 1
-
-let settle_phase2 t =
-  t.gc_expecting <- t.gc_expecting - 1;
-  if t.gc_expecting = 0 then pull_close2 t
 
 let union stores extra =
   stores @ List.filter (fun s -> not (List.mem s stores)) extra
 
 let overlaps stores others = List.exists (fun s -> List.mem s others) stores
 
-(* Drop a batch a member found abandoned (its leader's client crashed
-   before scattering) so later commits stop joining a queue nobody will
+(* Take a batch out of the joinable set: its leader scatters it, or a
+   member found it abandoned (its leader's client crashed before
+   scattering) and later commits must stop joining a queue nobody will
    ever drain. *)
-let abandon t batch =
+let close ph batch =
   if batch.b_open then begin
     batch.b_open <- false;
-    t.gc_batches <- List.filter (fun b -> b != batch) t.gc_batches
+    ph.ph_batches <- List.filter (fun b -> b != batch) ph.ph_batches
   end
 
-let abandon2 t batch =
-  if batch.pb_open then begin
-    batch.pb_open <- false;
-    t.gc_p2 <- List.filter (fun b -> b != batch) t.gc_p2
-  end
+(* A member's arrival: join the oldest open batch whose stores overlap
+   [stores] (or open one), settle the member's token — only after
+   joining, so the quiescence-pull this settlement may trigger reaches the
+   batch just joined — and, when leading, wait out the window and
+   [scatter] the members, leader first. *)
+let arrive t ph tok ~stores m ~scatter =
+  let leading, batch =
+    match
+      List.find_opt
+        (fun b -> b.b_open && overlaps stores b.b_stores)
+        ph.ph_batches
+    with
+    | Some b ->
+        b.b_members <- m :: b.b_members;
+        b.b_stores <- union b.b_stores stores;
+        (false, b)
+    | None ->
+        let b =
+          {
+            b_open = true;
+            b_members = [ m ];
+            b_stores = stores;
+            b_close = Sim.Ivar.create ();
+          }
+        in
+        ph.ph_batches <- ph.ph_batches @ [ b ];
+        (true, b)
+  in
+  leave t tok;
+  if leading then begin
+    (match Sim.Ivar.read_timeout t.gc_eng window batch.b_close with
+    | Ok () -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
+    | Error _ -> Sim.Metrics.incr t.gc_metrics "groupcommit.window_closes");
+    close ph batch;
+    scatter (List.rev batch.b_members)
+  end;
+  batch
 
-(* Leader duty, phase 1: close the batch, issue one prepare round per
-   store in the union, and hand each member its own per-store votes. A
-   batch of one carries its member's deadline and sibling map, so a lone
-   commit's rounds are exactly those of an unbatched commit. A
-   multi-member round carries no deadline — one member's expiry must not
-   shed its batchmates' prepares — and never alt-routes. *)
-let scatter t batch =
-  batch.b_open <- false;
-  t.gc_batches <- List.filter (fun b -> b != batch) t.gc_batches;
-  let members = List.rev batch.b_members in
+(* A member that waited past [window + orphan_grace] for its leader. *)
+let orphaned t ph batch =
+  Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
+  close ph batch
+
+(* Leader duty, phase 1: issue one prepare round per store in the union,
+   and hand each member its own per-store votes. A batch of one carries
+   its member's deadline and [St], so a lone commit's rounds are exactly
+   those of an unbatched commit. A multi-member round carries no
+   deadline — one member's expiry must not shed its batchmates'
+   prepares — and never sibling-routes. *)
+let scatter t members =
   match members with
   | [] -> ()
   | leader :: rest ->
-      let deadline_at, alt_of =
-        if rest = [] then (leader.m_deadline, leader.m_alt)
+      let deadline_at, st =
+        if rest = [] then (leader.m_deadline, Some leader.m_st)
         else begin
           Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
           Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
@@ -206,7 +225,7 @@ let scatter t batch =
       in
       let results =
         Action.Store_host.prepare_all t.gc_sh ~from:leader.m_client
-          ?hedge:(gc_hedge t) ?deadline_at ?alt_of reqs
+          ?deadline_at ?st reqs
       in
       List.iter
         (fun m ->
@@ -220,9 +239,9 @@ let scatter t batch =
                m.m_writes))
         members
 
-let solo_prepare t ?deadline_at ?alt_of ~client ~action writes =
-  Action.Store_host.prepare_each t.gc_sh ~from:client ?hedge:(gc_hedge t)
-    ?deadline_at ?alt_of ~action ~coordinator:client writes
+let solo_prepare t ?deadline_at ~st ~client ~action writes =
+  Action.Store_host.prepare_each t.gc_sh ~from:client ?deadline_at ~st ~action
+    ~coordinator:client writes
 
 let all_yes votes =
   votes <> []
@@ -239,71 +258,38 @@ let all_yes votes =
    commit would, while the batchmates' staged prepares are untouched.
    (Duplicate prepare delivery is idempotent at the store:
    {!Store.Intent_log.prepare} replaces.) *)
-let prepare t tok ?deadline_at ?alt_of ~client ~action writes =
-  let stores = List.map fst writes in
+let prepare t tok ?deadline_at ~st ~client ~action writes =
   let m =
     {
       m_client = client;
       m_action = action;
       m_writes = writes;
-      m_alt = alt_of;
+      m_st = st;
       m_deadline = deadline_at;
       m_votes = Sim.Ivar.create ();
     }
   in
-  let leading, batch =
-    match
-      List.find_opt
-        (fun b -> b.b_open && overlaps stores b.b_stores)
-        t.gc_batches
-    with
-    | Some b ->
-        b.b_members <- m :: b.b_members;
-        b.b_stores <- union b.b_stores stores;
-        (false, b)
-    | None ->
-        let b =
-          {
-            b_open = true;
-            b_members = [ m ];
-            b_stores = stores;
-            b_close = Sim.Ivar.create ();
-          }
-        in
-        t.gc_batches <- t.gc_batches @ [ b ];
-        (true, b)
+  let batch =
+    arrive t t.gc_p1 tok ~stores:(List.map fst writes) m ~scatter:(scatter t)
   in
-  (* This commit has arrived; if it was the last one approaching, every
-     open batch (including the one just joined) may close early. *)
-  leave t tok;
-  if leading then begin
-    (match Sim.Ivar.read_timeout t.gc_eng window batch.b_close with
-    | Ok () -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
-    | Error _ -> Sim.Metrics.incr t.gc_metrics "groupcommit.window_closes");
-    scatter t batch
-  end;
   match
     Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.m_votes
   with
   | Error _ ->
-      Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
-      abandon t batch;
-      solo_prepare t ?deadline_at ?alt_of ~client ~action writes
+      orphaned t t.gc_p1 batch;
+      solo_prepare t ?deadline_at ~st ~client ~action writes
   | Ok votes ->
       let batched = List.length batch.b_members > 1 in
       if (not batched) || all_yes votes then votes
       else begin
         Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
-        solo_prepare t ?deadline_at ?alt_of ~client ~action writes
+        solo_prepare t ?deadline_at ~st ~client ~action writes
       end
 
 (* Leader duty, phase 2: one commit round per store, under the leader's
-   sibling map (safe for any batch size: an action unknown to the sibling
+   [St] (safe for any batch size: an action unknown to the sibling
    resolves as a no-op there), then release every member. *)
-let scatter2 t batch =
-  batch.pb_open <- false;
-  t.gc_p2 <- List.filter (fun b -> b != batch) t.gc_p2;
-  let members = List.rev batch.pb_members in
+let scatter2 t members =
   match members with
   | [] -> ()
   | leader :: _ ->
@@ -322,70 +308,36 @@ let scatter2 t batch =
       in
       ignore
         (Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
-           ?hedge:(gc_hedge t) ?alt_of:leader.p_alt reqs);
+           ~st:leader.p_st reqs);
       List.iter (fun m -> Sim.Ivar.fill m.p_done ()) members
 
-(* Batched phase 2 for a commit registered with {!expect_phase2}. Runs in
+(* Batched phase 2 for a commit holding an {!expect_phase2} token. Runs in
    the committing fiber (a 2PC participant's commit closure); the same
    join/lead/orphan discipline as phase 1. *)
-let commit t ?alt_of ~client ~stores action =
+let commit t tok ~st ~client ~stores action =
   let m =
     {
       p_client = client;
       p_action = action;
       p_stores = stores;
-      p_alt = alt_of;
+      p_st = st;
       p_done = Sim.Ivar.create ();
     }
   in
-  let leading, batch =
-    match
-      List.find_opt (fun b -> b.pb_open && overlaps stores b.pb_stores) t.gc_p2
-    with
-    | Some b ->
-        b.pb_members <- m :: b.pb_members;
-        b.pb_stores <- union b.pb_stores stores;
-        (false, b)
-    | None ->
-        let b =
-          {
-            pb_open = true;
-            pb_members = [ m ];
-            pb_stores = stores;
-            pb_close = Sim.Ivar.create ();
-          }
-        in
-        t.gc_p2 <- t.gc_p2 @ [ b ];
-        (true, b)
-  in
-  (* Settle only after joining, so the quiescence-pull this settlement
-     may trigger reaches the batch just joined (mirrors phase 1, where
-     [leave] runs after the join for the same reason). *)
-  settle_phase2 t;
-  if leading then begin
-    (match Sim.Ivar.read_timeout t.gc_eng window batch.pb_close with
-    | Ok () -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
-    | Error _ -> Sim.Metrics.incr t.gc_metrics "groupcommit.window_closes");
-    scatter2 t batch
-  end;
+  let batch = arrive t t.gc_p2 tok ~stores m ~scatter:(scatter2 t) in
   match
     Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_done
   with
   | Ok () -> ()
   | Error _ ->
-      Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
-      abandon2 t batch;
+      orphaned t t.gc_p2 batch;
       ignore
-        (Action.Store_host.commit_all t.gc_sh ~from:client
-           ?hedge:(gc_hedge t) ?alt_of
+        (Action.Store_host.commit_all t.gc_sh ~from:client ~st
            (List.map (fun store -> (store, [ action ])) stores))
 
-(* Phase-2 abort of a commit registered with {!expect_phase2}: aborts are
-   rare, so they go out unbatched — but the registration must still
-   settle or phase-2 quiescence-pull would stall at a count that never
-   drains. *)
-let abort t ?alt_of ~client ~stores action =
-  settle_phase2 t;
-  ignore
-    (Action.Store_host.abort_all t.gc_sh ~from:client ?hedge:(gc_hedge t)
-       ?alt_of ~stores action)
+(* Phase-2 abort: aborts are rare, so they go out unbatched — but the
+   token must still settle or phase-2 quiescence-pull would stall at a
+   count that never drains. *)
+let abort t tok ~st ~client ~stores action =
+  leave t tok;
+  ignore (Action.Store_host.abort_all t.gc_sh ~from:client ~st ~stores action)

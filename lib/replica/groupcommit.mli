@@ -11,11 +11,10 @@
     sub-record each.
     Everything transactional stays per action — a member refused at any
     store is peeled out for a solo retry; its batchmates are
-    unaffected. Under a gray-failure profile ({!Net.Network.hedged})
-    every store scatter the plane issues (batch rounds, peel-out and
-    orphan retries, phase-2 commit/abort) races a health-delayed backup copy
-    ({!Net.Rpc.call_all}'s [?hedge]) — safe because every one of them is
-    idempotent at the store. *)
+    unaffected. Every store scatter the plane issues (batch rounds,
+    peel-out and orphan retries, phase-2 commit/abort) is idempotent at
+    the store, so under a gray-failure profile each races a
+    health-delayed backup copy ({!Net.Rpc.call_all}'s [idempotent]). *)
 
 type t
 
@@ -32,22 +31,25 @@ val window : float
 (** {2 Phase 1} *)
 
 type token
-(** A commit known to be approaching its prepare. While any token is
-    outstanding, open batches hold for it (up to their window). *)
+(** A commit known to be approaching a phase of the plane. While any
+    token of a phase is outstanding, that phase's open batches hold for
+    it (up to their window). *)
 
 val enter : t -> token
-(** Commit processing started for some action: open batches may no longer
-    quiesce-close until the token arrives ({!prepare}) or leaves. *)
+(** Commit processing started for some action: open phase-1 batches may
+    no longer quiesce-close until the token arrives ({!prepare}) or
+    leaves. *)
 
 val leave : t -> token -> unit
 (** The commit is no longer approaching — it prepared, aborted early, or
-    turned out read-only. Idempotent; {!prepare} settles its own token. *)
+    turned out read-only. Idempotent; {!prepare}, {!commit} and {!abort}
+    settle their own token. *)
 
 val prepare :
   t ->
   token ->
   ?deadline_at:float ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  st:Net.Network.node_id list ->
   client:Net.Network.node_id ->
   action:string ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
@@ -59,24 +61,25 @@ val prepare :
     solo prepare and returns its verdict instead (peel-out). Must run in
     a fiber on [client].
 
-    [deadline_at] (the action's deadline) and [alt_of] (the member's
-    sibling-hedge map, {!Action.Store_host.prepare_all}) apply only to
-    the scatters issued on this member's own behalf — a batch of one,
-    the peel-out retry and the orphan fallback. A multi-member prepare
-    round carries no deadline, because one member's expiry must not shed
-    its batchmates' prepares, and never alt-routes (see
+    [deadline_at] (the action's deadline) and [st] (the object's store
+    set, {!Action.Store_host.prepare_all}) apply only to the scatters
+    issued on this member's own behalf — a batch of one, the peel-out
+    retry and the orphan fallback. A multi-member prepare round carries
+    no deadline, because one member's expiry must not shed its
+    batchmates' prepares, and never sibling-routes (see
     {!Action.Store_host.prepare_all}). *)
 
 (** {2 Phase 2} *)
 
-val expect_phase2 : t -> unit
+val expect_phase2 : t -> token
 (** Register a sealed commit whose phase 2 is still to come: phase-2
-    batches hold their window open for every registration until it
+    batches hold their window open for every such token until it
     settles through {!commit} or {!abort}. *)
 
 val commit :
   t ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  token ->
+  st:Net.Network.node_id list ->
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
@@ -85,16 +88,17 @@ val commit :
     been answered (or has failed; a store that missed it resolves the
     action through in-doubt recovery). Must run in a fiber on [client].
 
-    [alt_of] sibling-routes the orphan fallback and — as the leader's
-    map — the batch's commit round, whatever its size (safe: an unknown
-    action resolves as a no-op at the store). *)
+    [st] serves the orphan fallback and — as the leader's — the batch's
+    commit round, whatever its size (safe: an unknown action resolves as
+    a no-op at the store). *)
 
 val abort :
   t ->
-  ?alt_of:(Net.Network.node_id -> Net.Network.node_id option) ->
+  token ->
+  st:Net.Network.node_id list ->
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
   unit
-(** Phase-2 abort: settles the {!expect_phase2} registration and issues
-    the ordinary solo abort scatter (aborts are not batched). *)
+(** Phase-2 abort: settles the {!expect_phase2} token and issues the
+    ordinary solo abort scatter (aborts are not batched). *)

@@ -546,19 +546,12 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
       | None -> Activation_failed ("unknown implementation " ^ a_impl)
       | Some impl -> (
           let sh = Action.Atomic.store_host t.art in
-          (* The activation probe walks [StA] in order until one store
-             yields a state. Under the [Autonomic] profile, walk it
-             healthiest first ({!Net.Health.rank}) so a browned first
-             replica does not put its tail latency in front of every
-             activation; the rank is the identity while every store looks
-             healthy. *)
-          let probe_stores =
-            match Net.Network.gray_failure (net t) with
-            | Some Net.Network.Autonomic ->
-                Net.Health.rank (Net.Network.health (net t))
-                  ~now:(Sim.Engine.now (eng t)) a_stores
-            | None | Some Net.Network.Hedged -> a_stores
-          in
+          (* The activation probe walks [StA] until one store yields a
+             state, in the network's order for store reads
+             ({!Net.Network.rank_stores}), so a browned first replica
+             need not put its tail latency in front of every
+             activation. *)
+          let probe_stores = Net.Network.rank_stores (net t) a_stores in
           let state =
             if a_stores = [] then Some (Store.Object_state.initial impl.Object_impl.initial)
             else

@@ -335,6 +335,82 @@ let test_profiles_switch_their_planes () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Only idempotent calls race a backup. With the naming node browned out
+   on every message, each round trip to it outlasts the hedge delay, so
+   every hedged call launches its backup copy. Plain reads must hedge;
+   the action's bind and update must not: a backup copy rides below the
+   duplicate guard with a fresh request id and would stage a second
+   Increment or Decrement. *)
+
+let test_only_idempotent_calls_hedge () =
+  let w = Service.create ~seed:13L ~gray_failure:Service.Hedged topo in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "t1"; "t2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  let net = Service.network w and m = Service.metrics w in
+  let gvd = Service.gvd w in
+  Net.Fault.brownout_for net ~at:2.0 ~duration:1.0e9 ~prob:1.0 ~lo:10.0
+    ~hi:12.0 "ns";
+  let rounds = 3 in
+  let binds = Sim.Metrics.counter m "rpc.op.gvd.bind"
+  and updates = Sim.Metrics.counter m "rpc.op.gvd.update" in
+  (* Healthy round trips between the naming calls keep the fleet's
+     latency, and so the hedge delay, far below the naming node's. *)
+  let healthy_traffic () =
+    for _ = 1 to 12 do
+      ignore
+        (Action.Store_host.probe (Service.store_host w) ~from:"c1"
+           ~store:"t1")
+    done
+  in
+  let read_hedges = ref 0 and committed = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      Sim.Engine.sleep (Service.engine w) 2.0;
+      for _ = 1 to rounds do
+        healthy_traffic ();
+        ignore (Gvd.lookup gvd ~from:"c1" "obj");
+        healthy_traffic ();
+        ignore (Gvd.snapshot gvd ~from:"c1" uid)
+      done;
+      read_hedges := Sim.Metrics.counter m "rpc.hedges";
+      for _ = 1 to rounds do
+        healthy_traffic ();
+        match
+          Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+              healthy_traffic ();
+              match
+                Gvd.bind gvd ~act ~uid
+                  (Gvd.Counted { replicas = 1; credits = [] })
+              with
+              | Ok (Gvd.Granted bv) ->
+                  healthy_traffic ();
+                  ignore
+                    (Gvd.update gvd ~act
+                       [
+                         ( uid,
+                           Gvd.Decrement
+                             { client = "c1"; servers = bv.Gvd.bv_servers } );
+                       ])
+              | _ -> raise (Action.Atomic.Abort "bind refused"))
+        with
+        | Ok () -> incr committed
+        | Error _ -> ()
+      done);
+  Service.run w;
+  check_bool "plain reads hedged" true (!read_hedges > 0);
+  check_int "every action committed" rounds !committed;
+  check_int "one gvd.bind per bind issued" rounds
+    (Sim.Metrics.counter m "rpc.op.gvd.bind" - binds);
+  check_int "one gvd.update per update issued" rounds
+    (Sim.Metrics.counter m "rpc.op.gvd.update" - updates);
+  check_int "use lists back at zero" 0
+    (List.fold_left
+       (fun acc (_, ul) -> acc + Use_list.total ul)
+       0 (Gvd.current_uses gvd uid))
+
+(* ------------------------------------------------------------------ *)
 (* Property: hedged duplicates stay exactly-once under dup=1.0 links
    and random brownout schedules *)
 
@@ -416,6 +492,8 @@ let suite =
           `Quick test_hedge_cancellation_keeps_rounds_sound;
         Alcotest.test_case "profiles switch exactly their planes" `Quick
           test_profiles_switch_their_planes;
+        Alcotest.test_case "only idempotent calls race a backup" `Quick
+          test_only_idempotent_calls_hedge;
         Test_util.qcheck prop_hedged_dup_exactly_once;
       ] );
   ]
