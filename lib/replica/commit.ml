@@ -16,7 +16,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
          batches hold their window for it; the token settles at the
          prepare, or here at any earlier exit (commit-view error,
          read-optimised commit, an exception unwinding the hook). *)
-      let tok = Groupcommit.enter gc in
+      let tok = Groupcommit.enter gc ~client:(Action.Atomic.node act) in
       let body () =
       match Group.commit_view rt group ~act with
       | Error why -> Error ("commit view: " ^ why)
@@ -145,7 +145,7 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                              prepared store concurrently instead of
                              registering |St| serially notified
                              participants. *)
-                          let p2 = Groupcommit.expect_phase2 gc in
+                          let p2 = Groupcommit.expect_phase2 gc ~client in
                           Action.Atomic.add_participant act ~name:"st-copy"
                             ~prepare:(fun () -> true)
                             ~commit:(fun () ->

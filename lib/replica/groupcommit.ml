@@ -20,7 +20,10 @@
    read-optimised commit) settles it; at zero every open batch of the
    phase closes. Phase-2 symmetrically: {!expect_phase2} issues a token
    for a sealed commit whose phase 2 is still to come, settled by its
-   {!commit} or {!abort}.
+   {!commit} or {!abort}. A client's crash kills its committing fibers
+   before they can settle anything, so the plane counts each client's
+   tokens apart and releases them from a crash hook; otherwise one
+   crash mid-commit would hold every later batch for the full window.
 
    Leadership and orphans: the first member to open a batch leads it —
    its fiber waits out the window and issues the scatter, distributing
@@ -73,12 +76,16 @@ type 'm phase = {
   mutable ph_batches : 'm batch list;
 }
 
+(* One client's part of the two phases' pending counts. *)
+type share = { mutable s_p1 : int; mutable s_p2 : int }
+
 type t = {
   gc_eng : Sim.Engine.t;
   gc_sh : Action.Store_host.t;
   gc_metrics : Sim.Metrics.t;
   gc_p1 : member phase; (* commits between enter and their prepare *)
   gc_p2 : p2_member phase; (* sealed commits whose phase 2 is pending *)
+  gc_shares : (Net.Network.node_id, share) Hashtbl.t;
 }
 
 (* How long an opening batch holds its leader for joiners, in simulated
@@ -97,6 +104,7 @@ let create ~engine ~store_host ~metrics =
     gc_metrics = metrics;
     gc_p1 = { ph_pending = 0; ph_batches = [] };
     gc_p2 = { ph_pending = 0; ph_batches = [] };
+    gc_shares = Hashtbl.create 16;
   }
 
 (* Quiescence-pull: no in-flight commit can join any longer, so every
@@ -106,23 +114,59 @@ let pull ph =
     (fun b -> if b.b_open then ignore (Sim.Ivar.try_fill b.b_close ()))
     ph.ph_batches
 
-type token = { tk_phase2 : bool; mutable tk_counted : bool }
+type token = { tk_share : share; tk_phase2 : bool; mutable tk_counted : bool }
 
-let issue ph ~phase2 =
-  ph.ph_pending <- ph.ph_pending + 1;
-  { tk_phase2 = phase2; tk_counted = true }
+let drop ph n =
+  if n > 0 then begin
+    ph.ph_pending <- ph.ph_pending - n;
+    if ph.ph_pending = 0 then pull ph
+  end
 
-let enter t = issue t.gc_p1 ~phase2:false
-let expect_phase2 t = issue t.gc_p2 ~phase2:true
+(* A crashed client's fibers never resume, so none of its tokens will be
+   settled by their holder: release them all at once. *)
+let release t sh =
+  let p1 = sh.s_p1 and p2 = sh.s_p2 in
+  sh.s_p1 <- 0;
+  sh.s_p2 <- 0;
+  drop t.gc_p1 p1;
+  drop t.gc_p2 p2
 
-let settle ph =
-  ph.ph_pending <- ph.ph_pending - 1;
-  if ph.ph_pending = 0 then pull ph
+let share t client =
+  match Hashtbl.find t.gc_shares client with
+  | sh -> sh
+  | exception Not_found ->
+      let sh = { s_p1 = 0; s_p2 = 0 } in
+      Hashtbl.add t.gc_shares client sh;
+      Net.Network.on_crash
+        (Net.Rpc.network (Action.Store_host.rpc t.gc_sh))
+        client
+        (fun () -> release t sh);
+      sh
+
+let enter t ~client =
+  let sh = share t client in
+  sh.s_p1 <- sh.s_p1 + 1;
+  t.gc_p1.ph_pending <- t.gc_p1.ph_pending + 1;
+  { tk_share = sh; tk_phase2 = false; tk_counted = true }
+
+let expect_phase2 t ~client =
+  let sh = share t client in
+  sh.s_p2 <- sh.s_p2 + 1;
+  t.gc_p2.ph_pending <- t.gc_p2.ph_pending + 1;
+  { tk_share = sh; tk_phase2 = true; tk_counted = true }
 
 let leave t tok =
   if tok.tk_counted then begin
     tok.tk_counted <- false;
-    if tok.tk_phase2 then settle t.gc_p2 else settle t.gc_p1
+    let sh = tok.tk_share in
+    if tok.tk_phase2 then begin
+      sh.s_p2 <- sh.s_p2 - 1;
+      drop t.gc_p2 1
+    end
+    else begin
+      sh.s_p1 <- sh.s_p1 - 1;
+      drop t.gc_p1 1
+    end
   end
 
 let union stores extra =

@@ -35,10 +35,11 @@ type token
     token of a phase is outstanding, that phase's open batches hold for
     it (up to their window). *)
 
-val enter : t -> token
-(** Commit processing started for some action: open phase-1 batches may
-    no longer quiesce-close until the token arrives ({!prepare}) or
-    leaves. *)
+val enter : t -> client:Net.Network.node_id -> token
+(** Commit processing started for some action of [client]: open phase-1
+    batches may no longer quiesce-close until the token arrives
+    ({!prepare}) or leaves, or [client] crashes (a crash releases every
+    token its client holds). *)
 
 val leave : t -> token -> unit
 (** The commit is no longer approaching — it prepared, aborted early, or
@@ -71,10 +72,10 @@ val prepare :
 
 (** {2 Phase 2} *)
 
-val expect_phase2 : t -> token
-(** Register a sealed commit whose phase 2 is still to come: phase-2
-    batches hold their window open for every such token until it
-    settles through {!commit} or {!abort}. *)
+val expect_phase2 : t -> client:Net.Network.node_id -> token
+(** Register a sealed commit of [client] whose phase 2 is still to come:
+    phase-2 batches hold their window open for every such token until it
+    settles through {!commit} or {!abort}, or [client] crashes. *)
 
 val commit :
   t ->

@@ -70,7 +70,7 @@ let test_window_expiry () =
   Service.run ~until:1.0 w;
   let gc = Replica.Server.groupcommit (Service.server_runtime w) in
   (* A commit that is forever "approaching": open batches hold for it. *)
-  ignore (Replica.Groupcommit.enter gc);
+  ignore (Replica.Groupcommit.enter gc ~client:"c1");
   let r = ref (Error "never ran") in
   Service.spawn_client w "c1" (fun () -> r := commit_add w ~client:"c1" ~uid);
   Service.run w;
@@ -202,6 +202,49 @@ let test_peel_out () =
     (payload w "t2" uid2)
 
 (* ------------------------------------------------------------------ *)
+(* A client that crashes during its commit takes the commit's fiber with
+   it, so neither its phase-1 token nor its phase-2 token is settled by
+   the commit itself. The plane must release them at the crash: a
+   leaked token keeps every later batch waiting out the full window,
+   so the surviving client's lone commits stop closing on quiescence.
+   c2 commits in a loop and crashes at [crash_at]; c1 then commits alone
+   five times. *)
+
+let lone_window_closes_after_crash ~crash_at =
+  let w = mk_world [ "c1"; "c2" ] in
+  let uid1 = new_counter w "obj-1" in
+  let uid2 = new_counter w "obj-2" in
+  Service.run ~until:1.0 w;
+  let eng = Service.engine w and m = Service.metrics w in
+  Service.spawn_client w "c2" (fun () ->
+      while true do
+        ignore (commit_add w ~client:"c2" ~uid:uid2)
+      done);
+  Sim.Engine.schedule eng ~delay:(crash_at -. Sim.Engine.now eng) (fun () ->
+      Net.Network.crash (Service.network w) "c2");
+  let closes = ref (-1) and commits = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      Sim.Engine.sleep eng (crash_at +. 1.0 -. Sim.Engine.now eng);
+      let before = counter m "groupcommit.window_closes" in
+      for _ = 1 to 5 do
+        if commit_add w ~client:"c1" ~uid:uid1 = Ok () then incr commits
+      done;
+      closes := counter m "groupcommit.window_closes" - before);
+  Service.run w;
+  check_int "c1's commits landed" 5 !commits;
+  !closes
+
+let test_crashed_client_releases_tokens () =
+  List.iter
+    (fun crash_at ->
+      check_int
+        (Printf.sprintf "crash at %.0f: lone commits never hold the window"
+           crash_at)
+        0
+        (lone_window_closes_after_crash ~crash_at))
+    [ 8.0; 10.0; 12.0; 13.0; 14.0; 16.0; 18.0; 20.0; 22.0 ]
+
+(* ------------------------------------------------------------------ *)
 (* The acceptance pin: at 8 synchronised clients, group commit cuts
    store RPC rounds per commit by at least 1.5x against a lone client's
    singleton batches (measured: well above), without losing a single
@@ -289,6 +332,8 @@ let suite =
           test_singleton_prepare_carries_deadline;
         Alcotest.test_case "stale member peels out, batchmate commits" `Quick
           test_peel_out;
+        Alcotest.test_case "a crashed client's tokens are released" `Quick
+          test_crashed_client_releases_tokens;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_matches_sequential;
