@@ -78,7 +78,7 @@ val gray_failure : t -> gray_failure option
 (** The profile the network was created with. *)
 
 val hedged : t -> bool
-(** Whether any gray-failure profile is set: hedged idempotent calls and
+(** Whether any gray-failure profile is set. Hedged idempotent calls,
     deadline shedding ({!Rpc.call}) and degraded breaker trips
     ({!Retry.run}) are live under both [Hedged] and [Autonomic]. The
     profile is read only inside this library: layers above declare what

@@ -233,11 +233,27 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
     outcome
   end
 
+(* Sibling routing, live under the [Autonomic] profile only: a sustainedly
+   slow destination's backup copy goes to the healthiest other member of
+   its replica set, unless that one is sustainedly slow too. *)
+let sibling t ~replicas dst =
+  match Network.gray_failure t.net with
+  | None | Some Network.Hedged -> None
+  | Some Network.Autonomic ->
+      let h = Network.health t.net in
+      let now = Sim.Engine.now (Network.engine t.net) in
+      if Health.sustained_slow h ~now dst then
+        match Health.rank h ~now (List.filter (fun s -> s <> dst) replicas) with
+        | best :: _ when not (Health.sustained_slow h ~now best) -> Some best
+        | _ -> None
+      else None
+
 (* Hedged call: give the primary a head start derived from fleet-healthy
    latency; if it has not answered by then, race a backup and take the
-   first [Ok]. The backup targets [alt] when given (a sibling replica) or
-   re-sends to the same destination (per-message brownout inflation makes
-   even a same-node retry a fresh latency draw). A duplicate delivery can
+   first [Ok]. The backup goes to the sibling {!sibling} picks from
+   [replicas], if any, or re-sends to the same destination (per-message
+   brownout inflation makes even a same-node retry a fresh latency
+   draw). A duplicate delivery can
    run the handler twice — each hedge carries a fresh request id, below the
    dedup guard — so only idempotent operations may be hedged; and once the
    race settles, copies still in flight are cancelled cooperatively at
@@ -245,8 +261,10 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
    the handler after the winner's round already moved the protocol on.
    A win by the sibling is not [dst]'s answer: it settles the race as
    [Error Timed_out]. *)
-let hedged_call t ~from ~dst ?alt ~keep_primary ?timeout ?deadline_at ep req =
+let hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout ?deadline_at ep
+    req =
   let eng = Network.engine t.net in
+  let alt = Option.bind replicas (fun replicas -> sibling t ~replicas dst) in
   let backup_dst = match alt with Some a -> a | None -> dst in
   let delay = Health.hedge_delay (Network.health t.net) in
   let iv = Sim.Ivar.create () in
@@ -256,9 +274,9 @@ let hedged_call t ~from ~dst ?alt ~keep_primary ?timeout ?deadline_at ep req =
   let settle ~backup r =
     match r with
     | Ok _ ->
-        let sibling = backup && alt <> None in
-        if Sim.Ivar.try_fill iv (if sibling then Error Timed_out else r)
-           && sibling
+        let by_sibling = backup && alt <> None in
+        if Sim.Ivar.try_fill iv (if by_sibling then Error Timed_out else r)
+           && by_sibling
         then Sim.Metrics.incr (Network.metrics t.net) "rpc.sibling_wins"
     | Error _ ->
         decr outstanding;
@@ -311,21 +329,6 @@ let call t ~from ~dst ?(idempotent = false) ?timeout ?deadline_at ep req =
     hedged_call t ~from ~dst ~keep_primary:false ?timeout ?deadline_at ep req
   else call_gen t ~from ~dst ?timeout ?deadline_at ep req
 
-(* Sibling routing, live under the [Autonomic] profile only: a sustainedly
-   slow destination's backup copy goes to the healthiest other member of
-   its replica set, unless that one is sustainedly slow too. *)
-let sibling t ~replicas dst =
-  match Network.gray_failure t.net with
-  | None | Some Network.Hedged -> None
-  | Some Network.Autonomic ->
-      let h = Network.health t.net in
-      let now = Sim.Engine.now (Network.engine t.net) in
-      if Health.sustained_slow h ~now dst then
-        match Health.rank h ~now (List.filter (fun s -> s <> dst) replicas) with
-        | best :: _ when not (Health.sustained_slow h ~now best) -> Some best
-        | _ -> None
-      else None
-
 let call_all t ~from ?timeout ?deadline_at ?(idempotent = false) ?replicas
     ?(keep_primary = false) ep reqs =
   (match reqs with
@@ -336,22 +339,9 @@ let call_all t ~from ?timeout ?deadline_at ?(idempotent = false) ?replicas
         "rpc.scatter_calls");
   let leg =
     if idempotent && Network.hedged t.net then
-      (* Whether any leg routes is settled at scatter time; which sibling
-         a routed leg takes, when the leg launches. *)
-      let replicas =
-        match replicas with
-        | Some replicas
-          when List.exists (fun (d, _) -> sibling t ~replicas d <> None) reqs
-          ->
-            Some replicas
-        | _ -> None
-      in
       fun dst req ->
-        let alt =
-          Option.bind replicas (fun replicas -> sibling t ~replicas dst)
-        in
-        hedged_call t ~from ~dst ?alt ~keep_primary ?timeout ?deadline_at ep
-          req
+        hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout
+          ?deadline_at ep req
     else fun dst req -> call_gen t ~from ~dst ?timeout ?deadline_at ep req
   in
   Sim.Join.all (Network.engine t.net)
