@@ -88,54 +88,36 @@ let exclusion t ~scheme ~uid act failed =
       | Ok () -> Ok ()
       | Error why -> Error why)
 
-(* The optimistic commit's two naming rounds, shared with the hybrid
-   scheme: the lock-free (St, revision) read when commit processing
-   starts, and the validate-and-note inside the prepare round. *)
-let committed_stores router ~act uid =
-  or_why (Router.read router ~act uid Gvd.Committed)
-  |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
-
-let validate_note router ~uid act ~version ~rev =
-  match Router.update router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
-  | Ok { Gvd.o_applied = true; _ } -> `Validated
-  | Ok { Gvd.o_applied = false; _ } | Error (Router.Busy _ | Router.Refused _) ->
-      (* A refusal means the write fence is held by a membership change in
-         flight right now — morally the same as a revision conflict: retry
-         against the St that change is about to commit. *)
-      `Conflict
-  | Error (Router.Unreachable why) -> `Failed why
-
+(* Commit processing re-reads StA at commit time: the bind-time view can
+   be outdated by a recovered store's Include under the
+   independent/nested-top-level schemes (§4.2.1(ii)'s elided
+   enhancement), and the copy-back must target the current members. The
+   Include fence — a recovering store must not be re-admitted (with a
+   state at the old version fence) between the copy-back's target choice
+   and its commit, or St members end up at different versions — is a
+   lock-free snapshot of (St, revision) taken when each copy-back attempt
+   starts, re-validated under the write fence inside the prepare round by
+   a [Note_version] update with [if_rev]: an interleaved membership
+   change is a revision conflict and the copy-back retries against fresh
+   St ({!Replica.Commit.attach}). The bind-time snapshot path is
+   unrelated: it serves reads only and provides no fence. *)
 let attach_commit t ~scheme ~act ~uid group =
-  (* Commit processing re-reads StA at commit time: the bind-time view
-     can be outdated by a recovered store's Include under the
-     independent/nested-top-level schemes (§4.2.1(ii)'s elided
-     enhancement), and the copy-back must target the current members.
-     The Include fence that read provides — a recovering store must not
-     be re-admitted (with a state at the old version fence) between the
-     copy-back's target choice and its commit, or St members end up at
-     different versions — is a lock-free snapshot of (St, revision) when
-     commit processing starts, re-validated under the write fence inside
-     the prepare round: an interleaved membership change is detected as a
-     revision conflict and the copy-back retries against fresh St. Churn
-     that outruns the retries falls back to a LOCKED GetView, the read
-     lock held from commit start to action end, blocking the Include
-     outright ({!Replica.Commit.attach}).
-
-     The bind-time snapshot path is unrelated: it serves reads only and
-     provides no fence. *)
-  let current_stores act' =
-    or_why (Router.read t.b_router ~act:act' uid Gvd.Stores)
-    |> Result.map (fun v -> v.Gvd.v_stores)
+  let snapshot_stores () =
+    or_why (Router.read t.b_router ~act uid Gvd.Committed)
+    |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
   in
-  let note_version act' version =
-    or_why (Router.update t.b_router ~act:act' [ (uid, Gvd.Note_version version) ])
-    |> Result.map ignore
+  let validate act ~version ~rev =
+    match Router.update t.b_router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
+    | Ok { Gvd.o_applied = true; _ } -> `Validated
+    | Ok { Gvd.o_applied = false; _ } | Error (Router.Busy _ | Router.Refused _) ->
+        (* A refusal means the write fence is held by a membership change
+           in flight right now — morally the same as a revision conflict:
+           retry against the St that change is about to commit. *)
+        `Conflict
+    | Error (Router.Unreachable why) -> `Failed why
   in
   let exclude act' failed = exclusion t ~scheme ~uid act' failed in
-  let snapshot_stores () = committed_stores t.b_router ~act uid in
-  let validate = validate_note t.b_router ~uid in
-  Replica.Commit.attach t.b_grt act group ~current_stores ~note_version
-    ~snapshot_stores ~validate ~exclude ()
+  Replica.Commit.attach t.b_grt act group ~snapshot_stores ~validate ~exclude
 
 (* ------------------------------------------------------------------ *)
 (* Activation with futile-bind accounting *)

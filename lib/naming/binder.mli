@@ -48,7 +48,8 @@
     lock (§4.2.1); under the other two it runs as a nested top-level
     action acquiring the exclude-write lock afresh. Commit-time [StA]
     re-reads are lock-free snapshots validated inside the prepare round
-    ({!Replica.Commit.attach}), under every scheme. *)
+    under every scheme ({!attach_commit}); that validation is the only
+    commit-time fence, and three conflicts abort the commit. *)
 
 type t
 (** Binder runtime. *)
@@ -142,22 +143,16 @@ val pull_credits : t -> uid:Store.Uid.t -> unit
     an [Insert] is blocked on use-list quiescence (reintegration); crashed
     clients are skipped — their counters are the cleanup protocol's. *)
 
-val exclusion :
-  t -> scheme:Scheme.t -> uid:Store.Uid.t ->
-  Action.Atomic.t -> Net.Network.node_id list -> (unit, string) result
-(** The [Exclude] implementation handed to commit processing
-    ({!Replica.Commit.attach}); exposed for tests. *)
-
-val committed_stores :
-  Router.t -> act:Action.Atomic.t -> Store.Uid.t ->
-  (Net.Network.node_id list * int, string) result
-(** The optimistic commit's lock-free [(StA, St revision)] read, issued
-    from [act]'s node ({!Replica.Commit.attach}'s [snapshot_stores]). *)
-
-val validate_note :
-  Router.t -> uid:Store.Uid.t -> Action.Atomic.t ->
-  version:Store.Version.t -> rev:int ->
-  [ `Validated | `Conflict | `Failed of string ]
-(** The optimistic commit's validate-and-note: a [Note_version] update
-    with [~if_rev:rev]. A moved revision or a refused fence is a
-    [`Conflict]; an unreachable shard is [`Failed]. *)
+val attach_commit :
+  t ->
+  scheme:Scheme.t ->
+  act:Action.Atomic.t ->
+  uid:Store.Uid.t ->
+  Replica.Group.t ->
+  unit
+(** Attach commit processing ({!Replica.Commit.attach}) for a group bound
+    under [scheme]: the lock-free [(StA, St revision)] read, the
+    validate-and-note (a [Note_version] update with [~if_rev]; a moved
+    revision or a refused fence is a conflict) and the scheme's
+    [Exclude]. Every bind of this module calls it; {!Hybrid.bind} calls
+    it with [Standard]. *)

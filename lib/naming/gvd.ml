@@ -82,7 +82,6 @@ type op =
   | Zero of Net.Network.node_id
   | Include of Net.Network.node_id
   | Exclude of Net.Network.node_id list
-  | Evict of Net.Network.node_id
   | Retire_sv of Net.Network.node_id
   | Retire_st of Net.Network.node_id
   | Note_version of Store.Version.t
@@ -337,11 +336,11 @@ let take_lock t ~action lock key =
 
 let side_of = function
   | Insert _ | Remove _ | Increment _ | Decrement _ | Zero _ | Retire_sv _ -> Sv_side
-  | Include _ | Exclude _ | Evict _ | Retire_st _ | Note_version _ -> St_side
+  | Include _ | Exclude _ | Retire_st _ | Note_version _ -> St_side
 
 let lock_of = function
   | Increment _ | Decrement _ -> Blocking Lockmgr.Mode.Delta
-  | Exclude _ | Evict _ | Note_version _ -> Fence
+  | Exclude _ | Note_version _ -> Fence
   | Insert _ | Remove _ | Zero _ | Retire_sv _ | Include _ | Retire_st _ ->
       Blocking Lockmgr.Mode.Write
 
@@ -401,7 +400,6 @@ let apply op im =
   | Exclude ns ->
       with_st im (fun st ->
           { st with im_st = List.filter (fun n -> not (List.mem n ns)) st.im_st })
-  | Evict n -> with_st im (fun st -> { st with im_st = without n st.im_st })
   | Retire_st n ->
       with_st im (fun st ->
           { st with im_st = without n st.im_st; im_st_home = without n st.im_st_home })
@@ -411,12 +409,13 @@ let apply op im =
       else im
 
 (* Checked on the working image once every lock is held: [Insert] and
-   [Retire_sv] need quiescence (§4.1.2), and the last state holder is
-   never evicted, however sick — a slow state beats no state. *)
+   [Retire_sv] need quiescence (§4.1.2), and [Exclude] never removes the
+   last state holder, however sick — a slow state beats no state. *)
 let precondition op im =
   match op with
   | (Insert _ | Retire_sv _) when not (all_quiescent im) -> Some (Busy "object not quiescent")
-  | Evict n when List.mem n im.im_state.im_st && List.length im.im_state.im_st <= 1 ->
+  | Exclude ns
+    when im.im_state.im_st <> [] && List.for_all (fun n -> List.mem n ns) im.im_state.im_st ->
       Some (Refused "would empty St")
   | _ -> None
 
@@ -428,7 +427,6 @@ let counter = function
   | Zero _ -> Some ("gvd.zeroes", 1)
   | Include _ -> Some ("gvd.includes", 1)
   | Exclude ns -> Some ("gvd.exclusions", List.length ns)
-  | Evict _ -> Some ("gvd.exclusions", 1)
   | Retire_sv _ -> Some ("gvd.server_retirements", 1)
   | Retire_st _ -> Some ("gvd.store_retirements", 1)
   | Note_version _ -> None
@@ -443,7 +441,6 @@ let pp_op ppf op =
   | Zero client -> Format.fprintf ppf "zero %s" client
   | Include n -> Format.fprintf ppf "include %s" n
   | Exclude ns -> Format.fprintf ppf "exclude [%s]" (nodes ns)
-  | Evict n -> Format.fprintf ppf "evict %s" n
   | Retire_sv n -> Format.fprintf ppf "retire server %s" n
   | Retire_st n -> Format.fprintf ppf "retire store %s" n
   | Note_version v -> Format.fprintf ppf "note version %a" Store.Version.pp v
@@ -598,10 +595,12 @@ let rec newest_fence t v = function
    revision still stands. On a moved revision nothing is applied but the
    fence just taken is deliberately KEPT — it belongs to the action and
    blocks further membership commits, so the caller's re-read sees a
-   revision that can no longer move and its retry must succeed: one
-   conflict costs one retry, not a livelock. With [Note_version] this is
-   the optimistic commit's validate-and-note; with [Evict], the
-   autonomic controller's validated exclusion.
+   revision that can no longer move and its retry must succeed: a moved
+   revision costs one retry, not a livelock. A fence that cannot be had
+   is a refusal and keeps nothing, so a caller that retries on it may
+   conflict again. With [Note_version] this is the optimistic commit's
+   validate-and-note; with [Exclude], the autonomic controller's
+   validated exclusion.
 
    Idempotent under duplicate delivery: lock grants are re-entrant,
    before-images are saved once per action, version notes advance only

@@ -192,10 +192,10 @@ val get_view :
       [Retire_st] (leave [StA] and [st_home] for good).
     - [St] half, the §4.2.1 write fence — exclude-write, compatible with
       readers, taken without waiting (promoting the action's read lock
-      when it has one): [Exclude] (§4.2), [Evict] (exclude one store,
-      refused rather than empty [StA] — the last state holder is never
-      evicted, however sick) and [Note_version] (record the version the
-      committing action installs; the fence {!outcome} reports). *)
+      when it has one): [Exclude] (§4.2; refused rather than empty
+      [StA] — the last state holder is never excluded, however sick) and
+      [Note_version] (record the version the committing action installs;
+      the fence {!outcome} reports). *)
 type op =
   | Insert of Net.Network.node_id
   | Remove of Net.Network.node_id
@@ -204,7 +204,6 @@ type op =
   | Zero of Net.Network.node_id  (** the crashed client *)
   | Include of Net.Network.node_id
   | Exclude of Net.Network.node_id list
-  | Evict of Net.Network.node_id
   | Retire_sv of Net.Network.node_id
   | Retire_st of Net.Network.node_id
   | Note_version of Store.Version.t
@@ -238,9 +237,10 @@ val update :
     if the committed St revision of every named entry still equals it.
     On a mismatch nothing is applied ([o_applied = false]) but the fence
     just taken is {e kept}, so the caller's re-read sees a revision that
-    can no longer move and one conflict costs one retry. With
+    can no longer move and a moved revision costs one retry. A fence
+    that cannot be had is a [Refused] and keeps nothing. With
     [Note_version], this is the optimistic commit's validate-and-note,
-    inside the prepare round; with [Evict], the autonomic controller's
+    inside the prepare round; with [Exclude], the autonomic controller's
     validated exclusion. Idempotent under duplicate delivery except for
     staged counter ops. *)
 

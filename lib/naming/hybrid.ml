@@ -93,7 +93,6 @@ let hybrid_reads t ~act ~client uid =
 
 let bind t ~act ~uid ~policy =
   let client = Action.Atomic.node act in
-  let router = Binder.router t.binder in
   let grt = Binder.group_runtime t.binder in
   match hybrid_reads t ~act ~client uid with
   | Error e -> Error e
@@ -107,24 +106,8 @@ let bind t ~act ~uid ~policy =
         with
         | Error why -> Error (Binder.No_server why)
         | Ok group ->
-            let current_stores act' =
-              Router.read router ~act:act' uid Gvd.Stores
-              |> Result.map (fun v -> v.Gvd.v_stores)
-              |> Result.map_error Router.failure_to_string
-            in
-            let exclude act' failed =
-              Binder.exclusion t.binder ~scheme:Scheme.Standard ~uid act'
-                failed
-            in
-            (* Same commit flavour as the binder's: snapshot the
-               (St, revision) pair lock-free, validate in the prepare
-               round. The hybrid scheme keeps no version fence, so there
-               is no [note_version] — validation's only job here is the
-               revision check. *)
-            let snapshot_stores () = Binder.committed_stores router ~act uid in
-            Replica.Commit.attach grt act group ~current_stores
-              ~snapshot_stores ~validate:(Binder.validate_note router ~uid)
-              ~exclude ();
+            Binder.attach_commit t.binder ~scheme:Scheme.Standard ~act ~uid
+              group;
             Ok
               {
                 Binder.bd_uid = uid;

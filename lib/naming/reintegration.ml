@@ -96,43 +96,35 @@ let reintegrate_store_now t ~node =
 let attach_store_node t ~node =
   Net.Network.on_recover (netw t) node (fun () -> reintegrate_store_now t ~node)
 
-(* Bounded validated Exclude attempts before falling back to the classic
-   locked round (mirrors {!Replica.Commit}'s validate retries). *)
+(* Validated Exclude attempts before the controller gives up on a
+   churning [St] (as {!Replica.Commit.attach} does). *)
 let validated_attempts = 3
 
 (* Exclude a sick (but possibly still-up) store from one object's [St],
    driven by an observer node — the autonomic controller's half of §4.2,
    where the exclusion is proposed by whoever detected the failure
    rather than by a commit that tripped over it. The St revision is read
-   lock-free and validated inside the Exclude round (an [Evict] update
+   lock-free and validated inside the Exclude round (an [Exclude] update
    with [~if_rev]); a conflict kept the fence, so the bounded retry
-   converges, and exhaustion or an unreachable snapshot falls back to
-   the classic locked round. *)
+   converges. A failed read, a refused fence or exhausted attempts abort
+   the action. *)
 let exclude_store_one t ~from ~node uid =
   let r = Binder.router t in
   Action.Atomic.atomically (art t) ~node:from (fun act ->
-      let update ?if_rev op =
-        match Router.update r ~act ?if_rev [ (uid, op) ] with
-        | Ok o -> o.Gvd.o_applied
-        | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
-      in
-      let classic () = ignore (update (Gvd.Exclude [ node ]) : bool) in
       let rec go attempt =
         match Router.read r ~act uid Gvd.Committed with
-        | Ok { Gvd.v_stores = st; v_rev = rev; _ } ->
+        | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
+        | Ok { Gvd.v_stores = st; v_rev = rev; _ } -> (
             if not (List.mem node st) then
-              raise (Action.Atomic.Abort "not an St member")
-            else if List.length st <= 1 then
-              raise (Action.Atomic.Abort "would empty St")
-            else if not (update ~if_rev:rev (Gvd.Evict node)) then
-              if attempt + 1 < validated_attempts then go (attempt + 1)
-              else begin
-                Sim.Metrics.incr
-                  (Net.Network.metrics (netw t))
-                  "reintegrate.optimistic_fallbacks";
-                classic ()
-              end
-        | Error _ -> classic ()
+              raise (Action.Atomic.Abort "not an St member");
+            (* The Exclude would be refused anyway; skip its round. *)
+            if List.length st <= 1 then raise (Action.Atomic.Abort "would empty St");
+            match Router.update r ~act ~if_rev:rev [ (uid, Gvd.Exclude [ node ]) ] with
+            | Ok { Gvd.o_applied = true; _ } -> ()
+            | Ok { Gvd.o_applied = false; _ } ->
+                if attempt + 1 < validated_attempts then go (attempt + 1)
+                else raise (Action.Atomic.Abort "St kept changing")
+            | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
       in
       go 0)
 

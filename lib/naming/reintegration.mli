@@ -42,8 +42,9 @@ val exclude_store_now :
     of every object it holds, one atomic action per object, and return
     how many exclusions committed. Objects where [node] is already out
     of [St], or is the last remaining copy, are skipped. Each Exclude
-    validates the St revision inside its round (an [Evict] update with
-    [~if_rev]), with bounded retries then a classic [Exclude]. *)
+    validates the St revision inside its round (an [Exclude] update with
+    [~if_rev]); three conflicts, a refused fence or a failed read abort
+    that object's exclusion. *)
 
 val reinsert_server_now : Binder.t -> node:Net.Network.node_id -> unit
 (** Run the server protocol immediately (from a fiber on [node]); retries

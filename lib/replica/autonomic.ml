@@ -28,7 +28,7 @@
      [t + cooldown] — flap damping;
    - safety is not this module's job: the Exclude itself validates the
      St revision inside its round and refuses to empty [St]
-     (an [Evict] update with [~if_rev], via the injected [d_exclude]), and the
+     (an [Exclude] update with [~if_rev], via the injected [d_exclude]), and the
      re-Include runs the full catch-up fence before the store rejoins
      the commit set, so the controller can afford to be wrong.
 

@@ -1,16 +1,13 @@
-let attach rt act group ?current_stores ?note_version ~snapshot_stores
-    ~validate ~exclude () =
+(* Validated attempts before a commit gives up on a churning [St]. *)
+let max_attempts = 3
+
+let attach rt act group ~snapshot_stores ~validate ~exclude =
   let srv = Group.server_runtime rt in
   let art = Server.atomic_runtime srv in
   let sh = Action.Atomic.store_host art in
   let eng = Action.Atomic.engine art in
   let metrics = Net.Network.metrics (Action.Atomic.network art) in
   let gc = Server.groupcommit srv in
-  let read_stores =
-    match current_stores with
-    | Some f -> f
-    | None -> fun _ -> Ok group.Group.g_stores
-  in
   Action.Atomic.before_commit act (fun () ->
       (* Group-commit plane: announce this commit as approaching so open
          batches hold their window for it; the token settles at the
@@ -28,9 +25,9 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
           let client = Action.Atomic.node act in
           let action = Action.Atomic.owner act in
           let uid = group.Group.g_uid in
+          let version = view.Server.cv_version in
           let full_state =
-            Store.Object_state.make ~payload:view.Server.cv_payload
-              ~version:view.Server.cv_version
+            Store.Object_state.make ~payload:view.Server.cv_payload ~version
           in
           (* The action's deadline rides on the phase-1 prepares issued
              for this commit alone (see {!Groupcommit.prepare}) so
@@ -45,79 +42,80 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
              exclude — never a substituted answer. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
-          (* One copy-back attempt against the membership [current_st]:
-             scatter the prepares, detect staleness, exclude unreachable
-             stores, then [seal] the naming tier's view of the commit —
-             the optimistic validate-and-note, or the locked fallback's
-             version note. [`Conflict] (validation only: a membership
-             change committed under our feet) withdraws the prepares so
-             the caller can retry against fresh [St]. *)
-          let run current_st ~seal =
-            List.iter
-              (fun _ ->
-                Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
-              current_st;
-            (* The paper's parallel write to all of StA: one concurrent
-               prepare per store, votes gathered in store order. Latency is
-               the slowest round-trip, not the sum. The prepare joins (or
-               leads) a group-commit batch; the votes come back shaped
-               exactly like [prepare_each]'s, with any non-yes member
-               already peeled out to a solo retry inside. *)
-            let scattered = Sim.Engine.now eng in
-            let per_store =
-              List.map (fun s -> (s, [ (uid, full_state) ])) current_st
-            in
-            let votes =
-              Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
-                ~action per_store
-            in
-            Sim.Metrics.observe metrics "commit.fanout"
-              (Sim.Engine.now eng -. scattered);
-            let ok, stale, unreachable =
-              List.fold_left
-                (fun (ok, stale, unreachable) (store, vote) ->
-                  match vote with
-                  | Ok Action.Store_host.Vote_yes ->
-                      (store :: ok, stale, unreachable)
-                  | Ok Action.Store_host.Vote_stale ->
-                      (ok, store :: stale, unreachable)
-                  | Error _ -> (ok, stale, store :: unreachable))
-                ([], [], []) votes
-            in
-            let ok = List.rev ok and failed = List.rev unreachable in
-            (* Any early abort from here on must withdraw the prepare
-               records just written: a prepared record is a write
-               reservation at the store, and leaking one blocks every
-               future writer of the object. *)
-            let withdraw_prepares () =
-              ignore
-                (Action.Store_host.abort_all sh ~from:client ~st:current_st
-                   ~stores:ok action)
-            in
-            if stale <> [] then begin
-              withdraw_prepares ();
-              (* Backward validation failed: this action worked from a stale
-                 activation (disjoint replica sets during churn — the
-                 split-brain Arjuna's persistent lock store physically
-                 prevents). Abort, and once the abort has drained the
-                 action's locks, passivate the group's instances so the
-                 next bind re-activates from the latest committed state. *)
-              Sim.Metrics.incr metrics "commit.conflicts";
-              Action.Atomic.after_abort act (fun () ->
-                  List.iter
-                    (fun m ->
-                      ignore
-                        (Server.passivate (Group.server_runtime rt)
-                           ~from:client ~server:m ~uid:group.Group.g_uid))
-                    (Group.live_members rt group));
-              `Done
-                (Error "stale activation: version conflict at object stores")
-            end
-            else
-              match ok with
-              | [] -> `Done (Error "all object stores unavailable at commit")
-              | _ -> (
-                  let proceed =
+          (* One copy-back attempt: take [St] and its revision from a
+             lock-free snapshot, scatter the prepares against it, detect
+             staleness, exclude unreachable stores, then validate the
+             revision inside the prepare round. A conflict — an
+             Include/Exclude committed in between, or one holding the
+             fence right now — withdraws the prepares and retries
+             against fresh [St]; after [max_attempts] conflicts the
+             commit aborts. *)
+          let rec attempt n =
+            match snapshot_stores () with
+            | Error why -> Error ("commit-time St read: " ^ why)
+            | Ok (current_st, rev) -> (
+                List.iter
+                  (fun _ ->
+                    Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
+                  current_st;
+                (* The paper's parallel write to all of StA: one concurrent
+                   prepare per store, votes gathered in store order. Latency is
+                   the slowest round-trip, not the sum. The prepare joins (or
+                   leads) a group-commit batch; the votes come back shaped
+                   exactly like [prepare_each]'s, with any non-yes member
+                   already peeled out to a solo retry inside. *)
+                let scattered = Sim.Engine.now eng in
+                let per_store =
+                  List.map (fun s -> (s, [ (uid, full_state) ])) current_st
+                in
+                let votes =
+                  Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
+                    ~action per_store
+                in
+                Sim.Metrics.observe metrics "commit.fanout"
+                  (Sim.Engine.now eng -. scattered);
+                let ok, stale, unreachable =
+                  List.fold_left
+                    (fun (ok, stale, unreachable) (store, vote) ->
+                      match vote with
+                      | Ok Action.Store_host.Vote_yes ->
+                          (store :: ok, stale, unreachable)
+                      | Ok Action.Store_host.Vote_stale ->
+                          (ok, store :: stale, unreachable)
+                      | Error _ -> (ok, stale, store :: unreachable))
+                    ([], [], []) votes
+                in
+                let ok = List.rev ok and failed = List.rev unreachable in
+                (* Any early abort from here on must withdraw the prepare
+                   records just written: a prepared record is a write
+                   reservation at the store, and leaking one blocks every
+                   future writer of the object. *)
+                let withdraw_prepares () =
+                  ignore
+                    (Action.Store_host.abort_all sh ~from:client ~st:current_st
+                       ~stores:ok action)
+                in
+                if stale <> [] then begin
+                  withdraw_prepares ();
+                  (* Backward validation failed: this action worked from a stale
+                     activation (disjoint replica sets during churn — the
+                     split-brain Arjuna's persistent lock store physically
+                     prevents). Abort, and once the abort has drained the
+                     action's locks, passivate the group's instances so the
+                     next bind re-activates from the latest committed state. *)
+                  Sim.Metrics.incr metrics "commit.conflicts";
+                  Action.Atomic.after_abort act (fun () ->
+                      List.iter
+                        (fun m ->
+                          ignore
+                            (Server.passivate (Group.server_runtime rt)
+                               ~from:client ~server:m ~uid:group.Group.g_uid))
+                        (Group.live_members rt group));
+                  Error "stale activation: version conflict at object stores"
+                end
+                else if ok = [] then Error "all object stores unavailable at commit"
+                else
+                  let excluded =
                     if failed = [] then Ok ()
                     else begin
                       Sim.Metrics.incr metrics "commit.exclusions"
@@ -125,19 +123,22 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                       exclude act failed
                     end
                   in
-                  match proceed with
+                  match excluded with
                   | Error why ->
                       withdraw_prepares ();
-                      `Done (Error ("exclude failed: " ^ why))
+                      Error ("exclude failed: " ^ why)
                   | Ok () -> (
-                      match seal () with
-                      | `Fail why ->
+                      match validate act ~version ~rev with
+                      | `Failed why ->
                           withdraw_prepares ();
-                          `Done (Error why)
+                          Error ("validate refused: " ^ why)
                       | `Conflict ->
+                          Sim.Metrics.incr metrics "commit.validate_conflict";
                           withdraw_prepares ();
-                          `Conflict
-                      | `Sealed ->
+                          if n + 1 < max_attempts then attempt (n + 1)
+                          else Error "St kept changing"
+                      | `Validated ->
+                          Sim.Metrics.incr metrics "commit.validate_ok";
                           Sim.Metrics.incr metrics ~by:(List.length ok)
                             "commit.state_copies";
                           (* One phase-2 participant for the whole store
@@ -154,65 +155,8 @@ let attach rt act group ?current_stores ?note_version ~snapshot_stores
                             ~abort:(fun () ->
                               Groupcommit.abort gc p2 ~st:current_st ~client
                                 ~stores:ok action);
-                          `Done (Ok ())))
+                          Ok ()))
           in
-          (* The locked fallback: re-read [St] under a read lock owned by
-             the action (held to action end — the Include fence), then note
-             the version under the write fence. *)
-          let locked () =
-            match read_stores act with
-            | Error why -> Error ("commit-time GetView: " ^ why)
-            | Ok current_st -> (
-                let seal () =
-                  match note_version with
-                  | None -> `Sealed
-                  | Some note -> (
-                      match note act view.Server.cv_version with
-                      | Ok () -> `Sealed
-                      | Error why -> `Fail ("version note refused: " ^ why))
-                in
-                match run current_st ~seal with
-                | `Done r -> r
-                | `Conflict -> Error "version note conflict")
-          in
-          (* Take [St] and its revision from a lock-free snapshot, fan the
-             copy-back out against it, and validate the revision inside
-             the prepare round. A conflict — an Include/Exclude committed
-             in between — withdraws the prepares and retries against fresh
-             [St]; the validation kept the write fence, so the re-read
-             revision can no longer move and the retry converges. Bounded
-             attempts, then the locked path so churn cannot starve a
-             commit. *)
-          let max_attempts = 3 in
-          let rec go attempt =
-            match snapshot_stores () with
-            | Error _ ->
-                (* Snapshot read unreachable: the locked path talks to the
-                   same shard and will surface the real error. *)
-                Sim.Metrics.incr metrics "commit.validate_fallbacks";
-                locked ()
-            | Ok (current_st, rev) -> (
-                let seal () =
-                  match validate act ~version:view.Server.cv_version ~rev with
-                  | `Validated ->
-                      Sim.Metrics.incr metrics "commit.validate_ok";
-                      `Sealed
-                  | `Conflict ->
-                      Sim.Metrics.incr metrics "commit.validate_conflict";
-                      `Conflict
-                  | `Failed why -> `Fail ("validate refused: " ^ why)
-                in
-                match run current_st ~seal with
-                | `Done r -> r
-                | `Conflict ->
-                    if attempt + 1 < max_attempts then go (attempt + 1)
-                    else begin
-                      (* Churn outran the retries: starve-proof fallback
-                         to the locked re-read. *)
-                      Sim.Metrics.incr metrics "commit.validate_fallbacks";
-                      locked ()
-                    end)
-          in
-          go 0
+          attempt 0
       in
       Fun.protect ~finally:(fun () -> Groupcommit.leave gc tok) body)

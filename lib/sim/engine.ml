@@ -81,7 +81,6 @@ let new_group t =
   g
 
 let kill_group t g = if g != t.root then g.alive <- false
-let group_alive g = g.alive
 
 (* A heap event: a future one, or one that must stay removable (a guard)
    or daemon-flagged, even when it is due now. *)

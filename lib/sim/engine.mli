@@ -55,9 +55,6 @@ val kill_group : t -> group -> unit
     resumed, and future resumptions of its fibers are dropped. Spawning into
     a killed group is a silent no-op (the fiber never starts). *)
 
-val group_alive : group -> bool
-(** Whether the group is still live. *)
-
 val spawn : t -> ?group:group -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t ~group ~name f] schedules fiber [f] to start at the current
     virtual time, after already-queued events. The start event joins the

@@ -77,21 +77,8 @@ let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters_tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let distributions t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.samples_tbl []
-  |> List.sort String.compare
-
 let merge_into ~dst src =
   Hashtbl.iter (fun k r -> incr dst ~by:!r k) src.counters_tbl;
   Hashtbl.iter
     (fun k r -> List.iter (fun v -> observe dst k v) (List.rev !r))
     src.samples_tbl
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@." k v) (counters t);
-  List.iter
-    (fun name ->
-      Format.fprintf ppf "%-32s n=%d mean=%.4f p95=%.4f max=%.4f@." name
-        (sample_count t name) (mean t name) (percentile t name 95.0)
-        (max_sample t name))
-    (distributions t)

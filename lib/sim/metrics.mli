@@ -52,12 +52,6 @@ val sample_count : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val distributions : t -> string list
-(** Names of all distributions, sorted. *)
-
 val merge_into : dst:t -> t -> unit
 (** [merge_into ~dst src] adds all of [src]'s counters and samples into
     [dst]; used to aggregate repeated trials. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render counters and distribution summaries. *)

@@ -23,8 +23,12 @@ let try_acquire s =
 
 let release s =
   s.permits <- s.permits + 1;
-  (* Wake everyone; stale waiters are dropped by the engine and live ones
-     re-check the permit count (see Mailbox for the rationale). *)
+  (* Waiters are woken with a "check again" token rather than handed the
+     permit: a waiter may be stale (its fiber timed out or its group was
+     killed), and the engine drops such a resumption, so a permit handed
+     to it would be lost. Waking every waiter and letting each re-check
+     the count avoids lost wakeups; the thundering herd it costs is
+     negligible at simulation scale. *)
   let waiters = List.rev s.waiters in
   s.waiters <- [];
   List.iter (fun resume -> resume (Ok ())) waiters

@@ -51,9 +51,3 @@ let record_decision t ~action d = Hashtbl.replace t.decisions action d
 let decision_of t ~action = Hashtbl.find_opt t.decisions action
 
 let forget_decision t ~action = Hashtbl.remove t.decisions action
-
-let staged_write t ~action uid =
-  match Hashtbl.find_opt t.prepares action with
-  | None -> None
-  | Some { writes; _ } ->
-      Option.map snd (List.find_opt (fun (u, _) -> Uid.equal u uid) writes)

@@ -56,8 +56,3 @@ val decision_of : t -> action:string -> decision option
 
 val forget_decision : t -> action:string -> unit
 (** Garbage-collect a decision record once every participant resolved. *)
-
-val staged_write : t -> action:string -> Uid.t -> Object_state.t option
-(** The state [action]'s pending prepare would install for [uid], if any.
-    Tests use it to assert that re-delivered (duplicate) prepares staged
-    the identical state. *)

@@ -16,8 +16,8 @@
     GetServer and GetView are one {!Gvd.bind} request).
 
     A second block races write commits against membership churn: the
-    commit validates a lock-free snapshot and queues behind the churn's
-    write locks (the [gvd.view_lock_waits] column) only when it falls
-    back to the locked [GetView] re-read. *)
+    commit validates a lock-free snapshot inside its prepare round and
+    never queues behind the churn at the naming tier, so its
+    [gvd.view_lock_waits] column reads 0. *)
 
 val run : ?seed:int64 -> unit -> Table.t

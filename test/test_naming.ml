@@ -236,8 +236,6 @@ let update_rows =
       Alcotest.check slist "St grew" [ "beta1"; "beta2"; "beta3" ] (st w uid));
     ("exclude", Gvd.Exclude [ "beta2" ], "st", ex, Some "gvd.exclusions", fun w uid ->
       Alcotest.check slist "St shrank" [ "beta1" ] (st w uid));
-    ("evict", Gvd.Evict "beta2", "st", ex, Some "gvd.exclusions", fun w uid ->
-      Alcotest.check slist "St shrank" [ "beta1" ] (st w uid));
     ("retire st", Gvd.Retire_st "beta2", "st", wr, Some "gvd.store_retirements",
       fun w uid -> Alcotest.check slist "St retired" [ "beta1" ] (st w uid));
     ("note version", Gvd.Note_version noted, "st", ex, None, fun w uid ->
@@ -334,6 +332,32 @@ let test_update_if_rev_keeps_fence () =
   check_string "include refused behind the kept fence" "refused" !included;
   check_bool "fence not advanced" true
     (Store.Version.equal Store.Version.initial (Gvd.committed_version gvd uid))
+
+(* The last state holder is never excluded: an Exclude naming every St
+   member is refused and leaves the image as it was, even when the
+   action that asked goes on to commit. *)
+let test_exclude_never_empties_st () =
+  let w = small_world () in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w in
+  let image () =
+    ( List.sort String.compare (Gvd.current_st gvd uid),
+      Store.Version.to_string (Gvd.committed_version gvd uid),
+      Gvd.st_revision gvd uid )
+  in
+  let before = image () in
+  let reply = ref "none" in
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+             match Gvd.update gvd ~act [ (uid, Gvd.Exclude [ "beta1"; "beta2" ]) ] with
+             | Ok (Gvd.Refused why) -> reply := "refused: " ^ why
+             | Ok (Gvd.Granted _) -> reply := "granted"
+             | _ -> reply := "other")));
+  Service.run w;
+  check_string "refused" "refused: would empty St" !reply;
+  check_bool "image unchanged" true (image () = before);
+  Alcotest.(check (list string)) "nothing staged" [] (Gvd.residual_actions gvd)
 
 (* ------------------------------------------------------------------ *)
 (* Lock semantics across actions (figure 6 blocking behaviour) *)
@@ -1075,6 +1099,7 @@ let suite =
         tc "every update op commits" `Quick test_update_ops_commit;
         tc "every update op aborts" `Quick test_update_ops_abort;
         tc "if_rev mismatch keeps the fence" `Quick test_update_if_rev_keeps_fence;
+        tc "exclude never empties St" `Quick test_exclude_never_empties_st;
       ] );
     ( "naming.locks",
       [

@@ -1,9 +1,9 @@
 (* Tests for the optimistic commit path: Commit.attach's validated
-   lock-free snapshot with bounded retries and the starve-proof locked
-   fallback (driven by stub snapshot/validate closures), idempotence of
-   the naming shard's validate-and-note round, and a randomized churn
-   property over the full default stack (validated batched commits +
-   one-round scheme-A binds + forced delta shipping). *)
+   lock-free snapshot with bounded retries, then abort (driven by stub
+   snapshot/validate closures), idempotence of the naming shard's
+   validate-and-note round, and a randomized churn property over the
+   full default stack (validated batched commits + one-round scheme-A
+   binds). *)
 
 open Replica
 open Naming
@@ -12,8 +12,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Commit.attach against stub closures: the retry/fallback doctrine is
-   a pure function of the validate verdicts, so drive it directly. *)
+(* Commit.attach against stub closures: the retry doctrine is a pure
+   function of the snapshot and validate verdicts, so drive it directly. *)
 
 let run_attach ~snapshot_stores ~validate =
   let w =
@@ -37,25 +37,39 @@ let run_attach ~snapshot_stores ~validate =
             | Ok g ->
                 Commit.attach w.Test_replica.grt act g ~snapshot_stores
                   ~validate
-                  ~exclude:(fun _ _ -> Ok ())
-                  ();
+                  ~exclude:(fun _ _ -> Ok ());
                 (match Group.invoke w.Test_replica.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
   Sim.Engine.run w.Test_replica.eng;
   (w, uid, !outcome)
 
+let check_stores w uid expected =
+  List.iter
+    (fun s ->
+      Alcotest.(check (option string))
+        s (Some expected)
+        (Test_replica.store_payload w s uid))
+    [ "beta1"; "beta2" ]
+
 let check_committed (w, uid, outcome) =
   check_bool "committed" true (outcome = Ok ());
-  Alcotest.(check (option string))
-    "beta1" (Some "1")
-    (Test_replica.store_payload w "beta1" uid);
-  Alcotest.(check (option string))
-    "beta2" (Some "1")
-    (Test_replica.store_payload w "beta2" uid)
+  check_stores w uid "1"
+
+(* An aborted commit leaves both stores at the old state and no prepare
+   record behind: every attempt's prepares were withdrawn. *)
+let check_aborted_clean (w, uid, outcome) =
+  check_bool "aborted" true (Result.is_error outcome);
+  check_stores w uid "0";
+  List.iter
+    (fun s ->
+      Alcotest.(check (list string))
+        (s ^ " intent log clean") []
+        (Store.Intent_log.in_doubt (Action.Store_host.log w.Test_replica.sh s)))
+    [ "beta1"; "beta2" ]
 
 (* One revision conflict costs exactly one retry: the second validation
-   succeeds and the commit lands on the optimistic path. *)
+   succeeds and the commit lands. *)
 let test_conflict_costs_one_retry () =
   let calls = ref 0 in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
@@ -69,14 +83,12 @@ let test_conflict_costs_one_retry () =
   let m = Net.Network.metrics w.Test_replica.net in
   check_int "validate_ok" 1 (Sim.Metrics.counter m "commit.validate_ok");
   check_int "validate_conflict" 1
-    (Sim.Metrics.counter m "commit.validate_conflict");
-  check_int "validate_fallbacks" 0
-    (Sim.Metrics.counter m "commit.validate_fallbacks")
+    (Sim.Metrics.counter m "commit.validate_conflict")
 
-(* Churn that outruns every retry cannot starve a commit: after exactly
-   [max_attempts] validations the copy-back falls back to the classic
-   locked re-read and still lands. *)
-let test_starvation_falls_back_to_locked () =
+(* Churn that outruns every retry aborts the commit: after exactly
+   [max_attempts] conflicting validations there is no other fence to
+   fall back on, and every attempt's prepares are withdrawn. *)
+let test_three_conflicts_abort () =
   let calls = ref 0 in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
   let validate _act ~version:_ ~rev:_ =
@@ -84,31 +96,34 @@ let test_starvation_falls_back_to_locked () =
     `Conflict
   in
   let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate in
-  check_committed r;
+  check_aborted_clean r;
   check_int "validate calls (bounded)" 3 !calls;
   let m = Net.Network.metrics w.Test_replica.net in
   check_int "validate_ok" 0 (Sim.Metrics.counter m "commit.validate_ok");
   check_int "validate_conflict" 3
-    (Sim.Metrics.counter m "commit.validate_conflict");
-  check_int "validate_fallbacks" 1
-    (Sim.Metrics.counter m "commit.validate_fallbacks")
+    (Sim.Metrics.counter m "commit.validate_conflict")
 
-(* An unreachable snapshot read skips validation entirely: the locked
-   path talks to the same shard and surfaces the real error — here the
-   shard is fine, so the commit lands classically. *)
-let test_snapshot_error_falls_back () =
+(* A failed snapshot read aborts the commit with the read's error before
+   any store is asked to prepare. *)
+let test_snapshot_error_aborts () =
   let calls = ref 0 in
   let snapshot_stores () = Error "shard unreachable" in
   let validate _act ~version:_ ~rev:_ =
     incr calls;
     `Validated
   in
-  let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate in
-  check_committed r;
+  let ((w, _, outcome) as r) = run_attach ~snapshot_stores ~validate in
+  check_aborted_clean r;
   check_int "validate never called" 0 !calls;
   let m = Net.Network.metrics w.Test_replica.net in
-  check_int "validate_fallbacks" 1
-    (Sim.Metrics.counter m "commit.validate_fallbacks")
+  check_int "no prepare sent" 0
+    (Sim.Metrics.counter m "rpc.op.store.prepare");
+  let has_reason =
+    match outcome with
+    | Error why -> Astring.String.is_infix ~affix:"shard unreachable" why
+    | Ok () -> false
+  in
+  check_bool "the read's reason in the error" true has_reason
 
 (* ------------------------------------------------------------------ *)
 (* The validate-and-note (a [Note_version] update with [~if_rev]) at the
@@ -274,10 +289,10 @@ let suite =
       [
         Alcotest.test_case "one conflict costs one retry" `Quick
           test_conflict_costs_one_retry;
-        Alcotest.test_case "bounded retries fall back to locked" `Quick
-          test_starvation_falls_back_to_locked;
-        Alcotest.test_case "snapshot error falls back to locked" `Quick
-          test_snapshot_error_falls_back;
+        Alcotest.test_case "three conflicts abort" `Quick
+          test_three_conflicts_abort;
+        Alcotest.test_case "snapshot error aborts before any prepare" `Quick
+          test_snapshot_error_aborts;
         Alcotest.test_case "validate_view is idempotent" `Quick
           test_validate_view_idempotent;
         Test_util.qcheck prop_optimistic_churn_exact;

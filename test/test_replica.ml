@@ -54,7 +54,7 @@ let attach_commit w act g ~exclude =
   Commit.attach w.grt act g
     ~snapshot_stores:(fun () -> Ok (g.Group.g_stores, 0))
     ~validate:(fun _ ~version:_ ~rev:_ -> `Validated)
-    ~exclude ()
+    ~exclude
 
 let store_payload w node uid =
   match Object_store.read (Action.Store_host.objects w.sh node) uid with

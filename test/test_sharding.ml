@@ -385,8 +385,8 @@ let test_bounced_update_leaves_no_orphan_watch () =
   run "note version" (update (Gvd.Note_version version));
   run "validated note" (fun r act uid ->
       update ~if_rev:(rev r act uid) (Gvd.Note_version version) r act uid);
-  run "validated evict" (fun r act uid ->
-      update ~if_rev:(rev r act uid) (Gvd.Evict "beta2") r act uid);
+  run "validated exclude" (fun r act uid ->
+      update ~if_rev:(rev r act uid) (Gvd.Exclude [ "beta2" ]) r act uid);
   run "get view" (fun r act uid ->
       Router.read r ~act uid Gvd.Stores
       |> Result.map ignore

@@ -1,4 +1,4 @@
-(* Tests for the simulation kernel: heap, rng, engine, ivar, mailbox,
+(* Tests for the simulation kernel: heap, rng, engine, ivar,
    semaphore, trace, metrics. *)
 
 open Sim
@@ -425,69 +425,6 @@ let test_ivar_read_timeout () =
   Alcotest.(check string) "timeout" "timeout" !outcome
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox *)
-
-let test_mailbox_fifo () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let got = ref [] in
-  Engine.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        got := Mailbox.recv eng mb :: !got
-      done);
-  Engine.spawn eng (fun () ->
-      Mailbox.send mb 1;
-      Mailbox.send mb 2;
-      Mailbox.send mb 3);
-  Engine.run eng;
-  Alcotest.(check (list int)) "fifo order" [ 3; 2; 1 ] !got
-
-let test_mailbox_blocking_recv () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let at = ref 0.0 in
-  Engine.spawn eng (fun () ->
-      ignore (Mailbox.recv eng mb : int);
-      at := Engine.now eng);
-  Engine.schedule eng ~delay:6.0 (fun () -> Mailbox.send mb 1);
-  Engine.run eng;
-  check_float "woke at send" 6.0 !at
-
-let test_mailbox_recv_timeout () =
-  let eng = Engine.create () in
-  let mb : int Mailbox.t = Mailbox.create () in
-  let outcome = ref "none" in
-  Engine.spawn eng (fun () ->
-      match Mailbox.recv_timeout eng 3.0 mb with
-      | Ok _ -> outcome := "ok"
-      | Error Engine.Timed_out -> outcome := "timeout"
-      | Error _ -> outcome := "other");
-  Engine.run eng;
-  Alcotest.(check string) "timeout" "timeout" !outcome
-
-let test_mailbox_no_lost_message_on_killed_waiter () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let g = Engine.new_group eng in
-  let got = ref 0 in
-  (* A doomed waiter queues first, then is killed; a healthy waiter must
-     still receive the message. *)
-  Engine.spawn eng ~group:g (fun () -> got := Mailbox.recv eng mb);
-  Engine.schedule eng ~delay:1.0 (fun () -> Engine.kill_group eng g);
-  Engine.schedule eng ~delay:2.0 (fun () ->
-      Engine.spawn eng (fun () -> got := Mailbox.recv eng mb));
-  Engine.schedule eng ~delay:3.0 (fun () -> Mailbox.send mb 42);
-  Engine.run eng;
-  check_int "healthy waiter got it" 42 !got
-
-let test_mailbox_try_recv () =
-  let mb = Mailbox.create () in
-  Alcotest.(check (option int)) "empty" None (Mailbox.try_recv mb);
-  Mailbox.send mb 5;
-  Alcotest.(check (option int)) "value" (Some 5) (Mailbox.try_recv mb);
-  Alcotest.(check int) "drained" 0 (Mailbox.length mb)
-
-(* ------------------------------------------------------------------ *)
 (* Semaphore *)
 
 let test_semaphore_limits_concurrency () =
@@ -511,6 +448,26 @@ let test_semaphore_try_acquire () =
   check_bool "second" false (Semaphore.try_acquire sem);
   Semaphore.release sem;
   check_bool "after release" true (Semaphore.try_acquire sem)
+
+let test_semaphore_no_lost_permit_on_killed_waiter () =
+  let eng = Engine.create () in
+  let sem = Semaphore.create 0 in
+  let g = Engine.new_group eng in
+  let got = ref "none" in
+  (* A doomed waiter queues first, then is killed; the healthy waiter
+     must still get the released permit. *)
+  Engine.spawn eng ~group:g (fun () ->
+      Semaphore.acquire eng sem;
+      got := "doomed");
+  Engine.schedule eng ~delay:1.0 (fun () -> Engine.kill_group eng g);
+  Engine.schedule eng ~delay:2.0 (fun () ->
+      Engine.spawn eng (fun () ->
+          Semaphore.acquire eng sem;
+          got := "healthy"));
+  Engine.schedule eng ~delay:3.0 (fun () -> Semaphore.release sem);
+  Engine.run eng;
+  Alcotest.(check string) "healthy waiter got it" "healthy" !got;
+  check_int "permit taken" 0 (Semaphore.available sem)
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -973,19 +930,12 @@ let suite =
         tc "double fill raises" `Quick test_ivar_double_fill_raises;
         tc "read timeout" `Quick test_ivar_read_timeout;
       ] );
-    ( "sim.mailbox",
-      [
-        tc "fifo" `Quick test_mailbox_fifo;
-        tc "blocking recv" `Quick test_mailbox_blocking_recv;
-        tc "recv timeout" `Quick test_mailbox_recv_timeout;
-        tc "no lost message on killed waiter" `Quick
-          test_mailbox_no_lost_message_on_killed_waiter;
-        tc "try recv" `Quick test_mailbox_try_recv;
-      ] );
     ( "sim.semaphore",
       [
         tc "limits concurrency" `Quick test_semaphore_limits_concurrency;
         tc "try acquire" `Quick test_semaphore_try_acquire;
+        tc "no lost permit on killed waiter" `Quick
+          test_semaphore_no_lost_permit_on_killed_waiter;
       ] );
     ( "sim.trace",
       [
