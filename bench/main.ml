@@ -421,9 +421,9 @@ let bench_optimistic () =
       done);
   Service.run w
 
-(* Five scheme-A bind/commit cycles: each bind's naming reads are one
-   locked bind round. *)
-let bench_schemea () =
+(* [n] scheme-A actions against one server and one naming shard, each
+   invoking one increment (or, with [~write:false], one get). *)
+let schemea_actions ~stores ~n ~write () =
   let open Naming in
   let w =
     Service.create ~seed:5L
@@ -431,22 +431,31 @@ let bench_schemea () =
         Service.gvd_node = "ns";
         gvd_nodes = [];
         server_nodes = [ "alpha" ];
-        store_nodes = [ "beta1"; "beta2" ];
+        store_nodes = stores;
         client_nodes = [ "c1" ];
       }
   in
   let uid =
     Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
-      ~st:[ "beta1"; "beta2" ] ()
+      ~st:stores ()
   in
+  let op = if write then "incr" else "get" in
   Service.spawn_client w "c1" (fun () ->
-      for _ = 1 to 5 do
+      for _ = 1 to n do
         ignore
           (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
              ~policy:Replica.Policy.Single_copy_passive ~uid
-             (fun act group -> Service.invoke w group ~act "incr"))
+             (fun act group -> Service.invoke w group ~act ~write op))
       done);
   Service.run w
+
+(* Five scheme-A bind/commit cycles: each bind's naming reads are one
+   locked bind round. *)
+let bench_schemea = schemea_actions ~stores:[ "beta1"; "beta2" ] ~n:5 ~write:true
+
+(* Ten reads: the server and the shard both vote read-only, so each
+   commit is one prepare round with no phase 2 and no decision record. *)
+let bench_read_only_commits = schemea_actions ~stores:[ "beta1" ] ~n:10 ~write:false
 
 (* The 48-commit synchronised-wave episode at 8 clients: one prepare and
    one phase-2 round per store per batch. tab-groupcommit tabulates the same episode's store-round
@@ -514,6 +523,7 @@ let micro_tests =
       Test.make ~name:"commit.full-large" (Staged.stage bench_copy_back_large);
       Test.make ~name:"commit.optimistic" (Staged.stage bench_optimistic);
       Test.make ~name:"bind.schemeA" (Staged.stage bench_schemea);
+      Test.make ~name:"commit.read-only" (Staged.stage bench_read_only_commits);
       Test.make ~name:"commit.grouped-8-clients"
         (Staged.stage bench_grouped_8_clients);
       Test.make ~name:"commit.brownout-hedged"

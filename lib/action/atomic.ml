@@ -318,7 +318,8 @@ let commit_top t =
          vote yes, every resource prepares at once. The first no-vote (in
          registration order, for deterministic abort reasons) decides; a
          loser that prepared anyway is cleaned up by the abort fan-out,
-         which notifies all participants and resources regardless. *)
+         which notifies all participants and every resource that did not
+         vote read-only. *)
       let eng = engine t.rt in
       let participants = List.rev t.participants in
       let resources = List.rev t.enlisted in
@@ -332,37 +333,57 @@ let commit_top t =
              participants)
         |> List.find_map Fun.id
       in
-      let vote_fail =
+      let vote_fail, resources =
         match participant_fail with
-        | Some _ -> participant_fail
+        | Some _ -> (participant_fail, resources)
         | None ->
-            Sim.Join.all eng
-              (List.map
-                 (fun (rnode, resource, required) () ->
-                   match
-                     Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                       ~resource ~action
-                   with
-                   | Ok true -> None
-                   | Ok false ->
-                       Some
-                         (Printf.sprintf "resource %s@%s voted no" resource
-                            rnode)
-                   | Error e ->
-                       (* A crashed replica of a group is masked (its
-                          volatile state is gone anyway); a required
-                          resource aborts. *)
-                       if !required then
-                         Some
-                           (Printf.sprintf "resource %s@%s unreachable: %s"
-                              resource rnode (Net.Rpc.error_to_string e))
-                       else begin
-                         tracef t "%s: tolerating lost replica %s@%s (%s)"
-                           action resource rnode (Net.Rpc.error_to_string e);
-                         None
-                       end)
-                 resources)
-            |> List.find_map Fun.id
+            let votes =
+              Sim.Join.all eng
+                (List.map
+                   (fun (rnode, resource, required) () ->
+                     match
+                       Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
+                         ~resource ~action
+                     with
+                     | Ok Resource_host.Vote_yes -> `Yes
+                     | Ok Vote_read_only -> `Read_only
+                     | Ok Vote_no ->
+                         `Fail
+                           (Printf.sprintf "resource %s@%s voted no" resource
+                              rnode)
+                     | Error e ->
+                         (* A crashed replica of a group is masked (its
+                            volatile state is gone anyway); a required
+                            resource aborts. Either may have voted yes
+                            before the reply was lost, so both stay in
+                            phase 2. *)
+                         if !required then
+                           `Fail
+                             (Printf.sprintf "resource %s@%s unreachable: %s"
+                                resource rnode (Net.Rpc.error_to_string e))
+                         else begin
+                           tracef t "%s: tolerating lost replica %s@%s (%s)"
+                             action resource rnode (Net.Rpc.error_to_string e);
+                           `Yes
+                         end)
+                   resources)
+            in
+            (* A read-only voter ended the action itself: it gets neither
+               phase 2 nor the abort fan-out. *)
+            let resources =
+              if List.mem `Read_only votes then begin
+                let kept =
+                  List.fold_right2
+                    (fun r v acc -> if v = `Read_only then acc else r :: acc)
+                    resources votes []
+                in
+                t.enlisted <- List.rev kept;
+                kept
+              end
+              else resources
+            in
+            ( List.find_map (function `Fail reason -> Some reason | _ -> None) votes,
+              resources )
       in
       match vote_fail with
       | Some reason ->
@@ -370,9 +391,12 @@ let commit_top t =
           Error reason
       | None ->
           (* Decision point: durably record Commit on the coordinator
-             (presumed abort records only commits). *)
-          Store_host.record_decision t.rt.sh ~node:t.coord ~action
-            Store.Intent_log.Commit;
+             (presumed abort records only commits). An action left with
+             no participant and no resource for phase 2 records nothing:
+             nobody can ever ask for its outcome. *)
+          if participants <> [] || resources <> [] then
+            Store_host.record_decision t.rt.sh ~node:t.coord ~action
+              Store.Intent_log.Commit;
           deactivate t;
           t.st <- Committed;
           if tracing t then tracef t "%s commit" action;

@@ -115,9 +115,18 @@ val after_abort : t -> (unit -> unit) -> unit
 
 val commit : t -> (unit, string) result
 (** Commit the action. Top-level: before-commit hooks, phase 1 over all
-    participants and resources, durable decision record, phase 2, then
-    after-commit hooks. Nested: transfer everything to the parent.
-    [Error reason] means the action aborted instead. *)
+    participants and then all resources, durable decision record, phase
+    2, then after-commit hooks. Nested: transfer everything to the
+    parent. [Error reason] means the action aborted instead.
+
+    A resource that answers {!Resource_host.Vote_read_only} has ended
+    the action itself: it gets no phase 2, and no abort if another
+    resource votes no. Phase 2 goes to every participant and to every
+    other resource, including a non-required one whose prepare went
+    unanswered (it may have voted yes). The Commit decision is recorded
+    only if that phase 2 has someone to reach: an action whose resources
+    all voted read-only and that has no participant records nothing,
+    since nobody can ever ask for its outcome. *)
 
 val abort : t -> reason:string -> unit
 (** Abort the action: undo hooks (reverse order), abort all participants

@@ -1,5 +1,7 @@
+type vote = Vote_yes | Vote_no | Vote_read_only
+
 type manager = {
-  m_prepare : action:string -> bool;
+  m_prepare : action:string -> vote;
   m_commit : action:string -> unit;
   m_abort : action:string -> unit;
   m_transfer : action:string -> parent:string -> unit;
@@ -10,7 +12,7 @@ type req = { r_resource : string; r_action : string; r_parent : string }
 type t = {
   rpc_rt : Net.Rpc.t;
   managers : (Net.Network.node_id * string, manager) Hashtbl.t;
-  ep_prepare : (req, bool) Net.Rpc.endpoint;
+  ep_prepare : (req, vote) Net.Rpc.endpoint;
   ep_commit : (req, unit) Net.Rpc.endpoint;
   ep_abort : (req, unit) Net.Rpc.endpoint;
   ep_transfer : (req, unit) Net.Rpc.endpoint;

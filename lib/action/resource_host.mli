@@ -8,8 +8,10 @@
 
     - [prepare]: vote on commit (phase 1);
     - [commit]: make staged updates permanent and release the action's
-      locks (phase 2);
-    - [abort]: undo staged updates and release locks;
+      locks (phase 2; never sent to a resource that voted
+      {!Vote_read_only});
+    - [abort]: undo staged updates and release locks (never sent to a
+      resource that voted {!Vote_read_only});
     - [transfer]: fold a {e nested} action's locks and staged updates into
       its parent (Arjuna nested-commit semantics — nothing becomes durable
       yet).
@@ -17,8 +19,22 @@
     The client-side {!Atomic} module calls these automatically for every
     resource an action {e enlists}. *)
 
+(** A resource's phase-1 answer (presumed-abort 2PC):
+
+    - [Vote_yes]: the resource staged updates for the action; it keeps
+      them and the action's locks until phase 2 tells it the outcome.
+    - [Vote_no]: the resource cannot commit (a durable naming shard that
+      lost the action in a crash); the action aborts.
+    - [Vote_read_only]: the resource staged nothing. It ends the action
+      there and then — releases the action's locks, drops its record and
+      stops watching the coordinator — and the coordinator leaves it out
+      of phase 2 and of any abort. Prepare comes after the action's lock
+      point (before-commit hooks run before phase 1), so releasing read
+      locks here keeps strict two-phase locking serialisable. *)
+type vote = Vote_yes | Vote_no | Vote_read_only
+
 type manager = {
-  m_prepare : action:string -> bool;
+  m_prepare : action:string -> vote;
   m_commit : action:string -> unit;
   m_abort : action:string -> unit;
   m_transfer : action:string -> parent:string -> unit;
@@ -44,7 +60,7 @@ val abort_here :
 
 val prepare :
   t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> (bool, Net.Rpc.error) result
+  action:string -> (vote, Net.Rpc.error) result
 
 val commit :
   t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->

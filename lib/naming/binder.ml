@@ -140,7 +140,9 @@ let activate_counted t ~client ~uid ~impl ~policy ~servers ~stores =
 
 (* Figure 6's naming reads are one [Locked] bind request inside a nested
    action: its Read locks on [sv:] and [st:] pass to [act] on nested
-   commit and are held to top-level completion — the exclusion fence. *)
+   commit and are held to top-level completion — the exclusion fence. A
+   writer's commit stages its version note under [act] at the shard, so
+   they last to phase 2; a reader's end at its read-only prepare. *)
 let bind_standard t ~act ~uid ~policy =
   let client = Action.Atomic.node act in
   match

@@ -875,20 +875,23 @@ let manager t =
   {
     Action.Resource_host.m_prepare =
       (fun ~action ->
-        (* Under the always-available assumption every action is known;
-           with a durable (crashable) service, an action from before the
-           last crash lost its locks and staged updates and must abort,
-           and a yes vote makes the action's stage stable. *)
-        let known =
-          match Hashtbl.find_opt t.actions action with
-          | Some a ->
-              a.a_prepared <- true;
-              true
-          | None -> false
-        in
-        let yes = known || not t.durable in
-        if yes then Action.Termination.vote t.term ~scope:resource ~action;
-        yes);
+        (* An action that staged nothing here (read locks, or a fence
+           whose op changed nothing) ends at once: it votes read-only and
+           gets no phase 2. With a durable (crashable) service, an action
+           from before the last crash lost its locks and staged updates
+           and must abort, and a yes vote makes the action's stage
+           stable. *)
+        match Hashtbl.find_opt t.actions action with
+        | Some a when a.a_undo <> [] || a.a_redo <> [] ->
+            a.a_prepared <- true;
+            Action.Termination.vote t.term ~scope:resource ~action;
+            Action.Resource_host.Vote_yes
+        | None when t.durable -> Vote_no
+        | Some _ | None ->
+            Hashtbl.remove t.actions action;
+            Lockmgr.Manager.release_all t.locks ~owner:action;
+            Action.Termination.forget t.term ~scope:resource ~action;
+            Vote_read_only);
     m_commit =
       (fun ~action ->
         let touched =

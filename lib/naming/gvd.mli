@@ -16,7 +16,10 @@
     before-images, and the database participates in the action's
     completion through a {!Action.Resource_host} manager — commit drops
     the before-images and releases the locks, abort restores and
-    releases, nested commit transfers both to the parent action.
+    releases, nested commit transfers both to the parent action. An
+    action whose record here staged nothing (read locks only, or a fence
+    whose op changed nothing) votes read-only at prepare: its locks and
+    record go there, and it gets no phase 2.
 
     The paper's type-specific concurrency control is implemented exactly:
     [Exclude] first tries to promote the caller's read lock to the
@@ -139,7 +142,8 @@ val served_by :
 type read =
   | Servers
       (** GetServer (§4.1): a Read lock on [SvA] for the action, held to
-          its end; enlisted. [v_servers] is the working [SvA]. *)
+          its end (its prepare, if it stages nothing here); enlisted.
+          [v_servers] is the working [SvA]. *)
   | Stores
       (** GetView (§4.2): a Read lock on [StA] for the action; enlisted.
           [v_stores] is the working [StA]. *)
@@ -254,8 +258,9 @@ val update :
 type bind_use =
   | Locked
       (** Scheme A (Figure 6): GetServer then GetView — a Read lock on
-          [SvA] and then on [StA] for the action, held to its end. Changes
-          nothing. The reply's halves are the working [SvA] and [StA]. *)
+          [SvA] and then on [StA] for the action, held to its end (its
+          prepare, if it stages nothing here). Changes nothing. The
+          reply's halves are the working [SvA] and [StA]. *)
   | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
       (** Schemes B/C (Figures 7/8): GetServer + Remove(dead) +
           Increment(chosen) + GetView, with the caller's coalesced pending

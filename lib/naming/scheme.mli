@@ -3,7 +3,9 @@
 type t =
   | Standard
       (** Figure 6: [GetServer]/[GetView] run as nested actions of the
-          client action; read locks are held to the top-level commit;
+          client action; read locks are held to the top-level commit
+          (to phase 2 if the action wrote, to its read-only prepare if
+          not);
           [SvA] is static — dead servers are discovered "the hard way" at
           every bind. *)
   | Independent

@@ -57,6 +57,12 @@ type instance = {
      and take locks that no completion will ever clean up. *)
   mutable i_settled : string array;
   mutable i_settled_n : int; (* distinct actions ever settled here *)
+  mutable i_dead : bool;
+      (* the host crashed: the node's live copy, if any, is another
+         instance. Until the object is activated there again this one's
+         manager stays registered, and it must not act on the action-end
+         protocol — a phase 2 would install its stale stage and push it
+         to the cohorts as a checkpoint. *)
 }
 
 type activate_req = {
@@ -280,61 +286,81 @@ let release inst action =
   inst.i_ckpt_holders <-
     List.filter (fun (o, _) -> not (String.equal o action)) inst.i_ckpt_holders
 
-(* The resource manager wiring an instance into action completion. *)
+(* The action is over at the instance: forget its replies, release its
+   locks, tombstone it and stop watching its coordinator. *)
+let end_action t inst action =
+  clean_applied inst action;
+  release inst action;
+  settle_action inst action;
+  Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action
+
+(* The resource manager wiring an instance into action completion. A dead
+   instance (see [i_dead]) votes read-only and otherwise does nothing. *)
 let make_manager t inst =
   {
     Action.Resource_host.m_prepare =
       (fun ~action ->
-        Action.Termination.vote (term_of t inst) ~scope:(scope inst) ~action;
-        true);
+        if inst.i_dead then Action.Resource_host.Vote_read_only
+        else if Hashtbl.mem inst.i_staged action then begin
+          Action.Termination.vote (term_of t inst) ~scope:(scope inst) ~action;
+          Vote_yes
+        end
+        else begin
+          (* Nothing staged: the action ends here and gets no phase 2.
+             No checkpoint either; the next one drops its holder entry. *)
+          end_action t inst action;
+          Vote_read_only
+        end);
     m_commit =
       (fun ~action ->
-        (match Hashtbl.find_opt inst.i_staged action with
-        | Some payload ->
-            inst.i_committed <- payload;
-            inst.i_version <-
-              Store.Version.next inst.i_version ~committed_by:action;
-            Hashtbl.remove inst.i_staged action;
-            if tracing t then
-              tracef t "%s: %s instance-commit %a := %S %a" inst.i_node action
-                Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
-        | None ->
-            if tracing t then
-              tracef t "%s: %s instance-commit %a: nothing staged" inst.i_node
-                action Store.Uid.pp inst.i_uid);
-        clean_applied inst action;
-        release inst action;
-        settle_action inst action;
-        Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action;
-        checkpoint_to_cohorts t inst);
+        if not inst.i_dead then begin
+          (match Hashtbl.find_opt inst.i_staged action with
+          | Some payload ->
+              inst.i_committed <- payload;
+              inst.i_version <-
+                Store.Version.next inst.i_version ~committed_by:action;
+              Hashtbl.remove inst.i_staged action;
+              if tracing t then
+                tracef t "%s: %s instance-commit %a := %S %a" inst.i_node
+                  action Store.Uid.pp inst.i_uid payload Store.Version.pp
+                  inst.i_version
+          | None ->
+              if tracing t then
+                tracef t "%s: %s instance-commit %a: nothing staged"
+                  inst.i_node action Store.Uid.pp inst.i_uid);
+          end_action t inst action;
+          checkpoint_to_cohorts t inst
+        end);
     m_abort =
       (fun ~action ->
-        Hashtbl.remove inst.i_staged action;
-        clean_applied inst action;
-        release inst action;
-        settle_action inst action;
-        Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action;
-        checkpoint_to_cohorts t inst);
+        if not inst.i_dead then begin
+          Hashtbl.remove inst.i_staged action;
+          end_action t inst action;
+          checkpoint_to_cohorts t inst
+        end);
     m_transfer =
       (fun ~action ~parent ->
-        (match Hashtbl.find_opt inst.i_staged action with
-        | Some payload ->
-            Hashtbl.replace inst.i_staged parent payload;
-            Hashtbl.remove inst.i_staged action
-        | None -> ());
-        Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
-          ~to_owner:parent;
-        (* The child is finished as an owner here: a straggler invocation
-           under the child's id would stage state its (gone) completion
-           can never move to the parent. *)
-        settle_action inst action;
-        inst.i_ckpt_holders <-
-          List.map
-            (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
-            inst.i_ckpt_holders;
-        Action.Termination.transfer (term_of t inst) ~scope:(scope inst) ~action
-          ~parent;
-        checkpoint_to_cohorts t inst);
+        if not inst.i_dead then begin
+          (match Hashtbl.find_opt inst.i_staged action with
+          | Some payload ->
+              Hashtbl.replace inst.i_staged parent payload;
+              Hashtbl.remove inst.i_staged action
+          | None -> ());
+          Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
+            ~to_owner:parent;
+          (* The child is finished as an owner here: a straggler
+             invocation under the child's id would stage state its (gone)
+             completion can never move to the parent. *)
+          settle_action inst action;
+          inst.i_ckpt_holders <-
+            List.map
+              (fun (o, m) ->
+                if String.equal o action then (parent, m) else (o, m))
+              inst.i_ckpt_holders;
+          Action.Termination.transfer (term_of t inst) ~scope:(scope inst)
+            ~action ~parent;
+          checkpoint_to_cohorts t inst
+        end);
   }
 
 let install_instance t node inst =
@@ -435,6 +461,7 @@ let apply_checkpoint t node msg =
             i_ckpt_stamp = neg_infinity;
             i_settled = [||];
             i_settled_n = 0;
+            i_dead = false;
           }
         in
         install_instance t node inst;
@@ -456,13 +483,17 @@ let apply_checkpoint t node msg =
 (* A replica assuming the coordinator role must materialise the lock
    table of the last checkpoint: in-progress actions coordinated at the
    previous coordinator hold locks there, and a new writer arriving here
-   must wait for them exactly as it would have at the original node. *)
+   must wait for them exactly as it would have at the original node. An
+   action that already ended here is skipped: a read-only vote pushes no
+   checkpoint, so a checkpoint sent before it can still name its locks. *)
 let assume_coordinator (_ : runtime) inst =
   if inst.i_role <> Coordinator then begin
     inst.i_role <- Coordinator;
     List.iter
       (fun (owner, mode) ->
-        ignore (Lockmgr.Manager.try_acquire inst.i_locks ~owner ~mode "state"))
+        if not (is_settled inst owner) then
+          ignore
+            (Lockmgr.Manager.try_acquire inst.i_locks ~owner ~mode "state"))
       inst.i_ckpt_holders
   end
 
@@ -521,6 +552,7 @@ let make_instance t node impl uid state role members =
     i_ckpt_stamp = neg_infinity;
     i_settled = [||];
     i_settled_n = 0;
+    i_dead = false;
   }
 
 let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
@@ -702,7 +734,9 @@ let install_host t node =
   (* Instances are volatile: destroy them on crash — a recovered node
      re-activates from the stores. *)
   Net.Network.on_crash (net t) node (fun () ->
-      Hashtbl.reset (node_instances t node))
+      let insts = node_instances t node in
+      Hashtbl.iter (fun _ inst -> inst.i_dead <- true) insts;
+      Hashtbl.reset insts)
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_activate

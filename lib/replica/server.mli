@@ -14,7 +14,12 @@
     actions). The instance participates in action completion through a
     {!Action.Resource_host} manager: commit installs the staged payload and
     advances the version; abort discards it; nested-commit transfers
-    staging and locks to the parent action.
+    staging and locks to the parent action. An action that staged
+    nothing on the instance votes read-only at prepare, which releases
+    its locks there and pushes no checkpoint. A crashed instance's
+    manager stays registered until the object is activated on its node
+    again; the crash hook marks it dead, and a dead instance votes
+    read-only and otherwise ignores the action-end protocol.
 
     For coordinator-cohort replication, instances carry a role; the
     coordinator checkpoints its full instance state to cohorts after every

@@ -183,7 +183,7 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
   let w =
     (* Every world commits through validated
        snapshots and the group-commit plane and binds scheme A with one
-       Join scatter, so batch leadership, peel-outs and orphaned members
+       [gvd.bind] request, so batch leadership, peel-outs and orphaned members
        all run under the fault schedule. The brownout world runs the
        [Hedged] gray-failure profile — hedged scatters, deadline shedding
        (a batch of one, peel-outs and orphan retries carry the action
@@ -524,7 +524,7 @@ let run_check ?(seeds = default_seeds) () =
       "bind/commit workloads with a mid-run shard rebalance. Every world";
       "commits through the validated lock-free snapshot and the";
       "group-commit plane (window 2.0) and binds scheme A through one";
-      "Join scatter, putting batch leadership, peel-outs and orphaned";
+      "gvd.bind request, putting batch leadership, peel-outs and orphaned";
       "members under the fault schedules. The classic world never crashes";
       "naming; the durable-ns world runs durable naming and adds the";
       "naming shards to the crash pool. The brownout world adds";

@@ -10,7 +10,7 @@
 
     Every world commits by validating a lock-free St snapshot in the
     prepare round, through the group-commit plane, and binds scheme A
-    with one Join scatter, so batch leadership, vote peel-outs and
+    with one [gvd.bind] request, so batch leadership, vote peel-outs and
     orphaned members all run under the fault schedules, with St-revision monotonicity monitored. Four world
     variants run per seed: {e classic} (naming nodes never crash — the
     paper's §3.1 availability assumption), {e durable-ns} (durable

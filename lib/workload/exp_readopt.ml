@@ -74,7 +74,9 @@ let run ?(seed = 61L) () =
         "Paper claim (§4.2.1): 'if the client has not changed the state of";
         "the object, then no copying to object stores is necessary' — state";
         "copies scale with updating actions only, and read-only actions";
-        "commit faster (no prepare round to the |St|=3 stores).";
+        "commit faster: no prepare round to the |St|=3 stores, and no";
+        "phase-2 round either (the server and the naming shard staged";
+        "nothing, so both vote read-only at prepare).";
         "Commit means time commit processing only (body end -> top-action";
         "completion). The fanout columns summarise the commit.fanout";
         "histogram: wall time of the scatter-gather prepare round to the";

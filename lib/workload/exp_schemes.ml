@@ -140,8 +140,9 @@ let fig6 ?seed () =
       [
         "Paper claims (§4.1.2): SvA is static, so every bind while s1 is";
         "down pays a futile activation attempt ('the hard way'); database";
-        "read locks are held to client commit, so the recovered server's";
-        "Insert waits; in exchange the database sees few operations.";
+        "read locks are held to client commit (a writer's to phase 2, a";
+        "reader's to its prepare), so the recovered server's Insert waits;";
+        "in exchange the database sees few operations.";
       ]
     ()
 

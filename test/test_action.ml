@@ -327,7 +327,7 @@ let make_register w node =
   let staged : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let manager =
     {
-      Resource_host.m_prepare = (fun ~action:_ -> true);
+      Resource_host.m_prepare = (fun ~action:_ -> Resource_host.Vote_yes);
       m_commit =
         (fun ~action ->
           (match Hashtbl.find_opt staged action with

@@ -141,6 +141,34 @@ let test_single_copy_server_crash_aborts () =
   check_bool "aborted" true (Result.is_error !outcome);
   Alcotest.(check (option string)) "store unchanged" (Some "0") (store_payload w "beta" uid)
 
+(* The server crashes and recovers before commit: its old instance is
+   dead (its manager would vote read-only), but the commit view finds no
+   live copy of the action's state, so the action still aborts. *)
+let test_single_copy_server_recovered_aborts () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  let outcome = ref (Ok ()) in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ]
+                ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                (match Group.invoke w.grt g ~act "incr" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
+                Net.Network.crash w.net "alpha";
+                Sim.Engine.sleep w.eng 2.0;
+                Net.Network.recover w.net "alpha"));
+  Sim.Engine.run w.eng;
+  check_bool "aborted" true (Result.is_error !outcome);
+  Alcotest.(check (option string)) "store unchanged" (Some "0") (store_payload w "beta" uid)
+
 let test_read_only_skips_copy () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"ctr" ~payload:"7" ~stores:[ "beta" ] in
@@ -480,6 +508,98 @@ let test_cc_failover_continues_action () =
     (Sim.Metrics.counter (Net.Network.metrics w.net) "server.promotions");
   Alcotest.(check (option string)) "store final" (Some "42") (store_payload w "beta" uid)
 
+(* The crashed coordinator's instance stays registered as the resource
+   manager on its node until the object is activated there again. When
+   the node recovers before the action ends, that dead instance must not
+   take part in phase 2: installing its pre-crash stage and checkpointing
+   it to the promoted coordinator would roll the object back. *)
+let test_cc_dead_instance_ignores_phase2 () =
+  let w = make_world ~servers:[ "k1"; "k2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"account"
+                ~policy:(Policy.Coordinator_cohort 2) ~servers:[ "k1"; "k2" ]
+                ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                (match Group.invoke w.grt g ~act "deposit 30" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "first invoke failed"));
+                Net.Network.crash w.net "k1";
+                Sim.Engine.sleep w.eng 5.0;
+                (match Group.invoke w.grt g ~act "deposit 12" with
+                | Ok r -> check_string "continued on cohort" "42" r
+                | Error e ->
+                    raise
+                      (Action.Atomic.Abort
+                         (Format.asprintf "%a" Group.pp_invoke_error e)));
+                (* k1 is back, its old instance still registered. *)
+                Net.Network.recover w.net "k1"));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  Alcotest.(check (option string)) "store final" (Some "42") (store_payload w "beta" uid);
+  Alcotest.(check (option string))
+    "promoted coordinator keeps the commit" (Some "42")
+    (Server.instance_payload w.srv ~node:"k2" ~uid)
+
+(* A read-only vote pushes no checkpoint, so a checkpoint the
+   coordinator sent earlier can still name the reader as a lock holder
+   after the reader ended at the cohort. The cohort tombstoned it there:
+   on promotion it must not take the reader's lock back, or every later
+   writer would wait on an action that is over. *)
+let test_cc_promotion_skips_ended_holders () =
+  let w = make_world ~servers:[ "k1"; "k2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
+  let members = [ "k1"; "k2" ] in
+  let holders = ref [ "never ran" ] in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      let activate server role =
+        match
+          Server.activate w.srv ~from:"c" ~server ~uid ~impl:"account"
+            ~stores:[ "beta" ] ~role ~members
+        with
+        | Ok (Server.Activated _) -> ()
+        | _ -> Alcotest.fail "activation failed"
+      in
+      activate "k1" Server.Coordinator;
+      activate "k2" Server.Cohort;
+      let get action =
+        match
+          Server.invoke w.srv ~from:"c" ~server:"k1" ~uid ~action ~serial:1
+            ~last_acked:0 ~write:false ~op:"balance"
+        with
+        | Ok (Server.Reply _) -> ()
+        | _ -> Alcotest.fail "invoke failed"
+      in
+      get "c:1";
+      (* c:1 ends at the cohort first: its read-only vote there. *)
+      (match
+         Action.Resource_host.prepare (Action.Atomic.resource_host w.art)
+           ~from:"c" ~node:"k2" ~resource:(Server.resource_name uid)
+           ~action:"c:1"
+       with
+      | Ok Action.Resource_host.Vote_read_only -> ()
+      | _ -> Alcotest.fail "cohort did not vote read-only");
+      (* The coordinator has not seen c:1's prepare yet: c:2's eager
+         checkpoint still lists c:1 as a holder. *)
+      get "c:2";
+      Net.Network.crash w.net "k1";
+      Sim.Engine.sleep w.eng 5.0;
+      holders :=
+        List.concat_map
+          (fun (_, hs, _) -> hs)
+          (Server.instance_residue w.srv ~node:"k2"));
+  Sim.Engine.run w.eng;
+  check_int "k2 promoted" 1
+    (Sim.Metrics.counter (Net.Network.metrics w.net) "server.promotions");
+  Alcotest.(check (list string)) "only the live reader holds" [ "c:2" ] !holders
+
 (* ------------------------------------------------------------------ *)
 (* Passivation *)
 
@@ -611,6 +731,8 @@ let suite =
       [
         tc "commit writes all stores" `Quick test_single_copy_commit_writes_all_stores;
         tc "server crash aborts" `Quick test_single_copy_server_crash_aborts;
+        tc "server crash and recovery aborts" `Quick
+          test_single_copy_server_recovered_aborts;
         tc "read only skips copy" `Quick test_read_only_skips_copy;
         tc "commit excludes crashed store" `Quick test_commit_excludes_crashed_store;
         tc "withdraws prepares on mixed votes" `Quick test_withdraw_prepares_mixed_votes;
@@ -631,6 +753,9 @@ let suite =
       [
         tc "normal operation checkpoints" `Quick test_cc_normal_operation_checkpoints;
         tc "failover continues action" `Quick test_cc_failover_continues_action;
+        tc "dead instance ignores phase 2" `Quick test_cc_dead_instance_ignores_phase2;
+        tc "promotion skips ended holders" `Quick
+          test_cc_promotion_skips_ended_holders;
       ] );
     ( "replica.passivation",
       [
