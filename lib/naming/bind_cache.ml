@@ -3,8 +3,9 @@
    A hit lets a repeat bind skip every bind-time naming RPC (GetServer /
    Increment / GetView) and go straight to activation with the cached
    (SvA', StA). Safety does not depend on freshness: commit-time
-   processing still re-reads StA under a lock and the object stores
-   backward-validate the activation's base version, so a stale entry can
+   processing still reads the committed StA and validates its revision,
+   and the object stores backward-validate the activation's base
+   version, so a stale entry can
    only cost the client the paper's scheme-A "discover the dead server
    the hard way" path — a futile activation or a version-conflict abort,
    after which the entry is invalidated and the retry takes the full

@@ -39,8 +39,9 @@ val fill :
 val renew : t -> now:float -> client:Net.Network.node_id -> Store.Uid.t -> unit
 (** Extend the lease of a present entry to [now + lease]; no-op when
     absent. Called when a bind built on the entry {e commits} — commit
-    processing just re-read StA under a lock and the stores validated the
-    activation, so the entry is known good as of that instant. *)
+    processing just validated its copy-back target against the committed
+    St revision and the stores validated the activation, so the entry is
+    known good as of that instant. *)
 
 val invalidate : t -> client:Net.Network.node_id -> Store.Uid.t -> unit
 

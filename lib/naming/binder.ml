@@ -48,6 +48,7 @@ type prebinding = {
          Decrement must mirror exactly this set, not the (possibly
          smaller) set that actually activated *)
   pb_stores : Net.Network.node_id list;
+  pb_rev : int;  (* the committed St revision of [pb_stores] *)
   mutable pb_released : bool;
 }
 
@@ -88,23 +89,33 @@ let exclusion t ~scheme ~uid act failed =
       | Ok () -> Ok ()
       | Error why -> Error why)
 
-(* Commit processing re-reads StA at commit time: the bind-time view can
-   be outdated by a recovered store's Include under the
-   independent/nested-top-level schemes (§4.2.1(ii)'s elided
-   enhancement), and the copy-back must target the current members. The
-   Include fence — a recovering store must not be re-admitted (with a
-   state at the old version fence) between the copy-back's target choice
-   and its commit, or St members end up at different versions — is a
-   lock-free snapshot of (St, revision) taken when each copy-back attempt
-   starts, re-validated under the write fence inside the prepare round by
-   a [Note_version] update with [if_rev]: an interleaved membership
+(* Commit processing must copy back to the current St members: the
+   bind-time view can be outdated by a recovered store's Include under
+   the independent/nested-top-level schemes (§4.2.1(ii)'s elided
+   enhancement). The Include fence — a recovering store must not be
+   re-admitted (with a state at the old version fence) between the
+   copy-back's target choice and its commit, or St members end up at
+   different versions — is a [Note_version] update with [if_rev] under
+   the write fence, inside the prepare round: an interleaved membership
    change is a revision conflict and the copy-back retries against fresh
-   St ({!Replica.Commit.attach}). The bind-time snapshot path is
-   unrelated: it serves reads only and provides no fence. *)
-let attach_commit t ~scheme ~act ~uid group =
+   St ({!Replica.Commit.attach}).
+
+   So each attempt's target need only be a committed (St, revision)
+   pair, not a fresh one: a stale pair costs one conflict. The first
+   attempt takes [committed] when the bind has one (a [Counted] reply
+   reads both from one snapshot) and sends no read; every other attempt
+   reads lock-free. Scheme A's [Locked] reply is no such pair: its St is
+   the working one, which may hold a staged Exclude that later aborts. *)
+let attach_commit t ~scheme ~act ~uid ?committed group =
+  let pending = ref committed in
   let snapshot_stores () =
-    or_why (Router.read t.b_router ~act uid Gvd.Committed)
-    |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
+    match !pending with
+    | Some pair ->
+        pending := None;
+        Ok pair
+    | None ->
+        or_why (Router.read t.b_router ~act uid Gvd.Committed)
+        |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
   in
   let validate act ~version ~rev =
     match Router.update t.b_router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
@@ -367,11 +378,13 @@ let bind_independent t ~client ~uid ~policy =
               pb_servers = group.Replica.Group.g_members;
               pb_incremented = chosen;
               pb_stores = st;
+              pb_rev = bv.Gvd.bv_rev;
               pb_released = false;
             })
 
 let use_prebinding t ~act pb =
-  attach_commit t ~scheme:Scheme.Independent ~act ~uid:pb.pb_uid pb.pb_group;
+  attach_commit t ~scheme:Scheme.Independent ~act ~uid:pb.pb_uid
+    ~committed:(pb.pb_stores, pb.pb_rev) pb.pb_group;
   Ok
     {
       bd_uid = pb.pb_uid;
@@ -409,7 +422,8 @@ let bind_nested_toplevel t ~act ~uid ~policy =
           credit_release t ~client ~uid ~servers:chosen;
           Error e
       | Ok group ->
-          attach_commit t ~scheme:Scheme.Nested_toplevel ~act ~uid group;
+          attach_commit t ~scheme:Scheme.Nested_toplevel ~act ~uid
+            ~committed:(st, bv.Gvd.bv_rev) group;
           let release () = credit_release t ~client ~uid ~servers:chosen in
           (* The trailing Decrement is credited when the client action
              ends, whichever way. *)
@@ -463,8 +477,9 @@ let bind_cached t cache ~act ~scheme ~uid ~policy (e : Bind_cache.entry) =
       attach_commit t ~scheme ~act ~uid group;
       Action.Atomic.on_abort act (fun () ->
           Bind_cache.invalidate cache ~client uid);
-      (* A commit just revalidated the entry (StA re-read under lock,
-         stores backward-validated the activation): renew its lease. *)
+      (* A commit just revalidated the entry (its copy-back target
+         validated against the committed St revision, stores
+         backward-validated the activation): renew its lease. *)
       Action.Atomic.after_commit act (fun () ->
           Bind_cache.renew cache ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
             ~client uid);

@@ -46,10 +46,12 @@
     The commit-time [Exclude] follows the scheme as well: under
     [Standard] it runs inside the client action by promoting the held read
     lock (§4.2.1); under the other two it runs as a nested top-level
-    action acquiring the exclude-write lock afresh. Commit-time [StA]
-    re-reads are lock-free snapshots validated inside the prepare round
-    under every scheme ({!attach_commit}); that validation is the only
-    commit-time fence, and three conflicts abort the commit. *)
+    action acquiring the exclude-write lock afresh. The copy-back target
+    is a committed [(StA, revision)] pair validated inside the prepare
+    round under every scheme ({!attach_commit}); that validation is the
+    only commit-time fence, and three conflicts abort the commit. Schemes
+    B/C take the first pair from their [Counted] bind reply; scheme A,
+    cache hits and every retry read it lock-free at commit. *)
 
 type t
 (** Binder runtime. *)
@@ -61,7 +63,8 @@ val create : ?cache:Bind_cache.t -> Router.t -> Replica.Group.runtime -> t
     from the cached [(impl, SvA', StA)]. Staleness only slows a bind
     down (futile activations, a commit-time version-conflict abort that
     invalidates the entry); it can never commit against a stale store —
-    commit processing re-reads [StA] and the stores backward-validate. *)
+    commit processing reads the committed [StA] and validates its
+    revision, and the stores backward-validate. *)
 
 val router : t -> Router.t
 
@@ -148,11 +151,20 @@ val attach_commit :
   scheme:Scheme.t ->
   act:Action.Atomic.t ->
   uid:Store.Uid.t ->
+  ?committed:Net.Network.node_id list * int ->
   Replica.Group.t ->
   unit
 (** Attach commit processing ({!Replica.Commit.attach}) for a group bound
-    under [scheme]: the lock-free [(StA, St revision)] read, the
+    under [scheme]: the copy-back target [(StA, St revision)], the
     validate-and-note (a [Note_version] update with [~if_rev]; a moved
     revision or a refused fence is a conflict) and the scheme's
-    [Exclude]. Every bind of this module calls it; {!Hybrid.bind} calls
-    it with [Standard]. *)
+    [Exclude].
+
+    [committed] is a committed [(StA, revision)] pair the bind already
+    holds — a [Counted] reply's [bv_stores] and [bv_rev]: the first
+    copy-back attempt targets it and sends no commit-time read. Without
+    it, and on every retry after a conflict, the target comes from a
+    lock-free {!Gvd.read} [Committed]. Only {!bind_independent} (through
+    the prebinding) and {!bind_nested_toplevel} pass one; scheme A's
+    [Locked] reply, a cache hit and {!Hybrid.bind} hold no committed
+    pair. *)

@@ -124,6 +124,9 @@ type bind_view = {
   bv_removed : Net.Network.node_id list; (* dead servers pruned from SvA *)
   bv_stores : Net.Network.node_id list;
       (* Locked: the working StA; Counted: the committed StA snapshot *)
+  bv_rev : int;
+      (* the committed St revision: with Counted's [bv_stores], a pair a
+         commit can validate; with Locked's working StA, not one *)
 }
 
 (* A migrating entry in flight between shards: the full recoverable image
@@ -181,6 +184,11 @@ type t = {
   (* Entries handed off to another shard: uid serial -> destination.
      Requests arriving here for a migrated entry get a [Moved] bounce. *)
   moved_out : (int, Net.Network.node_id) Hashtbl.t;
+  (* Images handed off whose destination has not installed them yet,
+     kept beside their [moved_out] marker: a handoff whose reply is lost
+     was still applied here, and the router's retry must get the entry
+     again rather than a marker pointing at a shard that never got it. *)
+  unsettled : (int, handoff) Hashtbl.t;
   (* Actions that have touched the database since the last crash of the
      service node. With [durable], a crash restores every entry to its
      committed image and wipes locks — so pre-crash actions must vote no
@@ -520,7 +528,8 @@ let read_lock t ~action side uid =
 
 (* GetServer and GetView take a Read lock on their half for the action
    and answer that half from the working image. The lock-free committed
-   read (schemes B/C, and every commit's St snapshot) serves the latest
+   read (a commit's St snapshot when its bind holds no committed pair,
+   and every retry's) serves the latest
    committed image without touching the lock table: writers install a
    new snapshot only at commit, so it never shows an uncommitted
    mutation; the price is bounded staleness, which the commit-time
@@ -639,7 +648,8 @@ let h_update t { up_action = action; up_ops = ops; up_if_rev } =
    [Counted] (Figures 7/8) is GetServer, Remove of detectably dead
    servers and Increment of the chosen subset, with the caller's
    coalesced pending Decrements piggybacked; the reply carries the
-   committed StA snapshot. The lock mode is chosen by a lock-free peek at
+   committed StA snapshot and its St revision, the pair the client's
+   commit validates. The lock mode is chosen by a lock-free peek at
    the committed snapshot: only when a listed server is detectably dead
    does the handler need the write lock (for the structural Remove); the
    common case runs in [Delta] mode and concurrent binders commute. A
@@ -659,6 +669,7 @@ let bind_locked t e ~action =
               bv_servers = e.e_image.im_server.im_sv;
               bv_removed = [];
               bv_stores = e.e_image.im_state.im_st;
+              bv_rev = e.e_snap.im_state.im_st_rev;
             })
 
 let bind_counted t e a ~action ~client ~replicas ~credits =
@@ -711,6 +722,7 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
             bv_servers = chosen;
             bv_removed = removed;
             bv_stores = e.e_snap.im_state.im_st;
+            bv_rev = e.e_snap.im_state.im_st_rev;
           }
       end
 
@@ -731,8 +743,16 @@ let h_bind t { bt_uid; bt_action = action; bt_client = client; bt_use } =
    router retries busy entries until the locks drain. Use lists ride
    along inside the image: entries with active bindings migrate fine. *)
 let h_handoff t { hr_uid; hr_dest } =
+  let serial = Store.Uid.serial hr_uid in
   match entry_opt t hr_uid with
-  | None -> absent t hr_uid
+  | None -> (
+      match Hashtbl.find_opt t.unsettled serial with
+      | Some ho when Hashtbl.find_opt t.moved_out serial = Some hr_dest ->
+          (* An earlier grant to the same destination was never installed
+             (its reply was lost): grant the same image again. *)
+          Sim.Metrics.incr (metrics t) "gvd.handoff_regrants";
+          Granted ho
+      | _ -> absent t hr_uid)
   | Some e ->
       let free side =
         let key = key_of side hr_uid in
@@ -744,7 +764,6 @@ let h_handoff t { hr_uid; hr_dest } =
         Busy "entry locked"
       end
       else begin
-        let serial = Store.Uid.serial hr_uid in
         let names =
           Hashtbl.fold
             (fun name uid acc ->
@@ -752,12 +771,7 @@ let h_handoff t { hr_uid; hr_dest } =
             t.names []
           |> List.sort String.compare
         in
-        Hashtbl.remove t.entries serial;
-        List.iter (fun name -> Hashtbl.remove t.names name) names;
-        Hashtbl.replace t.moved_out serial hr_dest;
-        Sim.Metrics.incr (metrics t) "gvd.handoffs_out";
-        tracef t "handoff %a -> %s" Store.Uid.pp hr_uid hr_dest;
-        Granted
+        let ho =
           {
             ho_serial = serial;
             ho_uid = hr_uid;
@@ -768,6 +782,14 @@ let h_handoff t { hr_uid; hr_dest } =
             ho_version = e.e_version;
             ho_names = names;
           }
+        in
+        Hashtbl.remove t.entries serial;
+        List.iter (fun name -> Hashtbl.remove t.names name) names;
+        Hashtbl.replace t.moved_out serial hr_dest;
+        Hashtbl.replace t.unsettled serial ho;
+        Sim.Metrics.incr (metrics t) "gvd.handoffs_out";
+        tracef t "handoff %a -> %s" Store.Uid.pp hr_uid hr_dest;
+        Granted ho
       end
 
 (* Install a migrated entry on the receiving shard (called in-process by
@@ -784,8 +806,11 @@ let accept_handoff t ho =
     };
   List.iter (fun name -> Hashtbl.replace t.names name ho.ho_uid) ho.ho_names;
   Hashtbl.remove t.moved_out ho.ho_serial;
+  Hashtbl.remove t.unsettled ho.ho_serial;
   Sim.Metrics.incr (metrics t) "gvd.handoffs_in";
   tracef t "accepted handoff of %a" Store.Uid.pp ho.ho_uid
+
+let settle_handoff t uid = Hashtbl.remove t.unsettled (Store.Uid.serial uid)
 
 let handoff_out t ~from ~uid ~dest =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_handoff
@@ -1013,6 +1038,7 @@ let install ?(use_exclude_write = true) ?(durable = false)
       service_time;
       service = Sim.Semaphore.create 1;
       moved_out = Hashtbl.create 16;
+      unsettled = Hashtbl.create 4;
       actions;
       entries;
       names = Hashtbl.create 64;

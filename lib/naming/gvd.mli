@@ -156,7 +156,12 @@ type view = {
   v_servers : Net.Network.node_id list;  (** [SvA] *)
   v_stores : Net.Network.node_id list;  (** [StA] *)
   v_version : int;  (** entry snapshot version *)
-  v_rev : int;  (** committed St revision, the [if_rev] of {!update} *)
+  v_rev : int;
+      (** committed St revision, the [if_rev] of {!update}. It is always
+          the committed one: a locked [Stores] read pairs the {e working}
+          [v_stores] (which may hold another action's staged [Exclude])
+          with it, so only a [Committed] read gives a (St, revision) pair
+          that validation can rely on. *)
 }
 (** One view of an entry. The half a locked read covers comes from the
     working image; everything else from the committed snapshot. *)
@@ -280,6 +285,15 @@ type bind_view = {
   bv_stores : Net.Network.node_id list;
       (** [Locked]: the working [StA]; [Counted]: the committed [StA]
           snapshot *)
+  bv_rev : int;
+      (** the committed St revision. [Counted]: read from the same
+          snapshot as [bv_stores], so ([bv_stores], [bv_rev]) is a
+          committed pair — the one a scheme-B/C commit validates its
+          first copy-back attempt against, with no commit-time read.
+          [Locked]: paired with the {e working} [StA], which may include
+          another action's staged [Exclude] (the exclude-write lock is
+          compatible with Read) while the revision is still the committed
+          one; not a pair to validate against. *)
 }
 
 val bind :
@@ -323,7 +337,13 @@ val resync_from :
     (only when no locks are held or queued on it — [Busy] otherwise, and
     the router retries until in-flight actions drain), and the receiving
     instance installs it in-process immediately after the reply. Requests
-    racing the migration are healed by the [Moved] bounce. *)
+    racing the migration are healed by the [Moved] bounce.
+
+    The source keeps the handed-off image beside its marker until the
+    router reports it installed ({!settle_handoff}): a handoff whose
+    reply was lost was still applied, and a repeated handoff to the same
+    destination grants the same image again instead of answering with
+    the marker. *)
 
 type handoff
 (** A migrating entry in flight: image, names, use lists and the
@@ -340,6 +360,11 @@ val handoff_out :
 
 val accept_handoff : t -> handoff -> unit
 (** Install a migrated entry on this instance (direct, no network). *)
+
+val settle_handoff : t -> Store.Uid.t -> unit
+(** On the source of a handoff, once the destination installed the entry
+    (direct, no network): drop the kept image; the [Moved] marker
+    stays. *)
 
 val owns : t -> Store.Uid.t -> bool
 (** Whether this instance currently holds the entry for [uid]. *)

@@ -203,11 +203,14 @@ let migrate_one t ~from ~uid ~src ~dest_gvd =
     match Gvd.handoff_out g ~from ~uid ~dest:(Gvd.node dest_gvd) with
     | Ok (Gvd.Granted ho) ->
         Gvd.accept_handoff dest_gvd ho;
+        Gvd.settle_handoff g uid;
         Sim.Metrics.incr m "router.migrations";
         Ok true
     | Ok (Gvd.Busy why) -> Error ("busy: " ^ why)
     | Ok (Gvd.Moved dest) -> (
-        (* Someone already moved it (concurrent rebalance); chase. *)
+        (* Someone already moved it (concurrent rebalance); chase. A
+           marker naming [dest_gvd] itself is a settled handoff: an
+           unsettled one to the same destination is granted again. *)
         match gvd_for t dest with
         | Some g' when g' != dest_gvd ->
             if chases > 0 then try_once g' (chases - 1)

@@ -42,8 +42,9 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              exclude — never a substituted answer. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
-          (* One copy-back attempt: take [St] and its revision from a
-             lock-free snapshot, scatter the prepares against it, detect
+          (* One copy-back attempt: take a committed [St] and its
+             revision from [snapshot_stores], scatter the prepares
+             against it, detect
              staleness, exclude unreachable stores, then validate the
              revision inside the prepare round. A conflict — an
              Include/Exclude committed in between, or one holding the

@@ -10,7 +10,7 @@
     + fetch the commit view from a functioning replica (abort if none);
     + {e read optimisation}: if the action never modified the object, skip
       the copy entirely;
-    + prepare the object's whole new state on every node of the
+    + prepare the object's whole new state on every node of a
       committed [StA] (metric [commit.bytes_shipped] sums the bytes
       shipped);
     + if {e every} store is unreachable, abort;
@@ -37,10 +37,15 @@ val attach :
     commit-time state copy-back for [group] under [act]. Call once per
     (action, bound group).
 
-    [St] and its membership revision come from [snapshot_stores], a
-    lock-free committed read ({!Naming.Gvd.read} [Committed]) taken when
-    each copy-back attempt starts; a failed read aborts the commit with
-    that read's error. [validate] re-checks the revision inside the
+    [St] and its membership revision come from [snapshot_stores], asked
+    once when each copy-back attempt starts. It must answer a
+    {e committed} pair — a member list and the revision it was committed
+    at — but not necessarily a fresh one: a stale pair costs one
+    conflict, never a wrong copy. The naming layer answers a scheme-B/C
+    commit's first attempt from its [Counted] bind reply and every
+    other from a lock-free committed read ({!Naming.Gvd.read}
+    [Committed]); a failed read aborts the commit with that read's
+    error. [validate] re-checks the revision inside the
     prepare round (a [Note_version] {!Naming.Gvd.update} with [~if_rev])
     under the §4.2.1 write fence, noting the committed version on
     success. [`Conflict] — an Include/Exclude committed between snapshot

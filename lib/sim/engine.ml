@@ -310,8 +310,7 @@ let fire t thunk =
       raise err
   | None -> ()
 
-let run ?(until = infinity) ?(max_steps = max_int) t =
-  let drain = until = infinity in
+let run_loop t ~drain ~until ~max_steps =
   let rec loop steps =
     if steps >= max_steps then ()
     else if (drain && t.nondaemon_queued = 0) || queue_empty t then
@@ -336,6 +335,13 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
       end
   in
   loop 0
+
+let run ?(until = infinity) ?(max_steps = max_int) t =
+  run_loop t ~drain:(until = infinity) ~until ~max_steps
+
+let run_to_quiescence t ~by =
+  run_loop t ~drain:true ~until:by ~max_steps:max_int;
+  t.nondaemon_queued = 0
 
 let processed_events t = t.processed
 

@@ -140,6 +140,14 @@ val run : ?until:float -> ?max_steps:int -> t -> unit
     [max_steps], {!processed_events} and pending work like any other; an
     [until] below the current clock runs none of them. *)
 
+val run_to_quiescence : t -> by:float -> bool
+(** [run_to_quiescence t ~by] is drain-mode {!run} that processes no
+    event due after [by]. [true] when the run quiesced (nothing but
+    daemon wakeups remains queued); [false] when other work is still
+    queued past [by] — a world that never settles stops there instead of
+    running on. A world that quiesces before [by] runs exactly the events
+    of [run t]. *)
+
 val processed_events : t -> int
 (** Number of events processed so far; useful for budget assertions. *)
 

@@ -8,7 +8,7 @@
     cleanup sweeps) and checks the consolidated {!Audit.chaos} invariants
     plus commit-accounting bounds and snapshot-version monotonicity.
 
-    Every world commits by validating a lock-free St snapshot in the
+    Every world commits by validating a committed St snapshot in the
     prepare round, through the group-commit plane, and binds scheme A
     with one [gvd.bind] request, so batch leadership, vote peel-outs and
     orphaned members all run under the fault schedules, with St-revision monotonicity monitored. Four world
@@ -67,7 +67,9 @@ val run_world :
     25s action deadlines; iff
     [autonomic], the [Autonomic] profile instead, adding the §16 membership
     plane and sibling-hedge routing), inject [events], drive the workload to
-    quiescence, audit.
+    quiescence, audit. Each phase must quiesce by t=10000: a world still
+    busy then stops there with the single violation
+    ["did not quiesce by t=10000"] and no quiescent audit.
     Deterministic in [(durable, brownout, autonomic, seed, events)]. *)
 
 val check_seed :

@@ -64,12 +64,13 @@ type commit_sample = {
   cs_validate_conflict : int;
 }
 
-(* The commit-side half: writers whose copy-back re-reads [StA] at the
-   naming tier, racing membership churn (a store bounced off and back,
-   driving commit-time Exclude and reintegration Include — both holders
-   of the same St entry's fence or write lock). Scheme B binds are
-   snapshot reads and a commit reads [StA] lock-free, so nothing here
-   takes a locked [GetView]: [gvd.view_lock_waits] stays 0. *)
+(* The commit-side half: writers whose copy-back validates its [StA]
+   at the naming tier, racing membership churn (a store bounced off and
+   back, driving commit-time Exclude and reintegration Include — both
+   holders of the same St entry's fence or write lock). Scheme B binds
+   are snapshot reads and a commit targets the bind's committed [StA]
+   (re-read lock-free after a conflict), so nothing here takes a locked
+   [GetView]: [gvd.view_lock_waits] stays 0. *)
 let run_commit ~seed ~clients () =
   let client_nodes = List.init clients (fun i -> Printf.sprintf "c%d" (i + 1)) in
   let w =
@@ -206,8 +207,9 @@ let run ?(seed = 131L) () =
          "(a store bounced three times: failing prepares Exclude it, its";
          "recoveries re-Include it). Scheme B binds are snapshot reads and a";
          "commit never takes a locked GetView, so 'commit GetView waits' is 0";
-         "there. A commit reads a lock-free snapshot, validates its revision";
-         "in the prepare round, and aborts after three conflicts;";
+         "there. A commit targets the committed St its bind returned (a";
+         "lock-free re-read after a conflict), validates its revision in";
+         "the prepare round, and aborts after three conflicts;";
          "its copy-back goes through the group-commit plane (window 2.0),";
          "where overlapping commits share one prepare and one phase-2";
          "scatter per store (tab-groupcommit measures the round reduction):";

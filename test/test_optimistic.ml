@@ -183,6 +183,149 @@ let test_validate_view_idempotent () =
     (List.length (Gvd.residual_locks gvd))
 
 (* ------------------------------------------------------------------ *)
+(* The copy-back target of a counted bind: schemes B and C commit against
+   the (St, revision) pair their [Counted] bind reply carried, so a write
+   commit with St unchanged since the bind sends no commit-time
+   [gvd.read]; scheme A's [Locked] reply is no committed pair and still
+   reads. *)
+
+let three_store_world () =
+  let w =
+    Service.create
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [];
+        server_nodes = [ "alpha" ];
+        store_nodes = [ "t1"; "t2"; "t3" ];
+        client_nodes = [ "c1"; "c2" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "t1"; "t2"; "t3" ] ()
+  in
+  (w, uid)
+
+let store_payload = Test_extensions.store_payload
+
+let committed_write w ~scheme uid =
+  let r = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      r :=
+        Service.with_bound w ~client:"c1" ~scheme
+          ~policy:Policy.Single_copy_passive ~uid (fun act group ->
+            ignore (Service.invoke w group ~act "add 1")));
+  Service.run w;
+  check_bool (Scheme.to_string scheme ^ " write committed") true (!r = Ok ())
+
+let test_commit_reads_per_scheme () =
+  List.iter
+    (fun (scheme, reads) ->
+      let w, uid = three_store_world () in
+      committed_write w ~scheme uid;
+      let m = Service.metrics w in
+      check_int
+        (Scheme.to_string scheme ^ ": gvd.read per write commit")
+        reads
+        (Sim.Metrics.counter m "rpc.op.gvd.read");
+      check_int "no conflict" 0 (Sim.Metrics.counter m "commit.validate_conflict");
+      List.iter
+        (fun s ->
+          Alcotest.(check (option string)) (s ^ " holds the write") (Some "1")
+            (store_payload w s uid))
+        [ "t1"; "t2"; "t3" ])
+    [ (Scheme.Independent, 0); (Scheme.Nested_toplevel, 0); (Scheme.Standard, 1) ]
+
+(* An Exclude committed between a counted bind and its commit moves the
+   revision: the first copy-back attempt, against the bind's pair,
+   conflicts once; the retry reads St and lands on the new members,
+   which end at one version. *)
+let test_exclude_after_counted_bind () =
+  let w, uid = three_store_world () in
+  let router = Service.router w in
+  let binder = Service.binder w in
+  let outcome = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      match
+        Binder.bind_independent binder ~client:"c1" ~uid
+          ~policy:Policy.Single_copy_passive
+      with
+      | Error e -> Alcotest.fail (Binder.bind_error_to_string e)
+      | Ok pb ->
+          (match
+             Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                 match Router.update router ~act [ (uid, Gvd.Exclude [ "t3" ]) ] with
+                 | Ok _ -> ()
+                 | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
+           with
+          | Ok () -> ()
+          | Error why -> Alcotest.fail ("exclude: " ^ why));
+          outcome :=
+            Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                match Binder.use_prebinding binder ~act pb with
+                | Error e -> raise (Action.Atomic.Abort (Binder.bind_error_to_string e))
+                | Ok b -> ignore (Service.invoke w b.Binder.bd_group ~act "add 1"));
+          Binder.release_independent binder pb);
+  Service.run w;
+  check_bool "committed" true (!outcome = Ok ());
+  let m = Service.metrics w in
+  check_int "one conflict" 1 (Sim.Metrics.counter m "commit.validate_conflict");
+  check_int "one commit-time read" 1 (Sim.Metrics.counter m "rpc.op.gvd.read");
+  let st = Gvd.current_st (Service.gvd w) uid in
+  Alcotest.(check (list string)) "new St" [ "t1"; "t2" ] st;
+  List.iter
+    (fun s ->
+      Alcotest.(check (option string)) (s ^ " at the new version") (Some "1")
+        (store_payload w s uid))
+    st;
+  Alcotest.(check (option string)) "excluded t3 untouched" (Some "0")
+    (store_payload w "t3" uid);
+  match Workload.Audit.mutual_consistency w uid with
+  | Ok () -> ()
+  | Error why -> Alcotest.fail why
+
+(* Scheme A keeps its commit-time read. A [Locked] bind granted while
+   another action holds a staged [Exclude [t3]] (exclude-write is
+   compatible with Read) sees the working St without t3 beside the
+   committed revision. That action then aborts, so t3 is a member again
+   and the revision never moved: a copy-back validated against the bind's
+   pair would skip t3 and leave it a version behind. *)
+let test_scheme_a_reads_after_aborted_exclude () =
+  let w, uid = three_store_world () in
+  let router = Service.router w in
+  let eng = Service.engine w in
+  let excluder = ref (Error "never ran") and writer = ref (Error "never ran") in
+  let seen_st = ref [] in
+  Service.spawn_client w "c2" (fun () ->
+      excluder :=
+        Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
+            (match Router.update router ~act [ (uid, Gvd.Exclude [ "t3" ]) ] with
+            | Ok _ -> ()
+            | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)));
+            Sim.Engine.sleep eng 10.0;
+            raise (Action.Atomic.Abort "excluder gives up")));
+  Service.spawn_client w "c1" (fun () ->
+      Sim.Engine.sleep eng 2.0;
+      writer :=
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
+          ~policy:Policy.Single_copy_passive ~uid (fun act group ->
+            seen_st := group.Group.g_stores;
+            ignore (Service.invoke w group ~act "add 1");
+            (* Commit only after the excluder has aborted. *)
+            Sim.Engine.sleep eng 20.0));
+  Service.run w;
+  check_bool "excluder aborted" true (Result.is_error !excluder);
+  Alcotest.(check (list string)) "bound to the working St" [ "t1"; "t2" ] !seen_st;
+  check_bool "writer committed" true (!writer = Ok ());
+  Alcotest.(check (list string)) "t3 still a member" [ "t1"; "t2"; "t3" ]
+    (Gvd.current_st (Service.gvd w) uid);
+  List.iter
+    (fun s ->
+      Alcotest.(check (option string)) (s ^ " holds the write") (Some "1")
+        (store_payload w s uid))
+    [ "t1"; "t2"; "t3" ]
+
+(* ------------------------------------------------------------------ *)
 (* The churn property: optimistic commits racing Exclude/re-Include
    churn (a bounced store) across random schemes keep exact accounting,
    mutually consistent stores, monotone snapshot versions and St
@@ -295,6 +438,12 @@ let suite =
           test_snapshot_error_aborts;
         Alcotest.test_case "validate_view is idempotent" `Quick
           test_validate_view_idempotent;
+        Alcotest.test_case "B/C commit from the bind's pair, A reads" `Quick
+          test_commit_reads_per_scheme;
+        Alcotest.test_case "exclude after a counted bind costs one conflict"
+          `Quick test_exclude_after_counted_bind;
+        Alcotest.test_case "scheme A reads after an aborted exclude" `Quick
+          test_scheme_a_reads_after_aborted_exclude;
         Test_util.qcheck prop_optimistic_churn_exact;
       ] );
   ]

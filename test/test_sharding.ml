@@ -337,6 +337,64 @@ let test_update_in_handoff_window_refused () =
   Alcotest.(check (list string)) "exclusion not lost" [ "beta1" ] (Gvd.current_st dst uid);
   Alcotest.(check int) "no lock left on dst" 0 (List.length (Gvd.residual_locks dst))
 
+(* A handoff whose reply is lost was still applied at the source: the
+   entry left the source's table and its Moved marker went up. The
+   router's retry must then get the entry, not count the marker as done,
+   or the entry ends owned by no shard and every later request for it
+   ping-pongs between the two markers until "shard map unstable". *)
+let test_lost_handoff_reply_keeps_entry () =
+  let w = Service.create ~seed:41L (sharded_topo [ "ns2" ]) in
+  let router = Service.router w in
+  Router.reset_map router [ "ns" ];
+  let uids =
+    List.init 6 (fun i ->
+        Service.create_object w
+          ~name:(Printf.sprintf "o%d" i)
+          ~impl:"counter" ~sv:[ "alpha" ] ~st:[ "beta1"; "beta2" ] ())
+  in
+  Service.run ~until:1.0 w;
+  let net = Service.network w in
+  let eng = Service.engine w in
+  let spread = ref 0 in
+  Service.spawn_client w "ns" (fun () ->
+      Router.rebalance router ~from:"ns" [ "ns"; "ns2" ];
+      spread :=
+        List.length
+          (List.filter (fun u -> Shard_map.owner (Router.map router) u = "ns2") uids);
+      (* Every handoff reply from ns2 back to the rebalancer is lost for a
+         while: each source applies its handoff, the caller sees none. *)
+      Net.Fault.cut_oneway_for net ~at:(Sim.Engine.now eng) ~duration:3.0
+        ~src:"ns2" ~dst:"ns";
+      Router.rebalance router ~from:"ns" [ "ns" ]);
+  Service.run w;
+  check_bool "some entries moved to ns2 and back" true (!spread > 0);
+  check_bool "a lost grant was granted again" true
+    (Sim.Metrics.counter (Service.metrics w) "gvd.handoff_regrants" > 0);
+  let ns = List.find (fun g -> Gvd.node g = "ns") (Router.gvds router) in
+  List.iter
+    (fun uid ->
+      let owners =
+        List.filter (fun g -> Gvd.owns g uid) (Router.gvds router)
+      in
+      check_int (Store.Uid.to_string uid ^ " owned by one shard") 1
+        (List.length owners);
+      check_bool (Store.Uid.to_string uid ^ " home at ns") true (Gvd.owns ns uid))
+    uids;
+  let bound = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      List.iter
+        (fun uid ->
+          match
+            Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+              ~policy:(Replica.Policy.Active 1) ~uid (fun act group ->
+                Service.invoke w group ~act "incr")
+          with
+          | Ok _ -> incr bound
+          | Error _ -> ())
+        uids);
+  Service.run w;
+  check_int "every entry still binds" (List.length uids) !bound
+
 (* A request that bounces off the source shard is not enlisted there, so
    it must leave no crash watch behind: when the client later crashes,
    no orphan abort may fire for an action that committed elsewhere. *)
@@ -498,6 +556,7 @@ let suite =
         tc "all schemes across shards" `Quick test_multi_shard_binds_all_schemes;
         tc "moved bounce heals stale route" `Quick test_moved_bounce_heals_stale_route;
         tc "update in handoff window refused" `Quick test_update_in_handoff_window_refused;
+        tc "lost handoff reply keeps the entry" `Quick test_lost_handoff_reply_keeps_entry;
         tc "bounced update leaves no orphan watch" `Quick
           test_bounced_update_leaves_no_orphan_watch;
         tc "online rebalance under load" `Slow test_online_rebalance_under_load;

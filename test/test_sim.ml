@@ -277,6 +277,32 @@ let test_engine_until_bound () =
   Engine.run ~until:10.5 eng;
   check_int "bounded ticks" 11 !count
 
+(* A drain bounded in time: a fiber that re-arms forever stops at the
+   bound and reports work left; a world that settles first ends as a
+   plain drain does, daemon wakeups left parked. *)
+let test_engine_run_to_quiescence () =
+  let eng = Engine.create () in
+  let count = ref 0 in
+  Engine.spawn eng (fun () ->
+      let rec tick () =
+        incr count;
+        Engine.sleep eng 1.0;
+        tick ()
+      in
+      tick ());
+  check_bool "busy at the bound" false (Engine.run_to_quiescence eng ~by:10.5);
+  check_int "bounded ticks" 11 !count;
+  let eng = Engine.create () in
+  let steps = ref 0 in
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 3.0;
+      incr steps;
+      Engine.daemon_sleep eng 1.0;
+      incr steps);
+  check_bool "quiesced" true (Engine.run_to_quiescence eng ~by:100.0);
+  check_int "daemon left parked" 1 !steps;
+  check_float "clock at the last event" 3.0 (Engine.now eng)
+
 (* The now-queue: plain events due at the current instant skip the heap.
    These pin its bookkeeping against the heap's. *)
 
@@ -914,6 +940,7 @@ let suite =
         tc "leaked fibers" `Quick test_engine_leaked_fibers;
         tc "yield interleaves" `Quick test_engine_yield_interleaves;
         tc "until bound" `Quick test_engine_until_bound;
+        tc "run to quiescence is bounded" `Quick test_engine_run_to_quiescence;
         tc "now-queue events counted" `Quick test_engine_now_queue_counted;
         tc "until below clock runs nothing" `Quick test_engine_until_below_clock;
         tc "no deadlock with now-queue events" `Quick
