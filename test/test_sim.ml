@@ -940,12 +940,12 @@ let suite =
         tc "leaked fibers" `Quick test_engine_leaked_fibers;
         tc "yield interleaves" `Quick test_engine_yield_interleaves;
         tc "until bound" `Quick test_engine_until_bound;
-        tc "run to quiescence is bounded" `Quick test_engine_run_to_quiescence;
         tc "now-queue events counted" `Quick test_engine_now_queue_counted;
         tc "until below clock runs nothing" `Quick test_engine_until_below_clock;
         tc "no deadlock with now-queue events" `Quick
           test_engine_no_deadlock_on_now_queue;
         tc "daemon sleep 0 drains" `Quick test_engine_daemon_sleep_zero;
+        tc "run to quiescence is bounded" `Quick test_engine_run_to_quiescence;
         tc "timeout guard due now" `Quick test_engine_timeout_guard_due_now;
         Test_util.qcheck prop_engine_merge_order;
       ] );
