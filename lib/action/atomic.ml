@@ -43,6 +43,15 @@ let network rt = Net.Rpc.network (rpc rt)
 let engine rt = Net.Network.engine (network rt)
 let retry rt = rt.rt_retry
 
+(* One enlisted resource. [en_voted]: it voted yes in its reply to the
+   action's last request there, so phase 1 sends it no prepare. *)
+type enlisted = {
+  en_node : Net.Network.node_id;
+  en_resource : string;
+  mutable en_required : bool; (* must a phase-1 failure abort? *)
+  mutable en_voted : bool;
+}
+
 type t = {
   rt : runtime;
   aid : Action_id.t;
@@ -50,8 +59,7 @@ type t = {
   parent : t option;
   mutable kids : int;
   mutable st : status;
-  mutable enlisted : (Net.Network.node_id * string * bool ref) list;
-      (* node, resource, required: must a phase-1 failure abort? *)
+  mutable enlisted : enlisted list; (* newest first *)
   mutable participants : participant list; (* newest first *)
   mutable pre_hooks : (unit -> (unit, string) result) list; (* newest first *)
   mutable undo_hooks : (unit -> unit) list; (* newest first *)
@@ -167,14 +175,22 @@ let begin_nested_top t =
 
 let deadline t = t.deadline
 
-let enlist t ?(required = true) ~node ~resource () =
+let find_enlisted enlisted ~node ~resource =
+  List.find_opt
+    (fun e -> String.equal e.en_node node && String.equal e.en_resource resource)
+    enlisted
+
+let enlist t ?(required = true) ?(voted = false) ~node ~resource () =
   if t.st <> Running then invalid_arg "enlist: action not running";
-  match
-    List.find_opt (fun (n, r, _) -> String.equal n node && String.equal r resource)
-      t.enlisted
-  with
-  | Some (_, _, req) -> if required then req := true
-  | None -> t.enlisted <- (node, resource, ref required) :: t.enlisted
+  if voted && t.parent <> None then invalid_arg "enlist: a nested action cannot hold a vote";
+  match find_enlisted t.enlisted ~node ~resource with
+  | Some e ->
+      if required then e.en_required <- true;
+      e.en_voted <- voted
+  | None ->
+      t.enlisted <-
+        { en_node = node; en_resource = resource; en_required = required; en_voted = voted }
+        :: t.enlisted
 
 let add_participant t ~name ~prepare ~commit ~abort =
   if t.st <> Running then invalid_arg "add_participant: action not running";
@@ -248,10 +264,10 @@ let abort t ~reason =
     ignore
       (Sim.Join.all eng
          (List.map
-            (fun (rnode, resource, _) () ->
-              release_resource t ~rnode ~op:"action.release_abort" (fun () ->
-                  Resource_host.abort t.rt.rh ~from:t.coord ~node:rnode
-                    ~resource ~action:(owner t)))
+            (fun e () ->
+              release_resource t ~rnode:e.en_node ~op:"action.release_abort" (fun () ->
+                  Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
+                    ~resource:e.en_resource ~action:(owner t)))
             (List.rev t.enlisted)));
     deactivate t;
     List.iter (fun post -> post ()) (List.rev t.post_abort_hooks)
@@ -267,27 +283,27 @@ let commit_nested t parent =
   let transfers =
     Sim.Join.all (engine t.rt)
       (List.map
-         (fun (rnode, resource, _) () ->
-           Resource_host.transfer t.rt.rh ~from:t.coord ~node:rnode ~resource
-             ~action:child_owner ~parent:parent_owner)
+         (fun e () ->
+           Resource_host.transfer t.rt.rh ~from:t.coord ~node:e.en_node
+             ~resource:e.en_resource ~action:child_owner ~parent:parent_owner)
          enlisted)
   in
   List.iter2
-    (fun (rnode, resource, required) transferred ->
+    (fun e transferred ->
       (match transferred with
       | Ok () -> ()
-      | Error e ->
+      | Error err ->
           (* The resource's node crashed: its volatile locks are gone;
              nothing to transfer. *)
           tracef t "%s transfer to %s lost at %s: %s" child_owner parent_owner
-            rnode (Net.Rpc.error_to_string e));
-      match
-        List.find_opt
-          (fun (n, r, _) -> String.equal n rnode && String.equal r resource)
-          parent.enlisted
-      with
-      | Some (_, _, req) -> if !required then req := true
-      | None -> parent.enlisted <- (rnode, resource, required) :: parent.enlisted)
+            e.en_node (Net.Rpc.error_to_string err));
+      (* The child holds no vote, so its stage is a re-enlistment without
+         one: it clears a vote the parent holds there. *)
+      match find_enlisted parent.enlisted ~node:e.en_node ~resource:e.en_resource with
+      | Some p ->
+          if e.en_required then p.en_required <- true;
+          p.en_voted <- false
+      | None -> parent.enlisted <- e :: parent.enlisted)
     enlisted transfers;
   parent.participants <- t.participants @ parent.participants;
   parent.pre_hooks <- t.pre_hooks @ parent.pre_hooks;
@@ -340,32 +356,36 @@ let commit_top t =
             let votes =
               Sim.Join.all eng
                 (List.map
-                   (fun (rnode, resource, required) () ->
-                     match
-                       Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                         ~resource ~action
-                     with
-                     | Ok Resource_host.Vote_yes -> `Yes
-                     | Ok Vote_read_only -> `Read_only
-                     | Ok Vote_no ->
-                         `Fail
-                           (Printf.sprintf "resource %s@%s voted no" resource
-                              rnode)
-                     | Error e ->
-                         (* A crashed replica of a group is masked (its
-                            volatile state is gone anyway); a required
-                            resource aborts. Either may have voted yes
-                            before the reply was lost, so both stay in
-                            phase 2. *)
-                         if !required then
+                   (fun en () ->
+                     let rnode = en.en_node and resource = en.en_resource in
+                     (* A resource that voted in its reply is not asked. *)
+                     if en.en_voted then `Yes
+                     else
+                       match
+                         Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
+                           ~resource ~action
+                       with
+                       | Ok Resource_host.Vote_yes -> `Yes
+                       | Ok Vote_read_only -> `Read_only
+                       | Ok Vote_no ->
                            `Fail
-                             (Printf.sprintf "resource %s@%s unreachable: %s"
-                                resource rnode (Net.Rpc.error_to_string e))
-                         else begin
-                           tracef t "%s: tolerating lost replica %s@%s (%s)"
-                             action resource rnode (Net.Rpc.error_to_string e);
-                           `Yes
-                         end)
+                             (Printf.sprintf "resource %s@%s voted no" resource
+                                rnode)
+                       | Error e ->
+                           (* A crashed replica of a group is masked (its
+                              volatile state is gone anyway); a required
+                              resource aborts. Either may have voted yes
+                              before the reply was lost, so both stay in
+                              phase 2. *)
+                           if en.en_required then
+                             `Fail
+                               (Printf.sprintf "resource %s@%s unreachable: %s"
+                                  resource rnode (Net.Rpc.error_to_string e))
+                           else begin
+                             tracef t "%s: tolerating lost replica %s@%s (%s)"
+                               action resource rnode (Net.Rpc.error_to_string e);
+                             `Yes
+                           end)
                    resources)
             in
             (* A read-only voter ended the action itself: it gets neither
@@ -409,11 +429,11 @@ let commit_top t =
           ignore
             (Sim.Join.all eng
                (List.map
-                  (fun (rnode, resource, _) () ->
-                    release_resource t ~rnode ~op:"action.release_commit"
+                  (fun e () ->
+                    release_resource t ~rnode:e.en_node ~op:"action.release_commit"
                       (fun () ->
-                        Resource_host.commit t.rt.rh ~from:t.coord ~node:rnode
-                          ~resource ~action))
+                        Resource_host.commit t.rt.rh ~from:t.coord ~node:e.en_node
+                          ~resource:e.en_resource ~action))
                   resources));
           List.iter (fun post -> post ()) (List.rev t.post_hooks);
           Ok ())

@@ -72,13 +72,28 @@ val owner : t -> string
 (** Lock-owner key: [Action_id.to_string (id t)]. *)
 
 val enlist :
-  t -> ?required:bool -> node:Net.Network.node_id -> resource:string -> unit -> unit
+  t ->
+  ?required:bool ->
+  ?voted:bool ->
+  node:Net.Network.node_id ->
+  resource:string ->
+  unit ->
+  unit
 (** Record that handlers on [node]/[resource] hold locks or staged updates
     for this action; duplicates are merged. The action-end protocol will
     reach the resource automatically. [required] (default [true]) controls
     phase-1 failure handling: a required resource that is unreachable
     aborts the action, while a non-required one — a member of a replica
-    group whose crash the policy masks — is tolerated. *)
+    group whose crash the policy masks — is tolerated.
+
+    [voted] (default [false]) says the resource already voted yes in its
+    reply to this request — the unsolicited vote of presumed-abort 2PC
+    ({!Resource_host}): commit sends it no prepare, and it still gets
+    phase 2 or the abort. Only a top-level action may hold a vote
+    ([Invalid_argument] otherwise), and only its last request to the
+    resource may ask for one: enlisting the same resource again without
+    a vote, or folding a nested action's enlistment of it into this one,
+    clears the vote, so the resource is asked at commit after all. *)
 
 val add_participant :
   t ->
@@ -119,7 +134,8 @@ val commit : t -> (unit, string) result
     2, then after-commit hooks. Nested: transfer everything to the
     parent. [Error reason] means the action aborted instead.
 
-    A resource that answers {!Resource_host.Vote_read_only} has ended
+    A resource enlisted [~voted:true] is not asked: its vote is already
+    in. A resource that answers {!Resource_host.Vote_read_only} has ended
     the action itself: it gets no phase 2, and no abort if another
     resource votes no. Phase 2 goes to every participant and to every
     other resource, including a non-required one whose prepare went

@@ -17,7 +17,21 @@
       yet).
 
     The client-side {!Atomic} module calls these automatically for every
-    resource an action {e enlists}. *)
+    resource an action {e enlists}.
+
+    {b Vote in the reply.} A handler may prepare a top-level action
+    itself, in its reply to the action's last request — the unsolicited
+    vote of R*-style presumed-abort 2PC (Mohan, Lindsay & Obermarck). It
+    does what [m_prepare]'s yes branch does (the stage becomes stable
+    and the crash watch settles from the decision), the reply says so,
+    and the client stub enlists the resource with [~voted:true]
+    ({!Atomic.enlist}): commit sends it no [prepare], and phase 2, the
+    decision record, abort and {!Termination} treat it like any yes
+    voter. The resource refuses every later request of an action it has
+    prepared. A lost reply leaves the client unaware of the vote: it
+    enlists the resource unvoted and not required, its call failed, and
+    the action aborts, which reaches the resource as usual. The naming
+    shard's counted bind is the one such handler ({!Naming.Gvd.bind}). *)
 
 (** A resource's phase-1 answer (presumed-abort 2PC):
 

@@ -105,25 +105,53 @@ let exclusion t ~scheme ~uid act failed =
    attempt takes [committed] when the bind has one (a [Counted] reply
    reads both from one snapshot) and sends no read; every other attempt
    reads lock-free. Scheme A's [Locked] reply is no such pair: its St is
-   the working one, which may hold a staged Exclude that later aborts. *)
+   the working one, which may hold a staged Exclude that later aborts.
+
+   A validation refused because another action holds the fence is a
+   conflict too, but retrying at once would only find the fence still
+   held: a membership change holds it through its whole catch-up, which
+   a browned-out store can stretch well past three attempts. So the
+   next attempt's read is [Settled], which answers once that holder has
+   ended, after the copy-back withdrew its prepares. One wait is
+   bounded by the lock timeout (30.0), so a read waits up to
+   [fence_waits] times, and not past the action's deadline: that
+   outlasts a re-inclusion whose every round trip is browned out (its
+   catch-up held the fence for up to 130 in random autonomic brownout
+   schedules). *)
+let fence_waits = 10
+
+let rec settled_read t ~act uid waits =
+  match Router.read t.b_router ~act uid Gvd.Settled with
+  | Error (Router.Refused _)
+    when waits > 1
+         && Option.fold ~none:true
+              ~some:(fun d -> Sim.Engine.now (Action.Atomic.engine (art t)) < d)
+              (Action.Atomic.deadline act) ->
+      settled_read t ~act uid (waits - 1)
+  | r -> r
+
 let attach_commit t ~scheme ~act ~uid ?committed group =
-  let pending = ref committed in
+  (* Where the next attempt takes its (St, revision) pair from. *)
+  let next = ref (match committed with Some pair -> `Bind pair | None -> `Committed) in
   let snapshot_stores () =
-    match !pending with
-    | Some pair ->
-        pending := None;
-        Ok pair
-    | None ->
-        or_why (Router.read t.b_router ~act uid Gvd.Committed)
+    let source = !next in
+    next := `Committed;
+    match source with
+    | `Bind pair -> Ok pair
+    | (`Committed | `Settled) as read ->
+        or_why
+          (if read = `Settled then settled_read t ~act uid fence_waits
+           else Router.read t.b_router ~act uid Gvd.Committed)
         |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
   in
   let validate act ~version ~rev =
     match Router.update t.b_router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
     | Ok { Gvd.o_applied = true; _ } -> `Validated
-    | Ok { Gvd.o_applied = false; _ } | Error (Router.Busy _ | Router.Refused _) ->
-        (* A refusal means the write fence is held by a membership change
-           in flight right now — morally the same as a revision conflict:
-           retry against the St that change is about to commit. *)
+    | Ok { Gvd.o_applied = false; _ } -> `Conflict
+    | Error (Router.Busy _ | Router.Refused _) ->
+        (* The write fence is held by a membership change in flight right
+           now: retry against the St it commits, once it has. *)
+        next := `Settled;
         `Conflict
     | Error (Router.Unreachable why) -> `Failed why
   in
@@ -195,11 +223,13 @@ let bind_standard t ~act ~uid ~policy =
 (* The database half of a Figure-7/8 bind: ONE [Counted] bind round —
    GetServer + Remove(dead) + Increment + GetView collapsed server-side,
    with the caller's pending decrement credits piggybacked. Runs inside a
-   top-level action of its own. *)
+   top-level action of its own, as that action's only request, so it
+   asks for the shard's vote in the reply: the action's commit sends the
+   shard no prepare, only phase 2. *)
 let fresh_bind_db t ~uid ~policy ~credits act =
   match
     Router.bind t.b_router ~act ~uid
-      (Gvd.Counted { replicas = Replica.Policy.replicas policy; credits })
+      (Gvd.Counted { replicas = Replica.Policy.replicas policy; credits; vote = true })
   with
   | Ok bv ->
       if bv.Gvd.bv_removed <> [] then

@@ -20,13 +20,15 @@
       the whole database half — read [SvA] with use lists, remove
       detectably-dead servers, increment the chosen subset, read [StA] —
       is one [Counted] request inside one independent top-level
-      action. {!use_prebinding} attaches the
+      action, which asks the shard for its vote in the reply: the
+      action's commit sends the shard no [resource.prepare], only phase
+      2. {!use_prebinding} attaches the
       resulting group to each client action; {!release_independent}
       {e credits} the trailing [Decrement] into the {!Use_delta} buffer
       instead of sending it immediately.
     - {!bind_nested_toplevel} (Figure 8) sends the same [Counted]
-      request from {e inside} the client action using a nested top-level
-      action, and credits the [Decrement] when the client action ends
+      request, vote included, from {e inside} the client action using a
+      nested top-level action, and credits the [Decrement] when the client action ends
       (whether it commits or aborts — the use-list update is durable
       either way, as nested top-level actions are).
 
@@ -167,4 +169,11 @@ val attach_commit :
     lock-free {!Gvd.read} [Committed]. Only {!bind_independent} (through
     the prebinding) and {!bind_nested_toplevel} pass one; scheme A's
     [Locked] reply, a cache hit and {!Hybrid.bind} hold no committed
-    pair. *)
+    pair.
+
+    A validation refused because another action holds the fence — a
+    membership change whose catch-up can hold it far longer than three
+    immediate attempts — makes the next attempt's read a {!Gvd.read}
+    [Settled]: it answers once that holder has ended, after the
+    copy-back withdrew its prepares. A wait past the lock timeout is
+    repeated, up to 10 waits and not past the action's deadline. *)

@@ -65,7 +65,7 @@ type entry = {
 
 (* -- the paper's operations (§4.1, §4.2) -- *)
 
-type read = Servers | Stores | Committed
+type read = Servers | Stores | Committed | Settled
 
 type view = {
   v_servers : Net.Network.node_id list;
@@ -90,9 +90,13 @@ type outcome = { o_applied : bool; o_fence : Store.Version.t }
 
 (* -- wire types -- *)
 
-(* [r_lock = None] is the lock-free committed read; otherwise the read
-   takes a Read lock on one half for the named action. *)
-type read_req = { r_uid : Store.Uid.t; r_lock : (string * side) option }
+(* How a read treats the lock table: [Free] is the lock-free committed
+   read; [Lock] takes a Read lock on one half for the named action;
+   [Await] waits for the named action to be granted a Read lock on [st:]
+   and lets it go at once (the [Settled] read). *)
+type read_mode = Free | Lock of string * side | Await of string
+
+type read_req = { r_uid : Store.Uid.t; r_mode : read_mode }
 
 type update_req = {
   up_action : string;
@@ -103,10 +107,15 @@ type update_req = {
 (* What a bind needs from the entry. [Locked] (scheme A) holds Read locks
    on both halves for the caller's action; [Counted] (schemes B/C) bumps
    the chosen servers' use counters, with the caller's coalesced pending
-   Decrements ([credits], one count per server node) piggybacked. *)
+   Decrements ([credits], one count per server node) piggybacked, and
+   with [vote] prepares the action in the same handler. *)
 type bind_use =
   | Locked
-  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
+  | Counted of {
+      replicas : int;
+      credits : (Net.Network.node_id * int) list;
+      vote : bool;
+    }
 
 (* The single-round bind request of every scheme. *)
 type bind_req = {
@@ -127,6 +136,7 @@ type bind_view = {
   bv_rev : int;
       (* the committed St revision: with Counted's [bv_stores], a pair a
          commit can validate; with Locked's working StA, not one *)
+  bv_voted : bool; (* the shard prepared the action in this handler *)
 }
 
 (* A migrating entry in flight between shards: the full recoverable image
@@ -277,6 +287,18 @@ let record t action =
 let touch_action t action =
   Action.Termination.touch t.term ~scope:resource ~action;
   record t action
+
+(* The yes vote, from [m_prepare] or in a counted bind's reply: the
+   action keeps its locks and stage until phase 2 (stable ones on a
+   durable shard, which keeps prepared records across a crash), and the
+   loss of its coordinator now settles it from the decision. *)
+let vote_yes t a ~action =
+  a.a_prepared <- true;
+  Action.Termination.vote t.term ~scope:resource ~action
+
+(* The answer to a request of an action this shard has already prepared:
+   what it would stage would miss the vote. *)
+let after_vote = Refused "action already prepared"
 
 (* Record the before-image of ONE side of the entry for the action, once:
    the side the action's lock actually covers. *)
@@ -537,24 +559,48 @@ let read_lock t ~action side uid =
    Include version fence) already tolerates. Scheme A's [Locked] bind
    takes the same locks through [read_lock] — Figure 6's semantics
    depend on its read locks being held to action end. *)
-let h_read t { r_uid; r_lock } =
+let committed_view t e =
+  let m = metrics t in
+  Sim.Metrics.incr m "gvd.get_view";
+  Sim.Metrics.incr m "gvd.snapshot_reads";
+  Granted (view_of e e.e_snap.im_server e.e_snap.im_state)
+
+(* The [Settled] read's wait: a Read grant on [st:] comes once no action
+   holds the write lock a membership change takes (and no earlier
+   request waits), and the action gives it back at once. An action
+   holding its own lock there has nothing to wait for. A wait past
+   [lock_timeout] is refused like any lock, which probes the holders. *)
+let await_writers t ~action uid =
+  let key = key_of St_side uid in
+  match Lockmgr.Manager.holds t.locks ~owner:action key with
+  | Some _ -> None
+  | None -> (
+      match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+      | None ->
+          Lockmgr.Manager.release t.locks ~owner:action key;
+          None
+      | refusal -> refusal)
+
+let h_read t { r_uid; r_mode } =
   match entry_opt t r_uid with
   | None -> absent t r_uid
   | Some e -> (
-      match r_lock with
-      | None ->
-          let m = metrics t in
-          Sim.Metrics.incr m "gvd.get_view";
-          Sim.Metrics.incr m "gvd.snapshot_reads";
-          Granted (view_of e e.e_snap.im_server e.e_snap.im_state)
-      | Some (action, side) -> (
-          ignore (touch_action t action : action_state);
-          match read_lock t ~action side r_uid with
+      match r_mode with
+      | Free -> committed_view t e
+      | Await action -> (
+          match await_writers t ~action r_uid with
           | Some refusal -> refusal
-          | None -> (
-              match side with
-              | Sv_side -> Granted (view_of e e.e_image.im_server e.e_snap.im_state)
-              | St_side -> Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
+          | None -> committed_view t e)
+      | Lock (action, side) -> (
+          let a = touch_action t action in
+          if a.a_prepared then after_vote
+          else
+            match read_lock t ~action side r_uid with
+            | Some refusal -> refusal
+            | None -> (
+                match side with
+                | Sv_side -> Granted (view_of e e.e_image.im_server e.e_snap.im_state)
+                | St_side -> Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
 
 (* The steps of [h_update], each a walk over the request's ops. They are
    top-level functions so the update path allocates no closures. *)
@@ -621,21 +667,23 @@ let h_update t { up_action = action; up_ops = ops; up_if_rev } =
   | Some bounce -> bounce
   | None -> (
       let a = touch_action t action in
-      match lock_all t ~action ops with
-      | Some refusal -> refusal
-      | None -> (
-          match up_if_rev with
-          | Some rev when rev_moved t rev ops ->
-              Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
-              tracef t "%s: St revision moved from %d" action rev;
-              Granted { o_applied = false; o_fence = newest_fence t Store.Version.initial ops }
-          | _ -> (
-              match unmet t ops with
-              | Some refusal -> refusal
-              | None ->
-                  perform_all t a ~action ops;
-                  let fence = newest_fence t Store.Version.initial ops in
-                  Granted { o_applied = true; o_fence = fence })))
+      if a.a_prepared then after_vote
+      else
+        match lock_all t ~action ops with
+        | Some refusal -> refusal
+        | None -> (
+            match up_if_rev with
+            | Some rev when rev_moved t rev ops ->
+                Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
+                tracef t "%s: St revision moved from %d" action rev;
+                Granted { o_applied = false; o_fence = newest_fence t Store.Version.initial ops }
+            | _ -> (
+                match unmet t ops with
+                | Some refusal -> refusal
+                | None ->
+                    perform_all t a ~action ops;
+                    let fence = newest_fence t Store.Version.initial ops in
+                    Granted { o_applied = true; o_fence = fence })))
 
 (* The single-round bind: one request carries the whole database half of
    a bind, and the reply carries the impl, so no impl lookup, GetServer or
@@ -670,9 +718,10 @@ let bind_locked t e ~action =
               bv_removed = [];
               bv_stores = e.e_image.im_state.im_st;
               bv_rev = e.e_snap.im_state.im_st_rev;
+              bv_voted = false;
             })
 
-let bind_counted t e a ~action ~client ~replicas ~credits =
+let bind_counted t e a ~action ~client ~replicas ~credits ~vote =
   let m = metrics t in
   let uid = e.e_uid in
   let up n = Net.Network.is_up (netw t) n in
@@ -716,6 +765,8 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
             (String.concat "," chosen)
             (if removed = [] then ""
              else " removed=[" ^ String.concat "," removed ^ "]");
+        (* The bind staged its Increment, so the vote is yes. *)
+        if vote then vote_yes t a ~action;
         Granted
           {
             bv_impl = e.e_impl;
@@ -723,6 +774,7 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
             bv_removed = removed;
             bv_stores = e.e_snap.im_state.im_st;
             bv_rev = e.e_snap.im_state.im_st_rev;
+            bv_voted = vote;
           }
       end
 
@@ -731,9 +783,12 @@ let h_bind t { bt_uid; bt_action = action; bt_client = client; bt_use } =
   | None -> absent t bt_uid
   | Some e -> (
       let a = touch_action t action in
-      match bt_use with
-      | Locked -> bind_locked t e ~action
-      | Counted { replicas; credits } -> bind_counted t e a ~action ~client ~replicas ~credits)
+      if a.a_prepared then after_vote
+      else
+        match bt_use with
+        | Locked -> bind_locked t e ~action
+        | Counted { replicas; credits; vote } ->
+            bind_counted t e a ~action ~client ~replicas ~credits ~vote)
 
 (* Hand an entry off to another shard (online rebalance). Runs atomically
    at the simulation level — no suspension points between the check and
@@ -908,8 +963,7 @@ let manager t =
            stable. *)
         match Hashtbl.find_opt t.actions action with
         | Some a when a.a_undo <> [] || a.a_redo <> [] ->
-            a.a_prepared <- true;
-            Action.Termination.vote t.term ~scope:resource ~action;
+            vote_yes t a ~action;
             Action.Resource_host.Vote_yes
         | None when t.durable -> Vote_no
         | Some _ | None ->
@@ -1137,13 +1191,15 @@ let plain_call t ~from ep req =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node
     ~idempotent:true ep req
 
-(* Call, then enlist the action with the database. *)
-let call_enlisted t ~act ep req =
+(* Call, then enlist the action with the database; [voted] tells whether
+   a granted reply carries the shard's yes vote. *)
+let call_enlisted t ~act ~voted ep req =
   let from = Action.Atomic.node act in
   let result = Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req in
   (match result with
-  | Ok (Granted _) ->
-      Action.Atomic.enlist act ~node:t.gvd_node ~resource ()
+  | Ok (Granted v) ->
+      if voted v then Action.Atomic.enlist act ~voted:true ~node:t.gvd_node ~resource ()
+      else Action.Atomic.enlist act ~node:t.gvd_node ~resource ()
   | Ok (Busy _ | Refused _) ->
       (* The handler may still hold locks for the action (e.g. insert got
          its write lock but found the object busy); enlist so they are
@@ -1161,6 +1217,8 @@ let call_enlisted t ~act ep req =
   | Ok (Moved _) -> ());
   result
 
+let never _ = false
+
 let lookup t ~from name = plain_call t ~from t.ep_lookup name
 let entry_info t ~from uid = plain_call t ~from t.ep_info uid
 
@@ -1170,27 +1228,31 @@ let stored_on t ~from n =
 let served_by t ~from n =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_served_by n
 
-let read t ~act uid r =
-  let locked side = { r_uid = uid; r_lock = Some (Action.Atomic.owner act, side) } in
-  match r with
-  | Servers -> call_enlisted t ~act t.ep_read (locked Sv_side)
-  | Stores -> call_enlisted t ~act t.ep_read (locked St_side)
-  | Committed ->
-      (* Lock-free: nothing to enlist, undo or release. *)
-      Net.Rpc.call (Action.Atomic.rpc t.art) ~from:(Action.Atomic.node act)
-        ~dst:t.gvd_node t.ep_read { r_uid = uid; r_lock = None }
+(* A read that holds nothing once answered: nothing to enlist, undo or
+   release. *)
+let read_unlocked t ~act uid mode =
+  Net.Rpc.call (Action.Atomic.rpc t.art) ~from:(Action.Atomic.node act)
+    ~dst:t.gvd_node t.ep_read { r_uid = uid; r_mode = mode }
 
-let snapshot t ~from uid = plain_call t ~from t.ep_read { r_uid = uid; r_lock = None }
+let read t ~act uid r =
+  let locked side = { r_uid = uid; r_mode = Lock (Action.Atomic.owner act, side) } in
+  match r with
+  | Servers -> call_enlisted t ~act ~voted:never t.ep_read (locked Sv_side)
+  | Stores -> call_enlisted t ~act ~voted:never t.ep_read (locked St_side)
+  | Committed -> read_unlocked t ~act uid Free
+  | Settled -> read_unlocked t ~act uid (Await (Action.Atomic.owner act))
+
+let snapshot t ~from uid = plain_call t ~from t.ep_read { r_uid = uid; r_mode = Free }
 
 let get_server t ~act uid = read t ~act uid Servers
 let get_view t ~act uid = read t ~act uid Stores
 
 let update t ~act ?if_rev ops =
-  call_enlisted t ~act t.ep_update
+  call_enlisted t ~act ~voted:never t.ep_update
     { up_action = Action.Atomic.owner act; up_ops = ops; up_if_rev = if_rev }
 
 let bind t ~act ~uid use =
-  call_enlisted t ~act t.ep_bind
+  call_enlisted t ~act ~voted:(fun bv -> bv.bv_voted) t.ep_bind
     {
       bt_uid = uid;
       bt_action = Action.Atomic.owner act;

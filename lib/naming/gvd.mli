@@ -19,7 +19,10 @@
     releases, nested commit transfers both to the parent action. An
     action whose record here staged nothing (read locks only, or a fence
     whose op changed nothing) votes read-only at prepare: its locks and
-    record go there, and it gets no phase 2.
+    record go there, and it gets no phase 2. A [Counted] {!bind} may
+    instead carry the yes vote in its reply ([vote]); the shard then
+    refuses ([Refused "action already prepared"]) every later {!read},
+    {!update} or {!bind} of that action.
 
     The paper's type-specific concurrency control is implemented exactly:
     [Exclude] first tries to promote the caller's read lock to the
@@ -151,6 +154,15 @@ type read =
       (** The lock-free committed read: no lock, no enlistment, nothing
           to undo or release. Every field comes from the committed
           snapshot. *)
+  | Settled
+      (** The [Committed] read, answered once no membership change holds
+          [StA]'s write lock: the handler waits for a Read grant on
+          [StA] for the action and gives it back at once, so the action
+          holds nothing afterwards and is not enlisted. An action that
+          holds a lock on [StA] itself answers at once. A wait past
+          30.0 is [Refused], like any lock wait. A commit whose
+          validation found the write fence held by another action reads
+          its next [St] this way. *)
 
 type view = {
   v_servers : Net.Network.node_id list;  (** [SvA] *)
@@ -266,13 +278,28 @@ type bind_use =
           [SvA] and then on [StA] for the action, held to its end (its
           prepare, if it stages nothing here). Changes nothing. The
           reply's halves are the working [SvA] and [StA]. *)
-  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
+  | Counted of {
+      replicas : int;
+      credits : (Net.Network.node_id * int) list;
+      vote : bool;
+    }
       (** Schemes B/C (Figures 7/8): GetServer + Remove(dead) +
           Increment(chosen) + GetView, with the caller's coalesced pending
           Decrements ([credits], one count per server node) piggybacked.
           Runs in [Delta] lock mode unless a listed server is detectably
           dead (then a structural write). [replicas] is the
-          activation-subset size wanted when no server is in use yet. *)
+          activation-subset size wanted when no server is in use yet.
+
+          [vote] asks the shard to prepare the action in the same
+          handler once the bind is granted — the vote in the reply of
+          {!Action.Resource_host}: the action's stage becomes stable,
+          [bv_voted] says so, and the client stub enlists the shard as
+          already voted, so commit sends it no [resource.prepare]. Ask
+          only in a top-level action whose last request to this shard
+          this is: the shard refuses every later request of an action
+          it has prepared. A lost reply leaves the shard enlisted
+          unvoted and not required; the failed bind aborts the action,
+          and the abort reaches the shard as usual. *)
 
 type bind_view = {
   bv_impl : string;  (** implementation name (saves the impl lookup) *)
@@ -294,6 +321,9 @@ type bind_view = {
           another action's staged [Exclude] (the exclude-write lock is
           compatible with Read) while the revision is still the committed
           one; not a pair to validate against. *)
+  bv_voted : bool;
+      (** the shard prepared the action in this handler (a [Counted]
+          bind that asked for the [vote]) *)
 }
 
 val bind :
@@ -301,7 +331,7 @@ val bind :
   (bind_view reply, Net.Rpc.error) result
 (** The whole database half of a bind in one RPC round, for [act] and
     from [act]'s node (the client whose counters a [Counted] bind
-    bumps). Enlisted, never hedged. *)
+    bumps). Enlisted, never hedged; enlisted as voted when [bv_voted]. *)
 
 val committed_version : t -> Store.Uid.t -> Store.Version.t
 (** Introspection: the current committed-version fence. *)

@@ -42,23 +42,74 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              exclude — never a substituted answer. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
+          (* Stores a withdrawal did not reach. Each may still hold this
+             action's prepare, and an abort to it may still be in flight
+             (a retry that lands says nothing of an earlier copy): no
+             later attempt prepares there, since the abort could overtake
+             the prepare and drop a yes vote, so each counts as
+             unreachable. A background retry settles it. *)
+          let unsettled = ref [] in
+          let net = Action.Atomic.network art in
+          let reap store =
+            Net.Network.spawn_on net client
+              ~name:(Printf.sprintf "%s.withdraw:%s@%s" client action store)
+              (fun () ->
+                match
+                  Net.Retry.run (Action.Atomic.retry art) ~op:"commit.withdraw"
+                    (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.5
+                       ~max_delay:8.0 ())
+                    (fun () ->
+                      (* A store that is down settles the intent itself when
+                         it recovers (termination asks the decision). *)
+                      if not (Net.Network.is_up net store) then Ok ()
+                      else
+                        match Action.Store_host.abort sh ~from:client ~store ~action with
+                        | Ok () -> Ok ()
+                        | Error e -> Error (Net.Rpc.error_to_string e))
+                with
+                | Ok () -> ()
+                | Error _ -> Sim.Metrics.incr metrics "commit.withdraw_losses")
+          in
+          let defer store =
+            if not (List.mem store !unsettled) then begin
+              unsettled := store :: !unsettled;
+              reap store
+            end
+          in
+          (* Withdraw this action's prepares: a prepared record is a write
+             reservation at the store, and leaking one blocks every future
+             writer of the object. The stores that voted yes get one abort
+             round, and any it misses is deferred. A store whose prepare
+             timed out may have staged it all the same and is deferred at
+             once; one that crashed meanwhile settles its intent on
+             recovery, and one known down or unreachable was never sent
+             the prepare. A store that voted stale staged nothing. *)
+          let withdraw ~st ~ok ~timed_out =
+            if ok <> [] then
+              List.iter
+                (fun (store, r) -> if Result.is_error r then defer store)
+                (Action.Store_host.abort_all sh ~from:client ~st ~stores:ok action);
+            List.iter (fun store -> if Net.Network.is_up net store then defer store) timed_out
+          in
           (* One copy-back attempt: take a committed [St] and its
              revision from [snapshot_stores], scatter the prepares
-             against it, detect
-             staleness, exclude unreachable stores, then validate the
-             revision inside the prepare round. A conflict — an
-             Include/Exclude committed in between, or one holding the
-             fence right now — withdraws the prepares and retries
-             against fresh [St]; after [max_attempts] conflicts the
-             commit aborts. *)
+             against it, detect staleness, exclude unreachable stores,
+             then validate the revision inside the prepare round. A
+             conflict — an Include/Exclude committed in between, or one
+             holding the fence right now — withdraws the prepares and
+             retries against fresh [St]; after [max_attempts] conflicts
+             the commit aborts. *)
           let rec attempt n =
             match snapshot_stores () with
             | Error why -> Error ("commit-time St read: " ^ why)
             | Ok (current_st, rev) -> (
+                let skipped, targets =
+                  List.partition (fun s -> List.mem s !unsettled) current_st
+                in
                 List.iter
                   (fun _ ->
                     Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
-                  current_st;
+                  targets;
                 (* The paper's parallel write to all of StA: one concurrent
                    prepare per store, votes gathered in store order. Latency is
                    the slowest round-trip, not the sum. The prepare joins (or
@@ -67,7 +118,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                    already peeled out to a solo retry inside. *)
                 let scattered = Sim.Engine.now eng in
                 let per_store =
-                  List.map (fun s -> (s, [ (uid, full_state) ])) current_st
+                  List.map (fun s -> (s, [ (uid, full_state) ])) targets
                 in
                 let votes =
                   Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
@@ -86,16 +137,19 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                       | Error _ -> (ok, stale, store :: unreachable))
                     ([], [], []) votes
                 in
-                let ok = List.rev ok and failed = List.rev unreachable in
-                (* Any early abort from here on must withdraw the prepare
-                   records just written: a prepared record is a write
-                   reservation at the store, and leaking one blocks every
-                   future writer of the object. *)
-                let withdraw_prepares () =
-                  ignore
-                    (Action.Store_host.abort_all sh ~from:client ~st:current_st
-                       ~stores:ok action)
+                let ok = List.rev ok and unreachable = List.rev unreachable in
+                let failed = skipped @ unreachable in
+                let timed_out =
+                  List.filter_map
+                    (fun (store, vote) ->
+                      match vote with
+                      | Error Net.Rpc.Timed_out -> Some store
+                      | _ -> None)
+                    votes
                 in
+                (* Any early abort from here on must withdraw the prepares
+                   just scattered. *)
+                let withdraw_prepares () = withdraw ~st:current_st ~ok ~timed_out in
                 if stale <> [] then begin
                   withdraw_prepares ();
                   (* Backward validation failed: this action worked from a stale
@@ -114,7 +168,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         (Group.live_members rt group));
                   Error "stale activation: version conflict at object stores"
                 end
-                else if ok = [] then Error "all object stores unavailable at commit"
+                else if ok = [] then begin
+                  withdraw_prepares ();
+                  Error "all object stores unavailable at commit"
+                end
                 else
                   let excluded =
                     if failed = [] then Ok ()
@@ -142,6 +199,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                           Sim.Metrics.incr metrics "commit.validate_ok";
                           Sim.Metrics.incr metrics ~by:(List.length ok)
                             "commit.state_copies";
+                          (* The excluded stores leave the copy; one that
+                             staged the prepare after all is settled in
+                             the background. *)
+                          withdraw ~st:current_st ~ok:[] ~timed_out;
                           (* One phase-2 participant for the whole store
                              set: its commit/abort scatters to every
                              prepared store concurrently instead of

@@ -52,9 +52,22 @@ val attach :
     and validation, or one holding the fence right now — withdraws the
     prepares and retries the whole fan-out at once against fresh [St].
     A conflict on a moved revision keeps the fence, so the next attempt
-    validates; a refused fence keeps nothing. Three conflicting attempts
-    abort the commit ("St kept changing"). Metrics: [commit.validate_ok]
-    / [commit.validate_conflict].
+    validates; a refused fence keeps nothing, and the naming layer's next
+    [snapshot_stores] answers only once the holder has ended
+    ({!Naming.Gvd.read} [Settled]): a membership change's catch-up can
+    hold the fence far longer than three immediate attempts take. No
+    store prepare is held while [snapshot_stores] waits. Three
+    conflicting attempts abort the commit ("St kept changing"). Metrics:
+    [commit.validate_ok] / [commit.validate_conflict].
+
+    A withdrawal reaches every store the attempt scattered to that may
+    hold its prepare: those that voted yes get one abort round, and a
+    store that did not answer — its prepare may have staged all the
+    same — or that the round missed is settled by a background retry
+    ([commit.withdraw_losses] counts one that gave up). Until that retry
+    lands, later attempts send the store no prepare, since the late abort
+    could overtake it, and count it unreachable. Stores left out of the
+    validated attempt as unreachable are settled the same way.
 
     The prepare and phase-2 scatters go through the runtime's
     group-commit plane ({!Groupcommit}). *)

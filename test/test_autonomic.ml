@@ -240,47 +240,75 @@ let test_autonomic_pins () =
    (store back in, or still out), the chaos audit is clean: St members
    mutually consistent, no residue, no leaked fibers. *)
 
+(* One schedule: t1 browns out at 2.0 for [duration] with probability
+   [prob] per message; c1 commits 20 scheme-B writes. Returns the
+   commits that landed and the chaos audit. *)
+let autonomic_schedule (seed, prob, duration) =
+  let w =
+    Service.create ~seed:(Int64.of_int seed) ~gray_failure:Service.Autonomic
+      ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [];
+        server_nodes = [ "alpha" ];
+        store_nodes = [ "t1"; "t2" ];
+        client_nodes = [ "c1" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
+      ~st:[ "t1"; "t2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  Net.Fault.brownout_for (Service.network w) ~at:2.0 ~duration ~prob
+    ~lo:15.0 ~hi:28.0 "t1";
+  let eng = Service.engine w in
+  let crng = Sim.Rng.split (Sim.Engine.rng eng) in
+  let ok = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      for _ = 1 to 20 do
+        (match
+           Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+             ~policy:Replica.Policy.Single_copy_passive ~uid
+             (fun act group -> ignore (Service.invoke w group ~act "add 1"))
+         with
+        | Ok () -> incr ok
+        | Error _ -> ());
+        Sim.Engine.sleep eng (Sim.Rng.uniform crng 2.0 5.0)
+      done);
+  Service.run w;
+  (!ok, Workload.Audit.chaos w)
+
 let prop_autonomic_random_schedules =
   QCheck.Test.make ~count:8
     ~name:"random brownout/heal schedules leave the autonomic world clean"
     QCheck.(
       triple (int_range 1 100_000) (float_range 0.2 0.8)
         (float_range 30.0 300.0))
-    (fun (seed, prob, duration) ->
-      let w =
-        Service.create ~seed:(Int64.of_int seed) ~gray_failure:Service.Autonomic
-          ~latency:(fun rng -> Sim.Rng.uniform rng 0.05 0.15)
-          {
-            Service.gvd_node = "ns";
-            gvd_nodes = [];
-            server_nodes = [ "alpha" ];
-            store_nodes = [ "t1"; "t2" ];
-            client_nodes = [ "c1" ];
-          }
-      in
-      let uid =
-        Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
-          ~st:[ "t1"; "t2" ] ()
-      in
-      Service.run ~until:1.0 w;
-      Net.Fault.brownout_for (Service.network w) ~at:2.0 ~duration ~prob
-        ~lo:15.0 ~hi:28.0 "t1";
-      let eng = Service.engine w in
-      let crng = Sim.Rng.split (Sim.Engine.rng eng) in
-      let ok = ref 0 in
-      Service.spawn_client w "c1" (fun () ->
-          for _ = 1 to 20 do
-            (match
-               Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
-                 ~policy:Replica.Policy.Single_copy_passive ~uid
-                 (fun act group -> ignore (Service.invoke w group ~act "add 1"))
-             with
-            | Ok () -> incr ok
-            | Error _ -> ());
-            Sim.Engine.sleep eng (Sim.Rng.uniform crng 2.0 5.0)
-          done);
-      Service.run w;
-      !ok = 20 && Workload.Audit.chaos w = [])
+    (fun draw -> autonomic_schedule draw = (20, []))
+
+(* Draws of that generator that failed before commits waited for a held
+   St fence: the re-inclusion of the browned-out store held it for tens
+   of time units, through all three immediate copy-back attempts of
+   several commits ("St kept changing"). *)
+let test_commit_outlasts_membership_change () =
+  List.iter
+    (fun draw ->
+      let ok, audit = autonomic_schedule draw in
+      check_int "every commit landed" 20 ok;
+      Alcotest.(check (list string)) "audit clean" [] audit)
+    [
+      (37960, 0.4514834261428792, 175.98518909367846);
+      (74151, 0.3052038359569012, 158.94680672985245);
+    ]
+
+(* A draw that leaked a store reservation: a copy-back attempt withdrew
+   its prepare only from the store that answered, and the browned-out
+   store's late-answered prepare stayed behind. *)
+let test_no_leaked_reservation () =
+  let ok, audit = autonomic_schedule (7728, 0.3309246648918077, 107.60662015469266) in
+  check_int "every commit landed" 20 ok;
+  Alcotest.(check (list string)) "audit clean" [] audit
 
 let suite =
   [
@@ -297,5 +325,9 @@ let suite =
         Alcotest.test_case "pins: steady p99 at baseline, healed re-include"
           `Quick test_autonomic_pins;
         Test_util.qcheck prop_autonomic_random_schedules;
+        Alcotest.test_case "a commit outlasts a membership change" `Quick
+          test_commit_outlasts_membership_change;
+        Alcotest.test_case "a withdrawn attempt leaks no reservation" `Quick
+          test_no_leaked_reservation;
       ] );
   ]

@@ -382,7 +382,7 @@ let test_only_idempotent_calls_hedge () =
               healthy_traffic ();
               match
                 Gvd.bind gvd ~act ~uid
-                  (Gvd.Counted { replicas = 1; credits = [] })
+                  (Gvd.Counted { replicas = 1; credits = []; vote = false })
               with
               | Ok (Gvd.Granted bv) ->
                   healthy_traffic ();

@@ -390,6 +390,19 @@ let test_chaos_outcome_replayable () =
     "same violations" o1.Workload.Exp_chaos.oc_violations
     o2.Workload.Exp_chaos.oc_violations
 
+(* The shedding coverage check belongs to the default seed set: a replay
+   of another seed whose brownout world shed nothing (seed 19) passes on
+   its audit and reports the total in a note. *)
+let test_replay_outside_default_set () =
+  let table, clean = Workload.Exp_chaos.run_check ~seeds:[ 19L ] () in
+  check_bool "clean" true clean;
+  check_bool "shed total reported" true
+    (List.exists
+       (Astring.String.is_prefix ~affix:"retry.shed_expired = 0 across")
+       table.Workload.Table.notes);
+  check_bool "every world ok" true
+    (List.for_all (fun row -> List.nth row 7 = "ok") table.Workload.Table.rows)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -420,5 +433,7 @@ let suite =
       [
         tc "schedule deterministic" `Quick test_chaos_schedule_deterministic;
         tc "outcome replayable" `Quick test_chaos_outcome_replayable;
+        tc "a replay outside the default seeds" `Quick
+          test_replay_outside_default_set;
       ] );
   ]

@@ -6,4 +6,5 @@ let () =
    @ Test_extensions.suite
    @ Test_fortification.suite @ Test_chaos.suite
    @ Test_optimistic.suite @ Test_groupcommit.suite @ Test_properties.suite
-   @ Test_brownout.suite @ Test_autonomic.suite @ Test_read_only.suite)
+   @ Test_brownout.suite @ Test_autonomic.suite @ Test_read_only.suite
+   @ Test_reply_vote.suite)

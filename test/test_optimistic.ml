@@ -15,11 +15,13 @@ let check_bool = Alcotest.(check bool)
 (* Commit.attach against stub closures: the retry doctrine is a pure
    function of the snapshot and validate verdicts, so drive it directly. *)
 
-let run_attach ~snapshot_stores ~validate =
+let run_attach ?(setup = ignore) ?(exclude = fun _ _ -> Ok ()) ~snapshot_stores
+    ~validate () =
   let w =
     Test_replica.make_world ~servers:[ "alpha" ]
       ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] ()
   in
+  setup w;
   let uid =
     Test_replica.new_object w ~label:"ctr" ~payload:"0"
       ~stores:[ "beta1"; "beta2" ]
@@ -36,8 +38,7 @@ let run_attach ~snapshot_stores ~validate =
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
                 Commit.attach w.Test_replica.grt act g ~snapshot_stores
-                  ~validate
-                  ~exclude:(fun _ _ -> Ok ());
+                  ~validate ~exclude;
                 (match Group.invoke w.Test_replica.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
@@ -77,7 +78,7 @@ let test_conflict_costs_one_retry () =
     incr calls;
     if !calls = 1 then `Conflict else `Validated
   in
-  let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate in
+  let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate () in
   check_committed r;
   check_int "validate calls" 2 !calls;
   let m = Net.Network.metrics w.Test_replica.net in
@@ -95,7 +96,7 @@ let test_three_conflicts_abort () =
     incr calls;
     `Conflict
   in
-  let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate in
+  let ((w, _, _) as r) = run_attach ~snapshot_stores ~validate () in
   check_aborted_clean r;
   check_int "validate calls (bounded)" 3 !calls;
   let m = Net.Network.metrics w.Test_replica.net in
@@ -112,7 +113,7 @@ let test_snapshot_error_aborts () =
     incr calls;
     `Validated
   in
-  let ((w, _, outcome) as r) = run_attach ~snapshot_stores ~validate in
+  let ((w, _, outcome) as r) = run_attach ~snapshot_stores ~validate () in
   check_aborted_clean r;
   check_int "validate never called" 0 !calls;
   let m = Net.Network.metrics w.Test_replica.net in
@@ -426,6 +427,86 @@ let prop_optimistic_churn_exact =
           QCheck.Test.fail_reportf "churn seed %Ld (%d writes): %s" seed
             writes (String.concat "; " vs))
 
+(* ------------------------------------------------------------------ *)
+(* Withdrawal reaches every store an attempt scattered to. beta2's
+   replies to c are cut for the first 70.0, so its first prepare stages
+   but never answers: the attempt counts it unreachable. *)
+
+let cut_beta2_replies w =
+  Net.Fault.cut_oneway_for w.Test_replica.net ~at:0.0 ~duration:70.0
+    ~src:"beta2" ~dst:"c"
+
+let beta2_clean (w, _, _) =
+  Alcotest.(check (list string))
+    "beta2 intent log clean" []
+    (Store.Intent_log.in_doubt (Action.Store_host.log w.Test_replica.sh "beta2"))
+
+(* A conflicting attempt withdraws the prepare beta2 staged without
+   answering; the retry, against an St without beta2, commits on beta1. *)
+let test_withdraw_reaches_unanswered_store () =
+  let snapshots = ref 0 and calls = ref 0 in
+  let snapshot_stores () =
+    incr snapshots;
+    Ok ((if !snapshots = 1 then [ "beta1"; "beta2" ] else [ "beta1" ]), 7)
+  in
+  let validate _act ~version:_ ~rev:_ =
+    incr calls;
+    if !calls = 1 then `Conflict else `Validated
+  in
+  let ((w, uid, outcome) as r) =
+    run_attach ~setup:cut_beta2_replies ~snapshot_stores ~validate ()
+  in
+  check_bool "committed" true (outcome = Ok ());
+  Alcotest.(check (option string))
+    "beta1" (Some "1")
+    (Test_replica.store_payload w "beta1" uid);
+  Alcotest.(check (option string))
+    "beta2 untouched" (Some "0")
+    (Test_replica.store_payload w "beta2" uid);
+  beta2_clean r
+
+(* Until its withdrawal lands, beta2 gets no prepare from a later attempt
+   (the late abort could overtake it): the retry counts it unreachable
+   and excludes it, though St still lists it. *)
+let test_unsettled_store_skipped () =
+  let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
+  let calls = ref 0 and excluded = ref [] in
+  let validate _act ~version:_ ~rev:_ =
+    incr calls;
+    if !calls = 1 then `Conflict else `Validated
+  in
+  let exclude _ failed =
+    excluded := !excluded @ [ failed ];
+    Ok ()
+  in
+  let ((w, uid, outcome) as r) =
+    run_attach ~setup:cut_beta2_replies ~exclude ~snapshot_stores ~validate ()
+  in
+  check_bool "committed" true (outcome = Ok ());
+  Alcotest.(check (list (list string)))
+    "beta2 excluded by both attempts" [ [ "beta2" ]; [ "beta2" ] ] !excluded;
+  check_int "prepare rounds: beta1 and beta2, then beta1 alone" 3
+    (Sim.Metrics.counter (Net.Network.metrics w.Test_replica.net)
+       "rpc.op.store.prepare");
+  Alcotest.(check (option string))
+    "beta2 untouched" (Some "0")
+    (Test_replica.store_payload w "beta2" uid);
+  beta2_clean r
+
+(* A validated attempt that excluded the unanswering store settles the
+   prepare it staged there too. *)
+let test_validated_attempt_settles_excluded_store () =
+  let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
+  let validate _act ~version:_ ~rev:_ = `Validated in
+  let ((w, uid, outcome) as r) =
+    run_attach ~setup:cut_beta2_replies ~snapshot_stores ~validate ()
+  in
+  check_bool "committed" true (outcome = Ok ());
+  Alcotest.(check (option string))
+    "beta1" (Some "1")
+    (Test_replica.store_payload w "beta1" uid);
+  beta2_clean r
+
 let suite =
   [
     ( "optimistic commit",
@@ -445,5 +526,11 @@ let suite =
         Alcotest.test_case "scheme A reads after an aborted exclude" `Quick
           test_scheme_a_reads_after_aborted_exclude;
         Test_util.qcheck prop_optimistic_churn_exact;
+        Alcotest.test_case "withdrawal reaches an unanswered store" `Quick
+          test_withdraw_reaches_unanswered_store;
+        Alcotest.test_case "an unsettled store gets no later prepare" `Quick
+          test_unsettled_store_skipped;
+        Alcotest.test_case "a validated attempt settles an excluded store"
+          `Quick test_validated_attempt_settles_excluded_store;
       ] );
   ]
