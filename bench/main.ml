@@ -332,7 +332,7 @@ let bench_binds ~batched () =
                  | Error _ -> ());
                  (match
                     Gvd.update (Service.gvd w) ~act
-                      [ (uid, Gvd.Increment { client = "c1"; servers = [ "alpha" ] }) ]
+                      uid (Gvd.Increment { client = "c1"; servers = [ "alpha" ] })
                   with
                  | Ok _ -> ()
                  | Error _ -> ());
@@ -343,7 +343,7 @@ let bench_binds ~batched () =
             (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
                  match
                    Gvd.update (Service.gvd w) ~act
-                     [ (uid, Gvd.Decrement { client = "c1"; servers = [ "alpha" ] }) ]
+                     uid (Gvd.Decrement { client = "c1"; servers = [ "alpha" ] })
                  with
                  | Ok _ -> ()
                  | Error _ -> ()))

@@ -354,13 +354,3 @@ let locked_keys t ~owner =
   match Tbl.find_opt t.by_owner owner with
   | None -> []
   | Some keys -> List.filter (fun key -> holds t ~owner key <> None) (Keys.elements keys)
-
-let pp ppf t =
-  List.iter
-    (fun key ->
-      Format.fprintf ppf "%s:" key;
-      List.iter (fun (o, m) -> Format.fprintf ppf " %s=%a" o Mode.pp m) (holders t key);
-      let q = waiting t key in
-      if q > 0 then Format.fprintf ppf " (+%d waiting)" q;
-      Format.fprintf ppf "@.")
-    (tracked_keys t)

@@ -105,6 +105,3 @@ val locked_keys : t -> owner:owner -> string list
 val tracked_keys : t -> string list
 (** The keys the lock table has an entry for, sorted: exactly the keys
     with a holder or a queued request. *)
-
-val pp : Format.formatter -> t -> unit
-(** Dump the lock table (holders and queue lengths). *)

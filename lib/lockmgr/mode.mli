@@ -28,12 +28,9 @@ val compatible : t -> t -> bool
     - [Exclude_write]∥[Exclude_write] and [Exclude_write]∥[Delta]
       conflict. *)
 
-val strength : t -> int
-(** Total order used when one owner holds several modes: [Read] <
-    [Delta] < [Exclude_write] < [Write]. *)
-
 val strongest : t -> t -> t
-(** The stronger of two modes per {!strength}. *)
+(** The stronger of two modes in the total order [Read] < [Delta] <
+    [Exclude_write] < [Write]. *)
 
 val covers : t -> t -> bool
 (** [covers held requested]: a holder of [held] needs no new lock to

@@ -5,14 +5,12 @@ let error_to_string = function
   | Refused why -> "refused: " ^ why
   | Unavailable why -> "unavailable: " ^ why
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let art t = Replica.Server.atomic_runtime (Replica.Group.server_runtime (Binder.group_runtime t))
 
 exception Administrative of error
 
 let update t ~act ~uid op =
-  match Router.update (Binder.router t) ~act [ (uid, op) ] with
+  match Router.update (Binder.router t) ~act uid op with
   | Ok o -> o.Gvd.o_fence
   | Error (Router.Busy why) -> raise (Administrative (Busy why))
   | Error (Router.Refused why) -> raise (Administrative (Refused why))
@@ -61,25 +59,7 @@ let add_store t ~from ~uid node =
          commits, so the state copied below stays the latest until this
          action commits (the reintegration discipline, §4.2). *)
       let fence = update t ~act ~uid (Gvd.Include node) in
-      let sources =
-        match Router.entry_info (Binder.router t) ~from uid with
-        | Ok (Some info) -> info.Gvd.ei_st_home
-        | Ok None | Error _ -> []
-      in
-      let latest =
-        List.fold_left
-          (fun best store ->
-            if String.equal store node then best
-            else
-              match Action.Store_host.read sh ~from ~store uid with
-              | Ok (Some s) -> (
-                  match best with
-                  | Some b when not (Store.Object_state.newer_than s b) -> best
-                  | _ -> Some s)
-              | Ok None | Error _ -> best)
-          None sources
-      in
-      match latest with
+      match Reintegration.newest_state t ~from ~skip:node uid with
       | None -> raise (Administrative (Unavailable "no source store reachable"))
       | Some state when
           Store.Version.compare state.Store.Object_state.version fence < 0 ->

@@ -27,7 +27,6 @@
 type error = Busy of string | Refused of string | Unavailable of string
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val add_server :
   Binder.t ->

@@ -28,8 +28,6 @@ let create ~lease metrics =
   if lease <= 0.0 then invalid_arg "Bind_cache.create: lease must be positive";
   { bc_lease = lease; bc_tbl = Hashtbl.create 64; bc_metrics = metrics }
 
-let lease t = t.bc_lease
-
 let key client uid = (client, Store.Uid.serial uid)
 
 let find t ~now ~client uid =
@@ -67,8 +65,6 @@ let invalidate t ~client uid =
     Hashtbl.remove t.bc_tbl (key client uid);
     Sim.Metrics.incr t.bc_metrics "cache.invalidations"
   end
-
-let size t = Hashtbl.length t.bc_tbl
 
 let hit_rate t =
   let hits = Sim.Metrics.counter t.bc_metrics "cache.hit" in

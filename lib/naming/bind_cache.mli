@@ -20,8 +20,6 @@ val create : lease:float -> Sim.Metrics.t -> t
     of simulated time. Counts [cache.hit] / [cache.miss] /
     [cache.expired] / [cache.invalidations] in [m]. *)
 
-val lease : t -> float
-
 val find : t -> now:float -> client:Net.Network.node_id -> Store.Uid.t -> entry option
 (** Fresh entry for [(client, uid)], if any; expired entries are dropped
     and counted as misses. *)
@@ -45,6 +43,5 @@ val renew : t -> now:float -> client:Net.Network.node_id -> Store.Uid.t -> unit
 
 val invalidate : t -> client:Net.Network.node_id -> Store.Uid.t -> unit
 
-val size : t -> int
 val hit_rate : t -> float
 (** hits / (hits + misses), or nan before any lookup. *)

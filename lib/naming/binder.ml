@@ -42,13 +42,11 @@ type prebinding = {
   pb_uid : Store.Uid.t;
   pb_client : Net.Network.node_id;
   pb_group : Replica.Group.t;
-  pb_servers : Net.Network.node_id list;
-  pb_incremented : Net.Network.node_id list;
-      (* the servers whose use lists the bind action incremented — the
-         Decrement must mirror exactly this set, not the (possibly
-         smaller) set that actually activated *)
-  pb_stores : Net.Network.node_id list;
-  pb_rev : int;  (* the committed St revision of [pb_stores] *)
+  pb_view : Gvd.bind_view;
+      (* the counted bind's reply: its [bv_servers] are the servers whose
+         use lists the bind action incremented — the Decrement must mirror
+         exactly this set, not the (possibly smaller) set that actually
+         activated — and ([bv_stores], [bv_rev]) a committed St pair *)
   mutable pb_released : bool;
 }
 
@@ -71,7 +69,7 @@ let or_why r = Result.map_error Router.failure_to_string r
 
 let exclusion t ~scheme ~uid act failed =
   let run act' =
-    or_why (Router.update t.b_router ~act:act' [ (uid, Gvd.Exclude failed) ])
+    or_why (Router.update t.b_router ~act:act' uid (Gvd.Exclude failed))
     |> Result.map ignore
   in
   match scheme with
@@ -130,9 +128,13 @@ let rec settled_read t ~act uid waits =
       settled_read t ~act uid (waits - 1)
   | r -> r
 
-let attach_commit t ~scheme ~act ~uid ?committed group =
+(* The one step every bind ends in: attach commit processing to the
+   activated group and describe the binding. [rev] is the committed St
+   revision of [stores] when the bind holds that pair (a [Counted]
+   reply); the first copy-back attempt then targets it. *)
+let attach t ~scheme ~act ~uid ?rev ~stores group =
   (* Where the next attempt takes its (St, revision) pair from. *)
-  let next = ref (match committed with Some pair -> `Bind pair | None -> `Committed) in
+  let next = ref (match rev with Some rev -> `Bind (stores, rev) | None -> `Committed) in
   let snapshot_stores () =
     let source = !next in
     next := `Committed;
@@ -145,7 +147,7 @@ let attach_commit t ~scheme ~act ~uid ?committed group =
         |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
   in
   let validate act ~version ~rev =
-    match Router.update t.b_router ~act ~if_rev:rev [ (uid, Gvd.Note_version version) ] with
+    match Router.update t.b_router ~act ~if_rev:rev uid (Gvd.Note_version version) with
     | Ok { Gvd.o_applied = true; _ } -> `Validated
     | Ok { Gvd.o_applied = false; _ } -> `Conflict
     | Error (Router.Busy _ | Router.Refused _) ->
@@ -156,7 +158,14 @@ let attach_commit t ~scheme ~act ~uid ?committed group =
     | Error (Router.Unreachable why) -> `Failed why
   in
   let exclude act' failed = exclusion t ~scheme ~uid act' failed in
-  Replica.Commit.attach t.b_grt act group ~snapshot_stores ~validate ~exclude
+  Replica.Commit.attach t.b_grt act group ~snapshot_stores ~validate ~exclude;
+  {
+    bd_uid = uid;
+    bd_scheme = scheme;
+    bd_group = group;
+    bd_servers = group.Replica.Group.g_members;
+    bd_stores = stores;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Activation with futile-bind accounting *)
@@ -177,13 +186,28 @@ let activate_counted t ~client ~uid ~impl ~policy ~servers ~stores =
 (* ------------------------------------------------------------------ *)
 (* Figure 6: standard nested actions *)
 
+(* Scheme A's static pick: the first k entries of the static Sv, dead or
+   not ("the hard way", §4.1.2), in the network's preference order
+   ({!Net.Network.rank_servers}), which steers the pick away from
+   browned-out servers. *)
+let bind_static t ~act ~uid ~policy ~impl ~servers ~stores =
+  let servers = Net.Network.rank_servers (netw t) servers in
+  match take (Replica.Policy.replicas policy) servers with
+  | [] -> Error (No_server "SvA is empty")
+  | chosen -> (
+      match
+        activate_counted t ~client:(Action.Atomic.node act) ~uid ~impl ~policy
+          ~servers:chosen ~stores
+      with
+      | Error e -> Error e
+      | Ok group -> Ok (attach t ~scheme:Scheme.Standard ~act ~uid ~stores group))
+
 (* Figure 6's naming reads are one [Locked] bind request inside a nested
    action: its Read locks on [sv:] and [st:] pass to [act] on nested
    commit and are held to top-level completion — the exclusion fence. A
    writer's commit stages its version note under [act] at the shard, so
    they last to phase 2; a reader's end at its read-only prepare. *)
 let bind_standard t ~act ~uid ~policy =
-  let client = Action.Atomic.node act in
   match
     Action.Atomic.atomically_nested act (fun nested ->
         match Router.bind t.b_router ~act:nested ~uid Gvd.Locked with
@@ -191,31 +215,10 @@ let bind_standard t ~act ~uid ~policy =
         | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
   with
   | Error why -> Error (Name_refused why)
-  | Ok { Gvd.bv_impl = impl; bv_servers = sv; bv_stores = st; _ } -> (
-      (* Static Sv: pick the first k entries, dead or not ("the hard
-         way", §4.1.2), in the network's preference order
-         ({!Net.Network.rank_servers}), which steers the static pick away
-         from browned-out servers. *)
-      let sv = Net.Network.rank_servers (netw t) sv in
-      let chosen = take (Replica.Policy.replicas policy) sv in
-      if chosen = [] then Error (No_server "SvA is empty")
-      else
-        match
-          activate_counted t ~client ~uid ~impl ~policy ~servers:chosen
-            ~stores:st
-        with
-        | Error e -> Error e
-        | Ok group ->
-            attach_commit t ~scheme:Scheme.Standard ~act ~uid group;
-            Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
-            Ok
-              {
-                bd_uid = uid;
-                bd_scheme = Scheme.Standard;
-                bd_group = group;
-                bd_servers = group.Replica.Group.g_members;
-                bd_stores = st;
-              })
+  | Ok { Gvd.bv_impl = impl; bv_servers; bv_stores; _ } ->
+      let bound = bind_static t ~act ~uid ~policy ~impl ~servers:bv_servers ~stores:bv_stores in
+      if Result.is_ok bound then Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
+      bound
 
 (* ------------------------------------------------------------------ *)
 (* Figures 7 and 8: use lists, removal of dead servers *)
@@ -223,13 +226,13 @@ let bind_standard t ~act ~uid ~policy =
 (* The database half of a Figure-7/8 bind: ONE [Counted] bind round —
    GetServer + Remove(dead) + Increment + GetView collapsed server-side,
    with the caller's pending decrement credits piggybacked. Runs inside a
-   top-level action of its own, as that action's only request, so it
-   asks for the shard's vote in the reply: the action's commit sends the
-   shard no prepare, only phase 2. *)
+   top-level action of its own, as that action's only request, so the
+   shard votes in the reply: the action's commit sends the shard no
+   prepare, only phase 2. *)
 let fresh_bind_db t ~uid ~policy ~credits act =
   match
     Router.bind t.b_router ~act ~uid
-      (Gvd.Counted { replicas = Replica.Policy.replicas policy; credits; vote = true })
+      (Gvd.Counted { replicas = Replica.Policy.replicas policy; credits })
   with
   | Ok bv ->
       if bv.Gvd.bv_removed <> [] then
@@ -240,7 +243,7 @@ let fresh_bind_db t ~uid ~policy ~credits act =
   | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
 
 let decrement_db t ~client ~uid ~servers act =
-  match Router.update t.b_router ~act [ (uid, Gvd.Decrement { client; servers }) ] with
+  match Router.update t.b_router ~act uid (Gvd.Decrement { client; servers }) with
   | Ok _ -> ()
   | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
 
@@ -378,21 +381,19 @@ let restore_credits t ~client ~uid credits =
     schedule_flush t ~client
   end
 
-let bind_independent t ~client ~uid ~policy =
-  let credits = take_credits t ~client ~uid in
-  match
-    Action.Atomic.atomically (art t) ~node:client (fun act ->
-        fresh_bind_db t ~uid ~policy ~credits act)
-  with
+(* The rest of a Figure-7/8 bind once its bind action, which carried
+   [credits], has ended: activation, as a prebinding. *)
+let counted_activation t ~client ~uid ~policy ~credits bind_action =
+  match bind_action with
   | Error why ->
       restore_credits t ~client ~uid credits;
       Error (Name_refused why)
   | Ok bv -> (
       Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
-      let chosen = bv.Gvd.bv_servers and st = bv.Gvd.bv_stores in
+      let chosen = bv.Gvd.bv_servers in
       match
         activate_counted t ~client ~uid ~impl:bv.Gvd.bv_impl ~policy
-          ~servers:chosen ~stores:st
+          ~servers:chosen ~stores:bv.Gvd.bv_stores
       with
       | Error e ->
           (* The bind action already incremented use lists; pair it with
@@ -400,73 +401,45 @@ let bind_independent t ~client ~uid ~policy =
           credit_release t ~client ~uid ~servers:chosen;
           Error e
       | Ok group ->
-          Ok
-            {
-              pb_uid = uid;
-              pb_client = client;
-              pb_group = group;
-              pb_servers = group.Replica.Group.g_members;
-              pb_incremented = chosen;
-              pb_stores = st;
-              pb_rev = bv.Gvd.bv_rev;
-              pb_released = false;
-            })
+          Ok { pb_uid = uid; pb_client = client; pb_group = group; pb_view = bv; pb_released = false })
 
-let use_prebinding t ~act pb =
-  attach_commit t ~scheme:Scheme.Independent ~act ~uid:pb.pb_uid
-    ~committed:(pb.pb_stores, pb.pb_rev) pb.pb_group;
-  Ok
-    {
-      bd_uid = pb.pb_uid;
-      bd_scheme = Scheme.Independent;
-      bd_group = pb.pb_group;
-      bd_servers = pb.pb_servers;
-      bd_stores = pb.pb_stores;
-    }
+let bind_independent t ~client ~uid ~policy =
+  let credits = take_credits t ~client ~uid in
+  counted_activation t ~client ~uid ~policy ~credits
+    (Action.Atomic.atomically (art t) ~node:client (fun act ->
+         fresh_bind_db t ~uid ~policy ~credits act))
+
+(* A Figure-7/8 bind's copy-back starts from its reply's committed
+   (StA, revision) pair. *)
+let attach_prebinding t ~scheme ~act pb =
+  attach t ~scheme ~act ~uid:pb.pb_uid ~rev:pb.pb_view.Gvd.bv_rev ~stores:pb.pb_view.Gvd.bv_stores
+    pb.pb_group
+
+let use_prebinding t ~act pb = Ok (attach_prebinding t ~scheme:Scheme.Independent ~act pb)
 
 let release_independent t pb =
   if not pb.pb_released then begin
     pb.pb_released <- true;
-    credit_release t ~client:pb.pb_client ~uid:pb.pb_uid
-      ~servers:pb.pb_incremented
+    credit_release t ~client:pb.pb_client ~uid:pb.pb_uid ~servers:pb.pb_view.Gvd.bv_servers
   end
 
 let bind_nested_toplevel t ~act ~uid ~policy =
   let client = Action.Atomic.node act in
   let credits = take_credits t ~client ~uid in
   match
-    Action.Atomic.atomically_nested_top act (fun dbact ->
-        fresh_bind_db t ~uid ~policy ~credits dbact)
+    counted_activation t ~client ~uid ~policy ~credits
+      (Action.Atomic.atomically_nested_top act (fun dbact ->
+           fresh_bind_db t ~uid ~policy ~credits dbact))
   with
-  | Error why ->
-      restore_credits t ~client ~uid credits;
-      Error (Name_refused why)
-  | Ok bv -> (
-      Sim.Metrics.observe (metrics t) "bind.naming_rounds" 1.0;
-      let chosen = bv.Gvd.bv_servers and st = bv.Gvd.bv_stores in
-      match
-        activate_counted t ~client ~uid ~impl:bv.Gvd.bv_impl ~policy
-          ~servers:chosen ~stores:st
-      with
-      | Error e ->
-          credit_release t ~client ~uid ~servers:chosen;
-          Error e
-      | Ok group ->
-          attach_commit t ~scheme:Scheme.Nested_toplevel ~act ~uid
-            ~committed:(st, bv.Gvd.bv_rev) group;
-          let release () = credit_release t ~client ~uid ~servers:chosen in
-          (* The trailing Decrement is credited when the client action
-             ends, whichever way. *)
-          Action.Atomic.after_commit act release;
-          Action.Atomic.on_abort act release;
-          Ok
-            {
-              bd_uid = uid;
-              bd_scheme = Scheme.Nested_toplevel;
-              bd_group = group;
-              bd_servers = group.Replica.Group.g_members;
-              bd_stores = st;
-            })
+  | Error e -> Error e
+  | Ok pb ->
+      let binding = attach_prebinding t ~scheme:Scheme.Nested_toplevel ~act pb in
+      let release () = credit_release t ~client ~uid ~servers:pb.pb_view.Gvd.bv_servers in
+      (* The trailing Decrement is credited when the client action
+         ends, whichever way. *)
+      Action.Atomic.after_commit act release;
+      Action.Atomic.on_abort act release;
+      Ok binding
 
 let bind_uncached t ~act ~scheme ~uid ~policy =
   match scheme with
@@ -492,19 +465,14 @@ let bind_uncached t ~act ~scheme ~uid ~policy =
 
 let bind_cached t cache ~act ~scheme ~uid ~policy (e : Bind_cache.entry) =
   let client = Action.Atomic.node act in
+  let stores = e.Bind_cache.ce_stores in
   match
-    Replica.Group.activate t.b_grt ~client ~uid ~impl:e.Bind_cache.ce_impl
-      ~policy ~servers:e.Bind_cache.ce_servers ~stores:e.Bind_cache.ce_stores
+    activate_counted t ~client ~uid ~impl:e.Bind_cache.ce_impl ~policy
+      ~servers:e.Bind_cache.ce_servers ~stores
   with
   | Error _ -> None
   | Ok group ->
-      let futile =
-        List.length e.Bind_cache.ce_servers
-        - List.length group.Replica.Group.g_members
-      in
-      if futile > 0 then Sim.Metrics.incr (metrics t) ~by:futile "bind.futile";
-      Sim.Metrics.incr (metrics t) "bind.ok";
-      attach_commit t ~scheme ~act ~uid group;
+      let binding = attach t ~scheme ~act ~uid ~stores group in
       Action.Atomic.on_abort act (fun () ->
           Bind_cache.invalidate cache ~client uid);
       (* A commit just revalidated the entry (its copy-back target
@@ -514,14 +482,7 @@ let bind_cached t cache ~act ~scheme ~uid ~policy (e : Bind_cache.entry) =
           Bind_cache.renew cache ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
             ~client uid);
       Sim.Metrics.observe (metrics t) "bind.naming_rounds" 0.0;
-      Some
-        {
-          bd_uid = uid;
-          bd_scheme = scheme;
-          bd_group = group;
-          bd_servers = group.Replica.Group.g_members;
-          bd_stores = e.Bind_cache.ce_stores;
-        }
+      Some binding
 
 let bind t ~act ~scheme ~uid ~policy =
   let eng = Action.Atomic.engine (art t) in

@@ -20,17 +20,23 @@
       the whole database half — read [SvA] with use lists, remove
       detectably-dead servers, increment the chosen subset, read [StA] —
       is one [Counted] request inside one independent top-level
-      action, which asks the shard for its vote in the reply: the
-      action's commit sends the shard no [resource.prepare], only phase
-      2. {!use_prebinding} attaches the
-      resulting group to each client action; {!release_independent}
-      {e credits} the trailing [Decrement] into the {!Use_delta} buffer
-      instead of sending it immediately.
-    - {!bind_nested_toplevel} (Figure 8) sends the same [Counted]
-      request, vote included, from {e inside} the client action using a
-      nested top-level action, and credits the [Decrement] when the client action ends
-      (whether it commits or aborts — the use-list update is durable
-      either way, as nested top-level actions are).
+      action, whose reply carries the shard's vote: the action's commit
+      sends the shard no [resource.prepare], only phase 2.
+      {!use_prebinding} attaches the resulting group to each client
+      action; {!release_independent} {e credits} the trailing
+      [Decrement] into the {!Use_delta} buffer instead of sending it
+      immediately.
+    - {!bind} under [Nested_toplevel] (Figure 8) sends the same
+      [Counted] request, vote included, from {e inside} the client
+      action using a nested top-level action, and credits the
+      [Decrement] when the client action ends (whether it commits or
+      aborts — the use-list update is durable either way, as nested
+      top-level actions are).
+
+    Every bind — standard, each use of a prebinding, nested top-level,
+    cache hit and {!Hybrid.bind} — ends in the same step: commit
+    processing ({!Replica.Commit.attach}) is attached to the activated
+    group and the {!binding} is built from it.
 
     Buffered credits leave the client in one of two coalesced forms: the
     next bind of the same (client, object) piggybacks them on its bind
@@ -50,10 +56,19 @@
     lock (§4.2.1); under the other two it runs as a nested top-level
     action acquiring the exclude-write lock afresh. The copy-back target
     is a committed [(StA, revision)] pair validated inside the prepare
-    round under every scheme ({!attach_commit}); that validation is the
-    only commit-time fence, and three conflicts abort the commit. Schemes
-    B/C take the first pair from their [Counted] bind reply; scheme A,
-    cache hits and every retry read it lock-free at commit. *)
+    round under every scheme (a [Note_version] update with [~if_rev]; a
+    moved revision or a refused fence is a conflict); that validation is
+    the only commit-time fence, and three conflicts abort the commit.
+    Schemes B/C take the first pair from their [Counted] bind reply
+    ([bv_stores], [bv_rev]) and send no commit-time read; scheme A's
+    [Locked] reply holds no committed pair, so scheme A, cache hits,
+    hybrid binds and every retry read it lock-free at commit. A
+    validation refused because another action holds the fence — a
+    membership change whose catch-up can hold it far longer than three
+    immediate attempts — makes the next attempt's read a {!Gvd.read}
+    [Settled]: it answers once that holder has ended. A wait past the
+    lock timeout is repeated, up to 10 waits and not past the action's
+    deadline. *)
 
 type t
 (** Binder runtime. *)
@@ -95,6 +110,22 @@ val bind_standard :
   (binding, bind_error) result
 (** Figure-6 binding inside [act]. *)
 
+val bind_static :
+  t ->
+  act:Action.Atomic.t ->
+  uid:Store.Uid.t ->
+  policy:Replica.Policy.t ->
+  impl:string ->
+  servers:Net.Network.node_id list ->
+  stores:Net.Network.node_id list ->
+  (binding, bind_error) result
+(** Scheme A's static pick and the rest of its bind, given the entry's
+    [impl], static [servers] ([SvA]) and [stores] ([StA]): the first
+    [k] servers in the network's preference order
+    ({!Net.Network.rank_servers}), dead or not, are activated ("the hard
+    way", §4.1.2) and bound to [act] under the standard scheme.
+    {!bind_standard} and {!Hybrid.bind} share it. *)
+
 type prebinding
 (** A Figure-7 binding established outside any client action. *)
 
@@ -118,15 +149,6 @@ val release_independent : t -> prebinding -> unit
     coalescing window. Must run in a fiber on the binding client. Safe to
     call once. *)
 
-val bind_nested_toplevel :
-  t ->
-  act:Action.Atomic.t ->
-  uid:Store.Uid.t ->
-  policy:Replica.Policy.t ->
-  (binding, bind_error) result
-(** Figure-8 binding from inside [act]; the decrement is scheduled for the
-    end of [act] automatically. *)
-
 val bind :
   t ->
   act:Action.Atomic.t ->
@@ -147,33 +169,3 @@ val pull_credits : t -> uid:Store.Uid.t -> unit
     immediately instead of waiting out the coalescing window. Called when
     an [Insert] is blocked on use-list quiescence (reintegration); crashed
     clients are skipped — their counters are the cleanup protocol's. *)
-
-val attach_commit :
-  t ->
-  scheme:Scheme.t ->
-  act:Action.Atomic.t ->
-  uid:Store.Uid.t ->
-  ?committed:Net.Network.node_id list * int ->
-  Replica.Group.t ->
-  unit
-(** Attach commit processing ({!Replica.Commit.attach}) for a group bound
-    under [scheme]: the copy-back target [(StA, St revision)], the
-    validate-and-note (a [Note_version] update with [~if_rev]; a moved
-    revision or a refused fence is a conflict) and the scheme's
-    [Exclude].
-
-    [committed] is a committed [(StA, revision)] pair the bind already
-    holds — a [Counted] reply's [bv_stores] and [bv_rev]: the first
-    copy-back attempt targets it and sends no commit-time read. Without
-    it, and on every retry after a conflict, the target comes from a
-    lock-free {!Gvd.read} [Committed]. Only {!bind_independent} (through
-    the prebinding) and {!bind_nested_toplevel} pass one; scheme A's
-    [Locked] reply, a cache hit and {!Hybrid.bind} hold no committed
-    pair.
-
-    A validation refused because another action holds the fence — a
-    membership change whose catch-up can hold it far longer than three
-    immediate attempts — makes the next attempt's read a {!Gvd.read}
-    [Settled]: it answers once that holder has ended, after the
-    copy-back withdrew its prepares. A wait past the lock timeout is
-    repeated, up to 10 waits and not past the action's deadline. *)

@@ -26,7 +26,7 @@ let sweep_now gvd art =
                  ~max_delay:4.0 ())
               (fun () ->
                 Action.Atomic.atomically art ~node (fun act ->
-                    match Gvd.update gvd ~act [ (uid, Gvd.Zero client) ] with
+                    match Gvd.update gvd ~act uid (Gvd.Zero client) with
                     | Ok (Gvd.Granted _) -> ()
                     | Ok (Gvd.Refused why) | Ok (Gvd.Busy why) ->
                         raise (Action.Atomic.Abort why)

@@ -100,7 +100,8 @@ type read_req = { r_uid : Store.Uid.t; r_mode : read_mode }
 
 type update_req = {
   up_action : string;
-  up_ops : (Store.Uid.t * op) list;
+  up_uid : Store.Uid.t;
+  up_op : op;
   up_if_rev : int option;
 }
 
@@ -108,14 +109,10 @@ type update_req = {
    on both halves for the caller's action; [Counted] (schemes B/C) bumps
    the chosen servers' use counters, with the caller's coalesced pending
    Decrements ([credits], one count per server node) piggybacked, and
-   with [vote] prepares the action in the same handler. *)
+   prepares the action in the same handler. *)
 type bind_use =
   | Locked
-  | Counted of {
-      replicas : int;
-      credits : (Net.Network.node_id * int) list;
-      vote : bool;
-    }
+  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
 
 (* The single-round bind request of every scheme. *)
 type bind_req = {
@@ -602,51 +599,14 @@ let h_read t { r_uid; r_mode } =
                 | Sv_side -> Granted (view_of e e.e_image.im_server e.e_snap.im_state)
                 | St_side -> Granted (view_of e e.e_snap.im_server e.e_image.im_state))))
 
-(* The steps of [h_update], each a walk over the request's ops. They are
-   top-level functions so the update path allocates no closures. *)
-let rec absent_entry t = function
-  | [] -> None
-  | (uid, _) :: rest -> if owns t uid then absent_entry t rest else Some (absent t uid)
-
-let rec lock_all t ~action = function
-  | [] -> None
-  | (uid, op) :: rest -> (
-      match take_lock t ~action (lock_of op) (key_of (side_of op) uid) with
-      | None -> lock_all t ~action rest
-      | refusal -> refusal)
-
-let rec rev_moved t rev = function
-  | [] -> false
-  | (uid, _) :: rest -> (entry_exn t uid).e_snap.im_state.im_st_rev <> rev || rev_moved t rev rest
-
-let rec unmet t = function
-  | [] -> None
-  | (uid, op) :: rest -> (
-      match precondition op (entry_exn t uid).e_image with
-      | None -> unmet t rest
-      | refusal -> refusal)
-
-let rec perform_all t a ~action = function
-  | [] -> ()
-  | (uid, op) :: rest ->
-      perform t a ~action ~staged:(lock_of op = Blocking Lockmgr.Mode.Delta) (entry_exn t uid) op;
-      perform_all t a ~action rest
-
-let rec newest_fence t v = function
-  | [] -> v
-  | (uid, _) :: rest ->
-      let v' = (entry_exn t uid).e_image.im_state.im_version in
-      newest_fence t (if Store.Version.newer_than v' v then v' else v) rest
-
 (* One handler for every mutation, in a fixed order: the ownership check
-   (every named entry must live here — before anything is recorded for
-   the action), the locks for every op in request order, the [if_rev]
-   check, the preconditions, then stage or apply. A refusal at any step
-   leaves the working image untouched; locks already granted stay with
-   the action and go at its end.
+   (before anything is recorded for the action), the op's lock, the
+   [if_rev] check, the precondition, then stage or apply. A refusal at
+   any step leaves the working image untouched; a lock already granted
+   stays with the action and goes at its end.
 
    [if_rev] is decide-then-mutate in one round (§13): the caller read
-   (St, rev) lock-free and asks for its ops only if the committed St
+   (St, rev) lock-free and asks for its op only if the committed St
    revision still stands. On a moved revision nothing is applied but the
    fence just taken is deliberately KEPT — it belongs to the action and
    blocks further membership commits, so the caller's re-read sees a
@@ -662,28 +622,28 @@ let rec newest_fence t v = function
    forward, and a revision cannot move while its fence is held. Staged
    counter ops are not idempotent, which is why updates are never
    hedged. *)
-let h_update t { up_action = action; up_ops = ops; up_if_rev } =
-  match absent_entry t ops with
-  | Some bounce -> bounce
-  | None -> (
+let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev } =
+  match Hashtbl.find t.entries (Store.Uid.serial uid) with
+  | exception Not_found -> absent t uid
+  | e -> (
       let a = touch_action t action in
       if a.a_prepared then after_vote
       else
-        match lock_all t ~action ops with
+        let lock = lock_of op in
+        match take_lock t ~action lock (key_of (side_of op) uid) with
         | Some refusal -> refusal
         | None -> (
             match up_if_rev with
-            | Some rev when rev_moved t rev ops ->
+            | Some rev when e.e_snap.im_state.im_st_rev <> rev ->
                 Sim.Metrics.incr (metrics t) "gvd.validate_conflicts";
                 tracef t "%s: St revision moved from %d" action rev;
-                Granted { o_applied = false; o_fence = newest_fence t Store.Version.initial ops }
+                Granted { o_applied = false; o_fence = e.e_image.im_state.im_version }
             | _ -> (
-                match unmet t ops with
+                match precondition op e.e_image with
                 | Some refusal -> refusal
                 | None ->
-                    perform_all t a ~action ops;
-                    let fence = newest_fence t Store.Version.initial ops in
-                    Granted { o_applied = true; o_fence = fence })))
+                    perform t a ~action ~staged:(lock = Blocking Lockmgr.Mode.Delta) e op;
+                    Granted { o_applied = true; o_fence = e.e_image.im_state.im_version })))
 
 (* The single-round bind: one request carries the whole database half of
    a bind, and the reply carries the impl, so no impl lookup, GetServer or
@@ -721,7 +681,7 @@ let bind_locked t e ~action =
               bv_voted = false;
             })
 
-let bind_counted t e a ~action ~client ~replicas ~credits ~vote =
+let bind_counted t e a ~action ~client ~replicas ~credits =
   let m = metrics t in
   let uid = e.e_uid in
   let up n = Net.Network.is_up (netw t) n in
@@ -766,7 +726,7 @@ let bind_counted t e a ~action ~client ~replicas ~credits ~vote =
             (if removed = [] then ""
              else " removed=[" ^ String.concat "," removed ^ "]");
         (* The bind staged its Increment, so the vote is yes. *)
-        if vote then vote_yes t a ~action;
+        vote_yes t a ~action;
         Granted
           {
             bv_impl = e.e_impl;
@@ -774,7 +734,7 @@ let bind_counted t e a ~action ~client ~replicas ~credits ~vote =
             bv_removed = removed;
             bv_stores = e.e_snap.im_state.im_st;
             bv_rev = e.e_snap.im_state.im_st_rev;
-            bv_voted = vote;
+            bv_voted = true;
           }
       end
 
@@ -787,8 +747,8 @@ let h_bind t { bt_uid; bt_action = action; bt_client = client; bt_use } =
       else
         match bt_use with
         | Locked -> bind_locked t e ~action
-        | Counted { replicas; credits; vote } ->
-            bind_counted t e a ~action ~client ~replicas ~credits ~vote)
+        | Counted { replicas; credits } ->
+            bind_counted t e a ~action ~client ~replicas ~credits)
 
 (* Hand an entry off to another shard (online rebalance). Runs atomically
    at the simulation level — no suspension points between the check and
@@ -1247,9 +1207,9 @@ let snapshot t ~from uid = plain_call t ~from t.ep_read { r_uid = uid; r_mode = 
 let get_server t ~act uid = read t ~act uid Servers
 let get_view t ~act uid = read t ~act uid Stores
 
-let update t ~act ?if_rev ops =
+let update t ~act ?if_rev uid op =
   call_enlisted t ~act ~voted:never t.ep_update
-    { up_action = Action.Atomic.owner act; up_ops = ops; up_if_rev = if_rev }
+    { up_action = Action.Atomic.owner act; up_uid = uid; up_op = op; up_if_rev = if_rev }
 
 let bind t ~act ~uid use =
   call_enlisted t ~act ~voted:(fun bv -> bv.bv_voted) t.ep_bind

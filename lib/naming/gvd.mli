@@ -19,10 +19,10 @@
     releases, nested commit transfers both to the parent action. An
     action whose record here staged nothing (read locks only, or a fence
     whose op changed nothing) votes read-only at prepare: its locks and
-    record go there, and it gets no phase 2. A [Counted] {!bind} may
-    instead carry the yes vote in its reply ([vote]); the shard then
-    refuses ([Refused "action already prepared"]) every later {!read},
-    {!update} or {!bind} of that action.
+    record go there, and it gets no phase 2. A [Counted] {!bind} instead
+    carries the yes vote in its reply; the shard then refuses
+    ([Refused "action already prepared"]) every later {!read}, {!update}
+    or {!bind} of that action.
 
     The paper's type-specific concurrency control is implemented exactly:
     [Exclude] first tries to promote the caller's read lock to the
@@ -78,9 +78,6 @@ val install :
 
 val node : t -> Net.Network.node_id
 (** The service node. *)
-
-val resource : string
-(** The {!Action.Resource_host} resource name, ["gvd"]. *)
 
 (** Outcome of a database operation: [Refused] means a lock could not be
     granted or a precondition failed (the caller should abort its
@@ -232,7 +229,7 @@ type op =
 type outcome = {
   o_applied : bool;  (** false only when [if_rev] did not match *)
   o_fence : Store.Version.t;
-      (** the newest committed-version fence of the named entries. After
+      (** the entry's committed-version fence. After
           an [Include], the caller must hold (or fetch) a state at least
           that new before its inclusion action may commit, else a store
           whose state was rewound by unlucky crash timing would serve
@@ -243,19 +240,21 @@ val update :
   t ->
   act:Action.Atomic.t ->
   ?if_rev:int ->
-  (Store.Uid.t * op) list ->
+  Store.Uid.t ->
+  op ->
   (outcome reply, Net.Rpc.error) result
-(** Run the ops for [act], enlisted, never hedged. One handler runs every
-    request in the same order: the ownership check (any entry this shard
-    does not hold answers [Moved] or [Refused "unknown object"] before
-    anything is recorded for the action), the lock of every op in request
-    order ([Refused] if a blocking lock times out after 30.0 or a fence
-    is unavailable), the [if_rev] check, the preconditions ([Busy] or
-    [Refused]), then stage or apply. A refusal leaves the entries
-    untouched; locks already granted stay with [act] until it ends.
+(** [update t ~act uid op] runs one op on one entry for [act], enlisted,
+    never hedged. The handler runs every request in the same order: the
+    ownership check (an entry this shard does not hold answers [Moved]
+    or [Refused "unknown object"] before anything is recorded for the
+    action), the op's lock ([Refused] if a blocking lock times out after
+    30.0 or a fence is unavailable), the [if_rev] check, the
+    precondition ([Busy] or [Refused]), then stage or apply. A refusal
+    leaves the entry untouched; a lock already granted stays with [act]
+    until it ends.
 
-    [if_rev] is decide-then-mutate in one round (§13): apply the ops only
-    if the committed St revision of every named entry still equals it.
+    [if_rev] is decide-then-mutate in one round (§13): apply the op only
+    if the entry's committed St revision still equals it.
     On a mismatch nothing is applied ([o_applied = false]) but the fence
     just taken is {e kept}, so the caller's re-read sees a revision that
     can no longer move and a moved revision costs one retry. A fence
@@ -278,11 +277,7 @@ type bind_use =
           [SvA] and then on [StA] for the action, held to its end (its
           prepare, if it stages nothing here). Changes nothing. The
           reply's halves are the working [SvA] and [StA]. *)
-  | Counted of {
-      replicas : int;
-      credits : (Net.Network.node_id * int) list;
-      vote : bool;
-    }
+  | Counted of { replicas : int; credits : (Net.Network.node_id * int) list }
       (** Schemes B/C (Figures 7/8): GetServer + Remove(dead) +
           Increment(chosen) + GetView, with the caller's coalesced pending
           Decrements ([credits], one count per server node) piggybacked.
@@ -290,16 +285,16 @@ type bind_use =
           dead (then a structural write). [replicas] is the
           activation-subset size wanted when no server is in use yet.
 
-          [vote] asks the shard to prepare the action in the same
-          handler once the bind is granted — the vote in the reply of
-          {!Action.Resource_host}: the action's stage becomes stable,
-          [bv_voted] says so, and the client stub enlists the shard as
-          already voted, so commit sends it no [resource.prepare]. Ask
-          only in a top-level action whose last request to this shard
-          this is: the shard refuses every later request of an action
-          it has prepared. A lost reply leaves the shard enlisted
-          unvoted and not required; the failed bind aborts the action,
-          and the abort reaches the shard as usual. *)
+          A granted [Counted] bind prepares the action in the same
+          handler — the vote in the reply of {!Action.Resource_host}:
+          the action's stage becomes stable, [bv_voted] says so, and the
+          client stub enlists the shard as already voted, so commit
+          sends it no [resource.prepare]. It must therefore be the only
+          request its top-level action sends to that shard: the shard
+          refuses every later request of an action it has prepared. A
+          lost reply leaves the shard enlisted unvoted and not required;
+          the failed bind aborts the action, and the abort reaches the
+          shard as usual. *)
 
 type bind_view = {
   bv_impl : string;  (** implementation name (saves the impl lookup) *)
@@ -322,8 +317,8 @@ type bind_view = {
           compatible with Read) while the revision is still the committed
           one; not a pair to validate against. *)
   bv_voted : bool;
-      (** the shard prepared the action in this handler (a [Counted]
-          bind that asked for the [vote]) *)
+      (** the shard prepared the action in this handler (every granted
+          [Counted] bind) *)
 }
 
 val bind :

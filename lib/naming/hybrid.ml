@@ -28,14 +28,6 @@ let register t ~from:_ ~uid ~sv = Hashtbl.replace t.sets (Store.Uid.serial uid) 
 
 let servers t ~from uid = Net.Rpc.call (rpc t) ~from ~dst:t.ns_node t.ep_servers uid
 
-let take k xs =
-  let rec go k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: go (k - 1) rest
-  in
-  go k xs
-
 (* The hybrid bind's naming-tier reads: the lightweight name server's
    [Sv] set, the database's [impl], and [St] under the nested-action read
    lock. They leave as one {!Sim.Join} scatter: the three pieces are
@@ -61,58 +53,33 @@ let hybrid_reads t ~act ~client uid =
     |> Result.map (fun v -> v.Gvd.v_stores)
     |> Result.map_error Router.failure_to_string
   in
-  let joined =
-    Action.Atomic.atomically_nested act (fun nested ->
-        let results =
-          Sim.Join.all
-            (Action.Atomic.engine (art t))
-            [
-              (fun () -> `Sv (read_sv ()));
-              (fun () -> `Impl (read_impl ()));
-              (fun () -> `St (read_st nested));
-            ]
-        in
-        let sv = ref None and impl = ref None and st = ref None in
-        List.iter
-          (function
-            | `Sv r -> sv := Some r
-            | `Impl r -> impl := Some r
-            | `St r -> st := Some r)
-          results;
-        match (!sv, !impl, !st) with
-        | Some (Ok sv), Some (Ok impl), Some (Ok st) -> (sv, impl, st)
-        | Some (Error why), _, _
-        | _, Some (Error why), _
-        | _, _, Some (Error why) ->
-            raise (Action.Atomic.Abort why)
-        | _ -> raise (Action.Atomic.Abort "pipelined bind: missing read"))
-  in
-  match joined with
-  | Error why -> Error (Binder.Name_refused why)
-  | Ok reads -> Ok reads
+  Action.Atomic.atomically_nested act (fun nested ->
+      let results =
+        Sim.Join.all
+          (Action.Atomic.engine (art t))
+          [
+            (fun () -> `Sv (read_sv ()));
+            (fun () -> `Impl (read_impl ()));
+            (fun () -> `St (read_st nested));
+          ]
+      in
+      let sv = ref None and impl = ref None and st = ref None in
+      List.iter
+        (function
+          | `Sv r -> sv := Some r
+          | `Impl r -> impl := Some r
+          | `St r -> st := Some r)
+        results;
+      match (!sv, !impl, !st) with
+      | Some (Ok sv), Some (Ok impl), Some (Ok st) -> (sv, impl, st)
+      | Some (Error why), _, _
+      | _, Some (Error why), _
+      | _, _, Some (Error why) ->
+          raise (Action.Atomic.Abort why)
+      | _ -> raise (Action.Atomic.Abort "pipelined bind: missing read"))
 
 let bind t ~act ~uid ~policy =
-  let client = Action.Atomic.node act in
-  let grt = Binder.group_runtime t.binder in
-  match hybrid_reads t ~act ~client uid with
-  | Error e -> Error e
-  | Ok (sv, impl, st) -> (
-      let chosen = take (Replica.Policy.replicas policy) sv in
-      if chosen = [] then Error (Binder.No_server "empty server set")
-      else
-        match
-          Replica.Group.activate grt ~client ~uid ~impl ~policy
-            ~servers:chosen ~stores:st
-        with
-        | Error why -> Error (Binder.No_server why)
-        | Ok group ->
-            Binder.attach_commit t.binder ~scheme:Scheme.Standard ~act ~uid
-              group;
-            Ok
-              {
-                Binder.bd_uid = uid;
-                bd_scheme = Scheme.Standard;
-                bd_group = group;
-                bd_servers = group.Replica.Group.g_members;
-                bd_stores = st;
-              })
+  match hybrid_reads t ~act ~client:(Action.Atomic.node act) uid with
+  | Error why -> Error (Binder.Name_refused why)
+  | Ok (servers, impl, stores) ->
+      Binder.bind_static t.binder ~act ~uid ~policy ~impl ~servers ~stores

@@ -26,11 +26,6 @@ val register :
   sv:Net.Network.node_id list -> unit
 (** Set the plain server set for an object (setup; direct). *)
 
-val servers :
-  t -> from:Net.Network.node_id -> Store.Uid.t ->
-  (Net.Network.node_id list, Net.Rpc.error) result
-(** Read the plain server set. *)
-
 val bind :
   t ->
   act:Action.Atomic.t ->
@@ -38,4 +33,5 @@ val bind :
   policy:Replica.Policy.t ->
   (Binder.binding, Binder.bind_error) result
 (** Hybrid bind: [SvA] from the plain name server (no locks held), [StA]
-    through the atomic state database as in the standard scheme. *)
+    through the atomic state database, then the standard scheme's static
+    pick ({!Binder.bind_static}). *)

@@ -8,12 +8,16 @@ let tracef t fmt =
     ~now:(Sim.Engine.now (Action.Atomic.engine (art t)))
     ~tag:"reintegrate" fmt
 
-(* Fetch the newest committed state of [uid] among the given store nodes. *)
-let newest_state t ~from ~stores uid =
+let newest_state t ~from ~skip uid =
   let sh = Action.Atomic.store_host (art t) in
+  let sources =
+    match Router.entry_info (Binder.router t) ~from uid with
+    | Ok (Some info) -> info.Gvd.ei_st_home
+    | Ok None | Error _ -> []
+  in
   List.fold_left
     (fun best store ->
-      if String.equal store from then best
+      if String.equal store skip then best
       else
         match Action.Store_host.read sh ~from ~store uid with
         | Ok (Some s) -> (
@@ -21,7 +25,7 @@ let newest_state t ~from ~stores uid =
             | Some b when not (Store.Object_state.newer_than s b) -> best
             | _ -> Some s)
         | Ok None | Error _ -> best)
-    None stores
+    None sources
 
 let reintegrate_store_one t ~node uid =
   let r = Binder.router t in
@@ -32,18 +36,13 @@ let reintegrate_store_one t ~node uid =
          final committed state. The granted fence is the committed
          version this node must reach before the inclusion may commit. *)
       let fence =
-        match Router.update r ~act [ (uid, Gvd.Include node) ] with
+        match Router.update r ~act uid (Gvd.Include node) with
         | Ok o -> o.Gvd.o_fence
         | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f))
       in
-      let sources =
-        match Router.entry_info r ~from:node uid with
-        | Ok (Some info) -> info.Gvd.ei_st_home
-        | Ok None | Error _ -> []
-      in
       let ours = Store.Object_store.read (Action.Store_host.objects sh node) uid in
       let best =
-        match (newest_state t ~from:node ~stores:sources uid, ours) with
+        match (newest_state t ~from:node ~skip:node uid, ours) with
         | Some fetched, Some mine ->
             if Store.Object_state.newer_than fetched mine then Some fetched
             else Some mine
@@ -119,7 +118,7 @@ let exclude_store_one t ~from ~node uid =
               raise (Action.Atomic.Abort "not an St member");
             (* The Exclude would be refused anyway; skip its round. *)
             if List.length st <= 1 then raise (Action.Atomic.Abort "would empty St");
-            match Router.update r ~act ~if_rev:rev [ (uid, Gvd.Exclude [ node ]) ] with
+            match Router.update r ~act ~if_rev:rev uid (Gvd.Exclude [ node ]) with
             | Ok { Gvd.o_applied = true; _ } -> ()
             | Ok { Gvd.o_applied = false; _ } ->
                 if attempt + 1 < validated_attempts then go (attempt + 1)
@@ -174,7 +173,7 @@ let reinsert_server_now t ~node =
           (fun () ->
             let res =
               Action.Atomic.atomically (art t) ~node (fun act ->
-                  match Router.update r ~act [ (uid, Gvd.Insert node) ] with
+                  match Router.update r ~act uid (Gvd.Insert node) with
                   | Ok _ -> `Done
                   | Error (Router.Busy _) -> `Busy
                   | Error (Router.Refused why | Router.Unreachable why) ->

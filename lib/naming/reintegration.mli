@@ -31,6 +31,19 @@ val reintegrate_store_now : Binder.t -> node:Net.Network.node_id -> unit
 (** Run the store protocol immediately (from a fiber on [node]); retries
     start 2.0 apart. *)
 
+val newest_state :
+  Binder.t ->
+  from:Net.Network.node_id ->
+  skip:Net.Network.node_id ->
+  Store.Uid.t ->
+  Store.Object_state.t option
+(** The catch-up fetch: from a fiber on [from], read [uid] from every
+    node ever admitted to its [StA] ([ei_st_home]) except [skip], the
+    node being brought up to date, and return the newest state found.
+    Unreachable stores are passed over. The caller checks the result
+    against its [Include] fence. Store reintegration and
+    {!Admin.add_store} both use it. *)
+
 val exclude_store_now :
   Binder.t ->
   from:Net.Network.node_id ->
@@ -45,7 +58,3 @@ val exclude_store_now :
     validates the St revision inside its round (an [Exclude] update with
     [~if_rev]); three conflicts, a refused fence or a failed read abort
     that object's exclusion. *)
-
-val reinsert_server_now : Binder.t -> node:Net.Network.node_id -> unit
-(** Run the server protocol immediately (from a fiber on [node]); retries
-    start 2.0 apart. *)

@@ -106,30 +106,7 @@ let snapshot t ~from uid = dispatch t ~uid (fun g -> Gvd.snapshot g ~from uid)
    on) exactly one shard. *)
 let bind t ~act ~uid use = dispatch t ~uid (fun g -> Gvd.bind g ~act ~uid use)
 
-(* An update naming entries on several shards runs one sub-update per
-   owning shard, in order of first appearance (in practice a request
-   names one entry). The first failure wins — partial grants are harmless
-   because each is undone by the caller's abort. *)
-let rec update t ~act ?if_rev ops =
-  match ops with
-  | [] -> Ok { Gvd.o_applied = true; o_fence = Store.Version.initial }
-  | [ (uid, _) ] -> dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev ops)
-  | (uid, _) :: _ -> (
-      let here = Shard_map.owner t.rt_map uid in
-      let mine, others =
-        List.partition (fun (u, _) -> Shard_map.owner t.rt_map u = here) ops
-      in
-      match dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev mine) with
-      | Ok o when others <> [] ->
-          update t ~act ?if_rev others
-          |> Result.map (fun (o' : Gvd.outcome) ->
-                 {
-                   Gvd.o_applied = o.Gvd.o_applied && o'.o_applied;
-                   o_fence =
-                     (if Store.Version.newer_than o'.o_fence o.o_fence then o'.o_fence
-                      else o.o_fence);
-                 })
-      | r -> r)
+let update t ~act ?if_rev uid op = dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev uid op)
 
 (* -- administrative / name-space operations -- *)
 

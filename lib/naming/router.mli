@@ -62,12 +62,10 @@ val update :
   t ->
   act:Action.Atomic.t ->
   ?if_rev:int ->
-  (Store.Uid.t * Gvd.op) list ->
+  Store.Uid.t ->
+  Gvd.op ->
   (Gvd.outcome, failure) result
-(** {!Gvd.update}. Ops are grouped by owning shard and each group runs as
-    one request, in order of first appearance; the first failure wins.
-    [o_applied] is the conjunction and [o_fence] the newest fence over
-    the groups. *)
+(** {!Gvd.update} of one entry on its owning shard. *)
 
 val bind :
   t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Gvd.bind_use ->
@@ -111,7 +109,6 @@ val served_by :
     the entry, which during a migration can differ from the map) *)
 
 val current_st : t -> Store.Uid.t -> Net.Network.node_id list
-val all_uids : t -> Store.Uid.t list
 
 (** {2 Online shard-map changes} *)
 

@@ -65,7 +65,6 @@ let with_nodes t nodes =
 
 let version t = t.sm_version
 let nodes t = t.sm_nodes
-let shards t = List.length t.sm_nodes
 
 (* First ring point at or clockwise after [h] (binary search; wraps). *)
 let owner_of_hash t h =

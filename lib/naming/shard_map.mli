@@ -23,7 +23,4 @@ val owner : t -> Store.Uid.t -> Net.Network.node_id
 
 val version : t -> int
 val nodes : t -> Net.Network.node_id list
-val shards : t -> int
 
-val hash_uid : Store.Uid.t -> int64
-(** Exposed for tests: the ring position of a UID. *)

@@ -28,7 +28,3 @@ let count t ~client =
 let total t = List.fold_left (fun acc (_, n) -> acc + n) 0 t
 
 let clients t = t
-
-let pp ppf t =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; " (List.map (fun (c, n) -> Printf.sprintf "%s=%d" c n) t))

@@ -31,5 +31,3 @@ val total : t -> int
 
 val clients : t -> (string * int) list
 (** All records, sorted by client name. *)
-
-val pp : Format.formatter -> t -> unit

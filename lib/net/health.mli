@@ -39,11 +39,6 @@ val note_failure : t -> dst:string -> now:float -> unit
 val is_slow : t -> latency:float -> bool
 (** Whether a latency would be classified slow right now. *)
 
-val score : t -> now:float -> string -> float
-(** Health in [\[0,1\]]; 1.0 = no evidence of sickness (unknown
-    destinations score 1.0). Combines the decayed slow indicator with the
-    destination's latency relative to the fleet. *)
-
 val rank : t -> now:float -> string list -> string list
 (** Stable sort, healthiest first. Ties — including all-unknown worlds —
     preserve the caller's order, so replica preference is unchanged

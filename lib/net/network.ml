@@ -149,7 +149,6 @@ let node_ids t =
 
 let is_up t id = (node t id).up
 let incarnation t id = (node t id).inc
-let group t id = (node t id).grp
 
 let spawn_on t id ?name f =
   let n = node t id in

@@ -108,10 +108,6 @@ val is_up : t -> node_id -> bool
 val incarnation : t -> node_id -> int
 (** The node's incarnation number (0 initially, +1 per recovery). *)
 
-val group : t -> node_id -> Sim.Engine.group
-(** The fiber group of the node's current incarnation. Fibers representing
-    computation {e on} the node must be spawned into this group. *)
-
 val spawn_on : t -> node_id -> ?name:string -> (unit -> unit) -> unit
 (** [spawn_on t id f] runs fiber [f] on node [id] (in its current group).
     Silently does nothing if the node is down. *)
@@ -137,9 +133,6 @@ val on_recover : t -> node_id -> (unit -> unit) -> unit
 val set_partitioned : t -> node_id -> node_id -> bool -> unit
 (** [set_partitioned t a b flag] blocks (or unblocks) message delivery in
     both directions between [a] and [b]. *)
-
-val partitioned : t -> node_id -> node_id -> bool
-(** Whether the pair is currently partitioned. *)
 
 val reachable : t -> node_id -> node_id -> bool
 (** [reachable t src dst]: [dst] is up, not partitioned from [src], and the
@@ -186,9 +179,6 @@ val set_oneway_cut : t -> src:node_id -> dst:node_id -> bool -> unit
     direction only — the asymmetric partition of the chaos harness.
     Messages in flight when the cut lands are dropped at delivery time,
     like symmetric partitions. *)
-
-val oneway_cut : t -> src:node_id -> dst:node_id -> bool
-(** Whether the directed link is currently cut. *)
 
 val set_brownout : t -> ?prob:float -> lo:float -> hi:float -> node_id -> unit
 (** [set_brownout t ~lo ~hi node] installs per-node service-time inflation

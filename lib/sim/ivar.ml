@@ -22,8 +22,6 @@ let try_fill iv v =
 
 let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
 
-let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
-
 let read eng iv =
   match iv.state with
   | Full v -> v

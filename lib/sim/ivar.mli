@@ -25,9 +25,6 @@ val try_fill : 'a t -> 'a -> bool
 val is_filled : 'a t -> bool
 (** Whether the ivar holds a value. *)
 
-val peek : 'a t -> 'a option
-(** The value, if any, without blocking. *)
-
 val read : Engine.t -> 'a t -> 'a
 (** [read eng iv] returns the value of [iv], suspending the calling fiber
     until [iv] is filled. *)

@@ -38,8 +38,6 @@ let find t ~tag ~substring =
     (fun e -> String.equal e.tag tag && contains_substring e.detail substring)
     (entries t)
 
-let clear t = t.entries <- []
-
 let pp ppf t =
   List.iter
     (fun e -> Format.fprintf ppf "%10.4f [%s] %s@." e.at e.tag e.detail)

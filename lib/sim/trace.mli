@@ -48,8 +48,5 @@ val count : t -> tag:string -> int
 val find : t -> tag:string -> substring:string -> entry list
 (** Entries with the given tag whose detail contains [substring]. *)
 
-val clear : t -> unit
-(** Drop all entries. *)
-
 val pp : Format.formatter -> t -> unit
 (** Render the whole trace, one entry per line. *)

@@ -1,9 +1,5 @@
 type decision = Commit | Abort
 
-let pp_decision ppf = function
-  | Commit -> Format.pp_print_string ppf "commit"
-  | Abort -> Format.pp_print_string ppf "abort"
-
 type prepare_record = {
   coordinator : string;
   writes : (Uid.t * Object_state.t) list;

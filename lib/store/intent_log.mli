@@ -8,8 +8,6 @@
 
 type decision = Commit | Abort
 
-val pp_decision : Format.formatter -> decision -> unit
-
 type t
 (** One node's intention log. *)
 

@@ -1,5 +1,5 @@
 (* [str] is ["label#serial"], built once by [fresh]. *)
-type t = { serial : int; lbl : string; str : string }
+type t = { serial : int; str : string }
 
 type supply = { mutable next : int }
 
@@ -8,9 +8,8 @@ let supply () = { next = 0 }
 let fresh s ~label =
   let serial = s.next in
   s.next <- serial + 1;
-  { serial; lbl = label; str = label ^ "#" ^ string_of_int serial }
+  { serial; str = label ^ "#" ^ string_of_int serial }
 
-let label t = t.lbl
 let serial t = t.serial
 let equal a b = a.serial = b.serial
 let compare a b = Int.compare a.serial b.serial

@@ -19,9 +19,6 @@ val supply : unit -> supply
 val fresh : supply -> label:string -> t
 (** [fresh s ~label] allocates the next UID, tagged with [label]. *)
 
-val label : t -> string
-(** The user-given label. *)
-
 val serial : t -> int
 (** The allocation serial number. *)
 

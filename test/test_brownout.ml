@@ -375,28 +375,26 @@ let test_only_idempotent_calls_hedge () =
         ignore (Gvd.snapshot gvd ~from:"c1" uid)
       done;
       read_hedges := Sim.Metrics.counter m "rpc.hedges";
+      (* A counted bind carries the shard's vote, so it is its action's
+         only request there: the Decrement runs in an action of its own. *)
       for _ = 1 to rounds do
         healthy_traffic ();
         match
           Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
               healthy_traffic ();
-              match
-                Gvd.bind gvd ~act ~uid
-                  (Gvd.Counted { replicas = 1; credits = []; vote = false })
-              with
-              | Ok (Gvd.Granted bv) ->
-                  healthy_traffic ();
-                  ignore
-                    (Gvd.update gvd ~act
-                       [
-                         ( uid,
-                           Gvd.Decrement
-                             { client = "c1"; servers = bv.Gvd.bv_servers } );
-                       ])
+              match Gvd.bind gvd ~act ~uid (Gvd.Counted { replicas = 1; credits = [] }) with
+              | Ok (Gvd.Granted bv) -> bv.Gvd.bv_servers
               | _ -> raise (Action.Atomic.Abort "bind refused"))
         with
-        | Ok () -> incr committed
         | Error _ -> ()
+        | Ok servers -> (
+            match
+              Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+                  healthy_traffic ();
+                  ignore (Gvd.update gvd ~act uid (Gvd.Decrement { client = "c1"; servers })))
+            with
+            | Ok () -> incr committed
+            | Error _ -> ())
       done);
   Service.run w;
   check_bool "plain reads hedged" true (!read_hedges > 0);

@@ -187,7 +187,7 @@ let test_retire_store_home_forgotten () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Retire_st "beta2") ] with
+             match Gvd.update (Service.gvd w) ~act uid (Gvd.Retire_st "beta2") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "retire"));
       match Gvd.entry_info (Service.gvd w) ~from:"c1" uid with
@@ -206,7 +206,7 @@ let test_retire_rolls_back_on_abort () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Retire_st "beta2") ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Retire_st "beta2") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "retire");
              raise (Action.Atomic.Abort "no"))));
@@ -231,7 +231,7 @@ let test_durable_gvd_restores_committed_images () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Exclude [ "beta2" ]) with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
              Sim.Engine.sleep eng 50.0)));
@@ -263,7 +263,7 @@ let test_durable_gvd_keeps_prepared_stage () =
   Service.spawn_client w "c1" (fun () ->
       r :=
         Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-            (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+            (match Gvd.update (Service.gvd w) ~act uid (Gvd.Exclude [ "beta2" ]) with
             | Ok (Gvd.Granted _) -> ()
             | _ -> Alcotest.fail "exclude");
             Net.Fault.crash_for (Service.network w)
@@ -344,7 +344,7 @@ let test_wedge_naming_lock () =
       ~st:[ "beta1" ] ()
   in
   let include_beta2 act =
-    match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Include "beta2") ] with
+    match Gvd.update (Service.gvd w) ~act uid (Gvd.Include "beta2") with
     | Ok (Gvd.Granted _) -> ()
     | _ -> raise (Action.Atomic.Abort "include refused")
   in
@@ -498,7 +498,7 @@ let test_mirror_aborts_propagate_nothing () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Remove "alpha") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
              raise (Action.Atomic.Abort "no"))));

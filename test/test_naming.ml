@@ -120,16 +120,16 @@ let test_insert_remove_include_exclude () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Insert "alpha2") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "insert");
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Remove "alpha") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Exclude [ "beta2" ]) with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
-             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Include "beta2") ] with
+             match Gvd.update (Service.gvd w) ~act uid (Gvd.Include "beta2") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "include")));
   Service.run w;
@@ -143,10 +143,10 @@ let test_abort_restores_image () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Remove "alpha") ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Remove "alpha") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "remove");
-             (match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta1" ]) ] with
+             (match Gvd.update (Service.gvd w) ~act uid (Gvd.Exclude [ "beta1" ]) with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "exclude");
              raise (Action.Atomic.Abort "roll it back"))));
@@ -163,7 +163,7 @@ let test_nested_action_transfer () =
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun parent ->
              ignore
                (Action.Atomic.atomically_nested parent (fun child ->
-                    match Gvd.update (Service.gvd w) ~act:child [ (uid, Gvd.Remove "alpha") ] with
+                    match Gvd.update (Service.gvd w) ~act:child uid (Gvd.Remove "alpha") with
                     | Ok (Gvd.Granted _) -> ()
                     | _ -> Alcotest.fail "remove in child"));
              (* Child committed into parent; aborting the parent must undo
@@ -184,7 +184,7 @@ let test_insert_busy_when_in_use () =
                 and hold it open while another action tries Insert. *)
              (match
                 Gvd.update (Service.gvd w) ~act
-                  [ (uid, Gvd.Increment { client = "c1"; servers = [ "alpha" ] }) ]
+                  uid (Gvd.Increment { client = "c1"; servers = [ "alpha" ] })
               with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "increment"))));
@@ -193,7 +193,7 @@ let test_insert_busy_when_in_use () =
   Service.spawn_client w "c2" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
+             match Gvd.update (Service.gvd w) ~act uid (Gvd.Insert "alpha2") with
              | Ok (Gvd.Busy _) -> got := "busy"
              | Ok (Gvd.Granted _) -> got := "granted"
              | _ -> got := "other")));
@@ -264,7 +264,7 @@ let run_update_row ~commit (name, op, half, mode, counter, applied) =
             (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
                  ignore
                    (Gvd.update gvd ~act
-                      [ (uid, Gvd.Increment { client = "c2"; servers = [ "alpha" ] }) ]))))
+                      uid (Gvd.Increment { client = "c2"; servers = [ "alpha" ] })))))
   | _ -> ());
   Service.run w;
   let before = state () in
@@ -274,7 +274,7 @@ let run_update_row ~commit (name, op, half, mode, counter, applied) =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update gvd ~act [ (uid, op) ] with
+             (match Gvd.update gvd ~act uid op with
              | Ok (Gvd.Granted o) -> check_bool (name ^ " applied") true o.Gvd.o_applied
              | _ -> Alcotest.fail (name ^ " not granted"));
              let held = Option.value ~default:[] (List.assoc_opt key (Gvd.residual_locks gvd)) in
@@ -312,10 +312,10 @@ let test_update_if_rev_keeps_fence () =
              (* A membership change commits behind the snapshot. *)
              ignore
                (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun other ->
-                    ignore (Gvd.update gvd ~act:other [ (uid, Gvd.Exclude [ "beta2" ]) ])));
+                    ignore (Gvd.update gvd ~act:other uid (Gvd.Exclude [ "beta2" ]))));
              (* Let its phase 2 reach the database. *)
              Sim.Engine.sleep eng 5.0;
-             (match Gvd.update gvd ~act ~if_rev:rev [ (uid, Gvd.Note_version noted) ] with
+             (match Gvd.update gvd ~act ~if_rev:rev uid (Gvd.Note_version noted) with
              | Ok (Gvd.Granted o) -> outcome := Some o.Gvd.o_applied
              | _ -> Alcotest.fail "validate refused");
              Sim.Engine.sleep eng 60.0)));
@@ -323,7 +323,7 @@ let test_update_if_rev_keeps_fence () =
       Sim.Engine.sleep eng 15.0;
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             match Gvd.update gvd ~act [ (uid, Gvd.Include "beta2") ] with
+             match Gvd.update gvd ~act uid (Gvd.Include "beta2") with
              | Ok (Gvd.Granted _) -> included := "granted"
              | Ok (Gvd.Refused _) -> included := "refused"
              | _ -> included := "other")));
@@ -350,7 +350,7 @@ let test_exclude_never_empties_st () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             match Gvd.update gvd ~act [ (uid, Gvd.Exclude [ "beta1"; "beta2" ]) ] with
+             match Gvd.update gvd ~act uid (Gvd.Exclude [ "beta1"; "beta2" ]) with
              | Ok (Gvd.Refused why) -> reply := "refused: " ^ why
              | Ok (Gvd.Granted _) -> reply := "granted"
              | _ -> reply := "other")));
@@ -358,6 +358,82 @@ let test_exclude_never_empties_st () =
   check_string "refused" "refused: would empty St" !reply;
   check_bool "image unchanged" true (image () = before);
   Alcotest.(check (list string)) "nothing staged" [] (Gvd.residual_actions gvd)
+
+(* Use-list counter ops commute: one update is one op on one entry, and
+   committed Increments and Decrements sum whatever order their actions
+   commit in. Several clients run actions of random ops on one entry,
+   each starting after a random delay and then committing or aborting.
+   Every client first holds [base] uses of each server, more than all
+   its Decrements together, so no Decrement meets an empty counter in any
+   order. The final use lists must equal [base] plus the committed
+   actions' ops, and the aborted ones must leave nothing behind. *)
+let prop_delta_ops_commute =
+  let servers = [| "alpha"; "alpha2" |] and clients = [| "c1"; "c2"; "c3" |] in
+  let action =
+    QCheck.(
+      quad (int_range 0 2) (float_range 0.0 5.0)
+        (list_of_size (Gen.int_range 1 3) (pair bool (int_range 0 1)))
+        bool)
+  in
+  QCheck.Test.make ~name:"delta ops commute in any commit order" ~count:40
+    QCheck.(list_of_size (Gen.int_range 1 8) action)
+    (fun actions ->
+      let w =
+        Service.create ~seed:5L
+          (topo ~servers:(Array.to_list servers) ~stores:[ "beta1"; "beta2" ]
+             ~clients:(Array.to_list clients))
+      in
+      let uid = counter_object w ~sv:(Array.to_list servers) "ctr" in
+      let gvd = Service.gvd w and eng = Service.engine w in
+      let expected = Hashtbl.create 8 in
+      let add client server by =
+        let now = Option.value ~default:0 (Hashtbl.find_opt expected (client, server)) in
+        Hashtbl.replace expected (client, server) (now + by)
+      in
+      let run_action client ~commit ops =
+        Action.Atomic.atomically (Service.atomic w) ~node:client (fun act ->
+            List.iter
+              (fun op ->
+                match Gvd.update gvd ~act uid op with
+                | Ok (Gvd.Granted _) -> ()
+                | _ -> raise (Action.Atomic.Abort "update refused"))
+              ops;
+            if not commit then raise (Action.Atomic.Abort "roll back"))
+      in
+      let base = 3 * List.length actions in
+      Array.iter
+        (fun client ->
+          Service.spawn_client w client (fun () ->
+              let all = List.concat_map (fun s -> List.init base (fun _ -> s)) (Array.to_list servers) in
+              match run_action client ~commit:true [ Gvd.Increment { client; servers = all } ] with
+              | Ok () -> Array.iter (fun s -> add client s base) servers
+              | Error _ -> ()))
+        clients;
+      Service.run w;
+      let lost = ref 0 in
+      List.iter
+        (fun (c, delay, ops, commit) ->
+          let client = clients.(c) in
+          let op (up, s) =
+            let servers = [ servers.(s) ] in
+            if up then Gvd.Increment { client; servers } else Gvd.Decrement { client; servers }
+          in
+          Service.spawn_client w client (fun () ->
+              Sim.Engine.sleep eng delay;
+              match run_action client ~commit (List.map op ops) with
+              | Ok () -> List.iter (fun (up, s) -> add client servers.(s) (if up then 1 else -1)) ops
+              | Error _ -> if commit then incr lost))
+        actions;
+      Service.run w;
+      let uses = Gvd.current_uses gvd uid in
+      let count client server =
+        Option.fold ~none:0 ~some:(Use_list.count ~client) (List.assoc_opt server uses)
+      in
+      !lost = 0
+      && Hashtbl.length expected = Array.length clients * Array.length servers
+      && Hashtbl.fold (fun (client, server) n ok -> ok && count client server = n) expected true
+      && Gvd.residual_actions gvd = []
+      && Gvd.residual_locks gvd = [])
 
 (* ------------------------------------------------------------------ *)
 (* Lock semantics across actions (figure 6 blocking behaviour) *)
@@ -381,7 +457,7 @@ let test_standard_read_lock_blocks_insert_until_commit () =
       Sim.Engine.sleep eng 5.0;
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha2") ] with
+             match Gvd.update (Service.gvd w) ~act uid (Gvd.Insert "alpha2") with
              | Ok (Gvd.Granted _) -> insert_done_at := Sim.Engine.now eng
              | Ok (Gvd.Busy _) -> Alcotest.fail "unexpected busy"
              | _ -> Alcotest.fail "insert refused")));
@@ -418,7 +494,7 @@ let test_exclude_write_vs_plain_write_promotion () =
                (match Gvd.get_view (Service.gvd w) ~act uid with
                | Ok (Gvd.Granted _) -> ()
                | _ -> Alcotest.fail "get_view c1");
-               match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+               match Gvd.update (Service.gvd w) ~act uid (Gvd.Exclude [ "beta2" ]) with
                | Ok (Gvd.Granted _) -> result := "granted"
                | Ok (Gvd.Refused _) -> result := "refused"
                | _ -> result := "other")));
@@ -1100,6 +1176,7 @@ let suite =
         tc "every update op aborts" `Quick test_update_ops_abort;
         tc "if_rev mismatch keeps the fence" `Quick test_update_if_rev_keeps_fence;
         tc "exclude never empties St" `Quick test_exclude_never_empties_st;
+        Test_util.qcheck prop_delta_ops_commute;
       ] );
     ( "naming.locks",
       [

@@ -169,7 +169,7 @@ let test_validate_view_idempotent () =
              let validate () =
                match
                  Router.update router ~act ~if_rev:rev
-                   [ (uid, Gvd.Note_version version) ]
+                   uid (Gvd.Note_version version)
                with
                | Ok o -> o.Gvd.o_applied
                | Error _ -> false
@@ -255,7 +255,7 @@ let test_exclude_after_counted_bind () =
       | Ok pb ->
           (match
              Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-                 match Router.update router ~act [ (uid, Gvd.Exclude [ "t3" ]) ] with
+                 match Router.update router ~act uid (Gvd.Exclude [ "t3" ]) with
                  | Ok _ -> ()
                  | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
            with
@@ -300,7 +300,7 @@ let test_scheme_a_reads_after_aborted_exclude () =
   Service.spawn_client w "c2" (fun () ->
       excluder :=
         Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-            (match Router.update router ~act [ (uid, Gvd.Exclude [ "t3" ]) ] with
+            (match Router.update router ~act uid (Gvd.Exclude [ "t3" ]) with
             | Ok _ -> ()
             | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)));
             Sim.Engine.sleep eng 10.0;

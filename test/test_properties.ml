@@ -244,7 +244,7 @@ let prop_snapshot_version_monotone =
             (match
                Action.Atomic.atomically (Service.atomic w) ~node:"c1"
                  (fun act ->
-                   (match Gvd.update gvd ~act [ (uid, Gvd.Exclude [ "t2" ]) ] with
+                   (match Gvd.update gvd ~act uid (Gvd.Exclude [ "t2" ]) with
                    | Ok (Gvd.Granted _) -> ()
                    | _ -> raise (Action.Atomic.Abort "exclude"));
                    if Sim.Rng.bool rng 0.3 then
@@ -255,7 +255,7 @@ let prop_snapshot_version_monotone =
             (match
                Action.Atomic.atomically (Service.atomic w) ~node:"c1"
                  (fun act ->
-                   match Gvd.update gvd ~act [ (uid, Gvd.Include "t2") ] with
+                   match Gvd.update gvd ~act uid (Gvd.Include "t2") with
                    | Ok (Gvd.Granted _) -> ()
                    | _ -> raise (Action.Atomic.Abort "include"))
              with

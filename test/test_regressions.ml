@@ -89,7 +89,7 @@ let test_orphan_guard_releases_dead_clients_locks () =
       Net.Network.spawn_on net "c2" (fun () ->
           ignore
             (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-                 match Gvd.update (Service.gvd w) ~act [ (uid, Gvd.Insert "alpha") ] with
+                 match Gvd.update (Service.gvd w) ~act uid (Gvd.Insert "alpha") with
                  | Ok (Gvd.Granted _) -> inserted := true
                  | _ -> ()))));
   Sim.Engine.run ~until:100.0 eng;
@@ -275,7 +275,7 @@ let test_split_undo_no_resurrection () =
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-             (match Gvd.update gvd ~act [ (uid, Gvd.Include "beta2") ] with
+             (match Gvd.update gvd ~act uid (Gvd.Include "beta2") with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "include");
              Sim.Engine.sleep eng 30.0;
@@ -285,7 +285,7 @@ let test_split_undo_no_resurrection () =
       Sim.Engine.sleep eng 10.0;
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
-             (match Gvd.update gvd ~act [ (uid, Gvd.Increment { client = "c2"; servers = [ "alpha" ] }) ] with
+             (match Gvd.update gvd ~act uid (Gvd.Increment { client = "c2"; servers = [ "alpha" ] }) with
              | Ok (Gvd.Granted _) -> ()
              | _ -> Alcotest.fail "increment");
              Sim.Engine.sleep eng 40.0;

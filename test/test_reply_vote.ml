@@ -135,14 +135,14 @@ let test_request_after_vote_refused () =
         Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
             (match
                Gvd.bind gvd ~act ~uid
-                 (Gvd.Counted { replicas = 1; credits = []; vote = true })
+                 (Gvd.Counted { replicas = 1; credits = [] })
              with
             | Ok (Gvd.Granted bv) -> voted := bv.Gvd.bv_voted
             | _ -> Alcotest.fail "bind not granted");
             update :=
               describe
                 (Gvd.update gvd ~act
-                   [ (uid, Gvd.Decrement { client = "c1"; servers = [ "alpha" ] }) ]);
+                   uid (Gvd.Decrement { client = "c1"; servers = [ "alpha" ] }));
             read := describe (Gvd.read gvd ~act uid Gvd.Servers)));
   Service.run w;
   check_bool "the bind reply carried the vote" true !voted;

@@ -313,7 +313,7 @@ let test_update_in_handoff_window_refused () =
         (fun op ->
           ignore
             (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-                 match Gvd.update dst ~act [ (uid, op) ] with
+                 match Gvd.update dst ~act uid op with
                  | Ok (Gvd.Refused why) -> replies := why :: !replies
                  | Ok (Gvd.Granted _) -> replies := "granted" :: !replies
                  | _ -> replies := "other" :: !replies)))
@@ -323,7 +323,7 @@ let test_update_in_handoff_window_refused () =
       (* Once home, the routed exclusion lands (via the Moved bounce). *)
       match
         Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
-            match Router.update router ~act [ (uid, Gvd.Exclude [ "beta2" ]) ] with
+            match Router.update router ~act uid (Gvd.Exclude [ "beta2" ]) with
             | Ok _ -> ()
             | Error f -> raise (Action.Atomic.Abort (Router.failure_to_string f)))
       with
@@ -429,7 +429,7 @@ let test_bounced_update_leaves_no_orphan_watch () =
       (Sim.Metrics.counter (Service.metrics w) "gvd.orphan_aborts")
   in
   let update ?if_rev op router act uid =
-    Router.update router ~act ?if_rev [ (uid, op) ]
+    Router.update router ~act ?if_rev uid op
     |> Result.map ignore
     |> Result.map_error Router.failure_to_string
   in
