@@ -38,6 +38,8 @@ type t = {
   counters : counters option;
 }
 
+let wait_bound = 30.0
+
 let create ?metrics eng =
   let counters =
     Option.map

@@ -31,6 +31,12 @@ type t
 type owner = string
 (** Action identifier. *)
 
+val wait_bound : float
+(** [30.0]: the one bound on a protocol's lock wait. The naming database
+    refuses an entry lock not granted within it, a server refuses an
+    instance lock likewise, and a client gives up on a multicast
+    invocation no replica answered within it. *)
+
 val create : ?metrics:Sim.Metrics.t -> Sim.Engine.t -> t
 (** [create eng] is an empty manager. If [metrics] is given, the manager
     counts grants, waits, promotion failures and timeouts. *)

@@ -16,19 +16,19 @@ let update t ~act ~uid op =
   | Error (Router.Refused why) -> raise (Administrative (Refused why))
   | Error (Router.Unreachable why) -> raise (Administrative (Unavailable why))
 
+(* The body's own error is kept aside as raised; an abort from the
+   commit path has only its reason string. *)
 let administratively t ~from body =
+  let failed = ref None in
   match
     Action.Atomic.atomically (art t) ~node:from (fun act ->
-        try Ok (body act) with Administrative e -> raise (Action.Atomic.Abort (error_to_string e)))
+        try body act
+        with Administrative e ->
+          failed := Some e;
+          raise (Action.Atomic.Abort (error_to_string e)))
   with
-  | Ok (Ok v) -> Ok v
-  | Ok (Error e) -> Error e
-  | Error reason ->
-      (* Recover the structured error when we can; lock refusals from the
-         commit path arrive as plain strings. *)
-      if String.length reason >= 5 && String.sub reason 0 5 = "busy:" then
-        Error (Busy (String.sub reason 6 (String.length reason - 6)))
-      else Error (Refused reason)
+  | Ok v -> Ok v
+  | Error reason -> Error (Option.value !failed ~default:(Refused reason))
 
 let add_server t ~from ~uid node =
   administratively t ~from (fun act -> ignore (update t ~act ~uid (Gvd.Insert node)))

@@ -111,7 +111,7 @@ let exclusion t ~scheme ~uid act failed =
    a browned-out store can stretch well past three attempts. So the
    next attempt's read is [Settled], which answers once that holder has
    ended, after the copy-back withdrew its prepares. One wait is
-   bounded by the lock timeout (30.0), so a read waits up to
+   bounded by {!Lockmgr.Manager.wait_bound}, so a read waits up to
    [fence_waits] times, and not past the action's deadline: that
    outlasts a re-inclusion whose every round trip is browned out (its
    catch-up held the fence for up to 130 in random autonomic brownout

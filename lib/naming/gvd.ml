@@ -133,7 +133,6 @@ type bind_view = {
   bv_rev : int;
       (* the committed St revision: with Counted's [bv_stores], a pair a
          commit can validate; with Locked's working StA, not one *)
-  bv_voted : bool; (* the shard prepared the action in this handler *)
 }
 
 (* A migrating entry in flight between shards: the full recoverable image
@@ -322,11 +321,9 @@ let stage a serial ops =
 (* -- locks -- *)
 
 (* Each update op declares the lock it needs on its half: a blocking
-   acquisition (bounded by [lock_timeout], refused after), or the §4.2.1
-   write fence, which never waits. *)
+   acquisition (bounded by {!Lockmgr.Manager.wait_bound}, refused after),
+   or the §4.2.1 write fence, which never waits. *)
 type lock = Blocking of Lockmgr.Mode.t | Fence
-
-let lock_timeout = 30.0
 
 (* The §4.2.1 write fence: the exclude-write lock, or a plain write lock
    when the world turns [use_exclude_write] off. [take_fence] promotes a
@@ -354,7 +351,10 @@ let refuse t key mode =
 let take_lock t ~action lock key =
   match lock with
   | Blocking mode -> (
-      match Lockmgr.Manager.acquire t.locks ~owner:action ~mode ~timeout:lock_timeout key with
+      match
+        Lockmgr.Manager.acquire t.locks ~owner:action ~mode
+          ~timeout:Lockmgr.Manager.wait_bound key
+      with
       | Ok () -> None
       | Error `Timeout -> refuse t key mode)
   | Fence -> if take_fence t ~action key then None else refuse t key (fence_mode t)
@@ -566,7 +566,8 @@ let committed_view t e =
    holds the write lock a membership change takes (and no earlier
    request waits), and the action gives it back at once. An action
    holding its own lock there has nothing to wait for. A wait past
-   [lock_timeout] is refused like any lock, which probes the holders. *)
+   {!Lockmgr.Manager.wait_bound} is refused like any lock, which probes
+   the holders. *)
 let await_writers t ~action uid =
   let key = key_of St_side uid in
   match Lockmgr.Manager.holds t.locks ~owner:action key with
@@ -678,7 +679,6 @@ let bind_locked t e ~action =
               bv_removed = [];
               bv_stores = e.e_image.im_state.im_st;
               bv_rev = e.e_snap.im_state.im_st_rev;
-              bv_voted = false;
             })
 
 let bind_counted t e a ~action ~client ~replicas ~credits =
@@ -734,7 +734,6 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
             bv_removed = removed;
             bv_stores = e.e_snap.im_state.im_st;
             bv_rev = e.e_snap.im_state.im_st_rev;
-            bv_voted = true;
           }
       end
 
@@ -1157,9 +1156,7 @@ let call_enlisted t ~act ~voted ep req =
   let from = Action.Atomic.node act in
   let result = Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req in
   (match result with
-  | Ok (Granted v) ->
-      if voted v then Action.Atomic.enlist act ~voted:true ~node:t.gvd_node ~resource ()
-      else Action.Atomic.enlist act ~node:t.gvd_node ~resource ()
+  | Ok (Granted _) -> Action.Atomic.enlist act ~voted ~node:t.gvd_node ~resource ()
   | Ok (Busy _ | Refused _) ->
       (* The handler may still hold locks for the action (e.g. insert got
          its write lock but found the object busy); enlist so they are
@@ -1176,8 +1173,6 @@ let call_enlisted t ~act ~voted ep req =
       Action.Atomic.enlist act ~required:false ~node:t.gvd_node ~resource ()
   | Ok (Moved _) -> ());
   result
-
-let never _ = false
 
 let lookup t ~from name = plain_call t ~from t.ep_lookup name
 let entry_info t ~from uid = plain_call t ~from t.ep_info uid
@@ -1197,8 +1192,8 @@ let read_unlocked t ~act uid mode =
 let read t ~act uid r =
   let locked side = { r_uid = uid; r_mode = Lock (Action.Atomic.owner act, side) } in
   match r with
-  | Servers -> call_enlisted t ~act ~voted:never t.ep_read (locked Sv_side)
-  | Stores -> call_enlisted t ~act ~voted:never t.ep_read (locked St_side)
+  | Servers -> call_enlisted t ~act ~voted:false t.ep_read (locked Sv_side)
+  | Stores -> call_enlisted t ~act ~voted:false t.ep_read (locked St_side)
   | Committed -> read_unlocked t ~act uid Free
   | Settled -> read_unlocked t ~act uid (Await (Action.Atomic.owner act))
 
@@ -1208,11 +1203,13 @@ let get_server t ~act uid = read t ~act uid Servers
 let get_view t ~act uid = read t ~act uid Stores
 
 let update t ~act ?if_rev uid op =
-  call_enlisted t ~act ~voted:never t.ep_update
+  call_enlisted t ~act ~voted:false t.ep_update
     { up_action = Action.Atomic.owner act; up_uid = uid; up_op = op; up_if_rev = if_rev }
 
+(* A granted [Counted] bind staged its Increment and voted yes. *)
 let bind t ~act ~uid use =
-  call_enlisted t ~act ~voted:(fun bv -> bv.bv_voted) t.ep_bind
+  let voted = match use with Counted _ -> true | Locked -> false in
+  call_enlisted t ~act ~voted t.ep_bind
     {
       bt_uid = uid;
       bt_action = Action.Atomic.owner act;

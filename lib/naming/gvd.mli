@@ -46,7 +46,8 @@ val install :
   t
 (** [install art ~node] hosts the database on [node] and registers its
     endpoints and resource manager. Lock waits inside handlers are
-    bounded at 30.0; a timed-out wait refuses the operation.
+    bounded by {!Lockmgr.Manager.wait_bound}; a timed-out wait refuses
+    the operation.
     [use_exclude_write] (default true) selects the §4.2.1 lock type for
     [Exclude].
 
@@ -157,9 +158,9 @@ type read =
           [StA] for the action and gives it back at once, so the action
           holds nothing afterwards and is not enlisted. An action that
           holds a lock on [StA] itself answers at once. A wait past
-          30.0 is [Refused], like any lock wait. A commit whose
-          validation found the write fence held by another action reads
-          its next [St] this way. *)
+          {!Lockmgr.Manager.wait_bound} is [Refused], like any lock
+          wait. A commit whose validation found the write fence held by
+          another action reads its next [St] this way. *)
 
 type view = {
   v_servers : Net.Network.node_id list;  (** [SvA] *)
@@ -248,10 +249,10 @@ val update :
     ownership check (an entry this shard does not hold answers [Moved]
     or [Refused "unknown object"] before anything is recorded for the
     action), the op's lock ([Refused] if a blocking lock times out after
-    30.0 or a fence is unavailable), the [if_rev] check, the
-    precondition ([Busy] or [Refused]), then stage or apply. A refusal
-    leaves the entry untouched; a lock already granted stays with [act]
-    until it ends.
+    {!Lockmgr.Manager.wait_bound} or a fence is unavailable), the
+    [if_rev] check, the precondition ([Busy] or [Refused]), then stage
+    or apply. A refusal leaves the entry untouched; a lock already
+    granted stays with [act] until it ends.
 
     [if_rev] is decide-then-mutate in one round (§13): apply the op only
     if the entry's committed St revision still equals it.
@@ -287,14 +288,14 @@ type bind_use =
 
           A granted [Counted] bind prepares the action in the same
           handler — the vote in the reply of {!Action.Resource_host}:
-          the action's stage becomes stable, [bv_voted] says so, and the
-          client stub enlists the shard as already voted, so commit
-          sends it no [resource.prepare]. It must therefore be the only
-          request its top-level action sends to that shard: the shard
-          refuses every later request of an action it has prepared. A
-          lost reply leaves the shard enlisted unvoted and not required;
-          the failed bind aborts the action, and the abort reaches the
-          shard as usual. *)
+          the action's stage becomes stable and the client stub
+          enlists the shard as already voted, so commit sends it no
+          [resource.prepare]. It must therefore be the only request its
+          top-level action sends to that shard: the shard refuses every
+          later request of an action it has prepared. A lost reply
+          leaves the shard enlisted unvoted and not required; the failed
+          bind aborts the action, and the abort reaches the shard as
+          usual. *)
 
 type bind_view = {
   bv_impl : string;  (** implementation name (saves the impl lookup) *)
@@ -316,9 +317,6 @@ type bind_view = {
           another action's staged [Exclude] (the exclude-write lock is
           compatible with Read) while the revision is still the committed
           one; not a pair to validate against. *)
-  bv_voted : bool;
-      (** the shard prepared the action in this handler (every granted
-          [Counted] bind) *)
 }
 
 val bind :
@@ -326,7 +324,8 @@ val bind :
   (bind_view reply, Net.Rpc.error) result
 (** The whole database half of a bind in one RPC round, for [act] and
     from [act]'s node (the client whose counters a [Counted] bind
-    bumps). Enlisted, never hedged; enlisted as voted when [bv_voted]. *)
+    bumps). Enlisted, never hedged; a granted [Counted] bind is enlisted
+    as voted. *)
 
 val committed_version : t -> Store.Uid.t -> Store.Version.t
 (** Introspection: the current committed-version fence. *)

@@ -56,8 +56,10 @@ val create :
     persistent object instead of being assumed always available (see
     {!Gvd.install}). Recovery hooks
     (2PC resolution, then store reintegration, then server reinsertion)
-    are attached to every node per its capabilities. Naming-tier lock
-    waits are bounded at 30.0, and credited use-list [Decrement]s
+    are attached to every node per its capabilities. Every lock wait,
+    in the naming tier and on the servers, and a client's wait for a
+    multicast invocation are bounded by the one
+    {!Lockmgr.Manager.wait_bound}, and credited use-list [Decrement]s
     coalesce for 5.0 before they are flushed (a blocked [Insert] pulls
     them early, see {!Binder.pull_credits}).
 
@@ -87,11 +89,10 @@ val create :
       member when the primary is sustainedly slow (a sibling win counts
       as the leg's failure, never as the primary's answer), and
       activation store reads walk healthiest-first — plus one
-      {!Replica.Autonomic} controller daemon per server node, with
-      {!Replica.Autonomic.default_config}: stores that stay sustainedly
-      slow past the hysteresis window, as seen by a quorum of
-      controllers, are Excluded from their [St] sets through the
-      validated round, and re-Included (with catch-up through the
+      {!Replica.Autonomic} controller daemon per server node: stores
+      that stay sustainedly slow past the hysteresis window, as seen by
+      a quorum of controllers, are Excluded from their [St] sets through
+      the validated round, and re-Included (with catch-up through the
       reintegration fence) once they heal, with a cooldown damping
       membership flaps.
 

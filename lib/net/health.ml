@@ -23,18 +23,19 @@ type fleet = {
   mutable g_ewma : float; (* fleet-wide smoothed latency *)
   mutable g_dev : float;
   mutable g_samples : float;
-  slow_floor : float;
-  tau : float; (* slow-score decay constant *)
 }
 
 type t = { dests : (string, dest) Hashtbl.t; fleet : fleet }
 
 let alpha = 0.2
+let slow_floor = 8.0
+let tau = 60.0 (* slow-score decay constant *)
+let hedge_floor = 4.0
 
-let create ?(slow_floor = 8.0) ?(tau = 60.0) () =
+let create () =
   {
     dests = Hashtbl.create 16;
-    fleet = { g_ewma = 0.0; g_dev = 0.0; g_samples = 0.0; slow_floor; tau };
+    fleet = { g_ewma = 0.0; g_dev = 0.0; g_samples = 0.0 };
   }
 
 let dest t dst =
@@ -50,11 +51,11 @@ let dest t dst =
 (* A destination that stopped being sampled must not stay condemned
    forever: the slow score decays toward 0 with time constant [tau], so
    health recovers even while nobody calls. *)
-let decayed_slow t d ~now =
+let decayed_slow d ~now =
   if d.d_samples = 0.0 then 0.0
   else
     let dt = now -. d.d_last in
-    if dt <= 0.0 then d.d_slow else d.d_slow *. exp (-.dt /. t.fleet.tau)
+    if dt <= 0.0 then d.d_slow else d.d_slow *. exp (-.dt /. tau)
 
 (* A call is slow relative to the fleet, not to its own destination: a
    node that is *always* three times slower than everyone else must keep
@@ -63,7 +64,7 @@ let decayed_slow t d ~now =
    flagging anything. *)
 let slow_threshold t =
   let f = t.fleet in
-  Float.max f.slow_floor (3.0 *. (if f.g_samples = 0.0 then 0.0 else f.g_ewma))
+  Float.max slow_floor (3.0 *. (if f.g_samples = 0.0 then 0.0 else f.g_ewma))
 
 let is_slow t ~latency = latency > slow_threshold t
 
@@ -71,9 +72,9 @@ let is_slow t ~latency = latency > slow_threshold t
 let[@inline] blend ~first prev x =
   if first then x else ((1.0 -. alpha) *. prev) +. (alpha *. x)
 
-let note_slow t d ~now ~slow =
+let note_slow d ~now ~slow =
   d.d_slow <-
-    blend ~first:(d.d_samples = 0.0) (decayed_slow t d ~now)
+    blend ~first:(d.d_samples = 0.0) (decayed_slow d ~now)
       (if slow then 1.0 else 0.0)
 
 let count_sample d ~now =
@@ -83,7 +84,7 @@ let count_sample d ~now =
 let note_ok t ~dst ~now ~latency =
   let slow = is_slow t ~latency in
   let d = dest t dst in
-  note_slow t d ~now ~slow;
+  note_slow d ~now ~slow;
   let first = d.d_samples = 0.0 in
   d.d_dev <- blend ~first d.d_dev (Float.abs (latency -. d.d_ewma));
   d.d_ewma <- blend ~first d.d_ewma latency;
@@ -101,7 +102,7 @@ let note_ok t ~dst ~now ~latency =
    EWMA. *)
 let note_failure t ~dst ~now =
   let d = dest t dst in
-  note_slow t d ~now ~slow:true;
+  note_slow d ~now ~slow:true;
   count_sample d ~now
 
 let samples t dst = int_of_float (dest t dst).d_samples
@@ -110,7 +111,7 @@ let latency_ewma t dst = (dest t dst).d_ewma
 let slow_score t ~now dst =
   match Hashtbl.find_opt t.dests dst with
   | None -> 0.0
-  | Some d -> decayed_slow t d ~now
+  | Some d -> decayed_slow d ~now
 
 (* Health in [0,1]: 1 = no evidence of sickness. An unknown destination
    scores 1.0 — absence of evidence ranks it with the healthy, and the
@@ -122,7 +123,7 @@ let score t ~now dst =
   | None -> 1.0
   | Some d when d.d_samples = 0.0 -> 1.0
   | Some d ->
-      let slow = decayed_slow t d ~now in
+      let slow = decayed_slow d ~now in
       let f = t.fleet in
       let base = if f.g_samples = 0.0 || f.g_ewma <= 0.0 then 1.0
         else Float.min 1.0 (f.g_ewma /. Float.max f.g_ewma d.d_ewma) in
@@ -144,7 +145,7 @@ let sustained_slow t ~now dst =
   | None -> false
   | Some d ->
       d.d_samples >= sustained_slow_min_samples
-      && decayed_slow t d ~now >= sustained_slow_bar
+      && decayed_slow d ~now >= sustained_slow_bar
 
 (* The hedge delay: how long to give the primary before the backup
    launches. Fleet mean plus three deviations approximates a high
@@ -152,7 +153,7 @@ let sustained_slow t ~now dst =
    healthy primary almost always wins (hedges stay rare), short enough
    that a browned-out primary forfeits quickly. The floor covers the
    cold-start world where nothing has been measured yet. *)
-let hedge_delay ?(floor = 4.0) t =
+let hedge_delay t =
   let f = t.fleet in
-  if f.g_samples < 8.0 then floor
-  else Float.max floor (f.g_ewma +. (3.0 *. f.g_dev))
+  if f.g_samples < 8.0 then hedge_floor
+  else Float.max hedge_floor (f.g_ewma +. (3.0 *. f.g_dev))

@@ -17,12 +17,14 @@
 
 type t
 
-val create : ?slow_floor:float -> ?tau:float -> unit -> t
-(** [create ()] is an empty tracker. [slow_floor] (default [8.0]) is the
-    minimum latency a call must exceed to ever count as slow — cold
-    starts and ordinary jitter never flag. [tau] (default [60.0]) is the
-    decay time-constant of the slow indicator: a destination nobody calls
-    regains health over roughly a few [tau]. *)
+val slow_floor : float
+(** [8.0]: the minimum latency a call must exceed to ever count as slow —
+    cold starts and ordinary jitter never flag. The slow indicator decays
+    with time constant [60.0], so a destination nobody calls regains
+    health within a few multiples of it. *)
+
+val create : unit -> t
+(** [create ()] is an empty tracker. *)
 
 val note_ok : t -> dst:string -> now:float -> latency:float -> unit
 (** Feed a successful call's round-trip [latency], classifying it as slow
@@ -49,11 +51,11 @@ val sustained_slow : t -> now:float -> string -> bool
     indicator ≥ 0.6. One unlucky round trip can never shed a healthy
     destination. *)
 
-val hedge_delay : ?floor:float -> t -> float
+val hedge_delay : t -> float
 (** How long a hedged call gives its primary before launching the backup:
     fleet EWMA + 3 deviations (≈ a high percentile of healthy latency),
-    floored at [floor] (default [4.0]) and pinned to the floor until at
-    least 8 fleet samples exist. *)
+    floored at [4.0] and pinned to the floor until at least 8 fleet
+    samples exist. *)
 
 val slow_score : t -> now:float -> string -> float
 (** The decayed slow indicator alone, for tests and introspection. *)

@@ -51,7 +51,6 @@ type t = {
   eng : Sim.Engine.t;
   nodes : (node_id, node) Hashtbl.t;
   latency : Sim.Rng.t -> float;
-  detect_delay : float;
   net_rng : Sim.Rng.t;
   fault_rng : Sim.Rng.t;
   net_trace : Sim.Trace.t;
@@ -75,18 +74,20 @@ let derive_stream base label =
   let h = Int64.of_int (Hashtbl.hash label) in
   Sim.Rng.create (Int64.logxor b (Int64.mul h 0x9E3779B97F4A7C15L))
 
-let create ?(latency = default_latency) ?(detect_delay = 1.0) ?gray_failure
-    eng =
+(* The failure detector's notification delay: how long after a crash
+   the watches on the dead node fire. *)
+let detect_delay = 1.0
+
+let create ?(latency = default_latency) ?gray_failure eng =
   let net_rng = Sim.Rng.split (Sim.Engine.rng eng) in
   let net_metrics = Sim.Metrics.create () in
   {
     eng;
     nodes = Hashtbl.create 16;
     latency;
-    detect_delay;
     net_rng;
     fault_rng = derive_stream net_rng "fault";
-    net_trace = Sim.Trace.create ~enabled:false ();
+    net_trace = Sim.Trace.create ();
     net_metrics;
     partitions = [];
     faults = Hashtbl.create 8;
@@ -170,7 +171,7 @@ let crash t id =
       if w != n.watches then begin
         let next = w.w_next in
         unlink w;
-        Sim.Engine.schedule t.eng ~delay:t.detect_delay w.w_action;
+        Sim.Engine.schedule t.eng ~delay:detect_delay w.w_action;
         fire next
       end
     in
@@ -443,7 +444,7 @@ let watch_crash t id f =
   end
   else
     (* Already down: notify after the detection delay. *)
-    Sim.Engine.schedule t.eng ~delay:t.detect_delay f;
+    Sim.Engine.schedule t.eng ~delay:detect_delay f;
   w
 
 let unwatch _t w = unlink w

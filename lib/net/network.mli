@@ -46,16 +46,14 @@ type gray_failure =
 
 val create :
   ?latency:(Sim.Rng.t -> float) ->
-  ?detect_delay:float ->
   ?gray_failure:gray_failure ->
   Sim.Engine.t ->
   t
 (** [create eng] is an empty network driven by [eng].
     [latency] samples per-message transit time (default: uniform in
-    [\[0.5, 1.5\]]). [detect_delay] is the failure-detector notification
-    delay applied when a crash aborts in-flight RPCs (default [1.0]).
-    [gray_failure] (default none) fixes the world's gray-failure profile
-    for its whole life; every layer above reads it from here. *)
+    [\[0.5, 1.5\]]). [gray_failure] (default none) fixes the world's
+    gray-failure profile for its whole life; every layer above reads it
+    from here. *)
 
 val engine : t -> Sim.Engine.t
 (** The engine driving this network. *)
@@ -235,10 +233,11 @@ type watch
 (** Handle for a registered crash watch. *)
 
 val watch_crash : t -> node_id -> (unit -> unit) -> watch
-(** [watch_crash t id f] arranges for [f] to run [detect_delay] after [id]
-    crashes, unless {!unwatch}ed first. Used by RPC calls to fail fast when
-    the callee dies mid-call, modelling the perfect failure detector the
-    paper assumes. *)
+(** [watch_crash t id f] arranges for [f] to run 1.0 (the failure
+    detector's notification delay) after [id] crashes, unless
+    {!unwatch}ed first. Used by RPC calls to fail fast when the callee
+    dies mid-call, modelling the perfect failure detector the paper
+    assumes. *)
 
 val unwatch : t -> watch -> unit
 (** Cancel a crash watch: O(1). A no-op once the watch has fired or been

@@ -1,22 +1,17 @@
 (* Unified retry/backoff policy engine. Every protocol-level retry loop in
    the system (recovery probes, reintegration, cleanup repairs, use-delta
    flushes, router migration waits, group invocation failover) routes
-   through [run], so attempt bounds, backoff shape, deadline budgets and
+   through [run], so attempt bounds, backoff shape, deadlines and
    per-destination breaker state are defined in exactly one place. *)
 
-type policy = {
-  attempts : int;
-  base : float;
-  factor : float;
-  max_delay : float;
-  jitter : float;
-  budget : float option;
-}
+type policy = { attempts : int; base : float; factor : float; max_delay : float }
 
-let policy ?(attempts = 5) ?(base = 1.0) ?(factor = 2.0) ?(max_delay = 16.0)
-    ?(jitter = 0.1) ?budget () =
+let policy ?(attempts = 5) ?(base = 1.0) ?(factor = 2.0) ?(max_delay = 16.0) () =
   if attempts < 1 then invalid_arg "Retry.policy: attempts < 1";
-  { attempts; base; factor; max_delay; jitter; budget }
+  { attempts; base; factor; max_delay }
+
+(* Relative jitter: every backoff delay is scaled by 1 + jitter*U(-1,1). *)
+let jitter = 0.1
 
 type breaker = {
   mutable consecutive : int;
@@ -74,16 +69,10 @@ let run t ?dst ?deadline_at ~op (p : policy) body =
   let eng = Network.engine t.net in
   let m = Network.metrics t.net in
   let now () = Sim.Engine.now eng in
-  let deadline =
-    Float.min
-      (match p.budget with None -> infinity | Some b -> now () +. b)
-      (match deadline_at with None -> infinity | Some d -> d)
-  in
+  let deadline = Option.value deadline_at ~default:infinity in
   let backoff k =
     let d = Float.min p.max_delay (p.base *. (p.factor ** float_of_int (k - 1))) in
-    if p.jitter > 0.0 then
-      d *. (1.0 +. (p.jitter *. Sim.Rng.uniform t.rng (-1.0) 1.0))
-    else d
+    d *. (1.0 +. (jitter *. Sim.Rng.uniform t.rng (-1.0) 1.0))
   in
   (* Degraded trip: under a gray-failure profile ({!Network.hedged}),
      sustained slowness reported by the health plane opens the breaker

@@ -1,5 +1,5 @@
 (** Unified retry policy: bounded attempts, exponential backoff with
-    seed-deterministic jitter, per-operation deadline budgets, and a
+    seed-deterministic jitter, the caller's deadline, and a
     per-destination circuit breaker that sheds calls to nodes the failure
     detector reports down.
 
@@ -26,23 +26,13 @@ type policy = {
   base : float;  (** first backoff delay *)
   factor : float;  (** multiplier per further attempt *)
   max_delay : float;  (** backoff cap *)
-  jitter : float;  (** relative jitter: delay *= 1 + jitter*U(-1,1) *)
-  budget : float option;
-      (** relative deadline: give up once [now + next backoff] would exceed
-          [start + budget] *)
 }
 
 val policy :
-  ?attempts:int ->
-  ?base:float ->
-  ?factor:float ->
-  ?max_delay:float ->
-  ?jitter:float ->
-  ?budget:float ->
-  unit ->
-  policy
-(** Build a policy. Defaults: 5 attempts, base 1.0, factor 2.0, cap 16.0,
-    jitter 0.1, no budget. Raises [Invalid_argument] if [attempts < 1]. *)
+  ?attempts:int -> ?base:float -> ?factor:float -> ?max_delay:float -> unit -> policy
+(** Build a policy. Defaults: 5 attempts, base 1.0, factor 2.0, cap 16.0.
+    Every delay carries a relative jitter of 0.1 (delay *= 1 + 0.1 U(-1,1)).
+    Raises [Invalid_argument] if [attempts < 1]. *)
 
 type t
 
@@ -89,9 +79,8 @@ val run :
     profile no health state is consulted.
 
     [deadline_at] is an absolute virtual-time deadline (typically an
-    enclosing action's — see {!Action}[.Atomic.deadline]); the policy's own
-    relative [budget] composes with it by taking the earlier of the two.
-    [run] returns the last error rather than sleeping past a deadline.
+    enclosing action's — see {!Action}[.Atomic.deadline]). [run] returns
+    the last error rather than sleeping past it.
 
     Errors are strings so layers with different error types can wrap
     freely; the final [Error] returned is the last attempt's. *)

@@ -33,7 +33,6 @@ type raw_handler = Univ.t -> reply:(Univ.t -> unit) -> unit
 type t = {
   net : Network.t;
   services : (Network.node_id * string, raw_handler) Hashtbl.t;
-  default_timeout : float;
   mutable next_req : int;
   seen : (Network.node_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per destination: the request ids it has already run *)
@@ -43,11 +42,12 @@ type t = {
          world's size does not depend on what ran before it. *)
 }
 
-let create ?(default_timeout = 60.0) net =
+let call_timeout = 60.0
+
+let create net =
   {
     net;
     services = Hashtbl.create 64;
-    default_timeout;
     next_req = 0;
     seen = Hashtbl.create 8;
     calls = Sim.Metrics.handle (Network.metrics net) "rpc.calls";
@@ -130,7 +130,7 @@ let error_counter = function
   | Timed_out -> "rpc.timed_out"
   | No_service -> "rpc.no_service"
 
-let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
+let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
   let eng = Network.engine t.net in
   let start = Sim.Engine.now eng in
   Sim.Metrics.bump t.calls;
@@ -210,9 +210,8 @@ let call_gen t ~from ~dst ?cancelled ?timeout ?deadline_at ep req =
                                     "Rpc.call: response type mismatch on %s"
                                     ep.ep_name)))))
     in
-    let dt = match timeout with Some dt -> dt | None -> t.default_timeout in
     let outcome =
-      match Sim.Engine.timeout eng dt register with
+      match Sim.Engine.timeout eng call_timeout register with
       | Ok r -> r
       | Error _ -> Error Timed_out
     in
@@ -261,8 +260,7 @@ let sibling t ~replicas dst =
    the handler after the winner's round already moved the protocol on.
    A win by the sibling is not [dst]'s answer: it settles the race as
    [Error Timed_out]. *)
-let hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout ?deadline_at ep
-    req =
+let hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req =
   let eng = Network.engine t.net in
   let alt = Option.bind replicas (fun replicas -> sibling t ~replicas dst) in
   let backup_dst = match alt with Some a -> a | None -> dst in
@@ -303,8 +301,8 @@ let hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout ?deadline_at ep
   incr outstanding;
   Sim.Engine.spawn eng ~group ~name:("rpc.hedge." ^ ep.ep_name) (fun () ->
       settle ~backup:false
-        (call_gen t ~from ~dst ?cancelled:primary_cancelled ?timeout
-           ?deadline_at ep req));
+        (call_gen t ~from ~dst ?cancelled:primary_cancelled ?deadline_at ep
+           req));
   Sim.Engine.schedule eng ~delay (fun () ->
       incr launched;
       (* Before this point [settle] can only have filled the ivar with an
@@ -319,17 +317,17 @@ let hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout ?deadline_at ep
           ~name:("rpc.hedge.backup." ^ ep.ep_name)
           (fun () ->
             settle ~backup:true
-              (call_gen t ~from ~dst:backup_dst ~cancelled ?timeout
-                 ?deadline_at ep req))
+              (call_gen t ~from ~dst:backup_dst ~cancelled ?deadline_at ep
+                 req))
       end);
   Sim.Ivar.read eng iv
 
-let call t ~from ~dst ?(idempotent = false) ?timeout ?deadline_at ep req =
+let call t ~from ~dst ?(idempotent = false) ?deadline_at ep req =
   if idempotent && Network.hedged t.net then
-    hedged_call t ~from ~dst ~keep_primary:false ?timeout ?deadline_at ep req
-  else call_gen t ~from ~dst ?timeout ?deadline_at ep req
+    hedged_call t ~from ~dst ~keep_primary:false ?deadline_at ep req
+  else call_gen t ~from ~dst ?deadline_at ep req
 
-let call_all t ~from ?timeout ?deadline_at ?(idempotent = false) ?replicas
+let call_all t ~from ?deadline_at ?(idempotent = false) ?replicas
     ?(keep_primary = false) ep reqs =
   (match reqs with
   | [] | [ _ ] -> ()
@@ -340,9 +338,8 @@ let call_all t ~from ?timeout ?deadline_at ?(idempotent = false) ?replicas
   let leg =
     if idempotent && Network.hedged t.net then
       fun dst req ->
-        hedged_call t ~from ~dst ?replicas ~keep_primary ?timeout
-          ?deadline_at ep req
-    else fun dst req -> call_gen t ~from ~dst ?timeout ?deadline_at ep req
+        hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req
+    else fun dst req -> call_gen t ~from ~dst ?deadline_at ep req
   in
   Sim.Join.all (Network.engine t.net)
     (List.map (fun (dst, req) () -> (dst, leg dst req)) reqs)

@@ -13,8 +13,7 @@
       failure-detection latency;
     - [Error Crashed] — the callee crashed after accepting the call and
       before replying; the perfect failure detector notifies the caller;
-    - [Error Timed_out] — no reply within the caller-supplied timeout
-      (used by protocols that bound waiting);
+    - [Error Timed_out] — no reply within {!call_timeout};
     - [Error No_service] — the callee is up but no handler is registered
       (e.g. it crashed and its recovery has not re-activated the service).
 
@@ -42,13 +41,15 @@ val endpoint : string -> ('req, 'resp) endpoint
 (** [endpoint name] is a fresh endpoint. Two endpoints created by separate
     calls never interoperate, even with equal names. *)
 
-val create : ?default_timeout:float -> Network.t -> t
-(** [create net] is an RPC runtime for [net]. [default_timeout] (60.0)
-    bounds every call that does not pass its own [?timeout]: the crash
-    watch covers fail-silent deaths, but a network {e partition} severs
-    the reply path without killing anyone, and an unbounded call would
-    hang forever. The default is far above any legitimate handler time
-    (lock waits are bounded at 30 by convention). *)
+val call_timeout : float
+(** [60.0]: every call gives up after this long. The crash watch covers
+    fail-silent deaths, but a network {e partition} severs the reply path
+    without killing anyone, and an unbounded call would hang forever. The
+    bound is far above any legitimate handler time (a lock wait gives up
+    at 30.0). *)
+
+val create : Network.t -> t
+(** [create net] is an RPC runtime for [net]. *)
 
 val network : t -> Network.t
 (** The underlying network. *)
@@ -71,16 +72,15 @@ val call :
   from:Network.node_id ->
   dst:Network.node_id ->
   ?idempotent:bool ->
-  ?timeout:float ->
   ?deadline_at:float ->
   ('req, 'resp) endpoint ->
   'req ->
   ('resp, error) result
 (** [call t ~from ~dst ep req] invokes [ep] on [dst] from a fiber running
     on [from]. Suspends the calling fiber until the reply, a failure
-    notification, or the [timeout] (default: none). Must be called from
-    within a fiber. Every call bumps the aggregate [rpc.calls] counter
-    and a per-operation [rpc.op.<endpoint name>] counter, and feeds its
+    notification, or {!call_timeout}. Must be called from within a
+    fiber. Every call bumps the aggregate [rpc.calls] counter and a
+    per-operation [rpc.op.<endpoint name>] counter, and feeds its
     round-trip outcome into {!Network.health}. [deadline_at] propagates
     the initiator's absolute deadline in the request metadata. Under a
     gray-failure profile ({!Network.hedged}) the server sheds a request
@@ -106,7 +106,6 @@ val call :
 val call_all :
   t ->
   from:Network.node_id ->
-  ?timeout:float ->
   ?deadline_at:float ->
   ?idempotent:bool ->
   ?replicas:Network.node_id list ->

@@ -40,24 +40,14 @@
    [Autonomic] gray-failure profile of {!Naming.Service.create}), and
    the plane draws no RNG, so worlds without it are byte-identical. *)
 
-type config = {
-  au_period : float;
-  au_hysteresis : int;
-  au_quorum : int;
-  au_cooldown : float;
-  au_slow_floor : float;
-  au_probe_timeout : float;
-}
+let period = 5.0
+let hysteresis = 3
+let quorum = 2
+let cooldown = 120.0
 
-let default_config =
-  {
-    au_period = 5.0;
-    au_hysteresis = 3;
-    au_quorum = 2;
-    au_cooldown = 120.0;
-    au_slow_floor = 8.0;
-    au_probe_timeout = 10.0;
-  }
+(* Must exceed {!Net.Health.slow_floor}: a probe that misses it is fed to
+   the tracker as a latency of exactly this much (see [probe_round]). *)
+let probe_timeout = 10.0
 
 type deps = {
   d_rpc : Net.Rpc.t;
@@ -89,7 +79,6 @@ type ctrl = {
 }
 
 type t = {
-  t_cfg : config;
   t_deps : deps;
   t_eng : Sim.Engine.t;
   t_net : Net.Network.t;
@@ -98,10 +87,9 @@ type t = {
   t_ctrls : (Net.Network.node_id, ctrl) Hashtbl.t;
 }
 
-let create ?(config = default_config) deps =
+let create deps =
   let net = Net.Rpc.network deps.d_rpc in
   {
-    t_cfg = config;
     t_deps = deps;
     t_eng = Net.Network.engine net;
     t_net = net;
@@ -109,8 +97,6 @@ let create ?(config = default_config) deps =
     t_ep_digest = Net.Rpc.endpoint "autonomic.digest";
     t_ctrls = Hashtbl.create 7;
   }
-
-let config t = t.t_cfg
 
 let tracef t fmt =
   Sim.Trace.recordf (Net.Network.trace t.t_net)
@@ -144,7 +130,7 @@ let store_slow t c ~now store =
          infinity t.t_deps.d_stores
      in
      best < infinity
-     && mine > Float.max t.t_cfg.au_slow_floor (3.0 *. best)
+     && mine > Float.max Net.Health.slow_floor (3.0 *. best)
 
 (* What this controller tells a quorum-gathering peer: the stores that
    look slow to it right now. Deliberately the raw verdict, not the
@@ -156,7 +142,7 @@ let digest t c =
 
 (* One probe sweep: time a round-trip to every store and feed the
    verdict streaks. Probes fan out concurrently and the round waits at
-   most [au_probe_timeout] for each — a browned store's 20-40s inflated
+   most [probe_timeout] for each — a browned store's 20-40s inflated
    round-trip must not stretch the round itself, or the hysteresis
    window (K rounds) silently becomes K sick-RTTs and detection crawls.
    A probe that misses the budget counts as a failure observation (the
@@ -182,7 +168,7 @@ let probe_round t c =
     (fun (store, iv) ->
       let budget =
         Float.max 0.0
-          (t.t_cfg.au_probe_timeout -. (Sim.Engine.now t.t_eng -. started))
+          (probe_timeout -. (Sim.Engine.now t.t_eng -. started))
       in
       match Sim.Ivar.read_timeout t.t_eng budget iv with
       | Ok (Ok (), latency) ->
@@ -199,11 +185,11 @@ let probe_round t c =
              decaying slow indicator alone can sit below the sustained
              bar forever, while a latency EWMA pinned at the budget
              keeps both the floor test and the best-peer clause live.
-             (This is why [au_probe_timeout] must exceed
-             [au_slow_floor].) *)
+             (This is why [probe_timeout] must exceed
+             {!Net.Health.slow_floor}.) *)
           Net.Health.note_ok c.c_health ~dst:store
             ~now:(Sim.Engine.now t.t_eng)
-            ~latency:t.t_cfg.au_probe_timeout)
+            ~latency:probe_timeout)
     cells;
   let now = Sim.Engine.now t.t_eng in
   List.iter
@@ -232,21 +218,21 @@ let quorum_confirms t c store =
         | Ok _ | Error _ -> n)
       1 peers
   in
-  (confirms, min t.t_cfg.au_quorum (List.length peers + 1))
+  (confirms, min quorum (List.length peers + 1))
 
 let decide t c =
   let now = Sim.Engine.now t.t_eng in
   List.iter
     (fun store ->
       if List.mem store c.c_excluded then begin
-        if counter c.c_heal store >= t.t_cfg.au_hysteresis then begin
+        if counter c.c_heal store >= hysteresis then begin
           (* Healed: hand the store to the catch-up re-Include (it only
              rejoins [St] once its state clears the include fence) and
              arm the flap-damping cooldown. *)
           c.c_excluded <- List.filter (fun s -> s <> store) c.c_excluded;
           Hashtbl.replace c.c_heal store 0;
           Hashtbl.replace c.c_streak store 0;
-          Hashtbl.replace c.c_cooldown store (now +. t.t_cfg.au_cooldown);
+          Hashtbl.replace c.c_cooldown store (now +. cooldown);
           c.c_epoch <- c.c_epoch + 1;
           Sim.Metrics.incr t.t_metrics "autonomic.includes";
           tracef t "%s re-includes healed store %s (epoch %d)" c.c_node store
@@ -254,13 +240,13 @@ let decide t c =
           t.t_deps.d_include ~store
         end
       end
-      else if counter c.c_streak store >= t.t_cfg.au_hysteresis then begin
+      else if counter c.c_streak store >= hysteresis then begin
         match Hashtbl.find_opt c.c_cooldown store with
         | Some until when now < until ->
             Sim.Metrics.incr t.t_metrics "autonomic.damped"
         | _ -> (
             match quorum_confirms t c store with
-            | confirms, quorum when confirms < quorum ->
+            | confirms, needed when confirms < needed ->
                 Sim.Metrics.incr t.t_metrics "autonomic.quorum_refused"
             | _ ->
                 let excluded =
@@ -292,7 +278,7 @@ let attach t node =
   let c =
     {
       c_node = node;
-      c_health = Net.Health.create ~slow_floor:t.t_cfg.au_slow_floor ();
+      c_health = Net.Health.create ();
       c_streak = Hashtbl.create 7;
       c_heal = Hashtbl.create 7;
       c_cooldown = Hashtbl.create 7;
@@ -318,7 +304,7 @@ let start t node =
   let spawn () =
     Net.Network.spawn_on t.t_net node ~name:"autonomic" (fun () ->
         let rec loop () =
-          Sim.Engine.daemon_sleep t.t_eng t.t_cfg.au_period;
+          Sim.Engine.daemon_sleep t.t_eng period;
           tick t c;
           loop ()
         in

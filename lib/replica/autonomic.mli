@@ -25,29 +25,27 @@
     called, and the plane draws no RNG: worlds without it are
     byte-identical. *)
 
-type config = {
-  au_period : float;  (** probe cadence (simulated time) *)
-  au_hysteresis : int;
-      (** K: consecutive slow (resp. healthy) probe rounds before an
-          Exclude is proposed (resp. a re-Include triggered) *)
-  au_quorum : int;
-      (** controllers (including the proposer) that must see the store
-          slow; clamped to the controller population *)
-  au_cooldown : float;
-      (** no re-Exclude of a store before this much time after its
-          re-Include (flap damping) *)
-  au_slow_floor : float;
-      (** the private tracker's {!Net.Health.create} [slow_floor] *)
-  au_probe_timeout : float;
-      (** per-round probe wait budget: probes fan out concurrently and a
-          probe that misses it counts as a failure observation, so a
-          sick store's own round-trip cannot stretch the hysteresis
-          window *)
-}
+val period : float
+(** [5.0]: the probe cadence (simulated time). *)
 
-val default_config : config
-(** period 5.0, hysteresis 3, quorum 2, cooldown 120.0, slow floor 8.0,
-    probe timeout 10.0. *)
+val hysteresis : int
+(** [3]: K, the consecutive slow (resp. healthy) probe rounds before an
+    Exclude is proposed (resp. a re-Include triggered). *)
+
+val quorum : int
+(** [2]: the controllers (including the proposer) that must see the store
+    slow; clamped to the controller population. *)
+
+val cooldown : float
+(** [120.0]: no re-Exclude of a store before this much time after its
+    re-Include (flap damping). *)
+
+val probe_timeout : float
+(** [10.0]: the per-round probe wait budget. Probes fan out concurrently
+    and a probe that misses it counts as a round-trip of exactly this
+    long, so a sick store's own round-trip cannot stretch the hysteresis
+    window. It exceeds {!Net.Health.slow_floor}, which the controller's
+    private tracker judges slowness against. *)
 
 type deps = {
   d_rpc : Net.Rpc.t;
@@ -77,9 +75,7 @@ type t
 type ctrl
 (** One server node's controller. *)
 
-val create : ?config:config -> deps -> t
-
-val config : t -> config
+val create : deps -> t
 
 val attach : t -> Net.Network.node_id -> ctrl
 (** Install a controller on [node] (serving its digest endpoint) without
@@ -88,7 +84,7 @@ val attach : t -> Net.Network.node_id -> ctrl
 
 val start : t -> Net.Network.node_id -> unit
 (** {!attach} (if not yet attached) and spawn the controller daemon on
-    [node]: every [au_period] of simulated time it probes all stores,
+    [node]: every {!period} of simulated time it probes all stores,
     updates the streaks, and applies the decision doctrine. The idle
     wait is a {!Sim.Engine.daemon_sleep}; a crash kills the daemon with
     its node and recovery re-arms it, the controller's state

@@ -31,7 +31,6 @@ type runtime = {
   (* Highest answered invocation serial per (action, object): sent with
      every request so a promoted coordinator can detect lost staging. *)
   acked : (string * int, int) Hashtbl.t;
-  mc_timeout : float;
 }
 
 let create srv ~sequencer =
@@ -44,7 +43,6 @@ let create srv ~sequencer =
     pending = Hashtbl.create 32;
     reply_nodes = Hashtbl.create 8;
     acked = Hashtbl.create 64;
-    mc_timeout = 30.0;
   }
 
 let server_runtime rt = rt.srv
@@ -115,44 +113,31 @@ let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
          servers)
     |> List.filter_map Fun.id
   in
-  match (policy, activated) with
-  | _, [] -> Error "no replica could be activated"
-  | Policy.Single_copy_passive, m :: _ ->
-      Ok
-        {
-          g_uid = uid;
-          g_impl = impl;
-          g_policy = policy;
-          g_members = [ m ];
-          g_stores = stores;
-          g_client = client;
-        }
-  | Policy.Active _, members ->
-      Ok
-        {
-          g_uid = uid;
-          g_impl = impl;
-          g_policy = policy;
-          g_members = members;
-          g_stores = stores;
-          g_client = client;
-        }
-  | Policy.Coordinator_cohort _, (coordinator :: _ as members) ->
-      (* Pass 2: assign roles now that the actual membership is known —
-         activation is idempotent, so this just refreshes role and member
-         lists (cohorts arrange their promotion watches here). *)
-      ignore
-        (Sim.Join.all (eng rt)
-           (List.mapi
-              (fun i server () ->
-                let role =
-                  if i = 0 then Server.Coordinator else Server.Cohort
-                in
-                ignore
-                  (Server.activate rt.srv ~from:client ~server ~uid ~impl
-                     ~stores ~role ~members))
-              members));
-      ignore coordinator;
+  match activated with
+  | [] -> Error "no replica could be activated"
+  | first :: _ ->
+      let members =
+        match policy with
+        | Policy.Single_copy_passive -> [ first ]
+        | Policy.Active _ -> activated
+        | Policy.Coordinator_cohort _ ->
+            (* Pass 2: assign roles now that the actual membership is
+               known — activation is idempotent, so this just refreshes
+               role and member lists (cohorts arrange their promotion
+               watches here). *)
+            ignore
+              (Sim.Join.all (eng rt)
+                 (List.mapi
+                    (fun i server () ->
+                      let role =
+                        if i = 0 then Server.Coordinator else Server.Cohort
+                      in
+                      ignore
+                        (Server.activate rt.srv ~from:client ~server ~uid ~impl
+                           ~stores ~role ~members:activated))
+                    activated));
+            activated
+      in
       Ok
         {
           g_uid = uid;
@@ -296,7 +281,9 @@ let mc_invoke rt g ~act ~write ~serial ~op =
       match cast with
       | Error e -> Error (Unavailable ("sequencer: " ^ Net.Rpc.error_to_string e))
       | Ok _seq -> (
-          match Sim.Ivar.read_timeout (eng rt) rt.mc_timeout p.p_ivar with
+          match
+            Sim.Ivar.read_timeout (eng rt) Lockmgr.Manager.wait_bound p.p_ivar
+          with
           | Error _ -> Error (Unavailable "no replica answered")
           | Ok (Server.Reply r) ->
               record_acked rt ~act g serial;

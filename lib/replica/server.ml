@@ -127,7 +127,6 @@ type runtime = {
   ep_checkpoint : (checkpoint_msg, unit) Net.Rpc.endpoint;
   ep_reply : (mc_reply, unit) Net.Rpc.endpoint;
   ch_invoke : mc_invoke Net.Multicast.channel;
-  lock_timeout : float;
   mutable eager_checkpoints : bool;
   g_commit : Groupcommit.t;
       (* the group-commit plane commits on this runtime batch through *)
@@ -151,7 +150,6 @@ let create art impls =
     ep_checkpoint = Net.Rpc.endpoint "server.checkpoint";
     ep_reply = Net.Rpc.endpoint "server.mc_reply";
     ch_invoke = Net.Multicast.channel "server.invoke.mc";
-    lock_timeout = 30.0;
     eager_checkpoints = true;
     g_commit =
       Groupcommit.create
@@ -400,7 +398,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
             match
               Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode
-                ~timeout:t.lock_timeout "state"
+                ~timeout:Lockmgr.Manager.wait_bound "state"
             with
             | Error `Timeout ->
                 (* A holder whose coordinator is partitioned away may

@@ -2,7 +2,7 @@ type entry = { at : float; tag : string; detail : string }
 
 type t = { mutable enabled : bool; mutable entries : entry list (* newest first *) }
 
-let create ?(enabled = true) () = { enabled; entries = [] }
+let create () = { enabled = false; entries = [] }
 
 let set_enabled t flag = t.enabled <- flag
 let enabled t = t.enabled

@@ -2,8 +2,8 @@
 
     Components append timestamped, tagged entries; tests and experiment
     harnesses query the trace to assert protocol behaviour ("no client bound
-    to an excluded store", "coordinator elected exactly once"). Tracing can
-    be disabled wholesale for benchmark runs. *)
+    to an excluded store", "coordinator elected exactly once"). A trace
+    records only once {!set_enabled} turns it on. *)
 
 type entry = {
   at : float;  (** virtual time of the event *)
@@ -14,8 +14,8 @@ type entry = {
 type t
 (** A trace sink. *)
 
-val create : ?enabled:bool -> unit -> t
-(** [create ()] is an empty trace, recording by default. *)
+val create : unit -> t
+(** [create ()] is an empty trace, not recording. *)
 
 val set_enabled : t -> bool -> unit
 (** Toggle recording. Disabled traces drop entries with no allocation

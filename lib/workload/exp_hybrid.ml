@@ -1,21 +1,5 @@
 open Naming
 
-let mutually_consistent w uid =
-  let st = Gvd.current_st (Service.gvd w) uid in
-  let states =
-    List.filter_map
-      (fun node ->
-        Store.Object_store.read
-          (Action.Store_host.objects (Service.store_host w) node)
-          uid)
-      st
-  in
-  List.length states = List.length st
-  &&
-  match states with
-  | [] -> true
-  | first :: rest -> List.for_all (Store.Object_state.equal first) rest
-
 let run_variant ~seed ~hybrid =
   let servers = [ "s1"; "s2" ] in
   let stores = [ "t1"; "t2" ] in
@@ -100,7 +84,7 @@ let run_variant ~seed ~hybrid =
     Table.cell_i !commits;
     Table.cell_i sv_ops;
     Table.cell_i (Sim.Metrics.counter m "gvd.exclusions");
-    (if mutually_consistent w uid then "holds" else "VIOLATED");
+    (if Result.is_ok (Audit.mutual_consistency w uid) then "holds" else "VIOLATED");
   ]
 
 let run ?(seed = 71L) () =

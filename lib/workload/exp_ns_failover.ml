@@ -1,21 +1,5 @@
 open Naming
 
-let consistent w uid =
-  let st = Gvd.current_st (Service.gvd w) uid in
-  let states =
-    List.filter_map
-      (fun node ->
-        Store.Object_store.read
-          (Action.Store_host.objects (Service.store_host w) node)
-          uid)
-      st
-  in
-  List.length states = List.length st
-  &&
-  match states with
-  | [] -> true
-  | first :: rest -> List.for_all (Store.Object_state.equal first) rest
-
 let run_variant ~seed ~replicated =
   let w =
     Service.create ~seed ~durable_naming:true
@@ -101,7 +85,7 @@ let run_variant ~seed ~replicated =
       [ label; "during outage"; Table.cell_i (get commits `During); Table.cell_i (get aborts `During) ];
       [ label; "after recovery"; Table.cell_i (get commits `After); Table.cell_i (get aborts `After) ];
     ],
-    consistent w uid )
+    Result.is_ok (Audit.mutual_consistency w uid) )
 
 let run ?(seed = 121L) () =
   let rows_single, ok_single = run_variant ~seed ~replicated:false in

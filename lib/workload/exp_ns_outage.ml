@@ -42,22 +42,7 @@ let run ?(seed = 91L) () =
       done);
   Service.run w;
   let get tbl phase = Option.value ~default:0 (Hashtbl.find_opt tbl phase) in
-  let consistent =
-    let st = Gvd.current_st (Service.gvd w) uid in
-    let states =
-      List.filter_map
-        (fun node ->
-          Store.Object_store.read
-            (Action.Store_host.objects (Service.store_host w) node)
-            uid)
-        st
-    in
-    List.length states = List.length st
-    &&
-    match states with
-    | [] -> true
-    | first :: rest -> List.for_all (Store.Object_state.equal first) rest
-  in
+  let consistent = Result.is_ok (Audit.mutual_consistency w uid) in
   let row phase label =
     [ label; Table.cell_i (get commits phase); Table.cell_i (get aborts phase) ]
   in

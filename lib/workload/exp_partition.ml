@@ -56,22 +56,7 @@ let run ?(seed = 111L) () =
   let get client phase kind =
     Option.value ~default:0 (Hashtbl.find_opt counts (client, phase, kind))
   in
-  let consistent =
-    let st = Gvd.current_st (Service.gvd w) uid in
-    let states =
-      List.filter_map
-        (fun node ->
-          Store.Object_store.read
-            (Action.Store_host.objects (Service.store_host w) node)
-            uid)
-        st
-    in
-    List.length states = List.length st
-    &&
-    match states with
-    | [] -> true
-    | first :: rest -> List.for_all (Store.Object_state.equal first) rest
-  in
+  let consistent = Result.is_ok (Audit.mutual_consistency w uid) in
   let row client phase =
     [
       client;

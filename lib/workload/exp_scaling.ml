@@ -71,22 +71,7 @@ let run ?(seed = 101L) () =
       retry_admin "retire_server" (fun () ->
           Admin.retire_server (Service.binder w) ~from:"ops" ~uid "srv1"));
   Service.run w;
-  let consistent =
-    let st = Gvd.current_st (Service.gvd w) uid in
-    let states =
-      List.filter_map
-        (fun node ->
-          Store.Object_store.read
-            (Action.Store_host.objects (Service.store_host w) node)
-            uid)
-        st
-    in
-    List.length states = List.length st
-    &&
-    match states with
-    | [] -> true
-    | first :: rest -> List.for_all (Store.Object_state.equal first) rest
-  in
+  let consistent = Result.is_ok (Audit.mutual_consistency w uid) in
   let row phase =
     let c = Option.value ~default:0 (Hashtbl.find_opt commits phase) in
     let a = Option.value ~default:0 (Hashtbl.find_opt attempts phase) in

@@ -29,7 +29,7 @@ type fab = {
   f_incl : int ref;
 }
 
-let fab ?config ?(servers = [ "s1" ]) ?(exclude_n = 1) ~slow () =
+let fab ?(servers = [ "s1" ]) ?(exclude_n = 1) ~slow () =
   let eng = Sim.Engine.create ~seed:7L () in
   let net = Net.Network.create eng in
   List.iter (Net.Network.add_node net) (servers @ [ "t1"; "t2" ]);
@@ -51,7 +51,7 @@ let fab ?config ?(servers = [ "s1" ]) ?(exclude_n = 1) ~slow () =
       d_include = (fun ~store:_ -> incr incl);
     }
   in
-  let plane = Au.create ?config deps in
+  let plane = Au.create deps in
   { f_eng = eng; f_net = net; f_plane = plane; f_excl = excl; f_incl = incl }
 
 (* One probe-and-decide round for [node]'s controller, run to
@@ -70,7 +70,7 @@ let metric f name = Sim.Metrics.counter (Net.Network.metrics f.f_net) name
 let test_hysteresis_gate () =
   let f = fab ~slow:(fun ~from:_ ~store -> String.equal store "t1") () in
   let c = Au.attach f.f_plane "s1" in
-  let k = (Au.config f.f_plane).Au.au_hysteresis in
+  let k = Au.hysteresis in
   (* Tick until the streak sits one short of the bar: through all of it
      the exclude driver must never fire (the EWMA needs a few rounds to
      cross the slow floor before the streak even starts — that warm-up
@@ -112,8 +112,7 @@ let test_quorum_gate () =
     tick f "s2" c2
   done;
   check_bool "streak well past the bar" true
-    (Au.slow_streak f.f_plane "s1" "t1"
-    >= (Au.config f.f_plane).Au.au_hysteresis);
+    (Au.slow_streak f.f_plane "s1" "t1" >= Au.hysteresis);
   Alcotest.(check (list string))
     "lone observer never excludes" [] (Au.excluded f.f_plane "s1");
   check_int "exclude driver never called" 0 !(f.f_excl);
@@ -129,10 +128,7 @@ let test_quorum_gate () =
 let test_flap_damping_cycle () =
   let sick = ref true in
   let f =
-    fab
-      ~config:{ Au.default_config with Au.au_cooldown = 600.0 }
-      ~slow:(fun ~from:_ ~store -> !sick && String.equal store "t1")
-      ()
+    fab ~slow:(fun ~from:_ ~store -> !sick && String.equal store "t1") ()
   in
   let c = Au.attach f.f_plane "s1" in
   let until cond limit =
@@ -153,27 +149,24 @@ let test_flap_damping_cycle () =
     "one healthy round is not healed" [ "t1" ] (Au.excluded f.f_plane "s1");
   check_int "include driver not yet called" 0 !(f.f_incl);
   until (fun () -> Au.excluded f.f_plane "s1" = []) 15;
+  let included_at = Sim.Engine.now f.f_eng in
   check_int "catch-up re-Include driven once" 1 !(f.f_incl);
   check_int "epoch counts both changes" 2 (Au.epoch f.f_plane "s1");
-  (* Flap: sick again immediately. The cooldown (600s, far beyond these
-     rounds) must damp every re-Exclude proposal. *)
+  (* Flap: sick again immediately. Every re-Exclude proposal inside the
+     cooldown is damped; the first one after it goes through. *)
   sick := true;
-  until
-    (fun () ->
-      Au.slow_streak f.f_plane "s1" "t1"
-      >= (Au.config f.f_plane).Au.au_hysteresis)
-    25;
-  for _ = 1 to 3 do
-    tick f "s1" c
+  until (fun () -> Au.slow_streak f.f_plane "s1" "t1" >= Au.hysteresis) 25;
+  let in_cooldown () = Sim.Engine.now f.f_eng < included_at +. Au.cooldown in
+  check_bool "the streak is back inside the cooldown" true (in_cooldown ());
+  while in_cooldown () do
+    tick f "s1" c;
+    if in_cooldown () then begin
+      Alcotest.(check (list string))
+        "cooldown damps the flap" [] (Au.excluded f.f_plane "s1");
+      check_int "no second exclusion yet" 1 !(f.f_excl)
+    end
   done;
-  Alcotest.(check (list string))
-    "cooldown damps the flap" [] (Au.excluded f.f_plane "s1");
-  check_int "no second exclusion yet" 1 !(f.f_excl);
   check_bool "damping visible in metrics" true (metric f "autonomic.damped" > 0);
-  (* Cooldown lapses: the still-sick store goes back out. *)
-  Net.Network.spawn_on f.f_net "s1" ~name:"lapse" (fun () ->
-      Sim.Engine.sleep f.f_eng 650.0);
-  Sim.Engine.run f.f_eng;
   until (fun () -> Au.excluded f.f_plane "s1" <> []) 10;
   Alcotest.(check (list string))
     "re-excluded after the cooldown" [ "t1" ] (Au.excluded f.f_plane "s1");
@@ -200,8 +193,7 @@ let test_failed_exclude_backs_off () =
   check_int "streak reset by the refusal" 0 (Au.slow_streak f.f_plane "s1" "t1");
   check_int "no membership change" 0 (Au.epoch f.f_plane "s1");
   (* The next K-1 rounds rebuild the streak without proposing. *)
-  let k = (Au.config f.f_plane).Au.au_hysteresis in
-  for _ = 1 to k - 1 do
+  for _ = 1 to Au.hysteresis - 1 do
     tick f "s1" c
   done;
   check_int "no re-proposal inside the window" 1 !(f.f_excl);

@@ -78,17 +78,20 @@ let test_health_rank_prefers_healthy () =
     (Net.Health.rank h ~now:14.0 [ "x"; "y"; "z" ])
 
 let test_health_hedge_delay_floor () =
-  let h = Net.Health.create () in
+  let fleet ~samples latency =
+    let h = Net.Health.create () in
+    for i = 1 to samples do
+      Net.Health.note_ok h ~dst:"a" ~now:(float_of_int i) ~latency
+    done;
+    h
+  in
   check_bool "pinned to the floor before 8 fleet samples" true
-    (Net.Health.hedge_delay h = 4.0);
-  for i = 1 to 20 do
-    Net.Health.note_ok h ~dst:"a" ~now:(float_of_int i) ~latency:1.0
-  done;
-  let d = Net.Health.hedge_delay ~floor:0.1 h in
+    (Net.Health.hedge_delay (fleet ~samples:7 10.0) = 4.0);
+  let d = Net.Health.hedge_delay (fleet ~samples:20 10.0) in
   check_bool "tracks ewma + 3 deviations once warmed" true
-    (d >= 0.1 && d < 4.0);
-  check_bool "default floor still binds on a fast fleet" true
-    (Net.Health.hedge_delay h = 4.0)
+    (d > 10.0 && d < 11.0);
+  check_bool "the floor still binds on a fast fleet" true
+    (Net.Health.hedge_delay (fleet ~samples:20 1.0) = 4.0)
 
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation and server-side shedding *)

@@ -25,7 +25,7 @@ let test_retry_deadline () =
       let deadline_at = Sim.Engine.now eng +. 5.0 in
       let out =
         Net.Retry.run r ~deadline_at ~op:"test.deadline"
-          (Net.Retry.policy ~attempts:50 ~base:1.0 ~factor:2.0 ~jitter:0.0 ())
+          (Net.Retry.policy ~attempts:50 ~base:1.0 ~factor:2.0 ())
           (fun () ->
             incr calls;
             Error "never")
@@ -39,19 +39,6 @@ let test_retry_deadline () =
     (Sim.Metrics.counter (Net.Network.metrics net) "retry.deadline_exhausted"
     >= 1)
 
-let test_retry_budget () =
-  let eng, net, r = retry_world () in
-  Net.Network.spawn_on net "a" (fun () ->
-      let out =
-        Net.Retry.run r ~op:"test.budget"
-          (Net.Retry.policy ~attempts:50 ~base:1.0 ~factor:2.0 ~jitter:0.0
-             ~budget:6.0 ())
-          (fun () -> Error "never")
-      in
-      check_bool "budget bounds the loop" true (Result.is_error out);
-      check_bool "within budget" true (Sim.Engine.now eng <= 6.0));
-  Sim.Engine.run eng
-
 (* The backoff schedule (jitter included) is a pure function of the world
    seed: two worlds with the same seed retry at identical virtual times;
    a different seed jitters differently. *)
@@ -61,7 +48,7 @@ let backoff_schedule ~seed =
   Net.Network.spawn_on net "a" (fun () ->
       ignore
         (Net.Retry.run r ~op:"test.jitter"
-           (Net.Retry.policy ~attempts:8 ~base:1.0 ~factor:1.7 ~jitter:0.4 ())
+           (Net.Retry.policy ~attempts:8 ~base:1.0 ~factor:1.7 ())
            (fun () ->
              stamps := Sim.Engine.now eng :: !stamps;
              Error "never")));
@@ -84,7 +71,7 @@ let test_retry_breaker () =
       (* Three consecutive failures open the breaker for dst "b". *)
       ignore
         (Net.Retry.run r ~dst:"b" ~op:"test.breaker"
-           (Net.Retry.policy ~attempts:3 ~base:1.0 ~factor:1.0 ~jitter:0.0 ())
+           (Net.Retry.policy ~attempts:3 ~base:1.0 ~factor:1.0 ())
            (fun () -> Error "down"));
       check_bool "breaker open after threshold" true (Net.Retry.breaker_open r "b");
       check_int "one open event" 1 (Sim.Metrics.counter m "retry.breaker_opens");
@@ -94,7 +81,7 @@ let test_retry_breaker () =
       let invocations = ref 0 in
       let out =
         Net.Retry.run r ~dst:"b" ~op:"test.breaker"
-          (Net.Retry.policy ~attempts:8 ~base:4.0 ~factor:1.0 ~jitter:0.0 ())
+          (Net.Retry.policy ~attempts:8 ~base:4.0 ~factor:1.0 ())
           (fun () ->
             incr invocations;
             Ok ())
@@ -114,7 +101,7 @@ let test_retry_sheds_down_node () =
       let invocations = ref 0 in
       ignore
         (Net.Retry.run r ~dst:"b" ~op:"test.shed"
-           (Net.Retry.policy ~attempts:4 ~base:1.0 ~jitter:0.0 ())
+           (Net.Retry.policy ~attempts:4 ~base:1.0 ())
            (fun () ->
              incr invocations;
              Error "unreachable"));
@@ -409,7 +396,6 @@ let suite =
     ( "chaos.retry",
       [
         tc "deadline exhaustion" `Quick test_retry_deadline;
-        tc "budget exhaustion" `Quick test_retry_budget;
         tc "jitter deterministic per seed" `Quick test_retry_jitter_deterministic;
         tc "breaker open and half-open" `Quick test_retry_breaker;
         tc "sheds to down nodes" `Quick test_retry_sheds_down_node;

@@ -222,6 +222,21 @@ let test_admin_grown_store_used_by_next_commit () =
   Alcotest.(check (option string))
     "new store receives commits" (Some "4") (store_payload w "beta3" uid)
 
+(* With every St home down there is no state to copy: the administrative
+   action aborts with the error kind its body raised, not a refusal. *)
+let test_admin_add_store_no_source_unavailable () =
+  let w, uid = admin_world () in
+  let net = Service.network w in
+  List.iter (Net.Network.crash net) [ "beta1"; "beta2" ];
+  let outcome = ref (Ok ()) in
+  Service.spawn_client w "ops" (fun () ->
+      outcome := Admin.add_store (Service.binder w) ~from:"ops" ~uid "beta3");
+  Service.run w;
+  match !outcome with
+  | Error (Admin.Unavailable _) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Admin.error_to_string e)
+  | Ok () -> Alcotest.fail "expected Unavailable"
+
 (* ------------------------------------------------------------------ *)
 (* Passivator *)
 
@@ -366,6 +381,8 @@ let suite =
         tc "retire store not re-included" `Quick test_admin_retire_store_not_reincluded;
         tc "grown store used by next commit" `Quick
           test_admin_grown_store_used_by_next_commit;
+        tc "add store with no source is unavailable" `Quick
+          test_admin_add_store_no_source_unavailable;
       ] );
     ( "ext.passivator",
       [

@@ -232,13 +232,16 @@ let test_rpc_timeout () =
   Network.add_node net "client";
   Network.add_node net "server";
   Rpc.serve rpc ~node:"server" echo (fun s ->
-      Engine.sleep eng 100.0;
+      Engine.sleep eng (Rpc.call_timeout +. 40.0);
       s);
-  let got = ref (Ok "") in
+  let got = ref (Ok "") and gave_up_at = ref nan in
   Network.spawn_on net "client" (fun () ->
-      got := Rpc.call rpc ~from:"client" ~dst:"server" ~timeout:5.0 echo "hi");
+      got := Rpc.call rpc ~from:"client" ~dst:"server" echo "hi";
+      gave_up_at := Engine.now eng);
   Engine.run eng;
-  Alcotest.(check (result string rpc_error)) "timeout" (Error Rpc.Timed_out) !got
+  Alcotest.(check (result string rpc_error)) "timeout" (Error Rpc.Timed_out) !got;
+  Alcotest.(check (float 1e-9))
+    "gave up at the call bound" Rpc.call_timeout !gave_up_at
 
 let test_rpc_nested_call_in_handler () =
   let eng, net, rpc = make_world () in

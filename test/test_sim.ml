@@ -500,6 +500,7 @@ let test_semaphore_no_lost_permit_on_killed_waiter () =
 
 let test_trace_record_and_query () =
   let tr = Trace.create () in
+  Trace.set_enabled tr true;
   Trace.record tr ~now:1.0 ~tag:"rpc" "call a";
   Trace.record tr ~now:2.0 ~tag:"gvd" "exclude n3";
   Trace.record tr ~now:3.0 ~tag:"rpc" "call b";
@@ -510,13 +511,18 @@ let test_trace_record_and_query () =
   | [] -> Alcotest.fail "no entries"
 
 let test_trace_disabled_drops () =
-  let tr = Trace.create ~enabled:false () in
+  let tr = Trace.create () in
+  Trace.record tr ~now:1.0 ~tag:"x" "y";
+  check_int "a new trace records nothing" 0 (List.length (Trace.entries tr));
+  Trace.set_enabled tr true;
+  Trace.set_enabled tr false;
   Trace.record tr ~now:1.0 ~tag:"x" "y";
   Trace.recordf tr ~now:1.0 ~tag:"x" "%d" 42;
   check_int "empty" 0 (List.length (Trace.entries tr))
 
 let test_trace_disabled_no_alloc () =
-  let tr = Trace.create ~enabled:false () in
+  let tr = Trace.create () in
+  Trace.set_enabled tr false;
   (* Warm the path once, then check the amortised per-call allocation stays
      far below one formatted-string's worth: the disabled branch must not
      render its arguments. *)
@@ -534,6 +540,7 @@ let test_trace_disabled_no_alloc () =
 
 let test_trace_recordf () =
   let tr = Trace.create () in
+  Trace.set_enabled tr true;
   Trace.recordf tr ~now:1.0 ~tag:"x" "value=%d" 42;
   check_int "formatted" 1
     (List.length (Trace.find tr ~tag:"x" ~substring:"value=42"))
