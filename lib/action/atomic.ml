@@ -206,47 +206,46 @@ let after_abort t f = t.post_abort_hooks <- f :: t.post_abort_hooks
 let deactivate t =
   if Action_id.is_top t.aid then Hashtbl.remove t.rt.active (owner t)
 
-(* Phase-2 notification of an enlisted resource. Releasing a resource
-   must not be fire-and-forget: a release message lost to the network
-   leaves the resource's locks and staged state held by a completed
-   action forever (nothing re-sends it — the decision is already durable
-   on this side only). But it must not block the action's completion
-   either: the decision is made, and a coordinator wedged behind a
-   partition would stall its client for the partition's whole lifetime.
-   So: one inline attempt (the fault-free fast path, unchanged), and on
-   failure with the node still up, a reaper fiber keeps retrying in the
-   background until the release lands or the node dies — once it crashes
-   its volatile locks and stage die with it, so stopping is safe. No
-   [~dst]: an unreachable-but-up node is a link problem, not a
-   node-health signal, and must not open the destination's breaker. *)
-let release_resource t ~rnode ~op call =
+(* The one release rule for a decided outcome at any 2PC participant —
+   an enlisted resource or a store. A lost release must not be forgotten:
+   it would leave the participant's locks, stage or reservation held by a
+   completed action forever, since nobody asks a live coordinator. Nor
+   may it block the action's completion: a coordinator wedged behind a
+   partition would stall its client. So one inline attempt, and on
+   failure with the node still up, a reaper fiber retries in the
+   background until the release lands or the node dies (its volatile
+   state dies with it; a store settles its intent on recovery). No
+   [~dst]: an unreachable-but-up node is a link problem and must not
+   open the destination's breaker. *)
+let release_later t ~node ~op call =
   let net = network t.rt in
-  let up () = Net.Network.is_up net rnode in
-  match call () with
-  | Ok () -> ()
-  | Error _ when not (up ()) -> () (* volatile state died with the node *)
-  | Error _ ->
-      let action = owner t in
-      Sim.Metrics.incr (metrics t) "action.release_deferred";
-      Net.Network.spawn_on net t.coord
-        ~name:(Printf.sprintf "%s.release:%s@%s" t.coord action rnode)
-        (fun () ->
-          match
-            Net.Retry.run t.rt.rt_retry ~op
-              (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.5
-                 ~max_delay:8.0 ())
-              (fun () ->
-                if not (up ()) then Ok ()
-                else
-                  match call () with
-                  | Ok () -> Ok ()
-                  | Error _ when not (up ()) -> Ok ()
-                  | Error e -> Error (Net.Rpc.error_to_string e))
-          with
-          | Ok () -> ()
-          | Error e ->
-              tracef t "%s phase-2 loss at %s: %s" action rnode e;
-              Sim.Metrics.incr (metrics t) "action.phase2_losses")
+  let up () = Net.Network.is_up net node in
+  if up () then begin
+    let action = owner t in
+    Sim.Metrics.incr (metrics t) "action.release_deferred";
+    Net.Network.spawn_on net t.coord
+      ~name:(Printf.sprintf "%s.release:%s@%s" t.coord action node)
+      (fun () ->
+        match
+          Net.Retry.run t.rt.rt_retry ~op
+            (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.5
+               ~max_delay:8.0 ())
+            (fun () ->
+              if not (up ()) then Ok ()
+              else
+                match call () with
+                | Ok () -> Ok ()
+                | Error _ when not (up ()) -> Ok ()
+                | Error e -> Error (Net.Rpc.error_to_string e))
+        with
+        | Ok () -> ()
+        | Error e ->
+            tracef t "%s phase-2 loss at %s: %s" action node e;
+            Sim.Metrics.incr (metrics t) "action.phase2_losses")
+  end
+
+let release t ~node ~op call =
+  match call () with Ok () -> () | Error _ -> release_later t ~node ~op call
 
 (* Abort: undo newest-first (strictly serial — each undo may depend on
    the effects of later-installed ones), then tell every participant and
@@ -265,7 +264,7 @@ let abort t ~reason =
       (Sim.Join.all eng
          (List.map
             (fun e () ->
-              release_resource t ~rnode:e.en_node ~op:"action.release_abort" (fun () ->
+              release t ~node:e.en_node ~op:"action.release_abort" (fun () ->
                   Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
                     ~resource:e.en_resource ~action:(owner t)))
             (List.rev t.enlisted)));
@@ -430,7 +429,7 @@ let commit_top t =
             (Sim.Join.all eng
                (List.map
                   (fun e () ->
-                    release_resource t ~rnode:e.en_node ~op:"action.release_commit"
+                    release t ~node:e.en_node ~op:"action.release_commit"
                       (fun () ->
                         Resource_host.commit t.rt.rh ~from:t.coord ~node:e.en_node
                           ~resource:e.en_resource ~action))

@@ -105,7 +105,25 @@ val add_participant :
 (** Register a closure participant in the top-level 2PC. For a nested
     action the participant is handed to the parent on nested commit.
     [prepare]/[commit]/[abort] run in the committing fiber and may
-    suspend. *)
+    suspend. [abort] also runs when a {!before_commit} hook fails, so a
+    hook may register its participant before it sends the first
+    prepare. A participant that reaches stores delivers [commit] and
+    [abort] by the release rule below, like an enlisted resource. *)
+
+val release :
+  t -> node:Net.Network.node_id -> op:string -> (unit -> (unit, Net.Rpc.error) result) -> unit
+(** The release rule for a decided outcome (phase-2 commit or abort) at
+    one participant on [node]: one inline [call], then {!release_later}
+    if it failed. *)
+
+val release_later :
+  t -> node:Net.Network.node_id -> op:string -> (unit -> (unit, Net.Rpc.error) result) -> unit
+(** The one background retry for decided outcomes: if [node] is up, a
+    fiber on the coordinator retries [call] ({!Net.Retry.run} under [op])
+    until it lands or [node] is down, and returns at once. A node that
+    is down settles the action on recovery ({!Termination}). Metrics:
+    [action.release_deferred], and [action.phase2_losses] for a retry
+    that gave up. *)
 
 val before_commit : t -> (unit -> (unit, string) result) -> unit
 (** Register a hook run at the {e start} of top-level commit, before phase

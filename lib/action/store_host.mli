@@ -178,8 +178,8 @@ val abort_all :
   stores:Net.Network.node_id list ->
   string ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** [abort_all t ~from ~stores action]: scatter {!abort} (phase-2 abort /
-    prepare withdrawal) concurrently. *)
+(** [abort_all t ~from ~stores action]: scatter {!abort} (phase-2 abort)
+    concurrently. *)
 
 (** What a store tells its termination machinery ({!Termination.attach}),
     on the store's node. *)

@@ -10,5 +10,9 @@ let add act ~store ~writes =
       with
       | Ok Store_host.Vote_yes -> true
       | Ok Store_host.Vote_stale | Error _ -> false)
-    ~commit:(fun () -> ignore (Store_host.commit sh ~from ~store ~action))
-    ~abort:(fun () -> ignore (Store_host.abort sh ~from ~store ~action))
+    ~commit:(fun () ->
+      Atomic.release act ~node:store ~op:"action.release_commit" (fun () ->
+          Store_host.commit sh ~from ~store ~action))
+    ~abort:(fun () ->
+      Atomic.release act ~node:store ~op:"action.release_abort" (fun () ->
+          Store_host.abort sh ~from ~store ~action))

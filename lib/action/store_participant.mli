@@ -12,4 +12,6 @@ val add :
   unit
 (** [add act ~store ~writes] registers a participant that prepares
     [writes ()] on [store] during phase 1 (voting no if the store is
-    unreachable) and applies or discards them in phase 2. *)
+    unreachable) and applies or discards them in phase 2, delivered by
+    Atomic's release rule ({!Atomic.release}): a lost phase 2 is retried
+    in the background until it lands or the store is down. *)

@@ -182,7 +182,7 @@ let try_acquire t ~owner ~mode key =
           end
           else false)
 
-let wait t key e ~owner ~mode ?timeout () =
+let wait t key e ~owner ~mode =
   bump t (fun c -> c.waited);
   let waiter = ref None in
   let register resume =
@@ -192,12 +192,9 @@ let wait t key e ~owner ~mode ?timeout () =
     index_add t owner key
   in
   let outcome =
-    match timeout with
-    | None -> Ok (Sim.Engine.suspend t.eng register)
-    | Some dt -> (
-        match Sim.Engine.timeout t.eng dt register with
-        | Ok () -> Ok ()
-        | Error _ -> Error `Timeout)
+    match Sim.Engine.timeout t.eng wait_bound register with
+    | Ok () -> Ok ()
+    | Error _ -> Error `Timeout
   in
   (match outcome with
   | Ok () -> bump t (fun c -> c.granted_after_wait)
@@ -217,7 +214,7 @@ let wait t key e ~owner ~mode ?timeout () =
       | None -> ()));
   outcome
 
-let acquire t ~owner ~mode ?timeout key =
+let acquire t ~owner ~mode key =
   match Tbl.find_opt t.entries key with
   | None ->
       install_fresh t key ~owner ~mode;
@@ -248,7 +245,7 @@ let acquire t ~owner ~mode ?timeout key =
             bump t (fun c -> c.granted);
             Ok ()
           end
-          else wait t key e ~owner ~mode ?timeout ())
+          else wait t key e ~owner ~mode)
 
 let promote t ~owner ~to_mode key =
   match Tbl.find_opt t.entries key with

@@ -41,14 +41,13 @@ val create : ?metrics:Sim.Metrics.t -> Sim.Engine.t -> t
 (** [create eng] is an empty manager. If [metrics] is given, the manager
     counts grants, waits, promotion failures and timeouts. *)
 
-val acquire :
-  t -> owner:owner -> mode:Mode.t -> ?timeout:float -> string -> (unit, [ `Timeout ]) result
+val acquire : t -> owner:owner -> mode:Mode.t -> string -> (unit, [ `Timeout ]) result
 (** [acquire t ~owner ~mode key] blocks the calling fiber until the lock is
     granted (re-entrant: a covering lock held by [owner] is granted
     immediately; a non-covering re-request is treated as a promotion
     attempt and, if it cannot be granted {e immediately}, fails as
-    [`Timeout] to avoid self-deadlock). With [timeout], gives up after that
-    much virtual time. Must run in a fiber. *)
+    [`Timeout] to avoid self-deadlock). A wait gives up with [`Timeout]
+    after {!wait_bound} of virtual time. Must run in a fiber. *)
 
 val try_acquire : t -> owner:owner -> mode:Mode.t -> string -> bool
 (** Non-blocking acquire; [false] if it would have to wait. *)

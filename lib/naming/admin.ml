@@ -67,21 +67,21 @@ let add_store t ~from ~uid node =
             (Administrative
                (Unavailable "no reachable source holds the latest committed state"))
       | Some state -> (
+          (* The participant goes in before the prepare, so an abort
+             reaches a prepare that staged without answering. *)
+          let action = Action.Atomic.owner act in
+          Action.Atomic.add_participant act ~name:("admin-copy:" ^ node)
+            ~prepare:(fun () -> true)
+            ~commit:(fun () ->
+              Action.Atomic.release act ~node ~op:"action.release_commit" (fun () ->
+                  Action.Store_host.commit sh ~from ~store:node ~action))
+            ~abort:(fun () ->
+              Action.Atomic.release act ~node ~op:"action.release_abort" (fun () ->
+                  Action.Store_host.abort sh ~from ~store:node ~action));
           match
-            Action.Store_host.prepare sh ~from ~store:node
-              ~action:(Action.Atomic.owner act) ~coordinator:from
+            Action.Store_host.prepare sh ~from ~store:node ~action ~coordinator:from
               [ (uid, state) ]
           with
-          | Ok Action.Store_host.Vote_yes ->
-              Action.Atomic.add_participant act ~name:("admin-copy:" ^ node)
-                ~prepare:(fun () -> true)
-                ~commit:(fun () ->
-                  ignore
-                    (Action.Store_host.commit sh ~from ~store:node
-                       ~action:(Action.Atomic.owner act)))
-                ~abort:(fun () ->
-                  ignore
-                    (Action.Store_host.abort sh ~from ~store:node
-                       ~action:(Action.Atomic.owner act)))
+          | Ok Action.Store_host.Vote_yes -> ()
           | Ok Action.Store_host.Vote_stale | Error _ ->
               raise (Administrative (Unavailable ("cannot copy state to " ^ node)))))

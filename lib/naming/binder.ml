@@ -67,10 +67,12 @@ let take k xs =
 
 let or_why r = Result.map_error Router.failure_to_string r
 
+(* The router's failure kind survives the nested top-level action: the
+   body keeps it aside as raised, since an abort has only its reason
+   string. A failure of the nested action's own commit is [Unreachable]. *)
 let exclusion t ~scheme ~uid act failed =
   let run act' =
-    or_why (Router.update t.b_router ~act:act' uid (Gvd.Exclude failed))
-    |> Result.map ignore
+    Router.update t.b_router ~act:act' uid (Gvd.Exclude failed) |> Result.map ignore
   in
   match scheme with
   | Scheme.Standard -> run act
@@ -78,14 +80,17 @@ let exclusion t ~scheme ~uid act failed =
       (* The database update is its own durable (nested top-level)
          action: it commits even if the client action later aborts, which
          is safe — the excluded nodes are genuinely dead. *)
+      let refused = ref None in
       match
         Action.Atomic.atomically_nested_top act (fun a ->
             match run a with
             | Ok () -> ()
-            | Error why -> raise (Action.Atomic.Abort why))
+            | Error f ->
+                refused := Some f;
+                raise (Action.Atomic.Abort (Router.failure_to_string f)))
       with
       | Ok () -> Ok ()
-      | Error why -> Error why)
+      | Error why -> Error (Option.value !refused ~default:(Router.Unreachable why)))
 
 (* Commit processing must copy back to the current St members: the
    bind-time view can be outdated by a recovered store's Include under
@@ -146,18 +151,26 @@ let attach t ~scheme ~act ~uid ?rev ~stores group =
            else Router.read t.b_router ~act uid Gvd.Committed)
         |> Result.map (fun v -> (v.Gvd.v_stores, v.Gvd.v_rev))
   in
+  (* A lock refused to a validation or an exclusion is held by a
+     membership change in flight right now: retry against the St it
+     commits, once it has. *)
+  let refused = function
+    | Router.Busy _ | Router.Refused _ ->
+        next := `Settled;
+        `Conflict
+    | Router.Unreachable why -> `Failed why
+  in
   let validate act ~version ~rev =
     match Router.update t.b_router ~act ~if_rev:rev uid (Gvd.Note_version version) with
     | Ok { Gvd.o_applied = true; _ } -> `Validated
     | Ok { Gvd.o_applied = false; _ } -> `Conflict
-    | Error (Router.Busy _ | Router.Refused _) ->
-        (* The write fence is held by a membership change in flight right
-           now: retry against the St it commits, once it has. *)
-        next := `Settled;
-        `Conflict
-    | Error (Router.Unreachable why) -> `Failed why
+    | Error f -> refused f
   in
-  let exclude act' failed = exclusion t ~scheme ~uid act' failed in
+  let exclude act' failed =
+    match exclusion t ~scheme ~uid act' failed with
+    | Ok () -> `Excluded
+    | Error f -> refused f
+  in
   Replica.Commit.attach t.b_grt act group ~snapshot_stores ~validate ~exclude;
   {
     bd_uid = uid;

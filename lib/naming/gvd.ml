@@ -351,10 +351,7 @@ let refuse t key mode =
 let take_lock t ~action lock key =
   match lock with
   | Blocking mode -> (
-      match
-        Lockmgr.Manager.acquire t.locks ~owner:action ~mode
-          ~timeout:Lockmgr.Manager.wait_bound key
-      with
+      match Lockmgr.Manager.acquire t.locks ~owner:action ~mode key with
       | Ok () -> None
       | Error `Timeout -> refuse t key mode)
   | Fence -> if take_fence t ~action key then None else refuse t key (fence_mode t)

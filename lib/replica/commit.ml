@@ -32,84 +32,85 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           (* The action's deadline rides on the phase-1 prepares issued
              for this commit alone (see {!Groupcommit.prepare}) so
              shedding servers can refuse votes this commit already gave
-             up on. Phase-2 commit/abort deliberately carries no
-             deadline: a decided outcome must reach the stores even when
-             the initiator stopped waiting — shedding it would leak
-             reservations. Every store scatter names [current_st], so a
-             leg's backup copy may go to a sibling replica
+             up on. Phase 2 carries no deadline: a decided outcome must
+             reach the stores even when the initiator stopped waiting.
+             Every store scatter names the attempt's [St], so a leg's
+             backup copy may go to a sibling replica
              ({!Action.Store_host.prepare_all}); a sibling win surfaces
-             as the leg's own error, flowing into the ordinary §4.2
-             exclude — never a substituted answer. *)
+             as the leg's own error — never a substituted answer. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
-          (* Stores a withdrawal did not reach. Each may still hold this
-             action's prepare, and an abort to it may still be in flight
-             (a retry that lands says nothing of an earlier copy): no
-             later attempt prepares there, since the abort could overtake
-             the prepare and drop a yes vote, so each counts as
-             unreachable. A background retry settles it. *)
-          let unsettled = ref [] in
-          let net = Action.Atomic.network art in
-          let reap store =
-            Net.Network.spawn_on net client
-              ~name:(Printf.sprintf "%s.withdraw:%s@%s" client action store)
-              (fun () ->
-                match
-                  Net.Retry.run (Action.Atomic.retry art) ~op:"commit.withdraw"
-                    (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.5
-                       ~max_delay:8.0 ())
-                    (fun () ->
-                      (* A store that is down settles the intent itself when
-                         it recovers (termination asks the decision). *)
-                      if not (Net.Network.is_up net store) then Ok ()
-                      else
-                        match Action.Store_host.abort sh ~from:client ~store ~action with
-                        | Ok () -> Ok ()
-                        | Error e -> Error (Net.Rpc.error_to_string e))
-                with
-                | Ok () -> ()
-                | Error _ -> Sim.Metrics.incr metrics "commit.withdraw_losses")
+          (* Every store that may hold this action's prepare: it voted yes
+             in some attempt, or its latest prepare timed out and may have
+             staged all the same. Nothing is withdrawn between attempts: a
+             retry's prepare re-stages the same intent, so no abort can
+             overtake a later prepare. *)
+          let reached = ref [] in
+          let reach store how =
+            reached := (store, how) :: List.remove_assoc store !reached
           in
-          let defer store =
-            if not (List.mem store !unsettled) then begin
-              unsettled := store :: !unsettled;
-              reap store
-            end
+          (* The latest attempt's [St] (the phase-2 sibling set), and the
+             validated attempt's yes voters and phase-2 token. *)
+          let st = ref [] and sealed = ref None in
+          let release_abort store =
+            Action.Atomic.release_later act ~node:store ~op:"action.release_abort"
+              (fun () -> Action.Store_host.abort sh ~from:client ~store ~action)
           in
-          (* Withdraw this action's prepares: a prepared record is a write
-             reservation at the store, and leaking one blocks every future
-             writer of the object. The stores that voted yes get one abort
-             round, and any it misses is deferred. A store whose prepare
-             timed out may have staged it all the same and is deferred at
-             once; one that crashed meanwhile settles its intent on
-             recovery, and one known down or unreachable was never sent
-             the prepare. A store that voted stale staged nothing. *)
-          let withdraw ~st ~ok ~timed_out =
-            if ok <> [] then
+          (* Abort every reached store but [keep] by Atomic's release rule:
+             one inline round to those that answered; a store whose prepare
+             timed out goes straight to the background, since an inline
+             round to a cut store would stall the client. *)
+          let abort_reached ~keep =
+            let answered, timed_out =
+              List.partition_map
+                (fun (store, how) ->
+                  if how = `Answered then Left store else Right store)
+                (List.filter (fun (s, _) -> not (List.mem s keep)) (List.rev !reached))
+            in
+            if answered <> [] then
               List.iter
-                (fun (store, r) -> if Result.is_error r then defer store)
-                (Action.Store_host.abort_all sh ~from:client ~st ~stores:ok action);
-            List.iter (fun store -> if Net.Network.is_up net store then defer store) timed_out
+                (fun (store, r) -> if Result.is_error r then release_abort store)
+                (Action.Store_host.abort_all sh ~from:client ~st:!st ~stores:answered
+                   action);
+            List.iter release_abort timed_out
           in
+          (* One phase-2 participant for the store set, registered before
+             the first prepare so that every exit ends every reached store.
+             Phase 2 commits the validated attempt's yes voters; every
+             other reached store gets the abort. A failed leg to a store
+             that is up is delivered again in the background. *)
+          Action.Atomic.add_participant act ~name:"st-copy"
+            ~prepare:(fun () -> true)
+            ~commit:(fun () ->
+              match !sealed with
+              | None -> ()
+              | Some (ok, p2) ->
+                  List.iter
+                    (fun (store, r) ->
+                      if Result.is_error r then
+                        Action.Atomic.release_later act ~node:store
+                          ~op:"action.release_commit" (fun () ->
+                            Action.Store_host.commit sh ~from:client ~store ~action))
+                    (Groupcommit.commit gc p2 ~st:!st ~client ~stores:ok action);
+                  abort_reached ~keep:ok)
+            ~abort:(fun () ->
+              Option.iter (fun (_, p2) -> Groupcommit.leave gc p2) !sealed;
+              abort_reached ~keep:[]);
           (* One copy-back attempt: take a committed [St] and its
              revision from [snapshot_stores], scatter the prepares
              against it, detect staleness, exclude unreachable stores,
              then validate the revision inside the prepare round. A
-             conflict — an Include/Exclude committed in between, or one
-             holding the fence right now — withdraws the prepares and
-             retries against fresh [St]; after [max_attempts] conflicts
-             the commit aborts. *)
+             conflict retries at once against fresh [St]; after
+             [max_attempts] conflicts the commit aborts. *)
           let rec attempt n =
             match snapshot_stores () with
             | Error why -> Error ("commit-time St read: " ^ why)
             | Ok (current_st, rev) -> (
-                let skipped, targets =
-                  List.partition (fun s -> List.mem s !unsettled) current_st
-                in
+                st := current_st;
                 List.iter
                   (fun _ ->
                     Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
-                  targets;
+                  current_st;
                 (* The paper's parallel write to all of StA: one concurrent
                    prepare per store, votes gathered in store order. Latency is
                    the slowest round-trip, not the sum. The prepare joins (or
@@ -118,7 +119,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                    already peeled out to a solo retry inside. *)
                 let scattered = Sim.Engine.now eng in
                 let per_store =
-                  List.map (fun s -> (s, [ (uid, full_state) ])) targets
+                  List.map (fun s -> (s, [ (uid, full_state) ])) current_st
                 in
                 let votes =
                   Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
@@ -126,32 +127,26 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                 in
                 Sim.Metrics.observe metrics "commit.fanout"
                   (Sim.Engine.now eng -. scattered);
-                let ok, stale, unreachable =
+                let ok, stale, failed =
                   List.fold_left
-                    (fun (ok, stale, unreachable) (store, vote) ->
+                    (fun (ok, stale, failed) (store, vote) ->
                       match vote with
                       | Ok Action.Store_host.Vote_yes ->
-                          (store :: ok, stale, unreachable)
+                          reach store `Answered;
+                          (store :: ok, stale, failed)
                       | Ok Action.Store_host.Vote_stale ->
-                          (ok, store :: stale, unreachable)
-                      | Error _ -> (ok, stale, store :: unreachable))
+                          (ok, store :: stale, failed)
+                      | Error e ->
+                          if e = Net.Rpc.Timed_out then reach store `Timed_out;
+                          (ok, stale, store :: failed))
                     ([], [], []) votes
                 in
-                let ok = List.rev ok and unreachable = List.rev unreachable in
-                let failed = skipped @ unreachable in
-                let timed_out =
-                  List.filter_map
-                    (fun (store, vote) ->
-                      match vote with
-                      | Error Net.Rpc.Timed_out -> Some store
-                      | _ -> None)
-                    votes
+                let ok = List.rev ok and failed = List.rev failed in
+                let conflict () =
+                  if n + 1 < max_attempts then attempt (n + 1)
+                  else Error "St kept changing"
                 in
-                (* Any early abort from here on must withdraw the prepares
-                   just scattered. *)
-                let withdraw_prepares () = withdraw ~st:current_st ~ok ~timed_out in
                 if stale <> [] then begin
-                  withdraw_prepares ();
                   (* Backward validation failed: this action worked from a stale
                      activation (disjoint replica sets during churn — the
                      split-brain Arjuna's persistent lock store physically
@@ -168,13 +163,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         (Group.live_members rt group));
                   Error "stale activation: version conflict at object stores"
                 end
-                else if ok = [] then begin
-                  withdraw_prepares ();
-                  Error "all object stores unavailable at commit"
-                end
+                else if ok = [] then Error "all object stores unavailable at commit"
                 else
                   let excluded =
-                    if failed = [] then Ok ()
+                    if failed = [] then `Excluded
                     else begin
                       Sim.Metrics.incr metrics "commit.exclusions"
                         ~by:(List.length failed);
@@ -182,41 +174,19 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                     end
                   in
                   match excluded with
-                  | Error why ->
-                      withdraw_prepares ();
-                      Error ("exclude failed: " ^ why)
-                  | Ok () -> (
+                  | `Failed why -> Error ("exclude failed: " ^ why)
+                  | `Conflict -> conflict ()
+                  | `Excluded -> (
                       match validate act ~version ~rev with
-                      | `Failed why ->
-                          withdraw_prepares ();
-                          Error ("validate refused: " ^ why)
+                      | `Failed why -> Error ("validate refused: " ^ why)
                       | `Conflict ->
                           Sim.Metrics.incr metrics "commit.validate_conflict";
-                          withdraw_prepares ();
-                          if n + 1 < max_attempts then attempt (n + 1)
-                          else Error "St kept changing"
+                          conflict ()
                       | `Validated ->
                           Sim.Metrics.incr metrics "commit.validate_ok";
                           Sim.Metrics.incr metrics ~by:(List.length ok)
                             "commit.state_copies";
-                          (* The excluded stores leave the copy; one that
-                             staged the prepare after all is settled in
-                             the background. *)
-                          withdraw ~st:current_st ~ok:[] ~timed_out;
-                          (* One phase-2 participant for the whole store
-                             set: its commit/abort scatters to every
-                             prepared store concurrently instead of
-                             registering |St| serially notified
-                             participants. *)
-                          let p2 = Groupcommit.expect_phase2 gc ~client in
-                          Action.Atomic.add_participant act ~name:"st-copy"
-                            ~prepare:(fun () -> true)
-                            ~commit:(fun () ->
-                              Groupcommit.commit gc p2 ~st:current_st ~client
-                                ~stores:ok action)
-                            ~abort:(fun () ->
-                              Groupcommit.abort gc p2 ~st:current_st ~client
-                                ~stores:ok action);
+                          sealed := Some (ok, Groupcommit.expect_phase2 gc ~client);
                           Ok ()))
           in
           attempt 0

@@ -18,7 +18,7 @@
       naming layer; it performs the paper's lock promotion and [Exclude]
       within the same action — its failure aborts too);
     + validate that [StA] did not change meanwhile (retry, then abort);
-    + register the successful stores as phase-2 participants. *)
+    + in phase 2, commit the successful stores. *)
 
 val attach :
   Group.runtime ->
@@ -31,7 +31,9 @@ val attach :
     rev:int ->
     [ `Validated | `Conflict | `Failed of string ]) ->
   exclude:
-    (Action.Atomic.t -> Net.Network.node_id list -> (unit, string) result) ->
+    (Action.Atomic.t ->
+    Net.Network.node_id list ->
+    [ `Excluded | `Conflict | `Failed of string ]) ->
   unit
 (** [attach rt act group ~snapshot_stores ~validate ~exclude] arranges
     commit-time state copy-back for [group] under [act]. Call once per
@@ -49,25 +51,29 @@ val attach :
     prepare round (a [Note_version] {!Naming.Gvd.update} with [~if_rev])
     under the §4.2.1 write fence, noting the committed version on
     success. [`Conflict] — an Include/Exclude committed between snapshot
-    and validation, or one holding the fence right now — withdraws the
-    prepares and retries the whole fan-out at once against fresh [St].
+    and validation, or one holding the fence right now — retries the
+    whole fan-out at once against fresh [St]. [exclude] answers the same
+    way: an exclusion refused by a lock another action holds is a
+    [`Conflict] too, and only [`Failed] aborts ("exclude failed").
     A conflict on a moved revision keeps the fence, so the next attempt
     validates; a refused fence keeps nothing, and the naming layer's next
     [snapshot_stores] answers only once the holder has ended
     ({!Naming.Gvd.read} [Settled]): a membership change's catch-up can
-    hold the fence far longer than three immediate attempts take. No
-    store prepare is held while [snapshot_stores] waits. Three
+    hold the fence far longer than three immediate attempts take. Three
     conflicting attempts abort the commit ("St kept changing"). Metrics:
     [commit.validate_ok] / [commit.validate_conflict].
 
-    A withdrawal reaches every store the attempt scattered to that may
-    hold its prepare: those that voted yes get one abort round, and a
-    store that did not answer — its prepare may have staged all the
-    same — or that the round missed is settled by a background retry
-    ([commit.withdraw_losses] counts one that gave up). Until that retry
-    lands, later attempts send the store no prepare, since the late abort
-    could overtake it, and count it unreachable. Stores left out of the
-    validated attempt as unreachable are settled the same way.
+    Nothing is withdrawn between attempts: a retry re-stages the same
+    intent at a store an earlier attempt reached
+    ({!Store.Intent_log.prepare} replaces per action), so no abort can
+    overtake a later prepare. One phase-2 participant, registered before
+    the first prepare, tracks every store that voted yes in any attempt
+    or whose latest prepare timed out. Phase 2 commits the validated
+    attempt's yes voters under its [St], and every other tracked store
+    (an excluded one, or one only an earlier attempt reached) gets the
+    abort. Every delivery follows Atomic's release rule
+    ({!Action.Atomic.release}); an abort to a store whose prepare timed
+    out goes straight to {!Action.Atomic.release_later}.
 
-    The prepare and phase-2 scatters go through the runtime's
+    The prepare and phase-2 commit scatters go through the runtime's
     group-commit plane ({!Groupcommit}). *)

@@ -20,10 +20,11 @@
    read-optimised commit) settles it; at zero every open batch of the
    phase closes. Phase-2 symmetrically: {!expect_phase2} issues a token
    for a sealed commit whose phase 2 is still to come, settled by its
-   {!commit} or {!abort}. A client's crash kills its committing fibers
-   before they can settle anything, so the plane counts each client's
-   tokens apart and releases them from a crash hook; otherwise one
-   crash mid-commit would hold every later batch for the full window.
+   {!commit}, or by {!leave} if the action aborts instead. A client's
+   crash kills its committing fibers before they can settle anything, so
+   the plane counts each client's tokens apart and releases them from a
+   crash hook; otherwise one crash mid-commit would hold every later
+   batch for the full window.
 
    Leadership and orphans: the first member to open a batch leads it —
    its fiber waits out the window and issues the scatter, distributing
@@ -59,7 +60,8 @@ type p2_member = {
   p_action : string;
   p_stores : Net.Network.node_id list;
   p_st : Net.Network.node_id list;
-  p_done : unit Sim.Ivar.t;
+  p_results :
+    (Net.Network.node_id * (unit, Net.Rpc.error) result) list Sim.Ivar.t;
 }
 
 type 'm batch = {
@@ -332,7 +334,8 @@ let prepare t tok ?deadline_at ~st ~client ~action writes =
 
 (* Leader duty, phase 2: one commit round per store, under the leader's
    [St] (safe for any batch size: an action unknown to the sibling
-   resolves as a no-op there), then release every member. *)
+   resolves as a no-op there), then hand each member its own per-store
+   results. *)
 let scatter2 t members =
   match members with
   | [] -> ()
@@ -350,10 +353,15 @@ let scatter2 t members =
                 members ))
           stores
       in
-      ignore
-        (Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
-           ~st:leader.p_st reqs);
-      List.iter (fun m -> Sim.Ivar.fill m.p_done ()) members
+      let results =
+        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
+          ~st:leader.p_st reqs
+      in
+      List.iter
+        (fun m ->
+          Sim.Ivar.fill m.p_results
+            (List.map (fun store -> (store, List.assoc store results)) m.p_stores))
+        members
 
 (* Batched phase 2 for a commit holding an {!expect_phase2} token. Runs in
    the committing fiber (a 2PC participant's commit closure); the same
@@ -365,23 +373,15 @@ let commit t tok ~st ~client ~stores action =
       p_action = action;
       p_stores = stores;
       p_st = st;
-      p_done = Sim.Ivar.create ();
+      p_results = Sim.Ivar.create ();
     }
   in
   let batch = arrive t t.gc_p2 tok ~stores m ~scatter:(scatter2 t) in
   match
-    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_done
+    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_results
   with
-  | Ok () -> ()
+  | Ok results -> results
   | Error _ ->
       orphaned t t.gc_p2 batch;
-      ignore
-        (Action.Store_host.commit_all t.gc_sh ~from:client ~st
-           (List.map (fun store -> (store, [ action ])) stores))
-
-(* Phase-2 abort: aborts are rare, so they go out unbatched — but the
-   token must still settle or phase-2 quiescence-pull would stall at a
-   count that never drains. *)
-let abort t tok ~st ~client ~stores action =
-  leave t tok;
-  ignore (Action.Store_host.abort_all t.gc_sh ~from:client ~st ~stores action)
+      Action.Store_host.commit_all t.gc_sh ~from:client ~st
+        (List.map (fun store -> (store, [ action ])) stores)

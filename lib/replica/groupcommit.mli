@@ -12,7 +12,7 @@
     Everything transactional stays per action — a member refused at any
     store is peeled out for a solo retry; its batchmates are
     unaffected. Every store scatter the plane issues (batch rounds,
-    peel-out and orphan retries, phase-2 commit/abort) is idempotent at
+    peel-out and orphan retries, phase-2 commit) is idempotent at
     the store, so under a gray-failure profile each races a
     health-delayed backup copy ({!Net.Rpc.call_all}'s [idempotent]). *)
 
@@ -43,8 +43,9 @@ val enter : t -> client:Net.Network.node_id -> token
 
 val leave : t -> token -> unit
 (** The commit is no longer approaching — it prepared, aborted early, or
-    turned out read-only. Idempotent; {!prepare}, {!commit} and {!abort}
-    settle their own token. *)
+    turned out read-only — or a sealed commit aborted after all, so its
+    phase 2 will never come. Idempotent; {!prepare} and {!commit} settle
+    their own token. Aborts are not batched: the caller sends them. *)
 
 val prepare :
   t ->
@@ -75,7 +76,7 @@ val prepare :
 val expect_phase2 : t -> client:Net.Network.node_id -> token
 (** Register a sealed commit of [client] whose phase 2 is still to come:
     phase-2 batches hold their window open for every such token until it
-    settles through {!commit} or {!abort}, or [client] crashes. *)
+    settles through {!commit} or {!leave}, or [client] crashes. *)
 
 val commit :
   t ->
@@ -84,22 +85,13 @@ val commit :
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
-  unit
+  (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** Batched phase-2 commit: returns once this member's commit round has
-    been answered (or has failed; a store that missed it resolves the
-    action through in-doubt recovery). Must run in a fiber on [client].
+    been answered, with this member's result per store in [stores]
+    order, the way {!prepare} hands out votes. A failed leg is the
+    caller's to deliver again ({!Action.Atomic.release_later}): the
+    plane never retries. Must run in a fiber on [client].
 
     [st] serves the orphan fallback and — as the leader's — the batch's
     commit round, whatever its size (safe: an unknown action resolves as
     a no-op at the store). *)
-
-val abort :
-  t ->
-  token ->
-  st:Net.Network.node_id list ->
-  client:Net.Network.node_id ->
-  stores:Net.Network.node_id list ->
-  string ->
-  unit
-(** Phase-2 abort: settles the {!expect_phase2} token and issues the
-    ordinary solo abort scatter (aborts are not batched). *)

@@ -396,10 +396,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
             Action.Termination.touch (term_of t inst) ~scope:(scope inst)
               ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
-            match
-              Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode
-                ~timeout:Lockmgr.Manager.wait_bound "state"
-            with
+            match Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode "state" with
             | Error `Timeout ->
                 (* A holder whose coordinator is partitioned away may
                    never release: termination settles it. *)

@@ -181,6 +181,52 @@ let test_store_down_votes_no () =
   Sim.Engine.run w.eng;
   check_bool "aborted" true (Result.is_error !outcome)
 
+(* A store's phase-2 commit lost to a one-way cut client->s1 is retried
+   by Atomic's release rule until it lands. A last participant sets the
+   cut once both stores have prepared, so only phase 2 meets it; the cut
+   heals 5.0 later. Without the retry s1 would keep the first write's
+   reservation, and the second write would abort. *)
+let test_lost_store_phase2_is_retried () =
+  let w = make_world [ "client"; "s1"; "s2" ] in
+  let uid = Uid.fresh w.sup ~label:"a" in
+  let write payload ~cut =
+    let outcome = ref (Error "never ran") in
+    Net.Network.spawn_on w.net "client" (fun () ->
+        outcome :=
+          Atomic.atomically w.rt ~node:"client" (fun act ->
+              let prev =
+                match Object_store.read (Store_host.objects w.sh "s1") uid with
+                | Some st -> st.Object_state.version
+                | None -> Version.initial
+              in
+              let state =
+                Object_state.make ~payload
+                  ~version:(Version.next prev ~committed_by:(Atomic.owner act))
+              in
+              Store_participant.add act ~store:"s1" ~writes:(fun () -> [ (uid, state) ]);
+              Store_participant.add act ~store:"s2" ~writes:(fun () -> [ (uid, state) ]);
+              if cut then
+                Atomic.add_participant act ~name:"cutter"
+                  ~prepare:(fun () ->
+                    Sim.Engine.sleep w.eng 10.0;
+                    Net.Network.set_oneway_cut w.net ~src:"client" ~dst:"s1" true;
+                    Sim.Engine.schedule w.eng ~delay:5.0 (fun () ->
+                        Net.Network.set_oneway_cut w.net ~src:"client" ~dst:"s1" false);
+                    true)
+                  ~commit:ignore ~abort:ignore));
+    Sim.Engine.run w.eng;
+    !outcome
+  in
+  check_bool "first committed" true (write "one" ~cut:true = Ok ());
+  check_bool "phase 2 to s1 deferred" true
+    (Sim.Metrics.counter (Net.Network.metrics w.net) "action.release_deferred" >= 1);
+  Alcotest.(check (option string)) "s1 applied" (Some "one") (payload_on w "s1" uid);
+  check_int "s1 holds no intent" 0
+    (List.length (Intent_log.in_doubt (Store_host.log w.sh "s1")));
+  check_bool "second committed" true (write "two" ~cut:false = Ok ());
+  Alcotest.(check (option string)) "s1" (Some "two") (payload_on w "s1" uid);
+  Alcotest.(check (option string)) "s2" (Some "two") (payload_on w "s2" uid)
+
 let test_before_commit_error_aborts () =
   let w = make_world [ "client" ] in
   let undone = ref false in
@@ -354,7 +400,7 @@ let make_register w node =
   let write act v =
     (* Emulates an RPC handler: lock under the action, stage the value. *)
     let owner = Atomic.owner act in
-    match Lockmgr.Manager.acquire mgr ~owner ~mode:Lockmgr.Mode.Write ~timeout:10.0 "reg" with
+    match Lockmgr.Manager.acquire mgr ~owner ~mode:Lockmgr.Mode.Write "reg" with
     | Ok () ->
         Hashtbl.replace staged owner v;
         Atomic.enlist act ~node ~resource:"register" ();
@@ -508,6 +554,7 @@ let suite =
         tc "after_commit only on commit" `Quick test_after_commit_only_on_commit;
         tc "abort undo reverse order" `Quick test_abort_undo_reverse_order;
         tc "status transitions" `Quick test_status_transitions;
+        tc "a lost store phase 2 is retried" `Quick test_lost_store_phase2_is_retried;
       ] );
     ( "action.nesting",
       [

@@ -90,15 +90,18 @@ let test_blocking_acquire_waits_for_release () =
   Sim.Engine.run eng;
   Alcotest.(check (float 1e-9)) "granted at release" 5.0 !granted_at
 
+(* A wait ends in [`Timeout] after exactly [wait_bound]. *)
 let test_acquire_timeout () =
   let eng = Sim.Engine.create () in
   let mgr = Manager.create eng in
   check_bool "w" true (Manager.try_acquire mgr ~owner:"a1" ~mode:Mode.Write "k");
-  let outcome = ref (Ok ()) in
+  let outcome = ref (Ok ()) and ended = ref nan in
   Sim.Engine.spawn eng (fun () ->
-      outcome := Manager.acquire mgr ~owner:"a2" ~mode:Mode.Read ~timeout:3.0 "k");
+      outcome := Manager.acquire mgr ~owner:"a2" ~mode:Mode.Read "k";
+      ended := Sim.Engine.now eng);
   Sim.Engine.run eng;
-  check_bool "timed out" true (!outcome = Error `Timeout)
+  check_bool "timed out" true (!outcome = Error `Timeout);
+  Alcotest.(check (float 1e-9)) "after the wait bound" Manager.wait_bound !ended
 
 let test_queue_fairness_no_writer_starvation () =
   let eng = Sim.Engine.create () in
@@ -203,7 +206,7 @@ let test_stale_waiter_keeps_live_entry () =
   check_bool "a writes" true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write "k");
   let b_outcome = ref None in
   Sim.Engine.spawn eng (fun () ->
-      b_outcome := Some (Manager.acquire mgr ~owner:"b" ~mode:Mode.Write ~timeout:5.0 "k"));
+      b_outcome := Some (Manager.acquire mgr ~owner:"b" ~mode:Mode.Write "k"));
   Sim.Engine.schedule eng ~delay:1.0 (fun () ->
       Manager.release_all mgr ~owner:"b";
       Manager.release_all mgr ~owner:"a");
@@ -251,9 +254,13 @@ let prop_holders_pairwise_compatible =
    no index: every whole-table step scans all keys in key order, and a
    waiter leaves its queue as soon as it is cancelled. Owners "p.1" and
    "q.1" are children of "p" and "q", so lock inheritance and
-   [transfer_all] are exercised. Every acquire runs in its own fiber with a
-   timeout ending at a distinct half-unit instant, while operations happen
-   at whole units, so no grant races a timeout. *)
+   [transfer_all] are exercised. Every acquire runs in its own fiber and
+   times out after [wait_bound]. An acquire first moves the clock on by
+   its own fraction of a unit, [(id + 1) / 1024]: forty of them sum to
+   less than one unit, so no two waits end at the same instant, and a
+   step (ten to thirty units) lets waits end mid-run. An operation at the
+   instant a wait ends runs after it, in the manager ([run ~until]
+   processes the timeout first) as in the model ([step]). *)
 
 let owners = [| "p"; "p.1"; "q"; "q.1" |]
 let keys = List.init 6 (Printf.sprintf "k%d")
@@ -261,7 +268,7 @@ let all_modes = [ Mode.Read; Mode.Delta; Mode.Write; Mode.Exclude_write ]
 
 type op =
   | Try of int * Mode.t * int
-  | Acquire of int * Mode.t * int * int
+  | Acquire of int * Mode.t * int
   | Release of int * int
   | Release_all of int
   | Transfer of int
@@ -272,13 +279,12 @@ let key i = List.nth keys i
 
 let pp_op ppf = function
   | Try (o, m, k) -> Format.fprintf ppf "try %s %a %s" owners.(o) Mode.pp m (key k)
-  | Acquire (o, m, k, d) ->
-      Format.fprintf ppf "acquire %s %a %s +%d" owners.(o) Mode.pp m (key k) d
+  | Acquire (o, m, k) -> Format.fprintf ppf "acquire %s %a %s" owners.(o) Mode.pp m (key k)
   | Release (o, k) -> Format.fprintf ppf "release %s %s" owners.(o) (key k)
   | Release_all o -> Format.fprintf ppf "release_all %s" owners.(o)
   | Transfer c -> Format.fprintf ppf "transfer %s" owners.((2 * c) + 1)
   | Promote (o, m, k) -> Format.fprintf ppf "promote %s %a %s" owners.(o) Mode.pp m (key k)
-  | Step n -> Format.fprintf ppf "step %d" n
+  | Step n -> Format.fprintf ppf "step %d" (10 * n)
 
 let gen_op =
   let open QCheck.Gen in
@@ -286,7 +292,7 @@ let gen_op =
   frequency
     [
       (3, map3 (fun o m k -> Try (o, m, k)) o m k);
-      (4, map3 (fun (o, m) k d -> Acquire (o, m, k, d)) (pair o m) k (int_bound 3));
+      (4, map3 (fun o m k -> Acquire (o, m, k)) o m k);
       (2, map2 (fun o k -> Release (o, k)) o k);
       (2, map (fun o -> Release_all o) o);
       (1, map (fun c -> Transfer c) (int_bound 1));
@@ -354,8 +360,8 @@ module Model = struct
         && (install t k ~owner ~mode;
             true)
 
-  let acquire t ~id ~owner ~mode ~timeout k =
-    let w = { id; owner; mode; deadline = t.now +. timeout } in
+  let acquire t ~id ~owner ~mode k =
+    let w = { id; owner; mode; deadline = t.now +. Manager.wait_bound } in
     match List.assoc_opt owner (held t k) with
     | Some h when Mode.covers h mode -> decide t w true
     | Some _ ->
@@ -466,13 +472,15 @@ let run_against_model ops =
           let owner = owners.(o) and k = key k in
           same "try_acquire" (Manager.try_acquire mgr ~owner ~mode k)
             (Model.try_acquire model ~owner ~mode k)
-      | Acquire (o, mode, k, d) ->
+      | Acquire (o, mode, k) ->
           let owner = owners.(o) and k = key k in
-          let timeout = float_of_int d +. 0.5 +. (float_of_int id /. 1000.0) in
+          let until = model.now +. (float_of_int (id + 1) /. 1024.0) in
+          advance until;
+          Model.step model until;
           Sim.Engine.start eng ~group:(Sim.Engine.root_group eng) ~name:"acquirer" (fun () ->
-              let r = Manager.acquire mgr ~owner ~mode ~timeout k in
+              let r = Manager.acquire mgr ~owner ~mode k in
               Hashtbl.replace outcomes id (r = Ok (), Sim.Engine.now eng));
-          Model.acquire model ~id ~owner ~mode ~timeout k
+          Model.acquire model ~id ~owner ~mode k
       | Release (o, k) ->
           Manager.release mgr ~owner:owners.(o) (key k);
           Model.release model ~owner:owners.(o) (key k)
@@ -488,14 +496,14 @@ let run_against_model ops =
           same "promote" (Manager.promote mgr ~owner ~to_mode:mode k)
             (Model.promote model ~owner ~mode k)
       | Step n ->
-          let until = model.now +. float_of_int n in
+          let until = model.now +. float_of_int (10 * n) in
           advance until;
           Model.step model until);
       (* Let woken fibers record their grants. *)
       Sim.Engine.run ~until:model.now eng;
       compare_tables ())
     ops;
-  let until = model.now +. 10.0 in
+  let until = model.now +. Manager.wait_bound +. 1.0 in
   advance until;
   Model.step model until;
   compare_tables ();

@@ -15,17 +15,9 @@ let check_bool = Alcotest.(check bool)
 (* Commit.attach against stub closures: the retry doctrine is a pure
    function of the snapshot and validate verdicts, so drive it directly. *)
 
-let run_attach ?(setup = ignore) ?(exclude = fun _ _ -> Ok ()) ~snapshot_stores
-    ~validate () =
-  let w =
-    Test_replica.make_world ~servers:[ "alpha" ]
-      ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] ()
-  in
-  setup w;
-  let uid =
-    Test_replica.new_object w ~label:"ctr" ~payload:"0"
-      ~stores:[ "beta1"; "beta2" ]
-  in
+(* One write on c under the stub closures: activate, attach commit
+   processing, increment, and run the world until it drains. *)
+let attach_write w uid ~exclude ~snapshot_stores ~validate =
   let outcome = ref (Error "never ran") in
   Net.Network.spawn_on w.Test_replica.net "c" (fun () ->
       outcome :=
@@ -43,7 +35,20 @@ let run_attach ?(setup = ignore) ?(exclude = fun _ _ -> Ok ()) ~snapshot_stores
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
   Sim.Engine.run w.Test_replica.eng;
-  (w, uid, !outcome)
+  !outcome
+
+let run_attach ?(setup = ignore) ?(exclude = fun _ _ -> `Excluded) ~snapshot_stores
+    ~validate () =
+  let w =
+    Test_replica.make_world ~servers:[ "alpha" ]
+      ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] ()
+  in
+  setup w;
+  let uid =
+    Test_replica.new_object w ~label:"ctr" ~payload:"0"
+      ~stores:[ "beta1"; "beta2" ]
+  in
+  (w, uid, attach_write w uid ~exclude ~snapshot_stores ~validate)
 
 let check_stores w uid expected =
   List.iter
@@ -57,17 +62,20 @@ let check_committed (w, uid, outcome) =
   check_bool "committed" true (outcome = Ok ());
   check_stores w uid "1"
 
-(* An aborted commit leaves both stores at the old state and no prepare
-   record behind: every attempt's prepares were withdrawn. *)
-let check_aborted_clean (w, uid, outcome) =
-  check_bool "aborted" true (Result.is_error outcome);
-  check_stores w uid "0";
+let check_logs_clean w =
   List.iter
     (fun s ->
       Alcotest.(check (list string))
         (s ^ " intent log clean") []
         (Store.Intent_log.in_doubt (Action.Store_host.log w.Test_replica.sh s)))
     [ "beta1"; "beta2" ]
+
+(* An aborted commit leaves both stores at the old state and no prepare
+   record behind: every attempt's prepares were aborted. *)
+let check_aborted_clean (w, uid, outcome) =
+  check_bool "aborted" true (Result.is_error outcome);
+  check_stores w uid "0";
+  check_logs_clean w
 
 (* One revision conflict costs exactly one retry: the second validation
    succeeds and the commit lands. *)
@@ -465,10 +473,16 @@ let test_withdraw_reaches_unanswered_store () =
     (Test_replica.store_payload w "beta2" uid);
   beta2_clean r
 
-(* Until its withdrawal lands, beta2 gets no prepare from a later attempt
-   (the late abort could overtake it): the retry counts it unreachable
-   and excludes it, though St still lists it. *)
-let test_unsettled_store_skipped () =
+(* No store is withdrawn between attempts: the retry prepares beta2
+   again, which re-stages the same intent, counts it unreachable once
+   more and excludes it. The validated attempt commits beta1 alone, and
+   beta2's staged prepare gets the abort once the cut heals. The cut
+   outlasts both prepares' timeouts. *)
+let test_retry_reprepares_reached_store () =
+  let cut_beta2_replies w =
+    Net.Fault.cut_oneway_for w.Test_replica.net ~at:0.0 ~duration:150.0
+      ~src:"beta2" ~dst:"c"
+  in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
   let calls = ref 0 and excluded = ref [] in
   let validate _act ~version:_ ~rev:_ =
@@ -477,7 +491,7 @@ let test_unsettled_store_skipped () =
   in
   let exclude _ failed =
     excluded := !excluded @ [ failed ];
-    Ok ()
+    `Excluded
   in
   let ((w, uid, outcome) as r) =
     run_attach ~setup:cut_beta2_replies ~exclude ~snapshot_stores ~validate ()
@@ -485,9 +499,12 @@ let test_unsettled_store_skipped () =
   check_bool "committed" true (outcome = Ok ());
   Alcotest.(check (list (list string)))
     "beta2 excluded by both attempts" [ [ "beta2" ]; [ "beta2" ] ] !excluded;
-  check_int "prepare rounds: beta1 and beta2, then beta1 alone" 3
+  check_int "prepare rounds: beta1 and beta2, twice" 4
     (Sim.Metrics.counter (Net.Network.metrics w.Test_replica.net)
        "rpc.op.store.prepare");
+  Alcotest.(check (option string))
+    "beta1" (Some "1")
+    (Test_replica.store_payload w "beta1" uid);
   Alcotest.(check (option string))
     "beta2 untouched" (Some "0")
     (Test_replica.store_payload w "beta2" uid);
@@ -506,6 +523,40 @@ let test_validated_attempt_settles_excluded_store () =
     "beta1" (Some "1")
     (Test_replica.store_payload w "beta1" uid);
   beta2_clean r
+
+(* A phase-2 commit lost on its way to a store is delivered again. A
+   one-way cut c->beta1, set inside [validate] (just before phase 2)
+   and healed 5.0 later, drops the commit round's leg to beta1; Atomic's
+   release rule retries it until it lands. Without the retry beta1 would
+   hold the write's reservation forever, and the next write would abort
+   as a stale activation. *)
+let test_lost_phase2_is_retried () =
+  let world = ref None and cut = ref false in
+  let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
+  let validate _act ~version:_ ~rev:_ =
+    (if not !cut then
+       let w = Option.get !world in
+       let now = Sim.Engine.now w.Test_replica.eng in
+       Net.Fault.cut_oneway_for w.Test_replica.net ~at:now ~duration:5.0
+         ~src:"c" ~dst:"beta1";
+       cut := true);
+    `Validated
+  in
+  let ((w, uid, _) as r) =
+    run_attach ~setup:(fun w -> world := Some w) ~snapshot_stores ~validate ()
+  in
+  check_committed r;
+  check_bool "the first phase 2 missed beta1" true
+    (Sim.Metrics.counter (Net.Network.metrics w.Test_replica.net)
+       "action.release_deferred"
+    >= 1);
+  check_logs_clean w;
+  let second =
+    attach_write w uid ~exclude:(fun _ _ -> `Excluded) ~snapshot_stores ~validate
+  in
+  check_bool "second write committed" true (second = Ok ());
+  check_stores w uid "2";
+  check_logs_clean w
 
 let suite =
   [
@@ -528,9 +579,12 @@ let suite =
         Test_util.qcheck prop_optimistic_churn_exact;
         Alcotest.test_case "withdrawal reaches an unanswered store" `Quick
           test_withdraw_reaches_unanswered_store;
-        Alcotest.test_case "an unsettled store gets no later prepare" `Quick
-          test_unsettled_store_skipped;
+        Alcotest.test_case
+          "a retried attempt re-prepares a store its earlier attempt reached, and the store ends clean"
+          `Quick test_retry_reprepares_reached_store;
         Alcotest.test_case "a validated attempt settles an excluded store"
           `Quick test_validated_attempt_settles_excluded_store;
+        Alcotest.test_case "a lost store phase 2 is retried" `Quick
+          test_lost_phase2_is_retried;
       ] );
   ]

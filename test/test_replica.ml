@@ -106,7 +106,7 @@ let test_single_copy_commit_writes_all_stores () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok r -> check_string "reply" "1" r
                 | Error e ->
@@ -130,7 +130,7 @@ let test_single_copy_server_crash_aborts () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
@@ -158,7 +158,7 @@ let test_single_copy_server_recovered_aborts () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
@@ -182,7 +182,7 @@ let test_read_only_skips_copy () =
              with
              | Error e -> raise (Action.Atomic.Abort e)
              | Ok g -> (
-                 attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                 attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                  match Group.invoke w.grt g ~act ~write:false "get" with
                  | Ok r -> check_string "read" "7" r
                  | Error _ -> raise (Action.Atomic.Abort "invoke failed")))));
@@ -209,7 +209,7 @@ let test_commit_excludes_crashed_store () =
             | Ok g ->
                 attach_commit w act g ~exclude:(fun _ failed ->
                     excluded := failed;
-                    Ok ());
+                    `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
@@ -250,7 +250,7 @@ let test_withdraw_prepares_mixed_votes () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
@@ -293,7 +293,7 @@ let test_commit_aborts_when_all_stores_down () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "incr" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
@@ -320,7 +320,7 @@ let test_actions_isolated_by_locks () =
                with
                | Error e -> raise (Action.Atomic.Abort e)
                | Ok g -> (
-                   attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                   attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                    match Group.invoke w.grt g ~act ("deposit " ^ string_of_int amount) with
                    | Ok r ->
                        order := (client, r) :: !order;
@@ -347,7 +347,7 @@ let test_abort_discards_staged_write () =
              with
              | Error e -> raise (Action.Atomic.Abort e)
              | Ok g ->
-                 attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                 attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                  ignore (Group.invoke w.grt g ~act "deposit 50");
                  raise (Action.Atomic.Abort "rollback"))));
   Sim.Engine.run w.eng;
@@ -367,7 +367,7 @@ let active_deposit w uid ~client ~servers ~stores amount =
       with
       | Error e -> raise (Action.Atomic.Abort e)
       | Ok g -> (
-          attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+          attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
           match Group.invoke w.grt g ~act ("deposit " ^ string_of_int amount) with
           | Ok r -> (g, r)
           | Error e ->
@@ -408,7 +408,7 @@ let test_active_masks_replica_crash () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "deposit 5" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "first invoke failed"));
@@ -461,7 +461,7 @@ let test_cc_normal_operation_checkpoints () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g -> (
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 match Group.invoke w.grt g ~act "deposit 30" with
                 | Ok r -> check_string "reply" "30" r
                 | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
@@ -488,7 +488,7 @@ let test_cc_failover_continues_action () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "deposit 30" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "first invoke failed"));
@@ -527,7 +527,7 @@ let test_cc_dead_instance_ignores_phase2 () =
             with
             | Error e -> raise (Action.Atomic.Abort e)
             | Ok g ->
-                attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                 (match Group.invoke w.grt g ~act "deposit 30" with
                 | Ok _ -> ()
                 | Error _ -> raise (Action.Atomic.Abort "first invoke failed"));
@@ -618,7 +618,7 @@ let test_passivation_after_quiescence () =
              | Error e -> raise (Action.Atomic.Abort e)
              | Ok grp ->
                  g := Some grp;
-                 attach_commit w act grp ~exclude:(fun _ _ -> Ok ());
+                 attach_commit w act grp ~exclude:(fun _ _ -> `Excluded);
                  ignore (Group.invoke w.grt grp ~act "incr")));
       (* After commit the instance is quiescent; passivation succeeds. *)
       match !g with
@@ -644,7 +644,7 @@ let test_passivation_refused_while_in_use () =
              with
              | Error e -> raise (Action.Atomic.Abort e)
              | Ok g -> (
-                 attach_commit w act g ~exclude:(fun _ _ -> Ok ());
+                 attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
                  ignore (Group.invoke w.grt g ~act "incr");
                  (* Mid-action: locks held, passivation must refuse. *)
                  match Server.passivate w.srv ~from:"c" ~server:"alpha" ~uid with
