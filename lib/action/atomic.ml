@@ -215,8 +215,8 @@ let deactivate t =
    failure with the node still up, a reaper fiber retries in the
    background until the release lands or the node dies (its volatile
    state dies with it; a store settles its intent on recovery). No
-   [~dst]: an unreachable-but-up node is a link problem and must not
-   open the destination's breaker. *)
+   [~dst]: the loop checks the node's liveness itself, since a release
+   to a down node is not retried at all. *)
 let release_later t ~node ~op call =
   let net = network t.rt in
   let up () = Net.Network.is_up net node in

@@ -41,7 +41,7 @@ val network : runtime -> Net.Network.t
 val engine : runtime -> Sim.Engine.t
 
 val retry : runtime -> Net.Retry.t
-(** The world's shared retry engine (one breaker table per world). All
+(** The world's shared retry engine (its jitter stream). All
     protocol-level retry loops — recovery probes, reintegration, cleanup,
     flushes, router waits, group failover — go through it. *)
 

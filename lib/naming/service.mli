@@ -26,8 +26,8 @@ type t
 
 type gray_failure = Net.Network.gray_failure =
   | Hedged
-      (** hedged scatter-gathers, deadline shedding and degraded breaker
-          trips (docs/PROTOCOLS.md §15) *)
+      (** hedged idempotent calls plus latency-ranked server preference
+          (docs/PROTOCOLS.md §15) *)
   | Autonomic
       (** [Hedged] plus sibling-hedge routing and the autonomic
           membership controllers (docs/PROTOCOLS.md §16) *)
@@ -77,13 +77,11 @@ val create :
     only inside [Net]:
     - [Hedged] turns on hedged idempotent calls (2PC prepares and
       phase-2 deliveries, group role and commit-view probes, plain naming
-      reads) plus latency-ranked server preference;
-      deadline shedding, where servers refuse calls whose initiator's
+      reads) plus latency-ranked server preference. Deadline shedding
+      needs no profile: a server refuses any call whose initiator's
       deadline has already passed (metric [retry.shed_expired]; only
       abortable phase-1 work carries deadlines — phase-2 of a decided
-      outcome is never shed); and retry-breaker trips on sustained
-      slowness as reported by {!Net.Health}, with latency-checked
-      half-open recovery.
+      outcome is never shed).
     - [Autonomic] is [Hedged] plus sibling-hedge routing — a hedged
       commit-path leg's backup copy goes to a healthy {e sibling} [St]
       member when the primary is sustainedly slow (a sibling win counts

@@ -4,9 +4,9 @@
    scatter — needs a *score*. Every RPC completion feeds one sample here
    (pure arithmetic on the virtual clock: no RNG draws, no events, so the
    always-on bookkeeping leaves fault-free worlds byte-identical). The
-   consumers are Retry's degraded breaker trips, the hedged scatter delay,
-   and health-ordered replica preference — all live only under a
-   gray-failure profile ({!Network.gray_failure}). *)
+   consumers are the hedged scatter delay, health-ordered replica
+   preference and sibling routing — all live only under a gray-failure
+   profile ({!Network.gray_failure}) — and the autonomic controllers. *)
 
 (* Both records are all-float, so OCaml stores their fields unboxed and
    updating a sample allocates nothing; the sample counts are floats for
@@ -66,8 +66,6 @@ let slow_threshold t =
   let f = t.fleet in
   Float.max slow_floor (3.0 *. (if f.g_samples = 0.0 then 0.0 else f.g_ewma))
 
-let is_slow t ~latency = latency > slow_threshold t
-
 (* The first sample of a series is taken as is; later ones blend in. *)
 let[@inline] blend ~first prev x =
   if first then x else ((1.0 -. alpha) *. prev) +. (alpha *. x)
@@ -82,7 +80,7 @@ let count_sample d ~now =
   d.d_last <- now
 
 let note_ok t ~dst ~now ~latency =
-  let slow = is_slow t ~latency in
+  let slow = latency > slow_threshold t in
   let d = dest t dst in
   note_slow d ~now ~slow;
   let first = d.d_samples = 0.0 in
@@ -134,9 +132,10 @@ let rank t ~now nodes =
     (fun a b -> Float.compare (score t ~now b) (score t ~now a))
     nodes
 
-(* Sustained slowness — the degraded-breaker trip condition. Requires a
-   real streak (several samples, decayed indicator past the bar), so one
-   unlucky round trip cannot shed a healthy destination. *)
+(* Sustained slowness — what sibling routing and the autonomic
+   controllers act on. Requires a real streak (several samples, decayed
+   indicator past the bar), so one unlucky round trip cannot condemn a
+   healthy destination. *)
 let sustained_slow_bar = 0.6
 let sustained_slow_min_samples = 4.0
 

@@ -7,8 +7,8 @@
     round-trip latency, a smoothed deviation, and a time-decaying
     slow-call indicator, plus fleet-wide aggregates. The RPC layer feeds
     every call completion in; consumers derive a health score (replica
-    ranking), a sustained-slowness verdict (the retry breaker's
-    "degraded" trips) and the hedge delay for backup requests.
+    ranking), a sustained-slowness verdict (sibling routing and the
+    autonomic controllers) and the hedge delay for backup requests.
 
     All bookkeeping is pure arithmetic on the virtual clock — no RNG
     draws, no scheduled events — so feeding it unconditionally leaves
@@ -38,16 +38,13 @@ val note_failure : t -> dst:string -> now:float -> unit
     fast a node answers when it does answer is a separate question from
     whether it answered. *)
 
-val is_slow : t -> latency:float -> bool
-(** Whether a latency would be classified slow right now. *)
-
 val rank : t -> now:float -> string list -> string list
 (** Stable sort, healthiest first. Ties — including all-unknown worlds —
     preserve the caller's order, so replica preference is unchanged
     wherever health has nothing to say. *)
 
 val sustained_slow : t -> now:float -> string -> bool
-(** The degraded-trip condition: at least 4 samples and a decayed slow
+(** The sustained-slowness verdict: at least 4 samples and a decayed slow
     indicator ≥ 0.6. One unlucky round trip can never shed a healthy
     destination. *)
 

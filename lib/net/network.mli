@@ -31,9 +31,7 @@ exception Unknown_node of node_id
 type gray_failure =
   | Hedged
       (** hedged scatter-gathers for idempotent fan-outs with
-          latency-ranked replica preference, server-side shedding of
-          calls whose propagated deadline has passed, and retry-breaker
-          trips on sustained slowness (docs/PROTOCOLS.md §15) *)
+          latency-ranked replica preference (docs/PROTOCOLS.md §15) *)
   | Autonomic
       (** [Hedged] plus sibling-hedge routing: a hedged commit-path leg's
           backup copy goes to a healthy sibling [St] member, and
@@ -41,8 +39,8 @@ type gray_failure =
           controllers of §16 are started by the naming tier's world
           assembly, which reads the same setting. *)
 (** The gray-failure profile of a world: which resilience planes are
-    live. A network created without one runs every fan-out, call and
-    breaker on the plain path. *)
+    live. A network created without one runs every fan-out and call on
+    the plain path. *)
 
 val create :
   ?latency:(Sim.Rng.t -> float) ->
@@ -68,7 +66,7 @@ val metrics : t -> Sim.Metrics.t
 
 val health : t -> Health.t
 (** The network's latency-health tracker. The RPC layer feeds every call
-    completion into it; retry breakers, hedged scatters and replica
+    completion into it; hedged scatters, sibling routing and replica
     ranking read it. Always on — its bookkeeping is pure arithmetic, so
     fault-free worlds are unperturbed. *)
 
@@ -76,12 +74,12 @@ val gray_failure : t -> gray_failure option
 (** The profile the network was created with. *)
 
 val hedged : t -> bool
-(** Whether any gray-failure profile is set. Hedged idempotent calls,
-    deadline shedding ({!Rpc.call}) and degraded breaker trips
-    ({!Retry.run}) are live under both [Hedged] and [Autonomic]. The
-    profile is read only inside this library: layers above declare what
-    a call is ({!Rpc.call}'s [idempotent], {!Rpc.call_all}'s [replicas])
-    and ask for an order ({!rank_servers}, {!rank_stores}). *)
+(** Whether any gray-failure profile is set. Hedged idempotent calls
+    ({!Rpc.call}) and health-ranked server preference are live under
+    both [Hedged] and [Autonomic]. The profile is read only inside this
+    library: layers above declare what a call is ({!Rpc.call}'s
+    [idempotent], {!Rpc.call_all}'s [replicas]) and ask for an order
+    ({!rank_servers}, {!rank_stores}). *)
 
 val rank_servers : t -> node_id list -> node_id list
 (** Candidate servers in preference order: under any gray-failure

@@ -166,9 +166,7 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
                 request metadata. If the initiator has already given up by
                 the time the request is unpacked, running the handler is
                 pure waste — a shedding server answers [Timed_out] at once
-                instead of holding locks for a doomed round. Live only
-                under a gray-failure profile ({!Network.hedged}); without
-                one the deadline is carried but never acted on. *)
+                instead of holding locks for a doomed round. *)
              (* Cooperative hedge cancellation: if the race this copy
                 belongs to has already settled, the delivery is dropped
                 before the handler runs — indistinguishable from a lost
@@ -182,7 +180,7 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
              in
              let expired =
                match deadline_at with
-               | Some d -> Network.hedged t.net && Sim.Engine.now eng > d
+               | Some d -> Sim.Engine.now eng > d
                | None -> false
              in
              if dead then begin

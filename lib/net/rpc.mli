@@ -82,13 +82,12 @@ val call :
     fiber. Every call bumps the aggregate [rpc.calls] counter and a
     per-operation [rpc.op.<endpoint name>] counter, and feeds its
     round-trip outcome into {!Network.health}. [deadline_at] propagates
-    the initiator's absolute deadline in the request metadata. Under a
-    gray-failure profile ({!Network.hedged}) the server sheds a request
-    whose deadline has already passed at unpack time: it answers
-    [Error Timed_out] at once instead of running the handler, since the
-    initiator has given up and the work (and any locks it would take) is
-    pure waste. Each shed bumps [retry.shed_expired]. Without a profile
-    the deadline is carried but never acted on.
+    the initiator's absolute deadline in the request metadata. The
+    server sheds a request whose deadline has already passed at unpack
+    time: it answers [Error Timed_out] at once instead of running the
+    handler, since the initiator has given up and the work (and any locks
+    it would take) is pure waste. Each shed bumps [retry.shed_expired].
+    No profile is read to shed.
 
     [idempotent] (default [false]) declares that running the handler
     twice is harmless. Under a gray-failure profile such a call is

@@ -314,8 +314,8 @@ let invoke rt g ~act ?(write = true) op =
   in
   (* Lock refusals under contention are transient — the holder commits
      and releases within a bounded action — so back off and retry rather
-     than bouncing the whole bind. No [~dst]: a lock refusal says nothing
-     about the node's health, and must not trip the breaker. *)
+     than bouncing the whole bind. No [~dst]: a lock refusal comes from a
+     live node, so there is nothing for the failure detector to shed. *)
   match
     Net.Retry.run (Action.Atomic.retry (art rt))
       ?deadline_at:(Action.Atomic.deadline act) ~op:"group.invoke"

@@ -6,8 +6,8 @@ open Naming
    spans two stores, one of which is browned out for the whole run:
    every message into or out of it may gain a uniform service-time
    inflation, always below the 30s lock/multicast timeouts — the node is
-   slow, never dead, so nothing in the failure detectors or breakers
-   fires on its own. Each brownout probability runs the SAME seed twice:
+   slow, never dead, so nothing in the failure detector fires on its
+   own. Each brownout probability runs the SAME seed twice:
    once without a gray-failure profile (the seed behaviour) and once
    under the [Hedged] profile, so the only difference is that plane —
    chiefly the per-destination health tracker delaying a backup copy of

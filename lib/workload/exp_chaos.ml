@@ -192,15 +192,16 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        snapshots and the group-commit plane and binds scheme A with one
        [gvd.bind] request, so batch leadership, peel-outs and orphaned members
        all run under the fault schedule. The brownout world runs the
-       [Hedged] gray-failure profile — hedged scatters, deadline shedding
+       [Hedged] gray-failure profile — hedged scatters and ranked
+       servers — and 25s action deadlines that servers shed once expired
        (a batch of one, peel-outs and orphan retries carry the action
-       deadline), degraded breaker trips. The autonomic world runs the [Autonomic]
-       profile on the brownout world's schedule: three controller
-       daemons (one per server) probing the stores, plus sibling-hedge
-       routing on the commit path — flapping brownouts,
-       crash churn and the controllers' Exclude/Include churn all share
-       the schedule, and the audit must still come out clean without the
-       membership plane livelocking (hysteresis + cooldown). *)
+       deadline). The autonomic world runs the [Autonomic] profile on
+       the brownout world's schedule: three controller daemons (one per
+       server) probing the stores, plus sibling-hedge routing on the
+       commit path — flapping brownouts, crash churn and the
+       controllers' Exclude/Include churn all share the schedule, and
+       the audit must still come out clean without the membership plane
+       livelocking (hysteresis + cooldown). *)
     Service.create ~seed ~durable_naming:durable
       ?gray_failure:
         (if autonomic then Some Service.Autonomic
@@ -555,10 +556,9 @@ let run_check ?(seeds = default_seeds) () =
       "timeout) to the durable crash pool and runs the resilience plane";
       "against them: hedged 2PC/naming scatters, 25s action deadlines";
       "with server-side shedding of expired phase-1 work";
-      "(retry.shed_expired must fire somewhere in the seed set), and";
-      "breaker trips on sustained slowness. The autonomic";
-      "world stacks the §16 membership plane on the brownout knobs:";
-      "per-server controller daemons probing the stores and driving";
+      "(retry.shed_expired must fire somewhere in the seed set). The";
+      "autonomic world stacks the §16 membership plane on the brownout";
+      "knobs: per-server controller daemons probing the stores and driving";
       "health-based Exclude/Include through the validated rounds, plus";
       "sibling-hedge routing of commit-path backup copies — flapping";
       "brownouts must not livelock membership (hysteresis + cooldown),";

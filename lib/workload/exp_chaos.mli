@@ -19,11 +19,10 @@
     crash pool extended with gray
     failures — {!Net.Fault.brownout_for} service-time inflation that
     stays below every timeout — under the [Hedged] gray-failure profile:
-    hedged scatter-gathers, 25s action deadlines propagated to servers
-    that shed expired phase-1 work, and breaker trips on sustained
-    slowness. Over the default seeds, the check additionally fails if
-    [retry.shed_expired] never fired across the brownout runs — the
-    shedding plane must be exercised, not merely enabled), and {e autonomic} (the brownout world under the
+    hedged scatter-gathers, plus 25s action deadlines propagated to
+    servers that shed expired phase-1 work. Over the default seeds, the
+    check additionally fails if [retry.shed_expired] never fired across
+    the brownout runs — the shedding plane must be exercised, not merely enabled), and {e autonomic} (the brownout world under the
     [Autonomic] profile, adding the §16 membership plane: one
     {!Replica.Autonomic} controller daemon per server probing the stores and
     driving health-based Exclude/Include through the validated membership
@@ -63,8 +62,8 @@ val run_world :
   seed:int64 -> events:fault_event list -> unit -> outcome
 (** One full run: build the world from [seed] (durable naming iff
     [durable]; iff [brownout], the [Hedged] gray-failure profile — hedged
-    scatters, server-side deadline shedding, degraded breaker trips — with
-    25s action deadlines; iff
+    scatters and ranked servers — with 25s action deadlines, which servers
+    shed once expired; iff
     [autonomic], the [Autonomic] profile instead, adding the §16 membership
     plane and sibling-hedge routing), inject [events], drive the workload to
     quiescence, audit. Each phase must quiesce by t=10000: a world still

@@ -511,6 +511,40 @@ let test_recovery_presumed_abort_on_coordinator_crash () =
   check_int "no in-doubt" 0
     (List.length (Intent_log.in_doubt (Store_host.log w.sh "s1")))
 
+let test_in_doubt_settles_promptly_after_coordinator_recovery () =
+  (* A store votes yes, then its coordinator crashes for 150 and
+     recovers. The store's decision probes are shed while the failure
+     detector reports the coordinator down; the first probe after
+     recovery must reach it. So the intent settles within one backoff of
+     the crash budget (cap 8.0, plus 10% jitter) and one round trip
+     after the recovery, however long the crash lasted. *)
+  let w = make_world [ "client"; "s1" ] in
+  let uid = Uid.fresh w.sup ~label:"a" in
+  Net.Network.spawn_on w.net "client" (fun () ->
+      ignore
+        (Atomic.atomically w.rt ~node:"client" (fun act ->
+             Store_participant.add act ~store:"s1" ~writes:(fun () ->
+                 [ (uid, Object_state.initial "doomed") ]);
+             Atomic.add_participant act ~name:"slow"
+               ~prepare:(fun () ->
+                 Sim.Engine.sleep w.eng 50.0;
+                 true)
+               ~commit:(fun () -> ())
+               ~abort:(fun () -> ()))));
+  let in_doubt () =
+    List.length (Intent_log.in_doubt (Store_host.log w.sh "s1"))
+  in
+  let recovered_at = 170.0 in
+  Net.Fault.crash_for w.net ~at:20.0 ~duration:(recovered_at -. 20.0) "client";
+  Sim.Engine.run ~until:recovered_at w.eng;
+  check_int "in doubt while the coordinator is down" 1 (in_doubt ());
+  (* Two hops at the default latency model's maximum of 1.5. *)
+  let round_trip = 2.0 *. 1.5 in
+  Sim.Engine.run ~until:(recovered_at +. (8.0 *. 1.1) +. round_trip) w.eng;
+  check_int "settled within one backoff of the recovery" 0 (in_doubt ());
+  Sim.Engine.run w.eng;
+  Alcotest.(check (option string)) "presumed abort" None (payload_on w "s1" uid)
+
 let test_recovery_waits_while_action_active () =
   (* The store recovers while the coordinator is still in phase 1: the
      decision service answers D_active and recovery retries until the
@@ -577,5 +611,7 @@ let suite =
         tc "presumed abort on coordinator crash" `Quick
           test_recovery_presumed_abort_on_coordinator_crash;
         tc "waits while action active" `Quick test_recovery_waits_while_action_active;
+        tc "in-doubt settles promptly after a long coordinator crash" `Quick
+          test_in_doubt_settles_promptly_after_coordinator_recovery;
       ] );
   ]

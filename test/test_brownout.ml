@@ -1,6 +1,6 @@
 (* Tests for the gray-failure resilience plane: the per-destination
-   latency health tracker, deadline propagation and server-side shedding,
-   the deadline-independent forced half-open probe, daemon-aware drains
+   latency health tracker, deadline propagation and server-side shedding
+   (which needs no profile), daemon-aware drains
    (periodic controllers no longer block quiescence), cooperative hedge
    cancellation, the tab-brownout tier-1 pin (hedged p99 commit latency
    >= 2x better than unhedged under a browned-out store), and the
@@ -105,14 +105,15 @@ let shed_world ?gray_failure () =
 
 let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "echo"
 
-let test_shed_expired_refuses_work () =
-  let eng, net, rpc = shed_world ~gray_failure:Net.Network.Hedged () in
+(* The initiator's deadline has already passed when the request lands:
+   the server must refuse without running the handler, whatever the
+   world's gray-failure profile. *)
+let check_expired_is_shed ?gray_failure () =
+  let eng, net, rpc = shed_world ?gray_failure () in
   let ran = ref 0 in
   Net.Rpc.serve rpc ~node:"server" echo (fun s -> incr ran; s);
   let got = ref (Ok "unset") in
   Net.Network.spawn_on net "client" (fun () ->
-      (* The initiator's deadline has already passed when the request
-         lands: the server must refuse without running the handler. *)
       got := Net.Rpc.call rpc ~from:"client" ~dst:"server" ~deadline_at:0.0
                echo "hi");
   Sim.Engine.run eng;
@@ -122,54 +123,10 @@ let test_shed_expired_refuses_work () =
   check_int "shed counted" 1
     (Sim.Metrics.counter (Net.Network.metrics net) "retry.shed_expired")
 
-let test_shed_off_deadline_is_inert () =
-  let eng, net, rpc = shed_world () in
-  let ran = ref 0 in
-  Net.Rpc.serve rpc ~node:"server" echo (fun s -> incr ran; s);
-  let got = ref (Error Net.Rpc.Timed_out) in
-  Net.Network.spawn_on net "client" (fun () ->
-      got := Net.Rpc.call rpc ~from:"client" ~dst:"server" ~deadline_at:0.0
-               echo "hi");
-  Sim.Engine.run eng;
-  Alcotest.(check (result string (of_pp Net.Rpc.pp_error)))
-    "carried but not acted on" (Ok "hi") !got;
-  check_int "handler ran" 1 !ran;
-  check_int "nothing shed" 0
-    (Sim.Metrics.counter (Net.Network.metrics net) "retry.shed_expired")
+let test_shed_expired_refuses_work () =
+  check_expired_is_shed ~gray_failure:Net.Network.Hedged ()
 
-(* ------------------------------------------------------------------ *)
-(* Breaker: the half-open probe must not starve under a caller deadline *)
-
-let test_forced_probe_under_deadline () =
-  let eng, net, _ = shed_world () in
-  let retry = Net.Retry.create net in
-  let m = Net.Network.metrics net in
-  let healthy = ref false in
-  let body () = if !healthy then Ok () else Error "down" in
-  let quick = Net.Retry.policy ~attempts:1 () in
-  let outcome = ref (Error "unset") in
-  Net.Network.spawn_on net "client" (fun () ->
-      (* Three consecutive failures open the breaker (cooldown 8s). *)
-      for _ = 1 to 3 do
-        ignore (Net.Retry.run retry ~dst:"server" ~op:"t" quick body)
-      done;
-      check_bool "breaker open" true (Net.Retry.breaker_open retry "server");
-      healthy := true;
-      (* The caller's whole deadline ends before the cooldown does. A
-         naive breaker sheds every attempt and the caller never learns
-         the destination recovered; the fix forces one attempt through
-         as the half-open probe, independent of the cooldown clock. *)
-      let deadline_at = Sim.Engine.now eng +. 2.0 in
-      outcome :=
-        Net.Retry.run retry ~dst:"server" ~deadline_at ~op:"t"
-          (Net.Retry.policy ~attempts:3 ~base:0.5 ())
-          body);
-  Sim.Engine.run eng;
-  check_bool "recovered result reached the caller" true (!outcome = Ok ());
-  check_bool "probe was forced through the open breaker" true
-    (Sim.Metrics.counter m "retry.forced_probes" >= 1);
-  check_bool "breaker closed by the successful probe" false
-    (Net.Retry.breaker_open retry "server")
+let test_shed_expired_without_profile () = check_expired_is_shed ()
 
 (* ------------------------------------------------------------------ *)
 (* Daemon-aware drain: periodic controllers must not block quiescence *)
@@ -250,9 +207,9 @@ let test_hedge_cancellation_keeps_rounds_sound () =
 (* The gray-failure profile: one setting, three worlds. Each row names
    the planes that must be live under its profile, and each plane is
    probed by its own observable effect: hedged scatters and sibling
-   wins against a store browned out on every message, a call whose
-   deadline passed before it landed, a retry towards a destination the
-   health plane reports sustainedly slow, and the controller handle.
+   wins against a store browned out on every message, and the
+   controller handle. A call whose deadline passed before it landed is
+   shed under every profile.
    Only health records are forged ([forge_slow]); every decision taken
    on them is the plane's own. *)
 
@@ -266,7 +223,6 @@ type planes = {
   p_hedges : int;
   p_sibling_wins : int;
   p_shed : bool;
-  p_tripped : bool;
   p_controllers : bool;
 }
 
@@ -300,25 +256,16 @@ let probe_planes gray_failure =
   Service.run ~until:400.0 w;
   let rpc = Action.Atomic.rpc (Service.atomic w) in
   Net.Rpc.serve rpc ~node:"alpha" echo Fun.id;
-  let shed = ref false and tripped = ref false in
+  let shed = ref false in
   Service.spawn_client w "c1" (fun () ->
       shed :=
         Net.Rpc.call rpc ~from:"c1" ~dst:"alpha" ~deadline_at:0.0 echo "hi"
-        = Error Net.Rpc.Timed_out;
-      forge_slow net ~now:(Sim.Engine.now eng) "ns";
-      let retry = Action.Atomic.retry (Service.atomic w) in
-      tripped :=
-        Result.is_error
-          (Net.Retry.run retry ~dst:"ns" ~op:"probe"
-             (Net.Retry.policy ~attempts:1 ())
-             (fun () -> Ok ()))
-        && Net.Retry.breaker_open retry "ns");
+        = Error Net.Rpc.Timed_out);
   Service.run ~until:800.0 w;
   {
     p_hedges = Sim.Metrics.counter m "rpc.hedges";
     p_sibling_wins = Sim.Metrics.counter m "rpc.sibling_wins";
     p_shed = !shed;
-    p_tripped = !tripped;
     p_controllers = Service.autonomic w <> None;
   }
 
@@ -327,8 +274,7 @@ let test_profiles_switch_their_planes () =
     (fun (label, gray_failure, hedged, autonomic) ->
       let p = probe_planes gray_failure in
       check_bool (label ^ ": hedged scatters") hedged (p.p_hedges > 0);
-      check_bool (label ^ ": deadline shedding") hedged p.p_shed;
-      check_bool (label ^ ": degraded breaker trips") hedged p.p_tripped;
+      check_bool (label ^ ": deadline shedding") true p.p_shed;
       check_bool (label ^ ": sibling routing") autonomic (p.p_sibling_wins > 0);
       check_bool (label ^ ": autonomic controllers") autonomic p.p_controllers)
     [
@@ -479,10 +425,8 @@ let suite =
           test_health_hedge_delay_floor;
         Alcotest.test_case "shedding refuses expired work" `Quick
           test_shed_expired_refuses_work;
-        Alcotest.test_case "deadline metadata inert with shedding off" `Quick
-          test_shed_off_deadline_is_inert;
-        Alcotest.test_case "forced half-open probe beats the deadline" `Quick
-          test_forced_probe_under_deadline;
+        Alcotest.test_case "an expired request is shed without a profile"
+          `Quick test_shed_expired_without_profile;
         Alcotest.test_case "autonomic daemons never block the drain"
           `Quick test_autonomic_daemons_drain;
         Alcotest.test_case "pin: hedged p99 >= 2x under brownout" `Quick

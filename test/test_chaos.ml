@@ -25,7 +25,8 @@ let test_retry_deadline () =
       let deadline_at = Sim.Engine.now eng +. 5.0 in
       let out =
         Net.Retry.run r ~deadline_at ~op:"test.deadline"
-          (Net.Retry.policy ~attempts:50 ~base:1.0 ~factor:2.0 ())
+          (Net.Retry.policy ~attempts:50 ~base:1.0 ~factor:2.0
+             ~max_delay:16.0 ())
           (fun () ->
             incr calls;
             Error "never")
@@ -48,7 +49,8 @@ let backoff_schedule ~seed =
   Net.Network.spawn_on net "a" (fun () ->
       ignore
         (Net.Retry.run r ~op:"test.jitter"
-           (Net.Retry.policy ~attempts:8 ~base:1.0 ~factor:1.7 ())
+           (Net.Retry.policy ~attempts:8 ~base:1.0 ~factor:1.7
+              ~max_delay:16.0 ())
            (fun () ->
              stamps := Sim.Engine.now eng :: !stamps;
              Error "never")));
@@ -64,36 +66,6 @@ let test_retry_jitter_deterministic () =
     (List.exists (fun t -> Float.rem t 1.0 <> 0.0) a);
   check_bool "different seed, different schedule" true (a <> c)
 
-let test_retry_breaker () =
-  let eng, net, r = retry_world () in
-  let m = Net.Network.metrics net in
-  Net.Network.spawn_on net "a" (fun () ->
-      (* Three consecutive failures open the breaker for dst "b". *)
-      ignore
-        (Net.Retry.run r ~dst:"b" ~op:"test.breaker"
-           (Net.Retry.policy ~attempts:3 ~base:1.0 ~factor:1.0 ())
-           (fun () -> Error "down"));
-      check_bool "breaker open after threshold" true (Net.Retry.breaker_open r "b");
-      check_int "one open event" 1 (Sim.Metrics.counter m "retry.breaker_opens");
-      (* While open, attempts are shed: the body is not invoked. The
-         cooldown is 8.0, the backoff below crosses it, and the half-open
-         probe then executes the body; success closes the breaker. *)
-      let invocations = ref 0 in
-      let out =
-        Net.Retry.run r ~dst:"b" ~op:"test.breaker"
-          (Net.Retry.policy ~attempts:8 ~base:4.0 ~factor:1.0 ())
-          (fun () ->
-            incr invocations;
-            Ok ())
-      in
-      check_bool "eventually succeeds" true (Result.is_ok out);
-      check_int "only the half-open probe executed" 1 !invocations;
-      check_bool "sheds were counted" true
-        (Sim.Metrics.counter m "retry.sheds" >= 2);
-      check_bool "breaker closed by probe success" false
-        (Net.Retry.breaker_open r "b"));
-  Sim.Engine.run eng
-
 let test_retry_sheds_down_node () =
   let eng, net, r = retry_world () in
   Net.Network.crash net "b";
@@ -101,7 +73,8 @@ let test_retry_sheds_down_node () =
       let invocations = ref 0 in
       ignore
         (Net.Retry.run r ~dst:"b" ~op:"test.shed"
-           (Net.Retry.policy ~attempts:4 ~base:1.0 ())
+           (Net.Retry.policy ~attempts:4 ~base:1.0 ~factor:2.0
+              ~max_delay:16.0 ())
            (fun () ->
              incr invocations;
              Error "unreachable"));
@@ -397,7 +370,6 @@ let suite =
       [
         tc "deadline exhaustion" `Quick test_retry_deadline;
         tc "jitter deterministic per seed" `Quick test_retry_jitter_deterministic;
-        tc "breaker open and half-open" `Quick test_retry_breaker;
         tc "sheds to down nodes" `Quick test_retry_sheds_down_node;
       ] );
     ( "chaos.faults",
