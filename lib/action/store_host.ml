@@ -92,8 +92,8 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
   let netw = Net.Rpc.network t.rpc_rt in
   (* Backward validation: each write must be the direct successor of
      the committed state (or recreate the same version during a
-     recovery replay). A gap or a sibling version means the writer
-     activated from a stale state. *)
+     recovery replay). A gap, or another state at the current version,
+     means the writer activated from a stale state. *)
   let valid (uid, state) =
     match Store.Object_store.read h.h_objects uid with
     | None -> true
@@ -104,7 +104,7 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
   in
   (* A pending prepare of another action is a write reservation:
      admitting a second writer for the same object would let two
-     version-(n+1) siblings both commit (the apply order, not the
+     different version-(n+1) states both commit (the apply order, not the
      validation, would then pick the survivor). *)
   let reserved (uid, _) =
     List.exists
@@ -220,26 +220,15 @@ let probe t ~from ~store = Net.Rpc.call t.rpc_rt ~from ~dst:store t.ep_probe ()
 (* The 2PC fan-outs below are idempotent at the store: prepare records
    the same intent twice (replays return the recorded vote), commit/abort
    resolve an intent-log entry idempotently, so a hedged duplicate
-   delivery is harmless ({!Net.Rpc.call_all}).
+   delivery is harmless ({!Net.Rpc.call_all}). *)
+let prepare_all t ~from ?deadline_at per_store =
+  Net.Rpc.call_all t.rpc_rt ~from ?deadline_at ~idempotent:true t.ep_prepare
+    per_store
 
-   [st], when given, is the replica set the stores belong to: a leg may
-   race its backup copy against a sibling [St] member instead of
-   re-rolling the sick destination's dice. The sibling holds the same
-   replicated object, so its handler does the same work its own leg does
-   (prepare replaces per-action; phase-2 resolves idempotently) — but its
-   answer is NOT the primary's: a sibling win is the leg's
-   [Error Timed_out], which the commit layer already handles (§4.2
-   exclude-on-failure at prepare). The payoff is purely latency: the
-   gather stops waiting on the browned node after one healthy round trip
-   instead of one inflated one. *)
-let prepare_all t ~from ?deadline_at ?st per_store =
-  Net.Rpc.call_all t.rpc_rt ~from ?deadline_at ~idempotent:true ?replicas:st
-    t.ep_prepare per_store
-
-let prepare_each t ~from ?deadline_at ?st ~action ~coordinator writes =
+let prepare_each t ~from ?deadline_at ~action ~coordinator writes =
   List.map
     (fun (store, r) -> (store, vote_of ~action r))
-    (prepare_all t ~from ?deadline_at ?st
+    (prepare_all t ~from ?deadline_at
        (List.map
           (fun (store, ws) ->
             ( store,
@@ -252,13 +241,11 @@ let prepare_each t ~from ?deadline_at ?st ~action ~coordinator writes =
               ] ))
           writes))
 
-let commit_all t ~from ?st per_store =
-  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true ?replicas:st
-    ~keep_primary:true t.ep_commit per_store
+let commit_all t ~from per_store =
+  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true t.ep_commit per_store
 
-let abort_all t ~from ?st ~stores action =
-  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true ?replicas:st
-    ~keep_primary:true t.ep_abort
+let abort_all t ~from ~stores action =
+  Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true t.ep_abort
     (List.map (fun store -> (store, action)) stores)
 
 let set_hooks t node hooks = (host t node).h_hooks <- hooks

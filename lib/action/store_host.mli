@@ -119,7 +119,6 @@ val prepare_all :
   t ->
   from:Net.Network.node_id ->
   ?deadline_at:float ->
-  ?st:Net.Network.node_id list ->
   (Net.Network.node_id * prepare_req list) list ->
   (Net.Network.node_id * ((string * vote) list, Net.Rpc.error) result) list
 (** Scatter one prepare round to every listed store concurrently
@@ -133,25 +132,12 @@ val prepare_all :
     prepare re-stages the same intent ({!Store.Intent_log.prepare}
     replaces per action), and commit/abort resolve idempotently, so a
     duplicate delivery changes nothing. [deadline_at] rides in each
-    request's metadata.
-
-    [st] is the [St] set the stores belong to
-    ({!Net.Rpc.call_all}'s [replicas]): a leg's backup copy may go to a
-    {e sibling} member instead of the same node, and a sibling win is
-    reported as the leg's [Error Timed_out] — the sibling's answer is
-    never passed off as the primary's. Prepare legs cancel the losing
-    primary cooperatively (an unstaged prepare is harmless once the leg
-    counts as failed); phase-2 legs keep the primary copy in flight
-    because the primary must still apply its decision. Every member of
-    [st] must hold every object in the round's sub-records — so a round
-    carrying several actions, whose [St] need not include the sibling,
-    must not pass one: a staged intent there would dangle forever. *)
+    request's metadata. *)
 
 val prepare_each :
   t ->
   from:Net.Network.node_id ->
   ?deadline_at:float ->
-  ?st:Net.Network.node_id list ->
   action:string ->
   coordinator:Net.Network.node_id ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
@@ -162,19 +148,14 @@ val prepare_each :
 val commit_all :
   t ->
   from:Net.Network.node_id ->
-  ?st:Net.Network.node_id list ->
   (Net.Network.node_id * string list) list ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
 (** Scatter one phase-2 commit round per store, each applying the listed
-    actions' intentions. [st] as in {!prepare_all}; unlike a prepare, a
-    phase-2 round may pass it even when it carries several actions,
-    because an action unknown to the sibling resolves as a no-op
-    there. *)
+    actions' intentions. *)
 
 val abort_all :
   t ->
   from:Net.Network.node_id ->
-  ?st:Net.Network.node_id list ->
   stores:Net.Network.node_id list ->
   string ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list

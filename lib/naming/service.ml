@@ -6,7 +6,7 @@ type topology = {
   client_nodes : Net.Network.node_id list;
 }
 
-type gray_failure = Net.Network.gray_failure = Hedged | Autonomic
+type gray_failure = Hedged | Autonomic
 
 type t = {
   w_eng : Sim.Engine.t;
@@ -43,9 +43,11 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
     ?(cleanup_period = 0.0) ?bind_cache_lease ?(naming_service_time = 0.0)
     ?gray_failure topology =
   let eng = Sim.Engine.create ?seed () in
-  (* The gray-failure profile (§15, §16) lives on the network: every layer
-     above reads it where it acts, so there is nothing else to wire. *)
-  let net = Net.Network.create ?latency ?gray_failure eng in
+  (* Both profiles hedge (§15); [Net] knows only that bit. The
+     controllers that [Autonomic] adds (§16) are started below. *)
+  let net =
+    Net.Network.create ?latency ~hedged:(Option.is_some gray_failure) eng
+  in
   let rpc = Net.Rpc.create net in
   let sh = Action.Store_host.create rpc in
   let rh = Action.Resource_host.create rpc in
@@ -109,9 +111,8 @@ let create ?seed ?latency ?(use_exclude_write = true) ?(durable_naming = false)
     | Some Autonomic ->
         let deps =
           {
-            Replica.Autonomic.d_rpc = rpc;
+            Replica.Autonomic.d_net = net;
             d_stores = topology.store_nodes;
-            d_servers = topology.server_nodes;
             d_probe = Action.Store_host.probe sh;
             d_exclude =
               (fun ~from ~store ->

@@ -24,13 +24,13 @@ type topology = {
 
 type t
 
-type gray_failure = Net.Network.gray_failure =
+type gray_failure =
   | Hedged
       (** hedged idempotent calls plus latency-ranked server preference
           (docs/PROTOCOLS.md §15) *)
   | Autonomic
-      (** [Hedged] plus sibling-hedge routing and the autonomic
-          membership controllers (docs/PROTOCOLS.md §16) *)
+      (** [Hedged] plus one autonomic membership controller per server
+          (docs/PROTOCOLS.md §16) *)
 (** The gray-failure profile: which resilience planes turn sick-but-alive
     stores into latency the system routes around, and (under
     [Autonomic]) into the paper's §4.2 Exclude/Include. *)
@@ -72,27 +72,21 @@ val create :
     bind is one [gvd.bind] round ({!Gvd.bind}).
 
     [gray_failure] (default none: every plane below is off) selects the
-    world's gray-failure profile, fixed on its network
-    ({!Net.Network.gray_failure}) for the world's whole life and read
-    only inside [Net]:
-    - [Hedged] turns on hedged idempotent calls (2PC prepares and
-      phase-2 deliveries, group role and commit-view probes, plain naming
-      reads) plus latency-ranked server preference. Deadline shedding
-      needs no profile: a server refuses any call whose initiator's
-      deadline has already passed (metric [retry.shed_expired]; only
-      abortable phase-1 work carries deadlines — phase-2 of a decided
-      outcome is never shed).
-    - [Autonomic] is [Hedged] plus sibling-hedge routing — a hedged
-      commit-path leg's backup copy goes to a healthy {e sibling} [St]
-      member when the primary is sustainedly slow (a sibling win counts
-      as the leg's failure, never as the primary's answer), and
-      activation store reads walk healthiest-first — plus one
-      {!Replica.Autonomic} controller daemon per server node: stores
-      that stay sustainedly slow past the hysteresis window, as seen by
-      a quorum of controllers, are Excluded from their [St] sets through
-      the validated round, and re-Included (with catch-up through the
-      reintegration fence) once they heal, with a cooldown damping
-      membership flaps.
+    world's gray-failure profile for its whole life:
+    - [Hedged] creates the network hedged ({!Net.Network.create}), which
+      turns on hedged idempotent calls (2PC prepares and phase-2
+      deliveries, group role and commit-view probes, plain naming reads)
+      plus latency-ranked server preference. Deadline shedding needs no
+      profile: a server refuses any call whose initiator's deadline has
+      already passed (metric [retry.shed_expired]; only abortable
+      phase-1 work carries deadlines — phase-2 of a decided outcome is
+      never shed).
+    - [Autonomic] is [Hedged] plus one {!Replica.Autonomic} controller
+      daemon per server node: a store that stays sustainedly slow past
+      the hysteresis window is Excluded from its [St] sets through the
+      validated round, and re-Included (with catch-up through the
+      reintegration fence) once it has looked healthy for the same
+      window. The network sees only [Hedged]'s bit.
 
     [bind_cache_lease] (default off) enables the client-side lease cache
     of bind results with that lease duration (see {!Bind_cache}).

@@ -4,9 +4,9 @@
    scatter — needs a *score*. Every RPC completion feeds one sample here
    (pure arithmetic on the virtual clock: no RNG draws, no events, so the
    always-on bookkeeping leaves fault-free worlds byte-identical). The
-   consumers are the hedged scatter delay, health-ordered replica
-   preference and sibling routing — all live only under a gray-failure
-   profile ({!Network.gray_failure}) — and the autonomic controllers. *)
+   consumers are the hedged scatter delay and health-ordered replica
+   preference — both live only on a hedged network ({!Network.hedged}) —
+   and the autonomic controllers. *)
 
 (* Both records are all-float, so OCaml stores their fields unboxed and
    updating a sample allocates nothing; the sample counts are floats for
@@ -132,10 +132,9 @@ let rank t ~now nodes =
     (fun a b -> Float.compare (score t ~now b) (score t ~now a))
     nodes
 
-(* Sustained slowness — what sibling routing and the autonomic
-   controllers act on. Requires a real streak (several samples, decayed
-   indicator past the bar), so one unlucky round trip cannot condemn a
-   healthy destination. *)
+(* Sustained slowness — what the autonomic controllers act on. Requires
+   a real streak (several samples, decayed indicator past the bar), so
+   one unlucky round trip cannot condemn a healthy destination. *)
 let sustained_slow_bar = 0.6
 let sustained_slow_min_samples = 4.0
 

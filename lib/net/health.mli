@@ -7,8 +7,8 @@
     round-trip latency, a smoothed deviation, and a time-decaying
     slow-call indicator, plus fleet-wide aggregates. The RPC layer feeds
     every call completion in; consumers derive a health score (replica
-    ranking), a sustained-slowness verdict (sibling routing and the
-    autonomic controllers) and the hedge delay for backup requests.
+    ranking), a sustained-slowness verdict (the autonomic controllers)
+    and the hedge delay for backup requests.
 
     All bookkeeping is pure arithmetic on the virtual clock — no RNG
     draws, no scheduled events — so feeding it unconditionally leaves

@@ -45,8 +45,6 @@ type brownout = {
   bo_hi : float; (* inflation magnitude, uniform in [lo, hi] *)
 }
 
-type gray_failure = Hedged | Autonomic
-
 type t = {
   eng : Sim.Engine.t;
   nodes : (node_id, node) Hashtbl.t;
@@ -61,7 +59,7 @@ type t = {
   mutable dup_ever : bool;
   msgs : Sim.Metrics.handle;
   net_health : Health.t;
-  gray : gray_failure option;
+  net_hedged : bool;
 }
 
 let default_latency rng = Sim.Rng.uniform rng 0.5 1.5
@@ -78,7 +76,7 @@ let derive_stream base label =
    the watches on the dead node fire. *)
 let detect_delay = 1.0
 
-let create ?(latency = default_latency) ?gray_failure eng =
+let create ?(latency = default_latency) ?(hedged = false) eng =
   let net_rng = Sim.Rng.split (Sim.Engine.rng eng) in
   let net_metrics = Sim.Metrics.create () in
   {
@@ -95,7 +93,7 @@ let create ?(latency = default_latency) ?gray_failure eng =
     dup_ever = false;
     msgs = Sim.Metrics.handle net_metrics "net.msgs";
     net_health = Health.create ();
-    gray = gray_failure;
+    net_hedged = hedged;
   }
 
 let derive_rng t label = derive_stream t.net_rng label
@@ -104,16 +102,15 @@ let engine t = t.eng
 let trace t = t.net_trace
 let metrics t = t.net_metrics
 let health t = t.net_health
-let gray_failure t = t.gray
-let hedged t = Option.is_some t.gray
+let hedged t = t.net_hedged
 
-(* Replica preference under a profile: healthiest first, ties (and every
-   candidate while health has nothing to say) in the caller's order. *)
-let rank t nodes = Health.rank t.net_health ~now:(Sim.Engine.now t.eng) nodes
-let rank_servers t nodes = if hedged t then rank t nodes else nodes
-
-let rank_stores t nodes =
-  match t.gray with Some Autonomic -> rank t nodes | None | Some Hedged -> nodes
+(* Replica preference on a hedged network: healthiest first, ties (and
+   every candidate while health has nothing to say) in the caller's
+   order. *)
+let rank_servers t nodes =
+  if t.net_hedged then
+    Health.rank t.net_health ~now:(Sim.Engine.now t.eng) nodes
+  else nodes
 
 let node t id =
   match Hashtbl.find t.nodes id with

@@ -28,30 +28,17 @@ type node_id = string
 exception Unknown_node of node_id
 (** Raised when an operation names a node that was never added. *)
 
-type gray_failure =
-  | Hedged
-      (** hedged scatter-gathers for idempotent fan-outs with
-          latency-ranked replica preference (docs/PROTOCOLS.md §15) *)
-  | Autonomic
-      (** [Hedged] plus sibling-hedge routing: a hedged commit-path leg's
-          backup copy goes to a healthy sibling [St] member, and
-          activation store reads walk healthiest-first. The membership
-          controllers of §16 are started by the naming tier's world
-          assembly, which reads the same setting. *)
-(** The gray-failure profile of a world: which resilience planes are
-    live. A network created without one runs every fan-out and call on
-    the plain path. *)
-
 val create :
   ?latency:(Sim.Rng.t -> float) ->
-  ?gray_failure:gray_failure ->
+  ?hedged:bool ->
   Sim.Engine.t ->
   t
 (** [create eng] is an empty network driven by [eng].
     [latency] samples per-message transit time (default: uniform in
-    [\[0.5, 1.5\]]). [gray_failure] (default none) fixes the world's
-    gray-failure profile for its whole life; every layer above reads it
-    from here. *)
+    [\[0.5, 1.5\]]). [hedged] (default [false]) fixes for the network's
+    whole life whether idempotent calls race a backup copy and replicas
+    are ranked by health: the one gray-failure bit this library knows
+    (docs/PROTOCOLS.md §15.5). *)
 
 val engine : t -> Sim.Engine.t
 (** The engine driving this network. *)
@@ -66,30 +53,21 @@ val metrics : t -> Sim.Metrics.t
 
 val health : t -> Health.t
 (** The network's latency-health tracker. The RPC layer feeds every call
-    completion into it; hedged scatters, sibling routing and replica
-    ranking read it. Always on — its bookkeeping is pure arithmetic, so
-    fault-free worlds are unperturbed. *)
-
-val gray_failure : t -> gray_failure option
-(** The profile the network was created with. *)
+    completion into it; hedged calls and replica ranking read it. Always
+    on — its bookkeeping is pure arithmetic, so fault-free worlds are
+    unperturbed. *)
 
 val hedged : t -> bool
-(** Whether any gray-failure profile is set. Hedged idempotent calls
-    ({!Rpc.call}) and health-ranked server preference are live under
-    both [Hedged] and [Autonomic]. The profile is read only inside this
-    library: layers above declare what a call is ({!Rpc.call}'s
-    [idempotent], {!Rpc.call_all}'s [replicas]) and ask for an order
-    ({!rank_servers}, {!rank_stores}). *)
+(** Whether the network was created [hedged]. Hedged idempotent calls
+    ({!Rpc.call}) and health-ranked server preference ({!rank_servers})
+    are live only then. The bit is read only inside this library: layers
+    above declare what a call is ({!Rpc.call}'s [idempotent]) and ask for
+    an order ({!rank_servers}). *)
 
 val rank_servers : t -> node_id list -> node_id list
-(** Candidate servers in preference order: under any gray-failure
-    profile healthiest first ({!Health.rank}), otherwise unchanged. Ties
-    keep the caller's order. *)
-
-val rank_stores : t -> node_id list -> node_id list
-(** The order in which to try the stores of a replica set for a read:
-    healthiest first under the [Autonomic] profile, otherwise
-    unchanged. *)
+(** Candidate servers in preference order: on a hedged network
+    healthiest first ({!Health.rank}), otherwise unchanged. Ties keep
+    the caller's order. *)
 
 val add_node : t -> node_id -> unit
 (** [add_node t id] registers a fresh, up node. Raises [Invalid_argument]

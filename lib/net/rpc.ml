@@ -230,50 +230,25 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
     outcome
   end
 
-(* Sibling routing, live under the [Autonomic] profile only: a sustainedly
-   slow destination's backup copy goes to the healthiest other member of
-   its replica set, unless that one is sustainedly slow too. *)
-let sibling t ~replicas dst =
-  match Network.gray_failure t.net with
-  | None | Some Network.Hedged -> None
-  | Some Network.Autonomic ->
-      let h = Network.health t.net in
-      let now = Sim.Engine.now (Network.engine t.net) in
-      if Health.sustained_slow h ~now dst then
-        match Health.rank h ~now (List.filter (fun s -> s <> dst) replicas) with
-        | best :: _ when not (Health.sustained_slow h ~now best) -> Some best
-        | _ -> None
-      else None
-
 (* Hedged call: give the primary a head start derived from fleet-healthy
-   latency; if it has not answered by then, race a backup and take the
-   first [Ok]. The backup goes to the sibling {!sibling} picks from
-   [replicas], if any, or re-sends to the same destination (per-message
-   brownout inflation makes even a same-node retry a fresh latency
-   draw). A duplicate delivery can
+   latency; if it has not answered by then, re-send a backup copy to the
+   same destination (per-message brownout inflation makes the re-send a
+   fresh latency draw) and take the first [Ok]. A duplicate delivery can
    run the handler twice — each hedge carries a fresh request id, below the
    dedup guard — so only idempotent operations may be hedged; and once the
    race settles, copies still in flight are cancelled cooperatively at
    delivery (the [cancelled] probe above), so a slow loser can never run
-   the handler after the winner's round already moved the protocol on.
-   A win by the sibling is not [dst]'s answer: it settles the race as
-   [Error Timed_out]. *)
-let hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req =
+   the handler after the winner's round already moved the protocol on. *)
+let hedged_call t ~from ~dst ?deadline_at ep req =
   let eng = Network.engine t.net in
-  let alt = Option.bind replicas (fun replicas -> sibling t ~replicas dst) in
-  let backup_dst = match alt with Some a -> a | None -> dst in
   let delay = Health.hedge_delay (Network.health t.net) in
   let iv = Sim.Ivar.create () in
   let launched = ref 0 in
   let outstanding = ref 0 in
   let group = Sim.Engine.self_group eng in
-  let settle ~backup r =
+  let settle r =
     match r with
-    | Ok _ ->
-        let by_sibling = backup && alt <> None in
-        if Sim.Ivar.try_fill iv (if by_sibling then Error Timed_out else r)
-           && by_sibling
-        then Sim.Metrics.incr (Network.metrics t.net) "rpc.sibling_wins"
+    | Ok _ -> ignore (Sim.Ivar.try_fill iv r)
     | Error _ ->
         decr outstanding;
         (* Keep the last error only once no copy can still answer. *)
@@ -281,26 +256,10 @@ let hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req =
           ignore (Sim.Ivar.try_fill iv r)
   in
   let cancelled () = Sim.Ivar.is_filled iv in
-  (* [keep_primary] exempts the primary copy from cooperative
-     cancellation when the backup went to a sibling: a phase-2 decision
-     must STILL be delivered to (and applied by) the primary store — the
-     sibling's quick answer only lets the gather stop waiting; it does not
-     make the primary's copy of the decision redundant, because the
-     sibling resolves its own intent, not the primary's. Dropping the
-     primary's copy would strand its prepared intent until a
-     crash-recovery decision query that a merely-slow (never crashed)
-     store never issues. Prepares cancel both copies: an unapplied
-     prepare on the primary is harmless (the caller counts the leg failed
-     and §4.2-excludes the store for this action). *)
-  let primary_cancelled =
-    if keep_primary && alt <> None then None else Some cancelled
-  in
+  let copy () = settle (call_gen t ~from ~dst ~cancelled ?deadline_at ep req) in
   incr launched;
   incr outstanding;
-  Sim.Engine.spawn eng ~group ~name:("rpc.hedge." ^ ep.ep_name) (fun () ->
-      settle ~backup:false
-        (call_gen t ~from ~dst ?cancelled:primary_cancelled ?deadline_at ep
-           req));
+  Sim.Engine.spawn eng ~group ~name:("rpc.hedge." ^ ep.ep_name) copy;
   Sim.Engine.schedule eng ~delay (fun () ->
       incr launched;
       (* Before this point [settle] can only have filled the ivar with an
@@ -313,20 +272,16 @@ let hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req =
         Sim.Metrics.incr (Network.metrics t.net) "rpc.hedges";
         Sim.Engine.spawn eng ~group
           ~name:("rpc.hedge.backup." ^ ep.ep_name)
-          (fun () ->
-            settle ~backup:true
-              (call_gen t ~from ~dst:backup_dst ~cancelled ?deadline_at ep
-                 req))
+          copy
       end);
   Sim.Ivar.read eng iv
 
 let call t ~from ~dst ?(idempotent = false) ?deadline_at ep req =
   if idempotent && Network.hedged t.net then
-    hedged_call t ~from ~dst ~keep_primary:false ?deadline_at ep req
+    hedged_call t ~from ~dst ?deadline_at ep req
   else call_gen t ~from ~dst ?deadline_at ep req
 
-let call_all t ~from ?deadline_at ?(idempotent = false) ?replicas
-    ?(keep_primary = false) ep reqs =
+let call_all t ~from ?deadline_at ?(idempotent = false) ep reqs =
   (match reqs with
   | [] | [ _ ] -> ()
   | _ ->
@@ -335,15 +290,14 @@ let call_all t ~from ?deadline_at ?(idempotent = false) ?replicas
         "rpc.scatter_calls");
   let leg =
     if idempotent && Network.hedged t.net then
-      fun dst req ->
-        hedged_call t ~from ~dst ?replicas ~keep_primary ?deadline_at ep req
+      fun dst req -> hedged_call t ~from ~dst ?deadline_at ep req
     else fun dst req -> call_gen t ~from ~dst ?deadline_at ep req
   in
   Sim.Join.all (Network.engine t.net)
     (List.map (fun (dst, req) () -> (dst, leg dst req)) reqs)
 
-(* A first-answer race over replicas: the first [Some] in [nodes] order
-   from a plain gather, or under a gray-failure profile a tiered race,
+(* A first-answer race over replicas. A plain gather returns the first
+   [Some] in [nodes] order; a hedged network runs a tiered race instead,
    healthiest first, where task [i] launches [i] hedge delays after the
    first, so a healthy head answers before the sick tail is ever asked. *)
 let first_answer t nodes ask =

@@ -87,28 +87,27 @@ val call :
     time: it answers [Error Timed_out] at once instead of running the
     handler, since the initiator has given up and the work (and any locks
     it would take) is pure waste. Each shed bumps [retry.shed_expired].
-    No profile is read to shed.
+    Shedding does not depend on {!Network.hedged}.
 
     [idempotent] (default [false]) declares that running the handler
-    twice is harmless. Under a gray-failure profile such a call is
-    {e hedged}: if [dst] has not answered within {!Health.hedge_delay},
-    a backup copy races it and the first [Ok] wins. The loser is
+    twice is harmless. On a hedged network ({!Network.hedged}) such a
+    call is {e hedged}: if [dst] has not answered within
+    {!Health.hedge_delay}, a backup copy to [dst] races it and the first
+    [Ok] wins. The loser is
     cancelled cooperatively: a backup whose primary already won is never
     sent, a late reply is ignored, and a copy still in flight when the
     race settles is dropped at delivery {e before} the handler runs
     ([rpc.hedge_cancelled]). Both copies may still run the handler when
     deliveries interleave before the race settles (hedges ride below the
     duplicate guard), which is why {b only idempotent calls are hedged}.
-    Each backup actually launched bumps [rpc.hedges]. Without a profile
-    the flag changes nothing. *)
+    Each backup actually launched bumps [rpc.hedges]. On a network that
+    does not hedge the flag changes nothing. *)
 
 val call_all :
   t ->
   from:Network.node_id ->
   ?deadline_at:float ->
   ?idempotent:bool ->
-  ?replicas:Network.node_id list ->
-  ?keep_primary:bool ->
   ('req, 'resp) endpoint ->
   (Network.node_id * 'req) list ->
   (Network.node_id * ('resp, error) result) list
@@ -122,25 +121,14 @@ val call_all :
     exactly equivalent to a plain [call]. Must run within a fiber.
     [idempotent] hedges each leg as in {!call}, turning the scatter's
     straggler problem — one browned-out participant stalls the whole
-    gather — into a min-of-two draw.
-
-    [replicas] names the replica set the destinations belong to. Under
-    the [Autonomic] profile, an idempotent leg whose destination is
-    sustainedly slow ({!Health.sustained_slow}) sends its backup copy to
-    the healthiest other member that is not, instead of re-sending to the
-    slow node. Every member must be able to serve every leg's request. A
-    win by that sibling is not the destination's answer: the leg reports
-    [Error Timed_out] (each such win bumps [rpc.sibling_wins]).
-    [keep_primary] (default [false]) keeps a sibling-routed leg's primary
-    copy in flight after the sibling answered, for requests the
-    destination must still receive (a phase-2 decision). *)
+    gather — into a min-of-two draw. *)
 
 val first_answer :
   t -> Network.node_id list -> (Network.node_id -> 'a option) -> 'a option
 (** [first_answer t nodes ask] asks replicas for an answer any of them
     can give, and returns the first [Some] in [nodes] order once every
-    [ask] has settled ([None] if none answered). Under a gray-failure
-    profile it is a tiered race instead ({!Sim.Join.hedged}): healthiest
+    [ask] has settled ([None] if none answered). On a hedged network it
+    is a tiered race instead ({!Sim.Join.hedged}): healthiest
     first ({!Health.rank}), each further replica asked only a
     {!Health.hedge_delay} later, and the first [Some] wins. [ask] must be
     idempotent. Must run within a fiber. *)

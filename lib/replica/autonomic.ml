@@ -10,22 +10,17 @@
    until a hedge or a deadline rescues that one scatter. The controller
    closes the loop at the membership layer instead: probe the stores on a
    fixed cadence, feed a private latency tracker, and once a store has
-   looked sustainedly slow for a full hysteresis window AND a quorum of
-   controllers concurs, propose its Exclude through the validated round.
-   When the store looks healthy again for the same window, trigger its
-   catch-up re-Include, and damp the next Exclude with a cooldown so a
-   flapping brownout cannot livelock membership.
+   looked sustainedly slow for a full hysteresis window, propose its
+   Exclude through the validated round. When the store looks healthy
+   again for the same window, trigger its catch-up re-Include.
 
-   Decision doctrine, in order:
+   Decision doctrine:
    - hysteresis: K consecutive probe rounds must flag the store
      ({!Net.Health.sustained_slow} on this controller's private tracker)
-     before an Exclude is even considered — one slow round is noise;
-   - quorum: at least [min (quorum, #controllers)] controllers must see
-     the store slow {e right now} (small digest gossip over the
-     [autonomic.digest] endpoint) — one observer behind a bad link must
-     not shed a store the rest of the fleet reaches fine;
-   - cooldown: a store re-Included at [t] cannot be re-Excluded before
-     [t + cooldown] — flap damping;
+     before an Exclude is even considered — one slow round is noise —
+     and K consecutive healthy rounds must pass before an excluded store
+     is re-Included, so a flapping brownout changes membership at most
+     once per K rounds each way;
    - safety is not this module's job: the Exclude itself validates the
      St revision inside its round and refuses to empty [St]
      (an [Exclude] update with [~if_rev], via the injected [d_exclude]), and the
@@ -42,17 +37,14 @@
 
 let period = 5.0
 let hysteresis = 3
-let quorum = 2
-let cooldown = 120.0
 
 (* Must exceed {!Net.Health.slow_floor}: a probe that misses it is fed to
    the tracker as a latency of exactly this much (see [probe_round]). *)
 let probe_timeout = 10.0
 
 type deps = {
-  d_rpc : Net.Rpc.t;
+  d_net : Net.Network.t;
   d_stores : Net.Network.node_id list;
-  d_servers : Net.Network.node_id list;
   d_probe :
     from:Net.Network.node_id ->
     store:Net.Network.node_id ->
@@ -64,15 +56,12 @@ type deps = {
 type ctrl = {
   c_node : Net.Network.node_id;
   c_health : Net.Health.t;
-      (* private: this controller's own probe observations, so the quorum
-         really is independent observers, not one shared tracker echoing
-         itself *)
+      (* private: this controller's own probe observations, apart from
+         the traffic-fed tracker of the network *)
   c_streak : (Net.Network.node_id, int) Hashtbl.t;
       (* consecutive rounds a member store looked sustained-slow *)
   c_heal : (Net.Network.node_id, int) Hashtbl.t;
       (* consecutive rounds an excluded store looked healthy *)
-  c_cooldown : (Net.Network.node_id, float) Hashtbl.t;
-      (* no re-Exclude before this time (set at re-Include) *)
   mutable c_excluded : Net.Network.node_id list;
       (* stores this controller excluded and therefore owns re-Including *)
   mutable c_epoch : int; (* bumped by every membership change we drove *)
@@ -83,18 +72,16 @@ type t = {
   t_eng : Sim.Engine.t;
   t_net : Net.Network.t;
   t_metrics : Sim.Metrics.t;
-  t_ep_digest : (unit, Net.Network.node_id list) Net.Rpc.endpoint;
   t_ctrls : (Net.Network.node_id, ctrl) Hashtbl.t;
 }
 
 let create deps =
-  let net = Net.Rpc.network deps.d_rpc in
+  let net = deps.d_net in
   {
     t_deps = deps;
     t_eng = Net.Network.engine net;
     t_net = net;
     t_metrics = Net.Network.metrics net;
-    t_ep_digest = Net.Rpc.endpoint "autonomic.digest";
     t_ctrls = Hashtbl.create 7;
   }
 
@@ -131,14 +118,6 @@ let store_slow t c ~now store =
      in
      best < infinity
      && mine > Float.max Net.Health.slow_floor (3.0 *. best)
-
-(* What this controller tells a quorum-gathering peer: the stores that
-   look slow to it right now. Deliberately the raw verdict, not the
-   hysteresis streak — confirmations need not be phase-aligned with the
-   asker's window. *)
-let digest t c =
-  let now = Sim.Engine.now t.t_eng in
-  List.filter (fun s -> store_slow t c ~now s) t.t_deps.d_stores
 
 (* One probe sweep: time a round-trip to every store and feed the
    verdict streaks. Probes fan out concurrently and the round waits at
@@ -203,36 +182,16 @@ let probe_round t c =
           (if slow then counter c.c_streak store + 1 else 0))
     t.t_deps.d_stores
 
-(* Ask the peer controllers whether they, too, see [store] slow. The
-   effective quorum shrinks to the controller population so small worlds
-   stay governable; an unreachable peer simply does not confirm. *)
-let quorum_confirms t c store =
-  let peers = List.filter (fun s -> s <> c.c_node) t.t_deps.d_servers in
-  let confirms =
-    List.fold_left
-      (fun n peer ->
-        match
-          Net.Rpc.call t.t_deps.d_rpc ~from:c.c_node ~dst:peer t.t_ep_digest ()
-        with
-        | Ok slow when List.mem store slow -> n + 1
-        | Ok _ | Error _ -> n)
-      1 peers
-  in
-  (confirms, min quorum (List.length peers + 1))
-
 let decide t c =
-  let now = Sim.Engine.now t.t_eng in
   List.iter
     (fun store ->
       if List.mem store c.c_excluded then begin
         if counter c.c_heal store >= hysteresis then begin
           (* Healed: hand the store to the catch-up re-Include (it only
-             rejoins [St] once its state clears the include fence) and
-             arm the flap-damping cooldown. *)
+             rejoins [St] once its state clears the include fence). *)
           c.c_excluded <- List.filter (fun s -> s <> store) c.c_excluded;
           Hashtbl.replace c.c_heal store 0;
           Hashtbl.replace c.c_streak store 0;
-          Hashtbl.replace c.c_cooldown store (now +. cooldown);
           c.c_epoch <- c.c_epoch + 1;
           Sim.Metrics.incr t.t_metrics "autonomic.includes";
           tracef t "%s re-includes healed store %s (epoch %d)" c.c_node store
@@ -241,31 +200,21 @@ let decide t c =
         end
       end
       else if counter c.c_streak store >= hysteresis then begin
-        match Hashtbl.find_opt c.c_cooldown store with
-        | Some until when now < until ->
-            Sim.Metrics.incr t.t_metrics "autonomic.damped"
-        | _ -> (
-            match quorum_confirms t c store with
-            | confirms, needed when confirms < needed ->
-                Sim.Metrics.incr t.t_metrics "autonomic.quorum_refused"
-            | _ ->
-                let excluded =
-                  t.t_deps.d_exclude ~from:c.c_node ~store
-                in
-                if excluded > 0 then begin
-                  c.c_excluded <- store :: c.c_excluded;
-                  Hashtbl.replace c.c_heal store 0;
-                  c.c_epoch <- c.c_epoch + 1;
-                  Sim.Metrics.incr t.t_metrics "autonomic.excludes";
-                  tracef t "%s excludes slow store %s from %d objects (epoch %d)"
-                    c.c_node store excluded c.c_epoch
-                end
-                else
-                  (* Nothing to exclude: a commit's own §4.2 exclusion or
-                     a peer controller beat us to every object (or the
-                     store is the last copy everywhere). Reset the streak
-                     so we do not re-propose every round. *)
-                  Hashtbl.replace c.c_streak store 0)
+        let excluded = t.t_deps.d_exclude ~from:c.c_node ~store in
+        if excluded > 0 then begin
+          c.c_excluded <- store :: c.c_excluded;
+          Hashtbl.replace c.c_heal store 0;
+          c.c_epoch <- c.c_epoch + 1;
+          Sim.Metrics.incr t.t_metrics "autonomic.excludes";
+          tracef t "%s excludes slow store %s from %d objects (epoch %d)"
+            c.c_node store excluded c.c_epoch
+        end
+        else
+          (* Nothing to exclude: a commit's own §4.2 exclusion or a peer
+             controller beat us to every object (or the store is the last
+             copy everywhere). Reset the streak so we do not re-propose
+             every round. *)
+          Hashtbl.replace c.c_streak store 0
       end)
     t.t_deps.d_stores
 
@@ -281,13 +230,11 @@ let attach t node =
       c_health = Net.Health.create ();
       c_streak = Hashtbl.create 7;
       c_heal = Hashtbl.create 7;
-      c_cooldown = Hashtbl.create 7;
       c_excluded = [];
       c_epoch = 0;
     }
   in
   Hashtbl.replace t.t_ctrls node c;
-  Net.Rpc.serve t.t_deps.d_rpc ~node t.t_ep_digest (fun () -> digest t c);
   c
 
 (* Spawn the controller daemon on [node]: the idle wait is a

@@ -3,17 +3,14 @@
     protocols for {e gray} failures — stores alive enough to vote but
     slow enough to drag every commit to their pace.
 
-    Decision doctrine: a store is proposed for Exclude only after
-    {e hysteresis} (K consecutive probe rounds flagged it slow on the
-    controller's private tracker — {!Net.Health.sustained_slow}, or a
+    Decision doctrine: {e hysteresis} alone. A store is proposed for
+    Exclude only after K consecutive probe rounds flagged it slow on the
+    controller's private tracker ({!Net.Health.sustained_slow}, or a
     latency EWMA 3x past the healthiest probed peer, so a half-sick
-    fleet cannot normalize its own sickness away)
-    {e and} a {e quorum} of controllers concurs (digest gossip over the
-    [autonomic.digest] endpoint); a store re-Included after healing is
-    protected by a {e cooldown} before it may be Excluded again, so a
-    flapping brownout cannot livelock membership. The Exclude itself
-    validates the St revision inside its round and refuses to empty
-    [St]; the re-Include runs the catch-up fence before the store
+    fleet cannot normalize its own sickness away), and an excluded store
+    is re-Included only after K consecutive healthy rounds. The Exclude
+    itself validates the St revision inside its round and refuses to
+    empty [St]; the re-Include runs the catch-up fence before the store
     rejoins the commit set — both via the injected drivers, so the
     controller can afford a wrong verdict.
 
@@ -32,14 +29,6 @@ val hysteresis : int
 (** [3]: K, the consecutive slow (resp. healthy) probe rounds before an
     Exclude is proposed (resp. a re-Include triggered). *)
 
-val quorum : int
-(** [2]: the controllers (including the proposer) that must see the store
-    slow; clamped to the controller population. *)
-
-val cooldown : float
-(** [120.0]: no re-Exclude of a store before this much time after its
-    re-Include (flap damping). *)
-
 val probe_timeout : float
 (** [10.0]: the per-round probe wait budget. Probes fan out concurrently
     and a probe that misses it counts as a round-trip of exactly this
@@ -48,10 +37,8 @@ val probe_timeout : float
     private tracker judges slowness against. *)
 
 type deps = {
-  d_rpc : Net.Rpc.t;
+  d_net : Net.Network.t;
   d_stores : Net.Network.node_id list;  (** the store nodes to watch *)
-  d_servers : Net.Network.node_id list;
-      (** the controller nodes (the quorum electorate) *)
   d_probe :
     from:Net.Network.node_id ->
     store:Net.Network.node_id ->
@@ -78,8 +65,7 @@ type ctrl
 val create : deps -> t
 
 val attach : t -> Net.Network.node_id -> ctrl
-(** Install a controller on [node] (serving its digest endpoint) without
-    starting the daemon — deterministic unit tests drive it with
+(** Install a controller on [node] without starting the daemon — deterministic unit tests drive it with
     {!tick}. Idempotent via {!start}. *)
 
 val start : t -> Net.Network.node_id -> unit

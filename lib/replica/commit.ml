@@ -33,11 +33,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              for this commit alone (see {!Groupcommit.prepare}) so
              shedding servers can refuse votes this commit already gave
              up on. Phase 2 carries no deadline: a decided outcome must
-             reach the stores even when the initiator stopped waiting.
-             Every store scatter names the attempt's [St], so a leg's
-             backup copy may go to a sibling replica
-             ({!Action.Store_host.prepare_all}); a sibling win surfaces
-             as the leg's own error — never a substituted answer. *)
+             reach the stores even when the initiator stopped waiting. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
           (* Every store that may hold this action's prepare: it voted yes
@@ -49,9 +45,8 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           let reach store how =
             reached := (store, how) :: List.remove_assoc store !reached
           in
-          (* The latest attempt's [St] (the phase-2 sibling set), and the
-             validated attempt's yes voters and phase-2 token. *)
-          let st = ref [] and sealed = ref None in
+          (* The validated attempt's yes voters and phase-2 token. *)
+          let sealed = ref None in
           let release_abort store =
             Action.Atomic.release_later act ~node:store ~op:"action.release_abort"
               (fun () -> Action.Store_host.abort sh ~from:client ~store ~action)
@@ -70,7 +65,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
             if answered <> [] then
               List.iter
                 (fun (store, r) -> if Result.is_error r then release_abort store)
-                (Action.Store_host.abort_all sh ~from:client ~st:!st ~stores:answered
+                (Action.Store_host.abort_all sh ~from:client ~stores:answered
                    action);
             List.iter release_abort timed_out
           in
@@ -91,7 +86,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         Action.Atomic.release_later act ~node:store
                           ~op:"action.release_commit" (fun () ->
                             Action.Store_host.commit sh ~from:client ~store ~action))
-                    (Groupcommit.commit gc p2 ~st:!st ~client ~stores:ok action);
+                    (Groupcommit.commit gc p2 ~client ~stores:ok action);
                   abort_reached ~keep:ok)
             ~abort:(fun () ->
               Option.iter (fun (_, p2) -> Groupcommit.leave gc p2) !sealed;
@@ -106,7 +101,6 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
             match snapshot_stores () with
             | Error why -> Error ("commit-time St read: " ^ why)
             | Ok (current_st, rev) -> (
-                st := current_st;
                 List.iter
                   (fun _ ->
                     Sim.Metrics.incr metrics "commit.bytes_shipped" ~by:full_bytes)
@@ -122,8 +116,8 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                   List.map (fun s -> (s, [ (uid, full_state) ])) current_st
                 in
                 let votes =
-                  Groupcommit.prepare gc tok ?deadline_at ~st:current_st ~client
-                    ~action per_store
+                  Groupcommit.prepare gc tok ?deadline_at ~client ~action
+                    per_store
                 in
                 Sim.Metrics.observe metrics "commit.fanout"
                   (Sim.Engine.now eng -. scattered);

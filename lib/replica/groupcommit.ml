@@ -35,21 +35,16 @@
 
    Every commit goes through the plane ({!Replica.Commit.attach}); a
    batch that closes with one member scatters the same rounds with one
-   sub-record each, carrying that member's deadline and [St]. *)
+   sub-record each, carrying that member's deadline. *)
 
 type member = {
   m_client : Net.Network.node_id;
   m_action : string;
   m_writes :
     (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list;
-  m_st : Net.Network.node_id list;
-      (* the member's [St], whose siblings may serve its legs' backup
-         copies; only the scatters issued on this member's own behalf pass
-         it — a multi-member prepare never sibling-routes (see
-         {!Action.Store_host.prepare_all}) *)
   m_deadline : float option;
-      (* the member's action deadline; like [m_st], carried only by the
-         scatters issued on this member's own behalf *)
+      (* the member's action deadline, carried only by the scatters
+         issued on this member's own behalf *)
   m_votes :
     (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
     Sim.Ivar.t;
@@ -59,7 +54,6 @@ type p2_member = {
   p_client : Net.Network.node_id;
   p_action : string;
   p_stores : Net.Network.node_id list;
-  p_st : Net.Network.node_id list;
   p_results :
     (Net.Network.node_id * (unit, Net.Rpc.error) result) list Sim.Ivar.t;
 }
@@ -231,21 +225,20 @@ let orphaned t ph batch =
 
 (* Leader duty, phase 1: issue one prepare round per store in the union,
    and hand each member its own per-store votes. A batch of one carries
-   its member's deadline and [St], so a lone commit's rounds are exactly
-   those of an unbatched commit. A multi-member round carries no
-   deadline — one member's expiry must not shed its batchmates'
-   prepares — and never sibling-routes. *)
+   its member's deadline, so a lone commit's rounds are exactly those of
+   an unbatched commit. A multi-member round carries no deadline — one
+   member's expiry must not shed its batchmates' prepares. *)
 let scatter t members =
   match members with
   | [] -> ()
   | leader :: rest ->
-      let deadline_at, st =
-        if rest = [] then (leader.m_deadline, Some leader.m_st)
+      let deadline_at =
+        if rest = [] then leader.m_deadline
         else begin
           Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
           Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
             (float_of_int (List.length members));
-          (None, None)
+          None
         end
       in
       let stores =
@@ -271,7 +264,7 @@ let scatter t members =
       in
       let results =
         Action.Store_host.prepare_all t.gc_sh ~from:leader.m_client
-          ?deadline_at ?st reqs
+          ?deadline_at reqs
       in
       List.iter
         (fun m ->
@@ -285,8 +278,8 @@ let scatter t members =
                m.m_writes))
         members
 
-let solo_prepare t ?deadline_at ~st ~client ~action writes =
-  Action.Store_host.prepare_each t.gc_sh ~from:client ?deadline_at ~st ~action
+let solo_prepare t ?deadline_at ~client ~action writes =
+  Action.Store_host.prepare_each t.gc_sh ~from:client ?deadline_at ~action
     ~coordinator:client writes
 
 let all_yes votes =
@@ -304,13 +297,12 @@ let all_yes votes =
    commit would, while the batchmates' staged prepares are untouched.
    (Duplicate prepare delivery is idempotent at the store:
    {!Store.Intent_log.prepare} replaces.) *)
-let prepare t tok ?deadline_at ~st ~client ~action writes =
+let prepare t tok ?deadline_at ~client ~action writes =
   let m =
     {
       m_client = client;
       m_action = action;
       m_writes = writes;
-      m_st = st;
       m_deadline = deadline_at;
       m_votes = Sim.Ivar.create ();
     }
@@ -323,19 +315,17 @@ let prepare t tok ?deadline_at ~st ~client ~action writes =
   with
   | Error _ ->
       orphaned t t.gc_p1 batch;
-      solo_prepare t ?deadline_at ~st ~client ~action writes
+      solo_prepare t ?deadline_at ~client ~action writes
   | Ok votes ->
       let batched = List.length batch.b_members > 1 in
       if (not batched) || all_yes votes then votes
       else begin
         Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
-        solo_prepare t ?deadline_at ~st ~client ~action writes
+        solo_prepare t ?deadline_at ~client ~action writes
       end
 
-(* Leader duty, phase 2: one commit round per store, under the leader's
-   [St] (safe for any batch size: an action unknown to the sibling
-   resolves as a no-op there), then hand each member its own per-store
-   results. *)
+(* Leader duty, phase 2: one commit round per store, then hand each
+   member its own per-store results. *)
 let scatter2 t members =
   match members with
   | [] -> ()
@@ -354,8 +344,7 @@ let scatter2 t members =
           stores
       in
       let results =
-        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client
-          ~st:leader.p_st reqs
+        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client reqs
       in
       List.iter
         (fun m ->
@@ -366,13 +355,12 @@ let scatter2 t members =
 (* Batched phase 2 for a commit holding an {!expect_phase2} token. Runs in
    the committing fiber (a 2PC participant's commit closure); the same
    join/lead/orphan discipline as phase 1. *)
-let commit t tok ~st ~client ~stores action =
+let commit t tok ~client ~stores action =
   let m =
     {
       p_client = client;
       p_action = action;
       p_stores = stores;
-      p_st = st;
       p_results = Sim.Ivar.create ();
     }
   in
@@ -383,5 +371,5 @@ let commit t tok ~st ~client ~stores action =
   | Ok results -> results
   | Error _ ->
       orphaned t t.gc_p2 batch;
-      Action.Store_host.commit_all t.gc_sh ~from:client ~st
+      Action.Store_host.commit_all t.gc_sh ~from:client
         (List.map (fun store -> (store, [ action ])) stores)

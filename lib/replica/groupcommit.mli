@@ -51,7 +51,6 @@ val prepare :
   t ->
   token ->
   ?deadline_at:float ->
-  st:Net.Network.node_id list ->
   client:Net.Network.node_id ->
   action:string ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
@@ -63,13 +62,11 @@ val prepare :
     solo prepare and returns its verdict instead (peel-out). Must run in
     a fiber on [client].
 
-    [deadline_at] (the action's deadline) and [st] (the object's store
-    set, {!Action.Store_host.prepare_all}) apply only to the scatters
+    [deadline_at] (the action's deadline) applies only to the scatters
     issued on this member's own behalf — a batch of one, the peel-out
     retry and the orphan fallback. A multi-member prepare round carries
     no deadline, because one member's expiry must not shed its
-    batchmates' prepares, and never sibling-routes (see
-    {!Action.Store_host.prepare_all}). *)
+    batchmates' prepares. *)
 
 (** {2 Phase 2} *)
 
@@ -81,7 +78,6 @@ val expect_phase2 : t -> client:Net.Network.node_id -> token
 val commit :
   t ->
   token ->
-  st:Net.Network.node_id list ->
   client:Net.Network.node_id ->
   stores:Net.Network.node_id list ->
   string ->
@@ -90,8 +86,4 @@ val commit :
     been answered, with this member's result per store in [stores]
     order, the way {!prepare} hands out votes. A failed leg is the
     caller's to deliver again ({!Action.Atomic.release_later}): the
-    plane never retries. Must run in a fiber on [client].
-
-    [st] serves the orphan fallback and — as the leader's — the batch's
-    commit round, whatever its size (safe: an unknown action resolves as
-    a no-op at the store). *)
+    plane never retries. Must run in a fiber on [client]. *)

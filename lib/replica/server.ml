@@ -573,12 +573,8 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
       | None -> Activation_failed ("unknown implementation " ^ a_impl)
       | Some impl -> (
           let sh = Action.Atomic.store_host t.art in
-          (* The activation probe walks [StA] until one store yields a
-             state, in the network's order for store reads
-             ({!Net.Network.rank_stores}), so a browned first replica
-             need not put its tail latency in front of every
-             activation. *)
-          let probe_stores = Net.Network.rank_stores (net t) a_stores in
+          (* The activation probe walks [StA] in order until one store
+             yields a state. *)
           let state =
             if a_stores = [] then Some (Store.Object_state.initial impl.Object_impl.initial)
             else
@@ -590,7 +586,7 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
                       match Action.Store_host.read sh ~from:node ~store a_uid with
                       | Ok (Some s) -> Some s
                       | Ok None | Error _ -> None))
-                None probe_stores
+                None a_stores
           in
           match (state, find_instance t node a_uid) with
           | _, Some inst ->

@@ -18,7 +18,7 @@ open Naming
                    hedging is built for rare inflation, not a store that
                    is simply sick;
    - [autonomic] : the [Autonomic] profile, adding the §16 controller
-                   (and sibling-hedge routing). After the
+                   to [Hedged]. After the
                    hysteresis window the browned store is Excluded from
                    every [St]; commits then scatter to the healthy store
                    only and steady-state latency returns to baseline.
@@ -204,14 +204,13 @@ let run () =
         "Hedging alone re-sends the backup to the same browned store, so";
         "a harsh brownout defeats it (both copies draw the inflation).";
         "The autonomic controller probes the stores every 5s on a private";
-        "health tracker; after 3 consecutive slow rounds (and quorum,";
-        "trivially 1 in this one-server world) it Excludes t1 through the";
-        "optimistic validated round — commits then pay only the healthy";
-        "store, and the steady-state p99 (commits begun in [200, 390])";
-        "returns to the no-fault baseline. When the brownout heals, the";
-        "controller re-Includes t1 behind the catch-up fence: the run";
-        "ends with St = {t1, t2}, byte-identical committed states and";
-        "empty intent logs. Pins (test_autonomic.ml): autonomic steady";
+        "health tracker; after 3 consecutive slow rounds it Excludes t1";
+        "through the optimistic validated round — commits then pay only";
+        "the healthy store, and the steady-state p99 (commits begun in";
+        "[200, 390]) returns to the no-fault baseline. When the brownout";
+        "heals, the controller re-Includes t1 behind the catch-up fence:";
+        "the run ends with St = {t1, t2}, byte-identical committed states";
+        "and empty intent logs. Pins (test_autonomic.ml): autonomic steady";
         "p99 <= 1.3x baseline; hedged-only >= 2x baseline; final St";
         "contains t1 again with the consistency audit clean.";
       ]

@@ -197,11 +197,10 @@ let run_world ?(durable = false) ?(brownout = false) ?(autonomic = false)
        (a batch of one, peel-outs and orphan retries carry the action
        deadline). The autonomic world runs the [Autonomic] profile on
        the brownout world's schedule: three controller daemons (one per
-       server) probing the stores, plus sibling-hedge routing on the
-       commit path — flapping brownouts, crash churn and the
-       controllers' Exclude/Include churn all share the schedule, and
-       the audit must still come out clean without the membership plane
-       livelocking (hysteresis + cooldown). *)
+       server) probing the stores — flapping brownouts, crash churn and
+       the controllers' Exclude/Include churn all share the schedule,
+       and the audit must still come out clean without the membership
+       plane livelocking (hysteresis). *)
     Service.create ~seed ~durable_naming:durable
       ?gray_failure:
         (if autonomic then Some Service.Autonomic
@@ -559,9 +558,8 @@ let run_check ?(seeds = default_seeds) () =
       "(retry.shed_expired must fire somewhere in the seed set). The";
       "autonomic world stacks the §16 membership plane on the brownout";
       "knobs: per-server controller daemons probing the stores and driving";
-      "health-based Exclude/Include through the validated rounds, plus";
-      "sibling-hedge routing of commit-path backup copies — flapping";
-      "brownouts must not livelock membership (hysteresis + cooldown),";
+      "health-based Exclude/Include through the validated rounds —";
+      "flapping brownouts must not livelock membership (hysteresis),";
       "and every controller-driven exclusion must either re-include";
       "after its catch-up fence or leave a still-consistent smaller St.";
       "Servers/stores heal, crashed";

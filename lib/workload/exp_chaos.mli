@@ -26,8 +26,7 @@
     [Autonomic] profile, adding the §16 membership plane: one
     {!Replica.Autonomic} controller daemon per server probing the stores and
     driving health-based Exclude/Include through the validated membership
-    rounds, and sibling-hedge routing of commit-path backup copies —
-    flapping brownouts, crash churn and controller-driven membership churn
+    rounds — flapping brownouts, crash churn and controller-driven membership churn
     under one schedule, which must neither livelock membership nor dirty the
     audit).
 
@@ -65,7 +64,7 @@ val run_world :
     scatters and ranked servers — with 25s action deadlines, which servers
     shed once expired; iff
     [autonomic], the [Autonomic] profile instead, adding the §16 membership
-    plane and sibling-hedge routing), inject [events], drive the workload to
+    plane), inject [events], drive the workload to
     quiescence, audit. Each phase must quiesce by t=10000: a world still
     busy then stops there with the single violation
     ["did not quiesce by t=10000"] and no quiescent audit.

@@ -1,9 +1,9 @@
 (* Tests for the autonomic membership plane (§16): the controller's
-   decision doctrine — hysteresis, quorum, flap-damping cooldown,
-   heal-then-re-Include — driven deterministically through fabricated
-   drivers, plus the tab-autonomic tier-1 pins (autonomic steady-state
-   p99 back at baseline under a harsh brownout, healed store re-included
-   consistently). *)
+   decision doctrine — slow and heal hysteresis, heal-then-re-Include,
+   the re-Exclude of a store that sickens again — driven
+   deterministically through fabricated drivers, plus the tab-autonomic
+   tier-1 pins (autonomic steady-state p99 back at baseline under a harsh
+   brownout, healed store re-included consistently). *)
 
 open Naming
 module Au = Replica.Autonomic
@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Fabricated worlds: a bare network, controllers on [servers], and
+(* Fabricated worlds: a bare network, a controller on "s1", and
    injected drivers. The probe driver sleeps [slow_rtt] for stores the
    [slow] closure flags (just past the 10.0 probe budget, so the
    controller records a censored observation) and [fast_rtt] otherwise;
@@ -29,20 +29,18 @@ type fab = {
   f_incl : int ref;
 }
 
-let fab ?(servers = [ "s1" ]) ?(exclude_n = 1) ~slow () =
+let fab ?(exclude_n = 1) ~slow () =
   let eng = Sim.Engine.create ~seed:7L () in
   let net = Net.Network.create eng in
-  List.iter (Net.Network.add_node net) (servers @ [ "t1"; "t2" ]);
-  let rpc = Net.Rpc.create net in
+  List.iter (Net.Network.add_node net) [ "s1"; "t1"; "t2" ];
   let excl = ref 0 and incl = ref 0 in
   let deps =
     {
-      Au.d_rpc = rpc;
+      Au.d_net = net;
       d_stores = [ "t1"; "t2" ];
-      d_servers = servers;
       d_probe =
-        (fun ~from ~store ->
-          Sim.Engine.sleep eng (if slow ~from ~store then slow_rtt else fast_rtt);
+        (fun ~from:_ ~store ->
+          Sim.Engine.sleep eng (if slow store then slow_rtt else fast_rtt);
           Ok ());
       d_exclude =
         (fun ~from:_ ~store:_ ->
@@ -68,7 +66,7 @@ let metric f name = Sim.Metrics.counter (Net.Network.metrics f.f_net) name
    does. *)
 
 let test_hysteresis_gate () =
-  let f = fab ~slow:(fun ~from:_ ~store -> String.equal store "t1") () in
+  let f = fab ~slow:(fun store -> String.equal store "t1") () in
   let c = Au.attach f.f_plane "s1" in
   let k = Au.hysteresis in
   (* Tick until the streak sits one short of the bar: through all of it
@@ -93,52 +91,19 @@ let test_hysteresis_gate () =
   check_int "healthy peer untouched" 0 (Au.slow_streak f.f_plane "s1" "t2")
 
 (* ------------------------------------------------------------------ *)
-(* Quorum: a single observer among two controllers never excludes —
-   only s1's probes see t1 slow, so s2's digest refuses to confirm and
-   the proposal dies at the quorum gate every round. *)
+(* Drive [c] until [cond] holds, at most [limit] rounds. *)
 
-let test_quorum_gate () =
-  let f =
-    fab
-      ~servers:[ "s1"; "s2" ]
-      ~slow:(fun ~from ~store ->
-        String.equal from "s1" && String.equal store "t1")
-      ()
-  in
-  let c1 = Au.attach f.f_plane "s1" in
-  let c2 = Au.attach f.f_plane "s2" in
-  for _ = 1 to 15 do
-    tick f "s1" c1;
-    tick f "s2" c2
-  done;
-  check_bool "streak well past the bar" true
-    (Au.slow_streak f.f_plane "s1" "t1" >= Au.hysteresis);
-  Alcotest.(check (list string))
-    "lone observer never excludes" [] (Au.excluded f.f_plane "s1");
-  check_int "exclude driver never called" 0 !(f.f_excl);
-  check_bool "proposals died at the quorum gate" true
-    (metric f "autonomic.quorum_refused" > 0)
+let until f c cond limit =
+  let rounds = ref 0 in
+  while (not (cond ())) && !rounds < limit do
+    tick f "s1" c;
+    incr rounds
+  done
 
-(* ------------------------------------------------------------------ *)
-(* Heal hysteresis, flap damping, and cooldown expiry, in one life
-   cycle: exclude the sick store, heal it (re-Include only after K
-   healthy rounds), sicken it again (cooldown refuses the re-Exclude),
-   then let the cooldown lapse (the re-Exclude goes through). *)
-
-let test_flap_damping_cycle () =
-  let sick = ref true in
-  let f =
-    fab ~slow:(fun ~from:_ ~store -> !sick && String.equal store "t1") ()
-  in
-  let c = Au.attach f.f_plane "s1" in
-  let until cond limit =
-    let rounds = ref 0 in
-    while (not (cond ())) && !rounds < limit do
-      tick f "s1" c;
-      incr rounds
-    done
-  in
-  until (fun () -> Au.excluded f.f_plane "s1" <> []) 25;
+(* Exclude the sick store, then heal it through the full heal window:
+   the state both cases below start from. *)
+let excluded_then_healed f c sick =
+  until f c (fun () -> Au.excluded f.f_plane "s1" <> []) 25;
   Alcotest.(check (list string))
     "sick store excluded" [ "t1" ] (Au.excluded f.f_plane "s1");
   check_int "no include yet" 0 !(f.f_incl);
@@ -148,29 +113,48 @@ let test_flap_damping_cycle () =
   Alcotest.(check (list string))
     "one healthy round is not healed" [ "t1" ] (Au.excluded f.f_plane "s1");
   check_int "include driver not yet called" 0 !(f.f_incl);
-  until (fun () -> Au.excluded f.f_plane "s1" = []) 15;
-  let included_at = Sim.Engine.now f.f_eng in
+  until f c (fun () -> Au.excluded f.f_plane "s1" = []) 15;
   check_int "catch-up re-Include driven once" 1 !(f.f_incl);
-  check_int "epoch counts both changes" 2 (Au.epoch f.f_plane "s1");
-  (* Flap: sick again immediately. Every re-Exclude proposal inside the
-     cooldown is damped; the first one after it goes through. *)
+  check_int "epoch counts both changes" 2 (Au.epoch f.f_plane "s1")
+
+(* Heal hysteresis: exclude the sick store, heal it, and re-Include it
+   only after K healthy rounds. *)
+
+let test_heal_hysteresis () =
+  let sick = ref true in
+  let f =
+    fab ~slow:(fun store -> !sick && String.equal store "t1") ()
+  in
+  let c = Au.attach f.f_plane "s1" in
+  excluded_then_healed f c sick;
+  check_int "heal streak reset" 0 (Au.heal_streak f.f_plane "s1" "t1");
+  check_int "slow streak reset" 0 (Au.slow_streak f.f_plane "s1" "t1")
+
+(* A re-Included store that sickens again is re-Excluded by the same
+   hysteresis that excluded it the first time: K-1 slow rounds keep it
+   in, the Kth excludes it. No cooldown holds the second Exclude back. *)
+
+let test_flap_re_excluded () =
+  let sick = ref true in
+  let f =
+    fab ~slow:(fun store -> !sick && String.equal store "t1") ()
+  in
+  let c = Au.attach f.f_plane "s1" in
+  excluded_then_healed f c sick;
   sick := true;
-  until (fun () -> Au.slow_streak f.f_plane "s1" "t1" >= Au.hysteresis) 25;
-  let in_cooldown () = Sim.Engine.now f.f_eng < included_at +. Au.cooldown in
-  check_bool "the streak is back inside the cooldown" true (in_cooldown ());
-  while in_cooldown () do
-    tick f "s1" c;
-    if in_cooldown () then begin
-      Alcotest.(check (list string))
-        "cooldown damps the flap" [] (Au.excluded f.f_plane "s1");
-      check_int "no second exclusion yet" 1 !(f.f_excl)
-    end
-  done;
-  check_bool "damping visible in metrics" true (metric f "autonomic.damped" > 0);
-  until (fun () -> Au.excluded f.f_plane "s1" <> []) 10;
+  until f c
+    (fun () -> Au.slow_streak f.f_plane "s1" "t1" >= Au.hysteresis - 1)
+    25;
+  check_int "streak reached K-1 again" (Au.hysteresis - 1)
+    (Au.slow_streak f.f_plane "s1" "t1");
   Alcotest.(check (list string))
-    "re-excluded after the cooldown" [ "t1" ] (Au.excluded f.f_plane "s1");
-  check_int "second exclusion driven" 2 !(f.f_excl)
+    "K-1 slow rounds keep it in" [] (Au.excluded f.f_plane "s1");
+  check_int "no second exclusion yet" 1 !(f.f_excl);
+  tick f "s1" c;
+  Alcotest.(check (list string))
+    "the Kth slow round re-excludes" [ "t1" ] (Au.excluded f.f_plane "s1");
+  check_int "second exclusion driven" 2 !(f.f_excl);
+  check_int "epoch counts three changes" 3 (Au.epoch f.f_plane "s1")
 
 (* ------------------------------------------------------------------ *)
 (* A proposal whose exclude driver commits nothing (a commit's own §4.2
@@ -179,7 +163,7 @@ let test_flap_damping_cycle () =
 
 let test_failed_exclude_backs_off () =
   let f =
-    fab ~exclude_n:0 ~slow:(fun ~from:_ ~store -> String.equal store "t1") ()
+    fab ~exclude_n:0 ~slow:(fun store -> String.equal store "t1") ()
   in
   let c = Au.attach f.f_plane "s1" in
   let rounds = ref 0 in
@@ -308,10 +292,10 @@ let suite =
       [
         Alcotest.test_case "K-1 slow rounds never exclude" `Quick
           test_hysteresis_gate;
-        Alcotest.test_case "a lone observer never excludes" `Quick
-          test_quorum_gate;
-        Alcotest.test_case "heal hysteresis, flap damping, cooldown expiry"
-          `Quick test_flap_damping_cycle;
+        Alcotest.test_case
+          "a healed store that sickens again is re-excluded after K slow rounds"
+          `Quick test_flap_re_excluded;
+        Alcotest.test_case "heal hysteresis" `Quick test_heal_hysteresis;
         Alcotest.test_case "a refused exclude backs off a full window" `Quick
           test_failed_exclude_backs_off;
         Alcotest.test_case "pins: steady p99 at baseline, healed re-include"

@@ -96,9 +96,9 @@ let test_health_hedge_delay_floor () =
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation and server-side shedding *)
 
-let shed_world ?gray_failure () =
+let shed_world ?hedged () =
   let eng = Sim.Engine.create ~seed:7L () in
-  let net = Net.Network.create ?gray_failure eng in
+  let net = Net.Network.create ?hedged eng in
   let rpc = Net.Rpc.create net in
   List.iter (Net.Network.add_node net) [ "client"; "server" ];
   (eng, net, rpc)
@@ -106,10 +106,10 @@ let shed_world ?gray_failure () =
 let echo : (string, string) Net.Rpc.endpoint = Net.Rpc.endpoint "echo"
 
 (* The initiator's deadline has already passed when the request lands:
-   the server must refuse without running the handler, whatever the
-   world's gray-failure profile. *)
-let check_expired_is_shed ?gray_failure () =
-  let eng, net, rpc = shed_world ?gray_failure () in
+   the server must refuse without running the handler, whether or not
+   the network hedges. *)
+let check_expired_is_shed ?hedged () =
+  let eng, net, rpc = shed_world ?hedged () in
   let ran = ref 0 in
   Net.Rpc.serve rpc ~node:"server" echo (fun s -> incr ran; s);
   let got = ref (Ok "unset") in
@@ -124,7 +124,7 @@ let check_expired_is_shed ?gray_failure () =
     (Sim.Metrics.counter (Net.Network.metrics net) "retry.shed_expired")
 
 let test_shed_expired_refuses_work () =
-  check_expired_is_shed ~gray_failure:Net.Network.Hedged ()
+  check_expired_is_shed ~hedged:true ()
 
 let test_shed_expired_without_profile () = check_expired_is_shed ()
 
@@ -206,10 +206,12 @@ let test_hedge_cancellation_keeps_rounds_sound () =
 (* ------------------------------------------------------------------ *)
 (* The gray-failure profile: one setting, three worlds. Each row names
    the planes that must be live under its profile, and each plane is
-   probed by its own observable effect: hedged scatters and sibling
-   wins against a store browned out on every message, and the
-   controller handle. A call whose deadline passed before it landed is
-   shed under every profile.
+   probed by its own observable effect against a store browned out on
+   every message: hedged scatters, and under [Autonomic] the
+   controller, which alone takes the slow store out of [St]. A slow
+   store still answers, so no commit excludes it (§4.2 excludes a store
+   that failed). A call whose deadline passed before it landed is shed
+   under every profile.
    Only health records are forged ([forge_slow]); every decision taken
    on them is the plane's own. *)
 
@@ -221,7 +223,9 @@ let forge_slow net ~now dst =
 
 type planes = {
   p_hedges : int;
-  p_sibling_wins : int;
+  p_commit_exclusions : int;
+  p_autonomic_excludes : int;
+  p_st : string list;
   p_shed : bool;
   p_controllers : bool;
 }
@@ -264,7 +268,9 @@ let probe_planes gray_failure =
   Service.run ~until:800.0 w;
   {
     p_hedges = Sim.Metrics.counter m "rpc.hedges";
-    p_sibling_wins = Sim.Metrics.counter m "rpc.sibling_wins";
+    p_commit_exclusions = Sim.Metrics.counter m "commit.exclusions";
+    p_autonomic_excludes = Sim.Metrics.counter m "autonomic.excludes";
+    p_st = List.sort String.compare (Router.current_st (Service.router w) uid);
     p_shed = !shed;
     p_controllers = Service.autonomic w <> None;
   }
@@ -275,8 +281,15 @@ let test_profiles_switch_their_planes () =
       let p = probe_planes gray_failure in
       check_bool (label ^ ": hedged scatters") hedged (p.p_hedges > 0);
       check_bool (label ^ ": deadline shedding") true p.p_shed;
-      check_bool (label ^ ": sibling routing") autonomic (p.p_sibling_wins > 0);
-      check_bool (label ^ ": autonomic controllers") autonomic p.p_controllers)
+      check_bool (label ^ ": autonomic controllers") autonomic p.p_controllers;
+      check_int (label ^ ": no commit excludes the slow store") 0
+        p.p_commit_exclusions;
+      check_bool (label ^ ": the controller excludes it") autonomic
+        (p.p_autonomic_excludes >= 1);
+      Alcotest.(check (list string))
+        (label ^ ": final St")
+        (if autonomic then [ "t2" ] else [ "t1"; "t2" ])
+        p.p_st)
     [
       ("none", None, false, false);
       ("Hedged", Some Service.Hedged, true, false);
