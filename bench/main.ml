@@ -391,6 +391,27 @@ let bench_copy_back_large =
             (List.init 40 (fun i -> Printf.sprintf "key%02d=%032d" i i))))
     ~op:(fun i -> Printf.sprintf "put hot v%d" i)
 
+(* The object kernel with no world around it: 1,000 kvmap ops on the e2e
+   benchmark's 40-entry, 1,319-byte map. Each round of three re-inserts
+   the key the previous round deleted, reads a key and deletes one, so
+   the map keeps 39-40 entries and every op's in-place path runs.
+   micro/commit.full-large covers the same ops inside a world. *)
+let bench_kvmap_ops =
+  let apply = Replica.Object_impl.kv_map.apply in
+  let key j = Printf.sprintf "key%02d" (((j * 7) mod 40 + 40) mod 40) in
+  let initial =
+    String.concat ";" (List.init 40 (fun i -> Printf.sprintf "key%02d=%026d" i i))
+  in
+  let ops =
+    Array.init 1000 (fun i ->
+        let j = i / 3 in
+        match i mod 3 with
+        | 0 -> Printf.sprintf "put %s %026d" (key (j - 1)) i
+        | 1 -> Printf.sprintf "get key%02d" (j * 13 mod 40)
+        | _ -> "del " ^ key j)
+  in
+  fun () -> ignore (Array.fold_left (fun p op -> fst (apply p op)) initial ops)
+
 (* Five scheme-B write commits, each validating a lock-free St snapshot
    inside its prepare round. Scheme B binds are snapshot reads, so the
    naming-tier work on this path is the commit-time snapshot and
@@ -521,6 +542,7 @@ let micro_tests =
         (Staged.stage bench_cached_repeat_binds);
       Test.make ~name:"commit.full-small" (Staged.stage bench_copy_back_small);
       Test.make ~name:"commit.full-large" (Staged.stage bench_copy_back_large);
+      Test.make ~name:"replica.kvmap-ops" (Staged.stage bench_kvmap_ops);
       Test.make ~name:"commit.optimistic" (Staged.stage bench_optimistic);
       Test.make ~name:"bind.schemeA" (Staged.stage bench_schemea);
       Test.make ~name:"commit.read-only" (Staged.stage bench_read_only_commits);

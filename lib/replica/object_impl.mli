@@ -55,7 +55,31 @@ val string_set : t
 val kv_map : t
 (** A string→string map (payload: [k=v] pairs, [';'] separated, sorted by
     key; no ['='], [';'] or spaces in keys). Ops: ["put k v"],
-    ["get k"] (reply the value or ["(none)"]), ["del k"], ["size"]. *)
+    ["get k"] (reply the value or ["(none)"]), ["del k"], ["size"].
+
+    {b Canonical form.} A payload is canonical when it is [""] or [k=v]
+    entries joined by [';'] in which every entry holds a ['='] and the
+    keys (the text before each entry's first ['=']) never decrease.
+    Every result of an op on a canonical payload is canonical as long as
+    no key holds ['='] or [';'] and no value holds [';'].
+
+    {b Cost.} Each op reads the payload once, in place, for a payload of
+    [n] bytes:
+    - ["put"] and ["del"] check the form and find the key's first entry
+      by comparing substrings in the same pass, then build the result
+      with one [n]-byte allocation. A ["del"] of an absent key returns
+      the payload itself.
+    - ["get"] and ["size"] allocate only the reply.
+
+    {b Other payloads.} A payload outside the form (a caller's
+    [?initial], or one that a put whose key holds ['='] or [';'], or
+    whose value holds [';'], can leave) is normalised before a ["put"] or ["del"]:
+    its entries are parsed, an entry with no ['='] taking the value
+    [""], stably sorted by key and re-rendered. ["get"] returns the
+    value of the first entry with the key, and ["size"] counts the
+    entries. Every result is therefore byte-identical to parsing the
+    whole map, editing the entry list (replacing or removing the key's
+    first entry) and re-rendering it. *)
 
 val stock_all : t list
 (** All stock implementations, convenient for seeding registries. *)

@@ -1,6 +1,10 @@
+(* One distribution: its samples, oldest first, in [data.(0 .. len-1)].
+   [data] doubles when full. *)
+type series = { mutable data : Float.Array.t; mutable len : int }
+
 type t = {
   counters_tbl : (string, int ref) Hashtbl.t;
-  samples_tbl : (string, float list ref) Hashtbl.t; (* newest first *)
+  samples_tbl : (string, series) Hashtbl.t;
 }
 
 let create () = { counters_tbl = Hashtbl.create 32; samples_tbl = Hashtbl.create 32 }
@@ -35,31 +39,50 @@ let find_samples t name =
   match Hashtbl.find_opt t.samples_tbl name with
   | Some r -> r
   | None ->
-      let r = ref [] in
+      let r = { data = Float.Array.create 32; len = 0 } in
       Hashtbl.add t.samples_tbl name r;
       r
 
 let observe t name v =
   let r = find_samples t name in
-  r := v :: !r
+  if r.len = Float.Array.length r.data then begin
+    let data = Float.Array.create (2 * r.len) in
+    Float.Array.blit r.data 0 data 0 r.len;
+    r.data <- data
+  end;
+  Float.Array.set r.data r.len v;
+  r.len <- r.len + 1
+
+(* [name]'s series, if it holds a sample. *)
+let find t name =
+  match Hashtbl.find_opt t.samples_tbl name with
+  | Some r when r.len > 0 -> Some r
+  | _ -> None
 
 let samples t name =
-  match Hashtbl.find_opt t.samples_tbl name with
-  | Some r -> List.rev !r
+  match find t name with
+  | Some r -> List.init r.len (Float.Array.get r.data)
   | None -> []
 
+(* Every reader below visits the samples oldest first: a float sum, and
+   which of two equal keys a sort puts first, depend on that order. *)
 let mean t name =
-  match samples t name with
-  | [] -> nan
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+  match find t name with
+  | None -> nan
+  | Some r ->
+      let sum = ref 0.0 in
+      for i = 0 to r.len - 1 do
+        sum := !sum +. Float.Array.get r.data i
+      done;
+      !sum /. float_of_int r.len
 
 let percentile t name p =
-  match samples t name with
-  | [] -> nan
-  | xs ->
-      let arr = Array.of_list xs in
+  match find t name with
+  | None -> nan
+  | Some r ->
+      let n = r.len in
+      let arr = Array.init n (Float.Array.get r.data) in
       Array.sort Float.compare arr;
-      let n = Array.length arr in
       let rank =
         int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1
       in
@@ -67,11 +90,17 @@ let percentile t name p =
       arr.(rank)
 
 let max_sample t name =
-  match samples t name with
-  | [] -> nan
-  | x :: xs -> List.fold_left Float.max x xs
+  match find t name with
+  | None -> nan
+  | Some r ->
+      let m = ref (Float.Array.get r.data 0) in
+      for i = 1 to r.len - 1 do
+        m := Float.max !m (Float.Array.get r.data i)
+      done;
+      !m
 
-let sample_count t name = List.length (samples t name)
+let sample_count t name =
+  match Hashtbl.find_opt t.samples_tbl name with Some r -> r.len | None -> 0
 
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters_tbl []
@@ -80,5 +109,8 @@ let counters t =
 let merge_into ~dst src =
   Hashtbl.iter (fun k r -> incr dst ~by:!r k) src.counters_tbl;
   Hashtbl.iter
-    (fun k r -> List.iter (fun v -> observe dst k v) (List.rev !r))
+    (fun k r ->
+      for i = 0 to r.len - 1 do
+        observe dst k (Float.Array.get r.data i)
+      done)
     src.samples_tbl

@@ -31,17 +31,25 @@ val counter : t -> string -> int
 (** Current value of counter [name]; 0 if never incremented. *)
 
 val observe : t -> string -> float -> unit
-(** [observe t name v] appends sample [v] to the distribution [name]. *)
+(** [observe t name v] appends sample [v] to the distribution [name].
+
+    A distribution keeps every sample unboxed, oldest first, in a
+    [Float.Array.t] that doubles its length when full (one word per
+    sample plus at most as many spare words). Nothing bounds the series:
+    it grows for as long as the registry lives. Every reader below
+    visits the samples oldest first. *)
 
 val samples : t -> string -> float list
 (** All samples recorded under [name], oldest first. *)
 
 val mean : t -> string -> float
-(** Mean of the samples under [name]; [nan] if none. *)
+(** Mean of the samples under [name], summed oldest first; [nan] if
+    none. *)
 
 val percentile : t -> string -> float -> float
 (** [percentile t name p] is the [p]-th percentile (0..100, nearest-rank)
-    of the samples under [name]; [nan] if none. *)
+    of the samples under [name]; [nan] if none. Each call sorts a copy
+    of the series. *)
 
 val max_sample : t -> string -> float
 (** Largest sample under [name]; [nan] if none. *)
@@ -54,4 +62,5 @@ val counters : t -> (string * int) list
 
 val merge_into : dst:t -> t -> unit
 (** [merge_into ~dst src] adds all of [src]'s counters and samples into
-    [dst]; used to aggregate repeated trials. *)
+    [dst], appending each of [src]'s series after [dst]'s, oldest first;
+    used to aggregate repeated trials. *)

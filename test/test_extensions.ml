@@ -86,6 +86,122 @@ let test_kvmap_impl () =
   check_string "size" "1" r;
   ignore p
 
+(* The kvmap as it was first written: parse every entry, edit the list,
+   sort and re-render. It is the oracle for the one-pass [kv_map], which
+   must agree with it byte for byte on every payload, canonical or not. *)
+module Kvmap_oracle = struct
+  let split_op op =
+    match String.index_opt op ' ' with
+    | None -> (op, "")
+    | Some i ->
+        (String.sub op 0 i, String.sub op (i + 1) (String.length op - i - 1))
+
+  let parse payload =
+    if String.equal payload "" then []
+    else
+      List.map
+        (fun pair ->
+          match String.index_opt pair '=' with
+          | Some i ->
+              ( String.sub pair 0 i,
+                String.sub pair (i + 1) (String.length pair - i - 1) )
+          | None -> (pair, ""))
+        (String.split_on_char ';' payload)
+
+  let render entries =
+    entries
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map (fun (k, v) -> k ^ "=" ^ v)
+    |> String.concat ";"
+
+  let apply payload op =
+    let entries = parse payload in
+    match split_op op with
+    | "put", rest -> (
+        match String.index_opt rest ' ' with
+        | Some i ->
+            let k = String.sub rest 0 i in
+            let v = String.sub rest (i + 1) (String.length rest - i - 1) in
+            (render ((k, v) :: List.remove_assoc k entries), "ok")
+        | None -> (payload, "usage: put k v"))
+    | "get", k -> (
+        match List.assoc_opt k entries with
+        | Some v -> (payload, v)
+        | None -> (payload, "(none)"))
+    | "del", k -> (render (List.remove_assoc k entries), "ok")
+    | "size", _ -> (payload, string_of_int (List.length entries))
+    | other, _ -> (payload, "unknown op: " ^ other)
+end
+
+(* A start payload and a run of ops. Short strings over an alphabet that
+   holds the separators give non-canonical payloads (duplicate keys,
+   entries with no ['='], empty keys, a trailing [';'], [""]) and keys or
+   values with ['='], [';'] or spaces in them; puts of a few plain keys
+   build canonical maps, where the in-place edits do the work. *)
+let kvmap_case_gen =
+  let open QCheck.Gen in
+  let junk n =
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '='; ';'; ' ' ]) (int_range 0 n)
+  in
+  let key =
+    frequency [ (4, oneofl [ "a"; "b"; "c"; "ab"; "k1"; "k2"; "" ]); (1, junk 3) ]
+  in
+  let value =
+    frequency [ (3, map (Printf.sprintf "v%d") (int_range 0 99)); (1, junk 5) ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (Printf.sprintf "put %s %s") key value);
+        (2, map (( ^ ) "get ") key);
+        (2, map (( ^ ) "del ") key);
+        (1, return "size");
+        ( 1,
+          map2 ( ^ )
+            (oneofl [ "put"; "get"; "del"; "size"; "pop"; ""; "putx" ])
+            (opt (map (( ^ ) " ") (junk 6)) >|= Option.value ~default:"") );
+      ]
+  in
+  pair (frequency [ (1, return ""); (2, junk 16) ]) (list_size (int_range 1 12) op)
+
+let prop_kvmap_matches_oracle =
+  QCheck.Test.make ~name:"kvmap agrees with the parse/sort/render oracle"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list string))
+       kvmap_case_gen)
+    (fun (payload, ops) ->
+      let m = Replica.Object_impl.kv_map in
+      let rec go p = function
+        | [] -> true
+        | op :: rest ->
+            let expected = Kvmap_oracle.apply p op in
+            apply m p op = expected && go (fst expected) rest
+      in
+      go payload ops)
+
+(* The e2e benchmark's map: 40 entries of a 5-byte key and a 26-byte
+   value, 1,319 bytes. *)
+let kvmap_40 =
+  String.concat ";" (List.init 40 (fun i -> Printf.sprintf "key%02d=%026d" i i))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_kvmap_alloc () =
+  let m = Replica.Object_impl.kv_map in
+  let payload_words = float_of_int (Obj.reachable_words (Obj.repr kvmap_40)) in
+  let op = "put key17 " ^ String.make 26 'z' in
+  let put = minor_words (fun () -> apply m kvmap_40 op) in
+  let get = minor_words (fun () -> apply m kvmap_40 "get key33") in
+  check_bool
+    (Printf.sprintf "put allocates %.0f words, payload %.0f" put payload_words)
+    true
+    (put <= 2.0 *. payload_words);
+  check_bool (Printf.sprintf "get allocates %.0f words" get) true (get <= 64.0)
+
 let prop_queue_fifo =
   QCheck.Test.make ~name:"queue pops in push order" ~count:200
     QCheck.(small_list (int_range 0 999))
@@ -370,6 +486,8 @@ let suite =
         tc "set" `Quick test_set_impl;
         tc "set canonical" `Quick test_set_sorted_canonical;
         tc "kvmap" `Quick test_kvmap_impl;
+        tc "kvmap allocation" `Quick test_kvmap_alloc;
+        Test_util.qcheck prop_kvmap_matches_oracle;
         Test_util.qcheck prop_queue_fifo;
       ] );
     ( "ext.admin",

@@ -588,6 +588,50 @@ let test_metrics_merge () =
   check_int "merged counter" 3 (Metrics.counter a "c");
   check_int "merged samples" 2 (Metrics.sample_count a "s")
 
+(* Samples are stored unboxed: a series costs its array's words, and the
+   array at most doubles its length. *)
+let test_metrics_samples_unboxed () =
+  let m = Metrics.create () in
+  for i = 1 to 10_000 do
+    Metrics.observe m "lat" (float_of_int i)
+  done;
+  let words = Obj.reachable_words (Obj.repr m) in
+  check_bool
+    (Printf.sprintf "%d words for 10,000 samples" words)
+    true
+    (float_of_int words <= 2.5 *. 10_000.0)
+
+(* 37 samples force the series to grow. The readers must give what the
+   list-based registry gave, bit for bit, and read samples oldest first. *)
+let test_metrics_growth_matches_list () =
+  let m = Metrics.create () in
+  let xs =
+    List.init 37 (function
+      | 5 -> -0.0
+      | 9 -> 0.0
+      | i -> float_of_int (i * 7919 mod 23) /. 3.0)
+  in
+  List.iter (Metrics.observe m "s") xs;
+  let list_mean = List.fold_left ( +. ) 0.0 xs /. 37.0 in
+  let list_percentile p =
+    let arr = Array.of_list xs in
+    Array.sort Float.compare arr;
+    arr.(max 0 (min 36 (int_of_float (ceil (p /. 100.0 *. 37.0)) - 1)))
+  in
+  let list_max = List.fold_left Float.max (List.hd xs) (List.tl xs) in
+  let same name a b =
+    check_bool name true (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  same "mean" list_mean (Metrics.mean m "s");
+  same "p50" (list_percentile 50.0) (Metrics.percentile m "s" 50.0);
+  same "p99" (list_percentile 99.0) (Metrics.percentile m "s" 99.0);
+  same "max" list_max (Metrics.max_sample m "s");
+  check_bool "samples oldest first" true (Metrics.samples m "s" = xs);
+  let dst = Metrics.create () in
+  Metrics.observe dst "s" 100.0;
+  Metrics.merge_into ~dst m;
+  check_bool "merge appends in order" true (Metrics.samples dst "s" = 100.0 :: xs)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
 
@@ -984,6 +1028,8 @@ let suite =
         tc "samples" `Quick test_metrics_samples;
         tc "percentile edges" `Quick test_metrics_percentile_edges;
         tc "merge" `Quick test_metrics_merge;
+        tc "samples unboxed" `Quick test_metrics_samples_unboxed;
+        tc "growth matches list" `Quick test_metrics_growth_matches_list;
         Test_util.qcheck prop_metrics_percentile_monotone;
       ] );
   ]
