@@ -505,61 +505,63 @@ let bench_harsh_brownout mode () =
     (Workload.Exp_autonomic.episode ~mode ~prob:0.7 ~commits:40 ~seed:47L ()
       : Workload.Exp_autonomic.sample)
 
+(* Every micro subject: a name and one self-contained episode. *)
+let micro_subjects : (string * (unit -> unit)) list =
+  [
+    ("engine.200-fibers", bench_engine_fibers);
+    ("engine.resume-under-timers", bench_resume_under_timers);
+    ("lock.100-write-cycles", bench_lock_cycle);
+    ("lock.release-all-1024-keys", bench_lock_release_all);
+    ("rpc.50-roundtrips", bench_rpc_roundtrips);
+    ("mcast.20-atomic-casts", bench_atomic_multicast);
+    ("2pc.10-commits", bench_2pc ?drop:None);
+    ("2pc.10-commits-lossy", bench_2pc ~drop:0.05);
+    ("bind.5-actions-standard", bench_bound_action Naming.Scheme.Standard);
+    ( "bind.5-actions-independent",
+      bench_bound_action Naming.Scheme.Independent );
+    ( "bind.5-actions-nested-toplevel",
+      bench_bound_action Naming.Scheme.Nested_toplevel );
+    ("bind.8-clients-contended", bench_contended_binds);
+    ("bind.batched", bench_binds ~batched:true);
+    ("bind.serial", bench_binds ~batched:false);
+    ("bind.retry-under-drop-1pct", bench_binds_under_drop 0.01);
+    ("bind.retry-under-drop-5pct", bench_binds_under_drop 0.05);
+    ("gvd.10-read-actions", bench_gvd_ops);
+    ("audit.calm-trial", bench_audit_trial);
+    ("shardmap.1000-owner-lookups", bench_shardmap_lookups);
+    ("router.5-binds-4-shards", bench_router_binds_sharded);
+    ("cache.5-repeat-binds", bench_cached_repeat_binds);
+    ("commit.full-small", bench_copy_back_small);
+    ("commit.full-large", bench_copy_back_large);
+    ("replica.kvmap-ops", bench_kvmap_ops);
+    ("commit.optimistic", bench_optimistic);
+    ("bind.schemeA", bench_schemea);
+    ("commit.read-only", bench_read_only_commits);
+    ("commit.grouped-8-clients", bench_grouped_8_clients);
+    ("commit.brownout-hedged", bench_brownout ~hedged:true);
+    ("commit.brownout-unhedged", bench_brownout ~hedged:false);
+    ( "commit.harsh-brownout-excluded",
+      bench_harsh_brownout Workload.Exp_autonomic.Autonomic );
+    ( "commit.harsh-brownout-hedged",
+      bench_harsh_brownout Workload.Exp_autonomic.Hedged );
+  ]
+
 let micro_tests =
   Test.make_grouped ~name:"micro"
-    [
-      Test.make ~name:"engine.200-fibers" (Staged.stage bench_engine_fibers);
-      Test.make ~name:"engine.resume-under-timers"
-        (Staged.stage bench_resume_under_timers);
-      Test.make ~name:"lock.100-write-cycles" (Staged.stage bench_lock_cycle);
-      Test.make ~name:"lock.release-all-1024-keys" (Staged.stage bench_lock_release_all);
-      Test.make ~name:"rpc.50-roundtrips" (Staged.stage bench_rpc_roundtrips);
-      Test.make ~name:"mcast.20-atomic-casts" (Staged.stage bench_atomic_multicast);
-      Test.make ~name:"2pc.10-commits" (Staged.stage (bench_2pc ?drop:None));
-      Test.make ~name:"2pc.10-commits-lossy"
-        (Staged.stage (bench_2pc ~drop:0.05));
-      Test.make ~name:"bind.5-actions-standard"
-        (Staged.stage (bench_bound_action Naming.Scheme.Standard));
-      Test.make ~name:"bind.5-actions-independent"
-        (Staged.stage (bench_bound_action Naming.Scheme.Independent));
-      Test.make ~name:"bind.5-actions-nested-toplevel"
-        (Staged.stage (bench_bound_action Naming.Scheme.Nested_toplevel));
-      Test.make ~name:"bind.8-clients-contended"
-        (Staged.stage bench_contended_binds);
-      Test.make ~name:"bind.batched" (Staged.stage (bench_binds ~batched:true));
-      Test.make ~name:"bind.serial" (Staged.stage (bench_binds ~batched:false));
-      Test.make ~name:"bind.retry-under-drop-1pct"
-        (Staged.stage (bench_binds_under_drop 0.01));
-      Test.make ~name:"bind.retry-under-drop-5pct"
-        (Staged.stage (bench_binds_under_drop 0.05));
-      Test.make ~name:"gvd.10-read-actions" (Staged.stage bench_gvd_ops);
-      Test.make ~name:"audit.calm-trial" (Staged.stage bench_audit_trial);
-      Test.make ~name:"shardmap.1000-owner-lookups"
-        (Staged.stage bench_shardmap_lookups);
-      Test.make ~name:"router.5-binds-4-shards"
-        (Staged.stage bench_router_binds_sharded);
-      Test.make ~name:"cache.5-repeat-binds"
-        (Staged.stage bench_cached_repeat_binds);
-      Test.make ~name:"commit.full-small" (Staged.stage bench_copy_back_small);
-      Test.make ~name:"commit.full-large" (Staged.stage bench_copy_back_large);
-      Test.make ~name:"replica.kvmap-ops" (Staged.stage bench_kvmap_ops);
-      Test.make ~name:"commit.optimistic" (Staged.stage bench_optimistic);
-      Test.make ~name:"bind.schemeA" (Staged.stage bench_schemea);
-      Test.make ~name:"commit.read-only" (Staged.stage bench_read_only_commits);
-      Test.make ~name:"commit.grouped-8-clients"
-        (Staged.stage bench_grouped_8_clients);
-      Test.make ~name:"commit.brownout-hedged"
-        (Staged.stage (bench_brownout ~hedged:true));
-      Test.make ~name:"commit.brownout-unhedged"
-        (Staged.stage (bench_brownout ~hedged:false));
-      Test.make ~name:"commit.harsh-brownout-excluded"
-        (Staged.stage (bench_harsh_brownout Workload.Exp_autonomic.Autonomic));
-      Test.make ~name:"commit.harsh-brownout-hedged"
-        (Staged.stage (bench_harsh_brownout Workload.Exp_autonomic.Hedged));
-    ]
+    (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) micro_subjects)
 
-(* Run the micro suite; print the human table and return the per-subject
-   ns/run estimates for the JSON report. *)
+(* The minor words one run of [f] allocates, after a first run has warmed
+   whatever it builds once. The subjects are deterministic episodes, so
+   the count is exact and repeats on any machine. *)
+let minor_words_per_run f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Run the micro suite; print the human table and return, per subject,
+   the ns/run estimate and the minor words of one run for the JSON
+   report. *)
 let run_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
@@ -568,14 +570,21 @@ let run_micro () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
+  (* Counted before Bechamel runs anything, so the run counted is every
+     subject's second, whatever the timing loop would have done. *)
+  let words =
+    List.map
+      (fun (name, f) -> ("micro/" ^ name, minor_words_per_run f))
+      micro_subjects
+  in
   let raw = Benchmark.all cfg instances micro_tests in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances
   in
   let merged = Analyze.merge ols instances results in
   print_endline "== micro: substrate hot paths (Bechamel, monotonic clock) ==";
-  Printf.printf "%-40s  %s\n" "benchmark" "time/run";
-  Printf.printf "%-40s  %s\n" (String.make 40 '-') "--------";
+  Printf.printf "%-40s  %15s  %s\n" "benchmark" "time/run" "minor words/run";
+  Printf.printf "%-40s  %15s  %s\n" (String.make 40 '-') "--------" "---------------";
   let estimates =
     match Hashtbl.find_opt merged (Measure.label Instance.monotonic_clock) with
     | None ->
@@ -590,11 +599,13 @@ let run_micro () =
                  | Some [ e ] -> Some e
                  | _ -> None
                in
-               Printf.printf "%-40s  %s\n" name
+               let w = List.assoc_opt name words in
+               Printf.printf "%-40s  %15s  %s\n" name
                  (match estimate with
                  | Some e -> Printf.sprintf "%12.0f ns" e
-                 | None -> "-");
-               (name, estimate))
+                 | None -> "-")
+                 (match w with Some w -> Printf.sprintf "%.0f" w | None -> "-");
+               (name, estimate, w))
   in
   print_newline ();
   estimates
@@ -628,10 +639,12 @@ let write_json ~path ~micro ~tables =
   let micro_json =
     json_list
       (List.map
-         (fun (name, est) ->
-           Printf.sprintf "{%s:%s,%s:%s}" (json_str "name") (json_str name)
+         (fun (name, est, words) ->
+           Printf.sprintf "{%s:%s,%s:%s,%s:%s}" (json_str "name") (json_str name)
              (json_str "ns_per_run")
-             (match est with Some e -> json_float e | None -> "null"))
+             (match est with Some e -> json_float e | None -> "null")
+             (json_str "minor_words_per_run")
+             (match words with Some w -> Printf.sprintf "%.0f" w | None -> "null"))
          micro)
   in
   let table_json (id, (t : Workload.Table.t)) =

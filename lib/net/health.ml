@@ -79,7 +79,7 @@ let count_sample d ~now =
   d.d_samples <- d.d_samples +. 1.0;
   d.d_last <- now
 
-let note_ok t ~dst ~now ~latency =
+let[@inline] note_latency t ~dst ~now latency =
   let slow = latency > slow_threshold t in
   let d = dest t dst in
   note_slow d ~now ~slow;
@@ -92,6 +92,13 @@ let note_ok t ~dst ~now ~latency =
   f.g_ewma <- blend ~first f.g_ewma latency;
   f.g_samples <- f.g_samples +. 1.0;
   count_sample d ~now
+
+let note_ok t ~dst ~now ~latency = note_latency t ~dst ~now latency
+
+(* The latency is worked out here, unboxed: a caller that holds the
+   clock's two readings passes their existing boxes and allocates
+   nothing. *)
+let note_round_trip t ~dst ~sent ~now = note_latency t ~dst ~now (now -. sent)
 
 (* A transport failure (timeout, crash detection) says nothing about how
    fast the destination serves when it does answer — it is the failure

@@ -32,6 +32,12 @@ val note_ok : t -> dst:string -> now:float -> latency:float -> unit
     EWMA)]: relative to the {e fleet}, not the destination itself, so a
     consistently sick node cannot normalize its own sickness away. *)
 
+val note_round_trip : t -> dst:string -> sent:float -> now:float -> unit
+(** [note_round_trip t ~dst ~sent ~now] is [note_ok t ~dst ~now
+    ~latency:(now -. sent)], for a call sent at [sent] and answered at
+    [now]. Given the clock's own readings it allocates nothing: the
+    latency is never boxed. *)
+
 val note_failure : t -> dst:string -> now:float -> unit
 (** Feed a transport failure (timeout, crash detection): counts as a slow
     call for the indicator but does not pollute the latency EWMA — how

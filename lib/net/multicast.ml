@@ -1,7 +1,7 @@
 type 'm channel = {
   ch_name : string;
   inject : 'm -> Univ.t;
-  project : Univ.t -> 'm option;
+  project : Univ.t -> 'm;
 }
 
 let channel name =
@@ -32,8 +32,8 @@ let create rpc =
 let listen t ~node ch h =
   let raw ~seq payload =
     match ch.project payload with
-    | Some m -> h ~seq m
-    | None ->
+    | m -> h ~seq m
+    | exception Univ.Mismatch ->
         failwith
           (Printf.sprintf "Multicast.listen: payload mismatch on %s@%s"
              ch.ch_name node)

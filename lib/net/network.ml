@@ -289,23 +289,28 @@ let clear_brownout t node =
 
 (* Sum the service-time inflation a message suffers at each browned-out
    endpoint (slow to serve inbound mail, slow to push outbound mail).
-   Draws come from [fault_rng] only when a brownout is installed, so
-   healthy worlds take the no-entry fast path with zero extra draws. *)
+   Draws come from [fault_rng], and [message_delay] asks only when a
+   brownout is installed, so healthy worlds make no extra draws. *)
 let brownout_extra t ~src ~dst =
-  if Hashtbl.length t.brownouts = 0 then 0.0
-  else
-    let one node =
-      match Hashtbl.find_opt t.brownouts node with
-      | Some bo when Sim.Rng.bool t.fault_rng bo.bo_prob ->
-          let extra = Sim.Rng.uniform t.fault_rng bo.bo_lo bo.bo_hi in
-          record t "fault" "brownout %s +%.2f" node extra;
-          Sim.Metrics.incr t.net_metrics "fault.brownout";
-          extra
-      | _ -> 0.0
-    in
-    let d = one dst in
-    let s = if src = dst then 0.0 else one src in
-    d +. s
+  let one node =
+    match Hashtbl.find_opt t.brownouts node with
+    | Some bo when Sim.Rng.bool t.fault_rng bo.bo_prob ->
+        let extra = Sim.Rng.uniform t.fault_rng bo.bo_lo bo.bo_hi in
+        record t "fault" "brownout %s +%.2f" node extra;
+        Sim.Metrics.incr t.net_metrics "fault.brownout";
+        extra
+    | _ -> 0.0
+  in
+  let d = one dst in
+  let s = if src = dst then 0.0 else one src in
+  d +. s
+
+(* One latency sample, inflated by any brownout. A healthy world passes
+   the sample's own box on, so the delay is not boxed again. *)
+let message_delay t ~src ~dst =
+  let delay = t.latency t.net_rng in
+  if Hashtbl.length t.brownouts = 0 then delay
+  else delay +. brownout_extra t ~src ~dst
 
 let clear_all_faults t =
   if Hashtbl.length t.faults > 0 then begin
@@ -342,7 +347,8 @@ let deliver t ~fiber ~src ~dst ~delay f =
           record t "fault" "cut drop %s->%s (one-way partition)" src dst;
           Sim.Metrics.incr t.net_metrics "fault.cut_dropped"
         end
-        else if fiber then Sim.Engine.start t.eng ~group:n.grp ~name:(src ^ "->" ^ dst) f
+        else if fiber then
+          Sim.Engine.start t.eng ~group:n.grp ~from:src ~name:dst f
         else f ()
       else begin
         record t "net" "drop %s->%s (dst down or partitioned)" src dst;
@@ -356,8 +362,7 @@ let deliver t ~fiber ~src ~dst ~delay f =
    [fault_rng] stream. *)
 let transmit t ~fiber ~src ~dst f =
   Sim.Metrics.bump t.msgs;
-  let delay = sample_latency t in
-  let delay = delay +. brownout_extra t ~src ~dst in
+  let delay = message_delay t ~src ~dst in
   match find_fault t ~src ~dst with
   | None -> deliver t ~fiber ~src ~dst ~delay f
   | Some fl ->
@@ -414,8 +419,7 @@ let send_fifo t ~src ~dst f =
         r
   in
   let now = Sim.Engine.now t.eng in
-  let lat = sample_latency t in
-  let lat = lat +. brownout_extra t ~src ~dst in
+  let lat = message_delay t ~src ~dst in
   let lat =
     match find_fault t ~src ~dst with
     | Some fl when fl.f_spike_p > 0.0 && Sim.Rng.bool t.fault_rng fl.f_spike_p

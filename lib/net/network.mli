@@ -189,8 +189,8 @@ val sample_latency : t -> float
 val send : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
 (** [send t ~src ~dst f] delivers [f] to [dst] after one latency sample:
     at delivery time, if [dst] is up and the pair is not partitioned, [f]
-    runs as a fresh fiber in [dst]'s group, started inside the delivery
-    event ({!Sim.Engine.start}); otherwise the message is silently dropped
+    runs as a fresh fiber named [src->dst] in [dst]'s group, started
+    inside the delivery event ({!Sim.Engine.start}); otherwise the message is silently dropped
     (fail-silent network discards mail for dead nodes). *)
 
 val reply : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit

@@ -10,11 +10,11 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 type ('req, 'resp) endpoint = {
   ep_name : string;
-  ep_id : int; (* process-unique; keys the per-world round counter *)
+  ep_id : int; (* process-unique; keys services and the round counter *)
   inject_req : 'req -> Univ.t;
-  project_req : Univ.t -> 'req option;
+  project_req : Univ.t -> 'req;
   inject_resp : 'resp -> Univ.t;
-  project_resp : Univ.t -> 'resp option;
+  project_resp : Univ.t -> 'resp;
 }
 
 let next_endpoint = ref 0
@@ -26,13 +26,16 @@ let endpoint name =
   incr next_endpoint;
   { ep_name = name; ep_id; inject_req; project_req; inject_resp; project_resp }
 
-(* A raw handler receives the request payload and a [reply] callback. The
-   reply callback transports the response back to the caller. *)
-type raw_handler = Univ.t -> reply:(Univ.t -> unit) -> unit
+(* A raw handler takes the request payload and returns the response
+   payload, which the caller's side sends back. *)
+type raw_handler = Univ.t -> Univ.t
 
 type t = {
   net : Network.t;
-  services : (Network.node_id * string, raw_handler) Hashtbl.t;
+  services : (Network.node_id, (int, raw_handler) Hashtbl.t) Hashtbl.t;
+      (* per node, per endpoint id: the handler installed there. Keyed by
+         id, so endpoints with equal names never meet, and a lookup
+         hashes a string and an int instead of building a pair. *)
   mutable next_req : int;
   seen : (Network.node_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* per destination: the request ids it has already run *)
@@ -104,20 +107,31 @@ let guard_duplicate t ~from ~dst thunk =
       end
   end
 
+let services_at t node =
+  match Hashtbl.find t.services node with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.add t.services node tbl;
+      tbl
+
+(* The handler of [ep] at [node]. Only calls through [ep] itself reach it,
+   so its projections always match. *)
+let find_service t node ep = Hashtbl.find (Hashtbl.find t.services node) ep.ep_id
+
 let serve t ~node ep h =
-  let raw payload ~reply =
-    match ep.project_req payload with
-    | None ->
-        failwith
-          (Printf.sprintf "Rpc.serve: payload type mismatch on %s@%s"
-             ep.ep_name node)
-    | Some req -> reply (ep.inject_resp (h req))
-  in
-  Hashtbl.replace t.services (node, ep.ep_name) raw
+  Hashtbl.replace (services_at t node) ep.ep_id (fun payload ->
+      ep.inject_resp (h (ep.project_req payload)))
 
-let withdraw t ~node ep = Hashtbl.remove t.services (node, ep.ep_name)
+let withdraw t ~node ep =
+  match Hashtbl.find t.services node with
+  | tbl -> Hashtbl.remove tbl ep.ep_id
+  | exception Not_found -> ()
 
-let serving t ~node ep = Hashtbl.mem t.services (node, ep.ep_name)
+let serving t ~node ep =
+  match Hashtbl.find t.services node with
+  | tbl -> Hashtbl.mem tbl ep.ep_id
+  | exception Not_found -> false
 
 let record t fmt =
   Sim.Trace.recordf (Network.trace t.net)
@@ -129,6 +143,18 @@ let error_counter = function
   | Crashed -> "rpc.crashed"
   | Timed_out -> "rpc.timed_out"
   | No_service -> "rpc.no_service"
+
+(* The end of a round trip on the caller's side: the crash watch on the
+   callee goes, and the caller resumes with [r]. *)
+let finish t watch resume r =
+  Network.unwatch t.net watch;
+  resume (Ok r)
+
+(* An answer the handler did not give. It only resumes the caller, so it
+   arrives without a fiber. Built on these branches alone, so a call that
+   runs its handler allocates none of it. *)
+let answer t ~from ~dst watch resume r =
+  Network.reply t.net ~src:dst ~dst:from (fun () -> finish t watch resume r)
 
 let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
   let eng = Network.engine t.net in
@@ -154,12 +180,6 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
       let watch =
         Network.watch_crash t.net dst (fun () -> resume (Ok (Error Crashed)))
       in
-      let finish r =
-        Network.unwatch t.net watch;
-        resume (Ok r)
-      in
-      (* Answers only resume the caller, so they arrive without a fiber. *)
-      let answer r = Network.reply t.net ~src:dst ~dst:from (fun () -> finish r) in
       Network.send t.net ~src:from ~dst
         (guard_duplicate t ~from ~dst (fun () ->
              (* Deadline propagation: the caller's deadline rides in the
@@ -180,34 +200,31 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
              in
              let expired =
                match deadline_at with
-               | Some d -> Sim.Engine.now eng > d
+               | Some d -> Sim.Engine.now (Network.engine t.net) > d
                | None -> false
              in
              if dead then begin
                Sim.Metrics.incr (Network.metrics t.net) "rpc.hedge_cancelled";
                record t "%s: dropped cancelled hedge copy %s.%s" dst from
                  ep.ep_name;
-               answer (Error Timed_out)
+               answer t ~from ~dst watch resume (Error Timed_out)
              end
              else if expired then begin
                Sim.Metrics.incr (Network.metrics t.net) "retry.shed_expired";
                record t "%s: shed expired call %s.%s" dst from ep.ep_name;
-               answer (Error Timed_out)
+               answer t ~from ~dst watch resume (Error Timed_out)
              end
              else
-               match Hashtbl.find t.services (dst, ep.ep_name) with
-               | exception Not_found -> answer (Error No_service)
+               match find_service t dst ep with
+               | exception Not_found ->
+                   answer t ~from ~dst watch resume (Error No_service)
                | raw ->
-                   raw (ep.inject_req req) ~reply:(fun resp_payload ->
-                       Network.reply t.net ~src:dst ~dst:from (fun () ->
-                           match ep.project_resp resp_payload with
-                           | Some resp -> finish (Ok resp)
-                           | None ->
-                               failwith
-                                 (Printf.sprintf
-                                    "Rpc.call: response type mismatch on %s"
-                                    ep.ep_name)))))
+                   let resp = raw (ep.inject_req req) in
+                   Network.reply t.net ~src:dst ~dst:from (fun () ->
+                       finish t watch resume (Ok (ep.project_resp resp)))))
     in
+    (* [timeout] hands back the resumer's argument as is: the [Ok] of a
+       settled call wraps the call's own result. *)
     let outcome =
       match Sim.Engine.timeout eng call_timeout register with
       | Ok r -> r
@@ -219,7 +236,7 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
     let now = Sim.Engine.now eng in
     (match outcome with
     | Ok _ ->
-        Health.note_ok (Network.health t.net) ~dst ~now ~latency:(now -. start)
+        Health.note_round_trip (Network.health t.net) ~dst ~sent:start ~now
     | Error e ->
         (match e with
         | No_service -> ()
@@ -316,6 +333,6 @@ let notify t ~from ~dst ep req =
   if Network.reachable t.net from dst then
     Network.send t.net ~src:from ~dst
       (guard_duplicate t ~from ~dst (fun () ->
-           match Hashtbl.find t.services (dst, ep.ep_name) with
+           match find_service t dst ep with
            | exception Not_found -> ()
-           | raw -> raw (ep.inject_req req) ~reply:(fun _ -> ())))
+           | raw -> ignore (raw (ep.inject_req req) : Univ.t)))

@@ -57,8 +57,12 @@ val network : t -> Network.t
 val serve :
   t -> node:Network.node_id -> ('req, 'resp) endpoint -> ('req -> 'resp) -> unit
 (** [serve t ~node ep h] installs [h] as the handler for [ep] on [node],
-    replacing any previous handler. [h] runs in a fiber on [node] for each
-    incoming call. *)
+    replacing any previous handler for [ep] there. [h] runs in a fiber on
+    [node] for each incoming call. Handlers are keyed by node, then by
+    the endpoint itself (a process-unique id), not by its name: a handler
+    served through one endpoint is reached, replaced, withdrawn or
+    reported by {!serving} only through that endpoint, even when another
+    has an equal name. *)
 
 val withdraw : t -> node:Network.node_id -> ('req, 'resp) endpoint -> unit
 (** Remove the handler for [ep] on [node]; subsequent calls get

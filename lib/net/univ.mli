@@ -8,6 +8,10 @@
 type t
 (** A universally typed payload. *)
 
-val embed : unit -> ('a -> t) * (t -> 'a option)
+exception Mismatch
+(** Raised by a projection given a payload of another embedding. *)
+
+val embed : unit -> ('a -> t) * (t -> 'a)
 (** [embed ()] is a fresh injection/projection pair. The projection
-    returns [None] on payloads created by any other embedding. *)
+    returns the injected value itself, with no option to allocate, and
+    raises {!Mismatch} on payloads created by any other embedding. *)

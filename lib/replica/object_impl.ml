@@ -262,6 +262,8 @@ let kv_map =
         if is_op op ni "put" then
           let ks = find_char op ' ' ko len in
           if ks = len then (payload, "usage: put k v")
+          else if find_char op '=' ko ks < ks || find_char op ';' ko len < len
+          then (payload, "invalid")
           else (put (locate payload op ko (ks - ko)) op ko (ks - ko) (ks + 1), "ok")
         else if is_op op ni "get" then (payload, get payload op ko)
         else if is_op op ni "del" then (del (locate payload op ko (len - ko)), "ok")

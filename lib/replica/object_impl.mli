@@ -54,14 +54,16 @@ val string_set : t
 
 val kv_map : t
 (** A string→string map (payload: [k=v] pairs, [';'] separated, sorted by
-    key; no ['='], [';'] or spaces in keys). Ops: ["put k v"],
-    ["get k"] (reply the value or ["(none)"]), ["del k"], ["size"].
+    key; no ['='], [';'] or spaces in keys, no [';'] in values). Ops:
+    ["put k v"], ["get k"] (reply the value or ["(none)"]), ["del k"],
+    ["size"]. A ["put"] whose key holds ['='] or [';'], or whose value
+    holds [';'], would read back as other entries: it leaves the state
+    unchanged and replies ["invalid"].
 
     {b Canonical form.} A payload is canonical when it is [""] or [k=v]
     entries joined by [';'] in which every entry holds a ['='] and the
     keys (the text before each entry's first ['=']) never decrease.
-    Every result of an op on a canonical payload is canonical as long as
-    no key holds ['='] or [';'] and no value holds [';'].
+    Every result of an op on a canonical payload is canonical.
 
     {b Cost.} Each op reads the payload once, in place, for a payload of
     [n] bytes:
@@ -72,8 +74,7 @@ val kv_map : t
     - ["get"] and ["size"] allocate only the reply.
 
     {b Other payloads.} A payload outside the form (a caller's
-    [?initial], or one that a put whose key holds ['='] or [';'], or
-    whose value holds [';'], can leave) is normalised before a ["put"] or ["del"]:
+    [?initial]) is normalised before a ["put"] or ["del"]:
     its entries are parsed, an entry with no ['='] taking the value
     [""], stably sorted by key and re-rendered. ["get"] returns the
     value of the first entry with the key, and ["size"] counts the

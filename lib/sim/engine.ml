@@ -5,9 +5,13 @@ type group = { gid : int; mutable alive : bool }
    O(1). A node outside the list links to itself — which is also its
    resumer's "already fired" flag — and holds no neighbour alive. *)
 type parked = {
+  p_from : string;
   p_name : string;
   p_group : group;
   p_daemon : bool;
+  mutable p_guard : Heap.event;
+      (* a [timeout]'s guard timer, removed when the fiber resumes;
+         [Heap.placeholder] for other suspensions *)
   mutable prev : parked;
   mutable next : parked;
 }
@@ -38,7 +42,17 @@ type t = {
   mutable next_suspend_daemon : bool;
       (* set by [daemon_sleep] just before performing Suspend, consumed by
          the handler to flag the parked suspension as a daemon's *)
+  mutable sleep_dt : float;
+      (* set by [sleep] just before performing Suspend, read at once by
+         [sleep_register], which the handler calls before anything else
+         runs *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+  mutable sleep_register : unit resumer -> unit;
+      (* the one handler every fiber runs under, and [sleep]'s registrant:
+         [create] sets both once, since they capture the engine *)
 }
+
+and 'a resumer = ('a, exn) result -> unit
 
 exception Deadlock of string
 exception Timed_out
@@ -47,10 +61,21 @@ exception Timed_out
    so slot arithmetic is a mask. *)
 let now_capacity = 16
 
-let create ?(seed = 1L) () =
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
+let create_engine seed =
   let root = { gid = 0; alive = true } in
   let rec sentinel =
-    { p_name = ""; p_group = root; p_daemon = true; prev = sentinel; next = sentinel }
+    {
+      p_from = "";
+      p_name = "";
+      p_group = root;
+      p_daemon = true;
+      p_guard = Heap.placeholder;
+      prev = sentinel;
+      next = sentinel;
+    }
   in
   {
     clock = 0.0;
@@ -69,6 +94,9 @@ let create ?(seed = 1L) () =
     detect_deadlock = false;
     nondaemon_queued = 0;
     next_suspend_daemon = false;
+    sleep_dt = 0.0;
+    handler = no_handler;
+    sleep_register = ignore;
   }
 
 let rng t = t.engine_rng
@@ -144,94 +172,161 @@ let unlink p =
 
 let linked p = p.next != p
 
-type 'a resumer = ('a, exn) result -> unit
+(* [Suspend] parks the fiber until its resumer is called. [Guarded] also
+   queues a guard timer that resumes it with [Error Timed_out], and hands
+   the fiber the resumer's argument as is. *)
+type _ Effect.t +=
+  | Suspend : group * ('a resumer -> unit) -> 'a Effect.t
+  | Guarded : group * float * ('a resumer -> unit) -> ('a, exn) result Effect.t
 
-type _ Effect.t += Suspend : (group * ('a resumer -> unit)) -> 'a Effect.t
-
-(* The group of the fiber code currently executing. Every code path that
-   runs fiber code (initial start, resumption) sets this first; it is never
-   read outside fiber code, so stale values between events are harmless. *)
+(* The group and name of the fiber code currently executing. Every code
+   path that runs fiber code (initial start, resumption) sets them first;
+   they are never read outside fiber code, so stale values between events
+   are harmless. A fiber that [start] ran is named [from->name], a
+   spawned one [name] (its [from] is [""]); the two are joined only when
+   a report prints the name. *)
 let current_group : group ref = ref { gid = -1; alive = true }
+let current_from = ref ""
+let current_name = ref ""
 
-(* Each fiber runs under one deep handler. The handler turns [Suspend]
-   into a queue-mediated resumption: the registrant receives a [resume]
-   closure which (idempotently, and only while the fiber's group is alive)
-   schedules the continuation. A killed group drops resumptions, so the
-   fiber disappears at its suspension point without unwinding — matching
-   fail-silent crash semantics. *)
-let run_fiber t g name f =
-  let body () =
-    current_group := g;
-    f ()
-  in
-  let open Effect.Deep in
-  match_with body ()
+let fiber_name ~from ~name = if from = "" then name else from ^ "->" ^ name
+
+(* Park the suspending fiber in the leak-audit registry. *)
+let park t fg =
+  t.suspended <- t.suspended + 1;
+  let daemon = t.next_suspend_daemon in
+  t.next_suspend_daemon <- false;
+  let rec p =
     {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          let bt = Printexc.get_backtrace () in
-          if t.fiber_error = None then
-            t.fiber_error <-
-              Some
-                (Failure
-                   (Printf.sprintf "fiber %s died: %s\n%s" name
-                      (Printexc.to_string e) bt)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend (fg, register) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.suspended <- t.suspended + 1;
-                  let daemon = t.next_suspend_daemon in
-                  t.next_suspend_daemon <- false;
-                  let rec p =
-                    { p_name = name; p_group = fg; p_daemon = daemon; prev = p; next = p }
-                  in
-                  link t p;
-                  let resume (r : (a, exn) result) =
-                    if linked p then begin
-                      unlink p;
-                      if fg.alive then begin
-                        t.suspended <- t.suspended - 1;
-                        push_now t (fun () ->
-                            if fg.alive then begin
-                              current_group := fg;
-                              match r with
-                              | Ok v -> continue k v
-                              | Error e -> discontinue k e
-                            end)
-                      end
-                    end
-                  in
-                  register resume)
-          | _ -> None);
+      p_from = !current_from;
+      p_name = !current_name;
+      p_group = fg;
+      p_daemon = daemon;
+      p_guard = Heap.placeholder;
+      prev = p;
+      next = p;
     }
+  in
+  link t p;
+  p
+
+(* The resumer's first call: whether the fiber is to be continued. A
+   guard still queued leaves the queue at once, so a drain-mode [run]
+   reaches quiescence without the moot guard and no later event has to
+   sift past it; a guard that has popped is the call itself. *)
+let wake t p =
+  let guard = p.p_guard in
+  if Heap.queued guard then begin
+    Heap.remove t.queue guard;
+    t.nondaemon_queued <- t.nondaemon_queued - 1
+  end;
+  linked p
+  && begin
+       unlink p;
+       if p.p_group.alive then t.suspended <- t.suspended - 1;
+       p.p_group.alive
+     end
+
+(* Whether a resumed fiber's group is still alive, making it the running
+   fiber if so. *)
+let enter p =
+  if p.p_group.alive then begin
+    current_group := p.p_group;
+    current_from := p.p_from;
+    current_name := p.p_name
+  end;
+  p.p_group.alive
+
+let fiber_died t e =
+  let bt = Printexc.get_backtrace () in
+  if t.fiber_error = None then
+    t.fiber_error <-
+      Some
+        (Failure
+           (Printf.sprintf "fiber %s died: %s\n%s"
+              (fiber_name ~from:!current_from ~name:!current_name)
+              (Printexc.to_string e) bt))
+
+(* The engine's one handler. It turns a suspension into a queue-mediated
+   resumption: the registrant receives a [resume] closure which
+   (idempotently, and only while the fiber's group is alive) schedules
+   the continuation. A killed group drops resumptions, so the fiber
+   disappears at its suspension point without unwinding — matching
+   fail-silent crash semantics. *)
+let handler t : (unit, unit) Effect.Deep.handler =
+  let open Effect.Deep in
+  {
+    retc = ignore;
+    exnc = fiber_died t;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend (fg, register) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let p = park t fg in
+                register (fun r ->
+                    if wake t p then
+                      push_now t (fun () ->
+                          if enter p then
+                            match r with
+                            | Ok v -> continue k v
+                            | Error e -> discontinue k e)))
+        | Guarded (fg, dt, register) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let p = park t fg in
+                let resume r =
+                  if wake t p then push_now t (fun () -> if enter p then continue k r)
+                in
+                p.p_guard <-
+                  push_ev t ~daemon:false ~delay:dt (fun () ->
+                      resume (Error Timed_out));
+                register resume)
+        | _ -> None);
+  }
+
+let sleep_register t resume =
+  push t ~delay:t.sleep_dt (fun () -> resume (Ok ()))
+
+let create ?(seed = 1L) () =
+  let t = create_engine seed in
+  t.handler <- handler t;
+  t.sleep_register <- sleep_register t;
+  t
+
+let run_fiber t g from name f =
+  current_group := g;
+  current_from := from;
+  current_name := name;
+  Effect.Deep.match_with f () t.handler
 
 let spawn t ?group ?(name = "fiber") f =
   let g = match group with None -> t.root | Some g -> g in
-  if g.alive then push_now t (fun () -> if g.alive then run_fiber t g name f)
+  if g.alive then push_now t (fun () -> if g.alive then run_fiber t g "" name f)
 
 (* Starting inside the current event instead of a delay-0 start event keeps
    the (time, seq) order of every other event whenever nothing else is due
-   at this instant — see DESIGN.md §5. The caller's group is restored once
-   the fiber first suspends or ends. *)
-let start t ~group ~name f =
+   at this instant — see DESIGN.md §5. The caller's group and name are
+   restored once the fiber first suspends or ends. *)
+let start t ~group ~from ~name f =
   if group.alive then begin
-    let caller = !current_group in
-    run_fiber t group name f;
-    current_group := caller
+    let caller = !current_group
+    and caller_from = !current_from
+    and caller_name = !current_name in
+    run_fiber t group from name f;
+    current_group := caller;
+    current_from := caller_from;
+    current_name := caller_name
   end
 
-let suspend _t register =
-  let g = !current_group in
-  Effect.perform (Suspend (g, register))
+let suspend _t register = Effect.perform (Suspend (!current_group, register))
 
 let self_group _t = !current_group
 
 let sleep t dt =
-  suspend t (fun resume -> push t ~delay:dt (fun () -> resume (Ok ())))
+  t.sleep_dt <- dt;
+  suspend t t.sleep_register
 
 (* A daemon sleep parks an idle periodic fiber (an autonomic controller).
    Its wakeup event is daemon-flagged, so a drain-mode [run]
@@ -239,45 +334,19 @@ let sleep t dt =
    [leaked_fibers] — the fiber is idle by design, not lost. Once resumed
    (time-bounded runs), the fiber's work is ordinary non-daemon events. *)
 let daemon_sleep t dt =
-  let g = !current_group in
   t.next_suspend_daemon <- true;
-  Effect.perform
-    (Suspend
-       ( g,
-         fun resume ->
-           ignore
-             (push_ev t ~daemon:true ~delay:dt (fun () -> resume (Ok ()))
-               : Heap.event) ))
+  suspend t (fun resume ->
+      ignore
+        (push_ev t ~daemon:true ~delay:dt (fun () -> resume (Ok ()))
+          : Heap.event))
 
 let yield t = sleep t 0.0
 
-let timeout t dt register =
-  let g = !current_group in
-  match
-    Effect.perform
-      (Suspend
-         ( g,
-           fun resume ->
-             (* Whichever side settles first wins. When the operation
-                settles, its guard timer leaves the queue at once, so a
-                drain-mode [run] reaches quiescence without the moot guard
-                and no later event has to sift past it. A guard for an
-                operation that never settles (request dropped by a link
-                fault) stays queued and WILL fire — the suspended caller's
-                only wakeup. *)
-             let guard =
-               push_ev t ~daemon:false ~delay:dt (fun () ->
-                   resume (Error Timed_out))
-             in
-             register (fun r ->
-                 if Heap.queued guard then begin
-                   Heap.remove t.queue guard;
-                   t.nondaemon_queued <- t.nondaemon_queued - 1;
-                   resume r
-                 end) ))
-  with
-  | v -> Ok v
-  | exception Timed_out -> Error Timed_out
+(* Whichever side settles first wins. A guard for an operation that never
+   settles (request dropped by a link fault) stays queued and WILL fire —
+   the suspended caller's only wakeup. *)
+let timeout _t dt register =
+  Effect.perform (Guarded (!current_group, dt, register))
 
 let set_detect_deadlock t flag = t.detect_deadlock <- flag
 
@@ -360,6 +429,9 @@ let leaked_fibers t =
         unlink p;
         walk next acc
       end
-      else walk next (if p.p_daemon then acc else p.p_name :: acc)
+      else
+        walk next
+          (if p.p_daemon then acc
+           else fiber_name ~from:p.p_from ~name:p.p_name :: acc)
   in
   List.sort String.compare (walk t.parked.next [])

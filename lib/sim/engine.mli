@@ -62,14 +62,22 @@ val spawn : t -> ?group:group -> ?name:string -> (unit -> unit) -> unit
     (other than the internal kill signal) is recorded and re-raised by
     {!run}. [name] is used in error reports. *)
 
-val start : t -> group:group -> name:string -> (unit -> unit) -> unit
-(** [start t ~group ~name f] runs fiber [f] at once, inside the current
-    event, up to its first suspension point; {!spawn} instead queues a
-    start event. Meant for plain event callbacks such as a message
-    delivery: when nothing else is due at this instant, the delay-0 start
-    event would have been the next to pop, so starting inline keeps every
-    other event, RNG draw and result in place while saving the event. A
-    no-op when [group] is dead. *)
+val start :
+  t -> group:group -> from:string -> name:string -> (unit -> unit) -> unit
+(** [start t ~group ~from ~name f] runs fiber [f] at once, inside the
+    current event, up to its first suspension point; {!spawn} instead
+    queues a start event. Meant for plain event callbacks such as a
+    message delivery: when nothing else is due at this instant, the
+    delay-0 start event would have been the next to pop, so starting
+    inline keeps every other event, RNG draw and result in place while
+    saving the event. A no-op when [group] is dead.
+
+    The fiber is named [from ^ "->" ^ name] in error reports and
+    {!leaked_fibers} (a message's source and destination, say). The
+    engine joins the two only when a report prints the name, and every
+    fiber runs under the engine's one effect handler, so a start that
+    never suspends allocates only what [Effect.Deep.match_with] does:
+    5 words. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs the plain callback [f] at time [now t +.
@@ -111,13 +119,17 @@ val yield : t -> unit
 
 val timeout : t -> float -> ('a resumer -> unit) -> ('a, exn) result
 (** [timeout t dt register] is like [suspend] but resumes with
-    [Error Timed_out] if nothing resumed the fiber within [dt]. Its guard
-    timer is a heap event even when [dt <= 0], so it stays removable: when
-    the operation settles first, the guard is removed from the queue at
-    once. *)
+    [Error Timed_out] if nothing resumed the fiber within [dt]. It
+    returns the argument of the resumer's first call as is: an [Error e]
+    is returned, not raised. Its guard timer is a heap event even when
+    [dt <= 0], so it stays removable: the suspension keeps the guard,
+    and when the operation settles first the resumer removes it from
+    the queue at once. No closure wraps [register] or the resumer, so
+    a guarded suspension and its resumption allocate 14 words more than
+    a plain one, mostly the guard event and its thunk. *)
 
 exception Timed_out
-(** Raised (inside the fiber) when a [timeout] expires. *)
+(** The error a [timeout] returns when its guard fires first. *)
 
 val set_detect_deadlock : t -> bool -> unit
 (** Enable or disable deadlock detection in [run]. Off by default: a

@@ -52,3 +52,7 @@ val remove : t -> event -> unit
 
 val queued : event -> bool
 (** Whether the event is still in its queue: false once popped or removed. *)
+
+val placeholder : event
+(** An event that is never queued ({!queued} is false): what a slot or a
+    field holds while it has no event. *)

@@ -9,10 +9,12 @@ type t = {
 
 let create () = { counters_tbl = Hashtbl.create 32; samples_tbl = Hashtbl.create 32 }
 
+(* [Hashtbl.find] rather than [find_opt]: bumping a counter or adding a
+   sample to a series that exists boxes no option. *)
 let find_counter t name =
-  match Hashtbl.find_opt t.counters_tbl name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters_tbl name with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
       Hashtbl.add t.counters_tbl name r;
       r
@@ -33,12 +35,12 @@ let bump h =
   h.h_cell := !(h.h_cell) + 1
 
 let counter t name =
-  match Hashtbl.find_opt t.counters_tbl name with Some r -> !r | None -> 0
+  match Hashtbl.find t.counters_tbl name with r -> !r | exception Not_found -> 0
 
 let find_samples t name =
-  match Hashtbl.find_opt t.samples_tbl name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.samples_tbl name with
+  | r -> r
+  | exception Not_found ->
       let r = { data = Float.Array.create 32; len = 0 } in
       Hashtbl.add t.samples_tbl name r;
       r

@@ -86,9 +86,28 @@ let test_kvmap_impl () =
   check_string "size" "1" r;
   ignore p
 
+(* A put that would break the payload's form is refused: a [';'] in the
+   value or a ['='] or [';'] in the key would read back as other
+   entries. *)
+let test_kvmap_refuses_separators () =
+  let m = Replica.Object_impl.kv_map in
+  let p, _ = apply m "" "put a 1" in
+  List.iter
+    (fun op ->
+      let p', r = apply m p op in
+      check_string (op ^ " replies") "invalid" r;
+      check_string (op ^ " leaves the state") p p')
+    [ "put k x;y"; "put k=a v"; "put k;a v"; "put k a;" ];
+  check_string "size" "1" (snd (apply m p "size"));
+  let p, r = apply m p "put k x y=z" in
+  check_string "= and spaces in a value" "ok" r;
+  check_string "read back" "x y=z" (snd (apply m p "get k"))
+
 (* The kvmap as it was first written: parse every entry, edit the list,
-   sort and re-render. It is the oracle for the one-pass [kv_map], which
-   must agree with it byte for byte on every payload, canonical or not. *)
+   sort and re-render; and, as the kvmap does since, refuse a put whose
+   key holds ['='] or [';'] or whose value holds [';']. It is the oracle
+   for the one-pass [kv_map], which must agree with it byte for byte on
+   every payload, canonical or not. *)
 module Kvmap_oracle = struct
   let split_op op =
     match String.index_opt op ' ' with
@@ -122,7 +141,10 @@ module Kvmap_oracle = struct
         | Some i ->
             let k = String.sub rest 0 i in
             let v = String.sub rest (i + 1) (String.length rest - i - 1) in
-            (render ((k, v) :: List.remove_assoc k entries), "ok")
+            if String.contains k '=' || String.contains k ';'
+               || String.contains v ';'
+            then (payload, "invalid")
+            else (render ((k, v) :: List.remove_assoc k entries), "ok")
         | None -> (payload, "usage: put k v"))
     | "get", k -> (
         match List.assoc_opt k entries with
@@ -185,17 +207,12 @@ let prop_kvmap_matches_oracle =
 let kvmap_40 =
   String.concat ";" (List.init 40 (fun i -> Printf.sprintf "key%02d=%026d" i i))
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. before
-
 let test_kvmap_alloc () =
   let m = Replica.Object_impl.kv_map in
   let payload_words = float_of_int (Obj.reachable_words (Obj.repr kvmap_40)) in
   let op = "put key17 " ^ String.make 26 'z' in
-  let put = minor_words (fun () -> apply m kvmap_40 op) in
-  let get = minor_words (fun () -> apply m kvmap_40 "get key33") in
+  let put = Test_util.minor_words (fun () -> apply m kvmap_40 op) in
+  let get = Test_util.minor_words (fun () -> apply m kvmap_40 "get key33") in
   check_bool
     (Printf.sprintf "put allocates %.0f words, payload %.0f" put payload_words)
     true
@@ -487,6 +504,7 @@ let suite =
         tc "set canonical" `Quick test_set_sorted_canonical;
         tc "kvmap" `Quick test_kvmap_impl;
         tc "kvmap allocation" `Quick test_kvmap_alloc;
+        tc "kvmap refuses separators" `Quick test_kvmap_refuses_separators;
         Test_util.qcheck prop_kvmap_matches_oracle;
         Test_util.qcheck prop_queue_fifo;
       ] );

@@ -477,7 +477,8 @@ let run_against_model ops =
           let until = model.now +. (float_of_int (id + 1) /. 1024.0) in
           advance until;
           Model.step model until;
-          Sim.Engine.start eng ~group:(Sim.Engine.root_group eng) ~name:"acquirer" (fun () ->
+          Sim.Engine.start eng ~group:(Sim.Engine.root_group eng) ~from:"test"
+            ~name:"acquirer" (fun () ->
               let r = Manager.acquire mgr ~owner ~mode k in
               Hashtbl.replace outcomes id (r = Ok (), Sim.Engine.now eng));
           Model.acquire model ~id ~owner ~mode k

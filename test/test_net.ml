@@ -173,6 +173,44 @@ let test_rpc_roundtrip_event_count () =
   Engine.run ~until:1e9 eng;
   check_int "no guard timer left" 31 (Engine.processed_events eng)
 
+(* One echo round trip, measured over 1,000 after a warm-up: what it
+   allocates is the substrate's cost per RPC (request and reply events,
+   the request fiber, the caller's guarded suspension). *)
+let test_rpc_roundtrip_alloc () =
+  let eng, net, rpc = make_world () in
+  Network.add_node net "a";
+  Network.add_node net "b";
+  let ep : (int, int) Rpc.endpoint = Rpc.endpoint "alloc.echo" in
+  Rpc.serve rpc ~node:"b" ep Fun.id;
+  let calls n () =
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (Rpc.call rpc ~from:"a" ~dst:"b" ep i))
+    done
+  in
+  Network.spawn_on net "a" (calls 10);
+  Engine.run eng;
+  Network.spawn_on net "a" (calls 1000);
+  let words = Test_util.minor_words (fun () -> Engine.run eng) /. 1000.0 in
+  check_bool
+    (Printf.sprintf "%.1f words per round trip" words)
+    true (words <= 160.0)
+
+(* A request handler parked for good is reported under its request's
+   [src->dst] name. *)
+let test_rpc_leaked_handler_named () =
+  let eng, net, rpc = make_world () in
+  Network.add_node net "a";
+  Network.add_node net "b";
+  let never : unit Ivar.t = Ivar.create () in
+  let ep : (unit, unit) Rpc.endpoint = Rpc.endpoint "stuck" in
+  Rpc.serve rpc ~node:"b" ep (fun () -> Ivar.read eng never);
+  let got = ref (Ok ()) in
+  Network.spawn_on net "a" (fun () ->
+      got := Rpc.call rpc ~from:"a" ~dst:"b" ep ());
+  Engine.run eng;
+  Alcotest.(check (result unit rpc_error)) "timed out" (Error Rpc.Timed_out) !got;
+  Alcotest.(check (list string)) "leaked" [ "a->b" ] (Engine.leaked_fibers eng)
+
 let test_rpc_unreachable_when_down () =
   let eng, net, rpc = make_world () in
   Network.add_node net "client";
@@ -442,6 +480,8 @@ let suite =
       [
         tc "roundtrip" `Quick test_rpc_roundtrip;
         tc "roundtrip event count" `Quick test_rpc_roundtrip_event_count;
+        tc "roundtrip allocation" `Quick test_rpc_roundtrip_alloc;
+        tc "leaked handler named src->dst" `Quick test_rpc_leaked_handler_named;
         tc "unreachable when down" `Quick test_rpc_unreachable_when_down;
         tc "crash mid call" `Quick test_rpc_crash_mid_call;
         tc "no service" `Quick test_rpc_no_service;

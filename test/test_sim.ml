@@ -210,7 +210,13 @@ let test_engine_timeout_beaten_by_result () =
       | Error _ -> outcome := "timeout");
   Engine.run eng;
   Alcotest.(check string) "result wins" "42" !outcome;
-  check_float "resumed early" 2.0 !resumed_at
+  check_float "resumed early" 2.0 !resumed_at;
+  (* An error the operation settles with is handed back, not raised. *)
+  let failed = ref (Ok ()) in
+  Engine.spawn eng (fun () ->
+      failed := Engine.timeout eng 10.0 (fun resume -> resume (Error Exit)));
+  Engine.run eng;
+  check_bool "error returned" true (!failed = Error Exit)
 
 let test_engine_fiber_exception_propagates () =
   let eng = Engine.create () in
@@ -398,6 +404,50 @@ let test_engine_timeout_guard_due_now () =
   Engine.run eng;
   check_bool "guard first" true (!late = Some (Error Engine.Timed_out))
 
+let no_op () = ()
+
+(* The handler is the engine's and the running fiber's name a global, so a
+   start that never suspends builds nothing of its own but what
+   [Effect.Deep.match_with] allocates. *)
+let test_engine_start_alloc () =
+  let eng = Engine.create () in
+  let group = Engine.root_group eng in
+  Engine.start eng ~group ~from:"test" ~name:"warm" no_op;
+  let words =
+    Test_util.minor_words (fun () ->
+        for _ = 1 to 1000 do
+          Engine.start eng ~group ~from:"test" ~name:"f" no_op
+        done)
+    /. 1000.0
+  in
+  check_bool (Printf.sprintf "%.1f words per start" words) true (words <= 8.0)
+
+(* A [timeout]-guarded suspension settled at once, by a [register] that
+   captures one variable as real callers do: the guard is pushed and
+   removed, and the fiber parks and resumes through the now-queue. The
+   guard lives in the parked record, so no closure wraps [register] or
+   the resumer. *)
+let test_engine_timeout_alloc () =
+  let eng = Engine.create () in
+  let settled = ref 0 in
+  let loop n () =
+    for _ = 1 to n do
+      ignore
+        (Sys.opaque_identity
+           (Engine.timeout eng 10.0 (fun resume ->
+                incr settled;
+                resume (Ok ()))))
+    done
+  in
+  Engine.spawn eng (loop 10);
+  Engine.run eng;
+  Engine.spawn eng (loop 1000);
+  let words = Test_util.minor_words (fun () -> Engine.run eng) /. 1000.0 in
+  check_int "settled" 1010 !settled;
+  check_bool
+    (Printf.sprintf "%.1f words per suspension" words)
+    true (words < 72.0)
+
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
 
@@ -554,6 +604,20 @@ let test_metrics_counters () =
   Metrics.incr m ~by:4 "a";
   check_int "sum" 5 (Metrics.counter m "a");
   check_int "absent" 0 (Metrics.counter m "zzz")
+
+(* [find_counter] uses [Hashtbl.find], so bumping a counter that exists
+   boxes nothing. *)
+let test_metrics_incr_no_alloc () =
+  let m = Metrics.create () in
+  Metrics.incr m "c";
+  let words =
+    Test_util.minor_words (fun () ->
+        for _ = 1 to 1000 do
+          Metrics.incr m "c"
+        done)
+  in
+  check_float "words for 1,000 incrs" 0.0 words;
+  check_int "counted" 1001 (Metrics.counter m "c")
 
 let test_metrics_samples () =
   let m = Metrics.create () in
@@ -998,6 +1062,8 @@ let suite =
         tc "daemon sleep 0 drains" `Quick test_engine_daemon_sleep_zero;
         tc "run to quiescence is bounded" `Quick test_engine_run_to_quiescence;
         tc "timeout guard due now" `Quick test_engine_timeout_guard_due_now;
+        tc "start allocation" `Quick test_engine_start_alloc;
+        tc "timeout allocation" `Quick test_engine_timeout_alloc;
         Test_util.qcheck prop_engine_merge_order;
       ] );
     ( "sim.ivar",
@@ -1025,6 +1091,7 @@ let suite =
     ( "sim.metrics",
       [
         tc "counters" `Quick test_metrics_counters;
+        tc "incr allocates nothing" `Quick test_metrics_incr_no_alloc;
         tc "samples" `Quick test_metrics_samples;
         tc "percentile edges" `Quick test_metrics_percentile_edges;
         tc "merge" `Quick test_metrics_merge;

@@ -5,3 +5,9 @@
    (qcheck-alcotest self-initialises its RNG by default). *)
 let qcheck ?(seed = 0xC0FFEE) t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
+
+(* The minor words [f ()] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
