@@ -66,6 +66,10 @@ type t = {
   mutable post_hooks : (unit -> unit) list; (* newest first *)
   mutable post_abort_hooks : (unit -> unit) list; (* newest first *)
   mutable deadline : float option; (* absolute virtual time *)
+  (* Top-level only: the claims on the decision record — phase 2 until
+     it has run, each leg it could not confirm, each pin. The record goes
+     with the last claim ([unclaim]). *)
+  mutable claims : int;
 }
 
 let id t = t.aid
@@ -143,6 +147,7 @@ let begin_top ?deadline rt ~node =
     post_hooks = [];
     post_abort_hooks = [];
     deadline;
+    claims = 1;
   }
 
 let begin_nested parent =
@@ -164,6 +169,7 @@ let begin_nested parent =
     post_hooks = [];
     post_abort_hooks = [];
     deadline = parent.deadline;
+    claims = 1;
   }
 
 let begin_nested_top t =
@@ -206,6 +212,25 @@ let after_abort t f = t.post_abort_hooks <- f :: t.post_abort_hooks
 let deactivate t =
   if Action_id.is_top t.aid then Hashtbl.remove t.rt.active (owner t)
 
+(* The top-level action whose phase 2 a leg of [t] belongs to: a nested
+   action's participants and resources pass to it on nested commit. *)
+let rec top t = match t.parent with None -> t | Some p -> top p
+
+(* Presumed abort: once phase 2 has run and every participant confirmed
+   its leg, nobody can ask for the outcome any more, so the coordinator
+   forgets its decision record. A leg that never lands, or a pin, keeps
+   it for good. *)
+let unclaim t =
+  t.claims <- t.claims - 1;
+  if t.claims = 0 then
+    Store_host.forget_decision t.rt.sh ~node:t.coord ~action:(owner t)
+
+let claim t =
+  let t = top t in
+  t.claims <- t.claims + 1
+
+let pin_decision = claim
+
 (* The one release rule for a decided outcome at any 2PC participant —
    an enlisted resource or a store. A lost release must not be forgotten:
    it would leave the participant's locks, stage or reservation held by a
@@ -220,12 +245,17 @@ let deactivate t =
 let release_later t ~node ~op call =
   let net = network t.rt in
   let up () = Net.Network.is_up net node in
+  (* The leg claims the decision record until the retry lands; one that
+     stops on the node's death or runs out keeps it for the
+     participant's recovery to ask. *)
+  claim t;
   if up () then begin
     let action = owner t in
     Sim.Metrics.incr (metrics t) "action.release_deferred";
     Net.Network.spawn_on net t.coord
       ~name:(Printf.sprintf "%s.release:%s@%s" t.coord action node)
       (fun () ->
+        let landed = ref false in
         match
           Net.Retry.run t.rt.rt_retry ~op
             (Net.Retry.policy ~attempts:60 ~base:2.0 ~factor:1.5
@@ -234,11 +264,14 @@ let release_later t ~node ~op call =
               if not (up ()) then Ok ()
               else
                 match call () with
-                | Ok () -> Ok ()
+                | Ok () ->
+                    landed := true;
+                    Ok ()
                 | Error _ when not (up ()) -> Ok ()
                 | Error e -> Error (Net.Rpc.error_to_string e))
         with
-        | Ok () -> ()
+        | Ok () ->
+            if !landed then unclaim (top t)
         | Error e ->
             tracef t "%s phase-2 loss at %s: %s" action node e;
             Sim.Metrics.incr (metrics t) "action.phase2_losses")
@@ -434,6 +467,7 @@ let commit_top t =
                         Resource_host.commit t.rt.rh ~from:t.coord ~node:e.en_node
                           ~resource:e.en_resource ~action))
                   resources));
+          unclaim t;
           List.iter (fun post -> post ()) (List.rev t.post_hooks);
           Ok ())
 

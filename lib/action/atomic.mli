@@ -123,7 +123,18 @@ val release_later :
     until it lands or [node] is down, and returns at once. A node that
     is down settles the action on recovery ({!Termination}). Metrics:
     [action.release_deferred], and [action.phase2_losses] for a retry
-    that gave up. *)
+    that gave up.
+
+    Until the leg lands, it keeps the top-level action's decision record
+    (see {!pin_decision}); a retry that lands lets it go, one that stops
+    because [node] died or that runs out keeps it for good. *)
+
+val pin_decision : t -> unit
+(** Keep the decision record of [t]'s top-level action for good: a
+    participant may hold the action's stage without getting a phase-2
+    leg, and it will ask the coordinator on recovery. Otherwise the
+    coordinator forgets a commit record (presumed abort) once phase 2 has
+    run and every leg it could not confirm inline has landed. *)
 
 val before_commit : t -> (unit -> (unit, string) result) -> unit
 (** Register a hook run at the {e start} of top-level commit, before phase

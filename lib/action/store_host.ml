@@ -254,3 +254,6 @@ let discard t node ~action = resolve (host t node) action
 
 let record_decision t ~node ~action d =
   Store.Intent_log.record_decision (host t node).h_log ~action d
+
+let forget_decision t ~node ~action =
+  Store.Intent_log.forget_decision (host t node).h_log ~action

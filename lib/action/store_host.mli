@@ -186,3 +186,9 @@ val record_decision :
 (** Durably record a decision on the local node; the caller must be the
     coordinator running on [node]. Direct (non-RPC) because a coordinator
     writes its own stable storage. *)
+
+val forget_decision : t -> node:Net.Network.node_id -> action:string -> unit
+(** Drop the decision record of [action] from [node]'s log, once every
+    participant has confirmed its phase 2 (presumed abort: a later query
+    hears "unknown", which only a participant that already resolved can
+    ask). The caller is the coordinator running on [node]. *)

@@ -29,8 +29,7 @@ type counters = {
 (* [entries] holds only keys with a holder or a live waiter: an entry is
    dropped when its last holder and last waiter leave. [by_owner] maps each
    owner to the keys it holds or waits on, so ending an action visits only
-   its own keys. Every server instance owns a manager, so both tables start
-   at the minimum size. *)
+   its own keys. *)
 type t = {
   eng : Sim.Engine.t;
   entries : entry Tbl.t;
@@ -291,17 +290,26 @@ let take_keys t owner f =
           | None -> ())
         keys
 
-let release_all t ~owner =
-  take_keys t owner (fun key e ->
-      Queue.iter
-        (fun w -> if String.equal w.w_owner owner then w.w_cancelled <- true)
-        e.queue;
-      if List.mem_assoc owner e.held then begin
-        e.held <- List.remove_assoc owner e.held;
-        bump t (fun c -> c.released)
-      end;
-      service t key e;
-      drop_if_idle t key e)
+(* [owner] is done with [key] (already out of its index): cancel its
+   waiters there, drop its hold and service the queue. *)
+let release_entry t ~owner key e =
+  Queue.iter
+    (fun w -> if String.equal w.w_owner owner then w.w_cancelled <- true)
+    e.queue;
+  if List.mem_assoc owner e.held then begin
+    e.held <- List.remove_assoc owner e.held;
+    bump t (fun c -> c.released)
+  end;
+  service t key e;
+  drop_if_idle t key e
+
+let release_all t ~owner = take_keys t owner (release_entry t ~owner)
+
+let release_key t ~owner key =
+  index_remove t owner key;
+  match Tbl.find_opt t.entries key with
+  | Some e -> release_entry t ~owner key e
+  | None -> ()
 
 let release_everything ?(keep = fun _ -> false) t =
   Tbl.reset t.by_owner;
@@ -315,17 +323,27 @@ let release_everything ?(keep = fun _ -> false) t =
     t.entries
 
 (* A transfer can make a queued descendant of [to_owner] grantable (it now
-   inherits the lock), so each visited key is serviced. *)
+   inherits the lock), so each visited key is serviced. [key] is already
+   out of [from_owner]'s index; a request it still has queued there puts
+   it back. *)
+let transfer_entry t ~from_owner ~to_owner key e =
+  (match List.assoc_opt from_owner e.held with
+  | None -> ()
+  | Some m ->
+      e.held <- List.remove_assoc from_owner e.held;
+      install e ~owner:to_owner ~mode:m;
+      index_add t to_owner key);
+  service t key e;
+  if waits_on e from_owner then index_add t from_owner key
+
 let transfer_all t ~from_owner ~to_owner =
-  take_keys t from_owner (fun key e ->
-      (match List.assoc_opt from_owner e.held with
-      | None -> ()
-      | Some m ->
-          e.held <- List.remove_assoc from_owner e.held;
-          install e ~owner:to_owner ~mode:m;
-          index_add t to_owner key);
-      service t key e;
-      if waits_on e from_owner then index_add t from_owner key)
+  take_keys t from_owner (transfer_entry t ~from_owner ~to_owner)
+
+let transfer_key t ~from_owner ~to_owner key =
+  index_remove t from_owner key;
+  match Tbl.find_opt t.entries key with
+  | Some e -> transfer_entry t ~from_owner ~to_owner key e
+  | None -> ()
 
 let holds t ~owner key =
   match Tbl.find_opt t.entries key with

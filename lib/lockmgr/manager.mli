@@ -23,7 +23,13 @@
     last holder and last waiter leave, so the table's size follows the
     locks held now, not every key ever locked. The manager also indexes
     each owner's keys, so {!release_all} and {!transfer_all} cost the
-    owner's own locks. *)
+    owner's own locks.
+
+    One manager may serve several independent resources, each under its
+    own key: a naming shard keys its entries, a server node its object
+    instances. Where an action ends resource by resource — an instance
+    gets its own phase 2 — {!release_key} and {!transfer_key} end it on
+    one key and leave its locks on the others alone. *)
 
 type t
 (** A lock manager. *)
@@ -77,6 +83,11 @@ val release_all : t -> owner:owner -> unit
     unblocks waiters on several keys, they are granted — and their fibers
     resume — key by key in that order. *)
 
+val release_key : t -> owner:owner -> string -> unit
+(** {!release_all} for one key: cancel [owner]'s waiting requests on
+    [key], drop its lock there and wake the waiters that now fit. Its
+    locks and requests on other keys stay. *)
+
 val release_everything : ?keep:(owner -> bool) -> t -> unit
 (** Drop every lock and cancel every waiter — a crash of the hosting node
     wipes its volatile lock table. Waiting fibers are never resumed (they
@@ -90,6 +101,11 @@ val transfer_all : t -> from_owner:owner -> to_owner:owner -> unit
     A waiter the move unblocks (a descendant of [to_owner] that now
     inherits the lock) is granted at once, keys in [String.compare]
     order as in {!release_all}. *)
+
+val transfer_key : t -> from_owner:owner -> to_owner:owner -> string -> unit
+(** {!transfer_all} for one key: move [from_owner]'s lock on [key] to
+    [to_owner] and grant the queued descendants of [to_owner] the move
+    unblocks. [from_owner]'s locks on other keys stay. *)
 
 val holds : t -> owner:owner -> string -> Mode.t option
 (** The mode [owner] holds on [key], if any. *)

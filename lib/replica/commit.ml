@@ -45,6 +45,13 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           let reach store how =
             reached := (store, how) :: List.remove_assoc store !reached
           in
+          (* Stores that may hold this action's prepare without having
+             answered: the prepare ended [Crashed] (the intent log
+             survives the crash), or a peel-out discarded the store's
+             batch yes vote and the solo retry did not hear from it. One
+             that ends up unreached gets no phase-2 leg and asks the
+             coordinator on recovery, so it pins the decision record. *)
+          let unheard = ref [] in
           (* The validated attempt's yes voters and phase-2 token. *)
           let sealed = ref None in
           let release_abort store =
@@ -80,6 +87,11 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
               match !sealed with
               | None -> ()
               | Some (ok, p2) ->
+                  if
+                    List.exists
+                      (fun s -> not (List.mem_assoc s !reached))
+                      !unheard
+                  then Action.Atomic.pin_decision act;
                   List.iter
                     (fun (store, r) ->
                       if Result.is_error r then
@@ -115,7 +127,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                 let per_store =
                   List.map (fun s -> (s, [ (uid, full_state) ])) current_st
                 in
-                let votes =
+                let votes, peeled_yes =
                   Groupcommit.prepare gc tok ?deadline_at ~client ~action
                     per_store
                 in
@@ -131,7 +143,9 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                       | Ok Action.Store_host.Vote_stale ->
                           (ok, store :: stale, failed)
                       | Error e ->
-                          if e = Net.Rpc.Timed_out then reach store `Timed_out;
+                          if e = Net.Rpc.Timed_out then reach store `Timed_out
+                          else if e = Net.Rpc.Crashed || List.mem store peeled_yes
+                          then unheard := store :: !unheard;
                           (ok, stale, store :: failed))
                     ([], [], []) votes
                 in

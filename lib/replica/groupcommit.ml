@@ -296,7 +296,9 @@ let all_yes votes =
    conflict then aborts on the solo verdict exactly as an unbatched
    commit would, while the batchmates' staged prepares are untouched.
    (Duplicate prepare delivery is idempotent at the store:
-   {!Store.Intent_log.prepare} replaces.) *)
+   {!Store.Intent_log.prepare} replaces.) Also returns the stores whose
+   discarded batch vote was yes: they hold the member's stage whatever
+   the solo retry hears. *)
 let prepare t tok ?deadline_at ~client ~action writes =
   let m =
     {
@@ -315,13 +317,19 @@ let prepare t tok ?deadline_at ~client ~action writes =
   with
   | Error _ ->
       orphaned t t.gc_p1 batch;
-      solo_prepare t ?deadline_at ~client ~action writes
+      (solo_prepare t ?deadline_at ~client ~action writes, [])
   | Ok votes ->
       let batched = List.length batch.b_members > 1 in
-      if (not batched) || all_yes votes then votes
+      if (not batched) || all_yes votes then (votes, [])
       else begin
         Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
-        solo_prepare t ?deadline_at ~client ~action writes
+        let staged =
+          List.filter_map
+            (function
+              | store, Ok Action.Store_host.Vote_yes -> Some store | _ -> None)
+            votes
+        in
+        (solo_prepare t ?deadline_at ~client ~action writes, staged)
       end
 
 (* Leader duty, phase 2: one commit round per store, then hand each

@@ -55,12 +55,17 @@ val prepare :
   action:string ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
+  * Net.Network.node_id list
 (** Join (or open and lead) a batch and return this member's per-store
     votes, shaped exactly like {!Action.Store_host.prepare_each}'s
     result. Suspends up to the window (plus an orphan grace if the batch
     leader died). A multi-member batch vote short of all-yes re-runs the
     solo prepare and returns its verdict instead (peel-out). Must run in
     a fiber on [client].
+
+    The second component lists the stores whose yes vote a peel-out
+    discarded: they staged the member's intent, whatever the solo
+    verdict says about them. It is empty unless the member peeled.
 
     [deadline_at] (the action's deadline) applies only to the scatters
     issued on this member's own behalf — a batch of one, the peel-out

@@ -39,9 +39,13 @@ type instance = {
   i_node : Net.Network.node_id;
   mutable i_committed : string;
   mutable i_version : Store.Version.t;
-  i_staged : (string, string) Hashtbl.t; (* action -> staged payload *)
-  i_applied : (string, string) Hashtbl.t; (* "action#serial" -> reply *)
+  (* The actions in progress here and their replies: a few entries each,
+     so association lists, kept in no particular order. *)
+  mutable i_staged : (string * string) list; (* action -> staged payload *)
+  mutable i_applied : (string * string) list; (* "action#serial" -> reply *)
   i_locks : Lockmgr.Manager.t;
+      (* the host node's lock table as of this instance's creation; the
+         instance locks its key there ([scope]) *)
   mutable i_role : role;
   mutable i_members : Net.Network.node_id list;
   (* Lock holders as of the last checkpoint; installed when this replica
@@ -115,6 +119,8 @@ type runtime = {
   art : Action.Atomic.runtime;
   impls : (string, Object_impl.t) Hashtbl.t;
   instances : (Net.Network.node_id, (string, instance) Hashtbl.t) Hashtbl.t;
+  locks : (Net.Network.node_id, Lockmgr.Manager.t) Hashtbl.t;
+      (* per host node, one lock table for all its instances *)
   terms : (Net.Network.node_id, Action.Termination.t) Hashtbl.t;
       (* per host node, one termination scope per instance (its uid) *)
   mc : Net.Multicast.t;
@@ -139,6 +145,7 @@ let create art impls =
     art;
     impls;
     instances = Hashtbl.create 16;
+    locks = Hashtbl.create 16;
     terms = Hashtbl.create 16;
     mc = Net.Multicast.create (Action.Atomic.rpc art);
     ep_activate = Net.Rpc.endpoint "server.activate";
@@ -186,6 +193,17 @@ let node_instances t node =
       Hashtbl.add t.instances node tbl;
       tbl
 
+(* A node's lock table lives as long as its instance table: a crash drops
+   it ([install_host]), and the next instance made there starts a new one.
+   A dead instance keeps the old one, which no live fiber touches. *)
+let node_locks t node =
+  match Hashtbl.find_opt t.locks node with
+  | Some m -> m
+  | None ->
+      let m = Lockmgr.Manager.create (eng t) in
+      Hashtbl.add t.locks node m;
+      m
+
 let find_instance t node uid =
   Hashtbl.find_opt (node_instances t node) (Store.Uid.to_string uid)
 
@@ -222,28 +240,54 @@ let settle_action inst action =
     inst.i_settled_n <- n + 1
   end
 
-(* Remove dedup entries belonging to [action] or any of its descendants
-   (hierarchical ids: descendants have "<action>." as a prefix). *)
+(* The per-action lists, keyed by strings. [remove] shares the tail after
+   the removed entry and returns the list itself if the key is absent. *)
+module Alist = struct
+  let rec find key = function
+    | [] -> None
+    | (k, v) :: rest -> if String.equal k key then Some v else find key rest
+
+  let rec mem key = function
+    | [] -> false
+    | (k, _) :: rest -> String.equal k key || mem key rest
+
+  let rec remove key = function
+    | [] -> []
+    | ((k, _) as kv) :: rest as l ->
+        if String.equal k key then rest
+        else
+          let rest' = remove key rest in
+          if rest' == rest then l else kv :: rest'
+
+  let replace key v l = (key, v) :: remove key l
+end
+
+(* A dedup key of [action] ("action#serial") or of one of its descendants
+   (hierarchical ids: "action.…"), tested in place. *)
+let applied_by action key =
+  let n = String.length action in
+  String.length key > n
+  && (key.[n] = '#' || key.[n] = '.')
+  &&
+  let rec same i = i = n || (key.[i] = action.[i] && same (i + 1)) in
+  same 0
+
+(* Remove dedup entries belonging to [action] or any of its descendants;
+   a list with none of them is returned as it is. *)
+let rec drop_applied action = function
+  | [] -> []
+  | ((key, _) as kv) :: rest as l ->
+      let rest' = drop_applied action rest in
+      if applied_by action key then rest'
+      else if rest' == rest then l
+      else kv :: rest'
+
 let clean_applied inst action =
-  let prefix = action ^ "." in
-  let doomed =
-    Hashtbl.fold
-      (fun key _ acc ->
-        let matches =
-          (String.length key > String.length action
-          && String.sub key 0 (String.length action) = action
-          && key.[String.length action] = '#')
-          || (String.length key >= String.length prefix
-             && String.sub key 0 (String.length prefix) = prefix)
-        in
-        if matches then key :: acc else acc)
-      inst.i_applied []
-  in
-  List.iter (Hashtbl.remove inst.i_applied) doomed
+  inst.i_applied <- drop_applied action inst.i_applied
 
 let holders_snapshot inst =
-  (* All (owner, mode) pairs on the instance's single lock key. *)
-  Lockmgr.Manager.holders inst.i_locks "state"
+  (* All (owner, mode) pairs on the instance's key. *)
+  Lockmgr.Manager.holders inst.i_locks (scope inst)
 
 (* Synchronously checkpoint the coordinator's instance to its cohorts. *)
 let checkpoint_to_cohorts t inst =
@@ -255,8 +299,8 @@ let checkpoint_to_cohorts t inst =
         k_impl = inst.i_impl.Object_impl.impl_name;
         k_committed = inst.i_committed;
         k_version = inst.i_version;
-        k_staged = Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.i_staged [];
-        k_applied = Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.i_applied [];
+        k_staged = inst.i_staged;
+        k_applied = inst.i_applied;
         k_holders = holders_snapshot inst;
         k_members = inst.i_members;
         k_coordinator = inst.i_node;
@@ -276,8 +320,10 @@ let checkpoint_to_cohorts t inst =
              Sim.Metrics.incr (metrics t) "server.checkpoint_failures")
   end
 
+(* Per key: the same action may hold or wait on another instance's key
+   in the node's table, and that lock ends with that instance's phase 2. *)
 let release inst action =
-  Lockmgr.Manager.release_all inst.i_locks ~owner:action;
+  Lockmgr.Manager.release_key inst.i_locks ~owner:action (scope inst);
   (* Also prune the action from the checkpointed holder snapshot: a
      cohort promoted after this action ended must not resurrect its
      locks (they would never be released — a phantom wedge). *)
@@ -299,7 +345,7 @@ let make_manager t inst =
     Action.Resource_host.m_prepare =
       (fun ~action ->
         if inst.i_dead then Action.Resource_host.Vote_read_only
-        else if Hashtbl.mem inst.i_staged action then begin
+        else if Alist.mem action inst.i_staged then begin
           Action.Termination.vote (term_of t inst) ~scope:(scope inst) ~action;
           Vote_yes
         end
@@ -312,12 +358,12 @@ let make_manager t inst =
     m_commit =
       (fun ~action ->
         if not inst.i_dead then begin
-          (match Hashtbl.find_opt inst.i_staged action with
+          (match Alist.find action inst.i_staged with
           | Some payload ->
               inst.i_committed <- payload;
               inst.i_version <-
                 Store.Version.next inst.i_version ~committed_by:action;
-              Hashtbl.remove inst.i_staged action;
+              inst.i_staged <- Alist.remove action inst.i_staged;
               if tracing t then
                 tracef t "%s: %s instance-commit %a := %S %a" inst.i_node
                   action Store.Uid.pp inst.i_uid payload Store.Version.pp
@@ -332,20 +378,20 @@ let make_manager t inst =
     m_abort =
       (fun ~action ->
         if not inst.i_dead then begin
-          Hashtbl.remove inst.i_staged action;
+          inst.i_staged <- Alist.remove action inst.i_staged;
           end_action t inst action;
           checkpoint_to_cohorts t inst
         end);
     m_transfer =
       (fun ~action ~parent ->
         if not inst.i_dead then begin
-          (match Hashtbl.find_opt inst.i_staged action with
+          (match Alist.find action inst.i_staged with
           | Some payload ->
-              Hashtbl.replace inst.i_staged parent payload;
-              Hashtbl.remove inst.i_staged action
+              inst.i_staged <-
+                Alist.replace parent payload (Alist.remove action inst.i_staged)
           | None -> ());
-          Lockmgr.Manager.transfer_all inst.i_locks ~from_owner:action
-            ~to_owner:parent;
+          Lockmgr.Manager.transfer_key inst.i_locks ~from_owner:action
+            ~to_owner:parent (scope inst);
           (* The child is finished as an owner here: a straggler
              invocation under the child's id would stage state its (gone)
              completion can never move to the parent. *)
@@ -379,7 +425,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
            (checkpoints were lazy). Executing from the committed state
            would silently drop the earlier updates — refuse instead. *)
         v_last_acked > 0
-        && not (Hashtbl.mem inst.i_applied (applied_key v_action v_last_acked))
+        && not (Alist.mem (applied_key v_action v_last_acked) inst.i_applied)
       then begin
         Sim.Metrics.incr (metrics t) "server.state_lost";
         State_lost
@@ -390,13 +436,15 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
       end
       else
         let key = applied_key v_action v_serial in
-        match Hashtbl.find_opt inst.i_applied key with
+        match Alist.find key inst.i_applied with
         | Some cached -> Reply cached (* exactly-once across retries *)
         | None -> (
             Action.Termination.touch (term_of t inst) ~scope:(scope inst)
               ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
-            match Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode "state" with
+            match
+              Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode (scope inst)
+            with
             | Error `Timeout ->
                 (* A holder whose coordinator is partitioned away may
                    never release: termination settles it. *)
@@ -409,26 +457,27 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                    fiber sat parked on the instance lock: executing now
                    would stage payload and hold locks for an owner whose
                    completion already ran. *)
-                Lockmgr.Manager.release_all inst.i_locks ~owner:v_action;
+                Lockmgr.Manager.release_key inst.i_locks ~owner:v_action
+                  (scope inst);
                 Sim.Metrics.incr (metrics t) "server.settled_refusals";
                 tracef t "%s: refused settled action %s on %a" node v_action
                   Store.Uid.pp v_uid;
                 Settled
             | Ok () ->
                 let payload =
-                  match Hashtbl.find_opt inst.i_staged v_action with
+                  match Alist.find v_action inst.i_staged with
                   | Some staged -> staged
                   | None -> inst.i_committed
                 in
                 let payload', reply = inst.i_impl.Object_impl.apply payload v_op in
                 if v_write then begin
-                  Hashtbl.replace inst.i_staged v_action payload';
+                  inst.i_staged <- Alist.replace v_action payload' inst.i_staged;
                   if tracing t then
                     tracef t "%s: %s writes %a: %S -> %S (base %a)" node
                       v_action Store.Uid.pp v_uid payload payload'
                       Store.Version.pp inst.i_version
                 end;
-                Hashtbl.replace inst.i_applied key reply;
+                inst.i_applied <- Alist.replace key reply inst.i_applied;
                 Sim.Metrics.incr (metrics t) "server.invocations";
                 if t.eager_checkpoints then checkpoint_to_cohorts t inst;
                 Reply reply))
@@ -447,9 +496,9 @@ let apply_checkpoint t node msg =
             i_node = node;
             i_committed = msg.k_committed;
             i_version = msg.k_version;
-            i_staged = Hashtbl.create 8;
-            i_applied = Hashtbl.create 8;
-            i_locks = Lockmgr.Manager.create (eng t);
+            i_staged = [];
+            i_applied = [];
+            i_locks = node_locks t node;
             i_role = Cohort;
             i_members = msg.k_members;
             i_ckpt_holders = [];
@@ -466,10 +515,8 @@ let apply_checkpoint t node msg =
     inst.i_ckpt_stamp <- msg.k_stamp;
     inst.i_committed <- msg.k_committed;
     inst.i_version <- msg.k_version;
-    Hashtbl.reset inst.i_staged;
-    List.iter (fun (k, v) -> Hashtbl.replace inst.i_staged k v) msg.k_staged;
-    Hashtbl.reset inst.i_applied;
-    List.iter (fun (k, v) -> Hashtbl.replace inst.i_applied k v) msg.k_applied;
+    inst.i_staged <- msg.k_staged;
+    inst.i_applied <- msg.k_applied;
     inst.i_ckpt_holders <- msg.k_holders;
     inst.i_members <- msg.k_members
   end
@@ -488,7 +535,7 @@ let assume_coordinator (_ : runtime) inst =
       (fun (owner, mode) ->
         if not (is_settled inst owner) then
           ignore
-            (Lockmgr.Manager.try_acquire inst.i_locks ~owner ~mode "state"))
+            (Lockmgr.Manager.try_acquire inst.i_locks ~owner ~mode (scope inst)))
       inst.i_ckpt_holders
   end
 
@@ -538,9 +585,9 @@ let make_instance t node impl uid state role members =
     i_node = node;
     i_committed = state.Store.Object_state.payload;
     i_version = state.Store.Object_state.version;
-    i_staged = Hashtbl.create 8;
-    i_applied = Hashtbl.create 8;
-    i_locks = Lockmgr.Manager.create (eng t);
+    i_staged = [];
+    i_applied = [];
+    i_locks = node_locks t node;
     i_role = role;
     i_members = members;
     i_ckpt_holders = [];
@@ -619,7 +666,7 @@ let do_view t node { cw_uid; cw_action; cw_last_acked } =
   | None -> None
   | Some inst when
       cw_last_acked > 0
-      && not (Hashtbl.mem inst.i_applied (applied_key cw_action cw_last_acked))
+      && not (Alist.mem (applied_key cw_action cw_last_acked) inst.i_applied)
     ->
       (* Behind the client: the invocation stream has not fully reached
          this replica (multicast in flight, or a lazily-checkpointed
@@ -627,7 +674,7 @@ let do_view t node { cw_uid; cw_action; cw_last_acked } =
       Sim.Metrics.incr (metrics t) "server.view_behind";
       None
   | Some inst -> (
-      match Hashtbl.find_opt inst.i_staged cw_action with
+      match Alist.find cw_action inst.i_staged with
       | Some staged ->
           let cv_version =
             Store.Version.next inst.i_version ~committed_by:cw_action
@@ -642,7 +689,7 @@ let do_view t node { cw_uid; cw_action; cw_last_acked } =
             })
 
 let instance_quiescent inst =
-  Hashtbl.length inst.i_staged = 0 && holders_snapshot inst = []
+  inst.i_staged = [] && holders_snapshot inst = []
 
 (* How termination ends an action at one of [node]'s instances. *)
 let termination_ops t node =
@@ -654,7 +701,7 @@ let termination_ops t node =
         match find scope with
         | Some inst ->
             List.mem_assoc action (holders_snapshot inst)
-            || Hashtbl.mem inst.i_staged action
+            || Alist.mem action inst.i_staged
         | None -> false);
     evidence =
       (fun ~scope ~action:_ ->
@@ -727,7 +774,8 @@ let install_host t node =
   Net.Network.on_crash (net t) node (fun () ->
       let insts = node_instances t node in
       Hashtbl.iter (fun _ inst -> inst.i_dead <- true) insts;
-      Hashtbl.reset insts)
+      Hashtbl.reset insts;
+      Hashtbl.remove t.locks node)
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_activate
@@ -769,10 +817,7 @@ let instance_residue t ~node =
       let holders =
         List.map fst (holders_snapshot inst) |> List.sort String.compare
       in
-      let staged =
-        Hashtbl.fold (fun a _ acc -> a :: acc) inst.i_staged []
-        |> List.sort String.compare
-      in
+      let staged = List.map fst inst.i_staged |> List.sort String.compare in
       if holders = [] && staged = [] then acc
       else (inst.i_uid, holders, staged) :: acc)
     (node_instances t node) []

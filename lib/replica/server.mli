@@ -9,9 +9,14 @@
     them: re-activation happens through the naming service, per the paper.
 
     Concurrency control is per instance: operations acquire read/write
-    locks keyed by the invoking action; writes stage a new payload per
-    action (read-your-writes within the action, isolation between
-    actions). The instance participates in action completion through a
+    locks owned by the invoking action on the instance's key (its uid)
+    in its node's one lock table, made at the node's first activation
+    and replaced when the node crashes. The action-end protocol reaches
+    each instance on its own and ends the action on that key alone, so
+    its locks on the node's other instances wait for their own phase 2.
+    Writes stage a new payload per action (read-your-writes within the
+    action, isolation between actions); the staged payloads and the
+    replies kept for exactly-once retries are short per-action lists. The instance participates in action completion through a
     {!Action.Resource_host} manager: commit installs the staged payload and
     advances the version; abort discards it; nested-commit transfers
     staging and locks to the parent action. An action that staged

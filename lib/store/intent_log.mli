@@ -53,4 +53,8 @@ val decision_of : t -> action:string -> decision option
     distinguish by protocol phase. *)
 
 val forget_decision : t -> action:string -> unit
-(** Garbage-collect a decision record once every participant resolved. *)
+(** Garbage-collect a decision record once every participant resolved.
+    The coordinator ([Action.Atomic]) calls it when phase 2 has run and
+    every leg is confirmed; a record that some participant may still ask
+    for (its leg was never confirmed, or it may hold the stage without a
+    leg) is never forgotten. A query after the forget finds [None]. *)

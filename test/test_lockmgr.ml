@@ -1,6 +1,6 @@
 (* Tests for the lock manager: compatibility matrix, blocking acquisition,
    promotion (the paper's try-semantics), exclude-write sharing, transfer
-   to parent actions. *)
+   to parent actions, and the per-key release and transfer. *)
 
 open Lockmgr
 
@@ -184,6 +184,67 @@ let test_transfer_to_parent () =
         "child gone" None
         (Manager.holds mgr ~owner:"parent.1" "k1"))
 
+(* [release_key] ends an owner on one key: its waiter there is cancelled
+   (the fiber times out, never granted) and its hold dropped, while its
+   lock on another key and other owners' waiters on the same key stay. *)
+let test_release_key_is_per_key () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "a writes k1" true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write "k1");
+  check_bool "b writes k2" true (Manager.try_acquire mgr ~owner:"b" ~mode:Mode.Write "k2");
+  check_bool "b reads k3" true (Manager.try_acquire mgr ~owner:"b" ~mode:Mode.Read "k3");
+  let outcome owner key =
+    let r = ref None in
+    Sim.Engine.spawn eng (fun () ->
+        r := Some (Manager.acquire mgr ~owner ~mode:Mode.Write key));
+    r
+  in
+  let b_on_k1 = outcome "b" "k1" and c_on_k1 = outcome "c" "k1" in
+  Sim.Engine.run ~until:1.0 eng;
+  check_int "two waiting on k1" 2 (Manager.waiting mgr "k1");
+  Manager.release_key mgr ~owner:"b" "k1";
+  check_int "b's waiter cancelled" 1 (Manager.waiting mgr "k1");
+  Alcotest.(check (option mode)) "b keeps k2" (Some Mode.Write)
+    (Manager.holds mgr ~owner:"b" "k2");
+  Alcotest.(check (list string)) "b's keys" [ "k2"; "k3" ]
+    (Manager.locked_keys mgr ~owner:"b");
+  Manager.release_key mgr ~owner:"b" "k3";
+  Alcotest.(check (list string)) "b keeps k2 alone" [ "k2" ]
+    (Manager.locked_keys mgr ~owner:"b");
+  Alcotest.(check (list string)) "k3 untracked" [ "k1"; "k2" ]
+    (Manager.tracked_keys mgr);
+  Manager.release_key mgr ~owner:"a" "k1";
+  Sim.Engine.run eng;
+  check_bool "c granted once a left" true (!c_on_k1 = Some (Ok ()));
+  check_bool "b never granted k1" true (!b_on_k1 = Some (Error `Timeout));
+  Alcotest.(check (list (pair string mode)))
+    "k1 held by c" [ ("c", Mode.Write) ] (Manager.holders mgr "k1")
+
+(* [transfer_key] moves a child's lock on one key to its parent and
+   grants a queued descendant of the parent that now inherits it; the
+   child's lock on another key stays its own. *)
+let test_transfer_key_services_descendants () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "child writes k1" true
+    (Manager.try_acquire mgr ~owner:"p.1" ~mode:Mode.Write "k1");
+  check_bool "child writes k2" true
+    (Manager.try_acquire mgr ~owner:"p.1" ~mode:Mode.Write "k2");
+  let sibling = ref None in
+  Sim.Engine.spawn eng (fun () ->
+      sibling := Some (Manager.acquire mgr ~owner:"p.2" ~mode:Mode.Write "k1"));
+  Sim.Engine.run ~until:1.0 eng;
+  check_int "sibling queued" 1 (Manager.waiting mgr "k1");
+  Manager.transfer_key mgr ~from_owner:"p.1" ~to_owner:"p" "k1";
+  Sim.Engine.run eng;
+  check_bool "sibling granted under the parent's lock" true (!sibling = Some (Ok ()));
+  Alcotest.(check (list (pair string mode)))
+    "k1 holders" [ ("p", Mode.Write); ("p.2", Mode.Write) ] (Manager.holders mgr "k1");
+  Alcotest.(check (list string)) "child keeps k2" [ "k2" ]
+    (Manager.locked_keys mgr ~owner:"p.1");
+  Alcotest.(check (list string)) "parent holds k1 only" [ "k1" ]
+    (Manager.locked_keys mgr ~owner:"p")
+
 let test_waiting_count () =
   let eng = Sim.Engine.create () in
   let mgr = Manager.create eng in
@@ -271,7 +332,9 @@ type op =
   | Acquire of int * Mode.t * int
   | Release of int * int
   | Release_all of int
+  | Release_key of int * int
   | Transfer of int
+  | Transfer_key of int * int
   | Promote of int * Mode.t * int
   | Step of int
 
@@ -282,7 +345,10 @@ let pp_op ppf = function
   | Acquire (o, m, k) -> Format.fprintf ppf "acquire %s %a %s" owners.(o) Mode.pp m (key k)
   | Release (o, k) -> Format.fprintf ppf "release %s %s" owners.(o) (key k)
   | Release_all o -> Format.fprintf ppf "release_all %s" owners.(o)
+  | Release_key (o, k) -> Format.fprintf ppf "release_key %s %s" owners.(o) (key k)
   | Transfer c -> Format.fprintf ppf "transfer %s" owners.((2 * c) + 1)
+  | Transfer_key (c, k) ->
+      Format.fprintf ppf "transfer_key %s %s" owners.((2 * c) + 1) (key k)
   | Promote (o, m, k) -> Format.fprintf ppf "promote %s %a %s" owners.(o) Mode.pp m (key k)
   | Step n -> Format.fprintf ppf "step %d" (10 * n)
 
@@ -295,7 +361,9 @@ let gen_op =
       (4, map3 (fun o m k -> Acquire (o, m, k)) o m k);
       (2, map2 (fun o k -> Release (o, k)) o k);
       (2, map (fun o -> Release_all o) o);
+      (1, map2 (fun o k -> Release_key (o, k)) o k);
       (1, map (fun c -> Transfer c) (int_bound 1));
+      (1, map2 (fun c k -> Transfer_key (c, k)) (int_bound 1) k);
       (1, map3 (fun o m k -> Promote (o, m, k)) o m k);
       (2, map (fun n -> Step n) (int_range 1 3));
     ]
@@ -396,25 +464,24 @@ module Model = struct
       service t k
     end
 
-  let release_all t ~owner =
-    List.iter
-      (fun k ->
-        Hashtbl.replace t.queues k
-          (List.filter (fun w -> not (String.equal w.owner owner)) (queue t k));
-        drop_hold t k owner;
-        service t k)
-      keys
+  let release_key t ~owner k =
+    Hashtbl.replace t.queues k
+      (List.filter (fun w -> not (String.equal w.owner owner)) (queue t k));
+    drop_hold t k owner;
+    service t k
+
+  let release_all t ~owner = List.iter (release_key t ~owner) keys
+
+  let transfer_key t ~from_owner ~to_owner k =
+    (match List.assoc_opt from_owner (held t k) with
+    | Some m ->
+        drop_hold t k from_owner;
+        install t k ~owner:to_owner ~mode:m
+    | None -> ());
+    service t k
 
   let transfer_all t ~from_owner ~to_owner =
-    List.iter
-      (fun k ->
-        (match List.assoc_opt from_owner (held t k) with
-        | Some m ->
-            drop_hold t k from_owner;
-            install t k ~owner:to_owner ~mode:m
-        | None -> ());
-        service t k)
-      keys
+    List.iter (transfer_key t ~from_owner ~to_owner) keys
 
   (* Advance to [until], timing out each pending waiter at its deadline. *)
   let rec step t until =
@@ -488,10 +555,17 @@ let run_against_model ops =
       | Release_all o ->
           Manager.release_all mgr ~owner:owners.(o);
           Model.release_all model ~owner:owners.(o)
+      | Release_key (o, k) ->
+          Manager.release_key mgr ~owner:owners.(o) (key k);
+          Model.release_key model ~owner:owners.(o) (key k)
       | Transfer c ->
           let from_owner = owners.((2 * c) + 1) and to_owner = owners.(2 * c) in
           Manager.transfer_all mgr ~from_owner ~to_owner;
           Model.transfer_all model ~from_owner ~to_owner
+      | Transfer_key (c, k) ->
+          let from_owner = owners.((2 * c) + 1) and to_owner = owners.(2 * c) in
+          Manager.transfer_key mgr ~from_owner ~to_owner (key k);
+          Model.transfer_key model ~from_owner ~to_owner (key k)
       | Promote (o, mode, k) ->
           let owner = owners.(o) and k = key k in
           same "promote" (Manager.promote mgr ~owner ~to_mode:mode k)
@@ -542,6 +616,9 @@ let suite =
         tc "promote without lock" `Quick test_promote_without_lock_fails;
         tc "release all wakes" `Quick test_release_all_and_waking;
         tc "transfer to parent" `Quick test_transfer_to_parent;
+        tc "release_key is per key" `Quick test_release_key_is_per_key;
+        tc "transfer_key services descendants" `Quick
+          test_transfer_key_services_descendants;
         tc "waiting count" `Quick test_waiting_count;
         tc "stale waiter keeps live entry" `Quick test_stale_waiter_keeps_live_entry;
         Test_util.qcheck prop_holders_pairwise_compatible;

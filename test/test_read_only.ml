@@ -114,20 +114,27 @@ let test_writer_granted_at_reader_prepare () =
 
 (* Reading X and writing Y on different servers: X's server votes
    read-only and gets no phase 2; Y's server and the shard (which holds
-   Y's version note) vote yes and get theirs; the decision is recorded. *)
+   Y's version note) vote yes and get theirs; the decision is recorded,
+   and forgotten once every phase 2 has been acknowledged. A probe
+   participant's commit, which runs in phase 2, reads the record. *)
 let test_mixed_action_skips_reader_phase2 () =
   let w = Service.create topo in
   let x = counter w "x" ~sv:"alpha" and y = counter w "y" ~sv:"alpha2" in
   Sim.Trace.set_enabled (Service.trace w) true;
   let action = ref "" in
   let r = ref (Error "never ran") in
+  let at_phase2 = ref None in
   Service.spawn_client w "c1" (fun () ->
       r :=
         Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
             action := Action.Atomic.owner act;
             let gx = bind w act x and gy = bind w act y in
             ignore (Service.invoke w gx ~act ~write:false "get");
-            ignore (Service.invoke w gy ~act "incr")));
+            ignore (Service.invoke w gy ~act "incr");
+            Action.Atomic.add_participant act ~name:"probe"
+              ~prepare:(fun () -> true)
+              ~commit:(fun () -> at_phase2 := decision w ~action:!action)
+              ~abort:ignore));
   Service.run w;
   check_bool "committed" true (!r = Ok ());
   let installs node =
@@ -142,7 +149,9 @@ let test_mixed_action_skips_reader_phase2 () =
   check_int "phase 2 at Y's server and the shard" 2
     (counter_of w "rpc.op.resource.commit");
   check_bool "decision recorded" true
-    (decision w ~action:!action = Some Store.Intent_log.Commit);
+    (!at_phase2 = Some Store.Intent_log.Commit);
+  check_bool "decision forgotten once phase 2 was acknowledged" true
+    (decision w ~action:!action = None);
   Alcotest.(check (option string)) "Y copied back" (Some "1") (store_payload w y)
 
 (* A durable shard that lost a reader's record (and its read locks) in a

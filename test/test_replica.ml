@@ -334,6 +334,59 @@ let test_actions_isolated_by_locks () =
   Alcotest.(check (option string)) "serialised" (Some "130") (store_payload w "beta" uid);
   check_int "both ran" 2 (List.length !order)
 
+(* Two objects served by one node share its lock table, but an action
+   ends object by object: phase 2 at x must not release the action's lock
+   on y. A second writer of y waits until y's own phase 2 has installed
+   the first write, so it reads it (reply "2"). An owner-wide release at
+   x's phase 2 would grant it at once, on y's old state (reply "1"). *)
+let test_node_lock_table_ends_actions_per_instance () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let x = new_object w ~label:"x" ~payload:"0" ~stores:[ "beta" ] in
+  let y = new_object w ~label:"y" ~payload:"0" ~stores:[ "beta" ] in
+  let rh = Action.Atomic.resource_host w.art in
+  let invoke uid action serial =
+    match
+      Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action ~serial
+        ~last_acked:0 ~write:true ~op:"incr"
+    with
+    | Ok (Server.Reply r) -> r
+    | Ok _ | Error _ -> Alcotest.fail "unexpected invoke result"
+  in
+  let commit uid =
+    match
+      Action.Resource_host.commit rh ~from:"c" ~node:"alpha"
+        ~resource:(Server.resource_name uid) ~action:"c:1"
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "phase 2 rpc failed"
+  in
+  let second = ref None and waiting_after_x = ref None in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      List.iter
+        (fun uid ->
+          match
+            Server.activate w.srv ~from:"c" ~server:"alpha" ~uid ~impl:"counter"
+              ~stores:[ "beta" ] ~role:Server.Plain ~members:[ "alpha" ]
+          with
+          | Ok (Server.Activated _) -> ()
+          | _ -> Alcotest.fail "activation failed")
+        [ x; y ];
+      ignore (invoke x "c:1" 1);
+      ignore (invoke y "c:1" 2);
+      Net.Network.spawn_on w.net "c" (fun () -> second := Some (invoke y "c:2" 1));
+      Sim.Engine.sleep w.eng 5.0;
+      commit x;
+      Sim.Engine.sleep w.eng 5.0;
+      waiting_after_x := Some (!second = None);
+      commit y);
+  Sim.Engine.run w.eng;
+  check_bool "the second writer still waits after x's phase 2" true
+    (!waiting_after_x = Some true);
+  Alcotest.(check (option string))
+    "it read y's committed write" (Some "2") !second;
+  Alcotest.(check (option string))
+    "x installed" (Some "1") (Server.instance_payload w.srv ~node:"alpha" ~uid:x)
+
 let test_abort_discards_staged_write () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"acct" ~payload:"100" ~stores:[ "beta" ] in
@@ -742,6 +795,8 @@ let suite =
       [
         tc "actions isolated by locks" `Quick test_actions_isolated_by_locks;
         tc "abort discards staged write" `Quick test_abort_discards_staged_write;
+        tc "a node's lock table ends an action per instance" `Quick
+          test_node_lock_table_ends_actions_per_instance;
       ] );
     ( "replica.active",
       [
