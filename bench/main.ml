@@ -60,20 +60,22 @@ let bench_lock_cycle () =
   done
 
 (* One action's end on a manager that has already served 1,024 keys, each
-   locked and released by its own owner: the release must cost the
-   action's own two locks, not the manager's history. *)
+   locked and released by its own owner: the end must cost the action's
+   own two locks, not the manager's history. The action ends key by key,
+   in key order, as a naming shard ends one. *)
 let bench_lock_release_all =
   let eng = Sim.Engine.create () in
   let mgr = Lockmgr.Manager.create eng in
   for i = 1 to 1024 do
     let owner = Printf.sprintf "warm%d" i and key = Printf.sprintf "k%d" i in
     assert (Lockmgr.Manager.try_acquire mgr ~owner ~mode:Lockmgr.Mode.Write key);
-    Lockmgr.Manager.release_all mgr ~owner
+    Lockmgr.Manager.release mgr ~owner key
   done;
   fun () ->
     assert (Lockmgr.Manager.try_acquire mgr ~owner:"a" ~mode:Lockmgr.Mode.Write "k1");
     assert (Lockmgr.Manager.try_acquire mgr ~owner:"a" ~mode:Lockmgr.Mode.Write "k2");
-    Lockmgr.Manager.release_all mgr ~owner:"a"
+    Lockmgr.Manager.release mgr ~owner:"a" "k1";
+    Lockmgr.Manager.release mgr ~owner:"a" "k2"
 
 let with_rpc_world f =
   let eng = Sim.Engine.create () in

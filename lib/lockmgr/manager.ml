@@ -12,7 +12,6 @@ type entry = {
   queue : waiter Queue.t;
 }
 
-module Keys = Set.Make (String)
 module Tbl = Hashtbl.Make (String)
 
 type counters = {
@@ -27,13 +26,10 @@ type counters = {
 }
 
 (* [entries] holds only keys with a holder or a live waiter: an entry is
-   dropped when its last holder and last waiter leave. [by_owner] maps each
-   owner to the keys it holds or waits on, so ending an action visits only
-   its own keys. *)
+   dropped when its last holder and last waiter leave. *)
 type t = {
   eng : Sim.Engine.t;
   entries : entry Tbl.t;
-  by_owner : Keys.t Tbl.t;
   counters : counters option;
 }
 
@@ -56,35 +52,13 @@ let create ?metrics eng =
         })
       metrics
   in
-  { eng; entries = Tbl.create 1; by_owner = Tbl.create 1; counters }
+  { eng; entries = Tbl.create 1; counters }
 
 let bump t pick =
   match t.counters with Some c -> Sim.Metrics.bump (pick c) | None -> ()
 
-let index_add t owner key =
-  match Tbl.find_opt t.by_owner owner with
-  | Some keys ->
-      if not (Keys.mem key keys) then Tbl.replace t.by_owner owner (Keys.add key keys)
-  | None -> Tbl.add t.by_owner owner (Keys.singleton key)
-
-let index_remove t owner key =
-  match Tbl.find_opt t.by_owner owner with
-  | None -> ()
-  | Some keys ->
-      let keys = Keys.remove key keys in
-      if Keys.is_empty keys then Tbl.remove t.by_owner owner
-      else Tbl.replace t.by_owner owner keys
-
 let held_mode e owner =
   List.assoc_opt owner e.held
-
-let waits_on e owner =
-  (not (Queue.is_empty e.queue))
-  && Queue.fold
-       (fun found w -> found || ((not w.w_cancelled) && String.equal w.w_owner owner))
-       false e.queue
-
-let involved e owner = List.mem_assoc owner e.held || waits_on e owner
 
 (* Drop [key]'s entry once nobody holds or waits on it. The table's entry
    must be [e] itself: a waiting fiber keeps its entry across the wait, and
@@ -99,7 +73,7 @@ let drop_if_idle t key e =
 (* Hierarchical action ids: "c:1.2" is a descendant of "c:1". A nested
    action may share its ancestors' locks (Arjuna lock inheritance); the
    lock it acquires is recorded in its own name and folds back into the
-   parent on nested commit via [transfer_all]. *)
+   parent on nested commit via [transfer]. *)
 let is_descendant ~ancestor owner =
   let la = String.length ancestor in
   String.length owner > la
@@ -126,24 +100,22 @@ let install e ~owner ~mode =
 
 (* A first lock on an untracked key: nobody holds or waits on it. *)
 let install_fresh t key ~owner ~mode =
-  Tbl.add t.entries key { held = [ (owner, mode) ]; queue = Queue.create () };
-  index_add t owner key
+  Tbl.add t.entries key { held = [ (owner, mode) ]; queue = Queue.create () }
 
 (* Wake queued waiters in order; stop at the first one that still cannot be
-   granted, preserving queue fairness. Cancelled waiters are discarded. A
-   live waiter's owner is indexed under [key] already. *)
-let rec service t key e =
+   granted, preserving queue fairness. Cancelled waiters are discarded. *)
+let rec service e =
   match Queue.peek_opt e.queue with
   | None -> ()
   | Some w when w.w_cancelled ->
       ignore (Queue.pop e.queue);
-      service t key e
+      service e
   | Some w ->
       if grantable e ~owner:w.w_owner ~mode:w.w_mode then begin
         ignore (Queue.pop e.queue);
         install e ~owner:w.w_owner ~mode:w.w_mode;
         w.w_resume (Ok ());
-        service t key e
+        service e
       end
 
 (* Validate-under-mode query: would [owner] get [mode] on [key] right now,
@@ -172,23 +144,21 @@ let try_acquire t ~owner ~mode key =
       | Some held when Mode.covers held mode ->
           bump t (fun c -> c.reentrant);
           true
-      | held ->
+      | _ ->
           if Queue.is_empty e.queue && grantable e ~owner ~mode then begin
             install e ~owner ~mode;
-            if Option.is_none held then index_add t owner key;
             bump t (fun c -> c.granted);
             true
           end
           else false)
 
-let wait t key e ~owner ~mode =
+let wait t e ~owner ~mode =
   bump t (fun c -> c.waited);
   let waiter = ref None in
   let register resume =
     let w = { w_owner = owner; w_mode = mode; w_resume = resume; w_cancelled = false } in
     waiter := Some w;
-    Queue.push w e.queue;
-    index_add t owner key
+    Queue.push w e.queue
   in
   let outcome =
     match Sim.Engine.timeout t.eng wait_bound register with
@@ -200,16 +170,13 @@ let wait t key e ~owner ~mode =
   | Error `Timeout -> (
       bump t (fun c -> c.timed_out);
       match !waiter with
-      | Some w -> (
+      | Some w ->
           w.w_cancelled <- true;
-          (* Our dead entry may have been blocking the queue head. *)
-          service t key e;
-          (* No drop here: a waiter queues only behind a holder, so [e]
-             still has one — or [e] was dropped while we waited, and the
-             table's entry for [key], if any, belongs to later requests. *)
-          match Tbl.find_opt t.entries key with
-          | Some live when involved live owner -> ()
-          | _ -> index_remove t owner key)
+          (* Our dead entry may have been blocking the queue head. No drop
+             here: a waiter queues only behind a holder, so [e] still has
+             one — or [e] was dropped while we waited, and the table's
+             entry for [key], if any, belongs to later requests. *)
+          service e
       | None -> ()));
   outcome
 
@@ -240,11 +207,10 @@ let acquire t ~owner ~mode key =
       | None ->
           if Queue.is_empty e.queue && grantable e ~owner ~mode then begin
             install e ~owner ~mode;
-            index_add t owner key;
             bump t (fun c -> c.granted);
             Ok ()
           end
-          else wait t key e ~owner ~mode)
+          else wait t e ~owner ~mode)
 
 let promote t ~owner ~to_mode key =
   match Tbl.find_opt t.entries key with
@@ -264,86 +230,45 @@ let promote t ~owner ~to_mode key =
             false
           end)
 
+(* [owner] is done with [key]: cancel its queued requests there, drop its
+   hold and service the queue. *)
 let release t ~owner key =
   match Tbl.find_opt t.entries key with
   | None -> ()
   | Some e ->
+      if not (Queue.is_empty e.queue) then
+        Queue.iter
+          (fun w -> if String.equal w.w_owner owner then w.w_cancelled <- true)
+          e.queue;
       if List.mem_assoc owner e.held then begin
         e.held <- List.remove_assoc owner e.held;
-        bump t (fun c -> c.released);
-        service t key e;
-        if not (involved e owner) then index_remove t owner key;
-        drop_if_idle t key e
-      end
-
-(* Take [owner]'s key set out of the index and visit its keys that still
-   have an entry, in key order. *)
-let take_keys t owner f =
-  match Tbl.find_opt t.by_owner owner with
-  | None -> ()
-  | Some keys ->
-      Tbl.remove t.by_owner owner;
-      Keys.iter
-        (fun key ->
-          match Tbl.find_opt t.entries key with
-          | Some e -> f key e
-          | None -> ())
-        keys
-
-(* [owner] is done with [key] (already out of its index): cancel its
-   waiters there, drop its hold and service the queue. *)
-let release_entry t ~owner key e =
-  Queue.iter
-    (fun w -> if String.equal w.w_owner owner then w.w_cancelled <- true)
-    e.queue;
-  if List.mem_assoc owner e.held then begin
-    e.held <- List.remove_assoc owner e.held;
-    bump t (fun c -> c.released)
-  end;
-  service t key e;
-  drop_if_idle t key e
-
-let release_all t ~owner = take_keys t owner (release_entry t ~owner)
-
-let release_key t ~owner key =
-  index_remove t owner key;
-  match Tbl.find_opt t.entries key with
-  | Some e -> release_entry t ~owner key e
-  | None -> ()
+        bump t (fun c -> c.released)
+      end;
+      service e;
+      drop_if_idle t key e
 
 let release_everything ?(keep = fun _ -> false) t =
-  Tbl.reset t.by_owner;
   Tbl.filter_map_inplace
-    (fun key e ->
+    (fun _ e ->
       Queue.iter (fun w -> w.w_cancelled <- true) e.queue;
       Queue.clear e.queue;
       e.held <- List.filter (fun (o, _) -> keep o) e.held;
-      List.iter (fun (o, _) -> index_add t o key) e.held;
       if e.held = [] then None else Some e)
     t.entries
 
 (* A transfer can make a queued descendant of [to_owner] grantable (it now
-   inherits the lock), so each visited key is serviced. [key] is already
-   out of [from_owner]'s index; a request it still has queued there puts
-   it back. *)
-let transfer_entry t ~from_owner ~to_owner key e =
-  (match List.assoc_opt from_owner e.held with
-  | None -> ()
-  | Some m ->
-      e.held <- List.remove_assoc from_owner e.held;
-      install e ~owner:to_owner ~mode:m;
-      index_add t to_owner key);
-  service t key e;
-  if waits_on e from_owner then index_add t from_owner key
-
-let transfer_all t ~from_owner ~to_owner =
-  take_keys t from_owner (transfer_entry t ~from_owner ~to_owner)
-
-let transfer_key t ~from_owner ~to_owner key =
-  index_remove t from_owner key;
+   inherits the lock), so the key is serviced. A request [from_owner]
+   still has queued there stays queued. *)
+let transfer t ~from_owner ~to_owner key =
   match Tbl.find_opt t.entries key with
-  | Some e -> transfer_entry t ~from_owner ~to_owner key e
   | None -> ()
+  | Some e ->
+      (match List.assoc_opt from_owner e.held with
+      | None -> ()
+      | Some m ->
+          e.held <- List.remove_assoc from_owner e.held;
+          install e ~owner:to_owner ~mode:m);
+      service e
 
 let holds t ~owner key =
   match Tbl.find_opt t.entries key with
@@ -366,8 +291,3 @@ let tracked_keys t =
 
 let all_held t =
   List.map (fun key -> (key, holders t key)) (tracked_keys t)
-
-let locked_keys t ~owner =
-  match Tbl.find_opt t.by_owner owner with
-  | None -> []
-  | Some keys -> List.filter (fun key -> holds t ~owner key <> None) (Keys.elements keys)

@@ -3,14 +3,16 @@
     Resources are named by strings (a database entry per object UID, or an
     object instance on a server). Owners are action identifiers: locks are
     held by {e actions}, not fibers, and are released (or transferred to a
-    parent action) when the action ends — the action layer drives this via
-    {!release_all} and {!transfer_all}.
+    parent action) when the action ends. An action ends one key at a time,
+    with {!release} or {!transfer}: the resource that took the locks keeps
+    the list of keys its action asked for, and ends them in its own
+    order.
 
     Owners are hierarchical ({!Action.Action_id} strings): a request is
     also granted when every blocking lock is held by an {e ancestor}
     action ("c:1" for "c:1.2") — Arjuna's lock inheritance for nested
     actions. The nested action's grant is recorded under its own name and
-    merges into the parent on [transfer_all].
+    merges into the parent on [transfer].
 
     Grant policy is queue-fair: a request is granted only when it is
     compatible with every current holder {e and} no earlier waiter is still
@@ -21,15 +23,13 @@
 
     The lock table holds only locked keys: a key's entry goes when its
     last holder and last waiter leave, so the table's size follows the
-    locks held now, not every key ever locked. The manager also indexes
-    each owner's keys, so {!release_all} and {!transfer_all} cost the
-    owner's own locks.
+    locks held now, not every key ever locked. The manager keeps no
+    per-owner index: ending an action costs the keys its caller names.
 
     One manager may serve several independent resources, each under its
-    own key: a naming shard keys its entries, a server node its object
-    instances. Where an action ends resource by resource — an instance
-    gets its own phase 2 — {!release_key} and {!transfer_key} end it on
-    one key and leave its locks on the others alone. *)
+    own key: a naming shard keys its entries' halves, a server node its
+    object instances. Ending an action on one key leaves its locks and
+    requests on the others alone. *)
 
 type t
 (** A lock manager. *)
@@ -74,19 +74,12 @@ val promote : t -> owner:owner -> to_mode:Mode.t -> string -> bool
     to abort its action. *)
 
 val release : t -> owner:owner -> string -> unit
-(** Release [owner]'s lock on [key] (no-op if none), waking waiters. *)
-
-val release_all : t -> owner:owner -> unit
-(** Release every lock held by [owner] and cancel its waiting requests;
-    called when the owning action commits (top-level) or aborts. Visits
-    only [owner]'s keys, in [String.compare] order: when the release
-    unblocks waiters on several keys, they are granted — and their fibers
-    resume — key by key in that order. *)
-
-val release_key : t -> owner:owner -> string -> unit
-(** {!release_all} for one key: cancel [owner]'s waiting requests on
-    [key], drop its lock there and wake the waiters that now fit. Its
-    locks and requests on other keys stay. *)
+(** [release t ~owner key] ends [owner] on [key]: cancel its queued
+    requests there, drop its lock (no-op if none) and wake the waiters
+    that now fit. Its locks and requests on other keys stay. Called when
+    the owning action commits (top-level) or aborts; a caller ending an
+    action on several keys wakes their waiters key by key in the order it
+    releases them. *)
 
 val release_everything : ?keep:(owner -> bool) -> t -> unit
 (** Drop every lock and cancel every waiter — a crash of the hosting node
@@ -95,17 +88,12 @@ val release_everything : ?keep:(owner -> bool) -> t -> unit
     [keep] (default none) survive: a prepared participant's locks are
     stable. *)
 
-val transfer_all : t -> from_owner:owner -> to_owner:owner -> unit
-(** Move every lock held by [from_owner] to [to_owner], merging modes by
-    strength — the Arjuna nested-commit rule (locks pass to the parent).
-    A waiter the move unblocks (a descendant of [to_owner] that now
-    inherits the lock) is granted at once, keys in [String.compare]
-    order as in {!release_all}. *)
-
-val transfer_key : t -> from_owner:owner -> to_owner:owner -> string -> unit
-(** {!transfer_all} for one key: move [from_owner]'s lock on [key] to
-    [to_owner] and grant the queued descendants of [to_owner] the move
-    unblocks. [from_owner]'s locks on other keys stay. *)
+val transfer : t -> from_owner:owner -> to_owner:owner -> string -> unit
+(** [transfer t ~from_owner ~to_owner key] moves [from_owner]'s lock on
+    [key] to [to_owner], merging modes by strength — the Arjuna
+    nested-commit rule (locks pass to the parent) — and grants the queued
+    descendants of [to_owner] the move unblocks. [from_owner]'s locks on
+    other keys, and any request it still has queued on [key], stay. *)
 
 val holds : t -> owner:owner -> string -> Mode.t option
 (** The mode [owner] holds on [key], if any. *)
@@ -119,9 +107,6 @@ val all_held : t -> (string * (owner * Mode.t) list) list
 
 val waiting : t -> string -> int
 (** Number of queued (unsatisfied) requests on [key]. *)
-
-val locked_keys : t -> owner:owner -> string list
-(** All keys on which [owner] holds a lock, sorted. *)
 
 val tracked_keys : t -> string list
 (** The keys the lock table has an entry for, sorted: exactly the keys

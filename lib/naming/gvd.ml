@@ -162,6 +162,11 @@ let ep_mirror : ((int * image * int) list, unit) Net.Rpc.endpoint =
    a record from its first operation on this shard until it commits,
    aborts or passes to its parent. *)
 type action_state = {
+  mutable a_keys : string list;
+      (* every key the action has asked to lock here, granted, queued or
+         refused, unique and sorted by [String.compare]: its end releases
+         (or transfers) them in that order, so waiters on several keys
+         resume key by key *)
   mutable a_prepared : bool;
       (* voted yes and awaits phase 2. With [durable] its stage and
          locks are stable: they survive a crash and are resolved by
@@ -273,7 +278,7 @@ let record t action =
   match Hashtbl.find_opt t.actions action with
   | Some a -> a
   | None ->
-      let a = { a_prepared = false; a_undo = []; a_redo = [] } in
+      let a = { a_keys = []; a_prepared = false; a_undo = []; a_redo = [] } in
       Hashtbl.add t.actions action a;
       a
 
@@ -338,6 +343,17 @@ let take_fence t ~action key =
   | Some _ -> Lockmgr.Manager.promote t.locks ~owner:action ~to_mode:mode key
   | None -> Lockmgr.Manager.try_acquire t.locks ~owner:action ~mode key
 
+(* [keys], sorted and unique, with [key] added. *)
+let rec add_key key = function
+  | [] -> [ key ]
+  | k :: rest as keys ->
+      let c = String.compare key k in
+      if c = 0 then keys else if c < 0 then key :: keys else k :: add_key key rest
+
+(* End the action's locks here, key by key in key order. *)
+let release_keys t ~action a =
+  List.iter (fun key -> Lockmgr.Manager.release t.locks ~owner:action key) a.a_keys
+
 (* A holder whose coordinator is partitioned away may never release:
    termination settles it. *)
 let refuse t key mode =
@@ -346,14 +362,20 @@ let refuse t key mode =
   Sim.Metrics.incr (metrics t) "gvd.lock_refusals";
   Some (Refused (Printf.sprintf "lock %s (%s) refused" key (Lockmgr.Mode.to_string mode)))
 
-(* Take one lock for [action]; [Some refusal] when it cannot be had. A
-   refusal probes the key's holders for a partitioned-away coordinator. *)
-let take_lock t ~action lock key =
+(* A blocking acquisition, bounded by {!Lockmgr.Manager.wait_bound}. *)
+let acquire t ~action mode key =
+  match Lockmgr.Manager.acquire t.locks ~owner:action ~mode key with
+  | Ok () -> None
+  | Error `Timeout -> refuse t key mode
+
+(* Take one lock for the action [a] records; [Some refusal] when it cannot
+   be had. A refusal probes the key's holders for a partitioned-away
+   coordinator. The key joins the action's keys before the request, so a
+   request still queued when the action ends is cancelled with it. *)
+let take_lock t a ~action lock key =
+  a.a_keys <- add_key key a.a_keys;
   match lock with
-  | Blocking mode -> (
-      match Lockmgr.Manager.acquire t.locks ~owner:action ~mode key with
-      | Ok () -> None
-      | Error `Timeout -> refuse t key mode)
+  | Blocking mode -> acquire t ~action mode key
   | Fence -> if take_fence t ~action key then None else refuse t key (fence_mode t)
 
 (* -- the ops: side, lock, precondition and pure image transform -- *)
@@ -526,7 +548,7 @@ let view_of e sv st =
 (* GetServer or GetView's lock step: a blocking Read lock on one half for
    the action, counted as that read once granted; [Some refusal] when it
    cannot be had. *)
-let read_lock t ~action side uid =
+let read_lock t a ~action side uid =
   let m = metrics t in
   let key = key_of side uid in
   (* A locked GetView that finds the St entry unavailable is about to
@@ -536,7 +558,7 @@ let read_lock t ~action side uid =
     side = St_side
     && not (Lockmgr.Manager.available t.locks ~owner:action ~mode:Lockmgr.Mode.Read key)
   then Sim.Metrics.incr m "gvd.view_lock_waits";
-  match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+  match take_lock t a ~action (Blocking Lockmgr.Mode.Read) key with
   | Some _ as refusal -> refusal
   | None ->
       Sim.Metrics.incr m (match side with Sv_side -> "gvd.get_server" | St_side -> "gvd.get_view");
@@ -564,13 +586,14 @@ let committed_view t e =
    request waits), and the action gives it back at once. An action
    holding its own lock there has nothing to wait for. A wait past
    {!Lockmgr.Manager.wait_bound} is refused like any lock, which probes
-   the holders. *)
+   the holders. The key is not among the action's keys: a grant is given
+   back before the handler can suspend, and a wait ends by the bound. *)
 let await_writers t ~action uid =
   let key = key_of St_side uid in
   match Lockmgr.Manager.holds t.locks ~owner:action key with
   | Some _ -> None
   | None -> (
-      match take_lock t ~action (Blocking Lockmgr.Mode.Read) key with
+      match acquire t ~action Lockmgr.Mode.Read key with
       | None ->
           Lockmgr.Manager.release t.locks ~owner:action key;
           None
@@ -590,7 +613,7 @@ let h_read t { r_uid; r_mode } =
           let a = touch_action t action in
           if a.a_prepared then after_vote
           else
-            match read_lock t ~action side r_uid with
+            match read_lock t a ~action side r_uid with
             | Some refusal -> refusal
             | None -> (
                 match side with
@@ -628,7 +651,7 @@ let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev } =
       if a.a_prepared then after_vote
       else
         let lock = lock_of op in
-        match take_lock t ~action lock (key_of (side_of op) uid) with
+        match take_lock t a ~action lock (key_of (side_of op) uid) with
         | Some refusal -> refusal
         | None -> (
             match up_if_rev with
@@ -661,12 +684,12 @@ let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev } =
    common case runs in [Delta] mode and concurrent binders commute. A
    server that dies between the peek and the grant is simply not chosen —
    its Remove happens on a later bind. *)
-let bind_locked t e ~action =
+let bind_locked t e a ~action =
   let uid = e.e_uid in
-  match read_lock t ~action Sv_side uid with
+  match read_lock t a ~action Sv_side uid with
   | Some refusal -> refusal
   | None -> (
-      match read_lock t ~action St_side uid with
+      match read_lock t a ~action St_side uid with
       | Some refusal -> refusal
       | None ->
           Granted
@@ -684,7 +707,7 @@ let bind_counted t e a ~action ~client ~replicas ~credits =
   let up n = Net.Network.is_up (netw t) n in
   let structural = List.exists (fun n -> not (up n)) e.e_snap.im_server.im_sv in
   let mode = if structural then Lockmgr.Mode.Write else Lockmgr.Mode.Delta in
-  match take_lock t ~action (Blocking mode) (key_of Sv_side uid) with
+  match take_lock t a ~action (Blocking mode) (key_of Sv_side uid) with
   | Some refusal -> refusal
   | None ->
       Sim.Metrics.incr m "gvd.batch_binds";
@@ -742,7 +765,7 @@ let h_bind t { bt_uid; bt_action = action; bt_client = client; bt_use } =
       if a.a_prepared then after_vote
       else
         match bt_use with
-        | Locked -> bind_locked t e ~action
+        | Locked -> bind_locked t e a ~action
         | Counted { replicas; credits } ->
             bind_counted t e a ~action ~client ~replicas ~credits)
 
@@ -922,15 +945,16 @@ let manager t =
             vote_yes t a ~action;
             Action.Resource_host.Vote_yes
         | None when t.durable -> Vote_no
-        | Some _ | None ->
+        | a ->
             Hashtbl.remove t.actions action;
-            Lockmgr.Manager.release_all t.locks ~owner:action;
+            Option.iter (release_keys t ~action) a;
             Action.Termination.forget t.term ~scope:resource ~action;
             Vote_read_only);
     m_commit =
       (fun ~action ->
+        let a = take_action t action in
         let touched =
-          match take_action t action with
+          match a with
           | None -> []
           | Some a ->
               (* Apply the staged commuting counter updates first... *)
@@ -960,7 +984,7 @@ let manager t =
                 touched;
               touched
         in
-        Lockmgr.Manager.release_all t.locks ~owner:action;
+        Option.iter (release_keys t ~action) a;
         Action.Termination.forget t.term ~scope:resource ~action;
         mirror_push t touched);
     m_abort =
@@ -977,8 +1001,8 @@ let manager t =
                     tracef t "%s undo-restore entry %d -> St=[%s]" action serial
                       (String.concat "," e.e_image.im_state.im_st)
                 | None -> ())
-              a.a_undo);
-        Lockmgr.Manager.release_all t.locks ~owner:action;
+              a.a_undo;
+            release_keys t ~action a);
         Action.Termination.forget t.term ~scope:resource ~action);
     m_transfer =
       (fun ~action ~parent ->
@@ -989,25 +1013,28 @@ let manager t =
             (* The parent keeps its own (older) before-image if it has
                one; otherwise it inherits the child's. Staged deltas
                append to the parent's: both sets apply when the top-level
-               action eventually commits. *)
+               action eventually commits. The child's keys join the
+               parent's, and its locks pass to the parent key by key. *)
             List.iter
               (fun ((serial, side, _) as img) ->
                 if not (has_undo serial side p.a_undo) then p.a_undo <- img :: p.a_undo)
               c.a_undo;
-            List.iter (fun (serial, ops) -> stage p serial ops) c.a_redo);
-        Lockmgr.Manager.transfer_all t.locks ~from_owner:action ~to_owner:parent;
+            List.iter (fun (serial, ops) -> stage p serial ops) c.a_redo;
+            p.a_keys <- List.fold_left (fun keys key -> add_key key keys) p.a_keys c.a_keys;
+            List.iter
+              (fun key -> Lockmgr.Manager.transfer t.locks ~from_owner:action ~to_owner:parent key)
+              c.a_keys);
         Action.Termination.transfer t.term ~scope:resource ~action ~parent);
   }
 
-(* How termination ends an action at the shard on [node]. *)
-let termination_ops art ~node ~actions ~entries ~locks =
+(* How termination ends an action at the shard on [node]. Every lock at
+   the shard belongs to an action with a record, so the record alone says
+   whether the shard still holds anything for the action. *)
+let termination_ops art ~node ~actions ~entries =
   let rh = Action.Atomic.resource_host art in
   let net = Action.Atomic.network art in
   {
-    Action.Termination.holds =
-      (fun ~scope:_ ~action ->
-        Hashtbl.mem actions action
-        || Lockmgr.Manager.locked_keys locks ~owner:action <> []);
+    Action.Termination.holds = (fun ~scope:_ ~action -> Hashtbl.mem actions action);
     evidence =
       (fun ~scope:_ ~action ->
         match Hashtbl.find_opt actions action with
@@ -1055,7 +1082,7 @@ let install ?(use_exclude_write = true) ?(durable = false)
       locks;
       term =
         Action.Termination.create art ~node
-          (termination_ops art ~node ~actions ~entries ~locks);
+          (termination_ops art ~node ~actions ~entries);
       ep_lookup = Net.Rpc.endpoint "gvd.lookup";
       ep_info = Net.Rpc.endpoint "gvd.info";
       ep_stored_on = Net.Rpc.endpoint "gvd.stored_on";

@@ -1,12 +1,11 @@
 (* Per-destination latency health, the gray-failure counterpart of the
    failure detector. Crashes are binary and the detector answers them;
    a browned-out node — alive enough to vote, slow enough to drag every
-   scatter — needs a *score*. Every RPC completion feeds one sample here
-   (pure arithmetic on the virtual clock: no RNG draws, no events, so the
-   always-on bookkeeping leaves fault-free worlds byte-identical). The
-   consumers are the hedged scatter delay and health-ordered replica
-   preference — both live only on a hedged network ({!Network.hedged}) —
-   and the autonomic controllers. *)
+   scatter — needs a *score*. On a hedged network ({!Network.health}),
+   every RPC completion feeds one sample here (pure arithmetic on the
+   virtual clock: no RNG draws, no events); its consumers are the hedged
+   scatter delay and health-ordered replica preference. Each autonomic
+   controller keeps a tracker of its own. *)
 
 (* Both records are all-float, so OCaml stores their fields unboxed and
    updating a sample allocates nothing; the sample counts are floats for

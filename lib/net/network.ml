@@ -58,8 +58,7 @@ type t = {
   brownouts : (node_id, brownout) Hashtbl.t;
   mutable dup_ever : bool;
   msgs : Sim.Metrics.handle;
-  net_health : Health.t;
-  net_hedged : bool;
+  net_health : Health.t option; (* present iff the network hedges *)
 }
 
 let default_latency rng = Sim.Rng.uniform rng 0.5 1.5
@@ -92,8 +91,7 @@ let create ?(latency = default_latency) ?(hedged = false) eng =
     brownouts = Hashtbl.create 4;
     dup_ever = false;
     msgs = Sim.Metrics.handle net_metrics "net.msgs";
-    net_health = Health.create ();
-    net_hedged = hedged;
+    net_health = (if hedged then Some (Health.create ()) else None);
   }
 
 let derive_rng t label = derive_stream t.net_rng label
@@ -102,15 +100,14 @@ let engine t = t.eng
 let trace t = t.net_trace
 let metrics t = t.net_metrics
 let health t = t.net_health
-let hedged t = t.net_hedged
 
 (* Replica preference on a hedged network: healthiest first, ties (and
    every candidate while health has nothing to say) in the caller's
    order. *)
 let rank_servers t nodes =
-  if t.net_hedged then
-    Health.rank t.net_health ~now:(Sim.Engine.now t.eng) nodes
-  else nodes
+  match t.net_health with
+  | Some h -> Health.rank h ~now:(Sim.Engine.now t.eng) nodes
+  | None -> nodes
 
 let node t id =
   match Hashtbl.find t.nodes id with

@@ -51,18 +51,14 @@ val trace : t -> Sim.Trace.t
 val metrics : t -> Sim.Metrics.t
 (** The network's metrics registry (shared with upper layers). *)
 
-val health : t -> Health.t
-(** The network's latency-health tracker. The RPC layer feeds every call
-    completion into it; hedged calls and replica ranking read it. Always
-    on — its bookkeeping is pure arithmetic, so fault-free worlds are
-    unperturbed. *)
-
-val hedged : t -> bool
-(** Whether the network was created [hedged]. Hedged idempotent calls
+val health : t -> Health.t option
+(** The network's latency-health tracker, present only when the network
+    was created [hedged]: its presence is the gray-failure bit. The RPC
+    layer feeds every call completion into it; hedged idempotent calls
     ({!Rpc.call}) and health-ranked server preference ({!rank_servers})
-    are live only then. The bit is read only inside this library: layers
-    above declare what a call is ({!Rpc.call}'s [idempotent]) and ask for
-    an order ({!rank_servers}). *)
+    read it, and exist only then. The bit is read only inside this
+    library: layers above declare what a call is ({!Rpc.call}'s
+    [idempotent]) and ask for an order ({!rank_servers}). *)
 
 val rank_servers : t -> node_id list -> node_id list
 (** Candidate servers in preference order: on a hedged network

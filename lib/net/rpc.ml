@@ -170,7 +170,9 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
     Sim.Engine.sleep eng (Network.sample_latency t.net);
     record t "%s: %s.%s -> unreachable" from dst ep.ep_name;
     Sim.Metrics.incr (Network.metrics t.net) "rpc.unreachable";
-    Health.note_failure (Network.health t.net) ~dst ~now:(Sim.Engine.now eng);
+    (match Network.health t.net with
+    | Some h -> Health.note_failure h ~dst ~now:(Sim.Engine.now eng)
+    | None -> ());
     Error Unreachable
   end
   else begin
@@ -230,18 +232,18 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
       | Ok r -> r
       | Error _ -> Error Timed_out
     in
-    (* Latency-health feed: every completed round trip teaches the health
-       plane how [dst] is doing. Pure arithmetic — no draws, no events —
-       so it is always on. *)
-    let now = Sim.Engine.now eng in
+    (* Latency-health feed: on a hedged network every completed round
+       trip teaches the health plane how [dst] is doing. Pure arithmetic —
+       no draws, no events. *)
+    (match (outcome, Network.health t.net) with
+    | Ok _, Some h ->
+        Health.note_round_trip h ~dst ~sent:start ~now:(Sim.Engine.now eng)
+    | Error (Unreachable | Crashed | Timed_out), Some h ->
+        Health.note_failure h ~dst ~now:(Sim.Engine.now eng)
+    | _ -> ());
     (match outcome with
-    | Ok _ ->
-        Health.note_round_trip (Network.health t.net) ~dst ~sent:start ~now
+    | Ok _ -> ()
     | Error e ->
-        (match e with
-        | No_service -> ()
-        | Unreachable | Crashed | Timed_out ->
-            Health.note_failure (Network.health t.net) ~dst ~now);
         record t "%s: %s.%s -> %s" from dst ep.ep_name (error_to_string e);
         Sim.Metrics.incr (Network.metrics t.net) (error_counter e));
     outcome
@@ -256,9 +258,9 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
    race settles, copies still in flight are cancelled cooperatively at
    delivery (the [cancelled] probe above), so a slow loser can never run
    the handler after the winner's round already moved the protocol on. *)
-let hedged_call t ~from ~dst ?deadline_at ep req =
+let hedged_call t h ~from ~dst ?deadline_at ep req =
   let eng = Network.engine t.net in
-  let delay = Health.hedge_delay (Network.health t.net) in
+  let delay = Health.hedge_delay h in
   let iv = Sim.Ivar.create () in
   let launched = ref 0 in
   let outstanding = ref 0 in
@@ -294,9 +296,9 @@ let hedged_call t ~from ~dst ?deadline_at ep req =
   Sim.Ivar.read eng iv
 
 let call t ~from ~dst ?(idempotent = false) ?deadline_at ep req =
-  if idempotent && Network.hedged t.net then
-    hedged_call t ~from ~dst ?deadline_at ep req
-  else call_gen t ~from ~dst ?deadline_at ep req
+  match Network.health t.net with
+  | Some h when idempotent -> hedged_call t h ~from ~dst ?deadline_at ep req
+  | _ -> call_gen t ~from ~dst ?deadline_at ep req
 
 let call_all t ~from ?deadline_at ?(idempotent = false) ep reqs =
   (match reqs with
@@ -306,9 +308,10 @@ let call_all t ~from ?deadline_at ?(idempotent = false) ep reqs =
       Sim.Metrics.incr (Network.metrics t.net) ~by:(List.length reqs)
         "rpc.scatter_calls");
   let leg =
-    if idempotent && Network.hedged t.net then
-      fun dst req -> hedged_call t ~from ~dst ?deadline_at ep req
-    else fun dst req -> call_gen t ~from ~dst ?deadline_at ep req
+    match Network.health t.net with
+    | Some h when idempotent ->
+        fun dst req -> hedged_call t h ~from ~dst ?deadline_at ep req
+    | _ -> fun dst req -> call_gen t ~from ~dst ?deadline_at ep req
   in
   Sim.Join.all (Network.engine t.net)
     (List.map (fun (dst, req) () -> (dst, leg dst req)) reqs)
@@ -319,14 +322,14 @@ let call_all t ~from ?deadline_at ?(idempotent = false) ep reqs =
    first, so a healthy head answers before the sick tail is ever asked. *)
 let first_answer t nodes ask =
   let eng = Network.engine t.net in
-  if Network.hedged t.net then
-    let h = Network.health t.net in
-    let ranked = Health.rank h ~now:(Sim.Engine.now eng) nodes in
-    Sim.Join.hedged eng ~delay:(Health.hedge_delay h)
-      (List.map (fun m () -> ask m) ranked)
-  else
-    Sim.Join.all eng (List.map (fun m () -> ask m) nodes)
-    |> List.find_map Fun.id
+  match Network.health t.net with
+  | Some h ->
+      let ranked = Health.rank h ~now:(Sim.Engine.now eng) nodes in
+      Sim.Join.hedged eng ~delay:(Health.hedge_delay h)
+        (List.map (fun m () -> ask m) ranked)
+  | None ->
+      Sim.Join.all eng (List.map (fun m () -> ask m) nodes)
+      |> List.find_map Fun.id
 
 let notify t ~from ~dst ep req =
   Sim.Metrics.incr (Network.metrics t.net) "rpc.notifies";

@@ -84,17 +84,18 @@ val call :
     on [from]. Suspends the calling fiber until the reply, a failure
     notification, or {!call_timeout}. Must be called from within a
     fiber. Every call bumps the aggregate [rpc.calls] counter and a
-    per-operation [rpc.op.<endpoint name>] counter, and feeds its
-    round-trip outcome into {!Network.health}. [deadline_at] propagates
+    per-operation [rpc.op.<endpoint name>] counter, and on a hedged
+    network feeds its round-trip outcome into {!Network.health}.
+    [deadline_at] propagates
     the initiator's absolute deadline in the request metadata. The
     server sheds a request whose deadline has already passed at unpack
     time: it answers [Error Timed_out] at once instead of running the
     handler, since the initiator has given up and the work (and any locks
     it would take) is pure waste. Each shed bumps [retry.shed_expired].
-    Shedding does not depend on {!Network.hedged}.
+    Shedding does not depend on whether the network hedges.
 
     [idempotent] (default [false]) declares that running the handler
-    twice is harmless. On a hedged network ({!Network.hedged}) such a
+    twice is harmless. On a hedged network ({!Network.health}) such a
     call is {e hedged}: if [dst] has not answered within
     {!Health.hedge_delay}, a backup copy to [dst] races it and the first
     [Ok] wins. The loser is

@@ -5,6 +5,7 @@ type t = {
   mutable g_members : Net.Network.node_id list;
   g_stores : Net.Network.node_id list;
   g_client : Net.Network.node_id;
+  mutable g_acked : (string * int) list;
 }
 
 type invoke_error = Unavailable of string | Lock_refused | Staged_lost
@@ -28,9 +29,6 @@ type runtime = {
   mutable next_serial : int;
   pending : (int, pending) Hashtbl.t;
   reply_nodes : (Net.Network.node_id, unit) Hashtbl.t;
-  (* Highest answered invocation serial per (action, object): sent with
-     every request so a promoted coordinator can detect lost staging. *)
-  acked : (string * int, int) Hashtbl.t;
 }
 
 let create srv ~sequencer =
@@ -42,7 +40,6 @@ let create srv ~sequencer =
     next_serial = 0;
     pending = Hashtbl.create 32;
     reply_nodes = Hashtbl.create 8;
-    acked = Hashtbl.create 64;
   }
 
 let server_runtime rt = rt.srv
@@ -81,14 +78,16 @@ let fresh_serial rt =
   rt.next_serial <- rt.next_serial + 1;
   rt.next_serial
 
-let acked_key act g = (Action.Atomic.owner act, Store.Uid.serial g.g_uid)
+(* Highest answered invocation serial of [act] through the binding: sent
+   with every request so a promoted coordinator can detect lost staging.
+   Kept per owner, since a nested action and its parent invoke through
+   the same binding under their own serials. *)
+let last_acked ~act g =
+  Option.value ~default:0 (List.assoc_opt (Action.Atomic.owner act) g.g_acked)
 
-let last_acked rt ~act g =
-  match Hashtbl.find_opt rt.acked (acked_key act g) with
-  | Some s -> s
-  | None -> 0
-
-let record_acked rt ~act g serial = Hashtbl.replace rt.acked (acked_key act g) serial
+let record_acked ~act g serial =
+  let owner = Action.Atomic.owner act in
+  g.g_acked <- (owner, serial) :: List.remove_assoc owner g.g_acked
 
 let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
   ensure_reply_service rt client;
@@ -146,6 +145,7 @@ let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
           g_members = members;
           g_stores = stores;
           g_client = client;
+          g_acked = [];
         }
 
 let live_members rt g =
@@ -180,10 +180,10 @@ let rpc_invoke rt g ~act ~write ~serial ~op server =
   match
     Server.invoke rt.srv ~from:g.g_client ~server ~uid:g.g_uid
       ~action:(Action.Atomic.owner act) ~serial
-      ~last_acked:(last_acked rt ~act g) ~write ~op
+      ~last_acked:(last_acked ~act g) ~write ~op
   with
   | Ok (Server.Reply r) ->
-      record_acked rt ~act g serial;
+      record_acked ~act g serial;
       Ok r
   | Ok Server.Locked -> Error Lock_refused
   | Ok Server.State_lost -> Error Staged_lost
@@ -256,7 +256,7 @@ let mc_invoke rt g ~act ~write ~serial ~op =
         Server.mi_uid = g.g_uid;
         mi_action = Action.Atomic.owner act;
         mi_serial = serial;
-        mi_last_acked = last_acked rt ~act g;
+        mi_last_acked = last_acked ~act g;
         mi_write = write;
         mi_op = op;
         mi_reply_to = g.g_client;
@@ -286,7 +286,7 @@ let mc_invoke rt g ~act ~write ~serial ~op =
           with
           | Error _ -> Error (Unavailable "no replica answered")
           | Ok (Server.Reply r) ->
-              record_acked rt ~act g serial;
+              record_acked ~act g serial;
               Ok r
           | Ok Server.Locked -> Error Lock_refused
           | Ok Server.State_lost -> Error Staged_lost
@@ -333,7 +333,7 @@ let invoke rt g ~act ?(write = true) op =
 
 let commit_view rt g ~act =
   let action = Action.Atomic.owner act in
-  let acked = last_acked rt ~act g in
+  let acked = last_acked ~act g in
   (* Members are mutually consistent, so any holder's view is the view:
      the first answer of {!Net.Rpc.first_answer} is as good as the
      gather. *)

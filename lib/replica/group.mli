@@ -34,6 +34,9 @@ type t = {
       (** activated servers, coordinator first for coordinator-cohort *)
   g_stores : Net.Network.node_id list;  (** StA view captured at bind *)
   g_client : Net.Network.node_id;
+  mutable g_acked : (string * int) list;
+      (** per action owner, the highest invocation serial answered
+          through this binding; it lives and dies with the binding *)
 }
 
 val activate :

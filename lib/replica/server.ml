@@ -323,7 +323,7 @@ let checkpoint_to_cohorts t inst =
 (* Per key: the same action may hold or wait on another instance's key
    in the node's table, and that lock ends with that instance's phase 2. *)
 let release inst action =
-  Lockmgr.Manager.release_key inst.i_locks ~owner:action (scope inst);
+  Lockmgr.Manager.release inst.i_locks ~owner:action (scope inst);
   (* Also prune the action from the checkpointed holder snapshot: a
      cohort promoted after this action ended must not resurrect its
      locks (they would never be released — a phantom wedge). *)
@@ -390,7 +390,7 @@ let make_manager t inst =
               inst.i_staged <-
                 Alist.replace parent payload (Alist.remove action inst.i_staged)
           | None -> ());
-          Lockmgr.Manager.transfer_key inst.i_locks ~from_owner:action
+          Lockmgr.Manager.transfer inst.i_locks ~from_owner:action
             ~to_owner:parent (scope inst);
           (* The child is finished as an owner here: a straggler
              invocation under the child's id would stage state its (gone)
@@ -457,7 +457,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                    fiber sat parked on the instance lock: executing now
                    would stage payload and hold locks for an owner whose
                    completion already ran. *)
-                Lockmgr.Manager.release_key inst.i_locks ~owner:v_action
+                Lockmgr.Manager.release inst.i_locks ~owner:v_action
                   (scope inst);
                 Sim.Metrics.incr (metrics t) "server.settled_refusals";
                 tracef t "%s: refused settled action %s on %a" node v_action

@@ -381,11 +381,11 @@ let make_register w node =
               committed := v;
               Hashtbl.remove staged action
           | None -> ());
-          Lockmgr.Manager.release_all mgr ~owner:action);
+          Lockmgr.Manager.release mgr ~owner:action "reg");
       m_abort =
         (fun ~action ->
           Hashtbl.remove staged action;
-          Lockmgr.Manager.release_all mgr ~owner:action);
+          Lockmgr.Manager.release mgr ~owner:action "reg");
       m_transfer =
         (fun ~action ~parent ->
           (match Hashtbl.find_opt staged action with
@@ -393,7 +393,7 @@ let make_register w node =
               Hashtbl.replace staged parent v;
               Hashtbl.remove staged action
           | None -> ());
-          Lockmgr.Manager.transfer_all mgr ~from_owner:action ~to_owner:parent);
+          Lockmgr.Manager.transfer mgr ~from_owner:action ~to_owner:parent "reg");
     }
   in
   Resource_host.register w.rh ~node ~resource:"register" manager;
@@ -418,7 +418,7 @@ let test_resource_commit_applies_and_releases () =
              check_bool "write ok" true (write act "updated"))));
   Sim.Engine.run w.eng;
   check_string "applied" "updated" !committed;
-  Alcotest.(check (list string)) "locks released" [] (Lockmgr.Manager.locked_keys mgr ~owner:"client:0")
+  check_bool "locks released" true (Lockmgr.Manager.holders mgr "reg" = [])
 
 let test_resource_abort_discards_and_releases () =
   let w = make_world [ "client"; "svc" ] in
@@ -430,7 +430,7 @@ let test_resource_abort_discards_and_releases () =
              raise (Atomic.Abort "no"))));
   Sim.Engine.run w.eng;
   check_string "unchanged" "initial" !committed;
-  Alcotest.(check (list string)) "locks released" [] (Lockmgr.Manager.locked_keys mgr ~owner:"client:0")
+  check_bool "locks released" true (Lockmgr.Manager.holders mgr "reg" = [])
 
 let test_resource_nested_transfer () =
   let w = make_world [ "client"; "svc" ] in

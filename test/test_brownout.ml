@@ -213,13 +213,16 @@ let test_hedge_cancellation_keeps_rounds_sound () =
    that failed). A call whose deadline passed before it landed is shed
    under every profile.
    Only health records are forged ([forge_slow]); every decision taken
-   on them is the plane's own. *)
+   on them is the plane's own. A world without a profile keeps no health
+   records, so there is nothing to forge. *)
 
 let forge_slow net ~now dst =
-  for i = 1 to 6 do
-    Net.Health.note_failure (Net.Network.health net) ~dst
-      ~now:(now +. (0.1 *. float_of_int i))
-  done
+  Option.iter
+    (fun h ->
+      for i = 1 to 6 do
+        Net.Health.note_failure h ~dst ~now:(now +. (0.1 *. float_of_int i))
+      done)
+    (Net.Network.health net)
 
 type planes = {
   p_hedges : int;

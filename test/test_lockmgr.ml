@@ -159,10 +159,13 @@ let test_release_all_and_waking () =
       match Manager.acquire mgr ~owner:"b" ~mode:Mode.Read "k2" with
       | Ok () -> incr got
       | Error _ -> ());
-  Sim.Engine.schedule eng ~delay:1.0 (fun () -> Manager.release_all mgr ~owner:"a");
+  (* The owner's end: each of its keys in key order. *)
+  Sim.Engine.schedule eng ~delay:1.0 (fun () ->
+      List.iter (Manager.release mgr ~owner:"a") [ "k1"; "k2" ]);
   Sim.Engine.run eng;
   check_int "both granted" 2 !got;
-  Alcotest.(check (list string)) "a holds nothing" [] (Manager.locked_keys mgr ~owner:"a")
+  Alcotest.(check (list (option mode))) "a holds nothing" [ None; None ]
+    (List.map (Manager.holds mgr ~owner:"a") [ "k1"; "k2" ])
 
 let test_transfer_to_parent () =
   with_engine (fun _eng mgr ->
@@ -173,7 +176,7 @@ let test_transfer_to_parent () =
       (* Parent already reads k2: transfer must merge to the strongest. *)
       check_bool "parent r" false
         (Manager.try_acquire mgr ~owner:"parent" ~mode:Mode.Read "k2");
-      Manager.transfer_all mgr ~from_owner:"parent.1" ~to_owner:"parent";
+      List.iter (Manager.transfer mgr ~from_owner:"parent.1" ~to_owner:"parent") [ "k1"; "k2" ];
       Alcotest.(check (option mode))
         "k1 read at parent" (Some Mode.Read)
         (Manager.holds mgr ~owner:"parent" "k1");
@@ -184,10 +187,10 @@ let test_transfer_to_parent () =
         "child gone" None
         (Manager.holds mgr ~owner:"parent.1" "k1"))
 
-(* [release_key] ends an owner on one key: its waiter there is cancelled
-   (the fiber times out, never granted) and its hold dropped, while its
-   lock on another key and other owners' waiters on the same key stay. *)
-let test_release_key_is_per_key () =
+(* [release] ends an owner on one key: its waiter there is cancelled (the
+   fiber times out, never granted) and its hold dropped, while its lock on
+   another key and other owners' waiters on the same key stay. *)
+let test_release_is_per_key () =
   let eng = Sim.Engine.create () in
   let mgr = Manager.create eng in
   check_bool "a writes k1" true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write "k1");
@@ -202,28 +205,27 @@ let test_release_key_is_per_key () =
   let b_on_k1 = outcome "b" "k1" and c_on_k1 = outcome "c" "k1" in
   Sim.Engine.run ~until:1.0 eng;
   check_int "two waiting on k1" 2 (Manager.waiting mgr "k1");
-  Manager.release_key mgr ~owner:"b" "k1";
+  Manager.release mgr ~owner:"b" "k1";
   check_int "b's waiter cancelled" 1 (Manager.waiting mgr "k1");
-  Alcotest.(check (option mode)) "b keeps k2" (Some Mode.Write)
-    (Manager.holds mgr ~owner:"b" "k2");
-  Alcotest.(check (list string)) "b's keys" [ "k2"; "k3" ]
-    (Manager.locked_keys mgr ~owner:"b");
-  Manager.release_key mgr ~owner:"b" "k3";
-  Alcotest.(check (list string)) "b keeps k2 alone" [ "k2" ]
-    (Manager.locked_keys mgr ~owner:"b");
+  let b_holds () = List.map (Manager.holds mgr ~owner:"b") [ "k1"; "k2"; "k3" ] in
+  Alcotest.(check (list (option mode))) "b keeps k2 and k3"
+    [ None; Some Mode.Write; Some Mode.Read ] (b_holds ());
+  Manager.release mgr ~owner:"b" "k3";
+  Alcotest.(check (list (option mode))) "b keeps k2 alone"
+    [ None; Some Mode.Write; None ] (b_holds ());
   Alcotest.(check (list string)) "k3 untracked" [ "k1"; "k2" ]
     (Manager.tracked_keys mgr);
-  Manager.release_key mgr ~owner:"a" "k1";
+  Manager.release mgr ~owner:"a" "k1";
   Sim.Engine.run eng;
   check_bool "c granted once a left" true (!c_on_k1 = Some (Ok ()));
   check_bool "b never granted k1" true (!b_on_k1 = Some (Error `Timeout));
   Alcotest.(check (list (pair string mode)))
     "k1 held by c" [ ("c", Mode.Write) ] (Manager.holders mgr "k1")
 
-(* [transfer_key] moves a child's lock on one key to its parent and
-   grants a queued descendant of the parent that now inherits it; the
-   child's lock on another key stays its own. *)
-let test_transfer_key_services_descendants () =
+(* [transfer] moves a child's lock on one key to its parent and grants a
+   queued descendant of the parent that now inherits it; the child's lock
+   on another key stays its own. *)
+let test_transfer_services_descendants () =
   let eng = Sim.Engine.create () in
   let mgr = Manager.create eng in
   check_bool "child writes k1" true
@@ -235,15 +237,34 @@ let test_transfer_key_services_descendants () =
       sibling := Some (Manager.acquire mgr ~owner:"p.2" ~mode:Mode.Write "k1"));
   Sim.Engine.run ~until:1.0 eng;
   check_int "sibling queued" 1 (Manager.waiting mgr "k1");
-  Manager.transfer_key mgr ~from_owner:"p.1" ~to_owner:"p" "k1";
+  Manager.transfer mgr ~from_owner:"p.1" ~to_owner:"p" "k1";
   Sim.Engine.run eng;
   check_bool "sibling granted under the parent's lock" true (!sibling = Some (Ok ()));
   Alcotest.(check (list (pair string mode)))
     "k1 holders" [ ("p", Mode.Write); ("p.2", Mode.Write) ] (Manager.holders mgr "k1");
-  Alcotest.(check (list string)) "child keeps k2" [ "k2" ]
-    (Manager.locked_keys mgr ~owner:"p.1");
-  Alcotest.(check (list string)) "parent holds k1 only" [ "k1" ]
-    (Manager.locked_keys mgr ~owner:"p")
+  Alcotest.(check (list (pair string mode)))
+    "child keeps k2" [ ("p.1", Mode.Write) ] (Manager.holders mgr "k2")
+
+(* Ending an owner on a key it asked for but never obtained changes
+   nothing: its request timed out, so the holder keeps the key and the
+   waiter queued behind it stays queued. *)
+let test_release_of_refused_key_is_noop () =
+  let eng = Sim.Engine.create () in
+  let mgr = Manager.create eng in
+  check_bool "a writes" true (Manager.try_acquire mgr ~owner:"a" ~mode:Mode.Write "k");
+  let b = ref None in
+  Sim.Engine.spawn eng (fun () -> b := Some (Manager.acquire mgr ~owner:"b" ~mode:Mode.Write "k"));
+  Sim.Engine.run eng;
+  check_bool "b refused" true (!b = Some (Error `Timeout));
+  let c = ref None in
+  Sim.Engine.spawn eng (fun () -> c := Some (Manager.acquire mgr ~owner:"c" ~mode:Mode.Read "k"));
+  Sim.Engine.run ~until:(Sim.Engine.now eng +. 1.0) eng;
+  Manager.release mgr ~owner:"b" "k";
+  Sim.Engine.run ~until:(Sim.Engine.now eng +. 1.0) eng;
+  Alcotest.(check (list (pair string mode))) "a still holds" [ ("a", Mode.Write) ]
+    (Manager.holders mgr "k");
+  check_int "c still queued" 1 (Manager.waiting mgr "k");
+  check_bool "c not granted" true (!c = None)
 
 let test_waiting_count () =
   let eng = Sim.Engine.create () in
@@ -269,8 +290,8 @@ let test_stale_waiter_keeps_live_entry () =
   Sim.Engine.spawn eng (fun () ->
       b_outcome := Some (Manager.acquire mgr ~owner:"b" ~mode:Mode.Write "k"));
   Sim.Engine.schedule eng ~delay:1.0 (fun () ->
-      Manager.release_all mgr ~owner:"b";
-      Manager.release_all mgr ~owner:"a");
+      Manager.release mgr ~owner:"b" "k";
+      Manager.release mgr ~owner:"a" "k");
   Sim.Engine.schedule eng ~delay:2.0 (fun () ->
       check_bool "c writes" true (Manager.try_acquire mgr ~owner:"c" ~mode:Mode.Write "k"));
   Sim.Engine.run eng;
@@ -312,10 +333,10 @@ let prop_holders_pairwise_compatible =
         holders)
 
 (* Model-based check of the manager against a reference model that keeps
-   no index: every whole-table step scans all keys in key order, and a
+   plain per-key lists: a timeout scans all keys in key order, and a
    waiter leaves its queue as soon as it is cancelled. Owners "p.1" and
-   "q.1" are children of "p" and "q", so lock inheritance and
-   [transfer_all] are exercised. Every acquire runs in its own fiber and
+   "q.1" are children of "p" and "q", so lock inheritance and [transfer]
+   are exercised. Every acquire runs in its own fiber and
    times out after [wait_bound]. An acquire first moves the clock on by
    its own fraction of a unit, [(id + 1) / 1024]: forty of them sum to
    less than one unit, so no two waits end at the same instant, and a
@@ -331,10 +352,7 @@ type op =
   | Try of int * Mode.t * int
   | Acquire of int * Mode.t * int
   | Release of int * int
-  | Release_all of int
-  | Release_key of int * int
-  | Transfer of int
-  | Transfer_key of int * int
+  | Transfer of int * int
   | Promote of int * Mode.t * int
   | Step of int
 
@@ -344,11 +362,7 @@ let pp_op ppf = function
   | Try (o, m, k) -> Format.fprintf ppf "try %s %a %s" owners.(o) Mode.pp m (key k)
   | Acquire (o, m, k) -> Format.fprintf ppf "acquire %s %a %s" owners.(o) Mode.pp m (key k)
   | Release (o, k) -> Format.fprintf ppf "release %s %s" owners.(o) (key k)
-  | Release_all o -> Format.fprintf ppf "release_all %s" owners.(o)
-  | Release_key (o, k) -> Format.fprintf ppf "release_key %s %s" owners.(o) (key k)
-  | Transfer c -> Format.fprintf ppf "transfer %s" owners.((2 * c) + 1)
-  | Transfer_key (c, k) ->
-      Format.fprintf ppf "transfer_key %s %s" owners.((2 * c) + 1) (key k)
+  | Transfer (c, k) -> Format.fprintf ppf "transfer %s %s" owners.((2 * c) + 1) (key k)
   | Promote (o, m, k) -> Format.fprintf ppf "promote %s %a %s" owners.(o) Mode.pp m (key k)
   | Step n -> Format.fprintf ppf "step %d" (10 * n)
 
@@ -359,11 +373,8 @@ let gen_op =
     [
       (3, map3 (fun o m k -> Try (o, m, k)) o m k);
       (4, map3 (fun o m k -> Acquire (o, m, k)) o m k);
-      (2, map2 (fun o k -> Release (o, k)) o k);
-      (2, map (fun o -> Release_all o) o);
-      (1, map2 (fun o k -> Release_key (o, k)) o k);
-      (1, map (fun c -> Transfer c) (int_bound 1));
-      (1, map2 (fun c k -> Transfer_key (c, k)) (int_bound 1) k);
+      (4, map2 (fun o k -> Release (o, k)) o k);
+      (2, map2 (fun c k -> Transfer (c, k)) (int_bound 1) k);
       (1, map3 (fun o m k -> Promote (o, m, k)) o m k);
       (2, map (fun n -> Step n) (int_range 1 3));
     ]
@@ -459,29 +470,18 @@ module Model = struct
     Hashtbl.replace t.held k (List.remove_assoc owner (held t k))
 
   let release t ~owner k =
-    if List.mem_assoc owner (held t k) then begin
-      drop_hold t k owner;
-      service t k
-    end
-
-  let release_key t ~owner k =
     Hashtbl.replace t.queues k
       (List.filter (fun w -> not (String.equal w.owner owner)) (queue t k));
     drop_hold t k owner;
     service t k
 
-  let release_all t ~owner = List.iter (release_key t ~owner) keys
-
-  let transfer_key t ~from_owner ~to_owner k =
+  let transfer t ~from_owner ~to_owner k =
     (match List.assoc_opt from_owner (held t k) with
     | Some m ->
         drop_hold t k from_owner;
         install t k ~owner:to_owner ~mode:m
     | None -> ());
     service t k
-
-  let transfer_all t ~from_owner ~to_owner =
-    List.iter (transfer_key t ~from_owner ~to_owner) keys
 
   (* Advance to [until], timing out each pending waiter at its deadline. *)
   let rec step t until =
@@ -522,11 +522,6 @@ let run_against_model ops =
       keys;
     let live = List.filter (fun k -> Model.held model k <> [] || Model.queue model k <> []) keys in
     if Manager.tracked_keys mgr <> live then fail "tracked keys";
-    Array.iter
-      (fun owner ->
-        let model_keys = List.filter (fun k -> List.mem_assoc owner (Model.held model k)) keys in
-        if Manager.locked_keys mgr ~owner <> model_keys then fail "locked keys of %s" owner)
-      owners;
     let impl = Hashtbl.fold (fun id o acc -> (id, o) :: acc) outcomes [] |> sorted in
     let expected = Hashtbl.fold (fun id o acc -> (id, o) :: acc) model.outcomes [] |> sorted in
     if impl <> expected then fail "acquire outcomes"
@@ -552,20 +547,10 @@ let run_against_model ops =
       | Release (o, k) ->
           Manager.release mgr ~owner:owners.(o) (key k);
           Model.release model ~owner:owners.(o) (key k)
-      | Release_all o ->
-          Manager.release_all mgr ~owner:owners.(o);
-          Model.release_all model ~owner:owners.(o)
-      | Release_key (o, k) ->
-          Manager.release_key mgr ~owner:owners.(o) (key k);
-          Model.release_key model ~owner:owners.(o) (key k)
-      | Transfer c ->
+      | Transfer (c, k) ->
           let from_owner = owners.((2 * c) + 1) and to_owner = owners.(2 * c) in
-          Manager.transfer_all mgr ~from_owner ~to_owner;
-          Model.transfer_all model ~from_owner ~to_owner
-      | Transfer_key (c, k) ->
-          let from_owner = owners.((2 * c) + 1) and to_owner = owners.(2 * c) in
-          Manager.transfer_key mgr ~from_owner ~to_owner (key k);
-          Model.transfer_key model ~from_owner ~to_owner (key k)
+          Manager.transfer mgr ~from_owner ~to_owner (key k);
+          Model.transfer model ~from_owner ~to_owner (key k)
       | Promote (o, mode, k) ->
           let owner = owners.(o) and k = key k in
           same "promote" (Manager.promote mgr ~owner ~to_mode:mode k)
@@ -616,9 +601,9 @@ let suite =
         tc "promote without lock" `Quick test_promote_without_lock_fails;
         tc "release all wakes" `Quick test_release_all_and_waking;
         tc "transfer to parent" `Quick test_transfer_to_parent;
-        tc "release_key is per key" `Quick test_release_key_is_per_key;
-        tc "transfer_key services descendants" `Quick
-          test_transfer_key_services_descendants;
+        tc "release is per key" `Quick test_release_is_per_key;
+        tc "transfer services descendants" `Quick test_transfer_services_descendants;
+        tc "release of a refused key is a no-op" `Quick test_release_of_refused_key_is_noop;
         tc "waiting count" `Quick test_waiting_count;
         tc "stale waiter keeps live entry" `Quick test_stale_waiter_keeps_live_entry;
         Test_util.qcheck prop_holders_pairwise_compatible;

@@ -506,6 +506,101 @@ let test_exclude_write_vs_plain_write_promotion () =
   check_string "plain write promotion refused" "refused"
     (attempt ~use_exclude_write:false)
 
+(* An action ends at a shard key by key in key order. It holds both
+   halves of one entry, each with another action's writer queued behind
+   it, the [sv:] writer first; ["st:"] sorts before ["sv:"], so the [St]
+   writer is granted, and applies its op, first — whether the action
+   commits or aborts. *)
+let end_wakes_st_first ~commit =
+  let w =
+    Service.create ~seed:3L
+      (topo ~servers:[ "alpha"; "alpha2" ] ~stores:[ "beta1"; "beta2"; "beta3" ]
+         ~clients:[ "c1"; "c2" ])
+  in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w and eng = Service.engine w in
+  Sim.Trace.set_enabled (Service.trace w) true;
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+             List.iter
+               (fun op ->
+                 match Gvd.update gvd ~act uid op with
+                 | Ok (Gvd.Granted _) -> ()
+                 | _ -> Alcotest.fail "holder's update")
+               [ Gvd.Insert "alpha2"; Gvd.Include "beta3" ];
+             Sim.Engine.sleep eng 10.0;
+             if not commit then raise (Action.Atomic.Abort "roll back"))));
+  let queued_writer ~at op =
+    Service.spawn_client w "c2" (fun () ->
+        Sim.Engine.sleep eng at;
+        ignore
+          (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
+               ignore (Gvd.update gvd ~act uid op))))
+  in
+  queued_writer ~at:2.0 (Gvd.Remove "alpha2");
+  queued_writer ~at:3.0 (Gvd.Retire_st "beta3");
+  Service.run w;
+  let applied =
+    List.filter_map
+      (fun { Sim.Trace.detail; _ } ->
+        if Astring.String.is_infix ~affix:"remove alpha2" detail then Some "sv"
+        else if Astring.String.is_infix ~affix:"retire store beta3" detail then Some "st"
+        else None)
+      (Sim.Trace.with_tag (Service.trace w) "gvd")
+  in
+  Alcotest.check slist
+    ((if commit then "commit" else "abort") ^ " wakes st: first")
+    [ "st"; "sv" ] applied;
+  check_bool "no lock left" true (Gvd.residual_locks gvd = [])
+
+let test_commit_wakes_st_first () = end_wakes_st_first ~commit:true
+let test_abort_wakes_st_first () = end_wakes_st_first ~commit:false
+
+(* An action that ends at the shard while one of its lock requests is
+   still queued there never holds that key: the end cancels the request
+   with the action's other keys, so the writer ahead of it leaving grants
+   it nothing and its wait runs out. *)
+let test_end_cancels_queued_request () =
+  let w = small_world () in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w and eng = Service.engine w in
+  let st_key = "st:" ^ Store.Uid.to_string uid in
+  let queued = ref "" and outcome = ref "none" in
+  Service.spawn_client w "c1" (fun () ->
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+             ignore (Gvd.update gvd ~act uid (Gvd.Include "beta2"));
+             Sim.Engine.sleep eng 20.0)));
+  Service.spawn_client w "c2" (fun () ->
+      Sim.Engine.sleep eng 2.0;
+      ignore
+        (Action.Atomic.atomically (Service.atomic w) ~node:"c2" (fun act ->
+             queued := Action.Atomic.owner act;
+             outcome :=
+               match Gvd.update gvd ~act uid (Gvd.Include "beta1") with
+               | Ok (Gvd.Granted _) -> "granted"
+               | Ok (Gvd.Refused _) -> "refused"
+               | _ -> "other")));
+  (* The shard aborts the queued action, as termination does an orphan's. *)
+  Sim.Engine.schedule eng ~delay:10.0 (fun () ->
+      Action.Resource_host.abort_here
+        (Action.Atomic.resource_host (Service.atomic w))
+        ~node:"ns" ~resource:"gvd" ~action:!queued);
+  let holds_st () =
+    List.exists
+      (fun (key, holders) -> key = st_key && List.mem_assoc !queued holders)
+      (Gvd.residual_locks gvd)
+  in
+  let held = ref false in
+  List.iter
+    (fun at -> Sim.Engine.schedule eng ~delay:at (fun () -> held := !held || holds_st ()))
+    [ 25.0; 35.0; 60.0 ];
+  Service.run w;
+  check_bool "the ended action never held st:" false !held;
+  check_string "its wait ran out" "refused" !outcome;
+  check_bool "no lock left" true (Gvd.residual_locks gvd = [])
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end binding under each scheme *)
 
@@ -1184,6 +1279,9 @@ let suite =
           test_standard_read_lock_blocks_insert_until_commit;
         tc "exclude-write vs plain promotion" `Quick
           test_exclude_write_vs_plain_write_promotion;
+        tc "commit wakes the st: waiter first" `Quick test_commit_wakes_st_first;
+        tc "abort wakes the st: waiter first" `Quick test_abort_wakes_st_first;
+        tc "an end cancels a queued request" `Quick test_end_cancels_queued_request;
       ] );
     ( "naming.schemes",
       [

@@ -116,6 +116,43 @@ let test_single_copy_commit_writes_all_stores () =
   Alcotest.(check (option string)) "beta1" (Some "1") (store_payload w "beta1" uid);
   Alcotest.(check (option string)) "beta2" (Some "1") (store_payload w "beta2" uid)
 
+(* A parent, its nested child and the parent again invoke through one
+   binding. Each request carries the last serial answered to its own
+   action: a serial kept per binding would send the child's to the
+   parent's third call, which the server has never applied for the
+   parent, and it would refuse the call as [State_lost]. *)
+let test_nested_invocations_share_a_binding () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  let replies = ref [] in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ] ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                let incr act =
+                  replies :=
+                    (match Group.invoke w.grt g ~act "incr" with
+                    | Ok r -> r
+                    | Error e -> Format.asprintf "%a" Group.pp_invoke_error e)
+                    :: !replies
+                in
+                incr act;
+                ignore (Action.Atomic.atomically_nested act (fun child -> incr child));
+                incr act));
+  Sim.Engine.run w.eng;
+  check_int "three replies" 3 (List.length !replies);
+  List.iter
+    (fun r -> check_bool ("answered, not " ^ r) true (int_of_string_opt r <> None))
+    !replies;
+  check_bool "committed" true (!outcome = Ok ())
+
 let test_single_copy_server_crash_aborts () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
@@ -783,6 +820,8 @@ let suite =
     ( "replica.single_copy",
       [
         tc "commit writes all stores" `Quick test_single_copy_commit_writes_all_stores;
+        tc "parent, child and parent share a binding" `Quick
+          test_nested_invocations_share_a_binding;
         tc "server crash aborts" `Quick test_single_copy_server_crash_aborts;
         tc "server crash and recovery aborts" `Quick
           test_single_copy_server_recovered_aborts;
