@@ -21,9 +21,10 @@ let bench_engine_fibers () =
   Sim.Engine.run eng
 
 (* 64 fibers ping-pong in pairs through ivars, so every hand-off is a
-   delay-0 resume, while 128 far-future guard timers wait in the event
-   heap — the shape of an e2e world, where RPC guards sit under a stream
-   of resumes. The guards are removed, not fired, when the last pair ends. *)
+   delay-0 resume, while 128 far-future guard timers wait in their lane —
+   the shape of an e2e world, where RPC guards sit under a stream of
+   resumes. The guards leave their lane, never firing, when the last pair
+   ends. *)
 let bench_resume_under_timers () =
   let eng = Sim.Engine.create () in
   let rounds = 20 and pairs_left = ref 32 in

@@ -114,7 +114,7 @@ let rec service e =
       if grantable e ~owner:w.w_owner ~mode:w.w_mode then begin
         ignore (Queue.pop e.queue);
         install e ~owner:w.w_owner ~mode:w.w_mode;
-        w.w_resume (Ok ());
+        Sim.Engine.resume w.w_resume (Ok ());
         service e
       end
 

@@ -148,7 +148,7 @@ let error_counter = function
    callee goes, and the caller resumes with [r]. *)
 let finish t watch resume r =
   Network.unwatch t.net watch;
-  resume (Ok r)
+  Sim.Engine.resume resume (Ok r)
 
 (* An answer the handler did not give. It only resumes the caller, so it
    arrives without a fiber. Built on these branches alone, so a call that
@@ -180,7 +180,8 @@ let call_gen t ~from ~dst ?cancelled ?deadline_at ep req =
       (* By the time a crash of [dst] fires the watch, the crash has
          already taken it off the watch list. *)
       let watch =
-        Network.watch_crash t.net dst (fun () -> resume (Ok (Error Crashed)))
+        Network.watch_crash t.net dst (fun () ->
+            Sim.Engine.resume resume (Ok (Error Crashed)))
       in
       Network.send t.net ~src:from ~dst
         (guard_duplicate t ~from ~dst (fun () ->

@@ -1,5 +1,5 @@
 (** Universal type used to carry heterogeneous payloads through the
-    network layer without [Obj.magic].
+    network layer without an unchecked cast.
 
     Each call to [embed] creates a fresh, private constructor; only the
     matching projection recovers the value. RPC endpoints and multicast

@@ -412,6 +412,19 @@ let install_instance t node inst =
   Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
     ~resource:(resource_name inst.i_uid) (make_manager t inst)
 
+(* What an invocation by [action] starts from: the nearest stage among the
+   action and its ancestors, else the committed state. A nested action
+   sees its ancestors' uncommitted writes, and its commit hands its own
+   stage to its parent ([m_transfer]). An action's ancestors are the
+   [.]-separated prefixes of its id, as the lock manager reads them. *)
+let rec base_payload inst action =
+  match Alist.find action inst.i_staged with
+  | Some staged -> staged
+  | None -> (
+      match String.rindex_opt action '.' with
+      | Some i -> base_payload inst (String.sub action 0 i)
+      | None -> inst.i_committed)
+
 (* Core invocation logic, shared by the RPC and multicast paths. Runs in a
    fiber on the instance's node. *)
 let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
@@ -464,11 +477,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                   Store.Uid.pp v_uid;
                 Settled
             | Ok () ->
-                let payload =
-                  match Alist.find v_action inst.i_staged with
-                  | Some staged -> staged
-                  | None -> inst.i_committed
-                in
+                let payload = base_payload inst v_action in
                 let payload', reply = inst.i_impl.Object_impl.apply payload v_op in
                 if v_write then begin
                   inst.i_staged <- Alist.replace v_action payload' inst.i_staged;

@@ -8,8 +8,9 @@
     the discrete-event model: determinism comes from the strictly ordered
     event queue (time, then insertion sequence).
 
-    The queue has two parts that {!run} merges. Future events, timeout
-    guards and daemon wakeups sit in a binary heap ({!Heap}). A plain event
+    The queue has three parts that {!run} merges. Future events and
+    daemon wakeups sit in a binary heap ({!Heap}); timeout guards sit in
+    one FIFO lane per guard delay (see {!timeout}). A plain event
     due at the current instant — a fiber resume, a {!spawn}, a {!yield}, a
     [schedule] or [sleep] whose delay is not positive or too small to move
     the clock — skips the heap and joins a FIFO {e now-queue}, taking the
@@ -83,16 +84,27 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs the plain callback [f] at time [now t +.
     delay]. [f] must not perform fiber effects; use [spawn] for that. *)
 
-type 'a resumer = ('a, exn) result -> unit
-(** Completion callback handed to [suspend] registrants: call it once with
-    [Ok v] to resume the fiber with [v], or [Error e] to raise [e] inside
-    the fiber. Subsequent calls are ignored, which makes races between a
-    result and a timeout safe. *)
+type 'a resumer
+(** A parked fiber, handed to [suspend] and [timeout] registrants: the
+    one record a suspension allocates. {!resume} it once with [Ok v] to
+    resume the fiber with [v], or [Error e] to raise [e] inside the
+    fiber. *)
+
+val resume : 'a resumer -> ('a, exn) result -> unit
+(** [resume r result] queues the fiber's resumption at the current
+    instant, holding [r] and [result] in a now-queue slot. Only the first
+    call counts; later ones are ignored, which makes races between a
+    result and a timeout safe. A resumption of a fiber whose group was
+    killed is dropped. *)
 
 val suspend : t -> ('a resumer -> unit) -> 'a
 (** [suspend t register] suspends the calling fiber and calls
-    [register resume]. The fiber resumes when [resume] is first invoked.
-    Must be called from within a fiber. *)
+    [register r]. The fiber resumes when [r] is first resumed. Must be
+    called from within a fiber. The registrant reaches the engine's
+    handler through a field of [t], so the effect carries no payload, and
+    the parked record is the resumer, so a suspension allocates that
+    record and the continuation, plus whatever [register] is: 16 words
+    with a registrant that captures one variable. *)
 
 val self_group : t -> group
 (** [self_group t] is the group of the currently executing fiber. Child
@@ -119,14 +131,18 @@ val yield : t -> unit
 
 val timeout : t -> float -> ('a resumer -> unit) -> ('a, exn) result
 (** [timeout t dt register] is like [suspend] but resumes with
-    [Error Timed_out] if nothing resumed the fiber within [dt]. It
-    returns the argument of the resumer's first call as is: an [Error e]
-    is returned, not raised. Its guard timer is a heap event even when
-    [dt <= 0], so it stays removable: the suspension keeps the guard,
-    and when the operation settles first the resumer removes it from
-    the queue at once. No closure wraps [register] or the resumer, so
-    a guarded suspension and its resumption allocate 14 words more than
-    a plain one, mostly the guard event and its thunk. *)
+    [Error Timed_out] if nothing resumed the fiber within [dt] (a
+    negative [dt] counts as 0). It returns the argument of the first
+    {!resume} as is: an [Error e] is returned, not raised.
+
+    Its guard never enters the heap. Each distinct [dt] has a FIFO lane,
+    a doubly linked list of the parked records themselves: a guard takes
+    its sequence number when it is queued and is due [dt] later, so each
+    lane is already in (time, seq) order, and {!run} merges the lane
+    heads with the heap and the now-queue. When the operation settles
+    first, {!resume} unlinks the guard in O(1), so a drain-mode [run]
+    quiesces without it. A guarded suspension allocates what a plain one
+    does: the guard is the parked record's place in its lane. *)
 
 exception Timed_out
 (** The error a [timeout] returns when its guard fires first. *)
@@ -144,11 +160,11 @@ val run : ?until:float -> ?max_steps:int -> t -> unit
     behave exactly as before. Re-raises the first exception that escaped a
     fiber, if any.
 
-    Each step pops the now-queue's head unless the heap's top is due at
-    the current instant with a lower sequence number: a guard or daemon
-    wakeup due at once, pushed before that head. Every now-queue event is
-    due at the current instant, since the clock only advances by a heap
-    pop, so this is the single-heap order. Now-queue events count towards
+    Each step runs the least (time, seq) of the now-queue's head, the
+    heap's top and the guard lanes' heads. Every now-queue event is due
+    at the current instant, since the clock only advances by a heap or
+    lane pop, so this is the order one heap holding every event would
+    give. Now-queue events count towards
     [max_steps], {!processed_events} and pending work like any other; an
     [until] below the current clock runs none of them. *)
 

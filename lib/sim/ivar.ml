@@ -11,7 +11,8 @@ let fill iv v =
   | Full _ -> raise Already_filled
   | Empty waiters ->
       iv.state <- Full v;
-      List.iter (fun resume -> resume (Ok v)) (List.rev waiters)
+      let r = Ok v in
+      List.iter (fun w -> Engine.resume w r) (List.rev waiters)
 
 let try_fill iv v =
   match iv.state with
@@ -28,7 +29,7 @@ let read eng iv =
   | Empty _ ->
       Engine.suspend eng (fun resume ->
           match iv.state with
-          | Full v -> resume (Ok v)
+          | Full v -> Engine.resume resume (Ok v)
           | Empty waiters -> iv.state <- Empty (resume :: waiters))
 
 let read_timeout eng dt iv =
@@ -37,5 +38,5 @@ let read_timeout eng dt iv =
   | Empty _ ->
       Engine.timeout eng dt (fun resume ->
           match iv.state with
-          | Full v -> resume (Ok v)
+          | Full v -> Engine.resume resume (Ok v)
           | Empty waiters -> iv.state <- Empty (resume :: waiters))

@@ -9,6 +9,23 @@
 
 type 'a task = unit -> 'a
 
+(* Worker fibers' names, built once: a name only shows in error reports
+   and leak audits, yet a scatter would otherwise join one per worker. *)
+let worker_names = Array.init 32 (fun i -> "join.worker." ^ string_of_int i)
+
+let worker_name i =
+  if i < Array.length worker_names then worker_names.(i)
+  else "join.worker." ^ string_of_int i
+
+(* The results [0..i] in task order, consed onto [acc] in one pass from
+   the last. *)
+let rec collect results i acc =
+  if i < 0 then acc
+  else
+    match results.(i) with
+    | Some r -> collect results (i - 1) (r :: acc)
+    | None -> assert false
+
 let all eng tasks =
   match tasks with
   | [] -> []
@@ -33,14 +50,12 @@ let all eng tasks =
       let group = Engine.self_group eng in
       List.iteri
         (fun i f ->
-          Engine.spawn eng ~group
-            ~name:("join.worker." ^ string_of_int (i + 1))
-            (fun () -> settle (i + 1) (f ())))
+          Engine.spawn eng ~group ~name:(worker_name (i + 1)) (fun () ->
+              settle (i + 1) (f ())))
         rest;
       settle 0 (f0 ());
       if !remaining > 0 then Ivar.read eng iv;
-      Array.to_list results
-      |> List.map (function Some r -> r | None -> assert false)
+      collect results (n - 1) []
 
 (* Hedged first-some over option-returning tasks: task 0 starts now, task
    [i] is held back [i * delay] and skipped entirely if an earlier task

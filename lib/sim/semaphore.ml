@@ -31,7 +31,7 @@ let release s =
      negligible at simulation scale. *)
   let waiters = List.rev s.waiters in
   s.waiters <- [];
-  List.iter (fun resume -> resume (Ok ())) waiters
+  List.iter (fun w -> Engine.resume w (Ok ())) waiters
 
 let available s = s.permits
 

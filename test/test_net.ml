@@ -192,8 +192,8 @@ let test_rpc_roundtrip_alloc () =
   Network.spawn_on net "a" (calls 1000);
   let words = Test_util.minor_words (fun () -> Engine.run eng) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f words per round trip" words)
-    true (words <= 160.0)
+    (Printf.sprintf "%.2f words per round trip" words)
+    true (words <= 93.5)
 
 (* A request handler parked for good is reported under its request's
    [src->dst] name. *)

@@ -120,7 +120,9 @@ let test_single_copy_commit_writes_all_stores () =
    binding. Each request carries the last serial answered to its own
    action: a serial kept per binding would send the child's to the
    parent's third call, which the server has never applied for the
-   parent, and it would refuse the call as [State_lost]. *)
+   parent, and it would refuse the call as [State_lost]. The child starts
+   from its parent's stage and its commit hands the parent its own, so
+   each increment sees the one before it. *)
 let test_nested_invocations_share_a_binding () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
@@ -147,11 +149,10 @@ let test_nested_invocations_share_a_binding () =
                 ignore (Action.Atomic.atomically_nested act (fun child -> incr child));
                 incr act));
   Sim.Engine.run w.eng;
-  check_int "three replies" 3 (List.length !replies);
-  List.iter
-    (fun r -> check_bool ("answered, not " ^ r) true (int_of_string_opt r <> None))
-    !replies;
-  check_bool "committed" true (!outcome = Ok ())
+  Alcotest.(check (list string)) "each increment sees the last" [ "1"; "2"; "3" ]
+    (List.rev !replies);
+  check_bool "committed" true (!outcome = Ok ());
+  Alcotest.(check (option string)) "committed 3" (Some "3") (store_payload w "beta" uid)
 
 let test_single_copy_server_crash_aborts () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in

@@ -11,13 +11,18 @@ let check_bool = Alcotest.(check bool)
 (* Heap *)
 
 (* The heap is the engine's event queue: events keyed by time, ties broken
-   by push order. [drain_times] pops everything and returns the times. *)
-let push_at h time = Heap.push h ~time ~daemon:false ignore
+   by push order. Its clock starts at 0, so a delay pushed before any pop
+   is the event's time; each event's thunk reports that time. [pop_time]
+   pops and runs the earliest event, and [drain_times] pops everything. *)
+let last_time = ref nan
+let push_at h time = Heap.push h ~delay:time ~daemon:false (fun () -> last_time := time)
+
+let pop_time h =
+  (Heap.pop h) ();
+  !last_time
 
 let drain_times h =
-  let rec go acc =
-    if Heap.is_empty h then List.rev acc else go ((Heap.pop h).Heap.time :: acc)
-  in
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (pop_time h :: acc) in
   go []
 
 let test_heap_order () =
@@ -29,21 +34,37 @@ let test_heap_order () =
 let test_heap_empty () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  (match Heap.top h with
+  (match Heap.due h ~until:infinity with
   | _ -> Alcotest.fail "top of an empty queue"
   | exception Invalid_argument _ -> ());
-  match Heap.pop h with
+  match (Heap.pop h : unit -> unit) with
   | _ -> Alcotest.fail "pop of an empty queue"
   | exception Invalid_argument _ -> ()
 
+(* Queries about the earliest event leave it in place; popping it runs
+   nothing, moves the clock to its time and hands back its thunk. *)
 let test_heap_peek_stable () =
   let h = Heap.create () in
-  ignore (push_at h 3.0);
-  let e = push_at h 1.0 in
-  check_bool "top" true (Heap.top h == e);
-  check_bool "still queued" true (Heap.queued e);
-  check_bool "top pops" true (Heap.pop h == e);
-  check_float "other left" 3.0 (Heap.pop h).Heap.time;
+  let popped = ref "" in
+  Heap.push h ~delay:3.0 ~daemon:false (fun () -> popped := "late");
+  Heap.push h ~delay:1.0 ~daemon:true (fun () -> popped := "early");
+  for _ = 1 to 2 do
+    check_bool "due by 1" true (Heap.due h ~until:1.0);
+    check_bool "not due before 1" false (Heap.due h ~until:0.5);
+    check_int "one pending" 1 (Heap.pending h);
+    (* the top is (1.0, seq 1) *)
+    check_bool "before a later seq" true (Heap.before h ~base:0.5 ~delay:0.5 ~seq:2);
+    check_bool "after an earlier seq" false (Heap.before h ~base:1.0 ~delay:0.0 ~seq:0)
+  done;
+  let thunk = Heap.pop h in
+  check_float "clock at the top's time" 1.0 (Heap.now h);
+  check_bool "not run by pop" true (!popped = "");
+  thunk ();
+  check_bool "top's thunk" true (!popped = "early");
+  check_int "the daemon wakeup was not pending" 1 (Heap.pending h);
+  (Heap.pop h) ();
+  check_float "other left" 3.0 (Heap.now h);
+  check_int "none pending" 0 (Heap.pending h);
   check_bool "drained" true (Heap.is_empty h)
 
 let test_heap_large () =
@@ -55,9 +76,9 @@ let test_heap_large () =
   let rec drain prev n =
     if Heap.is_empty h then n
     else
-      let e = Heap.pop h in
-      if e.Heap.time < prev then Alcotest.fail "heap order violated";
-      drain e.Heap.time (n + 1)
+      let time = pop_time h in
+      if time < prev || Heap.now h <> time then Alcotest.fail "heap order violated";
+      drain time (n + 1)
   in
   check_int "all popped" 10_000 (drain neg_infinity 0)
 
@@ -202,7 +223,7 @@ let test_engine_timeout_beaten_by_result () =
   Engine.spawn eng (fun () ->
       let r =
         Engine.timeout eng 10.0 (fun resume ->
-            Engine.schedule eng ~delay:2.0 (fun () -> resume (Ok 42)))
+            Engine.schedule eng ~delay:2.0 (fun () -> Engine.resume resume (Ok 42)))
       in
       resumed_at := Engine.now eng;
       match r with
@@ -214,7 +235,7 @@ let test_engine_timeout_beaten_by_result () =
   (* An error the operation settles with is handed back, not raised. *)
   let failed = ref (Ok ()) in
   Engine.spawn eng (fun () ->
-      failed := Engine.timeout eng 10.0 (fun resume -> resume (Error Exit)));
+      failed := Engine.timeout eng 10.0 (fun resume -> Engine.resume resume (Error Exit)));
   Engine.run eng;
   check_bool "error returned" true (!failed = Error Exit)
 
@@ -375,14 +396,14 @@ let test_engine_daemon_sleep_zero () =
   Engine.run ~until:0.0 eng;
   check_int "woken" 2 !steps
 
-(* A guard due at once stays a removable heap event: an operation that
-   settles first takes it out, so it never pops. One settles inside
-   [register]; the other is settled by an event queued before the guard. *)
+(* A guard due at once still waits in its lane: an operation that settles
+   first takes it out, so it never pops. One settles inside [register];
+   the other is settled by an event queued before the guard. *)
 let test_engine_timeout_guard_due_now () =
   let eng = Engine.create () in
   let results = ref [] in
   Engine.spawn eng (fun () ->
-      let r = Engine.timeout eng 0.0 (fun resume -> resume (Ok 1)) in
+      let r = Engine.timeout eng 0.0 (fun resume -> Engine.resume resume (Ok 1)) in
       results := r :: !results);
   Engine.spawn eng (fun () ->
       let iv = Ivar.create () in
@@ -400,7 +421,7 @@ let test_engine_timeout_guard_due_now () =
       late :=
         Some
           (Engine.timeout eng 0.0 (fun resume ->
-               Engine.schedule eng ~delay:0.0 (fun () -> resume (Ok ())))));
+               Engine.schedule eng ~delay:0.0 (fun () -> Engine.resume resume (Ok ())))));
   Engine.run eng;
   check_bool "guard first" true (!late = Some (Error Engine.Timed_out))
 
@@ -422,31 +443,150 @@ let test_engine_start_alloc () =
   in
   check_bool (Printf.sprintf "%.1f words per start" words) true (words <= 8.0)
 
-(* A [timeout]-guarded suspension settled at once, by a [register] that
-   captures one variable as real callers do: the guard is pushed and
-   removed, and the fiber parks and resumes through the now-queue. The
-   guard lives in the parked record, so no closure wraps [register] or
-   the resumer. *)
-let test_engine_timeout_alloc () =
+(* The words one of 1,000 waits allocates, run in a fiber after a warm-up
+   of 10. *)
+let words_per_wait wait =
   let eng = Engine.create () in
-  let settled = ref 0 in
   let loop n () =
     for _ = 1 to n do
-      ignore
-        (Sys.opaque_identity
-           (Engine.timeout eng 10.0 (fun resume ->
-                incr settled;
-                resume (Ok ()))))
+      wait eng
     done
   in
   Engine.spawn eng (loop 10);
   Engine.run eng;
   Engine.spawn eng (loop 1000);
-  let words = Test_util.minor_words (fun () -> Engine.run eng) /. 1000.0 in
+  Test_util.minor_words (fun () -> Engine.run eng) /. 1000.0
+
+let check_words what words bound =
+  check_bool (Printf.sprintf "%.2f words per %s" words what) true (words <= bound)
+
+(* A [timeout]-guarded suspension settled at once, by a [register] that
+   captures one variable as real callers do: the guard is queued in its
+   lane and unlinked, and the fiber parks and resumes through the
+   now-queue. The parked record is the resumer and the guard, so a wait
+   allocates that record, the continuation and the registrant. *)
+let test_engine_timeout_alloc () =
+  let settled = ref 0 in
+  let words =
+    words_per_wait (fun eng ->
+        ignore
+          (Sys.opaque_identity
+             (Engine.timeout eng 10.0 (fun r ->
+                  incr settled;
+                  Engine.resume r (Ok ())))))
+  in
   check_int "settled" 1010 !settled;
-  check_bool
-    (Printf.sprintf "%.1f words per suspension" words)
-    true (words < 72.0)
+  check_words "guarded suspension" words 16.5
+
+(* A plain suspension settled inside [register] costs what a guarded one
+   does, and a [sleep] has no registrant to build but a heap event's
+   thunk, plus the clock boxed when its pop moves it. *)
+let test_engine_suspend_alloc () =
+  let settled = ref 0 in
+  let words =
+    words_per_wait (fun eng ->
+        Sys.opaque_identity
+          (Engine.suspend eng (fun r ->
+               incr settled;
+               Engine.resume r (Ok ()))))
+  in
+  check_int "settled" 1010 !settled;
+  check_words "plain suspension" words 16.5;
+  check_words "sleep" (words_per_wait (fun eng -> Engine.sleep eng 1.0)) 18.5
+
+(* Guards in three lanes, each settled before it is due, in and out of
+   queue order: none of them pops, so a drain ends at the last real event
+   with no guard counted or waited for, and nothing is left parked. One
+   guard that is never settled fires at its due time. *)
+let test_engine_settled_guards_leave () =
+  let eng = Engine.create () in
+  Engine.set_detect_deadlock eng true;
+  let outcomes = ref [] in
+  let guarded name dt settle =
+    Engine.spawn eng ~name (fun () ->
+        let r =
+          Engine.timeout eng dt (fun r ->
+              match settle with
+              | Some d -> Engine.schedule eng ~delay:d (fun () -> Engine.resume r (Ok ()))
+              | None -> ())
+        in
+        outcomes := (name, Engine.now eng, r = Ok ()) :: !outcomes)
+  in
+  guarded "a" 5.0 (Some 3.0);
+  guarded "b" 5.0 (Some 1.0);
+  guarded "c" 5.0 (Some 2.0);
+  guarded "d" 10.0 (Some 4.0);
+  guarded "e" 20.0 (Some 4.5);
+  check_bool "quiesced" true (Engine.run_to_quiescence eng ~by:100.0);
+  check_float "clock at the last settlement" 4.5 (Engine.now eng);
+  (* five starts, five settlements, five resumptions *)
+  check_int "no guard fired" 15 (Engine.processed_events eng);
+  Alcotest.(check (list string)) "none parked" [] (Engine.leaked_fibers eng);
+  check_bool "all settled" true (List.for_all (fun (_, _, ok) -> ok) !outcomes);
+  guarded "f" 5.0 None;
+  guarded "g" 5.0 (Some 1.0);
+  Alcotest.(check (list string)) "f and g parked" [ "f"; "g" ]
+    (Engine.run ~max_steps:2 eng; Engine.leaked_fibers eng);
+  Engine.run eng;
+  check_float "f's guard fired" 9.5 (Engine.now eng);
+  check_bool "f timed out" true (List.mem ("f", 9.5, false) !outcomes);
+  (* two starts, g's settlement, f's guard, two resumptions *)
+  check_int "one guard fired" 21 (Engine.processed_events eng)
+
+(* Model test of the guard lanes: fibers wait on guards of a few delays,
+   some settled by an event after a random delay, others never. A guard
+   settled strictly before it is due never fires: the fiber resumes at the
+   settlement, and the guard neither counts as an event nor moves the
+   clock. A settlement at the guard's own time comes after the guard,
+   which took its sequence number first. *)
+let prop_guard_lanes =
+  QCheck.Test.make ~name:"guard lanes: a settled guard never fires" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 12)
+        (pair (oneofl [ -1.0; 0.0; 1.0; 2.5; 4.0 ])
+           (option (oneofl [ 0.0; 0.5; 1.0; 2.5; 3.0 ]))))
+    (fun waits ->
+      let eng = Engine.create () in
+      let got = ref [] in
+      List.iteri
+        (fun i (dt, settle) ->
+          Engine.spawn eng (fun () ->
+              let r =
+                Engine.timeout eng dt (fun r ->
+                    match settle with
+                    | Some d ->
+                        Engine.schedule eng ~delay:d (fun () -> Engine.resume r (Ok i))
+                    | None -> ())
+              in
+              got := (i, Engine.now eng, r = Ok i) :: !got))
+        waits;
+      let want =
+        List.mapi
+          (fun i (dt, settle) ->
+            let due = Float.max dt 0.0 in
+            match settle with
+            | Some d when d < due -> (i, d, true)
+            | _ -> (i, due, false))
+          waits
+      in
+      let fired = List.length (List.filter (fun (_, _, ok) -> not ok) want) in
+      let settlements = List.length (List.filter (fun (_, s) -> s <> None) waits) in
+      let last =
+        List.fold_left
+          (fun acc (dt, settle) ->
+            let due = Float.max dt 0.0 in
+            match settle with
+            | Some d -> Float.max acc (if d < due then d else Float.max d due)
+            | None -> Float.max acc due)
+          0.0 waits
+      in
+      Engine.run eng;
+      List.sort compare !got = List.sort compare want
+      && Engine.processed_events eng
+         = (2 * List.length waits) + settlements + fired
+      && Engine.now eng = last
+      && Engine.leaked_fibers eng = [])
+
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -699,68 +839,35 @@ let test_metrics_growth_matches_list () =
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
 
+(* Each event's thunk logs its sequence number and daemon flag:
+   everything comes out in (time, seq) order, and only a plain event's pop
+   lowers the pending count. *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list (int_range 0 20))
     (fun xs ->
       let h = Heap.create () in
-      let es = List.map (fun x -> push_at h (float_of_int x)) xs in
-      let key (e : Heap.event) = (e.time, e.seq) in
+      let ran = ref (-1, false) in
+      let pushed =
+        List.mapi
+          (fun seq x ->
+            let daemon = x mod 3 = 0 in
+            Heap.push h ~delay:(float_of_int x) ~daemon (fun () -> ran := (seq, daemon));
+            (float_of_int x, seq, daemon))
+          xs
+      in
+      let flags_agree = ref true in
       let rec drain acc =
-        if Heap.is_empty h then List.rev acc else drain (key (Heap.pop h) :: acc)
+        if Heap.is_empty h then List.rev acc
+        else
+          let pending = Heap.pending h in
+          (Heap.pop h) ();
+          let seq, daemon = !ran in
+          flags_agree :=
+            !flags_agree && Heap.pending h = pending - if daemon then 0 else 1;
+          drain ((Heap.now h, seq, daemon) :: acc)
       in
-      drain [] = List.sort compare (List.map key es))
-
-(* Model test of the queue: a random program of pushes, removals of a
-   random queued-or-not event, and pops, checked against a sorted list.
-   Each event's thunk logs its id; popping runs it. A removed event must
-   never come out, and everything pops in (time, seq) order. *)
-let prop_queue_model =
-  QCheck.Test.make ~name:"queue model: push, remove, pop" ~count:300
-    QCheck.(list (pair (int_range 0 2) (int_range 0 15)))
-    (fun prog ->
-      let h = Heap.create () in
-      let ran = ref None in
-      let pushed = ref [] (* newest first *) in
-      let model = ref [] (* (time, seq) of the queued events *) in
-      let removed = ref [] in
-      let ok = ref true in
-      let pop () =
-        match List.sort compare !model with
-        | [] -> ok := !ok && Heap.is_empty h
-        | (time, seq) :: rest ->
-            let e = Heap.pop h in
-            ran := None;
-            e.Heap.thunk ();
-            ok :=
-              !ok && e.Heap.time = time && !ran = Some seq
-              && not (List.mem seq !removed);
-            model := rest
-      in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-              let seq = List.length !pushed in
-              let e =
-                Heap.push h ~time:(float_of_int x) ~daemon:false (fun () ->
-                    ran := Some seq)
-              in
-              ok := !ok && e.Heap.seq = seq;
-              pushed := e :: !pushed;
-              model := (float_of_int x, seq) :: !model
-          | 1 when !pushed <> [] ->
-              let e = List.nth !pushed (x mod List.length !pushed) in
-              Heap.remove h e;
-              removed := e.Heap.seq :: !removed;
-              model := List.filter (fun (_, s) -> s <> e.Heap.seq) !model;
-              ok := !ok && not (Heap.queued e)
-          | _ -> pop ())
-        prog;
-      while !model <> [] do
-        pop ()
-      done;
-      !ok && Heap.is_empty h)
+      drain [] = List.sort compare pushed && !flags_agree)
 
 (* Merge-order model test. Random fiber programs of [schedule], [spawn],
    [yield], [sleep], [timeout] (settled or not) and [daemon_sleep 0.0] run
@@ -771,7 +878,8 @@ let prop_queue_model =
    must agree, as must the final event count and clock. Delays include
    one that rounds to zero at any clock from 0.5 up, and guards due at
    once ([dt] of -1 or 0), so heap events land at the current instant
-   after now-queue pushes. *)
+   after now-queue pushes. Guards of four positive delays fill as many
+   lanes, whose heads interleave with heap events of equal time. *)
 type eop =
   | Sleep of float
   | Yield
@@ -804,7 +912,8 @@ let gen_engine_prog =
       ([
          (3, map (fun d -> Sleep d) delay);
          (2, return Yield);
-         (3, map2 (fun dt s -> Timeout (dt, s)) (oneofl [ -1.0; 0.0; 1.0 ])
+         (3, map2 (fun dt s -> Timeout (dt, s))
+               (oneofl [ -1.0; 0.0; tiny; 0.5; 1.0; 1.5 ])
                (opt delay));
          (1, return Daemon_sleep0);
          (2, map (fun d -> Schedule d) delay);
@@ -946,7 +1055,7 @@ let rec engine_fiber eng log ops =
             (Engine.timeout eng dt (fun resume ->
                  match settle with
                  | None -> ()
-                 | Some d -> Engine.schedule eng ~delay:d (fun () -> resume (Ok ())))
+                 | Some d -> Engine.schedule eng ~delay:d (fun () -> Engine.resume resume (Ok ())))
               : (unit, exn) result)
       | Spawn sub ->
           Engine.spawn eng (fun () ->
@@ -1027,7 +1136,6 @@ let suite =
         tc "peek stable" `Quick test_heap_peek_stable;
         tc "large" `Quick test_heap_large;
         Test_util.qcheck prop_heap_sorts;
-        Test_util.qcheck prop_queue_model;
       ] );
     ( "sim.rng",
       [
@@ -1065,6 +1173,9 @@ let suite =
         tc "start allocation" `Quick test_engine_start_alloc;
         tc "timeout allocation" `Quick test_engine_timeout_alloc;
         Test_util.qcheck prop_engine_merge_order;
+        tc "suspension allocation" `Quick test_engine_suspend_alloc;
+        tc "settled guards leave their lanes" `Quick test_engine_settled_guards_leave;
+        Test_util.qcheck prop_guard_lanes;
       ] );
     ( "sim.ivar",
       [
