@@ -20,7 +20,6 @@ type runtime = {
      hooks: a crashed coordinator forgets its running actions, which is
      exactly the presumed-abort semantics. *)
   active : (string, Net.Network.node_id) Hashtbl.t; (* action -> coordinator *)
-  decision_nodes : (Net.Network.node_id, unit) Hashtbl.t;
   ep_decision : (string, decision_reply) Net.Rpc.endpoint;
   rt_retry : Net.Retry.t;
 }
@@ -31,7 +30,6 @@ let make_runtime sh rh =
     rh;
     next_serial = 0;
     active = Hashtbl.create 32;
-    decision_nodes = Hashtbl.create 8;
     ep_decision = Net.Rpc.endpoint "action.decision";
     rt_retry = Net.Retry.create (Net.Rpc.network (Store_host.rpc sh));
   }
@@ -47,7 +45,8 @@ let retry rt = rt.rt_retry
    action's last request there, so phase 1 sends it no prepare. *)
 type enlisted = {
   en_node : Net.Network.node_id;
-  en_resource : string;
+  en_kind : string;
+  en_scope : string;
   mutable en_required : bool; (* must a phase-1 failure abort? *)
   mutable en_voted : bool;
 }
@@ -94,8 +93,7 @@ let tracing t = Sim.Trace.enabled (Net.Network.trace (network t.rt))
    coordinates. Consults the volatile active set, then the stable decision
    record; absence of both is presumed abort. *)
 let ensure_decision_service rt coord =
-  if not (Hashtbl.mem rt.decision_nodes coord) then begin
-    Hashtbl.add rt.decision_nodes coord ();
+  if not (Net.Rpc.serving (rpc rt) ~node:coord rt.ep_decision) then begin
     Net.Rpc.serve (rpc rt) ~node:coord rt.ep_decision (fun action ->
         match Hashtbl.find_opt rt.active action with
         | Some c when String.equal c coord -> D_active
@@ -181,22 +179,26 @@ let begin_nested_top t =
 
 let deadline t = t.deadline
 
-let find_enlisted enlisted ~node ~resource =
+let find_enlisted enlisted ~node ~kind ~scope =
   List.find_opt
-    (fun e -> String.equal e.en_node node && String.equal e.en_resource resource)
+    (fun e -> e.en_node = node && e.en_kind = kind && e.en_scope = scope)
     enlisted
 
-let enlist t ?(required = true) ?(voted = false) ~node ~resource () =
+(* How abort reasons and traces name a resource: "gvd", "obj:acct#3". *)
+let resource_label e =
+  if e.en_scope = "" then e.en_kind else e.en_kind ^ ":" ^ e.en_scope
+
+let enlist t ?(required = true) ?(voted = false) ~node ~kind ~scope () =
   if t.st <> Running then invalid_arg "enlist: action not running";
   if voted && t.parent <> None then invalid_arg "enlist: a nested action cannot hold a vote";
-  match find_enlisted t.enlisted ~node ~resource with
+  match find_enlisted t.enlisted ~node ~kind ~scope with
   | Some e ->
       if required then e.en_required <- true;
       e.en_voted <- voted
   | None ->
       t.enlisted <-
-        { en_node = node; en_resource = resource; en_required = required; en_voted = voted }
-        :: t.enlisted
+        { en_node = node; en_kind = kind; en_scope = scope; en_required = required;
+          en_voted = voted } :: t.enlisted
 
 let add_participant t ~name ~prepare ~commit ~abort =
   if t.st <> Running then invalid_arg "add_participant: action not running";
@@ -299,7 +301,7 @@ let abort t ~reason =
             (fun e () ->
               release t ~node:e.en_node ~op:"action.release_abort" (fun () ->
                   Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
-                    ~resource:e.en_resource ~action:(owner t)))
+                    ~kind:e.en_kind ~scope:e.en_scope ~action:(owner t)))
             (List.rev t.enlisted)));
     deactivate t;
     List.iter (fun post -> post ()) (List.rev t.post_abort_hooks)
@@ -317,7 +319,7 @@ let commit_nested t parent =
       (List.map
          (fun e () ->
            Resource_host.transfer t.rt.rh ~from:t.coord ~node:e.en_node
-             ~resource:e.en_resource ~action:child_owner ~parent:parent_owner)
+             ~kind:e.en_kind ~scope:e.en_scope ~action:child_owner ~parent:parent_owner)
          enlisted)
   in
   List.iter2
@@ -331,7 +333,7 @@ let commit_nested t parent =
             e.en_node (Net.Rpc.error_to_string err));
       (* The child holds no vote, so its stage is a re-enlistment without
          one: it clears a vote the parent holds there. *)
-      match find_enlisted parent.enlisted ~node:e.en_node ~resource:e.en_resource with
+      match find_enlisted parent.enlisted ~node:e.en_node ~kind:e.en_kind ~scope:e.en_scope with
       | Some p ->
           if e.en_required then p.en_required <- true;
           p.en_voted <- false
@@ -389,20 +391,20 @@ let commit_top t =
               Sim.Join.all eng
                 (List.map
                    (fun en () ->
-                     let rnode = en.en_node and resource = en.en_resource in
+                     let rnode = en.en_node in
                      (* A resource that voted in its reply is not asked. *)
                      if en.en_voted then `Yes
                      else
                        match
                          Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                           ~resource ~action
+                           ~kind:en.en_kind ~scope:en.en_scope ~action
                        with
                        | Ok Resource_host.Vote_yes -> `Yes
                        | Ok Vote_read_only -> `Read_only
                        | Ok Vote_no ->
                            `Fail
-                             (Printf.sprintf "resource %s@%s voted no" resource
-                                rnode)
+                             (Printf.sprintf "resource %s@%s voted no"
+                                (resource_label en) rnode)
                        | Error e ->
                            (* A crashed replica of a group is masked (its
                               volatile state is gone anyway); a required
@@ -412,10 +414,11 @@ let commit_top t =
                            if en.en_required then
                              `Fail
                                (Printf.sprintf "resource %s@%s unreachable: %s"
-                                  resource rnode (Net.Rpc.error_to_string e))
+                                  (resource_label en) rnode (Net.Rpc.error_to_string e))
                            else begin
                              tracef t "%s: tolerating lost replica %s@%s (%s)"
-                               action resource rnode (Net.Rpc.error_to_string e);
+                               action (resource_label en) rnode
+                               (Net.Rpc.error_to_string e);
                              `Yes
                            end)
                    resources)
@@ -465,7 +468,7 @@ let commit_top t =
                     release t ~node:e.en_node ~op:"action.release_commit"
                       (fun () ->
                         Resource_host.commit t.rt.rh ~from:t.coord ~node:e.en_node
-                          ~resource:e.en_resource ~action))
+                          ~kind:e.en_kind ~scope:e.en_scope ~action))
                   resources));
           unclaim t;
           List.iter (fun post -> post ()) (List.rev t.post_hooks);

@@ -76,12 +76,14 @@ val enlist :
   ?required:bool ->
   ?voted:bool ->
   node:Net.Network.node_id ->
-  resource:string ->
+  kind:string ->
+  scope:string ->
   unit ->
   unit
-(** Record that handlers on [node]/[resource] hold locks or staged updates
-    for this action; duplicates are merged. The action-end protocol will
-    reach the resource automatically. [required] (default [true]) controls
+(** Record that handlers on [node] hold locks or staged updates for this
+    action in the resource [kind]/[scope] ({!Resource_host}); duplicates
+    are merged. The action-end protocol will reach the resource
+    automatically. [required] (default [true]) controls
     phase-1 failure handling: a required resource that is unreachable
     aborts the action, while a non-required one — a member of a replica
     group whose crash the policy masks — is tolerated.

@@ -1,10 +1,17 @@
 (** Node-local recoverable resources enlisted in remote atomic actions.
 
-    A {e resource manager} owns some node-local state manipulated by RPC
-    handlers on behalf of remote actions — the group view database entries,
-    an activated object on a server. The handlers take locks and stage
+    A {e resource} is some node-local state manipulated by RPC handlers
+    on behalf of remote actions — the group view database entries, an
+    activated object on a server. The handlers take locks and stage
     updates keyed by action id; this module transports the action-end
-    protocol to them:
+    protocol to them.
+
+    A resource is named by a {e kind} and a {e scope}: ["gvd"] and [""]
+    for a naming shard, ["obj"] and the instance's uid for a server
+    object. A node registers one {e manager} per kind, which finds the
+    resource a request's scope names when the request arrives, so the
+    registry does not grow as resources come and go. The action-end
+    protocol is:
 
     - [prepare]: vote on commit (phase 1);
     - [commit]: make staged updates permanent and release the action's
@@ -48,10 +55,10 @@
 type vote = Vote_yes | Vote_no | Vote_read_only
 
 type manager = {
-  m_prepare : action:string -> vote;
-  m_commit : action:string -> unit;
-  m_abort : action:string -> unit;
-  m_transfer : action:string -> parent:string -> unit;
+  m_prepare : scope:string -> action:string -> vote;
+  m_commit : scope:string -> action:string -> unit;
+  m_abort : scope:string -> action:string -> unit;
+  m_transfer : scope:string -> action:string -> parent:string -> unit;
 }
 
 type t
@@ -59,31 +66,28 @@ type t
 
 val create : Net.Rpc.t -> t
 
-val register : t -> node:Net.Network.node_id -> resource:string -> manager -> unit
-(** Install a manager under [resource] on [node], replacing any previous
-    registration. *)
-
-val registered : t -> node:Net.Network.node_id -> resource:string -> bool
+val register : t -> node:Net.Network.node_id -> kind:string -> manager -> unit
+(** Install the manager of [kind] on [node], replacing any previous one. *)
 
 val abort_here :
-  t -> node:Net.Network.node_id -> resource:string -> action:string -> unit
-(** Run [resource]'s abort on [node] directly, without a message; the
-    caller runs on [node]. A no-op if nothing is registered there. *)
+  t -> node:Net.Network.node_id -> kind:string -> scope:string -> action:string -> unit
+(** Run the abort of [kind]'s manager on [node] directly, without a
+    message; the caller runs on [node], where [kind] is registered. *)
 
 (* Remote action-end operations; called from a fiber on [from]. *)
 
 val prepare :
-  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> (vote, Net.Rpc.error) result
+  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> kind:string ->
+  scope:string -> action:string -> (vote, Net.Rpc.error) result
 
 val commit :
-  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> (unit, Net.Rpc.error) result
+  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> kind:string ->
+  scope:string -> action:string -> (unit, Net.Rpc.error) result
 
 val abort :
-  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> (unit, Net.Rpc.error) result
+  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> kind:string ->
+  scope:string -> action:string -> (unit, Net.Rpc.error) result
 
 val transfer :
-  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> resource:string ->
-  action:string -> parent:string -> (unit, Net.Rpc.error) result
+  t -> from:Net.Network.node_id -> node:Net.Network.node_id -> kind:string ->
+  scope:string -> action:string -> parent:string -> (unit, Net.Rpc.error) result

@@ -2,6 +2,7 @@ type hooks = {
   prepared : action:string -> coordinator:string -> unit;
   resolved : action:string -> unit;
   blocked : (string * string) list -> unit;
+  resolve : unit -> unit;
 }
 
 let no_hooks =
@@ -9,6 +10,7 @@ let no_hooks =
     prepared = (fun ~action:_ ~coordinator:_ -> ());
     resolved = (fun ~action:_ -> ());
     blocked = ignore;
+    resolve = ignore;
   }
 
 type host = {
@@ -249,6 +251,7 @@ let abort_all t ~from ~stores action =
     (List.map (fun store -> (store, action)) stores)
 
 let set_hooks t node hooks = (host t node).h_hooks <- hooks
+let hooks t node = (host t node).h_hooks
 
 let discard t node ~action = resolve (host t node) action
 

@@ -172,10 +172,14 @@ type hooks = {
   blocked : (string * string) list -> unit;
       (** a prepare was refused by these actions' write reservations
           (each with its coordinator) *)
+  resolve : unit -> unit;
+      (** settle every prepared intent ({!Termination.resolve_in_doubt}) *)
 }
 
 val set_hooks : t -> Net.Network.node_id -> hooks -> unit
 (** Install [node]'s hooks, replacing any previous ones. *)
+
+val hooks : t -> Net.Network.node_id -> hooks
 
 val discard : t -> Net.Network.node_id -> action:string -> unit
 (** Local abort: drop [action]'s intent on [node] (idempotent). The

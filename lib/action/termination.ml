@@ -14,8 +14,8 @@ type t = {
   node : Net.Network.node_id;
   ops : ops;
   entries : (string * string, entry) Hashtbl.t;
-  probing : (string * string, unit) Hashtbl.t;
-      (* refusal probes in flight: one per holder at a time *)
+  running : (string * string, unit Sim.Ivar.t) Hashtbl.t;
+      (* the loop settling each (scope, action), filled when it ends *)
 }
 
 type trigger = Crash | Recovery | Refusal
@@ -98,11 +98,28 @@ let terminate rt ~node ops trigger ~scope ~action ~coordinator =
 
 let create rt ~node ops =
   let t =
-    { rt; node; ops; entries = Hashtbl.create 8; probing = Hashtbl.create 1 }
+    { rt; node; ops; entries = Hashtbl.create 8; running = Hashtbl.create 1 }
   in
-  (* Probes are fibers on [node]: they die with it. *)
-  Net.Network.on_crash (Atomic.network rt) node (fun () -> Hashtbl.reset t.probing);
+  (* The loops are fibers on [node]: they die with it. *)
+  Net.Network.on_crash (Atomic.network rt) node (fun () -> Hashtbl.reset t.running);
   t
+
+(* Claim (scope, action) for one loop of the rule, which the result runs.
+   A trigger that finds a loop settling the action starts none. *)
+let claim t trigger ~scope ~action ~coordinator =
+  let finished = Sim.Ivar.create () in
+  Hashtbl.add t.running (scope, action) finished;
+  fun () ->
+    terminate t.rt ~node:t.node t.ops trigger ~scope ~action ~coordinator;
+    Hashtbl.remove t.running (scope, action);
+    Sim.Ivar.fill finished ()
+
+(* A loop in a fiber of its own, claimed now, so that two triggers in one
+   instant start one loop. A down node starts none. *)
+let spawn_settle t trigger ~name ~scope ~action ~coordinator =
+  let net = Atomic.network t.rt in
+  if Net.Network.is_up net t.node && not (Hashtbl.mem t.running (scope, action)) then
+    Net.Network.spawn_on net t.node ~name (claim t trigger ~scope ~action ~coordinator)
 
 (* [coordinator_of] runs only for an action not yet watched: touching an
    action on every operation costs one table lookup. *)
@@ -121,10 +138,8 @@ let watch t ~scope ~action ~coordinator_of ~voted =
               | Some { voted; _ } ->
                   Hashtbl.remove t.entries key;
                   if voted then
-                    Net.Network.spawn_on net t.node
-                      ~name:(Printf.sprintf "in-doubt:%s" action) (fun () ->
-                        terminate t.rt ~node:t.node t.ops Crash ~scope ~action
-                          ~coordinator)
+                    spawn_settle t Crash ~name:(Printf.sprintf "in-doubt:%s" action)
+                      ~scope ~action ~coordinator
                   else
                     Net.Network.spawn_on net t.node
                       ~name:(Printf.sprintf "orphan-abort:%s" action) (fun () ->
@@ -155,27 +170,18 @@ let refused_by t ~scope holders =
   let net = Atomic.network t.rt in
   List.iter
     (fun (action, coordinator) ->
-      let key = (scope, action) in
-      if
-        (not (Hashtbl.mem t.probing key))
-        && not (Net.Network.reachable net t.node coordinator)
-      then begin
-        Hashtbl.add t.probing key ();
-        Net.Network.spawn_on net t.node
-          ~name:(Printf.sprintf "%s.refused-by:%s" t.node action) (fun () ->
-            terminate t.rt ~node:t.node t.ops Refusal ~scope ~action ~coordinator;
-            Hashtbl.remove t.probing key)
-      end)
+      if not (Net.Network.reachable net t.node coordinator) then
+        spawn_settle t Refusal
+          ~name:(Printf.sprintf "%s.refused-by:%s" t.node action)
+          ~scope ~action ~coordinator)
     holders
 
 let refused t ~scope holders =
   refused_by t ~scope (List.map (fun a -> (a, origin_of_action a)) holders)
 
 let recover t ~scope ~action =
-  Net.Network.spawn_on (Atomic.network t.rt) t.node
-    ~name:(Printf.sprintf "%s.in-doubt:%s" t.node action) (fun () ->
-      terminate t.rt ~node:t.node t.ops Recovery ~scope ~action
-        ~coordinator:(origin_of_action action))
+  spawn_settle t Recovery ~name:(Printf.sprintf "%s.in-doubt:%s" t.node action)
+    ~scope ~action ~coordinator:(origin_of_action action)
 
 (* -- store participants: one scope, the intent log -- *)
 
@@ -198,9 +204,10 @@ let store_ops rt ~node =
         | Abort | Presumed_abort | Orphan_abort -> Store_host.discard sh node ~action);
   }
 
-let resolve_in_doubt rt ~node =
-  let ops = store_ops rt ~node in
-  let log = Store_host.log (Atomic.store_host rt) node in
+(* Every prepared intent on the store, in the calling fiber on [node].
+   An action another loop is settling is waited for, not asked again. *)
+let drain_in_doubt t =
+  let log = Store_host.log (Atomic.store_host t.rt) t.node in
   let rec drain () =
     match Store.Intent_log.in_doubt log with
     | [] -> ()
@@ -208,13 +215,18 @@ let resolve_in_doubt rt ~node =
         List.iter
           (fun action ->
             match Store.Intent_log.prepared log ~action with
-            | Some { Store.Intent_log.coordinator; _ } ->
-                terminate rt ~node ops Recovery ~scope:"" ~action ~coordinator
-            | None -> ())
+            | None -> ()
+            | Some { Store.Intent_log.coordinator; _ } -> (
+                match Hashtbl.find_opt t.running ("", action) with
+                | Some finished -> Sim.Ivar.read (Atomic.engine t.rt) finished
+                | None -> claim t Recovery ~scope:"" ~action ~coordinator ()))
           actions;
         drain ()
   in
   drain ()
+
+let resolve_in_doubt rt ~node =
+  (Store_host.hooks (Atomic.store_host rt) node).Store_host.resolve ()
 
 let attach rt ~node =
   let t = create rt ~node (store_ops rt ~node) in
@@ -225,5 +237,6 @@ let attach rt ~node =
           watch t ~scope:"" ~action ~coordinator_of:(fun _ -> coordinator) ~voted:true);
       resolved = (fun ~action -> forget t ~scope:"" ~action);
       blocked = refused_by t ~scope:"";
+      resolve = (fun () -> drain_in_doubt t);
     };
-  Net.Network.on_recover (Atomic.network rt) node (fun () -> resolve_in_doubt rt ~node)
+  Net.Network.on_recover (Atomic.network rt) node (fun () -> drain_in_doubt t)

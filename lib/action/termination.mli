@@ -26,7 +26,9 @@
       left for its phase 2.
 
     Three triggers start the rule, and the trigger picks the retry
-    budget (attempts / base / factor / cap):
+    budget (attempts / base / factor / cap). A trigger that finds a loop
+    settling the same (scope, action) on the host starts none, so an
+    action is settled once.
 
     - the crash of a watched coordinator: 65 / 5.0 / 1.2 / 8, long
       enough to outlast a reboot;
@@ -64,10 +66,10 @@ type ops = {
 
 type t
 (** The termination state of one participant host: the crash watches of
-    the actions it holds, and the in-flight refusal probes. *)
+    the actions it holds, and its running loops of the rule. *)
 
 val create : Atomic.runtime -> node:Net.Network.node_id -> ops -> t
-(** [create rt ~node ops] is the state of the host on [node]. Probes
+(** [create rt ~node ops] is the state of the host on [node]. Loops
     running on [node] die with it. *)
 
 val origin_of_action : string -> string
@@ -92,24 +94,25 @@ val transfer : t -> scope:string -> action:string -> parent:string -> unit
 val refused : t -> scope:string -> string list -> unit
 (** A lock or reservation was refused because these actions hold it.
     Each holder whose coordinator is unreachable from the host is
-    settled by the rule in a fiber of its own, one probe per holder at a
-    time. *)
+    settled by the rule in a fiber of its own, unless a loop is already
+    settling it. *)
 
 val recover : t -> scope:string -> action:string -> unit
 (** The host recovered holding a yes vote for [action]: settle it in a
-    fiber of its own. *)
+    fiber of its own, unless a loop is already settling it. *)
 
 (** {2 Store participants} *)
 
 val attach : Atomic.runtime -> node:Net.Network.node_id -> unit
 (** Make [node]'s store a participant under the rule: each accepted
     prepare is a yes vote, a refused prepare reports its blockers, and
-    recovery resolves the intent log ({!resolve_in_doubt}) as [node]'s
-    first recovery action. Upper layers (the naming library's
+    recovery resolves the intent log (as {!resolve_in_doubt}) as
+    [node]'s first recovery action. Upper layers (the naming library's
     reintegration) attach their own recovery hooks {e after} this one so
     they see fully resolved stores. *)
 
 val resolve_in_doubt : Atomic.runtime -> node:Net.Network.node_id -> unit
-(** Settle every prepared intent on [node]'s store under the recovery
-    budget. Runs in the calling fiber, which must be on [node], and
-    returns when no intent is left. *)
+(** Settle every prepared intent on [node]'s {!attach}ed store under the
+    recovery budget, waiting for one another loop is settling. Runs in
+    the calling fiber, which must be on [node], and returns when no
+    intent is left. *)

@@ -933,7 +933,7 @@ let take_action t action =
 let manager t =
   {
     Action.Resource_host.m_prepare =
-      (fun ~action ->
+      (fun ~scope:_ ~action ->
         (* An action that staged nothing here (read locks, or a fence
            whose op changed nothing) ends at once: it votes read-only and
            gets no phase 2. With a durable (crashable) service, an action
@@ -951,7 +951,7 @@ let manager t =
             Action.Termination.forget t.term ~scope:resource ~action;
             Vote_read_only);
     m_commit =
-      (fun ~action ->
+      (fun ~scope:_ ~action ->
         let a = take_action t action in
         let touched =
           match a with
@@ -988,7 +988,7 @@ let manager t =
         Action.Termination.forget t.term ~scope:resource ~action;
         mirror_push t touched);
     m_abort =
-      (fun ~action ->
+      (fun ~scope:_ ~action ->
         (match take_action t action with
         | None -> ()
         | Some a ->
@@ -1005,7 +1005,7 @@ let manager t =
             release_keys t ~action a);
         Action.Termination.forget t.term ~scope:resource ~action);
     m_transfer =
-      (fun ~action ~parent ->
+      (fun ~scope:_ ~action ~parent ->
         (match take_action t action with
         | None -> ()
         | Some c ->
@@ -1045,17 +1045,17 @@ let termination_ops art ~node ~actions ~entries =
             |> List.filter_map (fun serial ->
                    Option.map (fun e -> e.e_uid) (Hashtbl.find_opt entries serial)));
     complete =
-      (fun ~scope:_ ~action -> function
+      (fun ~scope:_ ~action outcome ->
+        let local f = ignore (f rh ~from:node ~node ~kind:resource ~scope:"" ~action) in
+        match outcome with
         | Action.Termination.Orphan_abort ->
             Sim.Metrics.incr (Net.Network.metrics net) "gvd.orphan_aborts";
             Sim.Trace.recordf (Net.Network.trace net)
               ~now:(Sim.Engine.now (Action.Atomic.engine art))
               ~tag:"gvd" "aborting orphaned action %s" action;
-            Action.Resource_host.abort_here rh ~node ~resource ~action
-        | Commit ->
-            ignore (Action.Resource_host.commit rh ~from:node ~node ~resource ~action)
-        | Abort | Presumed_abort ->
-            ignore (Action.Resource_host.abort rh ~from:node ~node ~resource ~action));
+            Action.Resource_host.abort_here rh ~node ~kind:resource ~scope:"" ~action
+        | Commit -> local Action.Resource_host.commit
+        | Abort | Presumed_abort -> local Action.Resource_host.abort);
   }
 
 let install ?(use_exclude_write = true) ?(durable = false)
@@ -1126,7 +1126,7 @@ let install ?(use_exclude_write = true) ?(durable = false)
         (fun serial e acc -> (serial, e.e_snap, e.e_version) :: acc)
         t.entries []);
   Action.Resource_host.register (Action.Atomic.resource_host art) ~node
-    ~resource (manager t);
+    ~kind:resource (manager t);
   if durable then begin
     (* The persistent-object semantics of the database itself: committed
        entry images are stable, and so is the stage of every prepared
@@ -1180,12 +1180,12 @@ let call_enlisted t ~act ~voted ep req =
   let from = Action.Atomic.node act in
   let result = Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req in
   (match result with
-  | Ok (Granted _) -> Action.Atomic.enlist act ~voted ~node:t.gvd_node ~resource ()
+  | Ok (Granted _) -> Action.Atomic.enlist act ~voted ~node:t.gvd_node ~kind:resource ~scope:"" ()
   | Ok (Busy _ | Refused _) ->
       (* The handler may still hold locks for the action (e.g. insert got
          its write lock but found the object busy); enlist so they are
          released at action end. *)
-      Action.Atomic.enlist act ~node:t.gvd_node ~resource ()
+      Action.Atomic.enlist act ~node:t.gvd_node ~kind:resource ~scope:"" ()
   | Error _ ->
       (* Indistinguishable cases: the request was lost (no effects) or
          only the reply was (the handler ran and holds locks and staged
@@ -1194,7 +1194,8 @@ let call_enlisted t ~act ~voted ep req =
          from the caller's view, so an unreachable database must not be
          allowed to veto (or silently commit into) an action that
          otherwise succeeded without it. *)
-      Action.Atomic.enlist act ~required:false ~node:t.gvd_node ~resource ()
+      Action.Atomic.enlist act ~required:false ~node:t.gvd_node ~kind:resource
+        ~scope:"" ()
   | Ok (Moved _) -> ());
   result
 

@@ -28,7 +28,6 @@ type runtime = {
   mutable next_req : int;
   mutable next_serial : int;
   pending : (int, pending) Hashtbl.t;
-  reply_nodes : (Net.Network.node_id, unit) Hashtbl.t;
 }
 
 let create srv ~sequencer =
@@ -39,7 +38,6 @@ let create srv ~sequencer =
     next_req = 0;
     next_serial = 0;
     pending = Hashtbl.create 32;
-    reply_nodes = Hashtbl.create 8;
   }
 
 let server_runtime rt = rt.srv
@@ -52,9 +50,8 @@ let metrics rt = Net.Network.metrics (net rt)
 
 (* The client node must serve the multicast reply endpoint once. *)
 let ensure_reply_service rt client =
-  if not (Hashtbl.mem rt.reply_nodes client) then begin
-    Hashtbl.add rt.reply_nodes client ();
-    Net.Rpc.serve (Action.Atomic.rpc (art rt)) ~node:client (Server.reply_endpoint rt.srv)
+  if not (Net.Rpc.serving (rpc rt) ~node:client (Server.reply_endpoint rt.srv)) then
+    Net.Rpc.serve (rpc rt) ~node:client (Server.reply_endpoint rt.srv)
       (fun { Server.mr_req; mr_result; _ } ->
         match Hashtbl.find_opt rt.pending mr_req with
         | None -> ()
@@ -72,7 +69,6 @@ let ensure_reply_service rt client =
                    replica must not outrace a live one. *)
                 if p.p_replies >= p.p_expected then
                   ignore (Sim.Ivar.try_fill p.p_ivar mr_result)))
-  end
 
 let fresh_serial rt =
   rt.next_serial <- rt.next_serial + 1;
@@ -162,9 +158,10 @@ let enlist_members act g =
     | Policy.Single_copy_passive -> true
     | Policy.Active _ | Policy.Coordinator_cohort _ -> false
   in
-  let resource = Server.resource_name g.g_uid in
+  (* The scope is the uid's string, made once when the uid was. *)
+  let scope = Store.Uid.to_string g.g_uid in
   List.iter
-    (fun m -> Action.Atomic.enlist act ~required ~node:m ~resource ())
+    (fun m -> Action.Atomic.enlist act ~required ~node:m ~kind:Server.resource_kind ~scope ())
     g.g_members
 
 (* --- point-to-point invocation (single copy and coordinator-cohort) --- *)

@@ -36,16 +36,13 @@ type mc_reply = {
 type instance = {
   i_uid : Store.Uid.t;
   i_impl : Object_impl.t;
-  i_node : Net.Network.node_id;
+  i_host : host;
   mutable i_committed : string;
   mutable i_version : Store.Version.t;
   (* The actions in progress here and their replies: a few entries each,
      so association lists, kept in no particular order. *)
   mutable i_staged : (string * string) list; (* action -> staged payload *)
   mutable i_applied : (string * string) list; (* "action#serial" -> reply *)
-  i_locks : Lockmgr.Manager.t;
-      (* the host node's lock table as of this instance's creation; the
-         instance locks its key there ([scope]) *)
   mutable i_role : role;
   mutable i_members : Net.Network.node_id list;
   (* Lock holders as of the last checkpoint; installed when this replica
@@ -61,12 +58,17 @@ type instance = {
      and take locks that no completion will ever clean up. *)
   mutable i_settled : string array;
   mutable i_settled_n : int; (* distinct actions ever settled here *)
-  mutable i_dead : bool;
-      (* the host crashed: the node's live copy, if any, is another
-         instance. Until the object is activated there again this one's
-         manager stays registered, and it must not act on the action-end
-         protocol — a phase 2 would install its stale stage and push it
-         to the cohorts as a checkpoint. *)
+}
+
+(* A node equipped to host servers. Its live instances are keyed by uid
+   string, which is also each one's resource scope and its key in the
+   node's one lock table. A crash empties the instance table and replaces
+   the lock table. *)
+and host = {
+  h_node : Net.Network.node_id;
+  h_instances : (string, instance) Hashtbl.t;
+  mutable h_locks : Lockmgr.Manager.t;
+  h_term : Action.Termination.t; (* one termination scope per instance *)
 }
 
 type activate_req = {
@@ -118,11 +120,7 @@ type checkpoint_msg = {
 type runtime = {
   art : Action.Atomic.runtime;
   impls : (string, Object_impl.t) Hashtbl.t;
-  instances : (Net.Network.node_id, (string, instance) Hashtbl.t) Hashtbl.t;
-  locks : (Net.Network.node_id, Lockmgr.Manager.t) Hashtbl.t;
-      (* per host node, one lock table for all its instances *)
-  terms : (Net.Network.node_id, Action.Termination.t) Hashtbl.t;
-      (* per host node, one termination scope per instance (its uid) *)
+  hosts : (Net.Network.node_id, host) Hashtbl.t;
   mc : Net.Multicast.t;
   ep_activate : (activate_req, activate_result) Net.Rpc.endpoint;
   ep_invoke : (invoke_req, invoke_result) Net.Rpc.endpoint;
@@ -138,15 +136,13 @@ type runtime = {
       (* the group-commit plane commits on this runtime batch through *)
 }
 
-let resource_name uid = "obj:" ^ Store.Uid.to_string uid
+let resource_kind = "obj"
 
 let create art impls =
   {
     art;
     impls;
-    instances = Hashtbl.create 16;
-    locks = Hashtbl.create 16;
-    terms = Hashtbl.create 16;
+    hosts = Hashtbl.create 16;
     mc = Net.Multicast.create (Action.Atomic.rpc art);
     ep_activate = Net.Rpc.endpoint "server.activate";
     ep_invoke = Net.Rpc.endpoint "server.invoke";
@@ -185,31 +181,7 @@ let tracing t = Sim.Trace.enabled (Net.Network.trace (net t))
 
 let metrics t = Net.Network.metrics (net t)
 
-let node_instances t node =
-  match Hashtbl.find_opt t.instances node with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.add t.instances node tbl;
-      tbl
-
-(* A node's lock table lives as long as its instance table: a crash drops
-   it ([install_host]), and the next instance made there starts a new one.
-   A dead instance keeps the old one, which no live fiber touches. *)
-let node_locks t node =
-  match Hashtbl.find_opt t.locks node with
-  | Some m -> m
-  | None ->
-      let m = Lockmgr.Manager.create (eng t) in
-      Hashtbl.add t.locks node m;
-      m
-
-let find_instance t node uid =
-  Hashtbl.find_opt (node_instances t node) (Store.Uid.to_string uid)
-
-(* The termination state of the instance's host node; an instance's
-   scope there is its uid, also its key in the node's instance table. *)
-let term_of t inst = Hashtbl.find t.terms inst.i_node
+let find_instance h uid = Hashtbl.find_opt h.h_instances (Store.Uid.to_string uid)
 let scope inst = Store.Uid.to_string inst.i_uid
 
 let applied_key action serial = action ^ "#" ^ string_of_int serial
@@ -287,11 +259,12 @@ let clean_applied inst action =
 
 let holders_snapshot inst =
   (* All (owner, mode) pairs on the instance's key. *)
-  Lockmgr.Manager.holders inst.i_locks (scope inst)
+  Lockmgr.Manager.holders inst.i_host.h_locks (scope inst)
 
 (* Synchronously checkpoint the coordinator's instance to its cohorts. *)
 let checkpoint_to_cohorts t inst =
   if inst.i_role = Coordinator then begin
+    let node = inst.i_host.h_node in
     let msg =
       {
         k_stamp = Sim.Engine.now (eng t);
@@ -303,15 +276,15 @@ let checkpoint_to_cohorts t inst =
         k_applied = inst.i_applied;
         k_holders = holders_snapshot inst;
         k_members = inst.i_members;
-        k_coordinator = inst.i_node;
+        k_coordinator = node;
       }
     in
     (* Checkpoint distribution fans out to every cohort at once: the
        coordinator pays one round-trip regardless of group size. *)
     let cohorts =
-      List.filter (fun c -> not (String.equal c inst.i_node)) inst.i_members
+      List.filter (fun c -> not (String.equal c node)) inst.i_members
     in
-    Net.Rpc.call_all (Action.Atomic.rpc t.art) ~from:inst.i_node
+    Net.Rpc.call_all (Action.Atomic.rpc t.art) ~from:node
       t.ep_checkpoint
       (List.map (fun cohort -> (cohort, msg)) cohorts)
     |> List.iter (function
@@ -323,7 +296,7 @@ let checkpoint_to_cohorts t inst =
 (* Per key: the same action may hold or wait on another instance's key
    in the node's table, and that lock ends with that instance's phase 2. *)
 let release inst action =
-  Lockmgr.Manager.release inst.i_locks ~owner:action (scope inst);
+  Lockmgr.Manager.release inst.i_host.h_locks ~owner:action (scope inst);
   (* Also prune the action from the checkpointed holder snapshot: a
      cohort promoted after this action ended must not resurrect its
      locks (they would never be released — a phantom wedge). *)
@@ -332,85 +305,112 @@ let release inst action =
 
 (* The action is over at the instance: forget its replies, release its
    locks, tombstone it and stop watching its coordinator. *)
-let end_action t inst action =
+let end_action inst action =
   clean_applied inst action;
   release inst action;
   settle_action inst action;
-  Action.Termination.forget (term_of t inst) ~scope:(scope inst) ~action
+  Action.Termination.forget inst.i_host.h_term ~scope:(scope inst) ~action
 
-(* The resource manager wiring an instance into action completion. A dead
-   instance (see [i_dead]) votes read-only and otherwise does nothing. *)
-let make_manager t inst =
+(* The one resource manager of a host node: each request finds the live
+   instance its scope names. One passivated or lost in a crash is not
+   there, and the action holds nothing at the node but perhaps a crash
+   watch, which would outlive the instance: a miss ends the action at the
+   node, votes read-only, and passes no watch to a parent. A crashed
+   instance's stale stage is never installed, since only a live instance
+   is found. *)
+let make_manager t h =
+  let find scope action =
+    match Hashtbl.find_opt h.h_instances scope with
+    | Some _ as live -> live
+    | None ->
+        Lockmgr.Manager.release h.h_locks ~owner:action scope;
+        Action.Termination.forget h.h_term ~scope ~action;
+        None
+  in
   {
     Action.Resource_host.m_prepare =
-      (fun ~action ->
-        if inst.i_dead then Action.Resource_host.Vote_read_only
-        else if Alist.mem action inst.i_staged then begin
-          Action.Termination.vote (term_of t inst) ~scope:(scope inst) ~action;
-          Vote_yes
-        end
-        else begin
-          (* Nothing staged: the action ends here and gets no phase 2.
-             No checkpoint either; the next one drops its holder entry. *)
-          end_action t inst action;
-          Vote_read_only
-        end);
+      (fun ~scope ~action ->
+        match find scope action with
+        | Some inst when Alist.mem action inst.i_staged ->
+            Action.Termination.vote h.h_term ~scope ~action;
+            Vote_yes
+        | Some inst ->
+            (* Nothing staged: the action ends here and gets no phase 2.
+               No checkpoint either; the next one drops its holder entry. *)
+            end_action inst action;
+            Vote_read_only
+        | None -> Vote_read_only);
     m_commit =
-      (fun ~action ->
-        if not inst.i_dead then begin
-          (match Alist.find action inst.i_staged with
-          | Some payload ->
-              inst.i_committed <- payload;
-              inst.i_version <-
-                Store.Version.next inst.i_version ~committed_by:action;
-              inst.i_staged <- Alist.remove action inst.i_staged;
-              if tracing t then
-                tracef t "%s: %s instance-commit %a := %S %a" inst.i_node
-                  action Store.Uid.pp inst.i_uid payload Store.Version.pp
-                  inst.i_version
-          | None ->
-              if tracing t then
-                tracef t "%s: %s instance-commit %a: nothing staged"
-                  inst.i_node action Store.Uid.pp inst.i_uid);
-          end_action t inst action;
-          checkpoint_to_cohorts t inst
-        end);
+      (fun ~scope ~action ->
+        match find scope action with
+        | None -> ()
+        | Some inst ->
+            (match Alist.find action inst.i_staged with
+            | Some payload ->
+                inst.i_committed <- payload;
+                inst.i_version <- Store.Version.next inst.i_version ~committed_by:action;
+                inst.i_staged <- Alist.remove action inst.i_staged;
+                if tracing t then
+                  tracef t "%s: %s instance-commit %a := %S %a" h.h_node action
+                    Store.Uid.pp inst.i_uid payload Store.Version.pp inst.i_version
+            | None ->
+                if tracing t then
+                  tracef t "%s: %s instance-commit %a: nothing staged" h.h_node
+                    action Store.Uid.pp inst.i_uid);
+            end_action inst action;
+            checkpoint_to_cohorts t inst);
     m_abort =
-      (fun ~action ->
-        if not inst.i_dead then begin
-          inst.i_staged <- Alist.remove action inst.i_staged;
-          end_action t inst action;
-          checkpoint_to_cohorts t inst
-        end);
+      (fun ~scope ~action ->
+        match find scope action with
+        | None -> ()
+        | Some inst ->
+            inst.i_staged <- Alist.remove action inst.i_staged;
+            end_action inst action;
+            checkpoint_to_cohorts t inst);
     m_transfer =
-      (fun ~action ~parent ->
-        if not inst.i_dead then begin
-          (match Alist.find action inst.i_staged with
-          | Some payload ->
-              inst.i_staged <-
-                Alist.replace parent payload (Alist.remove action inst.i_staged)
-          | None -> ());
-          Lockmgr.Manager.transfer inst.i_locks ~from_owner:action
-            ~to_owner:parent (scope inst);
-          (* The child is finished as an owner here: a straggler
-             invocation under the child's id would stage state its (gone)
-             completion can never move to the parent. *)
-          settle_action inst action;
-          inst.i_ckpt_holders <-
-            List.map
-              (fun (o, m) ->
-                if String.equal o action then (parent, m) else (o, m))
-              inst.i_ckpt_holders;
-          Action.Termination.transfer (term_of t inst) ~scope:(scope inst)
-            ~action ~parent;
-          checkpoint_to_cohorts t inst
-        end);
+      (fun ~scope ~action ~parent ->
+        match find scope action with
+        | None -> ()
+        | Some inst ->
+            (match Alist.find action inst.i_staged with
+            | Some payload ->
+                inst.i_staged <-
+                  Alist.replace parent payload (Alist.remove action inst.i_staged)
+            | None -> ());
+            Lockmgr.Manager.transfer h.h_locks ~from_owner:action ~to_owner:parent scope;
+            (* The child is finished as an owner here: a straggler
+               invocation under the child's id would stage state its
+               (gone) completion can never move to the parent. *)
+            settle_action inst action;
+            inst.i_ckpt_holders <-
+              List.map
+                (fun (o, m) -> if String.equal o action then (parent, m) else (o, m))
+                inst.i_ckpt_holders;
+            Action.Termination.transfer h.h_term ~scope ~action ~parent;
+            checkpoint_to_cohorts t inst);
   }
 
-let install_instance t node inst =
-  Hashtbl.replace (node_instances t node) (scope inst) inst;
-  Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
-    ~resource:(resource_name inst.i_uid) (make_manager t inst)
+(* A new instance, live on its host from now on. *)
+let make_instance h impl uid ~committed ~version role members =
+  let inst =
+    {
+      i_uid = uid;
+      i_impl = impl;
+      i_host = h;
+      i_committed = committed;
+      i_version = version;
+      i_staged = [];
+      i_applied = [];
+      i_role = role;
+      i_members = members;
+      i_ckpt_holders = [];
+      i_ckpt_stamp = neg_infinity;
+      i_settled = [||];
+      i_settled_n = 0;
+    }
+  in
+  Hashtbl.replace h.h_instances (scope inst) inst;
+  inst
 
 (* What an invocation by [action] starts from: the nearest stage among the
    action and its ancestors, else the committed state. A nested action
@@ -427,8 +427,8 @@ let rec base_payload inst action =
 
 (* Core invocation logic, shared by the RPC and multicast paths. Runs in a
    fiber on the instance's node. *)
-let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
-  match find_instance t node v_uid with
+let do_invoke t h { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
+  match find_instance h v_uid with
   | None -> Not_active
   | Some inst -> (
       if inst.i_role = Cohort then Not_coordinator
@@ -452,16 +452,15 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
         match Alist.find key inst.i_applied with
         | Some cached -> Reply cached (* exactly-once across retries *)
         | None -> (
-            Action.Termination.touch (term_of t inst) ~scope:(scope inst)
-              ~action:v_action;
+            Action.Termination.touch h.h_term ~scope:(scope inst) ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
             match
-              Lockmgr.Manager.acquire inst.i_locks ~owner:v_action ~mode (scope inst)
+              Lockmgr.Manager.acquire h.h_locks ~owner:v_action ~mode (scope inst)
             with
             | Error `Timeout ->
                 (* A holder whose coordinator is partitioned away may
                    never release: termination settles it. *)
-                Action.Termination.refused (term_of t inst) ~scope:(scope inst)
+                Action.Termination.refused h.h_term ~scope:(scope inst)
                   (List.map fst (holders_snapshot inst));
                 Sim.Metrics.incr (metrics t) "server.lock_refusals";
                 Locked
@@ -470,10 +469,9 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                    fiber sat parked on the instance lock: executing now
                    would stage payload and hold locks for an owner whose
                    completion already ran. *)
-                Lockmgr.Manager.release inst.i_locks ~owner:v_action
-                  (scope inst);
+                Lockmgr.Manager.release h.h_locks ~owner:v_action (scope inst);
                 Sim.Metrics.incr (metrics t) "server.settled_refusals";
-                tracef t "%s: refused settled action %s on %a" node v_action
+                tracef t "%s: refused settled action %s on %a" h.h_node v_action
                   Store.Uid.pp v_uid;
                 Settled
             | Ok () ->
@@ -482,7 +480,7 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                 if v_write then begin
                   inst.i_staged <- Alist.replace v_action payload' inst.i_staged;
                   if tracing t then
-                    tracef t "%s: %s writes %a: %S -> %S (base %a)" node
+                    tracef t "%s: %s writes %a: %S -> %S (base %a)" h.h_node
                       v_action Store.Uid.pp v_uid payload payload'
                       Store.Version.pp inst.i_version
                 end;
@@ -491,34 +489,14 @@ let do_invoke t node { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } 
                 if t.eager_checkpoints then checkpoint_to_cohorts t inst;
                 Reply reply))
 
-let apply_checkpoint t node msg =
+let apply_checkpoint t h msg =
   let fresh_enough inst = msg.k_stamp > inst.i_ckpt_stamp in
   let inst =
-    match find_instance t node msg.k_uid with
+    match find_instance h msg.k_uid with
     | Some inst -> inst
     | None ->
-        let impl = Object_impl.find t.impls msg.k_impl in
-        let inst =
-          {
-            i_uid = msg.k_uid;
-            i_impl = impl;
-            i_node = node;
-            i_committed = msg.k_committed;
-            i_version = msg.k_version;
-            i_staged = [];
-            i_applied = [];
-            i_locks = node_locks t node;
-            i_role = Cohort;
-            i_members = msg.k_members;
-            i_ckpt_holders = [];
-            i_ckpt_stamp = neg_infinity;
-            i_settled = [||];
-            i_settled_n = 0;
-            i_dead = false;
-          }
-        in
-        install_instance t node inst;
-        inst
+        make_instance h (Object_impl.find t.impls msg.k_impl) msg.k_uid
+          ~committed:msg.k_committed ~version:msg.k_version Cohort msg.k_members
   in
   if fresh_enough inst then begin
     inst.i_ckpt_stamp <- msg.k_stamp;
@@ -544,7 +522,8 @@ let assume_coordinator (_ : runtime) inst =
       (fun (owner, mode) ->
         if not (is_settled inst owner) then
           ignore
-            (Lockmgr.Manager.try_acquire inst.i_locks ~owner ~mode (scope inst)))
+            (Lockmgr.Manager.try_acquire inst.i_host.h_locks ~owner ~mode
+               (scope inst)))
       inst.i_ckpt_holders
   end
 
@@ -552,11 +531,12 @@ let assume_coordinator (_ : runtime) inst =
    coordinator's crash, the live member with the smallest node id takes
    over, installing the checkpointed lock table; other survivors re-watch
    whoever was elected. *)
-let rec arrange_promotion_chain t node uid coordinator =
+let rec arrange_promotion_chain t h uid coordinator =
+  let node = h.h_node in
   ignore
     (Net.Network.watch_crash (net t) coordinator (fun () ->
          Net.Network.spawn_on (net t) node ~name:(node ^ ".promote") (fun () ->
-             match find_instance t node uid with
+             match find_instance h uid with
              | None -> ()
              | Some inst when inst.i_role <> Cohort -> ()
              | Some inst -> (
@@ -567,46 +547,21 @@ let rec arrange_promotion_chain t node uid coordinator =
                        && Net.Network.is_up (net t) m)
                      inst.i_members
                  in
-                 let elected = List.fold_left
-                     (fun best m ->
-                       match best with
-                       | None -> Some m
-                       | Some b -> if String.compare m b < 0 then Some m else best)
-                     None live
-                 in
-                 match elected with
-                 | Some e when String.equal e node ->
+                 match List.sort String.compare live with
+                 | e :: _ when String.equal e node ->
                      tracef t "%s promoted to coordinator of %a (holders: %s)"
                        node Store.Uid.pp uid
                        (String.concat ","
                           (List.map fst inst.i_ckpt_holders));
                      assume_coordinator t inst;
                      Sim.Metrics.incr (metrics t) "server.promotions"
-                 | Some e ->
+                 | e :: _ ->
                      (* Someone else took over: watch them in turn. *)
-                     arrange_promotion_chain t node uid e
-                 | None -> ()))))
+                     arrange_promotion_chain t h uid e
+                 | [] -> ()))))
 
-let make_instance t node impl uid state role members =
-  {
-    i_uid = uid;
-    i_impl = impl;
-    i_node = node;
-    i_committed = state.Store.Object_state.payload;
-    i_version = state.Store.Object_state.version;
-    i_staged = [];
-    i_applied = [];
-    i_locks = node_locks t node;
-    i_role = role;
-    i_members = members;
-    i_ckpt_holders = [];
-    i_ckpt_stamp = neg_infinity;
-    i_settled = [||];
-    i_settled_n = 0;
-    i_dead = false;
-  }
-
-let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
+let do_activate t h { a_uid; a_impl; a_stores; a_role; a_members } =
+  let node = h.h_node in
   (* Idempotent path: refresh role and membership (re-binding, role
      assignment after group formation, or a change in the degree of
      replication). *)
@@ -618,11 +573,11 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
     (if a_role = Cohort && was <> Cohort then
        match a_members with
        | coordinator :: _ when not (String.equal coordinator node) ->
-           arrange_promotion_chain t node a_uid coordinator
+           arrange_promotion_chain t h a_uid coordinator
        | _ -> ());
     Activated inst.i_version
   in
-  match find_instance t node a_uid with
+  match find_instance h a_uid with
   | Some inst -> refresh inst
   | None -> (
       match Hashtbl.find_opt t.impls a_impl with
@@ -644,7 +599,7 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
                       | Ok None | Error _ -> None))
                 None a_stores
           in
-          match (state, find_instance t node a_uid) with
+          match (state, find_instance h a_uid) with
           | _, Some inst ->
               (* The store read yielded; a concurrent activation installed
                  the instance first. Installing ours would silently drop
@@ -655,11 +610,13 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
               refresh inst
           | None, None -> Activation_failed "no reachable object store holds the state"
           | Some state, None ->
-              let inst = make_instance t node impl a_uid state a_role a_members in
-              install_instance t node inst;
+              let inst =
+                make_instance h impl a_uid ~committed:state.Store.Object_state.payload
+                  ~version:state.Store.Object_state.version a_role a_members
+              in
               if a_role = Cohort then begin
                 match a_members with
-                | coordinator :: _ -> arrange_promotion_chain t node a_uid coordinator
+                | coordinator :: _ -> arrange_promotion_chain t h a_uid coordinator
                 | [] -> ()
               end;
               Sim.Metrics.incr (metrics t) "server.activations";
@@ -670,8 +627,8 @@ let do_activate t node { a_uid; a_impl; a_stores; a_role; a_members } =
                 | Cohort -> "cohort");
               Activated inst.i_version))
 
-let do_view t node { cw_uid; cw_action; cw_last_acked } =
-  match find_instance t node cw_uid with
+let do_view t h { cw_uid; cw_action; cw_last_acked } =
+  match find_instance h cw_uid with
   | None -> None
   | Some inst when
       cw_last_acked > 0
@@ -701,9 +658,9 @@ let instance_quiescent inst =
   inst.i_staged = [] && holders_snapshot inst = []
 
 (* How termination ends an action at one of [node]'s instances. *)
-let termination_ops t node =
+let termination_ops t node instances =
   let rh = Action.Atomic.resource_host t.art in
-  let find scope = Hashtbl.find_opt (node_instances t node) scope in
+  let find scope = Hashtbl.find_opt instances scope in
   {
     Action.Termination.holds =
       (fun ~scope ~action ->
@@ -720,14 +677,14 @@ let termination_ops t node =
         match find scope with
         | None -> ()
         | Some inst -> (
-            let resource = resource_name inst.i_uid in
-            let local f = ignore (f rh ~from:node ~node ~resource ~action) in
+            let kind = resource_kind in
+            let local f = ignore (f rh ~from:node ~node ~kind ~scope ~action) in
             match outcome with
             | Action.Termination.Orphan_abort ->
                 Sim.Metrics.incr (metrics t) "server.orphan_aborts";
                 tracef t "%s: aborting orphaned action %s on %a" node action
                   Store.Uid.pp inst.i_uid;
-                Action.Resource_host.abort_here rh ~node ~resource ~action
+                Action.Resource_host.abort_here rh ~node ~kind ~scope ~action
             | Commit -> local Action.Resource_host.commit
             | Abort -> local Action.Resource_host.abort
             | Presumed_abort ->
@@ -742,29 +699,40 @@ let termination_ops t node =
 
 let install_host t node =
   let rpc = Action.Atomic.rpc t.art in
-  Net.Rpc.serve rpc ~node t.ep_activate (fun req -> do_activate t node req);
-  Net.Rpc.serve rpc ~node t.ep_invoke (fun req -> do_invoke t node req);
-  Net.Rpc.serve rpc ~node t.ep_view (fun req -> do_view t node req);
+  let instances = Hashtbl.create 8 in
+  let h =
+    {
+      h_node = node;
+      h_instances = instances;
+      h_locks = Lockmgr.Manager.create (eng t);
+      h_term =
+        Action.Termination.create t.art ~node (termination_ops t node instances);
+    }
+  in
+  Hashtbl.replace t.hosts node h;
+  Net.Rpc.serve rpc ~node t.ep_activate (fun req -> do_activate t h req);
+  Net.Rpc.serve rpc ~node t.ep_invoke (fun req -> do_invoke t h req);
+  Net.Rpc.serve rpc ~node t.ep_view (fun req -> do_view t h req);
   Net.Rpc.serve rpc ~node t.ep_role (fun uid ->
-      Option.map (fun i -> i.i_role) (find_instance t node uid));
+      Option.map (fun i -> i.i_role) (find_instance h uid));
   Net.Rpc.serve rpc ~node t.ep_quiescent (fun uid ->
-      match find_instance t node uid with
+      match find_instance h uid with
       | None -> true
       | Some inst -> instance_quiescent inst);
   Net.Rpc.serve rpc ~node t.ep_passivate (fun uid ->
-      match find_instance t node uid with
+      match find_instance h uid with
       | None -> true
       | Some inst ->
           if instance_quiescent inst then begin
-            Hashtbl.remove (node_instances t node) (Store.Uid.to_string uid);
+            Hashtbl.remove instances (Store.Uid.to_string uid);
             tracef t "passivated %a on %s" Store.Uid.pp uid node;
             true
           end
           else false);
-  Net.Rpc.serve rpc ~node t.ep_checkpoint (fun msg -> apply_checkpoint t node msg);
+  Net.Rpc.serve rpc ~node t.ep_checkpoint (fun msg -> apply_checkpoint t h msg);
   Net.Multicast.listen t.mc ~node t.ch_invoke (fun ~seq:_ mi ->
       let result =
-        do_invoke t node
+        do_invoke t h
           {
             v_uid = mi.mi_uid;
             v_action = mi.mi_action;
@@ -776,15 +744,13 @@ let install_host t node =
       in
       Net.Rpc.notify rpc ~from:node ~dst:mi.mi_reply_to t.ep_reply
         { mr_req = mi.mi_req; mr_replica = node; mr_result = result });
-  Hashtbl.replace t.terms node
-    (Action.Termination.create t.art ~node (termination_ops t node));
+  Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
+    ~kind:resource_kind (make_manager t h);
   (* Instances are volatile: destroy them on crash — a recovered node
      re-activates from the stores. *)
   Net.Network.on_crash (net t) node (fun () ->
-      let insts = node_instances t node in
-      Hashtbl.iter (fun _ inst -> inst.i_dead <- true) insts;
-      Hashtbl.reset insts;
-      Hashtbl.remove t.locks node)
+      Hashtbl.reset instances;
+      h.h_locks <- Lockmgr.Manager.create (eng t))
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_activate
@@ -814,11 +780,13 @@ let passivate t ~from ~server ~uid =
 let quiescent t ~from ~server ~uid =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_quiescent uid
 
+let instances t node = (Hashtbl.find t.hosts node).h_instances
+
 let local_instances t ~node =
-  Hashtbl.fold (fun _ inst acc -> inst.i_uid :: acc) (node_instances t node) []
+  Hashtbl.fold (fun _ inst acc -> inst.i_uid :: acc) (instances t node) []
   |> List.sort Store.Uid.compare
 
-let instance_exists t ~node ~uid = find_instance t node uid <> None
+let instance_exists t ~node ~uid = Hashtbl.mem (instances t node) (Store.Uid.to_string uid)
 
 let instance_residue t ~node =
   Hashtbl.fold
@@ -829,8 +797,10 @@ let instance_residue t ~node =
       let staged = List.map fst inst.i_staged |> List.sort String.compare in
       if holders = [] && staged = [] then acc
       else (inst.i_uid, holders, staged) :: acc)
-    (node_instances t node) []
+    (instances t node) []
   |> List.sort (fun (a, _, _) (b, _, _) -> Store.Uid.compare a b)
 
 let instance_payload t ~node ~uid =
-  Option.map (fun i -> i.i_committed) (find_instance t node uid)
+  Option.map
+    (fun i -> i.i_committed)
+    (Hashtbl.find_opt (instances t node) (Store.Uid.to_string uid))

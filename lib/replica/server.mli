@@ -10,21 +10,24 @@
 
     Concurrency control is per instance: operations acquire read/write
     locks owned by the invoking action on the instance's key (its uid)
-    in its node's one lock table, made at the node's first activation
-    and replaced when the node crashes. The action-end protocol reaches
+    in its node's one lock table, made by [install_host] and replaced
+    when the node crashes. The action-end protocol reaches
     each instance on its own and ends the action on that key alone, so
     its locks on the node's other instances wait for their own phase 2.
     Writes stage a new payload per action (read-your-writes within the
     action, isolation between actions); the staged payloads and the
-    replies kept for exactly-once retries are short per-action lists. The instance participates in action completion through a
-    {!Action.Resource_host} manager: commit installs the staged payload and
+    replies kept for exactly-once retries are short per-action lists.
+
+    Instances take part in action completion through their node's one
+    {!Action.Resource_host} manager, which finds the live instance a
+    request's scope (its uid) names. Commit installs the staged payload and
     advances the version; abort discards it; nested-commit transfers
     staging and locks to the parent action. An action that staged
     nothing on the instance votes read-only at prepare, which releases
-    its locks there and pushes no checkpoint. A crashed instance's
-    manager stays registered until the object is activated on its node
-    again; the crash hook marks it dead, and a dead instance votes
-    read-only and otherwise ignores the action-end protocol.
+    its locks there and pushes no checkpoint. A request that finds no
+    live instance (passivated, or lost in a crash) ends the action at
+    the node, crash watch included, and a prepare votes read-only: a
+    crashed instance's stale stage is never installed.
 
     For coordinator-cohort replication, instances carry a role; the
     coordinator checkpoints its full instance state to cohorts after every
@@ -56,11 +59,12 @@ val set_eager_checkpoints : runtime -> bool -> unit
 
 val install_host : runtime -> Net.Network.node_id -> unit
 (** Equip [node] to host servers: registers the activation/invocation
-    endpoints and the crash hook that destroys instances. *)
+    endpoints, the node's resource manager and the crash hook that
+    destroys instances. *)
 
-val resource_name : Store.Uid.t -> string
-(** The {!Action.Resource_host} resource name of an instance,
-    ["obj:<uid>"]. *)
+val resource_kind : string
+(** The {!Action.Resource_host} kind of server objects, ["obj"]; an
+    instance's scope is its uid ({!Store.Uid.to_string}). *)
 
 val mc : runtime -> Net.Multicast.t
 (** The multicast runtime replicas listen on; the group layer casts
@@ -187,7 +191,7 @@ val reply_endpoint : runtime -> (mc_reply, unit) Net.Rpc.endpoint
 (** Endpoint replicas use to return multicast invocation results; the
     group layer serves it on client nodes. *)
 
-(** {2 Direct inspection} (tests, daemons on the same node) *)
+(** {2 Direct inspection} (tests, daemons on a host node) *)
 
 val local_instances : runtime -> node:Net.Network.node_id -> Store.Uid.t list
 (** UIDs of the instances currently activated on [node], sorted. *)

@@ -373,9 +373,9 @@ let make_register w node =
   let staged : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let manager =
     {
-      Resource_host.m_prepare = (fun ~action:_ -> Resource_host.Vote_yes);
+      Resource_host.m_prepare = (fun ~scope:_ ~action:_ -> Resource_host.Vote_yes);
       m_commit =
-        (fun ~action ->
+        (fun ~scope:_ ~action ->
           (match Hashtbl.find_opt staged action with
           | Some v ->
               committed := v;
@@ -383,11 +383,11 @@ let make_register w node =
           | None -> ());
           Lockmgr.Manager.release mgr ~owner:action "reg");
       m_abort =
-        (fun ~action ->
+        (fun ~scope:_ ~action ->
           Hashtbl.remove staged action;
           Lockmgr.Manager.release mgr ~owner:action "reg");
       m_transfer =
-        (fun ~action ~parent ->
+        (fun ~scope:_ ~action ~parent ->
           (match Hashtbl.find_opt staged action with
           | Some v ->
               Hashtbl.replace staged parent v;
@@ -396,14 +396,14 @@ let make_register w node =
           Lockmgr.Manager.transfer mgr ~from_owner:action ~to_owner:parent "reg");
     }
   in
-  Resource_host.register w.rh ~node ~resource:"register" manager;
+  Resource_host.register w.rh ~node ~kind:"register" manager;
   let write act v =
     (* Emulates an RPC handler: lock under the action, stage the value. *)
     let owner = Atomic.owner act in
     match Lockmgr.Manager.acquire mgr ~owner ~mode:Lockmgr.Mode.Write "reg" with
     | Ok () ->
         Hashtbl.replace staged owner v;
-        Atomic.enlist act ~node ~resource:"register" ();
+        Atomic.enlist act ~node ~kind:"register" ~scope:"" ();
         true
     | Error `Timeout -> false
   in

@@ -450,6 +450,19 @@ let test_orphan_guard_ignores_local_actions () =
   Sim.Engine.run eng;
   check_int "no self watch" 0 (List.length !ended)
 
+(* A refusal while the crash-triggered loop is settling the same action
+   starts no second loop: the refusal budget is short and would presume
+   abort while the crash loop still waits for the coordinator, and the
+   action would be settled twice. *)
+let test_termination_one_loop_per_action () =
+  let eng, net, term, ended = termination_world [ "client"; "svc" ] in
+  Action.Termination.vote term ~scope:"s" ~action:"client:1";
+  Net.Network.crash net "client";
+  Sim.Engine.schedule eng ~delay:10.0 (fun () ->
+      Action.Termination.refused term ~scope:"s" [ "client:1" ]);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "settled once" [ "client:1" ] !ended
+
 (* ------------------------------------------------------------------ *)
 (* Mirrored naming-service pair (§3.1 extension, unit level) *)
 
@@ -728,6 +741,7 @@ let suite =
         tc "settle prevents abort" `Quick test_orphan_guard_settle_prevents_abort;
         tc "transfer moves watch" `Quick test_orphan_guard_transfer_moves_watch;
         tc "ignores local actions" `Quick test_orphan_guard_ignores_local_actions;
+        tc "one loop per action" `Quick test_termination_one_loop_per_action;
       ] );
     ( "fort.mirror",
       [

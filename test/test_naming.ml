@@ -586,7 +586,7 @@ let test_end_cancels_queued_request () =
   Sim.Engine.schedule eng ~delay:10.0 (fun () ->
       Action.Resource_host.abort_here
         (Action.Atomic.resource_host (Service.atomic w))
-        ~node:"ns" ~resource:"gvd" ~action:!queued);
+        ~node:"ns" ~kind:"gvd" ~scope:"" ~action:!queued);
   let holds_st () =
     List.exists
       (fun (key, holders) -> key = st_key && List.mem_assoc !queued holders)

@@ -200,24 +200,24 @@ let test_abort_skips_read_only_voter () =
   let manager node vote =
     {
       Action.Resource_host.m_prepare =
-        (fun ~action:_ ->
+        (fun ~scope:_ ~action:_ ->
           log node "prepare";
           vote);
-      m_commit = (fun ~action:_ -> log node "commit");
-      m_abort = (fun ~action:_ -> log node "abort");
-      m_transfer = (fun ~action:_ ~parent:_ -> log node "transfer");
+      m_commit = (fun ~scope:_ ~action:_ -> log node "commit");
+      m_abort = (fun ~scope:_ ~action:_ -> log node "abort");
+      m_transfer = (fun ~scope:_ ~action:_ ~parent:_ -> log node "transfer");
     }
   in
-  Action.Resource_host.register rh ~node:"r1" ~resource:"res"
+  Action.Resource_host.register rh ~node:"r1" ~kind:"res"
     (manager "r1" Action.Resource_host.Vote_read_only);
-  Action.Resource_host.register rh ~node:"r2" ~resource:"res"
+  Action.Resource_host.register rh ~node:"r2" ~kind:"res"
     (manager "r2" Action.Resource_host.Vote_no);
   let r = ref (Ok ()) in
   Net.Network.spawn_on net "client" (fun () ->
       r :=
         Action.Atomic.atomically rt ~node:"client" (fun act ->
-            Action.Atomic.enlist act ~node:"r1" ~resource:"res" ();
-            Action.Atomic.enlist act ~node:"r2" ~resource:"res" ()));
+            Action.Atomic.enlist act ~node:"r1" ~kind:"res" ~scope:"" ();
+            Action.Atomic.enlist act ~node:"r2" ~kind:"res" ~scope:"" ()));
   Sim.Engine.run eng;
   check_bool "aborted" true (!r = Error "resource res@r2 voted no");
   let called node op = Hashtbl.mem calls (node, op) in

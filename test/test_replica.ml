@@ -393,7 +393,7 @@ let test_node_lock_table_ends_actions_per_instance () =
   let commit uid =
     match
       Action.Resource_host.commit rh ~from:"c" ~node:"alpha"
-        ~resource:(Server.resource_name uid) ~action:"c:1"
+        ~kind:Server.resource_kind ~scope:(Uid.to_string uid) ~action:"c:1"
     with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "phase 2 rpc failed"
@@ -672,8 +672,8 @@ let test_cc_promotion_skips_ended_holders () =
       (* c:1 ends at the cohort first: its read-only vote there. *)
       (match
          Action.Resource_host.prepare (Action.Atomic.resource_host w.art)
-           ~from:"c" ~node:"k2" ~resource:(Server.resource_name uid)
-           ~action:"c:1"
+           ~from:"c" ~node:"k2" ~kind:Server.resource_kind
+           ~scope:(Uid.to_string uid) ~action:"c:1"
        with
       | Ok Action.Resource_host.Vote_read_only -> ()
       | _ -> Alcotest.fail "cohort did not vote read-only");
@@ -744,6 +744,74 @@ let test_passivation_refused_while_in_use () =
                  | Error _ -> Alcotest.fail "passivate rpc failed"))));
   Sim.Engine.run w.eng
 
+let activate_plain w uid =
+  match
+    Server.activate w.srv ~from:"c" ~server:"alpha" ~uid ~impl:"counter"
+      ~stores:[ "beta" ] ~role:Server.Plain ~members:[ "alpha" ]
+  with
+  | Ok (Server.Activated _) -> ()
+  | _ -> Alcotest.fail "activation failed"
+
+(* Passivation frees its instance: a world whose objects were each
+   activated and passivated holds about as many words as one whose
+   objects were never activated. *)
+let test_passivation_frees_instance () =
+  let n = 200 in
+  let words ~cycle =
+    let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+    let uids =
+      List.init n (fun i ->
+          new_object w ~label:(Printf.sprintf "o%d" i) ~payload:"0" ~stores:[ "beta" ])
+    in
+    if cycle then
+      Net.Network.spawn_on w.net "c" (fun () ->
+          List.iter
+            (fun uid ->
+              activate_plain w uid;
+              match Server.passivate w.srv ~from:"c" ~server:"alpha" ~uid with
+              | Ok true -> ()
+              | _ -> Alcotest.fail "passivation failed")
+            uids);
+    Sim.Engine.run w.eng;
+    check_int "no live instance" 0 (List.length (Server.local_instances w.srv ~node:"alpha"));
+    Obj.reachable_words (Obj.repr w)
+  in
+  let per_object = (words ~cycle:true - words ~cycle:false) / n in
+  check_bool (Printf.sprintf "%d words per object, at most 8" per_object) true
+    (per_object <= 8)
+
+(* A phase 2 that reaches a node whose instance died in a crash ends the
+   action there, crash watch included. A watch left behind would outlive
+   the instance, and the coordinator's later crash would abort the old
+   action as an orphan on the object's next instance there. *)
+let test_phase2_at_empty_node_forgets_watch () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      activate_plain w uid;
+      (match
+         Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action:"c:1" ~serial:1
+           ~last_acked:0 ~write:true ~op:"incr"
+       with
+      | Ok (Server.Reply _) -> ()
+      | _ -> Alcotest.fail "invoke failed");
+      Net.Network.crash w.net "alpha";
+      Net.Network.recover w.net "alpha";
+      Sim.Engine.sleep w.eng 5.0;
+      (match
+         Action.Resource_host.abort (Action.Atomic.resource_host w.art) ~from:"c"
+           ~node:"alpha" ~kind:Server.resource_kind ~scope:(Uid.to_string uid)
+           ~action:"c:1"
+       with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "abort rpc failed");
+      activate_plain w uid);
+  Sim.Engine.run w.eng;
+  Net.Network.crash w.net "c";
+  Sim.Engine.run w.eng;
+  check_int "no orphan abort" 0
+    (Sim.Metrics.counter (Net.Network.metrics w.net) "server.orphan_aborts")
+
 (* ------------------------------------------------------------------ *)
 (* Settled tombstones *)
 
@@ -760,7 +828,8 @@ let test_settled_tombstones () =
   let settle i =
     match
       Action.Resource_host.abort (Action.Atomic.resource_host w.art) ~from:"c"
-        ~node:"alpha" ~resource:(Server.resource_name uid) ~action:(name i)
+        ~node:"alpha" ~kind:Server.resource_kind ~scope:(Uid.to_string uid)
+        ~action:(name i)
     with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "abort rpc failed"
@@ -856,6 +925,9 @@ let suite =
       [
         tc "after quiescence" `Quick test_passivation_after_quiescence;
         tc "refused while in use" `Quick test_passivation_refused_while_in_use;
+        tc "frees its instance" `Quick test_passivation_frees_instance;
+        tc "a phase 2 at an empty node forgets the watch" `Quick
+          test_phase2_at_empty_node_forgets_watch;
       ] );
     ( "replica.settled",
       [ tc "tombstones refuse and forget oldest" `Quick test_settled_tombstones ] );

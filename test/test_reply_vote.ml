@@ -161,7 +161,7 @@ let test_nested_cannot_hold_vote () =
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
              let nested = Action.Atomic.begin_nested act in
-             (try Action.Atomic.enlist nested ~voted:true ~node:"ns" ~resource:"gvd" ()
+             (try Action.Atomic.enlist nested ~voted:true ~node:"ns" ~kind:"gvd" ~scope:"" ()
               with Invalid_argument _ -> raised := true);
              Action.Atomic.abort nested ~reason:"done")));
   Service.run w;
