@@ -930,6 +930,34 @@ let take_action t action =
   Hashtbl.remove t.actions action;
   a
 
+(* A nested action's record passes to its parent's by [m_transfer]. A
+   transfer can be lost while the shard is up (its call timed out under a
+   partition), and the record then outlives the whole action tree, its
+   locks held by an owner nobody ends. So when [action] ends here, the
+   records of its descendants that hold locks and nothing else end with
+   it: whether such a descendant committed or aborted, its locks are over
+   once its ancestor is. A descendant with a stage is left alone: only its
+   own outcome can say whether the stage is the ancestor's. *)
+let lock_only_descendant id a ((action, found) as acc) =
+  let n = String.length action in
+  if
+    String.length id > n
+    && id.[n] = '.'
+    && String.starts_with ~prefix:action id
+    && a.a_undo = [] && a.a_redo = []
+  then (action, (id, a) :: found)
+  else acc
+
+let end_lock_only_descendants t ~action =
+  match Hashtbl.fold lock_only_descendant t.actions (action, []) with
+  | _, [] -> ()
+  | _, found ->
+      List.sort (fun (x, _) (y, _) -> String.compare x y) found
+      |> List.iter (fun (id, a) ->
+             Hashtbl.remove t.actions id;
+             release_keys t ~action:id a;
+             Action.Termination.forget t.term ~scope:resource ~action:id)
+
 let manager t =
   {
     Action.Resource_host.m_prepare =
@@ -949,6 +977,7 @@ let manager t =
             Hashtbl.remove t.actions action;
             Option.iter (release_keys t ~action) a;
             Action.Termination.forget t.term ~scope:resource ~action;
+            end_lock_only_descendants t ~action;
             Vote_read_only);
     m_commit =
       (fun ~scope:_ ~action ->
@@ -986,6 +1015,7 @@ let manager t =
         in
         Option.iter (release_keys t ~action) a;
         Action.Termination.forget t.term ~scope:resource ~action;
+        end_lock_only_descendants t ~action;
         mirror_push t touched);
     m_abort =
       (fun ~scope:_ ~action ->
@@ -1003,7 +1033,8 @@ let manager t =
                 | None -> ())
               a.a_undo;
             release_keys t ~action a);
-        Action.Termination.forget t.term ~scope:resource ~action);
+        Action.Termination.forget t.term ~scope:resource ~action;
+        end_lock_only_descendants t ~action);
     m_transfer =
       (fun ~scope:_ ~action ~parent ->
         (match take_action t action with

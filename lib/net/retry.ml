@@ -65,7 +65,6 @@ let run t ?dst ?deadline_at ~op (p : policy) body =
           else begin
             Sim.Metrics.incr m "retry.retries";
             Sim.Metrics.incr m ("retry.op." ^ op);
-            Sim.Metrics.observe m "retry.backoff" d;
             Sim.Engine.sleep eng d;
             attempt (k + 1)
           end

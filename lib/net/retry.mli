@@ -11,8 +11,7 @@
     - [retry.giveups] — attempt budget exhausted;
     - [retry.deadline_exhausted] — stopped early because the next backoff
       would cross the deadline;
-    - [retry.sheds] — attempts skipped because the destination was down;
-    - [retry.backoff] — distribution of backoff delays. *)
+    - [retry.sheds] — attempts skipped because the destination was down. *)
 
 type policy = {
   attempts : int;  (** maximum attempts, including the first (>= 1) *)

@@ -8,12 +8,28 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
   let eng = Action.Atomic.engine art in
   let metrics = Net.Network.metrics (Action.Atomic.network art) in
   let gc = Server.groupcommit srv in
+  (* Group-commit plane: the action's first write invocation through the
+     group announces this commit as approaching, so open batches hold
+     their window for it while the action runs to its commit. The token
+     settles at the prepare, at any earlier exit of the hook (commit-view
+     error, read-optimised commit, an exception unwinding it) or when the
+     action aborts. A commit that must copy without one takes it then. *)
+  let tok = ref None in
+  let token () =
+    match !tok with
+    | Some t -> t
+    | None ->
+        let t = Groupcommit.enter gc ~client:(Action.Atomic.node act) in
+        tok := Some t;
+        t
+  in
+  let settle () = Option.iter (Groupcommit.leave gc) !tok in
+  group.Group.g_on_write <-
+    (fun () ->
+      (* An action that has ended already will never settle a new token. *)
+      if Action.Atomic.status act = Action.Atomic.Running then ignore (token ()));
+  Action.Atomic.on_abort act settle;
   Action.Atomic.before_commit act (fun () ->
-      (* Group-commit plane: announce this commit as approaching so open
-         batches hold their window for it; the token settles at the
-         prepare, or here at any earlier exit (commit-view error,
-         read-optimised commit, an exception unwinding the hook). *)
-      let tok = Groupcommit.enter gc ~client:(Action.Atomic.node act) in
       let body () =
       match Group.commit_view rt group ~act with
       | Error why -> Error ("commit view: " ^ why)
@@ -22,6 +38,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           Sim.Metrics.incr metrics "commit.read_optimised";
           Ok ()
       | Ok view ->
+          let tok = token () in
           let client = Action.Atomic.node act in
           let action = Action.Atomic.owner act in
           let uid = group.Group.g_uid in
@@ -199,4 +216,4 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           in
           attempt 0
       in
-      Fun.protect ~finally:(fun () -> Groupcommit.leave gc tok) body)
+      Fun.protect ~finally:settle body)

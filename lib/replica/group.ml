@@ -1,3 +1,13 @@
+(* The commit view the last answered invocation through a binding
+   carried, whose action it was, and the member that answered it on
+   which incarnation. *)
+type kept_view = {
+  kv_owner : string;
+  kv_member : Net.Network.node_id;
+  kv_incarnation : int;
+  kv_view : Server.commit_view;
+}
+
 type t = {
   g_uid : Store.Uid.t;
   g_impl : string;
@@ -6,6 +16,8 @@ type t = {
   g_stores : Net.Network.node_id list;
   g_client : Net.Network.node_id;
   mutable g_acked : (string * int) list;
+  mutable g_view : kept_view option;
+  mutable g_on_write : unit -> unit;
 }
 
 type invoke_error = Unavailable of string | Lock_refused | Staged_lost
@@ -17,7 +29,7 @@ let pp_invoke_error ppf = function
       Format.pp_print_string ppf "staged state lost across failover"
 
 type pending = {
-  p_ivar : Server.invoke_result Sim.Ivar.t;
+  p_ivar : Server.mc_reply Sim.Ivar.t;
   mutable p_replies : int;
   mutable p_expected : int;
 }
@@ -52,7 +64,7 @@ let metrics rt = Net.Network.metrics (net rt)
 let ensure_reply_service rt client =
   if not (Net.Rpc.serving (rpc rt) ~node:client (Server.reply_endpoint rt.srv)) then
     Net.Rpc.serve (rpc rt) ~node:client (Server.reply_endpoint rt.srv)
-      (fun { Server.mr_req; mr_result; _ } ->
+      (fun ({ Server.mr_req; mr_result; _ } as reply) ->
         match Hashtbl.find_opt rt.pending mr_req with
         | None -> ()
         | Some p ->
@@ -61,14 +73,14 @@ let ensure_reply_service rt client =
             | Server.Reply _ ->
                 (* First real reply wins; replicas are mutually
                    consistent. *)
-                ignore (Sim.Ivar.try_fill p.p_ivar mr_result)
+                ignore (Sim.Ivar.try_fill p.p_ivar reply)
             | Server.Locked | Server.Not_active | Server.Not_coordinator
             | Server.State_lost | Server.Settled ->
                 (* A bad answer only decides once every member answered
                    badly; a stale (freshly recovered, instance-less)
                    replica must not outrace a live one. *)
                 if p.p_replies >= p.p_expected then
-                  ignore (Sim.Ivar.try_fill p.p_ivar mr_result)))
+                  ignore (Sim.Ivar.try_fill p.p_ivar reply)))
 
 let fresh_serial rt =
   rt.next_serial <- rt.next_serial + 1;
@@ -81,9 +93,14 @@ let fresh_serial rt =
 let last_acked ~act g =
   Option.value ~default:0 (List.assoc_opt (Action.Atomic.owner act) g.g_acked)
 
-let record_acked ~act g serial =
+(* An invocation of [act] answered by [member]: note its serial, and keep
+   the commit view its reply carried for a commit that follows. *)
+let answered ~act g ~serial ~member ~incarnation view =
   let owner = Action.Atomic.owner act in
-  g.g_acked <- (owner, serial) :: List.remove_assoc owner g.g_acked
+  g.g_acked <- (owner, serial) :: List.remove_assoc owner g.g_acked;
+  g.g_view <-
+    Some
+      { kv_owner = owner; kv_member = member; kv_incarnation = incarnation; kv_view = view }
 
 let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
   ensure_reply_service rt client;
@@ -142,6 +159,8 @@ let activate rt ~client ~uid ~impl ~policy ~servers ~stores =
           g_stores = stores;
           g_client = client;
           g_acked = [];
+          g_view = None;
+          g_on_write = ignore;
         }
 
 let live_members rt g =
@@ -174,13 +193,16 @@ let rpc_invoke rt g ~act ~write ~serial ~op server =
      would strand whatever the server staged. Enlisting a member that
      never saw the request is harmless: its completion no-ops. *)
   enlist_members act g;
+  (* Read before the call, so that a crash after the server answered
+     shows even if the node recovered before the reply landed. *)
+  let incarnation = Net.Network.incarnation (net rt) server in
   match
     Server.invoke rt.srv ~from:g.g_client ~server ~uid:g.g_uid
       ~action:(Action.Atomic.owner act) ~serial
       ~last_acked:(last_acked ~act g) ~write ~op
   with
-  | Ok (Server.Reply r) ->
-      record_acked ~act g serial;
+  | Ok (Server.Reply (r, view)) ->
+      answered ~act g ~serial ~member:server ~incarnation view;
       Ok r
   | Ok Server.Locked -> Error Lock_refused
   | Ok Server.State_lost -> Error Staged_lost
@@ -282,14 +304,17 @@ let mc_invoke rt g ~act ~write ~serial ~op =
             Sim.Ivar.read_timeout (eng rt) Lockmgr.Manager.wait_bound p.p_ivar
           with
           | Error _ -> Error (Unavailable "no replica answered")
-          | Ok (Server.Reply r) ->
-              record_acked ~act g serial;
-              Ok r
-          | Ok Server.Locked -> Error Lock_refused
-          | Ok Server.State_lost -> Error Staged_lost
-          | Ok Server.Settled -> Error (Unavailable "action already settled")
-          | Ok Server.Not_active -> Error (Unavailable "replica had no instance")
-          | Ok Server.Not_coordinator -> Error (Unavailable "unexpected cohort"))
+          | Ok { Server.mr_result; mr_replica; mr_incarnation; _ } -> (
+              match mr_result with
+              | Server.Reply (r, view) ->
+                  answered ~act g ~serial ~member:mr_replica
+                    ~incarnation:mr_incarnation view;
+                  Ok r
+              | Server.Locked -> Error Lock_refused
+              | Server.State_lost -> Error Staged_lost
+              | Server.Settled -> Error (Unavailable "action already settled")
+              | Server.Not_active -> Error (Unavailable "replica had no instance")
+              | Server.Not_coordinator -> Error (Unavailable "unexpected cohort")))
     in
     Hashtbl.remove rt.pending req;
     result
@@ -297,7 +322,11 @@ let mc_invoke rt g ~act ~write ~serial ~op =
 
 let invoke rt g ~act ?(write = true) op =
   Sim.Metrics.incr (metrics rt) "group.invocations";
+  if write then g.g_on_write ();
   let attempt () =
+    (* Whatever view an earlier reply carried, this attempt may change the
+       state behind it: only its own reply can say. *)
+    g.g_view <- None;
     (* A fresh serial per attempt: a [Locked] refusal never executed the
        op, so the retry is a brand-new invocation to the dedup table. *)
     let serial = fresh_serial rt in
@@ -328,7 +357,9 @@ let invoke rt g ~act ?(write = true) op =
   | Ok r -> r
   | Error _ -> Error Lock_refused
 
-let commit_view rt g ~act =
+(* Ask the live members for [act]'s view: the fallback when the last
+   reply's view cannot be used. *)
+let ask_view rt g ~act =
   let action = Action.Atomic.owner act in
   let acked = last_acked ~act g in
   (* Members are mutually consistent, so any holder's view is the view:
@@ -352,6 +383,21 @@ let commit_view rt g ~act =
       match Net.Rpc.first_answer (rpc rt) (live_members rt g) ask with
       | Some view -> Ok view
       | None -> Error "no functioning replica holds the action's state")
+
+let commit_view rt g ~act =
+  match g.g_view with
+  | Some k
+    when String.equal k.kv_owner (Action.Atomic.owner act)
+         (* A nested action's hook runs at its top-level ancestor's commit,
+            after its stage moved to the parent. *)
+         && Action.Action_id.is_top (Action.Atomic.id act)
+         && Net.Network.is_up (net rt) k.kv_member
+         && Net.Network.incarnation (net rt) k.kv_member = k.kv_incarnation ->
+      (* The reply to the action's last invocation through the binding
+         carried the view, and the member that built it has not crashed
+         since: it still holds the action's state as the reply left it. *)
+      Ok k.kv_view
+  | Some _ | None -> ask_view rt g ~act
 
 let passivate rt g ~from =
   ignore

@@ -26,6 +26,11 @@ val create : Server.runtime -> sequencer:Net.Network.node_id -> runtime
 
 val server_runtime : runtime -> Server.runtime
 
+type kept_view
+(** The commit view an answered invocation carried
+    ({!Server.invoke_result}), with its action and the member that
+    answered. *)
+
 type t = {
   g_uid : Store.Uid.t;
   g_impl : string;
@@ -37,6 +42,13 @@ type t = {
   mutable g_acked : (string * int) list;
       (** per action owner, the highest invocation serial answered
           through this binding; it lives and dies with the binding *)
+  mutable g_view : kept_view option;
+      (** the view the last answered invocation through this binding
+          carried; every invocation attempt clears it first *)
+  mutable g_on_write : unit -> unit;
+      (** run as each write invocation through this binding starts;
+          commit processing ({!Commit.attach}) sets it to announce its
+          copy-back to the group-commit plane *)
 }
 
 val activate :
@@ -79,8 +91,14 @@ val commit_view :
   t ->
   act:Action.Atomic.t ->
   (Server.commit_view, string) result
-(** The post-commit state from the first functioning replica; used by
-    commit processing to copy state to object stores. *)
+(** The post-commit state of the object under [act]; used by commit
+    processing to copy state to object stores. It is the view the reply
+    to [act]'s last invocation through [g] carried, when that was the
+    last invocation attempt through [g], [act] is top-level, and the
+    member that answered is up on the incarnation it answered from.
+    Otherwise (failover, a nested action's hook, a lost reply) it is
+    asked of the first functioning replica ({!Server.commit_view}),
+    which must have processed that invocation. *)
 
 val live_members : runtime -> t -> Net.Network.node_id list
 (** Members the failure detector currently believes are up. *)

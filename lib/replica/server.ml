@@ -2,19 +2,19 @@ type role = Plain | Coordinator | Cohort
 
 type activate_result = Activated of Store.Version.t | Activation_failed of string
 
-type invoke_result =
-  | Reply of string
-  | Locked
-  | Not_active
-  | Not_coordinator
-  | State_lost
-  | Settled
-
 type commit_view = {
   cv_payload : string;
   cv_version : Store.Version.t;
   cv_dirty : bool;
 }
+
+type invoke_result =
+  | Reply of string * commit_view
+  | Locked
+  | Not_active
+  | Not_coordinator
+  | State_lost
+  | Settled
 
 type mc_invoke = {
   mi_uid : Store.Uid.t;
@@ -30,6 +30,7 @@ type mc_invoke = {
 type mc_reply = {
   mr_req : int;
   mr_replica : Net.Network.node_id;
+  mr_incarnation : int;
   mr_result : invoke_result;
 }
 
@@ -425,8 +426,19 @@ let rec base_payload inst action =
       | Some i -> base_payload inst (String.sub action 0 i)
       | None -> inst.i_committed)
 
+(* The state as it will be if [action] commits: its own stage at the next
+   version, else the committed state, clean. *)
+let view_of inst action =
+  match Alist.find action inst.i_staged with
+  | Some staged ->
+      let cv_version = Store.Version.next inst.i_version ~committed_by:action in
+      { cv_payload = staged; cv_version; cv_dirty = true }
+  | None ->
+      { cv_payload = inst.i_committed; cv_version = inst.i_version; cv_dirty = false }
+
 (* Core invocation logic, shared by the RPC and multicast paths. Runs in a
-   fiber on the instance's node. *)
+   fiber on the instance's node. Every reply carries the action's commit
+   view as of the reply, so a commit right after it need not ask again. *)
 let do_invoke t h { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
   match find_instance h v_uid with
   | None -> Not_active
@@ -450,7 +462,9 @@ let do_invoke t h { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
       else
         let key = applied_key v_action v_serial in
         match Alist.find key inst.i_applied with
-        | Some cached -> Reply cached (* exactly-once across retries *)
+        | Some cached ->
+            (* exactly-once across retries *)
+            Reply (cached, view_of inst v_action)
         | None -> (
             Action.Termination.touch h.h_term ~scope:(scope inst) ~action:v_action;
             let mode = if v_write then Lockmgr.Mode.Write else Lockmgr.Mode.Read in
@@ -487,7 +501,7 @@ let do_invoke t h { v_uid; v_action; v_serial; v_last_acked; v_write; v_op } =
                 inst.i_applied <- Alist.replace key reply inst.i_applied;
                 Sim.Metrics.incr (metrics t) "server.invocations";
                 if t.eager_checkpoints then checkpoint_to_cohorts t inst;
-                Reply reply))
+                Reply (reply, view_of inst v_action)))
 
 let apply_checkpoint t h msg =
   let fresh_enough inst = msg.k_stamp > inst.i_ckpt_stamp in
@@ -639,20 +653,7 @@ let do_view t h { cw_uid; cw_action; cw_last_acked } =
          cohort). *)
       Sim.Metrics.incr (metrics t) "server.view_behind";
       None
-  | Some inst -> (
-      match Alist.find cw_action inst.i_staged with
-      | Some staged ->
-          let cv_version =
-            Store.Version.next inst.i_version ~committed_by:cw_action
-          in
-          Some { cv_payload = staged; cv_version; cv_dirty = true }
-      | None ->
-          Some
-            {
-              cv_payload = inst.i_committed;
-              cv_version = inst.i_version;
-              cv_dirty = false;
-            })
+  | Some inst -> Some (view_of inst cw_action)
 
 let instance_quiescent inst =
   inst.i_staged = [] && holders_snapshot inst = []
@@ -743,7 +744,12 @@ let install_host t node =
           }
       in
       Net.Rpc.notify rpc ~from:node ~dst:mi.mi_reply_to t.ep_reply
-        { mr_req = mi.mi_req; mr_replica = node; mr_result = result });
+        {
+          mr_req = mi.mi_req;
+          mr_replica = node;
+          mr_incarnation = Net.Network.incarnation (net t) node;
+          mr_result = result;
+        });
   Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
     ~kind:resource_kind (make_manager t h);
   (* Instances are volatile: destroy them on crash — a recovered node

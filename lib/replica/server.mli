@@ -92,8 +92,17 @@ val activate :
     creation). [members] is the activated replica group (used by cohorts
     to arrange self-promotion). Idempotent. *)
 
+type commit_view = {
+  cv_payload : string;
+  cv_version : Store.Version.t;
+  cv_dirty : bool;  (** the action staged a write *)
+}
+
 type invoke_result =
-  | Reply of string
+  | Reply of string * commit_view
+      (** the operation's reply, and the invoking action's commit view as
+          the reply left it: what {!val-commit_view} would answer right
+          after it *)
   | Locked  (** lock wait timed out: advisory to abort *)
   | Not_active  (** no instance here: stale binding *)
   | Not_coordinator  (** coordinator-cohort: retry at the coordinator *)
@@ -123,12 +132,6 @@ val invoke :
     action the client has seen answered (0 if none), used for the
     {!State_lost} detection. *)
 
-type commit_view = {
-  cv_payload : string;
-  cv_version : Store.Version.t;
-  cv_dirty : bool;  (** the action staged a write *)
-}
-
 val commit_view :
   runtime ->
   from:Net.Network.node_id ->
@@ -140,7 +143,9 @@ val commit_view :
 (** The state as it will be if [action] commits — what commit processing
     copies to the object stores. [None] if no instance, or if the replica
     has not yet processed the action's [last_acked] invocation (it is
-    behind the totally-ordered stream; ask another replica or retry). *)
+    behind the totally-ordered stream; ask another replica or retry).
+    Commit processing asks only when it cannot use the view the action's
+    last answered invocation carried ({!Group.commit_view}). *)
 
 val role_of :
   runtime ->
@@ -185,7 +190,12 @@ val invoke_channel : runtime -> mc_invoke Net.Multicast.channel
 (** The group channel on which replicas listen for totally-ordered
     invocations; hosts installed with [install_host] are listening. *)
 
-type mc_reply = { mr_req : int; mr_replica : Net.Network.node_id; mr_result : invoke_result }
+type mc_reply = {
+  mr_req : int;
+  mr_replica : Net.Network.node_id;
+  mr_incarnation : int;  (** the replica's incarnation when it answered *)
+  mr_result : invoke_result;
+}
 
 val reply_endpoint : runtime -> (mc_reply, unit) Net.Rpc.endpoint
 (** Endpoint replicas use to return multicast invocation results; the

@@ -137,16 +137,20 @@ let test_record_outlives_a_lost_phase2_reply () =
    vote gets back (its replies to c are cut until then), so the vote
    ends [Crashed] and the commit goes ahead on beta1 alone. beta2's
    intent log survives the crash; it gets no phase-2 leg, so the record
-   is pinned, and on recovery beta2 hears "commit". *)
+   is pinned, and on recovery beta2 hears "commit". The crash comes 1.5
+   (the longest one-way latency) after the poll first sees the prepare
+   staged, so the vote has met the cut by then whatever the poll's phase
+   against the commit. *)
 let test_crashed_prepare_pins_the_record () =
   let crash_mid_prepare (w : Test_replica.world) =
     let log = Store_host.log w.sh "beta2" in
     Net.Network.set_oneway_cut w.net ~src:"beta2" ~dst:"c" true;
     let rec poll () =
-      if Intent_log.in_doubt log <> [] then begin
-        Net.Network.set_oneway_cut w.net ~src:"beta2" ~dst:"c" false;
-        Net.Fault.crash_for w.net ~at:(Sim.Engine.now w.eng) ~duration:20.0 "beta2"
-      end
+      if Intent_log.in_doubt log <> [] then
+        Sim.Engine.schedule w.eng ~delay:1.5 (fun () ->
+            Net.Network.set_oneway_cut w.net ~src:"beta2" ~dst:"c" false;
+            Net.Fault.crash_for w.net ~at:(Sim.Engine.now w.eng) ~duration:20.0
+              "beta2")
       else if Sim.Engine.now w.eng < 100.0 then
         Sim.Engine.schedule w.eng ~delay:0.5 poll
     in

@@ -115,9 +115,10 @@ let test_singleton_matches_solo () =
 (* The singleton scatter carries the action deadline: under a gray-failure
    profile servers shed expired work, so a lone commit whose prepares reach the
    stores after its deadline is refused there. Fixed unit latency makes the
-   timing exact: the commit starts 1.5 before the deadline, its commit-view
-   request lands 0.5 before it, and the prepares land 3.5 after it, behind
-   the commit-view and St-snapshot round trips. *)
+   timing exact: the commit starts 0.5 before the deadline and the prepares
+   land 0.5 after it. Nothing comes before them: the commit view rode the
+   invocation's reply, and the first copy-back attempt targets the St pair
+   of the bind's counted reply. *)
 
 let test_singleton_prepare_carries_deadline () =
   let w =
@@ -136,7 +137,7 @@ let test_singleton_prepare_carries_deadline () =
           ~scheme:Scheme.Independent ~policy:Replica.Policy.Single_copy_passive
           ~uid (fun act group ->
             ignore (Service.invoke w group ~act "add 1");
-            Sim.Engine.sleep eng (deadline -. 1.5 -. Sim.Engine.now eng)));
+            Sim.Engine.sleep eng (deadline -. 0.5 -. Sim.Engine.now eng)));
   Service.run w;
   check_bool "expired commit refused" true (Result.is_error !r);
   check_bool "store prepares shed" true

@@ -601,6 +601,36 @@ let test_end_cancels_queued_request () =
   check_string "its wait ran out" "refused" !outcome;
   check_bool "no lock left" true (Gvd.residual_locks gvd = [])
 
+(* A nested action reads under a lock, and the transfer of its locks to
+   its parent is lost: a one-way cut drops the request while the shard
+   stays up. The child's lock then outlives it at the shard, and ends
+   with the parent's end there, here its read-only vote. *)
+let test_lost_transfer_ends_with_the_parent () =
+  let w = small_world () in
+  let uid = counter_object w "ctr" in
+  let gvd = Service.gvd w and eng = Service.engine w and net = Service.network w in
+  let child_holds = ref false and outcome = ref (Error "never ran") in
+  Service.spawn_client w "c1" (fun () ->
+      outcome :=
+        Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
+            let child = ref "" in
+            ignore
+              (Action.Atomic.atomically_nested act (fun c ->
+                   child := Action.Atomic.owner c;
+                   ignore (Gvd.get_server gvd ~act:c uid);
+                   Net.Network.set_oneway_cut net ~src:"c1" ~dst:"ns" true;
+                   Sim.Engine.schedule eng ~delay:5.0 (fun () ->
+                       Net.Network.set_oneway_cut net ~src:"c1" ~dst:"ns" false)));
+            Sim.Engine.sleep eng 10.0;
+            child_holds :=
+              List.exists
+                (fun (_, holders) -> List.mem_assoc !child holders)
+                (Gvd.residual_locks gvd)));
+  Service.run w;
+  check_bool "committed" true (!outcome = Ok ());
+  check_bool "the child's lock outlived its transfer" true !child_holds;
+  check_bool "no lock left" true (Gvd.residual_locks gvd = [])
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end binding under each scheme *)
 
@@ -1282,6 +1312,8 @@ let suite =
         tc "commit wakes the st: waiter first" `Quick test_commit_wakes_st_first;
         tc "abort wakes the st: waiter first" `Quick test_abort_wakes_st_first;
         tc "an end cancels a queued request" `Quick test_end_cancels_queued_request;
+        tc "a lost transfer ends with the parent" `Quick
+          test_lost_transfer_ends_with_the_parent;
       ] );
     ( "naming.schemes",
       [

@@ -154,6 +154,75 @@ let test_nested_invocations_share_a_binding () =
   check_bool "committed" true (!outcome = Ok ());
   Alcotest.(check (option string)) "committed 3" (Some "3") (store_payload w "beta" uid)
 
+let counter w name = Sim.Metrics.counter (Net.Network.metrics w.net) name
+
+(* The reply to the invocation carries the commit view, so a fault-free
+   commit asks no replica for it: it sends no [server.commit_view] round
+   trip, two messages fewer than when every commit asked. *)
+let test_commit_view_rides_the_reply () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta1"; "beta2" ] in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ]
+                ~stores:[ "beta1"; "beta2" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g -> (
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                match Group.invoke w.grt g ~act "incr" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  Alcotest.(check (option string)) "beta1" (Some "1") (store_payload w "beta1" uid);
+  Alcotest.(check (option string)) "beta2" (Some "1") (store_payload w "beta2" uid);
+  check_int "no commit-view round trip" 0 (counter w "rpc.op.server.commit_view");
+  check_int "messages" 18 (counter w "net.msgs")
+
+(* A parent invokes, then its nested child invokes through the same
+   binding and commits. The binding's last reply is the child's, so the
+   top-level commit asks the server for the parent's view: the parent's
+   own first reply is stale, and the child's names the child. *)
+let test_child_view_is_not_the_parent's () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  let parent = ref "" in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            parent := Action.Atomic.owner act;
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ] ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                let incr act =
+                  match Group.invoke w.grt g ~act "incr" with
+                  | Ok _ -> ()
+                  | Error _ -> raise (Action.Atomic.Abort "invoke failed")
+                in
+                incr act;
+                match Action.Atomic.atomically_nested act incr with
+                | Ok () -> ()
+                | Error why -> raise (Action.Atomic.Abort why)));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  Alcotest.(check (option string)) "the stores read 2" (Some "2") (store_payload w "beta" uid);
+  (match Object_store.read (Action.Store_host.objects w.sh "beta") uid with
+  | Some st ->
+      check_string "committed by the parent" !parent
+        st.Object_state.version.Version.committed_by
+  | None -> Alcotest.fail "beta holds no state");
+  check_int "the commit asked for the view" 1 (counter w "rpc.op.server.commit_view")
+
 let test_single_copy_server_crash_aborts () =
   let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
@@ -387,7 +456,7 @@ let test_node_lock_table_ends_actions_per_instance () =
       Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action ~serial
         ~last_acked:0 ~write:true ~op:"incr"
     with
-    | Ok (Server.Reply r) -> r
+    | Ok (Server.Reply (r, _)) -> r
     | Ok _ | Error _ -> Alcotest.fail "unexpected invoke result"
   in
   let commit uid =
@@ -513,6 +582,39 @@ let test_active_masks_replica_crash () =
   check_bool "committed" true (!outcome = Ok ());
   Alcotest.(check (option string)) "store has both" (Some "12") (store_payload w "beta" uid)
 
+(* a2 is browned out, so a1 answers the deposit first; a1 then crashes
+   before the commit. Its reply's view is of no use any more, and the
+   commit asks a2, which holds the same state once the ordered stream
+   reaches it. *)
+let test_active_answerer_crash_falls_back () =
+  let w = make_world ~servers:[ "a1"; "a2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
+  Net.Network.set_brownout w.net ~prob:1.0 ~lo:5.0 ~hi:5.0 "a2";
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"account"
+                ~policy:(Policy.Active 2) ~servers:[ "a1"; "a2" ] ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                (match Group.invoke w.grt g ~act "deposit 5" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
+                check_int "a1 alone has run the deposit" 1
+                  (counter w "server.invocations");
+                Net.Network.crash w.net "a1"));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  check_bool "asked a2 for the view" true (counter w "rpc.op.server.commit_view" >= 1);
+  Alcotest.(check (option string)) "store" (Some "5") (store_payload w "beta" uid);
+  Alcotest.(check (option string))
+    "a2 committed" (Some "5")
+    (Server.instance_payload w.srv ~node:"a2" ~uid)
+
 let test_active_all_replicas_down_fails () =
   let w = make_world ~servers:[ "a1"; "a2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
   let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
@@ -598,6 +700,46 @@ let test_cc_failover_continues_action () =
   check_int "one promotion" 1
     (Sim.Metrics.counter (Net.Network.metrics w.net) "server.promotions");
   Alcotest.(check (option string)) "store final" (Some "42") (store_payload w "beta" uid)
+
+(* The coordinator crashes between the deposit's reply and the commit.
+   The reply's view died with it, so the commit asks the promoted cohort:
+   with lazy checkpoints k2 never saw the deposit and the action aborts,
+   with eager ones k2 holds it and the action commits. *)
+let cc_crash_before_commit ~eager =
+  let w = make_world ~servers:[ "k1"; "k2" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  Server.set_eager_checkpoints w.srv eager;
+  let uid = new_object w ~label:"acct" ~payload:"0" ~stores:[ "beta" ] in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"account"
+                ~policy:(Policy.Coordinator_cohort 2) ~servers:[ "k1"; "k2" ]
+                ~stores:[ "beta" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g ->
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                (match Group.invoke w.grt g ~act "deposit 30" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "invoke failed"));
+                Net.Network.crash w.net "k1"));
+  Sim.Engine.run w.eng;
+  check_bool "asked the cohort for the view" true
+    (counter w "rpc.op.server.commit_view" >= 1);
+  (w, uid, !outcome)
+
+let test_cc_crash_before_commit () =
+  let w, uid, outcome = cc_crash_before_commit ~eager:false in
+  check_bool "lazy: aborted" true (Result.is_error outcome);
+  Alcotest.(check (option string)) "lazy: store unchanged" (Some "0") (store_payload w "beta" uid);
+  let w, uid, outcome = cc_crash_before_commit ~eager:true in
+  check_bool "eager: committed" true (outcome = Ok ());
+  Alcotest.(check (option string)) "eager: store" (Some "30") (store_payload w "beta" uid);
+  Alcotest.(check (option string))
+    "eager: promoted cohort" (Some "30")
+    (Server.instance_payload w.srv ~node:"k2" ~uid)
 
 (* The crashed coordinator's instance stays registered as the resource
    manager on its node until the object is activated there again. When
@@ -892,6 +1034,9 @@ let suite =
         tc "commit writes all stores" `Quick test_single_copy_commit_writes_all_stores;
         tc "parent, child and parent share a binding" `Quick
           test_nested_invocations_share_a_binding;
+        tc "the commit view rides the reply" `Quick test_commit_view_rides_the_reply;
+        tc "a child's view is not the parent's" `Quick
+          test_child_view_is_not_the_parent's;
         tc "server crash aborts" `Quick test_single_copy_server_crash_aborts;
         tc "server crash and recovery aborts" `Quick
           test_single_copy_server_recovered_aborts;
@@ -911,12 +1056,15 @@ let suite =
       [
         tc "replicas stay consistent" `Quick test_active_replicas_stay_consistent;
         tc "masks replica crash" `Quick test_active_masks_replica_crash;
+        tc "a crashed answerer's view falls back" `Quick
+          test_active_answerer_crash_falls_back;
         tc "all replicas down fails" `Quick test_active_all_replicas_down_fails;
       ] );
     ( "replica.coordinator_cohort",
       [
         tc "normal operation checkpoints" `Quick test_cc_normal_operation_checkpoints;
         tc "failover continues action" `Quick test_cc_failover_continues_action;
+        tc "a coordinator crash before commit" `Quick test_cc_crash_before_commit;
         tc "dead instance ignores phase 2" `Quick test_cc_dead_instance_ignores_phase2;
         tc "promotion skips ended holders" `Quick
           test_cc_promotion_skips_ended_holders;
