@@ -284,25 +284,25 @@ let release t ~node ~op call =
 
 (* Abort: undo newest-first (strictly serial — each undo may depend on
    the effects of later-installed ones), then tell every participant and
-   every resource, each stage as one parallel fan-out. *)
+   every resource in one parallel fan-out. *)
 let abort t ~reason =
   if t.st = Running then begin
     t.st <- Aborted;
     tracef t "%s abort: %s" (owner t) reason;
     Sim.Metrics.incr (metrics t) "action.aborts";
     List.iter (fun undo -> undo ()) t.undo_hooks;
-    let eng = engine t.rt in
+    let action = owner t in
     ignore
-      (Sim.Join.all eng
-         (List.map (fun p () -> p.pa_abort ()) (List.rev t.participants)));
-    ignore
-      (Sim.Join.all eng
-         (List.map
-            (fun e () ->
-              release t ~node:e.en_node ~op:"action.release_abort" (fun () ->
-                  Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
-                    ~kind:e.en_kind ~scope:e.en_scope ~action:(owner t)))
-            (List.rev t.enlisted)));
+      (Sim.Join.all (engine t.rt)
+         (List.fold_right
+            (fun p tasks -> (fun () -> p.pa_abort ()) :: tasks)
+            (List.rev t.participants)
+            (List.map
+               (fun e () ->
+                 release t ~node:e.en_node ~op:"action.release_abort" (fun () ->
+                     Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
+                       ~kind:e.en_kind ~scope:e.en_scope ~action))
+               (List.rev t.enlisted))));
     deactivate t;
     List.iter (fun post -> post ()) (List.rev t.post_abort_hooks)
   end
@@ -456,20 +456,24 @@ let commit_top t =
           t.st <- Committed;
           if tracing t then tracef t "%s commit" action;
           Sim.Metrics.incr (metrics t) "action.commits";
-          (* Phase 2, scattered: best effort; a crashed participant
-             resolves through recovery against our decision record. *)
+          (* Phase 2, one scatter: every participant's leg and every
+             resource's release at once, so the stores' state copy and the
+             server's lock release leave together. Best effort; a crashed
+             participant resolves through recovery against our decision
+             record. *)
           ignore
             (Sim.Join.all eng
-               (List.map (fun p () -> p.pa_commit ()) participants));
-          ignore
-            (Sim.Join.all eng
-               (List.map
-                  (fun e () ->
-                    release t ~node:e.en_node ~op:"action.release_commit"
-                      (fun () ->
-                        Resource_host.commit t.rt.rh ~from:t.coord ~node:e.en_node
-                          ~kind:e.en_kind ~scope:e.en_scope ~action))
-                  resources));
+               (List.fold_right
+                  (fun p tasks -> (fun () -> p.pa_commit ()) :: tasks)
+                  participants
+                  (List.map
+                     (fun e () ->
+                       release t ~node:e.en_node ~op:"action.release_commit"
+                         (fun () ->
+                           Resource_host.commit t.rt.rh ~from:t.coord
+                             ~node:e.en_node ~kind:e.en_kind ~scope:e.en_scope
+                             ~action))
+                     resources)));
           unclaim t;
           List.iter (fun post -> post ()) (List.rev t.post_hooks);
           Ok ())

@@ -27,7 +27,7 @@ type prepare_req = {
   pr_writes : (Store.Uid.t * Store.Object_state.t) list;
 }
 
-type vote = Vote_yes | Vote_stale
+type vote = Vote_yes | Vote_blocked | Vote_stale
 
 type t = {
   rpc_rt : Net.Rpc.t;
@@ -108,14 +108,33 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
      admitting a second writer for the same object would let two
      different version-(n+1) states both commit (the apply order, not the
      validation, would then pick the survivor). *)
-  let reserved (uid, _) =
-    List.exists
+  let others uid =
+    List.filter
       (fun a -> not (String.equal a pr_action))
       (Store.Intent_log.pending_writers h.h_log uid)
   in
+  let reserved (uid, _) = others uid <> [] in
+  (* A write that succeeds a reserved state waits on that reservation's
+     phase 2 rather than on a stale activation: the server released the
+     object at the reserving action's decision, before its phase 2 got
+     here. *)
+  let follows_reserved (uid, state) =
+    let incoming = state.Store.Object_state.version.Store.Version.counter in
+    List.exists
+      (fun a ->
+        match Store.Intent_log.prepared h.h_log ~action:a with
+        | None -> false
+        | Some { Store.Intent_log.writes; _ } -> (
+            match List.assoc_opt uid writes with
+            | Some staged ->
+                staged.Store.Object_state.version.Store.Version.counter + 1
+                = incoming
+            | None -> false))
+      (others uid)
+  in
   List.iter
     (fun ((uid, state) as w) ->
-      if not (valid w) then
+      if not (valid w || follows_reserved w) then
         Sim.Trace.recordf (Net.Network.trace netw)
           ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
           "%s: %s stale prepare of %s (incoming %s vs stored %s)" node
@@ -128,10 +147,7 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
         Sim.Trace.recordf (Net.Network.trace netw)
           ~now:(Sim.Engine.now (Net.Network.engine netw)) ~tag:"store"
           "%s: %s blocked by reservation of [%s] on %s" node pr_action
-          (String.concat ","
-             (List.filter
-                (fun a -> not (String.equal a pr_action))
-                (Store.Intent_log.pending_writers h.h_log uid)))
+          (String.concat "," (others uid))
           (Store.Uid.to_string uid))
     pr_writes;
   if List.for_all valid pr_writes && not (List.exists reserved pr_writes)
@@ -152,16 +168,19 @@ let prepare_one t h node { pr_action; pr_coordinator; pr_writes } =
            (fun (uid, _) ->
              List.filter_map
                (fun a ->
-                 if String.equal a pr_action then None
-                 else
-                   Option.map
-                     (fun { Store.Intent_log.coordinator; _ } -> (a, coordinator))
-                     (Store.Intent_log.prepared h.h_log ~action:a))
-               (Store.Intent_log.pending_writers h.h_log uid))
+                 Option.map
+                   (fun { Store.Intent_log.coordinator; _ } -> (a, coordinator))
+                   (Store.Intent_log.prepared h.h_log ~action:a))
+               (others uid))
            pr_writes)
     in
     if blockers <> [] then h.h_hooks.blocked blockers;
-    Vote_stale
+    (* Refused only by reservations: every write succeeds the committed
+       state or a reserved one, so the writer may ask again once the
+       reservations have ended. *)
+    if List.for_all (fun w -> valid w || follows_reserved w) pr_writes then
+      Vote_blocked
+    else Vote_stale
   end
 
 let add t node =

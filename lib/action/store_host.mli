@@ -50,13 +50,21 @@ val read :
 
 (** A participant's phase-1 vote. [Vote_yes] stages the write.
 
-    [Vote_stale] is backward validation:
-    the incoming state's version is not the direct successor of what the
-    store holds, meaning the writer worked from a stale activation (e.g.
+    [Vote_blocked]: the prepare was refused only because another
+    action's prepare of the same object is pending (a write reservation),
+    and every write is the direct successor of the committed state or of
+    a reserved one. The server releases an object's lock at its writer's
+    decision, so the next writer's prepare can reach a store before the
+    previous writer's phase 2 does; it stages nothing, and the writer may
+    prepare again once the reservation has ended.
+
+    [Vote_stale] is backward validation, and every other refusal:
+    the incoming state's version succeeds neither the committed state nor
+    a reserved one, meaning the writer worked from a stale activation (e.g.
     two clients activated disjoint replica sets during churn — the
     split-brain the Arjuna lock store prevents physically). The action
     must abort; excluding the store would be wrong, it is healthy. *)
-type vote = Vote_yes | Vote_stale
+type vote = Vote_yes | Vote_blocked | Vote_stale
 
 type prepare_req = {
   pr_action : string;
@@ -69,7 +77,8 @@ type prepare_req = {
     list of one — and the store answers one vote per sub-record, in
     order. Validation, write reservations, intent-log staging, the
     termination hooks and duplicate-delivery replacement all run
-    per sub-record, so one action's refusal ([Vote_stale]) affects only
+    per sub-record, so one action's refusal ([Vote_blocked],
+    [Vote_stale]) affects only
     its own vote. A [store.commit] round
     likewise carries a list of actions, each applied idempotently. *)
 

@@ -9,7 +9,7 @@ let add act ~store ~writes =
         Store_host.prepare sh ~from ~store ~action ~coordinator:from (writes ())
       with
       | Ok Store_host.Vote_yes -> true
-      | Ok Store_host.Vote_stale | Error _ -> false)
+      | Ok (Store_host.Vote_blocked | Vote_stale) | Error _ -> false)
     ~commit:(fun () ->
       Atomic.release act ~node:store ~op:"action.release_commit" (fun () ->
           Store_host.commit sh ~from ~store ~action))

@@ -83,5 +83,5 @@ let add_store t ~from ~uid node =
               [ (uid, state) ]
           with
           | Ok Action.Store_host.Vote_yes -> ()
-          | Ok Action.Store_host.Vote_stale | Error _ ->
+          | Ok (Action.Store_host.Vote_blocked | Vote_stale) | Error _ ->
               raise (Administrative (Unavailable ("cannot copy state to " ^ node)))))

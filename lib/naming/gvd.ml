@@ -846,6 +846,8 @@ let accept_handoff t ho =
 
 let settle_handoff t uid = Hashtbl.remove t.unsettled (Store.Uid.serial uid)
 
+let unsettled_handoff t uid = Hashtbl.find_opt t.unsettled (Store.Uid.serial uid)
+
 let handoff_out t ~from ~uid ~dest =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_handoff
     { hr_uid = uid; hr_dest = dest }

@@ -390,6 +390,10 @@ val settle_handoff : t -> Store.Uid.t -> unit
     (direct, no network): drop the kept image; the [Moved] marker
     stays. *)
 
+val unsettled_handoff : t -> Store.Uid.t -> handoff option
+(** On the source of a handoff, the image it keeps for [uid] because the
+    destination has not installed it yet (direct, no network). *)
+
 val owns : t -> Store.Uid.t -> bool
 (** Whether this instance currently holds the entry for [uid]. *)
 

@@ -57,6 +57,20 @@ type failure = Busy of string | Refused of string | Unreachable of string
 
 let failure_to_string = function Busy why | Refused why | Unreachable why -> why
 
+(* With no rebalance running, an unsettled handoff is stranded: the
+   rebalance's node crashed between the source's grant and the
+   install, and nothing else would ever install it. The entry is on no
+   shard, and a request chasing its marker would bounce until the map
+   looks unstable, so the first request to follow the marker installs
+   it. *)
+let finish_stranded t ~src ~dest uid =
+  match Gvd.unsettled_handoff src uid with
+  | Some ho ->
+      Sim.Metrics.incr (metrics t) "router.stranded_handoffs";
+      Gvd.accept_handoff dest ho;
+      Gvd.settle_handoff src uid
+  | None -> ()
+
 (* Shard a uid-keyed operation: run [call] against the owning instance,
    follow [Moved] hints, and absorb the migration window. [Moved] never
    reaches callers — an unresolvable bounce (exhausted retries, hint at an
@@ -84,7 +98,9 @@ let dispatch t ~uid (call : Gvd.t -> ('a Gvd.reply, Net.Rpc.error) result) =
         if !bounces < 0 then Ok (Error (Refused "shard map unstable"))
         else
           match gvd_for t dest with
-          | Some g' -> chase g'
+          | Some g' ->
+              if not t.rt_migrating then finish_stranded t ~src:g ~dest:g' uid;
+              chase g'
           | None -> Ok (Error (Refused ("moved to unknown shard " ^ dest))))
   in
   match
@@ -218,6 +234,11 @@ let rebalance t ~from nodes =
   let m = metrics t in
   Sim.Metrics.incr m "router.rebalances";
   t.rt_migrating <- true;
+  (* A crash of [from] ends this rebalance wherever it stands: the map
+     keeps its old owners and requests follow the markers, finishing a
+     handoff it left stranded. *)
+  let net = Action.Atomic.network t.rt_art in
+  let watch = Net.Network.watch_crash net from (fun () -> t.rt_migrating <- false) in
   (* Migrate every entry whose owner changes. In-flight binds keep
      running: busy entries are retried until their locks drain, racing
      requests ride the Moved bounce. *)
@@ -236,7 +257,8 @@ let rebalance t ~from nodes =
   (* Flip only after the data moved: lookups under the old map are healed
      by Moved markers, lookups under the new map find the entries home. *)
   t.rt_map <- new_map;
-  t.rt_migrating <- false
+  t.rt_migrating <- false;
+  Net.Network.unwatch net watch
 
 let reset_map t nodes =
   if all_uids t <> [] then

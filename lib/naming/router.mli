@@ -118,8 +118,11 @@ val rebalance : t -> from:Net.Network.node_id -> Net.Network.node_id list -> uni
     changes is handed off shard-to-shard without quiescing in-flight
     binds — lock-busy entries are retried until their actions drain, and
     requests racing a migration are healed by the [Moved] bounce. The
-    map flips only after all entries have moved. Must run in a fiber on
-    [from]. *)
+    map flips only after all entries have moved. A crash of [from] ends
+    the rebalance where it stands, with the old map; a handoff it left
+    granted but not installed is installed by the first request that
+    follows its marker ([router.stranded_handoffs]). Must run in a
+    fiber on [from]. *)
 
 val reset_map : t -> Net.Network.node_id list -> unit
 (** Setup-time only: point the map at a subset of the naming nodes before

@@ -120,14 +120,15 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
             ~abort:(fun () ->
               Option.iter (fun (_, p2) -> Groupcommit.leave gc p2) !sealed;
               abort_reached ~keep:[]);
-          (* One copy-back attempt: take a committed [St] and its
-             revision from [snapshot_stores], scatter the prepares
+          (* One copy-back attempt against a committed [St] and its
+             revision, taken from [snapshot_stores]: scatter the prepares
              against it, detect staleness, exclude unreachable stores,
              then validate the revision inside the prepare round. A
-             conflict retries at once against fresh [St]; after
-             [max_attempts] conflicts the commit aborts. *)
-          let rec attempt n =
-            match snapshot_stores () with
+             conflict retries at once against fresh [St]; a store's
+             blocked vote retries the prepare against the same pair.
+             After [max_attempts] attempts the commit aborts. *)
+          let rec attempt n stores =
+            match stores with
             | Error why -> Error ("commit-time St read: " ^ why)
             | Ok (current_st, rev) -> (
                 List.iter
@@ -150,28 +151,31 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                 in
                 Sim.Metrics.observe metrics "commit.fanout"
                   (Sim.Engine.now eng -. scattered);
-                let ok, stale, failed =
+                let ok, blocked, stale, failed =
                   List.fold_left
-                    (fun (ok, stale, failed) (store, vote) ->
+                    (fun (ok, blocked, stale, failed) (store, vote) ->
                       match vote with
                       | Ok Action.Store_host.Vote_yes ->
                           reach store `Answered;
-                          (store :: ok, stale, failed)
+                          (store :: ok, blocked, stale, failed)
+                      | Ok Action.Store_host.Vote_blocked ->
+                          (ok, true, stale, failed)
                       | Ok Action.Store_host.Vote_stale ->
-                          (ok, store :: stale, failed)
+                          (ok, blocked, true, failed)
                       | Error e ->
                           if e = Net.Rpc.Timed_out then reach store `Timed_out
                           else if e = Net.Rpc.Crashed || List.mem store peeled_yes
                           then unheard := store :: !unheard;
-                          (ok, stale, store :: failed))
-                    ([], [], []) votes
+                          (ok, blocked, stale, store :: failed))
+                    ([], false, false, []) votes
                 in
                 let ok = List.rev ok and failed = List.rev failed in
-                let conflict () =
-                  if n + 1 < max_attempts then attempt (n + 1)
-                  else Error "St kept changing"
+                let again why next =
+                  if n + 1 < max_attempts then attempt (n + 1) (next ())
+                  else Error why
                 in
-                if stale <> [] then begin
+                let conflict () = again "St kept changing" snapshot_stores in
+                if stale then begin
                   (* Backward validation failed: this action worked from a stale
                      activation (disjoint replica sets during churn — the
                      split-brain Arjuna's persistent lock store physically
@@ -187,6 +191,14 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                                ~from:client ~server:m ~uid:group.Group.g_uid))
                         (Group.live_members rt group));
                   Error "stale activation: version conflict at object stores"
+                end
+                else if blocked then begin
+                  (* Another action's prepare holds the object at a store
+                     and its outcome has not reached it yet: prepare again
+                     against the same St. *)
+                  Sim.Metrics.incr metrics "commit.blocked";
+                  again "blocked by a pending write at object stores" (fun () ->
+                      stores)
                 end
                 else if ok = [] then Error "all object stores unavailable at commit"
                 else
@@ -214,6 +226,6 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                           sealed := Some (ok, Groupcommit.expect_phase2 gc ~client);
                           Ok ()))
           in
-          attempt 0
+          attempt 0 (snapshot_stores ())
       in
       Fun.protect ~finally:settle body)

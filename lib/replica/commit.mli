@@ -60,7 +60,13 @@ val attach :
     [snapshot_stores] answers only once the holder has ended
     ({!Naming.Gvd.read} [Settled]): a membership change's catch-up can
     hold the fence far longer than three immediate attempts take. Three
-    conflicting attempts abort the commit ("St kept changing"). Metrics:
+    conflicting attempts abort the commit ("St kept changing"). A store
+    that votes {!Action.Store_host.Vote_blocked} (another action's
+    prepare of the object is pending there, its phase 2 still on the
+    way) makes the attempt prepare again against the same pair, within
+    the same three attempts ([commit.blocked]); one that votes
+    [Vote_stale] aborts the commit ("stale activation") and passivates
+    the group's instances. Metrics:
     [commit.validate_ok] / [commit.validate_conflict].
 
     Nothing is withdrawn between attempts: a retry re-stages the same

@@ -54,9 +54,10 @@ type instance = {
      actions, bounded: a ring of distinct action ids, grown up to its cap
      and then overwritten oldest first. An invocation of a settled action
      must be refused: it is a straggler — a duplicated multicast
-     delivery, or a fiber that sat parked on the instance lock while its
-     action timed out and aborted — and executing it would stage payload
-     and take locks that no completion will ever clean up. *)
+     delivery, one delayed past its action's end and the instance's
+     passivation, or a fiber that sat parked on the instance lock while
+     its action timed out and aborted — and executing it would stage
+     payload and take locks that no completion will ever clean up. *)
   mutable i_settled : string array;
   mutable i_settled_n : int; (* distinct actions ever settled here *)
 }
@@ -68,6 +69,11 @@ type instance = {
 and host = {
   h_node : Net.Network.node_id;
   h_instances : (string, instance) Hashtbl.t;
+  (* The tombstones (ring and count) a passivated instance left, by
+     scope: a straggler can outlive the instance it was cast to, and the
+     object's next activation here takes them over. A crash empties it
+     with the instances. *)
+  mutable h_passivated : (string * (string array * int)) list;
   mutable h_locks : Lockmgr.Manager.t;
   h_term : Action.Termination.t; (* one termination scope per instance *)
 }
@@ -193,23 +199,30 @@ let applied_key action serial = action ^ "#" ^ string_of_int serial
    dozens of actions later. *)
 let settled_cap = 64
 
-let is_settled inst action =
-  let ring = inst.i_settled in
+let tombstoned ring n action =
   let rec scan i = i >= 0 && (String.equal ring.(i) action || scan (i - 1)) in
-  scan (min inst.i_settled_n settled_cap - 1)
+  scan (min n settled_cap - 1)
 
-(* The ring doubles from 4 slots while it fills, so an instance that sees
-   few actions holds few slots; once full, slot [n mod settled_cap] holds
-   the oldest. *)
+let is_settled inst action = tombstoned inst.i_settled inst.i_settled_n action
+
+(* A ring of [n] tombstones with room for one more at slot
+   [n mod settled_cap]. The ring doubles from 4 slots while it fills, so
+   an instance that sees few actions holds few slots; once full, that slot
+   holds the oldest. *)
+let room ring n =
+  if n < settled_cap && n = Array.length ring then begin
+    let grown = Array.make (min settled_cap (max 4 (2 * n))) "" in
+    Array.blit ring 0 grown 0 n;
+    grown
+  end
+  else ring
+
 let settle_action inst action =
   if not (is_settled inst action) then begin
     let n = inst.i_settled_n in
-    if n < settled_cap && n = Array.length inst.i_settled then begin
-      let grown = Array.make (min settled_cap (max 4 (2 * n))) "" in
-      Array.blit inst.i_settled 0 grown 0 n;
-      inst.i_settled <- grown
-    end;
-    inst.i_settled.(n mod settled_cap) <- action;
+    let ring = room inst.i_settled n in
+    ring.(n mod settled_cap) <- action;
+    inst.i_settled <- ring;
     inst.i_settled_n <- n + 1
   end
 
@@ -316,9 +329,11 @@ let end_action inst action =
    instance its scope names. One passivated or lost in a crash is not
    there, and the action holds nothing at the node but perhaps a crash
    watch, which would outlive the instance: a miss ends the action at the
-   node, votes read-only, and passes no watch to a parent. A crashed
-   instance's stale stage is never installed, since only a live instance
-   is found. *)
+   node, votes read-only, and passes no watch to a parent. It also
+   tombstones the action among a passivated instance's tombstones, so
+   that the object's next activation refuses the action's straggler. A
+   crashed instance's stale stage is never installed, since only a live
+   instance is found. *)
 let make_manager t h =
   let find scope action =
     match Hashtbl.find_opt h.h_instances scope with
@@ -326,6 +341,12 @@ let make_manager t h =
     | None ->
         Lockmgr.Manager.release h.h_locks ~owner:action scope;
         Action.Termination.forget h.h_term ~scope ~action;
+        (match Alist.find scope h.h_passivated with
+        | Some (ring, n) when not (tombstoned ring n action) ->
+            let ring = room ring n in
+            ring.(n mod settled_cap) <- action;
+            h.h_passivated <- Alist.replace scope (ring, n + 1) h.h_passivated
+        | Some _ | None -> ());
         None
   in
   {
@@ -391,7 +412,8 @@ let make_manager t h =
             checkpoint_to_cohorts t inst);
   }
 
-(* A new instance, live on its host from now on. *)
+(* A new instance, live on its host from now on, with the tombstones its
+   passivated predecessor there left. *)
 let make_instance h impl uid ~committed ~version role members =
   let inst =
     {
@@ -410,7 +432,14 @@ let make_instance h impl uid ~committed ~version role members =
       i_settled_n = 0;
     }
   in
-  Hashtbl.replace h.h_instances (scope inst) inst;
+  let key = scope inst in
+  (match Alist.find key h.h_passivated with
+  | Some (ring, n) ->
+      h.h_passivated <- Alist.remove key h.h_passivated;
+      inst.i_settled <- ring;
+      inst.i_settled_n <- n
+  | None -> ());
+  Hashtbl.replace h.h_instances key inst;
   inst
 
 (* What an invocation by [action] starts from: the nearest stage among the
@@ -705,6 +734,7 @@ let install_host t node =
     {
       h_node = node;
       h_instances = instances;
+      h_passivated = [];
       h_locks = Lockmgr.Manager.create (eng t);
       h_term =
         Action.Termination.create t.art ~node (termination_ops t node instances);
@@ -725,7 +755,11 @@ let install_host t node =
       | None -> true
       | Some inst ->
           if instance_quiescent inst then begin
-            Hashtbl.remove instances (Store.Uid.to_string uid);
+            let key = Store.Uid.to_string uid in
+            Hashtbl.remove instances key;
+            if inst.i_settled_n > 0 then
+              h.h_passivated <-
+                Alist.replace key (inst.i_settled, inst.i_settled_n) h.h_passivated;
             tracef t "passivated %a on %s" Store.Uid.pp uid node;
             true
           end
@@ -756,6 +790,7 @@ let install_host t node =
      re-activates from the stores. *)
   Net.Network.on_crash (net t) node (fun () ->
       Hashtbl.reset instances;
+      h.h_passivated <- [];
       h.h_locks <- Lockmgr.Manager.create (eng t))
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =

@@ -71,7 +71,10 @@ val start :
     message delivery: when nothing else is due at this instant, the
     delay-0 start event would have been the next to pop, so starting
     inline keeps every other event, RNG draw and result in place while
-    saving the event. A no-op when [group] is dead.
+    saving the event. A running fiber may start one too ({!Join.all}'s
+    workers): the new fiber runs before the caller resumes, and the
+    caller's group and name are restored after. A no-op when [group] is
+    dead.
 
     The fiber is named [from ^ "->" ^ name] in error reports and
     {!leaked_fibers} (a message's source and destination, say). The

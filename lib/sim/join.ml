@@ -1,8 +1,8 @@
 (* Structured scatter-gather over fibers.
 
-   Every combinator spawns its tasks into the *caller's* group, so a node
+   Every combinator runs its tasks in the *caller's* group, so a node
    crash that kills the scattering fiber also kills the workers — no fan-out
-   survives its initiator. Single-task scatters run inline (no spawn), which
+   survives its initiator. Single-task scatters run inline (no worker), which
    keeps one-element fan-outs event-for-event identical to the sequential
    code they replaced: worlds with |St| = |Sv| = 1 are byte-for-byte
    unaffected by the scatter-gather rewiring. *)
@@ -40,18 +40,18 @@ let all eng tasks =
         decr remaining;
         if !remaining = 0 then Ivar.fill iv ()
       in
-      (* The caller's fiber runs task 0 itself and only tasks 1..n-1 get
-         worker fibers: [all] waits for every task anyway, and under full
-         spawning task 0's leading segment would execute first regardless
-         (workers start in spawn order when the caller suspends), so the
-         event trajectory is the same while one fiber per scatter is
-         saved. Note this means an exception from task 0 propagates in
-         the calling fiber. *)
+      (* Tasks 1..n-1 get worker fibers, started inside the scattering
+         event in list order, each running up to its first suspension:
+         a queued start event per worker would cost an event and let
+         whatever else is due at this instant run between the scatter and
+         its legs. The caller's fiber then runs task 0 itself, since
+         [all] waits for every task anyway; an exception from task 0
+         propagates in the calling fiber. *)
       let group = Engine.self_group eng in
       List.iteri
         (fun i f ->
-          Engine.spawn eng ~group ~name:(worker_name (i + 1)) (fun () ->
-              settle (i + 1) (f ())))
+          Engine.start eng ~group ~from:"" ~name:(worker_name (i + 1))
+            (fun () -> settle (i + 1) (f ())))
         rest;
       settle 0 (f0 ());
       if !remaining > 0 then Ivar.read eng iv;

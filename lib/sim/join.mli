@@ -8,8 +8,8 @@
     are that shape, expressed over the simulator's fibers.
 
     Guarantees shared by all combinators:
-    - tasks are spawned in list order into the {e caller's} fiber group,
-      so killing the caller's node kills the whole fan-out;
+    - tasks run in the {e caller's} fiber group, so killing the caller's
+      node kills the whole fan-out;
     - results are returned in task (submission) order, never completion
       order, and the engine's deterministic event queue makes the whole
       interleaving a pure function of the seed;
@@ -21,12 +21,15 @@ type 'a task = unit -> 'a
 
 val all : Engine.t -> 'a task list -> 'a list
 (** [all eng tasks] runs every task concurrently and returns all results
-    in task order once the last one finishes. The calling fiber runs task
-    0 itself (it has nothing else to do but wait, and the first task's
-    leading segment executes first under full spawning too), so only
-    tasks 1..n-1 cost a worker fiber. A task that raises kills the
-    simulation via the engine's fiber-error channel (task 0: propagates
-    in the caller); encode expected failures as [result] values. *)
+    in task order once the last one finishes. Tasks 1..n-1 each get a
+    worker fiber, started inside the calling event in list order
+    ({!Engine.start}): each runs up to its first suspension before the
+    next starts, and no start event is queued. The calling fiber then
+    runs task 0 itself, since it has nothing else to do but wait. So the
+    tasks' leading segments run in the order 1, ..., n-1, 0, all before
+    any other event. A task that raises kills the simulation via the
+    engine's fiber-error channel (task 0: propagates in the caller);
+    encode expected failures as [result] values. *)
 
 val hedged : Engine.t -> delay:float -> 'a option task list -> 'a option
 (** [hedged eng ~delay tasks] is a tiered first-some race: task 0 starts

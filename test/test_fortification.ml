@@ -53,11 +53,13 @@ let test_prepare_validates_successor () =
             [ (uid, mk_state "b" counter) ]
         with
         | Ok Action.Store_host.Vote_yes -> votes := (action, "yes") :: !votes
+        | Ok Action.Store_host.Vote_blocked -> votes := (action, "blocked") :: !votes
         | Ok Action.Store_host.Vote_stale -> votes := (action, "stale") :: !votes
         | Error _ -> votes := (action, "error") :: !votes
       in
       try_prepare "succ" 4;
-      (* same counter as an existing prepare -> reservation refusal *)
+      (* same counter as an existing prepare -> refused by the
+         reservation alone: blocked *)
       try_prepare "sibling" 4;
       (* not a successor of committed state *)
       try_prepare "gap" 6;
@@ -65,7 +67,44 @@ let test_prepare_validates_successor () =
   Service.run w;
   Alcotest.(check (list (pair string string)))
     "votes"
-    [ ("rewind", "stale"); ("gap", "stale"); ("sibling", "stale"); ("succ", "yes") ]
+    [ ("rewind", "stale"); ("gap", "stale"); ("sibling", "blocked"); ("succ", "yes") ]
+    !votes
+
+(* The object's next writer can reach a store before its predecessor's
+   phase 2 does: a v+2 prepare behind another action's pending v+1 waits
+   on that reservation (blocked), where a gap past every staged state is
+   still a stale activation. Once the predecessor commits, the same v+2
+   prepare is the committed state's successor. *)
+let test_prepare_blocked_behind_successor () =
+  let w = small () in
+  let uid = Store.Uid.fresh (Service.uid_supply w) ~label:"x" in
+  Action.Store_host.seed (Service.store_host w) "beta1" uid (mk_state "a" 3);
+  let votes = ref [] in
+  Service.spawn_client w "c1" (fun () ->
+      let sh = Service.store_host w in
+      let try_prepare action counter =
+        let vote =
+          match
+            Action.Store_host.prepare sh ~from:"c1" ~store:"beta1" ~action
+              ~coordinator:"c1"
+              [ (uid, mk_state action counter) ]
+          with
+          | Ok Action.Store_host.Vote_yes -> "yes"
+          | Ok Action.Store_host.Vote_blocked -> "blocked"
+          | Ok Action.Store_host.Vote_stale -> "stale"
+          | Error _ -> "error"
+        in
+        votes := !votes @ [ (action, vote) ]
+      in
+      try_prepare "pred" 4;
+      try_prepare "next" 5;
+      try_prepare "gap" 6;
+      ignore (Action.Store_host.commit sh ~from:"c1" ~store:"beta1" ~action:"pred");
+      try_prepare "next" 5);
+  Service.run w;
+  Alcotest.(check (list (pair string string)))
+    "votes"
+    [ ("pred", "yes"); ("next", "blocked"); ("gap", "stale"); ("next", "yes") ]
     !votes
 
 let test_reservation_released_by_abort () =
@@ -89,6 +128,7 @@ let test_reservation_released_by_abort () =
           [ (uid, mk_state "c" 1) ]
       with
       | Ok Action.Store_host.Vote_yes -> second := "yes"
+      | Ok Action.Store_host.Vote_blocked -> second := "blocked"
       | Ok Action.Store_host.Vote_stale -> second := "stale"
       | Error _ -> second := "error");
   Service.run w;
@@ -710,6 +750,8 @@ let suite =
     ( "fort.store_validation",
       [
         tc "prepare validates successor" `Quick test_prepare_validates_successor;
+        tc "prepare behind a pending successor is blocked" `Quick
+          test_prepare_blocked_behind_successor;
         tc "reservation released by abort" `Quick test_reservation_released_by_abort;
         tc "pending writers listing" `Quick test_pending_writers_listing;
       ] );

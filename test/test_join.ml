@@ -82,6 +82,24 @@ let test_all_deterministic () =
   let r3, _ = run 100L in
   check_bool "different seed, different draws" true (r1 <> r3)
 
+let test_all_starts_workers_in_event () =
+  (* Workers start inside the scattering event: a 4-task scatter whose
+     tasks each sleep costs the four sleeps and no start event per
+     worker. Task 0, run by the caller, sleeps longest, so the caller
+     never waits on the join. *)
+  let eng = Engine.create () in
+  let out = ref [] in
+  Engine.spawn eng (fun () ->
+      out :=
+        Join.all eng
+          (List.init 4 (fun i () ->
+               Engine.sleep eng (float_of_int (4 - i));
+               i)));
+  Engine.run eng;
+  Alcotest.(check (list int)) "task order" [ 0; 1; 2; 3 ] !out;
+  (* the caller's start, then each sleep's timer and resume *)
+  check_int "events" 9 (Engine.processed_events eng)
+
 (* ------------------------------------------------------------------ *)
 (* crash fate *)
 
@@ -114,6 +132,8 @@ let suite =
           test_all_parallel_elapsed;
         Alcotest.test_case "all: deterministic under seed" `Quick
           test_all_deterministic;
+        Alcotest.test_case "all: workers start in the scattering event" `Quick
+          test_all_starts_workers_in_event;
         Alcotest.test_case "workers share caller's crash fate" `Quick
           test_workers_share_caller_group;
       ] );

@@ -367,6 +367,53 @@ let test_voted_exclude_survives_coordinator_crash () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Phase 2 is one scatter: the server's instance lock goes with the
+   stores' state copy, not one store round trip after it. Under unit
+   latency in the standard world's topology, a lone scheme-B single-copy
+   write's instance commit lands one latency after the decision, and its
+   commit processing (body end to return) takes 8.0. *)
+let test_phase2_is_one_scatter () =
+  let w =
+    Service.create ~seed:1L ~latency:(fun _ -> 1.0)
+      {
+        Service.gvd_node = "ns";
+        gvd_nodes = [ "ns2"; "ns3"; "ns4" ];
+        server_nodes = [ "s1"; "s2"; "s3"; "s4" ];
+        store_nodes = [ "t1"; "t2"; "t3"; "t4" ];
+        client_nodes = [ "c1" ];
+      }
+  in
+  let uid =
+    Service.create_object w ~name:"o0" ~impl:"counter" ~sv:[ "s1"; "s2" ]
+      ~st:[ "t1"; "t2" ] ()
+  in
+  Service.run ~until:1.0 w;
+  let eng = Service.engine w in
+  Sim.Trace.set_enabled (Service.trace w) true;
+  let action = ref "" and body_end = ref nan and returned = ref nan in
+  Service.spawn_client w "c1" (fun () ->
+      let r =
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+          ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+            action := Action.Atomic.owner act;
+            ignore (Service.invoke w group ~act "add 1");
+            body_end := Sim.Engine.now eng)
+      in
+      check_bool "committed" true (Result.is_ok r);
+      returned := Sim.Engine.now eng);
+  Service.run w;
+  let at tag substring =
+    match Sim.Trace.find (Service.trace w) ~tag ~substring with
+    | e :: _ -> e.Sim.Trace.at
+    | [] -> Alcotest.failf "no %s trace entry with %S" tag substring
+  in
+  let decided = at "action" (!action ^ " commit") in
+  let released = at "server" (!action ^ " instance-commit") in
+  Alcotest.(check (float 1e-9)) "instance commit one latency after the decision" 1.0
+    (released -. decided);
+  Alcotest.(check (float 1e-9)) "commit processing" 8.0 (!returned -. !body_end);
+  Alcotest.(check (option string)) "t1" (Some "1") (store_payload w "t1" uid)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -392,5 +439,6 @@ let suite =
           test_voted_instance_settles_from_decision;
         tc "voted exclude survives a coordinator crash" `Quick
           test_voted_exclude_survives_coordinator_crash;
+        tc "phase 2 is one scatter" `Quick test_phase2_is_one_scatter;
       ] );
   ]

@@ -184,6 +184,65 @@ let test_commit_view_rides_the_reply () =
   check_int "no commit-view round trip" 0 (counter w "rpc.op.server.commit_view");
   check_int "messages" 18 (counter w "net.msgs")
 
+(* The server releases an object at its writer's decision, so the next
+   writer's prepare can reach a store before the previous writer's phase 2
+   does. Here beta2 still holds the predecessor's v1 reservation when the
+   writer's v2 arrives: the store votes blocked, the predecessor's phase 2
+   lands, and the writer's one re-prepare against the same St commits —
+   no conflict, no passivation, no second activation. *)
+let test_blocked_prepare_commits_after_one_reprepare () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta2" ] in
+  let v1 = Object_state.make ~payload:"1" ~version:{ Version.counter = 1; committed_by = "pred" } in
+  Action.Store_host.seed w.sh "beta1" uid v1;
+  let hooks = Action.Store_host.hooks w.sh "beta2" in
+  let blocked = ref 0 in
+  Action.Store_host.set_hooks w.sh "beta2"
+    {
+      hooks with
+      blocked =
+        (fun holders ->
+          hooks.blocked holders;
+          incr blocked;
+          (* The predecessor's phase 2 reaches beta2 just after the
+             writer's first prepare. *)
+          if !blocked = 1 then
+            Net.Network.spawn_on w.net "beta2" (fun () ->
+                ignore
+                  (Action.Store_host.commit w.sh ~from:"beta2" ~store:"beta2"
+                     ~action:"pred")));
+    };
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      (match
+         Action.Store_host.prepare w.sh ~from:"c" ~store:"beta2" ~action:"pred"
+           ~coordinator:"c" [ (uid, v1) ]
+       with
+      | Ok Action.Store_host.Vote_yes -> ()
+      | _ -> Alcotest.fail "the predecessor's prepare");
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun act ->
+            match
+              Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ]
+                ~stores:[ "beta1"; "beta2" ]
+            with
+            | Error e -> raise (Action.Atomic.Abort e)
+            | Ok g -> (
+                attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                match Group.invoke w.grt g ~act "incr" with
+                | Ok _ -> ()
+                | Error _ -> raise (Action.Atomic.Abort "invoke failed"))));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  check_int "one blocked vote" 1 !blocked;
+  check_int "one re-prepare" 1 (counter w "commit.blocked");
+  check_int "no conflict" 0 (counter w "commit.conflicts");
+  check_int "one activation" 1 (counter w "server.activations");
+  check_int "no passivation" 0 (counter w "rpc.op.server.passivate");
+  Alcotest.(check (option string)) "beta1" (Some "2") (store_payload w "beta1" uid);
+  Alcotest.(check (option string)) "beta2" (Some "2") (store_payload w "beta2" uid)
+
 (* A parent invokes, then its nested child invokes through the same
    binding and commits. The binding's last reply is the child's, so the
    top-level commit asks the server for the parent's view: the parent's
@@ -1020,6 +1079,55 @@ let test_settled_tombstones () =
   Sim.Engine.run w.eng;
   check_bool "ran to the end" true !finished
 
+(* A straggler can outlive the instance it was cast to: the object is
+   passivated after its action ended, or its action ends while no
+   instance is there, and the straggler reaches the object's next
+   activation. That activation takes over the tombstones, so it refuses
+   the straggler as the passivated instance would have. *)
+let test_tombstones_survive_passivation () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  let abort action =
+    match
+      Action.Resource_host.abort (Action.Atomic.resource_host w.art) ~from:"c"
+        ~node:"alpha" ~kind:Server.resource_kind ~scope:(Uid.to_string uid) ~action
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "abort rpc failed"
+  in
+  let passivate () =
+    match Server.passivate w.srv ~from:"c" ~server:"alpha" ~uid with
+    | Ok true -> ()
+    | _ -> Alcotest.fail "passivation failed"
+  in
+  let invoke action =
+    match
+      Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action ~serial:1
+        ~last_acked:0 ~write:true ~op:"incr"
+    with
+    | Ok (Server.Reply _) -> `Ran
+    | Ok Server.Settled -> `Settled
+    | Ok _ | Error _ -> Alcotest.fail "unexpected invoke result"
+  in
+  let finished = ref false in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      activate_plain w uid;
+      (* c:1 ends on the instance, which is then passivated. *)
+      check_bool "c:1 runs" true (invoke "c:1" = `Ran);
+      abort "c:1";
+      passivate ();
+      (* c:2 ends while the object has no instance here. *)
+      abort "c:2";
+      activate_plain w uid;
+      check_bool "c:1's straggler is refused" true (invoke "c:1" = `Settled);
+      check_bool "c:2's straggler is refused" true (invoke "c:2" = `Settled);
+      check_bool "a live action runs" true (invoke "c:3" = `Ran);
+      abort "c:3";
+      finished := true);
+  Sim.Engine.run w.eng;
+  check_bool "ran to the end" true !finished;
+  check_bool "no residue" true (Server.instance_residue w.srv ~node:"alpha" = [])
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -1035,6 +1143,8 @@ let suite =
         tc "parent, child and parent share a binding" `Quick
           test_nested_invocations_share_a_binding;
         tc "the commit view rides the reply" `Quick test_commit_view_rides_the_reply;
+        tc "a blocked prepare commits after one re-prepare" `Quick
+          test_blocked_prepare_commits_after_one_reprepare;
         tc "a child's view is not the parent's" `Quick
           test_child_view_is_not_the_parent's;
         tc "server crash aborts" `Quick test_single_copy_server_crash_aborts;
@@ -1078,5 +1188,9 @@ let suite =
           test_phase2_at_empty_node_forgets_watch;
       ] );
     ( "replica.settled",
-      [ tc "tombstones refuse and forget oldest" `Quick test_settled_tombstones ] );
+      [
+        tc "tombstones refuse and forget oldest" `Quick test_settled_tombstones;
+        tc "tombstones survive passivation" `Quick
+          test_tombstones_survive_passivation;
+      ] );
   ]

@@ -395,6 +395,62 @@ let test_lost_handoff_reply_keeps_entry () =
   Service.run w;
   check_int "every entry still binds" (List.length uids) !bound
 
+(* A rebalance whose node crashes between a source's grant and the
+   install strands that handoff: the entry left the source, its marker
+   points at a destination that never got it, and no rebalance is left
+   to retry. The first request to follow the marker installs it, so
+   every entry still binds, each on exactly one shard. *)
+let test_stranded_handoff_is_finished () =
+  let w = Service.create ~seed:41L (sharded_topo [ "ns2" ]) in
+  let router = Service.router w in
+  Router.reset_map router [ "ns" ];
+  let uids =
+    List.init 6 (fun i ->
+        Service.create_object w
+          ~name:(Printf.sprintf "o%d" i)
+          ~impl:"counter" ~sv:[ "alpha" ] ~st:[ "beta1"; "beta2" ] ())
+  in
+  Service.run ~until:1.0 w;
+  let net = Service.network w in
+  let eng = Service.engine w in
+  let spread = ref 0 in
+  Service.spawn_client w "ns" (fun () ->
+      Router.rebalance router ~from:"ns" [ "ns"; "ns2" ];
+      spread :=
+        List.length
+          (List.filter (fun u -> Shard_map.owner (Router.map router) u = "ns2") uids));
+  Service.run w;
+  (* Back to one shard, from c2, which crashes while its first handoff
+     request is on the wire: the source applies it, nobody installs it. *)
+  Service.spawn_client w "c2" (fun () -> Router.rebalance router ~from:"c2" [ "ns" ]);
+  Net.Fault.crash_at net ~at:(Sim.Engine.now eng +. 0.1) "c2";
+  Service.run w;
+  check_bool "some entries moved to ns2" true (!spread > 0);
+  check_bool "the rebalance ended with its node" false (Router.migrating router);
+  let bound = ref 0 in
+  Service.spawn_client w "c1" (fun () ->
+      List.iter
+        (fun uid ->
+          match
+            Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+              ~policy:(Replica.Policy.Active 1) ~uid (fun act group ->
+                Service.invoke w group ~act "incr")
+          with
+          | Ok _ -> incr bound
+          | Error _ -> ())
+        uids);
+  Service.run w;
+  check_int "every entry still binds" (List.length uids) !bound;
+  check_int "one stranded handoff finished" 1
+    (Sim.Metrics.counter (Service.metrics w) "router.stranded_handoffs");
+  List.iter
+    (fun uid ->
+      check_int
+        (Store.Uid.to_string uid ^ " owned by one shard")
+        1
+        (List.length (List.filter (fun g -> Gvd.owns g uid) (Router.gvds router))))
+    uids
+
 (* A request that bounces off the source shard is not enlisted there, so
    it must leave no crash watch behind: when the client later crashes,
    no orphan abort may fire for an action that committed elsewhere. *)
@@ -557,6 +613,7 @@ let suite =
         tc "moved bounce heals stale route" `Quick test_moved_bounce_heals_stale_route;
         tc "update in handoff window refused" `Quick test_update_in_handoff_window_refused;
         tc "lost handoff reply keeps the entry" `Quick test_lost_handoff_reply_keeps_entry;
+        tc "a stranded handoff is finished" `Quick test_stranded_handoff_is_finished;
         tc "bounced update leaves no orphan watch" `Quick
           test_bounced_update_leaves_no_orphan_watch;
         tc "online rebalance under load" `Slow test_online_rebalance_under_load;
