@@ -2,10 +2,10 @@
 
    Three clients hammer two objects under all three access schemes and all
    three replication policies for 2000 virtual time units while server and
-   store nodes churn; the use-list cleanup daemon and per-node passivators
-   run throughout. At the end the accounting must be exact: the committed
-   value of each counter equals the sum of its acknowledged additions, and
-   every StA member holds the identical state.
+   store nodes churn; the use-list cleanup daemon runs throughout. At the
+   end the accounting must be exact: the committed value of each counter
+   equals the sum of its acknowledged additions, and every StA member
+   holds the identical state.
 
    Run with: dune exec examples/long_haul.exe *)
 
@@ -32,18 +32,6 @@ let () =
             ~st:stores () ))
       [ "ledger-a"; "ledger-b" ]
   in
-  (* Passivator daemons die with their node; restart them on recovery. *)
-  let start_passivator node =
-    ignore
-      (Replica.Passivator.start (Service.server_runtime world) ~node
-         ~period:40.0 ~idle_after:60.0 ())
-  in
-  List.iter
-    (fun node ->
-      start_passivator node;
-      Net.Network.on_recover (Service.network world) node (fun () ->
-          start_passivator node))
-    servers;
   Service.run ~until:1.0 world;
   let eng = Service.engine world in
   let net = Service.network world in
@@ -124,7 +112,6 @@ let () =
         (if actual = want then "EXACT" else "MISMATCH")
         (String.concat ";" st))
     objects;
-  Printf.printf "cleanup orphans removed: %d, auto-passivations: %d\n"
-    (Sim.Metrics.counter (Service.metrics world) "cleanup.orphans")
-    (Sim.Metrics.counter (Service.metrics world) "server.auto_passivations");
+  Printf.printf "cleanup orphans removed: %d\n"
+    (Sim.Metrics.counter (Service.metrics world) "cleanup.orphans");
   if not !all_exact then exit 1

@@ -4,12 +4,9 @@ exception Abort of string
 
 type decision_reply = D_commit | D_abort | D_active | D_unknown
 
-type participant = {
-  pa_name : string;
-  pa_prepare : unit -> bool;
-  pa_commit : unit -> unit;
-  pa_abort : unit -> unit;
-}
+(* A closure participant: its phase-2 legs. It takes no part in phase 1;
+   whatever it must prepare, a before-commit hook prepares. *)
+type participant = { pa_commit : unit -> unit; pa_abort : unit -> unit }
 
 type runtime = {
   sh : Store_host.t;
@@ -200,11 +197,9 @@ let enlist t ?(required = true) ?(voted = false) ~node ~kind ~scope () =
         { en_node = node; en_kind = kind; en_scope = scope; en_required = required;
           en_voted = voted } :: t.enlisted
 
-let add_participant t ~name ~prepare ~commit ~abort =
+let add_participant t ~commit ~abort =
   if t.st <> Running then invalid_arg "add_participant: action not running";
-  t.participants <-
-    { pa_name = name; pa_prepare = prepare; pa_commit = commit; pa_abort = abort }
-    :: t.participants
+  t.participants <- { pa_commit = commit; pa_abort = abort } :: t.participants
 
 let before_commit t f = t.pre_hooks <- f :: t.pre_hooks
 let on_abort t f = t.undo_hooks <- f :: t.undo_hooks
@@ -364,83 +359,67 @@ let commit_top t =
       abort t ~reason;
       Error reason
   | Ok () -> (
-      (* Phase 1, scattered: every participant prepares at once; if all
-         vote yes, every resource prepares at once. The first no-vote (in
-         registration order, for deterministic abort reasons) decides; a
-         loser that prepared anyway is cleaned up by the abort fan-out,
-         which notifies all participants and every resource that did not
-         vote read-only. *)
+      (* Phase 1, scattered: every resource prepares at once. The first
+         no-vote (in enlistment order, for deterministic abort reasons)
+         decides; a loser that prepared anyway is cleaned up by the abort
+         fan-out, which notifies every participant and every resource
+         that did not vote read-only. *)
       let eng = engine t.rt in
       let participants = List.rev t.participants in
       let resources = List.rev t.enlisted in
-      let participant_fail =
+      let votes =
         Sim.Join.all eng
           (List.map
-             (fun p () ->
-               if p.pa_prepare () then None
+             (fun en () ->
+               let rnode = en.en_node in
+               (* A resource that voted in its reply is not asked. *)
+               if en.en_voted then `Yes
                else
-                 Some (Printf.sprintf "participant %s voted no" p.pa_name))
-             participants)
-        |> List.find_map Fun.id
+                 match
+                   Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
+                     ~kind:en.en_kind ~scope:en.en_scope ~action
+                 with
+                 | Ok Resource_host.Vote_yes -> `Yes
+                 | Ok Vote_read_only -> `Read_only
+                 | Ok Vote_no ->
+                     `Fail
+                       (Printf.sprintf "resource %s@%s voted no"
+                          (resource_label en) rnode)
+                 | Error e ->
+                     (* A crashed replica of a group is masked (its
+                        volatile state is gone anyway); a required
+                        resource aborts. Either may have voted yes
+                        before the reply was lost, so both stay in
+                        phase 2. *)
+                     if en.en_required then
+                       `Fail
+                         (Printf.sprintf "resource %s@%s unreachable: %s"
+                            (resource_label en) rnode (Net.Rpc.error_to_string e))
+                     else begin
+                       tracef t "%s: tolerating lost replica %s@%s (%s)"
+                         action (resource_label en) rnode
+                         (Net.Rpc.error_to_string e);
+                       `Yes
+                     end)
+             resources)
       in
-      let vote_fail, resources =
-        match participant_fail with
-        | Some _ -> (participant_fail, resources)
-        | None ->
-            let votes =
-              Sim.Join.all eng
-                (List.map
-                   (fun en () ->
-                     let rnode = en.en_node in
-                     (* A resource that voted in its reply is not asked. *)
-                     if en.en_voted then `Yes
-                     else
-                       match
-                         Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                           ~kind:en.en_kind ~scope:en.en_scope ~action
-                       with
-                       | Ok Resource_host.Vote_yes -> `Yes
-                       | Ok Vote_read_only -> `Read_only
-                       | Ok Vote_no ->
-                           `Fail
-                             (Printf.sprintf "resource %s@%s voted no"
-                                (resource_label en) rnode)
-                       | Error e ->
-                           (* A crashed replica of a group is masked (its
-                              volatile state is gone anyway); a required
-                              resource aborts. Either may have voted yes
-                              before the reply was lost, so both stay in
-                              phase 2. *)
-                           if en.en_required then
-                             `Fail
-                               (Printf.sprintf "resource %s@%s unreachable: %s"
-                                  (resource_label en) rnode (Net.Rpc.error_to_string e))
-                           else begin
-                             tracef t "%s: tolerating lost replica %s@%s (%s)"
-                               action (resource_label en) rnode
-                               (Net.Rpc.error_to_string e);
-                             `Yes
-                           end)
-                   resources)
-            in
-            (* A read-only voter ended the action itself: it gets neither
-               phase 2 nor the abort fan-out. *)
-            let resources =
-              if List.mem `Read_only votes then begin
-                let kept =
-                  List.fold_right2
-                    (fun r v acc -> if v = `Read_only then acc else r :: acc)
-                    resources votes []
-                in
-                t.enlisted <- List.rev kept;
-                kept
-              end
-              else resources
-            in
-            ( List.find_map (function `Fail reason -> Some reason | _ -> None) votes,
-              resources )
+      (* A read-only voter ended the action itself: it gets neither
+         phase 2 nor the abort fan-out. *)
+      let resources =
+        if List.mem `Read_only votes then begin
+          let kept =
+            List.fold_right2
+              (fun r v acc -> if v = `Read_only then acc else r :: acc)
+              resources votes []
+          in
+          t.enlisted <- List.rev kept;
+          kept
+        end
+        else resources
       in
-      match vote_fail with
+      match
+        List.find_map (function `Fail reason -> Some reason | _ -> None) votes
+      with
       | Some reason ->
           abort t ~reason;
           Error reason

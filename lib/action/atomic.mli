@@ -71,6 +71,10 @@ val runtime_of : t -> runtime
 val owner : t -> string
 (** Lock-owner key: [Action_id.to_string (id t)]. *)
 
+val top : t -> t
+(** The top-level action whose commit [t]'s hooks, participants and
+    resources end up in: [t] itself, or its outermost ancestor. *)
+
 val enlist :
   t ->
   ?required:bool ->
@@ -98,19 +102,16 @@ val enlist :
     clears the vote, so the resource is asked at commit after all. *)
 
 val add_participant :
-  t ->
-  name:string ->
-  prepare:(unit -> bool) ->
-  commit:(unit -> unit) ->
-  abort:(unit -> unit) ->
-  unit
-(** Register a closure participant in the top-level 2PC. For a nested
-    action the participant is handed to the parent on nested commit.
-    [prepare]/[commit]/[abort] run in the committing fiber and may
-    suspend. [abort] also runs when a {!before_commit} hook fails, so a
-    hook may register its participant before it sends the first
-    prepare. A participant that reaches stores delivers [commit] and
-    [abort] by the release rule below, like an enlisted resource. *)
+  t -> commit:(unit -> unit) -> abort:(unit -> unit) -> unit
+(** Register a closure participant: the phase-2 legs of a party that
+    takes no part in phase 1, such as a store whose prepare a
+    {!before_commit} hook sends. For a nested action the participant is
+    handed to the parent on nested commit. [commit]/[abort] run in the
+    committing fiber, in phase 2's one scatter, and may suspend. [abort]
+    also runs when a {!before_commit} hook fails, so a hook may register
+    its participant before it sends the first prepare. A participant
+    that reaches stores delivers [commit] and [abort] by the release
+    rule below, like an enlisted resource. *)
 
 val release :
   t -> node:Net.Network.node_id -> op:string -> (unit -> (unit, Net.Rpc.error) result) -> unit
@@ -160,10 +161,12 @@ val after_abort : t -> (unit -> unit) -> unit
     action out of the way (e.g. passivating a stale replica). *)
 
 val commit : t -> (unit, string) result
-(** Commit the action. Top-level: before-commit hooks, phase 1 over all
-    participants and then all resources, durable decision record, phase
-    2, then after-commit hooks. Nested: transfer everything to the
-    parent. [Error reason] means the action aborted instead.
+(** Commit the action. Top-level: before-commit hooks (which prepare
+    whatever a closure participant commits), phase 1 over the enlisted
+    resources, durable decision record, phase 2 to every participant and
+    resource at once, then after-commit hooks. Nested: transfer
+    everything to the parent. [Error reason] means the action aborted
+    instead.
 
     A resource enlisted [~voted:true] is not asked: its vote is already
     in. A resource that answers {!Resource_host.Vote_read_only} has ended

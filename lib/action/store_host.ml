@@ -246,22 +246,6 @@ let prepare_all t ~from ?deadline_at per_store =
   Net.Rpc.call_all t.rpc_rt ~from ?deadline_at ~idempotent:true t.ep_prepare
     per_store
 
-let prepare_each t ~from ?deadline_at ~action ~coordinator writes =
-  List.map
-    (fun (store, r) -> (store, vote_of ~action r))
-    (prepare_all t ~from ?deadline_at
-       (List.map
-          (fun (store, ws) ->
-            ( store,
-              [
-                {
-                  pr_action = action;
-                  pr_coordinator = coordinator;
-                  pr_writes = ws;
-                };
-              ] ))
-          writes))
-
 let commit_all t ~from per_store =
   Net.Rpc.call_all t.rpc_rt ~from ~idempotent:true t.ep_commit per_store
 

@@ -143,17 +143,6 @@ val prepare_all :
     duplicate delivery changes nothing. [deadline_at] rides in each
     request's metadata. *)
 
-val prepare_each :
-  t ->
-  from:Net.Network.node_id ->
-  ?deadline_at:float ->
-  action:string ->
-  coordinator:Net.Network.node_id ->
-  (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
-  (Net.Network.node_id * (vote, Net.Rpc.error) result) list
-(** {!prepare_all} for one action: one sub-record per store, the action's
-    vote per store. *)
-
 val commit_all :
   t ->
   from:Net.Network.node_id ->

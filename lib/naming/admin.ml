@@ -70,8 +70,7 @@ let add_store t ~from ~uid node =
           (* The participant goes in before the prepare, so an abort
              reaches a prepare that staged without answering. *)
           let action = Action.Atomic.owner act in
-          Action.Atomic.add_participant act ~name:("admin-copy:" ^ node)
-            ~prepare:(fun () -> true)
+          Action.Atomic.add_participant act
             ~commit:(fun () ->
               Action.Atomic.release act ~node ~op:"action.release_commit" (fun () ->
                   Action.Store_host.commit sh ~from ~store:node ~action))

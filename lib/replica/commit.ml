@@ -30,6 +30,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
       if Action.Atomic.status act = Action.Atomic.Running then ignore (token ()));
   Action.Atomic.on_abort act settle;
   Action.Atomic.before_commit act (fun () ->
+      (* A nested action's hook runs at its top-level ancestor's commit,
+         after the nested commit handed its stage up: the copy-back acts
+         for that ancestor. *)
+      let act = Action.Atomic.top act in
       let body () =
       match Group.commit_view rt group ~act with
       | Error why -> Error ("commit view: " ^ why)
@@ -53,6 +57,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              reach the stores even when the initiator stopped waiting. *)
           let deadline_at = Action.Atomic.deadline act in
           let full_bytes = Store.Object_state.bytes full_state in
+          let writes = [ (uid, full_state) ] in
           (* Every store that may hold this action's prepare: it voted yes
              in some attempt, or its latest prepare timed out and may have
              staged all the same. Nothing is withdrawn between attempts: a
@@ -75,16 +80,19 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
             Action.Atomic.release_later act ~node:store ~op:"action.release_abort"
               (fun () -> Action.Store_host.abort sh ~from:client ~store ~action)
           in
-          (* Abort every reached store but [keep] by Atomic's release rule:
-             one inline round to those that answered; a store whose prepare
-             timed out goes straight to the background, since an inline
-             round to a cut store would stall the client. *)
+          (* Abort every reached store but those of [keep] by Atomic's
+             release rule: one inline round to those that answered; a
+             store whose prepare timed out goes straight to the
+             background, since an inline round to a cut store would stall
+             the client. *)
           let abort_reached ~keep =
             let answered, timed_out =
               List.partition_map
                 (fun (store, how) ->
                   if how = `Answered then Left store else Right store)
-                (List.filter (fun (s, _) -> not (List.mem s keep)) (List.rev !reached))
+                (List.filter
+                   (fun (s, _) -> not (List.mem_assoc s keep))
+                   (List.rev !reached))
             in
             if answered <> [] then
               List.iter
@@ -98,8 +106,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              Phase 2 commits the validated attempt's yes voters; every
              other reached store gets the abort. A failed leg to a store
              that is up is delivered again in the background. *)
-          Action.Atomic.add_participant act ~name:"st-copy"
-            ~prepare:(fun () -> true)
+          Action.Atomic.add_participant act
             ~commit:(fun () ->
               match !sealed with
               | None -> ()
@@ -115,7 +122,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         Action.Atomic.release_later act ~node:store
                           ~op:"action.release_commit" (fun () ->
                             Action.Store_host.commit sh ~from:client ~store ~action))
-                    (Groupcommit.commit gc p2 ~client ~stores:ok action);
+                    (Groupcommit.commit gc p2 ~client ~action ok);
                   abort_reached ~keep:ok)
             ~abort:(fun () ->
               Option.iter (fun (_, p2) -> Groupcommit.leave gc p2) !sealed;
@@ -138,26 +145,27 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                 (* The paper's parallel write to all of StA: one concurrent
                    prepare per store, votes gathered in store order. Latency is
                    the slowest round-trip, not the sum. The prepare joins (or
-                   leads) a group-commit batch; the votes come back shaped
-                   exactly like [prepare_each]'s, with any non-yes member
-                   already peeled out to a solo retry inside. *)
+                   leads) a group-commit batch; the votes come back one per
+                   store of [per_store], in its order, with any non-yes member
+                   already peeled out to a retry inside. *)
                 let scattered = Sim.Engine.now eng in
-                let per_store =
-                  List.map (fun s -> (s, [ (uid, full_state) ])) current_st
-                in
+                let per_store = List.map (fun s -> (s, writes)) current_st in
                 let votes, peeled_yes =
                   Groupcommit.prepare gc tok ?deadline_at ~client ~action
                     per_store
                 in
                 Sim.Metrics.observe metrics "commit.fanout"
                   (Sim.Engine.now eng -. scattered);
+                (* [ok]: the yes voters' sub-records, which phase 2
+                   commits. *)
                 let ok, blocked, stale, failed =
-                  List.fold_left
-                    (fun (ok, blocked, stale, failed) (store, vote) ->
+                  List.fold_left2
+                    (fun (ok, blocked, stale, failed) ((store, _) as sub)
+                         (_, vote) ->
                       match vote with
                       | Ok Action.Store_host.Vote_yes ->
                           reach store `Answered;
-                          (store :: ok, blocked, stale, failed)
+                          (sub :: ok, blocked, stale, failed)
                       | Ok Action.Store_host.Vote_blocked ->
                           (ok, true, stale, failed)
                       | Ok Action.Store_host.Vote_stale ->
@@ -167,7 +175,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                           else if e = Net.Rpc.Crashed || List.mem store peeled_yes
                           then unheard := store :: !unheard;
                           (ok, blocked, stale, store :: failed))
-                    ([], false, false, []) votes
+                    ([], false, false, []) per_store votes
                 in
                 let ok = List.rev ok and failed = List.rev failed in
                 let again why next =

@@ -388,9 +388,6 @@ let commit_view rt g ~act =
   match g.g_view with
   | Some k
     when String.equal k.kv_owner (Action.Atomic.owner act)
-         (* A nested action's hook runs at its top-level ancestor's commit,
-            after its stage moved to the parent. *)
-         && Action.Action_id.is_top (Action.Atomic.id act)
          && Net.Network.is_up (net rt) k.kv_member
          && Net.Network.incarnation (net rt) k.kv_member = k.kv_incarnation ->
       (* The reply to the action's last invocation through the binding

@@ -92,13 +92,14 @@ val commit_view :
   act:Action.Atomic.t ->
   (Server.commit_view, string) result
 (** The post-commit state of the object under [act]; used by commit
-    processing to copy state to object stores. It is the view the reply
-    to [act]'s last invocation through [g] carried, when that was the
-    last invocation attempt through [g], [act] is top-level, and the
-    member that answered is up on the incarnation it answered from.
-    Otherwise (failover, a nested action's hook, a lost reply) it is
-    asked of the first functioning replica ({!Server.commit_view}),
-    which must have processed that invocation. *)
+    processing, for the top-level action that commits, to copy state to
+    object stores. It is the view the reply to [act]'s last invocation
+    through [g] carried, when that was the last invocation attempt
+    through [g] and the member that answered is up on the incarnation it
+    answered from. Otherwise (failover, a nested action's last
+    invocation, a lost reply) it is asked of the first functioning
+    replica ({!Server.commit_view}), which must have processed that
+    invocation. *)
 
 val live_members : runtime -> t -> Net.Network.node_id list
 (** Members the failure detector currently believes are up. *)

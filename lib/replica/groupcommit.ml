@@ -7,9 +7,9 @@
    {!Action.Store_host.prepare_all}) instead of one per member.
    Everything transactional stays per action at the store — voting,
    write reservations, intent-log staging, recovery, duplicate delivery —
-   so a refused member ([Vote_stale], or a
-   transport error on one store) is peeled out for an ordinary solo
-   retry while its batchmates proceed untouched.
+   so a refused member ([Vote_stale], or a transport error on one store)
+   is peeled out to prepare again in a batch of one while its batchmates
+   proceed untouched.
 
    Window discipline (the use-list flush's quiescence-pull pattern): an
    opening batch holds its leader for at most [window] simulated time,
@@ -27,49 +27,54 @@
    batch for the full window.
 
    Leadership and orphans: the first member to open a batch leads it —
-   its fiber waits out the window and issues the scatter, distributing
-   per-member results through ivars. Members bound their wait
-   ([window + grace]): if the leader's client crashed mid-window they
-   fall back to a solo prepare/commit (both idempotent at the store), so
-   a chaos world cannot wedge a batchmate forever.
+   its fiber waits out the window and issues the phase's round,
+   distributing per-member results through ivars. The two phases differ
+   only in that round (a prepare or a commit per store). Members bound
+   their wait ([window + grace]): if the leader's client crashed
+   mid-window they run the same round as a batch of one (idempotent at
+   the store), so a chaos world cannot wedge a batchmate forever.
 
    Every commit goes through the plane ({!Replica.Commit.attach}); a
    batch that closes with one member scatters the same rounds with one
    sub-record each, carrying that member's deadline. *)
 
-type member = {
+(* One action's passage through one phase: its sub-record per store (the
+   states it writes there; phase 2 sends only the action's name), and
+   the ivar through which its leader hands it one result per store, in
+   [m_subs] order. *)
+type 'res member = {
   m_client : Net.Network.node_id;
   m_action : string;
-  m_writes :
+  m_subs :
     (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list;
   m_deadline : float option;
-      (* the member's action deadline, carried only by the scatters
-         issued on this member's own behalf *)
-  m_votes :
-    (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
-    Sim.Ivar.t;
-}
-
-type p2_member = {
-  p_client : Net.Network.node_id;
-  p_action : string;
-  p_stores : Net.Network.node_id list;
-  p_results :
-    (Net.Network.node_id * (unit, Net.Rpc.error) result) list Sim.Ivar.t;
+      (* the member's action deadline, carried only by a round issued on
+         this member's own behalf; phase 2 carries none *)
+  m_results :
+    (Net.Network.node_id * ('res, Net.Rpc.error) result) list Sim.Ivar.t;
 }
 
 type 'm batch = {
   mutable b_open : bool;
   mutable b_members : 'm list; (* newest first; the last is the leader *)
-  mutable b_stores : Net.Network.node_id list; (* union, join order *)
   b_close : unit Sim.Ivar.t;
 }
 
-(* One phase of the plane: its outstanding tokens and its open batches,
-   oldest first. *)
-type 'm phase = {
+(* One phase of the plane: its outstanding tokens, its open batches,
+   oldest first, and the store round it scatters. A round issues one
+   call per store in its members' union, from [from] and carrying
+   [deadline_at], and answers a function handing each member its
+   results. *)
+type 'res phase = {
   mutable ph_pending : int;
-  mutable ph_batches : 'm batch list;
+  mutable ph_batches : 'res member batch list;
+  ph_round :
+    from:Net.Network.node_id ->
+    deadline_at:float option ->
+    'res member list ->
+    'res member ->
+    (Net.Network.node_id * ('res, Net.Rpc.error) result) list;
+  ph_counted : bool; (* a multi-member batch counts in the batch metrics *)
 }
 
 (* One client's part of the two phases' pending counts. *)
@@ -79,8 +84,9 @@ type t = {
   gc_eng : Sim.Engine.t;
   gc_sh : Action.Store_host.t;
   gc_metrics : Sim.Metrics.t;
-  gc_p1 : member phase; (* commits between enter and their prepare *)
-  gc_p2 : p2_member phase; (* sealed commits whose phase 2 is pending *)
+  gc_p1 : Action.Store_host.vote phase;
+      (* commits between enter and their prepare *)
+  gc_p2 : unit phase; (* sealed commits whose phase 2 is pending *)
   gc_shares : (Net.Network.node_id, share) Hashtbl.t;
 }
 
@@ -88,18 +94,85 @@ type t = {
    time (closing early on quiescence). *)
 let window = 2.0
 
-(* A member that died (client crash) or fell back solo must not leave its
-   batchmates waiting past this; generous so it never fires in a healthy
-   world (the leader always answers within [window]). *)
+(* A member whose leader died (client crash) waits no longer than this
+   past the window; generous so it never fires in a healthy world (the
+   leader always answers within [window]). *)
 let orphan_grace = 90.0
 
+(* The stores of [members]' sub-records, in order of first appearance. *)
+let stores_of members =
+  List.rev
+    (List.fold_left
+       (fun acc m ->
+         List.fold_left
+           (fun acc (store, _) ->
+             if List.mem store acc then acc else store :: acc)
+           acc m.m_subs)
+       [] members)
+
+(* One request per store of [members], listing [req m sub] for every
+   member [m] with a sub-record [sub] there, in member order. *)
+let requests members req =
+  List.map
+    (fun store ->
+      ( store,
+        List.filter_map
+          (fun m ->
+            match List.assoc store m.m_subs with
+            | sub -> Some (req m sub)
+            | exception Not_found -> None)
+          members ))
+    (stores_of members)
+
+(* [m]'s result per store, [result] of the store's answer. *)
+let hand_out m answers result =
+  List.map
+    (fun (store, _) ->
+      ( store,
+        match List.assoc store answers with
+        | answer -> result answer
+        | exception Not_found -> Error Net.Rpc.No_service ))
+    m.m_subs
+
+(* Phase 1's round: one prepare per store; each member's vote comes out
+   of the store's per-action answer. *)
+let prepare_round sh ~from ~deadline_at members =
+  let answers =
+    Action.Store_host.prepare_all sh ~from ?deadline_at
+      (requests members (fun m writes ->
+           {
+             Action.Store_host.pr_action = m.m_action;
+             pr_coordinator = m.m_client;
+             pr_writes = writes;
+           }))
+  in
+  fun m -> hand_out m answers (Action.Store_host.vote_of ~action:m.m_action)
+
+(* Phase 2's round: one commit per store, applying its members' intents.
+   It carries no deadline: a decided outcome must reach the stores even
+   when the initiator stopped waiting. *)
+let commit_round sh ~from ~deadline_at:_ members =
+  let answers =
+    Action.Store_host.commit_all sh ~from
+      (requests members (fun m _ -> m.m_action))
+  in
+  fun m -> hand_out m answers Fun.id
+
 let create ~engine ~store_host ~metrics =
+  let phase round ~counted =
+    {
+      ph_pending = 0;
+      ph_batches = [];
+      ph_round = round store_host;
+      ph_counted = counted;
+    }
+  in
   {
     gc_eng = engine;
     gc_sh = store_host;
     gc_metrics = metrics;
-    gc_p1 = { ph_pending = 0; ph_batches = [] };
-    gc_p2 = { ph_pending = 0; ph_batches = [] };
+    gc_p1 = phase prepare_round ~counted:true;
+    gc_p2 = phase commit_round ~counted:false;
     gc_shares = Hashtbl.create 16;
   }
 
@@ -165,10 +238,12 @@ let leave t tok =
     end
   end
 
-let union stores extra =
-  stores @ List.filter (fun s -> not (List.mem s stores)) extra
-
-let overlaps stores others = List.exists (fun s -> List.mem s others) stores
+(* Does [m] write a store that some member of [b] writes? *)
+let overlaps m b =
+  List.exists
+    (fun (store, _) ->
+      List.exists (fun o -> List.mem_assoc store o.m_subs) b.b_members)
+    m.m_subs
 
 (* Take a batch out of the joinable set: its leader scatters it, or a
    member found it abandoned (its leader's client crashed before
@@ -180,31 +255,50 @@ let close ph batch =
     ph.ph_batches <- List.filter (fun b -> b != batch) ph.ph_batches
   end
 
-(* A member's arrival: join the oldest open batch whose stores overlap
-   [stores] (or open one), settle the member's token — only after
-   joining, so the quiescence-pull this settlement may trigger reaches the
-   batch just joined — and, when leading, wait out the window and
-   [scatter] the members, leader first. *)
-let arrive t ph tok ~stores m ~scatter =
+(* Leader duty: issue the phase's round for the members, leader first,
+   and hand each its own results. A batch of one carries its member's
+   deadline, so a lone commit's rounds are exactly those of an unbatched
+   commit. A multi-member round carries no deadline — one member's
+   expiry must not shed its batchmates' sub-records. *)
+let scatter t ph members =
+  match members with
+  | [] -> ()
+  | leader :: rest ->
+      let deadline_at =
+        if rest = [] then leader.m_deadline
+        else begin
+          if ph.ph_counted then begin
+            Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
+            Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
+              (float_of_int (List.length members))
+          end;
+          None
+        end
+      in
+      let results = ph.ph_round ~from:leader.m_client ~deadline_at members in
+      List.iter (fun m -> Sim.Ivar.fill m.m_results (results m)) members
+
+(* [m]'s sub-records as a batch of one, outside the plane's batches. *)
+let solo ph m = ph.ph_round ~from:m.m_client ~deadline_at:m.m_deadline [ m ] m
+
+(* A member's passage through [ph]: join the oldest open batch that
+   shares a store with it (or open one), settle its token — only after
+   joining, so the quiescence-pull this settlement may trigger reaches
+   the batch just joined — lead the batch if first, and wait for its
+   results. Returns them and whether the batch had more than one member.
+   A member whose leader has not answered within [window + orphan_grace]
+   (its client crashed before scattering) closes the abandoned batch and
+   runs its sub-records as a batch of one. *)
+let join t ph tok m =
   let leading, batch =
     match
-      List.find_opt
-        (fun b -> b.b_open && overlaps stores b.b_stores)
-        ph.ph_batches
+      List.find_opt (fun b -> b.b_open && overlaps m b) ph.ph_batches
     with
     | Some b ->
         b.b_members <- m :: b.b_members;
-        b.b_stores <- union b.b_stores stores;
         (false, b)
     | None ->
-        let b =
-          {
-            b_open = true;
-            b_members = [ m ];
-            b_stores = stores;
-            b_close = Sim.Ivar.create ();
-          }
-        in
+        let b = { b_open = true; b_members = [ m ]; b_close = Sim.Ivar.create () } in
         ph.ph_batches <- ph.ph_batches @ [ b ];
         (true, b)
   in
@@ -214,73 +308,25 @@ let arrive t ph tok ~stores m ~scatter =
     | Ok () -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
     | Error _ -> Sim.Metrics.incr t.gc_metrics "groupcommit.window_closes");
     close ph batch;
-    scatter (List.rev batch.b_members)
+    scatter t ph (List.rev batch.b_members)
   end;
-  batch
+  match
+    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.m_results
+  with
+  | Ok results -> (results, List.length batch.b_members > 1)
+  | Error _ ->
+      Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
+      close ph batch;
+      (solo ph m, false)
 
-(* A member that waited past [window + orphan_grace] for its leader. *)
-let orphaned t ph batch =
-  Sim.Metrics.incr t.gc_metrics "groupcommit.orphaned";
-  close ph batch
-
-(* Leader duty, phase 1: issue one prepare round per store in the union,
-   and hand each member its own per-store votes. A batch of one carries
-   its member's deadline, so a lone commit's rounds are exactly those of
-   an unbatched commit. A multi-member round carries no deadline — one
-   member's expiry must not shed its batchmates' prepares. *)
-let scatter t members =
-  match members with
-  | [] -> ()
-  | leader :: rest ->
-      let deadline_at =
-        if rest = [] then leader.m_deadline
-        else begin
-          Sim.Metrics.incr t.gc_metrics "groupcommit.batches";
-          Sim.Metrics.observe t.gc_metrics "groupcommit.batch_members"
-            (float_of_int (List.length members));
-          None
-        end
-      in
-      let stores =
-        List.fold_left (fun acc m -> union acc (List.map fst m.m_writes)) []
-          members
-      in
-      let reqs =
-        List.map
-          (fun store ->
-            ( store,
-              List.filter_map
-                (fun m ->
-                  Option.map
-                    (fun ws ->
-                      {
-                        Action.Store_host.pr_action = m.m_action;
-                        pr_coordinator = m.m_client;
-                        pr_writes = ws;
-                      })
-                    (List.assoc_opt store m.m_writes))
-                members ))
-          stores
-      in
-      let results =
-        Action.Store_host.prepare_all t.gc_sh ~from:leader.m_client
-          ?deadline_at reqs
-      in
-      List.iter
-        (fun m ->
-          Sim.Ivar.fill m.m_votes
-            (List.map
-               (fun (store, _) ->
-                 ( store,
-                   match List.assoc_opt store results with
-                   | None -> Error Net.Rpc.No_service
-                   | Some r -> Action.Store_host.vote_of ~action:m.m_action r ))
-               m.m_writes))
-        members
-
-let solo_prepare t ?deadline_at ~client ~action writes =
-  Action.Store_host.prepare_each t.gc_sh ~from:client ?deadline_at ~action
-    ~coordinator:client writes
+let member ?deadline_at ~client ~action subs =
+  {
+    m_client = client;
+    m_action = action;
+    m_subs = subs;
+    m_deadline = deadline_at;
+    m_results = Sim.Ivar.create ();
+  }
 
 let all_yes votes =
   votes <> []
@@ -289,95 +335,28 @@ let all_yes votes =
          match v with Ok Action.Store_host.Vote_yes -> true | _ -> false)
        votes
 
-(* A member's phase-1: join (or open) a batch, lead it if first, and wait
-   for the distributed votes. Any vote short of all-yes on a multi-member
-   batch peels this member out: the batch votes are discarded and the
-   member re-runs the ordinary solo prepare from its own node — a genuine
-   conflict then aborts on the solo verdict exactly as an unbatched
-   commit would, while the batchmates' staged prepares are untouched.
-   (Duplicate prepare delivery is idempotent at the store:
-   {!Store.Intent_log.prepare} replaces.) Also returns the stores whose
-   discarded batch vote was yes: they hold the member's stage whatever
-   the solo retry hears. *)
+(* A member's phase 1. Any vote short of all-yes on a multi-member batch
+   peels this member out: the batch votes are discarded and the member
+   prepares again in a batch of one — a genuine conflict then aborts on
+   that verdict exactly as an unbatched commit would, while the
+   batchmates' staged prepares are untouched. (Duplicate prepare
+   delivery is idempotent at the store: {!Store.Intent_log.prepare}
+   replaces.) Also returns the stores whose discarded batch vote was
+   yes: they hold the member's stage whatever the retry hears. *)
 let prepare t tok ?deadline_at ~client ~action writes =
-  let m =
-    {
-      m_client = client;
-      m_action = action;
-      m_writes = writes;
-      m_deadline = deadline_at;
-      m_votes = Sim.Ivar.create ();
-    }
-  in
-  let batch =
-    arrive t t.gc_p1 tok ~stores:(List.map fst writes) m ~scatter:(scatter t)
-  in
-  match
-    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.m_votes
-  with
-  | Error _ ->
-      orphaned t t.gc_p1 batch;
-      (solo_prepare t ?deadline_at ~client ~action writes, [])
-  | Ok votes ->
-      let batched = List.length batch.b_members > 1 in
-      if (not batched) || all_yes votes then (votes, [])
-      else begin
-        Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
-        let staged =
-          List.filter_map
-            (function
-              | store, Ok Action.Store_host.Vote_yes -> Some store | _ -> None)
-            votes
-        in
-        (solo_prepare t ?deadline_at ~client ~action writes, staged)
-      end
+  let m = member ?deadline_at ~client ~action writes in
+  let votes, batched = join t t.gc_p1 tok m in
+  if (not batched) || all_yes votes then (votes, [])
+  else begin
+    Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
+    let staged =
+      List.filter_map
+        (function
+          | store, Ok Action.Store_host.Vote_yes -> Some store | _ -> None)
+        votes
+    in
+    (solo t.gc_p1 m, staged)
+  end
 
-(* Leader duty, phase 2: one commit round per store, then hand each
-   member its own per-store results. *)
-let scatter2 t members =
-  match members with
-  | [] -> ()
-  | leader :: _ ->
-      let stores =
-        List.fold_left (fun acc m -> union acc m.p_stores) [] members
-      in
-      let reqs =
-        List.map
-          (fun store ->
-            ( store,
-              List.filter_map
-                (fun m ->
-                  if List.mem store m.p_stores then Some m.p_action else None)
-                members ))
-          stores
-      in
-      let results =
-        Action.Store_host.commit_all t.gc_sh ~from:leader.p_client reqs
-      in
-      List.iter
-        (fun m ->
-          Sim.Ivar.fill m.p_results
-            (List.map (fun store -> (store, List.assoc store results)) m.p_stores))
-        members
-
-(* Batched phase 2 for a commit holding an {!expect_phase2} token. Runs in
-   the committing fiber (a 2PC participant's commit closure); the same
-   join/lead/orphan discipline as phase 1. *)
-let commit t tok ~client ~stores action =
-  let m =
-    {
-      p_client = client;
-      p_action = action;
-      p_stores = stores;
-      p_results = Sim.Ivar.create ();
-    }
-  in
-  let batch = arrive t t.gc_p2 tok ~stores m ~scatter:(scatter2 t) in
-  match
-    Sim.Ivar.read_timeout t.gc_eng (window +. orphan_grace) m.p_results
-  with
-  | Ok results -> results
-  | Error _ ->
-      orphaned t t.gc_p2 batch;
-      Action.Store_host.commit_all t.gc_sh ~from:client
-        (List.map (fun store -> (store, [ action ])) stores)
+let commit t tok ~client ~action prepared =
+  fst (join t t.gc_p2 tok (member ~client ~action prepared))

@@ -4,17 +4,19 @@
     sub-records ({!Action.Store_host.prepare_all} /
     {!Action.Store_host.commit_all}).
 
-    Batches close on a fixed {!window} with quiescence-pull: the window
-    ends early as soon as no commit that could still join is in flight,
-    so a lone commit never waits. Every commit of {!Commit.attach} goes
-    through the plane; a batch of one scatters the same rounds with one
-    sub-record each.
+    Both phases run one mechanism: a member joins (or opens and leads)
+    a batch, and the leader scatters the phase's round for all of them
+    and hands each member its own result per store. Batches close on a
+    fixed {!window} with quiescence-pull: the window ends early as soon
+    as no commit that could still join is in flight, so a lone commit
+    never waits. Every commit of {!Commit.attach} goes through the plane;
+    a batch of one scatters the same rounds with one sub-record each.
     Everything transactional stays per action — a member refused at any
-    store is peeled out for a solo retry; its batchmates are
-    unaffected. Every store scatter the plane issues (batch rounds,
-    peel-out and orphan retries, phase-2 commit) is idempotent at
-    the store, so under a gray-failure profile each races a
-    health-delayed backup copy ({!Net.Rpc.call_all}'s [idempotent]). *)
+    store is peeled out and prepares again in a batch of one; its
+    batchmates are unaffected. A member whose leader died runs the same
+    round as a batch of one too. Every store scatter the plane issues is
+    idempotent at the store, so under a gray-failure profile each races
+    a health-delayed backup copy ({!Net.Rpc.call_all}'s [idempotent]). *)
 
 type t
 
@@ -56,22 +58,21 @@ val prepare :
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (Action.Store_host.vote, Net.Rpc.error) result) list
   * Net.Network.node_id list
-(** Join (or open and lead) a batch and return this member's per-store
-    votes, shaped exactly like {!Action.Store_host.prepare_each}'s
-    result. Suspends up to the window (plus an orphan grace if the batch
-    leader died). A multi-member batch vote short of all-yes re-runs the
-    solo prepare and returns its verdict instead (peel-out). Must run in
-    a fiber on [client].
+(** Join (or open and lead) a batch and return this member's vote per
+    store, in the order of the list passed. Suspends up to the window
+    (plus an orphan grace if the batch leader died, after which the
+    member prepares in a batch of one). A multi-member batch vote short
+    of all-yes prepares again in a batch of one and returns its verdict
+    instead (peel-out). Must run in a fiber on [client].
 
     The second component lists the stores whose yes vote a peel-out
-    discarded: they staged the member's intent, whatever the solo
+    discarded: they staged the member's intent, whatever the retry's
     verdict says about them. It is empty unless the member peeled.
 
-    [deadline_at] (the action's deadline) applies only to the scatters
-    issued on this member's own behalf — a batch of one, the peel-out
-    retry and the orphan fallback. A multi-member prepare round carries
-    no deadline, because one member's expiry must not shed its
-    batchmates' prepares. *)
+    [deadline_at] (the action's deadline) applies only to the rounds
+    issued on this member's own behalf: its batches of one. A
+    multi-member prepare round carries no deadline, because one
+    member's expiry must not shed its batchmates' prepares. *)
 
 (** {2 Phase 2} *)
 
@@ -84,11 +85,13 @@ val commit :
   t ->
   token ->
   client:Net.Network.node_id ->
-  stores:Net.Network.node_id list ->
-  string ->
+  action:string ->
+  (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** Batched phase-2 commit: returns once this member's commit round has
-    been answered, with this member's result per store in [stores]
-    order, the way {!prepare} hands out votes. A failed leg is the
-    caller's to deliver again ({!Action.Atomic.release_later}): the
-    plane never retries. Must run in a fiber on [client]. *)
+(** [commit t tok ~client ~action prepared]: batched phase-2 commit of
+    the sub-records [action] prepared, one per store that voted yes. It
+    returns once this member's commit round has been answered, with its
+    result per store in [prepared] order, the way {!prepare} hands out
+    votes. A failed leg is the caller's to deliver again
+    ({!Action.Atomic.release_later}): the plane never retries. Must run
+    in a fiber on [client]. *)

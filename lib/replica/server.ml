@@ -134,7 +134,6 @@ type runtime = {
   ep_view : (view_req, commit_view option) Net.Rpc.endpoint;
   ep_role : (Store.Uid.t, role option) Net.Rpc.endpoint;
   ep_passivate : (Store.Uid.t, bool) Net.Rpc.endpoint;
-  ep_quiescent : (Store.Uid.t, bool) Net.Rpc.endpoint;
   ep_checkpoint : (checkpoint_msg, unit) Net.Rpc.endpoint;
   ep_reply : (mc_reply, unit) Net.Rpc.endpoint;
   ch_invoke : mc_invoke Net.Multicast.channel;
@@ -156,7 +155,6 @@ let create art impls =
     ep_view = Net.Rpc.endpoint "server.commit_view";
     ep_role = Net.Rpc.endpoint "server.role";
     ep_passivate = Net.Rpc.endpoint "server.passivate";
-    ep_quiescent = Net.Rpc.endpoint "server.quiescent";
     ep_checkpoint = Net.Rpc.endpoint "server.checkpoint";
     ep_reply = Net.Rpc.endpoint "server.mc_reply";
     ch_invoke = Net.Multicast.channel "server.invoke.mc";
@@ -746,10 +744,6 @@ let install_host t node =
   Net.Rpc.serve rpc ~node t.ep_view (fun req -> do_view t h req);
   Net.Rpc.serve rpc ~node t.ep_role (fun uid ->
       Option.map (fun i -> i.i_role) (find_instance h uid));
-  Net.Rpc.serve rpc ~node t.ep_quiescent (fun uid ->
-      match find_instance h uid with
-      | None -> true
-      | Some inst -> instance_quiescent inst);
   Net.Rpc.serve rpc ~node t.ep_passivate (fun uid ->
       match find_instance h uid with
       | None -> true
@@ -817,9 +811,6 @@ let role_of t ~from ~server ~uid =
 
 let passivate t ~from ~server ~uid =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_passivate uid
-
-let quiescent t ~from ~server ~uid =
-  Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_quiescent uid
 
 let instances t node = (Hashtbl.find t.hosts node).h_instances
 

@@ -165,14 +165,6 @@ val passivate :
 (** Destroy the instance if it is quiescent (no locks, no staged state);
     [Ok false] if it is still in use. *)
 
-val quiescent :
-  runtime ->
-  from:Net.Network.node_id ->
-  server:Net.Network.node_id ->
-  uid:Store.Uid.t ->
-  (bool, Net.Rpc.error) result
-(** Whether the instance is quiescent (a missing instance is quiescent). *)
-
 (** {2 Multicast invocation} (active replication) *)
 
 type mc_invoke = {
@@ -201,7 +193,7 @@ val reply_endpoint : runtime -> (mc_reply, unit) Net.Rpc.endpoint
 (** Endpoint replicas use to return multicast invocation results; the
     group layer serves it on client nodes. *)
 
-(** {2 Direct inspection} (tests, daemons on a host node) *)
+(** {2 Direct inspection} (tests) *)
 
 val local_instances : runtime -> node:Net.Network.node_id -> Store.Uid.t list
 (** UIDs of the instances currently activated on [node], sorted. *)

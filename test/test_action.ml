@@ -160,10 +160,7 @@ let test_participant_vote_no_aborts () =
         Atomic.atomically w.rt ~node:"client" (fun act ->
             Store_participant.add act ~store:"s1" ~writes:(fun () ->
                 [ (uid, Object_state.initial "x") ]);
-            Atomic.add_participant act ~name:"naysayer"
-              ~prepare:(fun () -> false)
-              ~commit:(fun () -> ())
-              ~abort:(fun () -> ())));
+            Atomic.before_commit act (fun () -> Error "naysayer voted no")));
   Sim.Engine.run w.eng;
   check_bool "aborted" true (Result.is_error !outcome);
   Alcotest.(check (option string)) "not applied" None (payload_on w "s1" uid)
@@ -182,8 +179,8 @@ let test_store_down_votes_no () =
   check_bool "aborted" true (Result.is_error !outcome)
 
 (* A store's phase-2 commit lost to a one-way cut client->s1 is retried
-   by Atomic's release rule until it lands. A last participant sets the
-   cut once both stores have prepared, so only phase 2 meets it; the cut
+   by Atomic's release rule until it lands. A last before-commit hook sets
+   the cut once both stores have prepared, so only phase 2 meets it; the cut
    heals 5.0 later. Without the retry s1 would keep the first write's
    reservation, and the second write would abort. *)
 let test_lost_store_phase2_is_retried () =
@@ -206,14 +203,12 @@ let test_lost_store_phase2_is_retried () =
               Store_participant.add act ~store:"s1" ~writes:(fun () -> [ (uid, state) ]);
               Store_participant.add act ~store:"s2" ~writes:(fun () -> [ (uid, state) ]);
               if cut then
-                Atomic.add_participant act ~name:"cutter"
-                  ~prepare:(fun () ->
+                Atomic.before_commit act (fun () ->
                     Sim.Engine.sleep w.eng 10.0;
                     Net.Network.set_oneway_cut w.net ~src:"client" ~dst:"s1" true;
                     Sim.Engine.schedule w.eng ~delay:5.0 (fun () ->
                         Net.Network.set_oneway_cut w.net ~src:"client" ~dst:"s1" false);
-                    true)
-                  ~commit:ignore ~abort:ignore));
+                    Ok ())));
     Sim.Engine.run w.eng;
     !outcome
   in
@@ -463,18 +458,19 @@ let test_recovery_completes_commit_after_store_crash () =
             let state = Object_state.initial "recovered-write" in
             Store_participant.add act ~store:"s1" ~writes:(fun () -> [ (uid, state) ]);
             Store_participant.add act ~store:"s2" ~writes:(fun () -> [ (uid, state) ]);
-            (* A slow co-participant stretches phase 1/2 so the crash of s1
-               can land between its prepare and its commit. *)
-            Atomic.add_participant act ~name:"slow"
-              ~prepare:(fun () ->
+            (* A slow hook after both stores' prepares delays the
+               decision, so the crash of s1 lands between its prepare and
+               its commit. *)
+            Atomic.before_commit act (fun () ->
                 Sim.Engine.sleep w.eng 20.0;
-                true)
-              ~commit:(fun () -> ())
-              ~abort:(fun () -> ())));
-  (* s1's prepare happens within a few latencies; crash it at t=30 —
-     after its prepare but (because "slow" sits between) possibly before
+                Ok ())));
+  (* Both prepares are done within a few latencies and the decision comes
+     20.0 after them; crash s1 at t=22, after its prepare and before
      phase 2 reaches it. Recover at t=60. *)
-  Net.Fault.crash_for w.net ~at:25.0 ~duration:35.0 "s1";
+  Net.Fault.crash_for w.net ~at:22.0 ~duration:38.0 "s1";
+  Sim.Engine.run ~until:50.0 w.eng;
+  check_int "in doubt while down" 1
+    (List.length (Intent_log.in_doubt (Store_host.log w.sh "s1")));
   Sim.Engine.run w.eng;
   check_bool "committed" true (!outcome = Ok ());
   Alcotest.(check (option string))
@@ -494,15 +490,12 @@ let test_recovery_presumed_abort_on_coordinator_crash () =
         (Atomic.atomically w.rt ~node:"client" (fun act ->
              Store_participant.add act ~store:"s1" ~writes:(fun () ->
                  [ (uid, Object_state.initial "doomed") ]);
-             Atomic.add_participant act ~name:"slow"
-               ~prepare:(fun () ->
+             Atomic.before_commit act (fun () ->
                  Sim.Engine.sleep w.eng 50.0;
-                 true)
-               ~commit:(fun () -> ())
-               ~abort:(fun () -> ()))));
-  (* Participant order is registration order: s1 prepares first (within a
-     few latencies), then "slow" stalls phase 1. Crash the coordinator
-     mid-phase-1, then bounce s1 so it runs recovery. *)
+                 Ok ()))));
+  (* Hooks run in registration order: s1 prepares first (within a few
+     latencies), then "slow" stalls the commit before phase 1. Crash the
+     coordinator while it stalls, then bounce s1 so it runs recovery. *)
   Net.Fault.crash_at w.net ~at:20.0 "client";
   Net.Fault.crash_for w.net ~at:25.0 ~duration:10.0 "s1";
   Net.Fault.recover_at w.net ~at:40.0 "client";
@@ -525,12 +518,9 @@ let test_in_doubt_settles_promptly_after_coordinator_recovery () =
         (Atomic.atomically w.rt ~node:"client" (fun act ->
              Store_participant.add act ~store:"s1" ~writes:(fun () ->
                  [ (uid, Object_state.initial "doomed") ]);
-             Atomic.add_participant act ~name:"slow"
-               ~prepare:(fun () ->
+             Atomic.before_commit act (fun () ->
                  Sim.Engine.sleep w.eng 50.0;
-                 true)
-               ~commit:(fun () -> ())
-               ~abort:(fun () -> ()))));
+                 Ok ()))));
   let in_doubt () =
     List.length (Intent_log.in_doubt (Store_host.log w.sh "s1"))
   in
@@ -557,12 +547,9 @@ let test_recovery_waits_while_action_active () =
         Atomic.atomically w.rt ~node:"client" (fun act ->
             Store_participant.add act ~store:"s1" ~writes:(fun () ->
                 [ (uid, Object_state.initial "late") ]);
-            Atomic.add_participant act ~name:"slow"
-              ~prepare:(fun () ->
+            Atomic.before_commit act (fun () ->
                 Sim.Engine.sleep w.eng 60.0;
-                true)
-              ~commit:(fun () -> ())
-              ~abort:(fun () -> ())));
+                Ok ())));
   (* s1 prepares early, bounces quickly, and is back up (running recovery)
      long before phase 1 ends at ~t=60. *)
   Net.Fault.crash_for w.net ~at:15.0 ~duration:5.0 "s1";

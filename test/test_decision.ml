@@ -21,7 +21,8 @@ let decision sh ~coordinator ~action =
   Intent_log.decision_of (Store_host.log sh coordinator) ~action
 
 (* One top-level write of [payload] to s1 and s2 from "client", each
-   store's state the successor of s1's; [extra] adds participants. *)
+   store's state the successor of s1's; [extra] adds before-commit hooks,
+   which run after both stores have prepared. *)
 let write (w : Test_action.world) ?(extra = fun _ -> ()) uid payload =
   let action = ref "" in
   let outcome =
@@ -79,14 +80,12 @@ let test_record_kept_for_a_crashed_voter () =
   Net.Network.spawn_on w.net "client" (fun () ->
       result :=
         write w uid "one" ~extra:(fun act ->
-            Atomic.add_participant act ~name:"crasher"
-              ~prepare:(fun () ->
+            Atomic.before_commit act (fun () ->
                 Sim.Engine.sleep w.eng 10.0;
                 Net.Fault.crash_for w.net ~at:(Sim.Engine.now w.eng)
                   ~duration:30.0 "s1";
                 Sim.Engine.sleep w.eng 1.0;
-                true)
-              ~commit:ignore ~abort:ignore));
+                Ok ())));
   Sim.Engine.run w.eng;
   let action, outcome = !result in
   check_bool "committed" true (outcome = Ok ());
@@ -108,14 +107,12 @@ let test_record_outlives_a_lost_phase2_reply () =
   Net.Network.spawn_on w.net "client" (fun () ->
       let ((action, _) as r) =
         write w uid "one" ~extra:(fun act ->
-            Atomic.add_participant act ~name:"cutter"
-              ~prepare:(fun () ->
+            Atomic.before_commit act (fun () ->
                 Sim.Engine.sleep w.eng 10.0;
                 Net.Network.set_oneway_cut w.net ~src:"s1" ~dst:"client" true;
                 Sim.Engine.schedule w.eng ~delay:5.0 (fun () ->
                     Net.Network.set_oneway_cut w.net ~src:"s1" ~dst:"client" false);
-                true)
-              ~commit:ignore ~abort:ignore)
+                Ok ()))
       in
       at_return := decision w.sh ~coordinator:"client" ~action;
       result := r);

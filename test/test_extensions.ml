@@ -1,5 +1,5 @@
 (* Tests for the extension features: administrative replication-degree
-   changes, automatic passivation, the richer stock object
+   changes, passivation and re-activation, the richer stock object
    implementations, and lazy-checkpoint failover semantics. *)
 
 open Naming
@@ -371,57 +371,7 @@ let test_admin_add_store_no_source_unavailable () =
   | Ok () -> Alcotest.fail "expected Unavailable"
 
 (* ------------------------------------------------------------------ *)
-(* Passivator *)
-
-let test_passivator_reclaims_idle_instance () =
-  let w =
-    Service.create ~seed:12L
-      (topo ~servers:[ "alpha" ] ~stores:[ "beta1" ] ~clients:[ "c1" ])
-  in
-  let uid =
-    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
-      ~st:[ "beta1" ] ()
-  in
-  ignore
-    (Replica.Passivator.start (Service.server_runtime w) ~node:"alpha"
-       ~period:10.0 ~idle_after:25.0 ());
-  Service.spawn_client w "c1" (fun () ->
-      ignore
-        (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
-           ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
-             ignore (Service.invoke w group ~act "incr"))));
-  Service.run ~until:15.0 w;
-  check_bool "active after use" true
-    (Replica.Server.instance_exists (Service.server_runtime w) ~node:"alpha" ~uid);
-  Service.run ~until:100.0 w;
-  check_bool "passivated when idle" false
-    (Replica.Server.instance_exists (Service.server_runtime w) ~node:"alpha" ~uid);
-  check_bool "counted" true
-    (Sim.Metrics.counter (Service.metrics w) "server.auto_passivations" >= 1)
-
-let test_passivator_spares_busy_instance () =
-  let w =
-    Service.create ~seed:13L
-      (topo ~servers:[ "alpha" ] ~stores:[ "beta1" ] ~clients:[ "c1" ])
-  in
-  let uid =
-    Service.create_object w ~name:"obj" ~impl:"counter" ~sv:[ "alpha" ]
-      ~st:[ "beta1" ] ()
-  in
-  ignore
-    (Replica.Passivator.start (Service.server_runtime w) ~node:"alpha"
-       ~period:10.0 ~idle_after:20.0 ());
-  let eng = Service.engine w in
-  (* A long-running action holds its lock across several sweeps. *)
-  Service.spawn_client w "c1" (fun () ->
-      ignore
-        (Service.with_bound w ~client:"c1" ~scheme:Scheme.Standard
-           ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
-             ignore (Service.invoke w group ~act "incr");
-             Sim.Engine.sleep eng 80.0)));
-  Service.run ~until:70.0 w;
-  check_bool "still active while locked" true
-    (Replica.Server.instance_exists (Service.server_runtime w) ~node:"alpha" ~uid)
+(* Passivation *)
 
 let test_reactivation_after_passivation () =
   let w =
@@ -441,12 +391,13 @@ let test_reactivation_after_passivation () =
   let second = ref (Ok "") in
   Service.spawn_client w "c1" (fun () ->
       ignore (run_incr ());
-      (* Passivate by hand, then use the object again: a fresh bind must
+      (* Passivate, then use the object again: a fresh bind must
          re-activate from the store with the committed state. *)
       Sim.Engine.sleep eng 5.0;
-      check_int "passivated" 1
-        (Replica.Passivator.sweep_now (Service.server_runtime w) ~node:"alpha"
-           ~idle_after:0.0);
+      check_bool "passivated" true
+        (Replica.Server.passivate (Service.server_runtime w) ~from:"c1"
+           ~server:"alpha" ~uid
+        = Ok true);
       second := run_incr ());
   Service.run w;
   check_bool "state survived passivation" true (!second = Ok "2")
@@ -522,8 +473,6 @@ let suite =
       ] );
     ( "ext.passivator",
       [
-        tc "reclaims idle instance" `Quick test_passivator_reclaims_idle_instance;
-        tc "spares busy instance" `Quick test_passivator_spares_busy_instance;
         tc "reactivation after passivation" `Quick test_reactivation_after_passivation;
       ] );
     ( "ext.checkpointing",

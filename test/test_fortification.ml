@@ -1,8 +1,8 @@
 (* Fortification tests: paths not covered by the per-layer suites —
    store-side validation and reservations, the committed-version fence,
    retirement operations, durable naming mode, partition wedges and
-   orphan aborts, the passivator, and model-based property tests of the lock
-   manager and nested-action semantics. *)
+   orphan aborts, and model-based property tests of the lock manager and
+   nested-action semantics. *)
 
 open Naming
 
@@ -416,18 +416,16 @@ let test_wedge_store_reservation () =
         [ (uid, state) ])
   in
   (* c1's prepare reserves the object at beta1; c1 then loses beta1, so
-     its abort (a slow co-participant votes no) never withdraws it. *)
+     its abort (a slow later hook votes no) never withdraws it. *)
   Service.spawn_client w "c1" (fun () ->
       ignore
         (Action.Atomic.atomically (Service.atomic w) ~node:"c1" (fun act ->
              write "x" act;
-             Action.Atomic.add_participant act ~name:"slow"
-               ~prepare:(fun () ->
+             Action.Atomic.before_commit act (fun () ->
                  Sim.Engine.sleep (Service.engine w) 20.0;
                  Net.Network.set_partitioned (Service.network w) "c1" "beta1"
                    true;
-                 false)
-               ~commit:ignore ~abort:ignore)));
+                 Error "slow hook voted no"))));
   let outcomes = second_writer w ~client:"c2" ~at:50.0 (write "y") in
   Service.run w;
   Alcotest.(check (pair string string))

@@ -148,9 +148,11 @@ let test_singleton_prepare_carries_deadline () =
 (* ------------------------------------------------------------------ *)
 (* Two commits synchronised into one batch. [sabotage] optionally bumps
    the second object's version at store t1 behind the bound instance's
-   back, so that member votes Vote_stale while its batchmate is all-yes. *)
+   back, so that member votes Vote_stale while its batchmate is all-yes.
+   [at_sync w client act] runs in each client's body at the sync point,
+   just before its commit. *)
 
-let paired_world ?(seed = 21L) ~sabotage () =
+let paired_world ?(seed = 21L) ?(at_sync = fun _ _ _ -> ()) ~sabotage () =
   let w = mk_world ~seed [ "c1"; "c2" ] in
   let uid1 = new_counter w "obj-1" in
   let uid2 = new_counter w "obj-2" in
@@ -179,7 +181,8 @@ let paired_world ?(seed = 21L) ~sabotage () =
                 (* Sync point: both bodies exit — and so both commits
                    approach their prepare — at the same instant. *)
                 Sim.Engine.sleep eng
-                  (Float.max 0.0 (150.0 -. Sim.Engine.now eng)))
+                  (Float.max 0.0 (150.0 -. Sim.Engine.now eng));
+                at_sync w client act)
           in
           Hashtbl.replace results client r))
     [ ("c1", uid1); ("c2", uid2) ];
@@ -201,6 +204,68 @@ let test_peel_out () =
     (payload w "t1" uid2);
   Alcotest.(check (option string)) "obj-2 untouched" (Some "0")
     (payload w "t2" uid2)
+
+(* ------------------------------------------------------------------ *)
+(* Orphans: the leading client crashes after its batchmate joined and
+   before it scattered, so the batchmate waits out the orphan grace and
+   runs its own sub-records as a batch of one through the same round. A
+   token that never settles holds the phase's batches open for their
+   whole window, so the leader is still waiting when it crashes. *)
+
+let orphan_survivor_committed w uid2 results =
+  check_int "one orphan" 1 (counter (Service.metrics w) "groupcommit.orphaned");
+  check_bool "the orphan committed" true
+    (Hashtbl.find_opt results "c2" = Some (Ok ()));
+  Alcotest.(check (option string)) "t1 holds its state" (Some "1")
+    (payload w "t1" uid2);
+  Alcotest.(check (option string)) "t2 holds its state" (Some "1")
+    (payload w "t2" uid2)
+
+(* Phase 1: c1 opens the prepare batch at t=150 and leads it, c2 joins
+   at 150.5, and c1 crashes at 151. *)
+let test_phase1_orphan () =
+  let at_sync w client _ =
+    let eng = Service.engine w in
+    if client = "c1" then begin
+      let gc = Replica.Server.groupcommit (Service.server_runtime w) in
+      ignore (Replica.Groupcommit.enter gc ~client:"c2");
+      Sim.Engine.schedule eng ~delay:1.0 (fun () ->
+          Net.Network.crash (Service.network w) "c1")
+    end
+    else Sim.Engine.sleep eng 0.5
+  in
+  let w, _, uid2, results = paired_world ~at_sync ~sabotage:false () in
+  orphan_survivor_committed w uid2 results
+
+(* Phase 2: each commit's last before-commit hook runs once both have
+   sealed their copy-back; c2's then pauses 1.0, so c1 decides first and
+   opens the phase-2 batch, and c2's phase-2 leg joins it 1.0 later. A
+   leg c2 registered after its copy-back's crashes c1 right after. *)
+let test_phase2_orphan () =
+  let sealed = Sim.Ivar.create () in
+  let at_sync w client act =
+    let eng = Service.engine w in
+    if client = "c1" then begin
+      let gc = Replica.Server.groupcommit (Service.server_runtime w) in
+      ignore (Replica.Groupcommit.expect_phase2 gc ~client:"c2");
+      Action.Atomic.before_commit act (fun () ->
+          Sim.Ivar.read eng sealed;
+          Ok ())
+    end
+    else begin
+      Action.Atomic.before_commit act (fun () ->
+          Sim.Ivar.fill sealed ();
+          Sim.Engine.sleep eng 1.0;
+          Ok ());
+      Action.Atomic.add_participant act
+        ~commit:(fun () ->
+          Sim.Engine.sleep eng 0.01;
+          Net.Network.crash (Service.network w) "c1")
+        ~abort:ignore
+    end
+  in
+  let w, _, uid2, results = paired_world ~at_sync ~sabotage:false () in
+  orphan_survivor_committed w uid2 results
 
 (* ------------------------------------------------------------------ *)
 (* A client that crashes during its commit takes the commit's fiber with
@@ -335,6 +400,10 @@ let suite =
           test_peel_out;
         Alcotest.test_case "a crashed client's tokens are released" `Quick
           test_crashed_client_releases_tokens;
+        Alcotest.test_case "a phase-1 orphan prepares in a batch of one" `Quick
+          test_phase1_orphan;
+        Alcotest.test_case "a phase-2 orphan commits in a batch of one" `Quick
+          test_phase2_orphan;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_matches_sequential;

@@ -1049,8 +1049,8 @@ let test_commit_exclusion_updates_gvd scheme () =
 
 let test_standard_exclusion_rolled_back_on_abort () =
   (* Under the standard scheme the Exclude happens inside the client
-     action: if a later participant fails the commit, the exclusion must
-     be undone with it. *)
+     action: if a later before-commit hook fails the commit, the exclusion
+     must be undone with it. *)
   let w = small_world () in
   let uid = counter_object w "ctr" in
   Service.run ~until:1.0 w;
@@ -1063,10 +1063,7 @@ let test_standard_exclusion_rolled_back_on_abort () =
             Net.Network.crash (Service.network w) "beta2";
             Sim.Engine.sleep eng 2.0;
             (* Doom the action after the commit hook will have excluded. *)
-            Action.Atomic.add_participant act ~name:"saboteur"
-              ~prepare:(fun () -> false)
-              ~commit:(fun () -> ())
-              ~abort:(fun () -> ()))
+            Action.Atomic.before_commit act (fun () -> Error "saboteur"))
       with
       | Ok _ -> Alcotest.fail "expected abort"
       | Error _ -> ());

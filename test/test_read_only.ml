@@ -91,8 +91,7 @@ let test_writer_granted_at_reader_prepare () =
             let v = Service.invoke w g ~act ~write:false "get" in
             (* The writer queues on the instance lock meanwhile. *)
             Sim.Engine.sleep eng 20.0;
-            Action.Atomic.add_participant act ~name:"probe"
-              ~prepare:(fun () -> true)
+            Action.Atomic.add_participant act
               ~commit:(fun () ->
                 writer_held_at_decision :=
                   List.mem !writer_owner (holders w "alpha"))
@@ -131,8 +130,7 @@ let test_mixed_action_skips_reader_phase2 () =
             let gx = bind w act x and gy = bind w act y in
             ignore (Service.invoke w gx ~act ~write:false "get");
             ignore (Service.invoke w gy ~act "incr");
-            Action.Atomic.add_participant act ~name:"probe"
-              ~prepare:(fun () -> true)
+            Action.Atomic.add_participant act
               ~commit:(fun () -> at_phase2 := decision w ~action:!action)
               ~abort:ignore));
   Service.run w;

@@ -184,6 +184,40 @@ let test_commit_view_rides_the_reply () =
   check_int "no commit-view round trip" 0 (counter w "rpc.op.server.commit_view");
   check_int "messages" 18 (counter w "net.msgs")
 
+(* A nested action activates, attaches commit processing and increments;
+   the top level commits. The copy-back hook runs at the top level's
+   commit, after the nested commit handed the child's stage up, so it
+   must act for the top level: asked under the child's id, the view reads
+   clean and the write is read-optimised away. *)
+let test_nested_bind_copies_back () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta1"; "beta2" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta1"; "beta2" ] in
+  let outcome = ref (Error "never ran") in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      outcome :=
+        Action.Atomic.atomically w.art ~node:"c" (fun top ->
+            match
+              Action.Atomic.atomically_nested top (fun act ->
+                  match
+                    Group.activate w.grt ~client:"c" ~uid ~impl:"counter"
+                      ~policy:Policy.Single_copy_passive ~servers:[ "alpha" ]
+                      ~stores:[ "beta1"; "beta2" ]
+                  with
+                  | Error e -> raise (Action.Atomic.Abort e)
+                  | Ok g -> (
+                      attach_commit w act g ~exclude:(fun _ _ -> `Excluded);
+                      match Group.invoke w.grt g ~act "incr" with
+                      | Ok r -> r
+                      | Error _ -> raise (Action.Atomic.Abort "invoke failed")))
+            with
+            | Ok r -> check_string "reply" "1" r
+            | Error e -> raise (Action.Atomic.Abort e)));
+  Sim.Engine.run w.eng;
+  check_bool "committed" true (!outcome = Ok ());
+  check_int "not read-optimised" 0 (counter w "commit.read_optimised");
+  Alcotest.(check (option string)) "beta1" (Some "1") (store_payload w "beta1" uid);
+  Alcotest.(check (option string)) "beta2" (Some "1") (store_payload w "beta2" uid)
+
 (* The server releases an object at its writer's decision, so the next
    writer's prepare can reach a store before the previous writer's phase 2
    does. Here beta2 still holds the predecessor's v1 reservation when the
@@ -1143,6 +1177,8 @@ let suite =
         tc "parent, child and parent share a binding" `Quick
           test_nested_invocations_share_a_binding;
         tc "the commit view rides the reply" `Quick test_commit_view_rides_the_reply;
+        tc "a nested bind copies back at the top-level commit" `Quick
+          test_nested_bind_copies_back;
         tc "a blocked prepare commits after one re-prepare" `Quick
           test_blocked_prepare_commits_after_one_reprepare;
         tc "a child's view is not the parent's" `Quick
