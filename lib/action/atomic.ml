@@ -38,14 +38,20 @@ let network rt = Net.Rpc.network (rpc rt)
 let engine rt = Net.Network.engine (network rt)
 let retry rt = rt.rt_retry
 
-(* One enlisted resource. [en_voted]: it voted yes in its reply to the
-   action's last request there, so phase 1 sends it no prepare. *)
+(* A resource's phase-1 vote as the coordinator knows it: not in yet,
+   or the outcome of the vote step ([Fail] carries the abort reason). *)
+type vote = Unasked | Yes | Read_only | Fail of string
+
+(* One enlisted resource. [en_vote] is [Yes] from the start when the
+   resource voted in its reply to the action's last request there; a
+   vote asked before phase 1 is recorded here too, and phase 1 asks only
+   a resource still [Unasked]. *)
 type enlisted = {
   en_node : Net.Network.node_id;
   en_kind : string;
   en_scope : string;
   mutable en_required : bool; (* must a phase-1 failure abort? *)
-  mutable en_voted : bool;
+  mutable en_vote : vote;
 }
 
 type t = {
@@ -58,6 +64,7 @@ type t = {
   mutable enlisted : enlisted list; (* newest first *)
   mutable participants : participant list; (* newest first *)
   mutable pre_hooks : (unit -> (unit, string) result) list; (* newest first *)
+  mutable in_last_hook : bool; (* the before-commit hook running is the last *)
   mutable undo_hooks : (unit -> unit) list; (* newest first *)
   mutable post_hooks : (unit -> unit) list; (* newest first *)
   mutable post_abort_hooks : (unit -> unit) list; (* newest first *)
@@ -138,6 +145,7 @@ let begin_top ?deadline rt ~node =
     enlisted = [];
     participants = [];
     pre_hooks = [];
+    in_last_hook = false;
     undo_hooks = [];
     post_hooks = [];
     post_abort_hooks = [];
@@ -160,6 +168,7 @@ let begin_nested parent =
     enlisted = [];
     participants = [];
     pre_hooks = [];
+    in_last_hook = false;
     undo_hooks = [];
     post_hooks = [];
     post_abort_hooks = [];
@@ -188,14 +197,15 @@ let resource_label e =
 let enlist t ?(required = true) ?(voted = false) ~node ~kind ~scope () =
   if t.st <> Running then invalid_arg "enlist: action not running";
   if voted && t.parent <> None then invalid_arg "enlist: a nested action cannot hold a vote";
+  let vote = if voted then Yes else Unasked in
   match find_enlisted t.enlisted ~node ~kind ~scope with
   | Some e ->
       if required then e.en_required <- true;
-      e.en_voted <- voted
+      e.en_vote <- vote
   | None ->
       t.enlisted <-
         { en_node = node; en_kind = kind; en_scope = scope; en_required = required;
-          en_voted = voted } :: t.enlisted
+          en_vote = vote } :: t.enlisted
 
 let add_participant t ~commit ~abort =
   if t.st <> Running then invalid_arg "add_participant: action not running";
@@ -277,6 +287,63 @@ let release_later t ~node ~op call =
 let release t ~node ~op call =
   match call () with Ok () -> () | Error _ -> release_later t ~node ~op call
 
+(* The one per-resource vote step: ask a resource whose vote is not in
+   yet, and record the outcome on its enlistment. Phase 1 runs it for
+   every such resource; the last before-commit hook may run it earlier,
+   beside its last request ([vote_beside]). *)
+let ask t en =
+  match en.en_vote with
+  | Yes | Read_only | Fail _ -> ()
+  | Unasked ->
+      let action = owner t and rnode = en.en_node in
+      en.en_vote <-
+        (match
+           Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
+             ~kind:en.en_kind ~scope:en.en_scope ~action
+         with
+        | Ok Resource_host.Vote_yes -> Yes
+        | Ok Vote_read_only -> Read_only
+        | Ok Vote_no ->
+            Fail (Printf.sprintf "resource %s@%s voted no" (resource_label en) rnode)
+        | Error e ->
+            (* A crashed replica of a group is masked (its volatile state
+               is gone anyway); a required resource aborts. Either may
+               have voted yes before the reply was lost, so both stay in
+               phase 2. *)
+            if en.en_required then
+              Fail
+                (Printf.sprintf "resource %s@%s unreachable: %s"
+                   (resource_label en) rnode (Net.Rpc.error_to_string e))
+            else begin
+              tracef t "%s: tolerating lost replica %s@%s (%s)" action
+                (resource_label en) rnode (Net.Rpc.error_to_string e);
+              Yes
+            end)
+
+let unasked en = match en.en_vote with Unasked -> true | _ -> false
+let read_only en = match en.en_vote with Read_only -> true | _ -> false
+
+(* The vote-step tasks of [resources] still unasked, in order. *)
+let rec vote_tasks t = function
+  | [] -> []
+  | en :: rest ->
+      if unasked en then (fun () -> ask t en) :: vote_tasks t rest
+      else vote_tasks t rest
+
+let last_hook t = t.in_last_hook
+
+let vote_beside t ~kind ~scope request =
+  if t.parent <> None then invalid_arg "vote_beside: a nested action cannot vote";
+  let result = ref None in
+  ignore
+    (Sim.Join.all (engine t.rt)
+       ((fun () -> result := Some (request ()))
+       :: vote_tasks t
+            (List.filter
+               (fun en -> en.en_kind = kind && en.en_scope = scope)
+               (List.rev t.enlisted))));
+  Option.get !result
+
 (* Abort: undo newest-first (strictly serial — each undo may depend on
    the effects of later-installed ones), then tell every participant and
    every resource in one parallel fan-out. *)
@@ -287,6 +354,12 @@ let abort t ~reason =
     Sim.Metrics.incr (metrics t) "action.aborts";
     List.iter (fun undo -> undo ()) t.undo_hooks;
     let action = owner t in
+    (* A resource that voted read-only has ended the action itself. *)
+    let resources =
+      if List.exists read_only t.enlisted then
+        List.filter (fun e -> not (read_only e)) t.enlisted
+      else t.enlisted
+    in
     ignore
       (Sim.Join.all (engine t.rt)
          (List.fold_right
@@ -297,7 +370,7 @@ let abort t ~reason =
                  release t ~node:e.en_node ~op:"action.release_abort" (fun () ->
                      Resource_host.abort t.rt.rh ~from:t.coord ~node:e.en_node
                        ~kind:e.en_kind ~scope:e.en_scope ~action))
-               (List.rev t.enlisted))));
+               (List.rev resources))));
     deactivate t;
     List.iter (fun post -> post ()) (List.rev t.post_abort_hooks)
   end
@@ -331,7 +404,7 @@ let commit_nested t parent =
       match find_enlisted parent.enlisted ~node:e.en_node ~kind:e.en_kind ~scope:e.en_scope with
       | Some p ->
           if e.en_required then p.en_required <- true;
-          p.en_voted <- false
+          p.en_vote <- Unasked
       | None -> parent.enlisted <- e :: parent.enlisted)
     enlisted transfers;
   parent.participants <- t.participants @ parent.participants;
@@ -350,6 +423,7 @@ let commit_top t =
   let rec run_pre = function
     | [] -> Ok ()
     | hook :: rest -> (
+        t.in_last_hook <- rest = [];
         match hook () with
         | Ok () -> run_pre rest
         | Error reason -> Error reason)
@@ -359,66 +433,29 @@ let commit_top t =
       abort t ~reason;
       Error reason
   | Ok () -> (
-      (* Phase 1, scattered: every resource prepares at once. The first
-         no-vote (in enlistment order, for deterministic abort reasons)
-         decides; a loser that prepared anyway is cleaned up by the abort
-         fan-out, which notifies every participant and every resource
-         that did not vote read-only. *)
+      (* Phase 1, scattered: every resource whose vote is not in yet
+         prepares at once. The first failed vote (in enlistment order,
+         for deterministic abort reasons) decides; a loser that prepared
+         anyway is cleaned up by the abort fan-out, which notifies every
+         participant and every resource that did not vote read-only. *)
+      t.in_last_hook <- false;
       let eng = engine t.rt in
       let participants = List.rev t.participants in
       let resources = List.rev t.enlisted in
-      let votes =
-        Sim.Join.all eng
-          (List.map
-             (fun en () ->
-               let rnode = en.en_node in
-               (* A resource that voted in its reply is not asked. *)
-               if en.en_voted then `Yes
-               else
-                 match
-                   Resource_host.prepare t.rt.rh ~from:t.coord ~node:rnode
-                     ~kind:en.en_kind ~scope:en.en_scope ~action
-                 with
-                 | Ok Resource_host.Vote_yes -> `Yes
-                 | Ok Vote_read_only -> `Read_only
-                 | Ok Vote_no ->
-                     `Fail
-                       (Printf.sprintf "resource %s@%s voted no"
-                          (resource_label en) rnode)
-                 | Error e ->
-                     (* A crashed replica of a group is masked (its
-                        volatile state is gone anyway); a required
-                        resource aborts. Either may have voted yes
-                        before the reply was lost, so both stay in
-                        phase 2. *)
-                     if en.en_required then
-                       `Fail
-                         (Printf.sprintf "resource %s@%s unreachable: %s"
-                            (resource_label en) rnode (Net.Rpc.error_to_string e))
-                     else begin
-                       tracef t "%s: tolerating lost replica %s@%s (%s)"
-                         action (resource_label en) rnode
-                         (Net.Rpc.error_to_string e);
-                       `Yes
-                     end)
-             resources)
-      in
-      (* A read-only voter ended the action itself: it gets neither
-         phase 2 nor the abort fan-out. *)
+      if tracing t then
+        tracef t "%s phase 1: %d prepares" action
+          (List.length (List.filter unasked resources));
+      ignore (Sim.Join.all eng (vote_tasks t resources));
+      (* A read-only voter ended the action itself: it gets no phase 2. *)
       let resources =
-        if List.mem `Read_only votes then begin
-          let kept =
-            List.fold_right2
-              (fun r v acc -> if v = `Read_only then acc else r :: acc)
-              resources votes []
-          in
-          t.enlisted <- List.rev kept;
-          kept
-        end
+        if List.exists read_only resources then
+          List.filter (fun en -> not (read_only en)) resources
         else resources
       in
       match
-        List.find_map (function `Fail reason -> Some reason | _ -> None) votes
+        List.find_map
+          (fun en -> match en.en_vote with Fail reason -> Some reason | _ -> None)
+          resources
       with
       | Some reason ->
           abort t ~reason;

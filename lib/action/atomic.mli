@@ -101,6 +101,24 @@ val enlist :
     a vote, or folding a nested action's enlistment of it into this one,
     clears the vote, so the resource is asked at commit after all. *)
 
+val last_hook : t -> bool
+(** Whether the {!before_commit} hook now running is the action's last.
+    Only that hook's requests come after every other request of the
+    action, so only its last request to a resource may carry the
+    resource's vote, and only it may ask for votes early
+    ({!vote_beside}). [false] outside commit processing. *)
+
+val vote_beside : t -> kind:string -> scope:string -> (unit -> 'a) -> 'a
+(** [vote_beside t ~kind ~scope request] runs [request] and, in the same
+    scatter, asks every resource enlisted under [kind]/[scope] whose
+    vote is not in yet for its phase-1 vote, by the same vote step that
+    phase 1 runs, and records each outcome (yes, read-only or a failure)
+    on the enlistment. Phase 1 then asks only resources whose vote is
+    still unknown, and the decision folds in the recorded outcomes. A
+    hook may call it only when it is the action's {!last_hook}: a later
+    request to a resource that voted would miss the vote. Returns
+    [request]'s result. [Invalid_argument] on a nested action. *)
+
 val add_participant :
   t -> commit:(unit -> unit) -> abort:(unit -> unit) -> unit
 (** Register a closure participant: the phase-2 legs of a party that
@@ -168,8 +186,9 @@ val commit : t -> (unit, string) result
     everything to the parent. [Error reason] means the action aborted
     instead.
 
-    A resource enlisted [~voted:true] is not asked: its vote is already
-    in. A resource that answers {!Resource_host.Vote_read_only} has ended
+    A resource enlisted [~voted:true], or asked already beside the last
+    hook's last request ({!vote_beside}), is not asked: its vote is
+    already in. A resource that answers {!Resource_host.Vote_read_only} has ended
     the action itself: it gets no phase 2, and no abort if another
     resource votes no. Phase 2 goes to every participant and to every
     other resource, including a non-required one whose prepare went

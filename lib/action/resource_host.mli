@@ -38,7 +38,11 @@
     prepared. A lost reply leaves the client unaware of the vote: it
     enlists the resource unvoted and not required, its call failed, and
     the action aborts, which reaches the resource as usual. The naming
-    shard's counted bind is the one such handler ({!Naming.Gvd.bind}). *)
+    shard has two such handlers: the counted bind ({!Naming.Gvd.bind})
+    and a commit's validate ({!Naming.Gvd.validate}), which votes only
+    when the last before-commit hook asks it to ({!Atomic.last_hook}),
+    and only when it applies; a conflict reply carries no vote, so the
+    retry may validate again. *)
 
 (** A resource's phase-1 answer (presumed-abort 2PC):
 
@@ -51,7 +55,10 @@
       stops watching the coordinator — and the coordinator leaves it out
       of phase 2 and of any abort. Prepare comes after the action's lock
       point (before-commit hooks run before phase 1), so releasing read
-      locks here keeps strict two-phase locking serialisable. *)
+      locks here keeps strict two-phase locking serialisable. An early
+      vote ({!Atomic.vote_beside}) comes only from the last
+      before-commit hook, beside that hook's last request: every other
+      hook has taken its locks by then. *)
 type vote = Vote_yes | Vote_no | Vote_read_only
 
 type manager = {

@@ -99,9 +99,9 @@ let exclusion t ~scheme ~uid act failed =
    re-admitted (with a state at the old version fence) between the
    copy-back's target choice and its commit, or St members end up at
    different versions — is a [Note_version] update with [if_rev] under
-   the write fence, inside the prepare round: an interleaved membership
-   change is a revision conflict and the copy-back retries against fresh
-   St ({!Replica.Commit.attach}).
+   the write fence ({!Gvd.validate}), inside the prepare round: an
+   interleaved membership change is a revision conflict and the
+   copy-back retries against fresh St ({!Replica.Commit.attach}).
 
    So each attempt's target need only be a committed (St, revision)
    pair, not a fresh one: a stale pair costs one conflict. The first
@@ -160,8 +160,8 @@ let attach t ~scheme ~act ~uid ?rev ~stores group =
         `Conflict
     | Router.Unreachable why -> `Failed why
   in
-  let validate act ~version ~rev =
-    match Router.update t.b_router ~act ~if_rev:rev uid (Gvd.Note_version version) with
+  let validate act ~version ~rev ~vote =
+    match Router.validate t.b_router ~act ~rev ~vote uid version with
     | Ok { Gvd.o_applied = true; _ } -> `Validated
     | Ok { Gvd.o_applied = false; _ } -> `Conflict
     | Error f -> refused f

@@ -56,9 +56,11 @@
     lock (§4.2.1); under the other two it runs as a nested top-level
     action acquiring the exclude-write lock afresh. The copy-back target
     is a committed [(StA, revision)] pair validated inside the prepare
-    round under every scheme (a [Note_version] update with [~if_rev]; a
-    moved revision or a refused fence is a conflict); that validation is
-    the only commit-time fence, and three conflicts abort the commit.
+    round under every scheme ({!Gvd.validate}: a [Note_version] update
+    with [~if_rev]; a moved revision or a refused fence is a conflict);
+    that validation is the only commit-time fence, and three conflicts
+    abort the commit. The last before-commit hook's validate also
+    carries the shard's vote ({!Replica.Commit.attach}).
     Schemes B/C take the first pair from their [Counted] bind reply
     ([bv_stores], [bv_rev]) and send no commit-time read; scheme A's
     [Locked] reply holds no committed pair, so scheme A, cache hits,

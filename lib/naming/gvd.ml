@@ -103,6 +103,7 @@ type update_req = {
   up_uid : Store.Uid.t;
   up_op : op;
   up_if_rev : int option;
+  up_vote : bool; (* an applied op prepares the action: see [h_update] *)
 }
 
 (* What a bind needs from the entry. [Locked] (scheme A) holds Read locks
@@ -638,12 +639,17 @@ let h_read t { r_uid; r_mode } =
    validate-and-note; with [Exclude], the autonomic controller's
    validated exclusion.
 
+   [up_vote] is set only by the validate of a commit's last before-commit
+   hook, the action's last request here: once the op applies, the shard
+   votes yes in the reply, as a counted bind does. A conflict or a
+   refusal carries no vote, so a retry may validate again.
+
    Idempotent under duplicate delivery: lock grants are re-entrant,
    before-images are saved once per action, version notes advance only
    forward, and a revision cannot move while its fence is held. Staged
    counter ops are not idempotent, which is why updates are never
    hedged. *)
-let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev } =
+let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev; up_vote } =
   match Hashtbl.find t.entries (Store.Uid.serial uid) with
   | exception Not_found -> absent t uid
   | e -> (
@@ -664,6 +670,10 @@ let h_update t { up_action = action; up_uid = uid; up_op = op; up_if_rev } =
                 | Some refusal -> refusal
                 | None ->
                     perform t a ~action ~staged:(lock = Blocking Lockmgr.Mode.Delta) e op;
+                    if up_vote then begin
+                      vote_yes t a ~action;
+                      if tracing t then tracef t "%s votes in the validate's reply" action
+                    end;
                     Granted { o_applied = true; o_fence = e.e_image.im_state.im_version })))
 
 (* The single-round bind: one request carries the whole database half of
@@ -1213,7 +1223,9 @@ let call_enlisted t ~act ~voted ep req =
   let from = Action.Atomic.node act in
   let result = Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node ep req in
   (match result with
-  | Ok (Granted _) -> Action.Atomic.enlist act ~voted ~node:t.gvd_node ~kind:resource ~scope:"" ()
+  | Ok (Granted v) ->
+      Action.Atomic.enlist act ~voted:(voted v) ~node:t.gvd_node ~kind:resource
+        ~scope:"" ()
   | Ok (Busy _ | Refused _) ->
       (* The handler may still hold locks for the action (e.g. insert got
          its write lock but found the object busy); enlist so they are
@@ -1241,6 +1253,8 @@ let stored_on t ~from n =
 let served_by t ~from n =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:t.gvd_node t.ep_served_by n
 
+let unvoted _ = false
+
 (* A read that holds nothing once answered: nothing to enlist, undo or
    release. *)
 let read_unlocked t ~act uid mode =
@@ -1250,8 +1264,8 @@ let read_unlocked t ~act uid mode =
 let read t ~act uid r =
   let locked side = { r_uid = uid; r_mode = Lock (Action.Atomic.owner act, side) } in
   match r with
-  | Servers -> call_enlisted t ~act ~voted:false t.ep_read (locked Sv_side)
-  | Stores -> call_enlisted t ~act ~voted:false t.ep_read (locked St_side)
+  | Servers -> call_enlisted t ~act ~voted:unvoted t.ep_read (locked Sv_side)
+  | Stores -> call_enlisted t ~act ~voted:unvoted t.ep_read (locked St_side)
   | Committed -> read_unlocked t ~act uid Free
   | Settled -> read_unlocked t ~act uid (Await (Action.Atomic.owner act))
 
@@ -1261,12 +1275,31 @@ let get_server t ~act uid = read t ~act uid Servers
 let get_view t ~act uid = read t ~act uid Stores
 
 let update t ~act ?if_rev uid op =
-  call_enlisted t ~act ~voted:false t.ep_update
-    { up_action = Action.Atomic.owner act; up_uid = uid; up_op = op; up_if_rev = if_rev }
+  call_enlisted t ~act ~voted:unvoted t.ep_update
+    {
+      up_action = Action.Atomic.owner act;
+      up_uid = uid;
+      up_op = op;
+      up_if_rev = if_rev;
+      up_vote = false;
+    }
+
+(* With [vote], an applied validate voted yes; a conflict did not. *)
+let validate t ~act ~rev ~vote uid version =
+  call_enlisted t ~act
+    ~voted:(fun o -> vote && o.o_applied)
+    t.ep_update
+    {
+      up_action = Action.Atomic.owner act;
+      up_uid = uid;
+      up_op = Note_version version;
+      up_if_rev = Some rev;
+      up_vote = vote;
+    }
 
 (* A granted [Counted] bind staged its Increment and voted yes. *)
 let bind t ~act ~uid use =
-  let voted = match use with Counted _ -> true | Locked -> false in
+  let voted = match use with Counted _ -> fun _ -> true | Locked -> unvoted in
   call_enlisted t ~act ~voted t.ep_bind
     {
       bt_uid = uid;

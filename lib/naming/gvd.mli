@@ -19,10 +19,11 @@
     releases, nested commit transfers both to the parent action. An
     action whose record here staged nothing (read locks only, or a fence
     whose op changed nothing) votes read-only at prepare: its locks and
-    record go there, and it gets no phase 2. A [Counted] {!bind} instead
-    carries the yes vote in its reply; the shard then refuses
-    ([Refused "action already prepared"]) every later {!read}, {!update}
-    or {!bind} of that action.
+    record go there, and it gets no phase 2. A [Counted] {!bind}, and a
+    commit's {!validate} asked to vote, instead carry the yes vote in
+    their reply; the shard then refuses
+    ([Refused "action already prepared"]) every later {!read}, {!update},
+    {!validate} or {!bind} of that action.
 
     The paper's type-specific concurrency control is implemented exactly:
     [Exclude] first tries to promote the caller's read lock to the
@@ -264,6 +265,26 @@ val update :
     inside the prepare round; with [Exclude], the autonomic controller's
     validated exclusion. Idempotent under duplicate delivery except for
     staged counter ops. *)
+
+val validate :
+  t ->
+  act:Action.Atomic.t ->
+  rev:int ->
+  vote:bool ->
+  Store.Uid.t ->
+  Store.Version.t ->
+  (outcome reply, Net.Rpc.error) result
+(** [validate t ~act ~rev ~vote uid version] is the optimistic commit's
+    validate-and-note: [update ~if_rev:rev uid (Note_version version)].
+    With [vote] — the validate is the last request of [act]'s last
+    before-commit hook ({!Action.Atomic.last_hook}), so nothing more of
+    [act] comes here — a validate that applies also prepares [act] at
+    the shard and votes yes in its reply, as a [Counted] bind does
+    ({!Action.Resource_host}): the shard is enlisted as voted, commit
+    sends it no prepare, and every later request of [act] is refused. A
+    moved revision ([o_applied = false]) or a refusal carries no vote,
+    so the retry validates again. A lost reply fails the call, and the
+    commit aborts. *)
 
 (** {2 Single-round bind}
 

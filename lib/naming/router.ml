@@ -124,6 +124,9 @@ let bind t ~act ~uid use = dispatch t ~uid (fun g -> Gvd.bind g ~act ~uid use)
 
 let update t ~act ?if_rev uid op = dispatch t ~uid (fun g -> Gvd.update g ~act ?if_rev uid op)
 
+let validate t ~act ~rev ~vote uid version =
+  dispatch t ~uid (fun g -> Gvd.validate g ~act ~rev ~vote uid version)
+
 (* -- administrative / name-space operations -- *)
 
 let register_direct t ~uid ~name ~impl ~sv ~st =

@@ -67,6 +67,16 @@ val update :
   (Gvd.outcome, failure) result
 (** {!Gvd.update} of one entry on its owning shard. *)
 
+val validate :
+  t ->
+  act:Action.Atomic.t ->
+  rev:int ->
+  vote:bool ->
+  Store.Uid.t ->
+  Store.Version.t ->
+  (Gvd.outcome, failure) result
+(** {!Gvd.validate} of one entry on its owning shard. *)
+
 val bind :
   t -> act:Action.Atomic.t -> uid:Store.Uid.t -> Gvd.bind_use ->
   (Gvd.bind_view, failure) result

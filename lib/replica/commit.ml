@@ -74,8 +74,14 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              that ends up unreached gets no phase-2 leg and asks the
              coordinator on recovery, so it pins the decision record. *)
           let unheard = ref [] in
-          (* The validated attempt's yes voters and phase-2 token. *)
+          (* The validated attempt's yes voters. *)
           let sealed = ref None in
+          (* The phase-2 token, taken when the commit first joins phase 1:
+             phase-2 batches then hold for it while it prepares and
+             validates, since nothing may suspend between its seal and
+             its phase 2. *)
+          let p2 = lazy (Groupcommit.expect_phase2 gc ~client) in
+          let leave_p2 () = if Lazy.is_val p2 then Groupcommit.leave gc (Lazy.force p2) in
           let release_abort store =
             Action.Atomic.release_later act ~node:store ~op:"action.release_abort"
               (fun () -> Action.Store_host.abort sh ~from:client ~store ~action)
@@ -109,8 +115,8 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
           Action.Atomic.add_participant act
             ~commit:(fun () ->
               match !sealed with
-              | None -> ()
-              | Some (ok, p2) ->
+              | None -> leave_p2 ()
+              | Some ok ->
                   if
                     List.exists
                       (fun s -> not (List.mem_assoc s !reached))
@@ -122,10 +128,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         Action.Atomic.release_later act ~node:store
                           ~op:"action.release_commit" (fun () ->
                             Action.Store_host.commit sh ~from:client ~store ~action))
-                    (Groupcommit.commit gc p2 ~client ~action ok);
+                    (Groupcommit.commit gc (Lazy.force p2) ~client ~action ok);
                   abort_reached ~keep:ok)
             ~abort:(fun () ->
-              Option.iter (fun (_, p2) -> Groupcommit.leave gc p2) !sealed;
+              leave_p2 ();
               abort_reached ~keep:[]);
           (* One copy-back attempt against a committed [St] and its
              revision, taken from [snapshot_stores]: scatter the prepares
@@ -150,6 +156,7 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                    already peeled out to a retry inside. *)
                 let scattered = Sim.Engine.now eng in
                 let per_store = List.map (fun s -> (s, writes)) current_st in
+                ignore (Lazy.force p2);
                 let votes, peeled_yes =
                   Groupcommit.prepare gc tok ?deadline_at ~client ~action
                     per_store
@@ -183,23 +190,40 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                   else Error why
                 in
                 let conflict () = again "St kept changing" snapshot_stores in
-                if stale then begin
-                  (* Backward validation failed: this action worked from a stale
-                     activation (disjoint replica sets during churn — the
-                     split-brain Arjuna's persistent lock store physically
-                     prevents). Abort, and once the abort has drained the
-                     action's locks, passivate the group's instances so the
-                     next bind re-activates from the latest committed state. *)
-                  Sim.Metrics.incr metrics "commit.conflicts";
-                  Action.Atomic.after_abort act (fun () ->
-                      List.iter
-                        (fun m ->
-                          ignore
-                            (Server.passivate (Group.server_runtime rt)
-                               ~from:client ~server:m ~uid:group.Group.g_uid))
-                        (Group.live_members rt group));
-                  Error "stale activation: version conflict at object stores"
-                end
+                (* Validate the revision inside the prepare round. A moved
+                   one, or a fence another action holds, retries at once
+                   against fresh St. *)
+                let validated outcome k =
+                  match outcome with
+                  | `Failed why -> Error ("validate refused: " ^ why)
+                  | `Conflict ->
+                      Sim.Metrics.incr metrics "commit.validate_conflict";
+                      conflict ()
+                  | `Validated -> k ()
+                in
+                if stale then
+                  (* A store found this action's base version behind its
+                     own. If St moved since the attempt's snapshot, the
+                     store may be one an exclusion left behind: retry
+                     against the fresh St. *)
+                  validated (validate act ~version ~rev ~vote:false) (fun () ->
+                      (* Backward validation failed against the current St:
+                         this action worked from a stale activation
+                         (disjoint replica sets during churn — the
+                         split-brain Arjuna's persistent lock store
+                         physically prevents). Abort, and once the abort
+                         has drained the action's locks, passivate the
+                         group's instances so the next bind re-activates
+                         from the latest committed state. *)
+                      Sim.Metrics.incr metrics "commit.conflicts";
+                      Action.Atomic.after_abort act (fun () ->
+                          List.iter
+                            (fun m ->
+                              ignore
+                                (Server.passivate (Group.server_runtime rt)
+                                   ~from:client ~server:m ~uid:group.Group.g_uid))
+                            (Group.live_members rt group));
+                      Error "stale activation: version conflict at object stores")
                 else if blocked then begin
                   (* Another action's prepare holds the object at a store
                      and its outcome has not reached it yet: prepare again
@@ -221,17 +245,24 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                   match excluded with
                   | `Failed why -> Error ("exclude failed: " ^ why)
                   | `Conflict -> conflict ()
-                  | `Excluded -> (
-                      match validate act ~version ~rev with
-                      | `Failed why -> Error ("validate refused: " ^ why)
-                      | `Conflict ->
-                          Sim.Metrics.incr metrics "commit.validate_conflict";
-                          conflict ()
-                      | `Validated ->
+                  | `Excluded ->
+                      let outcome =
+                        if Action.Atomic.last_hook act then
+                          (* The validate is the action's last naming
+                             request: the shard votes in its reply, and
+                             the group's members vote beside it, so
+                             phase 1 has nobody left to ask. *)
+                          Action.Atomic.vote_beside act
+                            ~kind:Server.resource_kind
+                            ~scope:(Store.Uid.to_string uid) (fun () ->
+                              validate act ~version ~rev ~vote:true)
+                        else validate act ~version ~rev ~vote:false
+                      in
+                      validated outcome (fun () ->
                           Sim.Metrics.incr metrics "commit.validate_ok";
                           Sim.Metrics.incr metrics ~by:(List.length ok)
                             "commit.state_copies";
-                          sealed := Some (ok, Groupcommit.expect_phase2 gc ~client);
+                          sealed := Some ok;
                           Ok ()))
           in
           attempt 0 (snapshot_stores ())

@@ -18,6 +18,9 @@
       naming layer; it performs the paper's lock promotion and [Exclude]
       within the same action — its failure aborts too);
     + validate that [StA] did not change meanwhile (retry, then abort);
+      in the action's last before-commit hook the validate carries the
+      naming shard's vote and the group's members vote beside it, so
+      phase 1 has nobody left to ask;
     + in phase 2, commit the successful stores. *)
 
 val attach :
@@ -29,6 +32,7 @@ val attach :
     (Action.Atomic.t ->
     version:Store.Version.t ->
     rev:int ->
+    vote:bool ->
     [ `Validated | `Conflict | `Failed of string ]) ->
   exclude:
     (Action.Atomic.t ->
@@ -48,9 +52,14 @@ val attach :
     other from a lock-free committed read ({!Naming.Gvd.read}
     [Committed]); a failed read aborts the commit with that read's
     error. [validate] re-checks the revision inside the
-    prepare round (a [Note_version] {!Naming.Gvd.update} with [~if_rev])
-    under the §4.2.1 write fence, noting the committed version on
-    success. [`Conflict] — an Include/Exclude committed between snapshot
+    prepare round ({!Naming.Gvd.validate}: a [Note_version] update with
+    [~if_rev]) under the §4.2.1 write fence, noting the committed version
+    on success. [~vote:true] asks the shard to vote yes in its reply:
+    only the validate of the action's last before-commit hook
+    ({!Action.Atomic.last_hook}) asks it, since the shard refuses every
+    later request of a voted action, and that validate goes out in one
+    scatter with the phase-1 votes of the group's members
+    ({!Action.Atomic.vote_beside}). [`Conflict] — an Include/Exclude committed between snapshot
     and validation, or one holding the fence right now — retries the
     whole fan-out at once against fresh [St]. [exclude] answers the same
     way: an exclusion refused by a lock another action holds is a
@@ -64,9 +73,12 @@ val attach :
     that votes {!Action.Store_host.Vote_blocked} (another action's
     prepare of the object is pending there, its phase 2 still on the
     way) makes the attempt prepare again against the same pair, within
-    the same three attempts ([commit.blocked]); one that votes
-    [Vote_stale] aborts the commit ("stale activation") and passivates
-    the group's instances. Metrics:
+    the same three attempts ([commit.blocked]). One that votes
+    [Vote_stale] makes the attempt validate first, without a vote: a
+    moved revision is a conflict and retries against fresh [St] (the
+    store may be one an exclusion left behind), and only a stale vote
+    against a validated [St] aborts the commit ("stale activation") and
+    passivates the group's instances. Metrics:
     [commit.validate_ok] / [commit.validate_conflict].
 
     Nothing is withdrawn between attempts: a retry re-stages the same
@@ -82,4 +94,5 @@ val attach :
     out goes straight to {!Action.Atomic.release_later}.
 
     The prepare and phase-2 commit scatters go through the runtime's
-    group-commit plane ({!Groupcommit}). *)
+    group-commit plane ({!Groupcommit}); the commit takes its phase-2
+    token when it first joins phase 1. *)

@@ -19,8 +19,9 @@
    phase-1 token, the member's prepare arrival (or an early exit — abort,
    read-optimised commit) settles it; at zero every open batch of the
    phase closes. Phase-2 symmetrically: {!expect_phase2} issues a token
-   for a sealed commit whose phase 2 is still to come, settled by its
-   {!commit}, or by {!leave} if the action aborts instead. A client's
+   when a commit first joins phase 1, since its phase 2 is then still to
+   come, settled by its {!commit}, or by {!leave} if the action aborts
+   instead. A client's
    crash kills its committing fibers before they can settle anything, so
    the plane counts each client's tokens apart and releases them from a
    crash hook; otherwise one crash mid-commit would hold every later

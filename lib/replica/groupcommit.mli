@@ -77,9 +77,13 @@ val prepare :
 (** {2 Phase 2} *)
 
 val expect_phase2 : t -> client:Net.Network.node_id -> token
-(** Register a sealed commit of [client] whose phase 2 is still to come:
-    phase-2 batches hold their window open for every such token until it
-    settles through {!commit} or {!leave}, or [client] crashes. *)
+(** Register a commit of [client] whose phase 2 is still to come, taken
+    when the commit first joins phase 1: phase-2 batches hold their
+    window open for every such token until it settles through {!commit}
+    or {!leave}, or [client] crashes. Taking it at the seal instead would
+    hold phase-2 batches for nobody: a commit whose votes all came
+    before its seal reaches phase 2 without suspending, so every
+    phase-2 round would go out alone. *)
 
 val commit :
   t ->

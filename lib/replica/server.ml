@@ -733,7 +733,7 @@ let install_host t node =
       h_node = node;
       h_instances = instances;
       h_passivated = [];
-      h_locks = Lockmgr.Manager.create (eng t);
+      h_locks = Lockmgr.Manager.create ~metrics:(metrics t) (eng t);
       h_term =
         Action.Termination.create t.art ~node (termination_ops t node instances);
     }
@@ -785,7 +785,7 @@ let install_host t node =
   Net.Network.on_crash (net t) node (fun () ->
       Hashtbl.reset instances;
       h.h_passivated <- [];
-      h.h_locks <- Lockmgr.Manager.create (eng t))
+      h.h_locks <- Lockmgr.Manager.create ~metrics:(metrics t) (eng t))
 
 let activate t ~from ~server ~uid ~impl ~stores ~role ~members =
   Net.Rpc.call (Action.Atomic.rpc t.art) ~from ~dst:server t.ep_activate

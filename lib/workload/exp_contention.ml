@@ -185,7 +185,7 @@ let run ?(seed = 131L) () =
         "workload";
         "bind latency mean";
         "rpc rounds/bind (incl. retries)";
-        "db lock waits";
+        "lock waits";
         "commit GetView waits";
         "bind failures";
       ]
@@ -213,6 +213,8 @@ let run ?(seed = 131L) () =
          "its copy-back goes through the group-commit plane (window 2.0),";
          "where overlapping commits share one prepare and one phase-2";
          "scatter per store (tab-groupcommit measures the round reduction):";
+         "'lock waits' counts every lock table: the naming database's and";
+         "the server's instance locks, where the writes queue.";
        ]
       @ validate_notes)
     (wave_rows @ commit_rows)

@@ -8,7 +8,7 @@
     ([GetServer]+[Increment] under a write lock), serialising binders.
 
     Sweep the number of concurrent (read-only) clients (1..32) and report
-    mean bind latency, mean RPC rounds per bind, and database lock waits
+    mean bind latency, mean RPC rounds per bind, and lock waits
     per scheme. Historically scheme A stayed flat while B/C grew with the
     client count; with snapshot reads and the single-round batched bind
     the Increment is a Delta-mode append and both curves are near-flat,

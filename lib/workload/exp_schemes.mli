@@ -14,7 +14,8 @@
       reported dead).
 
     Reported per scheme: commit rate, mean bind latency, futile bind
-    attempts, dead-server removals, database lock waits, database
+    attempts, dead-server removals, lock waits (naming database and
+    server instances), database
     operation count, server reintegration delay, orphaned counters
     cleaned. The paper's qualitative claims:
 
@@ -35,7 +36,7 @@ type result = {
   r_futile : int;
   r_removed_dead : int;
   r_db_ops : int;
-  r_db_lock_waits : int;
+  r_lock_waits : int;
   r_insert_delay : float;
   r_orphans : int;
 }

@@ -351,10 +351,10 @@ let test_chaos_outcome_replayable () =
     o2.Workload.Exp_chaos.oc_violations
 
 (* The shedding coverage check belongs to the default seed set: a replay
-   of another seed whose brownout world shed nothing (seed 19) passes on
+   of another seed whose brownout world sheds nothing (seed 22) passes on
    its audit and reports the total in a note. *)
 let test_replay_outside_default_set () =
-  let table, clean = Workload.Exp_chaos.run_check ~seeds:[ 19L ] () in
+  let table, clean = Workload.Exp_chaos.run_check ~seeds:[ 22L ] () in
   check_bool "clean" true clean;
   check_bool "shed total reported" true
     (List.exists

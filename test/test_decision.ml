@@ -156,7 +156,7 @@ let test_crashed_prepare_pins_the_record () =
   let w, uid, outcome =
     Test_optimistic.run_attach ~setup:crash_mid_prepare
       ~snapshot_stores:(fun () -> Ok ([ "beta1"; "beta2" ], 7))
-      ~validate:(fun _ ~version:_ ~rev:_ -> `Validated)
+      ~validate:(fun _ ~version:_ ~rev:_ ~vote:_ -> `Validated)
       ()
   in
   check_bool "committed" true (outcome = Ok ());

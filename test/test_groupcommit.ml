@@ -205,6 +205,36 @@ let test_peel_out () =
   Alcotest.(check (option string)) "obj-2 untouched" (Some "0")
     (payload w "t2" uid2)
 
+(* Phase 2 still batches when phase 1 sends nothing. Both commits'
+   votes come beside their validates, so each reaches its phase 2 right
+   after its seal without suspending; only the phase-2 token each took
+   when it joined phase 1 holds the first one's phase-2 batch for the
+   second. *)
+let test_phase2_batches_without_phase1 () =
+  let actions = ref [] in
+  let at_sync w _ act =
+    Sim.Trace.set_enabled (Service.trace w) true;
+    actions := Action.Atomic.owner act :: !actions
+  in
+  let w, uid1, uid2, results = paired_world ~at_sync ~sabotage:false () in
+  check_bool "c1 committed" true (Hashtbl.find results "c1" = Ok ());
+  check_bool "c2 committed" true (Hashtbl.find results "c2" = Ok ());
+  List.iter
+    (fun action ->
+      check_bool (action ^ ": phase 1 asked nobody") true
+        (Sim.Trace.find (Service.trace w) ~tag:"action"
+           ~substring:(action ^ " phase 1: 0 prepares")
+        <> []))
+    !actions;
+  let m = Service.metrics w in
+  check_int "one prepare round per store" 2 (counter m "rpc.op.store.prepare");
+  check_int "one phase-2 round per store" 2 (counter m "rpc.op.store.commit");
+  List.iter
+    (fun uid ->
+      Alcotest.(check (option string)) "t1" (Some "1") (payload w "t1" uid);
+      Alcotest.(check (option string)) "t2" (Some "1") (payload w "t2" uid))
+    [ uid1; uid2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Orphans: the leading client crashes after its batchmate joined and
    before it scattered, so the batchmate waits out the orphan grace and
@@ -400,6 +430,8 @@ let suite =
           test_peel_out;
         Alcotest.test_case "a crashed client's tokens are released" `Quick
           test_crashed_client_releases_tokens;
+        Alcotest.test_case "phase 2 batches when phase 1 sends nothing" `Quick
+          test_phase2_batches_without_phase1;
         Alcotest.test_case "a phase-1 orphan prepares in a batch of one" `Quick
           test_phase1_orphan;
         Alcotest.test_case "a phase-2 orphan commits in a batch of one" `Quick

@@ -82,7 +82,7 @@ let check_aborted_clean (w, uid, outcome) =
 let test_conflict_costs_one_retry () =
   let calls = ref 0 in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     incr calls;
     if !calls = 1 then `Conflict else `Validated
   in
@@ -100,7 +100,7 @@ let test_conflict_costs_one_retry () =
 let test_three_conflicts_abort () =
   let calls = ref 0 in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     incr calls;
     `Conflict
   in
@@ -117,7 +117,7 @@ let test_three_conflicts_abort () =
 let test_snapshot_error_aborts () =
   let calls = ref 0 in
   let snapshot_stores () = Error "shard unreachable" in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     incr calls;
     `Validated
   in
@@ -457,7 +457,7 @@ let test_withdraw_reaches_unanswered_store () =
     incr snapshots;
     Ok ((if !snapshots = 1 then [ "beta1"; "beta2" ] else [ "beta1" ]), 7)
   in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     incr calls;
     if !calls = 1 then `Conflict else `Validated
   in
@@ -485,7 +485,7 @@ let test_retry_reprepares_reached_store () =
   in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
   let calls = ref 0 and excluded = ref [] in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     incr calls;
     if !calls = 1 then `Conflict else `Validated
   in
@@ -514,7 +514,7 @@ let test_retry_reprepares_reached_store () =
    prepare it staged there too. *)
 let test_validated_attempt_settles_excluded_store () =
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
-  let validate _act ~version:_ ~rev:_ = `Validated in
+  let validate _act ~version:_ ~rev:_ ~vote:_ = `Validated in
   let ((w, uid, outcome) as r) =
     run_attach ~setup:cut_beta2_replies ~snapshot_stores ~validate ()
   in
@@ -523,6 +523,51 @@ let test_validated_attempt_settles_excluded_store () =
     "beta1" (Some "1")
     (Test_replica.store_payload w "beta1" uid);
   beta2_clean r
+
+(* A store's stale vote whose validation finds St moved is a conflict,
+   not an abort: beta2 holds a newer state than the one activated (an
+   exclusion left it behind the St it was dropped from), the validate
+   against revision 7 reports the move, and the retry against the fresh
+   St (beta1 alone, revision 8) commits. *)
+let test_stale_vote_on_moved_st_retries () =
+  let w =
+    Test_replica.make_world ~servers:[ "alpha" ] ~stores:[ "beta1"; "beta2" ]
+      ~clients:[ "c" ] ()
+  in
+  let uid =
+    Test_replica.new_object w ~label:"ctr" ~payload:"0"
+      ~stores:[ "beta1"; "beta2" ]
+  in
+  let ahead = Store.Object_state.initial "5" in
+  Action.Store_host.seed w.Test_replica.sh "beta2" uid
+    (Store.Object_state.make ~payload:"5"
+       ~version:(Store.Version.next ahead.Store.Object_state.version ~committed_by:"x"));
+  Sim.Trace.set_enabled (Net.Network.trace w.Test_replica.net) true;
+  let snapshots = ref 0 and revs = ref [] in
+  let snapshot_stores () =
+    incr snapshots;
+    Ok (if !snapshots = 1 then ([ "beta1"; "beta2" ], 7) else ([ "beta1" ], 8))
+  in
+  let validate _act ~version:_ ~rev ~vote:_ =
+    revs := !revs @ [ rev ];
+    if rev = 7 then `Conflict else `Validated
+  in
+  let outcome =
+    attach_write w uid ~exclude:(fun _ _ -> `Excluded) ~snapshot_stores ~validate
+  in
+  check_bool "beta2 voted stale" true
+    (Sim.Trace.find (Net.Network.trace w.Test_replica.net) ~tag:"store"
+       ~substring:"beta2: c:0 stale prepare"
+    <> []);
+  check_bool "committed" true (outcome = Ok ());
+  Alcotest.(check (list int)) "validated 7, then 8" [ 7; 8 ] !revs;
+  Alcotest.(check (option string))
+    "beta1" (Some "1")
+    (Test_replica.store_payload w "beta1" uid);
+  Alcotest.(check (option string))
+    "beta2 untouched" (Some "5")
+    (Test_replica.store_payload w "beta2" uid);
+  check_logs_clean w
 
 (* A phase-2 commit lost on its way to a store is delivered again. A
    one-way cut c->beta1, set inside [validate] (just before phase 2)
@@ -533,7 +578,7 @@ let test_validated_attempt_settles_excluded_store () =
 let test_lost_phase2_is_retried () =
   let world = ref None and cut = ref false in
   let snapshot_stores () = Ok ([ "beta1"; "beta2" ], 7) in
-  let validate _act ~version:_ ~rev:_ =
+  let validate _act ~version:_ ~rev:_ ~vote:_ =
     (if not !cut then
        let w = Option.get !world in
        let now = Sim.Engine.now w.Test_replica.eng in
@@ -584,6 +629,8 @@ let suite =
           `Quick test_retry_reprepares_reached_store;
         Alcotest.test_case "a validated attempt settles an excluded store"
           `Quick test_validated_attempt_settles_excluded_store;
+        Alcotest.test_case "a stale vote on a moved St retries" `Quick
+          test_stale_vote_on_moved_st_retries;
         Alcotest.test_case "a lost store phase 2 is retried" `Quick
           test_lost_phase2_is_retried;
       ] );

@@ -371,7 +371,8 @@ let test_voted_exclude_survives_coordinator_crash () =
    stores' state copy, not one store round trip after it. Under unit
    latency in the standard world's topology, a lone scheme-B single-copy
    write's instance commit lands one latency after the decision, and its
-   commit processing (body end to return) takes 8.0. *)
+   commit processing (body end to return) takes 6.0: the store prepare,
+   the validate with the server's vote beside it, and phase 2. *)
 let test_phase2_is_one_scatter () =
   let w =
     Service.create ~seed:1L ~latency:(fun _ -> 1.0)
@@ -411,7 +412,7 @@ let test_phase2_is_one_scatter () =
   let released = at "server" (!action ^ " instance-commit") in
   Alcotest.(check (float 1e-9)) "instance commit one latency after the decision" 1.0
     (released -. decided);
-  Alcotest.(check (float 1e-9)) "commit processing" 8.0 (!returned -. !body_end);
+  Alcotest.(check (float 1e-9)) "commit processing" 6.0 (!returned -. !body_end);
   Alcotest.(check (option string)) "t1" (Some "1") (store_payload w "t1" uid)
 
 let suite =

@@ -53,7 +53,7 @@ let new_object w ~label ~payload ~stores =
 let attach_commit w act g ~exclude =
   Commit.attach w.grt act g
     ~snapshot_stores:(fun () -> Ok (g.Group.g_stores, 0))
-    ~validate:(fun _ ~version:_ ~rev:_ -> `Validated)
+    ~validate:(fun _ ~version:_ ~rev:_ ~vote:_ -> `Validated)
     ~exclude
 
 let store_payload w node uid =
