@@ -162,6 +162,10 @@ let forget t ~scope ~action =
       Hashtbl.remove t.entries key;
       Net.Network.unwatch (Atomic.network t.rt) e.watch
 
+let forget_all t =
+  Hashtbl.iter (fun _ e -> Net.Network.unwatch (Atomic.network t.rt) e.watch) t.entries;
+  Hashtbl.reset t.entries
+
 let transfer t ~scope ~action ~parent =
   forget t ~scope ~action;
   touch t ~scope ~action:parent

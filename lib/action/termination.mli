@@ -88,6 +88,11 @@ val vote : t -> scope:string -> action:string -> unit
 val forget : t -> scope:string -> action:string -> unit
 (** [action] ended here by the normal path: stop watching. *)
 
+val forget_all : t -> unit
+(** A volatile host crashed: what it held for every action died with it,
+    so stop watching them all. A durable host (a store, a naming shard)
+    keeps its watches across a crash. *)
+
 val transfer : t -> scope:string -> action:string -> parent:string -> unit
 (** Nested commit: the watch moves from the child to the parent. *)
 

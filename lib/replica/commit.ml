@@ -56,6 +56,10 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
              up on. Phase 2 carries no deadline: a decided outcome must
              reach the stores even when the initiator stopped waiting. *)
           let deadline_at = Action.Atomic.deadline act in
+          (* Another action waits on this object's lock, which this one
+             holds until its commit ends: its group-commit batches close
+             at once rather than hold the waiter for batchmates. *)
+          let contended = view.Server.cv_contended in
           let full_bytes = Store.Object_state.bytes full_state in
           let writes = [ (uid, full_state) ] in
           (* Every store that may hold this action's prepare: it voted yes
@@ -128,7 +132,8 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                         Action.Atomic.release_later act ~node:store
                           ~op:"action.release_commit" (fun () ->
                             Action.Store_host.commit sh ~from:client ~store ~action))
-                    (Groupcommit.commit gc (Lazy.force p2) ~client ~action ok);
+                    (Groupcommit.commit gc (Lazy.force p2) ~contended ~client
+                       ~action ok);
                   abort_reached ~keep:ok)
             ~abort:(fun () ->
               leave_p2 ();
@@ -158,8 +163,8 @@ let attach rt act group ~snapshot_stores ~validate ~exclude =
                 let per_store = List.map (fun s -> (s, writes)) current_st in
                 ignore (Lazy.force p2);
                 let votes, peeled_yes =
-                  Groupcommit.prepare gc tok ?deadline_at ~client ~action
-                    per_store
+                  Groupcommit.prepare gc tok ?deadline_at ~contended ~client
+                    ~action per_store
                 in
                 Sim.Metrics.observe metrics "commit.fanout"
                   (Sim.Engine.now eng -. scattered);

@@ -27,6 +27,13 @@
    crash hook; otherwise one crash mid-commit would hold every later
    batch for the full window.
 
+   A member whose action's object has waiters (the commit view's
+   [cv_contended]) closes its batch at once, in either phase, once it is
+   in it: the server holds the object's lock until phase 2, so the
+   waiters would pay for the window too. The tokens of those very
+   waiters, taken at their first write invocation, would otherwise hold
+   the batch open for commits that cannot come until the lock goes.
+
    Leadership and orphans: the first member to open a batch leads it —
    its fiber waits out the window and issues the phase's round,
    distributing per-member results through ivars. The two phases differ
@@ -55,10 +62,13 @@ type 'res member = {
     (Net.Network.node_id * ('res, Net.Rpc.error) result) list Sim.Ivar.t;
 }
 
+(* Why a batch closed before its window ran out. *)
+type early = Pulled | Waited_on
+
 type 'm batch = {
   mutable b_open : bool;
   mutable b_members : 'm list; (* newest first; the last is the leader *)
-  b_close : unit Sim.Ivar.t;
+  b_close : early Sim.Ivar.t;
 }
 
 (* One phase of the plane: its outstanding tokens, its open batches,
@@ -181,7 +191,7 @@ let create ~engine ~store_host ~metrics =
    open batch may close now rather than wait out its window. *)
 let pull ph =
   List.iter
-    (fun b -> if b.b_open then ignore (Sim.Ivar.try_fill b.b_close ()))
+    (fun b -> if b.b_open then ignore (Sim.Ivar.try_fill b.b_close Pulled))
     ph.ph_batches
 
 type token = { tk_share : share; tk_phase2 : bool; mutable tk_counted : bool }
@@ -283,14 +293,15 @@ let scatter t ph members =
 let solo ph m = ph.ph_round ~from:m.m_client ~deadline_at:m.m_deadline [ m ] m
 
 (* A member's passage through [ph]: join the oldest open batch that
-   shares a store with it (or open one), settle its token — only after
-   joining, so the quiescence-pull this settlement may trigger reaches
-   the batch just joined — lead the batch if first, and wait for its
-   results. Returns them and whether the batch had more than one member.
-   A member whose leader has not answered within [window + orphan_grace]
-   (its client crashed before scattering) closes the abandoned batch and
-   runs its sub-records as a batch of one. *)
-let join t ph tok m =
+   shares a store with it (or open one), close it at once if [contended]
+   (another action waits on the lock this member's action holds), settle
+   its token — only after joining, so the quiescence-pull this settlement
+   may trigger reaches the batch just joined — lead the batch if first,
+   and wait for its results. Returns them and whether the batch had more
+   than one member. A member whose leader has not answered within
+   [window + orphan_grace] (its client crashed before scattering) closes
+   the abandoned batch and runs its sub-records as a batch of one. *)
+let join t ph tok ~contended m =
   let leading, batch =
     match
       List.find_opt (fun b -> b.b_open && overlaps m b) ph.ph_batches
@@ -303,10 +314,12 @@ let join t ph tok m =
         ph.ph_batches <- ph.ph_batches @ [ b ];
         (true, b)
   in
+  if contended then ignore (Sim.Ivar.try_fill batch.b_close Waited_on);
   leave t tok;
   if leading then begin
     (match Sim.Ivar.read_timeout t.gc_eng window batch.b_close with
-    | Ok () -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
+    | Ok Pulled -> Sim.Metrics.incr t.gc_metrics "groupcommit.pulled_closes"
+    | Ok Waited_on -> Sim.Metrics.incr t.gc_metrics "groupcommit.waiter_closes"
     | Error _ -> Sim.Metrics.incr t.gc_metrics "groupcommit.window_closes");
     close ph batch;
     scatter t ph (List.rev batch.b_members)
@@ -344,9 +357,9 @@ let all_yes votes =
    delivery is idempotent at the store: {!Store.Intent_log.prepare}
    replaces.) Also returns the stores whose discarded batch vote was
    yes: they hold the member's stage whatever the retry hears. *)
-let prepare t tok ?deadline_at ~client ~action writes =
+let prepare t tok ?deadline_at ~contended ~client ~action writes =
   let m = member ?deadline_at ~client ~action writes in
-  let votes, batched = join t t.gc_p1 tok m in
+  let votes, batched = join t t.gc_p1 tok ~contended m in
   if (not batched) || all_yes votes then (votes, [])
   else begin
     Sim.Metrics.incr t.gc_metrics "groupcommit.peels";
@@ -359,5 +372,5 @@ let prepare t tok ?deadline_at ~client ~action writes =
     (solo t.gc_p1 m, staged)
   end
 
-let commit t tok ~client ~action prepared =
-  fst (join t t.gc_p2 tok (member ~client ~action prepared))
+let commit t tok ~contended ~client ~action prepared =
+  fst (join t t.gc_p2 tok ~contended (member ~client ~action prepared))

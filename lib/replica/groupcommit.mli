@@ -9,8 +9,11 @@
     and hands each member its own result per store. Batches close on a
     fixed {!window} with quiescence-pull: the window ends early as soon
     as no commit that could still join is in flight, so a lone commit
-    never waits. Every commit of {!Commit.attach} goes through the plane;
-    a batch of one scatters the same rounds with one sub-record each.
+    never waits. A member whose object has waiters closes its batch at
+    once: the window trades a member's latency for fewer store rounds,
+    which pays only when nobody waits on the member's lock. Every commit
+    of {!Commit.attach} goes through the plane; a batch of one scatters
+    the same rounds with one sub-record each.
     Everything transactional stays per action — a member refused at any
     store is peeled out and prepares again in a batch of one; its
     batchmates are unaffected. A member whose leader died runs the same
@@ -53,6 +56,7 @@ val prepare :
   t ->
   token ->
   ?deadline_at:float ->
+  contended:bool ->
   client:Net.Network.node_id ->
   action:string ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
@@ -61,7 +65,11 @@ val prepare :
 (** Join (or open and lead) a batch and return this member's vote per
     store, in the order of the list passed. Suspends up to the window
     (plus an orphan grace if the batch leader died, after which the
-    member prepares in a batch of one). A multi-member batch vote short
+    member prepares in a batch of one). [contended] (another action
+    waits on the lock the member's action holds,
+    {!Server.commit_view}'s [cv_contended]) closes the batch at once,
+    once the member is in it: the leader sends the round, and members
+    that joined before ride along. A multi-member batch vote short
     of all-yes prepares again in a batch of one and returns its verdict
     instead (peel-out). Must run in a fiber on [client].
 
@@ -88,14 +96,15 @@ val expect_phase2 : t -> client:Net.Network.node_id -> token
 val commit :
   t ->
   token ->
+  contended:bool ->
   client:Net.Network.node_id ->
   action:string ->
   (Net.Network.node_id * (Store.Uid.t * Store.Object_state.t) list) list ->
   (Net.Network.node_id * (unit, Net.Rpc.error) result) list
-(** [commit t tok ~client ~action prepared]: batched phase-2 commit of
-    the sub-records [action] prepared, one per store that voted yes. It
-    returns once this member's commit round has been answered, with its
-    result per store in [prepared] order, the way {!prepare} hands out
-    votes. A failed leg is the caller's to deliver again
+(** [commit t tok ~contended ~client ~action prepared]: batched phase-2
+    commit of the sub-records [action] prepared, one per store that voted
+    yes. It returns once this member's commit round has been answered,
+    with its result per store in [prepared] order, the way {!prepare}
+    hands out votes; [contended] closes the batch at once as there. A failed leg is the caller's to deliver again
     ({!Action.Atomic.release_later}): the plane never retries. Must run
     in a fiber on [client]. *)

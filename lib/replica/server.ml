@@ -6,6 +6,7 @@ type commit_view = {
   cv_payload : string;
   cv_version : Store.Version.t;
   cv_dirty : bool;
+  cv_contended : bool;
 }
 
 type invoke_result =
@@ -454,14 +455,21 @@ let rec base_payload inst action =
       | None -> inst.i_committed)
 
 (* The state as it will be if [action] commits: its own stage at the next
-   version, else the committed state, clean. *)
+   version, else the committed state, clean; and whether another request
+   waits on the instance's lock now. *)
 let view_of inst action =
+  let cv_contended = Lockmgr.Manager.contended inst.i_host.h_locks (scope inst) in
   match Alist.find action inst.i_staged with
   | Some staged ->
       let cv_version = Store.Version.next inst.i_version ~committed_by:action in
-      { cv_payload = staged; cv_version; cv_dirty = true }
+      { cv_payload = staged; cv_version; cv_dirty = true; cv_contended }
   | None ->
-      { cv_payload = inst.i_committed; cv_version = inst.i_version; cv_dirty = false }
+      {
+        cv_payload = inst.i_committed;
+        cv_version = inst.i_version;
+        cv_dirty = false;
+        cv_contended;
+      }
 
 (* Core invocation logic, shared by the RPC and multicast paths. Runs in a
    fiber on the instance's node. Every reply carries the action's commit
@@ -781,9 +789,11 @@ let install_host t node =
   Action.Resource_host.register (Action.Atomic.resource_host t.art) ~node
     ~kind:resource_kind (make_manager t h);
   (* Instances are volatile: destroy them on crash — a recovered node
-     re-activates from the stores. *)
+     re-activates from the stores — and with them the crash watches of
+     what they held. *)
   Net.Network.on_crash (net t) node (fun () ->
       Hashtbl.reset instances;
+      Action.Termination.forget_all h.h_term;
       h.h_passivated <- [];
       h.h_locks <- Lockmgr.Manager.create ~metrics:(metrics t) (eng t))
 

@@ -341,6 +341,77 @@ let test_crashed_client_releases_tokens () =
     [ 8.0; 10.0; 12.0; 13.0; 14.0; 16.0; 18.0; 20.0; 22.0 ]
 
 (* ------------------------------------------------------------------ *)
+(* A write whose object has waiters closes its batches at once. c3 holds
+   a token of each phase that never settles, so every batch that waits
+   for its window waits the whole of it. c1 writes the object, and with
+   [contender] c2 queues on the object's lock; c1 then writes again, so
+   the reply that carries c1's commit view sees c2 waiting. Every message
+   takes 0.5, so a store round trip is half a window. Returns how long
+   c1's prepare took and the plane's close counts when c1's commit
+   ended. *)
+
+let hot_key_commit ~contender =
+  let w =
+    Service.create ~seed:23L ~latency:(fun _ -> 0.5) (topo [ "c1"; "c2"; "c3" ])
+  in
+  let uid = new_counter w "hot" in
+  Service.run ~until:1.0 w;
+  let eng = Service.engine w and m = Service.metrics w in
+  let gc = Replica.Server.groupcommit (Service.server_runtime w) in
+  ignore (Replica.Groupcommit.enter gc ~client:"c3");
+  ignore (Replica.Groupcommit.expect_phase2 gc ~client:"c3");
+  let sleep_until t = Sim.Engine.sleep eng (Float.max 0.0 (t -. Sim.Engine.now eng)) in
+  let results = Hashtbl.create 2 in
+  let closes = ref [] in
+  Service.spawn_client w "c1" (fun () ->
+      let r =
+        Service.with_bound w ~client:"c1" ~scheme:Scheme.Independent
+          ~policy:Replica.Policy.Single_copy_passive ~uid (fun act group ->
+            ignore (Service.invoke w group ~act "add 1");
+            sleep_until 40.0;
+            ignore (Service.invoke w group ~act "add 1"))
+      in
+      closes :=
+        List.map
+          (fun c -> (c, counter m ("groupcommit." ^ c)))
+          [ "window_closes"; "waiter_closes" ];
+      Hashtbl.replace results "c1" r);
+  if contender then
+    Service.spawn_client w "c2" (fun () ->
+        sleep_until 25.0;
+        Hashtbl.replace results "c2" (commit_add w ~client:"c2" ~uid));
+  Service.run w;
+  Hashtbl.iter
+    (fun client r -> check_bool (client ^ " committed") true (r = Ok ()))
+    results;
+  let adds = if contender then "3" else "2" in
+  Alcotest.(check (option string)) "t1" (Some adds) (payload w "t1" uid);
+  Alcotest.(check (option string)) "t2" (Some adds) (payload w "t2" uid);
+  (List.hd (Sim.Metrics.samples m "commit.fanout"), !closes)
+
+let test_waiter_closes_batches () =
+  let took, closes = hot_key_commit ~contender:true in
+  Alcotest.(check (list (pair string int)))
+    "both phases closed on the waiter, neither waited the window"
+    [ ("window_closes", 0); ("waiter_closes", 2) ]
+    closes;
+  check_bool
+    (Printf.sprintf "prepare took %.2f, less than one window" took)
+    true
+    (took < Replica.Groupcommit.window)
+
+let test_no_waiter_holds_window () =
+  let took, closes = hot_key_commit ~contender:false in
+  Alcotest.(check (list (pair string int)))
+    "both phases waited the window"
+    [ ("window_closes", 2); ("waiter_closes", 0) ]
+    closes;
+  check_bool
+    (Printf.sprintf "prepare took %.2f, a window or more" took)
+    true
+    (took >= Replica.Groupcommit.window)
+
+(* ------------------------------------------------------------------ *)
 (* The acceptance pin: at 8 synchronised clients, group commit cuts
    store RPC rounds per commit by at least 1.5x against a lone client's
    singleton batches (measured: well above), without losing a single
@@ -436,6 +507,10 @@ let suite =
           test_phase1_orphan;
         Alcotest.test_case "a phase-2 orphan commits in a batch of one" `Quick
           test_phase2_orphan;
+        Alcotest.test_case "a write with a waiter closes both batches at once"
+          `Quick test_waiter_closes_batches;
+        Alcotest.test_case "a write with no waiter waits for the token" `Quick
+          test_no_waiter_holds_window;
         Alcotest.test_case "pin: >= 1.5x round reduction at 8 clients" `Quick
           test_round_reduction_pin;
         Test_util.qcheck prop_grouped_matches_sequential;

@@ -1047,6 +1047,38 @@ let test_phase2_at_empty_node_forgets_watch () =
   check_int "no orphan abort" 0
     (Sim.Metrics.counter (Net.Network.metrics w.net) "server.orphan_aborts")
 
+(* A phase 2 sent while the node is down is lost, and nobody sends it
+   again: the crash itself must forget the dead instance's watch, or the
+   coordinator's later crash aborts the old action as an orphan on the
+   object's next instance there. *)
+let test_phase2_while_down_forgets_watch () =
+  let w = make_world ~servers:[ "alpha" ] ~stores:[ "beta" ] ~clients:[ "c" ] () in
+  let uid = new_object w ~label:"ctr" ~payload:"0" ~stores:[ "beta" ] in
+  Net.Network.spawn_on w.net "c" (fun () ->
+      activate_plain w uid;
+      (match
+         Server.invoke w.srv ~from:"c" ~server:"alpha" ~uid ~action:"c:1" ~serial:1
+           ~last_acked:0 ~write:true ~op:"incr"
+       with
+      | Ok (Server.Reply _) -> ()
+      | _ -> Alcotest.fail "invoke failed");
+      Net.Network.crash w.net "alpha";
+      (match
+         Action.Resource_host.abort (Action.Atomic.resource_host w.art) ~from:"c"
+           ~node:"alpha" ~kind:Server.resource_kind ~scope:(Uid.to_string uid)
+           ~action:"c:1"
+       with
+      | Ok () -> Alcotest.fail "a down node answered the abort"
+      | Error _ -> ());
+      Net.Network.recover w.net "alpha";
+      Sim.Engine.sleep w.eng 5.0;
+      activate_plain w uid);
+  Sim.Engine.run w.eng;
+  Net.Network.crash w.net "c";
+  Sim.Engine.run w.eng;
+  check_int "no orphan abort" 0
+    (Sim.Metrics.counter (Net.Network.metrics w.net) "server.orphan_aborts")
+
 (* ------------------------------------------------------------------ *)
 (* Settled tombstones *)
 
@@ -1222,6 +1254,8 @@ let suite =
         tc "frees its instance" `Quick test_passivation_frees_instance;
         tc "a phase 2 at an empty node forgets the watch" `Quick
           test_phase2_at_empty_node_forgets_watch;
+        tc "a phase 2 sent while the server is down forgets the watch" `Quick
+          test_phase2_while_down_forgets_watch;
       ] );
     ( "replica.settled",
       [
