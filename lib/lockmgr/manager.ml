@@ -286,18 +286,6 @@ let waiting t key =
   | Some e ->
       Queue.fold (fun n w -> if w.w_cancelled then n else n + 1) 0 e.queue
 
-(* Stops at the first live waiter: a cancelled one still sits in the
-   queue until [service] reaches it. *)
-let contended t key =
-  match Tbl.find_opt t.entries key with
-  | None -> false
-  | Some e -> (
-      match
-        Queue.iter (fun w -> if not w.w_cancelled then raise_notrace Exit) e.queue
-      with
-      | () -> false
-      | exception Exit -> true)
-
 let tracked_keys t =
   Tbl.fold (fun key _ acc -> key :: acc) t.entries [] |> List.sort String.compare
 

@@ -106,11 +106,8 @@ val all_held : t -> (string * (owner * Mode.t) list) list
     ways. Quiescence audits assert this is empty after a world drains. *)
 
 val waiting : t -> string -> int
-(** Number of queued (unsatisfied) requests on [key]. *)
-
-val contended : t -> string -> bool
-(** Whether a live request is queued on [key]: [waiting t key > 0], but
-    answered at the first live waiter. A cancelled waiter never counts. *)
+(** Number of queued (unsatisfied) requests on [key]. A cancelled
+    request does not count. *)
 
 val tracked_keys : t -> string list
 (** The keys the lock table has an entry for, sorted: exactly the keys

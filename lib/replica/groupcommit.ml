@@ -27,10 +27,10 @@
    crash hook; otherwise one crash mid-commit would hold every later
    batch for the full window.
 
-   A member whose action's object has waiters (the commit view's
-   [cv_contended]) closes its batch at once, in either phase, once it is
-   in it: the server holds the object's lock until phase 2, so the
-   waiters would pay for the window too. The tokens of those very
+   A member whose action's object has waiters (the contention flag of
+   the commit view on its invocation reply) closes its batch at once,
+   in either phase, once it is in it: the server holds the object's
+   lock until phase 2, so the waiters would pay for the window too. The tokens of those very
    waiters, taken at their first write invocation, would otherwise hold
    the batch open for commits that cannot come until the lock goes.
 

@@ -458,7 +458,7 @@ let rec base_payload inst action =
    version, else the committed state, clean; and whether another request
    waits on the instance's lock now. *)
 let view_of inst action =
-  let cv_contended = Lockmgr.Manager.contended inst.i_host.h_locks (scope inst) in
+  let cv_contended = Lockmgr.Manager.waiting inst.i_host.h_locks (scope inst) > 0 in
   match Alist.find action inst.i_staged with
   | Some staged ->
       let cv_version = Store.Version.next inst.i_version ~committed_by:action in

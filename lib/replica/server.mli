@@ -98,7 +98,7 @@ type commit_view = {
   cv_dirty : bool;  (** the action staged a write *)
   cv_contended : bool;
       (** a live request was queued on the instance's lock when the
-          view was built ({!Lockmgr.Manager.contended}). The commit's
+          view was built ({!Lockmgr.Manager.waiting}). The commit's
           group-commit batches then close at once, since the waiter pays
           every unit of time the commit holds the lock
           ({!Groupcommit.prepare}). *)

@@ -334,8 +334,7 @@ let prop_holders_pairwise_compatible =
 
 (* Model-based check of the manager against a reference model that keeps
    plain per-key lists: a timeout scans all keys in key order, and a
-   waiter leaves its queue as soon as it is cancelled, so a key is
-   [contended] exactly when its model queue is not empty. Owners "p.1" and
+   waiter leaves its queue as soon as it is cancelled. Owners "p.1" and
    "q.1" are children of "p" and "q", so lock inheritance and [transfer]
    are exercised. Every acquire runs in its own fiber and
    times out after [wait_bound]. An acquire first moves the clock on by
@@ -519,9 +518,7 @@ let run_against_model ops =
       (fun k ->
         if Manager.holders mgr k <> sorted (Model.held model k) then fail "holders of %s" k;
         if Manager.waiting mgr k <> List.length (Model.queue model k) then
-          fail "waiting on %s" k;
-        if Manager.contended mgr k <> (Model.queue model k <> []) then
-          fail "contended %s" k)
+          fail "waiting on %s" k)
       keys;
     let live = List.filter (fun k -> Model.held model k <> [] || Model.queue model k <> []) keys in
     if Manager.tracked_keys mgr <> live then fail "tracked keys";
